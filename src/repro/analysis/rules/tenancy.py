@@ -5,7 +5,7 @@ mirroring the cluster's (REP801): a tenant's private admission state —
 estimator sketches, cache partitions, residency quotas, the mix-level
 scheduling RNG — belongs to :mod:`repro.tenancy`, and everything the
 pipeline or an experiment needs comes through the controller's public
-surface (``admit``/``commit_*``/``counters``) or the accounting
+surface (``admit``/``commit``/``counters``) or the accounting
 readouts.  Code outside the package that pokes a tenant's partition or
 estimator directly can skew residency shares without the accounting
 noticing, which silently invalidates both the hit-rate comparison and

@@ -19,6 +19,7 @@ from typing import Optional
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
+from repro.core.stats import PipelineReport
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
@@ -56,30 +57,27 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def run_mode(mode: IntegrationMode, n_chunks: int,
-             base_config: Optional[PipelineConfig] = None,
-             cpu_spec: CpuSpec = I7_2600K,
-             gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-             ssd_spec: SsdSpec = SAMSUNG_SSD_830,
-             cpu_costs: CpuCosts = DEFAULT_COSTS,
-             gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-             dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
-             seed: int = 1234, tracer: Optional[Tracer] = None,
-             payload: bool = False):
-    """Run one integration mode on a fresh simulated platform.
+def run_stream(stream, n_chunks: int, config: PipelineConfig,
+               cpu_spec: CpuSpec = I7_2600K,
+               gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
+               ssd_spec: SsdSpec = SAMSUNG_SSD_830,
+               cpu_costs: CpuCosts = DEFAULT_COSTS,
+               gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
+               tracer: Optional[Tracer] = None
+               ) -> tuple[ReductionPipeline, PipelineReport]:
+    """Run ``n_chunks`` of ``stream`` on a fresh simulated platform.
 
-    ``tracer`` (a :class:`~repro.obs.SimTracer`) is bound to the run's
-    environment and threaded through every timed subsystem; the default
-    is the zero-cost null tracer.
+    The one place a pipeline run's platform is built: environment, CPU,
+    GPU (when ``gpu_spec`` is given), SSD, then the pipeline over them,
+    in that order.  ``tracer`` (a :class:`~repro.obs.SimTracer`) is
+    bound to the run's environment and threaded through every timed
+    subsystem; the default is the zero-cost null tracer.  The
+    pipeline's memo verifier (``PipelineConfig.verify_memos``) is
+    attached to ``stream`` so workload-side caches are verified too.
 
-    ``payload`` switches the workload to real bytes (the functional
-    data plane: hashing, codecs, memos) instead of descriptors; it is
-    required for ``PipelineConfig.verify_memos`` to have anything to
-    verify.
-
-    Returns the :class:`~repro.core.stats.PipelineReport`.
+    Returns the finished pipeline and its report.
     """
-    config = (base_config or PipelineConfig()).with_overrides(mode=mode)
+    mode = config.mode
     if gpu_spec is None and (mode.gpu_for_dedup
                              or mode.gpu_for_compression):
         raise ValueError(f"mode {mode.value} needs a GPU spec")
@@ -94,14 +92,39 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
     pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu, ssd=ssd,
                                  cpu_costs=cpu_costs, gpu_costs=gpu_costs,
                                  tracer=tracer)
+    stream.verifier = pipeline.verifier
+    source = stream.chunks_batched(n_chunks, config.functional_batch)
+    return pipeline, pipeline.run(source, total=n_chunks)
+
+
+def run_mode(mode: IntegrationMode, n_chunks: int,
+             base_config: Optional[PipelineConfig] = None,
+             cpu_spec: CpuSpec = I7_2600K,
+             gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
+             ssd_spec: SsdSpec = SAMSUNG_SSD_830,
+             cpu_costs: CpuCosts = DEFAULT_COSTS,
+             gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
+             dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
+             seed: int = 1234, tracer: Optional[Tracer] = None,
+             payload: bool = False):
+    """Run one integration mode over a vdbench stream (:func:`run_stream`).
+
+    ``payload`` switches the workload to real bytes (the functional
+    data plane: hashing, codecs, memos) instead of descriptors; it is
+    required for ``PipelineConfig.verify_memos`` to have anything to
+    verify.
+
+    Returns the :class:`~repro.core.stats.PipelineReport`.
+    """
+    config = (base_config or PipelineConfig()).with_overrides(mode=mode)
     stream = VdbenchStream(dedup_ratio=dedup_ratio, comp_ratio=comp_ratio,
                            chunk_size=config.chunk_size, seed=seed,
                            payload=payload)
-    if pipeline.verifier is not None:
-        stream.verifier = pipeline.verifier
-    source = (stream.chunks_batched(n_chunks, config.functional_batch)
-              if config.batched_functional else stream.chunks(n_chunks))
-    return pipeline.run(source, total=n_chunks)
+    _, report = run_stream(
+        stream, n_chunks, config, cpu_spec=cpu_spec, gpu_spec=gpu_spec,
+        ssd_spec=ssd_spec, cpu_costs=cpu_costs, gpu_costs=gpu_costs,
+        tracer=tracer)
+    return report
 
 
 def calibrate_mode(base_config: Optional[PipelineConfig] = None,

@@ -35,8 +35,6 @@ class PipelineConfig:
     #: of 1 keeps the bin count proportional to the 2 GB test streams so
     #: bins actually fill and flush (see DESIGN.md).
     prefix_bytes: int = 1
-    #: B-tree minimum degree for the CPU bin trees.
-    btree_min_degree: int = 16
     #: Bin-buffer entries per bin before a flush.
     bin_buffer_capacity: int = 64
     #: Overall bin-buffer staging budget in entries.
@@ -53,8 +51,6 @@ class PipelineConfig:
     gpu_comp_batch: int = 256
     #: Longest a partially filled batch waits before launching anyway.
     gpu_batch_wait_s: float = 2e-3
-    #: Segments per chunk in the GPU LZ kernel.
-    gpu_segments_per_chunk: int = 8
     #: Use the local-memory tiled lookup kernel (paper §3.1(2)'s
     #: local-memory design) instead of the per-thread global scan.
     gpu_index_tiled: bool = False
@@ -68,13 +64,12 @@ class PipelineConfig:
     #: In-flight chunk window (bounds memory and queueing on the inline
     #: path; must exceed the GPU batch sizes or batches never fill).
     window: int = 1024
-    #: Only offload index lookups when CPU utilization is at least this
-    #: (the paper: "use GPU only when CPU utilization is full").
-    cpu_saturation_threshold: float = 0.99
     #: When to send index lookups to the GPU: "saturation" is the
-    #: paper's rule; "always" models GHOST-style GPU-only indexing (Kim
-    #: et al., the related work the paper critiques for ignoring the
-    #: faster CPU); "never" keeps indexing on the CPU even in GPU modes.
+    #: paper's rule ("use GPU only when CPU utilization is full", i.e.
+    #: at or above ``OffloadScheduler``'s 0.99 threshold); "always"
+    #: models GHOST-style GPU-only indexing (Kim et al., the related
+    #: work the paper critiques for ignoring the faster CPU); "never"
+    #: keeps indexing on the CPU even in GPU modes.
     gpu_index_policy: str = "saturation"
     #: Index concurrency discipline: "bins" is the paper's lock-free
     #: partitioned design; "global" serializes every index operation
@@ -83,15 +78,12 @@ class PipelineConfig:
     index_locking: str = "bins"
 
     # -- batched functional plane -----------------------------------------
-    #: Operate the functional plane on chunk *windows* instead of one
-    #: chunk at a time: the feeder materializes windows, fingerprints
-    #: them in one batched hashing pass, pre-dispatches codec windows
-    #: (dedup-disabled configurations), and coalesces the shutdown-drain
-    #: destage into one vectored SSD request.  Timed per-chunk event
-    #: ordering is untouched — only untimed functional work is batched —
-    #: so reports are byte-identical with the flag off (DESIGN.md §12).
-    batched_functional: bool = True
-    #: Chunks per functional-plane window.
+    #: Chunks per functional-plane window: the feeder materializes a
+    #: window, fingerprints it in one batched hashing pass and, in
+    #: dedup-disabled configurations, pre-dispatches its codec work.
+    #: Only untimed functional work is batched — admission and every
+    #: timed event stay per chunk — so reports do not depend on this
+    #: value (DESIGN.md §12).
     functional_batch: int = 64
 
     # -- arrival shaping ------------------------------------------------------
@@ -111,28 +103,10 @@ class PipelineConfig:
     #: streams (skipped chunks are recovered by out-of-line compaction).
     tenancy_policy: str = "none"
     #: Bounded inline fingerprint-cache budget (entries), shared across
-    #: tenants under both non-default policies.
+    #: tenants under both non-default policies.  The estimator window,
+    #: skip threshold, rebalance period and compaction batch are
+    #: constants of :mod:`repro.tenancy.controller`.
     tenancy_cache_entries: int = 1024
-    #: Sliding-sketch window of the per-tenant locality estimator.
-    tenancy_window: int = 256
-    #: Below this estimated duplicate locality a stream's chunks skip
-    #: inline dedup entirely ("prioritized" only).
-    tenancy_skip_threshold: float = 0.05
-    #: Chunks a tenant must contribute before its estimate can trigger
-    #: inline skips (cold-start guard).
-    tenancy_min_observe: int = 64
-    #: Admissions between residency-share rebalances ("prioritized").
-    tenancy_rebalance_period: int = 256
-    #: Deferred chunks per out-of-line compaction epoch.
-    compaction_batch: int = 256
-
-    # -- codec memo --------------------------------------------------------
-    #: Entry budget of the fingerprint-keyed codec memo shared by the
-    #: CPU and GPU compression paths (0 disables).  Payload-mode only:
-    #: a memo hit returns the byte-identical container a previous encode
-    #: of the same content produced, so streams and report fields never
-    #: move — duplicate-heavy corpora just stop paying for re-encoding.
-    codec_memo_entries: int = 512
 
     # -- destage -----------------------------------------------------------
     #: Destage writes to the SSD model (disable to isolate the reduction
@@ -171,9 +145,6 @@ class PipelineConfig:
         if self.functional_batch < 1:
             raise ConfigError(
                 f"invalid functional_batch {self.functional_batch}")
-        if self.codec_memo_entries < 0:
-            raise ConfigError(
-                f"invalid codec_memo_entries {self.codec_memo_entries}")
         if not self.enable_dedup and not self.enable_compression:
             raise ConfigError("both reduction operations disabled")
         if self.gpu_index_policy not in ("saturation", "always", "never"):
@@ -194,24 +165,6 @@ class PipelineConfig:
                 raise ConfigError(
                     f"invalid tenancy_cache_entries "
                     f"{self.tenancy_cache_entries}")
-            if self.tenancy_window < 1:
-                raise ConfigError(
-                    f"invalid tenancy_window {self.tenancy_window}")
-            if not 0.0 <= self.tenancy_skip_threshold <= 1.0:
-                raise ConfigError(
-                    f"tenancy_skip_threshold must be in [0, 1], got "
-                    f"{self.tenancy_skip_threshold}")
-            if self.tenancy_min_observe < 0:
-                raise ConfigError(
-                    f"invalid tenancy_min_observe "
-                    f"{self.tenancy_min_observe}")
-            if self.tenancy_rebalance_period < 1:
-                raise ConfigError(
-                    f"invalid tenancy_rebalance_period "
-                    f"{self.tenancy_rebalance_period}")
-            if self.compaction_batch < 1:
-                raise ConfigError(
-                    f"invalid compaction_batch {self.compaction_batch}")
 
     def with_overrides(self, **kwargs) -> "PipelineConfig":
         """Copy with the given fields replaced."""

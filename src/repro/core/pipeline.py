@@ -33,7 +33,7 @@ is only possible on those terms).
 
 from __future__ import annotations
 
-import hashlib
+from itertools import islice
 from typing import Generator, Iterable, Optional
 
 from repro.chunkbatch import iter_windows
@@ -48,8 +48,7 @@ from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import SimCpu
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
-from repro.dedup.hashing import (PayloadHashMemo, fingerprint_chunk,
-                                 fingerprint_window)
+from repro.dedup.hashing import PayloadHashMemo, fingerprint_window
 from repro.dedup.replacement import RandomReplacement
 from repro.errors import ConfigError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
@@ -75,12 +74,7 @@ from repro.obs.stages import (
     TRACK_WINDOW,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.tenancy.controller import (
-    ADMIT_HIT,
-    ADMIT_MISS,
-    ADMIT_SKIP,
-    TenancyController,
-)
+from repro.tenancy.controller import TenancyController
 from repro.verify import MemoVerifier
 from repro.sim import Environment, Resource
 from repro.sim.histogram import LatencyHistogram
@@ -123,33 +117,25 @@ class ReductionPipeline:
                 costs=gpu_costs)
         self.dedup = DedupEngine(
             prefix_bytes=config.prefix_bytes,
-            btree_min_degree=config.btree_min_degree,
             bin_buffer_capacity=config.bin_buffer_capacity,
             bin_buffer_total=config.bin_buffer_total,
             gpu_index=gpu_index,
             costs=cpu_costs) if config.enable_dedup else None
 
-        #: Multi-tenant admission layer (DESIGN.md §15); None under the
-        #: default policy, which keeps every single-stream code path —
-        #: and therefore every report — byte-identical to a pre-tenancy
-        #: pipeline.
+        #: Multi-tenant admission layer (DESIGN.md §15): it replaces the
+        #: index and commit stages of the one chunk worker.  None under
+        #: the default policy, which keeps every single-stream report
+        #: byte-identical to a pre-tenancy pipeline.
         self.tenancy: Optional[TenancyController] = None
         if config.tenancy_policy != "none":
             self.tenancy = TenancyController(
                 policy=config.tenancy_policy,
-                cache_entries=config.tenancy_cache_entries,
-                window=config.tenancy_window,
-                skip_threshold=config.tenancy_skip_threshold,
-                min_observe=config.tenancy_min_observe,
-                rebalance_period=config.tenancy_rebalance_period,
-                compaction_batch=config.compaction_batch)
+                cache_entries=config.tenancy_cache_entries)
 
-        memo = (CodecMemo(capacity=config.codec_memo_entries)
-                if config.codec_memo_entries else None)
+        memo = CodecMemo()
         self.cpu_comp = CpuCompressor(costs=cpu_costs, memo=memo)
-        self.gpu_comp = GpuCompressor(
-            segments_per_chunk=config.gpu_segments_per_chunk,
-            cpu_costs=cpu_costs, gpu_costs=gpu_costs, memo=memo)
+        self.gpu_comp = GpuCompressor(cpu_costs=cpu_costs,
+                                      gpu_costs=gpu_costs, memo=memo)
 
         #: Runtime twin of the REP701/REP702 static contract: replays
         #: sampled memo hits, reports divergence via finish_check.
@@ -157,19 +143,21 @@ class ReductionPipeline:
         if config.verify_memos:
             self.verifier = MemoVerifier()
             env.register_finishable(self.verifier)
-            if memo is not None:
-                memo.verifier = self.verifier
+            memo.verifier = self.verifier
             self.cpu_comp.verifier = self.verifier
 
         self.scheduler = OffloadScheduler(
             self.cpu, policy=config.gpu_index_policy,
-            saturation_threshold=config.cpu_saturation_threshold,
             gpu_available=self.gpu is not None)
         self._index_batcher: Optional[GpuBatcher] = None
         self._comp_batcher: Optional[GpuBatcher] = None
-        #: One big lock serializing index work in the "global" baseline.
-        self._index_lock = (Resource(env, capacity=1, name="index-lock")
-                            if config.index_locking == "global" else None)
+        #: One big lock serializing bin-index work in the "global"
+        #: baseline; the tenancy cache and a dedup-less run have no bin
+        #: index to serialize.
+        self._index_lock = (
+            Resource(env, capacity=1, name="index-lock")
+            if config.index_locking == "global"
+            and self.dedup is not None and self.tenancy is None else None)
         self._window = Resource(env, capacity=config.window, name="window")
         #: In-flight fingerprint table: fingerprints currently being
         #: processed as uniques, mapping to the event their commit fires.
@@ -185,20 +173,19 @@ class ReductionPipeline:
         self._done = 0
         self._total = 0
         self._finished = env.event()
-        self._destage_procs = 0
         # -- statistics --
         self.bytes_in = 0
         self.destage_batches = 0
         self.destage_bytes = 0
-        self.gpu_offload_skips = 0
         self.latency = LatencyHistogram()
 
     # -- batcher wiring -----------------------------------------------------
 
-    def _ensure_batchers(self) -> None:
+    def _start_batchers(self) -> None:
+        """Start the GPU batch dispatchers (at run time, not construction:
+        an unrun pipeline leaves no live process behind)."""
         cfg = self.config
-        if (cfg.mode.gpu_for_dedup and cfg.enable_dedup
-                and self._index_batcher is None):
+        if cfg.mode.gpu_for_dedup and cfg.enable_dedup:
             index = self.dedup.gpu_index
             tiled = cfg.gpu_index_tiled
             self._index_batcher = GpuBatcher(
@@ -211,8 +198,7 @@ class ReductionPipeline:
                 max_wait_s=cfg.gpu_batch_wait_s,
                 name="gpu-index", priority=0,
                 tracer=self.tracer, stage=STAGE_GPU_INDEX)
-        if (cfg.mode.gpu_for_compression and cfg.enable_compression
-                and self._comp_batcher is None):
+        if cfg.mode.gpu_for_compression and cfg.enable_compression:
             self._comp_batcher = GpuBatcher(
                 self.env, self.gpu,
                 make_kernel=self.gpu_comp.make_kernel,
@@ -224,351 +210,233 @@ class ReductionPipeline:
 
     # -- the per-chunk workflow (Fig. 1) ------------------------------------
 
-    def _should_offload_index(self) -> bool:
-        """Delegate the placement decision to the offload scheduler."""
-        if self._index_batcher is None:
-            return False
-        decision = self.scheduler.should_offload_index()
-        self.gpu_offload_skips = self.scheduler.stats.skipped_idle_cpu
-        return decision
-
     def _index_execute(self, cycles: float) -> Generator:
-        """Charge CPU cycles for index work, honouring the lock baseline.
+        """Charge CPU cycles for index work under the global lock.
 
         The paper's bins need no lock ("without locking mechanism"); the
         conventional shared-table baseline serializes here.
         """
-        if self._index_lock is None:
-            yield self.cpu.charge(cycles)
-            return
         with self._index_lock.request() as lock:
             yield lock
             yield from self.cpu.execute(cycles)
 
-    def _chunk_worker(self, chunk: Chunk, slot, seq: int = 0) -> Generator:
-        """Per-chunk pipeline process: ingest through commit.
+    def _record(self, stage: str, seq: int, start: float, cycles: float,
+                path: Optional[str] = None,
+                resource: Optional[str] = None, **attrs) -> None:
+        """Trace ``[start, now]`` as one stage span (tracing on only).
+
+        ``cycles`` is the CPU work the interval was charged for; the
+        tracer books whatever the interval ran over that as queue wait
+        (0 cycles = pure waiting).  The timing math lives in the tracer.
+        ``path`` names which way through the stage the chunk took.
+        """
+        if path is not None:
+            attrs["path"] = path
+        self.tracer.record_since(
+            stage, seq, start,
+            expected_service_s=self.cpu.seconds(cycles),
+            resource=resource, attrs=attrs or None)
+
+    def _chunk_worker(self, chunk: Chunk, slot, seq: int) -> Generator:
+        """Per-chunk pipeline process: ingest, index, compress, commit.
 
         The whole chunk lifecycle lives in ONE generator frame —
         a nested ``yield from`` delegate would add a frame hop to
-        every event resume on the hottest path in the simulator.
+        every event resume on the hottest path in the simulator — so
+        the stages are sections of this function and their untimed
+        halves are plain calls.  Under a tenancy policy the *index*
+        verdict comes from ``TenancyController.admit`` instead of the
+        bin index and the *commit* stores through
+        ``TenancyController.commit`` instead of the bin buffer
+        (DESIGN.md §15); everything else is shared.
 
-        ``seq`` is the chunk's admission sequence number, used only as
-        its trace identity.  All tracing is guarded by ``trace`` being
-        non-None, so an untraced run executes the exact event sequence
-        it executed before tracing existed; the derived timing math
-        (queue-wait vs. service splits) lives in the tracer, never here.
+        ``seq`` is the chunk's admission sequence number: its trace
+        identity and the key of its precomputed compression result.
+        All tracing is guarded by ``trace`` being non-None, so an
+        untraced run executes the exact event sequence it executed
+        before tracing existed; the derived timing math (queue-wait
+        vs. service splits) lives in the tracer, never here.
         """
-        admitted = self.env.now
+        env = self.env
+        cpu = self.cpu
+        admitted = env.now
         trace = self.tracer if self.tracer.enabled else None
+        tenancy = self.tenancy
+        tenant = chunk.tenant or 0
         try:
             cfg = self.config
             costs = self.costs
-            tenancy = self.tenancy
-            verdict = None
-            tenant_id = 0
-            if cfg.enable_dedup and tenancy is not None:
-                # Multi-tenant admission (DESIGN.md §15): the verdict
-                # comes from the bounded inline fingerprint cache, not
-                # the unbounded index.  Hits commit against the
-                # canonical record; misses and skips fall through to
-                # compression and store (canonically or as a deferred
-                # shadow copy — see the commit section below).
-                if chunk.fingerprint is None:
-                    fingerprint_chunk(chunk)
-                tenant_id = chunk.tenant if chunk.tenant is not None \
-                    else 0
-                verdict = tenancy.admit(tenant_id, chunk.fingerprint)
-                if verdict == ADMIT_SKIP:
-                    # Inline skip: low-locality stream — no hash, no
-                    # cache probe on the inline path; compaction
-                    # re-fingerprints the chunk in the background.
-                    cycles = (costs.chunking_cycles(chunk.size,
-                                                    cfg.content_defined)
-                              + costs.handoff_per_chunk)
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_CHUNKING, seq, admitted,
-                            expected_service_s=self.cpu.seconds(cycles))
-                    chunk.is_duplicate = False
-                else:
-                    ingest = (self.dedup.ingest_cycles(
-                        chunk, cfg.content_defined)
-                        + costs.handoff_per_chunk)
-                    yield self.cpu.charge(ingest)
-                    if trace is not None:
-                        chunking = costs.chunking_cycles(
-                            chunk.size, cfg.content_defined)
-                        trace.record_split(
-                            (STAGE_CHUNKING, STAGE_FINGERPRINT), seq,
-                            admitted,
-                            weights=(chunking, ingest - chunking),
-                            expected_service_s=self.cpu.seconds(ingest))
-                    start = self.env.now if trace is not None else 0.0
-                    yield self.cpu.charge(costs.bin_buffer_probe)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_CPU_INDEX, seq, start,
-                            expected_service_s=self.cpu.seconds(
-                                costs.bin_buffer_probe),
-                            attrs={"path": "tenant_cache"})
-                    if verdict == ADMIT_HIT and self.dedup.metadata \
-                            .lookup(chunk.fingerprint) is not None:
-                        chunk.is_duplicate = True
-                        start = self.env.now if trace is not None else 0.0
-                        cycles = self.dedup.commit_duplicate(chunk)
-                        yield self.cpu.charge(cycles)
-                        if trace is not None:
-                            trace.record_since(
-                                STAGE_COMMIT, seq, start,
-                                expected_service_s=self.cpu.seconds(
-                                    cycles),
-                                attrs={"path": "tenant_hit"})
-                        return
-                    # A hit whose canonical record is still in flight
-                    # (or is a compaction-promoted shadow) cannot
-                    # dedup inline; it falls through to a raw shadow
-                    # store and compaction recovers the duplicate.
-                    chunk.is_duplicate = False
-            elif cfg.enable_dedup:
-                if chunk.fingerprint is None:
-                    # The batched feeder fingerprints whole windows up
-                    # front; only per-chunk admission still hashes here.
-                    fingerprint_chunk(chunk)
-                # One coalesced charge for ingest (chunk + hash) plus the
-                # stage handoff: a single acquire/hold/release round trip.
-                ingest = (self.dedup.ingest_cycles(chunk,
-                                                   cfg.content_defined)
-                          + costs.handoff_per_chunk)
-                yield self.cpu.charge(ingest)
-                if trace is not None:
-                    # The coalesced charge covers two workflow stages;
-                    # split the measured interval by cycle weight.
-                    chunking = costs.chunking_cycles(chunk.size,
-                                                     cfg.content_defined)
-                    trace.record_split(
-                        (STAGE_CHUNKING, STAGE_FINGERPRINT), seq,
-                        admitted, weights=(chunking, ingest - chunking),
-                        expected_service_s=self.cpu.seconds(ingest))
+            dedup = self.dedup
+            lock = self._index_lock
+            fingerprint = chunk.fingerprint
 
+            # -- ingest: chunk + hash + stage handoff, one CPU round trip.
+            # A tenant whose locality estimate is under threshold skips
+            # inline dedup, hash included; compaction re-fingerprints
+            # its chunks in the background.
+            admission = None
+            hashed = dedup is not None
+            if tenancy is not None:
+                admission = tenancy.admit(tenant, fingerprint)
+                hashed = admission.inline
+            ingest = (dedup.ingest_cycles(chunk, cfg.content_defined)
+                      if hashed else
+                      costs.chunking_cycles(chunk.size, cfg.content_defined)
+                      ) + costs.handoff_per_chunk
+            yield cpu.charge(ingest)
+            if trace is not None and hashed:
+                # The coalesced charge covers two workflow stages;
+                # split the measured interval by cycle weight.
+                chunking = costs.chunking_cycles(chunk.size,
+                                                 cfg.content_defined)
+                trace.record_split(
+                    (STAGE_CHUNKING, STAGE_FINGERPRINT), seq, admitted,
+                    weights=(chunking, ingest - chunking),
+                    expected_service_s=cpu.seconds(ingest))
+            elif trace is not None:
+                self._record(STAGE_CHUNKING, seq, admitted, ingest)
+
+            # -- index: is a stored copy known?  ``path`` names how the
+            # chunk resolved as a duplicate (None: unique so far) and
+            # ``cycles`` what mapping it onto the stored copy costs.
+            path = None
+            if hashed and admission is not None:
+                start = env.now if trace is not None else 0.0
+                yield cpu.charge(costs.bin_buffer_probe)
+                if trace is not None:
+                    self._record(STAGE_CPU_INDEX, seq, start,
+                                 costs.bin_buffer_probe,
+                                 path="tenant_cache")
+                # A hit whose canonical record is still in flight (or is
+                # a compaction-promoted shadow) cannot dedup inline; it
+                # stores as a shadow and compaction recovers it.
+                if admission.hit and \
+                        dedup.metadata.lookup(fingerprint) is not None:
+                    path = "tenant_hit"
+                    cycles = dedup.commit_duplicate(chunk)
+            elif hashed:
                 gpu_definitive = False
-                if self._should_offload_index():
+                if self._index_batcher is not None \
+                        and self.scheduler.should_offload_index():
                     # The batcher records the gpu_index span itself
                     # (submit -> kernel completion, per item).
                     hit = yield self._index_batcher.submit(
-                        chunk.fingerprint, trace_id=seq)
+                        fingerprint, trace_id=seq)
                     if hit:
-                        start = self.env.now if trace is not None else 0.0
-                        cycles = self.dedup.note_gpu_hit(chunk)
-                        yield self.cpu.charge(cycles)
-                        if trace is not None:
-                            trace.record_since(
-                                STAGE_COMMIT, seq, start,
-                                expected_service_s=self.cpu.seconds(cycles),
-                                attrs={"path": "gpu_hit"})
-                        return
-                    # An eviction-free GPU index mirrors every flushed entry,
-                    # so its miss proves the fingerprint is not in the tree.
-                    gpu_definitive = self.dedup.gpu_index.evictions == 0
-
-                start = self.env.now if trace is not None else 0.0
-                outcome = self.dedup.cpu_index_partial(chunk) if gpu_definitive \
-                    else self.dedup.cpu_index(chunk)
-                if self._index_lock is None:
-                    yield self.cpu.charge(outcome.cpu_cycles)
-                else:
-                    yield from self._index_execute(outcome.cpu_cycles)
-                if trace is not None:
-                    trace.record_since(
-                        STAGE_CPU_INDEX, seq, start,
-                        expected_service_s=self.cpu.seconds(
-                            outcome.cpu_cycles),
-                        attrs={"path": outcome.path})
-                if outcome.duplicate:
-                    start = self.env.now if trace is not None else 0.0
-                    cycles = self.dedup.commit_duplicate(chunk)
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMMIT, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            attrs={"path": "duplicate"})
-                    return
-                # In-flight check: another worker may be compressing this very
-                # content right now.  Wait for its commit, then dedup onto it.
-                pending = self._pending.get(chunk.fingerprint)
-                if pending is not None:
-                    start = self.env.now if trace is not None else 0.0
-                    yield pending
-                    if trace is not None:
-                        trace.record_since(STAGE_PENDING_WAIT, seq, start)
-                    self.dedup.counters[CTR_PENDING_HITS] += 1
-                    chunk.is_duplicate = True
-                    start = self.env.now if trace is not None else 0.0
-                    cycles = self.dedup.commit_duplicate(chunk)
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMMIT, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            attrs={"path": "pending"})
-                    return
-                # Our index probe ran earlier in simulated time; a twin may
-                # have committed since.  Its fingerprint would be in the bin
-                # buffer *now*, so re-probe before claiming uniqueness.
-                if self.dedup.bin_buffer.lookup(chunk.fingerprint) is not None:
-                    self.dedup.counters[CTR_BUFFER_HITS] += 1
-                    chunk.is_duplicate = True
-                    start = self.env.now if trace is not None else 0.0
-                    cycles = self.costs.bin_buffer_probe \
-                        + self.dedup.commit_duplicate(chunk)
-                    if self._index_lock is None:
-                        yield self.cpu.charge(cycles)
+                        path = "gpu_hit"
+                        cycles = dedup.note_gpu_hit(chunk)
+                    # An eviction-free GPU index mirrors every flushed
+                    # entry, so its miss proves the tree would miss too.
+                    gpu_definitive = dedup.gpu_index.evictions == 0
+                if path is None:
+                    start = env.now if trace is not None else 0.0
+                    outcome = dedup.cpu_index_partial(chunk) \
+                        if gpu_definitive else dedup.cpu_index(chunk)
+                    if lock is None:
+                        yield cpu.charge(outcome.cpu_cycles)
                     else:
-                        yield from self._index_execute(cycles)
+                        yield from self._index_execute(outcome.cpu_cycles)
                     if trace is not None:
-                        trace.record_since(
-                            STAGE_COMMIT, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            attrs={"path": "buffer_reprobe"})
-                    return
-                self._pending[chunk.fingerprint] = self.env.event()
-            else:
-                ingest = (costs.chunking_cycles(chunk.size,
-                                                cfg.content_defined)
-                          + costs.handoff_per_chunk)
-                yield self.cpu.charge(ingest)
-                if trace is not None:
-                    trace.record_since(
-                        STAGE_CHUNKING, seq, admitted,
-                        expected_service_s=self.cpu.seconds(ingest))
+                        self._record(STAGE_CPU_INDEX, seq, start,
+                                     outcome.cpu_cycles, path=outcome.path)
+                    if outcome.duplicate:
+                        path = "duplicate"
+                        cycles = dedup.commit_duplicate(chunk)
+                    elif (pending := self._pending.get(fingerprint)) \
+                            is not None:
+                        # In flight: another worker is compressing this
+                        # very content right now.  Wait for its commit,
+                        # then dedup onto it.
+                        start = env.now if trace is not None else 0.0
+                        yield pending
+                        if trace is not None:
+                            self._record(STAGE_PENDING_WAIT, seq, start,
+                                         0.0)
+                        dedup.counters[CTR_PENDING_HITS] += 1
+                        path = "pending"
+                        cycles = dedup.commit_duplicate(chunk)
+                    elif dedup.bin_buffer.lookup(fingerprint) is not None:
+                        # Our index probe ran earlier in simulated time;
+                        # a twin may have committed since.  Its
+                        # fingerprint would be in the bin buffer *now*,
+                        # so re-probe before claiming uniqueness.
+                        dedup.counters[CTR_BUFFER_HITS] += 1
+                        path = "buffer_reprobe"
+                        cycles = costs.bin_buffer_probe \
+                            + dedup.commit_duplicate(chunk)
+                    else:
+                        self._pending[fingerprint] = env.event()
 
-            # -- unique chunk: compression stage --
-            blob: Optional[bytes] = None
-            if cfg.enable_compression:
-                if self._comp_batcher is not None:
-                    # The batcher records the compress span itself.
-                    raw = yield self._comp_batcher.submit(chunk,
-                                                          trace_id=seq)
-                    start = self.env.now if trace is not None else 0.0
-                    result = self.gpu_comp.postprocess(chunk, raw)
-                    cycles = result.cpu_cycles + costs.handoff_per_chunk
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_POSTPROCESS, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles))
-                else:
-                    start = self.env.now if trace is not None else 0.0
-                    result = self._precomp.pop(seq, None)
-                    if result is None:
-                        result = self.cpu_comp.compress(chunk)
-                    cycles = result.cpu_cycles + costs.handoff_per_chunk
-                    yield self.cpu.charge(cycles)
-                    if trace is not None:
-                        trace.record_since(
-                            STAGE_COMPRESS, seq, start,
-                            expected_service_s=self.cpu.seconds(cycles),
-                            resource="cpu",
-                            attrs={"stored_raw": result.stored_raw})
-                blob = result.blob
-            else:
-                chunk.compressed_size = chunk.size
-
-            # -- commit --
-            if cfg.enable_dedup and tenancy is not None:
-                start = self.env.now if trace is not None else 0.0
-                fingerprint = chunk.fingerprint
-                metadata = self.dedup.metadata
-                if chunk.compressed_size is None:
-                    chunk.compressed_size = chunk.size
-                if tenancy.store_as_unique(verdict, fingerprint,
-                                           metadata):
-                    metadata.store_unique(fingerprint, chunk.size,
-                                          chunk.compressed_size,
-                                          blob=blob)
-                    metadata.map_logical(chunk.offset, fingerprint,
-                                         chunk.size)
-                    tenancy.commit_stored(tenant_id)
-                    path = "tenant_unique"
-                else:
-                    # Raw shadow copy: an inline skip, or a miss whose
-                    # canonical owner already exists (hidden duplicate).
-                    # Compaction remaps it and sweeps the blob later.
-                    shadow = hashlib.sha1(
-                        f"tenancy-shadow:{seq}".encode()).digest()
-                    metadata.store_unique(shadow, chunk.size,
-                                          chunk.compressed_size,
-                                          blob=blob)
-                    metadata.map_logical(chunk.offset, shadow,
-                                         chunk.size)
-                    tenancy.defer(seq, tenant_id, chunk.offset,
-                                  chunk.size, fingerprint, shadow)
-                    tenancy.commit_shadow(tenant_id)
-                    path = "tenant_shadow"
-                cycles = (costs.bin_buffer_insert + costs.metadata_update
-                          + costs.destage_submit)
-                yield self.cpu.charge(cycles)
-                if trace is not None:
-                    trace.record_since(
-                        STAGE_COMMIT, seq, start,
-                        expected_service_s=self.cpu.seconds(cycles),
-                        attrs={"path": path})
-                if cfg.destage_enabled:
-                    self._spawn_destage(chunk.compressed_size,
-                                        sequential=False)
-                    self.destage_batches += 1
-                    self.destage_bytes += chunk.compressed_size
-                ready = tenancy.take_compaction_batch()
-                if ready is not None:
-                    self._spawn_compaction(ready)
-            elif cfg.enable_dedup:
-                start = self.env.now if trace is not None else 0.0
-                cycles, batch, unique = self.dedup.commit_unique(chunk, blob)
-                pending = self._pending.pop(chunk.fingerprint, None)
-                if pending is not None:
-                    pending.succeed()
-                if self._index_lock is None:
-                    yield self.cpu.charge(cycles)
+            if path is not None:
+                # Duplicate: mapped onto its stored copy, nothing to
+                # compress.  Only the re-probe touched the index again.
+                chunk.is_duplicate = True
+                start = env.now if trace is not None else 0.0
+                if lock is None or path != "buffer_reprobe":
+                    yield cpu.charge(cycles)
                 else:
                     yield from self._index_execute(cycles)
                 if trace is not None:
-                    trace.record_since(
-                        STAGE_COMMIT, seq, start,
-                        expected_service_s=self.cpu.seconds(cycles),
-                        attrs={"path": "unique" if unique
-                               else "race_duplicate"})
-                if batch is not None and cfg.destage_enabled:
-                    self._spawn_destage(batch.payload_bytes, sequential=True)
-                    self.destage_batches += 1
-                    self.destage_bytes += batch.payload_bytes
-            else:
-                start = self.env.now if trace is not None else 0.0
-                # Commit + metadata coalesced into one charge.
-                cycles = costs.metadata_update + costs.destage_submit
-                yield self.cpu.charge(cycles)
+                    self._record(STAGE_COMMIT, seq, start, cycles,
+                                 path=path)
+                return
+            if admission is not None:
+                chunk.is_duplicate = False
+
+            # -- compress --
+            blob: Optional[bytes] = None
+            if not cfg.enable_compression:
+                chunk.compressed_size = chunk.size
+            elif self._comp_batcher is not None:
+                # The batcher records the compress span itself.
+                raw = yield self._comp_batcher.submit(chunk, trace_id=seq)
+                start = env.now if trace is not None else 0.0
+                result = self.gpu_comp.postprocess(chunk, raw)
+                cycles = result.cpu_cycles + costs.handoff_per_chunk
+                yield cpu.charge(cycles)
                 if trace is not None:
-                    trace.record_since(
-                        STAGE_COMMIT, seq, start,
-                        expected_service_s=self.cpu.seconds(cycles))
-                if cfg.destage_enabled:
-                    self._spawn_destage(chunk.compressed_size, sequential=False)
-                    self.destage_batches += 1
-                    self.destage_bytes += chunk.compressed_size
+                    self._record(STAGE_POSTPROCESS, seq, start, cycles)
+                blob = result.blob
+            else:
+                start = env.now if trace is not None else 0.0
+                result = self._precomp.pop(seq, None)
+                if result is None:
+                    result = self.cpu_comp.compress(chunk)
+                cycles = result.cpu_cycles + costs.handoff_per_chunk
+                yield cpu.charge(cycles)
+                if trace is not None:
+                    self._record(STAGE_COMPRESS, seq, start, cycles,
+                                 resource="cpu",
+                                 stored_raw=result.stored_raw)
+                blob = result.blob
+
+            # -- commit: metadata + staging, one coalesced charge --
+            start = env.now if trace is not None else 0.0
+            cycles, path, nbytes, sequential = self._commit(
+                seq, tenant, chunk, blob, admission)
+            if lock is None:
+                yield cpu.charge(cycles)
+            else:
+                yield from self._index_execute(cycles)
+            if trace is not None:
+                self._record(STAGE_COMMIT, seq, start, cycles, path=path)
+            if nbytes is not None and cfg.destage_enabled:
+                self._spawn_destage(nbytes, sequential)
+            if admission is not None:
+                ready = tenancy.take_compaction_batch()
+                if ready is not None:
+                    self._spawn_compaction(ready)
 
         finally:
-            elapsed = self.env.now - admitted
+            elapsed = env.now - admitted
             self.latency.record(elapsed)
-            if self.tenancy is not None:
-                self.tenancy.record_latency(
-                    chunk.tenant if chunk.tenant is not None else 0,
-                    elapsed)
+            if tenancy is not None:
+                tenancy.record_latency(tenant, elapsed)
             if trace is not None:
                 # The whole-chunk envelope: exactly the latency sample.
                 attrs = {"duplicate": bool(chunk.is_duplicate)}
-                if self.tenancy is not None:
-                    attrs["tenant"] = chunk.tenant \
-                        if chunk.tenant is not None else 0
+                if tenancy is not None:
+                    attrs["tenant"] = tenant
                 trace.record(STAGE_CHUNK, seq, start=admitted,
                              attrs=attrs)
             self._window.release(slot)
@@ -576,7 +444,33 @@ class ReductionPipeline:
             if self._done == self._total:
                 self._finished.succeed()
 
+    def _commit(self, seq: int, tenant: int, chunk: Chunk,
+                blob: Optional[bytes], admission) -> tuple:
+        """The functional half of the commit stage (no simulated time).
+
+        Returns ``(cycles, trace path label, bytes to destage now or
+        None, sequential)``.  The bin buffer destages a full bin as one
+        sequential write; without it every chunk destages on its own.
+        """
+        costs = self.costs
+        if admission is not None:
+            path = self.tenancy.commit(seq, tenant, chunk, blob, admission,
+                                       self.dedup.metadata)
+            cycles = (costs.bin_buffer_insert + costs.metadata_update
+                      + costs.destage_submit)
+            return cycles, path, chunk.compressed_size, False
+        if self.dedup is None:
+            cycles = costs.metadata_update + costs.destage_submit
+            return cycles, None, chunk.compressed_size, False
+        cycles, batch, unique = self.dedup.commit_unique(chunk, blob)
+        self._pending.pop(chunk.fingerprint).succeed()
+        return (cycles, "unique" if unique else "race_duplicate",
+                batch.payload_bytes if batch is not None else None, True)
+
     def _spawn_destage(self, nbytes: int, sequential: bool) -> None:
+        """One asynchronous SSD write, booked in the destage counters."""
+        self.destage_batches += 1
+        self.destage_bytes += nbytes
         if nbytes <= 0:
             return
 
@@ -602,56 +496,22 @@ class ReductionPipeline:
 
         self.env.process(compaction())
 
-    def _spawn_destage_vector(self, sizes: list[int],
-                              sequential: bool) -> None:
-        def destage() -> Generator:
-            with self.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
-                                  bytes=sum(sizes), sequential=sequential,
-                                  vector=len(sizes)):
-                yield from self.ssd.submit_vector(sizes,
-                                                  sequential=sequential)
-
-        self.env.process(destage())
-
     # -- run ----------------------------------------------------------------
 
     def _feeder(self, chunks: Iterable[Chunk]) -> Generator:
-        if self.config.batched_functional:
-            yield from self._feeder_batched(chunks)
-            return
-        rate = self.config.arrival_rate_iops
-        gap = 1.0 / rate if rate else 0.0
-        next_admission = 0.0
-        trace = self.tracer if self.tracer.enabled else None
-        for seq, chunk in enumerate(chunks):
-            if gap:
-                delay = next_admission - self.env.now
-                if delay > 0:
-                    yield self.env.timeout(delay)
-                next_admission = max(next_admission, self.env.now) + gap
-            request = self._window.request()
-            requested = self.env.now if trace is not None else 0.0
-            yield request
-            if trace is not None:
-                # Pure queueing for a window slot, before admission.
-                trace.record_since(STAGE_ADMISSION, seq, requested,
-                                   resource=TRACK_WINDOW)
-            self.bytes_in += chunk.size
-            self.env.process(self._chunk_worker(chunk, request, seq))
-
-    def _feeder_batched(self, chunks: Iterable[Chunk]) -> Generator:
-        """Window-batched feeder: the array-native functional plane.
+        """Admit exactly ``total`` chunks, one functional window at a time.
 
         Per window, the untimed functional work runs once up front —
         one fingerprint pass (duplicate payloads resolved by LRU probe
         instead of a fresh SHA-1) and, in dedup-disabled configurations,
         one grouped codec dispatch whose results the workers pop by
         admission seq.  Admission itself — pacing, window-slot
-        acquisition, worker spawn — stays strictly per chunk, so the
-        timed event schedule (and therefore every report field) is
-        identical to the per-chunk feeder's (DESIGN.md §12).
+        acquisition, worker spawn — is strictly per chunk, so the timed
+        event schedule does not depend on the window size
+        (DESIGN.md §12).
         """
         cfg = self.config
+        total = self._total
         rate = cfg.arrival_rate_iops
         gap = 1.0 / rate if rate else 0.0
         next_admission = 0.0
@@ -662,8 +522,10 @@ class ReductionPipeline:
         precompress = (cfg.enable_compression and not cfg.enable_dedup
                        and self._comp_batcher is None)
         precomp = self._precomp
+        chunks = iter(chunks)
         seq = 0
-        for window in iter_windows(chunks, cfg.functional_batch):
+        for window in iter_windows(islice(chunks, total),
+                                   cfg.functional_batch):
             if hash_memo is not None:
                 fingerprint_window(window, memo=hash_memo)
             if precompress:
@@ -684,22 +546,36 @@ class ReductionPipeline:
                 requested = self.env.now if trace is not None else 0.0
                 yield request
                 if trace is not None:
-                    trace.record_since(STAGE_ADMISSION, seq, requested,
-                                       resource=TRACK_WINDOW)
+                    # Pure queueing for a window slot, before admission.
+                    self._record(STAGE_ADMISSION, seq, requested, 0.0,
+                                 resource=TRACK_WINDOW)
                 self.bytes_in += chunk.size
                 self.env.process(self._chunk_worker(chunk, request, seq))
                 seq += 1
+        if seq < total:
+            raise ConfigError(
+                f"chunk stream ended after {seq} chunks, total={total}")
+        if next(chunks, None) is not None:
+            raise ConfigError(
+                f"chunk stream is longer than total={total}: "
+                f"{total} admitted, at least {total + 1} offered")
 
     def run(self, chunks: Iterable[Chunk], total: int) -> PipelineReport:
         """Process ``total`` chunks from ``chunks`` and report.
 
-        ``total`` must match the iterable's length; it lets the pipeline
-        detect completion without materializing the stream.
+        ``total`` must match the iterable's length (it lets the pipeline
+        detect completion without materializing the stream); a mismatch
+        either way raises :class:`ConfigError`.  A pipeline runs once:
+        its counters, clock and index state are the run's.
         """
         if total <= 0:
             raise ConfigError("need at least one chunk")
+        if self._total:
+            raise ConfigError(
+                "ReductionPipeline.run() is single-shot; build a new "
+                "pipeline for another run")
         self._total = total
-        self._ensure_batchers()
+        self._start_batchers()
         self.env.process(self._feeder(chunks))
         self.env.run(until=self._finished)
         duration = self.env.now
@@ -711,17 +587,13 @@ class ReductionPipeline:
                 batcher.stop()
         # Shutdown drain: partially filled bins still hold staged data;
         # it must reach the SSD for the endurance ledger to balance.
-        # The drain stays event-per-batch even in batched mode: a
-        # coalesced submit_vector reproduces the wear ledger and the
-        # *sum* of channel busy time exactly, but the utilization
-        # integral accumulates through a different float segmentation
-        # and drifts by an ULP — and the report contract is *byte*
-        # identity, not mathematical identity (DESIGN.md §12).
+        # One event per batch, not one coalesced write: a summed service
+        # time integrates utilization through a different float
+        # segmentation and drifts by an ULP, and the report contract is
+        # *byte* identity (DESIGN.md §12).
         if self.dedup is not None and self.config.destage_enabled:
             for batch in self.dedup.drain():
                 self._spawn_destage(batch.payload_bytes, sequential=True)
-                self.destage_batches += 1
-                self.destage_bytes += batch.payload_bytes
         # Out-of-line compaction drain: every still-deferred shadow copy
         # gets its background epoch before the report reads the
         # metadata store, so recovered duplicates fold into dedup_ratio.
@@ -781,7 +653,7 @@ class ReductionPipeline:
             "bytes_in": self.bytes_in,
             "destage_batches": self.destage_batches,
             "destage_bytes": self.destage_bytes,
-            "gpu_offload_skips": self.gpu_offload_skips,
+            "gpu_offload_skips": self.scheduler.stats.skipped_idle_cpu,
         })
         registry.attach_histogram("pipeline.latency_s", self.latency)
         if self.dedup is not None:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.errors import BlockRangeError, ConfigError
+from repro.errors import ConfigError
 from repro.obs.stages import (
     STAGE_SSD_READ,
     STAGE_SSD_TRIM,
@@ -187,58 +187,6 @@ class SsdModel:
             self.host_bytes_read += request.size
         else:
             self.trims += 1
-
-    def submit_vector(self, sizes: list[int],
-                      sequential: bool = True) -> Generator:
-        """Process body: one coalesced write covering ``sizes``.
-
-        The batched destage fast path (shutdown drain): N write
-        requests become one channel occupancy timed on the summed page
-        count, while the *accounting* stays per-element — page rounding
-        per size, one completed request per element — so the wear
-        ledger (``nand_bytes_written``) and the request counters are
-        exactly what N :meth:`submit` calls would have recorded.
-        """
-        spec = self.spec
-        capacity = spec.capacity_bytes
-        page_bytes = spec.page_bytes
-        total = 0
-        pages = 0
-        for size in sizes:
-            if size <= 0:
-                raise BlockRangeError(f"non-positive size {size}")
-            if size > capacity:
-                raise BlockRangeError(
-                    f"write [0, {size}) exceeds device "
-                    f"capacity {capacity}")
-            total += size
-            pages += -(-size // page_bytes)  # ceil division
-        if not total:
-            return
-        traced = self.tracer.enabled
-        if traced:
-            submitted = self.env.now
-        efficiency = 1.0 if sequential else 1.05
-        # One channel occupancy equal to the *sum* of the per-request
-        # service times (firmware overhead is per element): the busy-time
-        # integral the utilization monitor records is exactly what the N
-        # individual submissions would have accumulated.
-        service = (len(sizes) * spec.per_io_overhead_s
-                   + pages * spec.page_program_s * efficiency)
-        with self.channels.request() as req:
-            yield req
-            if traced:
-                granted = self.env.now
-            yield self.env.timeout(service)
-        if traced:
-            self.tracer.record(
-                STAGE_SSD_WRITE, None, start=submitted,
-                queue_wait=granted - submitted, resource=TRACK_SSD,
-                attrs={"bytes": total, "sequential": sequential,
-                       "vector": len(sizes)})
-        self.requests_completed += len(sizes)
-        self.host_bytes_written += total
-        self.nand_bytes_written += pages * page_bytes
 
     # -- reporting --------------------------------------------------------
 

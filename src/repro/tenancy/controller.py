@@ -2,13 +2,16 @@
 
 Everything the core pipeline needs from the tenancy subsystem goes
 through :class:`TenancyController`: an inline verdict per chunk
-(:data:`ADMIT_HIT` / :data:`ADMIT_MISS` / :data:`ADMIT_SKIP`), commit
-notifications, compaction batch hand-off, and per-tenant accounting.
-Estimator sketches, cache partitions and residency quotas stay private
-to this package — REP901 patrols that boundary the same way REP801
-guards shard state.
+(:meth:`~TenancyController.admit`), the store of a non-duplicate chunk
+(:meth:`~TenancyController.commit`), compaction batch hand-off, and
+per-tenant accounting.  Together they are the *index* and *commit*
+stages of the pipeline's one chunk worker under a tenancy policy — a
+variant of those two stages, not a second pipeline.  Estimator
+sketches, cache partitions and residency quotas stay private to this
+package — REP901 patrols that boundary the same way REP801 guards
+shard state.
 
-The verdict contract under a non-default policy:
+The verdict contract:
 
 * **hit** — the fingerprint was resident in the bounded inline cache;
   the chunk commits as a duplicate against the canonical record.
@@ -22,46 +25,71 @@ The verdict contract under a non-default policy:
 
 from __future__ import annotations
 
+import hashlib
+from typing import NamedTuple, Optional
+
 from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 from repro.tenancy.accounting import TenantAccounting
 from repro.tenancy.admission import PrioritizedCache, SharedLruCache
 from repro.tenancy.compaction import CompactionEntry, CompactionQueue
 from repro.tenancy.locality import LocalityEstimator
+from repro.types import Chunk
 
-__all__ = ["ADMIT_HIT", "ADMIT_MISS", "ADMIT_SKIP",
-           "TenancyController"]
+__all__ = ["ADMIT_HIT", "ADMIT_MISS", "ADMIT_SKIP", "Admission",
+           "COMPACTION_BATCH", "LOCALITY_WINDOW", "MIN_OBSERVE",
+           "REBALANCE_PERIOD", "SKIP_THRESHOLD", "TenancyController"]
+
+# The admission plane's tuning, fixed: no caller ever varied these, so
+# they are constants of the design rather than run configuration.
+#: Sliding-sketch window of the per-tenant locality estimator.
+LOCALITY_WINDOW = 256
+#: Below this estimated duplicate locality a stream's chunks skip
+#: inline dedup entirely ("prioritized" only).
+SKIP_THRESHOLD = 0.05
+#: Chunks a tenant must contribute before its estimate can trigger
+#: inline skips (cold-start guard).
+MIN_OBSERVE = 64
+#: Admissions between residency-share rebalances ("prioritized").
+REBALANCE_PERIOD = 256
+#: Deferred chunks per out-of-line compaction epoch.
+COMPACTION_BATCH = 256
+
+
+class Admission(NamedTuple):
+    """One inline verdict, as the chunk worker reads it."""
+
+    name: str
+    #: The chunk takes the inline path (hash + cache probe); False for
+    #: a skip, which does neither.
+    inline: bool
+    #: The bounded cache held the fingerprint.
+    hit: bool
+
 
 #: Inline admission verdicts.
-ADMIT_HIT = "hit"
-ADMIT_MISS = "miss"
-ADMIT_SKIP = "skip"
+ADMIT_HIT = Admission("hit", inline=True, hit=True)
+ADMIT_MISS = Admission("miss", inline=True, hit=False)
+ADMIT_SKIP = Admission("skip", inline=False, hit=False)
 
 
 class TenancyController:
     """Locality-prioritized inline admission plus compaction hand-off."""
 
-    __slots__ = ("policy", "window", "skip_threshold", "min_observe",
-                 "rebalance_period", "accounting", "_cache",
-                 "_estimators", "_compaction", "_admissions")
+    __slots__ = ("policy", "accounting", "_cache", "_estimators",
+                 "_compaction", "_admissions")
 
-    def __init__(self, policy: str, cache_entries: int, window: int,
-                 skip_threshold: float, min_observe: int,
-                 rebalance_period: int, compaction_batch: int):
+    def __init__(self, policy: str, cache_entries: int):
         if policy not in ("shared_lru", "prioritized"):
             raise ConfigError(f"unknown tenancy policy {policy!r}")
         self.policy = policy
-        self.window = window
-        self.skip_threshold = skip_threshold
-        self.min_observe = min_observe
-        self.rebalance_period = rebalance_period
         self.accounting = TenantAccounting()
         if policy == "prioritized":
             self._cache = PrioritizedCache(cache_entries)
         else:
             self._cache = SharedLruCache(cache_entries)
         self._estimators: dict[int, LocalityEstimator] = {}
-        self._compaction = CompactionQueue(compaction_batch)
+        self._compaction = CompactionQueue(COMPACTION_BATCH)
         self._admissions = 0
 
     # -- inline admission ----------------------------------------------------
@@ -69,11 +97,11 @@ class TenancyController:
     def _estimator(self, tenant: int) -> LocalityEstimator:
         estimator = self._estimators.get(tenant)
         if estimator is None:
-            estimator = LocalityEstimator(self.window)
+            estimator = LocalityEstimator(LOCALITY_WINDOW)
             self._estimators[tenant] = estimator
         return estimator
 
-    def admit(self, tenant: int, fingerprint: bytes) -> str:
+    def admit(self, tenant: int, fingerprint: bytes) -> Admission:
         """The inline verdict for one chunk of ``tenant``."""
         self.accounting.note_chunk(tenant)
         estimator = self._estimator(tenant)
@@ -81,10 +109,10 @@ class TenancyController:
         prioritized = self.policy == "prioritized"
         if prioritized:
             self._admissions += 1
-            if self._admissions % self.rebalance_period == 0:
+            if self._admissions % REBALANCE_PERIOD == 0:
                 self._rebalance()
-            if estimator.observed >= self.min_observe \
-                    and estimator.estimate < self.skip_threshold:
+            if estimator.observed >= MIN_OBSERVE \
+                    and estimator.estimate < SKIP_THRESHOLD:
                 self.accounting.note_skip(tenant)
                 return ADMIT_SKIP
         if self._cache.probe(tenant, fingerprint):
@@ -115,43 +143,46 @@ class TenancyController:
                       for tenant, estimator in estimators.items()}
         self._cache.set_shares(shares)
 
-    # -- commit notifications ------------------------------------------------
+    # -- commit -------------------------------------------------------------
 
-    def store_as_unique(self, verdict: str, fingerprint: bytes,
-                        metadata: MetadataStore) -> bool:
-        """True when a missed chunk should store canonically.
+    def commit(self, seq: int, tenant: int, chunk: Chunk,
+               blob: Optional[bytes], verdict: Admission,
+               metadata: MetadataStore) -> str:
+        """Store a chunk that did not dedup inline; returns its trace label.
 
         A miss stores under its real fingerprint only when no record
-        (stored or compaction-promoted) already owns that fingerprint;
-        otherwise it is a *hidden duplicate* — the bounded cache lost
-        the entry — and must store as a deferred shadow copy instead.
+        (stored or compaction-promoted) already owns that fingerprint.
+        Anything else — an inline skip, a hit whose canonical record
+        was still in flight, or a *hidden duplicate* the bounded cache
+        lost track of — stores raw under a shadow fingerprint derived
+        from the admission ``seq`` and is deferred: compaction remaps
+        it and sweeps the blob later.
         """
-        return (verdict == ADMIT_MISS
-                and metadata.lookup(fingerprint) is None
-                and self._compaction.canonical_shadow(fingerprint)
-                is None)
-
-    def commit_stored(self, tenant: int) -> None:
-        """A chunk of ``tenant`` stored canonically (cache already holds
-        its fingerprint — :meth:`admit` inserts on miss)."""
+        fingerprint = chunk.fingerprint
+        if chunk.compressed_size is None:
+            chunk.compressed_size = chunk.size
+        canonical = (verdict is ADMIT_MISS
+                     and metadata.lookup(fingerprint) is None
+                     and self._compaction.canonical_shadow(fingerprint)
+                     is None)
+        stored_as = fingerprint if canonical else hashlib.sha1(
+            f"tenancy-shadow:{seq}".encode()).digest()
+        metadata.store_unique(stored_as, chunk.size,
+                              chunk.compressed_size, blob=blob)
+        metadata.map_logical(chunk.offset, stored_as, chunk.size)
+        if not canonical:
+            self._compaction.defer(CompactionEntry(
+                seq=seq, tenant=tenant, offset=chunk.offset,
+                size=chunk.size, fingerprint=fingerprint,
+                shadow_fp=stored_as))
         self.accounting.note_stored(tenant)
-
-    def commit_shadow(self, tenant: int) -> None:
-        """A chunk stored raw under a shadow fingerprint (skip path)."""
-        self.accounting.note_stored(tenant)
+        return "tenant_unique" if canonical else "tenant_shadow"
 
     def record_latency(self, tenant: int, seconds: float) -> None:
         """Fold one chunk's inline latency into the tenant's histogram."""
         self.accounting.record_latency(tenant, seconds)
 
     # -- compaction hand-off -------------------------------------------------
-
-    def defer(self, seq: int, tenant: int, offset: int, size: int,
-              fingerprint: bytes, shadow_fp: bytes) -> None:
-        """Queue a shadow-stored chunk for out-of-line dedup."""
-        self._compaction.defer(CompactionEntry(
-            seq=seq, tenant=tenant, offset=offset, size=size,
-            fingerprint=fingerprint, shadow_fp=shadow_fp))
 
     def take_compaction_batch(self):
         """A full epoch batch when one is ready, else None."""

@@ -1,11 +1,12 @@
 """Batched-vs-per-chunk equivalence over adversarial corpora.
 
-The batched functional plane's contract is *byte identity*: with
-``batched_functional`` on, every ``PipelineReport`` field — duration,
-counters, utilizations, the shutdown drain's tail — must equal the
-retained per-chunk path's, not approximately but exactly (DESIGN.md
-§12).  The hypothesis suite here hammers that claim with the corpora
-most likely to break a batch-level shortcut:
+The batched functional plane's contract is *byte identity*: batching
+only untimed functional work, every ``PipelineReport`` field —
+duration, counters, utilizations, the shutdown drain's tail — must be
+the same whatever the window size, down to ``functional_batch=1``
+(one chunk at a time), not approximately but exactly (DESIGN.md §12).
+The hypothesis suite here hammers that claim with the corpora most
+likely to break a batch-level shortcut:
 
 - **dup-heavy** — a handful of payloads repeated, so the hash memo and
   the codec result memo replay almost everything;
@@ -16,8 +17,7 @@ most likely to break a batch-level shortcut:
 
 The deterministic tests below pin the component-level identities the
 end-to-end property rests on: batched vdbench emission, window
-fingerprinting, grouped codec dispatch, FTL run accounting and the
-vectored SSD write.
+fingerprinting, grouped codec dispatch and FTL run accounting.
 """
 
 import dataclasses
@@ -37,14 +37,7 @@ from repro.dedup.hashing import (
 )
 from repro.errors import DedupError
 from repro.sim import Environment
-from repro.storage import (
-    SAMSUNG_SSD_830,
-    BlockRequest,
-    Ftl,
-    FtlSpec,
-    RequestKind,
-    SsdModel,
-)
+from repro.storage import Ftl, FtlSpec
 from repro.types import Chunk
 from repro.workload import VdbenchStream
 
@@ -75,10 +68,10 @@ def corpus_chunks(payloads: list[bytes]) -> list[Chunk]:
 
 
 def run_report(payloads: list[bytes], mode: IntegrationMode,
-               batched: bool) -> dict:
+               functional_batch: int, dedup: bool = True) -> dict:
     """One full pipeline run (shutdown drain included) as a dict."""
     config = PipelineConfig(
-        mode=mode, batched_functional=batched, functional_batch=8,
+        mode=mode, functional_batch=functional_batch, enable_dedup=dedup,
         window=16, gpu_index_batch=8, gpu_comp_batch=8,
         gpu_batch_wait_s=5e-4, bin_buffer_capacity=8,
         bin_buffer_total=64)
@@ -93,22 +86,25 @@ class TestEndToEndEquivalence:
     @given(kind=st.sampled_from(CORPORA),
            mode=st.sampled_from(list(IntegrationMode)),
            n=st.integers(4, 40),
-           seed=st.integers(0, 10**6))
+           seed=st.integers(0, 10**6),
+           dedup=st.booleans())
     @settings(max_examples=16, deadline=None)
     def test_batched_report_is_byte_identical_property(
-            self, kind, mode, n, seed):
+            self, kind, mode, n, seed, dedup):
+        # dedup off is the configuration whose codec work the feeder
+        # pre-dispatches per window.
         payloads = corpus_payloads(kind, n, seed)
-        batched = run_report(payloads, mode, batched=True)
-        reference = run_report(payloads, mode, batched=False)
-        assert batched == reference
+        per_chunk = run_report(payloads, mode, 1, dedup)
+        assert run_report(payloads, mode, 8, dedup) == per_chunk
+        assert run_report(payloads, mode, n, dedup) == per_chunk
 
     @pytest.mark.parametrize("mode", list(IntegrationMode))
     @pytest.mark.parametrize("kind", CORPORA)
     def test_every_corpus_mode_pair(self, kind, mode):
         payloads = corpus_payloads(kind, 24, seed=7)
-        batched = run_report(payloads, mode, batched=True)
-        reference = run_report(payloads, mode, batched=False)
-        assert batched == reference
+        per_chunk = run_report(payloads, mode, functional_batch=1)
+        assert run_report(payloads, mode, functional_batch=8) == per_chunk
+        assert run_report(payloads, mode, functional_batch=24) == per_chunk
 
 
 class TestBatchedWorkload:
@@ -223,38 +219,3 @@ class TestFtlWriteRun:
              run.gc_copies, run.erases)
         assert per_page.write_amplification() == \
             run.write_amplification()
-
-
-class TestSsdSubmitVector:
-    SIZES = [4096, 100, 8192, 4097, 12288, 1]
-
-    def _run(self, vectored: bool) -> tuple:
-        env = Environment()
-        ssd = SsdModel(env, SAMSUNG_SSD_830)
-
-        def driver():
-            if vectored:
-                yield from ssd.submit_vector(list(self.SIZES),
-                                             sequential=True)
-            else:
-                for size in self.SIZES:
-                    yield from ssd.submit(BlockRequest(
-                        RequestKind.WRITE, 0, size, sequential=True))
-
-        env.process(driver())
-        env.run()
-        return (env.now, ssd.requests_completed, ssd.host_bytes_written,
-                ssd.nand_bytes_written)
-
-    def test_accounting_matches_per_request_submits(self):
-        vec_now, *vec_counters = self._run(vectored=True)
-        ref_now, *ref_counters = self._run(vectored=False)
-        assert vec_counters == ref_counters
-        # The coalesced service is the *sum* of the per-request
-        # services, so the busy time agrees mathematically — but one
-        # summed timeout and N accumulated ones round differently at
-        # the last float bit.  That ULP is exactly why the
-        # report-bearing shutdown drain stays event-per-batch
-        # (DESIGN.md §12); here the vector API itself is pinned to
-        # ULP-level agreement.
-        assert vec_now == pytest.approx(ref_now, rel=1e-12)

@@ -9,6 +9,8 @@ poisoned memo entry is caught on its first reuse, and frozen batch
 columns turn aliasing writes into immediate errors.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.errors import SanitizerError
 from repro.sim import Environment
+from repro.tenancy import TenantMix, TenantSpec
+from repro.tenancy.runner import run_tenant_mix
 from repro.verify import MemoVerifier
 from repro.workload.vdbench import VdbenchStream
 
@@ -154,3 +158,23 @@ class TestPipelineIntegration:
                             base_config=PipelineConfig(verify_memos=True),
                             payload=True)
         assert plain == verified
+
+    def test_tenant_mix_payload_run_verifies_workload_caches(
+            self, monkeypatch):
+        """--tenants --payload --verify-memos reaches the tenant streams."""
+        sites = collections.Counter()
+        on_hit = MemoVerifier.on_hit
+
+        def spy(verifier, site, cached, recompute):
+            sites[site] += 1
+            on_hit(verifier, site, cached, recompute)
+
+        monkeypatch.setattr(MemoVerifier, "on_hit", spy)
+        mix = TenantMix(tenants=(
+            TenantSpec(name="a", seed=1, dedup_ratio=3.0),
+            TenantSpec(name="b", seed=2, dedup_ratio=3.0)), seed=5)
+        report = run_tenant_mix(
+            mix, IntegrationMode.CPU_ONLY, 256,
+            base_config=PipelineConfig(verify_memos=True), payload=True)
+        assert report.pipeline.chunks == 256
+        assert sites["vdbench-payload"] > 0

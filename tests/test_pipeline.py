@@ -199,6 +199,31 @@ class TestPipelineFunctional:
         with pytest.raises(ConfigError):
             pipeline.run(iter([]), total=0)
 
+    def test_run_is_single_shot(self):
+        report, pipeline, stream = run_pipeline(IntegrationMode.CPU_ONLY,
+                                                n_chunks=64)
+        with pytest.raises(ConfigError, match="single-shot"):
+            pipeline.run(stream.chunks(64), total=64)
+        assert report.chunks == 64
+
+    def test_stream_longer_than_total_rejected(self):
+        env = Environment()
+        pipeline = ReductionPipeline(
+            env, PipelineConfig(mode=IntegrationMode.CPU_ONLY))
+        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=21)
+        with pytest.raises(ConfigError, match="total=200.*201"):
+            pipeline.run(stream.chunks(256), total=200)
+        # The feeder stopped at ``total``: nothing was over-admitted.
+        assert pipeline.bytes_in == 200 * 4096
+
+    def test_stream_shorter_than_total_rejected(self):
+        env = Environment()
+        pipeline = ReductionPipeline(
+            env, PipelineConfig(mode=IntegrationMode.CPU_ONLY))
+        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=21)
+        with pytest.raises(ConfigError, match="after 100 chunks.*200"):
+            pipeline.run(stream.chunks(100), total=200)
+
     def test_report_iops_consistency(self):
         report, _, _ = run_pipeline(IntegrationMode.CPU_ONLY)
         assert report.iops == pytest.approx(
