@@ -4,10 +4,11 @@
 Walks one 4 KiB chunk through the paper's §3.2 pipeline with everything
 observable:
 
-1. the segment-parallel LZ kernel runs through the *SIMT executor*, so
-   wavefront-divergence statistics are measured, not assumed;
-2. the raw per-segment outputs are shown (unrefined, as the GPU returns
-   them);
+1. the segment-parallel LZ kernel reports the wavefront-divergence
+   statistics a lockstep execution of its threads burns (one work unit
+   per token each thread emits), measured, not assumed;
+2. the raw per-segment token arrays are shown (unrefined, as the GPU
+   returns them);
 3. CPU post-processing stitches and seam-repairs them into a canonical
    container that the ordinary LZSS decoder verifies;
 4. the serial codec compresses the same chunk for a ratio comparison.
@@ -30,7 +31,7 @@ def main() -> None:
 
     print(f"chunk: 4096 B, target compression ratio ~2.0\n")
 
-    # 1. Segment-parallel search, through the SIMT executor.
+    # 1. Segment-parallel search, with SIMT divergence statistics.
     kernel = SegmentLzKernel([chunk], segments_per_chunk=SEGMENTS,
                              use_simt=True)
     outputs = kernel.execute()[0]

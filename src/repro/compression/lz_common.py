@@ -56,10 +56,11 @@ DEFAULT_PARAMS = LzParams()
 # -- data-plane fast-path primitives (DESIGN.md §9) -------------------------
 
 #: Bounded cache of rolling-key arrays, keyed by buffer *contents*.  The
-#: CPU and GPU compression paths both key their match tables off the same
-#: rolling 3-byte groups, and in a dedup pipeline the same 4 KiB payload
-#: is routinely scanned more than once (both codecs in a comparison run,
-#: several segment threads per chunk), so the array is worth sharing.
+#: CPU codecs key their match tables off the same rolling 3-byte groups,
+#: and the same 4 KiB payload is routinely scanned more than once (both
+#: codecs in a comparison run, calibration probes), so the array is worth
+#: sharing.  The GPU segment kernel builds its keys per tile with numpy
+#: and never touches this cache.
 _KEY3_CACHE: "OrderedDict[bytes, list[int]]" = OrderedDict()
 _KEY3_CACHE_ENTRIES = 16
 
@@ -68,9 +69,9 @@ def key3_array(data: bytes) -> list[int]:
     """Rolling 24-bit keys: ``keys[i] = data[i]<<16 | data[i+1]<<8 | data[i+2]``.
 
     The shared per-chunk hash array of the data-plane fast path: computed
-    once per chunk and reused by every match finder over that chunk (the
-    serial LZSS parse, each GPU segment thread, and — after one further
-    multiplicative mix — the QuickLZ table).  A single zip-slice
+    once per chunk and reused by every CPU match finder over that chunk
+    (the serial LZSS parse and — after one further multiplicative mix —
+    the QuickLZ table).  A single zip-slice
     comprehension beats per-position indexing by ~1.7x in CPython, and a
     small content-keyed cache shares the array across consumers of the
     same buffer.  Callers must treat the result as read-only.

@@ -34,13 +34,13 @@ from repro.compression.memo import CodecMemo, payload_fingerprint
 from repro.errors import CompressionError
 
 #: Bound on hash-chain length; keeps worst-case encode cost linearish.
-_MAX_CHAIN = 64
+MAX_CHAIN = 64
 
 
 def _new_chain() -> "deque[int]":
     """Chain factory: maxlen evicts the oldest candidate on overflow,
     exactly like the append-then-drop-head list it replaces."""
-    return deque(maxlen=_MAX_CHAIN)
+    return deque(maxlen=MAX_CHAIN)
 
 
 class MatchFinder:
@@ -48,21 +48,17 @@ class MatchFinder:
 
     Positions are inserted as the encoder advances; lookups only consider
     candidates no further back than the window and no earlier than
-    ``min_start`` (used by the GPU segment path to clamp history to the
-    overlap region).
+    ``min_start``.
 
     The table is keyed by the rolling 3-byte key array
     (:func:`~repro.compression.lz_common.key3_array`), computed once for
-    the whole buffer.  Callers that build several finders over the same
-    buffer (the GPU segment kernel) pass the precomputed array via
-    ``keys`` so it is shared rather than rebuilt per segment.
+    the whole buffer.
     """
 
-    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS,
-                 keys: Optional[list[int]] = None):
+    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
-        self._keys = key3_array(data) if keys is None else keys
+        self._keys = key3_array(data)
         # defaultdict so the hot insert path is a single C-level getitem;
         # lookups that must not create entries go through .get().
         self._chains: "defaultdict[int, deque[int]]" = defaultdict(_new_chain)
@@ -177,25 +173,24 @@ class IndexedMatchFinder:
     insert discipline — every position inserted exactly once, in
     increasing order, before any query at a later position.  Under that
     discipline the bounded chain the incremental finder would hold at a
-    query is exactly the last ``_MAX_CHAIN`` occurrences of the key
+    query is exactly the last ``MAX_CHAIN`` occurrences of the key
     below the query position, which the index reads off with one bisect;
     candidates older than the window (or ``min_start``) terminate the
     scan in both implementations, so pre-seeded history that starts
-    later than position 0 (the GPU segment overlap) is covered too.
+    later than position 0 is covered too.  The GPU segment kernel
+    (:mod:`repro.gpu.kernels.lz`) reproduces this ``best_match`` for a
+    whole tile of chunks from one sort, without an index per chunk.
 
     NOT valid for the lazy parse: its lookahead probe double-inserts
     positions, which shifts chain eviction — lazy keeps the incremental
     finder.
     """
 
-    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS,
-                 keys: Optional[list[int]] = None,
-                 index: Optional[dict[int, list[int]]] = None):
+    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
-        self._keys = key3_array(data) if keys is None else keys
-        self._occ = (occurrence_index(data, self._keys)
-                     if index is None else index)
+        self._keys = key3_array(data)
+        self._occ = occurrence_index(data, self._keys)
         self._window = params.window
         self._min_match = params.min_match
         self._max_match = params.max_match
@@ -221,7 +216,7 @@ class IndexedMatchFinder:
         window_start = pos - self._window
         if min_start > window_start:
             window_start = min_start
-        stop = i - _MAX_CHAIN
+        stop = i - MAX_CHAIN
         if stop < 0:
             stop = 0
         best_len = self._min_match - 1

@@ -30,6 +30,23 @@ _RANDOM_RATIO = 0.889
 _MOTIF = bytes(range(37, 69))
 
 
+def _extend_random(out: bytearray, rng: random.Random, count: int) -> None:
+    """Append ``count`` uniform bytes: ``rng.randrange(256)`` unrolled.
+
+    ``Random._randbelow(256)`` draws ``(256).bit_length() == 9`` bits and
+    rejects values >= 256; doing that directly skips two Python frames
+    per byte and yields the same bytes *and* the same generator state
+    (``tests/test_workload.py`` holds it to both on every CI Python).
+    """
+    getrandbits = rng.getrandbits
+    append = out.append
+    for _ in range(count):
+        byte = getrandbits(9)
+        while byte >= 256:
+            byte = getrandbits(9)
+        append(byte)
+
+
 def analytic_random_fraction(target_ratio: float) -> float:
     """Fraction of random bytes whose harmonic mix hits ``target_ratio``."""
     if target_ratio < 1.0:
@@ -76,7 +93,7 @@ class BlockContentGenerator:
         while len(out) < size:
             take = min(self.granule, size - len(out))
             if rng.random() < self.random_fraction:
-                out.extend(rng.randrange(256) for _ in range(take))
+                _extend_random(out, rng, take)
             else:
                 phase = rng.randrange(len(_MOTIF))
                 motif = _MOTIF[phase:] + _MOTIF[:phase]

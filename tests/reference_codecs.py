@@ -22,9 +22,11 @@ from repro.compression.lz_common import (
     LzParams,
     Match,
     Token,
+    token_output_length,
     tokens_to_bytes,
 )
 from repro.errors import CompressionError, CorruptStreamError
+from repro.gpu.simt import SimtGrid, SimtStats
 
 _QLZ_MIN_MATCH = 3
 _QLZ_MAX_MATCH = 258
@@ -247,9 +249,9 @@ def reference_segment_tokens(chunk: bytes, start: int, end: int,
                              ) -> list[Token]:
     """The pre-fast-path GPU segment search over ``chunk[start:end]``.
 
-    Mirrors ``SegmentLzKernel._search_segment``: the finder is pre-seeded
-    with the window of history before the segment, then parses greedily,
-    clamping matches at the segment end.
+    The oracle for ``SegmentLzKernel``: the finder is pre-seeded with
+    the window of history before the segment, then parses greedily,
+    rejecting matches that overrun the segment end.
     """
     finder = ReferenceMatchFinder(chunk, params)
     for pos in range(max(0, start - params.window), start):
@@ -268,3 +270,103 @@ def reference_segment_tokens(chunk: bytes, start: int, end: int,
             finder.insert(pos)
             pos += 1
     return tokens
+
+
+def reference_segment_bounds(length: int, segments: int
+                             ) -> list[tuple[int, int, int]]:
+    """``(segment_index, start, end)`` of every non-empty segment."""
+    seg_len = max(1, (length + segments - 1) // segments)
+    bounds = []
+    for index in range(segments):
+        start = index * seg_len
+        end = min(length, start + seg_len)
+        if start < end:
+            bounds.append((index, start, end))
+    return bounds
+
+
+def reference_merge_segments(chunk: bytes,
+                             segments: list[tuple[int, int, list[Token]]],
+                             params: LzParams = DEFAULT_PARAMS,
+                             repair_seams: bool = True,
+                             stats: Optional[dict] = None) -> list[Token]:
+    """The pre-array, list-based CPU refinement (validate, stitch, repair).
+
+    ``segments`` holds ``(start, end, tokens)`` per segment, in order.
+    Kept as the oracle for ``refine_to_container``: the refined blob must
+    equal ``tokens_to_bytes(reference_merge_segments(...))``.
+    """
+    expected_start = 0
+    for start, end, tokens in segments:
+        if start != expected_start:
+            raise CompressionError(
+                f"segment starts at {start}, expected {expected_start}")
+        span = token_output_length(tokens)
+        if span != end - start:
+            raise CompressionError(
+                f"segment tokens expand to {span} bytes, "
+                f"span is {end - start}")
+        position = start
+        for token in tokens:
+            if isinstance(token, Match):
+                token.validate(params)
+                if token.distance > position:
+                    raise CompressionError(
+                        f"match at {position} reaches "
+                        f"{token.distance} bytes back")
+                position += token.length
+            else:
+                position += 1
+        expected_start = end
+    if expected_start != len(chunk):
+        raise CompressionError(
+            f"segments cover {expected_start} bytes of a "
+            f"{len(chunk)}-byte chunk")
+    merged: list[Token] = []
+    for start, _end, tokens in segments:
+        tokens = list(tokens)
+        if repair_seams and start > 0 and merged and tokens:
+            last = merged[-1]
+            if isinstance(last, Match) and last.length < params.max_match:
+                absorbed = 0
+                while (absorbed < params.max_match - last.length
+                       and absorbed < len(tokens)
+                       and isinstance(tokens[absorbed], Literal)
+                       and chunk[start - last.distance + absorbed]
+                       == chunk[start + absorbed]):
+                    absorbed += 1
+                if absorbed:
+                    merged[-1] = Match(distance=last.distance,
+                                       length=last.length + absorbed)
+                    tokens = tokens[absorbed:]
+                    if stats is not None:
+                        stats["seams_extended"] = \
+                            stats.get("seams_extended", 0) + 1
+                        stats["seam_bytes_absorbed"] = \
+                            stats.get("seam_bytes_absorbed", 0) + absorbed
+        merged.extend(tokens)
+    if token_output_length(merged) != len(chunk):
+        raise CompressionError("seam repair corrupted the stream length")
+    return merged
+
+
+def reference_simt_stats(token_counts: list[int],
+                         workgroup_size: int = 64) -> SimtStats:
+    """The per-thread SIMT execution the LZ kernel used to run.
+
+    One thread per entry of ``token_counts`` reports one work unit per
+    token through the :class:`~repro.gpu.simt.SimtGrid` executor, on a
+    grid padded to whole workgroups — the oracle for the kernel's
+    arithmetic ``SimtStats``.
+    """
+    n_threads = len(token_counts)
+    global_size = ((n_threads + workgroup_size - 1)
+                   // workgroup_size) * workgroup_size
+
+    def kernel_fn(ctx):
+        if ctx.global_id < n_threads:
+            for _ in range(token_counts[ctx.global_id]):
+                ctx.work(1)
+
+    return SimtGrid(global_size=global_size,
+                    local_size=workgroup_size).run(kernel_fn)

@@ -13,32 +13,41 @@ seams.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.reference_codecs import (
     ReferenceLzssCodec,
     ReferenceMatchFinder,
     ReferenceQuickLzCodec,
     reference_decode_tokens,
+    reference_merge_segments,
+    reference_segment_bounds,
     reference_segment_tokens,
 )
 from repro.bench.dataplane import build_corpus
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
     Literal,
+    LzParams,
     Match,
     common_prefix_length,
     common_prefix_length_pair,
     copy_match,
     decode_tokens,
+    tokens_to_bytes,
 )
 from repro.compression.lzss import (
     IndexedMatchFinder,
     LzssCodec,
     MatchFinder,
 )
+from repro.compression.postprocess import refine_to_container
 from repro.compression.quicklz import QuickLzCodec
-from repro.gpu.kernels.lz import SegmentLzKernel
+from repro.errors import CompressionError
+from repro.gpu.kernels.lz import SegmentLzKernel, SegmentOutput
 
 
 def adversarial_corpus() -> list[tuple[str, bytes]]:
@@ -210,3 +219,166 @@ def test_gpu_segment_tokens_match_reference(name, segments):
             payload, output.start, output.end, DEFAULT_PARAMS)
         assert output.tokens == expected, (
             f"segment [{output.start}, {output.end}) diverged")
+
+
+def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
+    """One launch, every chunk: raw tokens and refined blob vs oracles.
+
+    The raw tokens must equal the per-segment reference search (which
+    only ever sees its own chunk, so a match crossing into a neighbour
+    shows), and the refined container and seam counters must equal the
+    list-based refinement of those reference tokens.
+    """
+    launch = SegmentLzKernel(chunks, segments_per_chunk=segments,
+                             params=params).execute()
+    assert len(launch) == len(chunks)
+    for index, (chunk, outputs) in enumerate(zip(chunks, launch)):
+        bounds = reference_segment_bounds(len(chunk), segments)
+        assert [(o.segment_index, o.start, o.end)
+                for o in outputs] == bounds
+        assert all(o.chunk_index == index for o in outputs)
+        expected = [(start, end,
+                     reference_segment_tokens(chunk, start, end, params))
+                    for _, start, end in bounds]
+        for output, (start, end, tokens) in zip(outputs, expected):
+            assert output.tokens == tokens, (
+                f"chunk {index} segment [{start}, {end}) diverged")
+        for repair in (True, False):
+            stats, expected_stats = {}, {}
+            blob = refine_to_container(chunk, outputs, params,
+                                       repair_seams=repair, stats=stats)
+            merged = reference_merge_segments(
+                chunk, expected, params, repair_seams=repair,
+                stats=expected_stats)
+            assert blob == tokens_to_bytes(merged, len(chunk), params)
+            assert stats == expected_stats
+            assert LzssCodec(params).decode(blob) == chunk
+
+
+@pytest.mark.parametrize("segments", (1, 3, 8))
+def test_gpu_launch_over_whole_corpus_matches_oracles(segments):
+    """Mixed lengths (0 bytes to past the window) in one launch that
+    spans more than one search tile."""
+    assert_launch_matches_oracles(PAYLOADS[5:] + PAYLOADS, segments)
+
+
+@pytest.mark.parametrize("symbols", (2, 3, 4))
+def test_gpu_long_low_entropy_chunk_matches_oracles(symbols):
+    """Longer than the window, chains at their 64-candidate bound."""
+    rng = random.Random(symbols)
+    chunk = bytes(rng.randrange(symbols) for _ in range(9000))
+    assert_launch_matches_oracles([chunk], 8)
+
+
+@pytest.mark.parametrize("params", (
+    LzParams(window=64, min_match=3, max_match=18),
+    LzParams(window=300, min_match=4, max_match=10),
+    LzParams(window=4096, min_match=2, max_match=3),
+    LzParams(window=100, min_match=2, max_match=2),
+    LzParams(window=17, min_match=5, max_match=20),
+), ids=repr)
+def test_gpu_launch_honours_window_geometry(params):
+    rng = random.Random(params.window)
+    chunks = [bytes(rng.choice(b"abc") for _ in range(size))
+              for size in (700, 1, 64, 2500, 3)]
+    assert_launch_matches_oracles(chunks, 4, params)
+
+
+def _seeded_chunk(symbols: int, length: int, seed: int) -> bytes:
+    rng = random.Random(seed)
+    return bytes(rng.randrange(symbols) for _ in range(length))
+
+
+#: Shrinkable short chunks, plus seeded ones up to past twice the window
+#: (shorter than 3, shorter than the segment grid, longer than 4096).
+_CHUNKS = st.one_of(
+    st.integers(2, 4).flatmap(
+        lambda symbols: st.lists(st.integers(0, symbols - 1),
+                                 min_size=1, max_size=600).map(bytes)),
+    st.binary(min_size=1, max_size=600),
+    st.builds(_seeded_chunk, st.sampled_from((2, 3, 4, 256)),
+              st.integers(1, 9000), st.integers(0, 2 ** 32)))
+
+
+@given(st.lists(_CHUNKS, min_size=1, max_size=3), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_gpu_launch_property(drawn, segments):
+    """Drawn chunks sit twice each, back to back, across the boundary
+    between two search tiles: a match reaching into the neighbouring
+    chunk (same bytes, so it would be a long one) breaks equality."""
+    filler = [b"tile filler %d" % i for i in range(30)]
+    assert_launch_matches_oracles(
+        filler + [chunk for chunk in drawn for _ in range(2)], segments)
+
+
+def _segment_output(chunk, index, start, tokens):
+    """A SegmentOutput holding ``tokens`` laid out from ``start``."""
+    lengths = [t.length if isinstance(t, Match) else 1 for t in tokens]
+    positions = np.cumsum([start] + lengths[:-1])
+    return SegmentOutput(
+        chunk_index=0, segment_index=index, start=start,
+        end=start + sum(lengths), positions=positions,
+        lengths=np.array(lengths),
+        distances=np.array([t.distance if isinstance(t, Match) else 0
+                            for t in tokens]),
+        chunk=chunk)
+
+
+def test_seam_match_absorbs_a_whole_segment_then_grows_again():
+    """The chained repair: segment 1 is nothing but literals that extend
+    segment 0's final match, so it vanishes and the same match goes on
+    to swallow segment 2's leading literals as well."""
+    chunk = b"abcdefgh" * 2 + b"abcdXY"
+    segments = [
+        (0, 11, [Literal(b) for b in b"abcdefgh"] + [Match(8, 3)]),
+        (11, 13, [Literal(b) for b in b"de"]),
+        (13, 22, [Literal(b) for b in b"fgh"] + [Match(8, 4)]
+         + [Literal(b) for b in b"XY"]),
+    ]
+    outputs = [_segment_output(chunk, index, start, tokens)
+               for index, (start, _, tokens) in enumerate(segments)]
+    assert [out.end for out in outputs] == [end for _, end, _ in segments]
+    stats, expected_stats = {}, {}
+    blob = refine_to_container(chunk, outputs, stats=stats)
+    merged = reference_merge_segments(chunk, segments,
+                                      stats=expected_stats)
+    assert merged == ([Literal(b) for b in b"abcdefgh"]
+                      + [Match(8, 8), Match(8, 4)]
+                      + [Literal(b) for b in b"XY"])
+    assert blob == tokens_to_bytes(merged, len(chunk))
+    assert stats == expected_stats == {"seams_extended": 2,
+                                       "seam_bytes_absorbed": 5}
+    assert LzssCodec().decode(blob) == chunk
+
+
+def test_seam_match_stops_at_the_length_field():
+    """Absorption is capped by the room left in the 4-bit length."""
+    chunk = b"q" * 40
+    segments = [
+        (0, 18, [Literal(ord("q")), Match(1, 17)]),
+        (18, 40, [Literal(ord("q"))] * 4 + [Match(1, 18)]),
+    ]
+    outputs = [_segment_output(chunk, index, start, tokens)
+               for index, (start, _, tokens) in enumerate(segments)]
+    stats = {}
+    blob = refine_to_container(chunk, outputs, stats=stats)
+    merged = reference_merge_segments(chunk, segments)
+    assert merged[1] == Match(1, 18) and len(merged) == 6
+    assert blob == tokens_to_bytes(merged, len(chunk))
+    assert stats == {"seams_extended": 1, "seam_bytes_absorbed": 1}
+
+
+def test_short_raw_match_is_rejected_before_seam_repair_can_grow_it():
+    """A 2-byte match is invalid as the kernel's output even though the
+    seam repair would have grown it into the length field's range."""
+    chunk = b"abababab"
+    segments = [
+        (0, 4, [Literal(ord("a")), Literal(ord("b")), Match(2, 2)]),
+        (4, 8, [Literal(b) for b in b"abab"]),
+    ]
+    outputs = [_segment_output(chunk, index, start, tokens)
+               for index, (start, _, tokens) in enumerate(segments)]
+    with pytest.raises(CompressionError, match="match length 2"):
+        reference_merge_segments(chunk, segments)
+    with pytest.raises(CompressionError, match="match length 2"):
+        refine_to_container(chunk, outputs)

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LzssCodec
-from repro.compression.postprocess import (
-    merge_segments,
-    refine_to_container,
-    validate_segments,
-)
+from repro.compression.postprocess import refine_to_container
 from repro.errors import CompressionError, KernelError
 from repro.gpu import GpuDevice
 from repro.gpu.kernels import (
@@ -23,6 +19,11 @@ from repro.gpu.kernels import (
     Sha1Kernel,
 )
 from repro.sim import Environment
+from tests.reference_codecs import (
+    reference_segment_bounds,
+    reference_segment_tokens,
+    reference_simt_stats,
+)
 
 
 def _compressible(n: int) -> bytes:
@@ -99,7 +100,11 @@ class TestSegmentLzKernel:
         segs = outputs[0]
         assert [s.start for s in segs] == [i * 512 for i in range(8)]
         assert segs[-1].end == 4096
-        validate_segments(segs, 4096)
+        for seg in segs:
+            assert seg.positions[0] == seg.start
+            assert seg.positions[-1] + seg.lengths[-1] == seg.end
+            assert np.array_equal(seg.positions[1:],
+                                  seg.positions[:-1] + seg.lengths[:-1])
 
     def test_roundtrip_through_postprocess(self):
         chunk = _compressible(4096)
@@ -136,6 +141,35 @@ class TestSegmentLzKernel:
         measured = kernel.cost().lane_cycles_total
         assert measured != analytic  # stats actually feed the cost
 
+    @pytest.mark.parametrize("segments", (1, 4, 8))
+    @pytest.mark.parametrize("n_chunks", (1, 4, 37))
+    def test_simt_stats_match_per_thread_executor(self, n_chunks, segments):
+        """The arithmetic SimtStats equal a real SimtGrid execution in
+        which every segment thread reports one work unit per token."""
+        sizes = (4096, 700, 5, 2048, 1)
+        chunks = [(_compressible if i % 2 else _incompressible)(
+            sizes[i % len(sizes)]) for i in range(n_chunks)]
+        kernel = SegmentLzKernel(chunks, segments_per_chunk=segments,
+                                 use_simt=True)
+        kernel.execute()
+        token_counts = [0] * (n_chunks * segments)
+        for index, chunk in enumerate(chunks):
+            for segment, start, end in reference_segment_bounds(
+                    len(chunk), segments):
+                token_counts[index * segments + segment] = len(
+                    reference_segment_tokens(chunk, start, end))
+        assert kernel._stats == reference_simt_stats(token_counts)
+
+    def test_simt_stats_split_workgroups_into_wavefronts(self):
+        chunks = [_compressible(4096), _incompressible(4096)] * 10
+        kernel = SegmentLzKernel(chunks, segments_per_chunk=8,
+                                 use_simt=True, workgroup_size=96)
+        outputs = kernel.execute()
+        token_counts = [len(seg.positions)
+                        for per_chunk in outputs for seg in per_chunk]
+        assert kernel._stats == reference_simt_stats(
+            token_counts, workgroup_size=96)
+
     def test_ratio_close_to_serial_lzss(self):
         """Segment parallelism costs a little ratio, not a lot (A7)."""
         chunk = _compressible(4096)
@@ -151,6 +185,10 @@ class TestSegmentLzKernel:
     def test_bad_segment_count_rejected(self):
         with pytest.raises(KernelError):
             SegmentLzKernel([b"x" * 64], segments_per_chunk=0)
+
+    def test_bad_workgroup_size_rejected(self):
+        with pytest.raises(KernelError):
+            SegmentLzKernel([b"x" * 64], workgroup_size=0)
 
     def test_single_segment_equals_greedy_serial(self):
         chunk = _compressible(1024)
@@ -179,19 +217,157 @@ class TestSegmentLzKernel:
 
 
 class TestPostprocessValidation:
-    def test_gap_detected(self):
+    """Every refinement check fires on corrupted token arrays."""
+
+    @staticmethod
+    def _outputs(segments=4):
         chunk = _compressible(1024)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=4).execute()[0]
+        outputs = SegmentLzKernel(
+            [chunk], segments_per_chunk=segments).execute()[0]
+        for out in outputs:      # private copies: corrupt one at a time
+            out.positions = out.positions.copy()
+            out.lengths = out.lengths.copy()
+            out.distances = out.distances.copy()
+        return chunk, outputs
+
+    @staticmethod
+    def _first_match(out, minimum_position=0):
+        return next(i for i, d in enumerate(out.distances.tolist())
+                    if d and out.positions[i] >= minimum_position)
+
+    def test_intact_outputs_pass(self):
+        chunk, outputs = self._outputs()
+        assert LzssCodec().decode(
+            refine_to_container(chunk, outputs)) == chunk
+
+    def test_gap_detected(self):
+        chunk, outputs = self._outputs()
         outputs[1].start += 1  # corrupt tiling
-        with pytest.raises(CompressionError):
-            merge_segments(chunk, outputs)
+        with pytest.raises(CompressionError, match="starts at"):
+            refine_to_container(chunk, outputs)
+
+    def test_short_cover_detected(self):
+        chunk, outputs = self._outputs()
+        with pytest.raises(CompressionError, match="cover"):
+            refine_to_container(chunk, outputs[:-1])
 
     def test_wrong_expansion_detected(self):
-        chunk = _compressible(1024)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=4).execute()[0]
-        outputs[2].tokens.pop()  # now expands short
-        with pytest.raises(CompressionError):
-            merge_segments(chunk, outputs)
+        chunk, outputs = self._outputs()
+        seg = outputs[2]        # drop the last token: now expands short
+        seg.positions, seg.lengths, seg.distances = (
+            seg.positions[:-1], seg.lengths[:-1], seg.distances[:-1])
+        with pytest.raises(CompressionError, match="expand to"):
+            refine_to_container(chunk, outputs)
+
+    def test_token_gap_inside_segment_detected(self):
+        chunk, outputs = self._outputs()
+        seg = outputs[1]
+        at = self._first_match(seg)
+        seg.lengths[at] -= 1    # a hole the later positions step over
+        with pytest.raises(CompressionError, match="expand to"):
+            refine_to_container(chunk, outputs)
+
+    def test_shifted_positions_detected(self):
+        chunk, outputs = self._outputs()
+        outputs[1].positions[1:] += 1   # lengths intact, offsets not
+        with pytest.raises(CompressionError, match="positions"):
+            refine_to_container(chunk, outputs)
+
+    def test_token_handed_across_a_seam_detected(self):
+        """The tokens still tile the chunk end to end, but segment 1's
+        first token now belongs to segment 0: neither expands to its
+        span."""
+        chunk, outputs = self._outputs()
+        left, right = outputs[0], outputs[1]
+        left.positions = np.r_[left.positions, right.positions[:1]]
+        left.lengths = np.r_[left.lengths, right.lengths[:1]]
+        left.distances = np.r_[left.distances, right.distances[:1]]
+        right.positions, right.lengths, right.distances = (
+            right.positions[1:], right.lengths[1:], right.distances[1:])
+        with pytest.raises(CompressionError, match="expand to"):
+            refine_to_container(chunk, outputs)
+
+    def test_all_tokens_missing_detected(self):
+        chunk, outputs = self._outputs()
+        for seg in outputs:
+            seg.positions, seg.lengths, seg.distances = (
+                seg.positions[:0], seg.lengths[:0], seg.distances[:0])
+        with pytest.raises(CompressionError, match="expand to"):
+            refine_to_container(chunk, outputs)
+
+    def test_ragged_arrays_detected(self):
+        chunk, outputs = self._outputs()
+        outputs[0].distances = outputs[0].distances[:-1]
+        with pytest.raises(CompressionError, match="disagree"):
+            refine_to_container(chunk, outputs)
+
+    def test_match_reaching_before_chunk_start_detected(self):
+        chunk, outputs = self._outputs()
+        seg = outputs[0]
+        at = self._first_match(seg)
+        seg.distances[at] = seg.positions[at] + 1
+        with pytest.raises(CompressionError, match="bytes back"):
+            refine_to_container(chunk, outputs)
+
+    def test_length_outside_field_detected(self):
+        chunk, outputs = self._outputs(segments=1)
+        seg = outputs[0]
+        at = self._first_match(seg)
+        # Stretch one match over its successors, tiling intact: the only
+        # thing wrong is a length the 4-bit field cannot hold.
+        cover = 0
+        stop = at
+        while cover <= 18:
+            cover += int(seg.lengths[stop])
+            stop += 1
+        seg.lengths[at] = cover
+        keep = np.r_[0:at + 1, stop:len(seg.positions)]
+        seg.positions, seg.lengths, seg.distances = (
+            seg.positions[keep], seg.lengths[keep], seg.distances[keep])
+        with pytest.raises(CompressionError, match="match length"):
+            refine_to_container(chunk, outputs)
+
+    def test_short_match_detected(self):
+        chunk, outputs = self._outputs()
+        seg = outputs[3]
+        at = self._first_match(seg)
+        # Re-tile one match as leading literals plus a 2-byte match:
+        # the stream still covers the chunk, but no field encodes 2.
+        length = int(seg.lengths[at])
+        head = np.arange(length - 2, dtype=seg.positions.dtype)
+        seg.positions = np.r_[seg.positions[:at], seg.positions[at] + head,
+                              seg.positions[at] + length - 2,
+                              seg.positions[at + 1:]]
+        seg.lengths = np.r_[seg.lengths[:at], np.ones_like(head), 2,
+                            seg.lengths[at + 1:]]
+        seg.distances = np.r_[seg.distances[:at], np.zeros_like(head),
+                              seg.distances[at], seg.distances[at + 1:]]
+        with pytest.raises(CompressionError, match="match length"):
+            refine_to_container(chunk, outputs)
+
+    def test_distance_outside_window_detected(self):
+        chunk = _compressible(6000)
+        outputs = SegmentLzKernel([chunk], segments_per_chunk=2).execute()[0]
+        seg = outputs[1]
+        seg.distances = seg.distances.copy()
+        at = self._first_match(seg, minimum_position=5000)
+        seg.distances[at] = 4097        # in the chunk, past the window
+        with pytest.raises(CompressionError, match="outside window"):
+            refine_to_container(chunk, outputs)
+
+    def test_negative_distance_detected(self):
+        chunk, outputs = self._outputs()
+        outputs[0].distances[3] = -1
+        with pytest.raises(CompressionError, match="outside window"):
+            refine_to_container(chunk, outputs)
+
+    def test_wide_literal_detected(self):
+        chunk, outputs = self._outputs()
+        seg = outputs[2]
+        at = self._first_match(seg)
+        seg.distances[at] = 0   # a "literal" that covers a match's bytes
+        with pytest.raises(CompressionError, match="literal"):
+            refine_to_container(chunk, outputs)
 
     def test_seam_repair_never_hurts(self):
         chunk = _compressible(4096)

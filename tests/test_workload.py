@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.workload import (
     ZipfPattern,
     measured_ratio,
 )
+from repro.workload.datagen import _MOTIF, _extend_random
 
 
 class TestBlockContentGenerator:
@@ -43,6 +45,42 @@ class TestBlockContentGenerator:
         high.calibrate()
         assert (measured_ratio(high.make_block(4096, salt=0))
                 > measured_ratio(low.make_block(4096, salt=0)))
+
+    def test_random_granules_are_randrange_bytes(self):
+        """The unrolled rejection loop draws exactly what per-byte
+        ``rng.randrange(256)`` draws and leaves the generator where it
+        would: a stdlib drift in ``Random._randbelow`` shows here."""
+        for seed in range(40):
+            for salt in range(30):
+                fast = random.Random(f"{seed}:{salt}")
+                slow = random.Random(f"{seed}:{salt}")
+                count = 1 + (seed * 30 + salt) % 97
+                out = bytearray()
+                _extend_random(out, fast, count)
+                assert bytes(out) == bytes(
+                    slow.randrange(256) for _ in range(count))
+                assert fast.random() == slow.random()
+
+    def test_blocks_match_the_randrange_generator(self):
+        def reference_block(generator, size, salt):
+            rng = random.Random(f"{generator._seed}:{salt}")
+            out = bytearray()
+            while len(out) < size:
+                take = min(generator.granule, size - len(out))
+                if rng.random() < generator.random_fraction:
+                    out.extend(rng.randrange(256) for _ in range(take))
+                else:
+                    phase = rng.randrange(len(_MOTIF))
+                    motif = _MOTIF[phase:] + _MOTIF[:phase]
+                    out.extend((motif * (take // len(motif) + 1))[:take])
+            return bytes(out)
+
+        for seed, ratio in ((1, 1.0), (2, 1.3), (3, 2.0), (4, 3.0)):
+            generator = BlockContentGenerator(ratio, seed=seed)
+            for salt in range(12):
+                for size in (1, 100, 4096):
+                    assert generator.make_block(size, salt=salt) \
+                        == reference_block(generator, size, salt)
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(WorkloadError):
