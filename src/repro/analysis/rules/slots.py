@@ -1,8 +1,9 @@
 """Slots-coverage rule (REP301).
 
 The hot-path modules allocate events, requests and chunks by the
-million per timed run; PR 1 slotted them and the perf gate
-(``benchmarks/test_p1_engine_hotpath.py``) assumes they stay slotted.
+million per timed run; PR 1 slotted them and the end-to-end
+benchmark's descriptor workloads (``e2ebench``: ``desc_fit``,
+``desc_steady``) assume they stay slotted.
 A new class added to one of these modules without ``__slots__``
 silently reintroduces a per-instance ``__dict__`` — correct, slower,
 and invisible in review.  This rule makes it visible.

@@ -11,9 +11,11 @@ The ``benchmarks/`` pytest files print these through
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from repro.cluster import ClusterConfig, ClusterEngine, ShardMap
+from repro.cluster.engine import REBALANCE_ENTRY_BYTES
 from repro.core.calibration import CalibrationResult, calibrate_mode, run_mode
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
@@ -35,6 +37,8 @@ from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment
 from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel
+from repro.tenancy import TenantMix, TenantSpec
+from repro.tenancy.runner import run_tenant_mix
 from repro.workload.datagen import BlockContentGenerator
 from repro.workload.patterns import ZipfPattern
 from repro.workload.vdbench import VdbenchStream
@@ -69,6 +73,7 @@ def registry() -> dict[str, callable]:
         "a15": a15_delta_reduction,
         "a16": a16_tenant_mix,
         "a17": a17_cache_contention,
+        "a18": a18_cluster_skew,
     }
 
 
@@ -1040,6 +1045,18 @@ def a7_segment_sweep(segment_counts: Sequence[int] = (1, 2, 4, 8, 16),
 # A16 — tenancy ablation: inline hit rate vs tenant-mix composition.
 # ---------------------------------------------------------------------------
 
+#: The committed mixed-locality scenario: a hot tenant whose working
+#: set fits the inline cache against a cold scan that floods it.  A17,
+#: the tier-1 admission floors (tests/test_goldens.py) and the
+#: ``mix_emit`` micro-benchmark all read this exact mix; A16 sweeps the
+#: hot tenant's weight around it.
+SCENARIO_MIX = TenantMix(tenants=(
+    TenantSpec(name="hot", seed=11, dedup_ratio=3.0, locality=0.95,
+               working_set=64),
+    TenantSpec(name="cold", seed=22, dedup_ratio=1.05, locality=0.0,
+               working_set=1 << 16),
+), seed=7)
+
 @dataclass
 class A16Row:
     """One mix composition's shared-vs-prioritized comparison."""
@@ -1069,18 +1086,11 @@ def a16_tenant_mix(hot_weights: Sequence[float] = (0.25, 1.0, 4.0),
     (small ``hot_weight``), because that is when LRU recency evicts
     exactly the entries worth keeping.
     """
-    from repro.tenancy import TenantMix, TenantSpec
-    from repro.tenancy.runner import run_tenant_mix
-
     rows = []
     for hot_weight in hot_weights:
-        mix = TenantMix(tenants=(
-            TenantSpec(name="hot", seed=11, dedup_ratio=3.0,
-                       locality=0.95, working_set=64,
-                       weight=hot_weight),
-            TenantSpec(name="cold", seed=22, dedup_ratio=1.05,
-                       locality=0.0, working_set=1 << 16),
-        ), seed=7)
+        hot, cold = SCENARIO_MIX.tenants
+        mix = replace(SCENARIO_MIX, tenants=(
+            replace(hot, weight=hot_weight), cold))
         hit_rates = {}
         for policy in ("shared_lru", "prioritized"):
             config = PipelineConfig(
@@ -1130,9 +1140,6 @@ def a17_cache_contention(
     *effective* dedup ratio at the oracle throughout — capacity only
     moves the inline/out-of-line split.
     """
-    from repro.bench.tenancy import SCENARIO_MIX
-    from repro.tenancy.runner import run_tenant_mix
-
     rows = []
     for capacity in capacities:
         hit_rates = {}
@@ -1152,4 +1159,57 @@ def a17_cache_contention(
             shared_hit_rate=hit_rates["shared_lru"],
             prioritized_hit_rate=hit_rates["prioritized"],
             recovery_fraction=recovery))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# A18 — cluster ablation: shard skew and what repairing it costs.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class A18Row:
+    """One bin->shard assignment over the same observed bin loads."""
+
+    assignment: str
+    #: Max-over-mean routed bytes per shard (1.0 = perfectly balanced).
+    imbalance: float
+    #: Loaded bins (and their bytes) that live on a different shard
+    #: than under the static range split, and the modeled NetLink time
+    #: to migrate them.
+    moved_bins: int
+    moved_bytes: int
+    migration_s: float
+
+
+def a18_cluster_skew(n_chunks: int = 4096, nodes: int = 4) -> list[A18Row]:
+    """Route a dup-heavy, high-locality corpus; compare assignments.
+
+    Such a corpus concentrates traffic in few bins, so the static
+    ``range`` split is skewed.  ``balanced`` re-assigns every bin (LPT
+    over the observed loads); ``rebalanced`` repairs the range table
+    greedily, moving far fewer bytes for most of the benefit — the
+    trade a between-epochs rebalance makes.
+    """
+    engine = ClusterEngine(ClusterConfig(
+        nodes=nodes, chunks=n_chunks, window=64, seed=1234,
+        dedup_ratio=4.0, locality=0.9))
+    engine.run()
+    loads = engine.router.bin_loads()
+    range_table = engine.shard_map.table.copy()
+
+    def row(assignment: str, shard_map) -> A18Row:
+        moved = (shard_map.table != range_table) & (loads > 0)
+        moved_bins = int(moved.sum())
+        moved_bytes = int(loads[moved].sum())
+        migration_s = engine.netlink.cost_s(
+            moved_bytes + moved_bins * REBALANCE_ENTRY_BYTES,
+            moved_bins) if moved_bins else 0.0
+        return A18Row(assignment, shard_map.imbalance(loads), moved_bins,
+                      moved_bytes, migration_s)
+
+    rows = [row("range", engine.shard_map),
+            row("balanced", ShardMap(nodes, assignment="balanced",
+                                     loads=loads))]
+    engine.shard_map.rebalance(loads)
+    rows.append(row("rebalanced", engine.shard_map))
     return rows

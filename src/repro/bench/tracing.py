@@ -1,17 +1,14 @@
-"""Traced-run harness (``repro trace``, ``repro bench ... --trace``).
+"""Traced-run harness (``repro trace``).
 
-One place builds the "trace bundle" every entry point wants: run a
-timed pipeline with a live :class:`~repro.obs.SimTracer`, schema-check
-the Chrome ``trace_event`` export, write it to disk, and summarize the
-critical path.  The CLI's ``trace`` subcommand, the ``--trace`` flags
-on ``run``/``bench``, and the CI trace-smoke job all call through here
-so they cannot drift apart on validation or file format.
+Builds the "trace bundle" the ``trace`` subcommand and the CI
+trace-smoke job want: run a timed pipeline with a live
+:class:`~repro.obs.SimTracer`, schema-check the Chrome ``trace_event``
+export, and summarize the critical path.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.calibration import run_mode
 from repro.core.modes import IntegrationMode
@@ -49,45 +46,3 @@ def build_trace_bundle(mode: IntegrationMode, chunks: int,
         "problems": validate_chrome_trace(payload),
         "critical_path": CriticalPathReport.from_spans(tracer.spans),
     }
-
-
-def write_trace_bundle(out_path: str, mode: IntegrationMode, chunks: int,
-                       **run_kwargs) -> dict[str, Any]:
-    """Traced run -> validated Chrome trace at ``out_path``.
-
-    Returns a JSON-friendly summary: span/event counts, critical-path
-    coverage, and any validation problems.  The trace file is written
-    even when validation fails, so the artifact can be inspected.
-    """
-    bundle = build_trace_bundle(mode, chunks, **run_kwargs)
-    with open(out_path, "w") as handle:
-        json.dump(bundle["payload"], handle)
-    critical: CriticalPathReport = bundle["critical_path"]
-    return {
-        "mode": bundle["mode"],
-        "chunks": bundle["chunks"],
-        "out_path": out_path,
-        "n_spans": len(bundle["spans"]),
-        "n_events": len(bundle["payload"]["traceEvents"]),
-        "coverage": critical.coverage,
-        "mean_latency_s": critical.mean_latency_s,
-        "problems": bundle["problems"],
-    }
-
-
-def trace_summary_line(summary: dict[str, Any]) -> str:
-    """One-line rendering of a :func:`write_trace_bundle` summary."""
-    status = ("OK" if not summary["problems"]
-              else f"{len(summary['problems'])} schema problem(s)")
-    return (f"trace [{summary['mode']}, {summary['chunks']} chunks] "
-            f"-> {summary['out_path']}: {summary['n_events']} events, "
-            f"{summary['n_spans']} spans, "
-            f"coverage {summary['coverage']:.1%}, {status}")
-
-
-def maybe_trace(trace_path: Optional[str], mode: IntegrationMode,
-                chunks: int, **run_kwargs) -> Optional[dict[str, Any]]:
-    """``--trace`` helper: no-op on ``None``, else write and summarize."""
-    if trace_path is None:
-        return None
-    return write_trace_bundle(trace_path, mode, chunks, **run_kwargs)

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six commands cover the library's everyday uses:
+Seven commands cover the library's everyday uses:
 
 * ``run`` — one timed pipeline run on the simulated testbed
   (``--trace`` also writes a Chrome ``trace_event`` file);
@@ -8,6 +8,9 @@ Six commands cover the library's everyday uses:
   critical-path latency attribution (DESIGN.md §10);
 * ``calibrate`` — the paper's dummy-I/O mode chooser, with platform knobs;
 * ``evaluate`` — the paper's §4 evaluation at a chosen scale;
+* ``bench`` — one experiment by id, or the per-layer micro-benchmark
+  rates of this host (``repro.bench.micro``; the numbers that count are
+  ``python3 -m e2ebench``'s);
 * ``codec`` — compress/decompress a real file with the bundled codecs
   (round-trip verified), reporting the achieved ratio;
 * ``lint`` — the project's AST invariant checker (determinism,
@@ -313,97 +316,22 @@ def _render_result(result) -> None:
     print(f"  {result!r}")
 
 
-def _bench_planes() -> dict:
-    """Perf-plane registry: name -> (title, runner, renderer).
-
-    Runners share the harness signature (``quick``/``profile``/
-    ``trace_path`` keywords); the cluster plane additionally takes the
-    topology flags.
-    """
-    from repro.bench.cluster import render_cluster_bench, run_cluster_bench
-    from repro.bench.dataplane import (
-        render_dataplane_bench,
-        run_dataplane_bench,
-    )
-    from repro.bench.dedup import render_dedup_bench, run_dedup_bench
-    from repro.bench.perf import render_engine_bench, run_engine_bench
-    from repro.bench.pipeline import (
-        render_pipeline_bench,
-        run_pipeline_bench,
-    )
-    from repro.bench.tenancy import (
-        render_tenancy_bench,
-        run_tenancy_bench,
-    )
-
-    return {
-        "engine": ("engine hot-path",
-                   run_engine_bench, render_engine_bench),
-        "dataplane": ("data-plane hot loops",
-                      run_dataplane_bench, render_dataplane_bench),
-        "dedup": ("dedup index plane",
-                  run_dedup_bench, render_dedup_bench),
-        "pipeline": ("batched functional pipeline",
-                     run_pipeline_bench, render_pipeline_bench),
-        "cluster": ("cluster shard plane",
-                    run_cluster_bench, render_cluster_bench),
-        "tenancy": ("multi-tenant traffic plane",
-                    run_tenancy_bench, render_tenancy_bench),
-    }
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench import micro
     from repro.bench.experiments import registry
 
-    if args.experiment in ("engine", "dataplane", "dedup", "pipeline",
-                           "cluster", "tenancy"):
-        title, run, render = _bench_planes()[args.experiment]
-        kwargs = {"profile": args.profile, "trace_path": args.trace}
-        if args.experiment != "engine":
-            kwargs["quick"] = args.quick
-        if args.experiment == "cluster":
-            kwargs["nodes"] = args.nodes
-            kwargs["executor"] = args.executor
-        started = time.time()
-        results = run(**kwargs)
-        if args.json:
-            from repro.bench.common import json_summary
-            print(json.dumps(json_summary(args.experiment, results),
-                             indent=2))
-        else:
-            print(f"=== {title} "
-                  f"(wall {time.time() - started:.1f} s) ===")
-            print(render(results))
-        if args.experiment == "engine":
-            return 0
-        return 0 if results["fields_ok"] else 1
-    if args.experiment == "all":
-        from repro.bench.allplanes import (
-            render_all_benches,
-            run_all_benches,
-        )
-
-        started = time.time()
-        results = run_all_benches(quick=args.quick)
-        if args.json:
-            from repro.bench.allplanes import json_all_summary
-            print(json.dumps(json_all_summary(results), indent=2))
-        else:
-            print(f"=== all bench planes "
-                  f"(wall {time.time() - started:.1f} s) ===")
-            print(render_all_benches(results))
-        return 0 if results["fields_ok"] else 1
     experiments = registry()
     if args.experiment == "list":
-        for name in experiments:
+        for name in (*experiments, *micro.PLANES, "all"):
             print(name)
-        print("engine")
-        print("dataplane")
-        print("dedup")
-        print("pipeline")
-        print("cluster")
-        print("tenancy")
-        print("all")
+        return 0
+    if args.experiment == "all" or args.experiment in micro.PLANES:
+        planes = (micro.PLANES if args.experiment == "all"
+                  else (args.experiment,))
+        results = micro.run_micro(planes, quick=args.quick,
+                                  profile=args.profile)
+        print(json.dumps(results, indent=2) if args.json
+              else micro.render_micro(results))
         return 0
     runner = experiments.get(args.experiment)
     if runner is None:
@@ -637,37 +565,21 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     bench = sub.add_parser("bench",
-                           help="run one experiment by id (or 'list')")
+                           help="run one experiment or per-layer "
+                                "micro-benchmark plane (or 'list')")
     bench.add_argument("experiment",
-                       help="experiment id (e1..e5, a1..a14), "
-                            "'engine' (simulator hot-path perf), "
-                            "'dataplane' (codec hot-loop perf), "
-                            "'dedup' (index-plane perf), "
-                            "'pipeline' (batched functional plane), "
-                            "'cluster' (sharded reduction), "
-                            "'tenancy' (multi-tenant traffic), 'all', "
-                            "or 'list'")
-    bench.add_argument("--profile", action="store_true",
-                       help="wrap 'engine'/'dataplane'/'dedup' runs "
-                            "in cProfile")
+                       help="experiment id (e1..e5, a1..a18), a "
+                            "micro-benchmark plane (engine, dataplane, "
+                            "dedup, pipeline, cluster, tenancy), 'all' "
+                            "planes, or 'list'")
     bench.add_argument("--quick", action="store_true",
-                       help="dataplane/dedup: fewer repeats, skip the "
-                            "E4 field re-run (identity checks still "
-                            "run)")
-    bench.add_argument("--trace", metavar="PATH", default=None,
-                       help="engine/dataplane/dedup: also write a "
-                            "Chrome trace of one traced pipeline run")
+                       help="planes: fewer repeats, smaller corpora")
+    bench.add_argument("--profile", action="store_true",
+                       help="planes: wrap the timed loop in cProfile "
+                            "and append the cumulative-time table")
     bench.add_argument("--json", action="store_true",
-                       help="perf planes: print the machine-readable "
-                            "current-vs-baseline summary instead of "
-                            "the table")
-    bench.add_argument("--nodes", type=int, default=None,
-                       help="cluster: shard count for the ingest "
-                            "scenario (default 4)")
-    bench.add_argument("--executor", choices=("serial", "mp"),
-                       default=None,
-                       help="cluster: executor for the ingest "
-                            "scenario (default serial)")
+                       help="planes: print the rows as JSON instead "
+                            "of the table")
     bench.set_defaults(func=cmd_bench)
 
     codec = sub.add_parser("codec",

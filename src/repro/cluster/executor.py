@@ -16,16 +16,24 @@ crosses a process boundary except through those two messages.  The
 ``fork`` start method is preferred (no re-import cost); ``spawn`` is
 the fallback — the worker entrypoint is a module-level function so
 both work.
+
+A child that fails — constructing its worker or processing a window —
+answers ``("error", shard_id, traceback text)`` and exits; the parent
+turns that, a broken pipe, or a pipe that closed with no answer into a
+:class:`~repro.errors.ClusterError` naming the shard, from whichever of
+``submit()`` / ``finish()`` notices first.  ``close()`` reaps every
+child either way.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 from typing import Optional
 
 from repro.cluster.router import RoutedWindow
 from repro.cluster.shardwork import ShardSpec, ShardWorker
-from repro.errors import ConfigError
+from repro.errors import ClusterError, ConfigError
 
 __all__ = ["EXECUTORS", "MpExecutor", "SerialExecutor", "make_executor"]
 
@@ -56,15 +64,21 @@ class SerialExecutor:
 
 
 def _shard_worker_main(conn, shard_id: int, spec: ShardSpec) -> None:
-    """Child entrypoint: drain routed windows, answer with the report."""
-    worker = ShardWorker(shard_id, spec)
+    """Child entrypoint: drain routed windows, answer with
+    ``("report", shard_id, report)`` — or, on any failure, with
+    ``("error", shard_id, traceback text)``."""
     try:
+        worker = ShardWorker(shard_id, spec)
         while True:
             window = conn.recv()
             if window is None:
-                conn.send(worker.finish())
+                conn.send(("report", shard_id, worker.finish()))
                 return
             worker.process(window)
+    except Exception:
+        # Process boundary: the traceback would otherwise reach only
+        # this child's stderr and the parent would see a dead pipe.
+        conn.send(("error", shard_id, traceback.format_exc()))
     finally:
         conn.close()
 
@@ -95,16 +109,42 @@ class MpExecutor:
             self._processes.append(process)
 
     def submit(self, window: RoutedWindow) -> None:
-        self._connections[window.shard].send(window)
+        self._send(window.shard, window)
 
     def finish(self) -> list[dict]:
         """Sentinel every pipe, then collect reports in shard order."""
-        for connection in self._connections:
-            connection.send(None)
-        reports = [connection.recv() for connection in self._connections]
+        for shard in range(len(self._connections)):
+            self._send(shard, None)
+        reports = [self._answer(shard)
+                   for shard in range(len(self._connections))]
         for process in self._processes:
             process.join(timeout=_JOIN_TIMEOUT_S)
         return reports
+
+    def _send(self, shard: int, message) -> None:
+        try:
+            self._connections[shard].send(message)
+        except OSError:
+            # The child closed its end: it failed and said why, or died.
+            self._answer(shard)
+            raise ClusterError(f"shard {shard} worker is gone")
+
+    def _answer(self, shard: int) -> dict:
+        """The shard's report; :class:`ClusterError` if it sent an
+        error instead, or nothing."""
+        try:
+            kind, _shard, body = self._connections[shard].recv()
+        except (EOFError, OSError):
+            process = self._processes[shard]
+            process.join(timeout=_JOIN_TIMEOUT_S)
+            raise ClusterError(
+                f"shard {shard} worker exited without a report "
+                f"(exit code {process.exitcode})") from None
+        if kind == "error":
+            raise ClusterError(
+                f"shard {shard} worker failed: "
+                f"{body.strip().splitlines()[-1]}\n{body}")
+        return body
 
     def close(self) -> None:
         for connection in self._connections:

@@ -27,7 +27,6 @@ class PipelineConfig:
 
     # -- chunking ---------------------------------------------------------
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    content_defined: bool = False
 
     # -- bin index ---------------------------------------------------------
     #: Fingerprint prefix bytes = bin selector.  The paper's memory

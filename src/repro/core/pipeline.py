@@ -279,16 +279,14 @@ class ReductionPipeline:
             if tenancy is not None:
                 admission = tenancy.admit(tenant, fingerprint)
                 hashed = admission.inline
-            ingest = (dedup.ingest_cycles(chunk, cfg.content_defined)
-                      if hashed else
-                      costs.chunking_cycles(chunk.size, cfg.content_defined)
+            ingest = (dedup.ingest_cycles(chunk) if hashed else
+                      costs.chunking_cycles(chunk.size, False)
                       ) + costs.handoff_per_chunk
             yield cpu.charge(ingest)
             if trace is not None and hashed:
                 # The coalesced charge covers two workflow stages;
                 # split the measured interval by cycle weight.
-                chunking = costs.chunking_cycles(chunk.size,
-                                                 cfg.content_defined)
+                chunking = costs.chunking_cycles(chunk.size, False)
                 trace.record_split(
                     (STAGE_CHUNKING, STAGE_FINGERPRINT), seq, admitted,
                     weights=(chunking, ingest - chunking),

@@ -100,10 +100,10 @@ class DedupEngine:
 
     # -- stage costs --------------------------------------------------------
 
-    def ingest_cycles(self, chunk: Chunk,
-                      content_defined: bool = False) -> float:
-        """CPU cycles for the chunking + hashing stages of one chunk."""
-        return (self.costs.chunking_cycles(chunk.size, content_defined)
+    def ingest_cycles(self, chunk: Chunk) -> float:
+        """CPU cycles for the fixed-size chunking + hashing stages of
+        one chunk."""
+        return (self.costs.chunking_cycles(chunk.size, False)
                 + self.costs.sha1_cycles(chunk.size))
 
     # -- indexing (CPU path) ----------------------------------------------------

@@ -81,6 +81,10 @@ class CorruptStreamError(CompressionError):
     """A compressed stream could not be decoded."""
 
 
+class ClusterError(ReproError):
+    """A shard worker of the simulated cluster failed or went away."""
+
+
 class ConfigError(ReproError):
     """An invalid configuration value was supplied."""
 

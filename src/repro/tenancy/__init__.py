@@ -23,10 +23,7 @@ from repro.tenancy.controller import (
     ADMIT_SKIP,
     TenancyController,
 )
-from repro.tenancy.locality import (
-    LocalityEstimator,
-    NaiveLocalityEstimator,
-)
+from repro.tenancy.locality import LocalityEstimator
 from repro.tenancy.spec import (
     TENANT_ADDRESS_STRIDE,
     TenantMix,
@@ -42,7 +39,6 @@ __all__ = [
     "CompactionQueue",
     "LocalityEstimator",
     "MIN_QUOTA",
-    "NaiveLocalityEstimator",
     "PrioritizedCache",
     "SharedLruCache",
     "TENANT_ADDRESS_STRIDE",

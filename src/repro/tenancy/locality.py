@@ -8,25 +8,20 @@ prioritizes cache shares accordingly; streams whose estimate stays
 near zero are better served by skipping inline dedup entirely and
 letting out-of-line compaction recover the few duplicates later.
 
-Two estimators live here with *identical* observable estimates:
-
-* :class:`LocalityEstimator` — the production sketch: a fingerprint
-  ring plus a membership count map makes each observation O(1).
-* :class:`NaiveLocalityEstimator` — the retained reference: a linear
-  scan of the last ``window`` fingerprints per observation, O(window).
-  It anchors the equivalence suite and the ``repro bench tenancy``
-  baseline (the >= 2x estimator hot-path gate measures the sketch
-  against this scan).
-
-Both fold hits into the same EWMA with the same float expressions in
-the same order, so estimates are byte-equal, not just close.
+:class:`LocalityEstimator` is a sketch: a fingerprint ring plus a
+membership count map makes each observation O(1).  Its oracle — a
+linear scan of the last ``window`` fingerprints per observation — is
+``NaiveLocalityEstimator`` in ``tests/reference_paths.py``; both fold
+hits into the same EWMA with the same float expressions in the same
+order, so ``tests/test_tenancy_equivalence.py`` holds the estimates
+byte-equal, not just close.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigError
 
-__all__ = ["LocalityEstimator", "NaiveLocalityEstimator"]
+__all__ = ["LocalityEstimator"]
 
 
 class LocalityEstimator:
@@ -74,52 +69,6 @@ class LocalityEstimator:
         ring[pos] = fingerprint
         counts[fingerprint] = counts.get(fingerprint, 0) + 1
         self._pos = pos + 1 if pos + 1 < self.window else 0
-        self.observed += 1
-        if hit:
-            self.hits += 1
-            self._estimate += self._alpha * (1.0 - self._estimate)
-        else:
-            self._estimate -= self._alpha * self._estimate
-        return hit
-
-
-class NaiveLocalityEstimator:
-    """Reference estimator: linear scan of the last ``window`` entries.
-
-    Observably identical to :class:`LocalityEstimator` (same hits, same
-    EWMA arithmetic); per-observation cost is O(window), which is what
-    the bench plane's pinned baseline measures.
-    """
-
-    __slots__ = ("window", "observed", "hits", "_alpha", "_estimate",
-                 "_recent")
-
-    def __init__(self, window: int):
-        if window < 1:
-            raise ConfigError(f"invalid locality window {window}")
-        self.window = window
-        self.observed = 0
-        self.hits = 0
-        self._alpha = 2.0 / (window + 1.0)
-        self._estimate = 0.0
-        self._recent: list[bytes] = []
-
-    @property
-    def estimate(self) -> float:
-        """Current EWMA duplicate-locality estimate in [0, 1]."""
-        return self._estimate
-
-    def observe(self, fingerprint: bytes) -> bool:
-        """Record one fingerprint; True when it hit the window."""
-        recent = self._recent
-        hit = False
-        for entry in recent:
-            if entry == fingerprint:
-                hit = True
-                break
-        if len(recent) >= self.window:
-            recent.pop(0)
-        recent.append(fingerprint)
         self.observed += 1
         if hit:
             self.hits += 1

@@ -157,8 +157,77 @@ class TestBenchCommand:
         code = main(["bench", "list"])
         out = capsys.readouterr().out
         assert code == 0
-        for expected in ("e1", "e4", "a9", "a14"):
+        for expected in ("e1", "e4", "a9", "a14", "a18"):
             assert expected in out.split()
+
+    def test_list_planes_come_from_the_table(self, capsys):
+        from repro.bench.experiments import registry
+        from repro.bench.micro import PLANES, SCENARIOS
+
+        assert PLANES == ("engine", "dataplane", "dedup", "pipeline",
+                          "cluster", "tenancy")
+        assert {scenario.plane for scenario in SCENARIOS} == set(PLANES)
+        names = [scenario.name for scenario in SCENARIOS]
+        assert len(names) == len(set(names)) >= 24
+        main(["bench", "list"])
+        assert capsys.readouterr().out.split() == \
+            [*registry(), *PLANES, "all"]
+
+    @pytest.fixture(scope="class")
+    def dedup_plane(self, tmp_path_factory):
+        """One ``bench dedup --quick --json --profile`` run in an empty
+        working directory: (exit code, parsed stdout, files left)."""
+        import contextlib
+        import io
+        import json
+        import os
+
+        cwd = tmp_path_factory.mktemp("bench_cwd")
+        stdout = io.StringIO()
+        before = os.getcwd()
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(stdout):
+                code = main(["bench", "dedup", "--quick", "--json",
+                             "--profile"])
+        finally:
+            os.chdir(before)
+        return code, json.loads(stdout.getvalue()), os.listdir(cwd)
+
+    def test_plane_json_rows(self, dedup_plane):
+        from repro.bench.micro import SCENARIOS
+
+        code, payload, _files = dedup_plane
+        assert code == 0
+        assert payload["quick"] is True
+        rows = payload["rows"]
+        assert [row["scenario"] for row in rows] == \
+            [s.name for s in SCENARIOS if s.plane == "dedup"]
+        for row in rows:
+            assert set(row) == {"plane", "scenario", "unit", "ops",
+                                "median_s", "iqr_s", "per_s"}
+            assert row["plane"] == "dedup"
+            assert row["ops"] > 0 and row["median_s"] > 0
+            assert row["iqr_s"] >= 0 and row["per_s"] > 0
+
+    def test_plane_profile_appends_one_table(self, dedup_plane):
+        _code, payload, _files = dedup_plane
+        assert payload["profile_top"].count(
+            "Ordered by: cumulative time") == 1
+
+    def test_plane_run_writes_no_file(self, dedup_plane):
+        _code, _payload, files = dedup_plane
+        assert files == []
+
+    def test_plane_table_rendering(self):
+        from repro.bench.micro import render_micro
+
+        text = render_micro({"quick": True, "repeats": 3, "rows": [
+            {"plane": "dedup", "scenario": "tree_probe",
+             "unit": "probes", "ops": 32768, "median_s": 0.0125,
+             "iqr_s": 0.0005, "per_s": 2621440.0}]})
+        assert "tree_probe" in text and "12.50" in text
+        assert "2,621,440 probes/s" in text
 
     def test_unknown_experiment(self, capsys):
         code = main(["bench", "zz"])

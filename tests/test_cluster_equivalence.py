@@ -25,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.cluster import _route_per_chunk, golden_config
+from tests.reference_paths import bin_ids_per_chunk, route_per_chunk
+
+from repro.bench.micro import golden_config
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -159,8 +161,11 @@ class TestRouterEquivalence:
         stream = VdbenchStream(seed=seed)
         batch = stream.next_batch(128)
         shard_map = ShardMap(nodes)
-        routed = ClusterRouter(shard_map).split(batch)
-        reference = _route_per_chunk(batch, shard_map)
+        router = ClusterRouter(shard_map)
+        assert router.bin_ids(batch.fingerprints).tolist() == \
+            bin_ids_per_chunk(batch.fingerprints, shard_map.prefix_bytes)
+        routed = router.split(batch)
+        reference = route_per_chunk(batch, shard_map)
         assert [w.shard for w in routed] == [w.shard for w in reference]
         for fast, slow in zip(routed, reference):
             assert fast.fingerprints == slow.fingerprints
@@ -190,3 +195,56 @@ class TestConfigValidation:
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             ClusterEngine(golden_config(4), shard_map=ShardMap(2))
+
+
+class TestWorkerFailure:
+    """A failing shard child surfaces in the parent as a ClusterError
+    naming the shard and the child's exception — not as a dead pipe."""
+
+    def test_bad_spec_at_startup(self):
+        from repro.cluster.executor import MpExecutor
+        from repro.cluster.shardwork import ShardSpec
+        from repro.errors import ClusterError
+
+        executor = MpExecutor(2, ShardSpec(prefix_bytes=9))
+        try:
+            with pytest.raises(ClusterError) as raised:
+                executor.finish()
+        finally:
+            executor.close()
+        assert "shard " in str(raised.value)
+        assert "IndexError_" in str(raised.value)
+        self._assert_reaped(executor)
+
+    def test_worker_raises_mid_stream(self):
+        from types import SimpleNamespace
+
+        from repro.cluster.executor import MpExecutor
+        from repro.errors import ClusterError
+
+        batch = VdbenchStream(seed=3).next_batch(64)
+        good = ClusterRouter(ShardMap(2)).split(batch)
+        executor = MpExecutor(2)
+        try:
+            for window in good:
+                executor.submit(window)
+            # Not a RoutedWindow: shard 1's ``process`` raises.
+            executor.submit(SimpleNamespace(shard=1))
+            executor._processes[1].join(timeout=30)
+            assert not executor._processes[1].is_alive()
+            with pytest.raises(ClusterError) as submit_error:
+                executor.submit(good[1])
+            with pytest.raises(ClusterError) as finish_error:
+                executor.finish()
+        finally:
+            executor.close()
+        assert "shard 1" in str(submit_error.value)
+        assert "AttributeError" in str(submit_error.value)
+        assert "shard 1" in str(finish_error.value)
+        self._assert_reaped(executor)
+
+    @staticmethod
+    def _assert_reaped(executor):
+        for process in executor._processes:
+            assert not process.is_alive()
+            assert process.exitcode is not None

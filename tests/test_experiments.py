@@ -185,9 +185,24 @@ class TestExtensionExperiments:
         assert (by_stack["dedup+delta+lz"].physical_bytes
                 <= by_stack["dedup+lz"].physical_bytes)
 
+    def test_a18_rows(self):
+        from repro.bench.experiments import a18_cluster_skew
+        rows = {r.assignment: r for r in a18_cluster_skew(n_chunks=1024)}
+        assert list(rows) == ["range", "balanced", "rebalanced"]
+        assert rows["range"].moved_bins == 0
+        assert rows["range"].migration_s == 0.0
+        # Both repairs improve on the static split; the greedy one gets
+        # there moving fewer bytes than a from-scratch LPT assignment.
+        assert rows["balanced"].imbalance <= rows["range"].imbalance
+        assert rows["rebalanced"].imbalance <= rows["range"].imbalance
+        assert 0 < rows["rebalanced"].moved_bytes \
+            < rows["balanced"].moved_bytes
+        assert 0 < rows["rebalanced"].migration_s \
+            < rows["balanced"].migration_s
+
     def test_registry_complete(self):
         from repro.bench.experiments import registry
         names = set(registry())
         for expected in ("e1", "e2", "e3", "e4", "e5", "a9", "a13",
-                         "a14", "a15"):
+                         "a14", "a15", "a16", "a17", "a18"):
             assert expected in names

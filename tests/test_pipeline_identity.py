@@ -6,7 +6,7 @@ Every digest below was captured at the commit *before*
 stated cause.  Three families:
 
 * **reports** — the four per-mode golden digests
-  (:data:`repro.bench.dedup.GOLDEN_REPORT_SHA256`), plus payload-mode,
+  (``tests.goldens.GOLDEN_REPORT_SHA256``), plus payload-mode,
   paced, dedup-only and global-lock variants of the same worker;
 * **tenant mix** — ``TenancyRunReport.as_dict()`` for the committed
   ``examples/tenant_mix.json`` scenario under both admission policies;
@@ -26,11 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.dedup import (
-    GOLDEN_REPORT_CHUNKS,
-    GOLDEN_REPORT_SHA256,
-    report_digests,
-)
+from tests.goldens import GOLDEN_REPORT_CHUNKS, GOLDEN_REPORT_SHA256
+from tests.reference_paths import report_digests
+
 from repro.core import IntegrationMode, PipelineConfig
 from repro.core.calibration import run_mode
 from repro.obs import SimTracer

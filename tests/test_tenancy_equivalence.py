@@ -10,10 +10,10 @@ Three claims, pinned:
    streams — and therefore the timed runs — are the same objects.
 
 2. **Estimator equivalence** — the O(1) ring-sketch locality
-   estimator computes float-identical estimates to the retained
-   naive per-chunk scan (same EWMA expressions, same window-hit
-   predicate), and its ranking agrees with the streams' ground-truth
-   locality dials.
+   estimator computes float-identical estimates to the naive
+   per-chunk scan oracle in ``tests/reference_paths.py`` (same EWMA
+   expressions, same window-hit predicate), and its ranking agrees
+   with the streams' ground-truth locality dials.
 
 3. **Recovery** — on the committed mixed-locality scenario,
    prioritized admission beats the shared LRU on aggregate inline
@@ -23,7 +23,7 @@ Three claims, pinned:
 """
 
 import dataclasses
-import hashlib
+import functools
 import json
 import random
 
@@ -31,12 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.reference_paths import NaiveLocalityEstimator, report_digest
+
+from repro.bench.experiments import SCENARIO_MIX as SCENARIO
 from repro.core import IntegrationMode, PipelineConfig
 from repro.core.calibration import run_mode
 from repro.errors import WorkloadError
 from repro.tenancy import (
     LocalityEstimator,
-    NaiveLocalityEstimator,
     TenantMix,
     TenantMixStream,
     TenantSpec,
@@ -44,20 +46,8 @@ from repro.tenancy import (
 from repro.tenancy.runner import run_tenant_mix
 from repro.workload import VdbenchStream
 
-#: The committed mixed-locality scenario: a hot tenant whose working
-#: set fits the inline cache against a cold scan that floods it.
-HOT = TenantSpec(name="hot", seed=11, dedup_ratio=3.0, locality=0.95,
-                 working_set=64)
-COLD = TenantSpec(name="cold", seed=22, dedup_ratio=1.05, locality=0.0,
-                  working_set=1 << 16)
-SCENARIO = TenantMix(tenants=(HOT, COLD), seed=7)
 SCENARIO_CACHE = 96
 SCENARIO_CHUNKS = 8192
-
-
-def report_digest(report) -> str:
-    payload = json.dumps(dataclasses.asdict(report), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestDegenerateIdentity:
@@ -189,7 +179,11 @@ class TestEstimatorEquivalence:
 
 
 class TestAdmissionAndRecovery:
-    def _run(self, policy: str):
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _run(policy: str):
+        """One full-size scenario run per policy (shared by the tests
+        below; the run is deterministic and the report is read-only)."""
         config = PipelineConfig(tenancy_policy=policy,
                                 tenancy_cache_entries=SCENARIO_CACHE)
         return run_tenant_mix(SCENARIO, IntegrationMode.CPU_ONLY,
