@@ -162,7 +162,6 @@ class LintConfig:
     #: for mutation (the REP702 side of the contract).
     effect_benign_globals: tuple[str, ...] = (
         "repro.compression.lz_common._KEY3_CACHE",
-        "repro.compression.quicklz._HASH_CACHE",
         "repro.compression.lzss._OCC_CACHE",
         "repro.dedup.index_base._CACHES",
     )
@@ -178,7 +177,6 @@ class LintConfig:
     #: is REP702.
     shared_view_providers: tuple[str, ...] = (
         "repro.compression.lz_common.key3_array",
-        "repro.compression.lz_common.cached_key3_array",
         "repro.compression.lzss.occurrence_index",
     )
     #: Functions whose return value is a *cache container* owned by an
@@ -221,7 +219,6 @@ class LintConfig:
     #: bounded content-keyed cache documented in DESIGN.md §13.
     shared_state_audited: tuple[str, ...] = (
         "repro.compression.lz_common._KEY3_CACHE",
-        "repro.compression.quicklz._HASH_CACHE",
         "repro.compression.lzss._OCC_CACHE",
         "repro.dedup.index_base._CACHES",
     )

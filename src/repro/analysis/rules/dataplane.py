@@ -3,7 +3,7 @@
 The fast-path PR replaced every per-byte match-extension loop —
 ``while ... data[a + i] == data[b + i]`` — with
 :func:`repro.compression.lz_common.common_prefix_length`, which runs the
-same comparison as C-level slice probes.  A new per-byte loop in the
+same comparison as one C-level integer XOR.  A new per-byte loop in the
 compression or GPU-kernel packages is almost always a regression to the
 slow idiom (or a divergence from the single audited implementation), so
 it is flagged.  The one audited exception is the bounded 8-byte head

@@ -133,7 +133,7 @@ class DeltaCodec:
                 # And backward into pending literals.  This stays a
                 # per-byte walk: it compares *reversed* suffixes against
                 # a mutable bytearray, and the pending-literal run it can
-                # absorb is short — slice probes buy nothing here.
+                # absorb is short — an integer XOR buys nothing here.
                 back = 0
                 while (back < len(literals) and back < match_pos  # repro-lint: disable=REP502
                        and length + back < _MAX_COPY

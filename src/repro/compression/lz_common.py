@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from repro.errors import CompressionError, CorruptStreamError
 
@@ -56,11 +56,11 @@ DEFAULT_PARAMS = LzParams()
 # -- data-plane fast-path primitives (DESIGN.md §9) -------------------------
 
 #: Bounded cache of rolling-key arrays, keyed by buffer *contents*.  The
-#: CPU codecs key their match tables off the same rolling 3-byte groups,
-#: and the same 4 KiB payload is routinely scanned more than once (both
-#: codecs in a comparison run, calibration probes), so the array is worth
-#: sharing.  The GPU segment kernel builds its keys per tile with numpy
-#: and never touches this cache.
+#: LZSS match finders key their tables off the same rolling 3-byte
+#: groups, and the same 4 KiB payload is routinely scanned more than once
+#: (greedy and lazy parse in a comparison run, calibration probes), so
+#: the array is worth sharing.  QuickLZ and the GPU segment kernel build
+#: their keys with numpy and never touch this cache.
 _KEY3_CACHE: "OrderedDict[bytes, list[int]]" = OrderedDict()
 _KEY3_CACHE_ENTRIES = 16
 
@@ -69,12 +69,11 @@ def key3_array(data: bytes) -> list[int]:
     """Rolling 24-bit keys: ``keys[i] = data[i]<<16 | data[i+1]<<8 | data[i+2]``.
 
     The shared per-chunk hash array of the data-plane fast path: computed
-    once per chunk and reused by every CPU match finder over that chunk
-    (the serial LZSS parse and — after one further multiplicative mix —
-    the QuickLZ table).  A single zip-slice
-    comprehension beats per-position indexing by ~1.7x in CPython, and a
-    small content-keyed cache shares the array across consumers of the
-    same buffer.  Callers must treat the result as read-only.
+    once per chunk and reused by every LZSS match finder over that chunk.
+    A single zip-slice comprehension beats per-position indexing by ~1.7x
+    in CPython, and a small content-keyed cache shares the array across
+    consumers of the same buffer.  Callers must treat the result as
+    read-only.
     """
     if len(data) < 3:
         return []
@@ -92,29 +91,18 @@ def key3_array(data: bytes) -> list[int]:
     return keys
 
 
-def cached_key3_array(data: bytes) -> "Optional[list[int]]":
-    """The already-cached rolling-key array for ``data``, or None.
-
-    A peek that never computes: consumers with their own derived form
-    (the QuickLZ table mix) use it to reuse a shared array when one
-    exists without forcing the two-pass derive when one does not.
-    """
-    if type(data) is bytes:
-        return _KEY3_CACHE.get(data)
-    return None
-
-
 def common_prefix_length(data: bytes, a: int, b: int, limit: int) -> int:
     """Longest common prefix of ``data[a:]`` and ``data[b:]``, capped.
 
     Byte-identical to the naive ``while data[a+i] == data[b+i]`` scan the
     fast path replaced.  Short prefixes (the common case when a hash
     candidate fizzles) stay on an inline byte scan; once eight bytes
-    agree, the scan switches to ``startswith`` slice probes (C memcmp) on
-    geometrically doubling spans, then binary-searches the first mismatch
-    inside the failing span.  Overlapping ranges are fine — both probes
-    read the same immutable buffer, so prefix equality is still plain
-    byte equality.
+    agree, the rest of both spans is compared whole (a match that runs
+    to the cap is the common case on the GPU path) and otherwise read as
+    two big-endian integers, whose XOR has its top set bit in the first
+    byte that differs.
+    Overlapping ranges are fine — both reads see the same immutable
+    buffer, so prefix equality is still plain byte equality.
     """
     if limit <= 0:
         return 0
@@ -127,29 +115,12 @@ def common_prefix_length(data: bytes, a: int, b: int, limit: int) -> int:
         length += 1
     if length < scan or length == limit:
         return length
-    starts = data.startswith
-    if starts(data[b + length:b + limit], a + length):
+    ours = data[a + length:a + limit]
+    theirs = data[b + length:b + limit]
+    if ours == theirs:
         return limit
-    span = 8
-    while True:
-        rest = limit - length
-        if span > rest:
-            span = rest
-        if starts(data[b + length:b + length + span], a + length):
-            length += span
-            span <<= 1
-        else:
-            break
-    # The first mismatch lies inside the failing span: binary-search the
-    # largest extra prefix (prefix equality is monotone in its length).
-    lo, hi = 0, span - 1
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if starts(data[b + length:b + length + mid], a + length):
-            lo = mid
-        else:
-            hi = mid - 1
-    return length + lo
+    differ = int.from_bytes(ours, "big") ^ int.from_bytes(theirs, "big")
+    return limit - ((differ.bit_length() + 7) >> 3)
 
 
 def common_prefix_length_pair(abuf: bytes, a: int, bbuf: bytes, b: int,
@@ -159,8 +130,8 @@ def common_prefix_length_pair(abuf: bytes, a: int, bbuf: bytes, b: int,
     The cross-buffer sibling of :func:`common_prefix_length`, for scans
     that extend a match between *two* buffers (the delta codec's
     reference/target walk).  Same structure: inline head scan for the
-    short prefixes that dominate, then doubling ``startswith`` probes
-    with a binary search inside the failing span.
+    short prefixes that dominate, then one whole-span compare and one
+    integer XOR over the rest.
     """
     if limit <= 0:
         return 0
@@ -171,27 +142,12 @@ def common_prefix_length_pair(abuf: bytes, a: int, bbuf: bytes, b: int,
         length += 1
     if length < scan or length == limit:
         return length
-    starts = bbuf.startswith
-    if starts(abuf[a + length:a + limit], b + length):
+    ours = abuf[a + length:a + limit]
+    theirs = bbuf[b + length:b + limit]
+    if ours == theirs:
         return limit
-    span = 8
-    while True:
-        rest = limit - length
-        if span > rest:
-            span = rest
-        if starts(abuf[a + length:a + length + span], b + length):
-            length += span
-            span <<= 1
-        else:
-            break
-    lo, hi = 0, span - 1
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if starts(abuf[a + length:a + length + mid], b + length):
-            lo = mid
-        else:
-            hi = mid - 1
-    return length + lo
+    differ = int.from_bytes(ours, "big") ^ int.from_bytes(theirs, "big")
+    return limit - ((differ.bit_length() + 7) >> 3)
 
 
 def copy_match(out: bytearray, distance: int, length: int) -> None:

@@ -14,6 +14,13 @@ Literal: 1 raw byte.  Match: 3 bytes ``llllllll oooooooo oooooooo`` —
 length-3 (match lengths 3..258) and a 16-bit backward offset (1-based),
 so matches may reference anywhere in the chunk, unlike the 4 KiB LZSS
 window.
+
+The encoder never builds the table.  What the table would hold at each
+lookup follows from one stable sort of every position's table index, so
+the sequential part of the parse visits only positions that can match
+(DESIGN.md §9 has the equivalence argument;
+``tests/reference_codecs.ReferenceQuickLzCodec`` is the per-position
+loop it must reproduce byte for byte).
 """
 
 from __future__ import annotations
@@ -21,13 +28,9 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from collections import OrderedDict
+import numpy as np
 
-from repro.compression.lz_common import (
-    cached_key3_array,
-    common_prefix_length,
-    copy_match,
-)
+from repro.compression.lz_common import copy_match
 from repro.compression.memo import CodecMemo, payload_fingerprint
 from repro.errors import CompressionError, CorruptStreamError
 
@@ -35,51 +38,43 @@ _MIN_MATCH = 3
 _MAX_MATCH = 258
 _MAX_OFFSET = 0xFFFF
 _HASH_BITS = 13
+_HASH_MULTIPLIER = np.uint32(2654435761)
+
+#: Parse state of a byte position.  Token starts stay 0; the interior of
+#: a match is stamped with this pattern from its second byte on: every
+#: fourth interior byte is a table *seed*, the rest never enter the table.
+_SEEDED, _SKIPPED = 1, 2
+_INTERIOR = bytes((_SEEDED, _SKIPPED, _SKIPPED, _SKIPPED)) * 65
 
 
-def _hash3(a: int, b: int, c: int) -> int:
-    """QuickLZ-style multiplicative hash of a 3-byte group."""
-    value = (a << 16) | (b << 8) | c
-    return ((value * 2654435761) >> (32 - _HASH_BITS)) & ((1 << _HASH_BITS) - 1)
+def _pack(raw: np.ndarray, state: bytearray, starts: list[int],
+          lengths: list[int], offsets: list[int]) -> bytes:
+    """Lay the parse out as the container.
 
-
-#: Content-keyed cache of mixed table-index arrays (see
-#: :data:`repro.compression.lz_common._KEY3_CACHE` for the pattern).
-_HASH_CACHE: "OrderedDict[bytes, list[int]]" = OrderedDict()
-_HASH_CACHE_ENTRIES = 16
-
-
-def _hash_array(data: bytes) -> list[int]:
-    """Table index for every position, precomputed in one pass.
-
-    ``_hash_array(data)[pos] == _hash3(data[pos], data[pos+1], data[pos+2])``
-    for every ``pos`` with three bytes left.  The mix runs over the same
-    rolling 3-byte groups as :func:`~repro.compression.lz_common.key3_array`;
-    when another consumer already cached that array for this buffer the
-    mix reuses it, otherwise a single fused comprehension computes the
-    table indices directly.  Results are content-cached like the key
-    array; callers must treat them as read-only.
+    Every position the parse left at state 0 starts a token; a flags
+    byte opens every group of up to eight, a literal is one byte and a
+    match three, so token ``i`` lands ``i`` bytes plus two per earlier
+    match plus one per opened group after the header.
     """
-    if len(data) < 3:
-        return []
-    if type(data) is bytes:
-        cached = _HASH_CACHE.get(data)
-        if cached is not None:
-            _HASH_CACHE.move_to_end(data)
-            return cached
-    shift = 32 - _HASH_BITS
-    mask = (1 << _HASH_BITS) - 1
-    keys = cached_key3_array(data)
-    if keys is not None:
-        hashes = [((key * 2654435761) >> shift) & mask for key in keys]
-    else:
-        hashes = [((((a << 16) | (b << 8) | c) * 2654435761) >> shift) & mask
-                  for a, b, c in zip(data, data[1:], data[2:])]
-    if type(data) is bytes:
-        _HASH_CACHE[data] = hashes
-        while len(_HASH_CACHE) > _HASH_CACHE_ENTRIES:
-            _HASH_CACHE.popitem(last=False)
-    return hashes
+    tokens = np.flatnonzero(np.frombuffer(state, dtype=np.uint8) == 0)
+    count = len(tokens)
+    is_match = np.zeros(count, dtype=bool)
+    is_match[np.searchsorted(tokens, starts)] = True
+    slot = np.arange(count)
+    at = 5 + (slot >> 3) + slot + 2 * (np.cumsum(is_match) - is_match)
+    out = np.empty(4 + -(-count // 8) + count + 2 * len(starts),
+                   dtype=np.uint8)
+    out[:4] = np.frombuffer(struct.pack(">I", len(raw)), dtype=np.uint8)
+    out[at[::8] - 1] = np.packbits(is_match, bitorder="little")
+    # Every slot first takes its data byte (right for literals); the
+    # match slots are then overwritten with their three field bytes.
+    out[at] = raw[tokens]
+    fields = at[is_match]
+    reach = np.array(offsets, dtype=np.intp)
+    out[fields] = np.array(lengths, dtype=np.intp) - _MIN_MATCH
+    out[fields + 1] = reach >> 8
+    out[fields + 2] = reach & 0xFF
+    return out.tobytes()
 
 
 class QuickLzCodec:
@@ -115,78 +110,82 @@ class QuickLzCodec:
         return blob
 
     def _encode(self, data: bytes) -> bytes:
+        """Array passes for indices and chains, a short parse, one pack."""
+        if type(data) is not bytes:
+            data = bytes(data)
         n = len(data)
-        out = bytearray(struct.pack(">I", n))
-        table: list[int] = [-1] * (1 << _HASH_BITS)
-        # hashes[pos] is valid for every pos <= last (pos + 3 <= n).
-        hashes = _hash_array(data)
-        last = n - _MIN_MATCH
-        append = out.append
-        cpl = common_prefix_length
+        raw = np.frombuffer(data, dtype=np.uint8)
+        # Table index of every position with three bytes left.  uint32
+        # wrap-around keeps exactly the product bits the shift selects.
+        wide = raw.astype(np.uint32)
+        key3 = (wide[:-2] << 16) | (wide[1:-1] << 8) | wide[2:]
+        index = ((key3 * _HASH_MULTIPLIER)
+                 >> (32 - _HASH_BITS)).astype(np.uint16)
+        # prev[p]: the nearest earlier position with p's table index.  The
+        # single-entry table is never built: its entry for p's index, read
+        # at p, is the first position down p's prev chain that the parse
+        # entered into the table (DESIGN.md §9).
+        order = np.argsort(index, kind="stable")
+        ranked = index[order]
+        chained = ranked[1:] == ranked[:-1]
+        later = order[1:][chained]
+        prev_of = np.full(len(index), -1, dtype=np.intp)
+        prev_of[later] = order[:-1][chained]
+        # A position with no earlier same-index position is a literal
+        # whatever the parse did: upcoming[p] is the first position >= p
+        # that has one (n when none is left), and only those are visited.
+        slots = np.full(n + 1, n, dtype=np.intp)
+        slots[later] = later
+        upcoming = memoryview(np.minimum.accumulate(slots[::-1])[::-1])
+        prev = memoryview(prev_of)
 
-        pos = 0
-        # One iteration per 8-token flag group: the flags byte is patched
-        # in once its group is fully emitted, and a group is only opened
-        # when at least one token follows — so the stream never carries a
-        # trailing empty flags byte and needs no trim pass.
+        state = bytearray(n)
+        starts: list[int] = []
+        lengths: list[int] = []
+        offsets: list[int] = []
+        pos = upcoming[0]
         while pos < n:
-            flags = 0
-            flag_pos = len(out)
-            append(0)  # placeholder for this group's flags byte
-            bit = 0
-            while bit < 8 and pos < n:
-                if pos <= last:
-                    key = hashes[pos]
-                    candidate = table[key]
-                    table[key] = pos
-                    # The first-byte guard rejects hash collisions without
-                    # the prefix-scan call; a first-byte mismatch would be
-                    # length 0 anyway.
-                    if (candidate >= 0 and pos - candidate <= _MAX_OFFSET
-                            and data[candidate] == data[pos]):
-                        limit = n - pos
-                        if limit > _MAX_MATCH:
-                            limit = _MAX_MATCH
-                        length = cpl(data, candidate, pos, limit)
-                        if length >= _MIN_MATCH:
-                            flags |= 1 << bit
-                            append(length - _MIN_MATCH)
-                            off = pos - candidate - 1
-                            append(off >> 8)
-                            append(off & 0xFF)
-                            # Seed the table sparsely inside the match
-                            # (QuickLZ skips ahead; sampling keeps encode
-                            # fast at a small ratio cost).
-                            for inside in range(pos + 1,
-                                                min(pos + length, last + 1),
-                                                4):
-                                table[hashes[inside]] = inside
-                            pos += length
-                            bit += 1
-                            continue
-                append(data[pos])
-                pos += 1
-                bit += 1
-            out[flag_pos] = flags
-        return bytes(out)
+            candidate = prev[pos]
+            while candidate >= 0 and state[candidate] == _SKIPPED:
+                candidate = prev[candidate]
+            # An out-of-range entry ends the lookup; three equal bytes
+            # are a match of at least _MIN_MATCH, anything else a literal.
+            if (candidate < 0 or pos - candidate > _MAX_OFFSET
+                    or data[candidate:candidate + _MIN_MATCH]
+                    != data[pos:pos + _MIN_MATCH]):
+                pos = upcoming[pos + 1]
+                continue
+            # Both spans read as big-endian integers: the top set bit of
+            # their XOR lies in the first byte that differs.
+            limit = min(n - pos, _MAX_MATCH)
+            differ = (int.from_bytes(data[candidate:candidate + limit], "big")
+                      ^ int.from_bytes(data[pos:pos + limit], "big"))
+            length = limit - ((differ.bit_length() + 7) >> 3)
+            state[pos + 1:pos + length] = _INTERIOR[:length - 1]
+            starts.append(pos)
+            lengths.append(length)
+            offsets.append(pos - candidate - 1)
+            pos = upcoming[pos + length]
+        return _pack(raw, state, starts, lengths, offsets)
 
     def decode(self, blob: bytes) -> bytes:
         """Decompress a container produced by :meth:`encode`."""
-        if len(blob) < 4:
+        end = len(blob)
+        if end < 4:
             raise CorruptStreamError("container shorter than its header")
         (original_length,) = struct.unpack(">I", blob[:4])
         out = bytearray()
         pos = 4
-        while len(out) < original_length:
-            if pos >= len(blob):
+        remaining = original_length
+        while remaining > 0:
+            if pos >= end:
                 raise CorruptStreamError("container truncated mid-stream")
             flags = blob[pos]
             pos += 1
-            for bit in range(8):
-                if len(out) >= original_length:
-                    break
-                if flags & (1 << bit):
-                    if pos + 3 > len(blob):
+            slots = 8
+            while slots and remaining > 0:
+                if flags & 1:
+                    if pos + 3 > end:
                         raise CorruptStreamError(
                             "container truncated in a match")
                     length = blob[pos] + _MIN_MATCH
@@ -197,9 +196,23 @@ class QuickLzCodec:
                             f"match offset {offset} exceeds produced "
                             f"output {len(out)}")
                     copy_match(out, offset, length)
-                else:
-                    out.append(blob[pos])
-                    pos += 1
+                    remaining -= length
+                    flags >>= 1
+                    slots -= 1
+                    continue
+                # The literals up to the group's next match (all that is
+                # left of the group when no flag bit remains) are one slice.
+                run = (flags & -flags).bit_length() - 1 if flags else slots
+                if run > remaining:
+                    run = remaining
+                if pos + run > end:
+                    raise CorruptStreamError(
+                        "container truncated in a literal")
+                out += blob[pos:pos + run]
+                pos += run
+                remaining -= run
+                flags >>= run
+                slots -= run
         if len(out) != original_length:
             raise CompressionError(
                 f"decoded {len(out)} bytes, expected {original_length}")

@@ -1,8 +1,9 @@
 """Pre-fast-path reference implementations of the data-plane hot loops.
 
 These are the byte-at-a-time encoders/decoders exactly as they existed
-before the data-plane fast path (shared key array, slice-doubling match
-extension, slice copy-out) replaced their inner loops.  They are kept
+before the data-plane fast path (shared key array, integer-XOR match
+extension, slice copy-out, the array QuickLZ parse) replaced their inner
+loops.  They are kept
 in-tree as *executable specifications*: ``test_dataplane_equivalence``
 asserts the production codecs emit byte-identical streams on an
 adversarial corpus, and round-trips each stream through both decoder

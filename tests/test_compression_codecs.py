@@ -223,6 +223,28 @@ class TestQuickLzCodec:
         with pytest.raises(CorruptStreamError):
             QuickLzCodec().decode(b"\x00")
 
+    @pytest.mark.parametrize("data", (
+        _incompressible(203),                       # all-literal groups
+        _incompressible(67) + _compressible(150),   # mixed groups
+        bytes(300),                                 # almost only matches
+        b"abcabcabc-",                              # ten bytes, mixed
+    ), ids=("random", "motif", "zeros", "short"))
+    def test_every_proper_prefix_is_a_typed_error(self, data):
+        """A cut anywhere — header, flags byte, literal run, match
+        fields — is a CompressionError, never an IndexError."""
+        codec = QuickLzCodec()
+        blob = codec.encode(data)
+        assert codec.decode(blob) == data
+        for cut in range(len(blob)):
+            with pytest.raises(CompressionError):
+                codec.decode(blob[:cut])
+
+    def test_truncated_literal_names_the_literal(self):
+        blob = QuickLzCodec().encode(_incompressible(64))
+        with pytest.raises(CorruptStreamError,
+                           match="truncated in a literal"):
+            QuickLzCodec().decode(blob[:10])
+
     def test_quicklz_long_matches_beat_lzss_on_periodic_text(self):
         """258-byte matches stride periodic data far faster than LZSS's
         18-byte length cap, so QuickLZ wins big here (the flip side of its

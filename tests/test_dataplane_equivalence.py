@@ -1,8 +1,9 @@
 """Fast path vs pre-PR reference: byte-for-byte stream equivalence.
 
-The data-plane fast path (shared rolling-key array, slice-doubling match
-extension, occurrence-indexed match finding, slice copy-out, grouped
-flag emission) promises *byte-identical* output.  These tests hold every
+The data-plane fast path (shared rolling-key array, integer-XOR match
+extension, occurrence-indexed match finding, slice copy-out, the array
+QuickLZ encoder and its run-wise decoder) promises *byte-identical*
+output.  These tests hold every
 rewritten loop to that promise against the executable pre-PR
 specifications in :mod:`tests.reference_codecs`, over an adversarial
 corpus chosen to hit the rewrites' edge cases: overlapping copies of
@@ -46,8 +47,9 @@ from repro.compression.lzss import (
 )
 from repro.compression.postprocess import refine_to_container
 from repro.compression.quicklz import QuickLzCodec
-from repro.errors import CompressionError
+from repro.errors import CompressionError, CorruptStreamError
 from repro.gpu.kernels.lz import SegmentLzKernel, SegmentOutput
+from repro.workload.datagen import BlockContentGenerator
 
 
 def adversarial_corpus() -> list[tuple[str, bytes]]:
@@ -87,6 +89,11 @@ def adversarial_corpus() -> list[tuple[str, bytes]]:
 CORPUS = adversarial_corpus()
 IDS = [name for name, _ in CORPUS]
 PAYLOADS = [payload for _, payload in CORPUS]
+
+
+def _seeded_chunk(symbols: int, length: int, seed: int) -> bytes:
+    rng = random.Random(seed)
+    return bytes(rng.randrange(symbols) for _ in range(length))
 
 
 # -- primitive equivalence ---------------------------------------------------
@@ -143,15 +150,117 @@ def test_copy_match_matches_per_byte_loop():
 
 # -- QuickLZ ----------------------------------------------------------------
 
+def _assert_quicklz_matches_reference(payload):
+    """Same stream as the per-position loop, and a round trip through
+    both decoder generations."""
+    reference = ReferenceQuickLzCodec()
+    blob = QuickLzCodec().encode(payload)
+    assert blob == reference.encode(bytes(payload))
+    assert QuickLzCodec().decode(blob) == reference.decode(blob) \
+        == bytes(payload)
+
+
 @pytest.mark.parametrize("payload", PAYLOADS, ids=IDS)
 def test_quicklz_streams_byte_identical(payload):
-    production = QuickLzCodec()
-    reference = ReferenceQuickLzCodec()
-    blob = production.encode(payload)
-    assert blob == reference.encode(payload)
-    # Round-trip through both decoder generations.
-    assert production.decode(blob) == payload
-    assert reference.decode(blob) == payload
+    _assert_quicklz_matches_reference(payload)
+
+
+def _quicklz_parse_corpus() -> list[tuple[str, bytes]]:
+    """Blocks aimed at the array encoder's chain walk and packer, on
+    top of CORPUS (which already holds all-zero and periods 1..8, where
+    the stride-4 seeds inside a match meet every alignment)."""
+    rng = random.Random(0x9C12)
+    blocks = [(f"len{size}", bytes(rng.randrange(256) for _ in range(size)))
+              for size in range(9)]
+    # Period 32 (the vdbench motif's), cut off mid-unit past 16 matches.
+    unit = bytes(rng.randrange(256) for _ in range(32))
+    blocks.append(("repeat32", (unit * 200)[:4099]))
+    # Few distinct 3-byte groups: long same-index chains that run through
+    # the skipped interiors of earlier matches.
+    for symbols in (2, 3):
+        blocks.append((f"alphabet{symbols}", _seeded_chunk(symbols, 6000,
+                                                           symbols)))
+    # Every repeat lies 66000 bytes back, past the 16-bit offset: the
+    # table entry is out of range and the lookup ends there.
+    far = bytes(rng.randrange(256) for _ in range(66000))
+    blocks.append(("far_repeat", far + far[:3000]))
+    # A match that ends on the last byte, and one and two bytes short of
+    # it (positions with no three bytes left have no table index).
+    unit = bytes(rng.randrange(256) for _ in range(40))
+    for tail in range(3):
+        blocks.append((f"match_to_tail{tail}",
+                       unit + b"Q" + unit + b"Z" * tail))
+    for ratio in (1.0, 1.5, 2.0, 3.0, 6.0):
+        generator = BlockContentGenerator(ratio, seed=15)
+        blocks.append((f"vdbench{ratio}", generator.make_block(4096,
+                                                               salt=3)))
+    return blocks
+
+
+QUICKLZ_CORPUS = _quicklz_parse_corpus()
+
+
+@pytest.mark.parametrize("payload", [payload for _, payload in QUICKLZ_CORPUS],
+                         ids=[name for name, _ in QUICKLZ_CORPUS])
+def test_quicklz_parse_matches_reference(payload):
+    _assert_quicklz_matches_reference(payload)
+
+
+@pytest.mark.parametrize("wrap", (bytearray, memoryview),
+                         ids=("bytearray", "memoryview"))
+def test_quicklz_accepts_any_bytes_like(wrap):
+    _assert_quicklz_matches_reference(wrap(dict(CORPUS)["ratio2_0"]))
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda symbols: st.lists(st.integers(0, symbols - 1),
+                             max_size=1500).map(bytes)))
+@settings(max_examples=120, deadline=None)
+def test_quicklz_small_alphabet_property(payload):
+    _assert_quicklz_matches_reference(payload)
+
+
+def _quicklz_container(original_length, tokens):
+    """Hand-assemble a container: ints are literals, ``(length,
+    offset)`` pairs are matches."""
+    out = bytearray(original_length.to_bytes(4, "big"))
+    for group_start in range(0, len(tokens), 8):
+        group = tokens[group_start:group_start + 8]
+        out.append(sum(1 << bit for bit, token in enumerate(group)
+                       if isinstance(token, tuple)))
+        for token in group:
+            if isinstance(token, tuple):
+                length, offset = token
+                out.append(length - 3)
+                out += (offset - 1).to_bytes(2, "big")
+            else:
+                out.append(token)
+    return bytes(out)
+
+
+def test_quicklz_decoder_expands_overlapping_copies():
+    """Offset < length: the copy reads bytes it is itself producing."""
+    for offset in range(1, 8):
+        for length in (3, offset + 3, 4 * offset + 3, 258):
+            seed = list(range(65, 65 + offset))
+            blob = _quicklz_container(
+                offset + length + 2,
+                seed + [(length, offset)] + [0x21, 0x3F])
+            plain = ReferenceQuickLzCodec().decode(blob)
+            assert len(plain) == offset + length + 2
+            assert QuickLzCodec().decode(blob) == plain
+
+
+def test_quicklz_decoder_rejects_a_match_past_the_header_length():
+    blob = _quicklz_container(10, [1, 2, 3, 4, (9, 4)])
+    with pytest.raises(CompressionError, match="decoded 13 bytes"):
+        QuickLzCodec().decode(blob)
+
+
+def test_quicklz_decoder_rejects_an_offset_before_the_output():
+    blob = _quicklz_container(12, [1, 2, 3, (5, 4), 7, 7, 7, 7])
+    with pytest.raises(CorruptStreamError, match="offset 4 exceeds"):
+        QuickLzCodec().decode(blob)
 
 
 # -- LZSS -------------------------------------------------------------------
@@ -282,11 +391,6 @@ def test_gpu_launch_honours_window_geometry(params):
     chunks = [bytes(rng.choice(b"abc") for _ in range(size))
               for size in (700, 1, 64, 2500, 3)]
     assert_launch_matches_oracles(chunks, 4, params)
-
-
-def _seeded_chunk(symbols: int, length: int, seed: int) -> bytes:
-    rng = random.Random(seed)
-    return bytes(rng.randrange(symbols) for _ in range(length))
 
 
 #: Shrinkable short chunks, plus seeded ones up to past twice the window
