@@ -135,8 +135,8 @@ class LintConfig:
     #: timed admission loop) live in the baseline.
     batched_plane_scope: tuple[str, ...] = (
         "repro.core.pipeline", "repro.chunkbatch",
-        "repro.dedup.hashing", "repro.compression.parallel_cpu",
-        "repro.workload.vdbench", "repro.cluster.router",
+        "repro.dedup.hashing", "repro.workload.vdbench",
+        "repro.cluster.router",
     )
     #: Bare names treated as chunk sequences when iterated.
     chunkseq_names: tuple[str, ...] = (
@@ -164,13 +164,6 @@ class LintConfig:
         "repro.compression.lz_common._KEY3_CACHE",
         "repro.compression.lzss._OCC_CACHE",
         "repro.dedup.index_base._CACHES",
-    )
-    #: Classes whose *self*-mutations are memo bookkeeping (hit/miss
-    #: counters, LRU reordering): methods of these classes stay pure
-    #: despite mutating their own instance.
-    effect_memo_classes: tuple[str, ...] = (
-        "repro.compression.memo.CodecMemo",
-        "repro.dedup.hashing.PayloadHashMemo",
     )
     #: Functions whose return value is a shared view or cached buffer:
     #: callers receive a ``shared`` root, and any mutation through it

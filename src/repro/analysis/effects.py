@@ -24,10 +24,9 @@ shared :class:`~repro.analysis.context.FileContext` list:
 
 Effects on *audited* state are classified benign and excluded from the
 purity verdict: mutations of config-listed module-level caches
-(``effect_benign_globals``) and self-mutations inside config-listed
-memo classes (``effect_memo_classes``) are memoization bookkeeping,
-observationally pure by the byte-identical-report contract the memos
-already test.  Everything else counts.
+(``effect_benign_globals``) are memoization bookkeeping, observationally
+pure by the byte-identical-report contract the caches already test.
+Everything else counts.
 
 Known resolution limits (see DESIGN.md §13): dynamic dispatch through
 ``getattr``, properties invoked by attribute read, nested
@@ -208,10 +207,6 @@ _PURE_METHODS = {
     "mean", "std", "cumsum", "searchsorted", "nonzero", "reshape",
     "view", "item", "any", "all", "sum", "min", "max", "argmin",
     "argmax", "identity", "validate",
-    # The memo verifier's hooks (repro.verify.MemoVerifier): hit-replay
-    # sampling and column freezing are verification instrumentation on
-    # an opt-in attribute, not data-plane effects.
-    "on_hit", "freeze_array",
 }
 
 #: Methods that perform I/O on their receiver.
@@ -420,7 +415,6 @@ class EffectAnalysis:
         #: bound to a shared root).
         self.shared_lifts: list[tuple] = []
         self._benign_globals = set(self.config.effect_benign_globals)
-        self._memo_classes = set(self.config.effect_memo_classes)
         self._index()
         self._infer_attr_types()
         for fn in self.functions.values():
@@ -940,12 +934,6 @@ class _Extractor:
                     root[1] in self.a._benign_globals:
                 self.fn.benign.add(Effect("mutates-global", root[1],
                                           self.fn.qualname))
-            return
-        if eff.kind == "mutates-param" and self.fn.binds_self \
-                and self.fn.params \
-                and eff.detail.split(".")[0] == self.fn.params[0] \
-                and self.fn.class_qualname in self.a._memo_classes:
-            self.fn.benign.add(eff)
             return
         if eff.kind == "mutates-shared":
             self.fn.shared_writes.append((node, eff.detail))
@@ -1475,14 +1463,8 @@ class _Extractor:
         if base_typ is not None and base_typ in self.a.classes:
             m = self.a.resolve_method(base_typ, attr)
             if m is not None:
-                result = self._project_call(node, m, base_root, args,
-                                            kwargs, False)
-                if attr in ("get", "digest") \
-                        and base_typ in self.a._memo_classes:
-                    short = base_typ.rsplit(".", 1)[-1]
-                    return (("shared", f"{short}.{attr}() value"),
-                            result[1])
-                return result
+                return self._project_call(node, m, base_root, args,
+                                          kwargs, False)
         desc = f"{root_desc(base_root)}.{attr}"
         if attr in _MUTATING_METHODS:
             self._record_mutation(base_root, "", node)

@@ -2,15 +2,14 @@
 
 The fast paths share buffers by *reference*: ``lz_common.key3_array``
 hands the same cached key array to every codec instance,
-``occurrence_index`` shares frozen occurrence lists, ``ChunkBatch``
+``occurrence_index`` shares frozen occurrence lists, and ``ChunkBatch``
 exposes its offset/size numpy columns as views that the batched plane
-slices without copying, and the memo classes return the exact cached
-object on a hit.  One in-place write through any of those aliases
+slices without copying.  One in-place write through any of those aliases
 corrupts every other consumer retroactively — the classic
 escaped-buffer bug the byte-identical-report contract cannot survive.
 
 The effect engine marks values that arrive through a configured shared
-provider, a memo-class hit, a cache subscript, or a shared attribute
+provider, a cache subscript, or a shared attribute
 (``shared_view_attrs``) with a ``shared`` root.  This rule reports
 every write through such a root: direct writes in the function body,
 and *lifted* writes where a callee mutates a parameter the caller bound

@@ -1,20 +1,19 @@
 """Memo purity rule (REP701).
 
-Every memo shipped since PR 3 — the codec memo, the payload-hash memo,
-``compress_window``'s cross-window result memo, vdbench's payload cache
-— replays a cached value instead of recomputing.  That is only sound if
-the computation being skipped is a pure function of the memo key.  This
-rule derives that mechanically: the effect engine discovers memo sites
-(a ``.get``/``in`` probe plus a ``[k] = v`` / ``.put(...)`` install on
-one container, in one function), traces the installed value back
-through local assignment chains to its *producer* calls, and requires
-every producer to infer transitively pure.
+A content cache — vdbench's payload cache, the audited module-level
+caches of the LZ and index helpers — replays a cached value instead of
+recomputing.  That is only sound if the computation being skipped is a
+pure function of the cache key.  This rule derives that mechanically:
+the effect engine discovers memo sites (a ``.get``/``in`` probe plus a
+``[k] = v`` / ``.put(...)`` install on one container, in one function),
+traces the installed value back through local assignment chains to its
+*producer* calls, and requires every producer to infer transitively
+pure.
 
-Genuinely impure producers that the replay path deliberately
-compensates for (``CpuCompressor.compress`` reproduces its chunk and
-counter mutations on replay) are audited in the committed baseline with
-reasons — the rule keeps watching them so a new effect shows up as a
-new finding, not silence.
+A genuinely impure producer that its replay path deliberately
+compensates for is audited in the committed baseline with a reason —
+the rule keeps watching it so a new effect shows up as a new finding,
+not silence.
 """
 
 from __future__ import annotations

@@ -37,8 +37,6 @@ from repro.cluster import ClusterConfig, ClusterEngine, ClusterRouter, ShardMap
 from repro.compression import lz_common
 from repro.compression.lz_common import key3_array
 from repro.compression.lzss import LzssCodec, MatchFinder
-from repro.compression.memo import CodecMemo
-from repro.compression.parallel_cpu import CpuCompressor
 from repro.compression.postprocess import refine_to_container
 from repro.compression.quicklz import QuickLzCodec
 from repro.core.calibration import run_mode
@@ -47,14 +45,13 @@ from repro.dedup.bin_buffer import BinBuffer, FlushEvent
 from repro.dedup.bins import BinTable
 from repro.dedup.engine import DedupEngine, _StagedInfo
 from repro.dedup.gpu_index import GpuBinIndex
-from repro.dedup.hashing import PayloadHashMemo, fingerprint_window
+from repro.dedup.hashing import fingerprint_window
 from repro.dedup.index_base import decompose, decomposition_cache
 from repro.dedup.replacement import RandomReplacement
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment, Resource
 from repro.storage.ftl import Ftl, FtlSpec
 from repro.tenancy import LocalityEstimator, TenantMixStream
-from repro.types import Chunk
 from repro.workload.datagen import BlockContentGenerator
 from repro.workload.vdbench import VdbenchStream
 
@@ -222,30 +219,6 @@ def _gpu_segments(quick: bool) -> Built:
     return run, sum(len(p) for p in payloads)
 
 
-def _memo(state: str) -> Callable[[bool], Built]:
-    """A duplicate-heavy stream (4 contents x 8 copies) through a
-    ``CpuCompressor``: ``off`` has no codec memo, ``cold`` starts each
-    pass with an empty one, ``warm`` replays a filled one."""
-    def build(quick: bool) -> Built:
-        unique = [p for p in _payloads() if len(p) == 4096][:4]
-        chunks = [Chunk(offset=i * 4096, size=4096, payload=payload)
-                  for i, payload in enumerate(unique * 8)]
-
-        def one_pass(compressor: CpuCompressor) -> None:
-            for chunk in chunks:
-                compressor.compress(chunk)
-
-        if state == "off":
-            return (lambda: one_pass(CpuCompressor())), len(chunks)
-        if state == "cold":
-            return (lambda: one_pass(CpuCompressor(
-                memo=CodecMemo(capacity=64)))), len(chunks)
-        warm = CpuCompressor(memo=CodecMemo(capacity=64))
-        one_pass(warm)
-        return (lambda: one_pass(warm)), len(chunks)
-    return build
-
-
 # -- dedup: the index structures ------------------------------------------------
 
 def _fingerprints(count: int, salt: int) -> list[bytes]:
@@ -364,38 +337,16 @@ def _chunk_materialize(quick: bool) -> Built:
     return run, chunks
 
 
-def _payload_window() -> list:
-    """The dup-heavy 1024-chunk payload window the hashing and codec
-    dispatch rows share."""
+def _fingerprint_window(quick: bool) -> Built:
+    """Batched SHA-1 over a dup-heavy 1024-chunk payload window, four
+    passes."""
     stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=7,
                            payload=True)
-    return list(stream.chunks(1024))
-
-
-def _fingerprint_window(quick: bool) -> Built:
-    """Batched SHA-1 with the payload-hash memo, four passes; the memo
-    is built inside the pass so every repeat pays the cold first one."""
-    window, passes = _payload_window(), 4
-
-    def run() -> None:
-        memo = PayloadHashMemo()
-        for _ in range(passes):
-            fingerprint_window(window, memo=memo)
-
-    return run, len(window) * passes
-
-
-def _codec_dispatch(quick: bool) -> Built:
-    """Grouped ``compress_window`` dispatch against a codec memo that
-    lives across repeats: this row times dispatch, not first-touch
-    encoding (the warm-up call fills the memo)."""
-    window, passes = _payload_window(), 4
-    fingerprint_window(window, memo=PayloadHashMemo())
-    compressor = CpuCompressor(memo=CodecMemo(capacity=2048))
+    window, passes = list(stream.chunks(1024)), 4
 
     def run() -> None:
         for _ in range(passes):
-            compressor.compress_window(window)
+            fingerprint_window(window)
 
     return run, len(window) * passes
 
@@ -521,9 +472,6 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("dataplane", "decode_lzss", "bytes",
              _codec(LzssCodec, decode=True)),
     Scenario("dataplane", "gpu_segments", "bytes", _gpu_segments),
-    Scenario("dataplane", "memo_off", "chunks", _memo("off")),
-    Scenario("dataplane", "memo_cold", "chunks", _memo("cold")),
-    Scenario("dataplane", "memo_warm", "chunks", _memo("warm")),
     Scenario("dedup", "buffer_probe", "probes", _buffer_probe),
     Scenario("dedup", "tree_probe", "probes", _tree_probe),
     Scenario("dedup", "gpu_batch_lookup", "queries", _gpu_batch_lookup),
@@ -531,7 +479,6 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("pipeline", "chunk_materialize", "chunks", _chunk_materialize),
     Scenario("pipeline", "fingerprint_window", "chunks",
              _fingerprint_window),
-    Scenario("pipeline", "codec_dispatch", "chunks", _codec_dispatch),
     Scenario("pipeline", "destage_account", "pages", _destage_account),
     Scenario("cluster", "bin_ids", "chunks", _bin_ids),
     Scenario("cluster", "route_split", "chunks", _route_split),

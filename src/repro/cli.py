@@ -113,8 +113,7 @@ def _run_tenants(args: argparse.Namespace, mode: IntegrationMode,
         print(f"error: {args.tenants}: {exc}", file=sys.stderr)
         return 2
     config = PipelineConfig(tenancy_policy=args.tenancy_policy,
-                            tenancy_cache_entries=args.tenancy_cache,
-                            verify_memos=args.verify_memos)
+                            tenancy_cache_entries=args.tenancy_cache)
     started = time.time()
     report = run_tenant_mix(mix, mode, args.chunks, base_config=config,
                             tracer=tracer, payload=args.payload,
@@ -167,15 +166,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         tracer = SimTracer()
     if args.tenants:
         return _run_tenants(args, mode, platform, tracer)
-    base_config = None
-    if args.verify_memos:
-        from repro import PipelineConfig
-        base_config = PipelineConfig(verify_memos=True)
     started = time.time()
     report = run_mode(mode, args.chunks, dedup_ratio=args.dedup_ratio,
                       comp_ratio=args.comp_ratio, seed=args.seed,
-                      tracer=tracer, payload=args.payload,
-                      base_config=base_config, **platform)
+                      tracer=tracer, payload=args.payload, **platform)
     table = Table(f"pipeline run: {mode.value}, {args.chunks} chunks "
                   f"(dedup {args.dedup_ratio} x comp {args.comp_ratio})",
                   ["metric", "value"])
@@ -516,12 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run the workload with real payload bytes "
                           "(functional data plane) instead of "
                           "descriptors")
-    run.add_argument("--verify-memos", action="store_true",
-                     dest="verify_memos",
-                     help="runtime twin of the REP701/REP702 lint "
-                          "contract: replay sampled memo hits against "
-                          "fresh computation (implies extra compute; "
-                          "combine with --payload)")
     run.add_argument("--tenants", metavar="SPEC_JSON", default=None,
                      help="run a multi-tenant mix from a TenantMix "
                           "JSON spec (see examples/tenant_mix.json); "

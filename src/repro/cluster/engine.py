@@ -33,7 +33,7 @@ from repro.cluster.netlink import NetLink, NetLinkSpec, NetReport
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shard_map import ASSIGNMENTS, RebalanceResult, ShardMap
 from repro.cluster.shardwork import ShardSpec
-from repro.dedup.hashing import PayloadHashMemo, fingerprint_window
+from repro.dedup.hashing import fingerprint_window
 from repro.errors import ConfigError
 from repro.obs.stages import (
     DEDUP_COUNTER_KEYS,
@@ -143,13 +143,12 @@ class ClusterEngine:
         executor = make_executor(cfg.executor, cfg.nodes,
                                  cfg.shard_spec())
         stream = self._stream()
-        hash_memo = PayloadHashMemo() if cfg.payload else None
         try:
             remaining = cfg.chunks
             while remaining > 0:
                 batch = stream.next_batch(min(cfg.window, remaining))
                 remaining -= len(batch)
-                batch = self._fingerprinted(batch, hash_memo)
+                batch = self._fingerprinted(batch)
                 for routed in self.router.split(batch):
                     self.netlink.charge(
                         STAGE_NET_DISPATCH,
@@ -174,8 +173,7 @@ class ClusterEngine:
         return ClusterResult(merged=merged, shard_reports=shard_reports,
                              net=net)
 
-    def _fingerprinted(self, batch: ChunkBatch,
-                       hash_memo: Optional[PayloadHashMemo]) -> ChunkBatch:
+    def _fingerprinted(self, batch: ChunkBatch) -> ChunkBatch:
         """Fingerprint a payload-mode window before routing.
 
         Descriptor-mode windows already carry synthetic fingerprints;
@@ -185,7 +183,7 @@ class ClusterEngine:
         if not self.config.payload:
             return batch
         chunks = batch.materialize()
-        fingerprint_window(chunks, memo=hash_memo)
+        fingerprint_window(chunks)
         return ChunkBatch(batch.offsets, batch.sizes, batch.payloads,
                           [chunk.fingerprint for chunk in chunks],
                           batch.comp_ratios, validate=False)

@@ -20,11 +20,11 @@ equal to the 1-node oracle (DESIGN.md §14):
   ``race_duplicates`` whose count depends on batch composition, which
   sharding changes.
 
-Each window is compressed up front with the batched codec dispatch
-(:meth:`compress_window` — duplicates replay the result memo at memo
-cost), then indexed and committed strictly per chunk in stream order,
-so every dedup verdict depends only on prior same-bin commits — the
-property routing preserves under any node count.
+Each chunk is indexed, compressed only on a unique verdict, and
+committed, strictly in stream order (the order of
+``ReducedVolume._write_chunk``), so every dedup verdict depends only on
+prior same-bin commits — the property routing preserves under any node
+count — and a duplicate never reaches the codec.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import NamedTuple
 from repro.compression.parallel_cpu import CpuCompressor
 from repro.cluster.router import RoutedWindow
 from repro.dedup.engine import DedupEngine, DestageBatch
+from repro.errors import ClusterError
 
 __all__ = ["ShardSpec", "ShardWorker"]
 
@@ -74,14 +75,18 @@ class ShardWorker:
 
     def process(self, window: RoutedWindow) -> None:
         """Run one routed sub-window through the shard's battery."""
-        chunks = window.chunks()
-        results = self._compressor.compress_window(chunks)
+        if self._finished:
+            raise ClusterError(
+                f"shard {self.shard_id} got a window after finish(): "
+                "its bins are already drained")
         engine = self._engine
-        for chunk, result in zip(chunks, results):
+        compress = self._compressor.compress
+        for chunk in window.chunks():
             outcome = engine.cpu_index(chunk)
             if outcome.duplicate:
                 engine.commit_duplicate(chunk)
             else:
+                result = compress(chunk)
                 _cycles, batch, unique = engine.commit_unique(
                     chunk, result.blob)
                 if unique:

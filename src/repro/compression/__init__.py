@@ -26,17 +26,13 @@ from repro.compression.lz_common import (
     decode_tokens,
 )
 from repro.compression.delta import DeltaCodec, SimilarityIndex, sketch
-from repro.compression.huffman import HuffmanCodec, LzssHuffmanCodec
 from repro.compression.lzss import LzssCodec
-from repro.compression.memo import CodecMemo, payload_fingerprint
 from repro.compression.quicklz import QuickLzCodec
 
 __all__ = [
     "DeltaCodec",
     "SimilarityIndex",
     "sketch",
-    "HuffmanCodec",
-    "LzssHuffmanCodec",
     "Literal",
     "Match",
     "Token",
@@ -47,6 +43,4 @@ __all__ = [
     "decode_tokens",
     "LzssCodec",
     "QuickLzCodec",
-    "CodecMemo",
-    "payload_fingerprint",
 ]

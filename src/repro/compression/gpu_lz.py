@@ -18,10 +18,9 @@ GPU LZ kernels to the pipeline's batching machinery:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.compression.lz_common import DEFAULT_PARAMS, LzParams
-from repro.compression.memo import CodecMemo, payload_fingerprint
 from repro.compression.parallel_cpu import CompressionResult
 from repro.compression.postprocess import refine_to_container
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
@@ -39,18 +38,12 @@ class GpuCompressor:
                  params: LzParams = DEFAULT_PARAMS,
                  cpu_costs: CpuCosts = DEFAULT_COSTS,
                  gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-                 use_simt: bool = False,
-                 memo: Optional[CodecMemo] = None):
+                 use_simt: bool = False):
         self.segments_per_chunk = segments_per_chunk
         self.params = params
         self.cpu_costs = cpu_costs
         self.gpu_costs = gpu_costs
         self.use_simt = use_simt
-        self.memo = memo
-        # The segment grid and window geometry shape the refined stream,
-        # so both are part of the memo namespace.
-        self._memo_tag = (f"gpu-lz/{segments_per_chunk}/{params.window}/"
-                          f"{params.min_match}/{params.max_match}")
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -89,14 +82,11 @@ class GpuCompressor:
     # -- CPU refinement -----------------------------------------------------
 
     def postprocess(self, chunk: Chunk, raw: Any) -> CompressionResult:
-        """CPU refinement of one chunk's raw GPU output.
-
-        Refinement is a pure function of the payload (the kernel's raw
-        segment output is deterministic in it), so duplicate content is
-        resolved from the fingerprint-keyed memo without re-stitching.
-        """
+        """CPU refinement of one chunk's raw GPU output."""
         if chunk.has_payload:
-            blob = self._refine_memoized(chunk, raw)
+            blob = refine_to_container(chunk.payload, raw,
+                                       params=self.params,
+                                       stats=self.seam_stats)
             if len(blob) < chunk.size:
                 size, stored_raw, out_blob = len(blob), False, blob
             else:
@@ -113,29 +103,6 @@ class GpuCompressor:
         self.bytes_out += size
         return CompressionResult(compressed_size=size, cpu_cycles=cycles,
                                  blob=out_blob, stored_raw=stored_raw)
-
-    def _refine_memoized(self, chunk: Chunk, raw: Any) -> bytes:
-        if self.memo is None:
-            return refine_to_container(chunk.payload, raw,
-                                       params=self.params,
-                                       stats=self.seam_stats)
-        fingerprint = chunk.fingerprint
-        if fingerprint is None:
-            fingerprint = payload_fingerprint(chunk.payload)
-        blob = self.memo.get(self._memo_tag, fingerprint)
-        if blob is None:
-            blob = refine_to_container(chunk.payload, raw,
-                                       params=self.params,
-                                       stats=self.seam_stats)
-            self.memo.put(self._memo_tag, fingerprint, blob)
-        elif self.memo.verifier is not None:
-            # Verification replay passes no stats dict: seam counters
-            # track *computed* refinements only (see the REP701 audit).
-            self.memo.verifier.on_hit(
-                "codec:" + self._memo_tag, blob,
-                lambda: refine_to_container(chunk.payload, raw,
-                                            params=self.params))
-        return blob
 
     def achieved_ratio(self) -> float:
         """Aggregate original/compressed over everything compressed."""

@@ -30,7 +30,6 @@ from repro.compression.lz_common import (
     key3_array,
     tokens_to_bytes,
 )
-from repro.compression.memo import CodecMemo, payload_fingerprint
 from repro.errors import CompressionError
 
 #: Bound on hash-chain length; keeps worst-case encode cost linearish.
@@ -252,16 +251,9 @@ class IndexedMatchFinder:
 class LzssCodec:
     """Encode/decode bytes using the canonical LZSS container."""
 
-    def __init__(self, params: LzParams = DEFAULT_PARAMS, lazy: bool = False,
-                 memo: Optional[CodecMemo] = None):
+    def __init__(self, params: LzParams = DEFAULT_PARAMS, lazy: bool = False):
         self.params = params
         self.lazy = lazy
-        self.memo = memo
-        # Window geometry and parse strategy change the stream, so they
-        # are part of the memo namespace.
-        self._memo_tag = (f"lzss/{params.window}/{params.min_match}/"
-                          f"{params.max_match}/"
-                          f"{'lazy' if lazy else 'greedy'}")
 
     # -- encoding -----------------------------------------------------------
 
@@ -294,30 +286,8 @@ class LzssCodec:
                 pos += 1
         return tokens
 
-    def encode(self, data: bytes, *,
-               fingerprint: Optional[bytes] = None) -> bytes:
-        """Compress ``data`` into the canonical container.
-
-        ``fingerprint`` is an optional precomputed content fingerprint
-        used as the memo key when a memo is attached.
-        """
-        if self.memo is not None:
-            if fingerprint is None:
-                fingerprint = payload_fingerprint(data)
-            cached = self.memo.get(self._memo_tag, fingerprint)
-            if cached is not None:
-                if self.memo.verifier is not None:
-                    self.memo.verifier.on_hit(
-                        "codec:" + self._memo_tag, cached,
-                        lambda: self._encode_fresh(data))
-                return cached
-        blob = self._encode_fresh(data)
-        if self.memo is not None:
-            self.memo.put(self._memo_tag, fingerprint, blob)
-        return blob
-
-    def _encode_fresh(self, data: bytes) -> bytes:
-        """One full encode, bypassing the memo (miss path + verifier)."""
+    def encode(self, data: bytes) -> bytes:
+        """Compress ``data`` into the canonical container."""
         if self.lazy:
             tokens = self.encode_to_tokens(data)
             return tokens_to_bytes(tokens, len(data), self.params)

@@ -14,21 +14,16 @@ primary-storage behaviour for incompressible data.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from repro.compression.lzss import LzssCodec
-from repro.compression.memo import CodecMemo
 from repro.compression.quicklz import QuickLzCodec
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.errors import CompressionError
 from repro.types import Chunk
 
 Codec = Union[LzssCodec, QuickLzCodec]
-
-#: Entry budget of the batched dispatch's cross-window result memo.
-RESULT_MEMO_ENTRIES = 4096
 
 
 @dataclass
@@ -47,32 +42,17 @@ class CpuCompressor:
     """Per-chunk CPU compression: the paper's parallel QuickLZ baseline."""
 
     def __init__(self, codec: Optional[Codec] = None,
-                 costs: CpuCosts = DEFAULT_COSTS,
-                 memo: Optional[CodecMemo] = None):
-        self.codec = codec if codec is not None else QuickLzCodec(memo=memo)
-        if memo is not None and getattr(self.codec, "memo", None) is None:
-            self.codec.memo = memo
+                 costs: CpuCosts = DEFAULT_COSTS):
+        self.codec = codec if codec is not None else QuickLzCodec()
         self.costs = costs
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        #: Cross-window result memo for :meth:`compress_window` (LRU).
-        self._result_memo: OrderedDict[Any, CompressionResult] = \
-            OrderedDict()
-        #: Optional :class:`repro.verify.MemoVerifier` replaying
-        #: sampled result-memo hits against a fresh :meth:`compress`.
-        self.verifier = None
 
     def compress(self, chunk: Chunk) -> CompressionResult:
-        """Compress one chunk (functionally in payload mode).
-
-        A chunk already fingerprinted by the hashing stage hands its
-        SHA-1 to the codec as a ready-made memo key; unfingerprinted
-        chunks (dedup-disabled baselines) let the memo hash for itself.
-        """
+        """Compress one chunk (functionally in payload mode)."""
         if chunk.has_payload:
-            blob = self.codec.encode(chunk.payload,
-                                     fingerprint=chunk.fingerprint)
+            blob = self.codec.encode(chunk.payload)
             if len(blob) < chunk.size:
                 size, stored_raw, out_blob = len(blob), False, blob
             else:
@@ -92,77 +72,12 @@ class CpuCompressor:
                                  blob=out_blob, stored_raw=stored_raw)
 
     def compress_window(self, chunks: list[Chunk]) -> list[CompressionResult]:
-        """Batched codec dispatch over a functional-plane window.
+        """:meth:`compress` on each chunk in order.
 
-        Chunks are grouped under a content key — fingerprint when the
-        hashing stage ran, payload bytes otherwise, and the descriptor
-        triple the cost model reads for metadata-only chunks.  The first
-        sighting of a key runs :meth:`compress` for real; repeats (both
-        within this window and across earlier windows, through a bounded
-        LRU result memo) replay its result, skipping the codec (and
-        even the codec memo probe) entirely.  Every codec is a pure
-        function of its input, so the replayed ``CompressionResult``
-        (and the per-chunk ``compressed_size`` assignment and the
-        compressor counters) is exactly what a per-chunk
-        :meth:`compress` would have produced.
+        Kept only because ``e2ebench/ledger.py`` names it as a wrap
+        target; nothing in ``src/`` calls it.
         """
-        results: list[CompressionResult] = []
-        append = results.append
-        memo = self._result_memo
-        memo_get = memo.get
-        move_to_end = memo.move_to_end
-        compress = self.compress
-        size_sum = 0
-        out_sum = 0
-        replays = 0
-        for chunk in chunks:
-            payload = chunk.payload
-            if chunk.fingerprint is not None:
-                key = chunk.fingerprint
-            elif payload is not None:
-                key = payload
-            else:
-                key = (chunk.size, chunk.comp_ratio, chunk.compressed_size)
-            result = memo_get(key)
-            if result is None:
-                result = compress(chunk)
-                if len(memo) >= RESULT_MEMO_ENTRIES:
-                    memo.popitem(last=False)
-                memo[key] = result
-            else:
-                move_to_end(key)
-                chunk.compressed_size = result.compressed_size
-                replays += 1
-                size_sum += chunk.size
-                out_sum += result.compressed_size
-                if self.verifier is not None:
-                    self.verifier.on_hit(
-                        "result-memo", result,
-                        lambda c=chunk: self._fresh_result(c))
-            append(result)
-        if replays:
-            self.chunks_compressed += replays
-            self.bytes_in += size_sum
-            self.bytes_out += out_sum
-        return results
-
-    def _fresh_result(self, chunk: Chunk) -> CompressionResult:
-        """What :meth:`compress` would produce, without its effects.
-
-        Verification-only: runs the real compress on a shadow copy of
-        the chunk, then rolls the compressor counters back, so the
-        replayed mutations being checked are not themselves double
-        counted.
-        """
-        import copy
-
-        shadow = copy.copy(chunk)
-        saved = (self.chunks_compressed, self.bytes_in, self.bytes_out)
-        try:
-            return self.compress(shadow)
-        finally:
-            (self.chunks_compressed, self.bytes_in,
-             self.bytes_out) = saved
+        return [self.compress(chunk) for chunk in chunks]
 
     def decompress(self, blob: bytes) -> bytes:
         """Round-trip helper for volume reads."""

@@ -26,12 +26,10 @@ loop it must reproduce byte for byte).
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 import numpy as np
 
 from repro.compression.lz_common import copy_match
-from repro.compression.memo import CodecMemo, payload_fingerprint
 from repro.errors import CompressionError, CorruptStreamError
 
 _MIN_MATCH = 3
@@ -80,37 +78,11 @@ def _pack(raw: np.ndarray, state: bytearray, starts: list[int],
 class QuickLzCodec:
     """Fast greedy LZ with a single-entry hash table."""
 
-    #: Memo namespace — the format has no tunable parameters.
-    _MEMO_TAG = "quicklz"
-
-    def __init__(self, memo: Optional[CodecMemo] = None):
-        self.memo = memo
-
-    def encode(self, data: bytes, *,
-               fingerprint: Optional[bytes] = None) -> bytes:
+    def encode(self, data: bytes) -> bytes:
         """Compress ``data``; always produces a decodable container.
 
-        ``fingerprint`` is an optional precomputed content fingerprint
-        (the dedup stage's SHA-1) used as the memo key when a
-        :class:`~repro.compression.memo.CodecMemo` is attached.
+        Array passes for indices and chains, a short parse, one pack.
         """
-        if self.memo is not None:
-            if fingerprint is None:
-                fingerprint = payload_fingerprint(data)
-            cached = self.memo.get(self._MEMO_TAG, fingerprint)
-            if cached is not None:
-                if self.memo.verifier is not None:
-                    self.memo.verifier.on_hit(
-                        "codec:" + self._MEMO_TAG, cached,
-                        lambda: self._encode(data))
-                return cached
-        blob = self._encode(data)
-        if self.memo is not None:
-            self.memo.put(self._MEMO_TAG, fingerprint, blob)
-        return blob
-
-    def _encode(self, data: bytes) -> bytes:
-        """Array passes for indices and chains, a short parse, one pack."""
         if type(data) is not bytes:
             data = bytes(data)
         n = len(data)

@@ -71,9 +71,7 @@ def run_stream(stream, n_chunks: int, config: PipelineConfig,
     GPU (when ``gpu_spec`` is given), SSD, then the pipeline over them,
     in that order.  ``tracer`` (a :class:`~repro.obs.SimTracer`) is
     bound to the run's environment and threaded through every timed
-    subsystem; the default is the zero-cost null tracer.  The
-    pipeline's memo verifier (``PipelineConfig.verify_memos``) is
-    attached to ``stream`` so workload-side caches are verified too.
+    subsystem; the default is the zero-cost null tracer.
 
     Returns the finished pipeline and its report.
     """
@@ -92,7 +90,6 @@ def run_stream(stream, n_chunks: int, config: PipelineConfig,
     pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu, ssd=ssd,
                                  cpu_costs=cpu_costs, gpu_costs=gpu_costs,
                                  tracer=tracer)
-    stream.verifier = pipeline.verifier
     source = stream.chunks_batched(n_chunks, config.functional_batch)
     return pipeline, pipeline.run(source, total=n_chunks)
 
@@ -110,9 +107,7 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
     """Run one integration mode over a vdbench stream (:func:`run_stream`).
 
     ``payload`` switches the workload to real bytes (the functional
-    data plane: hashing, codecs, memos) instead of descriptors; it is
-    required for ``PipelineConfig.verify_memos`` to have anything to
-    verify.
+    data plane: hashing, codecs) instead of descriptors.
 
     Returns the :class:`~repro.core.stats.PipelineReport`.
     """

@@ -117,12 +117,6 @@ class PipelineConfig:
     #: the final drain: no live processes, no scheduled events, no held
     #: resource slots.  Off by default (it is a test/debug aid).
     finish_check: bool = False
-    #: Runtime twin of the REP701/REP702 static contract: freeze
-    #: memoized buffers (bytes copies, read-only array views) and replay
-    #: a deterministic sample of memo hits against fresh computation,
-    #: reporting divergence through the end-of-run sanitizer.  Payload
-    #: mode only; off by default (verification costs recomputation).
-    verify_memos: bool = False
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:

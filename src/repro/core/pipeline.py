@@ -42,13 +42,12 @@ from repro.core.config import PipelineConfig
 from repro.core.scheduler import OffloadScheduler
 from repro.core.stats import PipelineReport
 from repro.compression.gpu_lz import GpuCompressor
-from repro.compression.memo import CodecMemo
-from repro.compression.parallel_cpu import CompressionResult, CpuCompressor
+from repro.compression.parallel_cpu import CpuCompressor
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import SimCpu
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
-from repro.dedup.hashing import PayloadHashMemo, fingerprint_window
+from repro.dedup.hashing import fingerprint_window
 from repro.dedup.replacement import RandomReplacement
 from repro.errors import ConfigError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
@@ -75,7 +74,6 @@ from repro.obs.stages import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tenancy.controller import TenancyController
-from repro.verify import MemoVerifier
 from repro.sim import Environment, Resource
 from repro.sim.histogram import LatencyHistogram
 from repro.storage.block import BlockRequest, RequestKind
@@ -132,19 +130,9 @@ class ReductionPipeline:
                 policy=config.tenancy_policy,
                 cache_entries=config.tenancy_cache_entries)
 
-        memo = CodecMemo()
-        self.cpu_comp = CpuCompressor(costs=cpu_costs, memo=memo)
+        self.cpu_comp = CpuCompressor(costs=cpu_costs)
         self.gpu_comp = GpuCompressor(cpu_costs=cpu_costs,
-                                      gpu_costs=gpu_costs, memo=memo)
-
-        #: Runtime twin of the REP701/REP702 static contract: replays
-        #: sampled memo hits, reports divergence via finish_check.
-        self.verifier: Optional[MemoVerifier] = None
-        if config.verify_memos:
-            self.verifier = MemoVerifier()
-            env.register_finishable(self.verifier)
-            memo.verifier = self.verifier
-            self.cpu_comp.verifier = self.verifier
+                                      gpu_costs=gpu_costs)
 
         self.scheduler = OffloadScheduler(
             self.cpu, policy=config.gpu_index_policy,
@@ -166,10 +154,6 @@ class ReductionPipeline:
         #: compressing the same content twice (standard inline-dedup
         #: in-flight tracking).
         self._pending: dict[bytes, object] = {}
-        #: Batched functional plane: compression results the feeder
-        #: precomputed per admission seq (dedup-disabled configs only,
-        #: where every chunk reaches compression exactly once).
-        self._precomp: dict[int, CompressionResult] = {}
         self._done = 0
         self._total = 0
         self._finished = env.event()
@@ -397,9 +381,7 @@ class ReductionPipeline:
                 blob = result.blob
             else:
                 start = env.now if trace is not None else 0.0
-                result = self._precomp.pop(seq, None)
-                if result is None:
-                    result = self.cpu_comp.compress(chunk)
+                result = self.cpu_comp.compress(chunk)
                 cycles = result.cpu_cycles + costs.handoff_per_chunk
                 yield cpu.charge(cycles)
                 if trace is not None:
@@ -499,14 +481,10 @@ class ReductionPipeline:
     def _feeder(self, chunks: Iterable[Chunk]) -> Generator:
         """Admit exactly ``total`` chunks, one functional window at a time.
 
-        Per window, the untimed functional work runs once up front —
-        one fingerprint pass (duplicate payloads resolved by LRU probe
-        instead of a fresh SHA-1) and, in dedup-disabled configurations,
-        one grouped codec dispatch whose results the workers pop by
-        admission seq.  Admission itself — pacing, window-slot
-        acquisition, worker spawn — is strictly per chunk, so the timed
-        event schedule does not depend on the window size
-        (DESIGN.md §12).
+        Per window, the untimed fingerprint pass runs once up front.
+        Admission itself — pacing, window-slot acquisition, worker
+        spawn — is strictly per chunk, so the timed event schedule does
+        not depend on the window size (DESIGN.md §12).
         """
         cfg = self.config
         total = self._total
@@ -514,25 +492,12 @@ class ReductionPipeline:
         gap = 1.0 / rate if rate else 0.0
         next_admission = 0.0
         trace = self.tracer if self.tracer.enabled else None
-        hash_memo = PayloadHashMemo() if cfg.enable_dedup else None
-        if hash_memo is not None and self.verifier is not None:
-            hash_memo.verifier = self.verifier
-        precompress = (cfg.enable_compression and not cfg.enable_dedup
-                       and self._comp_batcher is None)
-        precomp = self._precomp
         chunks = iter(chunks)
         seq = 0
         for window in iter_windows(islice(chunks, total),
                                    cfg.functional_batch):
-            if hash_memo is not None:
-                fingerprint_window(window, memo=hash_memo)
-            if precompress:
-                # Safe exactly because dedup is off: every chunk
-                # reaches compression once, in admission order, and
-                # the codecs are pure — see compress_window.
-                results = self.cpu_comp.compress_window(window)
-                for i, result in enumerate(results):
-                    precomp[seq + i] = result
+            if cfg.enable_dedup:
+                fingerprint_window(window)
             for chunk in window:
                 if gap:
                     delay = next_admission - self.env.now
@@ -601,7 +566,7 @@ class ReductionPipeline:
         # Let stragglers (destage writes, batcher shutdown) settle for
         # reporting, without extending the measured duration.
         self.env.run()
-        if self.config.finish_check or self.config.verify_memos:
+        if self.config.finish_check:
             self.env.finish_check()
         return self._report(duration, counters)
 

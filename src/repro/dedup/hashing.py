@@ -12,88 +12,26 @@ accepting (descriptor mode) the fingerprint.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import hashlib
 
-from repro.compression.memo import payload_fingerprint
 from repro.errors import DedupError
 from repro.types import Chunk
 
 __all__ = ["fingerprint_chunk", "fingerprint_batch", "fingerprint_window",
-           "PayloadHashMemo", "payload_fingerprint"]
-
-#: Default entry budget of the batched path's payload-hash memo.  At the
-#: 4 KiB default chunk size a full memo holds ~16 MB of referenced
-#: payloads, each avoiding a ~3 µs SHA-1 for a ~0.2 µs dict probe on
-#: duplicate-heavy windows.
-DEFAULT_HASH_MEMO_ENTRIES = 4096
+           "payload_fingerprint"]
 
 
-class PayloadHashMemo:
-    """Bounded LRU of SHA-1 digests keyed by the payload bytes.
-
-    The batched hashing pass's duplicate short-circuit: on dup-heavy
-    windows most payloads are byte-identical repeats, and ``bytes``
-    caches its own hash after the first use, so a memo probe is an
-    order of magnitude cheaper than re-digesting 4 KiB.  Pure
-    memoization of a pure function — the returned digest is the exact
-    object a previous :func:`payload_fingerprint` produced, so dedup
-    outcomes are unchanged.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries",
-                 "verifier")
-
-    def __init__(self, capacity: int = DEFAULT_HASH_MEMO_ENTRIES):
-        if capacity < 1:
-            raise DedupError(
-                f"hash memo capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
-        #: Optional :class:`repro.verify.MemoVerifier` replaying
-        #: sampled digest hits against a fresh SHA-1.
-        self.verifier = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def digest(self, payload: bytes) -> bytes:
-        """The payload's SHA-1, from cache when previously seen."""
-        entries = self._entries
-        cached = entries.get(payload)
-        if cached is not None:
-            entries.move_to_end(payload)
-            self.hits += 1
-            if self.verifier is not None:
-                self.verifier.on_hit(
-                    "payload-hash", cached,
-                    lambda: payload_fingerprint(payload))
-            return cached
-        self.misses += 1
-        fingerprint = payload_fingerprint(payload)
-        if len(entries) >= self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
-        entries[payload] = fingerprint
-        return fingerprint
-
-    def stats(self) -> dict[str, int]:
-        """Counters snapshot for reports and benchmarks."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries)}
+def payload_fingerprint(data: bytes) -> bytes:
+    """SHA-1 content fingerprint of ``data``: the dedup index's key."""
+    return hashlib.sha1(data).digest()
 
 
 def fingerprint_chunk(chunk: Chunk) -> bytes:
     """Set and return the chunk's SHA-1 fingerprint.
 
-    Payload mode hashes the real bytes — through the same
-    :func:`~repro.compression.memo.payload_fingerprint` the codec memo
-    keys on, so one hash serves both dedup and memoization.  Descriptor
-    mode requires the workload generator to have supplied a synthetic
-    fingerprint already (duplicates share fingerprints, so indexing
-    still behaves for real).
+    Payload mode hashes the real bytes.  Descriptor mode requires the
+    workload generator to have supplied a synthetic fingerprint already
+    (duplicates share fingerprints, so indexing still behaves for real).
     """
     if chunk.payload is not None:
         chunk.fingerprint = payload_fingerprint(chunk.payload)
@@ -110,27 +48,21 @@ def fingerprint_batch(chunks: list[Chunk]) -> list[bytes]:
     return [fingerprint_chunk(chunk) for chunk in chunks]
 
 
-def fingerprint_window(chunks: list[Chunk],
-                       memo: PayloadHashMemo | None = None) -> list[bytes]:
+def fingerprint_window(chunks: list[Chunk]) -> list[bytes]:
     """One batched fingerprint pass over a functional-plane window.
 
     Semantically identical to calling :func:`fingerprint_chunk` on each
     chunk in order — same digests, same in-place ``chunk.fingerprint``
     assignment, same :class:`~repro.errors.DedupError` on an unhashable
     descriptor chunk — but with the hashlib/dispatch overhead hoisted
-    out of the loop, and (with ``memo``) duplicate payloads resolved by
-    an LRU probe instead of a fresh SHA-1.
+    out of the loop.
     """
-    if memo is None:
-        digest = payload_fingerprint
-    else:
-        digest = memo.digest
     out: list[bytes] = []
     append = out.append
     for chunk in chunks:
         payload = chunk.payload
         if payload is not None:
-            fingerprint = digest(payload)
+            fingerprint = payload_fingerprint(payload)
             chunk.fingerprint = fingerprint
         else:
             fingerprint = chunk.fingerprint

@@ -200,16 +200,6 @@ class TenantMixStream:
                 assert rate is not None  # validated by TenantMix
                 self._clocks.append(_OpenLoopClock(rate=rate))
 
-    @property
-    def verifier(self):
-        """The memo verifier of the per-tenant streams (None: off)."""
-        return self.streams[0].verifier
-
-    @verifier.setter
-    def verifier(self, verifier) -> None:
-        for stream in self.streams:
-            stream.verifier = verifier
-
     # -- scheduling ---------------------------------------------------------
 
     def _pick_tenant(self) -> int:

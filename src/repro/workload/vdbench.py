@@ -109,9 +109,6 @@ class VdbenchStream:
         #: chunks are byte-equal to the per-chunk path's.
         self._unique_fps: dict[int, bytes] = {}
         self._payload_cache: OrderedDict[int, bytes] = OrderedDict()
-        #: Optional :class:`repro.verify.MemoVerifier`: replays sampled
-        #: payload-cache hits and freezes emitted batch columns.
-        self.verifier = None
         self.stats = StreamStats()
 
     # -- internals ---------------------------------------------------------
@@ -187,10 +184,6 @@ class VdbenchStream:
         payload = cache.get(unique_id)
         if payload is not None:
             cache.move_to_end(unique_id)
-            if self.verifier is not None:
-                self.verifier.on_hit(
-                    "vdbench-payload", payload,
-                    lambda: self._payload_for(unique_id, ratio))
             return payload
         payload = self._payload_for(unique_id, ratio)
         if len(cache) >= PAYLOAD_CACHE_ENTRIES:
@@ -281,11 +274,6 @@ class VdbenchStream:
         stats.uniques += n - duplicates
         stats.duplicates += duplicates
         stats.bytes_emitted += size * n
-        if self.verifier is not None:
-            # REP702 runtime twin: emitted columns are shared views —
-            # an aliasing write downstream must raise, not corrupt.
-            self.verifier.freeze_array(offsets)
-            self.verifier.freeze_array(sizes)
         # The emitting stream validated every column by construction.
         return ChunkBatch(offsets, sizes, payloads, fingerprints,
                           comp_ratios, validate=False)

@@ -157,7 +157,7 @@ GOLDEN_REPORT_SHA256: dict[str, str] = {
 #: the mp executor must reproduce the same bytes —
 #: ``tests/test_cluster_equivalence.py::TestExecutorIdentity``).
 GOLDEN_MERGED_SHA256 = {
-    1: "0f22d8639076ab96cc3a7e68addea156bec998ee75ad17a4b1564a9fa9b5f140",
-    2: "dedb4bedf96391c43b80e7b4e1c6b7fa2e8360043684265a4bddca9c491b5f46",
-    4: "c23566ae96cf2261a7e18fa8b055d4cb743e72680c51505b68fe33713151e8c5",
+    1: "4e129011fe942acf3d64b7de4f1f4b0c733d12ada75093151be37289925684ae",
+    2: "6cb8f611d5bf388d19d3ca8357bd2edd63c14d42ffb66c6e127f1554912cac3e",
+    4: "d4fbe1846aa02f93f76ea8d46012b92e62b58a138ad7e6ef8a71bb5837dab0a8",
 }

@@ -8,16 +8,16 @@ the same whatever the window size, down to ``functional_batch=1``
 The hypothesis suite here hammers that claim with the corpora most
 likely to break a batch-level shortcut:
 
-- **dup-heavy** — a handful of payloads repeated, so the hash memo and
-  the codec result memo replay almost everything;
-- **all-zero** — one degenerate payload, maximal memo aliasing;
+- **dup-heavy** — a handful of payloads repeated, so almost every
+  chunk is a dedup hit;
+- **all-zero** — one degenerate payload, every chunk the same content;
 - **incompressible** — pseudorandom bytes, the expansion-guard path;
 - **byte-shifted** — rotations of one payload: near-identical content
-  with distinct fingerprints, the memo's worst adversary.
+  with distinct fingerprints.
 
 The deterministic tests below pin the component-level identities the
 end-to-end property rests on: batched vdbench emission, window
-fingerprinting, grouped codec dispatch and FTL run accounting.
+fingerprinting, window compression and FTL run accounting.
 """
 
 import dataclasses
@@ -30,11 +30,7 @@ from hypothesis import strategies as st
 from repro.chunkbatch import iter_windows
 from repro.compression.parallel_cpu import CpuCompressor
 from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
-from repro.dedup.hashing import (
-    PayloadHashMemo,
-    fingerprint_chunk,
-    fingerprint_window,
-)
+from repro.dedup.hashing import fingerprint_chunk, fingerprint_window
 from repro.errors import DedupError
 from repro.sim import Environment
 from repro.storage import Ftl, FtlSpec
@@ -136,14 +132,10 @@ class TestFingerprintWindow:
         for chunk in reference:
             fingerprint_chunk(chunk)
         windowed = corpus_chunks(payloads)
-        memo = PayloadHashMemo()
         for window in iter_windows(iter(windowed), 16):
-            fingerprint_window(window, memo=memo)
+            fingerprint_window(window)
         assert [c.fingerprint for c in windowed] == \
             [c.fingerprint for c in reference]
-        stats = memo.stats()
-        assert stats["hits"] + stats["misses"] == 64
-        assert stats["misses"] <= 3  # only distinct payloads hash
 
     def test_descriptor_passthrough_and_error(self):
         stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=1)
@@ -154,14 +146,6 @@ class TestFingerprintWindow:
         bare = Chunk(offset=0, size=64)
         with pytest.raises(DedupError):
             fingerprint_window([bare])
-
-    def test_memo_eviction_bounded(self):
-        memo = PayloadHashMemo(capacity=4)
-        for i in range(16):
-            memo.digest(i.to_bytes(4, "big"))
-        stats = memo.stats()
-        assert stats["entries"] <= 4
-        assert stats["evictions"] == 12
 
 
 class TestCompressWindow:
@@ -180,21 +164,6 @@ class TestCompressWindow:
         assert [c.compressed_size for c in windowed] == \
             [c.compressed_size for c in reference]
         assert win_comp.stats() == ref_comp.stats()
-
-    def test_cross_window_replay_preserves_stats(self):
-        """Dup-heavy: later windows replay results from earlier ones."""
-        payloads = corpus_payloads("dup_heavy", 96, seed=21)
-        reference = corpus_chunks(payloads)
-        ref_comp = CpuCompressor()
-        for chunk in reference:
-            ref_comp.compress(chunk)
-        windowed = corpus_chunks(payloads)
-        win_comp = CpuCompressor()
-        for window in iter_windows(iter(windowed), 8):
-            win_comp.compress_window(window)
-        assert win_comp.stats() == ref_comp.stats()
-        assert [c.compressed_size for c in windowed] == \
-            [c.compressed_size for c in reference]
 
 
 class TestFtlWriteRun:

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from tests.reference_paths import bin_ids_per_chunk, route_per_chunk
 
 from repro.bench.micro import golden_config
+from repro.chunkbatch import ChunkBatch
 from repro.cluster import (
     ClusterConfig,
     ClusterEngine,
@@ -80,6 +81,50 @@ class TestPartitionInvariance:
         result = _run(4)
         per_shard = result.merged["cluster"]["per_shard"]
         assert sum(entry["chunks"] for entry in per_shard) == 512
+
+    @pytest.mark.parametrize("payload", (False, True),
+                             ids=("descriptor", "payload"))
+    @pytest.mark.parametrize("nodes", (1, 2, 4))
+    def test_only_unique_chunks_are_compressed(self, nodes, payload):
+        """Shards compress after the verdict: the compressor's ledger
+        is the stored ledger."""
+        overrides = dict(payload=True, chunk_size=1024) if payload else {}
+        aggregate = _run(nodes, **overrides).merged["aggregate"]
+        compressed = aggregate["compressed"]
+        assert compressed["chunks"] == aggregate["unique_chunks"]
+        assert compressed["bytes_out"] == aggregate["stored_bytes"]
+
+    def test_duplicates_never_reach_the_codec(self):
+        """Enforced by order (index, then compress), not by a cache."""
+        from repro.cluster.shardwork import ShardWorker
+        from repro.compression.parallel_cpu import CpuCompressor
+        from repro.compression.quicklz import QuickLzCodec
+        from repro.dedup.hashing import fingerprint_window
+
+        class CountingCodec(QuickLzCodec):
+            def __init__(self):
+                self.encoded = []
+
+            def encode(self, data):
+                self.encoded.append(data)
+                return super().encode(data)
+
+        stream = VdbenchStream(dedup_ratio=4.0, locality=0.9, seed=11,
+                               chunk_size=1024, payload=True)
+        batch = stream.next_batch(256)
+        chunks = batch.materialize()
+        fingerprints = fingerprint_window(chunks)
+        batch = ChunkBatch(batch.offsets, batch.sizes, batch.payloads,
+                           fingerprints, batch.comp_ratios)
+        (window,) = ClusterRouter(ShardMap(1)).split(batch)
+        codec = CountingCodec()
+        worker = ShardWorker(0)
+        worker._compressor = CpuCompressor(codec=codec)
+        worker.process(window)
+        unique = set(fingerprints)
+        assert len(unique) < len(chunks) // 2
+        assert len(codec.encoded) == len(unique)
+        assert len(set(codec.encoded)) == len(unique)
 
 
 class TestExecutorIdentity:
@@ -242,6 +287,27 @@ class TestWorkerFailure:
         assert "AttributeError" in str(submit_error.value)
         assert "shard 1" in str(finish_error.value)
         self._assert_reaped(executor)
+
+    @pytest.mark.parametrize("name", ("serial", "mp"))
+    def test_window_after_finish_is_refused(self, name):
+        """A late window would be staged into bins nobody drains."""
+        from repro.cluster.executor import make_executor
+        from repro.errors import ClusterError
+
+        stream = VdbenchStream(seed=3)
+        router = ClusterRouter(ShardMap(1))
+        executor = make_executor(name, 1)
+        try:
+            for window in router.split(stream.next_batch(256)):
+                executor.submit(window)
+            (report,) = executor.finish()
+            assert report["destage"]["chunks"] == report["unique_chunks"]
+            with pytest.raises(ClusterError, match="shard 0"):
+                for window in router.split(stream.next_batch(256)):
+                    executor.submit(window)
+                executor.finish()
+        finally:
+            executor.close()
 
     @staticmethod
     def _assert_reaped(executor):

@@ -486,26 +486,3 @@ def test_short_raw_match_is_rejected_before_seam_repair_can_grow_it():
         reference_merge_segments(chunk, segments)
     with pytest.raises(CompressionError, match="match length 2"):
         refine_to_container(chunk, outputs)
-
-
-def test_codec_memo_replays_duplicate_content_byte_identically():
-    """Four contents x eight copies, two passes through a memoized
-    ``CpuCompressor``: everything after the first sight of each content
-    is a memo hit, and every blob equals the unmemoized one."""
-    from repro.compression.memo import CodecMemo
-    from repro.compression.parallel_cpu import CpuCompressor
-    from repro.types import Chunk
-
-    unique = [p for _, p in build_corpus() if len(p) == 4096][:4]
-
-    def chunks():
-        return [Chunk(offset=i * 4096, size=4096, payload=payload)
-                for i, payload in enumerate(unique * 8)]
-
-    memo = CodecMemo(capacity=64)
-    memoized = CpuCompressor(memo=memo)
-    plain = CpuCompressor()
-    for _ in range(2):
-        assert [memoized.compress(c).blob for c in chunks()] == \
-            [plain.compress(c).blob for c in chunks()]
-    assert (memo.misses, memo.hits) == (4, 60)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LzssCodec, QuickLzCodec
-from repro.compression.huffman import HuffmanCodec, LzssHuffmanCodec
 from repro.compression.postprocess import refine_to_container
 from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
 from repro.errors import MetadataError
@@ -95,8 +94,7 @@ class TestCompressionPathEquivalence:
     @given(st.binary(max_size=1500))
     @settings(max_examples=40, deadline=None)
     def test_all_codecs_roundtrip_the_same_input(self, data):
-        for codec in (LzssCodec(), LzssCodec(lazy=True), QuickLzCodec(),
-                      HuffmanCodec(), LzssHuffmanCodec()):
+        for codec in (LzssCodec(), LzssCodec(lazy=True), QuickLzCodec()):
             assert codec.decode(codec.encode(data)) == data
 
     @given(st.binary(min_size=64, max_size=1024))
