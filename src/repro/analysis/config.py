@@ -46,7 +46,7 @@ class LintConfig:
         "repro.core.scheduler", "repro.core.batcher",
     )
 
-    # -- sim protocol (REP201/REP202/REP203) -------------------------------
+    # -- sim protocol (REP201/REP203) -------------------------------
     #: Packages whose generator functions are simulation processes; a
     #: literal yield there is a protocol violation, not a data stream.
     process_scope: tuple[str, ...] = (

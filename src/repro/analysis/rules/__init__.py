@@ -23,7 +23,6 @@ from repro.analysis.rules.obs import NowArithmeticChecker
 from repro.analysis.rules.rngflow import RngFlowChecker
 from repro.analysis.rules.sharedstate import ModuleStateChecker
 from repro.analysis.rules.simproto import (
-    AcquirePairingChecker,
     PrivateEngineApiChecker,
     YieldNonEventChecker,
 )
@@ -39,7 +38,6 @@ CHECKERS: tuple[type[Checker], ...] = (
     DefaultSeedChecker,        # REP103
     UnorderedIterationChecker,  # REP104
     YieldNonEventChecker,      # REP201
-    AcquirePairingChecker,     # REP202
     PrivateEngineApiChecker,   # REP203
     SlotsCoverageChecker,      # REP301
     LayeringChecker,           # REP401

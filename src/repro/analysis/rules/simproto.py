@@ -1,10 +1,9 @@
-"""Simulation-protocol rules (REP201–REP203).
+"""Simulation-protocol rules (REP201, REP203).
 
 The engine's contract with its processes is narrow: yield Events only,
-pair every ``try_acquire`` with a ``release_acquired``, and never reach
-past the run-queue API into the private calendar.  Each fast path from
-DESIGN.md §7 turns a violation of that contract from "slow" into
-"silently wrong", so the contract is linted.
+and never reach past the run-queue API into the private calendar.  Each
+fast path from DESIGN.md §7 turns a violation of that contract from
+"slow" into "silently wrong", so the contract is linted.
 """
 
 from __future__ import annotations
@@ -90,65 +89,13 @@ class YieldNonEventChecker(Checker):
         yield from findings
 
 
-class AcquirePairingChecker(Checker):
-    """REP202: ``try_acquire`` must be paired with ``release_acquired``.
-
-    The uncontended fast path claims an *anonymous* slot: nothing but
-    the matching ``release_acquired`` call ever returns it, and a
-    missing release deadlocks the pool only under load — far from the
-    bug.  The pairing is checked per enclosing class (the release
-    legitimately lives in a different method, e.g. a completion
-    callback), falling back to the whole module for free functions.
-    """
-
-    rule = "REP202"
-    name = "simproto-acquire-pairing"
-    description = ("try_acquire() without a release_acquired() in the "
-                   "same class (or module, for free functions)")
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        # scope -> (first try_acquire node, release seen?)
-        scopes: dict[str, dict] = {}
-
-        class Visitor(ScopeTracker):
-            def visit_Call(self, node: ast.Call) -> None:
-                if isinstance(node.func, ast.Attribute):
-                    attr = node.func.attr
-                    if attr in ("try_acquire", "release_acquired"):
-                        scope = (self.class_stack[-1].name
-                                 if self.class_stack else "<module>")
-                        entry = scopes.setdefault(
-                            scope, {"acquire": None, "release": False})
-                        if attr == "try_acquire" \
-                                and entry["acquire"] is None:
-                            entry["acquire"] = node
-                        elif attr == "release_acquired":
-                            entry["release"] = True
-                self.generic_visit(node)
-
-        Visitor().visit(ctx.tree)
-        for scope, entry in scopes.items():
-            node = entry["acquire"]
-            if node is not None and not entry["release"]:
-                where = ("module scope" if scope == "<module>"
-                         else f"class `{scope}`")
-                yield self.diag(
-                    ctx, node,
-                    f"try_acquire() in {where} has no matching "
-                    f"release_acquired() — the anonymous slot leaks",
-                    hint="release on every path (success, error, "
-                         "completion callback), or use request()/"
-                         "release() with a context manager",
-                    key=f"{scope}:try_acquire")
-
-
 class PrivateEngineApiChecker(Checker):
     """REP203: no calls into the engine's private calendar API.
 
     ``Environment._schedule`` and ``Event._trigger_now`` bypass the
     public run-queue discipline; outside ``repro.sim`` their use must
-    be an explicit, baselined decision (the coalesced CPU charge is the
-    one grandfathered case — DESIGN.md §7).
+    be an explicit, baselined decision (there is none today: the timed
+    hold and the batch fan-out live inside ``repro.sim`` — DESIGN.md §7).
     """
 
     rule = "REP203"

@@ -39,8 +39,10 @@ from repro.compression.lz_common import key3_array
 from repro.compression.lzss import LzssCodec, MatchFinder
 from repro.compression.postprocess import refine_to_container
 from repro.compression.quicklz import QuickLzCodec
+from repro.core.batcher import GpuBatcher
 from repro.core.calibration import run_mode
 from repro.core.modes import IntegrationMode
+from repro.cpu.model import SimCpu
 from repro.dedup.bin_buffer import BinBuffer, FlushEvent
 from repro.dedup.bins import BinTable
 from repro.dedup.engine import DedupEngine, _StagedInfo
@@ -48,6 +50,8 @@ from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.hashing import fingerprint_window
 from repro.dedup.index_base import decompose, decomposition_cache
 from repro.dedup.replacement import RandomReplacement
+from repro.gpu.device import GpuDevice
+from repro.gpu.kernel import Kernel, KernelCost
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment, Resource
 from repro.storage.ftl import Ftl, FtlSpec
@@ -111,6 +115,68 @@ def _resource_churn(quick: bool) -> Built:
         env.run()
 
     return run, processes * cycles
+
+
+def _charge_churn(quick: bool) -> Built:
+    """Contended ``SimCpu.charge``: 1024 processes on 8 threads, the
+    pipeline's in-flight window (``resource_churn`` covers ``request()``)."""
+    processes, charges = 1024, 50
+
+    def run() -> None:
+        env = Environment()
+        cpu = SimCpu(env)
+
+        def charger() -> Generator:
+            for _ in range(charges):
+                yield cpu.charge(3400.0)
+
+        for _ in range(processes):
+            env.process(charger())
+        env.run()
+
+    return run, processes * charges
+
+
+class _NoopKernel(Kernel):
+    """Returns its items untouched at a token fixed cost."""
+
+    name = "noop"
+
+    def __init__(self, items: list):
+        self.items = items
+
+    def execute(self) -> list:
+        return self.items
+
+    def cost(self) -> KernelCost:
+        return KernelCost(name=self.name, threads=len(self.items),
+                          lane_cycles_total=1e3, critical_path_cycles=1e3,
+                          bytes_read=0.0, bytes_written=0.0)
+
+
+def _batch_fanout(quick: bool) -> Built:
+    """``GpuBatcher`` with a trivial kernel: submit, collect, launch and
+    fan-out cost per item at 256-item batches."""
+    submitters, rounds, batch = 1024, 25, 256
+
+    def run() -> None:
+        env = Environment()
+        batcher = GpuBatcher(
+            env, GpuDevice(env), make_kernel=_NoopKernel,
+            split_results=lambda items, raw: raw,
+            batch_size=batch, max_wait_s=2e-3, name="fanout")
+
+        def submitter(item: int) -> Generator:
+            for _ in range(rounds):
+                yield batcher.submit(item)
+
+        for item in range(submitters):
+            env.process(submitter(item))
+        env.run()
+        batcher.stop()
+        env.run()
+
+    return run, submitters * rounds
 
 
 def _e4(mode: IntegrationMode) -> Callable[[bool], Built]:
@@ -459,6 +525,8 @@ def _mix_emit(quick: bool) -> Built:
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario("engine", "event_hops", "events", _event_hops),
     Scenario("engine", "resource_churn", "acquisitions", _resource_churn),
+    Scenario("engine", "charge_churn", "charges", _charge_churn),
+    Scenario("engine", "batch_fanout", "items", _batch_fanout),
     *(Scenario("engine", f"e4_{mode.value}", "chunks", _e4(mode))
       for mode in IntegrationMode.all_modes()),
     Scenario("dataplane", "hash_array", "keys", _hash_array),

@@ -4,7 +4,10 @@ Workers submit items and block on a per-item event; a dispatcher process
 accumulates items into batches (up to ``batch_size``, waiting at most
 ``max_wait_s`` past the first item), runs one kernel launch per batch
 through the device's command queue, and fans the per-item results back
-out.
+out.  Batching exists to amortise per-item overhead, and the model pays
+in kind: a submit is a list append, the dispatcher wakes once per batch
+(when it fills, or at its one deadline), and a finished launch resumes
+its waiters behind one calendar entry (DESIGN.md §7).
 
 This is the machinery behind both GPU paths: index-lookup batches (small,
 latency-sensitive) and compression batches (large, occupancy-hungry).
@@ -14,13 +17,14 @@ fixed launch cost dominates every item's latency.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.gpu.device import GpuDevice
 from repro.gpu.kernel import Kernel
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event, Timeout
 
 
 class GpuBatcher:
@@ -53,14 +57,27 @@ class GpuBatcher:
         self.tracer = tracer
         #: Stage name recorded per item when tracing (e.g. "gpu_index").
         self.stage = stage
-        self._inbox: Store = Store(env, name=f"{name}-inbox")
+        #: Submitted entries the dispatcher has not taken yet.
+        self._backlog: deque[tuple] = deque()
+        #: The batch under collection while submits may still join it.
+        self._open: Optional[list[tuple]] = None
+        #: Pending while the dispatcher is parked (idle, or collecting).
+        self._wake: Optional[Event] = None
+        #: Batches opened for collection; tells a deadline whose batch
+        #: already launched from the one it was armed for.
+        self._generation = 0
         self._running = True
         self.batches_launched = 0
         self.items_processed = 0
+        #: Dispatcher resumes from a park, and how many of them were a
+        #: batch deadline expiring rather than a submit.
+        self.wakeups = 0
+        self.deadline_fires = 0
         #: Launch-size histogram: items-per-launch -> launch count.
         #: Under-filled launches are the paper's launch-overhead tax;
         #: this makes them measurable instead of inferred.
         self.fill_counts: dict[int, int] = {}
+        env.register_finishable(self)
         env.process(self._dispatch_loop())
 
     def submit(self, item: Any, trace_id: Optional[int] = None) -> Event:
@@ -69,8 +86,18 @@ class GpuBatcher:
         ``trace_id`` tags the item's trace span (its chunk id) when
         tracing is on.
         """
-        done = self.env.event()
-        self._inbox.put((item, done, self.env.now, trace_id))
+        done = Event(self.env)
+        entry = (item, done, self.env.now, trace_id)
+        batch = self._open
+        if batch is None:
+            self._backlog.append(entry)
+            if self._wake is not None:  # parked idle
+                self._wake_dispatcher()
+        else:
+            batch.append(entry)
+            if len(batch) == self.batch_size:
+                self._open = None
+                self._wake_dispatcher()
         return done
 
     def fill_summary(self) -> dict[str, float]:
@@ -103,39 +130,62 @@ class GpuBatcher:
                 "fill_fraction": mean / self.batch_size}
 
     def stop(self) -> None:
-        """Ask the dispatcher to exit once the inbox drains."""
+        """Ask the dispatcher to exit once the backlog drains.
+
+        A batch under collection still finishes its window (fills or
+        reaches its deadline) and launches first.
+        """
         self._running = False
-        # A sentinel wakes the dispatcher if it is idle.
-        self._inbox.put(None)
+        if self._open is None:
+            self._wake_dispatcher()
+
+    def finish_violations(self) -> list[str]:
+        """A dispatcher still parked at end of run (``finish_check``)."""
+        if self._wake is None:
+            return []
+        waiting = len(self._backlog) + len(self._open or ())
+        return [f"batcher `{self.name}`: dispatcher still parked with "
+                f"{waiting} item(s) unlaunched (stop() never called)"]
 
     # -- dispatcher ------------------------------------------------------------
 
+    def _wake_dispatcher(self) -> None:
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            wake.succeed()
+
+    def _deadline(self, timer: Event) -> None:
+        if timer.value == self._generation and self._open is not None:
+            self.deadline_fires += 1
+            self._open = None
+            self._wake_dispatcher()
+
     def _dispatch_loop(self) -> Generator:
+        env = self.env
+        backlog = self._backlog
         while True:
-            first = yield self._inbox.get()
-            if first is None:
-                if not self._running and self._inbox.level == 0:
+            if not backlog:
+                if not self._running:
                     return
+                self._wake = env.event()
+                yield self._wake
+                self.wakeups += 1
                 continue
-            batch = [first]
-            deadline = self.env.now + self.max_wait_s
-            while len(batch) < self.batch_size:
-                remaining = deadline - self.env.now
-                if remaining <= 0:
-                    break
-                get = self._inbox.get()
-                timeout = self.env.timeout(remaining)
-                yield self.env.any_of([get, timeout])
-                if get.triggered:
-                    if get.value is None:
-                        continue  # stop sentinel; drain what we have
-                    batch.append(get.value)
-                else:
-                    get.cancel()
-                    break
+            # The dispatcher takes the batch's first item: its window
+            # runs from this instant, not from the item's submit.
+            batch = [backlog.popleft()]
+            if self.max_wait_s > 0:
+                while backlog and len(batch) < self.batch_size:
+                    batch.append(backlog.popleft())
+                if len(batch) < self.batch_size:
+                    self._open = batch
+                    self._generation += 1
+                    Timeout(env, self.max_wait_s, self._generation) \
+                        .callbacks.append(self._deadline)
+                    self._wake = env.event()
+                    yield self._wake
+                    self.wakeups += 1
             yield from self._launch(batch)
-            if not self._running and self._inbox.level == 0:
-                return
 
     def _launch(self, batch: list[tuple]) -> Generator:
         items = [entry[0] for entry in batch]
@@ -163,5 +213,4 @@ class GpuBatcher:
                     queue_wait=max(0.0, record.start_time - submitted),
                     resource=self.name,
                     attrs={"batch": len(items), "kernel": record.name})
-        for entry, result in zip(batch, results):
-            entry[1].succeed(result)
+        self.env.succeed_all([entry[1] for entry in batch], results)

@@ -74,7 +74,7 @@ from repro.obs.stages import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tenancy.controller import TenancyController
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Event, Resource
 from repro.sim.histogram import LatencyHistogram
 from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
@@ -148,12 +148,12 @@ class ReductionPipeline:
             and self.dedup is not None and self.tenancy is None else None)
         self._window = Resource(env, capacity=config.window, name="window")
         #: In-flight fingerprint table: fingerprints currently being
-        #: processed as uniques, mapping to the event their commit fires.
-        #: A concurrent chunk with the same fingerprint waits for that
-        #: commit and then dedups against it, instead of wastefully
-        #: compressing the same content twice (standard inline-dedup
-        #: in-flight tracking).
-        self._pending: dict[bytes, object] = {}
+        #: processed as uniques, mapping to the event their commit fires
+        #: — None until a twin actually needs one.  A concurrent chunk
+        #: with the same fingerprint waits for that commit and then
+        #: dedups against it, instead of wastefully compressing the same
+        #: content twice (standard inline-dedup in-flight tracking).
+        self._pending: dict[bytes, Optional[Event]] = {}
         self._done = 0
         self._total = 0
         self._finished = env.event()
@@ -324,12 +324,15 @@ class ReductionPipeline:
                     if outcome.duplicate:
                         path = "duplicate"
                         cycles = dedup.commit_duplicate(chunk)
-                    elif (pending := self._pending.get(fingerprint)) \
-                            is not None:
+                    elif fingerprint in self._pending:
                         # In flight: another worker is compressing this
                         # very content right now.  Wait for its commit,
                         # then dedup onto it.
                         start = env.now if trace is not None else 0.0
+                        pending = self._pending[fingerprint]
+                        if pending is None:
+                            pending = self._pending[fingerprint] = \
+                                env.event()
                         yield pending
                         if trace is not None:
                             self._record(STAGE_PENDING_WAIT, seq, start,
@@ -347,7 +350,7 @@ class ReductionPipeline:
                         cycles = costs.bin_buffer_probe \
                             + dedup.commit_duplicate(chunk)
                     else:
-                        self._pending[fingerprint] = env.event()
+                        self._pending[fingerprint] = None
 
             if path is not None:
                 # Duplicate: mapped onto its stored copy, nothing to
@@ -443,7 +446,9 @@ class ReductionPipeline:
             cycles = costs.metadata_update + costs.destage_submit
             return cycles, None, chunk.compressed_size, False
         cycles, batch, unique = self.dedup.commit_unique(chunk, blob)
-        self._pending.pop(chunk.fingerprint).succeed()
+        pending = self._pending.pop(chunk.fingerprint)
+        if pending is not None:
+            pending.succeed()
         return (cycles, "unique" if unique else "race_duplicate",
                 batch.payload_bytes if batch is not None else None, True)
 
@@ -453,14 +458,13 @@ class ReductionPipeline:
         self.destage_bytes += nbytes
         if nbytes <= 0:
             return
-
-        def destage() -> Generator:
-            with self.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
-                                  bytes=nbytes, sequential=sequential):
-                yield from self.ssd.submit(BlockRequest(
-                    RequestKind.WRITE, 0, nbytes, sequential=sequential))
-
-        self.env.process(destage())
+        written = self.ssd.write(BlockRequest(
+            RequestKind.WRITE, 0, nbytes, sequential=sequential))
+        if self.tracer.enabled:
+            start = self.env.now
+            written.callbacks.append(lambda _written: self.tracer.record(
+                STAGE_DESTAGE, None, start=start, resource=TRACK_DESTAGE,
+                attrs={"bytes": nbytes, "sequential": sequential}))
 
     def _spawn_compaction(self, entries: list) -> None:
         """One out-of-line compaction epoch as a background process."""
@@ -474,7 +478,7 @@ class ReductionPipeline:
                 self.tenancy.apply_compaction(entries,
                                               self.dedup.metadata)
 
-        self.env.process(compaction())
+        self.env.start(compaction())
 
     # -- run ----------------------------------------------------------------
 
@@ -513,7 +517,7 @@ class ReductionPipeline:
                     self._record(STAGE_ADMISSION, seq, requested, 0.0,
                                  resource=TRACK_WINDOW)
                 self.bytes_in += chunk.size
-                self.env.process(self._chunk_worker(chunk, request, seq))
+                self.env.start(self._chunk_worker(chunk, request, seq))
                 seq += 1
         if seq < total:
             raise ConfigError(
@@ -619,6 +623,10 @@ class ReductionPipeline:
             "gpu_offload_skips": self.scheduler.stats.skipped_idle_cpu,
         })
         registry.attach_histogram("pipeline.latency_s", self.latency)
+        # Calendar entries this run created: divided by chunks_done it
+        # is the engine's events per chunk, from the run's own ledger.
+        registry.absorb_counters("sim", {
+            "events_scheduled": self.env._eid})
         if self.dedup is not None:
             registry.absorb_counters("dedup", self.dedup.counters)
         if self.tenancy is not None:
@@ -644,6 +652,8 @@ class ReductionPipeline:
                 registry.absorb_counters(f"batcher.{batcher.name}", {
                     "batches_launched": batcher.batches_launched,
                     "items_processed": batcher.items_processed,
+                    "wakeups": batcher.wakeups,
+                    "deadline_fires": batcher.deadline_fires,
                 })
                 fill = batcher.fill_summary()
                 prefix = f"batcher.{batcher.name}"

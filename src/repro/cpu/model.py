@@ -20,8 +20,6 @@ from typing import Generator, Optional
 
 from repro.errors import ConfigError
 from repro.sim import Environment, Event, Resource
-from repro.sim.engine import Timeout
-from repro.sim.resources import Request
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,32 +59,6 @@ class CpuSpec:
 I7_2600K = CpuSpec(name="Intel i7-2600K", cores=4, threads=8, freq_hz=3.4e9)
 
 
-class _ChargeRequest(Request):
-    """Queue token for a contended :meth:`SimCpu.charge`.
-
-    Unlike a plain :class:`Request`, the grant never fires an event:
-    when the resource grants it, it synchronously starts the timed hold
-    and only triggers (resuming the charging process) once the hold
-    elapses and the thread is back in the pool — so a contended charge
-    costs exactly one calendar entry (the hold timeout) instead of a
-    grant event plus a timeout.
-    """
-
-    __slots__ = ("_delay",)
-
-    def __init__(self, resource: Resource, delay: float):
-        self._delay = delay
-        super().__init__(resource)
-
-    def _grant(self) -> None:
-        timeout = Timeout(self.env, self._delay)
-        timeout.callbacks.append(self._finished)
-
-    def _finished(self, _timeout: Event) -> None:
-        self.resource.release(self)
-        self._trigger_now(self)
-
-
 class SimCpu:
     """A multi-core CPU as a simulated resource of hardware threads."""
 
@@ -114,19 +86,20 @@ class SimCpu:
 
             yield from cpu.execute(costs.sha1_cycles(4096))
         """
+        delay = self.seconds(cycles)
         with self.threads.request() as req:
             yield req
             self.cycles_charged += cycles
-            yield self.env.timeout(self.seconds(cycles))
+            yield self.env.timeout(delay)
 
     def charge(self, cycles: float) -> Event:
         """Single-event CPU charge: acquire a thread, hold it for
         ``cycles`` cycles, release — all behind ONE yieldable event.
 
         This is the hot-path replacement for ``yield from execute(...)``:
-        uncontended it costs one :class:`Timeout` and zero request
-        events; contended it degrades to the classic FIFO request path.
-        Usage from a simulation process::
+        one event and one calendar entry per charge, queued for a
+        thread or not (:meth:`repro.sim.Resource.hold`), in strict FIFO
+        with ``execute`` users.  Usage from a simulation process::
 
             yield cpu.charge(costs.sha1_cycles(4096))
 
@@ -135,17 +108,9 @@ class SimCpu:
         interrupted waiter keeps the thread busy until the charge
         completes (use ``execute`` where interrupts are expected).
         """
-        threads = self.threads
+        delay = self.seconds(cycles)  # validates before the ledger moves
         self.cycles_charged += cycles
-        delay = self.seconds(cycles)
-        if threads.try_acquire():
-            timeout = Timeout(self.env, delay)
-            timeout.callbacks.append(self._charge_done)
-            return timeout
-        return _ChargeRequest(threads, delay)
-
-    def _charge_done(self, _event: Event) -> None:
-        self.threads.release_acquired()
+        return self.threads.hold(delay)
 
     def execute_for(self, seconds: float) -> Generator:
         """Process body: occupy one hardware thread for a fixed duration."""

@@ -2,7 +2,7 @@
 
 A small, dependency-free, deterministic event-driven simulator in the style
 of SimPy.  Processes are Python generators that ``yield`` events (timeouts,
-resource requests, store gets/puts); the :class:`~repro.sim.engine.Environment`
+resource requests and holds); the :class:`~repro.sim.engine.Environment`
 advances a virtual clock and resumes processes when their events fire.
 
 Every *timed* component of the reproduction (CPU cores, the GPU, the PCIe
@@ -19,7 +19,7 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Request, Resource, Store, UtilizationMonitor
+from repro.sim.resources import Hold, Request, Resource, UtilizationMonitor
 
 __all__ = [
     "AllOf",
@@ -29,8 +29,8 @@ __all__ = [
     "Interrupt",
     "Process",
     "Timeout",
+    "Hold",
     "Request",
     "Resource",
-    "Store",
     "UtilizationMonitor",
 ]

@@ -10,20 +10,21 @@ Determinism: given the same process structure, two runs produce identical
 schedules.  Ties in time are broken first by an explicit integer priority
 and then by insertion order, never by object identity.
 
-Hot path: zero-delay events (``succeed()``, process termination,
-``Initialize``) dominate pipeline runs, so they bypass the heap entirely
-and go onto per-priority run queues (plain deques) serviced under the
-same global (time, priority, insertion-order) key as the calendar — see
-DESIGN.md §7 for the invariants.  ``Event``/``Timeout``/``Process`` are
-``__slots__`` classes and ``Timeout`` inlines its scheduling, because
-event allocation is the next-largest cost after heap churn.
+Hot path: zero-delay events (``succeed()``, ``Initialize``) bypass the
+heap entirely and go onto per-priority run queues (plain deques)
+serviced under the same global (time, priority, insertion-order) key as
+the calendar, and a completion nobody listens to never reaches the
+calendar at all — see DESIGN.md §7 for the rules.  ``Event``/
+``Timeout``/``Process`` are ``__slots__`` classes and ``Timeout``
+inlines its scheduling, because event allocation is the next-largest
+cost after heap churn.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.errors import SanitizerError, SimulationError
 
@@ -171,17 +172,26 @@ class Initialize(Event):
         env._schedule(self, URGENT, 0.0)
 
 
+#: What :meth:`Environment.start` resumes a new process with: succeeded,
+#: valueless, never scheduled.
+_STARTED = Event(None)  # type: ignore[arg-type]
+_STARTED._value = None
+
+
 class Process(Event):
     """A generator-based simulation process.
 
     The wrapped generator yields :class:`Event` instances.  The process is
     itself an event that triggers with the generator's return value, so
-    processes can wait on other processes.
+    processes can wait on other processes.  ``eager`` runs the first
+    segment inside the constructor (:meth:`Environment.start`) instead
+    of behind an :class:`Initialize` hop.
     """
 
     __slots__ = ("_generator", "_target")
 
-    def __init__(self, env: "Environment", generator: Generator):
+    def __init__(self, env: "Environment", generator: Generator,
+                 eager: bool = False):
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"{generator!r} is not a generator — did you call the "
@@ -189,7 +199,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         env._alive_processes += 1
-        self._target: Optional[Event] = Initialize(env, self)
+        self._target: Optional[Event] = None
+        if eager:
+            self._resume(_STARTED)
+        else:
+            self._target = Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -219,7 +233,10 @@ class Process(Event):
         self._target = None
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
+        env = self.env
+        # Resumes nest (an eager start runs inside its spawner's resume).
+        outer = env._active_process
+        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -231,21 +248,28 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env._alive_processes -= 1
-                self.env._schedule(self, NORMAL, 0.0)
+                env._alive_processes -= 1
+                if self.callbacks:
+                    env._schedule(self, NORMAL, 0.0)
+                else:
+                    # Nobody listens: a calendar entry with no callback
+                    # is a no-op, so the process is processed on the spot.
+                    self.callbacks = None
                 break
             except BaseException as exc:
+                # Failures always go through the calendar, so an
+                # unhandled one is raised by step().
                 self._ok = False
                 self._value = exc
                 self._defused = False
-                self.env._alive_processes -= 1
-                self.env._schedule(self, NORMAL, 0.0)
+                env._alive_processes -= 1
+                env._schedule(self, NORMAL, 0.0)
                 break
 
             if not isinstance(next_event, Event):
                 exc = SimulationError(
                     f"process yielded a non-event: {next_event!r}")
-                event = Event(self.env)
+                event = Event(env)
                 event._ok = False
                 event._value = exc
                 event._defused = True
@@ -259,7 +283,7 @@ class Process(Event):
             # Event already processed: feed its value back immediately.
             event = next_event
 
-        self.env._active_process = None
+        env._active_process = outer
 
 
 class _Condition(Event):
@@ -352,7 +376,7 @@ class Environment:
         #: event appends ``(time, event-type-name)`` — the hook the
         #: golden-schedule determinism tests record through.
         self._trace: Optional[list] = None
-        #: Objects (resources, stores) that can report end-of-run leaks.
+        #: Objects (resources, batchers) that can report end-of-run leaks.
         self._finishables: list = []
         #: Live process count, maintained by Process itself.
         self._alive_processes = 0
@@ -374,7 +398,7 @@ class Environment:
 
         ``obj`` must expose ``finish_violations() -> list[str]``
         returning a description of every leak it still holds (occupied
-        slots, parked waiters, ...).  Resources and stores register
+        slots, parked waiters, ...).  Resources and GPU batchers register
         themselves at construction.
         """
         self._finishables.append(obj)
@@ -418,6 +442,40 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a process starting now."""
         return Process(self, generator)
+
+    def start(self, generator: Generator) -> Process:
+        """Like :meth:`process`, but run the first segment right here.
+
+        ``process()`` defers the first segment behind an URGENT
+        :class:`Initialize` entry, and callers can see that: the
+        spawner's code after the call runs first, and ``peek()`` reports
+        the hop.  ``start()`` skips the hop and resumes the generator
+        inside the caller, for spawn sites — one per chunk — where
+        nothing the spawner does before its next yield meets anything
+        the child's first segment touches (DESIGN.md §7).
+        """
+        return Process(self, generator, eager=True)
+
+    def succeed_all(self, events: Sequence[Event],
+                    values: Sequence[Any]) -> None:
+        """Succeed ``events[i]`` with ``values[i]`` behind ONE entry.
+
+        The waiters resume back to back in list order at the current
+        time — the schedule ``len(events)`` consecutive ``succeed()``
+        calls produce, whose entries sit next to each other on the run
+        queue — for one run-queue entry instead of one per event.
+        """
+        if len(events) != len(values):
+            raise SimulationError(
+                f"{len(events)} events for {len(values)} values")
+
+        def fan_out(_carrier: Event) -> None:
+            for event, value in zip(events, values):
+                event._trigger_now(value)
+
+        carrier = Event(self)
+        carrier.callbacks.append(fan_out)
+        carrier.succeed()
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` have fired."""

@@ -1,10 +1,11 @@
 """Shared-resource primitives for the simulation engine.
 
 :class:`Resource` models a counted resource (CPU hardware threads, the GPU
-command queue, SSD channels) with FIFO granting.  :class:`Store` models a
-producer/consumer queue between pipeline stages.  Both record enough history
-to report time-weighted utilization, which the benchmark harness surfaces as
-"CPU utilization" / "GPU utilization" in the paper-style reports.
+command queue, SSD channels) with FIFO granting, claimed either with an
+explicit :class:`Request` or — when the slot is simply kept for a known
+time — with a one-event :class:`Hold`.  It records enough history to
+report time-weighted utilization, which the benchmark harness surfaces
+as "CPU utilization" / "GPU utilization" in the paper-style reports.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.errors import ResourceError
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import NORMAL, Environment, Event, _PENDING
 
 
 class UtilizationMonitor:
@@ -86,7 +87,7 @@ class Request(Event):
         super().__init__(resource.env)
         self.resource = resource
         self.granted = False
-        resource._enqueue(self)
+        resource._admit(self)
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (no-op if already granted)."""
@@ -94,7 +95,9 @@ class Request(Event):
             self.resource._withdraw(self)
 
     def _grant(self) -> None:
-        """Fire the grant; subclasses may react without an event."""
+        """Take the slot the resource just assigned, and fire."""
+        self.resource.users.append(self)
+        self.granted = True
         self.succeed(self)
 
     def __enter__(self) -> "Request":
@@ -107,11 +110,50 @@ class Request(Event):
             self.cancel()
 
 
+class Hold(Event):
+    """A slot kept for a fixed time (:meth:`Resource.hold`).
+
+    Acquire, keep ``delay``, release — behind one event and one
+    calendar entry: the hold puts *itself* on the calendar the instant
+    it is granted, and fires once the delay has elapsed and the slot is
+    back in the pool.  Until granted it waits in the resource's own
+    queue, in strict arrival order with :class:`Request` users.  A
+    granted hold is anonymous: counted, never listed in
+    ``Resource.users``.
+    """
+
+    __slots__ = ("resource", "delay", "granted_at")
+
+    def __init__(self, resource: "Resource", delay: float):
+        # Event.__init__ inlined: one hold per CPU charge makes this the
+        # hottest allocation site of a descriptor-mode run.
+        self.env = resource.env
+        self.resource = resource
+        # The resource's expiry hook goes first, so the slot moves on to
+        # the next waiter *before* the holder (appended when it yields
+        # the hold) resumes.
+        self.callbacks = [resource._on_expiry]
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        #: Simulated time the slot was granted; None while waiting.
+        self.granted_at: Optional[float] = None
+
+    def _grant(self) -> None:
+        """Start the timed hold on the slot the resource just assigned."""
+        self.resource._fast_held += 1
+        self._value = None
+        env = self.env
+        self.granted_at = env._now
+        env._schedule(self, NORMAL, self.delay)
+
+
 class Resource:
     """A counted FIFO resource (e.g. N identical CPU hardware threads)."""
 
     __slots__ = ("env", "capacity", "name", "users", "queue",
-                 "_fast_held", "monitor")
+                 "_fast_held", "_on_expiry", "monitor")
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "resource"):
@@ -121,9 +163,12 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.users: list[Request] = []
-        self.queue: deque[Request] = deque()
-        #: Slots held through the anonymous fast path (no Request object).
+        #: Waiters (requests and holds) in grant order.
+        self.queue: deque[Event] | list = deque()
+        #: Slots held anonymously by granted :class:`Hold` events.
         self._fast_held = 0
+        #: The one bound method every hold carries as its first callback.
+        self._on_expiry = self._hold_expired
         self.monitor = UtilizationMonitor(env, capacity)
         env.register_finishable(self)
 
@@ -143,59 +188,37 @@ class Resource:
         except ValueError:
             raise ResourceError(
                 f"{self.name}: releasing a request that is not granted")
-        queue = self.queue
-        if queue:
-            # Waiters only exist while the pool is full, so exactly one
-            # waiter inherits the slot; occupancy is unchanged and the
-            # monitor needs no update for the handoff.
-            nxt = queue.popleft()
-            self.users.append(nxt)
-            nxt.granted = True
-            nxt._grant()
-        else:
-            self.monitor.change(-1)
+        self._vacate()
 
-    # -- uncontended fast path ---------------------------------------------
+    def hold(self, delay: float) -> Hold:
+        """Acquire a slot, keep it ``delay``, release: ONE yieldable event.
 
-    def try_acquire(self) -> bool:
-        """Claim a slot synchronously when nobody waits and one is free.
+        The replacement for ``request()`` + ``timeout(delay)`` +
+        ``release()`` where nothing happens in between: one event
+        object and one calendar entry per hold, whether it was granted
+        at once or had to queue.  The event fires at the instant the
+        delay has elapsed; by then the slot has already gone to the
+        next waiter.  Usage from a process::
 
-        This is the allocation-free fast path for the common uncontended
-        acquire: no :class:`Request` object, no grant event, no calendar
-        round-trip.  Returns ``True`` on success, in which case the
-        caller owns one anonymous slot and must hand it back with
-        :meth:`release_acquired` (occupancy accounting is identical to
-        the ``request()`` path).  Returns ``False`` when a waiter queue
-        exists or the pool is exhausted — callers then fall back to
-        ``request()`` so FIFO fairness is preserved.
+            yield cpu_threads.hold(work_seconds)
+
+        A hold cannot be cancelled: a holder that is interrupted while
+        waiting still occupies the slot for the full delay.
         """
-        if not self.queue and len(self.users) + self._fast_held \
-                < self.capacity:
-            self._fast_held += 1
-            self.monitor.change(+1)
-            return True
-        return False
+        if delay < 0:
+            raise ResourceError(f"{self.name}: negative hold {delay!r}")
+        hold = Hold(self, delay)
+        self._admit(hold)
+        return hold
 
-    def release_acquired(self) -> None:
-        """Return a slot taken with :meth:`try_acquire`."""
+    def _hold_expired(self, _hold: Event) -> None:
         if self._fast_held < 1:
             raise ResourceError(
-                f"{self.name}: release_acquired without try_acquire")
+                f"{self.name}: a hold expired that holds no slot")
         self._fast_held -= 1
-        queue = self.queue
-        if queue:
-            # Slot handoff: net occupancy unchanged (see release()).
-            nxt = queue.popleft()
-            self.users.append(nxt)
-            nxt.granted = True
-            nxt._grant()
-        else:
-            self.monitor.change(-1)
+        self._vacate()
 
     # -- end-of-run sanitizer ----------------------------------------------
-
-    def _waiting(self) -> int:
-        return len(self.queue)
 
     def finish_violations(self) -> list[str]:
         """Leaks still held at end of run, for ``Environment.finish_check``."""
@@ -204,34 +227,46 @@ class Resource:
         if held:
             out.append(
                 f"resource `{self.name}`: {held} slot(s) still held "
-                f"({self._fast_held} anonymous via try_acquire)")
-        waiting = self._waiting()
-        if waiting:
+                f"({self._fast_held} by unexpired hold()s)")
+        if self.queue:
             out.append(
-                f"resource `{self.name}`: {waiting} request(s) still "
-                f"waiting for a slot")
+                f"resource `{self.name}`: {len(self.queue)} request(s) "
+                f"still waiting for a slot")
         return out
 
     # -- internals ---------------------------------------------------------
 
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-        self._grant_waiters()
+    def _admit(self, waiter: Event) -> None:
+        """Grant ``waiter`` a slot now, or queue it behind earlier ones."""
+        if self.queue or \
+                len(self.users) + self._fast_held >= self.capacity:
+            self._park(waiter)
+        else:
+            self.monitor.change(+1)
+            waiter._grant()
+
+    def _vacate(self) -> None:
+        """A slot fell free: the next waiter inherits it.
+
+        Waiters only exist while the pool is full, so a handoff leaves
+        occupancy unchanged and the monitor needs no update.
+        """
+        if self.queue:
+            self._pop_waiter()._grant()
+        else:
+            self.monitor.change(-1)
+
+    def _park(self, waiter: Event) -> None:
+        self.queue.append(waiter)
+
+    def _pop_waiter(self) -> Event:
+        return self.queue.popleft()
 
     def _withdraw(self, request: Request) -> None:
         try:
             self.queue.remove(request)
         except ValueError:
             pass
-
-    def _grant_waiters(self) -> None:
-        while self.queue and \
-                len(self.users) + self._fast_held < self.capacity:
-            request = self.queue.popleft()
-            self.users.append(request)
-            request.granted = True
-            self.monitor.change(+1)
-            request._grant()
 
 
 class PriorityRequest(Request):
@@ -250,184 +285,38 @@ class PriorityResource(Resource):
     Used for the GPU command queue when the priority-scheduling
     extension is on: latency-critical index batches overtake queued
     compression batches (work already *running* is never preempted —
-    real devices don't preempt kernels either).
+    real devices don't preempt kernels either).  ``queue`` is a heap of
+    ``(priority, arrival, waiter)`` here; a :meth:`hold` waits at
+    priority 0.
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_seq",)
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "priority-resource"):
         super().__init__(env, capacity, name)
-        self._heap: list[tuple[int, int, PriorityRequest]] = []
+        self.queue = []
         self._seq = 0
 
     def request(self, priority: int = 0) -> PriorityRequest:
         """Claim a slot at the given priority."""
         return PriorityRequest(self, priority)
 
-    def try_acquire(self) -> bool:
-        """Uncontended fast path; waiters live on the heap here."""
-        if not self._heap and len(self.users) + self._fast_held \
-                < self.capacity:
-            self._fast_held += 1
-            self.monitor.change(+1)
-            return True
-        return False
-
-    def release(self, request: Request) -> None:
-        """Return a granted slot to the pool."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise ResourceError(
-                f"{self.name}: releasing a request that is not granted")
-        if self._heap:
-            # Slot handoff to the best waiter: occupancy unchanged.
-            _priority, _seq, nxt = heapq.heappop(self._heap)
-            self.users.append(nxt)
-            nxt.granted = True
-            nxt._grant()
-        else:
-            self.monitor.change(-1)
-
-    def release_acquired(self) -> None:
-        """Return a slot taken with :meth:`try_acquire`."""
-        if self._fast_held < 1:
-            raise ResourceError(
-                f"{self.name}: release_acquired without try_acquire")
-        self._fast_held -= 1
-        if self._heap:
-            _priority, _seq, nxt = heapq.heappop(self._heap)
-            self.users.append(nxt)
-            nxt.granted = True
-            nxt._grant()
-        else:
-            self.monitor.change(-1)
-
-    def _waiting(self) -> int:
-        return len(self._heap)
-
     # -- internals: heap-ordered waiting ----------------------------------------
 
-    def _enqueue(self, request: Request) -> None:
-        priority = getattr(request, "priority", 0)
+    def _park(self, waiter: Event) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (priority, self._seq, request))
-        self._grant_waiters()
+        heapq.heappush(self.queue, (getattr(waiter, "priority", 0),
+                                    self._seq, waiter))
+
+    def _pop_waiter(self) -> Event:
+        return heapq.heappop(self.queue)[2]
 
     def _withdraw(self, request: Request) -> None:
-        for i, (_p, _s, waiting) in enumerate(self._heap):
+        heap = self.queue
+        for i, (_p, _s, waiting) in enumerate(heap):
             if waiting is request:
-                self._heap[i] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
+                heap[i] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
                 return
-
-    def _grant_waiters(self) -> None:
-        while self._heap and \
-                len(self.users) + self._fast_held < self.capacity:
-            _priority, _seq, request = heapq.heappop(self._heap)
-            self.users.append(request)
-            request.granted = True
-            self.monitor.change(+1)
-            request._grant()
-
-
-class StorePut(Event):
-    __slots__ = ("item", "_store")
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        self._store = store
-        store._put_queue.append(self)
-        store._dispatch()
-
-    def cancel(self) -> None:
-        """Withdraw the offer if the store has not accepted it yet."""
-        if not self.triggered:
-            try:
-                self._store._put_queue.remove(self)
-            except ValueError:
-                pass
-
-
-class StoreGet(Event):
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        self._store = store
-        store._get_queue.append(self)
-        store._dispatch()
-
-    def cancel(self) -> None:
-        """Stop waiting for an item (used for get-with-timeout patterns).
-
-        A get that already received an item cannot be cancelled.
-        """
-        if not self.triggered:
-            try:
-                self._store._get_queue.remove(self)
-            except ValueError:
-                pass
-
-
-class Store:
-    """A FIFO item queue with optional capacity, linking pipeline stages."""
-
-    __slots__ = ("env", "capacity", "name", "items", "_put_queue",
-                 "_get_queue", "peak_items")
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 name: str = "store"):
-        if capacity <= 0:
-            raise ResourceError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self.items: deque[Any] = deque()
-        self._put_queue: deque[StorePut] = deque()
-        self._get_queue: deque[StoreGet] = deque()
-        #: Peak number of buffered items, for backpressure diagnostics.
-        self.peak_items = 0
-        env.register_finishable(self)
-
-    def put(self, item: Any) -> StorePut:
-        """Offer ``item``; the event fires once the store has room."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Take the oldest item; the event fires once an item is available."""
-        return StoreGet(self)
-
-    @property
-    def level(self) -> int:
-        """Number of items currently buffered."""
-        return len(self.items)
-
-    def finish_violations(self) -> list[str]:
-        """Parked waiters at end of run (buffered items are legitimate)."""
-        out: list[str] = []
-        if self._put_queue:
-            out.append(f"store `{self.name}`: {len(self._put_queue)} "
-                       f"put(s) never accepted")
-        if self._get_queue:
-            out.append(f"store `{self.name}`: {len(self._get_queue)} "
-                       f"get(s) never satisfied")
-        return out
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                self.peak_items = max(self.peak_items, len(self.items))
-                put.succeed()
-                progressed = True
-            while self._get_queue and self.items:
-                get = self._get_queue.popleft()
-                get.succeed(self.items.popleft())
-                progressed = True

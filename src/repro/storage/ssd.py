@@ -35,7 +35,7 @@ from repro.obs.stages import (
     TRACK_SSD,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Event, Resource
 from repro.storage.block import BlockRequest, RequestKind
 
 
@@ -187,6 +187,36 @@ class SsdModel:
             self.host_bytes_read += request.size
         else:
             self.trims += 1
+
+    def write(self, request: BlockRequest) -> Event:
+        """Execute a write on one channel; returns its completion event.
+
+        The process-free form of :meth:`submit` for writes, which have
+        no retry loop: one channel hold for the service time, with the
+        statistics booked as the hold expires.  Fire-and-forget callers
+        (destage) simply drop the event.
+        """
+        if request.kind is not RequestKind.WRITE:
+            raise ConfigError(f"write() got a {request.kind.name} request")
+        request.validate_against(self.spec.capacity_bytes)
+        submitted = self.env.now
+        done = self.channels.hold(self.service_time(request))
+
+        def completed(_done: Event) -> None:
+            if self.tracer.enabled:
+                self.tracer.record(
+                    STAGE_SSD_WRITE, None, start=submitted,
+                    queue_wait=done.granted_at - submitted,
+                    resource=TRACK_SSD,
+                    attrs={"bytes": request.size,
+                           "sequential": request.sequential})
+            self.requests_completed += 1
+            self.host_bytes_written += request.size
+            self.nand_bytes_written += \
+                self._pages(request.size) * self.spec.page_bytes
+
+        done.callbacks.append(completed)
+        return done
 
     # -- reporting --------------------------------------------------------
 

@@ -13,14 +13,26 @@ imports this.
   (``test_cluster_equivalence``);
 * :func:`report_digest` / :func:`report_digests` — the canonical
   report sha256 the pinned ``GOLDEN_REPORT_SHA256`` table is compared
-  against (``test_pipeline_identity``, ``test_goldens``).
+  against (``test_pipeline_identity``, ``test_goldens``);
+* :class:`Store`, :class:`ReferenceGpuBatcher`,
+  :class:`ReferenceCharge`, :func:`reference_spawn_destage` and
+  :func:`reference_wiring` — the event-per-step formulations the
+  pipeline ran on before a batch became one wake-up and a timed hold
+  one calendar entry (``test_schedule_equivalence``): an inbox
+  ``Store`` with one put, one get, one ``AnyOf`` and one deadline
+  timeout per item and one ``succeed()`` per waiter; a charge as a
+  queued request whose grant starts a timeout; a destage write as a
+  process around ``SsdModel.submit``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+from collections import deque
+from typing import Any, Generator
 
 import numpy as np
 
@@ -28,7 +40,13 @@ from repro.chunkbatch import ChunkBatch
 from repro.cluster import RoutedWindow, ShardMap
 from repro.core.calibration import run_mode
 from repro.core.modes import IntegrationMode
-from repro.errors import ConfigError
+from repro.core.batcher import GpuBatcher
+from repro.core.pipeline import ReductionPipeline
+from repro.cpu.model import SimCpu
+from repro.errors import ConfigError, ResourceError
+from repro.obs.stages import STAGE_DESTAGE, TRACK_DESTAGE
+from repro.sim import Event, Request, Timeout
+from repro.storage.block import BlockRequest, RequestKind
 
 
 class NaiveLocalityEstimator:
@@ -123,3 +141,219 @@ def report_digests(chunks: int) -> dict[str, str]:
     """:func:`report_digest` of every mode's ``run_mode`` report."""
     return {mode.value: report_digest(run_mode(mode, chunks))
             for mode in IntegrationMode.all_modes()}
+
+
+# -- the event-per-step engine paths (test_schedule_equivalence) -----------
+
+
+class StorePut(Event):
+    __slots__ = ("item", "_store")
+
+    def __init__(self, store: "Store", item: Any):
+        super().__init__(store.env)
+        self.item = item
+        self._store = store
+        store._put_queue.append(self)
+        store._dispatch()
+
+
+class StoreGet(Event):
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "Store"):
+        super().__init__(store.env)
+        self._store = store
+        store._get_queue.append(self)
+        store._dispatch()
+
+    def cancel(self) -> None:
+        """Stop waiting for an item (get-with-timeout patterns)."""
+        if not self.triggered:
+            try:
+                self._store._get_queue.remove(self)
+            except ValueError:
+                pass
+
+
+class Store:
+    """A FIFO item queue with optional capacity: the reference batcher's
+    inbox (it lived in ``repro.sim`` while the batcher was built on it)."""
+
+    __slots__ = ("env", "capacity", "name", "items", "_put_queue",
+                 "_get_queue", "peak_items")
+
+    def __init__(self, env, capacity: float = float("inf"),
+                 name: str = "store"):
+        if capacity <= 0:
+            raise ResourceError(f"capacity must be positive, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.name = name
+        self.items: deque[Any] = deque()
+        self._put_queue: deque[StorePut] = deque()
+        self._get_queue: deque[StoreGet] = deque()
+        self.peak_items = 0
+        env.register_finishable(self)
+
+    def put(self, item: Any) -> StorePut:
+        """Offer ``item``; the event fires once the store has room."""
+        return StorePut(self, item)
+
+    def get(self) -> StoreGet:
+        """Take the oldest item; the event fires once one is available."""
+        return StoreGet(self)
+
+    @property
+    def level(self) -> int:
+        return len(self.items)
+
+    def finish_violations(self) -> list[str]:
+        """Parked waiters at end of run (buffered items are legitimate)."""
+        out: list[str] = []
+        if self._put_queue:
+            out.append(f"store `{self.name}`: {len(self._put_queue)} "
+                       f"put(s) never accepted")
+        if self._get_queue:
+            out.append(f"store `{self.name}`: {len(self._get_queue)} "
+                       f"get(s) never satisfied")
+        return out
+
+    def _dispatch(self) -> None:
+        progressed = True
+        while progressed:
+            progressed = False
+            while self._put_queue and len(self.items) < self.capacity:
+                put = self._put_queue.popleft()
+                self.items.append(put.item)
+                self.peak_items = max(self.peak_items, len(self.items))
+                put.succeed()
+                progressed = True
+            while self._get_queue and self.items:
+                get = self._get_queue.popleft()
+                get.succeed(self.items.popleft())
+                progressed = True
+
+
+class ReferenceGpuBatcher(GpuBatcher):
+    """The Store + ``AnyOf`` batcher: five calendar entries per item
+    (put, get, condition, deadline timeout, per-item completion)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Safe after the base started the dispatcher: its first segment
+        # runs behind an Initialize entry, not inside the constructor.
+        self._inbox = Store(self.env, name=f"{self.name}-inbox")
+
+    def submit(self, item, trace_id=None) -> Event:
+        done = self.env.event()
+        self._inbox.put((item, done, self.env.now, trace_id))
+        return done
+
+    def stop(self) -> None:
+        self._running = False
+        # A sentinel wakes the dispatcher if it is idle.
+        self._inbox.put(None)
+
+    def _dispatch_loop(self) -> Generator:
+        while True:
+            first = yield self._inbox.get()
+            if first is None:
+                if not self._running and self._inbox.level == 0:
+                    return
+                continue
+            batch = [first]
+            deadline = self.env.now + self.max_wait_s
+            while len(batch) < self.batch_size:
+                remaining = deadline - self.env.now
+                if remaining <= 0:
+                    break
+                get = self._inbox.get()
+                timeout = self.env.timeout(remaining)
+                yield self.env.any_of([get, timeout])
+                if get.triggered:
+                    if get.value is None:
+                        continue  # stop sentinel; drain what we have
+                    batch.append(get.value)
+                else:
+                    get.cancel()
+                    break
+            yield from self._launch(batch)
+            if not self._running and self._inbox.level == 0:
+                return
+
+    def _launch(self, batch: list[tuple]) -> Generator:
+        items = [entry[0] for entry in batch]
+        kernel = self.make_kernel(items)
+        raw = yield from self.gpu.launch(kernel, priority=self.priority)
+        results = self.split_results(items, raw)
+        self.batches_launched += 1
+        self.items_processed += len(items)
+        self.fill_counts[len(items)] = \
+            self.fill_counts.get(len(items), 0) + 1
+        if self.tracer.enabled and self.stage is not None:
+            record = self.gpu.launches[-1]
+            for _item, _done, submitted, trace_id in batch:
+                self.tracer.record(
+                    self.stage, trace_id, start=submitted,
+                    end=record.end_time,
+                    queue_wait=max(0.0, record.start_time - submitted),
+                    resource=self.name,
+                    attrs={"batch": len(items), "kernel": record.name})
+        for entry, result in zip(batch, results):
+            entry[1].succeed(result)
+
+
+class ReferenceCharge(Request):
+    """A CPU charge as request-then-timeout: the queued claim's grant
+    starts the timed hold; its expiry releases the listed slot and then
+    resumes the charging process."""
+
+    __slots__ = ("_delay",)
+
+    def __init__(self, resource, delay: float):
+        self._delay = delay
+        super().__init__(resource)
+
+    def _grant(self) -> None:
+        self.resource.users.append(self)
+        self.granted = True
+        Timeout(self.env, self._delay).callbacks.append(self._finished)
+
+    def _finished(self, _timeout: Event) -> None:
+        self.resource.release(self)
+        self._trigger_now(self)
+
+
+def reference_charge(cpu: SimCpu, cycles: float) -> Event:
+    """``SimCpu.charge`` over :class:`ReferenceCharge`."""
+    delay = cpu.seconds(cycles)
+    cpu.cycles_charged += cycles
+    return ReferenceCharge(cpu.threads, delay)
+
+
+def reference_spawn_destage(pipeline: ReductionPipeline, nbytes: int,
+                            sequential: bool) -> None:
+    """``ReductionPipeline._spawn_destage`` as one process per write."""
+    pipeline.destage_batches += 1
+    pipeline.destage_bytes += nbytes
+    if nbytes <= 0:
+        return
+
+    def destage() -> Generator:
+        with pipeline.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
+                                  bytes=nbytes, sequential=sequential):
+            yield from pipeline.ssd.submit(BlockRequest(
+                RequestKind.WRITE, 0, nbytes, sequential=sequential))
+
+    pipeline.env.process(destage())
+
+
+@contextlib.contextmanager
+def reference_wiring(monkeypatch):
+    """Run pipelines on the reference batcher, charge and destage."""
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.core.pipeline.GpuBatcher", ReferenceGpuBatcher)
+        patch.setattr(SimCpu, "charge", reference_charge)
+        patch.setattr(ReductionPipeline, "_spawn_destage",
+                      reference_spawn_destage)
+        yield

@@ -88,6 +88,23 @@ class TestSimCpu:
         with pytest.raises(ConfigError):
             cpu.seconds(-1)
 
+    def test_rejected_charge_leaves_the_ledger_alone(self):
+        """A refused charge must not move ``cycles_charged``: validation
+        comes before the ledger, in ``charge`` and in ``execute``."""
+        env = Environment()
+        cpu = SimCpu(env)
+
+        def bad_task():
+            yield from cpu.execute(-1)
+
+        env.process(bad_task())
+        with pytest.raises(ConfigError):
+            env.run()
+        with pytest.raises(ConfigError):
+            cpu.charge(-1)
+        assert cpu.cycles_charged == 0.0
+        env.finish_check()  # and no thread was claimed for either
+
     def test_parallel_tasks_overlap(self):
         env = Environment()
         cpu = SimCpu(env)

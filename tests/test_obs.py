@@ -411,6 +411,31 @@ class TestPublishMetrics:
         assert pipeline.publish_metrics(registry).snapshot() == before
 
 
+    def test_events_per_chunk_from_the_runs_own_registry(self):
+        """The guard against a per-item hop creeping back: a chunk costs
+        a window grant, ~3.5 CPU charges and its share of per-batch
+        entries — under 6 calendar entries, not 15."""
+        from repro.core.calibration import run_stream
+        from repro.workload.vdbench import VdbenchStream
+
+        config = PipelineConfig().with_overrides(
+            mode=IntegrationMode.GPU_BOTH)
+        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0,
+                               chunk_size=config.chunk_size, seed=1234)
+        pipeline, report = run_stream(stream, 2048, config)
+        registry = pipeline.publish_metrics()
+        events = registry.value("sim.events_scheduled")
+        assert 3 * report.chunks < events <= 6 * report.chunks
+        for name in ("gpu-index", "gpu-comp"):
+            launched = registry.value(f"batcher.{name}.batches_launched")
+            wakeups = registry.value(f"batcher.{name}.wakeups")
+            # At most an idle park and a collecting park per batch
+            # (plus the stop() wake-up): never one per item.
+            assert 0 < wakeups <= 2 * launched + 1
+            assert registry.value(f"batcher.{name}.deadline_fires") \
+                <= launched
+
+
 class TestVolumeMetrics:
     def test_volume_metrics_namespaces(self):
         from repro.storage.volume import ReducedVolume

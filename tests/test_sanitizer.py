@@ -2,9 +2,10 @@
 
 The sanitizer is the runtime twin of the static sim-protocol lint
 rules: after a full drain it asserts that no process is still alive,
-nothing is still scheduled, and no registered resource or store holds
-leaked state (an anonymous ``try_acquire`` slot being the classic
-leak REP202 exists to prevent).
+nothing is still scheduled, and nothing registered with it — resources,
+the GPU batchers, the reference ``Store`` of ``tests/reference_paths``
+— holds leaked state (a slot still kept by a ``hold()``, a parked
+waiter).
 """
 
 import pytest
@@ -14,9 +15,10 @@ from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
 from repro.cpu.model import SimCpu
 from repro.errors import SanitizerError
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.storage.ssd import SsdModel
 from repro.workload.vdbench import VdbenchStream
+from tests.reference_paths import Store
 
 
 class TestCleanRuns:
@@ -40,9 +42,10 @@ class TestCleanRuns:
     def test_fast_path_acquire_release_is_clean(self):
         env = Environment()
         pool = Resource(env, capacity=1, name="pool")
-        assert pool.try_acquire()
-        pool.release_acquired()
+        pool.hold(2.0)
+        assert pool.count == 1 and not pool.users  # anonymous slot
         env.run()
+        assert pool.count == 0
         env.finish_check()
 
     def test_drained_store_is_clean(self):
@@ -79,8 +82,8 @@ class TestLeakDetection:
     def test_leaked_fast_path_slot(self):
         env = Environment()
         pool = Resource(env, capacity=1, name="pool")
-        assert pool.try_acquire()
-        env.run()
+        pool.hold(5.0)
+        env.run(until=1.0)  # stopped before the hold expires
         with pytest.raises(SanitizerError, match="pool.*still held"):
             env.finish_check()
 
@@ -99,11 +102,14 @@ class TestLeakDetection:
     def test_starved_waiter_reported(self):
         env = Environment()
         pool = Resource(env, capacity=1, name="pool")
-        assert pool.try_acquire()
+
+        def hog():
+            yield pool.request()  # granted, never released
 
         def waiter():
             yield pool.request()  # never granted: the slot leaked
 
+        env.process(hog())
         env.process(waiter())
         env.run()
         with pytest.raises(SanitizerError) as err:
@@ -177,8 +183,8 @@ class TestPipelineIntegration:
 
 class TestChargeFastPath:
     def test_coalesced_charge_leaves_no_slots(self):
-        # charge() claims threads via try_acquire and hands them back in
-        # a callback — exactly what finish_check audits.
+        # charge() keeps threads through anonymous holds that hand the
+        # slot on as they expire — exactly what finish_check audits.
         env = Environment()
         cpu = SimCpu(env)
 

@@ -488,3 +488,116 @@ def test_deterministic_schedule_with_many_processes():
         return trace
 
     assert build() == build()
+
+
+# -- Environment.start, silent completion, succeed_all ----------------------
+
+
+def test_start_runs_the_first_segment_inside_the_caller():
+    env = Environment()
+    log = []
+
+    def child():
+        log.append("child first segment")
+        yield env.timeout(1.0)
+        log.append("child done")
+
+    env.start(child())
+    log.append("after start")
+    assert env.peek() == 1.0  # no Initialize hop on the calendar
+    env.run()
+    assert log == ["child first segment", "after start", "child done"]
+
+
+def test_active_process_is_restored_after_a_nested_start():
+    env = Environment()
+    seen = {}
+
+    def worker():
+        seen["in worker"] = env.active_process
+        yield env.timeout(1.0)
+
+    def feeder():
+        yield env.timeout(1.0)
+        seen["worker"] = env.start(worker())
+        # The worker's first segment ran inside this resume; the feeder
+        # must be the active process again, not None.
+        seen["back in feeder"] = env.active_process
+
+    feeder_proc = env.process(feeder())
+    env.run()
+    assert seen["in worker"] is seen["worker"]
+    assert seen["back in feeder"] is feeder_proc
+    assert env.active_process is None
+
+
+def test_unobserved_process_completion_schedules_nothing():
+    env = Environment()
+    trace = []
+    env._trace = trace
+
+    def quiet():
+        yield env.timeout(1.0)
+        return 42
+
+    proc = env.process(quiet())
+    env.run()
+    # Initialize + Timeout; the termination has no listener, so it is
+    # marked processed on the spot instead of taking a calendar entry.
+    assert [name for _t, name in trace] == ["Initialize", "Timeout"]
+    assert proc.processed and proc.value == 42
+
+    def late_waiter():
+        value = yield proc  # already processed: value comes straight back
+        trace.append(value)
+
+    env.process(late_waiter())
+    env.run()
+    assert trace[-1] == 42
+
+
+def test_observed_and_failed_completions_still_use_the_calendar():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1.0)
+        return "done"
+
+    def parent(proc):
+        result = yield proc
+        assert result == "done"
+
+    env.process(parent(env.process(child())))
+    env.run()
+
+    def crasher():
+        yield env.timeout(1.0)
+        raise RuntimeError("unhandled")
+
+    env.start(crasher())  # nobody listens, yet the failure must surface
+    with pytest.raises(RuntimeError, match="unhandled"):
+        env.run()
+
+
+def test_succeed_all_resumes_waiters_in_order_behind_one_entry():
+    env = Environment()
+    order = []
+
+    def waiter(name, event):
+        value = yield event
+        order.append((name, value, env.now))
+
+    events = [env.event() for _ in range(4)]
+    for i, event in enumerate(events):
+        env.process(waiter(i, event))
+    env.run()
+    trace = []
+    env._trace = trace
+    env.succeed_all(events, ["a", "b", "c", "d"])
+    assert not any(event.triggered for event in events)
+    env.run()
+    assert order == [(0, "a", 0.0), (1, "b", 0.0), (2, "c", 0.0),
+                     (3, "d", 0.0)]
+    assert len(trace) == 1
+    with pytest.raises(SimulationError):
+        env.succeed_all(events[:2], ["only one"])

@@ -1,10 +1,17 @@
-"""Unit tests for simulated resources and stores."""
+"""Unit tests for simulated resources, and for the reference ``Store``.
+
+``Store`` left ``repro.sim`` when the GPU batcher stopped using it; it
+lives on in ``tests/reference_paths.py`` as the inbox of the reference
+batcher the schedule-equivalence suite runs against, and its tests
+stay with it.
+"""
 
 import pytest
 
 from repro.errors import ResourceError
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.sim.resources import PriorityResource
+from tests.reference_paths import Store
 
 
 def test_resource_capacity_validation():
@@ -199,6 +206,65 @@ def test_cancel_ungranted_request():
     assert granted == [10.0]
 
 
+def test_hold_is_one_event_and_keeps_fifo_with_requests():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def requester(name):
+        with res.request() as req:
+            yield req
+            log.append((name, "granted", env.now))
+            yield env.timeout(2.0)
+
+    def holder(name, keep):
+        hold = res.hold(keep)
+        yield hold
+        log.append((name, "held", hold.granted_at, env.now))
+
+    env.process(requester("r1"))
+    env.process(holder("h1", 3.0))
+    env.process(requester("r2"))
+    env.process(holder("h2", 0.0))
+    trace = []
+    env._trace = trace
+    env.run()
+    assert log == [("r1", "granted", 0.0), ("h1", "held", 2.0, 5.0),
+                   ("r2", "granted", 5.0), ("h2", "held", 7.0, 7.0)]
+    assert [name for _t, name in trace].count("Hold") == 2
+    assert res.count == 0 and res.monitor.busy_time() == 7.0
+    env.finish_check()
+
+
+def test_hold_hands_the_slot_on_before_the_holder_resumes():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    seen = []
+
+    def first():
+        yield res.hold(1.0)
+        seen.append(("first resumed, slot count", res.count))
+
+    def second():
+        hold = res.hold(1.0)
+        yield hold
+        seen.append(("second granted at", hold.granted_at))
+
+    env.process(first())
+    env.process(second())
+    env.run()
+    assert seen == [("first resumed, slot count", 1),
+                    ("second granted at", 1.0)]
+
+
+def test_hold_rejects_a_negative_delay():
+    env = Environment()
+    res = Resource(env, capacity=1, name="pool")
+    with pytest.raises(ResourceError, match="negative hold"):
+        res.hold(-1e-9)
+    assert res.count == 0 and not res.queue
+
+
 def test_store_put_get_fifo():
     env = Environment()
     store = Store(env)
@@ -355,6 +421,30 @@ class TestPriorityResource:
         env.process(last())
         env.run()
         assert granted == [10.0]
+
+
+def test_hold_on_a_priority_resource_waits_at_priority_zero():
+    env = Environment()
+    res = PriorityResource(env, capacity=1)
+    order = []
+
+    def requester(name, priority):
+        with res.request(priority) as req:
+            yield req
+            order.append(name)
+            yield env.timeout(1.0)
+
+    def holder():
+        yield res.hold(1.0)
+        order.append("hold")
+
+    env.process(requester("running", 0))
+    env.process(requester("low", 5))
+    env.process(holder())
+    env.process(requester("urgent", -1))
+    env.run()
+    assert order == ["running", "urgent", "hold", "low"]
+    env.finish_check()
 
 
 def test_store_peak_items():
