@@ -285,6 +285,17 @@ def _gpu_segments(quick: bool) -> Built:
     return run, sum(len(p) for p in payloads)
 
 
+def _gpu_segments_launch(quick: bool) -> Built:
+    """Kernel only, one full 256-chunk launch of calibrated ratio-3.0
+    blocks: whole search tiles, where ``gpu_segments``' nine blocks are
+    a single partial one and cannot show what lockstep amortises."""
+    generator = BlockContentGenerator(3.0, seed=18)
+    generator.calibrate()
+    blocks = [generator.make_block(4096, salt=salt) for salt in range(256)]
+    return (lambda: SegmentLzKernel(blocks, segments_per_chunk=8).execute(),
+            sum(len(block) for block in blocks))
+
+
 # -- dedup: the index structures ------------------------------------------------
 
 def _fingerprints(count: int, salt: int) -> list[bytes]:
@@ -540,6 +551,8 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("dataplane", "decode_lzss", "bytes",
              _codec(LzssCodec, decode=True)),
     Scenario("dataplane", "gpu_segments", "bytes", _gpu_segments),
+    Scenario("dataplane", "gpu_segments_launch", "bytes",
+             _gpu_segments_launch),
     Scenario("dedup", "buffer_probe", "probes", _buffer_probe),
     Scenario("dedup", "tree_probe", "probes", _tree_probe),
     Scenario("dedup", "gpu_batch_lookup", "queries", _gpu_batch_lookup),

@@ -18,7 +18,7 @@ GPU LZ kernels to the pipeline's batching machinery:
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.compression.lz_common import DEFAULT_PARAMS, LzParams
 from repro.compression.parallel_cpu import CompressionResult
@@ -27,7 +27,11 @@ from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.errors import CompressionError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel
-from repro.gpu.kernels.lz import DescriptorLzKernel, SegmentLzKernel
+from repro.gpu.kernels.lz import (
+    LZ_CENSUS,
+    DescriptorLzKernel,
+    SegmentLzKernel,
+)
 from repro.types import Chunk
 
 
@@ -49,6 +53,10 @@ class GpuCompressor:
         self.bytes_out = 0
         #: Seam-repair observability, filled by refine_to_container.
         self.seam_stats: dict = {}
+        #: The kernels' lockstep-walk census, summed over launches.
+        self.lz_census = dict.fromkeys(LZ_CENSUS, 0)
+        #: The payload launch made last, until its results come back.
+        self._launched: Optional[SegmentLzKernel] = None
 
     # -- batching hooks (GpuBatcher interface) --------------------------------
 
@@ -59,11 +67,12 @@ class GpuCompressor:
             raise CompressionError(
                 "a GPU batch must be all-payload or all-descriptor")
         if payload_flags.pop():
-            return SegmentLzKernel(
+            self._launched = SegmentLzKernel(
                 [chunk.payload for chunk in chunks],
                 segments_per_chunk=self.segments_per_chunk,
                 params=self.params, costs=self.gpu_costs,
                 use_simt=self.use_simt)
+            return self._launched
         return DescriptorLzKernel(
             [chunk.size for chunk in chunks],
             [chunk.effective_ratio() for chunk in chunks],
@@ -77,6 +86,13 @@ class GpuCompressor:
             raise CompressionError(
                 f"kernel returned {len(raw)} results for "
                 f"{len(chunks)} chunks")
+        # The batcher's dispatcher runs make_kernel -> launch ->
+        # split_results one batch at a time, so the kernel made last is
+        # the one whose output this is.
+        kernel, self._launched = self._launched, None
+        if kernel is not None:
+            for name in LZ_CENSUS:
+                self.lz_census[name] += getattr(kernel, name)
         return raw
 
     # -- CPU refinement -----------------------------------------------------
@@ -120,4 +136,6 @@ class GpuCompressor:
             "seam_bytes_absorbed": 0,
         }
         counters.update(self.seam_stats)
+        counters.update((f"lz_{name}", count)
+                        for name, count in self.lz_census.items())
         return counters

@@ -25,7 +25,6 @@ Two kernel classes share one cost model:
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,17 +45,19 @@ from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel, KernelCost
 from repro.gpu.simt import SimtStats
 
-#: Chunks searched per array pass.  Enough to amortise a pass's ~50
-#: numpy calls, few enough that its per-position int32 temporaries stay
-#: cache-resident: a whole-launch (256-chunk) pass page-faults multi-MB
-#: temporaries on first touch and measured slower than the scalar search
-#: it replaced (DESIGN.md §9).  The chunk id shares an int32 sort key
-#: with the 24-bit rolling key, so this must stay below 128.
-_TILE_CHUNKS = 32
+#: Chunks searched per array pass: one segment thread each, all walking
+#: in lockstep, so a round's ~70 numpy calls are paid once per tile.  64
+#: beat 32 on 20 of 20 interleaved pairs (-11 % kernel time) and tied
+#: with 128, whose per-position arrays (sort keys, candidates, steps)
+#: cost 8 MB more peak RSS (DESIGN.md §9).
+_TILE_CHUNKS = 64
 #: Bytes in the rolling key: every candidate agrees on at least these.
 _KEY_BYTES = 3
 #: Lanes per lockstep wavefront (GCN), as in :class:`repro.gpu.simt.SimtGrid`.
 _WAVEFRONT = 64
+#: The walk's census counters on a :class:`SegmentLzKernel`.
+LZ_CENSUS = ("rounds", "candidate_visits", "open_visits",
+             "closed_by_trigram", "closed_by_second", "scalar_scans")
 
 
 def _lz_cost(name: str, threads: int, total_bytes: int, segment_bytes: int,
@@ -141,6 +142,12 @@ class SegmentLzKernel(Kernel):
         self.use_simt = use_simt
         self.workgroup_size = workgroup_size
         self._stats: Optional[SimtStats] = None
+        #: :data:`LZ_CENSUS`, summed over the launch's tiles: walk rounds,
+        #: visits to candidate-bearing positions, those left open by the
+        #: nearest candidate, and how each open one was closed.
+        self.rounds = self.candidate_visits = self.open_visits = 0
+        self.closed_by_trigram = self.closed_by_second = 0
+        self.scalar_scans = 0
 
     # -- functional execution ------------------------------------------------
 
@@ -164,19 +171,18 @@ class SegmentLzKernel(Kernel):
 
     def _search_tile(self, first: int, tile: Sequence[bytes]
                      ) -> tuple[list[list[SegmentOutput]], np.ndarray]:
-        """Search every segment of a tile of chunks in one array pass.
+        """Search every segment of a tile of chunks in lockstep.
 
         ``best_match(pos)`` is a pure function of ``(chunk, pos)`` — the
         longest common prefix, capped at ``min(max_match, n - pos)``,
         over the last :data:`MAX_CHAIN` earlier same-key positions inside
         the window, nearest winning ties — and never depends on the
-        parse.  So one stable sort of ``chunk_id << 24 | key3`` lines up
-        every position behind its candidates, one gather/compare yields
-        every position's *nearest-candidate* match, and that match is
-        already final when it reaches the cap or no second candidate
-        exists.  The greedy walk below then only hops over precomputed
-        steps, scanning the rest of the chain (:meth:`_scan_chain`) for
-        the few visited positions still open.
+        parse.  One sort (:meth:`_candidates`) lines every position up
+        behind its candidates; lengths are then computed only where the
+        parse lands: one cursor per segment thread, all advancing
+        together, each round comparing 8-byte words at the cursors and
+        at their nearest candidates.  How a round settles each cursor is
+        DESIGN.md §9's rule, spelled out at the steps below.
 
         Returns the per-chunk segment outputs and the per-thread token
         counts (idle threads count 0).
@@ -187,9 +193,9 @@ class SegmentLzKernel(Kernel):
         n_chunks, n_segments = len(tile), self.segments_per_chunk
         data = b"".join(tile)
         total = len(data)
-        counts = np.zeros(n_chunks * n_segments, dtype=np.int32)
         if total == 0:
-            return [[] for _ in tile], counts
+            return ([[] for _ in tile],
+                    np.zeros(n_chunks * n_segments, dtype=np.int32))
 
         # -- geometry: chunk and segment bounds in tile coordinates ------
         sizes = np.array([len(chunk) for chunk in tile], dtype=np.int32)
@@ -201,99 +207,106 @@ class SegmentLzKernel(Kernel):
                                                     dtype=np.int32),
             ends[:, None])
         seg_end = np.minimum(seg_start + seg_len, ends[:, None])
-        chunk_end_at = np.repeat(ends, sizes)
-        seg_end_at = np.repeat(seg_end.ravel(), (seg_end - seg_start).ravel())
 
-        # -- sort key: chunk id over the rolling 3-byte key --------------
-        flat = np.frombuffer(data + bytes(max_match + _KEY_BYTES),
+        # Zero padding lets every position read its key and as many
+        # 8-byte words past it as the longest match needs.
+        words = -(-max(0, max_match - _KEY_BYTES) // 8)
+        flat = np.frombuffer(data + bytes(_KEY_BYTES + 8 * words),
                              dtype=np.uint8)
-        wide = flat.astype(np.int32)
-        keys = ((wide[:total] << 16) | (wide[1:total + 1] << 8)
-                | wide[2:total + 2])
-        keys |= np.repeat(np.arange(n_chunks, dtype=np.int32) << 24, sizes)
-        # The last two positions of a chunk have no 3-byte key; a unique
-        # negative key each keeps them out of every candidate group.
-        keyless = (ends[:, None] - np.arange(_KEY_BYTES - 1, 0, -1,
-                                             dtype=np.int32)).ravel()
-        keyless = keyless[keyless >= np.repeat(offsets, _KEY_BYTES - 1)]
-        keys[keyless] = -1 - keyless
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        near, jump, rank_of = self._candidates(flat, offsets, ends)
+        if words:
+            past_key = flat[_KEY_BYTES:]
+            rows = sliding_window_view(past_key, 8 * words).view("<u8")
 
-        # -- nearest candidate of every position that has one ------------
-        # rank: sort index of a position whose predecessor shares its key
-        # (same chunk, same three bytes, earlier offset: its chain head).
-        rank = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1]) + 1
-        here = order[rank]
-        distance = here - order[rank - 1]
-        limit = np.minimum(chunk_end_at[here] - here, max_match)
-        usable = (distance <= window) & (limit >= min_match)
-        if not usable.all():
-            rank, here, distance, limit = (
-                rank[usable], here[usable], distance[usable], limit[usable])
-        # First differing byte past the key; the always-true last column
-        # stands for "none within max_match".
-        beyond = max(0, max_match - _KEY_BYTES)
-        differs = np.ones((here.size, beyond + 1), dtype=bool)
-        if beyond:
-            rows = sliding_window_view(flat[_KEY_BYTES:], beyond)
-            np.not_equal(rows[here], rows[here - distance],
-                         out=differs[:, :beyond])
-        length = np.minimum(_KEY_BYTES + differs.argmax(axis=1), limit)
+        def shared(a: np.ndarray, b: np.ndarray,
+                   limit: np.ndarray) -> np.ndarray:
+            """Common prefix of same-key positions, capped at ``limit``:
+            the first differing byte of the little-endian words past the
+            key (the always-true last column stands for "none")."""
+            if not words:
+                return np.minimum(_KEY_BYTES, limit)
+            diff = (rows[a] ^ rows[b]).astype("<u8", copy=False)
+            differs = np.ones((a.size, 8 * words + 1), dtype=bool)
+            np.not_equal(diff.view(np.uint8), 0, out=differs[:, :-1])
+            return np.minimum(_KEY_BYTES + differs.argmax(axis=1), limit)
 
-        # -- final, open or rejected -------------------------------------
-        # A match that overruns its segment is rejected outright, and a
-        # longer one from deeper in the chain would overrun too.  One
-        # that fits is final once it reaches the cap or when no second
-        # in-window candidate exists; otherwise the position stays open.
-        fits = here + length <= seg_end_at[here]
-        final = fits & (length >= min_match)
-        short = np.flatnonzero(fits & (length < limit) & (rank >= 2))
-        second = rank[short] - 2
-        still = ((sorted_keys[second] == sorted_keys[rank[short]])
-                 & (here[short] - order[second] <= window))
-        open_ = short[still]
-        final[open_] = False
-        # step[pos]: bytes the parse advances at pos (1 = literal); an
-        # open position holds minus the length its scan has to beat.
+        # -- lockstep walk: one cursor per segment thread ----------------
+        # step[pos]: bytes the parse advances at a visited pos (1 =
+        # literal, as at every unvisited token start); back[pos]: its
+        # match distance, 0 for a literal.
         step = np.ones(total, dtype=np.int32)
-        step[here[final]] = length[final]
-        step[here[open_]] = -np.maximum(length[open_], min_match - 1)
         back = np.zeros(total, dtype=np.int32)
-        back[here[final]] = distance[final]
-        back[here[open_]] = np.where(length[open_] >= min_match,
-                                     distance[open_], 0)
-        rank_of = np.empty(total, dtype=np.int32)
-        rank_of[order] = np.arange(total, dtype=np.int32)
+        pos, stop = seg_start.ravel(), seg_end.ravel()
+        floor, bound = (np.repeat(edge, n_segments)    # the cursor's chunk
+                        for edge in (offsets, ends))
+        while True:
+            at = jump[pos]
+            live = at < stop    # a dropped cursor's tail is literals
+            if not live.all():
+                at, stop, floor, bound = (
+                    at[live], stop[live], floor[live], bound[live])
+            if not at.size:
+                break
+            nearest = near[at]
+            limit = np.minimum(bound - at, max_match)
+            length = shared(at, nearest, limit)
+            reach = at - nearest
+            # A match that overruns its segment is a literal, and a
+            # longer one from deeper in the chain would overrun too.
+            # One that fits is final once it reaches the cap or when no
+            # second in-window candidate exists; otherwise it is open.
+            second = near[nearest]
+            open_ = np.flatnonzero(
+                (at + length <= stop) & (length < limit)
+                & (second >= 0) & (at - second <= window))
+            # (a) Trigram test: a candidate sharing length + 1 bytes
+            # repeats, inside the window, the three bytes ending just
+            # past the nearest match; no such repeat, nothing better.
+            rest = open_[near[at[open_] + length[open_] - 2] >= 0]
+            # (b) Second candidate: it takes over if strictly longer
+            # (and long enough to be a match at all) and is final at the
+            # cap; short of it the chain scan resumes from whichever of
+            # the two now holds the best.
+            other = shared(at[rest], second[rest], limit[rest])
+            better = other > np.maximum(length[rest], min_match - 1)
+            grown = rest[better]
+            length[grown] = other[better]
+            reach[grown] = at[grown] - second[grown]
+            scan = rest[length[rest] < limit[rest]]
+            for i in scan.tolist():
+                reach[i], length[i] = self._scan_chain(
+                    data, rank_of, int(at[i]),
+                    max(int(length[i]), min_match - 1), int(reach[i]),
+                    int(floor[i]), int(bound[i]))
+            matched = (length >= min_match) & (at + length <= stop)
+            advance = np.where(matched, length, 1)
+            step[at] = advance
+            back[at] = np.where(matched, reach, 0)
+            pos = at + advance
+            self.rounds += 1
+            self.candidate_visits += at.size
+            self.open_visits += open_.size
+            self.closed_by_trigram += open_.size - rest.size
+            self.closed_by_second += rest.size - scan.size
+            self.scalar_scans += scan.size
 
-        # -- greedy walk: append token starts, resolve open positions ----
-        hop = step.tolist()
-        starts = array("i")
-        visit = starts.append
-        chunk_bounds = list(zip(offsets.tolist(), ends.tolist()))
-        bounds = zip(seg_start.ravel().tolist(), seg_end.ravel().tolist())
-        for thread, (pos, stop) in enumerate(bounds):
-            before = len(starts)
-            while pos < stop:
-                visit(pos)
-                advance = hop[pos]
-                if advance < 0:
-                    reach, advance = self._scan_chain(
-                        data, rank_of, pos, -advance, int(back[pos]),
-                        *chunk_bounds[thread // n_segments])
-                    if not reach or pos + advance > stop:
-                        reach, advance = 0, 1
-                    step[pos] = advance
-                    back[pos] = reach
-                pos += advance
-            counts[thread] = len(starts) - before
+        # -- token starts: every position not strictly inside a match ----
+        matches = np.flatnonzero(back)
+        covered = np.zeros(total + 1, dtype=np.int8)
+        covered[matches + 1] = 1
+        covered[matches + step[matches]] -= 1
+        starts = np.flatnonzero(
+            np.cumsum(covered[:total], dtype=np.int8) == 0)
+        counts = (np.searchsorted(starts, seg_end.ravel())
+                  - np.searchsorted(starts, seg_start.ravel())
+                  ).astype(np.int32)
 
         # -- array-native raw tokens, one view per segment ---------------
-        token_pos = np.frombuffer(starts, dtype=np.intc)
-        token_len = step[token_pos]
-        token_back = back[token_pos]
+        token_len = step[starts]
+        token_back = back[starts]
         per_chunk = counts.reshape(n_chunks, n_segments).sum(axis=1)
-        token_pos = token_pos - np.repeat(offsets, per_chunk)
+        token_pos = (starts - np.repeat(offsets, per_chunk)
+                     ).astype(np.int32)
         cuts = np.cumsum(counts).tolist()
         rel_start = (seg_start - offsets[:, None]).ravel().tolist()
         rel_end = (seg_end - offsets[:, None]).ravel().tolist()
@@ -310,17 +323,63 @@ class SegmentLzKernel(Kernel):
                 lo = hi
         return outputs, counts
 
+    def _candidates(self, flat: np.ndarray, offsets: np.ndarray,
+                    ends: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sort a tile's positions behind their candidates.
+
+        Returns ``near`` (each position's nearest earlier same-key
+        position of its chunk inside the window, else -1), ``jump`` (the
+        first position at or after each one that has such a candidate
+        and room for a match: the parse emits literals up to there) and
+        ``rank_of`` (the inverse of the sort order).
+        """
+        total = int(ends[-1])
+        every = np.arange(total, dtype=np.int32)
+        # Chunk id over the 3-byte key over the position: no two elements
+        # are equal, so a plain value sort is the stable order.  (The key
+        # is the low three bytes of a little-endian word; any one-to-one
+        # image of the three bytes groups the same.)
+        keys = sliding_window_view(flat, 4).view("<u4")[:total, 0] \
+            .astype(np.int64)
+        keys &= 0xFFFFFF
+        keys |= np.repeat(np.arange(ends.size) << 24, ends - offsets)
+        bits = (total - 1).bit_length()
+        keys <<= bits
+        keys |= every
+        keys.sort()
+        order = (keys & ((1 << bits) - 1)).astype(np.int32)
+        keys >>= bits
+        rank_of = np.empty(total, dtype=np.int32)
+        rank_of[order] = every
+        chained = keys[1:] == keys[:-1]
+        chained &= order[1:] - order[:-1] <= self.params.window
+        near = np.full(total, -1, dtype=np.int32)
+        near[order[1:][chained]] = order[:-1][chained]
+        jump = np.append(every, np.int32(total))
+        jump[:total][near < 0] = total
+        # Positions with less than a key or less than min_match bytes
+        # left start no match.  (The last two of a chunk read a key that
+        # runs into the neighbour, but no later position of their chunk
+        # exists to take them for a candidate.)
+        need = max(self.params.min_match, _KEY_BYTES)
+        for start, end in zip(offsets.tolist(), ends.tolist()):
+            jump[max(start, end - need + 1):end] = total
+        np.minimum.accumulate(jump[::-1], out=jump[::-1])
+        return near, jump, rank_of
+
     def _scan_chain(self, data: bytes, rank_of: np.ndarray, pos: int,
                     best_len: int, best_dist: int, chunk_start: int,
                     chunk_end: int) -> tuple[int, int]:
-        """Best ``(distance, length)`` at an open position; distance 0 = none.
+        """Best ``(distance, length)`` at a position still open.
 
         Finishes the scan of :meth:`IndexedMatchFinder.best_match
         <repro.compression.lzss.IndexedMatchFinder.best_match>` from the
-        nearest candidate's ``(best_dist, best_len)``.  That scan walks
-        the chain nearest first and replaces its best only on a strictly
-        longer match, i.e. it moves to the nearest earlier candidate
-        that shares ``best_len + 1`` bytes with ``pos`` — which is one
+        best the candidates down to ``pos - best_dist`` hold, ``best_len``
+        (at least ``min_match - 1``: what a match has to beat).  That
+        scan walks the chain nearest first and replaces its best only on
+        a strictly longer match, i.e. it moves to the nearest earlier
+        candidate that shares ``best_len + 1`` bytes with ``pos`` — one
         ``bytes.rfind`` of that prefix.  The hit must lie inside the
         window and among the last :data:`MAX_CHAIN` occurrences of the
         key (at most that many sort ranks below ``pos``); older
@@ -331,7 +390,7 @@ class SegmentLzKernel(Kernel):
         window_start = max(chunk_start, pos - params.window)
         oldest_rank = rank_of[pos] - MAX_CHAIN
         # Every candidate from here up shares at most best_len bytes.
-        nearer = pos - best_dist if best_dist else pos
+        nearer = pos - best_dist
         while best_len < limit:
             candidate = data.rfind(data[pos:pos + best_len + 1],
                                    window_start, nearer + best_len)
@@ -361,6 +420,12 @@ class SegmentLzKernel(Kernel):
         return SimtStats(threads=threads, workgroups=threads // group,
                          work_units=float(work.sum()),
                          wavefront_slot_units=float(slot_units))
+
+    def describe(self) -> dict:
+        attrs = super().describe()
+        attrs.update((f"lz_{name}", getattr(self, name))
+                     for name in LZ_CENSUS)
+        return attrs
 
     # -- timing -------------------------------------------------------------
 

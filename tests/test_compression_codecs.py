@@ -15,7 +15,10 @@ from repro.compression import (
     decode_tokens,
     tokens_to_bytes,
 )
-from repro.errors import CompressionError, CorruptStreamError
+from repro.compression.postprocess import refine_to_container
+from repro.errors import CompressionError, CorruptStreamError, ReproError
+from repro.gpu.kernels.lz import SegmentLzKernel
+from repro.workload.datagen import BlockContentGenerator
 
 
 def _compressible(n: int) -> bytes:
@@ -174,6 +177,39 @@ class TestLzssCodec:
         codec = LzssCodec()
         data = bytes([byte]) * n
         assert codec.decode(codec.encode(data)) == data
+
+
+class TestGpuLzContainer:
+    """The refined GPU stream is an LZSS container: damage to one must
+    surface as a typed error, as PR 15 pinned for QuickLZ."""
+
+    @pytest.fixture(scope="class")
+    def containers(self):
+        blocks = [BlockContentGenerator(3.0, seed=seed).make_block(
+            4096, salt=seed) for seed in (1, 2, 3)]
+        launch = SegmentLzKernel(blocks).execute()
+        return [(block, refine_to_container(block, outputs))
+                for block, outputs in zip(blocks, launch)]
+
+    def test_every_proper_prefix_is_a_corrupt_stream_error(self, containers):
+        codec = LzssCodec()
+        for block, blob in containers:
+            assert codec.decode(blob) == block
+            for cut in range(len(blob)):
+                with pytest.raises(CorruptStreamError):
+                    codec.decode(blob[:cut])
+
+    def test_flipped_bytes_decode_or_raise_typed_errors(self, containers):
+        codec = LzssCodec()
+        for _, blob in containers:
+            for offset in range(0, len(blob), 7):
+                damaged = bytearray(blob)
+                damaged[offset] ^= 0xFF
+                try:
+                    plain = codec.decode(bytes(damaged))
+                except ReproError:
+                    continue
+                assert isinstance(plain, bytes)
 
 
 class TestQuickLzCodec:

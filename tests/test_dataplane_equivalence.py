@@ -41,6 +41,7 @@ from repro.compression.lz_common import (
     tokens_to_bytes,
 )
 from repro.compression.lzss import (
+    MAX_CHAIN,
     IndexedMatchFinder,
     LzssCodec,
     MatchFinder,
@@ -48,7 +49,11 @@ from repro.compression.lzss import (
 from repro.compression.postprocess import refine_to_container
 from repro.compression.quicklz import QuickLzCodec
 from repro.errors import CompressionError, CorruptStreamError
-from repro.gpu.kernels.lz import SegmentLzKernel, SegmentOutput
+from repro.gpu.kernels.lz import (
+    _TILE_CHUNKS,
+    SegmentLzKernel,
+    SegmentOutput,
+)
 from repro.workload.datagen import BlockContentGenerator
 
 
@@ -338,8 +343,9 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
     shows), and the refined container and seam counters must equal the
     list-based refinement of those reference tokens.
     """
-    launch = SegmentLzKernel(chunks, segments_per_chunk=segments,
-                             params=params).execute()
+    kernel = SegmentLzKernel(chunks, segments_per_chunk=segments,
+                             params=params)
+    launch = kernel.execute()
     assert len(launch) == len(chunks)
     for index, (chunk, outputs) in enumerate(zip(chunks, launch)):
         bounds = reference_segment_bounds(len(chunk), segments)
@@ -362,13 +368,16 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
             assert blob == tokens_to_bytes(merged, len(chunk), params)
             assert stats == expected_stats
             assert LzssCodec(params).decode(blob) == chunk
+    return kernel
 
 
 @pytest.mark.parametrize("segments", (1, 3, 8))
 def test_gpu_launch_over_whole_corpus_matches_oracles(segments):
     """Mixed lengths (0 bytes to past the window) in one launch that
     spans more than one search tile."""
-    assert_launch_matches_oracles(PAYLOADS[5:] + PAYLOADS, segments)
+    launch = PAYLOADS[5:] + PAYLOADS + PAYLOADS[3:20]
+    assert len(launch) > _TILE_CHUNKS
+    assert_launch_matches_oracles(launch, segments)
 
 
 @pytest.mark.parametrize("symbols", (2, 3, 4))
@@ -393,6 +402,177 @@ def test_gpu_launch_honours_window_geometry(params):
     assert_launch_matches_oracles(chunks, 4, params)
 
 
+# -- the lockstep walk's shortcuts, one adversary each ------------------------
+#
+# At a visited position the kernel compares the nearest candidate only.
+# If that leaves the position open it tries (a) the trigram test — no
+# in-window repeat of the three bytes ending just past the match means
+# no longer candidate — then (b) the second candidate, and only then
+# scans the chain.  Each chunk below is built so that one shortcut,
+# applied carelessly, returns a different token than the oracle.
+
+def _noise():
+    """Endless bytes >= 0x80 in which no 3-byte group repeats for 8 KiB
+    (a 12-bit counter, six bits a byte), so filler never matches."""
+    counter = 0
+    while True:
+        yield 0x80 | (counter >> 6 & 0x3F)
+        yield 0xC0 | (counter & 0x3F)
+        counter += 1
+
+
+def _build(*parts):
+    """Concatenate byte strings; an int stands for that much filler."""
+    noise = _noise()
+    return b"".join(
+        bytes(next(noise) for _ in range(part)) if isinstance(part, int)
+        else part for part in parts)
+
+
+def _token_at(chunk, spot, segments=1, params=DEFAULT_PARAMS):
+    """The oracle's token starting at ``spot`` (None: inside a match)."""
+    for _, start, end in reference_segment_bounds(len(chunk), segments):
+        pos = start
+        for token in reference_segment_tokens(chunk, start, end, params):
+            if pos == spot:
+                return token
+            pos += token.length if isinstance(token, Match) else 1
+    return None
+
+
+LONG = b"abcdefghij"
+
+
+def test_gpu_trigram_test_keeps_a_position_open_when_the_trigram_recurs():
+    """Nearest candidate shares 4 bytes, the second 3, the third all 10:
+    "cde" does occur earlier, so (a) must not settle for the 4."""
+    chunk = _build(40, LONG, b"Q", 30, b"abcR", 30, b"abcdS", 30, LONG, b"T",
+                   40)
+    spot = chunk.index(LONG + b"T")
+    assert _token_at(chunk, spot) == Match(
+        distance=spot - chunk.index(LONG), length=10)
+    kernel = assert_launch_matches_oracles([chunk], 1)
+    assert kernel.scalar_scans >= 1
+
+
+@pytest.mark.parametrize("gap, found", ((4096, True), (4097, False)),
+                         ids=("at_window", "past_window"))
+def test_gpu_trigram_test_honours_the_window(gap, found):
+    """The long candidate (and with it the trigram's only repeat) sits
+    exactly at, then one byte past, the window: found, then closed by
+    (a) with the nearest candidate's 4 bytes."""
+    tail = _build(b"abcR", 30, b"abcdS", 30)
+    chunk = _build(8, LONG, b"Q", gap - len(LONG) - 1 - len(tail)) \
+        + tail + LONG + b"T" + _build(20)
+    spot = chunk.index(LONG + b"T")
+    assert spot - chunk.index(LONG) == gap
+    expected = Match(distance=gap, length=10) if found else Match(
+        distance=spot - chunk.index(b"abcdS"), length=4)
+    assert _token_at(chunk, spot) == expected
+    kernel = assert_launch_matches_oracles([chunk], 1)
+    assert (kernel.closed_by_trigram == 0) == found
+
+
+def test_gpu_trigram_repeat_in_a_neighbouring_chunk_does_not_count():
+    """The long string lives only in the chunks either side: inside its
+    own chunk the position closes on the nearest candidate."""
+    neighbour = _build(50, LONG, b"Q", 50)
+    chunk = _build(40, b"abcR", 30, b"abcdS", 30, LONG, b"T", 40)
+    spot = chunk.index(LONG + b"T")
+    assert _token_at(chunk, spot) == Match(
+        distance=spot - chunk.index(b"abcdS"), length=4)
+    kernel = assert_launch_matches_oracles([neighbour, chunk, neighbour], 1)
+    assert kernel.closed_by_trigram >= 1 and kernel.scalar_scans == 0
+
+
+@pytest.mark.parametrize("third, length", ((LONG, 10), (b"abcdefQ", 6)),
+                         ids=("third_longer", "third_ties"))
+def test_gpu_chain_scan_resumes_from_the_second_candidate(third, length):
+    """Second candidate beats the first (6 > 4) short of the cap, and a
+    third is longer still — or only ties, and the nearer one stays."""
+    chunk = _build(40, third, b"Q", 30, b"abcdefR", 30, b"abcdS", 30, LONG,
+                   b"T", 40)
+    spot = chunk.index(LONG + b"T")
+    winner = third if length == 10 else b"abcdefR"
+    assert _token_at(chunk, spot) == Match(
+        distance=spot - chunk.index(winner), length=length)
+    kernel = assert_launch_matches_oracles([chunk], 1)
+    assert kernel.scalar_scans >= 1
+
+
+@pytest.mark.parametrize("shorts", (MAX_CHAIN - 1, MAX_CHAIN),
+                         ids=("64th_found", "65th_dropped"))
+def test_gpu_chain_scan_stops_at_the_chain_bound(shorts):
+    """The only candidate longer than 3 bytes is the 64th, then the
+    65th, occurrence of the key counting back."""
+    repeats = [part for i in range(shorts)
+               for part in (b"abc", bytes([0x41 + i % 26]), 6)]
+    chunk = _build(20, LONG, b"!", 6, *repeats, b"#", LONG, b"?", 20)
+    spot = chunk.index(LONG + b"?")
+    token = _token_at(chunk, spot)
+    if shorts < MAX_CHAIN:
+        assert token == Match(distance=spot - chunk.index(LONG), length=10)
+    else:
+        assert token.length == 3
+    assert_launch_matches_oracles([chunk], 1)
+
+
+@pytest.mark.parametrize("second", (b"abcR", LONG + b"klmnopqrstR"),
+                         ids=("grown_by_scan", "grown_by_second"))
+def test_gpu_match_that_outgrows_its_segment_is_a_literal(second):
+    """The nearest candidate's 4 bytes end inside the segment; the best
+    match, found only by growing, runs over its end."""
+    head = _build(20, LONG, b"klmnopqrstQ", 20, second, 20, b"abcdS")
+    chunk = head + _build(250 - len(head)) + LONG + b"klmnopqrstT" \
+        + _build(241)
+    assert len(chunk) == 512 and chunk.index(LONG + b"klmnopqrstT") == 250
+    assert isinstance(_token_at(chunk, 250, segments=2), Literal)
+    assert isinstance(_token_at(chunk, 250, segments=1), Match)
+    for segments in (1, 2):
+        assert_launch_matches_oracles([chunk], segments)
+
+
+def test_gpu_chunk_tails_cap_the_match_below_max_match():
+    """Matches that end with the chunk: capped by what is left (10, then
+    3 bytes), nothing at the last two positions — whose would-be key
+    runs into the next chunk of the launch."""
+    capped = _build(30, b"abcdefghijklmnopqrstQ", 30, b"abcdS", 30, LONG)
+    assert _token_at(capped, len(capped) - 10).length == 10
+    three = _build(30, b"abcQ", 30, b"abc")
+    assert _token_at(three, len(three) - 3) == Match(
+        distance=len(three) - 3 - three.index(b"abc"), length=3)
+    two = _build(30, b"abcQ", 30, b"ab")
+    assert isinstance(_token_at(two, len(two) - 2), Literal)
+    kernel = assert_launch_matches_oracles(
+        [capped, two, b"cdefgh", three, two, b"c"], 1)
+    assert kernel.closed_by_second >= 1
+
+
+@pytest.mark.parametrize("segments", (1, 8))
+def test_gpu_duplicate_chunks_either_side_of_a_tile_boundary(segments):
+    """Two tiles, the second partial, the same chunk last in one and
+    first in the other: neither may see the other's bytes."""
+    twin = dict(CORPUS)["dickens"]
+    filler = [b"tile filler %d" % i for i in range(_TILE_CHUNKS - 1)]
+    launch = filler + [twin, twin, b"after", twin[:700], twin[:700]]
+    assert len(launch) == _TILE_CHUNKS + 4
+    assert_launch_matches_oracles(launch, segments)
+
+
+@pytest.mark.parametrize("params", (
+    LzParams(window=4096, min_match=6, max_match=21),
+    LzParams(window=2000, min_match=20, max_match=35),
+    LzParams(window=4096, min_match=4, max_match=19),
+), ids=repr)
+def test_gpu_launch_compares_as_many_words_as_the_geometry_needs(params):
+    """``max_match - 3`` beyond two 8-byte words (and exactly two)."""
+    generator = BlockContentGenerator(3.0, seed=18)
+    chunks = [dict(CORPUS)[name] for name in ("dickens", "period7", "cap258")]
+    chunks.append(generator.make_block(4096, salt=1))
+    kernel = assert_launch_matches_oracles(chunks, 4, params)
+    assert kernel.candidate_visits > 0
+
+
 #: Shrinkable short chunks, plus seeded ones up to past twice the window
 #: (shorter than 3, shorter than the segment grid, longer than 4096).
 _CHUNKS = st.one_of(
@@ -404,15 +584,18 @@ _CHUNKS = st.one_of(
               st.integers(1, 9000), st.integers(0, 2 ** 32)))
 
 
-@given(st.lists(_CHUNKS, min_size=1, max_size=3), st.integers(1, 8))
+@given(st.lists(_CHUNKS, min_size=1, max_size=3), st.integers(1, 8),
+       st.sampled_from((DEFAULT_PARAMS,
+                        LzParams(window=4096, min_match=6, max_match=21))))
 @settings(max_examples=40, deadline=None)
-def test_gpu_launch_property(drawn, segments):
+def test_gpu_launch_property(drawn, segments, params):
     """Drawn chunks sit twice each, back to back, across the boundary
     between two search tiles: a match reaching into the neighbouring
     chunk (same bytes, so it would be a long one) breaks equality."""
-    filler = [b"tile filler %d" % i for i in range(30)]
+    filler = [b"tile filler %d" % i for i in range(_TILE_CHUNKS - 2)]
     assert_launch_matches_oracles(
-        filler + [chunk for chunk in drawn for _ in range(2)], segments)
+        filler + [chunk for chunk in drawn for _ in range(2)], segments,
+        params)
 
 
 def _segment_output(chunk, index, start, tokens):

@@ -436,6 +436,54 @@ class TestPublishMetrics:
                 <= launched
 
 
+    def test_lockstep_census_keeps_the_scalar_scan_rare(self):
+        """The guard against the per-position scalar path creeping back
+        into the GPU LZ kernel, with no wall clock in it: on the vdbench
+        texture the walk takes no more rounds than the longest segment
+        has bytes, and at most 5 % of the positions the nearest
+        candidate leaves open reach ``_scan_chain``."""
+        from repro.gpu.kernels.lz import LZ_CENSUS, SegmentLzKernel
+        from repro.workload.vdbench import VdbenchStream
+
+        stream = VdbenchStream(dedup_ratio=1.2, comp_ratio=3.0,
+                               payload=True, seed=18)
+        payloads = [chunk.payload for chunk in stream.chunks(64)]
+        kernel = SegmentLzKernel(payloads, segments_per_chunk=8)
+        kernel.execute()
+        assert 0 < kernel.rounds <= 4096 // 8
+        assert kernel.open_visits > 1000
+        assert kernel.scalar_scans <= 0.05 * kernel.open_visits
+        assert kernel.open_visits == (
+            kernel.closed_by_trigram + kernel.closed_by_second
+            + kernel.scalar_scans)
+        assert kernel.open_visits <= kernel.candidate_visits \
+            < sum(map(len, payloads))
+        attrs = kernel.describe()
+        assert [attrs[f"lz_{name}"] for name in LZ_CENSUS] \
+            == [getattr(kernel, name) for name in LZ_CENSUS]
+
+    def test_gpu_lz_census_is_published_but_not_reported(self):
+        from repro.core.calibration import run_stream
+        from repro.gpu.kernels.lz import LZ_CENSUS
+        from repro.workload.vdbench import VdbenchStream
+
+        config = PipelineConfig().with_overrides(
+            mode=IntegrationMode.GPU_COMP)
+        stream = VdbenchStream(dedup_ratio=1.2, comp_ratio=3.0,
+                               payload=True, seed=18,
+                               chunk_size=config.chunk_size)
+        pipeline, report = run_stream(stream, 96, config)
+        registry = pipeline.publish_metrics()
+        census = pipeline.gpu_comp.lz_census
+        assert census["rounds"] > 0 and census["open_visits"] > 0
+        for name in LZ_CENSUS:
+            assert registry.value(f"compress.gpu.lz_{name}") \
+                == census[name]
+        assert not any("lz_" in key for key in report.counters)
+        assert not any("lz_" in field.name
+                       for field in dataclasses.fields(report))
+
+
 class TestVolumeMetrics:
     def test_volume_metrics_namespaces(self):
         from repro.storage.volume import ReducedVolume
