@@ -1,7 +1,8 @@
 """Per-layer micro-benchmarks: one table, one timing loop.
 
-``repro bench <engine|dataplane|dedup|pipeline|cluster|tenancy|all>``
-selects rows of :data:`SCENARIOS` and times them on *this* host: one
+``repro bench <plane|all>`` (:data:`PLANES`: engine, dataplane, dedup,
+pipeline, cluster, tenancy, workload) selects rows of
+:data:`SCENARIOS` and times them on *this* host: one
 warm-up call per row, then N repeats interleaved round-robin across the
 selected rows, reported as ops, median seconds, IQR and ops/s.  There
 is no baseline and no gate here — a rate in this table says how fast a
@@ -289,11 +290,24 @@ def _gpu_segments_launch(quick: bool) -> Built:
     """Kernel only, one full 256-chunk launch of calibrated ratio-3.0
     blocks: whole search tiles, where ``gpu_segments``' nine blocks are
     a single partial one and cannot show what lockstep amortises."""
-    generator = BlockContentGenerator(3.0, seed=18)
-    generator.calibrate()
-    blocks = [generator.make_block(4096, salt=salt) for salt in range(256)]
+    blocks = _storage_blocks(3.0, seed=18)()
     return (lambda: SegmentLzKernel(blocks, segments_per_chunk=8).execute(),
             sum(len(block) for block in blocks))
+
+
+def _storage_blocks(ratio: float, seed: int) -> Callable[[], list[bytes]]:
+    """Maker of 256 calibrated ``ratio`` storage blocks: the texture the
+    payload workloads of e2ebench generate and encode (the golden corpus
+    — zeros, period-3, text — is not)."""
+    generator = BlockContentGenerator(ratio, seed=seed)
+    generator.calibrate()
+    return lambda: [generator.make_block(4096, salt=salt)
+                    for salt in range(256)]
+
+
+def _encode_storage_blocks(quick: bool) -> Built:
+    codec, blocks = QuickLzCodec(), _storage_blocks(2.0, seed=19)()
+    return (lambda: [codec.encode(block) for block in blocks]), 256 * 4096
 
 
 # -- dedup: the index structures ------------------------------------------------
@@ -544,6 +558,8 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("dataplane", "match_finder", "positions", _match_finder),
     Scenario("dataplane", "encode_quicklz", "bytes",
              _codec(QuickLzCodec, decode=False)),
+    Scenario("dataplane", "encode_quicklz_vdbench", "bytes",
+             _encode_storage_blocks),
     Scenario("dataplane", "encode_lzss", "bytes",
              _codec(LzssCodec, decode=False)),
     Scenario("dataplane", "decode_quicklz", "bytes",
@@ -570,6 +586,9 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("tenancy", "estimator_w1024", "observations",
              _estimator(1024)),
     Scenario("tenancy", "mix_emit", "chunks", _mix_emit),
+    *(Scenario("workload", f"make_block_r{ratio}", "blocks",
+               lambda quick, r=ratio: (_storage_blocks(r, seed=19), 256))
+      for ratio in (2, 3)),
 )
 
 #: Plane names in table order (``repro bench <plane>`` / ``bench list``).

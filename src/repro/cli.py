@@ -558,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("experiment",
                        help="experiment id (e1..e5, a1..a18), a "
                             "micro-benchmark plane (engine, dataplane, "
-                            "dedup, pipeline, cluster, tenancy), 'all' "
+                            "dedup, pipeline, cluster, tenancy, "
+                            "workload), 'all' "
                             "planes, or 'list'")
     bench.add_argument("--quick", action="store_true",
                        help="planes: fewer repeats, smaller corpora")

@@ -37,17 +37,22 @@ _MAX_MATCH = 258
 _MAX_OFFSET = 0xFFFF
 _HASH_BITS = 13
 _HASH_MULTIPLIER = np.uint32(2654435761)
+#: Bytes compared before the full _MAX_MATCH: storage-block matches average
+#: 28 bytes and 98 % end before 64.
+_HEAD = 64
 
 #: Parse state of a byte position.  Token starts stay 0; the interior of
 #: a match is stamped with this pattern from its second byte on: every
 #: fourth interior byte is a table *seed*, the rest never enter the table.
 _SEEDED, _SKIPPED = 1, 2
 _INTERIOR = bytes((_SEEDED, _SKIPPED, _SKIPPED, _SKIPPED)) * 65
+#: ``_STAMP[length]``: the interior pattern of a match of that length.
+_STAMP = tuple(_INTERIOR[:max(length - 1, 0)]
+               for length in range(_MAX_MATCH + 1))
 
 
-def _pack(raw: np.ndarray, state: bytearray, starts: list[int],
-          lengths: list[int], offsets: list[int]) -> bytes:
-    """Lay the parse out as the container.
+def _pack(raw: np.ndarray, state: bytearray, parse: np.ndarray) -> bytes:
+    """Lay the parse, rows of (start, length, offset), out as the container.
 
     Every position the parse left at state 0 starts a token; a flags
     byte opens every group of up to eight, a literal is one byte and a
@@ -56,22 +61,22 @@ def _pack(raw: np.ndarray, state: bytearray, starts: list[int],
     """
     tokens = np.flatnonzero(np.frombuffer(state, dtype=np.uint8) == 0)
     count = len(tokens)
+    matched = np.searchsorted(tokens, parse[:, 0])
     is_match = np.zeros(count, dtype=bool)
-    is_match[np.searchsorted(tokens, starts)] = True
+    is_match[matched] = True
     slot = np.arange(count)
     at = 5 + (slot >> 3) + slot + 2 * (np.cumsum(is_match) - is_match)
-    out = np.empty(4 + -(-count // 8) + count + 2 * len(starts),
+    out = np.empty(4 + -(-count // 8) + count + 2 * len(parse),
                    dtype=np.uint8)
     out[:4] = np.frombuffer(struct.pack(">I", len(raw)), dtype=np.uint8)
     out[at[::8] - 1] = np.packbits(is_match, bitorder="little")
     # Every slot first takes its data byte (right for literals); the
     # match slots are then overwritten with their three field bytes.
     out[at] = raw[tokens]
-    fields = at[is_match]
-    reach = np.array(offsets, dtype=np.intp)
-    out[fields] = np.array(lengths, dtype=np.intp) - _MIN_MATCH
-    out[fields + 1] = reach >> 8
-    out[fields + 2] = reach & 0xFF
+    fields = at[matched]
+    out[fields] = parse[:, 1] - _MIN_MATCH
+    out[fields + 1] = parse[:, 2] >> 8
+    out[fields + 2] = parse[:, 2] & 0xFF
     return out.tobytes()
 
 
@@ -87,18 +92,23 @@ class QuickLzCodec:
             data = bytes(data)
         n = len(data)
         raw = np.frombuffer(data, dtype=np.uint8)
-        # Table index of every position with three bytes left.  uint32
-        # wrap-around keeps exactly the product bits the shift selects.
-        wide = raw.astype(np.uint32)
-        key3 = (wide[:-2] << 16) | (wide[1:-1] << 8) | wide[2:]
-        index = ((key3 * _HASH_MULTIPLIER)
-                 >> (32 - _HASH_BITS)).astype(np.uint16)
+        # Table index of every position with three bytes left (the top of
+        # the big-endian word that starts there).  uint32 wrap-around keeps
+        # exactly the product bits the shift selects.
+        key3 = np.ndarray((max(n - 2, 0),), ">u4", data + b"\0", 0, (1,)) >> 8
+        index = (key3 * _HASH_MULTIPLIER) >> (32 - _HASH_BITS)
         # prev[p]: the nearest earlier position with p's table index.  The
         # single-entry table is never built: its entry for p's index, read
         # at p, is the first position down p's prev chain that the parse
-        # entered into the table (DESIGN.md §9).
-        order = np.argsort(index, kind="stable")
-        ranked = index[order]
+        # entered into the table (DESIGN.md §9).  Tagged with their
+        # positions no two indices are equal: a value sort is the stable one.
+        bits = (n - 1).bit_length()
+        tag = np.uint32 if _HASH_BITS + bits <= 32 else np.uint64
+        tagged = (index.astype(tag, copy=False) << tag(bits)) \
+            | np.arange(len(index), dtype=tag)
+        tagged.sort()
+        order = (tagged & tag((1 << bits) - 1)).astype(np.intp)
+        ranked = tagged >> tag(bits)
         chained = ranked[1:] == ranked[:-1]
         later = order[1:][chained]
         prev_of = np.full(len(index), -1, dtype=np.intp)
@@ -110,11 +120,11 @@ class QuickLzCodec:
         slots[later] = later
         upcoming = memoryview(np.minimum.accumulate(slots[::-1])[::-1])
         prev = memoryview(prev_of)
+        trigram = memoryview(key3)
 
         state = bytearray(n)
-        starts: list[int] = []
-        lengths: list[int] = []
-        offsets: list[int] = []
+        from_bytes = int.from_bytes
+        found: list[int] = []
         pos = upcoming[0]
         while pos < n:
             candidate = prev[pos]
@@ -123,22 +133,26 @@ class QuickLzCodec:
             # An out-of-range entry ends the lookup; three equal bytes
             # are a match of at least _MIN_MATCH, anything else a literal.
             if (candidate < 0 or pos - candidate > _MAX_OFFSET
-                    or data[candidate:candidate + _MIN_MATCH]
-                    != data[pos:pos + _MIN_MATCH]):
+                    or trigram[candidate] != trigram[pos]):
                 pos = upcoming[pos + 1]
                 continue
             # Both spans read as big-endian integers: the top set bit of
-            # their XOR lies in the first byte that differs.
-            limit = min(n - pos, _MAX_MATCH)
-            differ = (int.from_bytes(data[candidate:candidate + limit], "big")
-                      ^ int.from_bytes(data[pos:pos + limit], "big"))
+            # their XOR lies in the first byte that differs.  Slices stop
+            # at the end of the data, so the length of ours is the limit.
+            ours = data[pos:pos + _HEAD]
+            limit = len(ours)
+            differ = (from_bytes(data[candidate:candidate + limit], "big")
+                      ^ from_bytes(ours, "big"))
+            if not differ and limit == _HEAD:
+                ours = data[pos:pos + _MAX_MATCH]
+                limit = len(ours)
+                differ = (from_bytes(data[candidate:candidate + limit], "big")
+                          ^ from_bytes(ours, "big"))
             length = limit - ((differ.bit_length() + 7) >> 3)
-            state[pos + 1:pos + length] = _INTERIOR[:length - 1]
-            starts.append(pos)
-            lengths.append(length)
-            offsets.append(pos - candidate - 1)
+            state[pos + 1:pos + length] = _STAMP[length]
+            found.extend((pos, length, pos - candidate - 1))
             pos = upcoming[pos + length]
-        return _pack(raw, state, starts, lengths, offsets)
+        return _pack(raw, state, np.array(found, dtype=np.intp).reshape(-1, 3))
 
     def decode(self, blob: bytes) -> bytes:
         """Decompress a container produced by :meth:`encode`."""

@@ -16,7 +16,10 @@ the analytic ingredient ratios are only approximate.
 
 from __future__ import annotations
 
+import math
 import random
+
+import numpy as np
 
 from repro.compression import LzssCodec
 from repro.errors import WorkloadError
@@ -28,23 +31,10 @@ _PATTERN_RATIO = 8.5
 _RANDOM_RATIO = 0.889
 #: Motif repeated through the pattern texture.
 _MOTIF = bytes(range(37, 69))
-
-
-def _extend_random(out: bytearray, rng: random.Random, count: int) -> None:
-    """Append ``count`` uniform bytes: ``rng.randrange(256)`` unrolled.
-
-    ``Random._randbelow(256)`` draws ``(256).bit_length() == 9`` bits and
-    rejects values >= 256; doing that directly skips two Python frames
-    per byte and yields the same bytes *and* the same generator state
-    (``tests/test_workload.py`` holds it to both on every CI Python).
-    """
-    getrandbits = rng.getrandbits
-    append = out.append
-    for _ in range(count):
-        byte = getrandbits(9)
-        while byte >= 256:
-            byte = getrandbits(9)
-        append(byte)
+#: ``randrange(_PHASES)`` redraws the top ``_PHASES.bit_length()`` bits of
+#: a Mersenne word until they name a phase.
+_PHASES = len(_MOTIF)
+_PHASE_SHIFT = 32 - _PHASES.bit_length()
 
 
 def analytic_random_fraction(target_ratio: float) -> float:
@@ -77,6 +67,39 @@ class BlockContentGenerator:
         self.granule = granule
         self._seed = seed
         self.random_fraction = analytic_random_fraction(target_ratio)
+        #: One full granule of the motif per phase.
+        self._motif_granules = tuple(
+            ((_MOTIF[phase:] + _MOTIF[:phase])
+             * (granule // _PHASES + 1))[:granule]
+            for phase in range(_PHASES))
+        self.blocks = self.words_drawn = self.refills = 0
+
+    def stats(self) -> dict[str, int]:
+        """Census of the pooled draws (never part of any report)."""
+        return {"blocks": self.blocks, "words_drawn": self.words_drawn,
+                "refills": self.refills}
+
+    def _pool_words(self, size: int) -> int:
+        """Words one slab holds for ``size`` bytes: the expected use plus
+        3 sigma of the granule mix, 4 sigma of the rejections and 64."""
+        granules = -(-size // self.granule)
+        return int(granules * (4 + 2 * self.random_fraction * self.granule)
+                   + 3 * math.sqrt(granules) * self.granule
+                   + 4 * math.sqrt(2 * size) + 64)
+
+    def _draw(self, rng: random.Random, size: int, tail: bytes
+              ) -> tuple[bytes, memoryview, memoryview, bytes]:
+        """``tail`` plus the next slab of ``rng``'s 32-bit words: as
+        little-endian bytes, as words, the positions whose top nine bits
+        ``randrange(256)`` accepts, and the bytes those draws are."""
+        count = self._pool_words(size)
+        self.words_drawn += count
+        raw = tail + rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        stream = np.frombuffer(raw, dtype="<u4")
+        top = stream >> 23
+        accepted = np.flatnonzero(top < 256)
+        return (raw, memoryview(stream.astype(np.uint32, copy=False)),
+                memoryview(accepted), top[accepted].astype(np.uint8).tobytes())
 
     def make_block(self, size: int, salt: int = 0) -> bytes:
         """One block of ``size`` bytes; ``salt`` decorrelates blocks.
@@ -84,21 +107,49 @@ class BlockContentGenerator:
         The block is built granule by granule — random granules with
         probability ``random_fraction``, motif granules otherwise — from a
         per-block RNG, so the same (seed, salt) always regenerates the
-        identical block (duplicates in payload mode rely on this).
+        identical block (duplicates in payload mode rely on this).  The
+        bytes are those of ``rng.random()`` per granule, ``randrange(256)``
+        per random byte and ``randrange(32)`` per motif phase, read off
+        pooled draws (DESIGN.md §9, "Pooled content generation").
         """
         if size <= 0:
             raise WorkloadError(f"invalid block size {size}")
         rng = random.Random(f"{self._seed}:{salt}")
-        out = bytearray()
-        while len(out) < size:
-            take = min(self.granule, size - len(out))
-            if rng.random() < self.random_fraction:
-                _extend_random(out, rng, take)
-            else:
-                phase = rng.randrange(len(_MOTIF))
-                motif = _MOTIF[phase:] + _MOTIF[:phase]
-                reps = (take // len(motif)) + 1
-                out.extend((motif * reps)[:take])
+        granule, fraction = self.granule, self.random_fraction
+        motifs = self._motif_granules
+        self.blocks += 1
+        raw, words, accepted, noise = self._draw(rng, size, b"")
+        out = bytearray(size)
+        done = cursor = rank = 0
+        while done < size:
+            take = min(granule, size - done)
+            try:
+                # rng.random(): the top 27 and 26 bits of two words.
+                at = cursor + 2
+                if ((words[cursor] >> 5) * 67108864.0
+                        + (words[cursor + 1] >> 6)) / 9007199254740992.0 \
+                        < fraction:
+                    while accepted[rank] < at:
+                        rank += 1
+                    at = accepted[rank + take - 1] + 1
+                    out[done:done + take] = noise[rank:rank + take]
+                    rank += take
+                else:
+                    while words[at] >> _PHASE_SHIFT >= _PHASES:
+                        at += 1
+                    out[done:done + take] = \
+                        motifs[words[at] >> _PHASE_SHIFT][:take]
+                    at += 1
+            except IndexError:
+                # The slab ended inside this granule, before any of it was
+                # kept: the stream continues and the granule restarts.
+                self.refills += 1
+                raw, words, accepted, noise = self._draw(
+                    rng, size - done, raw[4 * cursor:])
+                cursor = rank = 0
+                continue
+            cursor = at
+            done += take
         return bytes(out)
 
     def calibrate(self, size: int = 4096, samples: int = 4,

@@ -22,7 +22,10 @@ imports this.
   ``Store`` with one put, one get, one ``AnyOf`` and one deadline
   timeout per item and one ``succeed()`` per waiter; a charge as a
   queued request whose grant starts a timeout; a destage write as a
-  process around ``SsdModel.submit``.
+  process around ``SsdModel.submit``;
+* :func:`_extend_random` — ``rng.randrange(256)`` unrolled to its 9-bit
+  rejection loop, the per-byte generator ``make_block`` ran on before it
+  classified a pooled draw at once (``test_workload``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import random
 from collections import deque
 from typing import Any, Generator
 
@@ -47,6 +51,23 @@ from repro.errors import ConfigError, ResourceError
 from repro.obs.stages import STAGE_DESTAGE, TRACK_DESTAGE
 from repro.sim import Event, Request, Timeout
 from repro.storage.block import BlockRequest, RequestKind
+
+
+def _extend_random(out: bytearray, rng: random.Random, count: int) -> None:
+    """Append ``count`` uniform bytes: ``rng.randrange(256)`` unrolled.
+
+    ``Random._randbelow(256)`` draws ``(256).bit_length() == 9`` bits and
+    rejects values >= 256; doing that directly skips two Python frames
+    per byte and yields the same bytes *and* the same generator state
+    (``tests/test_workload.py`` holds it to both on every CI Python).
+    """
+    getrandbits = rng.getrandbits
+    append = out.append
+    for _ in range(count):
+        byte = getrandbits(9)
+        while byte >= 256:
+            byte = getrandbits(9)
+        append(byte)
 
 
 class NaiveLocalityEstimator:

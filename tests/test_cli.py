@@ -174,7 +174,7 @@ class TestBenchCommand:
         from repro.bench.micro import PLANES, SCENARIOS
 
         assert PLANES == ("engine", "dataplane", "dedup", "pipeline",
-                          "cluster", "tenancy")
+                          "cluster", "tenancy", "workload")
         assert {scenario.plane for scenario in SCENARIOS} == set(PLANES)
         names = [scenario.name for scenario in SCENARIOS]
         assert len(names) == len(set(names)) >= 24

@@ -217,10 +217,110 @@ def test_quicklz_accepts_any_bytes_like(wrap):
     _assert_quicklz_matches_reference(wrap(dict(CORPUS)["ratio2_0"]))
 
 
-@given(st.integers(2, 4).flatmap(
-    lambda symbols: st.lists(st.integers(0, symbols - 1),
-                             max_size=1500).map(bytes)))
-@settings(max_examples=120, deadline=None)
+def _quicklz_match_lengths(blob):
+    """The match lengths of a container, in stream order."""
+    remaining = int.from_bytes(blob[:4], "big")
+    pos, lengths = 4, []
+    while remaining:
+        flags = blob[pos]
+        pos += 1
+        for bit in range(8):
+            if not remaining:
+                break
+            if flags >> bit & 1:
+                lengths.append(blob[pos] + 3)
+                pos += 3
+                remaining -= lengths[-1]
+            else:
+                pos += 1
+                remaining -= 1
+    return lengths
+
+
+def _distinct_unit(length, seed):
+    """``length`` bytes from 1..63 in which no three-byte group repeats
+    (``b"Q"``, ``b"Z"`` and zero bytes are foreign to it)."""
+    rng = random.Random(seed)
+    while True:
+        unit = bytes(rng.randrange(1, 64) for _ in range(length))
+        groups = [unit[i:i + 3] for i in range(length - 2)]
+        if len(set(groups)) == len(groups):
+            return unit
+
+
+@pytest.mark.parametrize("length", (3, 4, 63, 64, 65, 257, 258))
+def test_quicklz_match_of_exactly(length):
+    """The compare reads 64 bytes first and up to 258 only when all 64
+    agree: a repeat that stops one short of, on and one past either
+    bound is one match of exactly that length (64: agrees for 64 bytes,
+    differs at the 65th)."""
+    unit = _distinct_unit(length, seed=length)
+    payload = unit + b"Q" + unit + b"Z" + unit[:2]
+    _assert_quicklz_matches_reference(payload)
+    assert _quicklz_match_lengths(QuickLzCodec().encode(payload)) == [length]
+
+
+@pytest.mark.parametrize("left", (3, 30, 63, 64, 65, 258))
+def test_quicklz_match_capped_by_the_end(left):
+    """The repeat is still running where the data stops, with fewer than
+    a head, a head, and a whole match length left."""
+    unit = _distinct_unit(300, seed=left)
+    payload = unit + b"Q" + unit[:left]
+    _assert_quicklz_matches_reference(payload)
+    assert _quicklz_match_lengths(QuickLzCodec().encode(payload)) == [left]
+
+
+def test_quicklz_repeat_longer_than_a_match_is_two_tokens():
+    unit = _distinct_unit(300, seed=1)
+    payload = unit + b"Q" + unit + b"Z"
+    _assert_quicklz_matches_reference(payload)
+    assert _quicklz_match_lengths(QuickLzCodec().encode(payload)) \
+        == [258, 42]
+
+
+def test_quicklz_offset_limit_is_exact():
+    """A candidate 65535 bytes back is a match, one 65536 back is out of
+    range and ends the lookup (the zero run between them lives in one
+    table slot of its own and evicts nothing of the unit's)."""
+    unit = _distinct_unit(40, seed=40)
+    sizes = {}
+    for distance in (0xFFFF, 0x10000):
+        payload = unit + bytes(distance - len(unit)) + unit
+        _assert_quicklz_matches_reference(payload)
+        lengths = _quicklz_match_lengths(QuickLzCodec().encode(payload))
+        sizes[distance] = lengths[-1]
+    assert sizes[0xFFFF] == len(unit) and sizes[0x10000] != len(unit)
+
+
+def test_quicklz_half_mebibyte_input_sorts_64_bit_tags():
+    """From 2**19 bytes on a 13-bit index and a position no longer share
+    32 bits; the parse must not notice.  Two symbols make long chains,
+    sixteen fill both halves of the table (a tag that lost its top bit
+    would merge them)."""
+    for symbols in (2, 16):
+        _assert_quicklz_matches_reference(
+            _seeded_chunk(symbols, (1 << 19) + 5, 19))
+
+
+@st.composite
+def _repeats_near_the_compare_bounds(draw):
+    """unit + gap + a prefix of unit whose length sits around the 64-byte
+    head or the 258-byte match limit, + a short tail."""
+    symbols = draw(st.sampled_from((2, 4, 256)))
+    some = st.integers(0, symbols - 1)
+    size = draw(st.sampled_from((62, 63, 64, 65, 66, 256, 257, 258, 259)))
+    unit = bytes(draw(st.lists(some, min_size=size + 2, max_size=size + 2)))
+    gap = bytes(draw(st.lists(some, max_size=5)))
+    tail = bytes(draw(st.lists(some, max_size=70)))
+    return unit + gap + unit[:size] + tail
+
+
+@given(st.one_of(
+    st.integers(2, 4).flatmap(
+        lambda symbols: st.lists(st.integers(0, symbols - 1),
+                                 max_size=1500).map(bytes)),
+    _repeats_near_the_compare_bounds()))
+@settings(max_examples=160, deadline=None)
 def test_quicklz_small_alphabet_property(payload):
     _assert_quicklz_matches_reference(payload)
 

@@ -19,7 +19,38 @@ from repro.workload import (
     ZipfPattern,
     measured_ratio,
 )
-from repro.workload.datagen import _MOTIF, _extend_random
+from repro.workload.datagen import _MOTIF, analytic_random_fraction
+from tests.reference_paths import _extend_random
+
+
+class CountingRandom(random.Random):
+    """``random.Random`` that counts the 32-bit words it hands out."""
+
+    words = 0
+
+    def random(self):
+        self.words += 2
+        return super().random()
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+def reference_block(generator, size, salt, rng=None):
+    """``make_block`` as one ``random()`` per granule, one
+    ``randrange(256)`` per random byte, one ``randrange(32)`` per motif."""
+    rng = rng or random.Random(f"{generator._seed}:{salt}")
+    out = bytearray()
+    while len(out) < size:
+        take = min(generator.granule, size - len(out))
+        if rng.random() < generator.random_fraction:
+            out.extend(rng.randrange(256) for _ in range(take))
+        else:
+            phase = rng.randrange(len(_MOTIF))
+            motif = _MOTIF[phase:] + _MOTIF[:phase]
+            out.extend((motif * (take // len(motif) + 1))[:take])
+    return bytes(out)
 
 
 class TestBlockContentGenerator:
@@ -61,26 +92,61 @@ class TestBlockContentGenerator:
                     slow.randrange(256) for _ in range(count))
                 assert fast.random() == slow.random()
 
-    def test_blocks_match_the_randrange_generator(self):
-        def reference_block(generator, size, salt):
-            rng = random.Random(f"{generator._seed}:{salt}")
-            out = bytearray()
-            while len(out) < size:
-                take = min(generator.granule, size - len(out))
-                if rng.random() < generator.random_fraction:
-                    out.extend(rng.randrange(256) for _ in range(take))
-                else:
-                    phase = rng.randrange(len(_MOTIF))
-                    motif = _MOTIF[phase:] + _MOTIF[:phase]
-                    out.extend((motif * (take // len(motif) + 1))[:take])
-            return bytes(out)
-
+    def test_blocks_match_the_randrange_generator(self, monkeypatch):
+        """The permanent identity check of the pooled ``make_block``: per
+        granule ``rng.random()``, per byte ``rng.randrange(256)``, per
+        motif ``rng.randrange(32)`` — whatever the granule, the size, the
+        fraction, and however often the pool runs dry."""
+        checked = 0
         for seed, ratio in ((1, 1.0), (2, 1.3), (3, 2.0), (4, 3.0)):
-            generator = BlockContentGenerator(ratio, seed=seed)
-            for salt in range(12):
-                for size in (1, 100, 4096):
-                    assert generator.make_block(size, salt=salt) \
-                        == reference_block(generator, size, salt)
+            fractions = random.Random(seed)
+            for granule in (8, 37, 64, 100):
+                generator = BlockContentGenerator(ratio, seed=seed,
+                                                  granule=granule)
+                drawn = generator.random_fraction
+                for salt in range(6):
+                    # 1, 63, 65, 100 and 4000 end in a short last granule
+                    # for some or all of the granules above.
+                    for size in (1, 63, 64, 65, 100, 4000, 4096, 16384):
+                        for fraction in (0.0, 1.0, drawn,
+                                         fractions.random()):
+                            generator.random_fraction = fraction
+                            assert generator.make_block(size, salt=salt) \
+                                == reference_block(generator, size, salt)
+                            checked += 1
+        assert checked >= 2000
+
+        # A pool of 50 words runs dry in nearly every granule: the stream
+        # continues in the next slab and the bytes do not move.
+        monkeypatch.setattr(BlockContentGenerator, "_pool_words",
+                            lambda self, size: 50)
+        generator = BlockContentGenerator(2.0, seed=3)
+        for salt in range(50):
+            assert generator.make_block(4096, salt=salt) \
+                == reference_block(generator, 4096, salt)
+        assert generator.stats()["refills"] > 50
+        assert generator.stats()["words_drawn"] \
+            == 50 * (50 + generator.stats()["refills"])
+
+    def test_pool_is_neither_short_nor_wasteful(self):
+        """Census, no clock: at the ratios the payload workloads draw, no
+        block runs its pool dry (a refill is a second round of array
+        passes) and the pool stays within 2.5x of the words consumed."""
+        for comp_ratio in (2.0, 3.0):
+            stream = VdbenchStream(seed=77, dedup_ratio=1.0,
+                                   comp_ratio=comp_ratio, payload=True)
+            stream.next_batch(1000)
+            census = stream._content.stats()
+            assert census["blocks"] == 1000 and census["refills"] == 0
+            used = 0
+            for unique_id, ratio in enumerate(stream._unique_ratios):
+                stream._content.random_fraction = \
+                    analytic_random_fraction(ratio)
+                rng = CountingRandom(f"{stream.seed}:{unique_id}")
+                reference_block(stream._content, stream.chunk_size,
+                                unique_id, rng)
+                used += rng.words
+            assert used < census["words_drawn"] <= 2.5 * used
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(WorkloadError):
