@@ -261,11 +261,12 @@ def _match_finder(quick: bool) -> Built:
     return run, sum(len(p) for p in payloads)
 
 
-def _codec(codec_type: type, decode: bool) -> Callable[[bool], Built]:
-    """Container encode (or decode) of the corpus with one codec."""
+def _codec(codec_type: type, decode: bool,
+           ratio: float = 0.0) -> Callable[[bool], Built]:
+    """Codec encode (or decode): the corpus, or ``ratio`` storage blocks."""
     def build(quick: bool) -> Built:
         codec = codec_type()
-        payloads = _payloads()
+        payloads = _storage_blocks(ratio, seed=19)() if ratio else _payloads()
         nbytes = sum(len(p) for p in payloads)
         if not decode:
             return (lambda: [codec.encode(p) for p in payloads]), nbytes
@@ -305,9 +306,13 @@ def _storage_blocks(ratio: float, seed: int) -> Callable[[], list[bytes]]:
                     for salt in range(256)]
 
 
-def _encode_storage_blocks(quick: bool) -> Built:
-    codec, blocks = QuickLzCodec(), _storage_blocks(2.0, seed=19)()
-    return (lambda: [codec.encode(block) for block in blocks]), 256 * 4096
+def _decode_gpu_containers(quick: bool) -> Built:
+    """Decode of what the GPU path stores: one refined 256-chunk launch."""
+    codec, blocks = LzssCodec(), _storage_blocks(3.0, seed=18)()
+    kernel = SegmentLzKernel(blocks, segments_per_chunk=8)
+    blobs = [refine_to_container(block, per_chunk)
+             for block, per_chunk in zip(blocks, kernel.execute())]
+    return (lambda: [codec.decode(blob) for blob in blobs]), 256 * 4096
 
 
 # -- dedup: the index structures ------------------------------------------------
@@ -559,13 +564,17 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("dataplane", "encode_quicklz", "bytes",
              _codec(QuickLzCodec, decode=False)),
     Scenario("dataplane", "encode_quicklz_vdbench", "bytes",
-             _encode_storage_blocks),
+             _codec(QuickLzCodec, decode=False, ratio=2.0)),
     Scenario("dataplane", "encode_lzss", "bytes",
              _codec(LzssCodec, decode=False)),
     Scenario("dataplane", "decode_quicklz", "bytes",
              _codec(QuickLzCodec, decode=True)),
+    Scenario("dataplane", "decode_quicklz_vdbench", "bytes",
+             _codec(QuickLzCodec, decode=True, ratio=2.0)),
     Scenario("dataplane", "decode_lzss", "bytes",
              _codec(LzssCodec, decode=True)),
+    Scenario("dataplane", "decode_lzss_gpu", "bytes",
+             _decode_gpu_containers),
     Scenario("dataplane", "gpu_segments", "bytes", _gpu_segments),
     Scenario("dataplane", "gpu_segments_launch", "bytes",
              _gpu_segments_launch),

@@ -23,7 +23,9 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
+
+import numpy as np
 
 from repro.errors import CompressionError, CorruptStreamError
 
@@ -169,6 +171,79 @@ def copy_match(out: bytearray, distance: int, length: int) -> None:
         out += period[:rem]
 
 
+#: ``_GROUP_STEP[width][flags]``: bytes a whole group occupies — its flags
+#: byte, eight tokens, ``width - 1`` more per match.
+_GROUP_STEP = tuple(bytes(9 + (width - 1) * bin(flags).count("1")
+                          for flags in range(256)) for width in range(4))
+
+
+def decode_grouped(blob: bytes, width: int,
+                   fields: Callable[[np.ndarray],
+                                    tuple[np.ndarray, np.ndarray]],
+                   too_far: str) -> tuple[bytes, int]:
+    """Expand a grouped container: ``(plaintext, declared length)``.
+
+    The decoder of both containers: ``[u32 length]``, then groups of up
+    to 8 tokens behind a flags byte — a literal one byte, a match
+    ``width`` bytes, which ``fields`` turns, one big-endian word per
+    match, into ``(lengths, offsets)``.  Only the copy per *match* is
+    sequential (DESIGN.md §9).  Bytes past the declared length are
+    ignored; a last match that overshoots it is left to the caller.
+    """
+    blob = bytes(blob)
+    end = len(blob)
+    if end < 4:
+        raise CorruptStreamError("container shorter than its header")
+    original_length = int.from_bytes(blob[:4], "big")
+    steps = blob.translate(_GROUP_STEP[width])
+    mark = bytearray(end)
+    pos = 4
+    while pos < end:
+        mark[pos] = 1
+        pos += steps[pos]
+    # Minus header and flags: the literals between two matches, one slice.
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    is_flag = np.frombuffer(mark, dtype=bool)
+    stream = raw[4:][~is_flag[4:]].tobytes()
+    size = len(stream)
+    # Token index of every match: its fields sit ``width - 1`` bytes on
+    # per earlier match, its copy behind all earlier literals and copies.
+    slot = np.unpackbits(raw[is_flag], bitorder="little").nonzero()[0]
+    index = np.arange(len(slot))
+    field = slot + (width - 1) * index
+    words = np.ndarray((size + 1,), ">u4", stream + b"\0\0\0\0", 0, (1,))
+    lengths, offsets = fields(
+        (words.take(field, mode="clip") >> (32 - 8 * width)).astype(np.intp))
+    before = slot - index + lengths.cumsum() - lengths
+    # Expanded: matches below the declared length with all their fields.
+    whole = min(int(before.searchsorted(original_length)),
+                int(field.searchsorted(size - width, "right")))
+    far = offsets[:whole] > before[:whole]
+    if far.any():
+        bad = far.argmax()
+        raise CorruptStreamError(too_far.format(offsets[bad], before[bad]))
+    source = before - offsets
+    out, taken = bytearray(), 0
+    for at, length, offset, start, stop in zip(
+            field[:whole].tolist(), lengths.tolist(), offsets.tolist(),
+            source.tolist(), (source + lengths).tolist()):
+        out += stream[taken:at]
+        if offset >= length:
+            out += out[start:stop]
+        else:
+            copy_match(out, offset, length)
+        taken = at + width
+    # The literal tail ends at the first match the blob cuts short.
+    cut = int(field[whole]) if whole < len(field) else size + 1
+    need = max(original_length - len(out), 0)
+    out += stream[taken:min(cut, taken + need)]
+    if len(out) < original_length:
+        raise CorruptStreamError("container truncated " + (
+            "in a match" if cut <= size
+            else "mid-stream" if pos == end else "in a literal"))
+    return bytes(out), original_length
+
+
 @dataclass(frozen=True)
 class Literal:
     """A single uncompressed byte."""
@@ -294,10 +369,3 @@ def decode_tokens(tokens: Iterable[Token]) -> bytes:
         else:
             out.append(token.value)
     return bytes(out)
-
-
-def compression_ratio(original: int, compressed: int) -> float:
-    """original/compressed, guarding the degenerate empty case."""
-    if compressed <= 0:
-        return 1.0 if original == 0 else float("inf")
-    return original / compressed

@@ -24,13 +24,12 @@ from repro.compression.lz_common import (
     LzParams,
     Match,
     Token,
-    bytes_to_tokens,
     common_prefix_length,
-    decode_tokens,
+    decode_grouped,
     key3_array,
     tokens_to_bytes,
 )
-from repro.errors import CompressionError
+from repro.errors import CorruptStreamError
 
 #: Bound on hash-chain length; keeps worst-case encode cost linearish.
 MAX_CHAIN = 64
@@ -347,11 +346,14 @@ class LzssCodec:
 
     def decode(self, blob: bytes) -> bytes:
         """Decompress a canonical container back to plaintext."""
-        tokens, original_length = bytes_to_tokens(blob, self.params)
-        out = decode_tokens(tokens)
-        if len(out) != original_length:
-            raise CompressionError(
-                f"decoded {len(out)} bytes, expected {original_length}")
+        min_match = self.params.min_match
+        out, declared = decode_grouped(
+            blob, 2,
+            lambda word: ((word & 0x0F) + min_match, (word >> 4) + 1),
+            "match reaches {} bytes back with only {} bytes produced")
+        if len(out) != declared:
+            raise CorruptStreamError(
+                f"stream expands to {len(out)} bytes, header says {declared}")
         return out
 
     def ratio(self, data: bytes) -> float:

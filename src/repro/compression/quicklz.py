@@ -29,8 +29,8 @@ import struct
 
 import numpy as np
 
-from repro.compression.lz_common import copy_match
-from repro.errors import CompressionError, CorruptStreamError
+from repro.compression.lz_common import decode_grouped
+from repro.errors import CompressionError
 
 _MIN_MATCH = 3
 _MAX_MATCH = 258
@@ -156,53 +156,14 @@ class QuickLzCodec:
 
     def decode(self, blob: bytes) -> bytes:
         """Decompress a container produced by :meth:`encode`."""
-        end = len(blob)
-        if end < 4:
-            raise CorruptStreamError("container shorter than its header")
-        (original_length,) = struct.unpack(">I", blob[:4])
-        out = bytearray()
-        pos = 4
-        remaining = original_length
-        while remaining > 0:
-            if pos >= end:
-                raise CorruptStreamError("container truncated mid-stream")
-            flags = blob[pos]
-            pos += 1
-            slots = 8
-            while slots and remaining > 0:
-                if flags & 1:
-                    if pos + 3 > end:
-                        raise CorruptStreamError(
-                            "container truncated in a match")
-                    length = blob[pos] + _MIN_MATCH
-                    offset = ((blob[pos + 1] << 8) | blob[pos + 2]) + 1
-                    pos += 3
-                    if offset > len(out):
-                        raise CorruptStreamError(
-                            f"match offset {offset} exceeds produced "
-                            f"output {len(out)}")
-                    copy_match(out, offset, length)
-                    remaining -= length
-                    flags >>= 1
-                    slots -= 1
-                    continue
-                # The literals up to the group's next match (all that is
-                # left of the group when no flag bit remains) are one slice.
-                run = (flags & -flags).bit_length() - 1 if flags else slots
-                if run > remaining:
-                    run = remaining
-                if pos + run > end:
-                    raise CorruptStreamError(
-                        "container truncated in a literal")
-                out += blob[pos:pos + run]
-                pos += run
-                remaining -= run
-                flags >>= run
-                slots -= run
+        out, original_length = decode_grouped(
+            blob, 3,
+            lambda word: ((word >> 16) + _MIN_MATCH, (word & _MAX_OFFSET) + 1),
+            "match offset {} exceeds produced output {}")
         if len(out) != original_length:
             raise CompressionError(
                 f"decoded {len(out)} bytes, expected {original_length}")
-        return bytes(out)
+        return out
 
     def ratio(self, data: bytes) -> float:
         """Achieved compression ratio (original/compressed) on ``data``."""

@@ -83,12 +83,12 @@ class ReadPipeline:
         admitted = self.env.now
         try:
             # Logical-map resolution: RAM work.
-            yield from self.cpu.execute(self.costs.metadata_update)
+            yield self.cpu.charge(self.costs.metadata_update)
             record = self.metadata.resolve(offset)
             if self.cache is not None and self.cache.lookup(offset):
                 # Cache hit: one probe's worth of CPU, no media, no
                 # decode (cached chunks are kept decompressed).
-                yield from self.cpu.execute(self.costs.bin_buffer_probe)
+                yield self.cpu.charge(self.costs.bin_buffer_probe)
                 self._cache_hits += 1
                 self._bytes_served += record.size
                 return
@@ -97,7 +97,7 @@ class ReadPipeline:
                 RequestKind.READ, 0, record.compressed_size))
             # Decompress when the chunk was stored compressed.
             if self.decompress and record.compressed_size < record.size:
-                yield from self.cpu.execute(
+                yield self.cpu.charge(
                     self.costs.lz_decode_cycles(record.size))
                 self._decompressed += 1
             if self.cache is not None:
@@ -114,7 +114,7 @@ class ReadPipeline:
         for offset in offsets:
             request = self.window.request()
             yield request
-            self.env.process(self._read_worker(offset, request))
+            self.env.start(self._read_worker(offset, request))
 
     def run(self, offsets: Sequence[int]) -> ReadReport:
         """Serve every offset in ``offsets`` and report."""

@@ -22,7 +22,7 @@ from repro.compression.parallel_cpu import Codec, CpuCompressor
 from repro.dedup.chunking import FixedChunker
 from repro.dedup.engine import DedupEngine
 from repro.dedup.hashing import fingerprint_chunk
-from repro.errors import BlockRangeError, MetadataError
+from repro.errors import BlockRangeError, MetadataError, ReproError
 from repro.obs import MetricsRegistry
 from repro.types import DEFAULT_CHUNK_SIZE
 
@@ -125,9 +125,9 @@ class ReducedVolume:
         if offset % self.chunk_size != 0:
             raise BlockRangeError(
                 f"offset {offset} is not {self.chunk_size}-aligned")
-        out = bytearray()
-        position = offset
-        while len(out) < size:
+        parts: list[bytes] = []
+        have, position = 0, offset
+        while have < size:
             record = self.engine.metadata.resolve(position)
             plaintext = self._materialize(record)
             if (self.verify_checksums and record.checksum is not None
@@ -136,11 +136,10 @@ class ReducedVolume:
                     f"checksum mismatch for chunk at logical {position} "
                     f"(physical id {record.physical_id}): stored data "
                     "is corrupt")
-            out.extend(plaintext)
+            parts.append(plaintext)
+            have += len(plaintext)
             position += record.size
-        if len(out) < size:
-            raise MetadataError(f"short read at offset {offset}")
-        return bytes(out[:size])
+        return b"".join(parts)[:size]  # cut only when the last overshoots
 
     def clone_range(self, src_offset: int, dst_offset: int,
                     size: int) -> None:
@@ -196,17 +195,21 @@ class ReducedVolume:
         """
         scanned = verified = corrupt = unverifiable = 0
         corrupt_offsets: list[int] = []
+        verdicts: dict[int, bool] = {}  # by physical id, this scan only
         for offset in sorted(self.engine.metadata._logical):
             record = self.engine.metadata.resolve(offset)
             scanned += 1
             if record.blob is None or record.checksum is None:
                 unverifiable += 1
                 continue
-            try:
-                ok = zlib.crc32(self._materialize(record)) \
-                    == record.checksum
-            except Exception:
-                ok = False
+            ok = verdicts.get(record.physical_id)
+            if ok is None:
+                try:
+                    ok = zlib.crc32(self._materialize(record)) \
+                        == record.checksum
+                except ReproError:  # all a corrupt container may raise
+                    ok = False
+                verdicts[record.physical_id] = ok
             if ok:
                 verified += 1
             else:

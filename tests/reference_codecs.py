@@ -23,6 +23,7 @@ from repro.compression.lz_common import (
     LzParams,
     Match,
     Token,
+    copy_match,
     token_output_length,
     tokens_to_bytes,
 )
@@ -139,6 +140,60 @@ class ReferenceQuickLzCodec:
             raise CompressionError(
                 f"decoded {len(out)} bytes, expected {original_length}")
         return bytes(out)
+
+
+def runwise_quicklz_decode(blob: bytes) -> bytes:
+    """``QuickLzCodec.decode`` as it stood before the grouped-container
+    reader (PR 20), body verbatim: one step per literal run and per
+    match.  The oracle for every result, error class and error message
+    of the production decoder."""
+    end = len(blob)
+    if end < 4:
+        raise CorruptStreamError("container shorter than its header")
+    (original_length,) = struct.unpack(">I", blob[:4])
+    out = bytearray()
+    pos = 4
+    remaining = original_length
+    while remaining > 0:
+        if pos >= end:
+            raise CorruptStreamError("container truncated mid-stream")
+        flags = blob[pos]
+        pos += 1
+        slots = 8
+        while slots and remaining > 0:
+            if flags & 1:
+                if pos + 3 > end:
+                    raise CorruptStreamError(
+                        "container truncated in a match")
+                length = blob[pos] + _QLZ_MIN_MATCH
+                offset = ((blob[pos + 1] << 8) | blob[pos + 2]) + 1
+                pos += 3
+                if offset > len(out):
+                    raise CorruptStreamError(
+                        f"match offset {offset} exceeds produced "
+                        f"output {len(out)}")
+                copy_match(out, offset, length)
+                remaining -= length
+                flags >>= 1
+                slots -= 1
+                continue
+            # The literals up to the group's next match (all that is
+            # left of the group when no flag bit remains) are one slice.
+            run = (flags & -flags).bit_length() - 1 if flags else slots
+            if run > remaining:
+                run = remaining
+            if pos + run > end:
+                raise CorruptStreamError(
+                    "container truncated in a literal")
+            out += blob[pos:pos + run]
+            pos += run
+            remaining -= run
+            flags >>= run
+            slots -= run
+    if len(out) != original_length:
+        raise CompressionError(
+            f"decoded {len(out)} bytes, expected {original_length}")
+    return bytes(out)
 
 
 def _lzss_hash3(data: bytes, pos: int) -> int:

@@ -2,7 +2,7 @@
 
 The data-plane fast path (shared rolling-key array, integer-XOR match
 extension, occurrence-indexed match finding, slice copy-out, the array
-QuickLZ encoder and its run-wise decoder) promises *byte-identical*
+QuickLZ encoder, the grouped-container reader) promises *byte-identical*
 output.  These tests hold every
 rewritten loop to that promise against the executable pre-PR
 specifications in :mod:`tests.reference_codecs`, over an adversarial
@@ -27,13 +27,15 @@ from tests.reference_codecs import (
     reference_merge_segments,
     reference_segment_bounds,
     reference_segment_tokens,
+    runwise_quicklz_decode,
 )
-from repro.bench.micro import build_corpus
+from repro.bench.micro import _storage_blocks, build_corpus
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
     Literal,
     LzParams,
     Match,
+    bytes_to_tokens,
     common_prefix_length,
     common_prefix_length_pair,
     copy_match,
@@ -416,6 +418,165 @@ def test_decode_tokens_matches_reference_expander():
             else:
                 tokens.append(Literal(rng.randrange(256)))
         assert decode_tokens(tokens) == reference_decode_tokens(tokens)
+
+
+# -- decoders: the grouped-container reader vs the per-token oracles ---------
+
+def _lzss_oracle(blob):
+    """``LzssCodec.decode`` before the reader: one object per token."""
+    tokens, original_length = bytes_to_tokens(blob)
+    plain = decode_tokens(tokens)
+    assert len(plain) == original_length
+    return plain
+
+
+def _outcome(decode, blob):
+    """The plaintext, or the class and message of the typed error (any
+    other exception — an IndexError out of an array — propagates)."""
+    try:
+        return decode(blob)
+    except CompressionError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_decoders_agree(production, oracle, blob, thorough=True):
+    """Same bytes or same error, class and message, on the container,
+    the container with garbage behind it, its proper prefixes (all of
+    them when ``thorough``, 48 otherwise) and seeded 1-3-byte flips (200
+    / 24)."""
+    rng = random.Random(len(blob))
+    cuts = range(len(blob))
+    cases = [blob, blob + rng.randbytes(rng.randrange(1, 40)),
+             bytearray(blob), memoryview(blob)]
+    cases += [blob[:cut] for cut in
+              (cuts if thorough else rng.sample(cuts, min(48, len(cuts))))]
+    for _ in range(200 if thorough else 24):
+        damaged = bytearray(blob)
+        for _ in range(rng.randrange(1, 4)):
+            damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+        cases.append(bytes(damaged))
+    for case in cases:
+        assert _outcome(production, case) == _outcome(oracle, case), \
+            bytes(case).hex()
+
+
+def _with_declared_length(blob, length):
+    return length.to_bytes(4, "big") + blob[4:]
+
+
+def _storage_families():
+    """32 calibrated ratio-2.0 blocks, then 32 ratio-3.0 ones: the
+    texture the volume and the GPU path store."""
+    for ratio in (2.0, 3.0):
+        yield _storage_blocks(ratio, seed=20)()[:32]
+
+
+def _edge_payloads():
+    """Lengths 0-9 (a final group of one token at 9), distinct and
+    repeated bytes, and the adversarial corpus."""
+    for size in range(10):
+        yield bytes(range(size))
+        yield b"a" * size
+    yield from PAYLOADS
+
+
+def _quicklz_edge_containers():
+    lit = list(range(65, 73))
+    yield _quicklz_container(259, [65, (258, 1)])       # one 258-byte match
+    for offset in range(1, 9):                          # overlapping copies
+        for length in (3, offset + 3, 4 * offset + 3, 258):
+            yield _quicklz_container(offset + length + 1,
+                                     lit[:offset] + [(length, offset)] + [33])
+    full = lit[:5] + [(7, 2), 66, (3, 6)]               # exactly 8 tokens
+    yield _quicklz_container(16, full)
+    yield _quicklz_container(17, full + [67])           # ... and then 1
+    yield _quicklz_container(32, full + full)
+    ends_on_match = lit[:3] + [(9, 3)]                  # at the length
+    yield _quicklz_container(12, ends_on_match)
+    yield _quicklz_container(11, ends_on_match)         # overshoots it
+    yield _quicklz_container(13, ends_on_match)         # stops short of it
+    yield _quicklz_container(20, lit + lit)             # short, whole groups
+    yield _quicklz_container(5, [65, (3, 2), 66])       # offset too far
+    yield _quicklz_container(0, [])
+    yield _quicklz_container(0, lit)                    # nothing declared
+
+
+def test_quicklz_decoder_matches_the_runwise_oracle():
+    codec = QuickLzCodec()
+    for blob in _quicklz_edge_containers():
+        _assert_decoders_agree(codec.decode, runwise_quicklz_decode, blob)
+    for payload in _edge_payloads():
+        _assert_decoders_agree(codec.decode, runwise_quicklz_decode,
+                               codec.encode(payload))
+    for blocks in _storage_families():
+        for salt, block in enumerate(blocks):
+            blob = codec.encode(block)
+            assert codec.decode(blob) == block
+            _assert_decoders_agree(codec.decode, runwise_quicklz_decode,
+                                   blob, thorough=salt < 4)
+
+
+def _lzss_edge_containers():
+    lit = [Literal(value) for value in range(65, 73)]
+    yield tokens_to_bytes([lit[0], Match(1, 18)], 19)   # the longest match
+    for distance in range(1, 9):                        # overlapping copies
+        for length in (3, distance + 3, 18):
+            yield tokens_to_bytes(
+                lit[:distance] + [Match(distance, length), lit[0]],
+                distance + length + 1)
+    full = lit[:5] + [Match(2, 7), lit[1], Match(6, 3)]  # exactly 8 tokens
+    yield tokens_to_bytes(full, 16)
+    yield tokens_to_bytes(full + [lit[2]], 17)          # ... and then 1
+    yield tokens_to_bytes(full + full, 32)
+    ends_on_match = tokens_to_bytes(lit[:3] + [Match(3, 9)], 12)
+    yield ends_on_match                                 # at the length
+    yield _with_declared_length(ends_on_match, 11)      # overshoots it
+    yield _with_declared_length(ends_on_match, 13)      # stops short of it
+    yield _with_declared_length(tokens_to_bytes(lit + lit, 16), 20)
+    yield tokens_to_bytes([lit[0], Match(3, 3), lit[1], lit[2]], 6)  # too far
+    yield tokens_to_bytes([], 0)
+    yield _with_declared_length(tokens_to_bytes(lit, 8), 0)
+
+
+def test_lzss_decoder_matches_the_token_oracle():
+    codec = LzssCodec()
+    for blob in _lzss_edge_containers():
+        _assert_decoders_agree(codec.decode, _lzss_oracle, blob)
+    for payload in _edge_payloads():
+        # The oracle builds an object per token: all prefixes of the
+        # short containers, a sample of the long ones.
+        blob = codec.encode(payload)
+        _assert_decoders_agree(codec.decode, _lzss_oracle, blob,
+                               thorough=len(blob) <= 1200)
+    for blocks in _storage_families():
+        kernel = SegmentLzKernel(blocks, segments_per_chunk=8)
+        refined = [refine_to_container(block, per_chunk)
+                   for block, per_chunk in zip(blocks, kernel.execute())]
+        for producer in ([codec.encode(block) for block in blocks], refined):
+            for salt, (block, blob) in enumerate(zip(blocks, producer)):
+                assert codec.decode(blob) == block
+                _assert_decoders_agree(codec.decode, _lzss_oracle, blob,
+                                       thorough=salt < 1)
+
+
+@given(st.binary(max_size=20000))
+@settings(max_examples=40, deadline=None)
+def test_decoders_round_trip_long_inputs(payload):
+    """Multi-thousand-group walks through both containers."""
+    for codec in (QuickLzCodec(), LzssCodec()):
+        assert codec.decode(codec.encode(payload)) == payload
+
+
+@pytest.mark.parametrize("offset", (4096, 4097, 20000, 65535))
+def test_quicklz_decoder_follows_sixteen_bit_offsets(offset):
+    """A match far behind thousands of all-literal groups."""
+    rng = random.Random(offset)
+    unit = rng.randbytes(40)
+    payload = unit + rng.randbytes(offset - 40) + unit
+    blob = _quicklz_container(len(payload),
+                              [*payload[:offset], (40, offset)])
+    assert QuickLzCodec().decode(blob) == payload
+    assert runwise_quicklz_decode(blob) == payload
 
 
 # -- GPU segment search ------------------------------------------------------

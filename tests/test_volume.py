@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import LzssCodec
-from repro.errors import BlockRangeError, MetadataError
+from repro.compression import LzssCodec, QuickLzCodec
+from repro.errors import BlockRangeError, MetadataError, ReproError
 from repro.storage import ReducedVolume
 from repro.workload.datagen import BlockContentGenerator
 
@@ -142,3 +142,99 @@ class TestReduction:
         volume.write(0, compressible(4096, salt=1))
         volume.write(4096, compressible(4096, salt=2))
         assert volume.destaged_bytes > 0
+
+
+class CountingCodec(QuickLzCodec):
+    """QuickLZ that counts its ``decode`` calls."""
+
+    def __init__(self):
+        self.decodes = 0
+
+    def decode(self, blob):
+        self.decodes += 1
+        return super().decode(blob)
+
+
+def _shared_volume(codec=None, offsets=64, contents=20):
+    """``offsets`` logical chunks over ``contents`` distinct contents."""
+    volume = ReducedVolume(codec=codec)
+    for slot in range(offsets):
+        volume.write(slot * 4096, compressible(4096, salt=slot % contents))
+    assert volume.engine.metadata.unique_chunks == contents
+    return volume
+
+
+def _flip_stored_byte(volume, offset):
+    record = volume.engine.metadata.resolve(offset)
+    original = record.blob
+    blob = bytearray(original)
+    blob[len(blob) // 2] ^= 0x40
+    record.blob = bytes(blob)
+    return record, original
+
+
+class TestScrub:
+    def test_each_stored_record_is_decoded_once_per_scan(self):
+        codec = CountingCodec()
+        volume = _shared_volume(codec)
+        for scan in (1, 2):
+            report = volume.scrub()
+            assert report["scanned"] == report["verified"] == 64
+            assert report["corrupt"] == report["unverifiable"] == 0
+            assert codec.decodes == 20 * scan
+
+    def test_corrupt_shared_record_lists_all_its_offsets(self):
+        codec = CountingCodec()
+        volume = _shared_volume(codec)
+        _flip_stored_byte(volume, 3 * 4096)
+        report = volume.scrub()
+        # Content 3 backs offsets 3, 23 and 43 (63 is content 3 too).
+        assert report["corrupt_offsets"] == [
+            slot * 4096 for slot in (3, 23, 43, 63)]
+        assert report["corrupt"] == 4
+        assert report["verified"] == 60
+        assert report["scanned"] == 64
+        assert codec.decodes == 20
+
+    def test_verdicts_do_not_outlive_the_scan(self):
+        volume = _shared_volume()
+        record, original = _flip_stored_byte(volume, 0)
+        assert volume.scrub()["corrupt"] == 4
+        record.blob = original
+        report = volume.scrub()
+        assert report["verified"] == report["scanned"] == 64
+        assert report["corrupt_offsets"] == []
+
+    def test_programming_error_in_a_decoder_is_not_bit_rot(self):
+        class BrokenCodec(QuickLzCodec):
+            def decode(self, blob):
+                raise TypeError("decoder bug")
+
+        volume = _shared_volume(BrokenCodec(), offsets=4, contents=2)
+        with pytest.raises(TypeError, match="decoder bug"):
+            volume.scrub()
+
+    def test_flipped_byte_is_reported_once_per_logical_offset(self):
+        """Whatever a flipped byte does to the container — a typed
+        decode error or plaintext that fails its CRC — scrub reports
+        it, at every offset that maps to the record.  (A flip that
+        redirects a match to equal bytes changes nothing, and is
+        verified.)"""
+        volume = _shared_volume(offsets=6, contents=3)
+        record = volume.engine.metadata.resolve(4096)
+        original, plaintext = record.blob, compressible(4096, salt=1)
+        reported = 0
+        for spot in range(len(original)):
+            blob = bytearray(original)
+            blob[spot] ^= 0x01
+            record.blob = bytes(blob)
+            try:
+                damaged = QuickLzCodec().decode(record.blob) != plaintext
+            except ReproError:
+                damaged = True
+            report = volume.scrub()
+            assert report["corrupt_offsets"] == \
+                ([4096, 4 * 4096] if damaged else []), spot
+            assert report["verified"] + report["corrupt"] == 6
+            reported += damaged
+        assert reported > len(original) * 0.9
