@@ -857,7 +857,7 @@ class _Extractor:
         A memo must outlive the computation it caches: module globals
         and attributes reached from ``self`` qualify.  A container
         received as a bare parameter is a caller-owned accumulator
-        (``refine_to_container``'s ``stats`` dict), not a memo — its
+        (``refine_tile``'s ``stats`` dict), not a memo — its
         mutation is still tracked as ``mutates-param``.
         """
         if root[0] == "global":

@@ -21,7 +21,7 @@ from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.core.stats import PipelineReport
 from repro.compression.lzss import LzssCodec
-from repro.compression.postprocess import refine_to_container
+from repro.compression.postprocess import refine_tile
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
 from repro.dedup.bins import BinTable
@@ -1024,15 +1024,10 @@ def a7_segment_sweep(segment_counts: Sequence[int] = (1, 2, 4, 8, 16),
 
     rows = []
     for segments in segment_counts:
-        compressed = 0
-        original = 0
         kernel = SegmentLzKernel(blocks, segments_per_chunk=segments)
-        outputs = kernel.execute()
-        for block, per_chunk in zip(blocks, outputs):
-            blob = refine_to_container(block, per_chunk)
-            compressed += len(blob)
-            original += len(block)
-        ratio = original / compressed
+        compressed = sum(len(blob) for tile in kernel.execute().tiles
+                         for blob in refine_tile(tile))
+        ratio = sum(len(block) for block in blocks) / compressed
         critical = kernel.cost().critical_path_cycles / \
             device.spec.freq_hz
         rows.append(A7Row(segments=segments, ratio=ratio,

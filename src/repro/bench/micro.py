@@ -38,7 +38,7 @@ from repro.cluster import ClusterConfig, ClusterEngine, ClusterRouter, ShardMap
 from repro.compression import lz_common
 from repro.compression.lz_common import key3_array
 from repro.compression.lzss import LzssCodec, MatchFinder
-from repro.compression.postprocess import refine_to_container
+from repro.compression.postprocess import refine_tile
 from repro.compression.quicklz import QuickLzCodec
 from repro.core.batcher import GpuBatcher
 from repro.core.calibration import run_mode
@@ -281,8 +281,8 @@ def _gpu_segments(quick: bool) -> Built:
 
     def run() -> None:
         kernel = SegmentLzKernel(payloads, segments_per_chunk=8)
-        for payload, per_chunk in zip(payloads, kernel.execute()):
-            refine_to_container(payload, per_chunk)
+        for tile in kernel.execute().tiles:
+            refine_tile(tile)
 
     return run, sum(len(p) for p in payloads)
 
@@ -293,6 +293,15 @@ def _gpu_segments_launch(quick: bool) -> Built:
     a single partial one and cannot show what lockstep amortises."""
     blocks = _storage_blocks(3.0, seed=18)()
     return (lambda: SegmentLzKernel(blocks, segments_per_chunk=8).execute(),
+            sum(len(block) for block in blocks))
+
+
+def _gpu_refine_launch(quick: bool) -> Built:
+    """Refinement only, of the launch ``gpu_segments_launch`` searches:
+    four whole tiles through ``refine_tile``."""
+    blocks = _storage_blocks(3.0, seed=18)()
+    tiles = SegmentLzKernel(blocks, segments_per_chunk=8).execute().tiles
+    return (lambda: [refine_tile(tile) for tile in tiles],
             sum(len(block) for block in blocks))
 
 
@@ -309,9 +318,8 @@ def _storage_blocks(ratio: float, seed: int) -> Callable[[], list[bytes]]:
 def _decode_gpu_containers(quick: bool) -> Built:
     """Decode of what the GPU path stores: one refined 256-chunk launch."""
     codec, blocks = LzssCodec(), _storage_blocks(3.0, seed=18)()
-    kernel = SegmentLzKernel(blocks, segments_per_chunk=8)
-    blobs = [refine_to_container(block, per_chunk)
-             for block, per_chunk in zip(blocks, kernel.execute())]
+    launch = SegmentLzKernel(blocks, segments_per_chunk=8).execute()
+    blobs = [blob for tile in launch.tiles for blob in refine_tile(tile)]
     return (lambda: [codec.decode(blob) for blob in blobs]), 256 * 4096
 
 
@@ -578,6 +586,8 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario("dataplane", "gpu_segments", "bytes", _gpu_segments),
     Scenario("dataplane", "gpu_segments_launch", "bytes",
              _gpu_segments_launch),
+    Scenario("dataplane", "gpu_refine_launch", "bytes",
+             _gpu_refine_launch),
     Scenario("dedup", "buffer_probe", "probes", _buffer_probe),
     Scenario("dedup", "tree_probe", "probes", _tree_probe),
     Scenario("dedup", "gpu_batch_lookup", "queries", _gpu_batch_lookup),

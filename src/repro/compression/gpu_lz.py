@@ -8,21 +8,22 @@ GPU LZ kernels to the pipeline's batching machinery:
   chunks — :class:`~repro.gpu.kernels.lz.SegmentLzKernel` in payload mode
   (real match search), :class:`~repro.gpu.kernels.lz.DescriptorLzKernel`
   in descriptor mode;
-* :meth:`GpuCompressor.split_results` fans the launch output back out to
-  per-chunk raw results;
-* :meth:`GpuCompressor.postprocess` is the CPU half: refine the raw
-  output into the canonical container (payload mode really runs
-  :func:`~repro.compression.postprocess.refine_to_container`) and report
-  the refinement's CPU cycles.
+* :meth:`GpuCompressor.split_results` fans the launch output back out
+  per chunk; in payload mode the CPU half really runs here, a tile at a
+  time (:func:`~repro.compression.postprocess.refine_tile`), as part of
+  the dispatcher's functional step, so it moves no simulated time;
+* :meth:`GpuCompressor.postprocess` accounts for one chunk's refinement:
+  stored size, the stored-raw decision and the CPU cycles the worker is
+  charged for it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.compression.lz_common import DEFAULT_PARAMS, LzParams
 from repro.compression.parallel_cpu import CompressionResult
-from repro.compression.postprocess import refine_to_container
+from repro.compression.postprocess import refine_tile
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.errors import CompressionError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
@@ -30,6 +31,7 @@ from repro.gpu.kernel import Kernel
 from repro.gpu.kernels.lz import (
     LZ_CENSUS,
     DescriptorLzKernel,
+    LzLaunch,
     SegmentLzKernel,
 )
 from repro.types import Chunk
@@ -51,12 +53,10 @@ class GpuCompressor:
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        #: Seam-repair observability, filled by refine_to_container.
+        #: Seam-repair observability, filled by refine_tile.
         self.seam_stats: dict = {}
         #: The kernels' lockstep-walk census, summed over launches.
         self.lz_census = dict.fromkeys(LZ_CENSUS, 0)
-        #: The payload launch made last, until its results come back.
-        self._launched: Optional[SegmentLzKernel] = None
 
     # -- batching hooks (GpuBatcher interface) --------------------------------
 
@@ -67,12 +67,11 @@ class GpuCompressor:
             raise CompressionError(
                 "a GPU batch must be all-payload or all-descriptor")
         if payload_flags.pop():
-            self._launched = SegmentLzKernel(
+            return SegmentLzKernel(
                 [chunk.payload for chunk in chunks],
                 segments_per_chunk=self.segments_per_chunk,
                 params=self.params, costs=self.gpu_costs,
                 use_simt=self.use_simt)
-            return self._launched
         return DescriptorLzKernel(
             [chunk.size for chunk in chunks],
             [chunk.effective_ratio() for chunk in chunks],
@@ -81,44 +80,42 @@ class GpuCompressor:
 
     def split_results(self, chunks: Sequence[Chunk],
                       raw: Any) -> Sequence[Any]:
-        """Per-chunk raw results from the launch output (1:1 already)."""
-        if len(raw) != len(chunks):
+        """Per-chunk results of a launch: refined containers in payload
+        mode, the synthetic sizes as they are in descriptor mode."""
+        # An exact type test: isinstance() against an ABC subclass is a
+        # Python-level call, paid per descriptor batch.
+        payload = type(raw) is LzLaunch
+        if len(raw) != len(chunks) \
+                or (chunks[0].payload is not None) != payload:
             raise CompressionError(
-                f"kernel returned {len(raw)} results for "
+                f"kernel returned {len(raw)} "
+                f"{'payload' if payload else 'descriptor'} results for "
                 f"{len(chunks)} chunks")
-        # The batcher's dispatcher runs make_kernel -> launch ->
-        # split_results one batch at a time, so the kernel made last is
-        # the one whose output this is.
-        kernel, self._launched = self._launched, None
-        if kernel is not None:
-            for name in LZ_CENSUS:
-                self.lz_census[name] += getattr(kernel, name)
-        return raw
+        if not payload:
+            return raw
+        for name, count in raw.census.items():
+            self.lz_census[name] += count
+        return [blob for tile in raw.tiles
+                for blob in refine_tile(tile, self.params,
+                                        stats=self.seam_stats)]
 
     # -- CPU refinement -----------------------------------------------------
 
     def postprocess(self, chunk: Chunk, raw: Any) -> CompressionResult:
-        """CPU refinement of one chunk's raw GPU output."""
-        if chunk.has_payload:
-            blob = refine_to_container(chunk.payload, raw,
-                                       params=self.params,
-                                       stats=self.seam_stats)
-            if len(blob) < chunk.size:
-                size, stored_raw, out_blob = len(blob), False, blob
-            else:
-                size, stored_raw, out_blob = chunk.size, True, None
-        else:
-            size = int(raw)
-            stored_raw = size >= chunk.size
-            size = min(size, chunk.size)
-            out_blob = None
-        cycles = self.cpu_costs.postprocess_cycles(chunk.size)
+        """Account for one chunk's refinement; ``raw`` is its entry of
+        :meth:`split_results` (the container, or the synthetic size)."""
+        payload = chunk.payload is not None
+        size = len(raw) if payload else int(raw)
+        stored_raw = size >= chunk.size
+        size = min(size, chunk.size)
         chunk.compressed_size = size
         self.chunks_compressed += 1
         self.bytes_in += chunk.size
         self.bytes_out += size
-        return CompressionResult(compressed_size=size, cpu_cycles=cycles,
-                                 blob=out_blob, stored_raw=stored_raw)
+        return CompressionResult(
+            compressed_size=size, stored_raw=stored_raw,
+            cpu_cycles=self.cpu_costs.postprocess_cycles(chunk.size),
+            blob=raw if payload and not stored_raw else None)
 
     def achieved_ratio(self) -> float:
         """Aggregate original/compressed over everything compressed."""

@@ -7,10 +7,12 @@ on each chunk*: the chunk is cut into segments, every thread runs an LZ
 match search over its own segment, and adjacent threads overlap by the
 history-window size so matches may reach back across the segment seam.
 
-The kernel's output is deliberately *raw*: per-segment token arrays that
-have not been stitched into a single valid stream ("The GPU's compression
-results are not refined in GPU due to performance issues").  The CPU-side
-refinement lives in :mod:`repro.compression.postprocess`.
+The kernel's output is deliberately *raw*: every thread's tokens, not
+yet one valid stream per chunk ("The GPU's compression results are not
+refined in GPU due to performance issues").  A launch hands back an
+:class:`LzLaunch` — per search tile, three flat token arrays, per-thread
+token counts and the chunk and segment bounds (:class:`LzTile`) — which
+:mod:`repro.compression.postprocess` refines a tile at a time.
 
 Two kernel classes share one cost model:
 
@@ -25,8 +27,9 @@ Two kernel classes share one cost model:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,6 +121,67 @@ class SegmentOutput:
                        self.distances.tolist())]
 
 
+@dataclass
+class LzTile:
+    """Raw tokens of one search tile, flat, in tile coordinates.
+
+    The tile's chunks lie back to back in ``data``: chunk ``c`` is
+    ``data[edges[c]:edges[c + 1]]`` and its segment thread ``s`` covers
+    ``[seg_start[c, s], seg_end[c, s])``.  Token ``i`` starts at
+    ``starts[i]`` and covers ``lengths[i]`` bytes; ``distances[i]`` is a
+    match's backward distance and 0 for a literal.  Tokens are in thread
+    order, ``counts[c * n_segments + s]`` of them per thread (an idle
+    thread emits none).
+    """
+
+    first: int                  #: launch index of the tile's chunk 0
+    chunks: Sequence[bytes]
+    data: bytes = field(repr=False)
+    edges: np.ndarray
+    seg_start: np.ndarray
+    seg_end: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    distances: np.ndarray
+
+    def outputs(self, index: int) -> list[SegmentOutput]:
+        """Chunk ``index``'s busy threads as chunk-relative views."""
+        n_segments = self.seg_start.shape[1]
+        threads = slice(index * n_segments, (index + 1) * n_segments)
+        offset = int(self.edges[index])
+        return [SegmentOutput(
+            chunk_index=self.first + index, segment_index=segment,
+            start=int(self.seg_start[index, segment]) - offset,
+            end=int(self.seg_end[index, segment]) - offset,
+            positions=(self.starts[hi - count:hi] - offset).astype(np.int32),
+            lengths=self.lengths[hi - count:hi],
+            distances=self.distances[hi - count:hi],
+            chunk=self.chunks[index])
+            for segment, (hi, count) in enumerate(zip(
+                np.cumsum(self.counts)[threads].tolist(),
+                self.counts[threads].tolist())) if count]
+
+
+class LzLaunch(Sequence):
+    """What :meth:`SegmentLzKernel.execute` hands back: the ``tiles``
+    refinement reads and the launch's :data:`LZ_CENSUS`.  Indexed or
+    iterated it is the per-chunk lists of :class:`SegmentOutput`, built
+    on demand (tests, examples) — the pipeline never builds one.
+    """
+
+    def __init__(self, tiles: list[LzTile], census: dict[str, int]):
+        self.tiles = tiles
+        self.census = census
+
+    def __len__(self) -> int:
+        return sum(len(tile.chunks) for tile in self.tiles)
+
+    def __getitem__(self, index: int) -> list[SegmentOutput]:
+        tile, within = divmod(range(len(self))[index], _TILE_CHUNKS)
+        return self.tiles[tile].outputs(within)
+
+
 class SegmentLzKernel(Kernel):
     """Payload-mode segment-parallel LZ search over a batch of chunks."""
 
@@ -151,26 +215,23 @@ class SegmentLzKernel(Kernel):
 
     # -- functional execution ------------------------------------------------
 
-    def execute(self) -> list[list[SegmentOutput]]:
-        """Return raw per-segment outputs, grouped by chunk.
+    def execute(self) -> LzLaunch:
+        """Search the launch a tile at a time; see :class:`LzLaunch`.
 
         A segment thread whose range is empty (chunk shorter than the
         segment grid) idles, exactly like a real kernel's out-of-range
-        guard, and contributes no output.
+        guard, and contributes no tokens.
         """
-        outputs: list[list[SegmentOutput]] = []
-        token_counts: list[np.ndarray] = []
-        for first in range(0, len(self.chunks), _TILE_CHUNKS):
-            tile = self.chunks[first:first + _TILE_CHUNKS]
-            tile_outputs, counts = self._search_tile(first, tile)
-            outputs.extend(tile_outputs)
-            token_counts.append(counts)
+        tiles = [self._search_tile(first, self.chunks[first:first
+                                                      + _TILE_CHUNKS])
+                 for first in range(0, len(self.chunks), _TILE_CHUNKS)]
         if self.use_simt:
-            self._stats = self._simt_stats(np.concatenate(token_counts))
-        return outputs
+            self._stats = self._simt_stats(
+                np.concatenate([tile.counts for tile in tiles]))
+        return LzLaunch(tiles, {name: getattr(self, name)
+                                for name in LZ_CENSUS})
 
-    def _search_tile(self, first: int, tile: Sequence[bytes]
-                     ) -> tuple[list[list[SegmentOutput]], np.ndarray]:
+    def _search_tile(self, first: int, tile: Sequence[bytes]) -> LzTile:
         """Search every segment of a tile of chunks in lockstep.
 
         ``best_match(pos)`` is a pure function of ``(chunk, pos)`` — the
@@ -183,9 +244,6 @@ class SegmentLzKernel(Kernel):
         together, each round comparing 8-byte words at the cursors and
         at their nearest candidates.  How a round settles each cursor is
         DESIGN.md §9's rule, spelled out at the steps below.
-
-        Returns the per-chunk segment outputs and the per-thread token
-        counts (idle threads count 0).
         """
         params = self.params
         window, min_match, max_match = (
@@ -193,20 +251,22 @@ class SegmentLzKernel(Kernel):
         n_chunks, n_segments = len(tile), self.segments_per_chunk
         data = b"".join(tile)
         total = len(data)
-        if total == 0:
-            return ([[] for _ in tile],
-                    np.zeros(n_chunks * n_segments, dtype=np.int32))
 
         # -- geometry: chunk and segment bounds in tile coordinates ------
-        sizes = np.array([len(chunk) for chunk in tile], dtype=np.int32)
-        ends = np.cumsum(sizes, dtype=np.int32)
-        offsets = ends - sizes
-        seg_len = np.maximum(1, -(-sizes // n_segments))[:, None]
+        edges = np.zeros(n_chunks + 1, dtype=np.int32)
+        np.cumsum([len(chunk) for chunk in tile], dtype=np.int32,
+                  out=edges[1:])
+        offsets, ends = edges[:-1], edges[1:]
+        seg_len = np.maximum(1, -(-(ends - offsets) // n_segments))[:, None]
         seg_start = np.minimum(
             offsets[:, None] + seg_len * np.arange(n_segments,
                                                     dtype=np.int32),
             ends[:, None])
         seg_end = np.minimum(seg_start + seg_len, ends[:, None])
+        if total == 0:      # nothing to sort: every thread idles
+            idle = np.zeros(seg_start.size, dtype=np.int32)
+            return LzTile(first, tile, data, edges, seg_start, seg_end,
+                          idle, idle[:0], idle[:0], idle[:0])
 
         # Zero padding lets every position read its key and as many
         # 8-byte words past it as the longest match needs.
@@ -301,27 +361,8 @@ class SegmentLzKernel(Kernel):
                   - np.searchsorted(starts, seg_start.ravel())
                   ).astype(np.int32)
 
-        # -- array-native raw tokens, one view per segment ---------------
-        token_len = step[starts]
-        token_back = back[starts]
-        per_chunk = counts.reshape(n_chunks, n_segments).sum(axis=1)
-        token_pos = (starts - np.repeat(offsets, per_chunk)
-                     ).astype(np.int32)
-        cuts = np.cumsum(counts).tolist()
-        rel_start = (seg_start - offsets[:, None]).ravel().tolist()
-        rel_end = (seg_end - offsets[:, None]).ravel().tolist()
-        outputs: list[list[SegmentOutput]] = [[] for _ in tile]
-        lo = 0
-        for thread, hi in enumerate(cuts):
-            if hi > lo:
-                index, segment = divmod(thread, n_segments)
-                outputs[index].append(SegmentOutput(
-                    chunk_index=first + index, segment_index=segment,
-                    start=rel_start[thread], end=rel_end[thread],
-                    positions=token_pos[lo:hi], lengths=token_len[lo:hi],
-                    distances=token_back[lo:hi], chunk=tile[index]))
-                lo = hi
-        return outputs, counts
+        return LzTile(first, tile, data, edges, seg_start, seg_end, counts,
+                      starts, step[starts], back[starts])
 
     def _candidates(self, flat: np.ndarray, offsets: np.ndarray,
                     ends: np.ndarray

@@ -142,19 +142,27 @@ class ReferenceQuickLzCodec:
         return bytes(out)
 
 
-def runwise_quicklz_decode(blob: bytes) -> bytes:
+def runwise_quicklz_decode(blob: bytes, start=None, groups=None) -> bytes:
     """``QuickLzCodec.decode`` as it stood before the grouped-container
     reader (PR 20), body verbatim: one step per literal run and per
     match.  The oracle for every result, error class and error message
-    of the production decoder."""
+    of the production decoder.
+
+    The state at a group's flags byte is ``(pos, bytes out so far)`` and
+    depends on ``blob[:pos]`` alone: ``groups``, when given, collects it
+    for every group entered, and ``start`` resumes from one — so a blob
+    that shares a prefix with one already decoded (a cut, a flipped
+    byte) need not be decoded from its header again.
+    """
     end = len(blob)
     if end < 4:
         raise CorruptStreamError("container shorter than its header")
     (original_length,) = struct.unpack(">I", blob[:4])
-    out = bytearray()
-    pos = 4
-    remaining = original_length
+    pos, out = (start[0], bytearray(start[1])) if start else (4, bytearray())
+    remaining = original_length - len(out)
     while remaining > 0:
+        if groups is not None:
+            groups.append((pos, bytes(out)))
         if pos >= end:
             raise CorruptStreamError("container truncated mid-stream")
         flags = blob[pos]
@@ -193,6 +201,55 @@ def runwise_quicklz_decode(blob: bytes) -> bytes:
     if len(out) != original_length:
         raise CompressionError(
             f"decoded {len(out)} bytes, expected {original_length}")
+    return bytes(out)
+
+
+def tokenwise_lzss_decode(blob: bytes, start=None, groups=None,
+                          params: LzParams = DEFAULT_PARAMS) -> bytes:
+    """``bytes_to_tokens`` then ``decode_tokens`` (``LzssCodec.decode``
+    before PR 20) without the token objects: one step per token, the
+    same checks in the same order with the same messages.  Fusing the
+    two passes changes nothing, because the parse already rejects a
+    match that reaches behind the bytes produced, so expanding what it
+    accepted cannot fail.  ``start`` / ``groups`` as in
+    :func:`runwise_quicklz_decode`.
+    """
+    end = len(blob)
+    if end < 4:
+        raise CorruptStreamError("container shorter than its header")
+    (original_length,) = struct.unpack(">I", blob[:4])
+    pos, out = (start[0], bytearray(start[1])) if start else (4, bytearray())
+    while len(out) < original_length:
+        if groups is not None:
+            groups.append((pos, bytes(out)))
+        if pos >= end:
+            raise CorruptStreamError("container truncated mid-stream")
+        flags = blob[pos]
+        pos += 1
+        for bit in range(8):
+            if len(out) >= original_length:
+                break
+            if flags & (1 << bit):
+                if pos + 2 > end:
+                    raise CorruptStreamError("container truncated in a match")
+                hi, lo = blob[pos], blob[pos + 1]
+                pos += 2
+                distance = ((hi << 4) | (lo >> 4)) + 1
+                if distance > len(out):
+                    raise CorruptStreamError(
+                        f"match reaches {distance} bytes back with only "
+                        f"{len(out)} bytes produced")
+                copy_match(out, distance, (lo & 0x0F) + params.min_match)
+            else:
+                if pos + 1 > end:
+                    raise CorruptStreamError(
+                        "container truncated in a literal")
+                out.append(blob[pos])
+                pos += 1
+    if len(out) != original_length:
+        raise CorruptStreamError(
+            f"stream expands to {len(out)} bytes, header says "
+            f"{original_length}")
     return bytes(out)
 
 

@@ -12,6 +12,8 @@ hash-collision-heavy content, sub-``min_match`` tails, and GPU segment
 seams.
 """
 
+import bisect
+import dataclasses
 import random
 
 import numpy as np
@@ -28,6 +30,7 @@ from tests.reference_codecs import (
     reference_segment_bounds,
     reference_segment_tokens,
     runwise_quicklz_decode,
+    tokenwise_lzss_decode,
 )
 from repro.bench.micro import _storage_blocks, build_corpus
 from repro.compression.lz_common import (
@@ -48,11 +51,12 @@ from repro.compression.lzss import (
     LzssCodec,
     MatchFinder,
 )
-from repro.compression.postprocess import refine_to_container
+from repro.compression.postprocess import refine_tile, refine_to_container
 from repro.compression.quicklz import QuickLzCodec
 from repro.errors import CompressionError, CorruptStreamError
 from repro.gpu.kernels.lz import (
     _TILE_CHUNKS,
+    LzTile,
     SegmentLzKernel,
     SegmentOutput,
 )
@@ -430,11 +434,11 @@ def _lzss_oracle(blob):
     return plain
 
 
-def _outcome(decode, blob):
+def _outcome(decode, blob, **resume):
     """The plaintext, or the class and message of the typed error (any
     other exception — an IndexError out of an array — propagates)."""
     try:
-        return decode(blob)
+        return decode(blob, **resume)
     except CompressionError as exc:
         return type(exc), str(exc)
 
@@ -443,21 +447,37 @@ def _assert_decoders_agree(production, oracle, blob, thorough=True):
     """Same bytes or same error, class and message, on the container,
     the container with garbage behind it, its proper prefixes (all of
     them when ``thorough``, 48 otherwise) and seeded 1-3-byte flips (200
-    / 24)."""
+    / 24).
+
+    Every case shares a prefix with ``blob``, so the oracle resumes it
+    from the last group of the intact decode that starts inside that
+    prefix instead of from the header (one case in 16 is also decoded
+    from scratch, which must come to the same).
+    """
     rng = random.Random(len(blob))
     cuts = range(len(blob))
-    cases = [blob, blob + rng.randbytes(rng.randrange(1, 40)),
-             bytearray(blob), memoryview(blob)]
-    cases += [blob[:cut] for cut in
+    cases = [(blob, 0), (blob + rng.randbytes(rng.randrange(1, 40)), 0),
+             (bytearray(blob), 0), (memoryview(blob), 0)]
+    cases += [(blob[:cut], cut) for cut in
               (cuts if thorough else rng.sample(cuts, min(48, len(cuts))))]
     for _ in range(200 if thorough else 24):
         damaged = bytearray(blob)
+        flipped = []
         for _ in range(rng.randrange(1, 4)):
-            damaged[rng.randrange(len(damaged))] = rng.randrange(256)
-        cases.append(bytes(damaged))
-    for case in cases:
-        assert _outcome(production, case) == _outcome(oracle, case), \
-            bytes(case).hex()
+            value = rng.randrange(256)
+            flipped.append(rng.randrange(len(damaged)))
+            damaged[flipped[-1]] = value
+        cases.append((bytes(damaged), min(flipped)))
+    groups = []
+    _outcome(oracle, blob, groups=groups)
+    entered = [pos for pos, _ in groups]
+    for number, (case, intact) in enumerate(cases):
+        start = bisect.bisect_right(entered, intact)
+        expected = _outcome(oracle, case,
+                            start=groups[start - 1] if start else None)
+        assert _outcome(production, case) == expected, bytes(case).hex()
+        if number % 16 == 0:
+            assert _outcome(oracle, case) == expected, bytes(case).hex()
 
 
 def _with_declared_length(blob, length):
@@ -538,25 +558,31 @@ def _lzss_edge_containers():
     yield _with_declared_length(tokens_to_bytes(lit, 8), 0)
 
 
+def _lzss_decoders_agree(codec, blob, thorough=True):
+    """The tokenwise oracle is the object-per-token one (pinned on the
+    container itself); the cases run against the former, which resumes."""
+    assert _outcome(tokenwise_lzss_decode, blob) == _outcome(_lzss_oracle,
+                                                             blob)
+    _assert_decoders_agree(codec.decode, tokenwise_lzss_decode, blob,
+                           thorough)
+
+
 def test_lzss_decoder_matches_the_token_oracle():
     codec = LzssCodec()
     for blob in _lzss_edge_containers():
-        _assert_decoders_agree(codec.decode, _lzss_oracle, blob)
+        _lzss_decoders_agree(codec, blob)
     for payload in _edge_payloads():
-        # The oracle builds an object per token: all prefixes of the
-        # short containers, a sample of the long ones.
+        # All prefixes of the short containers, a sample of the long.
         blob = codec.encode(payload)
-        _assert_decoders_agree(codec.decode, _lzss_oracle, blob,
-                               thorough=len(blob) <= 1200)
+        _lzss_decoders_agree(codec, blob, thorough=len(blob) <= 1200)
     for blocks in _storage_families():
-        kernel = SegmentLzKernel(blocks, segments_per_chunk=8)
-        refined = [refine_to_container(block, per_chunk)
-                   for block, per_chunk in zip(blocks, kernel.execute())]
+        launch = SegmentLzKernel(blocks, segments_per_chunk=8).execute()
+        refined = [blob for tile in launch.tiles
+                   for blob in refine_tile(tile)]
         for producer in ([codec.encode(block) for block in blocks], refined):
             for salt, (block, blob) in enumerate(zip(blocks, producer)):
                 assert codec.decode(blob) == block
-                _assert_decoders_agree(codec.decode, _lzss_oracle, blob,
-                                       thorough=salt < 1)
+                _lzss_decoders_agree(codec, blob, thorough=salt < 1)
 
 
 @given(st.binary(max_size=20000))
@@ -601,13 +627,19 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
 
     The raw tokens must equal the per-segment reference search (which
     only ever sees its own chunk, so a match crossing into a neighbour
-    shows), and the refined container and seam counters must equal the
-    list-based refinement of those reference tokens.
+    shows), and the refined containers and seam counters must equal the
+    list-based refinement of those reference tokens — through
+    ``refine_tile`` over the launch's tiles and, chunk by chunk, through
+    the ``refine_to_container`` adapter.
     """
     kernel = SegmentLzKernel(chunks, segments_per_chunk=segments,
                              params=params)
     launch = kernel.execute()
     assert len(launch) == len(chunks)
+    assert [len(tile.chunks) for tile in launch.tiles] == [
+        min(_TILE_CHUNKS, len(chunks) - first)
+        for first in range(0, len(chunks), _TILE_CHUNKS)]
+    references = []
     for index, (chunk, outputs) in enumerate(zip(chunks, launch)):
         bounds = reference_segment_bounds(len(chunk), segments)
         assert [(o.segment_index, o.start, o.end)
@@ -619,15 +651,22 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
         for output, (start, end, tokens) in zip(outputs, expected):
             assert output.tokens == tokens, (
                 f"chunk {index} segment [{start}, {end}) diverged")
-        for repair in (True, False):
-            stats, expected_stats = {}, {}
-            blob = refine_to_container(chunk, outputs, params,
-                                       repair_seams=repair, stats=stats)
-            merged = reference_merge_segments(
+        references.append(expected)
+    for repair in (True, False):
+        tile_stats, adapter_stats, expected_stats = {}, {}, {}
+        expected_blobs = [
+            tokens_to_bytes(reference_merge_segments(
                 chunk, expected, params, repair_seams=repair,
-                stats=expected_stats)
-            assert blob == tokens_to_bytes(merged, len(chunk), params)
-            assert stats == expected_stats
+                stats=expected_stats), len(chunk), params)
+            for chunk, expected in zip(chunks, references)]
+        assert [blob for tile in launch.tiles
+                for blob in refine_tile(tile, params, repair_seams=repair,
+                                        stats=tile_stats)] == expected_blobs
+        assert [refine_to_container(chunk, outputs, params,
+                                    repair_seams=repair, stats=adapter_stats)
+                for chunk, outputs in zip(chunks, launch)] == expected_blobs
+        assert tile_stats == adapter_stats == expected_stats
+        for chunk, blob in zip(chunks, expected_blobs):
             assert LzssCodec(params).decode(blob) == chunk
     return kernel
 
@@ -857,6 +896,256 @@ def test_gpu_launch_property(drawn, segments, params):
     assert_launch_matches_oracles(
         filler + [chunk for chunk in drawn for _ in range(2)], segments,
         params)
+
+
+@given(st.lists(_CHUNKS, min_size=1, max_size=3), st.integers(1, 8),
+       st.sampled_from((DEFAULT_PARAMS,
+                        LzParams(window=4096, min_match=6, max_match=21))))
+@settings(max_examples=40, deadline=None)
+def test_seam_repair_never_fires_on_kernel_output(drawn, segments, params):
+    """A match the kernel keeps ended at a mismatch, the cap or the
+    chunk's end, and one that would overrun its segment is a literal:
+    no seam of its own output has anything to absorb."""
+    launch = SegmentLzKernel(drawn + PAYLOADS[:12],
+                             segments_per_chunk=segments,
+                             params=params).execute()
+    stats = {}
+    for tile in launch.tiles:
+        refine_tile(tile, params, stats=stats)
+    assert stats.get("seams_extended", 0) == 0 and stats == {}
+
+
+def test_launch_with_empty_short_and_one_segment_chunks_across_tiles():
+    """Empty chunks, chunks shorter than the 8-segment grid and a tile
+    boundary in one launch; then the same chunks as 1-segment threads."""
+    odd = [b"", b"a", b"abcabc", b"", PAYLOADS[0], b"xyzxyzxy", b""]
+    launch = (odd * 10)[:_TILE_CHUNKS - 3] + odd + PAYLOADS[:5]
+    assert len(launch) > _TILE_CHUNKS and not launch[_TILE_CHUNKS]
+    for segments in (8, 1):
+        assert_launch_matches_oracles(launch, segments)
+
+
+def _hand_tile(*chunks):
+    """An LzTile of hand-built ``(chunk, [(start, end, tokens), ...])``
+    chunks (chunk-relative bounds), padded with idle threads to the
+    longest segment list."""
+    n_segments = max(len(segments) for _, segments in chunks)
+    edges = np.cumsum([0] + [len(chunk) for chunk, _ in chunks])
+    bounds, counts, starts, lengths, distances = [], [], [], [], []
+    for offset, (chunk, segments) in zip(edges.tolist(), chunks):
+        idle = [(len(chunk), len(chunk), [])] * (n_segments - len(segments))
+        for start, end, tokens in segments + idle:
+            bounds.append((offset + start, offset + end))
+            counts.append(len(tokens))
+            at = offset + start
+            for token in tokens:
+                match = isinstance(token, Match)
+                starts.append(at)
+                lengths.append(token.length if match else 1)
+                distances.append(token.distance if match else 0)
+                at += lengths[-1]
+    bounds = np.array(bounds).reshape(len(chunks), n_segments, 2)
+    return LzTile(
+        first=0, chunks=[chunk for chunk, _ in chunks],
+        data=b"".join(chunk for chunk, _ in chunks), edges=edges,
+        seg_start=bounds[:, :, 0], seg_end=bounds[:, :, 1],
+        counts=np.array(counts), starts=np.array(starts, dtype=np.intp),
+        lengths=np.array(lengths, dtype=np.intp),
+        distances=np.array(distances, dtype=np.intp))
+
+
+def _literals(text):
+    return [Literal(value) for value in text]
+
+
+#: ``test_seam_match_absorbs_a_whole_segment_then_grows_again``'s chunk.
+_SWALLOW = (b"abcdefgh" * 2 + b"abcdXY", [
+    (0, 11, _literals(b"abcdefgh") + [Match(8, 3)]),
+    (11, 13, _literals(b"de")),
+    (13, 22, _literals(b"fgh") + [Match(8, 4)] + _literals(b"XY"))])
+#: ``test_seam_match_stops_at_the_length_field``'s chunk.
+_CAPPED = (b"q" * 40, [
+    (0, 18, [Literal(ord("q")), Match(1, 17)]),
+    (18, 40, [Literal(ord("q"))] * 4 + [Match(1, 18)])])
+#: Ends on a match with room whose periodic extension goes on matching
+#: — in tile coordinates — through the first bytes of _FOLLOWS.
+_ENDS_ON_MATCH = (b"abcabc", [(0, 3, _literals(b"abc")),
+                              (3, 6, [Match(3, 3)])])
+_FOLLOWS = (b"abcabcxyz", [(0, 3, _literals(b"abc")),
+                           (3, 9, [Match(3, 3)] + _literals(b"xyz"))])
+
+
+@pytest.mark.parametrize("chunks, expected_stats", (
+    ((_SWALLOW, _FOLLOWS),
+     {"seams_extended": 2, "seam_bytes_absorbed": 5}),
+    ((_CAPPED, _FOLLOWS), {"seams_extended": 1, "seam_bytes_absorbed": 1}),
+    ((_FOLLOWS, _SWALLOW, _FOLLOWS, _CAPPED),
+     {"seams_extended": 3, "seam_bytes_absorbed": 6}),
+    ((_ENDS_ON_MATCH, _FOLLOWS, _ENDS_ON_MATCH, (b"abc", [])), {}),
+), ids=("swallow", "capped", "both_inside", "chunk_boundary"))
+def test_tile_repairs_each_chunk_as_if_alone(chunks, expected_stats):
+    """The chained swallow and the length-field cap beside chunks no
+    repair touches; and a match that ends its chunk absorbs nothing of
+    the next chunk's leading literals, whatever they are."""
+    chunks = [(chunk, segments or [(0, len(chunk), _literals(chunk))])
+              for chunk, segments in chunks]
+    stats, oracle_stats = {}, {}
+    blobs = refine_tile(_hand_tile(*chunks), stats=stats)
+    merged = [reference_merge_segments(chunk, segments, stats=oracle_stats)
+              for chunk, segments in chunks]
+    assert blobs == [tokens_to_bytes(tokens, len(chunk))
+                     for tokens, (chunk, _) in zip(merged, chunks)]
+    assert stats == oracle_stats == expected_stats
+    for (chunk, segments), tokens in zip(chunks, merged):
+        if chunk in (_FOLLOWS[0], _ENDS_ON_MATCH[0], b"abc"):   # untouched
+            assert tokens == [t for _, _, part in segments for t in part]
+    assert [LzssCodec().decode(blob) for blob in blobs] \
+        == [chunk for chunk, _ in chunks]
+
+
+def _corruptible_tile():
+    """A three-chunk, four-segment kernel tile with private arrays, and
+    in its middle chunk's second segment: the thread, its token range
+    and its first match at least 8 bytes into the chunk."""
+    chunks = [dict(CORPUS)[name][:1024]
+              for name in ("dickens", "lowent", "soup")]
+    (tile,) = SegmentLzKernel(chunks, segments_per_chunk=4).execute().tiles
+    tile = dataclasses.replace(tile, **{
+        name: getattr(tile, name).copy() for name in (
+            "seg_start", "seg_end", "counts", "starts", "lengths",
+            "distances")})
+    thread = 1 * 4 + 1
+    hi = int(np.cumsum(tile.counts)[thread])
+    lo = hi - int(tile.counts[thread])
+    match = next(i for i in range(lo, hi) if tile.distances[i])
+    return tile, thread, lo, hi, match
+
+
+def _gap(tile, thread, lo, hi, match):
+    tile.seg_start[1, 2] += 1
+
+
+def _overlap(tile, thread, lo, hi, match):
+    tile.seg_start[1, 2] -= 1
+
+
+def _short_cover(tile, thread, lo, hi, match):
+    tile.seg_end[1, 3] -= 1
+
+
+def _token_gap(tile, thread, lo, hi, match):
+    tile.lengths[match] -= 1
+
+
+def _token_overlap(tile, thread, lo, hi, match):
+    tile.lengths[match] += 1
+
+
+def _shifted(tile, thread, lo, hi, match):
+    tile.starts[lo + 1:hi] += 1
+
+
+def _handed_over(tile, thread, lo, hi, match):
+    tile.counts[thread] += 1
+    tile.counts[thread + 1] -= 1
+
+
+def _past_window(tile, thread, lo, hi, match):
+    tile.distances[match] = 4097
+
+
+def _negative(tile, thread, lo, hi, match):
+    tile.distances[match] = -1
+
+
+def _into_previous_chunk(tile, thread, lo, hi, match):
+    """A legal tile position, but one byte before the match's chunk."""
+    tile.distances[match] = tile.starts[match] - tile.edges[1] + 1
+    assert tile.starts[match] - tile.distances[match] == tile.edges[1] - 1
+
+
+def _wide_literal(tile, thread, lo, hi, match):
+    tile.distances[match] = 0
+
+
+@pytest.mark.parametrize("corrupt, message", (
+    (_gap, "segment 2 starts at 513, expected 512"),
+    (_overlap, "segment 2 starts at 511, expected 512"),
+    (_short_cover, "segments cover 1023 bytes of a 1024-byte chunk"),
+    (_token_gap, r"segment 1 tokens expand to 255 bytes, span is 256"),
+    (_token_overlap, r"segment 1 tokens expand to 257 bytes, span is 256"),
+    (_shifted, "segment 1 token positions do not follow its token lengths"),
+    (_handed_over, r"segment 1 tokens expand to \d+ bytes, span is 256"),
+    (_past_window, "match distance 4097 outside window 4096"),
+    (_negative, "match distance -1 outside window 4096"),
+    (_into_previous_chunk, r"match at (\d+) reaches \d+ bytes back"),
+    (_wide_literal, r"literal token covers \d+ bytes"),
+), ids=lambda value: getattr(value, "__name__", None))
+def test_corrupt_tile_raises_through_tile_and_adapter(corrupt, message):
+    """Every tiling and field check, on the middle chunk of a tile: the
+    same message from ``refine_tile`` and — for that chunk's segment
+    views — from the ``refine_to_container`` adapter."""
+    tile, *where = _corruptible_tile()
+    assert len(refine_tile(tile)) == 3
+    corrupt(tile, *where)
+    with pytest.raises(CompressionError, match=message) as whole:
+        refine_tile(tile)
+    with pytest.raises(CompressionError, match=message) as alone:
+        refine_to_container(tile.chunks[1], tile.outputs(1))
+    assert str(whole.value) == str(alone.value)
+    for untouched in (0, 2):
+        refine_to_container(tile.chunks[untouched], tile.outputs(untouched))
+
+
+def test_token_count_mismatch_raises_through_tile_and_adapter():
+    tile, thread, *_ = _corruptible_tile()
+    tile.counts[thread] += 1
+    with pytest.raises(CompressionError, match="disagree in length"):
+        refine_tile(tile)
+    tile, *_ = _corruptible_tile()
+    outputs = tile.outputs(1)
+    outputs[1].distances = outputs[1].distances[:-1]
+    with pytest.raises(CompressionError,
+                       match="segment 1 token arrays disagree in length"):
+        refine_to_container(tile.chunks[1], outputs)
+
+
+@pytest.mark.parametrize("length", (2, 19))
+def test_match_length_outside_the_field_raises_through_tile_and_adapter(
+        length):
+    """Tiling intact; the only thing wrong is a length no field holds."""
+    body = [Literal(ord("q")), Match(1, length), Match(1, 18)]
+    spoiled = (b"q" * (19 + length), [(0, 1 + length, body[:2]),
+                                      (1 + length, 19 + length, body[2:])])
+    tile = _hand_tile(_FOLLOWS, spoiled)
+    message = rf"match length {length} outside \[3, 18\]"
+    with pytest.raises(CompressionError, match=message):
+        refine_tile(tile)
+    with pytest.raises(CompressionError, match=message):
+        refine_to_container(spoiled[0], tile.outputs(1))
+    assert refine_to_container(_FOLLOWS[0], tile.outputs(0))
+
+
+def test_repair_that_loses_bytes_raises_through_tile_and_adapter(
+        monkeypatch):
+    """What the packer is handed is checked again after a repair: an
+    absorption that takes a token too many (here a patched prefix scan)
+    no longer expands to the chunk."""
+    from repro.compression import postprocess
+    chunk = b"abcdefgh" * 3
+    segments = [(0, 11, _literals(b"abcdefgh") + [Match(8, 3)]),
+                (11, 24, _literals(b"def") + [Match(8, 4)]
+                 + _literals(b"cdefgh"))]
+    tile = _hand_tile(_FOLLOWS, (chunk, segments))
+    assert refine_tile(tile)[1] == tokens_to_bytes(
+        reference_merge_segments(chunk, segments), len(chunk))
+    monkeypatch.setattr(postprocess, "common_prefix_length",
+                        lambda data, a, b, limit: limit + 1)
+    message = "token stream expands to 21 bytes but header claims 24"
+    with pytest.raises(CompressionError, match=message):
+        refine_tile(tile)
+    with pytest.raises(CompressionError, match=message):
+        refine_to_container(chunk, tile.outputs(1))
 
 
 def _segment_output(chunk, index, start, tokens):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LzssCodec
+from repro.compression.gpu_lz import GpuCompressor
 from repro.compression.postprocess import refine_to_container
 from repro.errors import CompressionError, KernelError
 from repro.gpu import GpuDevice
@@ -18,7 +19,9 @@ from repro.gpu.kernels import (
     SegmentLzKernel,
     Sha1Kernel,
 )
+from repro.gpu.kernels.lz import LZ_CENSUS
 from repro.sim import Environment
+from repro.types import Chunk
 from tests.reference_codecs import (
     reference_segment_bounds,
     reference_segment_tokens,
@@ -376,6 +379,69 @@ class TestPostprocessValidation:
                                            repair_seams=True))
         raw = len(refine_to_container(chunk, outputs, repair_seams=False))
         assert repaired <= raw
+
+
+class TestGpuCompressorHandOff:
+    """``make_kernel`` -> launch -> ``split_results`` -> ``postprocess``."""
+
+    @staticmethod
+    def _chunks(*payloads):
+        return [Chunk(offset=4096 * i, size=len(payload), payload=payload)
+                for i, payload in enumerate(payloads)]
+
+    def test_split_results_hands_each_chunk_its_container(self):
+        chunks = self._chunks(_compressible(4096), _incompressible(4096),
+                              _compressible(700))
+        comp = GpuCompressor()
+        launch = comp.make_kernel(chunks).execute()
+        blobs = comp.split_results(chunks, launch)
+        assert blobs == [refine_to_container(chunk.payload, outputs)
+                         for chunk, outputs in zip(chunks, launch)]
+        results = [comp.postprocess(chunk, blob)
+                   for chunk, blob in zip(chunks, blobs)]
+        assert [r.blob for r in results] == [blobs[0], None, blobs[2]]
+        assert [r.stored_raw for r in results] == [False, True, False]
+        assert [r.compressed_size for r in results] \
+            == [len(blobs[0]), 4096, len(blobs[2])]
+        assert comp.bytes_out == sum(chunk.compressed_size
+                                     for chunk in chunks)
+
+    def test_census_rides_on_the_launch_result(self):
+        """Not on "the kernel made last": a launch abandoned between
+        ``make_kernel`` and ``split_results``, or a second batcher's,
+        must not lend or lose its counts."""
+        comp = GpuCompressor()
+        first = self._chunks(_compressible(4096), _compressible(2048))
+        second = self._chunks(_incompressible(4096))
+        launches = [comp.make_kernel(first).execute(),
+                    comp.make_kernel(second).execute()]
+        comp.make_kernel(first)         # made, never launched
+        for chunks, launch in zip((second, first), launches[::-1]):
+            comp.split_results(chunks, launch)
+        assert launches[0].census["candidate_visits"] > 0
+        assert comp.lz_census == {
+            name: launches[0].census[name] + launches[1].census[name]
+            for name in LZ_CENSUS}
+
+    def test_result_of_the_wrong_length_or_kind_is_rejected(self):
+        comp = GpuCompressor()
+        payload = self._chunks(_compressible(4096), _compressible(4096))
+        descriptor = [Chunk(offset=0, size=4096, comp_ratio=2.0),
+                      Chunk(offset=4096, size=4096, comp_ratio=2.0)]
+        launch = comp.make_kernel(payload).execute()
+        sizes = comp.make_kernel(descriptor).execute()
+        assert comp.split_results(descriptor, sizes) == [2048, 2048]
+        with pytest.raises(CompressionError, match="2 payload results "
+                                                   "for 1 chunks"):
+            comp.split_results(payload[:1], launch)
+        with pytest.raises(CompressionError, match="1 descriptor results "
+                                                   "for 2 chunks"):
+            comp.split_results(descriptor, sizes[:1])
+        with pytest.raises(CompressionError, match="descriptor results"):
+            comp.split_results(payload, sizes)
+        with pytest.raises(CompressionError, match="payload results"):
+            comp.split_results(descriptor, launch)
+        assert comp.lz_census == dict.fromkeys(LZ_CENSUS, 0)
 
 
 class TestDescriptorLzKernel:
