@@ -145,7 +145,7 @@ class LintConfig:
 
     # -- fingerprint decomposition (REP503) --------------------------------
     #: Packages where per-fingerprint ``int.from_bytes`` / slicing is
-    #: flagged: derived fingerprint fields come from the shared
+    #: flagged: derived fingerprint fields come from the
     #: :func:`repro.dedup.index_base.decompose` view.
     fp_decompose_scope: tuple[str, ...] = ("repro.dedup",)
     #: The one audited decomposition site, exempt by construction.
@@ -163,7 +163,6 @@ class LintConfig:
     effect_benign_globals: tuple[str, ...] = (
         "repro.compression.lz_common._KEY3_CACHE",
         "repro.compression.lzss._OCC_CACHE",
-        "repro.dedup.index_base._CACHES",
     )
     #: Functions whose return value is a shared view or cached buffer:
     #: callers receive a ``shared`` root, and any mutation through it
@@ -172,15 +171,6 @@ class LintConfig:
         "repro.compression.lz_common.key3_array",
         "repro.compression.lzss.occurrence_index",
     )
-    #: Functions whose return value is a *cache container* owned by an
-    #: audited benign global: installs into the returned dict are the
-    #: memoization itself, not a shared-view mutation.  Maps provider
-    #: function -> the benign global it exposes.
-    effect_cache_providers: dict[str, str] = field(
-        default_factory=lambda: {
-            "repro.dedup.index_base.decomposition_cache":
-                "repro.dedup.index_base._CACHES",
-        })
     #: class -> attributes that expose shared numpy views (mutating an
     #: element through them corrupts every aliasing consumer).
     shared_view_attrs: dict[str, tuple[str, ...]] = field(
@@ -213,7 +203,6 @@ class LintConfig:
     shared_state_audited: tuple[str, ...] = (
         "repro.compression.lz_common._KEY3_CACHE",
         "repro.compression.lzss._OCC_CACHE",
-        "repro.dedup.index_base._CACHES",
     )
 
     # -- cluster shard isolation (REP801) ----------------------------------

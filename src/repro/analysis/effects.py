@@ -1421,13 +1421,6 @@ class _Extractor:
         canonical = self.a.canonical(callee.qualname)
         if canonical in self.config.shared_view_providers:
             root = ("shared", f"{callee.short()}() view")
-        else:
-            backing = self.config.effect_cache_providers.get(canonical)
-            if backing is not None:
-                # The provider hands out a cache *container* owned by
-                # an audited benign global; installs into it are the
-                # memoization itself.
-                root = ("global", backing)
         return (root, callee.return_type)
 
     def _call_method(self, node: ast.Call, base: tuple, attr: str,

@@ -12,12 +12,12 @@ common case and the inline scan beats slice setup there — and it
 carries an inline suppression.
 
 REP503 is the same discipline for fingerprints: every derived slice of
-a fingerprint (bin prefix, truncated suffix, GPU u64 lanes) comes from
-:func:`repro.dedup.index_base.decompose`, which validates and caches
-the result once per fingerprint.  A fresh ``int.from_bytes`` call or
-``fingerprint[...]`` slice elsewhere in ``repro.dedup`` re-derives what
-the shared view already holds — at best a redundant decode on the hot
-path, at worst a drift from the audited decomposition.
+a fingerprint (bin prefix, truncated suffix) comes from
+:func:`repro.dedup.index_base.decompose`, the one site that validates
+a fingerprint and cuts it into its view.  A fresh ``int.from_bytes``
+call or ``fingerprint[...]`` slice elsewhere in ``repro.dedup``
+re-derives what the view already holds — at best a redundant decode on
+the hot path, at worst a drift from the audited decomposition.
 """
 
 from __future__ import annotations

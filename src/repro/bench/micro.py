@@ -49,7 +49,7 @@ from repro.dedup.bins import BinTable
 from repro.dedup.engine import DedupEngine, _StagedInfo
 from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.hashing import fingerprint_window
-from repro.dedup.index_base import decompose, decomposition_cache
+from repro.dedup.index_base import decompose
 from repro.dedup.replacement import RandomReplacement
 from repro.gpu.device import GpuDevice
 from repro.gpu.kernel import Kernel, KernelCost
@@ -367,16 +367,11 @@ def _tree_probe(quick: bool) -> Built:
                         _fingerprints(entries // 2, salt=4))
 
     def run() -> None:
-        cache = decomposition_cache(table.prefix_bytes)
         probe = table.probe_view
         pb = table.prefix_bytes
         for _ in range(passes):
             for fingerprint in probes:
-                try:
-                    view = cache[fingerprint]
-                except KeyError:
-                    view = decompose(fingerprint, pb, cache)
-                probe(view)
+                probe(decompose(fingerprint, pb))
 
     return run, len(probes) * passes
 
@@ -409,9 +404,8 @@ def _flush_install(quick: bool) -> Built:
     flushes = []
     for event_id in range(events):
         bin_id = (event_id * 257) % (256 ** 2)
-        prefix = bin_id.to_bytes(2, "big")
-        flushes.append(FlushEvent(bin_id=bin_id, entries=tuple(
-            (prefix + hashlib.sha1(
+        flushes.append(FlushEvent(bin_id=bin_id, staged=tuple(
+            (hashlib.sha1(
                 f"bin{bin_id}:{event_id}:{i}".encode()).digest()[2:],
              _StagedInfo(size=4096, compressed_size=2048))
             for i in range(per_event))))

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.dedup.index_base import (FingerprintView, decompose,
-                                    decomposition_cache)
+from repro.dedup.index_base import FingerprintView, decompose
 from repro.errors import IndexError_
 
 
@@ -29,20 +28,20 @@ class FlushEvent:
     """One bin's worth of entries leaving the buffer."""
 
     bin_id: int
-    #: (full fingerprint, value) pairs in insertion order.
-    entries: tuple[tuple[bytes, Any], ...]
+    #: (suffix, value) pairs in insertion order — with ``bin_id``, the
+    #: views the bin tree and the GPU bin install as they are.
+    staged: tuple[tuple[bytes, Any], ...]
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return len(self.staged)
 
 
 class BinBuffer:
     """Per-bin staging buffer with flush-on-full semantics."""
 
     __slots__ = ("prefix_bytes", "per_bin_capacity", "total_capacity",
-                 "_bins", "_total", "_cache", "lookups", "hits",
-                 "flushes")
+                 "_bins", "_total", "lookups", "hits", "flushes")
 
     def __init__(self, prefix_bytes: int = 2, per_bin_capacity: int = 64,
                  total_capacity: int | None = None):
@@ -62,42 +61,19 @@ class BinBuffer:
         self.total_capacity = total_capacity
         # Staged entries keyed by *suffix* — within one bin the suffix
         # identifies the fingerprint, and suffix-keyed dicts compare
-        # fewer bytes per probe.  FlushEvent still carries the full
-        # fingerprints (reassembled from bin prefix + suffix).
+        # fewer bytes per probe.
         self._bins: dict[int, dict[bytes, Any]] = {}
         self._total = 0
-        self._cache = decomposition_cache(prefix_bytes)
         # -- statistics --
         self.lookups = 0
         self.hits = 0
         self.flushes = 0
 
-    def _view(self, fingerprint: bytes) -> FingerprintView:
-        return decompose(fingerprint, self.prefix_bytes, self._cache)
-
-    def _bin_of(self, fingerprint: bytes) -> int:
-        return self._view(fingerprint).bin_id
-
     # -- probe / stage --------------------------------------------------------
 
     def lookup(self, fingerprint: bytes) -> Optional[Any]:
         """Value for a *recent* fingerprint still staged here, or None."""
-        # Inlined view probe: one cache hit plus two dict reads.  The
-        # try/except hit path is free on 3.11+; KeyError means a novel
-        # fingerprint, TypeError an unhashable (bytearray) one — both
-        # are what `decompose` handles.
-        try:
-            view = self._cache[fingerprint]
-        except (KeyError, TypeError):
-            view = decompose(fingerprint, self.prefix_bytes, self._cache)
-        self.lookups += 1
-        staged = self._bins.get(view.bin_id)
-        if staged is None:
-            return None
-        value = staged.get(view.suffix)
-        if value is not None:
-            self.hits += 1
-        return value
+        return self.lookup_view(decompose(fingerprint, self.prefix_bytes))
 
     def lookup_view(self, view: FingerprintView) -> Optional[Any]:
         """Like :meth:`lookup` for an already-decomposed fingerprint."""
@@ -115,14 +91,16 @@ class BinBuffer:
         is due — either this bin filled, or the whole buffer exceeded its
         budget (then the *fullest* bin flushes, maximizing the sequential
         write the flush produces)."""
-        return self.add_view(self._view(fingerprint), value)
+        return self.add_view(decompose(fingerprint, self.prefix_bytes),
+                             value)
 
     def add_view(self, view: FingerprintView,
                  value: Any) -> Optional[FlushEvent]:
         """Like :meth:`add` for an already-decomposed fingerprint."""
         staged = self._bins.setdefault(view.bin_id, {})
         if view.suffix in staged:
-            fingerprint = self._fingerprint(view.bin_id, view.suffix)
+            fingerprint = view.bin_id.to_bytes(self.prefix_bytes, "big") \
+                + view.suffix
             raise IndexError_(
                 f"fingerprint {fingerprint.hex()[:12]}... staged twice — "
                 "the engine must probe before adding")
@@ -136,16 +114,11 @@ class BinBuffer:
             return self._flush_bin(fullest)
         return None
 
-    def _fingerprint(self, bin_id: int, suffix: bytes) -> bytes:
-        return bin_id.to_bytes(self.prefix_bytes, "big") + suffix
-
     def _flush_bin(self, bin_id: int) -> FlushEvent:
         staged = self._bins.pop(bin_id)
         self._total -= len(staged)
         self.flushes += 1
-        prefix = bin_id.to_bytes(self.prefix_bytes, "big")
-        return FlushEvent(bin_id=bin_id, entries=tuple(
-            (prefix + suffix, value) for suffix, value in staged.items()))
+        return FlushEvent(bin_id=bin_id, staged=tuple(staged.items()))
 
     # -- teardown / introspection ------------------------------------------------
 

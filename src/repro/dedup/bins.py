@@ -22,11 +22,10 @@ cost model.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.dedup.btree import BTree
-from repro.dedup.index_base import (FingerprintView, decompose,
-                                    decomposition_cache)
+from repro.dedup.index_base import FingerprintView, decompose
 from repro.errors import IndexError_
 from repro.types import FINGERPRINT_BYTES
 
@@ -35,7 +34,7 @@ class BinTable:
     """Prefix-partitioned, prefix-truncated fingerprint index."""
 
     __slots__ = ("prefix_bytes", "min_degree", "n_bins", "_bins",
-                 "_size", "_cache", "lookups", "hits")
+                 "_size", "lookups", "hits")
 
     def __init__(self, prefix_bytes: int = 2, min_degree: int = 16):
         if not 1 <= prefix_bytes <= 4:
@@ -47,7 +46,6 @@ class BinTable:
         # Bins are created lazily: most of a large bin space stays empty.
         self._bins: dict[int, BTree] = {}
         self._size = 0
-        self._cache = decomposition_cache(prefix_bytes)
         # -- statistics --
         self.lookups = 0
         self.hits = 0
@@ -55,7 +53,7 @@ class BinTable:
     # -- key handling ----------------------------------------------------------
 
     def _view(self, fingerprint: bytes) -> FingerprintView:
-        return decompose(fingerprint, self.prefix_bytes, self._cache)
+        return decompose(fingerprint, self.prefix_bytes)
 
     def bin_of(self, fingerprint: bytes) -> int:
         """Bin number: the integer value of the fingerprint prefix."""
@@ -69,18 +67,7 @@ class BinTable:
 
     def lookup(self, fingerprint: bytes) -> Optional[Any]:
         """Stored value for ``fingerprint``, or None."""
-        try:  # zero-cost on the decomposition-cache hit path
-            view = self._cache[fingerprint]
-        except (KeyError, TypeError):
-            view = decompose(fingerprint, self.prefix_bytes, self._cache)
-        self.lookups += 1
-        tree = self._bins.get(view.bin_id)
-        if tree is None:
-            return None
-        value = tree.search(view.suffix)
-        if value is not None:
-            self.hits += 1
-        return value
+        return self.probe_view(self._view(fingerprint))[1]
 
     def insert(self, fingerprint: bytes, value: Any) -> bool:
         """Store ``value``; returns True if the fingerprint was new."""
@@ -94,33 +81,23 @@ class BinTable:
             self._size += 1
         return was_new
 
-    def install_flush(self, bin_id: int,
-                      entries: "tuple[tuple[bytes, Any], ...]") -> int:
-        """Install one flushed bin's (fingerprint, value) run at once.
+    def install_views(self, bin_id: int,
+                      staged: Sequence[tuple[bytes, Any]]) -> int:
+        """Install one flushed bin's (suffix, value) run at once.
 
         The entries all belong to ``bin_id`` (the bin buffer flushes one
         bin at a time), so the per-entry bin dispatch happens once and
-        the B-tree receives the whole sorted run via
+        the B-tree receives the whole run via
         :meth:`~repro.dedup.btree.BTree.insert_run`.  Returns the number
         of new keys; tree shape is byte-identical to per-entry inserts.
         """
-        if not entries:
-            return 0
-        return self.install_views(
-            bin_id, [self._view(fp) for fp, _ in entries],
-            [value for _, value in entries])
-
-    def install_views(self, bin_id: int, views: "list[FingerprintView]",
-                      values: "list[Any]") -> int:
-        """:meth:`install_flush` over pre-decomposed views."""
-        if not views:
+        if not staged:
             return 0
         tree = self._bins.get(bin_id)
         if tree is None:
             tree = BTree(min_degree=self.min_degree)
             self._bins[bin_id] = tree
-        installed = tree.insert_run(
-            [(view.suffix, value) for view, value in zip(views, values)])
+        installed = tree.insert_run(staged)
         self._size += installed
         return installed
 
@@ -136,19 +113,15 @@ class BinTable:
 
     def bin_depth(self, fingerprint: bytes) -> int:
         """Levels a probe for ``fingerprint`` walks (>= 1)."""
-        try:  # zero-cost on the decomposition-cache hit path
-            view = self._cache[fingerprint]
-        except (KeyError, TypeError):
-            view = decompose(fingerprint, self.prefix_bytes, self._cache)
-        tree = self._bins.get(view.bin_id)
+        tree = self._bins.get(self._view(fingerprint).bin_id)
         return tree.height if tree is not None else 1
 
     def probe_view(self, view: FingerprintView) -> "tuple[int, Optional[Any]]":
         """(bin depth, stored value) in one bin dispatch.
 
         Equivalent to :meth:`bin_depth` followed by :meth:`lookup` —
-        same statistics, same cost-model depth — but the hot engine path
-        pays one dict probe and no re-decomposition.
+        same statistics, same cost-model depth — for a caller that
+        already holds the view.
         """
         tree = self._bins.get(view.bin_id)
         self.lookups += 1

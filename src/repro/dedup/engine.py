@@ -24,8 +24,7 @@ from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.dedup.bin_buffer import BinBuffer
 from repro.dedup.bins import BinTable
 from repro.dedup.gpu_index import GpuBinIndex
-from repro.dedup.index_base import (FingerprintView, decompose,
-                                    decomposition_cache)
+from repro.dedup.index_base import decompose
 from repro.errors import DedupError
 from repro.obs.stages import (
     CTR_BUFFER_HITS,
@@ -72,8 +71,7 @@ class DedupEngine:
     """Functional dedup state with per-operation cycle costs."""
 
     __slots__ = ("costs", "bin_table", "bin_buffer", "gpu_index",
-                 "metadata", "_prefix_bytes", "_decompose_cache",
-                 "counters")
+                 "metadata", "_prefix_bytes", "counters")
 
     def __init__(self, prefix_bytes: int = 2, btree_min_degree: int = 16,
                  bin_buffer_capacity: int = 64,
@@ -90,7 +88,6 @@ class DedupEngine:
         self.gpu_index = gpu_index
         self.metadata = metadata if metadata is not None else MetadataStore()
         self._prefix_bytes = prefix_bytes
-        self._decompose_cache = decomposition_cache(prefix_bytes)
         # -- Fig. 1 edge counters --
         # Every counter any consumer bumps or reads is seeded here, so
         # reports always carry the full key set (a counter that never
@@ -108,18 +105,9 @@ class DedupEngine:
 
     # -- indexing (CPU path) ----------------------------------------------------
 
-    def _view(self, fingerprint: bytes) -> FingerprintView:
-        # Inlined decomposition-cache probe (the `decompose` fast path,
-        # minus one call frame — this runs once per chunk).
-        try:
-            return self._decompose_cache[fingerprint]
-        except (KeyError, TypeError):
-            return decompose(fingerprint, self._prefix_bytes,
-                             self._decompose_cache)
-
     def cpu_index(self, chunk: Chunk) -> IndexOutcome:
         """Bin-buffer probe, then bin-tree probe (Fig. 1's CPU path)."""
-        view = self._view(chunk.require_fingerprint())
+        view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
         cycles = self.costs.bin_buffer_probe
         if self.bin_buffer.lookup_view(view) is not None:
             self.counters[CTR_BUFFER_HITS] += 1
@@ -142,7 +130,7 @@ class DedupEngine:
         miss too — only the bin buffer (entries newer than the last
         flush) still needs checking.
         """
-        view = self._view(chunk.require_fingerprint())
+        view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
         cycles = self.costs.bin_buffer_probe
         if self.bin_buffer.lookup_view(view) is not None:
             self.counters[CTR_BUFFER_HITS] += 1
@@ -199,7 +187,7 @@ class DedupEngine:
                   + self.costs.metadata_update
                   + self.costs.flush_amortized_per_unique)
         flush = self.bin_buffer.add_view(
-            self._view(fingerprint),
+            decompose(fingerprint, self._prefix_bytes),
             _StagedInfo(size=chunk.size,
                         compressed_size=chunk.compressed_size))
         batch = self._apply_flush(flush) if flush is not None else None
@@ -208,24 +196,24 @@ class DedupEngine:
     def _apply_flush(self, flush) -> DestageBatch:
         """Move a flushed bin into the bin tree and the GPU bins.
 
-        Every flushed fingerprint is decomposed exactly once here (a
-        cache hit when the fingerprint was probed on ingest) and the
-        resulting views feed both the bin-tree run install and the GPU
-        bin install, so neither side re-slices anything.
+        The flush's staged (suffix, value) pairs are already the views
+        both installs take, so nothing is re-assembled or re-sliced.
         """
         self.counters[CTR_FLUSHES] += 1
-        cache = self._decompose_cache
-        pb = self._prefix_bytes
-        views = [decompose(fp, pb, cache) for fp, _ in flush.entries]
-        values = [info for _, info in flush.entries]
-        self.bin_table.install_views(flush.bin_id, views, values)
-        payload = sum(info.compressed_size for info in values)
+        staged = flush.staged
+        self.bin_table.install_views(flush.bin_id, staged)
+        payload = sum(info.compressed_size for _, info in staged)
         gpu = self.gpu_index
         if gpu is not None:
-            if gpu.prefix_bytes == pb:
-                gpu.install_views(views)
+            if gpu.prefix_bytes == self._prefix_bytes:
+                gpu.install_views(flush.bin_id,
+                                  [suffix for suffix, _ in staged])
             else:
-                gpu.update_from_flush(flush.entries)
+                # A GPU index keyed on another prefix width cuts its own
+                # views from the full fingerprints.
+                prefix = flush.bin_id.to_bytes(self._prefix_bytes, "big")
+                gpu.update_from_flush(
+                    [(prefix + suffix, None) for suffix, _ in staged])
         return DestageBatch(bin_id=flush.bin_id,
                             chunk_count=flush.count,
                             payload_bytes=payload)

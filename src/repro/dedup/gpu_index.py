@@ -14,18 +14,20 @@ below device-error rates, the standard dedup-system trade.
 
 Bins have fixed capacity; when a bin-buffer flush overflows one, the
 pluggable :class:`~repro.dedup.replacement.ReplacementPolicy` picks the
-victims (random by default, per the paper).
+victims (random by default, per the paper).  The *device* allocation is
+the full ``bin_capacity`` from a bin's first entry; the host arrays that
+stand in for it start at :data:`INITIAL_SLOTS` and double as installs
+arrive, so host memory follows what a run indexed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dedup.index_base import (FingerprintView, check_fingerprint,
-                                    decompose, decomposition_cache)
+from repro.dedup.index_base import check_fingerprint, decompose
 from repro.dedup.replacement import RandomReplacement, ReplacementPolicy
 from repro.errors import IndexError_
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
@@ -35,6 +37,19 @@ from repro.types import FINGERPRINT_BYTES
 
 #: Device bytes per entry: two u64 suffix lanes.
 ENTRY_BYTES = 16
+#: Host slots a bin's arrays start with (the bin buffer's default flush).
+INITIAL_SLOTS = 64
+
+
+def _suffix_lanes(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two big-endian u64 lanes of each row of suffix bytes.
+
+    ``raw`` is ``(n, >= ENTRY_BYTES)`` uint8, one suffix per row; every
+    legal ``prefix_bytes`` leaves at least the 16 compared bytes.
+    """
+    lanes = np.ascontiguousarray(
+        raw[:, :ENTRY_BYTES]).view(">u8").astype(np.uint64)
+    return lanes[:, 0], lanes[:, 1]
 
 
 @dataclass(slots=True)
@@ -44,11 +59,37 @@ class _GpuBin:
     count: int
 
 
+class _TableView(Mapping):
+    """bin id -> ``(lo, hi, count)`` as a kernel launch sees device memory.
+
+    ``count`` is each bin's fill when the view was taken; the arrays are
+    the bin's *current* ones, read when the kernel runs — so an eviction
+    between launch and execution is visible to a queued kernel whether
+    or not the bin's host arrays grew in between.
+    """
+
+    __slots__ = ("_snapshot",)
+
+    def __init__(self, bins: dict[int, _GpuBin]):
+        self._snapshot = {bin_id: (entry, entry.count)
+                          for bin_id, entry in bins.items()}
+
+    def __getitem__(self, bin_id: int) -> tuple[np.ndarray, np.ndarray, int]:
+        entry, count = self._snapshot[bin_id]
+        return entry.lo, entry.hi, count
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._snapshot)
+
+    def __len__(self) -> int:
+        return len(self._snapshot)
+
+
 class GpuBinIndex:
     """Capacity-limited linear-bin fingerprint index in device memory."""
 
     __slots__ = ("prefix_bytes", "bin_capacity", "policy", "memory",
-                 "costs", "_bins", "_size", "_cache",
+                 "costs", "_bins", "_size",
                  "_policy_tracks_inserts", "_policy_tracks_hits",
                  "evictions", "lookups", "hits")
 
@@ -70,7 +111,6 @@ class GpuBinIndex:
         self.costs = costs
         self._bins: dict[int, _GpuBin] = {}
         self._size = 0
-        self._cache = decomposition_cache(prefix_bytes)
         # Batched installs and result recording may skip the per-entry
         # policy hook loops, but only when the policy does not override
         # the base no-op hooks (LRU does; random/FIFO do not).
@@ -86,17 +126,9 @@ class GpuBinIndex:
 
     # -- key handling ----------------------------------------------------------
 
-    def _view(self, fingerprint: bytes) -> FingerprintView:
-        return decompose(fingerprint, self.prefix_bytes, self._cache)
-
     def bin_of(self, fingerprint: bytes) -> int:
         """Bin number from the fingerprint prefix."""
-        return self._view(fingerprint).bin_id
-
-    def suffix_words(self, fingerprint: bytes) -> tuple[int, int]:
-        """The 16 stored suffix bytes as two u64 words."""
-        view = self._view(fingerprint)
-        return view.lo, view.hi
+        return decompose(fingerprint, self.prefix_bytes).bin_id
 
     # -- mutation -----------------------------------------------------------
 
@@ -106,48 +138,42 @@ class GpuBinIndex:
             if self.memory is not None:
                 self.memory.alloc(self.bin_capacity * ENTRY_BYTES,
                                   label=f"gpu-bin-{bin_id}")
-            entry = _GpuBin(
-                lo=np.zeros(self.bin_capacity, dtype=np.uint64),
-                hi=np.zeros(self.bin_capacity, dtype=np.uint64),
-                count=0,
-            )
+            slots = min(self.bin_capacity, INITIAL_SLOTS)
+            entry = _GpuBin(lo=np.zeros(slots, dtype=np.uint64),
+                            hi=np.zeros(slots, dtype=np.uint64), count=0)
             self._bins[bin_id] = entry
         return entry
 
+    def _reserve(self, entry: _GpuBin, count: int) -> None:
+        """Grow ``entry``'s arrays (doubling, capped at ``bin_capacity``)
+        to hold ``count`` entries."""
+        slots = len(entry.lo)
+        if count <= slots:
+            return
+        while slots < count:
+            slots *= 2
+        slots = min(slots, self.bin_capacity)
+        used = entry.count
+        lo = np.zeros(slots, dtype=np.uint64)
+        hi = np.zeros(slots, dtype=np.uint64)
+        lo[:used] = entry.lo[:used]
+        hi[:used] = entry.hi[:used]
+        entry.lo, entry.hi = lo, hi
+
     def insert(self, fingerprint: bytes) -> int:
         """Install a fingerprint; returns the slot used."""
-        view = self._view(fingerprint)
-        return self._insert_view(view)
-
-    def _insert_view(self, view: FingerprintView) -> int:
-        entry = self._bin(view.bin_id)
-        if entry.count < self.bin_capacity:
-            slot = entry.count
-            entry.count += 1
-            self._size += 1
-        else:
-            slot = self.policy.choose_victim(view.bin_id, self.bin_capacity)
-            self.evictions += 1
-        entry.lo[slot] = view.lo
-        entry.hi[slot] = view.hi
-        self.policy.on_insert(view.bin_id, slot)
-        return slot
+        view = decompose(fingerprint, self.prefix_bytes)
+        return self._install_run(view.bin_id, [view.suffix])
 
     def update_from_flush(
             self, entries: Iterable[tuple[bytes, object]]) -> int:
-        """Apply a bin-buffer flush: install every flushed fingerprint.
+        """Install every (fingerprint, value) entry, whatever its bin.
 
-        A flush carries one bin's worth of entries, so the free-slot
-        portion installs as two array assignments instead of per-entry
-        :meth:`insert` calls.  Overflow entries still evict one at a
-        time, in arrival order, so the :class:`ReplacementPolicy` sees
-        the exact victim sequence (and RNG draws) it always has.
+        Consecutive entries of one bin install as one run, exactly as
+        :meth:`install_views` would.
         """
-        return self.install_views(
-            [self._view(fingerprint) for fingerprint, _value in entries])
-
-    def install_views(self, views: "list[FingerprintView]") -> int:
-        """:meth:`update_from_flush` over pre-decomposed views."""
+        views = [decompose(fingerprint, self.prefix_bytes)
+                 for fingerprint, _value in entries]
         n = len(views)
         start = 0
         while start < n:
@@ -155,43 +181,62 @@ class GpuBinIndex:
             end = start
             while end < n and views[end].bin_id == bin_id:
                 end += 1
-            self._install_run(bin_id, views[start:end])
+            self._install_run(bin_id,
+                              [view.suffix for view in views[start:end]])
             start = end
         return n
 
-    def _install_run(self, bin_id: int, run: "list[FingerprintView]") -> None:
+    def install_views(self, bin_id: int, suffixes: Sequence[bytes]) -> None:
+        """Apply a bin-buffer flush: install one bin's suffixes in order.
+
+        The free-slot portion installs as two array assignments instead
+        of per-entry :meth:`insert` calls.  Overflow entries still evict
+        one at a time, in arrival order, so the
+        :class:`ReplacementPolicy` sees the exact victim sequence (and
+        RNG draws) it always has.
+        """
+        if suffixes:
+            self._install_run(bin_id, suffixes)
+
+    def _install_run(self, bin_id: int, suffixes: Sequence[bytes]) -> int:
+        """Install a non-empty run; returns the last slot written."""
         entry = self._bin(bin_id)
-        fit = min(self.bin_capacity - entry.count, len(run))
+        n = len(suffixes)
+        # The one place suffix bytes become lanes: one big-endian array
+        # pass over the whole run.
+        lo, hi = _suffix_lanes(np.frombuffer(
+            b"".join(suffixes), dtype=np.uint8).reshape(n, -1))
+        fit = min(self.bin_capacity - entry.count, n)
         if fit > 0:
             base = entry.count
-            entry.lo[base:base + fit] = np.fromiter(
-                (v.lo for v in run[:fit]), dtype=np.uint64, count=fit)
-            entry.hi[base:base + fit] = np.fromiter(
-                (v.hi for v in run[:fit]), dtype=np.uint64, count=fit)
+            self._reserve(entry, base + fit)
+            entry.lo[base:base + fit] = lo[:fit]
+            entry.hi[base:base + fit] = hi[:fit]
             entry.count += fit
             self._size += fit
             if self._policy_tracks_inserts:
                 for slot in range(base, base + fit):
                     self.policy.on_insert(bin_id, slot)
-        for view in run[fit:]:
+            slot = base + fit - 1
+        for i in range(fit, n):
             slot = self.policy.choose_victim(bin_id, self.bin_capacity)
             self.evictions += 1
-            entry.lo[slot] = view.lo
-            entry.hi[slot] = view.hi
+            entry.lo[slot] = lo[i]
+            entry.hi[slot] = hi[i]
             self.policy.on_insert(bin_id, slot)
+        return slot
 
     # -- lookup --------------------------------------------------------------
 
-    def table_view(self) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
+    def table_view(self) -> _TableView:
         """Kernel-facing view of the device-resident bins."""
-        return {bin_id: (b.lo, b.hi, b.count)
-                for bin_id, b in self._bins.items()}
+        return _TableView(self._bins)
 
     def make_batch(self, fingerprints: Sequence[bytes]) -> LookupBatch:
         """Build the query batch one kernel launch will resolve.
 
         The whole batch is decomposed in one numpy pass (join, reshape,
-        two big-endian u64 views) rather than per-fingerprint slicing.
+        one big-endian u64 view) rather than per-fingerprint slicing.
         Malformed input falls back to :func:`check_fingerprint` so the
         validation errors stay identical.
         """
@@ -206,10 +251,7 @@ class GpuBinIndex:
         bin_ids = np.zeros(n, dtype=np.uint32)
         for col in range(p):
             bin_ids = (bin_ids << np.uint32(8)) | raw[:, col]
-        lo = np.ascontiguousarray(
-            raw[:, p:p + 8]).view(">u8").astype(np.uint64).ravel()
-        hi = np.ascontiguousarray(
-            raw[:, p + 8:p + 16]).view(">u8").astype(np.uint64).ravel()
+        lo, hi = _suffix_lanes(raw[:, p:])
         return LookupBatch.from_arrays(bin_ids, lo, hi)
 
     def make_kernel(self, fingerprints: Sequence[bytes],

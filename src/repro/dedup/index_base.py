@@ -4,15 +4,14 @@ Every index variant (the CPU bin table, the GPU linear bins, the plain
 dict used as ground truth in property tests) answers the same question:
 *have we stored a chunk with this fingerprint before?*
 
-This module also owns the **decomposition cache**: every consumer of a
-fingerprint needs some slice of the same four derived values — the bin
-number (prefix), the truncated suffix, and the two big-endian u64 lanes
-the GPU bins compare on.  :func:`decompose` computes them once per
-(fingerprint, prefix_bytes) pair and every index component reads the
-shared :class:`FingerprintView` instead of re-validating and re-slicing
-the raw bytes.  It is the single audited slicing site in ``repro.dedup``
-(lint rule REP503 flags any other per-fingerprint ``int.from_bytes`` or
-slice in this package).
+This module also owns the **representation rule**: inside
+``repro.dedup`` a fingerprint *is* its :class:`FingerprintView` — the
+bin number (prefix) and the truncated suffix — and :func:`decompose` is
+the single audited site that validates and slices the raw bytes (lint
+rule REP503 flags any other per-fingerprint ``int.from_bytes`` or slice
+in this package).  The two u64 lanes the GPU bins compare exist only in
+the GPU arrays and in a ``LookupBatch`` (``gpu_index`` derives them
+from suffix bytes one array pass at a time).
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from typing import Any, NamedTuple, Optional, Protocol, runtime_checkable
 
 from repro.errors import IndexError_
 from repro.types import FINGERPRINT_BYTES
-
-#: Suffix bytes the GPU entry actually compares (two u64 lanes).
-SUFFIX_WORD_BYTES = 16
 
 
 def check_fingerprint(fingerprint: bytes) -> bytes:
@@ -39,71 +35,29 @@ def check_fingerprint(fingerprint: bytes) -> bytes:
 
 
 class FingerprintView(NamedTuple):
-    """One fingerprint, validated and decomposed exactly once.
+    """One validated fingerprint as ``repro.dedup`` holds it.
 
-    ``bin_id``/``suffix`` serve the CPU side (bin table, bin buffer);
-    ``lo``/``hi`` are the two big-endian u64 lanes of ``suffix[:16]``
-    the GPU linear bins store and compare.  All four are derived from
-    the same bytes, so any component holding a view may hand it to any
-    other component with the same ``prefix_bytes``.
+    Any component holding a view may hand it to any other component
+    with the same ``prefix_bytes``.
     """
 
     bin_id: int
     suffix: bytes
-    lo: int
-    hi: int
 
 
-#: Bound per prefix width; beyond it the oldest insertion is dropped.
-DECOMPOSE_CACHE_ENTRIES = 1 << 16
-
-_CACHES: dict[int, dict[bytes, FingerprintView]] = {}
-
-
-def decomposition_cache(prefix_bytes: int) -> dict[bytes, FingerprintView]:
-    """The shared fingerprint→view cache for one prefix width.
-
-    Components created with the same ``prefix_bytes`` (bin buffer, bin
-    table, GPU bins, engine) all hand out views from the same dict, so
-    a fingerprint decomposed on the buffer probe is a cache hit by the
-    time the flush installs it into the tree and the GPU bin.
-    """
-    cache = _CACHES.get(prefix_bytes)
-    if cache is None:
-        cache = _CACHES[prefix_bytes] = {}
-    return cache
-
-
-def decompose(fingerprint: bytes, prefix_bytes: int,
-              cache: Optional[dict[bytes, FingerprintView]] = None,
-              ) -> FingerprintView:
+def decompose(fingerprint: bytes, prefix_bytes: int) -> FingerprintView:
     """Validated :class:`FingerprintView` for ``fingerprint``.
 
-    The fast path is one dict probe.  On a miss the fingerprint is
-    validated via :func:`check_fingerprint` (identical errors to the
-    historical per-call validation) and decomposed once; the view is
-    then cached FIFO-bounded at :data:`DECOMPOSE_CACHE_ENTRIES`.
+    Anything but a 20-byte ``bytes`` goes through
+    :func:`check_fingerprint`, so every entry point raises the same
+    errors (and a ``bytearray`` is still accepted).
     """
-    if cache is None:
-        cache = decomposition_cache(prefix_bytes)
-    if type(fingerprint) is bytes:
-        view = cache.get(fingerprint)
-        if view is not None:
-            return view
-    fingerprint = check_fingerprint(fingerprint)
-    # The one audited decomposition site (see module docstring): every
-    # derived slice of a fingerprint in repro.dedup is produced here.
-    suffix = fingerprint[prefix_bytes:]
-    padded = (suffix + b"\x00" * SUFFIX_WORD_BYTES)[:SUFFIX_WORD_BYTES]
-    view = FingerprintView(
-        bin_id=int.from_bytes(fingerprint[:prefix_bytes], "big"),
-        suffix=suffix,
-        lo=int.from_bytes(padded[:8], "big"),
-        hi=int.from_bytes(padded[8:], "big"))
-    cache[fingerprint] = view
-    if len(cache) > DECOMPOSE_CACHE_ENTRIES:
-        del cache[next(iter(cache))]
-    return view
+    if type(fingerprint) is not bytes \
+            or len(fingerprint) != FINGERPRINT_BYTES:
+        fingerprint = check_fingerprint(fingerprint)
+    return FingerprintView(
+        int.from_bytes(fingerprint[:prefix_bytes], "big"),
+        fingerprint[prefix_bytes:])
 
 
 @runtime_checkable

@@ -59,7 +59,7 @@ class ChunkRecord:
 class MetadataStore:
     """Physical chunk table + fingerprint map + logical map."""
 
-    __slots__ = ("_by_id", "_by_fingerprint", "_logical",
+    __slots__ = ("_by_id", "_by_fingerprint", "_logical", "_zombies",
                  "_next_physical", "logical_bytes", "physical_bytes",
                  "restarts")
 
@@ -70,6 +70,9 @@ class MetadataStore:
         self._by_fingerprint: dict[bytes, int] = {}
         #: Logical offset -> physical id.
         self._logical: dict[int, int] = {}
+        #: Physical ids of records that are not ``live``: what the next
+        #: :meth:`sweep_unreferenced` collects.
+        self._zombies: set[int] = set()
         self._next_physical = 0
         # -- space ledger --
         self.logical_bytes = 0
@@ -109,6 +112,7 @@ class MetadataStore:
         )
         self._by_id[record.physical_id] = record
         self._by_fingerprint[fingerprint] = record.physical_id
+        self._zombies.add(record.physical_id)
         self._next_physical += 1
         # The first map_logical's add_reference accounts its bytes.
         return record
@@ -126,17 +130,25 @@ class MetadataStore:
                 f"no findable chunk for {fingerprint.hex()[:12]}...")
         return self._add_ref(record)
 
-    def _add_ref(self, record: ChunkRecord) -> ChunkRecord:
+    def _revive(self, record: ChunkRecord) -> None:
         if not record.live:
             self.physical_bytes += record.compressed_size
+            self._zombies.discard(record.physical_id)
+
+    def _retire(self, record: ChunkRecord) -> None:
+        if not record.live:
+            self.physical_bytes -= record.compressed_size
+            self._zombies.add(record.physical_id)
+
+    def _add_ref(self, record: ChunkRecord) -> ChunkRecord:
+        self._revive(record)
         record.refcount += 1
         return record
 
     def add_delta_ref(self, physical_id: int) -> ChunkRecord:
         """A delta record now depends on this chunk as its base."""
         record = self._by_id[physical_id]
-        if not record.live:
-            self.physical_bytes += record.compressed_size
+        self._revive(record)
         record.delta_refs += 1
         return record
 
@@ -154,8 +166,7 @@ class MetadataStore:
         if record.refcount <= 0:
             raise MetadataError("refcount underflow")
         record.refcount -= 1
-        if not record.live:
-            self.physical_bytes -= record.compressed_size
+        self._retire(record)
         return record
 
     def _drop_delta_ref(self, physical_id: int) -> None:
@@ -165,8 +176,7 @@ class MetadataStore:
         if record.delta_refs <= 0:
             raise MetadataError("delta-ref underflow")
         record.delta_refs -= 1
-        if not record.live:
-            self.physical_bytes -= record.compressed_size
+        self._retire(record)
 
     def sweep_unreferenced(self) -> int:
         """Garbage-collect zombie records; returns bytes reclaimed.
@@ -174,11 +184,13 @@ class MetadataStore:
         Callers must invalidate/rebuild any fingerprint index that might
         still point at the swept chunks, or stale hits will dangle.
         """
-        zombies = [record for record in self._by_id.values()
-                   if not record.live]
+        # Ascending physical id is the table's own order; a base that
+        # a swept delta releases lands in the emptied set for next time.
+        zombies = sorted(self._zombies)
+        self._zombies.clear()
         reclaimed = 0
-        for record in zombies:
-            del self._by_id[record.physical_id]
+        for physical_id in zombies:
+            record = self._by_id.pop(physical_id)
             if self._by_fingerprint.get(record.fingerprint) \
                     == record.physical_id:
                 del self._by_fingerprint[record.fingerprint]
@@ -271,12 +283,12 @@ class MetadataStore:
     @property
     def unique_chunks(self) -> int:
         """Number of distinct *live* stored chunks."""
-        return sum(1 for r in self._by_id.values() if r.live)
+        return len(self._by_id) - len(self._zombies)
 
     @property
     def zombie_chunks(self) -> int:
         """Unreferenced records awaiting garbage collection."""
-        return sum(1 for r in self._by_id.values() if not r.live)
+        return len(self._zombies)
 
     @property
     def mapped_offsets(self) -> int:
@@ -316,6 +328,12 @@ class MetadataStore:
         if physical != self.physical_bytes:
             raise MetadataError(
                 f"physical ledger {self.physical_bytes} != table {physical}")
+        scanned = {r.physical_id for r in self._by_id.values()
+                   if not r.live}
+        if scanned != self._zombies:
+            raise MetadataError(
+                f"zombie set drift on chunks "
+                f"{sorted(scanned ^ self._zombies)[:8]}")
         refs = sum(r.refcount for r in self._by_id.values())
         if refs != len(self._logical):
             raise MetadataError(

@@ -1,7 +1,7 @@
-# repro-lint: module=repro.dedup.index_base
+# repro-lint: module=repro.compression.lzss
 """Fixture: REP704 — module-level mutable state must be audited.
 
-Claiming the ``index_base`` module name lets ``_CACHES`` exercise the
+Claiming the ``lzss`` module name lets ``_OCC_CACHE`` exercise the
 audited-singleton exemption (``shared_state_audited``).
 """
 
@@ -9,6 +9,6 @@ from collections import OrderedDict
 
 TABLE = {}  # expect REP704 on this line (9)
 RECENT = OrderedDict()  # expect REP704 on this line (10)
-_CACHES = {}  # audited singleton: no finding
+_OCC_CACHE = {}  # audited singleton: no finding
 LIMITS = (4, 8)  # immutable: no finding
 __all__ = ["TABLE", "LIMITS"]  # dunder: no finding

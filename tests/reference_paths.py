@@ -23,6 +23,11 @@ imports this.
   timeout per item and one ``succeed()`` per waiter; a charge as a
   queued request whose grant starts a timeout; a destage write as a
   process around ``SsdModel.submit``;
+* :class:`PreallocatedGpuBins` — the GPU bin index with every bin
+  zero-filled at ``bin_capacity`` from its first entry, one insert at
+  a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
+  host arrays must stay indistinguishable from
+  (``test_gpu_index_growth``);
 * :func:`_extend_random` — ``rng.randrange(256)`` unrolled to its 9-bit
   rejection loop, the per-byte generator ``make_block`` ran on before it
   classified a pooled draw at once (``test_workload``).
@@ -113,6 +118,53 @@ class NaiveLocalityEstimator:
         else:
             self._estimate -= self._alpha * self._estimate
         return hit
+
+
+class PreallocatedGpuBins:
+    """``GpuBinIndex``'s install and table contract, preallocated.
+
+    ``table_view()`` is the kernels' plain ``{bin: (lo, hi, count)}``:
+    ``count`` as of the call, the arrays live — they are never
+    replaced, so a kernel built before an eviction sees it.
+    """
+
+    def __init__(self, prefix_bytes: int, bin_capacity: int, policy):
+        self.prefix_bytes = prefix_bytes
+        self.bin_capacity = bin_capacity
+        self.policy = policy
+        self.bins: dict[int, list] = {}
+        self.evictions = 0
+
+    def insert(self, fingerprint: bytes) -> int:
+        bin_id = int.from_bytes(fingerprint[:self.prefix_bytes], "big")
+        suffix = fingerprint[self.prefix_bytes:]
+        entry = self.bins.setdefault(bin_id, [
+            np.zeros(self.bin_capacity, dtype=np.uint64),
+            np.zeros(self.bin_capacity, dtype=np.uint64), 0])
+        if entry[2] < self.bin_capacity:
+            slot = entry[2]
+            entry[2] += 1
+        else:
+            slot = self.policy.choose_victim(bin_id, self.bin_capacity)
+            self.evictions += 1
+        entry[0][slot] = int.from_bytes(suffix[:8], "big")
+        entry[1][slot] = int.from_bytes(suffix[8:16], "big")
+        self.policy.on_insert(bin_id, slot)
+        return slot
+
+    def record_results(self, fingerprints: list[bytes], slots) -> None:
+        for fingerprint, slot in zip(fingerprints, slots):
+            if slot >= 0:
+                self.policy.on_hit(
+                    int.from_bytes(fingerprint[:self.prefix_bytes], "big"),
+                    int(slot))
+
+    def table_view(self) -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
+        return {bin_id: (lo, hi, count)
+                for bin_id, (lo, hi, count) in self.bins.items()}
+
+    def __len__(self) -> int:
+        return sum(count for _lo, _hi, count in self.bins.values())
 
 
 def bin_ids_per_chunk(fingerprints: list[bytes],

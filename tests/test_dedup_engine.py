@@ -106,17 +106,21 @@ class TestCommits:
         assert engine.metadata.unique_chunks == 1
 
     def test_flush_populates_tree_and_gpu(self):
-        gpu_index = GpuBinIndex(prefix_bytes=2)
-        engine = DedupEngine(bin_buffer_capacity=1, gpu_index=gpu_index)
-        chunk = chunk_of(b"flushme")
-        engine.cpu_index(chunk)
-        chunk.compressed_size = 2000
-        _cycles, batch, _ = engine.commit_unique(chunk)
-        assert batch is not None
-        assert batch.chunk_count == 1
-        assert batch.payload_bytes == 2000
-        assert len(engine.bin_table) == 1
-        assert gpu_index.lookup_host([chunk.fingerprint]) == [True]
+        # A GPU index on the engine's prefix width takes the flushed
+        # views as they are; one on another width re-cuts them.
+        for gpu_prefix_bytes in (2, 1):
+            gpu_index = GpuBinIndex(prefix_bytes=gpu_prefix_bytes)
+            engine = DedupEngine(bin_buffer_capacity=1,
+                                 gpu_index=gpu_index)
+            chunk = chunk_of(b"flushme")
+            engine.cpu_index(chunk)
+            chunk.compressed_size = 2000
+            _cycles, batch, _ = engine.commit_unique(chunk)
+            assert batch is not None
+            assert batch.chunk_count == 1
+            assert batch.payload_bytes == 2000
+            assert len(engine.bin_table) == 1
+            assert gpu_index.lookup_host([chunk.fingerprint]) == [True]
 
     def test_drain_flushes_everything(self):
         engine = DedupEngine(bin_buffer_capacity=100)

@@ -1,7 +1,7 @@
 """Fast-path equivalence properties for the dedup index plane.
 
-The PR that vectorized the index plane (decomposition cache, broadcast
-GPU lookups, batched flush installs, bisect tree probes) promised
+The PR that vectorized the index plane (broadcast GPU lookups, batched
+flush installs, bisect tree probes) promised
 *byte-identical* behaviour.  These tests hold it to that: random
 interleavings of inserts, flush installs, lookups and capacity
 overflows must agree across the vectorized kernel, the SIMT kernel and
@@ -12,13 +12,17 @@ cost must not depend on whether it has executed yet.
 
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dedup.bin_buffer import BinBuffer
+from repro.dedup.bins import BinTable
 from repro.dedup.btree import BTree
 from repro.dedup.gpu_index import GpuBinIndex
-from repro.dedup.index_base import decompose, decomposition_cache
+from repro.dedup.index_base import decompose
 from repro.dedup.replacement import RandomReplacement
+from repro.errors import IndexError_
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 
 PREFIX_BYTES = 1
@@ -34,6 +38,12 @@ def fp(i: int) -> bytes:
     return bytes([i % N_PREFIXES]) + body[1:]
 
 
+def lanes(suffix: bytes) -> tuple[int, int]:
+    """The two u64 words a GPU bin compares, from the suffix bytes."""
+    return (int.from_bytes(suffix[:8], "big"),
+            int.from_bytes(suffix[8:16], "big"))
+
+
 class OracleBins:
     """Ground truth: plain lists plus the same seeded eviction draws."""
 
@@ -45,15 +55,15 @@ class OracleBins:
         view = decompose(fingerprint, PREFIX_BYTES)
         slots = self.bins.setdefault(view.bin_id, [])
         if len(slots) < BIN_CAPACITY:
-            slots.append((view.lo, view.hi))
+            slots.append(lanes(view.suffix))
         else:
             victim = self.policy.choose_victim(view.bin_id, BIN_CAPACITY)
-            slots[victim] = (view.lo, view.hi)
+            slots[victim] = lanes(view.suffix)
 
     def lookup_slot(self, fingerprint: bytes) -> int:
         view = decompose(fingerprint, PREFIX_BYTES)
         for slot, words in enumerate(self.bins.get(view.bin_id, [])):
-            if words == (view.lo, view.hi):
+            if words == lanes(view.suffix):
                 return slot
         return -1
 
@@ -201,17 +211,29 @@ class TestCostMemoization:
         assert vec.cost() == simt.cost()
 
 
-class TestDecompositionCache:
-    def test_components_share_one_cache(self):
-        cache = decomposition_cache(PREFIX_BYTES)
-        view = decompose(fp(0), PREFIX_BYTES)
-        assert cache[fp(0)] is view
-        assert decompose(fp(0), PREFIX_BYTES) is view
-
+class TestDecomposition:
     def test_view_matches_manual_decomposition(self):
         fingerprint = fp(7)
-        view = decompose(fingerprint, 2)
-        assert view.bin_id == int.from_bytes(fingerprint[:2], "big")
-        assert view.suffix == fingerprint[2:]
-        assert view.lo == int.from_bytes(fingerprint[2:10], "big")
-        assert view.hi == int.from_bytes(fingerprint[10:18], "big")
+        for prefix_bytes in (1, 2, 3, 4):
+            for raw in (fingerprint, bytearray(fingerprint)):
+                view = decompose(raw, prefix_bytes)
+                assert view == (
+                    int.from_bytes(fingerprint[:prefix_bytes], "big"),
+                    fingerprint[prefix_bytes:])
+                assert type(view.suffix) is bytes
+
+    def test_every_entry_point_rejects_alike(self):
+        entry_points = (
+            lambda f: decompose(f, 2),
+            BinBuffer().lookup,
+            BinTable().lookup,
+            GpuBinIndex().insert,
+        )
+        for bad, message in (
+                ("not-bytes", "fingerprint must be bytes, got str"),
+                (b"short", "fingerprint must be 20 bytes, got 5"),
+                (bytearray(21), "fingerprint must be 20 bytes, got 21")):
+            for entry in entry_points:
+                with pytest.raises(IndexError_) as excinfo:
+                    entry(bad)
+                assert str(excinfo.value) == message

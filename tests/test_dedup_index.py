@@ -203,7 +203,8 @@ class TestBinBuffer:
             i += 1
         assert flushed.bin_id == target_bin
         assert flushed.count == 4
-        assert [e[0] for e in flushed.entries] == added
+        assert [suffix for suffix, _ in flushed.staged] \
+            == [f[1:] for f in added]
         # Flushed entries are gone from the buffer.
         assert buffer.lookup(added[0]) is None
 
@@ -275,7 +276,8 @@ class TestGpuBinIndex:
         index = GpuBinIndex(prefix_bytes=2)
         event = buffer.add(fp(5), "value")
         assert event is not None
-        assert index.update_from_flush(event.entries) == 1
+        index.install_views(event.bin_id,
+                            [suffix for suffix, _ in event.staged])
         assert index.lookup_host([fp(5)]) == [True]
 
     def test_device_memory_accounting(self):

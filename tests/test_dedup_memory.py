@@ -1,0 +1,62 @@
+"""The index's memory belongs to a run, not to the process.
+
+A fingerprint-keyed cache at module level once outlived every pipeline
+that filled it: peak RSS grew with the number of runs a process had
+made, not with what any one of them indexed.  This guard makes that
+class of state visible: after a run's report is dropped, what
+``repro.dedup`` allocated for it is gone too.
+"""
+
+import gc
+import hashlib
+import sys
+import tracemalloc
+
+from repro.core.calibration import run_mode
+from repro.core.modes import IntegrationMode
+from repro.dedup.bins import BinTable
+
+#: Slack for interned ints, code-object caches and allocator rounding.
+RETAINED_BYTES = 64 * 1024
+
+
+def dedup_bytes() -> int:
+    """Live bytes whose allocating frame is a ``repro/dedup/`` file."""
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*/repro/dedup/*")])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def module_containers() -> dict[str, int]:
+    """Size of every module-level container in ``repro.dedup.*``."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name == "repro.dedup" or name.startswith("repro.dedup."):
+            for attr, value in vars(module).items():
+                if isinstance(value, (dict, list, set)) \
+                        and not attr.startswith("__"):
+                    sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+def test_a_run_leaves_nothing_behind_in_repro_dedup():
+    # Imports and first-use initialisation happen outside the window.
+    run_mode(IntegrationMode.GPU_BOTH, 512, seed=1)
+    containers = module_containers()
+    tracemalloc.start()
+    try:
+        before = dedup_bytes()
+        # The instrument sees index memory while something holds it.
+        table = BinTable()
+        for i in range(4096):
+            table.insert(hashlib.sha1(i.to_bytes(4, "big")).digest(), i)
+        assert dedup_bytes() - before > 4 * RETAINED_BYTES
+        del table
+        for seed in (11, 12):
+            report = run_mode(IntegrationMode.GPU_BOTH, 8192, seed=seed)
+            del report
+            assert dedup_bytes() - before <= RETAINED_BYTES
+    finally:
+        tracemalloc.stop()
+    assert module_containers() == containers

@@ -214,6 +214,31 @@ class TestMetadataStore:
             store.store_unique(fp(i), 4096, 4096)
         assert store.index_memory_bytes(entry_bytes=32) == 320
 
+    def test_sweep_collects_tracked_zombies_and_cascades(self):
+        """The sweep works from the ids the ref drops recorded: a revived
+        zombie is spared, a swept delta's base is the *next* sweep's."""
+        store = MetadataStore()
+        for i, compressed in enumerate((100, 200, 300, 400)):
+            store.store_unique(fp(i), 4096, compressed)
+            store.map_logical(i * 4096, fp(i), 4096)
+        delta = store.lookup(fp(3))
+        delta.delta_base_id = store.lookup(fp(2)).physical_id
+        store.add_delta_ref(delta.delta_base_id)
+        for offset in (0, 4096, 8192, 12288):
+            store.unmap_logical(offset)
+        assert store.zombie_chunks == 3  # fp(2) is held by its delta
+        store.map_logical(0, fp(0), 4096)  # stale index hit revives
+        store.verify_invariants()
+        assert store.sweep_unreferenced() == 200 + 400
+        store.verify_invariants()
+        assert store.zombie_chunks == 1 and store.unique_chunks == 1
+        assert store.sweep_unreferenced() == 300
+        assert store.sweep_unreferenced() == 0
+        store.verify_invariants()
+        store._zombies.add(store.resolve(0).physical_id)
+        with pytest.raises(MetadataError, match="zombie set drift"):
+            store.verify_invariants()
+
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10)),
                     max_size=80))
     @settings(max_examples=40, deadline=None)
