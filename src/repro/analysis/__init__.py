@@ -23,8 +23,6 @@ Public surface::
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.config import LintConfig
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.effects import EffectAnalysis
-from repro.analysis.project import ProjectContext
 from repro.analysis.runner import LintReport, run_lint
 from repro.analysis.rules import all_checkers, checker_by_rule
 
@@ -32,10 +30,8 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "Diagnostic",
-    "EffectAnalysis",
     "LintConfig",
     "LintReport",
-    "ProjectContext",
     "all_checkers",
     "checker_by_rule",
     "run_lint",

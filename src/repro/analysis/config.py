@@ -68,7 +68,7 @@ class LintConfig:
         "repro.dedup.bin_buffer", "repro.dedup.btree",
         "repro.dedup.gpu_index", "repro.dedup.index_base",
         "repro.dedup.replacement", "repro.dedup.chunking",
-        "repro.dedup.fingerprint", "repro.storage.metadata",
+        "repro.storage.metadata",
         "repro.gpu.kernel", "repro.gpu.kernels.indexing",
         "repro.gpu.kernels.indexing_tiled",
     )
@@ -154,42 +154,7 @@ class LintConfig:
     #: containing "fingerprint" matches too).
     fingerprint_names: tuple[str, ...] = ("fp", "fps")
 
-    # -- effect inference (REP701/REP702/REP703/REP704) --------------------
-    #: Module-level caches whose mutation is *audited memoization*: the
-    #: effect engine classifies writes to them as benign, so functions
-    #: that only memoize through them still infer pure.  Each is a
-    #: bounded, content-keyed cache whose values are never handed out
-    #: for mutation (the REP702 side of the contract).
-    effect_benign_globals: tuple[str, ...] = (
-        "repro.compression.lz_common._KEY3_CACHE",
-        "repro.compression.lzss._OCC_CACHE",
-    )
-    #: Functions whose return value is a shared view or cached buffer:
-    #: callers receive a ``shared`` root, and any mutation through it
-    #: is REP702.
-    shared_view_providers: tuple[str, ...] = (
-        "repro.compression.lz_common.key3_array",
-        "repro.compression.lzss.occurrence_index",
-    )
-    #: class -> attributes that expose shared numpy views (mutating an
-    #: element through them corrupts every aliasing consumer).
-    shared_view_attrs: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: {
-            "repro.chunkbatch.ChunkBatch": (
-                "offsets", "sizes", "payloads", "fingerprints",
-                "comp_ratios"),
-        })
-    #: Packages under the REP703 RNG-provenance contract (the same
-    #: determinism surface the seeded-RNG rules patrol).
-    rng_flow_scope: tuple[str, ...] = (
-        "repro.sim", "repro.core", "repro.dedup", "repro.compression",
-        "repro.cpu", "repro.gpu", "repro.storage", "repro.workload",
-        "repro.tenancy",
-    )
-    #: Parameter-name fragments that mark a *tracked* RNG hand-off;
-    #: passing an RNG across modules into any other parameter is an
-    #: untracked flow.
-    rng_param_names: tuple[str, ...] = ("rng", "random")
+    # -- module-level shared state (REP704) ---------------------------------
     #: Packages whose module-level mutable bindings are REP704 hazards
     #: (state a future multiprocessing executor would silently fork).
     shared_state_scope: tuple[str, ...] = (
@@ -197,12 +162,6 @@ class LintConfig:
         "repro.workload", "repro.sim", "repro.cpu", "repro.gpu",
         "repro.storage", "repro.chunkbatch", "repro.types",
         "repro.cluster", "repro.tenancy",
-    )
-    #: The audited module-level singletons (dotted names), each a
-    #: bounded content-keyed cache documented in DESIGN.md §13.
-    shared_state_audited: tuple[str, ...] = (
-        "repro.compression.lz_common._KEY3_CACHE",
-        "repro.compression.lzss._OCC_CACHE",
     )
 
     # -- cluster shard isolation (REP801) ----------------------------------

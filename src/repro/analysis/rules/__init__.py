@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from repro.analysis.config import LintConfig
-from repro.analysis.rules.aliasing import SharedViewMutationChecker
 from repro.analysis.rules.batchplane import ChunkLoopChecker
 from repro.analysis.rules.cluster import ClusterIsolationChecker
-from repro.analysis.rules.effects_memo import MemoPurityChecker
 from repro.analysis.rules.dataplane import (
     ByteLoopMatchExtensionChecker,
     FingerprintDecomposeChecker,
@@ -20,7 +18,6 @@ from repro.analysis.rules.determinism import (
 from repro.analysis.rules.floattime import FloatTimeEqualityChecker
 from repro.analysis.rules.layering import LayeringChecker
 from repro.analysis.rules.obs import NowArithmeticChecker
-from repro.analysis.rules.rngflow import RngFlowChecker
 from repro.analysis.rules.sharedstate import ModuleStateChecker
 from repro.analysis.rules.simproto import (
     PrivateEngineApiChecker,
@@ -46,9 +43,6 @@ CHECKERS: tuple[type[Checker], ...] = (
     FingerprintDecomposeChecker,   # REP503
     ChunkLoopChecker,          # REP504
     NowArithmeticChecker,      # REP601
-    MemoPurityChecker,         # REP701
-    SharedViewMutationChecker,  # REP702
-    RngFlowChecker,            # REP703
     ModuleStateChecker,        # REP704
     ClusterIsolationChecker,   # REP801
     TenantIsolationChecker,    # REP901

@@ -32,7 +32,7 @@ _WALL_CLOCK = frozenset({
 _MODULE_RNG_PREFIXES = ("random.", "numpy.random.", "secrets.")
 #: Module-level names that are fine: constructors and non-drawing API.
 _MODULE_RNG_EXEMPT = frozenset({
-    "random.Random", "random.SystemRandom", "numpy.random.Generator",
+    "random.Random", "numpy.random.Generator",
     "numpy.random.default_rng", "numpy.random.RandomState",
     "numpy.random.SeedSequence",
 })
@@ -41,6 +41,9 @@ _RNG_CONSTRUCTORS = frozenset({
     "random.Random", "numpy.random.default_rng",
     "numpy.random.RandomState",
 })
+
+#: Seed material that differs between runs by construction.
+_ENTROPY_SEEDS = _WALL_CLOCK | {"os.urandom", "os.getrandom"}
 
 #: Call wrappers that realize iteration order (``sorted`` is exempt:
 #: it imposes a total order of its own).
@@ -94,7 +97,8 @@ class UnseededRngChecker(Checker):
 
     Module-level ``random.*`` draws share one OS-seeded generator, and
     ``random.Random()`` without arguments seeds from the OS — both make
-    two identically-seeded runs diverge.
+    two identically-seeded runs diverge, as do ``SystemRandom`` and a
+    seed read from an entropy source or the wall clock.
     """
 
     rule = "REP102"
@@ -114,13 +118,17 @@ class UnseededRngChecker(Checker):
             def visit_Call(self, node: ast.Call) -> None:
                 resolved = ctx.resolve(node.func)
                 if resolved is not None:
-                    if resolved in _RNG_CONSTRUCTORS and not node.args \
-                            and not node.keywords:
+                    if resolved == "random.SystemRandom" or (
+                            resolved in _RNG_CONSTRUCTORS and (
+                                not (node.args or node.keywords) or any(
+                                    isinstance(sub, ast.Call) and
+                                    ctx.resolve(sub.func) in _ENTROPY_SEEDS
+                                    for sub in ast.walk(node)))):
                         findings.append(checker.diag(
                             ctx, node,
-                            f"`{resolved}()` without a seed draws its "
-                            f"state from the OS",
-                            hint="pass an explicit seed derived from "
+                            f"`{resolved}()` without a reproducible seed "
+                            f"draws its state from the OS or the clock",
+                            hint="seed a random.Random explicitly, from "
                                  "the run's --seed",
                             key=f"{self.qualname}:{resolved}"))
                     elif resolved not in _MODULE_RNG_EXEMPT and any(

@@ -4,16 +4,11 @@ A module-level mutable object is process-global state: every pipeline
 instance in the process shares it, and the planned per-shard
 ``multiprocessing`` executor will copy-on-fork it into workers whose
 mutations silently diverge from the parent.  Inside the hot-path
-packages the only acceptable module-level mutables are the audited
-memo singletons (bounded, content-keyed, value-frozen caches listed in
-``shared_state_audited`` and documented in DESIGN.md §13) — everything
-else must live on an instance whose ownership is explicit.
+packages state lives on an instance whose ownership is explicit.
 
 The rule is syntactic on purpose: module-level ``x = {}`` / ``x = []``
 / ``x = OrderedDict()`` bindings (and comprehension results) in scope,
-minus dunder names and the audited list.  Reachability from the
-pipeline is approximated by package scope, which DESIGN.md §13 spells
-out.
+minus dunder names; package scope approximates pipeline reachability.
 """
 
 from __future__ import annotations
@@ -38,12 +33,12 @@ _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp,
 
 
 class ModuleStateChecker(Checker):
-    """REP704: no unaudited module-level mutable state in hot paths."""
+    """REP704: no module-level mutable state in hot paths."""
 
     rule = "REP704"
     name = "module-mutable-state"
     description = ("module-level mutable container in a pipeline "
-                   "hot-path package (unaudited shared state)")
+                   "hot-path package (shared state)")
 
     def applies_to(self, ctx: FileContext) -> bool:
         return self.config.in_scope(ctx.module,
@@ -59,7 +54,6 @@ class ModuleStateChecker(Checker):
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        audited = set(self.config.shared_state_audited)
         for stmt in ctx.tree.body:
             if isinstance(stmt, ast.Assign):
                 targets = [t for t in stmt.targets
@@ -77,13 +71,9 @@ class ModuleStateChecker(Checker):
                 name = target.id
                 if name.startswith("__") and name.endswith("__"):
                     continue
-                if f"{ctx.module}.{name}" in audited:
-                    continue
                 yield self.diag(
                     ctx, stmt,
                     f"module-level mutable `{name}` is process-global "
                     "shared state in a pipeline hot-path package",
-                    hint="move it onto an owning instance, or audit "
-                         "it as a bounded content-keyed cache in "
-                         "shared_state_audited + DESIGN.md §13",
+                    hint="move it onto an owning instance",
                     key=name)

@@ -9,7 +9,7 @@ surface (``admit``/``commit``/``counters``) or the accounting
 readouts.  Code outside the package that pokes a tenant's partition or
 estimator directly can skew residency shares without the accounting
 noticing, which silently invalidates both the hit-rate comparison and
-the per-tenant SLO attribution (DESIGN.md §15).
+the per-tenant SLO attribution (DESIGN.md §13).
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.config import LintConfig
 from repro.analysis.context import FileContext
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.project import ProjectContext
 from repro.analysis.rules import all_checkers
 from repro.analysis.visitors import Checker
 from repro.errors import LintError
@@ -142,24 +141,14 @@ def lint_file(ctx: FileContext, checkers: Sequence[Checker]
     return findings, suppressed
 
 
-def build_project(paths: Sequence[Path],
-                  config: LintConfig) -> ProjectContext:
-    """Parse every source file under ``paths`` exactly once."""
-    contexts = [FileContext.from_path(path, config.root)
-                for path in iter_source_files(paths)]
-    return ProjectContext(contexts, config)
-
-
 def run_lint(paths: Sequence[Path], config: Optional[LintConfig] = None,
              baseline: Optional[Baseline] = None,
              restrict: Optional[set[str]] = None,
              check_stale: bool = True) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
 
-    ``restrict`` limits *checking and reporting* to the given
-    ``rel_path`` set (the ``--changed`` workflow) while the whole tree
-    is still parsed — project-scoped rules need the full call graph
-    either way.  A restricted run skips stale-baseline detection: it
+    ``restrict`` limits parsing and reporting to the given ``rel_path``
+    set (``--changed``).  A restricted run skips stale-baseline detection: it
     cannot see every finding, so an unmatched entry proves nothing.
     ``check_stale=False`` skips it for the same reason on runs whose
     *paths* cover less than the full tree (explicit file arguments).
@@ -169,13 +158,13 @@ def run_lint(paths: Sequence[Path], config: Optional[LintConfig] = None,
     baseline = baseline if baseline is not None else Baseline()
     report = LintReport(rules_run=[c.rule for c in checkers],
                         restricted=restrict is not None)
-    project = build_project(paths, config)
-    for checker in checkers:
-        checker.bind_project(project)
+    wanted = None if restrict is None else \
+        {(config.root / rel).resolve() for rel in restrict}
     all_diags: list[Diagnostic] = []
-    for ctx in project.contexts:
-        if restrict is not None and ctx.rel_path not in restrict:
+    for path in iter_source_files(paths):
+        if wanted is not None and path.resolve() not in wanted:
             continue
+        ctx = FileContext.from_path(path, config.root)
         report.files_scanned += 1
         findings, suppressed = lint_file(ctx, checkers)
         report.suppressed += suppressed

@@ -25,13 +25,6 @@ class Checker:
 
     def __init__(self, config: LintConfig):
         self.config = config
-        #: Set by the runner before checking; project-scoped rules
-        #: (the REP7xx effect family) read shared state from it.
-        self.project = None
-
-    def bind_project(self, project) -> None:
-        """Receive the run-wide :class:`ProjectContext`."""
-        self.project = project
 
     def applies_to(self, ctx: FileContext) -> bool:
         return True

@@ -67,7 +67,6 @@ def registry() -> dict[str, callable]:
         "a9": a9_restart,
         "a10": a10_read_path,
         "a11": a11_kernel_variants,
-        "a12": a12_chunking_shift,
         "a13": a13_batch_sweep,
         "a14": a14_ftl_endurance,
         "a15": a15_delta_reduction,
@@ -851,75 +850,6 @@ def a13_batch_sweep(batch_sizes: Sequence[int] = (32, 64, 128, 256, 512),
                 mode=mode, comp_batch=batch, iops=report.iops,
                 gpu_utilization=report.gpu_utilization,
                 gpu_mean_queue_wait_s=report.gpu_mean_queue_wait_s))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# A12 — chunking strategies under insertion shift (extension; the
-# dedup-literature motivation for content-defined chunking).
-# ---------------------------------------------------------------------------
-
-@dataclass
-class A12Row:
-    """Dedup of a shifted re-write under one chunking strategy."""
-
-    strategy: str
-    chunks_second_pass: int
-    duplicates_found: int
-
-    @property
-    def dedup_fraction(self) -> float:
-        if not self.chunks_second_pass:
-            return 0.0
-        return self.duplicates_found / self.chunks_second_pass
-
-
-def a12_chunking_shift(stream_bytes: int = 96 * 1024,
-                       insert_at: int = 5000,
-                       seed: int = 13) -> list[A12Row]:
-    """Write a stream, then re-write it with a few bytes inserted.
-
-    Fixed-size chunking loses almost all duplicates after the insertion
-    (every boundary shifts); content-defined chunking re-synchronizes
-    within a chunk or two.  The paper evaluates block workloads (fixed
-    4 KiB), but any adoptable dedup system needs CDC for file-like
-    streams — hence both chunkers ship and this experiment contrasts
-    them.
-    """
-    import random as _random
-
-    from repro.dedup.chunking import ContentDefinedChunker, FixedChunker
-    from repro.dedup.engine import DedupEngine
-    from repro.dedup.hashing import fingerprint_chunk
-
-    rng = _random.Random(seed)
-    stream = bytes(rng.randrange(256) for _ in range(stream_bytes))
-    shifted = stream[:insert_at] + b"INSERTED-BYTES" + stream[insert_at:]
-
-    rows = []
-    for strategy, chunker in (
-            ("fixed", FixedChunker(4096)),
-            ("content_defined", ContentDefinedChunker(avg_size=4096))):
-        engine = DedupEngine(prefix_bytes=1)
-
-        def ingest(data: bytes, base: int) -> tuple[int, int]:
-            chunks = dups = 0
-            for chunk in chunker.chunk(data, base_offset=base):
-                fingerprint_chunk(chunk)
-                chunks += 1
-                if engine.cpu_index(chunk).duplicate:
-                    engine.commit_duplicate(chunk)
-                    dups += 1
-                else:
-                    chunk.compressed_size = chunk.size
-                    engine.commit_unique(chunk)
-            return chunks, dups
-
-        ingest(stream, base=0)
-        # Second pass: a shifted copy lands at fresh logical offsets.
-        chunks, dups = ingest(shifted, base=2 * len(shifted) + 8192)
-        rows.append(A12Row(strategy=strategy, chunks_second_pass=chunks,
-                           duplicates_found=dups))
     return rows
 
 

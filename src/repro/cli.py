@@ -387,17 +387,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     paths = [Path(p) for p in (args.paths or ["src/repro"])]
 
-    if args.effects:
-        from repro.analysis.runner import build_project
-        try:
-            project = build_project(paths, config)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(project.effects.describe(args.effects))
-        return 0 if project.effects.lookup_function(args.effects) \
-            else 2
-
     restrict = None
     if args.changed is not False:
         ref = args.changed if isinstance(args.changed, str) \
@@ -519,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("none", "shared_lru", "prioritized"),
                      default="prioritized",
                      help="inline admission policy for --tenants runs "
-                          "(DESIGN.md §15)")
+                          "(DESIGN.md §13)")
     run.add_argument("--tenancy-cache", type=int, default=1024,
                      metavar="ENTRIES",
                      help="inline fingerprint-cache capacity for "
@@ -591,11 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--changed", nargs="?", const="origin/main",
                       default=False, metavar="REF",
                       help="only report findings in files changed vs "
-                           "REF (default origin/main); the whole tree "
-                           "is still parsed for the call graph")
-    lint.add_argument("--effects", metavar="QUALNAME",
-                      help="print the inferred effect summary for one "
-                           "function (e.g. module.Class.method) and exit")
+                           "REF (default origin/main)")
     lint.add_argument("--explain", metavar="RULE",
                       help="print one rule's contract and exit")
     lint.add_argument("--format", choices=("text", "json", "github"),

@@ -21,7 +21,6 @@ min_match``.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -57,39 +56,18 @@ DEFAULT_PARAMS = LzParams()
 
 # -- data-plane fast-path primitives (DESIGN.md §9) -------------------------
 
-#: Bounded cache of rolling-key arrays, keyed by buffer *contents*.  The
-#: LZSS match finders key their tables off the same rolling 3-byte
-#: groups, and the same 4 KiB payload is routinely scanned more than once
-#: (greedy and lazy parse in a comparison run, calibration probes), so
-#: the array is worth sharing.  QuickLZ and the GPU segment kernel build
-#: their keys with numpy and never touch this cache.
-_KEY3_CACHE: "OrderedDict[bytes, list[int]]" = OrderedDict()
-_KEY3_CACHE_ENTRIES = 16
-
-
 def key3_array(data: bytes) -> list[int]:
     """Rolling 24-bit keys: ``keys[i] = data[i]<<16 | data[i+1]<<8 | data[i+2]``.
 
     The shared per-chunk hash array of the data-plane fast path: computed
     once per chunk and reused by every LZSS match finder over that chunk.
     A single zip-slice comprehension beats per-position indexing by ~1.7x
-    in CPython, and a small content-keyed cache shares the array across
-    consumers of the same buffer.  Callers must treat the result as
-    read-only.
+    in CPython.
     """
     if len(data) < 3:
         return []
-    if type(data) is bytes:
-        cached = _KEY3_CACHE.get(data)
-        if cached is not None:
-            _KEY3_CACHE.move_to_end(data)
-            return cached
     keys = [(a << 16) | (b << 8) | c
             for a, b, c in zip(data, data[1:], data[2:])]
-    if type(data) is bytes:
-        _KEY3_CACHE[data] = keys
-        while len(_KEY3_CACHE) > _KEY3_CACHE_ENTRIES:
-            _KEY3_CACHE.popitem(last=False)
     return keys
 
 

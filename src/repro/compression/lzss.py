@@ -1,9 +1,7 @@
 """Serial LZSS codec: the library's reference compressor.
 
-A textbook LZSS with a hash-chain match finder.  Greedy parsing by
-default; optional lazy matching (one-byte lookahead) squeezes out a
-slightly better ratio at a higher search cost, which the CPU cost model
-prices accordingly.
+A textbook greedy LZSS and the serial executor of the one chain rule (last
+``MAX_CHAIN`` same-key positions in the window, nearest wins ties).
 
 This codec defines the canonical compressed format (see
 :mod:`~repro.compression.lz_common`), and its decoder is the single
@@ -15,19 +13,15 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from collections import OrderedDict, defaultdict, deque
+from collections import defaultdict
 from typing import Optional
 
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
-    Literal,
     LzParams,
-    Match,
-    Token,
     common_prefix_length,
     decode_grouped,
     key3_array,
-    tokens_to_bytes,
 )
 from repro.errors import CorruptStreamError
 
@@ -35,139 +29,27 @@ from repro.errors import CorruptStreamError
 MAX_CHAIN = 64
 
 
-def _new_chain() -> "deque[int]":
-    """Chain factory: maxlen evicts the oldest candidate on overflow,
-    exactly like the append-then-drop-head list it replaces."""
-    return deque(maxlen=MAX_CHAIN)
-
-
-class MatchFinder:
-    """Hash-chain search for the longest backward match at a position.
-
-    Positions are inserted as the encoder advances; lookups only consider
-    candidates no further back than the window and no earlier than
-    ``min_start``.
-
-    The table is keyed by the rolling 3-byte key array
-    (:func:`~repro.compression.lz_common.key3_array`), computed once for
-    the whole buffer.
-    """
-
-    def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS):
-        self.data = data
-        self.params = params
-        self._keys = key3_array(data)
-        # defaultdict so the hot insert path is a single C-level getitem;
-        # lookups that must not create entries go through .get().
-        self._chains: "defaultdict[int, deque[int]]" = defaultdict(_new_chain)
-
-    def insert(self, pos: int) -> None:
-        """Register ``pos`` as a future match candidate."""
-        if pos + 3 <= len(self.data):
-            self._chains[self._keys[pos]].append(pos)
-
-    def insert_range(self, start: int, end: int) -> None:
-        """Register every position in ``[start, end)`` as a candidate."""
-        chains = self._chains
-        keys = self._keys
-        for pos in range(start, min(end, len(self.data) - 2)):
-            chains[keys[pos]].append(pos)
-
-    def best_match(self, pos: int,
-                   min_start: int = 0) -> Optional[tuple[int, int]]:
-        """``(distance, length)`` of the best match at ``pos``, or None.
-
-        The tuple-returning core of :meth:`longest_match`; the fused
-        encoder calls it directly to skip :class:`Match` construction on
-        the hot path.
-        """
-        data, params = self.data, self.params
-        n = len(data)
-        if pos + 3 > n:
-            return None
-        limit = n - pos
-        if limit > params.max_match:
-            limit = params.max_match
-        if limit < params.min_match:
-            return None
-        chain = self._chains.get(self._keys[pos])
-        if not chain:
-            return None
-        window_start = pos - params.window
-        if min_start > window_start:
-            window_start = min_start
-        best_len = params.min_match - 1
-        best_dist = 0
-        probe = pos + best_len
-        cpl = common_prefix_length
-        for candidate in reversed(chain):
-            if candidate < window_start:
-                break
-            # A candidate can only improve on best_len if it also matches
-            # one byte past the current best — cheap reject before the
-            # prefix scan.  Ties never update best, so this preserves the
-            # winning (length, distance) pair exactly.
-            if data[candidate + best_len] != data[probe]:
-                continue
-            length = cpl(data, candidate, pos, limit)
-            if length > best_len:
-                best_len = length
-                best_dist = pos - candidate
-                if length >= limit:
-                    break
-                probe = pos + best_len
-        if best_dist:
-            return (best_dist, best_len)
-        return None
-
-    def longest_match(self, pos: int,
-                      min_start: int = 0) -> Optional[Match]:
-        """Best match at ``pos`` whose source starts at >= ``min_start``."""
-        best = self.best_match(pos, min_start)
-        if best is None:
-            return None
-        return Match(distance=best[0], length=best[1])
-
-
-#: Content-keyed cache of per-key occurrence indexes (same pattern and
-#: rationale as :data:`repro.compression.lz_common._KEY3_CACHE`).
-_OCC_CACHE: "OrderedDict[bytes, dict[int, list[int]]]" = OrderedDict()
-_OCC_CACHE_ENTRIES = 16
-
-
-def occurrence_index(data: bytes,
-                     keys: Optional[list[int]] = None) -> dict[int, list[int]]:
+def occurrence_index(keys: list[int]) -> dict[int, list[int]]:
     """Sorted position lists per rolling key, for the whole buffer.
 
-    The shared read-only half of the greedy fast path: built once per
-    buffer (and content-cached), it answers "which earlier positions
+    The read-only half of the greedy fast path: built once per
+    buffer, it answers "which earlier positions
     share this 3-byte key" for *any* query position via one bisect,
     replacing per-position hash-chain maintenance.  Callers must treat
     the index as read-only.
     """
-    if type(data) is bytes:
-        cached = _OCC_CACHE.get(data)
-        if cached is not None:
-            _OCC_CACHE.move_to_end(data)
-            return cached
-    if keys is None:
-        keys = key3_array(data)
     occ: "defaultdict[int, list[int]]" = defaultdict(list)
     for pos, key in enumerate(keys):
         occ[key].append(pos)
     # Freeze: lookups after construction must never create entries.
     occ.default_factory = None
-    if type(data) is bytes:
-        _OCC_CACHE[data] = occ
-        while len(_OCC_CACHE) > _OCC_CACHE_ENTRIES:
-            _OCC_CACHE.popitem(last=False)
     return occ
 
 
 class IndexedMatchFinder:
     """Read-only match finder over a prebuilt occurrence index.
 
-    Byte-identical to driving a :class:`MatchFinder` through the greedy
+    Byte-identical to driving a hash-chain finder through the greedy
     insert discipline — every position inserted exactly once, in
     increasing order, before any query at a later position.  Under that
     discipline the bounded chain the incremental finder would hold at a
@@ -178,17 +60,13 @@ class IndexedMatchFinder:
     later than position 0 is covered too.  The GPU segment kernel
     (:mod:`repro.gpu.kernels.lz`) reproduces this ``best_match`` for a
     whole tile of chunks from one sort, without an index per chunk.
-
-    NOT valid for the lazy parse: its lookahead probe double-inserts
-    positions, which shifts chain eviction — lazy keeps the incremental
-    finder.
     """
 
     def __init__(self, data: bytes, params: LzParams = DEFAULT_PARAMS):
         self.data = data
         self.params = params
         self._keys = key3_array(data)
-        self._occ = occurrence_index(data, self._keys)
+        self._occ = occurrence_index(self._keys)
         self._window = params.window
         self._min_match = params.min_match
         self._max_match = params.max_match
@@ -238,65 +116,24 @@ class IndexedMatchFinder:
             return (best_dist, best_len)
         return None
 
-    def longest_match(self, pos: int,
-                      min_start: int = 0) -> Optional[Match]:
-        """Best match at ``pos`` whose source starts at >= ``min_start``."""
-        best = self.best_match(pos, min_start)
-        if best is None:
-            return None
-        return Match(distance=best[0], length=best[1])
-
 
 class LzssCodec:
     """Encode/decode bytes using the canonical LZSS container."""
 
-    def __init__(self, params: LzParams = DEFAULT_PARAMS, lazy: bool = False):
+    def __init__(self, params: LzParams = DEFAULT_PARAMS):
         self.params = params
-        self.lazy = lazy
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_to_tokens(self, data: bytes) -> list[Token]:
-        """Produce the token list for ``data`` (greedy or lazy parse)."""
-        finder = MatchFinder(data, self.params)
-        tokens: list[Token] = []
-        pos = 0
-        n = len(data)
-        while pos < n:
-            match = finder.longest_match(pos)
-            if match is not None and self.lazy and pos + 1 < n:
-                finder.insert(pos)
-                next_match = finder.longest_match(pos + 1)
-                if next_match is not None and next_match.length > match.length:
-                    # Deferring wins: emit a literal, take the later match.
-                    tokens.append(Literal(data[pos]))
-                    pos += 1
-                    continue
-                match_here = match
-            else:
-                match_here = match
-            if match_here is not None:
-                tokens.append(match_here)
-                finder.insert_range(pos, pos + match_here.length)
-                pos += match_here.length
-            else:
-                tokens.append(Literal(data[pos]))
-                finder.insert(pos)
-                pos += 1
-        return tokens
-
     def encode(self, data: bytes) -> bytes:
         """Compress ``data`` into the canonical container."""
-        if self.lazy:
-            tokens = self.encode_to_tokens(data)
-            return tokens_to_bytes(tokens, len(data), self.params)
         return self._encode_greedy(data)
 
     def _encode_greedy(self, data: bytes) -> bytes:
         """Greedy parse fused with container packing.
 
-        Byte-identical to ``tokens_to_bytes(self.encode_to_tokens(data),
-        ...)`` for the greedy parse — same candidate chains (via
+        Byte-identical to ``tokens_to_bytes`` over the greedy token
+        list — same candidate chains (via
         :class:`IndexedMatchFinder`), same decisions, same 8-token flag
         groups — minus the incremental chain maintenance, the
         intermediate Token objects, and the second serialization pass.

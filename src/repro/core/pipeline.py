@@ -120,7 +120,7 @@ class ReductionPipeline:
             gpu_index=gpu_index,
             costs=cpu_costs) if config.enable_dedup else None
 
-        #: Multi-tenant admission layer (DESIGN.md §15): it replaces the
+        #: Multi-tenant admission layer (DESIGN.md §13): it replaces the
         #: index and commit stages of the one chunk worker.  None under
         #: the default policy, which keeps every single-stream report
         #: byte-identical to a pre-tenancy pipeline.
@@ -232,7 +232,7 @@ class ReductionPipeline:
         verdict comes from ``TenancyController.admit`` instead of the
         bin index and the *commit* stores through
         ``TenancyController.commit`` instead of the bin buffer
-        (DESIGN.md §15); everything else is shared.
+        (DESIGN.md §13); everything else is shared.
 
         ``seq`` is the chunk's admission sequence number: its trace
         identity and the key of its precomputed compression result.
@@ -264,13 +264,13 @@ class ReductionPipeline:
                 admission = tenancy.admit(tenant, fingerprint)
                 hashed = admission.inline
             ingest = (dedup.ingest_cycles(chunk) if hashed else
-                      costs.chunking_cycles(chunk.size, False)
+                      costs.chunking_cycles(chunk.size)
                       ) + costs.handoff_per_chunk
             yield cpu.charge(ingest)
             if trace is not None and hashed:
                 # The coalesced charge covers two workflow stages;
                 # split the measured interval by cycle weight.
-                chunking = costs.chunking_cycles(chunk.size, False)
+                chunking = costs.chunking_cycles(chunk.size)
                 trace.record_split(
                     (STAGE_CHUNKING, STAGE_FINGERPRINT), seq, admitted,
                     weights=(chunking, ingest - chunking),

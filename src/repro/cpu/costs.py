@@ -26,8 +26,6 @@ class CpuCosts:
     # -- chunking ---------------------------------------------------------
     #: Fixed-size chunking: pointer arithmetic plus a copy-out touch.
     fixed_chunking_per_byte: float = 0.5
-    #: Content-defined chunking: one Rabin rolling-hash step per byte.
-    cdc_chunking_per_byte: float = 4.0
 
     # -- fingerprinting -----------------------------------------------------
     #: SHA-1 over chunk payload (OpenSSL-class implementation).
@@ -95,11 +93,9 @@ class CpuCosts:
         """Cycles to fingerprint a chunk of ``nbytes``."""
         return self.sha1_fixed + self.sha1_per_byte * nbytes
 
-    def chunking_cycles(self, nbytes: int, content_defined: bool) -> float:
+    def chunking_cycles(self, nbytes: int) -> float:
         """Cycles to chunk ``nbytes`` of stream data."""
-        per_byte = (self.cdc_chunking_per_byte if content_defined
-                    else self.fixed_chunking_per_byte)
-        return per_byte * nbytes
+        return self.fixed_chunking_per_byte * nbytes
 
     def bin_tree_probe(self, tree_levels: int) -> float:
         """Cycles for one bin-tree lookup through ``tree_levels`` levels."""

@@ -3,8 +3,7 @@
 The four classic stages — chunking, hashing, indexing, destaging — with
 the paper's bin-based index design:
 
-* :mod:`~repro.dedup.chunking` / :mod:`~repro.dedup.fingerprint` — fixed
-  and content-defined (Rabin) chunkers.
+* :mod:`~repro.dedup.chunking` — the fixed-size chunker.
 * :mod:`~repro.dedup.hashing` — SHA-1 fingerprinting.
 * :mod:`~repro.dedup.bins` — the CPU index: the hash table partitioned
   into prefix-selected bins ("so that multiple computing threads can
@@ -22,8 +21,7 @@ the paper's bin-based index design:
 from repro.dedup.bin_buffer import BinBuffer
 from repro.dedup.bins import BinTable
 from repro.dedup.btree import BTree
-from repro.dedup.chunking import ContentDefinedChunker, FixedChunker
-from repro.dedup.fingerprint import RabinFingerprint
+from repro.dedup.chunking import FixedChunker
 from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.hashing import fingerprint_chunk
 from repro.dedup.index_base import FingerprintIndex, ReferenceIndex
@@ -38,9 +36,7 @@ __all__ = [
     "BinBuffer",
     "BinTable",
     "BTree",
-    "ContentDefinedChunker",
     "FixedChunker",
-    "RabinFingerprint",
     "GpuBinIndex",
     "fingerprint_chunk",
     "FingerprintIndex",

@@ -1,16 +1,9 @@
-"""Stream chunkers: fixed-size and content-defined.
-
-The paper's evaluation uses fixed 4 KiB chunks (block storage I/Os map
-1:1 onto chunks), but the dedup literature it builds on — and any system
-a downstream user would adopt — also needs content-defined chunking, so
-both are provided behind one interface.
-"""
+"""Stream chunker: fixed 4 KiB chunks, one per block-storage I/O."""
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.dedup.fingerprint import RabinFingerprint
 from repro.errors import ChunkingError
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 
@@ -31,64 +24,3 @@ class FixedChunker:
             payload = data[start:start + self.chunk_size]
             yield Chunk(offset=base_offset + start, size=len(payload),
                         payload=payload)
-
-
-class ContentDefinedChunker:
-    """Rabin-based content-defined chunker.
-
-    A boundary is declared after any byte where the rolling hash of the
-    trailing window satisfies ``hash & mask == target``; ``avg_size`` must
-    be a power of two and sets the mask.  ``min_size``/``max_size`` clamp
-    pathological runs (all-zero data never matches; random data matches
-    everywhere).
-    """
-
-    __slots__ = ("avg_size", "min_size", "max_size", "window",
-                 "_mask", "_target")
-
-    def __init__(self, avg_size: int = DEFAULT_CHUNK_SIZE,
-                 min_size: int | None = None, max_size: int | None = None,
-                 window: int = 48):
-        if avg_size < 64 or avg_size & (avg_size - 1):
-            raise ChunkingError(
-                f"avg_size must be a power of two >= 64, got {avg_size}")
-        self.avg_size = avg_size
-        self.min_size = min_size if min_size is not None else avg_size // 4
-        self.max_size = max_size if max_size is not None else avg_size * 4
-        if not 0 < self.min_size <= avg_size <= self.max_size:
-            raise ChunkingError(
-                f"need 0 < min {self.min_size} <= avg {avg_size} <= "
-                f"max {self.max_size}")
-        self.window = window
-        self._mask = avg_size - 1
-        #: Any fixed value in [0, mask]; chosen nonzero so that long zero
-        #: runs do not match trivially.
-        self._target = 1
-
-    def boundaries(self, data: bytes) -> list[int]:
-        """Cut points (exclusive chunk ends) for ``data``."""
-        cuts: list[int] = []
-        rabin = RabinFingerprint(window=self.window)
-        chunk_start = 0
-        for pos, byte in enumerate(data):
-            rabin.roll(byte)
-            length = pos + 1 - chunk_start
-            at_cut = (rabin.primed
-                      and length >= self.min_size
-                      and (rabin.value & self._mask) == self._target)
-            if at_cut or length >= self.max_size:
-                cuts.append(pos + 1)
-                chunk_start = pos + 1
-                rabin.reset()
-        if chunk_start < len(data):
-            cuts.append(len(data))
-        return cuts
-
-    def chunk(self, data: bytes, base_offset: int = 0) -> Iterator[Chunk]:
-        """Yield content-defined chunks covering ``data`` in order."""
-        start = 0
-        for end in self.boundaries(data):
-            payload = data[start:end]
-            yield Chunk(offset=base_offset + start, size=len(payload),
-                        payload=payload)
-            start = end

@@ -100,7 +100,7 @@ class DedupEngine:
     def ingest_cycles(self, chunk: Chunk) -> float:
         """CPU cycles for the fixed-size chunking + hashing stages of
         one chunk."""
-        return (self.costs.chunking_cycles(chunk.size, False)
+        return (self.costs.chunking_cycles(chunk.size)
                 + self.costs.sha1_cycles(chunk.size))
 
     # -- indexing (CPU path) ----------------------------------------------------

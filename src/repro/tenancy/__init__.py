@@ -1,5 +1,5 @@
 """Multi-tenant traffic plane: workload mixes, prioritized admission,
-out-of-line compaction (DESIGN.md §15).
+out-of-line compaction (DESIGN.md §13).
 
 The package has two import layers.  This root exports the pieces the
 core pipeline and workload layers consume (specs, the admission

@@ -7,7 +7,7 @@ scheduling seed.  :class:`TenantMixStream` emits the interleaved chunk
 stream through the existing :class:`~repro.workload.vdbench.VdbenchStream`
 machinery, tagging every chunk with its tenant id.
 
-RNG discipline (REP703): scheduling draws — which tenant's stream emits
+RNG discipline: scheduling draws — which tenant's stream emits
 next — come only from the mix-level parent ``random.Random(mix.seed)``;
 each tenant's content draws stay inside its own seeded stream.  A
 one-tenant mix takes a shortcut that consumes *no* parent draws, so its
@@ -172,7 +172,7 @@ class TenantMixStream:
                  payload: bool = False):
         self.mix = mix
         self.chunk_size = chunk_size
-        #: Scheduling-only parent RNG (REP703: never handed to tenants).
+        #: Scheduling-only parent RNG (never handed to tenants).
         self._sched_rng = random.Random(mix.seed)
         self.streams: list[VdbenchStream] = []
         for index, spec in enumerate(mix.tenants):

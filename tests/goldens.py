@@ -15,67 +15,56 @@ GOLDEN_STREAM_DIGESTS: dict[str, dict[str, str]] = {
     "zeros": {
         "quicklz": "5159a909342ba1311c7106b0efccf46ce7fef01724cc0d7c956b98848ddbf8d1",
         "lzss": "e504bd59753b3fbdcdc1e9525cef129bebd221610cf7da5f993c22088de24a79",
-        "lzss_lazy": "e504bd59753b3fbdcdc1e9525cef129bebd221610cf7da5f993c22088de24a79",
         "gpu8": "cd7b96f56b626dd0fc82f159847bd6518ac4b3b0f05fe20bbd3139cda5763b4d",
     },
     "period3": {
         "quicklz": "f2a1ebf69a6f6300fc7f82ac4185e79bdc690bb09a1346f7c986d9e6c46290c1",
         "lzss": "a1dd0959e343646fa8ef322f19609a4cd5e1fee6e298cc77b93eb22df16cdf87",
-        "lzss_lazy": "a1dd0959e343646fa8ef322f19609a4cd5e1fee6e298cc77b93eb22df16cdf87",
         "gpu8": "9ac5fc6bc68d82a09218131b04c87c600b803318066954b4c8c59bb1c1c6279e",
     },
     "text": {
         "quicklz": "df772eddc83433fa22d04721744eb0be35ab9f1a3d00c056fd08fadaf318cd4f",
         "lzss": "3a53755be6300f000ceb408187c5ec9df58198111125196065c53c2db3fb48cf",
-        "lzss_lazy": "04ca4c199ada2ee627aa284eb59b8b1206489340e13a2d22957b7461b914992f",
         "gpu8": "ff5b7050310823a239cd7b1fd158f69ed70cd23d2a202c341b9a857e13e10847",
     },
     "random": {
         "quicklz": "76230b3ce5b6bd87742175fc7fc54a7ca545b8e9d59ed35b6be916ced8727466",
         "lzss": "76230b3ce5b6bd87742175fc7fc54a7ca545b8e9d59ed35b6be916ced8727466",
-        "lzss_lazy": "76230b3ce5b6bd87742175fc7fc54a7ca545b8e9d59ed35b6be916ced8727466",
         "gpu8": "76230b3ce5b6bd87742175fc7fc54a7ca545b8e9d59ed35b6be916ced8727466",
     },
     "ratio2_0": {
         "quicklz": "b29f034a099dcc59045633245eca26f1815e622960f7f8b7d9171c8eb9ae404a",
         "lzss": "74637f39e25e7f5e385a92027ecaee045fc4e66fa10f6225dc069ea6562fa02a",
-        "lzss_lazy": "74637f39e25e7f5e385a92027ecaee045fc4e66fa10f6225dc069ea6562fa02a",
         "gpu8": "89e6e7aa23a4e34b8d0a6dc19421dcfdeadc3bb6c5b337f400dcb7410b3907fb",
     },
     "ratio2_1": {
         "quicklz": "85c16cf73804dc7056d503c7308826fe95bee8234c1d9d671da07ab5635fce87",
         "lzss": "60d3e3afe59c6677edcaf41d22624240cc51c1090f4976803f1c14774f7b5f49",
-        "lzss_lazy": "60d3e3afe59c6677edcaf41d22624240cc51c1090f4976803f1c14774f7b5f49",
         "gpu8": "e14fc72e4e42281477b4a36344b13412c7fd2eeda88f274adcdff63e36c1694d",
     },
     "ratio2_2": {
         "quicklz": "241ce41fce375af9172a8878f28542c431e1fcad73f2ee088bce9580481eda6a",
         "lzss": "6752980b6efd59c2b406c26f141d067bbb27f96b78c791dc972387328472dafd",
-        "lzss_lazy": "6752980b6efd59c2b406c26f141d067bbb27f96b78c791dc972387328472dafd",
         "gpu8": "77ff94fb947edf565064fca2aa5fb71d8798b3eb5b8a41f0233cfac5d3070280",
     },
     "ratio2_3": {
         "quicklz": "91824166c4a9fddef08f17b32d876ba25cc5c4ab73863ed561a2dc95bd4a0e0b",
         "lzss": "9f9b2db9cc81c80e69b7570df6daed59dab1711f658f175b7bf280b137e7362d",
-        "lzss_lazy": "9f9b2db9cc81c80e69b7570df6daed59dab1711f658f175b7bf280b137e7362d",
         "gpu8": "9f9b2db9cc81c80e69b7570df6daed59dab1711f658f175b7bf280b137e7362d",
     },
     "seam512": {
         "quicklz": "61eadc51696f37454ea6b76d07391c2ce229442e70401956739ed7510de0c56f",
         "lzss": "19def9d76476c324003368c02937722a58c12277c251f964d1cc3dc811e1f431",
-        "lzss_lazy": "19def9d76476c324003368c02937722a58c12277c251f964d1cc3dc811e1f431",
         "gpu8": "4cb887f2ecc2f172e4414497bdaf390b445da9e51038f6c3362977f8705b63e5",
     },
     "tail2": {
         "quicklz": "ba3b9ef01dfe02c6f803ca7227cf069c4370e810c6b69e461d807fd9d58121fc",
         "lzss": "ba3b9ef01dfe02c6f803ca7227cf069c4370e810c6b69e461d807fd9d58121fc",
-        "lzss_lazy": "ba3b9ef01dfe02c6f803ca7227cf069c4370e810c6b69e461d807fd9d58121fc",
         "gpu8": "ba3b9ef01dfe02c6f803ca7227cf069c4370e810c6b69e461d807fd9d58121fc",
     },
     "tail1": {
         "quicklz": "12c6979e95ed1aed3c86f6cf9fb5c017d8a4fd69438b1d6c4679ce26b5d3e918",
         "lzss": "12c6979e95ed1aed3c86f6cf9fb5c017d8a4fd69438b1d6c4679ce26b5d3e918",
-        "lzss_lazy": "12c6979e95ed1aed3c86f6cf9fb5c017d8a4fd69438b1d6c4679ce26b5d3e918",
         "gpu8": "12c6979e95ed1aed3c86f6cf9fb5c017d8a4fd69438b1d6c4679ce26b5d3e918",
     },
 }

@@ -137,14 +137,6 @@ class TestLzssCodec:
         assert codec.decode(blob) == data
         assert len(blob) < 600  # max_match=18 caps the per-token stride
 
-    def test_lazy_parse_never_worse_much(self):
-        greedy = LzssCodec(lazy=False)
-        lazy = LzssCodec(lazy=True)
-        data = _compressible(4096)
-        assert lazy.decode(lazy.encode(data)) == data
-        # Lazy matching should be at least roughly as good as greedy.
-        assert len(lazy.encode(data)) <= len(greedy.encode(data)) * 1.02
-
     def test_ratio_helper(self):
         codec = LzssCodec()
         assert codec.ratio(b"") == 1.0
@@ -154,7 +146,8 @@ class TestLzssCodec:
     def test_matches_never_cross_window(self):
         codec = LzssCodec(params=LzParams(window=16))
         data = _compressible(600)
-        for token in codec.encode_to_tokens(data):
+        tokens, _ = bytes_to_tokens(codec.encode(data), codec.params)
+        for token in tokens:
             if isinstance(token, Match):
                 assert token.distance <= 16
         assert codec.decode(codec.encode(data)) == data
@@ -163,12 +156,6 @@ class TestLzssCodec:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, data):
         codec = LzssCodec()
-        assert codec.decode(codec.encode(data)) == data
-
-    @given(st.binary(max_size=1024))
-    @settings(max_examples=30, deadline=None)
-    def test_lazy_roundtrip_property(self, data):
-        codec = LzssCodec(lazy=True)
         assert codec.decode(codec.encode(data)) == data
 
     @given(st.integers(0, 255), st.integers(1, 3000))

@@ -45,11 +45,6 @@ class TestCpuCosts:
         assert large > small
         assert large - small == pytest.approx(costs.sha1_per_byte * 3072)
 
-    def test_cdc_chunking_costs_more_than_fixed(self):
-        costs = DEFAULT_COSTS
-        assert (costs.chunking_cycles(4096, content_defined=True)
-                > costs.chunking_cycles(4096, content_defined=False))
-
     def test_lz_encode_cheaper_at_high_ratio(self):
         costs = DEFAULT_COSTS
         assert (costs.lz_encode_cycles(4096, comp_ratio=4.0)

@@ -49,7 +49,6 @@ from repro.compression.lzss import (
     MAX_CHAIN,
     IndexedMatchFinder,
     LzssCodec,
-    MatchFinder,
 )
 from repro.compression.postprocess import refine_tile, refine_to_container
 from repro.compression.quicklz import QuickLzCodec
@@ -88,7 +87,7 @@ def adversarial_corpus() -> list[tuple[str, bytes]]:
     # 8-byte head scan of common_prefix_length.
     blocks.append(("lowent", bytes(rng.randrange(16)
                                    for _ in range(2048))))
-    # Text with long-range self-similarity for the lazy parse.
+    # Text with long-range self-similarity.
     sentence = b"it was the best of times, it was the worst of times. "
     blocks.append(("dickens", (sentence * 40)[:2048]))
     for size in (0, 1, 2, 3, 4, 7):
@@ -376,11 +375,11 @@ def test_quicklz_decoder_rejects_an_offset_before_the_output():
 
 # -- LZSS -------------------------------------------------------------------
 
-@pytest.mark.parametrize("lazy", (False, True), ids=("greedy", "lazy"))
-@pytest.mark.parametrize("payload", PAYLOADS, ids=IDS)
-def test_lzss_streams_byte_identical(payload, lazy):
-    production = LzssCodec(lazy=lazy)
-    reference = ReferenceLzssCodec(lazy=lazy)
+@pytest.mark.parametrize("payload", PAYLOADS,
+                         ids=[f"{name}-greedy" for name in IDS])
+def test_lzss_streams_byte_identical(payload):
+    production = LzssCodec()
+    reference = ReferenceLzssCodec()
     blob = production.encode(payload)
     assert blob == reference.encode(payload)
     assert production.decode(blob) == payload
@@ -391,18 +390,16 @@ def test_indexed_finder_reproduces_chain_finder(payload):
     """Under the greedy insert discipline the occurrence index must
     reproduce the incremental chain finder's answer at every parse
     position — including the bounded-chain eviction behaviour."""
-    incremental = MatchFinder(payload)
     reference = ReferenceMatchFinder(payload)
     indexed = IndexedMatchFinder(payload)
     pos = 0
     n = len(payload)
     while pos < n:
         expected = reference.longest_match(pos)
-        assert incremental.longest_match(pos) == expected
-        assert indexed.longest_match(pos) == expected
+        found = indexed.best_match(pos)
+        assert (found and Match(*found)) == expected
         step = expected.length if expected is not None else 1
         for offset in range(step):
-            incremental.insert(pos + offset)
             reference.insert(pos + offset)
         pos += step
 
@@ -630,7 +627,8 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
     shows), and the refined containers and seam counters must equal the
     list-based refinement of those reference tokens — through
     ``refine_tile`` over the launch's tiles and, chunk by chunk, through
-    the ``refine_to_container`` adapter.
+    the ``refine_to_container`` adapter.  A one-segment launch must also
+    be the serial codec's stream: one chain rule, two executors.
     """
     kernel = SegmentLzKernel(chunks, segments_per_chunk=segments,
                              params=params)
@@ -668,6 +666,9 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
         assert tile_stats == adapter_stats == expected_stats
         for chunk, blob in zip(chunks, expected_blobs):
             assert LzssCodec(params).decode(blob) == chunk
+    if segments == 1:
+        assert expected_blobs == [LzssCodec(params).encode(chunk)
+                                  for chunk in chunks]
     return kernel
 
 
@@ -686,6 +687,7 @@ def test_gpu_long_low_entropy_chunk_matches_oracles(symbols):
     rng = random.Random(symbols)
     chunk = bytes(rng.randrange(symbols) for _ in range(9000))
     assert_launch_matches_oracles([chunk], 8)
+    assert_launch_matches_oracles([chunk], 1)
 
 
 @pytest.mark.parametrize("params", (
@@ -700,6 +702,7 @@ def test_gpu_launch_honours_window_geometry(params):
     chunks = [bytes(rng.choice(b"abc") for _ in range(size))
               for size in (700, 1, 64, 2500, 3)]
     assert_launch_matches_oracles(chunks, 4, params)
+    assert_launch_matches_oracles(chunks, 1, params)
 
 
 # -- the lockstep walk's shortcuts, one adversary each ------------------------

@@ -1,4 +1,4 @@
-"""Tests for chunkers, the Rabin fingerprint, and the hashing stage."""
+"""Tests for the fixed chunker and the hashing stage."""
 
 import hashlib
 
@@ -6,60 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dedup import ContentDefinedChunker, FixedChunker, RabinFingerprint
+from repro.dedup import FixedChunker
 from repro.dedup.hashing import fingerprint_batch, fingerprint_chunk
 from repro.errors import ChunkingError, ConfigError, DedupError
 from repro.types import Chunk
-
-
-class TestRabinFingerprint:
-    def test_rolling_equals_direct_hash(self):
-        data = bytes(range(200)) * 2
-        window = 48
-        rabin = RabinFingerprint(window=window)
-        reference = RabinFingerprint(window=window)
-        for pos, byte in enumerate(data):
-            rolled = rabin.roll(byte)
-            if pos + 1 >= window:
-                direct = reference.hash_window(data[pos + 1 - window:pos + 1])
-                assert rolled == direct, f"divergence at {pos}"
-
-    def test_primed_flag(self):
-        rabin = RabinFingerprint(window=4)
-        for i in range(3):
-            rabin.roll(i)
-            assert not rabin.primed
-        rabin.roll(3)
-        assert rabin.primed
-
-    def test_reset_clears_state(self):
-        rabin = RabinFingerprint(window=4)
-        for i in range(10):
-            rabin.roll(i)
-        rabin.reset()
-        assert rabin.value == 0
-        assert not rabin.primed
-
-    def test_even_base_rejected(self):
-        with pytest.raises(ChunkingError):
-            RabinFingerprint(base=2)
-
-    def test_invalid_byte_rejected(self):
-        with pytest.raises(ChunkingError):
-            RabinFingerprint().roll(300)
-
-    @given(st.binary(min_size=48, max_size=300))
-    @settings(max_examples=30, deadline=None)
-    def test_window_position_independence(self, data):
-        """The hash of a window depends only on its contents."""
-        window = 48
-        rabin_a = RabinFingerprint(window=window)
-        for byte in data:
-            rabin_a.roll(byte)
-        rabin_b = RabinFingerprint(window=window)
-        for byte in b"\xAA" * 100 + data:  # different preamble
-            rabin_b.roll(byte)
-        assert rabin_a.value == rabin_b.value
 
 
 class TestFixedChunker:
@@ -89,60 +39,6 @@ class TestFixedChunker:
         chunks = list(FixedChunker(size).chunk(data))
         assert b"".join(c.payload for c in chunks) == data
         assert all(c.size <= size for c in chunks)
-
-
-class TestContentDefinedChunker:
-    def test_chunks_reassemble(self):
-        data = bytes(range(256)) * 40
-        chunker = ContentDefinedChunker(avg_size=1024)
-        chunks = list(chunker.chunk(data))
-        assert b"".join(c.payload for c in chunks) == data
-
-    def test_size_bounds_respected(self):
-        import random
-        rng = random.Random(5)
-        data = bytes(rng.randrange(256) for _ in range(64 * 1024))
-        chunker = ContentDefinedChunker(avg_size=1024)
-        chunks = list(chunker.chunk(data))
-        for chunk in chunks[:-1]:
-            assert chunker.min_size <= chunk.size <= chunker.max_size
-        assert chunks[-1].size <= chunker.max_size
-
-    def test_insertion_shifts_only_local_boundaries(self):
-        """The CDC selling point: an insertion re-chunks only nearby data."""
-        import random
-        rng = random.Random(7)
-        data = bytes(rng.randrange(256) for _ in range(32 * 1024))
-        shifted = data[:1000] + b"INSERTED" + data[1000:]
-        chunker = ContentDefinedChunker(avg_size=1024)
-        import hashlib as h
-        digests = {h.sha1(c.payload).digest()
-                   for c in chunker.chunk(data)}
-        shifted_digests = [h.sha1(c.payload).digest()
-                           for c in chunker.chunk(shifted)]
-        shared = sum(1 for d in shifted_digests if d in digests)
-        assert shared / len(shifted_digests) > 0.7
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ChunkingError):
-            ContentDefinedChunker(avg_size=1000)
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ChunkingError):
-            ContentDefinedChunker(avg_size=1024, min_size=2048)
-
-    def test_zero_runs_capped_at_max(self):
-        chunker = ContentDefinedChunker(avg_size=256)
-        chunks = list(chunker.chunk(b"\x00" * 10000))
-        assert all(c.size <= chunker.max_size for c in chunks)
-        assert b"".join(c.payload for c in chunks) == b"\x00" * 10000
-
-    @given(st.binary(max_size=8192))
-    @settings(max_examples=20, deadline=None)
-    def test_reassembly_property(self, data):
-        chunker = ContentDefinedChunker(avg_size=256)
-        chunks = list(chunker.chunk(data))
-        assert b"".join(c.payload for c in chunks) == data
 
 
 class TestHashingStage:

@@ -159,11 +159,6 @@ class TestExtensionExperiments:
         for row in rows:
             assert row.tiled_global_bytes <= row.simple_global_bytes
 
-    def test_a12_rows(self):
-        from repro.bench.experiments import a12_chunking_shift
-        rows = a12_chunking_shift(stream_bytes=32 * 1024)
-        assert {r.strategy for r in rows} == {"fixed", "content_defined"}
-
     def test_a13_rows(self):
         from repro.bench.experiments import a13_batch_sweep
         rows = a13_batch_sweep(batch_sizes=(64, 256), n_chunks=2048)

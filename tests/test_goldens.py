@@ -46,13 +46,12 @@ def _gpu8(payload: bytes) -> bytes:
 PRODUCERS = {
     "quicklz": QuickLzCodec().encode,
     "lzss": LzssCodec().encode,
-    "lzss_lazy": LzssCodec(lazy=True).encode,
     "gpu8": _gpu8,
 }
 
 
 def test_stream_digests_every_block_every_producer():
-    """11 corpus blocks x 4 producers, byte-identical streams."""
+    """11 corpus blocks x 3 producers, byte-identical streams."""
     observed = {
         name: {producer: hashlib.sha256(encode(payload)).hexdigest()
                for producer, encode in PRODUCERS.items()}

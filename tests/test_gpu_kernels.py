@@ -198,8 +198,7 @@ class TestSegmentLzKernel:
         outputs = SegmentLzKernel([chunk], segments_per_chunk=1).execute()
         blob = refine_to_container(chunk, outputs[0])
         serial = LzssCodec().encode(chunk)
-        assert LzssCodec().decode(blob) == chunk
-        assert len(blob) == len(serial)
+        assert blob == serial
 
     @given(st.binary(min_size=1, max_size=1500), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)

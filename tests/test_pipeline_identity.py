@@ -1,4 +1,4 @@
-"""Byte-identity pins for the one chunk worker (DESIGN.md §12, §15).
+"""Byte-identity pins for the one chunk worker (DESIGN.md §12, §13).
 
 Every digest below was captured at the commit *before*
 ``ReductionPipeline._chunk_worker`` was collapsed from three branches

@@ -1,4 +1,4 @@
-"""The tenancy plane's contracts (DESIGN.md §15).
+"""The tenancy plane's contracts (DESIGN.md §13).
 
 Three claims, pinned:
 
