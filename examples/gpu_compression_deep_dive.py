@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Inside the GPU compression path: segments, divergence, refinement.
+"""Inside the GPU compression path: segments, raw tokens, refinement.
 
 Walks one 4 KiB chunk through the paper's §3.2 pipeline with everything
 observable:
 
-1. the segment-parallel LZ kernel reports the wavefront-divergence
-   statistics a lockstep execution of its threads burns (one work unit
-   per token each thread emits), measured, not assumed;
-2. the raw per-segment token arrays are shown (unrefined, as the GPU
-   returns them);
-3. CPU post-processing stitches and seam-repairs them into a canonical
+1. the segment-parallel LZ kernel hands back one search tile of raw
+   token arrays — per-thread token counts, unrefined, as the GPU
+   returns them — and how many matches and literals each segment holds;
+2. CPU post-processing validates the tile and packs it into a canonical
    container that the ordinary LZSS decoder verifies;
-4. the serial codec compresses the same chunk for a ratio comparison.
+3. the serial codec compresses the same chunk for a ratio comparison.
 
-Run:  python examples/gpu_compression_deep_dive.py
+Run:  PYTHONPATH=src python examples/gpu_compression_deep_dive.py
 """
 
-from repro.compression import LzssCodec, Match
-from repro.compression.postprocess import refine_to_container
+import numpy as np
+
+from repro.compression import LzssCodec
+from repro.compression.postprocess import refine_tile
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.workload.datagen import BlockContentGenerator
 
@@ -31,37 +31,27 @@ def main() -> None:
 
     print(f"chunk: 4096 B, target compression ratio ~2.0\n")
 
-    # 1. Segment-parallel search, with SIMT divergence statistics.
-    kernel = SegmentLzKernel([chunk], segments_per_chunk=SEGMENTS,
-                             use_simt=True)
-    outputs = kernel.execute()[0]
-    stats = kernel._stats
-    print(f"SIMT execution: {stats.threads} threads in "
-          f"{stats.workgroups} workgroup(s)")
-    print(f"  wavefront efficiency: {stats.wavefront_efficiency:.2f} "
-          "(1.0 = no divergence; LZ parsing diverges by nature)")
+    # 1. Segment-parallel search: one tile, one thread per segment.
+    kernel = SegmentLzKernel([chunk], segments_per_chunk=SEGMENTS)
+    (tile,) = kernel.execute().tiles
+    ends = np.cumsum(tile.counts)
+    print(f"raw GPU output ({SEGMENTS} segment threads, "
+          f"{int(tile.counts.sum())} tokens):")
+    for segment, (end, count) in enumerate(zip(ends.tolist(),
+                                               tile.counts.tolist())):
+        matches = int(np.count_nonzero(tile.distances[end - count:end]))
+        print(f"  segment {segment}: bytes "
+              f"[{tile.seg_start[0, segment]:4d},"
+              f"{tile.seg_end[0, segment]:4d})  {count:4d} tokens: "
+              f"{matches:3d} matches, {count - matches:4d} literals")
 
-    # 2. Raw per-segment results.
-    print(f"\nraw GPU output ({SEGMENTS} segments):")
-    for seg in outputs:
-        matches = sum(1 for t in seg.tokens if isinstance(t, Match))
-        literals = len(seg.tokens) - matches
-        print(f"  segment {seg.segment_index}: bytes "
-              f"[{seg.start:4d},{seg.end:4d})  "
-              f"{matches:3d} matches, {literals:3d} literals")
+    # 2. CPU refinement into the canonical container.
+    (refined,) = refine_tile(tile)
+    assert LzssCodec().decode(refined) == chunk, "round-trip failed!"
+    print(f"\nCPU post-processing: {len(refined)} B container; the LZSS "
+          f"decoder reproduces the chunk byte for byte")
 
-    # 3. CPU refinement into the canonical container.
-    refined = refine_to_container(chunk, outputs)
-    raw = refine_to_container(chunk, outputs, repair_seams=False)
-    decoded = LzssCodec().decode(refined)
-    assert decoded == chunk, "round-trip failed!"
-    print(f"\nCPU post-processing:")
-    print(f"  without seam repair: {len(raw)} B")
-    print(f"  with seam repair   : {len(refined)} B "
-          f"(saved {len(raw) - len(refined)} B at segment seams)")
-    print(f"  decoder verifies the refined stream byte-for-byte: OK")
-
-    # 4. Against the serial parse.
+    # 3. Against the serial parse.
     serial = LzssCodec().encode(chunk)
     print(f"\nratio comparison:")
     print(f"  serial LZSS        : {4096 / len(serial):.3f}x "

@@ -33,6 +33,7 @@ from repro.dedup.replacement import (
     ReplacementPolicy,
 )
 from repro.gpu.device import GpuDevice, GpuSpec
+from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment
 from repro.storage.block import BlockRequest, RequestKind
@@ -631,7 +632,8 @@ def a11_kernel_variants(batch_sizes: Sequence[int] = (64, 256, 1024),
         env = Environment()
         gpu = GpuDevice(env)
         simple = index.make_kernel(queries)
-        tiled = index.make_kernel(queries, tiled=True)
+        tiled = TiledBinLookupKernel(index.make_batch(queries),
+                                     index.table_view(), costs=index.costs)
         rows.append(A11Row(
             batch=batch,
             simple_seconds=gpu.launch_time(simple),
@@ -836,10 +838,6 @@ def a13_batch_sweep(batch_sizes: Sequence[int] = (32, 64, 128, 256, 512),
     makes GPU_COMP win; the sweep also shows the *extension* result —
     at the sweet spot, a tuned GPU_BOTH recovers and can edge past
     GPU_COMP, because contention shrinks faster than the offload gain.
-
-    (Priority scheduling on the queue — ``gpu_queue_priority`` — does
-    *not* recover GPU_BOTH by itself: index batches wait behind the
-    *running* compression kernel, and kernels are not preemptable.)
     """
     rows = []
     for mode in (IntegrationMode.GPU_COMP, IntegrationMode.GPU_BOTH):

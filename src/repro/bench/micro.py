@@ -251,7 +251,7 @@ def _codec(codec_type: type, decode: bool,
 
 
 def _gpu_segments(quick: bool) -> Built:
-    """Segment-parallel kernel + CPU seam refinement over the corpus."""
+    """Segment-parallel kernel + CPU tile refinement over the corpus."""
     payloads = [p for p in _payloads() if len(p) >= 512]
 
     def run() -> None:

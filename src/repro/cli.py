@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run one experiment or per-layer "
                                 "micro-benchmark plane (or 'list')")
     bench.add_argument("experiment",
-                       help="experiment id (e1..e5, a1..a18), a "
+                       help="experiment id (e1..e5, a1..a11, a13..a18), a "
                             "micro-benchmark plane (engine, dataplane, "
                             "dedup, pipeline, cluster, tenancy, "
                             "workload), 'all' "

@@ -43,18 +43,14 @@ class GpuCompressor:
     def __init__(self, segments_per_chunk: int = 8,
                  params: LzParams = DEFAULT_PARAMS,
                  cpu_costs: CpuCosts = DEFAULT_COSTS,
-                 gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-                 use_simt: bool = False):
+                 gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
         self.segments_per_chunk = segments_per_chunk
         self.params = params
         self.cpu_costs = cpu_costs
         self.gpu_costs = gpu_costs
-        self.use_simt = use_simt
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        #: Seam-repair observability, filled by refine_tile.
-        self.seam_stats: dict = {}
         #: The kernels' lockstep-walk census, summed over launches.
         self.lz_census = dict.fromkeys(LZ_CENSUS, 0)
 
@@ -70,8 +66,7 @@ class GpuCompressor:
             return SegmentLzKernel(
                 [chunk.payload for chunk in chunks],
                 segments_per_chunk=self.segments_per_chunk,
-                params=self.params, costs=self.gpu_costs,
-                use_simt=self.use_simt)
+                params=self.params, costs=self.gpu_costs)
         return DescriptorLzKernel(
             [chunk.size for chunk in chunks],
             [chunk.effective_ratio() for chunk in chunks],
@@ -96,8 +91,7 @@ class GpuCompressor:
         for name, count in raw.census.items():
             self.lz_census[name] += count
         return [blob for tile in raw.tiles
-                for blob in refine_tile(tile, self.params,
-                                        stats=self.seam_stats)]
+                for blob in refine_tile(tile, self.params)]
 
     # -- CPU refinement -----------------------------------------------------
 
@@ -129,10 +123,7 @@ class GpuCompressor:
             "chunks_compressed": self.chunks_compressed,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
-            "seams_extended": 0,
-            "seam_bytes_absorbed": 0,
         }
-        counters.update(self.seam_stats)
         counters.update((f"lz_{name}", count)
                         for name, count in self.lz_census.items())
         return counters

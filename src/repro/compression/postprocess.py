@@ -11,13 +11,10 @@ chunks at once (DESIGN.md §9):
    stays inside the window, its own chunk and the container's fields (a
    seam match may reach into the previous segment — legal, the
    sequential decoder has full history by then);
-2. repair the seams: a match that ends a segment absorbs the next
-   segment's leading literals while its periodic extension keeps
-   matching.  The kernel's own output has no such seam — a match it
-   keeps ended at a mismatch, the cap or the chunk's end, and one that
-   would overrun its segment became a literal — so one mask sorts the
-   seams out and only hand-built or foreign streams reach the loop;
-3. pack every container of the tile into one buffer, sliced per chunk.
+2. pack every container of the tile into one buffer, sliced per chunk.
+
+There is no seam repair: a match the kernel keeps ended at a mismatch,
+the cap or the chunk's end, so no seam has anything to absorb.
 
 Each container decodes with the ordinary
 :class:`~repro.compression.lzss.LzssCodec` decoder, which is the whole
@@ -27,14 +24,13 @@ the CPU or the GPU.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
     LzParams,
-    common_prefix_length,
 )
 from repro.errors import CompressionError
 from repro.gpu.kernels.lz import LzTile, SegmentOutput
@@ -141,61 +137,6 @@ def _check_match_lengths(match_lengths: np.ndarray,
             f"[{params.min_match}, {params.max_match}]")
 
 
-def _repair_seams(tile: LzTile, cuts: np.ndarray, firsts: np.ndarray,
-                  is_match: np.ndarray, params: LzParams,
-                  stats: Optional[dict]
-                  ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Extend matches that end a segment into the next leading literals.
-
-    Returns the token lengths (a grown copy if anything was absorbed)
-    and the mask of surviving tokens (None if nothing was).  Absorbable
-    bytes are capped three ways: the run of leading literals, the room
-    left in the match's length field, and how far the periodic extension
-    actually keeps matching (one :func:`common_prefix_length` scan).
-    """
-    starts, distances = tile.starts, tile.distances
-    # A seam is the first token of a busy thread that is not the first
-    # of its chunk; the token before it is the chunk's tail so far.  It
-    # absorbs only if that tail is a match with room, the head a literal
-    # and the extension reproduces the head's byte.
-    heads = cuts - tile.counts
-    seams = heads[(tile.counts > 0) & (heads > np.repeat(
-        firsts[:-1], tile.seg_start.shape[1]))]
-    seams = seams[is_match[seams - 1] & ~is_match[seams]
-                  & (tile.lengths[seams - 1] < params.max_match)]
-    data = np.frombuffer(tile.data, dtype=np.uint8)
-    seams = seams[data[starts[seams] - distances[seams - 1]]
-                  == data[starts[seams]]]
-    if not seams.size:
-        return tile.lengths, None
-    grown = tile.lengths.copy()
-    keep = np.ones(len(grown), dtype=bool)
-    chunk_ends = firsts[np.searchsorted(firsts, seams, side="right")]
-    for head, chunk_end in zip(seams.tolist(), chunk_ends.tolist()):
-        tail = head - 1
-        while head < chunk_end:
-            after = int(cuts[np.searchsorted(cuts, head, side="right")])
-            lead = int(np.append(is_match[head:after], True).argmax())
-            at = int(starts[head])
-            absorbed = common_prefix_length(
-                tile.data, at - int(distances[tail]), at,
-                min(lead, params.max_match - int(grown[tail])))
-            if not absorbed:
-                break
-            keep[head:head + absorbed] = False
-            grown[tail] += absorbed
-            if stats is not None:
-                stats["seams_extended"] = stats.get("seams_extended", 0) + 1
-                stats["seam_bytes_absorbed"] = \
-                    stats.get("seam_bytes_absorbed", 0) + absorbed
-            if head + absorbed < after:
-                break
-            # The segment was swallowed whole: the grown match is still
-            # the tail and may grow again across the chunk's next seam.
-            head = after
-    return grown, keep
-
-
 def _pack(tile: LzTile, firsts: np.ndarray, starts: np.ndarray,
           lengths: np.ndarray, distances: np.ndarray, is_match: np.ndarray,
           matches: np.ndarray, params: LzParams) -> list[bytes]:
@@ -245,15 +186,9 @@ def _pack(tile: LzTile, firsts: np.ndarray, starts: np.ndarray,
     return [blob[lo:hi] for lo, hi in zip(bases, bases[1:])]
 
 
-def refine_tile(tile: LzTile, params: LzParams = DEFAULT_PARAMS,
-                repair_seams: bool = True,
-                stats: Optional[dict] = None) -> list[bytes]:
-    """Full post-processing of one tile: a container per chunk.
-
-    ``stats``, when given, accumulates refinement observability:
-    ``seams_extended`` (matches grown across a boundary) and
-    ``seam_bytes_absorbed`` (literals they swallowed).
-    """
+def refine_tile(tile: LzTile,
+                params: LzParams = DEFAULT_PARAMS) -> list[bytes]:
+    """Full post-processing of one tile: a container per chunk."""
     n_segments = tile.seg_start.shape[1]
     cuts = np.cumsum(tile.counts)   # thread t's tokens end at cuts[t]
     _check_tiling(tile, cuts)
@@ -263,31 +198,12 @@ def refine_tile(tile: LzTile, params: LzParams = DEFAULT_PARAMS,
     _check_matches(tile, is_match, matches, params)
     # Chunk c's tokens are [firsts[c], firsts[c + 1]).
     firsts = np.append(0, cuts[n_segments - 1::n_segments])
-    if repair_seams and n_segments > 1:
-        lengths, keep = _repair_seams(tile, cuts, firsts, is_match, params,
-                                      stats)
-        if keep is not None:
-            firsts = np.append(0, np.cumsum(keep))[firsts]
-            starts, lengths, distances, is_match = (
-                starts[keep], lengths[keep], distances[keep], is_match[keep])
-            matches = np.flatnonzero(is_match)
-            # What the packer is handed must still fit the fields and
-            # expand to the lengths the headers claim.
-            _check_match_lengths(lengths[matches], params)
-            expands_to = np.diff(np.append(0, np.cumsum(lengths))[firsts])
-            wrong = np.flatnonzero(expands_to != np.diff(tile.edges))
-            if wrong.size:
-                raise CompressionError(
-                    f"token stream expands to {expands_to[wrong[0]]} bytes "
-                    f"but header claims {np.diff(tile.edges)[wrong[0]]}")
     return _pack(tile, firsts, starts, lengths, distances, is_match,
                  matches, params)
 
 
 def refine_to_container(chunk: bytes, outputs: Sequence[SegmentOutput],
-                        params: LzParams = DEFAULT_PARAMS,
-                        repair_seams: bool = True,
-                        stats: Optional[dict] = None) -> bytes:
+                        params: LzParams = DEFAULT_PARAMS) -> bytes:
     """:func:`refine_tile` for one chunk's list of segment outputs.
 
     The adapter for callers that hold (or hand-build) per-segment views:
@@ -310,4 +226,4 @@ def refine_to_container(chunk: bytes, outputs: Sequence[SegmentOutput],
         starts=np.concatenate(none + [out.positions for out in ordered]),
         lengths=np.concatenate(none + [out.lengths for out in ordered]),
         distances=np.concatenate(none + [out.distances for out in ordered]))
-    return refine_tile(tile, params, repair_seams, stats)[0]
+    return refine_tile(tile, params)[0]

@@ -38,7 +38,7 @@ class GpuBatcher:
                  make_kernel: Callable[[list[Any]], Kernel],
                  split_results: Callable[[list[Any], Any], Sequence[Any]],
                  batch_size: int, max_wait_s: float,
-                 name: str = "batcher", priority: int = 0,
+                 name: str = "batcher",
                  tracer: Tracer = NULL_TRACER,
                  stage: Optional[str] = None):
         if batch_size < 1:
@@ -52,8 +52,6 @@ class GpuBatcher:
         self.batch_size = batch_size
         self.max_wait_s = max_wait_s
         self.name = name
-        #: Launch priority on a priority-scheduled device queue.
-        self.priority = priority
         self.tracer = tracer
         #: Stage name recorded per item when tracing (e.g. "gpu_index").
         self.stage = stage
@@ -190,8 +188,7 @@ class GpuBatcher:
     def _launch(self, batch: list[tuple]) -> Generator:
         items = [entry[0] for entry in batch]
         kernel = self.make_kernel(items)
-        raw = yield from self.gpu.launch(kernel,
-                                         priority=self.priority)
+        raw = yield from self.gpu.launch(kernel)
         results = self.split_results(items, raw)
         if len(results) != len(items):
             raise ConfigError(

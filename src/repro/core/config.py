@@ -50,14 +50,6 @@ class PipelineConfig:
     gpu_comp_batch: int = 256
     #: Longest a partially filled batch waits before launching anyway.
     gpu_batch_wait_s: float = 2e-3
-    #: Use the local-memory tiled lookup kernel (paper §3.1(2)'s
-    #: local-memory design) instead of the per-thread global scan.
-    gpu_index_tiled: bool = False
-    #: Priority scheduling on the device queue: waiting index batches
-    #: overtake waiting compression batches.  Off by default — the
-    #: paper's 2012-era runtime had a plain in-order queue; experiment
-    #: A13 studies what this extension buys GPU_BOTH.
-    gpu_queue_priority: bool = False
 
     # -- concurrency -------------------------------------------------------
     #: In-flight chunk window (bounds memory and queueing on the inline
@@ -78,8 +70,7 @@ class PipelineConfig:
 
     # -- batched functional plane -----------------------------------------
     #: Chunks per functional-plane window: the feeder materializes a
-    #: window, fingerprints it in one batched hashing pass and, in
-    #: dedup-disabled configurations, pre-dispatches its codec work.
+    #: window and fingerprints it (dedup on) in one hashing pass.
     #: Only untimed functional work is batched — admission and every
     #: timed event stay per chunk — so reports do not depend on this
     #: value (DESIGN.md §12).

@@ -101,7 +101,6 @@ class ReductionPipeline:
                      or config.mode.gpu_for_compression)
         if needs_gpu and gpu is None:
             gpu = GpuDevice(env,
-                            priority_queue=config.gpu_queue_priority,
                             tracer=tracer)
         self.gpu = gpu
 
@@ -171,16 +170,14 @@ class ReductionPipeline:
         cfg = self.config
         if cfg.mode.gpu_for_dedup and cfg.enable_dedup:
             index = self.dedup.gpu_index
-            tiled = cfg.gpu_index_tiled
             self._index_batcher = GpuBatcher(
                 self.env, self.gpu,
-                make_kernel=lambda fps: index.make_kernel(fps,
-                                                          tiled=tiled),
+                make_kernel=index.make_kernel,
                 split_results=lambda fps, slots: index.record_results(
                     fps, slots),
                 batch_size=cfg.gpu_index_batch,
                 max_wait_s=cfg.gpu_batch_wait_s,
-                name="gpu-index", priority=0,
+                name="gpu-index",
                 tracer=self.tracer, stage=STAGE_GPU_INDEX)
         if cfg.mode.gpu_for_compression and cfg.enable_compression:
             self._comp_batcher = GpuBatcher(
@@ -189,7 +186,7 @@ class ReductionPipeline:
                 split_results=self.gpu_comp.split_results,
                 batch_size=cfg.gpu_comp_batch,
                 max_wait_s=cfg.gpu_batch_wait_s,
-                name="gpu-comp", priority=1,
+                name="gpu-comp",
                 tracer=self.tracer, stage=STAGE_COMPRESS)
 
     # -- the per-chunk workflow (Fig. 1) ------------------------------------

@@ -254,24 +254,11 @@ class GpuBinIndex:
         lo, hi = _suffix_lanes(raw[:, p:])
         return LookupBatch.from_arrays(bin_ids, lo, hi)
 
-    def make_kernel(self, fingerprints: Sequence[bytes],
-                    use_simt: bool = False, tiled: bool = False):
+    def make_kernel(self, fingerprints: Sequence[bytes]) -> BinLookupKernel:
         """Kernel object ready for :meth:`repro.gpu.device.GpuDevice.launch`.
-
-        ``tiled`` selects the local-memory workgroup-per-bin variant
-        (paper §3.1(2)'s local-memory design), which wins once several
-        queries of a batch share a bin.
         """
-        if tiled:
-            from repro.gpu.kernels.indexing_tiled import \
-                TiledBinLookupKernel
-            return TiledBinLookupKernel(self.make_batch(fingerprints),
-                                        self.table_view(),
-                                        costs=self.costs,
-                                        use_simt=use_simt)
         return BinLookupKernel(self.make_batch(fingerprints),
-                               self.table_view(), costs=self.costs,
-                               use_simt=use_simt)
+                               self.table_view(), costs=self.costs)
 
     def lookup_host(self, fingerprints: Sequence[bytes]) -> list[bool]:
         """Functional lookup without a device (tests, calibration)."""

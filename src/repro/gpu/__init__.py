@@ -4,9 +4,8 @@ The paper offloads indexing and compression to a Radeon HD 7970.  No GPU
 is available in this environment, so this package provides a *functional +
 timed* device model (see DESIGN.md §2):
 
-* **Functional**: kernels in :mod:`repro.gpu.kernels` are written against a
-  SIMT execution API (:mod:`repro.gpu.simt`) — grids, workgroups, threads,
-  local memory, barriers — and really compute their results (index hit/miss
+* **Functional**: kernels in :mod:`repro.gpu.kernels` really compute
+  their results as array passes over the launch (index hit/miss
   pairs, LZ matches, fingerprints).
 * **Timed**: each kernel also reports a :class:`~repro.gpu.kernel.KernelCost`
   (lane cycles, critical-path cycles, bytes moved), from which
@@ -24,7 +23,6 @@ from repro.gpu.device import GpuDevice, GpuSpec, RADEON_HD_7970
 from repro.gpu.kernel import Kernel, KernelCost
 from repro.gpu.memory import DeviceBuffer, DeviceMemory
 from repro.gpu.pcie import PcieLink, PcieSpec
-from repro.gpu.simt import SimtGrid, ThreadCtx, WorkgroupCtx
 
 __all__ = [
     "GpuDevice",
@@ -36,7 +34,4 @@ __all__ = [
     "DeviceMemory",
     "PcieLink",
     "PcieSpec",
-    "SimtGrid",
-    "ThreadCtx",
-    "WorkgroupCtx",
 ]

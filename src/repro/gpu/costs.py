@@ -14,9 +14,7 @@ Two constants deserve a note:
   CPU (paper §3.1(3)).
 * ``lz_divergence_factor`` — LZ byte-matching is the SIMT worst case:
   every lane takes data-dependent branches, so a wavefront's lanes
-  serialize heavily.  In payload mode the SIMT executor *measures* the
-  inefficiency; in descriptor mode (large timed runs) this factor stands
-  in for the measurement.
+  serialize heavily; this factor prices it in payload and descriptor mode.
 """
 
 from __future__ import annotations
@@ -41,12 +39,9 @@ class GpuKernelCosts:
     # -- segment-parallel LZ kernel -----------------------------------------
     #: Useful lane-cycles per byte-step of match search.
     lz_work_unit_cycles: float = 25.0
-    #: Wavefront serialization multiplier assumed in descriptor mode
+    #: Wavefront serialization multiplier assumed by both LZ kernels
     #: (intra-wavefront imbalance x per-lane branch serialization).
     lz_divergence_factor: float = 36.0
-    #: Per-lane branch-serialization multiplier applied when the SIMT
-    #: executor has *measured* the wavefront imbalance (payload mode).
-    lz_lane_serial_factor: float = 27.0
     #: Device-memory bytes touched per input byte during search.
     lz_bytes_read_factor: float = 3.0
     #: Serial cycles per byte on one segment thread's critical path.

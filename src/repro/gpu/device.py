@@ -29,7 +29,6 @@ from repro.gpu.pcie import PCIE2_X16, PcieLink, PcieSpec
 from repro.obs.stages import TRACK_GPU_QUEUE
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim import Environment, Resource
-from repro.sim.resources import PriorityResource
 
 
 @dataclass(frozen=True)
@@ -103,21 +102,12 @@ class GpuDevice:
 
     def __init__(self, env: Environment, spec: GpuSpec = RADEON_HD_7970,
                  pcie: Optional[PcieSpec] = None, name: str = "gpu",
-                 priority_queue: bool = False,
                  tracer: Tracer = NULL_TRACER):
         self.env = env
         self.spec = spec
         self.name = name
         self.tracer = tracer
-        #: Priority scheduling on the command queue is the extension
-        #: experiment A13 studies; the paper's 2012-era runtime is the
-        #: plain in-order queue (the default).
-        self.priority_queue = priority_queue
-        if priority_queue:
-            self.queue = PriorityResource(env, capacity=1,
-                                          name=f"{name}-queue")
-        else:
-            self.queue = Resource(env, capacity=1, name=f"{name}-queue")
+        self.queue = Resource(env, capacity=1, name=f"{name}-queue")
         self.memory = DeviceMemory(spec.mem_capacity_bytes)
         self.pcie = PcieLink(pcie or PCIE2_X16)
         self.launches: list[LaunchRecord] = []
@@ -145,24 +135,17 @@ class GpuDevice:
 
     # -- simulation processes ------------------------------------------------
 
-    def launch(self, kernel: Kernel, priority: int = 0) -> Generator:
+    def launch(self, kernel: Kernel) -> Generator:
         """Process body: run ``kernel`` through the command queue.
 
-        ``priority`` orders *waiting* launches on a priority queue
-        (lower = sooner); ignored on the default in-order queue.
         Returns the kernel's functional result.  Usage::
 
             result = yield from gpu.launch(my_kernel)
         """
         submit = self.env.now
-        request = (self.queue.request(priority) if self.priority_queue
-                   else self.queue.request())
-        with request as req:
+        with self.queue.request() as req:
             yield req
             start = self.env.now
-            # Run the functional half first: kernels may refine their cost
-            # estimate with measured execution statistics (e.g. SIMT
-            # divergence), and the timing below should use the refined cost.
             result = kernel.execute()
             duration = self.launch_time(kernel)
             self.pcie.record(kernel.bytes_in(), to_device=True)
@@ -184,7 +167,6 @@ class GpuDevice:
                 # serialized queue track, so it rides along as an attr.
                 attrs = kernel.describe()
                 attrs["queue_wait_s"] = record.queue_wait
-                attrs["priority"] = priority
                 self.tracer.record(
                     kernel.name, None, start=start,
                     end=record.end_time, resource=TRACK_GPU_QUEUE,

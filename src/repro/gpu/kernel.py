@@ -2,7 +2,7 @@
 
 A :class:`Kernel` bundles the two halves of the substitution described in
 DESIGN.md: :meth:`Kernel.execute` really computes the kernel's output on
-the host (usually via :class:`~repro.gpu.simt.SimtGrid` or a vectorized
+the host (not thread by thread but as the vectorized
 numpy equivalent), and :meth:`Kernel.cost` reports the resource footprint
 from which :class:`~repro.gpu.device.GpuDevice` derives simulated time.
 """

@@ -10,13 +10,6 @@ memory, so the result pairs are the only traffic back across PCIe.
 The scan is deliberately *not* cut short on a hit: real SIMT code would
 pay for the full bin anyway because the wavefront's other lanes keep
 scanning.  The cost model charges the full scan for the same reason.
-
-Two functional execution paths compute identical results:
-
-* vectorized numpy (default; used by the timed pipeline), and
-* a per-thread SIMT path through :class:`~repro.gpu.simt.SimtGrid`
-  (``use_simt=True``), which exercises the same workgroup geometry a real
-  kernel would use and feeds the divergence statistics tests.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ import numpy as np
 from repro.errors import KernelError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel, KernelCost
-from repro.gpu.simt import SimtGrid
 
 #: Bytes shipped to the device per query: bin id (u4) + suffix (u8 x 2).
 QUERY_BYTES = 20
@@ -89,31 +81,20 @@ class BinLookupKernel(Kernel):
 
     name = "bin_lookup"
 
-    __slots__ = ("batch", "table", "costs", "use_simt",
-                 "workgroup_size", "_entries_scanned",
+    __slots__ = ("batch", "table", "costs", "_entries_scanned",
                  "_longest_bin", "_cost_cache")
 
     def __init__(self, batch: LookupBatch,
                  table: Mapping[int, tuple[np.ndarray, np.ndarray, int]],
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-                 use_simt: bool = False,
-                 workgroup_size: int = 64):
+                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
         self.batch = batch
         self.table = table
         self.costs = costs
-        self.use_simt = use_simt
-        self.workgroup_size = workgroup_size
         self._entries_scanned: Optional[int] = None
         self._longest_bin: Optional[int] = None
         self._cost_cache: Optional[KernelCost] = None
 
     # -- functional execution ------------------------------------------------
-
-    def execute(self) -> np.ndarray:
-        """Return an i8 array of slot numbers (-1 for miss) per query."""
-        if self.use_simt:
-            return self._execute_simt()
-        return self._execute_vectorized()
 
     def _bin_view(self, bin_id: int) -> tuple[np.ndarray, np.ndarray, int]:
         entry = self.table.get(int(bin_id))
@@ -122,7 +103,8 @@ class BinLookupKernel(Kernel):
                     np.empty(0, dtype=np.uint64), 0)
         return entry
 
-    def _execute_vectorized(self) -> np.ndarray:
+    def execute(self) -> np.ndarray:
+        """Return an i8 array of slot numbers (-1 for miss) per query."""
         n = len(self.batch)
         slots = np.full(n, -1, dtype=np.int64)
         scanned = 0
@@ -151,31 +133,6 @@ class BinLookupKernel(Kernel):
                 if hit_any.any():
                     slots[idx[hit_any]] = eq[hit_any].argmax(axis=1)
         self._entries_scanned = scanned
-        return slots
-
-    def _execute_simt(self) -> np.ndarray:
-        n = len(self.batch)
-        slots = np.full(n, -1, dtype=np.int64)
-        scanned = [0]
-        batch = self.batch
-
-        def kernel_fn(ctx):
-            qi = ctx.global_id
-            if qi >= n:
-                return
-            lo_arr, hi_arr, count = self._bin_view(int(batch.bin_ids[qi]))
-            # Branch-free full scan, exactly what the device would run.
-            for slot in range(count):
-                ctx.work(1)
-                if lo_arr[slot] == batch.lo[qi] and \
-                        hi_arr[slot] == batch.hi[qi] and slots[qi] < 0:
-                    slots[qi] = slot
-            scanned[0] += count
-
-        wg = self.workgroup_size
-        global_size = ((n + wg - 1) // wg) * wg
-        SimtGrid(global_size=global_size, local_size=wg).run(kernel_fn)
-        self._entries_scanned = scanned[0]
         return slots
 
     # -- timing -------------------------------------------------------------

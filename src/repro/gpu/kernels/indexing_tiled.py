@@ -13,7 +13,7 @@ entry per round), barrier, then every thread compares its own queries
 against the tile.  Global traffic drops from ``queries x bin_size`` to
 ``bin_size`` per bin, at the cost of a barrier per tile.
 
-Functionally identical to the simple kernel (tests assert it); the cost
+Functionally it *is* the simple kernel (``execute`` is inherited); the cost
 model reflects the smaller global footprint and the cheaper (local)
 compares, making this the kernel of choice once several queries share a
 bin per batch.
@@ -21,19 +21,18 @@ bin per batch.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from repro.errors import KernelError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
-from repro.gpu.kernel import Kernel, KernelCost
+from repro.gpu.kernel import KernelCost
 from repro.gpu.kernels.indexing import (
+    BinLookupKernel,
     LookupBatch,
-    QUERY_BYTES,
     RESULT_BYTES,
 )
-from repro.gpu.simt import SimtGrid
 
 #: Local-memory compares cost far less than dependent global loads.
 LOCAL_COMPARE_CYCLES = 6.0
@@ -43,130 +42,33 @@ STAGE_CYCLES_PER_ENTRY = 10.0
 BARRIER_CYCLES = 40.0
 
 
-class TiledBinLookupKernel(Kernel):
+class TiledBinLookupKernel(BinLookupKernel):
     """One workgroup per bin, bins staged through local memory."""
 
     name = "bin_lookup_tiled"
 
-    __slots__ = ("batch", "table", "costs", "workgroup_size",
-                 "tile_entries", "use_simt", "_by_bin",
-                 "_entries_staged", "_cost_cache")
+    __slots__ = ("workgroup_size", "tile_entries", "_by_bin")
 
     def __init__(self, batch: LookupBatch,
                  table: Mapping[int, tuple[np.ndarray, np.ndarray, int]],
                  costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
                  workgroup_size: int = 64,
-                 tile_entries: int = 256,
-                 use_simt: bool = False):
+                 tile_entries: int = 256):
         if tile_entries < 1:
             raise KernelError(f"invalid tile size {tile_entries}")
-        self.batch = batch
-        self.table = table
-        self.costs = costs
+        super().__init__(batch, table, costs)
         self.workgroup_size = workgroup_size
         self.tile_entries = tile_entries
-        self.use_simt = use_simt
         # Group query indices by bin: one workgroup handles one bin.
         self._by_bin: dict[int, list[int]] = {}
         for qi, bin_id in enumerate(batch.bin_ids.tolist()):
             self._by_bin.setdefault(bin_id, []).append(qi)
-        self._entries_staged: Optional[int] = None
-        self._cost_cache: Optional[KernelCost] = None
-
-    # -- functional execution ------------------------------------------------
-
-    def _bin_view(self, bin_id: int) -> tuple[np.ndarray, np.ndarray, int]:
-        entry = self.table.get(bin_id)
-        if entry is None:
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.uint64), 0)
-        return entry
-
-    def execute(self) -> np.ndarray:
-        if self.use_simt:
-            return self._execute_simt()
-        return self._execute_vectorized()
-
-    def _execute_vectorized(self) -> np.ndarray:
-        slots = np.full(len(self.batch), -1, dtype=np.int64)
-        staged = 0
-        qlo = self.batch.lo
-        qhi = self.batch.hi
-        for bin_id, query_indices in self._by_bin.items():
-            lo_arr, hi_arr, count = self._bin_view(bin_id)
-            staged += count
-            if not count:
-                continue
-            valid_lo = lo_arr[:count]
-            valid_hi = hi_arr[:count]
-            # One 2-D broadcast compare per bin (the whole workgroup's
-            # queries at once); argmax picks the first matching slot.
-            idx = np.asarray(query_indices)
-            eq = (valid_lo[None, :] == qlo[idx, None]) \
-                & (valid_hi[None, :] == qhi[idx, None])
-            hit_any = eq.any(axis=1)
-            if hit_any.any():
-                slots[idx[hit_any]] = eq[hit_any].argmax(axis=1)
-        self._entries_staged = staged
-        return slots
-
-    def _execute_simt(self) -> np.ndarray:
-        """Cooperative staging with real barriers through the executor."""
-        slots = np.full(len(self.batch), -1, dtype=np.int64)
-        bins = list(self._by_bin.items())
-        staged_total = [0]
-        batch = self.batch
-        wg = self.workgroup_size
-
-        def kernel_fn(ctx):
-            group_bin = bins[ctx.group.group_id]
-            bin_id, query_indices = group_bin
-            lo_arr, hi_arr, count = self._bin_view(bin_id)
-            tile = self.tile_entries
-            for tile_start in range(0, max(count, 1), tile):
-                tile_end = min(count, tile_start + tile)
-                # Cooperative, coalesced staging: thread t copies
-                # entries tile_start+t, tile_start+t+wg, ...
-                local_lo = ctx.group.local_mem.setdefault("lo", {})
-                local_hi = ctx.group.local_mem.setdefault("hi", {})
-                for j in range(tile_start + ctx.local_id, tile_end, wg):
-                    local_lo[j] = lo_arr[j]
-                    local_hi[j] = hi_arr[j]
-                    ctx.work(1)
-                    if ctx.local_id == 0:
-                        staged_total[0] += 1
-                yield  # barrier: the tile is fully staged
-                # Each thread scans the tile for its own queries.
-                for qi in query_indices[ctx.local_id::wg]:
-                    for j in range(tile_start, tile_end):
-                        ctx.work(1)
-                        if (local_lo[j] == batch.lo[qi]
-                                and local_hi[j] == batch.hi[qi]
-                                and slots[qi] < 0):
-                            slots[qi] = j
-                yield  # barrier: done with the tile, safe to overwrite
-
-        if bins:
-            SimtGrid(global_size=len(bins) * wg,
-                     local_size=wg).run(kernel_fn)
-        # local_id==0 misses entries other lanes staged; recount exactly.
-        self._entries_staged = sum(self._bin_view(b)[2]
-                                   for b, _q in bins)
-        return slots
-
-    # -- timing -------------------------------------------------------------
-
-    def _staged(self) -> int:
-        if self._entries_staged is None:
-            self._entries_staged = sum(
-                self._bin_view(bin_id)[2] for bin_id in self._by_bin)
-        return self._entries_staged
 
     def cost(self) -> KernelCost:
         # Batch and table view are fixed per launch: derive once, memoize.
         if self._cost_cache is not None:
             return self._cost_cache
-        staged = self._staged()  # each bin read from global ONCE
+        staged = sum(self._bin_view(b)[2] for b in self._by_bin)  # read once
         n = len(self.batch)
         compares = 0
         longest_bin = 0
@@ -196,9 +98,3 @@ class TiledBinLookupKernel(Kernel):
             bytes_written=n * RESULT_BYTES,
         )
         return self._cost_cache
-
-    def bytes_in(self) -> int:
-        return len(self.batch) * QUERY_BYTES
-
-    def bytes_out(self) -> int:
-        return len(self.batch) * RESULT_BYTES

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,7 +45,6 @@ from repro.compression.lzss import MAX_CHAIN
 from repro.errors import KernelError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel, KernelCost
-from repro.gpu.simt import SimtStats
 
 #: Chunks searched per array pass: one segment thread each, all walking
 #: in lockstep, so a round's ~70 numpy calls are paid once per tile.  64
@@ -56,32 +54,16 @@ from repro.gpu.simt import SimtStats
 _TILE_CHUNKS = 64
 #: Bytes in the rolling key: every candidate agrees on at least these.
 _KEY_BYTES = 3
-#: Lanes per lockstep wavefront (GCN), as in :class:`repro.gpu.simt.SimtGrid`.
-_WAVEFRONT = 64
 #: The walk's census counters on a :class:`SegmentLzKernel`.
 LZ_CENSUS = ("rounds", "candidate_visits", "open_visits",
              "closed_by_trigram", "closed_by_second", "scalar_scans")
 
 
 def _lz_cost(name: str, threads: int, total_bytes: int, segment_bytes: int,
-             costs: GpuKernelCosts,
-             measured: Optional[SimtStats] = None) -> KernelCost:
-    """Shared cost formula for both LZ kernel flavours.
-
-    With measured SIMT statistics, lane cycles are charged for the slots a
-    lockstep wavefront actually burns; otherwise the analytic divergence
-    factor stands in.
-    """
-    if measured is not None and measured.wavefront_slot_units > 0:
-        # slot_units = lane-slots a lockstep wavefront burns, so the
-        # intra-wavefront imbalance is already *measured*; only the
-        # per-lane branch serialization factor remains analytic.
-        lane_cycles = (measured.wavefront_slot_units
-                       * costs.lz_work_unit_cycles
-                       * costs.lz_lane_serial_factor)
-    else:
-        lane_cycles = (total_bytes * costs.lz_work_unit_cycles
-                       * costs.lz_divergence_factor)
+             costs: GpuKernelCosts) -> KernelCost:
+    """Shared cost formula for both LZ kernel flavours."""
+    lane_cycles = (total_bytes * costs.lz_work_unit_cycles
+                   * costs.lz_divergence_factor)
     return KernelCost(
         name=name,
         threads=threads,
@@ -189,23 +171,16 @@ class SegmentLzKernel(Kernel):
 
     def __init__(self, chunks: Sequence[bytes], segments_per_chunk: int = 8,
                  params: LzParams = DEFAULT_PARAMS,
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-                 use_simt: bool = False,
-                 workgroup_size: int = 64):
+                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
         if not chunks:
             raise KernelError("empty chunk batch")
         if segments_per_chunk < 1:
             raise KernelError(
                 f"invalid segment count {segments_per_chunk}")
-        if workgroup_size < 1:
-            raise KernelError(f"invalid workgroup size {workgroup_size}")
         self.chunks = list(chunks)
         self.segments_per_chunk = segments_per_chunk
         self.params = params
         self.costs = costs
-        self.use_simt = use_simt
-        self.workgroup_size = workgroup_size
-        self._stats: Optional[SimtStats] = None
         #: :data:`LZ_CENSUS`, summed over the launch's tiles: walk rounds,
         #: visits to candidate-bearing positions, those left open by the
         #: nearest candidate, and how each open one was closed.
@@ -225,9 +200,6 @@ class SegmentLzKernel(Kernel):
         tiles = [self._search_tile(first, self.chunks[first:first
                                                       + _TILE_CHUNKS])
                  for first in range(0, len(self.chunks), _TILE_CHUNKS)]
-        if self.use_simt:
-            self._stats = self._simt_stats(
-                np.concatenate([tile.counts for tile in tiles]))
         return LzLaunch(tiles, {name: getattr(self, name)
                                 for name in LZ_CENSUS})
 
@@ -442,26 +414,6 @@ class SegmentLzKernel(Kernel):
             nearer = candidate
         return best_dist, best_len
 
-    def _simt_stats(self, token_counts: np.ndarray) -> SimtStats:
-        """What the SIMT executor would measure, from token counts.
-
-        Each thread does one work unit per token it emits.  The grid is
-        padded to whole workgroups; a lockstep wavefront burns its peak
-        lane's work on every lane, idle padding lanes included.
-        """
-        group = self.workgroup_size
-        threads = -(-token_counts.size // group) * group
-        work = np.zeros(threads, dtype=np.int64)
-        work[:token_counts.size] = token_counts
-        lanes = work.reshape(-1, group)
-        slot_units = 0
-        for lane in range(0, group, _WAVEFRONT):
-            wave = lanes[:, lane:lane + _WAVEFRONT]
-            slot_units += int(wave.max(axis=1).sum()) * wave.shape[1]
-        return SimtStats(threads=threads, workgroups=threads // group,
-                         work_units=float(work.sum()),
-                         wavefront_slot_units=float(slot_units))
-
     def describe(self) -> dict:
         attrs = super().describe()
         attrs.update((f"lz_{name}", getattr(self, name))
@@ -477,7 +429,7 @@ class SegmentLzKernel(Kernel):
             // self.segments_per_chunk
         return _lz_cost(self.name,
                         len(self.chunks) * self.segments_per_chunk,
-                        total, segment_bytes, self.costs, self._stats)
+                        total, segment_bytes, self.costs)
 
     def bytes_in(self) -> int:
         return sum(len(c) for c in self.chunks)

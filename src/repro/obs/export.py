@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.obs.tracer import Span
 

@@ -10,7 +10,6 @@ as "CPU utilization" / "GPU utilization" in the paper-style reports.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Optional
 
@@ -91,8 +90,8 @@ class Request(Event):
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (no-op if already granted)."""
-        if not self.granted:
-            self.resource._withdraw(self)
+        if not self.granted and self in self.resource.queue:
+            self.resource.queue.remove(self)
 
     def _grant(self) -> None:
         """Take the slot the resource just assigned, and fire."""
@@ -164,7 +163,7 @@ class Resource:
         self.name = name
         self.users: list[Request] = []
         #: Waiters (requests and holds) in grant order.
-        self.queue: deque[Event] | list = deque()
+        self.queue: deque[Event] = deque()
         #: Slots held anonymously by granted :class:`Hold` events.
         self._fast_held = 0
         #: The one bound method every hold carries as its first callback.
@@ -240,7 +239,7 @@ class Resource:
         """Grant ``waiter`` a slot now, or queue it behind earlier ones."""
         if self.queue or \
                 len(self.users) + self._fast_held >= self.capacity:
-            self._park(waiter)
+            self.queue.append(waiter)
         else:
             self.monitor.change(+1)
             waiter._grant()
@@ -252,71 +251,6 @@ class Resource:
         occupancy unchanged and the monitor needs no update.
         """
         if self.queue:
-            self._pop_waiter()._grant()
+            self.queue.popleft()._grant()
         else:
             self.monitor.change(-1)
-
-    def _park(self, waiter: Event) -> None:
-        self.queue.append(waiter)
-
-    def _pop_waiter(self) -> Event:
-        return self.queue.popleft()
-
-    def _withdraw(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-
-class PriorityRequest(Request):
-    """A resource claim with an explicit priority (lower = sooner)."""
-
-    __slots__ = ("priority",)
-
-    def __init__(self, resource: "PriorityResource", priority: int):
-        self.priority = priority
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """A counted resource granting waiters by priority, then FIFO.
-
-    Used for the GPU command queue when the priority-scheduling
-    extension is on: latency-critical index batches overtake queued
-    compression batches (work already *running* is never preempted —
-    real devices don't preempt kernels either).  ``queue`` is a heap of
-    ``(priority, arrival, waiter)`` here; a :meth:`hold` waits at
-    priority 0.
-    """
-
-    __slots__ = ("_seq",)
-
-    def __init__(self, env: Environment, capacity: int = 1,
-                 name: str = "priority-resource"):
-        super().__init__(env, capacity, name)
-        self.queue = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:
-        """Claim a slot at the given priority."""
-        return PriorityRequest(self, priority)
-
-    # -- internals: heap-ordered waiting ----------------------------------------
-
-    def _park(self, waiter: Event) -> None:
-        self._seq += 1
-        heapq.heappush(self.queue, (getattr(waiter, "priority", 0),
-                                    self._seq, waiter))
-
-    def _pop_waiter(self) -> Event:
-        return heapq.heappop(self.queue)[2]
-
-    def _withdraw(self, request: Request) -> None:
-        heap = self.queue
-        for i, (_p, _s, waiting) in enumerate(heap):
-            if waiting is request:
-                heap[i] = heap[-1]
-                heap.pop()
-                heapq.heapify(heap)
-                return

@@ -80,6 +80,17 @@ GOLDEN_A7_FIELDS: dict[int, tuple[float, float]] = {
     16: (2.1220965374320007, 0.0031085398497538996),
 }
 
+#: Exact A11 fields, ``a11_kernel_variants(batch_sizes=(64, 256),
+#: n_entries=8192)``, taken while the tiled kernel still carried its own
+#: copy of the lookup: batch -> (simple_seconds, tiled_seconds,
+#: simple_global_bytes, tiled_global_bytes).  Pins both lookup kernels'
+#: cost models.
+GOLDEN_A11_FIELDS: dict[int, tuple[float, float, float, float]] = {
+    64: (0.00014710947747747748, 0.00013804569369369368, 50688.0, 45120.0),
+    256: (0.00014800547747747747, 0.0001389416936936937, 199656.0,
+          126720.0),
+}
+
 #: Fields of the E4 reports that must not move when the engine is
 #: optimized, with their golden values (identical pre/post change).
 GOLDEN_E4_FIELDS = {

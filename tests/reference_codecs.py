@@ -28,7 +28,6 @@ from repro.compression.lz_common import (
     tokens_to_bytes,
 )
 from repro.errors import CompressionError, CorruptStreamError
-from repro.gpu.simt import SimtGrid, SimtStats
 
 _QLZ_MIN_MATCH = 3
 _QLZ_MAX_MATCH = 258
@@ -400,10 +399,9 @@ def reference_segment_bounds(length: int, segments: int
 
 def reference_merge_segments(chunk: bytes,
                              segments: list[tuple[int, int, list[Token]]],
-                             params: LzParams = DEFAULT_PARAMS,
-                             repair_seams: bool = True,
-                             stats: Optional[dict] = None) -> list[Token]:
-    """The pre-array, list-based CPU refinement (validate, stitch, repair).
+                             params: LzParams = DEFAULT_PARAMS
+                             ) -> list[Token]:
+    """The pre-array, list-based CPU refinement (validate, stitch).
 
     ``segments`` holds ``(start, end, tokens)`` per segment, in order.
     Kept as the oracle for ``refine_to_container``: the refined blob must
@@ -435,51 +433,4 @@ def reference_merge_segments(chunk: bytes,
         raise CompressionError(
             f"segments cover {expected_start} bytes of a "
             f"{len(chunk)}-byte chunk")
-    merged: list[Token] = []
-    for start, _end, tokens in segments:
-        tokens = list(tokens)
-        if repair_seams and start > 0 and merged and tokens:
-            last = merged[-1]
-            if isinstance(last, Match) and last.length < params.max_match:
-                absorbed = 0
-                while (absorbed < params.max_match - last.length
-                       and absorbed < len(tokens)
-                       and isinstance(tokens[absorbed], Literal)
-                       and chunk[start - last.distance + absorbed]
-                       == chunk[start + absorbed]):
-                    absorbed += 1
-                if absorbed:
-                    merged[-1] = Match(distance=last.distance,
-                                       length=last.length + absorbed)
-                    tokens = tokens[absorbed:]
-                    if stats is not None:
-                        stats["seams_extended"] = \
-                            stats.get("seams_extended", 0) + 1
-                        stats["seam_bytes_absorbed"] = \
-                            stats.get("seam_bytes_absorbed", 0) + absorbed
-        merged.extend(tokens)
-    if token_output_length(merged) != len(chunk):
-        raise CompressionError("seam repair corrupted the stream length")
-    return merged
-
-
-def reference_simt_stats(token_counts: list[int],
-                         workgroup_size: int = 64) -> SimtStats:
-    """The per-thread SIMT execution the LZ kernel used to run.
-
-    One thread per entry of ``token_counts`` reports one work unit per
-    token through the :class:`~repro.gpu.simt.SimtGrid` executor, on a
-    grid padded to whole workgroups — the oracle for the kernel's
-    arithmetic ``SimtStats``.
-    """
-    n_threads = len(token_counts)
-    global_size = ((n_threads + workgroup_size - 1)
-                   // workgroup_size) * workgroup_size
-
-    def kernel_fn(ctx):
-        if ctx.global_id < n_threads:
-            for _ in range(token_counts[ctx.global_id]):
-                ctx.work(1)
-
-    return SimtGrid(global_size=global_size,
-                    local_size=workgroup_size).run(kernel_fn)
+    return [token for _start, _end, tokens in segments for token in tokens]

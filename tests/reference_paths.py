@@ -28,6 +28,10 @@ imports this.
   a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
   host arrays must stay indistinguishable from
   (``test_gpu_index_growth``);
+* :func:`reference_bin_lookup` — one query at a time, the first slot of
+  its bin holding its lanes: the answer both lookup kernels' grouped
+  broadcast compare must give (``test_gpu_kernels``,
+  ``test_gpu_tiled_kernel``, ``test_dedup_index``);
 * :func:`_extend_random` — ``rng.randrange(256)`` unrolled to its 9-bit
   rejection loop, the per-byte generator ``make_block`` ran on before it
   classified a pooled draw at once (``test_workload``).
@@ -165,6 +169,24 @@ class PreallocatedGpuBins:
 
     def __len__(self) -> int:
         return sum(count for _lo, _hi, count in self.bins.values())
+
+
+def reference_bin_lookup(batch, table) -> list[int]:
+    """Per-query first-match scan over a ``{bin: (lo, hi, count)}`` table.
+
+    Query ``q`` walks the ``count`` valid slots of its bin in order and
+    answers the first whose two lanes equal its own, else -1 (an unknown
+    bin has no slots): the slot a device thread's full scan ends up
+    holding, without the grid.
+    """
+    slots = []
+    for bin_id, lo, hi in zip(batch.bin_ids.tolist(), batch.lo.tolist(),
+                              batch.hi.tolist()):
+        lo_arr, hi_arr, count = table.get(
+            bin_id, (np.empty(0), np.empty(0), 0))
+        lanes = list(zip(lo_arr[:count].tolist(), hi_arr[:count].tolist()))
+        slots.append(lanes.index((lo, hi)) if (lo, hi) in lanes else -1)
+    return slots
 
 
 def bin_ids_per_chunk(fingerprints: list[bytes],
@@ -357,7 +379,7 @@ class ReferenceGpuBatcher(GpuBatcher):
     def _launch(self, batch: list[tuple]) -> Generator:
         items = [entry[0] for entry in batch]
         kernel = self.make_kernel(items)
-        raw = yield from self.gpu.launch(kernel, priority=self.priority)
+        raw = yield from self.gpu.launch(kernel)
         results = self.split_results(items, raw)
         self.batches_launched += 1
         self.items_processed += len(items)

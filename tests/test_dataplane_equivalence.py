@@ -619,13 +619,39 @@ def test_gpu_segment_tokens_match_reference(name, segments):
             f"segment [{output.start}, {output.end}) diverged")
 
 
+def absorbable_seams(tile: LzTile, params: LzParams) -> list[int]:
+    """Seams a repair pass could extend across, as token indices.
+
+    A seam is the first token of a busy thread that is not the first
+    busy thread of its chunk.  It is absorbable unless the token before
+    it is a literal, or a match already at ``max_match``, or a match
+    whose periodic extension breaks right there
+    (``data[start - distance] != data[start]``).
+    """
+    n_segments = tile.seg_start.shape[1]
+    counts = tile.counts.tolist()
+    ends = np.cumsum(tile.counts).tolist()
+    found = []
+    for chunk in range(len(tile.chunks)):
+        threads = range(chunk * n_segments, (chunk + 1) * n_segments)
+        heads = [ends[t] - counts[t] for t in threads if counts[t]]
+        for head in heads[1:]:
+            distance = int(tile.distances[head - 1])
+            start = int(tile.starts[head])
+            if (distance and tile.lengths[head - 1] < params.max_match
+                    and tile.data[start - distance] == tile.data[start]):
+                found.append(head)
+    return found
+
+
 def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
     """One launch, every chunk: raw tokens and refined blob vs oracles.
 
     The raw tokens must equal the per-segment reference search (which
     only ever sees its own chunk, so a match crossing into a neighbour
-    shows), and the refined containers and seam counters must equal the
-    list-based refinement of those reference tokens — through
+    shows), no seam of theirs may be absorbable
+    (:func:`absorbable_seams`), and the refined containers must equal
+    the list-based refinement of those reference tokens — through
     ``refine_tile`` over the launch's tiles and, chunk by chunk, through
     the ``refine_to_container`` adapter.  A one-segment launch must also
     be the serial codec's stream: one chain rule, two executors.
@@ -650,22 +676,18 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
             assert output.tokens == tokens, (
                 f"chunk {index} segment [{start}, {end}) diverged")
         references.append(expected)
-    for repair in (True, False):
-        tile_stats, adapter_stats, expected_stats = {}, {}, {}
-        expected_blobs = [
-            tokens_to_bytes(reference_merge_segments(
-                chunk, expected, params, repair_seams=repair,
-                stats=expected_stats), len(chunk), params)
-            for chunk, expected in zip(chunks, references)]
-        assert [blob for tile in launch.tiles
-                for blob in refine_tile(tile, params, repair_seams=repair,
-                                        stats=tile_stats)] == expected_blobs
-        assert [refine_to_container(chunk, outputs, params,
-                                    repair_seams=repair, stats=adapter_stats)
-                for chunk, outputs in zip(chunks, launch)] == expected_blobs
-        assert tile_stats == adapter_stats == expected_stats
-        for chunk, blob in zip(chunks, expected_blobs):
-            assert LzssCodec(params).decode(blob) == chunk
+    assert not [seam for tile in launch.tiles
+                for seam in absorbable_seams(tile, params)]
+    expected_blobs = [
+        tokens_to_bytes(reference_merge_segments(chunk, expected, params),
+                        len(chunk), params)
+        for chunk, expected in zip(chunks, references)]
+    assert [blob for tile in launch.tiles
+            for blob in refine_tile(tile, params)] == expected_blobs
+    assert [refine_to_container(chunk, outputs, params)
+            for chunk, outputs in zip(chunks, launch)] == expected_blobs
+    for chunk, blob in zip(chunks, expected_blobs):
+        assert LzssCodec(params).decode(blob) == chunk
     if segments == 1:
         assert expected_blobs == [LzssCodec(params).encode(chunk)
                                   for chunk in chunks]
@@ -908,14 +930,13 @@ def test_gpu_launch_property(drawn, segments, params):
 def test_seam_repair_never_fires_on_kernel_output(drawn, segments, params):
     """A match the kernel keeps ended at a mismatch, the cap or the
     chunk's end, and one that would overrun its segment is a literal:
-    no seam of its own output has anything to absorb."""
+    no seam of its own output has anything to absorb, so refinement
+    needs no repair pass."""
     launch = SegmentLzKernel(drawn + PAYLOADS[:12],
                              segments_per_chunk=segments,
                              params=params).execute()
-    stats = {}
     for tile in launch.tiles:
-        refine_tile(tile, params, stats=stats)
-    assert stats.get("seams_extended", 0) == 0 and stats == {}
+        assert absorbable_seams(tile, params) == []
 
 
 def test_launch_with_empty_short_and_one_segment_chunks_across_tiles():
@@ -961,12 +982,13 @@ def _literals(text):
     return [Literal(value) for value in text]
 
 
-#: ``test_seam_match_absorbs_a_whole_segment_then_grows_again``'s chunk.
+#: Segment 0 ends on a match whose periodic extension would swallow
+#: segment 1 whole and then segment 2's leading literals.
 _SWALLOW = (b"abcdefgh" * 2 + b"abcdXY", [
     (0, 11, _literals(b"abcdefgh") + [Match(8, 3)]),
     (11, 13, _literals(b"de")),
     (13, 22, _literals(b"fgh") + [Match(8, 4)] + _literals(b"XY"))])
-#: ``test_seam_match_stops_at_the_length_field``'s chunk.
+#: Segment 0 ends on a match one short of the length field's cap.
 _CAPPED = (b"q" * 40, [
     (0, 18, [Literal(ord("q")), Match(1, 17)]),
     (18, 40, [Literal(ord("q"))] * 4 + [Match(1, 18)])])
@@ -978,30 +1000,31 @@ _FOLLOWS = (b"abcabcxyz", [(0, 3, _literals(b"abc")),
                            (3, 9, [Match(3, 3)] + _literals(b"xyz"))])
 
 
-@pytest.mark.parametrize("chunks, expected_stats", (
-    ((_SWALLOW, _FOLLOWS),
-     {"seams_extended": 2, "seam_bytes_absorbed": 5}),
-    ((_CAPPED, _FOLLOWS), {"seams_extended": 1, "seam_bytes_absorbed": 1}),
-    ((_FOLLOWS, _SWALLOW, _FOLLOWS, _CAPPED),
-     {"seams_extended": 3, "seam_bytes_absorbed": 6}),
-    ((_ENDS_ON_MATCH, _FOLLOWS, _ENDS_ON_MATCH, (b"abc", [])), {}),
+@pytest.mark.parametrize("chunks, expected_seams", (
+    ((_SWALLOW, _FOLLOWS), [9]),
+    ((_CAPPED, _FOLLOWS), [2]),
+    ((_FOLLOWS, _SWALLOW, _FOLLOWS, _CAPPED), [16, 33]),
+    ((_ENDS_ON_MATCH, _FOLLOWS, _ENDS_ON_MATCH, (b"abc", [])), []),
 ), ids=("swallow", "capped", "both_inside", "chunk_boundary"))
-def test_tile_repairs_each_chunk_as_if_alone(chunks, expected_stats):
-    """The chained swallow and the length-field cap beside chunks no
-    repair touches; and a match that ends its chunk absorbs nothing of
-    the next chunk's leading literals, whatever they are."""
+def test_tile_repairs_each_chunk_as_if_alone(chunks, expected_seams):
+    """Refinement is validate + pack, chunk by chunk as if each were
+    alone: seams a repair pass would have grown (the chained swallow,
+    one short of the length field) are packed exactly as handed over,
+    beside chunks with no such seam, and a match that ends its chunk
+    takes nothing of the next chunk's leading literals."""
     chunks = [(chunk, segments or [(0, len(chunk), _literals(chunk))])
               for chunk, segments in chunks]
-    stats, oracle_stats = {}, {}
-    blobs = refine_tile(_hand_tile(*chunks), stats=stats)
-    merged = [reference_merge_segments(chunk, segments, stats=oracle_stats)
+    tile = _hand_tile(*chunks)
+    assert absorbable_seams(tile, DEFAULT_PARAMS) == expected_seams
+    blobs = refine_tile(tile)
+    merged = [reference_merge_segments(chunk, segments)
               for chunk, segments in chunks]
     assert blobs == [tokens_to_bytes(tokens, len(chunk))
                      for tokens, (chunk, _) in zip(merged, chunks)]
-    assert stats == oracle_stats == expected_stats
-    for (chunk, segments), tokens in zip(chunks, merged):
-        if chunk in (_FOLLOWS[0], _ENDS_ON_MATCH[0], b"abc"):   # untouched
-            assert tokens == [t for _, _, part in segments for t in part]
+    assert blobs == [refine_to_container(chunk, tile.outputs(index))
+                     for index, (chunk, _) in enumerate(chunks)]
+    for (_, segments), tokens in zip(chunks, merged):
+        assert tokens == [t for _, _, part in segments for t in part]
     assert [LzssCodec().decode(blob) for blob in blobs] \
         == [chunk for chunk, _ in chunks]
 
@@ -1129,28 +1152,6 @@ def test_match_length_outside_the_field_raises_through_tile_and_adapter(
     assert refine_to_container(_FOLLOWS[0], tile.outputs(0))
 
 
-def test_repair_that_loses_bytes_raises_through_tile_and_adapter(
-        monkeypatch):
-    """What the packer is handed is checked again after a repair: an
-    absorption that takes a token too many (here a patched prefix scan)
-    no longer expands to the chunk."""
-    from repro.compression import postprocess
-    chunk = b"abcdefgh" * 3
-    segments = [(0, 11, _literals(b"abcdefgh") + [Match(8, 3)]),
-                (11, 24, _literals(b"def") + [Match(8, 4)]
-                 + _literals(b"cdefgh"))]
-    tile = _hand_tile(_FOLLOWS, (chunk, segments))
-    assert refine_tile(tile)[1] == tokens_to_bytes(
-        reference_merge_segments(chunk, segments), len(chunk))
-    monkeypatch.setattr(postprocess, "common_prefix_length",
-                        lambda data, a, b, limit: limit + 1)
-    message = "token stream expands to 21 bytes but header claims 24"
-    with pytest.raises(CompressionError, match=message):
-        refine_tile(tile)
-    with pytest.raises(CompressionError, match=message):
-        refine_to_container(chunk, tile.outputs(1))
-
-
 def _segment_output(chunk, index, start, tokens):
     """A SegmentOutput holding ``tokens`` laid out from ``start``."""
     lengths = [t.length if isinstance(t, Match) else 1 for t in tokens]
@@ -1164,53 +1165,9 @@ def _segment_output(chunk, index, start, tokens):
         chunk=chunk)
 
 
-def test_seam_match_absorbs_a_whole_segment_then_grows_again():
-    """The chained repair: segment 1 is nothing but literals that extend
-    segment 0's final match, so it vanishes and the same match goes on
-    to swallow segment 2's leading literals as well."""
-    chunk = b"abcdefgh" * 2 + b"abcdXY"
-    segments = [
-        (0, 11, [Literal(b) for b in b"abcdefgh"] + [Match(8, 3)]),
-        (11, 13, [Literal(b) for b in b"de"]),
-        (13, 22, [Literal(b) for b in b"fgh"] + [Match(8, 4)]
-         + [Literal(b) for b in b"XY"]),
-    ]
-    outputs = [_segment_output(chunk, index, start, tokens)
-               for index, (start, _, tokens) in enumerate(segments)]
-    assert [out.end for out in outputs] == [end for _, end, _ in segments]
-    stats, expected_stats = {}, {}
-    blob = refine_to_container(chunk, outputs, stats=stats)
-    merged = reference_merge_segments(chunk, segments,
-                                      stats=expected_stats)
-    assert merged == ([Literal(b) for b in b"abcdefgh"]
-                      + [Match(8, 8), Match(8, 4)]
-                      + [Literal(b) for b in b"XY"])
-    assert blob == tokens_to_bytes(merged, len(chunk))
-    assert stats == expected_stats == {"seams_extended": 2,
-                                       "seam_bytes_absorbed": 5}
-    assert LzssCodec().decode(blob) == chunk
-
-
-def test_seam_match_stops_at_the_length_field():
-    """Absorption is capped by the room left in the 4-bit length."""
-    chunk = b"q" * 40
-    segments = [
-        (0, 18, [Literal(ord("q")), Match(1, 17)]),
-        (18, 40, [Literal(ord("q"))] * 4 + [Match(1, 18)]),
-    ]
-    outputs = [_segment_output(chunk, index, start, tokens)
-               for index, (start, _, tokens) in enumerate(segments)]
-    stats = {}
-    blob = refine_to_container(chunk, outputs, stats=stats)
-    merged = reference_merge_segments(chunk, segments)
-    assert merged[1] == Match(1, 18) and len(merged) == 6
-    assert blob == tokens_to_bytes(merged, len(chunk))
-    assert stats == {"seams_extended": 1, "seam_bytes_absorbed": 1}
-
-
-def test_short_raw_match_is_rejected_before_seam_repair_can_grow_it():
+def test_short_raw_match_is_rejected_by_the_length_field_check():
     """A 2-byte match is invalid as the kernel's output even though the
-    seam repair would have grown it into the length field's range."""
+    literals after it continue its period into the field's range."""
     chunk = b"abababab"
     segments = [
         (0, 4, [Literal(ord("a")), Literal(ord("b")), Match(2, 2)]),

@@ -4,7 +4,7 @@ The PR that vectorized the index plane (broadcast GPU lookups, batched
 flush installs, bisect tree probes) promised
 *byte-identical* behaviour.  These tests hold it to that: random
 interleavings of inserts, flush installs, lookups and capacity
-overflows must agree across the vectorized kernel, the SIMT kernel and
+overflows must agree across the simple kernel, the tiled kernel and
 a plain-dict oracle that replays the same seeded eviction draws; the
 B-tree must keep its invariants through split bursts; and a kernel's
 cost must not depend on whether it has executed yet.
@@ -68,6 +68,11 @@ class OracleBins:
         return -1
 
 
+def tiled_kernel(index: GpuBinIndex, probes) -> TiledBinLookupKernel:
+    return TiledBinLookupKernel(index.make_batch(probes), index.table_view(),
+                                costs=index.costs)
+
+
 ops_strategy = st.lists(
     st.one_of(
         # Single insert.
@@ -87,7 +92,7 @@ ops_strategy = st.lists(
 class TestIndexInterleavingProperty:
     @given(ops=ops_strategy, seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_vectorized_simt_and_oracle_agree(self, ops, seed):
+    def test_simple_tiled_and_oracle_agree(self, ops, seed):
         index = GpuBinIndex(prefix_bytes=PREFIX_BYTES,
                             bin_capacity=BIN_CAPACITY,
                             policy=RandomReplacement(seed=seed))
@@ -104,11 +109,9 @@ class TestIndexInterleavingProperty:
             else:
                 probes = [fp(i) for i in arg]
                 plain = index.make_kernel(probes).execute()
-                simt = index.make_kernel(probes, use_simt=True).execute()
-                tiled = index.make_kernel(probes, tiled=True).execute()
+                tiled = tiled_kernel(index, probes).execute()
                 expected = [oracle.lookup_slot(p) for p in probes]
                 assert plain.tolist() == expected
-                assert simt.tolist() == expected
                 assert tiled.tolist() == expected
 
     @given(seed=st.integers(0, 2 ** 16))
@@ -170,7 +173,8 @@ class TestBTreeProperties:
 
 
 class TestCostMemoization:
-    def _populated_index(self) -> GpuBinIndex:
+    @staticmethod
+    def _populated_index() -> GpuBinIndex:
         index = GpuBinIndex(prefix_bytes=PREFIX_BYTES,
                             bin_capacity=64,
                             policy=RandomReplacement(seed=5))
@@ -178,13 +182,16 @@ class TestCostMemoization:
             index.insert(fp(i))
         return index
 
+    @classmethod
+    def _kernels(cls, probes):
+        """(simple, tiled) kernels, each over a fresh populated index."""
+        return [make(cls._populated_index(), probes)
+                for make in (GpuBinIndex.make_kernel, tiled_kernel)]
+
     def test_cost_before_execute_equals_cost_after(self):
         probes = [fp(i) for i in range(0, UNIVERSE, 2)]
-        for tiled in (False, True):
-            priced = self._populated_index().make_kernel(probes,
-                                                         tiled=tiled)
-            executed = self._populated_index().make_kernel(probes,
-                                                           tiled=tiled)
+        for priced, executed in zip(self._kernels(probes),
+                                    self._kernels(probes)):
             executed.execute()
             # The device prices a launch up front; the answer must not
             # change once the kernel has actually run.
@@ -192,23 +199,10 @@ class TestCostMemoization:
 
     def test_cost_is_memoized(self):
         probes = [fp(i) for i in range(8)]
-        for tiled in (False, True):
-            kernel = self._populated_index().make_kernel(probes,
-                                                         tiled=tiled)
+        for kernel in self._kernels(probes):
             assert kernel.cost() is kernel.cost()
             kernel.execute()
             assert kernel.cost() is kernel.cost()
-
-    def test_tiled_kernel_cost_stable_across_paths(self):
-        index = self._populated_index()
-        probes = [fp(i) for i in range(0, UNIVERSE, 3)]
-        vec = index.make_kernel(probes, tiled=True)
-        simt = TiledBinLookupKernel(index.make_batch(probes),
-                                    index.table_view(),
-                                    costs=index.costs, use_simt=True)
-        vec.execute()
-        simt.execute()
-        assert vec.cost() == simt.cost()
 
 
 class TestDecomposition:

@@ -17,6 +17,7 @@ from repro.dedup import (
     ReferenceIndex,
 )
 from repro.errors import IndexError_
+from tests.reference_paths import reference_bin_lookup
 
 
 def fp(n: int) -> bytes:
@@ -288,14 +289,14 @@ class TestGpuBinIndex:
         assert memory.used_bytes == 16 * 16  # one bin allocated
         assert index.device_bytes() == 16 * 16
 
-    def test_simt_kernel_agrees(self):
+    def test_kernel_agrees_with_reference_lookup(self):
         index = GpuBinIndex()
         for i in range(64):
             index.insert(fp(i))
         probes = [fp(i) for i in range(0, 128, 5)]
-        plain = index.make_kernel(probes).execute()
-        simt = index.make_kernel(probes, use_simt=True).execute()
-        assert list(plain) == list(simt)
+        kernel = index.make_kernel(probes)
+        assert kernel.execute().tolist() == reference_bin_lookup(
+            kernel.batch, index.table_view())
 
     def test_hit_statistics(self):
         index = GpuBinIndex()

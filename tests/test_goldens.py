@@ -1,6 +1,6 @@
 """Every pinned golden, asserted unconditionally (tier-1).
 
-``tests/goldens.py`` holds five tables captured before the fast paths
+``tests/goldens.py`` holds six tables captured before the fast paths
 they guard; each is load-bearing here or in
 ``test_pipeline_identity.py`` — corrupt one entry of any table and a
 test below (or ``test_golden_report_digests_all_modes``) fails.  The
@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 from tests.goldens import (
+    GOLDEN_A11_FIELDS,
     GOLDEN_A7_FIELDS,
     GOLDEN_E4_CHUNKS,
     GOLDEN_E4_FIELDS,
@@ -24,7 +25,11 @@ from tests.goldens import (
 )
 from tests.reference_paths import report_digest
 
-from repro.bench.experiments import SCENARIO_MIX, a7_segment_sweep
+from repro.bench.experiments import (
+    SCENARIO_MIX,
+    a7_segment_sweep,
+    a11_kernel_variants,
+)
 from repro.bench.micro import build_corpus, golden_config
 from repro.cluster import ClusterEngine
 from repro.compression.lzss import LzssCodec
@@ -63,6 +68,14 @@ def test_a7_segment_sweep_fields():
     observed = {row.segments: (row.ratio, row.ratio_loss_vs_serial)
                 for row in a7_segment_sweep()}
     assert observed == GOLDEN_A7_FIELDS
+
+
+def test_a11_kernel_variant_fields():
+    observed = {row.batch: (row.simple_seconds, row.tiled_seconds,
+                            row.simple_global_bytes, row.tiled_global_bytes)
+                for row in a11_kernel_variants(batch_sizes=(64, 256),
+                                               n_entries=8192)}
+    assert observed == GOLDEN_A11_FIELDS
 
 
 @pytest.mark.parametrize("mode", IntegrationMode.all_modes(),

@@ -95,9 +95,7 @@ class Pair:
         return [
             (self.index.make_kernel(probes),
              BinLookupKernel(batch, table)),
-            (self.index.make_kernel(probes, use_simt=True),
-             BinLookupKernel(batch, table, use_simt=True)),
-            (self.index.make_kernel(probes, tiled=True),
+            (TiledBinLookupKernel(batch, self.index.table_view()),
              TiledBinLookupKernel(batch, table)),
         ]
 

@@ -22,11 +22,7 @@ from repro.gpu.kernels import (
 from repro.gpu.kernels.lz import LZ_CENSUS
 from repro.sim import Environment
 from repro.types import Chunk
-from tests.reference_codecs import (
-    reference_segment_bounds,
-    reference_segment_tokens,
-    reference_simt_stats,
-)
+from tests.reference_paths import reference_bin_lookup
 
 
 def _compressible(n: int) -> bytes:
@@ -62,15 +58,15 @@ class TestBinLookupKernel:
         slots = BinLookupKernel(batch, table).execute()
         assert list(slots) == [1, 0, -1, -1]
 
-    def test_simt_path_matches_vectorized(self):
+    def test_matches_reference_lookup(self):
         table = _make_table(
-            [(b % 4, 1000 + b, 2000 + b) for b in range(40)])
+            [(b % 4, 1000 + b, 2000 + b) for b in range(40)]
+            + [(2, 1002, 2002)])    # a later twin: the first slot wins
         queries = [(b % 4, 1000 + b, 2000 + b) for b in range(0, 40, 3)]
-        queries += [(0, 5, 5), (3, 7, 7)]
+        queries += [(0, 5, 5), (3, 7, 7), (9, 1, 1), (2, 1002, 2002)]
         batch = LookupBatch.from_queries(queries)
-        vec = BinLookupKernel(batch, table).execute()
-        simt = BinLookupKernel(batch, table, use_simt=True).execute()
-        assert np.array_equal(vec, simt)
+        assert BinLookupKernel(batch, table).execute().tolist() \
+            == reference_bin_lookup(batch, table)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(KernelError):
@@ -128,51 +124,6 @@ class TestSegmentLzKernel:
             assert LzssCodec().decode(
                 refine_to_container(chunk, per_chunk)) == chunk
 
-    def test_simt_mode_same_results(self):
-        chunk = _compressible(1024)
-        plain = SegmentLzKernel([chunk], segments_per_chunk=4).execute()
-        simt = SegmentLzKernel([chunk], segments_per_chunk=4,
-                               use_simt=True).execute()
-        assert [s.tokens for s in plain[0]] == [s.tokens for s in simt[0]]
-
-    def test_simt_stats_refine_cost(self):
-        chunk = _compressible(1024)
-        kernel = SegmentLzKernel([chunk], segments_per_chunk=4,
-                                 use_simt=True)
-        analytic = kernel.cost().lane_cycles_total
-        kernel.execute()
-        measured = kernel.cost().lane_cycles_total
-        assert measured != analytic  # stats actually feed the cost
-
-    @pytest.mark.parametrize("segments", (1, 4, 8))
-    @pytest.mark.parametrize("n_chunks", (1, 4, 37))
-    def test_simt_stats_match_per_thread_executor(self, n_chunks, segments):
-        """The arithmetic SimtStats equal a real SimtGrid execution in
-        which every segment thread reports one work unit per token."""
-        sizes = (4096, 700, 5, 2048, 1)
-        chunks = [(_compressible if i % 2 else _incompressible)(
-            sizes[i % len(sizes)]) for i in range(n_chunks)]
-        kernel = SegmentLzKernel(chunks, segments_per_chunk=segments,
-                                 use_simt=True)
-        kernel.execute()
-        token_counts = [0] * (n_chunks * segments)
-        for index, chunk in enumerate(chunks):
-            for segment, start, end in reference_segment_bounds(
-                    len(chunk), segments):
-                token_counts[index * segments + segment] = len(
-                    reference_segment_tokens(chunk, start, end))
-        assert kernel._stats == reference_simt_stats(token_counts)
-
-    def test_simt_stats_split_workgroups_into_wavefronts(self):
-        chunks = [_compressible(4096), _incompressible(4096)] * 10
-        kernel = SegmentLzKernel(chunks, segments_per_chunk=8,
-                                 use_simt=True, workgroup_size=96)
-        outputs = kernel.execute()
-        token_counts = [len(seg.positions)
-                        for per_chunk in outputs for seg in per_chunk]
-        assert kernel._stats == reference_simt_stats(
-            token_counts, workgroup_size=96)
-
     def test_ratio_close_to_serial_lzss(self):
         """Segment parallelism costs a little ratio, not a lot (A7)."""
         chunk = _compressible(4096)
@@ -188,10 +139,6 @@ class TestSegmentLzKernel:
     def test_bad_segment_count_rejected(self):
         with pytest.raises(KernelError):
             SegmentLzKernel([b"x" * 64], segments_per_chunk=0)
-
-    def test_bad_workgroup_size_rejected(self):
-        with pytest.raises(KernelError):
-            SegmentLzKernel([b"x" * 64], workgroup_size=0)
 
     def test_single_segment_equals_greedy_serial(self):
         chunk = _compressible(1024)
@@ -370,14 +317,6 @@ class TestPostprocessValidation:
         seg.distances[at] = 0   # a "literal" that covers a match's bytes
         with pytest.raises(CompressionError, match="literal"):
             refine_to_container(chunk, outputs)
-
-    def test_seam_repair_never_hurts(self):
-        chunk = _compressible(4096)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=8).execute()[0]
-        repaired = len(refine_to_container(chunk, outputs,
-                                           repair_seams=True))
-        raw = len(refine_to_container(chunk, outputs, repair_seams=False))
-        assert repaired <= raw
 
 
 class TestGpuCompressorHandOff:

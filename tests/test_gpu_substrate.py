@@ -1,9 +1,9 @@
-"""Unit tests for the GPU device model, memory, PCIe, and SIMT executor."""
+"""Unit tests for the GPU device model, memory and PCIe."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, GpuMemoryError, KernelError
+from repro.errors import ConfigError, GpuMemoryError
 from repro.gpu import (
     DeviceMemory,
     GpuDevice,
@@ -13,7 +13,6 @@ from repro.gpu import (
     PcieLink,
     PcieSpec,
     RADEON_HD_7970,
-    SimtGrid,
 )
 from repro.sim import Environment
 
@@ -110,73 +109,6 @@ class TestPcie:
         assert link.bytes_to_device == 100
         assert link.bytes_from_device == 40
         assert link.transfer_count == 2
-
-
-class TestSimtGrid:
-    def test_every_thread_runs_with_correct_ids(self):
-        seen = []
-
-        def kernel(ctx):
-            seen.append((ctx.global_id, ctx.local_id, ctx.group.group_id))
-
-        SimtGrid(global_size=8, local_size=4).run(kernel)
-        assert seen == [(i, i % 4, i // 4) for i in range(8)]
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(KernelError):
-            SimtGrid(global_size=10, local_size=4)
-
-    def test_local_memory_shared_within_group_only(self):
-        def kernel(ctx, sink):
-            ctx.group.local_mem.setdefault("ids", []).append(ctx.global_id)
-            if ctx.local_id == ctx.group.local_size - 1:
-                sink.append(sorted(ctx.group.local_mem["ids"]))
-
-        sink = []
-        SimtGrid(global_size=8, local_size=4).run(kernel, sink)
-        assert sink == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-    def test_barrier_phases_synchronize(self):
-        def kernel(ctx, log):
-            ctx.group.local_mem.setdefault("phase1", set()).add(ctx.local_id)
-            yield  # barrier
-            log.append(len(ctx.group.local_mem["phase1"]))
-
-        log = []
-        SimtGrid(global_size=4, local_size=4).run(kernel, log)
-        # After the barrier every thread must observe all 4 phase-1 writes.
-        assert log == [4, 4, 4, 4]
-
-    def test_barrier_divergence_detected(self):
-        def kernel(ctx):
-            if ctx.local_id == 0:
-                yield  # only thread 0 hits the barrier
-
-        with pytest.raises(KernelError, match="barrier divergence"):
-            SimtGrid(global_size=4, local_size=4).run(kernel)
-
-    def test_uniform_work_has_full_efficiency(self):
-        def kernel(ctx):
-            ctx.work(10)
-
-        stats = SimtGrid(global_size=128, local_size=64).run(kernel)
-        assert stats.wavefront_efficiency == pytest.approx(1.0)
-        assert stats.work_units == 1280
-
-    def test_divergent_work_lowers_efficiency(self):
-        def kernel(ctx):
-            ctx.work(100 if ctx.global_id == 0 else 1)
-
-        stats = SimtGrid(global_size=64, local_size=64).run(kernel)
-        assert stats.wavefront_efficiency < 0.05
-
-    def test_barrier_count_reported(self):
-        def kernel(ctx):
-            yield
-            yield
-
-        stats = SimtGrid(global_size=8, local_size=4).run(kernel)
-        assert stats.barriers == 4  # 2 barriers x 2 workgroups
 
 
 class _NoopKernel(Kernel):

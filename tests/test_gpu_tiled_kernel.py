@@ -10,6 +10,7 @@ from repro.gpu import GpuDevice
 from repro.gpu.kernels.indexing import BinLookupKernel, LookupBatch
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.sim import Environment
+from tests.reference_paths import reference_bin_lookup
 
 
 def make_table(entries):
@@ -36,20 +37,25 @@ class TestTiledLookup:
                     for b in range(4) for i in range(0, 40, 7)]
                    + [(0, 1, 1), (2, 5, 5), (9, 9, 9)])
         batch = LookupBatch.from_queries(queries)
-        simple = BinLookupKernel(batch, table).execute()
-        tiled = TiledBinLookupKernel(batch, table).execute()
-        assert np.array_equal(simple, tiled)
+        expected = reference_bin_lookup(batch, table)
+        assert BinLookupKernel(batch, table).execute().tolist() == expected
+        assert TiledBinLookupKernel(batch, table).execute().tolist() \
+            == expected
 
-    def test_simt_path_with_barriers_matches(self):
+    def test_tile_size_prices_the_launch_not_the_answer(self):
+        """Bins of 70 entries: three 32-entry tiles pay more barriers
+        than one 256-entry tile, for the same slots."""
         table = full_table(n_bins=3, per_bin=70)
         queries = [(b, 1000 * b + i, 2000 * b + i)
                    for b in range(3) for i in range(0, 70, 5)]
         queries += [(1, 42424242, 0)]
         batch = LookupBatch.from_queries(queries)
-        plain = TiledBinLookupKernel(batch, table).execute()
-        simt = TiledBinLookupKernel(batch, table, use_simt=True,
-                                    tile_entries=32).execute()
-        assert np.array_equal(plain, simt)
+        small = TiledBinLookupKernel(batch, table, tile_entries=32)
+        large = TiledBinLookupKernel(batch, table)
+        assert small.execute().tolist() == large.execute().tolist() \
+            == reference_bin_lookup(batch, table)
+        assert small.cost().lane_cycles_total \
+            > large.cost().lane_cycles_total
 
     def test_unknown_bin_misses(self):
         batch = LookupBatch.from_queries([(99, 1, 2)])
@@ -68,9 +74,10 @@ class TestTiledLookup:
         queries = [(b, 1000 * b + i, 2000 * b + i)
                    for b, i in raw_queries]
         batch = LookupBatch.from_queries(queries)
-        simple = BinLookupKernel(batch, table).execute()
-        tiled = TiledBinLookupKernel(batch, table).execute()
-        assert np.array_equal(simple, tiled)
+        expected = reference_bin_lookup(batch, table)
+        assert BinLookupKernel(batch, table).execute().tolist() == expected
+        assert TiledBinLookupKernel(batch, table).execute().tolist() \
+            == expected
 
 
 class TestTiledCost:

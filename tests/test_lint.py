@@ -105,7 +105,7 @@ class TestRepoTree:
         # The grandfathered findings must still be *detected* (and
         # matched), or the baseline is dead weight.
         assert {d.rule for d in report.baselined} == {
-            "REP103", "REP201", "REP504", "REP601"}
+            "REP103", "REP504", "REP601"}
 
     def test_cli_repo_run(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

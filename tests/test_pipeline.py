@@ -273,22 +273,6 @@ class TestPipelinePerformanceShape:
 
 
 class TestConfigKnobs:
-    def test_tiled_index_kernel_same_outcome(self):
-        plain, _, _ = run_pipeline(IntegrationMode.GPU_DEDUP,
-                                   n_chunks=2048)
-        tiled, _, _ = run_pipeline(IntegrationMode.GPU_DEDUP,
-                                   n_chunks=2048, gpu_index_tiled=True)
-        assert plain.counters["uniques"] == tiled.counters["uniques"]
-        # Same duplicates resolved, whichever kernel ran.
-        assert plain.duplicates_found == tiled.duplicates_found
-
-    def test_priority_queue_flag_runs(self):
-        report, pipeline, _ = run_pipeline(IntegrationMode.GPU_BOTH,
-                                           n_chunks=1024,
-                                           gpu_queue_priority=True)
-        assert report.chunks == 1024
-        assert pipeline.gpu.priority_queue
-
     def test_arrival_pacing_caps_throughput(self):
         paced, _, _ = run_pipeline(IntegrationMode.CPU_ONLY,
                                    n_chunks=1024,

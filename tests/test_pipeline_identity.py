@@ -155,23 +155,23 @@ TRACED_MIX_POLICIES = ("shared_lru", "prioritized")
 
 TRACE_SHA256 = {
     "gpu_both":
-        "1e9b85235bdbe426b611cbb62f3a9e3c58cbc4529eaa7e8453c6fe42554abf7a",
+        "c26793502b0978e10fbac66f98c518b5e68850f5b69a06d2586583d3780fdbf1",
     "dedup_off_cpu_only":
         "057053435e2179e519ed5091f2d38e1eebc0283b69e32d7700325ce2997a0eb2",
     "dedup_off_gpu_comp":
-        "b74e7d82f3d246caf498032eaf71384c98dbf929b0a38117b2f3088492d9c7e8",
+        "d69841ca787e230e77a6aae4c932bc29c4c931fa0f02efe746bf6d677e45e2e1",
     "global_lock":
         "6db006dadb7dab10ab14667256560e3fd2022ae9cf3e4bad283fe5f6d577a94c",
     "small_bins_gpu_dedup":
-        "a3cbcbb1c409870c17f737753b68ecbf6634e2a38f35a6e6368501023437b15c",
+        "74334ae3fa8d4713b767a09fef1dacc34ee4e2ffd8391ad8babce72dc4f63668",
     "small_window_gpu_both":
-        "a4a03a26b40fd22407ccc0e5103b69829a2a233e149e96dab4980ed46d36566b",
+        "8c44aa30c864ac2d6ee0373228c4fd632507bdb26d9894f546d63a6697d88941",
     "small_window_cpu_only":
         "e1206b0bf33932c18bff8a8e31ebe3ef12f577aee0f5135525b8f40ca8988f4a",
     "shared_lru":
-        "bdb69b95c17144da4d2a510859a6a9cdd3ed237c9c3fba850da039346d4048e7",
+        "3e1c93e0c25da9ba8ec0c417fe12edab6e6a456d4a1fc7c0df8e68219d66771d",
     "prioritized":
-        "2ac98859537d8825a12f4d299f51b105dbaaf384d6e3c0109dedf6a09f8b9458",
+        "c7c9dd84be04fc8e2d4fb4312f9c18e71a004f9d194f1136a00b22e8f306d14b",
 }
 
 

@@ -40,7 +40,6 @@ BASE = dict(window=128, gpu_index_batch=32, gpu_comp_batch=32,
 VARIANTS = {
     "default": {},
     "global_lock": {"index_locking": "global"},
-    "priority_queue": {"gpu_queue_priority": True},
     "paced": {"arrival_rate_iops": 90_000.0},
     "deadlines": {"gpu_batch_wait_s": 2e-5},
 }

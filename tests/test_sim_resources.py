@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import ResourceError
 from repro.sim import Environment, Resource
-from repro.sim.resources import PriorityResource
 from tests.reference_paths import Store
 
 
@@ -330,121 +329,6 @@ def test_store_invalid_capacity():
     env = Environment()
     with pytest.raises(ResourceError):
         Store(env, capacity=0)
-
-
-class TestPriorityResource:
-    def test_high_priority_overtakes_waiting_low(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(name, arrive, priority):
-            yield env.timeout(arrive)
-            with res.request(priority) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(10.0)
-
-        env.process(user("holder", 0.0, 0))
-        env.process(user("low", 1.0, 5))
-        env.process(user("high", 2.0, 1))
-        env.run()
-        # Both waited behind the holder; high (smaller value) wins.
-        assert order == ["holder", "high", "low"]
-
-    def test_running_user_is_never_preempted(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        events = []
-
-        def holder():
-            with res.request(9) as req:  # lowest priority
-                yield req
-                events.append(("holder-start", env.now))
-                yield env.timeout(10.0)
-                events.append(("holder-end", env.now))
-
-        def urgent():
-            yield env.timeout(1.0)
-            with res.request(0) as req:
-                yield req
-                events.append(("urgent-start", env.now))
-
-        env.process(holder())
-        env.process(urgent())
-        env.run()
-        assert events == [("holder-start", 0.0), ("holder-end", 10.0),
-                          ("urgent-start", 10.0)]
-
-    def test_equal_priority_is_fifo(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(name, arrive):
-            yield env.timeout(arrive)
-            with res.request(3) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(5.0)
-
-        env.process(user("first", 0.5))
-        env.process(user("second", 1.0))
-        env.process(user("third", 1.5))
-        env.run()
-        assert order == ["first", "second", "third"]
-
-    def test_cancel_removes_from_heap(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=1)
-        granted = []
-
-        def holder():
-            with res.request(0) as req:
-                yield req
-                yield env.timeout(10.0)
-
-        def impatient():
-            yield env.timeout(1.0)
-            req = res.request(0)
-            yield env.timeout(1.0)
-            req.cancel()
-
-        def last():
-            yield env.timeout(3.0)
-            with res.request(1) as req:
-                yield req
-                granted.append(env.now)
-
-        env.process(holder())
-        env.process(impatient())
-        env.process(last())
-        env.run()
-        assert granted == [10.0]
-
-
-def test_hold_on_a_priority_resource_waits_at_priority_zero():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def requester(name, priority):
-        with res.request(priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1.0)
-
-    def holder():
-        yield res.hold(1.0)
-        order.append("hold")
-
-    env.process(requester("running", 0))
-    env.process(requester("low", 5))
-    env.process(holder())
-    env.process(requester("urgent", -1))
-    env.run()
-    assert order == ["running", "urgent", "hold", "low"]
-    env.finish_check()
 
 
 def test_store_peak_items():
