@@ -1,11 +1,13 @@
 """Project-specific static analysis (``repro lint``).
 
-The fast-path engine work (DESIGN.md §7) leans on invariants that
-nothing used to enforce at review time: deterministic schedules,
-hand-paired resource fast paths, slotted hot classes, a layered import
-graph.  This package is the mechanical reviewer: an AST-walking lint
-framework plus one checker per enforced invariant (DESIGN.md §8 maps
-each rule to the invariant it guards).
+The fast-path engine work (DESIGN.md §7) leans on invariants a test
+only sees on the paths it runs: deterministic schedules, the engine's
+process protocol, exact-time hygiene, batched data-plane loops.  This
+package checks them mechanically: an AST-walking lint framework plus
+one checker per enforced invariant (DESIGN.md §8 maps each rule to the
+invariant it guards).  A rule stays only while it arbitrates something
+— a baseline entry, an inline suppression, or an invariant no runtime
+test covers.
 
 Layering: this package deliberately imports nothing from the rest of
 the library except :mod:`repro.errors` — the linter must be able to

@@ -9,9 +9,8 @@ owns the three pieces of file-level knowledge the rules keep needing:
 * the *import map* from local alias to the dotted name it binds, so a
   checker can resolve ``t.monotonic()`` back to ``time.monotonic`` no
   matter how the module was imported;
-* the *suppression table* parsed from ``# repro-lint: disable=...``
-  comments (line-scoped) and ``# repro-lint: disable-file=...`` ones
-  (file-scoped).
+* the *suppression table* parsed from line-scoped
+  ``# repro-lint: disable=...`` comments.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ from repro.errors import LintError
 #: ``# repro-lint: disable=REP101,REP102`` — suppress on this line.
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
-#: ``# repro-lint: disable-file=REP101`` — suppress in the whole file.
-_SUPPRESS_FILE_RE = re.compile(
-    r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9_,\s]+)")
 #: ``# repro-lint: module=repro.sim.engine`` — fixture module override.
 _MODULE_RE = re.compile(r"#\s*repro-lint:\s*module=([\w.]+)")
 
@@ -52,11 +48,6 @@ def module_name_for(path: Path) -> Optional[str]:
     return None
 
 
-def _parse_rule_list(raw: str) -> frozenset[str]:
-    return frozenset(token.strip().upper()
-                     for token in raw.split(",") if token.strip())
-
-
 class FileContext:
     """Everything the checkers need to know about one source file."""
 
@@ -65,16 +56,21 @@ class FileContext:
         #: Path string reported in diagnostics (relative, POSIX slashes).
         self.rel_path = rel_path
         self.source = source
-        self.lines = source.splitlines()
         try:
             self.tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
             raise LintError(
                 f"{rel_path}: cannot parse: {exc}") from exc
         self.module = self._resolve_module()
-        self._line_suppress: dict[int, frozenset[str]] = {}
-        self._file_suppress: frozenset[str] = frozenset()
-        self._parse_suppressions()
+        #: line -> rule ids (or ``ALL``) suppressed on that line.
+        self._suppress: dict[int, frozenset[str]] = {}
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            match = _SUPPRESS_RE.search(line)
+            if match:
+                self._suppress[lineno] = frozenset(
+                    token.strip().upper()
+                    for token in match.group(1).split(",")
+                    if token.strip())
         self.imports = self._collect_imports()
 
     @classmethod
@@ -94,28 +90,10 @@ class FileContext:
             return match.group(1)
         return module_name_for(self.path)
 
-    # -- suppressions -------------------------------------------------------
-
-    def _parse_suppressions(self) -> None:
-        file_rules: set[str] = set()
-        for lineno, line in enumerate(self.lines, start=1):
-            match = _SUPPRESS_FILE_RE.search(line)
-            if match:
-                file_rules |= _parse_rule_list(match.group(1))
-                continue
-            match = _SUPPRESS_RE.search(line)
-            if match:
-                self._line_suppress[lineno] = _parse_rule_list(
-                    match.group(1))
-        self._file_suppress = frozenset(file_rules)
-
     def suppressed(self, rule: str, line: int) -> bool:
-        """True when ``rule`` is suppressed at ``line`` (or file-wide)."""
-        rule = rule.upper()
-        if rule in self._file_suppress or "ALL" in self._file_suppress:
-            return True
-        at_line = self._line_suppress.get(line, frozenset())
-        return rule in at_line or "ALL" in at_line
+        """True when ``rule`` is suppressed at ``line``."""
+        at_line = self._suppress.get(line, frozenset())
+        return rule.upper() in at_line or "ALL" in at_line
 
     # -- imports ------------------------------------------------------------
 

@@ -9,7 +9,7 @@ different line.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,14 +47,3 @@ class Diagnostic:
     def to_json(self) -> dict:
         return asdict(self)
 
-
-@dataclass
-class CheckerStats:
-    """Per-checker bookkeeping surfaced in ``--format json`` output."""
-
-    rule: str
-    name: str
-    files_checked: int = 0
-    findings: int = 0
-    suppressed: int = 0
-    extra: dict = field(default_factory=dict)

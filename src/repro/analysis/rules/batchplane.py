@@ -11,7 +11,7 @@ and dispatch re-entering through the narrow end of the funnel.
 The audited exceptions — the window implementations themselves (one
 loop per window *is* the batch) and the admission loop whose per-chunk
 event pacing is the timed contract — are baselined with reasons,
-exactly like REP502/REP503's audited sites.
+exactly like REP502's audited sites.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ from repro.analysis.context import FileContext
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.visitors import Checker, ScopeTracker
 
+#: Modules whose functional work is window-batched.
+SCOPE = ("repro.core.pipeline", "repro.chunkbatch", "repro.dedup.hashing",
+         "repro.workload.vdbench", "repro.cluster.router")
+#: Bare names treated as chunk sequences when iterated.
+CHUNKSEQ_NAMES = frozenset({"chunks", "window", "batch", "chunk_window"})
+
 
 class ChunkLoopChecker(Checker):
     """REP504: no per-chunk loops over chunk sequences in batched modules."""
@@ -32,19 +38,15 @@ class ChunkLoopChecker(Checker):
     description = ("per-chunk Python loop over a chunk sequence inside "
                    "a batched functional-plane module (use the window "
                    "helpers)")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.batched_plane_scope)
+    scope = SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []
         checker = self
-        seq_names = self.config.chunkseq_names
 
         def chunk_sequence(node: ast.AST) -> str | None:
             """The iterated name when it is a bare chunk-sequence name."""
-            if isinstance(node, ast.Name) and node.id in seq_names:
+            if isinstance(node, ast.Name) and node.id in CHUNKSEQ_NAMES:
                 return node.id
             return None
 

@@ -1,11 +1,12 @@
-"""Determinism rules (REP101–REP104).
+"""Determinism rules (REP101–REP103).
 
 The whole reproduction rests on one promise: given a seed, two runs
 produce byte-identical reports and trace-identical schedules
 (``tests/test_engine_determinism.py``).  Anything that injects
-ambient entropy — wall-clock reads, unseeded RNGs, hash-order
-iteration — breaks that promise in ways golden-field tests only catch
-after the fact.  These rules catch the *source* at review time.
+ambient entropy — wall-clock reads, unseeded RNGs — breaks that promise
+only on the paths and hosts where it happens to change a decision, so
+a test sees it late or never.  These rules catch the *source* at
+review time, everywhere in scope.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from typing import Iterator, Optional
 from repro.analysis.context import FileContext
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.visitors import Checker, ScopeTracker
+
+#: Packages whose behaviour feeds simulated schedules and reports:
+#: wall-clock reads and unseeded RNGs here break run-to-run identity.
+SCOPE = (
+    "repro.sim", "repro.core", "repro.dedup", "repro.compression",
+    "repro.cpu", "repro.gpu", "repro.storage", "repro.workload",
+    "repro.obs", "repro.cluster", "repro.tenancy",
+)
 
 #: Wall-clock reads: values differ between runs by construction.
 _WALL_CLOCK = frozenset({
@@ -45,10 +54,6 @@ _RNG_CONSTRUCTORS = frozenset({
 #: Seed material that differs between runs by construction.
 _ENTROPY_SEEDS = _WALL_CLOCK | {"os.urandom", "os.getrandom"}
 
-#: Call wrappers that realize iteration order (``sorted`` is exempt:
-#: it imposes a total order of its own).
-_ORDER_REALIZING_CALLS = frozenset({"list", "tuple", "min", "max"})
-
 #: Parameter names recognized as the seed of an RNG-owning class.
 _SEED_PARAM_NAMES = frozenset({"seed", "rng_seed"})
 
@@ -66,10 +71,7 @@ class WallClockChecker(Checker):
     name = "determinism-wallclock"
     description = ("wall-clock read (time.time / datetime.now / "
                    "perf_counter) in simulation-scoped code")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.determinism_scope)
+    scope = SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []
@@ -105,10 +107,7 @@ class UnseededRngChecker(Checker):
     name = "determinism-unseeded-rng"
     description = ("module-level random.* call or unseeded RNG "
                    "constructor in simulation-scoped code")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.determinism_scope)
+    scope = SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []
@@ -160,10 +159,7 @@ class DefaultSeedChecker(Checker):
     name = "determinism-default-seed"
     description = ("RNG-owning class defaults its seed parameter "
                    "instead of requiring it from the caller")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.determinism_scope)
+    scope = SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
@@ -215,123 +211,3 @@ class DefaultSeedChecker(Checker):
                 return arg.arg
         return None
 
-
-class UnorderedIterationChecker(Checker):
-    """REP104: no hash-order iteration feeding deterministic logic.
-
-    Set iteration order follows the hash seed (randomized for str and
-    bytes), so a set-driven loop can reorder work between runs.  In
-    schedule-critical modules even dict-view loops are flagged: view
-    order is insertion order, which refactors silently change, and the
-    calendar must never inherit it.
-    """
-
-    rule = "REP104"
-    name = "determinism-unordered-iter"
-    description = ("iteration over a set (or, in schedule-critical "
-                   "modules, a dict view) feeding ordering decisions")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.determinism_scope)
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        findings: list[Diagnostic] = []
-        checker = self
-        critical = self.config.in_scope(ctx.module,
-                                        self.config.schedule_critical)
-        set_names = self._set_typed_names(ctx)
-
-        def is_set_expr(node: ast.AST) -> bool:
-            if isinstance(node, ast.Set):
-                return True
-            if isinstance(node, ast.SetComp):
-                return True
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id in ("set", "frozenset") \
-                    and node.func.id not in ctx.imports:
-                return True
-            if isinstance(node, ast.Name) and node.id in set_names:
-                return True
-            return False
-
-        def is_dict_view(node: ast.AST) -> bool:
-            return (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("values", "keys", "items")
-                    and not node.args and not node.keywords)
-
-        def flag(node: ast.AST, what: str, qualname: str) -> None:
-            findings.append(checker.diag(
-                ctx, node,
-                f"iteration over {what} has no deterministic order",
-                hint="iterate a list/deque, or wrap in sorted() with "
-                     "an explicit key",
-                key=f"{qualname}:{what}"))
-
-        class Visitor(ScopeTracker):
-            def _check_iter(self, iter_node: ast.AST) -> None:
-                if is_set_expr(iter_node):
-                    flag(iter_node, "a set", self.qualname)
-                elif critical and is_dict_view(iter_node):
-                    flag(iter_node,
-                         f"a dict .{iter_node.func.attr}() view",
-                         self.qualname)
-
-            def visit_For(self, node: ast.For) -> None:
-                self._check_iter(node.iter)
-                self.generic_visit(node)
-
-            def _check_comp(self, node) -> None:
-                for gen in node.generators:
-                    self._check_iter(gen.iter)
-                self.generic_visit(node)
-
-            visit_ListComp = _check_comp
-            visit_SetComp = _check_comp
-            visit_DictComp = _check_comp
-            visit_GeneratorExp = _check_comp
-
-            def visit_Call(self, node: ast.Call) -> None:
-                if isinstance(node.func, ast.Name) \
-                        and node.func.id in _ORDER_REALIZING_CALLS \
-                        and len(node.args) == 1 \
-                        and not any(kw.arg == "key"
-                                    for kw in node.keywords) \
-                        and is_set_expr(node.args[0]):
-                    flag(node, f"a set (via {node.func.id}())",
-                         self.qualname)
-                self.generic_visit(node)
-
-        Visitor().visit(ctx.tree)
-        yield from findings
-
-    @staticmethod
-    def _set_typed_names(ctx: FileContext) -> set[str]:
-        """Names assigned a set literal/comprehension/constructor or
-        annotated as a set, anywhere in the file (syntactic, not
-        flow-sensitive — good enough for lint)."""
-        names: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            value = None
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign):
-                target = node.target
-                ann = ast.unparse(node.annotation).lower()
-                if ann.startswith(("set", "frozenset", "typing.set",
-                                   "typing.frozenset")):
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-                    continue
-                value = node.value
-            if value is None or not isinstance(target, ast.Name):
-                continue
-            if isinstance(value, (ast.Set, ast.SetComp)) or (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in ("set", "frozenset")):
-                names.add(target.id)
-        return names

@@ -18,6 +18,14 @@ from repro.analysis.context import FileContext
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.visitors import Checker, ScopeTracker
 
+#: Scheduler/pipeline modules where ``==``/``!=`` on simulated-time
+#: expressions is flagged.
+SCOPE = ("repro.sim", "repro.core.pipeline", "repro.core.scheduler",
+         "repro.core.batcher")
+#: Attribute/variable names treated as simulated-time expressions.
+TIME_NAMES = frozenset({"now", "_now", "deadline", "_deadline",
+                        "next_admission"})
+
 
 class FloatTimeEqualityChecker(Checker):
     """REP501: no ``==``/``!=`` on simulated-time expressions."""
@@ -26,21 +34,17 @@ class FloatTimeEqualityChecker(Checker):
     name = "float-time-equality"
     description = ("==/!= comparison on a simulated-time expression "
                    "in scheduler/pipeline code")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.float_time_scope)
+    scope = SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []
         checker = self
-        time_names = set(self.config.time_names)
 
         def is_time_expr(node: ast.AST) -> bool:
             if isinstance(node, ast.Attribute):
-                return node.attr in time_names
+                return node.attr in TIME_NAMES
             if isinstance(node, ast.Name):
-                return node.id in time_names
+                return node.id in TIME_NAMES
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "peek":

@@ -24,6 +24,15 @@ from repro.analysis.context import FileContext
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.visitors import Checker, ScopeTracker
 
+#: Packages where ad-hoc ``env.now`` subtraction is flagged.  The
+#: engine (repro.sim) and the tracer (repro.obs) own the clock and are
+#: out of scope by omission.
+SCOPE = (
+    "repro.core", "repro.cpu", "repro.gpu", "repro.storage",
+    "repro.dedup", "repro.compression", "repro.workload",
+    "repro.bench", "repro.cluster", "repro.tenancy",
+)
+
 _NOW_NAMES = ("now", "_now")
 
 
@@ -34,10 +43,7 @@ class NowArithmeticChecker(Checker):
     name = "env-now-latency-arithmetic"
     description = ("direct env.now subtraction outside the simulation "
                    "engine and the tracer")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module,
-                                    self.config.now_arithmetic_scope)
+    scope = SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []

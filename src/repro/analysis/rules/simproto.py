@@ -16,9 +16,19 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.visitors import (
     Checker,
     ScopeTracker,
+    in_scope,
     is_generator,
     own_statements,
 )
+
+#: Packages whose generator functions are simulation processes; a
+#: literal yield there is a protocol violation, not a data stream.
+PROCESS_SCOPE = (
+    "repro.sim", "repro.core", "repro.cpu", "repro.gpu", "repro.storage",
+)
+#: The only package allowed to touch the engine's private scheduling
+#: API.
+ENGINE_PRIVATE_SCOPE = ("repro.sim",)
 
 #: Private Environment/Event scheduling API (run-queue bypass).
 _PRIVATE_ENGINE_CALLS = frozenset({"_schedule", "_trigger_now"})
@@ -52,9 +62,7 @@ class YieldNonEventChecker(Checker):
     name = "simproto-yield-non-event"
     description = ("simulation process yields a value that cannot be "
                    "an Event (literal, comparison, bare yield)")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return self.config.in_scope(ctx.module, self.config.process_scope)
+    scope = PROCESS_SCOPE
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []
@@ -104,10 +112,8 @@ class PrivateEngineApiChecker(Checker):
                    "_trigger_now) outside repro.sim")
 
     def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.module is None:
-            return False
-        return not self.config.in_scope(
-            ctx.module, self.config.engine_private_scope)
+        return ctx.module is not None \
+            and not in_scope(ctx.module, ENGINE_PRIVATE_SCOPE)
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         findings: list[Diagnostic] = []

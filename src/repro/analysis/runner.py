@@ -41,10 +41,6 @@ class LintReport:
     stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: list[str] = field(default_factory=list)
-    #: True when the run was restricted to a changed-file subset;
-    #: stale-baseline detection is skipped (the run cannot see every
-    #: finding, so absence proves nothing).
-    restricted: bool = False
 
     @property
     def ok(self) -> bool:
@@ -143,27 +139,19 @@ def lint_file(ctx: FileContext, checkers: Sequence[Checker]
 
 def run_lint(paths: Sequence[Path], config: Optional[LintConfig] = None,
              baseline: Optional[Baseline] = None,
-             restrict: Optional[set[str]] = None,
              check_stale: bool = True) -> LintReport:
     """Lint ``paths`` and return a :class:`LintReport`.
 
-    ``restrict`` limits parsing and reporting to the given ``rel_path``
-    set (``--changed``).  A restricted run skips stale-baseline detection: it
-    cannot see every finding, so an unmatched entry proves nothing.
-    ``check_stale=False`` skips it for the same reason on runs whose
-    *paths* cover less than the full tree (explicit file arguments).
+    ``check_stale=False`` skips stale-baseline detection, for runs whose
+    *paths* cover less than the full tree (explicit file arguments): such
+    a run cannot see every finding, so an unmatched entry proves nothing.
     """
     config = config if config is not None else LintConfig()
     checkers = all_checkers(config)
     baseline = baseline if baseline is not None else Baseline()
-    report = LintReport(rules_run=[c.rule for c in checkers],
-                        restricted=restrict is not None)
-    wanted = None if restrict is None else \
-        {(config.root / rel).resolve() for rel in restrict}
+    report = LintReport(rules_run=[c.rule for c in checkers])
     all_diags: list[Diagnostic] = []
     for path in iter_source_files(paths):
-        if wanted is not None and path.resolve() not in wanted:
-            continue
         ctx = FileContext.from_path(path, config.root)
         report.files_scanned += 1
         findings, suppressed = lint_file(ctx, checkers)
@@ -174,6 +162,6 @@ def run_lint(paths: Sequence[Path], config: Optional[LintConfig] = None,
             report.baselined.append(diag)
         else:
             report.new.append(diag)
-    if restrict is None and check_stale:
+    if check_stale:
         report.stale_baseline = baseline.stale_entries(all_diags)
     return report

@@ -5,29 +5,33 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.analysis.config import LintConfig
 from repro.analysis.context import FileContext
 from repro.analysis.diagnostics import Diagnostic
+
+
+def in_scope(module: Optional[str], prefixes: tuple[str, ...]) -> bool:
+    """True when ``module`` is one of ``prefixes`` or inside one of them."""
+    if module is None:
+        return False
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
 class Checker:
     """One lint rule: a scope predicate plus an AST walk.
 
-    Subclasses set ``rule``, ``name`` and ``description``, decide
-    applicability in :meth:`applies_to`, and yield raw findings from
-    :meth:`check`.  Suppression comments and the baseline are handled
-    by the runner, not here.
+    Subclasses set ``rule``, ``name``, ``description`` and ``scope``
+    (the packages the rule patrols, a tuple owned by the rule's own
+    module), and yield raw findings from :meth:`check`.  Suppression
+    comments and the baseline are handled by the runner, not here.
     """
 
     rule: str = "REP000"
     name: str = "abstract"
     description: str = ""
-
-    def __init__(self, config: LintConfig):
-        self.config = config
+    scope: tuple[str, ...] = ()
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return True
+        return in_scope(ctx.module, self.scope)
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         raise NotImplementedError
@@ -46,14 +50,12 @@ class Checker:
 class ScopeTracker(ast.NodeVisitor):
     """NodeVisitor that maintains the enclosing qualified name.
 
-    ``self.qualname`` is ``Class.method`` style (no module prefix) and
-    ``self.class_stack`` holds the enclosing ClassDef chain — enough for
-    stable baseline keys and class-scoped pairing rules.
+    ``self.qualname`` is ``Class.method`` style (no module prefix) —
+    enough for stable baseline keys.
     """
 
     def __init__(self) -> None:
         self._names: list[str] = []
-        self.class_stack: list[ast.ClassDef] = []
 
     @property
     def qualname(self) -> str:
@@ -61,10 +63,7 @@ class ScopeTracker(ast.NodeVisitor):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._names.append(node.name)
-        self.class_stack.append(node)
-        self.handle_class(node)
         self.generic_visit(node)
-        self.class_stack.pop()
         self._names.pop()
 
     def _visit_function(self, node) -> None:
@@ -79,10 +78,7 @@ class ScopeTracker(ast.NodeVisitor):
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._visit_function(node)
 
-    # Subclass hooks (called before descending).
-    def handle_class(self, node: ast.ClassDef) -> None:
-        pass
-
+    # Subclass hook (called before descending).
     def handle_function(self, node) -> None:
         pass
 
@@ -103,16 +99,3 @@ def own_statements(func) -> Iterator[ast.AST]:
                              ast.ClassDef, ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def decorator_names(ctx: FileContext,
-                    node: ast.ClassDef) -> list[tuple[str, Optional[ast.Call]]]:
-    """(dotted name, call node or None) for each class decorator."""
-    out = []
-    for deco in node.decorator_list:
-        call = deco if isinstance(deco, ast.Call) else None
-        target = deco.func if call is not None else deco
-        dotted = ctx.dotted_name(target)
-        if dotted is not None:
-            out.append((dotted, call))
-    return out

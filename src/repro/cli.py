@@ -14,7 +14,7 @@ Seven commands cover the library's everyday uses:
 * ``codec`` — compress/decompress a real file with the bundled codecs
   (round-trip verified), reporting the achieved ratio;
 * ``lint`` — the project's AST invariant checker (determinism,
-  sim-protocol, slots coverage, layering, float-time hygiene).
+  sim-protocol, float-time and data-plane hygiene).
 """
 
 from __future__ import annotations
@@ -386,19 +386,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return _explain_rule(args.explain)
 
     paths = [Path(p) for p in (args.paths or ["src/repro"])]
-
-    restrict = None
-    if args.changed is not False:
-        ref = args.changed if isinstance(args.changed, str) \
-            else "origin/main"
-        restrict = _changed_files(ref)
-        if restrict is None:
-            print(f"error: could not diff against {ref!r}",
-                  file=sys.stderr)
-            return 2
-        if not restrict:
-            print(f"no changed python files vs {ref}")
-            return 0
     baseline = None
     baseline_path = Path(args.baseline)
     if not args.no_baseline and not args.write_baseline \
@@ -413,7 +400,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         # unmatched baseline entry there proves nothing — only default
         # (full-tree) runs may call entries stale.
         report = run_lint(paths, config, baseline=baseline,
-                          restrict=restrict,
                           check_stale=not args.paths)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -434,36 +420,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok and not report.stale_baseline else 1
 
 
-def _changed_files(ref: str) -> "set[str] | None":
-    """Repo-relative ``.py`` paths changed vs ``ref`` (plus untracked)."""
-    import subprocess
-
-    def _git(*argv: str) -> "list[str] | None":
-        try:
-            out = subprocess.run(
-                ["git", *argv], capture_output=True, text=True,
-                check=True)
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        return [line for line in out.stdout.splitlines() if line]
-
-    diffed = _git("diff", "--name-only", ref, "--", "*.py")
-    if diffed is None:
-        return None
-    untracked = _git("ls-files", "--others", "--exclude-standard",
-                     "--", "*.py") or []
-    return set(diffed) | set(untracked)
-
-
 def _explain_rule(rule: str) -> int:
     """Print one rule's contract: registry line plus its module doc."""
     import inspect
 
-    from repro.analysis import LintConfig, checker_by_rule
+    from repro.analysis import checker_by_rule
     from repro.errors import LintError
 
     try:
-        checker = checker_by_rule(rule, LintConfig())
+        checker = checker_by_rule(rule)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -577,10 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--rule", action="append", dest="rules",
                       metavar="RULE",
                       help="run only this rule id/name (repeatable)")
-    lint.add_argument("--changed", nargs="?", const="origin/main",
-                      default=False, metavar="REF",
-                      help="only report findings in files changed vs "
-                           "REF (default origin/main)")
     lint.add_argument("--explain", metavar="RULE",
                       help="print one rule's contract and exit")
     lint.add_argument("--format", choices=("text", "json", "github"),

@@ -11,7 +11,7 @@ cross-node traffic (:mod:`repro.cluster.netlink`), per-shard batteries
 
 Cross-shard access discipline: outside this package, nothing may reach
 a shard's private index or worker state directly — all cross-shard
-traffic goes through the router and the NetLink (REP801 patrols this).
+traffic goes through the router and the NetLink.
 """
 
 from repro.cluster.engine import (

@@ -551,10 +551,10 @@ class ReductionPipeline:
                 batcher.stop()
         # Shutdown drain: partially filled bins still hold staged data;
         # it must reach the SSD for the endurance ledger to balance.
-        # One event per batch, not one coalesced write: a summed service
-        # time integrates utilization through a different float
-        # segmentation and drifts by an ULP, and the report contract is
-        # *byte* identity (DESIGN.md §12).
+        # One event per batch, not one coalesced write: N back-to-back
+        # service times and one summed service time end at different
+        # floats, and the report contract is *byte* identity (DESIGN.md
+        # §12).
         if self.dedup is not None and self.config.destage_enabled:
             for batch in self.dedup.drain():
                 self._spawn_destage(batch.payload_bytes, sequential=True)

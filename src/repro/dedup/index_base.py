@@ -7,9 +7,8 @@ dict used as ground truth in property tests) answers the same question:
 This module also owns the **representation rule**: inside
 ``repro.dedup`` a fingerprint *is* its :class:`FingerprintView` — the
 bin number (prefix) and the truncated suffix — and :func:`decompose` is
-the single audited site that validates and slices the raw bytes (lint
-rule REP503 flags any other per-fingerprint ``int.from_bytes`` or slice
-in this package).  The two u64 lanes the GPU bins compare exist only in
+the single audited site that validates and slices the raw bytes.  The
+two u64 lanes the GPU bins compare exist only in
 the GPU arrays and in a ``LookupBatch`` (``gpu_index`` derives them
 from suffix bytes one array pass at a time).
 """

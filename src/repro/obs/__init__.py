@@ -15,7 +15,7 @@ pieces (DESIGN.md §10):
   attribution with a queue-wait vs. service-time split.
 
 Layering: this package may import only :mod:`repro.errors` and
-:mod:`repro.sim` (enforced by lint rule REP401) — the instrumented
+:mod:`repro.sim` (``tests/test_layering.py`` checks it) — the instrumented
 subsystems import *it*, never the other way around.
 """
 

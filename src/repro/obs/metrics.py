@@ -16,7 +16,7 @@ Three metric kinds, deliberately minimal:
   reporting uses.
 
 Snapshots iterate in sorted-name order, so rendering and JSON export
-are deterministic regardless of registration order (REP104 hygiene).
+are deterministic regardless of registration order.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ as "CPU utilization" / "GPU utilization" in the paper-style reports.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Optional
 
@@ -18,30 +19,42 @@ from repro.sim.engine import NORMAL, Environment, Event, _PENDING
 
 
 class UtilizationMonitor:
-    """Time-weighted occupancy accounting for a counted resource."""
+    """Time-weighted occupancy accounting for a counted resource.
 
-    __slots__ = ("_env", "_capacity", "_level", "_last_change", "_area",
-                 "_peak", "_start")
+    Area = ``level·end − Σ delta·t``, the sum kept exact as Shewchuk
+    partials (``delta`` is ±1), so it depends only on the level curve.
+    """
+
+    __slots__ = ("_env", "_capacity", "_level", "_partials", "_peak",
+                 "_start")
 
     def __init__(self, env: Environment, capacity: int):
         self._env = env
         self._capacity = capacity
         self._level = 0
-        self._last_change = env.now
-        self._area = 0.0  # integral of level over time
+        self._partials: list[float] = []  # exact Σ −delta_k·t_k
         self._peak = 0
         self._start = env.now
 
     def change(self, delta: int) -> None:
         """Record the occupancy changing by ``delta`` at the current time."""
-        now = self._env._now
-        level = self._level
-        self._area += level * (now - self._last_change)
-        level += delta
+        level = self._level + delta
         self._level = level
         if level > self._peak:
             self._peak = level
-        self._last_change = now
+        x = -delta * self._env._now
+        partials = self._partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
 
     @property
     def level(self) -> int:
@@ -59,13 +72,12 @@ class UtilizationMonitor:
         elapsed = end - self._start
         if elapsed <= 0:
             return 0.0
-        area = self._area + self._level * (end - self._last_change)
-        return area / (elapsed * self._capacity)
+        return self.busy_time(end) / (elapsed * self._capacity)
 
     def busy_time(self, until: Optional[float] = None) -> float:
         """Total resource-seconds of occupancy (area under the level curve)."""
         end = self._env.now if until is None else until
-        return self._area + self._level * (end - self._last_change)
+        return math.fsum(self._partials + [self._level * end])
 
 
 class Request(Event):

@@ -93,6 +93,8 @@ GOLDEN_A11_FIELDS: dict[int, tuple[float, float, float, float]] = {
 
 #: Fields of the E4 reports that must not move when the engine is
 #: optimized, with their golden values (identical pre/post change).
+#: The ``*_utilization`` values are the exact integral of the level
+#: curve, correctly rounded (``UtilizationMonitor``).
 GOLDEN_E4_FIELDS = {
     "gpu_both": {
         "dedup_ratio": 2.0009770395701025,
@@ -100,7 +102,7 @@ GOLDEN_E4_FIELDS = {
         "reduction_ratio": 3.901399144130972,
         "duration_s": 0.06408814525820505,
         "mean_latency_s": 0.007539684226371084,
-        "cpu_utilization": 0.8227968879133151,
+        "cpu_utilization": 0.8227968879133156,
         "gpu_utilization": 0.6854035321064682,
     },
     "gpu_dedup": {
@@ -109,7 +111,7 @@ GOLDEN_E4_FIELDS = {
         "reduction_ratio": 3.901399144130972,
         "duration_s": 0.10365331550625258,
         "mean_latency_s": 0.012494412981718658,
-        "cpu_utilization": 0.9999235699490805,
+        "cpu_utilization": 0.9999235699490804,
         "gpu_utilization": 0.053685844901740526,
     },
     "gpu_comp": {
@@ -118,7 +120,7 @@ GOLDEN_E4_FIELDS = {
         "reduction_ratio": 3.901399144130972,
         "duration_s": 0.06228813039690541,
         "mean_latency_s": 0.007321062741623775,
-        "cpu_utilization": 0.9181410959564286,
+        "cpu_utilization": 0.9181410959564287,
         "gpu_utilization": 0.619874118437775,
     },
     "cpu_only": {
@@ -141,15 +143,17 @@ GOLDEN_REPORT_CHUNKS = 2048
 #: sha256 of the canonical (sorted-key JSON) E4 report per integration
 #: mode at ``GOLDEN_REPORT_CHUNKS``, captured at the pre-fast-path
 #: commit.  The index fast path must reproduce every field bit-exactly.
+#: Re-pinned once, when the utilisation integral became exact: only
+#: ``*_utilization`` fields moved, to the exact value.
 GOLDEN_REPORT_SHA256: dict[str, str] = {
     "gpu_both":
-        "c2d39bfff4814a3ad5310a3141d2a519002a7d27847a5ea2b7ea6fbd2a80ee4d",
+        "ae86752eec4d8e943af3c51107d9f48afa0ab0a33b120ddf91b869f0b3c04303",
     "gpu_dedup":
-        "326788335d172ba6ab5f170f452ac9b367d05449b80b4eb745d3d7c1e8339151",
+        "c0a41547cec54ede1aa65fe814c3ef66b5665f09200ed8bd04bbaa214209ac7c",
     "gpu_comp":
-        "4f7000645b09a2a80fe852dcc81507951cd6832e20bbaf709e1cd4c64e920d53",
+        "278b706faec002fbdaeb667cf24ff99ea6bca8ff7208c772c7082ac74488239e",
     "cpu_only":
-        "f6f89d2c3fa942457f875e7ef346b7e85ea79482c6896c8b1cbfd9195455f809",
+        "839b587516e7cdb503de47df436c6b3b30f859180bc63a2cbbbd2faf53af7201",
 }
 
 #: sha256 of the canonical merged-report JSON at 1/2/4 nodes over the

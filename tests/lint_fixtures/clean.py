@@ -5,8 +5,6 @@ import random
 
 
 class Tidy:
-    __slots__ = ("_rng",)
-
     def __init__(self, *, seed: int):
         self._rng = random.Random(seed)
 

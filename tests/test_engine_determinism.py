@@ -4,12 +4,18 @@ The zero-delay run queue, the uncontended resource fast path, and the
 coalesced CPU charge all reorder *implementation* work — none of them
 may reorder *simulated* work.  Two identically-seeded pipeline runs
 must produce byte-identical reports and dispatch the same events in the
-same order at the same timestamps.  A scheduling regression (a dropped
+same order at the same timestamps, whatever the interpreter's hash
+seed.  A scheduling regression (a dropped
 tie-breaker, an eid assigned in a different order) shows up here as a
 trace divergence long before it corrupts a paper-level number.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
@@ -67,3 +73,40 @@ def test_trace_timestamps_monotonic():
     times = [t for t, _name in trace]
     assert all(a <= b for a, b in zip(times, times[1:]))
     assert times[0] == 0.0
+
+
+#: Every mode's report digest, and the committed tenant mix's (its
+#: tenants are named by strings, whose set order follows the hash seed).
+_DIGESTS_SCRIPT = """
+import json
+from pathlib import Path
+from repro.core import IntegrationMode, PipelineConfig
+from repro.tenancy import TenantMix
+from repro.tenancy.runner import run_tenant_mix
+from tests.reference_paths import report_digests
+digests = report_digests(512)
+mix = TenantMix.from_json(Path("examples/tenant_mix.json").read_text())
+digests["tenant_mix"] = json.dumps(run_tenant_mix(
+    mix, IntegrationMode.GPU_COMP, 512, base_config=PipelineConfig(
+        tenancy_policy="prioritized", tenancy_cache_entries=96)
+).as_dict(), sort_keys=True)
+print(json.dumps(digests))
+"""
+
+
+def test_hash_seed_never_reaches_a_report():
+    """Set iteration order over str and bytes follows PYTHONHASHSEED;
+    two interpreters with different hash seeds report identically."""
+    root = Path(__file__).resolve().parent.parent
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root),
+                          env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _DIGESTS_SCRIPT], cwd=root, env=env,
+            stdout=subprocess.PIPE, text=True))
+    outputs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert json.loads(outputs[0]) == json.loads(outputs[1])

@@ -68,28 +68,28 @@ def test_golden_report_digests_all_modes():
 REPORT_VARIANTS = {
     "payload_gpu_both": (
         "gpu_both", 192, {}, {"payload": True},
-        "18d37b3998cb07a6e38c81e38780159ffb3bb4571f132d3ca28c75730f1ff979"),
+        "74f6de22d5780e6201d87d182b7f977748cd2fa99bdd5a4069ca6f917b89f34e"),
     "payload_cpu_only_dedup_off": (
         "cpu_only", 192, {"enable_dedup": False}, {"payload": True},
-        "93b88164fdf63dbbf7e835e4f8f67a71c18adab87f8d3d8021390efdbd2403e0"),
+        "184e2af1615f80fb061a58e43843d7d3edcaaab619496c02834702fc7d4506b9"),
     "dedup_off_gpu_comp": (
         "gpu_comp", 1024, {"enable_dedup": False}, {},
         "4cad5c2677cce8515dd5983da69b367e4ed77e2dd669030d21d62b31de2d63fd"),
     "compression_off_gpu_dedup": (
         "gpu_dedup", 1024, {"enable_compression": False}, {},
-        "6e8579f3f82eb89a1a602d70a5248a7f00a2871a2ef3721b62c0ea53f1d3417d"),
+        "fbf2251f32448eaa9587819d56a5242ba4402368d567b40962546a12ab140022"),
     "global_lock_cpu_only": (
         "cpu_only", 1024, {"index_locking": "global"}, {},
-        "a11acc9cbb208e5f79c14c442e07be8842e8df747b80d0a71876a126046dda38"),
+        "8e57998cc5bef40139ab356d1c90ed3adf9fe7f9f6216f9fd0aba9348a0e1ae5"),
     "paced_always_offload": (
         "gpu_dedup", 512,
         {"arrival_rate_iops": 20000.0, "gpu_index_policy": "always"}, {},
-        "a87e3ba0a926655d221b9e1af89244cdbeb29c39e915e27f230c2ecea352a7dc"),
+        "ea222b67ed7b07f2734c142e8140b150c080b0a2fe980c46b3303a7450b04243"),
     "no_destage_small_bins": (
         "gpu_both", 2048,
         {"destage_enabled": False, "bin_buffer_capacity": 4,
          "bin_buffer_total": 256, "gpu_bin_capacity": 8}, {},
-        "78308a06ba661adecfbd848dc4e4127d4a3d5b726092d7d1098b6c3f2a4b84fa"),
+        "e624a0073a59624cfe27ab2cb72104692390d7c301a2b9e0891fa20d5ccb8b34"),
 }
 
 
@@ -103,13 +103,13 @@ def test_report_variant_digest(name):
 
 TENANT_MIX_SHA256 = {
     ("shared_lru", "gpu_comp"):
-        "1e3554132038d2bcc7074744e074e21cbd9e4274a8cdbe522a959a84456835e4",
+        "6922387a161f4763cc3e75b865a042bd2b2ae2fa3dc3c73fb7245f27efc2fe55",
     ("shared_lru", "gpu_both"):
-        "239e409ef8c42fc66bff3d07b7419bc107960de919f54981a0f338e6d3c369c1",
+        "32d487305a92bbca85ff20fea2c8368ab01996f8d4e22926ce205b27913443a7",
     ("prioritized", "gpu_comp"):
-        "27bd305fe7ddb8194e532a3b85560e331504ffe23f710bf5ae85bbfc88d46697",
+        "906389a30b4b6f664eaaed4d7f8118c75f954f25bb0e7d860e9c4e9f40bcea55",
     ("prioritized", "gpu_both"):
-        "08eb69c1a512fb9dbbf52442fccb68609cac831d9b0948b916c91ee221f5979b",
+        "c6bee0a17443841e60e54017deabd4f1b8d601384924ac2a18a3ddf8b521c892",
 }
 
 
