@@ -232,11 +232,13 @@ class ReductionPipeline:
         (DESIGN.md §13); everything else is shared.
 
         ``seq`` is the chunk's admission sequence number: its trace
-        identity and the key of its precomputed compression result.
-        All tracing is guarded by ``trace`` being non-None, so an
-        untraced run executes the exact event sequence it executed
-        before tracing existed; the derived timing math (queue-wait
-        vs. service splits) lives in the tracer, never here.
+        identity (stage records and the GPU batch's ``trace_id``) and,
+        under a tenancy policy, the seed of the shadow fingerprint a
+        deferred chunk is stored under.  All tracing is guarded by
+        ``trace`` being non-None, so an untraced run executes the exact
+        event sequence it executed before tracing existed; the derived
+        timing math (queue-wait vs. service splits) lives in the tracer,
+        never here.
         """
         env = self.env
         cpu = self.cpu

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,6 +44,7 @@ from repro.compression.lz_common import (
 )
 from repro.compression.lzss import MAX_CHAIN
 from repro.errors import KernelError
+from repro.gpu import host
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel, KernelCost
 
@@ -57,6 +59,10 @@ _KEY_BYTES = 3
 #: The walk's census counters on a :class:`SegmentLzKernel`.
 LZ_CENSUS = ("rounds", "candidate_visits", "open_visits",
              "closed_by_trigram", "closed_by_second", "scalar_scans")
+#: What a tile search computes, and all a helper process sends back: the
+#: caller re-attaches the :class:`LzTile`'s ``chunks`` and ``data``.
+_TILE_ARRAYS = ("edges", "seg_start", "seg_end", "counts", "starts",
+                "lengths", "distances")
 
 
 def _lz_cost(name: str, threads: int, total_bytes: int, segment_bytes: int,
@@ -195,13 +201,21 @@ class SegmentLzKernel(Kernel):
 
         A segment thread whose range is empty (chunk shorter than the
         segment grid) idles, exactly like a real kernel's out-of-range
-        guard, and contributes no tokens.
+        guard, and contributes no tokens.  Tiles are independent, so
+        :func:`repro.gpu.host.spread` shares them out between this
+        process and helpers on spare host cores.
         """
-        tiles = [self._search_tile(first, self.chunks[first:first
-                                                      + _TILE_CHUNKS])
+        tiles = [(first, self.chunks[first:first + _TILE_CHUNKS])
                  for first in range(0, len(self.chunks), _TILE_CHUNKS)]
-        return LzLaunch(tiles, {name: getattr(self, name)
-                                for name in LZ_CENSUS})
+        found = host.spread(partial(_search_tiles, self.segments_per_chunk,
+                                    self.params), tiles)
+        launch = []
+        for (first, chunks), (arrays, census) in zip(tiles, found):
+            launch.append(LzTile(first, chunks, b"".join(chunks), *arrays))
+            for name, count in zip(LZ_CENSUS, census):
+                setattr(self, name, getattr(self, name) + count)
+        return LzLaunch(launch, {name: getattr(self, name)
+                                 for name in LZ_CENSUS})
 
     def _search_tile(self, first: int, tile: Sequence[bytes]) -> LzTile:
         """Search every segment of a tile of chunks in lockstep.
@@ -438,6 +452,19 @@ class SegmentLzKernel(Kernel):
         # Raw token records flow back for CPU refinement; roughly half the
         # input volume for typical primary-storage data.
         return sum(len(c) for c in self.chunks) // 2
+
+
+def _search_tiles(segments_per_chunk: int, params: LzParams,
+                  tiles: list[tuple[int, Sequence[bytes]]]) -> list:
+    """Search ``(first, chunks)`` tiles in the caller or a helper: per
+    tile, its :data:`_TILE_ARRAYS` and its :data:`LZ_CENSUS` counts."""
+    found = []
+    for first, chunks in tiles:
+        kernel = SegmentLzKernel(chunks, segments_per_chunk, params)
+        tile = kernel._search_tile(first, chunks)
+        found.append(([getattr(tile, name) for name in _TILE_ARRAYS],
+                      [getattr(kernel, name) for name in LZ_CENSUS]))
+    return found
 
 
 class DescriptorLzKernel(Kernel):
