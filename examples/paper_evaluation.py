@@ -1,66 +1,22 @@
 #!/usr/bin/env python3
-"""Re-run the paper's evaluation section at reduced scale.
+"""Re-run the paper's headline experiments, E1-E5.
 
-Prints the three §4 results and the Fig. 2 bars in one go, with the
-paper's reported numbers alongside for comparison.  The full-scale runs
-(2 GB streams, as in the paper) live in ``benchmarks/`` — this script is
-the two-minute tour.
+Each row of the experiment table prints its table and one line per
+claim it checks against the paper (the same text
+``repro evaluate EXPERIMENTS.md`` writes into EXPERIMENTS.md).  The
+sizes are the table's: 256 MiB streams for E2 and E4.
 
 Run:  python examples/paper_evaluation.py
 """
 
-from repro.bench.experiments import (
-    SSD_IOPS,
-    e2_dedup,
-    e3_compression,
-    e4_integration,
-)
-from repro.bench.reporting import BarChart, Table
-from repro.core.modes import IntegrationMode
+import sys
 
-SCALE = 16384  # chunks per run; the paper's 2 GB stream is 524288
-
-
-def section_4_1() -> None:
-    results = e2_dedup(n_chunks=SCALE)
-    cpu, gpu = results["cpu_only"], results["gpu_assisted"]
-    gain = gpu.speedup_over(cpu) - 1
-    print("\n§4(1) parallel data deduplication")
-    print(f"  CPU-only:     {cpu.iops / 1e3:6.1f} K IOPS")
-    print(f"  GPU-assisted: {gpu.iops / 1e3:6.1f} K IOPS "
-          f"(+{gain:.1%}; paper: +15.0%)")
-    print(f"  vs SSD:       {gpu.iops / SSD_IOPS:.2f}x (paper: ~3x)")
-
-
-def section_4_2() -> None:
-    rows = e3_compression(ratios=(1.2, 2.0, 4.0), n_chunks=SCALE)
-    table = Table("§4(2) parallel data compression",
-                  ["comp ratio", "CPU K IOPS", "GPU K IOPS", "GPU/CPU"])
-    for row in rows:
-        table.add_row(row.comp_ratio, row.cpu_iops / 1e3,
-                      row.gpu_iops / 1e3, f"{row.gpu_advantage:.2f}x")
-    table.print()
-    print("  paper: CPU ~50 K at low ratio, GPU ~100 K everywhere, "
-          "+88.3% overall")
-
-
-def section_4_3() -> None:
-    results = e4_integration(n_chunks=SCALE)
-    chart = BarChart("§4(3) / Fig. 2: integration modes", unit=" K IOPS")
-    for mode in IntegrationMode.all_modes():
-        chart.add_bar(mode.value, results[mode].iops / 1e3)
-    chart.print()
-    cpu = results[IntegrationMode.CPU_ONLY]
-    best = results[IntegrationMode.GPU_COMP]
-    print(f"  GPU-for-compression wins: +"
-          f"{best.speedup_over(cpu) - 1:.1%} over CPU-only "
-          "(paper: +89.7%)")
-
+from repro.bench.experiments import EXPERIMENTS
 
 if __name__ == "__main__":
-    print(f"Simulated testbed, {SCALE} chunks "
-          f"({SCALE * 4096 // 1024**2} MiB) per run, "
-          "dedup 2.0 x comp 2.0")
-    section_4_1()
-    section_4_2()
-    section_4_3()
+    passed = True
+    for key in ("e1", "e2", "e3", "e4", "e5"):
+        text, ok = EXPERIMENTS[key].report()
+        print(text, end="\n\n")
+        passed = passed and ok
+    sys.exit(0 if passed else 1)

@@ -46,7 +46,8 @@ def part2_timed_pipeline() -> None:
               f"cpu {report.cpu_utilization:.0%}, "
               f"gpu {report.gpu_utilization:.0%})")
     print("\nGPU-for-compression is the paper's winning integration "
-          "(Fig. 2); see benchmarks/ for the full evaluation.")
+          "(Fig. 2); `repro evaluate EXPERIMENTS.md` reruns the full "
+          "evaluation.")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
-"""Benchmark harness: experiment definitions and paper-style reporting.
+"""Benchmark harness: the experiment table and paper-style reporting.
 
-Each function in :mod:`~repro.bench.experiments` regenerates one of the
-paper's reported results (see DESIGN.md §4 for the experiment index);
-:mod:`~repro.bench.reporting` renders the same rows/series the paper
-reports as ASCII tables and bars.  The pytest-benchmark entry points in
-``benchmarks/`` are thin wrappers over these.
+:data:`~repro.bench.experiments.EXPERIMENTS` has one row per paper
+table/figure and ablation (DESIGN.md §4): the size it runs at, the
+:class:`~repro.bench.reporting.Table` it prints and the paper claims it
+checks.  ``repro bench <id>``, ``repro evaluate EXPERIMENTS.md`` and
+``examples/paper_evaluation.py`` all run those rows.
 :mod:`~repro.bench.micro` is the per-layer micro-benchmark table behind
 ``repro bench <plane>``; end-to-end speed is ``python3 -m e2ebench``.
 """
 
-from repro.bench.reporting import BarChart, Table
+from repro.bench.reporting import Table
 from repro.bench import experiments
 
-__all__ = ["BarChart", "Table", "experiments"]
+__all__ = ["Table", "experiments"]

@@ -1,19 +1,27 @@
-"""Experiment definitions: one function per paper table/figure + ablations.
+"""Experiment definitions: one sweep per paper table/figure + ablations,
+and :data:`EXPERIMENTS`, the one table every reader goes through.
 
-Every function builds fresh simulated hardware, runs the workload the
-paper describes (2 GB-class streams, dedup ratio 2.0, compression ratio
-2.0, 4 KiB chunks — scaled by ``n_chunks`` so CI stays fast; pass
-``n_chunks=524288`` for the full 2 GB), and returns structured rows.
-The ``benchmarks/`` pytest files print these through
-:mod:`~repro.bench.reporting` and assert the paper's shape.
+Every sweep builds fresh simulated hardware, runs the workload the
+paper describes (dedup ratio 2.0, compression ratio 2.0, 4 KiB chunks —
+scaled by ``n_chunks``; pass ``n_chunks=524288`` for the paper's full
+2 GB), and returns structured rows.  An :class:`Experiment` row of the
+table fixes the size one id runs at, how its result prints, and which
+of the paper's claims it must reproduce.  ``repro bench <id>`` prints
+one row; ``repro evaluate EXPERIMENTS.md`` reruns them all and rewrites
+each ``<!-- repro:<id> -->`` region of the document (:func:`regenerate`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
+import re
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+from repro.bench.reporting import Table
 from repro.cluster import ClusterConfig, ClusterEngine, ShardMap
 from repro.cluster.engine import REBALANCE_ENTRY_BYTES
 from repro.core.calibration import CalibrationResult, calibrate_mode, run_mode
@@ -32,6 +40,7 @@ from repro.dedup.replacement import (
     RandomReplacement,
     ReplacementPolicy,
 )
+from repro.errors import ReproError
 from repro.gpu.device import GpuDevice, GpuSpec
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.gpu.kernels.lz import SegmentLzKernel
@@ -46,35 +55,6 @@ from repro.workload.vdbench import VdbenchStream
 
 #: The paper's SSD yardstick, quoted everywhere ("about 80 K IOPS").
 SSD_IOPS = SAMSUNG_SSD_830.write_iops_4k
-
-
-def registry() -> dict[str, callable]:
-    """Experiment id -> zero-argument callable (CLI / tooling hook)."""
-    return {
-        "e1": e1_indexing,
-        "e2": e2_dedup,
-        "e3": e3_compression,
-        "e4": e4_integration,
-        "e5": e5_workflow,
-        "a1": a1_thread_scaling,
-        "a2": a2_prefix_truncation,
-        "a3": a3_bin_buffer,
-        "a4": a4_replacement,
-        "a5": a5_calibration,
-        "a6": a6_inline_vs_background,
-        "a7": a7_segment_sweep,
-        "a8-lock": a8_index_locking,
-        "a8-policy": a8_offload_policy,
-        "a9": a9_restart,
-        "a10": a10_read_path,
-        "a11": a11_kernel_variants,
-        "a13": a13_batch_sweep,
-        "a14": a14_ftl_endurance,
-        "a15": a15_delta_reduction,
-        "a16": a16_tenant_mix,
-        "a17": a17_cache_contention,
-        "a18": a18_cluster_skew,
-    }
 
 
 def _fingerprint(n: int) -> bytes:
@@ -1136,3 +1116,678 @@ def a18_cluster_skew(n_chunks: int = 4096, nodes: int = 4) -> list[A18Row]:
     engine.shard_map.rebalance(loads)
     rows.append(row("rebalanced", engine.shard_map))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The experiment table.  One row per id; the row, not its reader, owns
+# the size the experiment runs at and the claims it must reproduce.
+# ---------------------------------------------------------------------------
+
+#: Chains a tuple-valued check may demand of its values, left to right.
+ORDERS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+          ">=": operator.ge}
+
+INF = math.inf
+MIB = 1024**2
+GIB = 1024**3
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of :data:`EXPERIMENTS`.
+
+    ``run`` fixes the experiment's one size; ``rows`` turns its result
+    into table rows and ``columns`` are (header, getter) pairs over a
+    row.  Each check is (text, measure, expect): ``measure(result)``
+    must lie in a closed ``(lo, hi)`` band, be a member of a frozenset,
+    or — for a tuple of values — satisfy one of :data:`ORDERS` between
+    every neighbouring pair.
+    """
+
+    paper: str
+    title: str
+    run: Callable[[], Any]
+    columns: tuple[tuple[str, Callable[[Any], Any]], ...]
+    checks: tuple[tuple[str, Callable[[Any], Any], Any], ...]
+    rows: Callable[[Any], Iterable] = list
+
+    def report(self) -> tuple[str, bool]:
+        """Run the row: its table, one line per check, and whether every
+        check held."""
+        result = self.run()
+        table = Table(f"{self.title} [{self.paper}]",
+                      [header for header, _get in self.columns])
+        for row in self.rows(result):
+            table.add_row(*(get(row) for _header, get in self.columns))
+        # A last header shorter than its cells is padded; strip that, so
+        # a generated region carries no trailing blanks.
+        lines = [line.rstrip() for line in table.render().splitlines()]
+        lines.append("")
+        passed = True
+        for text, measure, expect in self.checks:
+            ok, shown = _judge(measure(result), expect)
+            passed = passed and ok
+            lines.append(f"{'ok  ' if ok else 'FAIL'} {text}: {shown}")
+        return "\n".join(lines), passed
+
+
+def _show(value) -> str:
+    if not isinstance(value, float):
+        return str(value)
+    return f"{value:.4g}" if abs(value) < 1e4 else f"{value:.0f}"
+
+
+def _judge(value, expect) -> tuple[bool, str]:
+    """Whether ``value`` meets ``expect``, and the line that says so."""
+    if isinstance(expect, str):
+        holds = ORDERS[expect]
+        return (all(holds(a, b) for a, b in zip(value, value[1:])),
+                f" {expect} ".join(map(_show, value)))
+    if isinstance(expect, frozenset):
+        members = ", ".join(sorted(map(_show, expect)))
+        return value in expect, f"{_show(value)} in {{{members}}}"
+    lo, hi = expect
+    if lo == hi:
+        bound = f"== {_show(lo)}"
+    elif hi == INF:
+        bound = f">= {_show(lo)}"
+    elif lo == -INF:
+        bound = f"<= {_show(hi)}"
+    else:
+        bound = f"in [{_show(lo)}, {_show(hi)}]"
+    return lo <= value <= hi, f"{_show(value)} {bound}"
+
+
+def _k(iops: float) -> float:
+    return iops / 1e3
+
+
+def _by(rows, key: str) -> dict:
+    return {getattr(row, key): row for row in rows}
+
+
+def _terminal(counters) -> int:
+    """Chunks that left through one of Fig. 1's terminal edges."""
+    return (counters["gpu_hits"] + counters["buffer_hits"]
+            + counters["tree_hits"] + counters.get("pending_hits", 0)
+            + counters.get("race_duplicates", 0) + counters["uniques"])
+
+
+_FIG1_EDGES = (
+    ("GPU index hit -> duplicate", "gpu_hits"),
+    ("bin-buffer hit -> duplicate", "buffer_hits"),
+    ("bin-tree hit -> duplicate", "tree_hits"),
+    ("in-flight twin -> duplicate", "pending_hits"),
+    ("unique -> compress -> buffer", "uniques"),
+    ("bin-buffer flush -> storage+GPU", "flushes"),
+)
+
+_CPU, _DEDUP, _BOTH, _COMP = (IntegrationMode.CPU_ONLY,
+                              IntegrationMode.GPU_DEDUP,
+                              IntegrationMode.GPU_BOTH,
+                              IntegrationMode.GPU_COMP)
+
+
+def _a13_series(rows, mode: IntegrationMode) -> dict:
+    return {row.comp_batch: row for row in rows if row.mode is mode}
+
+
+def _sweet_spot(rows, mode: IntegrationMode) -> tuple[float, float]:
+    """(better end of the sweep, peak) K IOPS for one A13 mode."""
+    values = [_k(row.iops) for row in rows if row.mode is mode]
+    return max(values[0], values[-1]), max(values)
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "e1": Experiment(
+        "§3.1(3)", "E1 - indexing batch execution time (CPU vs GPU)",
+        run=e1_indexing,
+        columns=(("batch", attrgetter("batch")),
+                 ("cpu (us)", lambda r: r.cpu_seconds * 1e6),
+                 ("gpu (us)", lambda r: r.gpu_seconds * 1e6),
+                 ("cpu advantage", lambda r: f"{r.cpu_advantage:.2f}x")),
+        checks=(
+            ("GPU time is flat (launch floor): max / min over batches",
+             lambda rows: max(r.gpu_seconds for r in rows)
+             / min(r.gpu_seconds for r in rows), (-INF, 1.25)),
+            ("CPU advantage at batch 32 (paper 4.16-5.45x)",
+             lambda rows: _by(rows, "batch")[32].cpu_advantage,
+             (4.16, INF)),
+            ("batch sizes inside the paper's 4.16-5.45x band",
+             lambda rows: sum(4.16 <= r.cpu_advantage <= 5.45
+                              for r in rows), (1, INF)),
+            ("CPU advantage decays with batch size",
+             lambda rows: tuple(r.cpu_advantage for r in rows), ">="),
+            ("CPU advantage at batch 256",
+             lambda rows: _by(rows, "batch")[256].cpu_advantage,
+             (-INF, 2.0)),
+        )),
+    "e2": Experiment(
+        "§4(1)", "E2 - dedup-only throughput (dedup ratio 2.0)",
+        run=lambda: e2_dedup(n_chunks=65536),
+        rows=lambda r: (
+            ("SSD (yardstick)", SSD_IOPS, None),
+            ("CPU-only dedup", r["cpu_only"].iops, r["cpu_only"].iops),
+            ("GPU-assisted dedup", r["gpu_assisted"].iops,
+             r["cpu_only"].iops)),
+        columns=(("configuration", itemgetter(0)),
+                 ("K IOPS", lambda row: _k(row[1])),
+                 ("vs SSD", lambda row: f"{row[1] / SSD_IOPS:.2f}x"),
+                 ("vs CPU-only", lambda row: f"{row[1] / row[2]:.3f}x"
+                  if row[2] else "-")),
+        checks=(
+            ("GPU-assisted gain over CPU-only (paper +15.0%)",
+             lambda r: r["gpu_assisted"].speedup_over(r["cpu_only"]) - 1,
+             (0.10, 0.20)),
+            ("GPU-assisted throughput / SSD (paper ~3x)",
+             lambda r: r["gpu_assisted"].iops / SSD_IOPS, (2.5, 3.5)),
+            ("duplicates the GPU index resolved",
+             lambda r: r["gpu_assisted"].counters["gpu_hits"], (1, INF)),
+            ("uniques, CPU-only == GPU-assisted (offload moves timing only)",
+             lambda r: (r["cpu_only"].counters["uniques"],
+                        r["gpu_assisted"].counters["uniques"]), "=="),
+        )),
+    "e3": Experiment(
+        "§4(2)", "E3 - compression-only throughput vs compression ratio",
+        run=lambda: e3_compression(n_chunks=16384),
+        columns=(("comp ratio", attrgetter("comp_ratio")),
+                 ("CPU K IOPS", lambda r: _k(r.cpu_iops)),
+                 ("GPU K IOPS", lambda r: _k(r.gpu_iops)),
+                 ("SSD K IOPS", lambda r: _k(r.ssd_iops)),
+                 ("GPU/CPU", lambda r: f"{r.gpu_advantage:.2f}x")),
+        checks=(
+            ("CPU K IOPS at ratio 1.2 (paper ~50 K)",
+             lambda rows: _k(_by(rows, "comp_ratio")[1.2].cpu_iops),
+             (40, 60)),
+            ("CPU at ratio 1.2 < SSD line, K IOPS",
+             lambda rows: (_k(_by(rows, "comp_ratio")[1.2].cpu_iops),
+                           _k(SSD_IOPS)), "<"),
+            ("GPU K IOPS at ratio 1.2 (paper ~100 K)",
+             lambda rows: _k(_by(rows, "comp_ratio")[1.2].gpu_iops),
+             (90, 125)),
+            ("SSD line < slowest GPU point, K IOPS",
+             lambda rows: (_k(SSD_IOPS), min(_k(r.gpu_iops) for r in rows)),
+             "<"),
+            ("GPU/CPU at ratio 2.0 (paper 1.883x)",
+             lambda rows: _by(rows, "comp_ratio")[2.0].gpu_advantage,
+             (1.6, 2.2)),
+            ("CPU K IOPS rises with compressibility",
+             lambda rows: tuple(_k(r.cpu_iops) for r in rows), "<="),
+        )),
+    "e4": Experiment(
+        "Fig. 2, §4(3)", "E4 - integration modes (dedup 2.0 x comp 2.0)",
+        run=lambda: e4_integration(n_chunks=65536),
+        rows=lambda r: [(mode, r[mode], r[_CPU])
+                        for mode in IntegrationMode.all_modes()],
+        columns=(("mode", lambda row: row[0].value),
+                 ("K IOPS", lambda row: _k(row[1].iops)),
+                 ("vs CPU-only",
+                  lambda row: f"{row[1].speedup_over(row[2]):.3f}x"),
+                 ("cpu util", lambda row: row[1].cpu_utilization),
+                 ("gpu util", lambda row: row[1].gpu_utilization),
+                 ("gpu queue wait (us)",
+                  lambda row: row[1].gpu_mean_queue_wait_s * 1e6)),
+        checks=(
+            ("K IOPS, CPU_ONLY < GPU_DEDUP < GPU_BOTH < GPU_COMP",
+             lambda r: tuple(_k(r[mode].iops)
+                             for mode in (_CPU, _DEDUP, _BOTH, _COMP)),
+             "<"),
+            ("GPU_COMP gain over CPU_ONLY (paper +89.7%)",
+             lambda r: r[_COMP].speedup_over(r[_CPU]) - 1, (0.70, 1.10)),
+            ("mean GPU queue wait (us), GPU_COMP < GPU_BOTH",
+             lambda r: (r[_COMP].gpu_mean_queue_wait_s * 1e6,
+                        r[_BOTH].gpu_mean_queue_wait_s * 1e6), "<"),
+            ("uniques, equal in every mode",
+             lambda r: tuple(r[mode].counters["uniques"]
+                             for mode in IntegrationMode.all_modes()), "=="),
+        )),
+    "e5": Experiment(
+        "Fig. 1", "E5 - workflow decision-edge traffic (GPU_BOTH)",
+        run=lambda: e5_workflow(n_chunks=32768),
+        rows=lambda report: [(label, report.counters.get(name, 0),
+                              report.chunks) for label, name in _FIG1_EDGES],
+        columns=(("edge", itemgetter(0)), ("chunks", itemgetter(1)),
+                 ("fraction", lambda row: row[1] / row[2])),
+        checks=(
+            ("fewest chunks on the GPU-hit, buffer-hit, unique and flush "
+             "edges", lambda report: min(report.counters[name] for name in (
+                 "gpu_hits", "buffer_hits", "uniques", "flushes")),
+             (1, INF)),
+            ("terminal-edge chunks == chunks in",
+             lambda report: (_terminal(report.counters), report.chunks),
+             "=="),
+            ("bin flushes <= destage batches",
+             lambda report: (report.counters["flushes"],
+                             report.destage_batches), "<="),
+            ("NAND bytes programmed",
+             lambda report: report.nand_bytes_written, (1, INF)),
+            ("dedup ratio out of the metadata ledger (dial 2.0)",
+             lambda report: report.dedup_ratio, (1.8, 2.2)),
+        )),
+    "a1": Experiment(
+        "§3.1(1)", "A1 - dedup throughput vs CPU threads (lock-free bins)",
+        run=lambda: a1_thread_scaling(n_chunks=16384),
+        rows=lambda rows: [(row, rows[0].iops) for row in rows],
+        columns=(("threads", lambda row: row[0].threads),
+                 ("K IOPS", lambda row: _k(row[0].iops)),
+                 ("speedup vs 1T",
+                  lambda row: f"{row[0].iops / row[1]:.2f}x")),
+        checks=(
+            ("4 threads / 1 thread (physical cores)",
+             lambda rows: _by(rows, "threads")[4].iops
+             / _by(rows, "threads")[1].iops, (3.0, INF)),
+            ("8 threads / 4 threads (SMT siblings)",
+             lambda rows: _by(rows, "threads")[8].iops
+             / _by(rows, "threads")[4].iops, (1.1, INF)),
+            ("K IOPS rises with threads",
+             lambda rows: tuple(_k(r.iops) for r in rows), "<="),
+        )),
+    "a1-balance": Experiment(
+        "§3.1(1)", "A1 - bin occupancy balance (mean/max, 100 K entries)",
+        run=a1_bin_balance,
+        rows=dict.items,
+        columns=(("prefix bytes", itemgetter(0)),
+                 ("bins", lambda item: 256 ** item[0]),
+                 ("balance", itemgetter(1))),
+        checks=(
+            ("balance of 256 bins (1-byte prefix)",
+             itemgetter(1), (0.7, INF)),
+        )),
+    "a2": Experiment(
+        "§3.1(1)", "A2 - index memory at 4 TB / 8 KB chunks (32 B entries)",
+        run=a2_prefix_truncation,
+        columns=(("prefix bytes", attrgetter("prefix_bytes")),
+                 ("entries (M)", lambda r: r.entries / 1e6),
+                 ("index (GiB)", lambda r: r.memory_bytes / GIB),
+                 ("saved vs full (GiB)", lambda r: r.saved_vs_full / GIB)),
+        checks=(
+            ("full-fingerprint index, GiB (paper 16 GB)",
+             lambda rows: _by(rows, "prefix_bytes")[0].memory_bytes / GIB,
+             (16, 16)),
+            ("saved by a 2-byte prefix, GiB (paper 1 GB)",
+             lambda rows: _by(rows, "prefix_bytes")[2].saved_vs_full / GIB,
+             (1, 1)),
+        )),
+    "a3": Experiment(
+        "§3.3", "A3 - bin-buffer budget sweep (dedup-only)",
+        run=lambda: a3_bin_buffer(n_chunks=16384),
+        columns=(("buffer entries", attrgetter("buffer_total")),
+                 ("dup hits in buffer", attrgetter("buffer_hit_fraction")),
+                 ("mean flush size (chunks)",
+                  attrgetter("mean_flush_chunks")),
+                 ("K IOPS", lambda r: _k(r.iops))),
+        checks=(
+            ("share of duplicates the buffer absorbs grows with it",
+             lambda rows: tuple(r.buffer_hit_fraction for r in rows), "<="),
+            ("that share, largest buffer - smallest",
+             lambda rows: rows[-1].buffer_hit_fraction
+             - rows[0].buffer_hit_fraction, (0.1, INF)),
+            ("mean flush size, largest buffer / smallest",
+             lambda rows: rows[-1].mean_flush_chunks
+             / rows[0].mean_flush_chunks, (1.5, INF)),
+        )),
+    "a4": Experiment(
+        "§3.3", "A4 - GPU-bin replacement under Zipf reuse "
+                "(bins 8 entries, working set >> capacity)",
+        run=a4_replacement,
+        columns=(("policy", attrgetter("policy")),
+                 ("hit rate", attrgetter("hit_rate")),
+                 ("evictions", attrgetter("evictions"))),
+        checks=(
+            ("fewest evictions of any policy",
+             lambda rows: min(r.evictions for r in rows), (501, INF)),
+            ("hit rate, best of random and FIFO <= LRU",
+             lambda rows: (max(_by(rows, "policy")[name].hit_rate
+                               for name in ("random", "fifo")),
+                           _by(rows, "policy")["lru"].hit_rate), "<="),
+            ("hit rate, LRU - random (the paper's default)",
+             lambda rows: _by(rows, "policy")["lru"].hit_rate
+             - _by(rows, "policy")["random"].hit_rate, (-INF, 0.05)),
+        )),
+    "a5": Experiment(
+        "§4(3)", "A5 - dummy-I/O calibration across platforms",
+        run=a5_calibration,
+        rows=dict.items,
+        columns=(("platform", itemgetter(0)),
+                 ("best mode", lambda item: item[1].best_mode.value),
+                 ("best K IOPS", lambda item: _k(
+                     item[1].iops_by_mode[item[1].best_mode])),
+                 ("cpu-only K IOPS",
+                  lambda item: _k(item[1].iops_by_mode[_CPU])),
+                 ("advantage",
+                  lambda item: f"{item[1].speedup_over_cpu_only():.2f}x")),
+        checks=(
+            ("testbed picks (Fig. 2's answer)",
+             lambda r: r["testbed"].best_mode.value,
+             frozenset({_COMP.value})),
+            ("weak GPU picks a mode that keeps compression on the CPU",
+             lambda r: r["weak_gpu"].best_mode.value,
+             frozenset({_CPU.value, _DEDUP.value})),
+            ("weak GPU: GPU_COMP K IOPS < SSD line",
+             lambda r: (_k(r["weak_gpu"].iops_by_mode[_COMP]),
+                        _k(SSD_IOPS)), "<"),
+            ("big CPU's GPU edge / testbed's GPU edge",
+             lambda r: r["big_cpu"].speedup_over_cpu_only()
+             / r["testbed"].speedup_over_cpu_only(), (-INF, 0.8)),
+            ("platforms whose pick is not the measured argmax",
+             lambda r: sum(res.iops_by_mode[res.best_mode]
+                           != max(res.iops_by_mode.values())
+                           for res in r.values()), (0, 0)),
+        )),
+    "a6": Experiment(
+        "§1", "A6 - NAND bytes programmed per strategy "
+              "(dedup 2.0 x comp 2.0)",
+        run=lambda: a6_inline_vs_background(n_chunks=16384),
+        rows=lambda r: (
+            ("inline reduction", r.inline_nand_bytes, r.logical_bytes),
+            ("background reduction", r.background_nand_bytes,
+             r.logical_bytes)),
+        columns=(("strategy", itemgetter(0)),
+                 ("NAND MiB", lambda row: row[1] / MIB),
+                 ("write amplification", lambda row: row[1] / row[2])),
+        checks=(
+            ("MiB, inline NAND < logical < background NAND",
+             lambda r: (r.inline_nand_bytes / MIB, r.logical_bytes / MIB,
+                        r.background_nand_bytes / MIB), "<"),
+            ("background / inline NAND bytes",
+             attrgetter("endurance_advantage"), (2.5, INF)),
+        )),
+    "a7": Experiment(
+        "§3.2(2)", "A7 - GPU LZ segments per 4 KiB chunk",
+        run=a7_segment_sweep,
+        columns=(("segments", attrgetter("segments")),
+                 ("achieved ratio", attrgetter("ratio")),
+                 ("ratio loss vs serial",
+                  lambda r: f"{r.ratio_loss_vs_serial * 100:.2f}%"),
+                 ("critical path (us)",
+                  lambda r: r.kernel_critical_path_s * 1e6)),
+        checks=(
+            ("|ratio loss| of one segment (the serial parse)",
+             lambda rows: abs(_by(rows, "segments")[1].ratio_loss_vs_serial),
+             (0, 1e-9)),
+            ("ratio loss at 8 segments",
+             lambda rows: _by(rows, "segments")[8].ratio_loss_vs_serial,
+             (-INF, 0.05)),
+            ("critical path, 1 segment / 8 segments",
+             lambda rows: _by(rows, "segments")[1].kernel_critical_path_s
+             / _by(rows, "segments")[8].kernel_critical_path_s, (6, INF)),
+            ("ratio loss grows with segments",
+             lambda rows: tuple(r.ratio_loss_vs_serial for r in rows),
+             "<="),
+            ("critical path (us) shrinks with segments",
+             lambda rows: tuple(r.kernel_critical_path_s * 1e6
+                                for r in rows), ">="),
+        )),
+    "a8-lock": Experiment(
+        "§5", "A8a - lock-free bins vs one global index lock "
+              "(dedup-only, 8 threads)",
+        run=a8_index_locking,
+        columns=(("index discipline", attrgetter("discipline")),
+                 ("K IOPS", lambda r: _k(r.iops)),
+                 ("mean latency (us)", lambda r: r.mean_latency_s * 1e6)),
+        checks=(
+            ("K IOPS, bins / global lock",
+             lambda rows: _by(rows, "discipline")["bins"].iops
+             / _by(rows, "discipline")["global"].iops, (1.8, INF)),
+            ("mean latency, global lock / bins",
+             lambda rows: _by(rows, "discipline")["global"].mean_latency_s
+             / _by(rows, "discipline")["bins"].mean_latency_s, (1.5, INF)),
+        )),
+    "a8-policy": Experiment(
+        "§5", "A8b - offload policy at light load (50 K IOPS paced)",
+        run=a8_offload_policy,
+        columns=(("policy", attrgetter("policy")),
+                 ("K IOPS", lambda r: _k(r.iops)),
+                 ("mean latency (us)", lambda r: r.mean_latency_s * 1e6),
+                 ("peak latency (us)", lambda r: r.peak_latency_s * 1e6)),
+        checks=(
+            ("slower policy keeps up with the offered load, K IOPS",
+             lambda rows: min(_k(r.iops) for r in rows), (45, INF)),
+            ("mean latency, always-offload / saturation rule",
+             lambda rows: _by(rows, "policy")["always"].mean_latency_s
+             / _by(rows, "policy")["saturation"].mean_latency_s,
+             (10, INF)),
+            ("saturation rule's mean latency (us)",
+             lambda rows: _by(rows, "policy")["saturation"].mean_latency_s
+             * 1e6, (-INF, 100)),
+        )),
+    "a9": Experiment(
+        "§3.1(1)", "A9 - dedup across one mid-stream restart (dial: 2.0)",
+        run=a9_restart,
+        rows=lambda r: (
+            ("dedup ratio", r.baseline_dedup_ratio, r.restarted_dedup_ratio),
+            ("physical MiB", r.baseline_physical_bytes / MIB,
+             r.restarted_physical_bytes / MIB)),
+        columns=(("metric", itemgetter(0)), ("no restart", itemgetter(1)),
+                 ("with restart", itemgetter(2))),
+        checks=(
+            ("dedup ratio, with restart < without",
+             lambda r: (r.restarted_dedup_ratio, r.baseline_dedup_ratio),
+             "<"),
+            ("duplicates the lost index missed",
+             attrgetter("duplicates_missed"), (1, INF)),
+            ("one-time space overhead", attrgetter("space_overhead"),
+             (0.02, 0.60)),
+            ("dedup ratio with restart", attrgetter("restarted_dedup_ratio"),
+             (1.3, INF)),
+        )),
+    "a10": Experiment(
+        "extension", "A10 - random 4 KiB chunk reads, reduced vs raw store",
+        run=a10_read_path,
+        columns=(("store", attrgetter("strategy")),
+                 ("K IOPS", lambda r: _k(r.iops)),
+                 ("mean latency (us)", lambda r: r.mean_latency_s * 1e6),
+                 ("cpu util", attrgetter("cpu_utilization")),
+                 ("ssd util", attrgetter("ssd_utilization"))),
+        checks=(
+            ("lower SSD utilization of the two stores",
+             lambda rows: min(r.ssd_utilization for r in rows), (0.9, INF)),
+            ("K IOPS, reduced / raw",
+             lambda rows: _by(rows, "strategy")["reduced"].iops
+             / _by(rows, "strategy")["raw"].iops, (0.85, INF)),
+            ("CPU utilization, raw < reduced",
+             lambda rows: (_by(rows, "strategy")["raw"].cpu_utilization,
+                           _by(rows, "strategy")["reduced"].cpu_utilization),
+             "<"),
+            ("CPU utilization of the reduced store",
+             lambda rows: _by(rows, "strategy")["reduced"].cpu_utilization,
+             (-INF, 0.5)),
+        )),
+    "a11": Experiment(
+        "§3.1(2)", "A11 - lookup kernel variants (256 bins, 64 K entries)",
+        run=a11_kernel_variants,
+        columns=(("batch", attrgetter("batch")),
+                 ("simple (us)", lambda r: r.simple_seconds * 1e6),
+                 ("tiled (us)", lambda r: r.tiled_seconds * 1e6),
+                 ("global MB simple", lambda r: r.simple_global_bytes / 1e6),
+                 ("global MB tiled", lambda r: r.tiled_global_bytes / 1e6)),
+        checks=(
+            ("global bytes, tiled / simple, worst batch",
+             lambda rows: max(r.tiled_global_bytes / r.simple_global_bytes
+                              for r in rows), (-INF, 1)),
+            ("global bytes, tiled / simple, largest batch",
+             lambda rows: rows[-1].tiled_global_bytes
+             / rows[-1].simple_global_bytes, (-INF, 0.5)),
+            ("launch (us) at the largest batch, tiled < simple",
+             lambda rows: (rows[-1].tiled_seconds * 1e6,
+                           rows[-1].simple_seconds * 1e6), "<"),
+        )),
+    "a13": Experiment(
+        "extension", "A13 - compression batch size vs throughput",
+        run=lambda: a13_batch_sweep(n_chunks=16384),
+        columns=(("mode", lambda r: r.mode.value),
+                 ("comp batch", attrgetter("comp_batch")),
+                 ("K IOPS", lambda r: _k(r.iops)),
+                 ("gpu util", attrgetter("gpu_utilization")),
+                 ("queue wait (us)",
+                  lambda r: r.gpu_mean_queue_wait_s * 1e6)),
+        checks=(
+            ("GPU_COMP K IOPS, better sweep end < peak",
+             lambda rows: _sweet_spot(rows, _COMP), "<"),
+            ("GPU_BOTH K IOPS, better sweep end < peak",
+             lambda rows: _sweet_spot(rows, _BOTH), "<"),
+            ("K IOPS at batch 512, GPU_BOTH < GPU_COMP",
+             lambda rows: (_k(_a13_series(rows, _BOTH)[512].iops),
+                           _k(_a13_series(rows, _COMP)[512].iops)), "<"),
+            ("K IOPS at batch 256, GPU_BOTH < GPU_COMP",
+             lambda rows: (_k(_a13_series(rows, _BOTH)[256].iops),
+                           _k(_a13_series(rows, _COMP)[256].iops)), "<"),
+            ("best GPU_BOTH / best GPU_COMP",
+             lambda rows: _sweet_spot(rows, _BOTH)[1]
+             / _sweet_spot(rows, _COMP)[1], (0.95, INF)),
+            ("GPU_BOTH queue wait (us), batch 32 < batch 512",
+             lambda rows: tuple(
+                 _a13_series(rows, _BOTH)[batch].gpu_mean_queue_wait_s * 1e6
+                 for batch in (32, 512)), "<"),
+        )),
+    "a14": Experiment(
+        "§1, extension", "A14 - FTL wear under identical logical churn",
+        run=a14_ftl_endurance,
+        columns=(("strategy", attrgetter("strategy")),
+                 ("utilization", attrgetter("utilization")),
+                 ("write amp", attrgetter("write_amplification")),
+                 ("NAND pages", attrgetter("nand_pages")),
+                 ("erases", attrgetter("erases"))),
+        checks=(
+            ("utilization, reduced / raw",
+             lambda rows: _by(rows, "strategy")["reduced"].utilization
+             / _by(rows, "strategy")["raw"].utilization, (-INF, 0.5)),
+            ("write amplification, reduced < raw",
+             lambda rows: tuple(_by(rows, "strategy")[name]
+                                .write_amplification
+                                for name in ("reduced", "raw")), "<"),
+            ("raw write amplification at 85% fill",
+             lambda rows: _by(rows, "strategy")["raw"].write_amplification,
+             (1.3, INF)),
+            ("NAND pages, raw / reduced (the reduction alone is 4x)",
+             lambda rows: _by(rows, "strategy")["raw"].nand_pages
+             / _by(rows, "strategy")["reduced"].nand_pages, (4.5, INF)),
+            ("raw / reduced, NAND pages < erases",
+             lambda rows: tuple(getattr(_by(rows, "strategy")["raw"], name)
+                                / max(1, getattr(_by(rows, "strategy")
+                                                 ["reduced"], name))
+                                for name in ("nand_pages", "erases")), "<"),
+        )),
+    "a15": Experiment(
+        "extension", "A15 - reduction stacks on a near-duplicate stream "
+                     "(25% exact dups, 35% near dups)",
+        run=lambda: a15_delta_reduction(n_chunks=250),
+        columns=(("stack", attrgetter("stack")),
+                 ("physical KiB", lambda r: r.physical_bytes / 1024),
+                 ("reduction", lambda r: f"{r.reduction_ratio:.2f}x"),
+                 ("deltas", attrgetter("deltas_encoded"))),
+        checks=(
+            ("reduction, dedup+lz / lz_only",
+             lambda rows: _by(rows, "stack")["dedup+lz"].reduction_ratio
+             / _by(rows, "stack")["lz_only"].reduction_ratio, (1.2, INF)),
+            ("reduction, dedup+delta+lz / dedup+lz",
+             lambda rows: _by(rows, "stack")["dedup+delta+lz"]
+             .reduction_ratio
+             / _by(rows, "stack")["dedup+lz"].reduction_ratio, (1.4, INF)),
+            ("chunks stored as deltas",
+             lambda rows: _by(rows, "stack")["dedup+delta+lz"]
+             .deltas_encoded, (21, INF)),
+        )),
+    "a16": Experiment(
+        "§13, extension", "A16 - inline hit rate vs the hot tenant's "
+                          "traffic share (cache 96)",
+        run=a16_tenant_mix,
+        columns=(("hot weight", attrgetter("hot_weight")),
+                 ("hot share", attrgetter("hot_share")),
+                 ("shared LRU", attrgetter("shared_hit_rate")),
+                 ("prioritized", attrgetter("prioritized_hit_rate")),
+                 ("gain", lambda r: f"{r.prioritized_gain:.2f}x")),
+        checks=(
+            ("1 < smallest prioritized / shared-LRU gain",
+             lambda rows: (1.0, min(r.prioritized_gain for r in rows)), "<"),
+            ("gain shrinks as the hot tenant's share grows",
+             lambda rows: tuple(r.prioritized_gain for r in rows), ">="),
+        )),
+    "a17": Experiment(
+        "§13, extension", "A17 - inline hit rate vs cache capacity "
+                          "(committed hot/cold mix)",
+        run=a17_cache_contention,
+        columns=(("cache entries", attrgetter("cache_entries")),
+                 ("shared LRU", attrgetter("shared_hit_rate")),
+                 ("prioritized", attrgetter("prioritized_hit_rate")),
+                 ("gain", lambda r: f"{r.prioritized_gain:.2f}x"),
+                 ("recovery", attrgetter("recovery_fraction"))),
+        checks=(
+            ("1 < smallest prioritized / shared-LRU gain",
+             lambda rows: (1.0, min(r.prioritized_gain for r in rows)), "<"),
+            ("gain at cache 96 (tier-1 floor at 8192 chunks)",
+             lambda rows: _by(rows, "cache_entries")[96].prioritized_gain,
+             (1.2, INF)),
+            ("shared-LRU hit rate grows with capacity",
+             lambda rows: tuple(r.shared_hit_rate for r in rows), "<="),
+            ("lowest oracle-dedup recovery after compaction",
+             lambda rows: min(r.recovery_fraction for r in rows),
+             (0.95, INF)),
+        )),
+    "a18": Experiment(
+        "§14, extension", "A18 - shard skew and what repairing it costs "
+                          "(4 nodes)",
+        run=a18_cluster_skew,
+        columns=(("assignment", attrgetter("assignment")),
+                 ("imbalance", attrgetter("imbalance")),
+                 ("moved bins", attrgetter("moved_bins")),
+                 ("moved KiB", lambda r: r.moved_bytes / 1024),
+                 ("migration (us)", lambda r: r.migration_s * 1e6)),
+        checks=(
+            ("bins the static range split moves",
+             lambda rows: _by(rows, "assignment")["range"].moved_bins,
+             (0, 0)),
+            ("imbalance, balanced and rebalanced <= range",
+             lambda rows: (max(_by(rows, "assignment")[name].imbalance
+                               for name in ("balanced", "rebalanced")),
+                           _by(rows, "assignment")["range"].imbalance), "<="),
+            ("moved KiB, 0 < rebalanced < balanced",
+             lambda rows: (0, *(_by(rows, "assignment")[name].moved_bytes
+                                / 1024 for name in ("rebalanced",
+                                                    "balanced"))), "<"),
+            ("migration (us), 0 < rebalanced < balanced",
+             lambda rows: (0, *(_by(rows, "assignment")[name].migration_s
+                                * 1e6 for name in ("rebalanced",
+                                                   "balanced"))), "<"),
+        )),
+}
+
+
+# ---------------------------------------------------------------------------
+# Generated regions: ``<!-- repro:<id> -->`` ... ``<!-- /repro -->``.
+# ---------------------------------------------------------------------------
+
+_REGION = re.compile(r"(<!-- repro:([\w-]+) -->\n).*?(<!-- /repro -->)",
+                     re.S)
+
+
+def regenerate(text: str,
+               table: Optional[Mapping[str, Experiment]] = None,
+               echo: Callable[[str], None] = lambda _text: None
+               ) -> tuple[str, bool]:
+    """Rerun every row of ``table`` (default :data:`EXPERIMENTS`) and
+    rewrite its region of ``text``.
+
+    Returns the new text and whether every check held.  Raises
+    :class:`ReproError` — before running anything — unless the rows and
+    the regions pair one to one.  ``echo`` sees each row's output as it
+    finishes.
+    """
+    table = EXPERIMENTS if table is None else table
+    found = [match.group(2) for match in _REGION.finditer(text)]
+    missing = [key for key in table if key not in found]
+    orphans = [key for key in found if key not in table]
+    twice = sorted({key for key in found if found.count(key) > 1})
+    if missing or orphans or twice:
+        raise ReproError(f"rows without a region: {missing}; regions "
+                         f"without a row: {orphans}; regions repeated: "
+                         f"{twice}")
+    bodies = {}
+    passed = True
+    for key, experiment in table.items():
+        bodies[key], ok = experiment.report()
+        passed = passed and ok
+        echo(bodies[key])
+    return _REGION.sub(lambda match: f"{match.group(1)}```text\n"
+                       f"{bodies[match.group(2)]}\n```\n{match.group(3)}",
+                       text), passed

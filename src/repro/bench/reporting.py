@@ -1,8 +1,8 @@
-"""Paper-style ASCII reporting: aligned tables and bar charts.
+"""Paper-style ASCII reporting: aligned tables.
 
-The benchmarks print their results through these so every experiment's
-output reads like the table/figure it reproduces (Fig. 2 renders as a
-horizontal bar chart, the sweeps as series tables).
+Every row of the experiment table prints its result through
+:class:`Table`, so each experiment's output reads like the series table
+it reproduces.
 """
 
 from __future__ import annotations
@@ -55,33 +55,3 @@ class Table:
         """Print with surrounding blank lines (readable under pytest -s)."""
         print("\n" + self.render() + "\n")
 
-
-class BarChart:
-    """Horizontal ASCII bar chart (for regenerating Fig. 2)."""
-
-    def __init__(self, title: str, unit: str = "", width: int = 50):
-        self.title = title
-        self.unit = unit
-        self.width = width
-        self.bars: list[tuple[str, float]] = []
-
-    def add_bar(self, label: str, value: float) -> None:
-        """Append one labelled bar."""
-        self.bars.append((label, value))
-
-    def render(self) -> str:
-        """The chart as a string, scaled to the longest bar."""
-        if not self.bars:
-            return self.title + "\n(no data)"
-        peak = max(value for _label, value in self.bars) or 1.0
-        label_width = max(len(label) for label, _value in self.bars)
-        lines = [self.title, "=" * len(self.title)]
-        for label, value in self.bars:
-            bar = "#" * max(1, round(self.width * value / peak))
-            lines.append(f"{label.ljust(label_width)} | "
-                         f"{bar} {value:.1f}{self.unit}")
-        return "\n".join(lines)
-
-    def print(self) -> None:
-        """Print with surrounding blank lines."""
-        print("\n" + self.render() + "\n")

@@ -7,7 +7,8 @@ Seven commands cover the library's everyday uses:
 * ``trace`` — a traced run: Perfetto-loadable trace JSON plus the
   critical-path latency attribution (DESIGN.md §10);
 * ``calibrate`` — the paper's dummy-I/O mode chooser, with platform knobs;
-* ``evaluate`` — the paper's §4 evaluation at a chosen scale;
+* ``evaluate`` — every experiment of ``repro.bench.experiments.EXPERIMENTS``,
+  its claims checked and its region of EXPERIMENTS.md rewritten;
 * ``bench`` — one experiment by id, or the per-layer micro-benchmark
   rates of this host (``repro.bench.micro``; the numbers that count are
   ``python3 -m e2ebench``'s);
@@ -25,13 +26,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.bench.experiments import (
-    SSD_IOPS,
-    e2_dedup,
-    e3_compression,
-    e4_integration,
-)
-from repro.bench.reporting import BarChart, Table
+from repro.bench.experiments import SSD_IOPS
+from repro.bench.reporting import Table
 from repro.compression import LzssCodec, QuickLzCodec
 from repro.core.calibration import calibrate_mode, run_mode
 from repro.core.modes import IntegrationMode
@@ -238,85 +234,30 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    n = args.chunks
-    print(f"paper evaluation at {n} chunks "
-          f"({n * 4096 // 1024**2} MiB) per run\n")
+    from pathlib import Path
 
-    results = e2_dedup(n_chunks=n)
-    cpu, gpu = results["cpu_only"], results["gpu_assisted"]
-    print(f"S4(1) dedup: CPU {cpu.iops / 1e3:.1f} K, "
-          f"GPU-assisted {gpu.iops / 1e3:.1f} K "
-          f"(+{gpu.speedup_over(cpu) - 1:.1%}; paper +15.0%), "
-          f"{gpu.iops / SSD_IOPS:.2f}x SSD (paper ~3x)")
+    from repro.bench.experiments import regenerate
+    from repro.errors import ReproError
 
-    rows = e3_compression(ratios=(1.2, 2.0, 4.0), n_chunks=max(n // 2, 1))
-    table = Table("S4(2) compression", ["comp ratio", "CPU K IOPS",
-                                        "GPU K IOPS", "GPU/CPU"])
-    for row in rows:
-        table.add_row(row.comp_ratio, row.cpu_iops / 1e3,
-                      row.gpu_iops / 1e3, f"{row.gpu_advantage:.2f}x")
-    table.print()
-
-    integration = e4_integration(n_chunks=n)
-    chart = BarChart("S4(3) / Fig. 2: integration modes", unit=" K IOPS")
-    for mode in IntegrationMode.all_modes():
-        chart.add_bar(mode.value, integration[mode].iops / 1e3)
-    chart.print()
-    best = integration[IntegrationMode.GPU_COMP]
-    base = integration[IntegrationMode.CPU_ONLY]
-    print(f"GPU-for-compression: +{best.speedup_over(base) - 1:.1%} "
-          "over CPU-only (paper +89.7%)")
-    return 0
-
-
-def _render_result(result) -> None:
-    """Generic pretty-printer for experiment return shapes."""
-    import dataclasses
-
-    def show_value(value):
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        for field_info in dataclasses.fields(result):
-            print(f"  {field_info.name}: "
-                  f"{show_value(getattr(result, field_info.name))}")
-        return
-    if isinstance(result, dict):
-        for key, value in result.items():
-            label = getattr(key, "value", key)
-            if hasattr(value, "iops"):
-                print(f"  {label}: {value.iops / 1e3:.1f} K IOPS")
-            elif hasattr(value, "table"):
-                print(f"--- {label} ---")
-                print(value.table())
-            else:
-                print(f"  {label}: {show_value(value)}")
-        return
-    if isinstance(result, list) and result \
-            and dataclasses.is_dataclass(result[0]):
-        columns = [f.name for f in dataclasses.fields(result[0])]
-        table = Table("result", columns)
-        for row in result:
-            table.add_row(*(show_value(getattr(row, c))
-                            for c in columns))
-        table.print()
-        return
-    if hasattr(result, "iops"):
-        print(f"  {result.iops / 1e3:.1f} K IOPS "
-              f"(counters: {result.counters})")
-        return
-    print(f"  {result!r}")
+    path = Path(args.doc)
+    try:
+        text, passed = regenerate(path.read_text(), echo=print)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ReproError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 1
+    path.write_text(text)
+    return 0 if passed else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import micro
-    from repro.bench.experiments import registry
+    from repro.bench.experiments import EXPERIMENTS
 
-    experiments = registry()
     if args.experiment == "list":
-        for name in (*experiments, *micro.PLANES, "all"):
+        for name in (*EXPERIMENTS, *micro.PLANES, "all"):
             print(name)
         return 0
     if args.experiment == "all" or args.experiment in micro.PLANES:
@@ -327,17 +268,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(results, indent=2) if args.json
               else micro.render_micro(results))
         return 0
-    runner = experiments.get(args.experiment)
-    if runner is None:
+    experiment = EXPERIMENTS.get(args.experiment)
+    if experiment is None:
         print(f"error: unknown experiment {args.experiment!r} "
               f"(try 'repro bench list')", file=sys.stderr)
         return 2
     started = time.time()
-    result = runner()
+    text, passed = experiment.report()
     print(f"=== {args.experiment} "
           f"(wall {time.time() - started:.1f} s) ===")
-    _render_result(result)
-    return 0
+    print(text)
+    return 0 if passed else 1
 
 
 def cmd_codec(args: argparse.Namespace) -> int:
@@ -502,15 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_args(cal)
     cal.set_defaults(func=cmd_calibrate)
 
-    ev = sub.add_parser("evaluate", help="re-run the paper's S4")
-    _add_workload_args(ev)
+    ev = sub.add_parser("evaluate",
+                        help="rerun every experiment, check its claims "
+                             "and rewrite its region of a document")
+    ev.add_argument("doc", help="document with one <!-- repro:<id> --> "
+                                "region per experiment (EXPERIMENTS.md)")
     ev.set_defaults(func=cmd_evaluate)
 
     bench = sub.add_parser("bench",
                            help="run one experiment or per-layer "
                                 "micro-benchmark plane (or 'list')")
     bench.add_argument("experiment",
-                       help="experiment id (e1..e5, a1..a11, a13..a18), a "
+                       help="experiment id ('list' names them; exit 1 if "
+                            "a check fails), a "
                             "micro-benchmark plane (engine, dataplane, "
                             "dedup, pipeline, cluster, tenancy, "
                             "workload), 'all' "

@@ -170,7 +170,7 @@ class TestBenchCommand:
             assert expected in out.split()
 
     def test_list_planes_come_from_the_table(self, capsys):
-        from repro.bench.experiments import registry
+        from repro.bench.experiments import EXPERIMENTS
         from repro.bench.micro import PLANES, SCENARIOS
 
         assert PLANES == ("engine", "dataplane", "dedup", "pipeline",
@@ -180,7 +180,7 @@ class TestBenchCommand:
         assert len(names) == len(set(names)) >= 24
         main(["bench", "list"])
         assert capsys.readouterr().out.split() == \
-            [*registry(), *PLANES, "all"]
+            [*EXPERIMENTS, *PLANES, "all"]
 
     @pytest.fixture(scope="class")
     def dedup_plane(self, tmp_path_factory):
@@ -248,16 +248,76 @@ class TestBenchCommand:
         code = main(["bench", "a9"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "duplicates_missed" in out
+        assert "ok   duplicates the lost index missed" in out
 
     def test_run_list_result(self, capsys):
         code = main(["bench", "a14"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "write_amplification" in out
+        assert "write amp" in out
 
     def test_run_dict_result(self, capsys):
-        code = main(["bench", "a5"])
+        code = main(["bench", "a1-balance"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "best_mode" in out or "testbed" in out
+        assert "ok   balance of 256 bins" in out
+
+    def test_bench_prints_the_documented_region(self, capsys):
+        """``repro bench a15`` prints what ``repro evaluate`` wrote into
+        EXPERIMENTS.md: one id, one size, one table."""
+        import re
+        from pathlib import Path
+
+        doc = (Path(__file__).resolve().parents[1]
+               / "EXPERIMENTS.md").read_text()
+        region = re.search(r"<!-- repro:a15 -->\n```text\n(.*?)\n```\n",
+                           doc, re.S).group(1)
+        code = main(["bench", "a15"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.split("\n", 1)[1] == region + "\n"
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        from repro.bench.experiments import EXPERIMENTS, Experiment
+
+        monkeypatch.setitem(EXPERIMENTS, "zz", Experiment(
+            "§0", "Z", run=lambda: [1], columns=(("v", lambda v: v),),
+            checks=(("one row", len, (2, 2)),)))
+        assert main(["bench", "zz"]) == 1
+        assert "FAIL one row: 1 == 2" in capsys.readouterr().out
+
+
+class TestEvaluateCommand:
+    @pytest.mark.parametrize("option", ["--chunks", "--dedup-ratio",
+                                        "--comp-ratio", "--seed"])
+    def test_workload_options_are_usage_errors(self, option, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["evaluate", "EXPERIMENTS.md", option, "7"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rewrites_the_document(self, tmp_path, capsys, monkeypatch):
+        from repro.bench import experiments
+
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {
+            "z": experiments.Experiment(
+                "§0", "Z - fake row", run=lambda: [1.5],
+                columns=(("value", lambda v: v),),
+                checks=(("value", lambda rows: rows[0], (1.0, 2.0)),))})
+        doc = tmp_path / "doc.md"
+        doc.write_text("prose\n<!-- repro:z -->\n<!-- /repro -->\n")
+        assert main(["evaluate", str(doc)]) == 0
+        assert doc.read_text().endswith(
+            "ok   value: 1.5 in [1, 2]\n```\n<!-- /repro -->\n")
+        assert "Z - fake row" in capsys.readouterr().out
+
+    def test_unpaired_region_fails_before_running(self, tmp_path, capsys):
+        doc = tmp_path / "doc.md"
+        doc.write_text("<!-- repro:zz -->\n<!-- /repro -->\n")
+        assert main(["evaluate", str(doc)]) == 1
+        assert "regions without a row: ['zz']" in capsys.readouterr().err
+        assert doc.read_text() == "<!-- repro:zz -->\n<!-- /repro -->\n"
+
+    def test_missing_document(self, tmp_path, capsys):
+        assert main(["evaluate", str(tmp_path / "absent.md")]) == 2
+        assert "error:" in capsys.readouterr().err

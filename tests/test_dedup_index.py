@@ -136,6 +136,19 @@ class TestBinTable:
         assert table.memory_bytes(metadata_bytes=12) == 100 * (18 + 12)
         assert table.memory_saved_bytes() == 200
 
+    def test_truncation_preserves_exactness(self):
+        """Dropping the prefix loses nothing: the bin number encodes it."""
+        table = BinTable(prefix_bytes=2)
+        present = [hashlib.sha1(str(i).encode()).digest()
+                   for i in range(5000)]
+        for fingerprint in present:
+            table.insert(fingerprint, True)
+        assert all(table.lookup(fingerprint) for fingerprint in present)
+        absent = [hashlib.sha1(f"absent{i}".encode()).digest()
+                  for i in range(5000)]
+        assert not any(table.lookup(fingerprint) for fingerprint in absent)
+        assert table.memory_saved_bytes() == 2 * 5000
+
     def test_hit_rate_statistics(self):
         table = BinTable()
         table.insert(fp(1), 1)

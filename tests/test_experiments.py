@@ -1,14 +1,21 @@
-"""Structural tests for every experiment function, at tiny scale.
+"""Structural tests for every experiment function, at tiny scale, and
+for the experiment table's region rewriter.
 
-The benchmarks assert the *paper's shape* at full scale; these tests
-assert the experiment code itself is sound (fields populated, units
-sane, invariants hold) fast enough for the normal test run.
+The table's checks assert the *paper's shape* at the documented sizes
+(``repro evaluate EXPERIMENTS.md``, a CI job); these tests assert the
+experiment code itself is sound (fields populated, units sane,
+invariants hold) fast enough for the normal test run.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import (
+    EXPERIMENTS,
+    INF,
     SSD_IOPS,
+    Experiment,
     a1_bin_balance,
     a1_thread_scaling,
     a2_prefix_truncation,
@@ -25,9 +32,11 @@ from repro.bench.experiments import (
     e3_compression,
     e4_integration,
     e5_workflow,
+    regenerate,
 )
-from repro.bench.reporting import BarChart, Table
+from repro.bench.reporting import Table
 from repro.core.modes import IntegrationMode
+from repro.errors import ReproError
 
 
 class TestReporting:
@@ -44,16 +53,6 @@ class TestReporting:
         table = Table("t", ["a"])
         with pytest.raises(ValueError):
             table.add_row(1, 2)
-
-    def test_barchart_scales_to_peak(self):
-        chart = BarChart("c", width=10)
-        chart.add_bar("big", 100.0)
-        chart.add_bar("small", 10.0)
-        rendered = chart.render()
-        assert rendered.count("#") == 11  # 10 + 1 (floor of small)
-
-    def test_barchart_empty(self):
-        assert "no data" in BarChart("c").render()
 
 
 class TestHeadlineExperiments:
@@ -196,8 +195,83 @@ class TestExtensionExperiments:
             < rows["balanced"].migration_s
 
     def test_registry_complete(self):
-        from repro.bench.experiments import registry
-        names = set(registry())
-        for expected in ("e1", "e2", "e3", "e4", "e5", "a9", "a13",
-                         "a14", "a15", "a16", "a17", "a18"):
-            assert expected in names
+        assert list(EXPERIMENTS) == [
+            "e1", "e2", "e3", "e4", "e5", "a1", "a1-balance", "a2", "a3",
+            "a4", "a5", "a6", "a7", "a8-lock", "a8-policy", "a9", "a10",
+            "a11", "a13", "a14", "a15", "a16", "a17", "a18"]
+
+
+def fake_row(value=1.5, expect=(1.0, 2.0), run=None) -> Experiment:
+    """A table row that runs no simulation."""
+    return Experiment(
+        "§0", "Z - fake row", run=run or (lambda: [value]),
+        columns=(("value", lambda v: v),),
+        checks=(("value in band", lambda rows: rows[0], expect),))
+
+
+DOC = ("intro, 1.25 by hand\n<!-- repro:z -->\nstale 9.99\n"
+       "<!-- /repro -->\noutro 3.5\n")
+
+
+class TestRegions:
+    def test_prose_outside_regions_is_untouched(self):
+        text, passed = regenerate(DOC, {"z": fake_row()})
+        body, _ok = fake_row().report()
+        assert passed
+        assert text == ("intro, 1.25 by hand\n<!-- repro:z -->\n```text\n"
+                        f"{body}\n```\n<!-- /repro -->\noutro 3.5\n")
+
+    def test_regenerating_generated_text_is_a_noop(self):
+        text, _passed = regenerate(DOC, {"z": fake_row()})
+        assert regenerate(text, {"z": fake_row()}) == (text, True)
+
+    def test_hand_edited_number_is_restored(self):
+        text, _passed = regenerate(DOC, {"z": fake_row()})
+        edited = text.replace("1.50", "1.75")
+        assert edited != text
+        assert regenerate(edited, {"z": fake_row()})[0] == text
+
+    def test_failed_check_fails_the_run(self):
+        text, passed = regenerate(DOC, {"z": fake_row(expect=(2.0, 3.0))})
+        assert not passed
+        assert "FAIL value in band: 1.5 in [2, 3]" in text
+
+    @pytest.mark.parametrize("keys, doc, message", [
+        (("z", "y"), DOC, "rows without a region: ['y']"),
+        ((), DOC, "regions without a row: ['z']"),
+        (("z",), DOC + DOC, "regions repeated: ['z']"),
+    ])
+    def test_rows_and_regions_pair_one_to_one(self, keys, doc, message):
+        def unrunnable():
+            raise AssertionError("a row ran before the pairing was checked")
+
+        with pytest.raises(ReproError) as raised:
+            regenerate(doc, {key: fake_row(run=unrunnable) for key in keys})
+        assert message in str(raised.value)
+
+    def test_committed_document_pairs_with_the_table(self):
+        doc = (Path(__file__).resolve().parents[1]
+               / "EXPERIMENTS.md").read_text()
+        _text, passed = regenerate(doc, {key: fake_row()
+                                         for key in EXPERIMENTS})
+        assert passed
+
+    def test_check_kinds(self):
+        row = Experiment(
+            "§0", "Z", run=lambda: [1.0, 2.0, 2.0],
+            columns=(("v", lambda v: v),),
+            checks=(("non-decreasing", tuple, "<="),
+                    ("increasing", tuple, "<"),
+                    ("member", lambda rows: "gpu_comp",
+                     frozenset({"gpu_comp"})),
+                    ("exact", len, (3, 3)),
+                    ("upper bound", max, (-INF, 1.5))))
+        text, passed = row.report()
+        assert not passed
+        assert text.splitlines()[-5:] == [
+            "ok   non-decreasing: 1 <= 2 <= 2",
+            "FAIL increasing: 1 < 2 < 2",
+            "ok   member: gpu_comp in {gpu_comp}",
+            "ok   exact: 3 == 3",
+            "FAIL upper bound: 2 <= 1.5",
+        ]
