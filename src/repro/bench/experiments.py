@@ -949,10 +949,9 @@ def a7_segment_sweep(segment_counts: Sequence[int] = (1, 2, 4, 8, 16),
 # ---------------------------------------------------------------------------
 
 #: The committed mixed-locality scenario: a hot tenant whose working
-#: set fits the inline cache against a cold scan that floods it.  A17,
-#: the tier-1 admission floors (tests/test_goldens.py) and the
-#: ``mix_emit`` micro-benchmark all read this exact mix; A16 sweeps the
-#: hot tenant's weight around it.
+#: set fits the inline cache against a cold scan that floods it.  A17
+#: and the tier-1 admission floors (tests/test_goldens.py) both read this
+#: exact mix; A16 sweeps the hot tenant's weight around it.
 SCENARIO_MIX = TenantMix(tenants=(
     TenantSpec(name="hot", seed=11, dedup_ratio=3.0, locality=0.95,
                working_set=64),

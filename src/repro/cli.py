@@ -9,9 +9,8 @@ Seven commands cover the library's everyday uses:
 * ``calibrate`` — the paper's dummy-I/O mode chooser, with platform knobs;
 * ``evaluate`` — every experiment of ``repro.bench.experiments.EXPERIMENTS``,
   its claims checked and its region of EXPERIMENTS.md rewritten;
-* ``bench`` — one experiment by id, or the per-layer micro-benchmark
-  rates of this host (``repro.bench.micro``; the numbers that count are
-  ``python3 -m e2ebench``'s);
+* ``bench`` — one experiment of that table by id, or ``list`` (per-layer
+  host cost is ``python3 -m e2ebench trace``'s, inside whole runs);
 * ``codec`` — compress/decompress a real file with the bundled codecs
   (round-trip verified), reporting the achieved ratio;
 * ``lint`` — the project's AST invariant checker (determinism,
@@ -242,31 +241,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     path = Path(args.doc)
     try:
         text, passed = regenerate(path.read_text(), echo=print)
+        path.write_text(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
-    path.write_text(text)
     return 0 if passed else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import micro
     from repro.bench.experiments import EXPERIMENTS
 
     if args.experiment == "list":
-        for name in (*EXPERIMENTS, *micro.PLANES, "all"):
+        for name in EXPERIMENTS:
             print(name)
-        return 0
-    if args.experiment == "all" or args.experiment in micro.PLANES:
-        planes = (micro.PLANES if args.experiment == "all"
-                  else (args.experiment,))
-        results = micro.run_micro(planes, quick=args.quick,
-                                  profile=args.profile)
-        print(json.dumps(results, indent=2) if args.json
-              else micro.render_micro(results))
         return 0
     experiment = EXPERIMENTS.get(args.experiment)
     if experiment is None:
@@ -451,23 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     bench = sub.add_parser("bench",
-                           help="run one experiment or per-layer "
-                                "micro-benchmark plane (or 'list')")
+                           help="run one experiment (or 'list')")
     bench.add_argument("experiment",
-                       help="experiment id ('list' names them; exit 1 if "
-                            "a check fails), a "
-                            "micro-benchmark plane (engine, dataplane, "
-                            "dedup, pipeline, cluster, tenancy, "
-                            "workload), 'all' "
-                            "planes, or 'list'")
-    bench.add_argument("--quick", action="store_true",
-                       help="planes: fewer repeats, smaller corpora")
-    bench.add_argument("--profile", action="store_true",
-                       help="planes: wrap the timed loop in cProfile "
-                            "and append the cumulative-time table")
-    bench.add_argument("--json", action="store_true",
-                       help="planes: print the rows as JSON instead "
-                            "of the table")
+                       help="experiment id (exit 1 if a check fails), "
+                            "or 'list' to name them")
     bench.set_defaults(func=cmd_bench)
 
     codec = sub.add_parser("codec",

@@ -4,9 +4,8 @@ Every table here was captured before the fast path it guards landed and
 is asserted unconditionally by tier-1 (``tests/test_goldens.py``,
 ``tests/test_pipeline_identity.py``).  A value changes only as a
 deliberate re-pin, once, with the cause stated in the PR.  The corpora
-the digests are taken over live in ``repro.bench.micro``
-(``build_corpus``, ``golden_config``), next to the micro-benchmarks
-that time the same bytes.
+the digests are taken over live in ``tests/corpus.py``
+(``build_corpus``, ``storage_blocks``, ``golden_config``).
 """
 
 #: sha256 digests of every (producer, block) encoded stream, captured at
@@ -157,7 +156,7 @@ GOLDEN_REPORT_SHA256: dict[str, str] = {
 }
 
 #: sha256 of the canonical merged-report JSON at 1/2/4 nodes over the
-#: golden corpus (``repro.bench.micro.golden_config``, serial executor;
+#: golden corpus (``tests.corpus.golden_config``, serial executor;
 #: the mp executor must reproduce the same bytes —
 #: ``tests/test_cluster_equivalence.py::TestExecutorIdentity``).
 GOLDEN_MERGED_SHA256 = {

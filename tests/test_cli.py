@@ -163,86 +163,38 @@ class TestCodecCommand:
 
 class TestBenchCommand:
     def test_list_experiments(self, capsys):
-        code = main(["bench", "list"])
-        out = capsys.readouterr().out
-        assert code == 0
-        for expected in ("e1", "e4", "a9", "a14", "a18"):
-            assert expected in out.split()
-
-    def test_list_planes_come_from_the_table(self, capsys):
         from repro.bench.experiments import EXPERIMENTS
-        from repro.bench.micro import PLANES, SCENARIOS
 
-        assert PLANES == ("engine", "dataplane", "dedup", "pipeline",
-                          "cluster", "tenancy", "workload")
-        assert {scenario.plane for scenario in SCENARIOS} == set(PLANES)
-        names = [scenario.name for scenario in SCENARIOS]
-        assert len(names) == len(set(names)) >= 24
-        main(["bench", "list"])
-        assert capsys.readouterr().out.split() == \
-            [*EXPERIMENTS, *PLANES, "all"]
-
-    @pytest.fixture(scope="class")
-    def dedup_plane(self, tmp_path_factory):
-        """One ``bench dedup --quick --json --profile`` run in an empty
-        working directory: (exit code, parsed stdout, files left)."""
-        import contextlib
-        import io
-        import json
-        import os
-
-        cwd = tmp_path_factory.mktemp("bench_cwd")
-        stdout = io.StringIO()
-        before = os.getcwd()
-        os.chdir(cwd)
-        try:
-            with contextlib.redirect_stdout(stdout):
-                code = main(["bench", "dedup", "--quick", "--json",
-                             "--profile"])
-        finally:
-            os.chdir(before)
-        return code, json.loads(stdout.getvalue()), os.listdir(cwd)
-
-    def test_plane_json_rows(self, dedup_plane):
-        from repro.bench.micro import SCENARIOS
-
-        code, payload, _files = dedup_plane
+        code = main(["bench", "list"])
+        out = capsys.readouterr().out.split()
         assert code == 0
-        assert payload["quick"] is True
-        rows = payload["rows"]
-        assert [row["scenario"] for row in rows] == \
-            [s.name for s in SCENARIOS if s.plane == "dedup"]
-        for row in rows:
-            assert set(row) == {"plane", "scenario", "unit", "ops",
-                                "median_s", "iqr_s", "per_s"}
-            assert row["plane"] == "dedup"
-            assert row["ops"] > 0 and row["median_s"] > 0
-            assert row["iqr_s"] >= 0 and row["per_s"] > 0
+        assert out == [*EXPERIMENTS]
+        for expected in ("e1", "e4", "a9", "a14", "a18"):
+            assert expected in out
 
-    def test_plane_profile_appends_one_table(self, dedup_plane):
-        _code, payload, _files = dedup_plane
-        assert payload["profile_top"].count(
-            "Ordered by: cumulative time") == 1
+    def test_plane_run_writes_no_file(self, tmp_path, monkeypatch,
+                                      capsys):
+        """No ``bench`` command writes a file: an experiment run in an
+        empty working directory leaves it empty."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "a2"]) == 0
+        assert "=== a2" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_plane_run_writes_no_file(self, dedup_plane):
-        _code, _payload, files = dedup_plane
-        assert files == []
-
-    def test_plane_table_rendering(self):
-        from repro.bench.micro import render_micro
-
-        text = render_micro({"quick": True, "repeats": 3, "rows": [
-            {"plane": "dedup", "scenario": "tree_probe",
-             "unit": "probes", "ops": 32768, "median_s": 0.0125,
-             "iqr_s": 0.0005, "per_s": 2621440.0}]})
-        assert "tree_probe" in text and "12.50" in text
-        assert "2,621,440 probes/s" in text
-
-    def test_unknown_experiment(self, capsys):
-        code = main(["bench", "zz"])
+    @pytest.mark.parametrize("name", ["zz", "dedup", "all"])
+    def test_unknown_experiment(self, name, capsys):
+        code = main(["bench", name])
         err = capsys.readouterr().err
         assert code == 2
         assert "unknown experiment" in err
+
+    def test_no_bench_flags(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--help"])
+        assert raised.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--quick", "--profile", "--json"):
+            assert flag not in out
 
     def test_run_dataclass_result(self, capsys):
         code = main(["bench", "a9"])
@@ -321,3 +273,22 @@ class TestEvaluateCommand:
     def test_missing_document(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "absent.md")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_document(self, tmp_path, capsys, monkeypatch):
+        from pathlib import Path
+
+        from repro.bench import experiments
+
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {
+            "z": experiments.Experiment(
+                "§0", "Z", run=lambda: [1],
+                columns=(("v", lambda v: v),), checks=())})
+
+        def refuse(self, text):
+            raise OSError(f"read-only: {self}")
+
+        doc = tmp_path / "doc.md"
+        doc.write_text("<!-- repro:z -->\n<!-- /repro -->\n")
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(["evaluate", str(doc)]) == 2
+        assert "error: read-only" in capsys.readouterr().err

@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.corpus import golden_config
 from tests.reference_paths import bin_ids_per_chunk, route_per_chunk
 
-from repro.bench.micro import golden_config
 from repro.chunkbatch import ChunkBatch
 from repro.cluster import (
     ClusterConfig,

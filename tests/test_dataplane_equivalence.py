@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.corpus import build_corpus, storage_blocks
 from tests.reference_codecs import (
     ReferenceLzssCodec,
     ReferenceMatchFinder,
@@ -32,7 +33,6 @@ from tests.reference_codecs import (
     runwise_quicklz_decode,
     tokenwise_lzss_decode,
 )
-from repro.bench.micro import _storage_blocks, build_corpus
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
     Literal,
@@ -485,7 +485,7 @@ def _storage_families():
     """32 calibrated ratio-2.0 blocks, then 32 ratio-3.0 ones: the
     texture the volume and the GPU path store."""
     for ratio in (2.0, 3.0):
-        yield _storage_blocks(ratio, seed=20)()[:32]
+        yield storage_blocks(ratio, seed=20)()[:32]
 
 
 def _edge_payloads():

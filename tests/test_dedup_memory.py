@@ -18,9 +18,9 @@ import tracemalloc
 from collections import deque
 from pathlib import Path
 
+from tests.corpus import build_corpus, golden_config
 from tests.test_layering import PACKAGE, TOOLS, inside, modules_under
 
-from repro.bench.micro import build_corpus, golden_config
 from repro.cluster import ClusterEngine
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec

@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from tests.corpus import build_corpus, golden_config
 from tests.goldens import (
     GOLDEN_A11_FIELDS,
     GOLDEN_A7_FIELDS,
@@ -30,7 +31,6 @@ from repro.bench.experiments import (
     a7_segment_sweep,
     a11_kernel_variants,
 )
-from repro.bench.micro import build_corpus, golden_config
 from repro.cluster import ClusterEngine
 from repro.compression.lzss import LzssCodec
 from repro.compression.postprocess import refine_to_container
