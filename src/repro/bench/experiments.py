@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.bench.reporting import Table
 from repro.cluster import ClusterConfig, ClusterEngine, ShardMap
-from repro.cluster.engine import REBALANCE_ENTRY_BYTES
 from repro.core.calibration import CalibrationResult, calibrate_mode, run_mode
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
@@ -1067,6 +1066,11 @@ def a17_cache_contention(
 # ---------------------------------------------------------------------------
 # A18 — cluster ablation: shard skew and what repairing it costs.
 # ---------------------------------------------------------------------------
+
+#: Per-entry migration cost of a rebalance move (fingerprint plus bin
+#: bookkeeping), on top of the moved payload bytes.
+REBALANCE_ENTRY_BYTES = 48
+
 
 @dataclass
 class A18Row:

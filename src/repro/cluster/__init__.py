@@ -5,9 +5,9 @@ the scale axis it could not model — N reduction nodes partitioning one
 fingerprint space by bin prefix (:mod:`repro.cluster.shard_map`),
 window routing with numpy masks (:mod:`repro.cluster.router`), modeled
 cross-node traffic (:mod:`repro.cluster.netlink`), per-shard batteries
-(:mod:`repro.cluster.shardwork`), serial and multiprocessing executors
-(:mod:`repro.cluster.executor`), and a deterministic merged report
-(:mod:`repro.cluster.engine`).  See DESIGN.md §14.
+(:mod:`repro.cluster.shardwork`) run through :func:`repro.host.spread`,
+and a deterministic merged report (:mod:`repro.cluster.engine`).  See
+DESIGN.md §14.
 
 Cross-shard access discipline: outside this package, nothing may reach
 a shard's private index or worker state directly — all cross-shard
@@ -19,7 +19,6 @@ from repro.cluster.engine import (
     ClusterEngine,
     ClusterResult,
 )
-from repro.cluster.executor import EXECUTORS, MpExecutor, SerialExecutor
 from repro.cluster.netlink import NetLink, NetLinkSpec, NetReport
 from repro.cluster.router import ClusterRouter, RoutedWindow
 from repro.cluster.shard_map import (
@@ -28,7 +27,6 @@ from repro.cluster.shard_map import (
     RebalanceResult,
     ShardMap,
 )
-from repro.cluster.shardwork import ShardSpec, ShardWorker
 
 __all__ = [
     "ASSIGNMENTS",
@@ -37,15 +35,10 @@ __all__ = [
     "ClusterEngine",
     "ClusterResult",
     "ClusterRouter",
-    "EXECUTORS",
-    "MpExecutor",
     "NetLink",
     "NetLinkSpec",
     "NetReport",
     "RebalanceResult",
     "RoutedWindow",
-    "SerialExecutor",
     "ShardMap",
-    "ShardSpec",
-    "ShardWorker",
 ]

@@ -5,16 +5,18 @@ The engine plays the ingest node: it draws windows from a seeded
 running in payload mode (fingerprinting happens *before* routing — the
 bin prefix is the routing key), splits each window across shards with
 the mask-based router, charges the dispatch bytes to the NetLink, and
-hands the sub-windows to the chosen executor.  At end of stream it
-collects the per-shard reports in fixed shard-id order, charges the
-flush (destage) traffic from those totals — again in shard order —
-and folds everything into one merged report.
+appends each sub-window to its shard's stream.  Routing draws no
+randomness, so the whole stream is routed before any shard runs; the
+shards then run through :func:`repro.host.spread`, which returns their
+reports in shard-id order whichever process computed them.  The flush
+(destage) traffic is charged from those reports — again in shard
+order — and everything folds into one merged report.
 
 The merged report is built only from (a) per-shard report dicts that
 are identical whichever process produced them and (b) parent-side
 router/NetLink accounting, folded in fixed shard order.  Its canonical
-JSON serialization is therefore byte-identical across executor
-choices; :meth:`ClusterResult.digest` pins that as a sha256.  The
+JSON serialization is therefore byte-identical on one usable CPU or
+many; :meth:`ClusterResult.digest` pins that as a sha256.  The
 ``aggregate`` sub-report (chunk/byte/counter sums) is additionally
 invariant across *node counts* — the equivalence suite checks it
 against the 1-node oracle (DESIGN.md §14).
@@ -25,21 +27,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
+from repro import host
 from repro.chunkbatch import ChunkBatch
-from repro.cluster.executor import EXECUTORS, make_executor
 from repro.cluster.netlink import NetLink, NetLinkSpec, NetReport
-from repro.cluster.router import ClusterRouter
-from repro.cluster.shard_map import ASSIGNMENTS, RebalanceResult, ShardMap
-from repro.cluster.shardwork import ShardSpec
+from repro.cluster.router import ClusterRouter, RoutedWindow
+from repro.cluster.shard_map import ASSIGNMENTS, ShardMap
+from repro.cluster.shardwork import run_shards
 from repro.dedup.hashing import fingerprint_window
 from repro.errors import ConfigError
 from repro.obs.stages import (
     DEDUP_COUNTER_KEYS,
     STAGE_NET_DISPATCH,
     STAGE_NET_FLUSH,
-    STAGE_NET_REBALANCE,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workload.vdbench import VdbenchStream
@@ -51,19 +53,14 @@ __all__ = ["ClusterConfig", "ClusterEngine", "ClusterResult",
 #: offset/size/ratio descriptor triple (3 × 8 bytes).
 DISPATCH_DESCRIPTOR_BYTES = 44
 
-#: Per-entry migration cost of a rebalance move (fingerprint plus bin
-#: bookkeeping), charged on top of the moved payload bytes.
-REBALANCE_ENTRY_BYTES = 48
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """One cluster run: workload, sharding, and executor choice."""
+    """One cluster run: workload and sharding."""
 
     nodes: int = 4
     prefix_bytes: int = 2
     assignment: str = "range"
-    executor: str = "serial"
     chunks: int = 4096
     window: int = 64
     seed: int = 1234
@@ -80,17 +77,12 @@ class ClusterConfig:
             raise ConfigError("need at least one chunk")
         if self.window < 1:
             raise ConfigError(f"invalid window size {self.window}")
-        if self.executor not in EXECUTORS:
+        if self.bin_buffer_capacity < 1:
             raise ConfigError(
-                f"unknown executor {self.executor!r}; "
-                f"pick one of {EXECUTORS}")
+                f"invalid bin buffer capacity {self.bin_buffer_capacity}")
         if self.assignment not in ASSIGNMENTS:
             raise ConfigError(
                 f"unknown shard assignment {self.assignment!r}")
-
-    def shard_spec(self) -> ShardSpec:
-        return ShardSpec(prefix_bytes=self.prefix_bytes,
-                         bin_buffer_capacity=self.bin_buffer_capacity)
 
 
 class ClusterResult(NamedTuple):
@@ -140,28 +132,24 @@ class ClusterEngine:
 
     def run(self) -> ClusterResult:
         cfg = self.config
-        executor = make_executor(cfg.executor, cfg.nodes,
-                                 cfg.shard_spec())
+        streams: list[list[RoutedWindow]] = [[] for _ in range(cfg.nodes)]
         stream = self._stream()
-        try:
-            remaining = cfg.chunks
-            while remaining > 0:
-                batch = stream.next_batch(min(cfg.window, remaining))
-                remaining -= len(batch)
-                batch = self._fingerprinted(batch)
-                for routed in self.router.split(batch):
-                    self.netlink.charge(
-                        STAGE_NET_DISPATCH,
-                        len(routed) * DISPATCH_DESCRIPTOR_BYTES
-                        + routed.payload_bytes())
-                    executor.submit(routed)
-            shard_reports = executor.finish()
-        finally:
-            executor.close()
+        remaining = cfg.chunks
+        while remaining > 0:
+            batch = stream.next_batch(min(cfg.window, remaining))
+            remaining -= len(batch)
+            for routed in self.router.split(self._fingerprinted(batch)):
+                self.netlink.charge(
+                    STAGE_NET_DISPATCH,
+                    len(routed) * DISPATCH_DESCRIPTOR_BYTES
+                    + routed.payload_bytes())
+                streams[routed.shard].append(routed)
+        shard_reports = host.spread(partial(run_shards, cfg),
+                                    list(enumerate(streams)))
         # Flush traffic is charged at end of run from the per-shard
         # destage totals, in fixed shard order: the charge sequence —
-        # and therefore the NetReport — never depends on executor
-        # scheduling.
+        # and therefore the NetReport — never depends on which process
+        # ran which shard.
         for report in shard_reports:
             destage = report["destage"]
             if destage["batches"]:
@@ -188,25 +176,6 @@ class ClusterEngine:
                           [chunk.fingerprint for chunk in chunks],
                           batch.comp_ratios, validate=False)
 
-    # -- skew repair ---------------------------------------------------------
-
-    def plan_rebalance(self) -> RebalanceResult:
-        """Between-epochs rebalance from this run's observed loads.
-
-        Updates the shard map in place (a subsequent engine built on
-        the same map routes with the repaired table) and charges the
-        migration traffic — moved payload bytes plus per-entry index
-        bookkeeping — to the NetLink.
-        """
-        result = self.shard_map.rebalance(self.router.bin_loads())
-        if result.moved_bins:
-            self.netlink.charge(
-                STAGE_NET_REBALANCE,
-                result.moved_load
-                + result.moved_bins * REBALANCE_ENTRY_BYTES,
-                messages=result.moved_bins)
-        return result
-
     # -- deterministic merge -------------------------------------------------
 
     def _merge(self, shard_reports: list, net: NetReport) -> dict:
@@ -228,7 +197,7 @@ class ClusterEngine:
         # Everything under "aggregate" is invariant across node counts
         # (per-bin state is preserved exactly under sharding); the
         # "cluster" section is topology-specific but still identical
-        # across executor choices.
+        # on one usable CPU or many.
         return {
             "aggregate": {
                 "chunks": total("chunks"),

@@ -5,15 +5,15 @@ to reach, so cross-node traffic must be charged explicitly rather than
 hidden in per-chunk cycle costs.  The :class:`NetLink` owns a private
 :class:`~repro.sim.engine.Environment` with one
 :class:`~repro.sim.resources.Resource` of ``links`` lanes; every
-dispatch/flush/rebalance transfer becomes a sim process that occupies
+dispatch/flush transfer becomes a sim process that occupies
 a lane for ``latency + (bytes + headers) / bandwidth`` seconds, so the
 utilization monitor and the tracer (stage names from
 :mod:`repro.obs.stages`) see real queueing, not a closed-form sum.
 
 All charges are issued by the parent (ingest-side) engine in
 deterministic window/shard order, which keeps the resulting
-:class:`NetReport` byte-identical across executor choices — the shard
-workers never touch the link (DESIGN.md §14).
+:class:`NetReport` byte-identical whichever process ran a shard — the
+shards never touch the link (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.errors import ConfigError
 from repro.obs.stages import (
     STAGE_NET_DISPATCH,
     STAGE_NET_FLUSH,
-    STAGE_NET_REBALANCE,
     TRACK_NET,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -34,7 +33,7 @@ from repro.sim.resources import Resource
 __all__ = ["NET_KINDS", "NetLink", "NetLinkSpec", "NetReport"]
 
 #: The traffic classes the link accounts separately.
-NET_KINDS = (STAGE_NET_DISPATCH, STAGE_NET_FLUSH, STAGE_NET_REBALANCE)
+NET_KINDS = (STAGE_NET_DISPATCH, STAGE_NET_FLUSH)
 
 
 class NetLinkSpec(NamedTuple):

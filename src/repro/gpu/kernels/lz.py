@@ -34,6 +34,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import host
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
     Literal,
@@ -44,7 +45,6 @@ from repro.compression.lz_common import (
 )
 from repro.compression.lzss import MAX_CHAIN
 from repro.errors import KernelError
-from repro.gpu import host
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel, KernelCost
 
@@ -202,7 +202,7 @@ class SegmentLzKernel(Kernel):
         A segment thread whose range is empty (chunk shorter than the
         segment grid) idles, exactly like a real kernel's out-of-range
         guard, and contributes no tokens.  Tiles are independent, so
-        :func:`repro.gpu.host.spread` shares them out between this
+        :func:`repro.host.spread` shares them out between this
         process and helpers on spare host cores.
         """
         tiles = [(first, self.chunks[first:first + _TILE_CHUNKS])

@@ -1,13 +1,13 @@
-"""Host cores beside the simulated GPU's caller.
+"""Host cores beside the caller.
 
-The simulated GPU computes its results on the host, and a launch whose
-work splits into independent, pure pieces need not wait for one core to
-do them all.  :func:`spread` keeps one share of such a list for the
+Two planes hand this module lists of independent, pure pieces of work:
+the simulated GPU's segment-LZ search (:mod:`repro.gpu.kernels.lz`)
+its tiles, and the cluster engine (:mod:`repro.cluster.engine`)
+its shards.  :func:`spread` keeps one share of such a list for the
 calling process and hands every other share to a helper process forked
 on first use — at most one per usable CPU beyond the caller's own.
-Simulated time never sees any of this: it is a host-side executor for
-:meth:`Kernel.execute <repro.gpu.kernel.Kernel.execute>`, and the
-results are the ones the caller would have computed alone.
+Simulated time never sees any of this, and the results are the ones
+the caller would have computed alone.
 
 Three rules keep it from hanging or diverging:
 
@@ -21,8 +21,8 @@ Three rules keep it from hanging or diverging:
   caller computes that share itself.  A later call forks a fresh one.
 * *Ownership.*  Helpers belong to the process that forked them and live
   as long as its end of their pipe: a helper exits when it reads end of
-  file.  A process forked later (a cluster shard, say) closes its copies
-  of those pipes without using them and forks its own helpers.
+  file.  A process forked later closes its copies of those pipes
+  without using them and forks its own helpers.
 
 Helpers are plain ``os.fork`` children that leave by ``os._exit``, so
 no exit handler of the caller's ever runs in one.  ``multiprocessing``

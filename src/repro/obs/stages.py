@@ -65,7 +65,6 @@ STAGE_SSD_TRIM = "ssd_trim"
 #: repro.cluster plane charges cross-node traffic under these names).
 STAGE_NET_DISPATCH = "net_dispatch"
 STAGE_NET_FLUSH = "net_flush"
-STAGE_NET_REBALANCE = "net_rebalance"
 
 #: Out-of-line compaction epoch: re-fingerprinting inline-skipped
 #: chunks in sim-time background batches (repro.tenancy).

@@ -57,12 +57,10 @@ def storage_blocks(ratio: float, seed: int) -> Callable[[], list[bytes]]:
                     for salt in range(256)]
 
 
-def golden_config(nodes: int, executor: str = "serial",
-                  **overrides) -> ClusterConfig:
+def golden_config(nodes: int, **overrides) -> ClusterConfig:
     """The pinned cluster identity corpus at ``nodes`` shards (fixed
     forever: the merged-report digests in ``tests/goldens.py`` are over
     these exact windows)."""
-    params = dict(nodes=nodes, executor=executor, chunks=1024, window=64,
-                  seed=1234)
+    params = dict(nodes=nodes, chunks=1024, window=64, seed=1234)
     params.update(overrides)
     return ClusterConfig(**params)

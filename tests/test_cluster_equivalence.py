@@ -9,16 +9,21 @@ index over N nodes is *invisible* in the reduction outcome:
   assignment and workload mix.  Duplicates share a fingerprint, hence
   a bin, hence a shard — so every per-bin dedup decision sees the same
   history it would have seen unsharded.
-- **executor identity** — the serial and multiprocessing executors
-  produce byte-identical merged reports (same canonical JSON, same
-  sha256), because per-shard reports are plain data folded in fixed
-  shard order and all NetLink charges are issued parent-side.
+- **host identity** — a run on one usable CPU and a run whose shards
+  :func:`repro.host.spread` shares with helper processes produce
+  byte-identical merged reports (same canonical JSON, same sha256),
+  because per-shard reports are plain data folded in fixed shard order
+  and all NetLink charges are issued parent-side; a shard that fails
+  on a helper is recomputed by the caller.
 - **residency** — the shard map covers every bin exactly once, before
   and after any greedy rebalance, and a rebalance strictly improves
   (or leaves) the imbalance it optimizes.
 - **routing** — the mask-based split preserves per-shard chunk order
   and loses nothing versus a per-chunk filter.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +32,9 @@ from hypothesis import strategies as st
 
 from tests.corpus import golden_config
 from tests.reference_paths import bin_ids_per_chunk, route_per_chunk
+from tests.test_gpu_host import CALLER, FALLBACK_BOUND_S, helper_pids, reaped
 
+from repro import host
 from repro.chunkbatch import ChunkBatch
 from repro.cluster import (
     ClusterConfig,
@@ -35,6 +42,8 @@ from repro.cluster import (
     ClusterRouter,
     ShardMap,
 )
+from repro.cluster import engine as cluster_engine
+from repro.cluster.shardwork import run_shards
 from repro.workload import VdbenchStream
 
 #: Workload mixes that stress distinct sharding failure modes:
@@ -51,6 +60,27 @@ def _run(nodes, corpus="dup_heavy", **overrides):
     params = dict(chunks=512, **CORPORA[corpus])
     params.update(overrides)
     return ClusterEngine(golden_config(nodes, **params)).run()
+
+
+needs_a_helper = pytest.mark.skipif(
+    host.usable_cpus() < 2, reason="one usable CPU: nothing is forked")
+
+
+# Shard tasks patched in below; a helper tells itself apart by its pid.
+
+def _noting_pid(config, shards):
+    return [dict(report, pid=os.getpid())
+            for report in run_shards(config, shards)]
+
+
+def _fails_on_a_helper(config, shards):
+    if os.getpid() != CALLER:
+        raise RuntimeError("helper failure")
+    return run_shards(config, shards)
+
+
+def _fails_everywhere(config, shards):
+    raise RuntimeError("shard failure")
 
 
 class TestPartitionInvariance:
@@ -94,9 +124,9 @@ class TestPartitionInvariance:
         assert compressed["chunks"] == aggregate["unique_chunks"]
         assert compressed["bytes_out"] == aggregate["stored_bytes"]
 
-    def test_duplicates_never_reach_the_codec(self):
+    def test_duplicates_never_reach_the_codec(self, monkeypatch):
         """Enforced by order (index, then compress), not by a cache."""
-        from repro.cluster.shardwork import ShardWorker
+        from repro.cluster import shardwork
         from repro.compression.parallel_cpu import CpuCompressor
         from repro.compression.quicklz import QuickLzCodec
         from repro.dedup.hashing import fingerprint_window
@@ -118,30 +148,41 @@ class TestPartitionInvariance:
                            fingerprints, batch.comp_ratios)
         (window,) = ClusterRouter(ShardMap(1)).split(batch)
         codec = CountingCodec()
-        worker = ShardWorker(0)
-        worker._compressor = CpuCompressor(codec=codec)
-        worker.process(window)
+        monkeypatch.setattr(shardwork, "CpuCompressor",
+                            lambda: CpuCompressor(codec=codec))
+        (report,) = run_shards(golden_config(1), [(0, [window])])
         unique = set(fingerprints)
         assert len(unique) < len(chunks) // 2
         assert len(codec.encoded) == len(unique)
         assert len(set(codec.encoded)) == len(unique)
+        assert report["compressed"]["chunks"] == len(unique)
 
 
+@needs_a_helper
 class TestExecutorIdentity:
-    @given(nodes=st.sampled_from([1, 2, 4]),
-           corpus=st.sampled_from(sorted(CORPORA)))
-    @settings(max_examples=6, deadline=None)
-    def test_serial_and_mp_reports_byte_identical(self, nodes, corpus):
-        serial = _run(nodes, corpus, chunks=256)
-        mp = _run(nodes, corpus, chunks=256, executor="mp")
-        assert serial.to_json() == mp.to_json()
-        assert serial.digest() == mp.digest()
+    """One usable CPU ≡ the shards shared out with helper processes."""
 
-    def test_payload_mode_byte_identical(self):
-        serial = _run(2, chunks=256, payload=True, chunk_size=1024)
-        mp = _run(2, chunks=256, payload=True, chunk_size=1024,
-                  executor="mp")
-        assert serial.to_json() == mp.to_json()
+    @staticmethod
+    def _pair(monkeypatch, nodes, corpus="dup_heavy", **overrides):
+        monkeypatch.setattr(cluster_engine, "run_shards", _noting_pid)
+        shared = _run(nodes, corpus, chunks=256, **overrides)
+        monkeypatch.setattr(host, "usable_cpus", lambda: 1)
+        alone = _run(nodes, corpus, chunks=256, **overrides)
+        # A helper really ran a shard; alone, the caller ran them all.
+        assert {r["pid"] for r in alone.shard_reports} == {CALLER}
+        pids = {r["pid"] for r in shared.shard_reports} - {CALLER}
+        assert pids and pids <= set(helper_pids())
+        assert alone.to_json() == shared.to_json()
+        assert alone.digest() == shared.digest()
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    @pytest.mark.parametrize("nodes", (2, 4))
+    def test_one_cpu_and_two_reports_byte_identical(self, monkeypatch,
+                                                    nodes, corpus):
+        self._pair(monkeypatch, nodes, corpus)
+
+    def test_payload_mode_byte_identical(self, monkeypatch):
+        self._pair(monkeypatch, 4, payload=True, chunk_size=1024)
 
 
 class TestShardMapResidency:
@@ -182,20 +223,15 @@ class TestShardMapResidency:
     def test_rebalanced_map_still_partition_invariant(self):
         """Routing with a repaired table is still a partition, so the
         aggregate oracle holds after a rebalance."""
-        engine = _run_engine_with_rebalance()
+        engine = ClusterEngine(golden_config(
+            4, chunks=512, **CORPORA["skewed"]))
+        engine.run()
+        assert engine.shard_map.rebalance(engine.router.bin_loads()).moves
         rerun = ClusterEngine(engine.config,
                               shard_map=engine.shard_map).run()
         oracle = ClusterEngine(golden_config(
             1, chunks=512, **CORPORA["skewed"])).run()
         assert rerun.merged["aggregate"] == oracle.merged["aggregate"]
-
-
-def _run_engine_with_rebalance():
-    engine = ClusterEngine(golden_config(
-        4, chunks=512, **CORPORA["skewed"]))
-    engine.run()
-    engine.plan_rebalance()
-    return engine
 
 
 class TestRouterEquivalence:
@@ -231,10 +267,11 @@ class TestRouterEquivalence:
 
 
 class TestConfigValidation:
-    def test_unknown_executor_rejected(self):
+    def test_bin_buffer_capacity_rejected(self):
+        """Before any window is routed, not inside a shard."""
         from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            ClusterConfig(executor="threads")
+        with pytest.raises(ConfigError, match="bin buffer capacity"):
+            ClusterConfig(bin_buffer_capacity=0)
 
     def test_mismatched_shard_map_rejected(self):
         from repro.errors import ConfigError
@@ -243,74 +280,28 @@ class TestConfigValidation:
 
 
 class TestWorkerFailure:
-    """A failing shard child surfaces in the parent as a ClusterError
-    naming the shard and the child's exception — not as a dead pipe."""
+    """A shard that fails on a helper costs time, not bytes; one that
+    fails everywhere raises its own error and leaves no helper behind."""
 
-    def test_bad_spec_at_startup(self):
-        from repro.cluster.executor import MpExecutor
-        from repro.cluster.shardwork import ShardSpec
-        from repro.errors import ClusterError
+    @needs_a_helper
+    def test_a_shard_failing_on_its_helper_is_recomputed(self,
+                                                         monkeypatch):
+        expected = _run(4, chunks=256)
+        sent = helper_pids()[:3]
+        monkeypatch.setattr(cluster_engine, "run_shards",
+                            _fails_on_a_helper)
+        began = time.perf_counter()
+        assert _run(4, chunks=256).to_json() == expected.to_json()
+        assert time.perf_counter() - began < FALLBACK_BOUND_S
+        assert sent and all(reaped(pid) for pid in sent)
 
-        executor = MpExecutor(2, ShardSpec(prefix_bytes=9))
-        try:
-            with pytest.raises(ClusterError) as raised:
-                executor.finish()
-        finally:
-            executor.close()
-        assert "shard " in str(raised.value)
-        assert "IndexError_" in str(raised.value)
-        self._assert_reaped(executor)
-
-    def test_worker_raises_mid_stream(self):
-        from types import SimpleNamespace
-
-        from repro.cluster.executor import MpExecutor
-        from repro.errors import ClusterError
-
-        batch = VdbenchStream(seed=3).next_batch(64)
-        good = ClusterRouter(ShardMap(2)).split(batch)
-        executor = MpExecutor(2)
-        try:
-            for window in good:
-                executor.submit(window)
-            # Not a RoutedWindow: shard 1's ``process`` raises.
-            executor.submit(SimpleNamespace(shard=1))
-            executor._processes[1].join(timeout=30)
-            assert not executor._processes[1].is_alive()
-            with pytest.raises(ClusterError) as submit_error:
-                executor.submit(good[1])
-            with pytest.raises(ClusterError) as finish_error:
-                executor.finish()
-        finally:
-            executor.close()
-        assert "shard 1" in str(submit_error.value)
-        assert "AttributeError" in str(submit_error.value)
-        assert "shard 1" in str(finish_error.value)
-        self._assert_reaped(executor)
-
-    @pytest.mark.parametrize("name", ("serial", "mp"))
-    def test_window_after_finish_is_refused(self, name):
-        """A late window would be staged into bins nobody drains."""
-        from repro.cluster.executor import make_executor
-        from repro.errors import ClusterError
-
-        stream = VdbenchStream(seed=3)
-        router = ClusterRouter(ShardMap(1))
-        executor = make_executor(name, 1)
-        try:
-            for window in router.split(stream.next_batch(256)):
-                executor.submit(window)
-            (report,) = executor.finish()
-            assert report["destage"]["chunks"] == report["unique_chunks"]
-            with pytest.raises(ClusterError, match="shard 0"):
-                for window in router.split(stream.next_batch(256)):
-                    executor.submit(window)
-                executor.finish()
-        finally:
-            executor.close()
-
-    @staticmethod
-    def _assert_reaped(executor):
-        for process in executor._processes:
-            assert not process.is_alive()
-            assert process.exitcode is not None
+    def test_a_shard_failing_everywhere_raises_its_own_error(self,
+                                                             monkeypatch):
+        _run(4, chunks=256)
+        sent = helper_pids()[:3]
+        monkeypatch.setattr(cluster_engine, "run_shards", _fails_everywhere)
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match="shard failure"):
+            _run(4, chunks=256)
+        assert time.perf_counter() - began < FALLBACK_BOUND_S
+        assert all(reaped(pid) for pid in sent)

@@ -1,6 +1,6 @@
 """The segment-LZ search shared with host helpers changes no byte.
 
-:func:`repro.gpu.host.spread` hands a launch's tiles to forked helper
+:func:`repro.host.spread` hands a launch's tiles to forked helper
 processes beside the caller.  Whatever the number of usable CPUs, and
 whatever happens to a helper — killed, exiting, failing, silent — a
 launch must equal the one the caller computes alone, end in bounded
@@ -20,7 +20,7 @@ import pytest
 
 from repro.compression.lz_common import DEFAULT_PARAMS, tokens_to_bytes
 from repro.compression.postprocess import refine_tile
-from repro.gpu import host
+from repro import host
 from repro.gpu.kernels import lz
 from repro.gpu.kernels.lz import _TILE_ARRAYS, _TILE_CHUNKS, SegmentLzKernel
 from tests.reference_codecs import (
@@ -31,7 +31,7 @@ from tests.reference_codecs import (
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEGMENTS = 4
-#: Far below :data:`repro.gpu.host.REPLY_TIMEOUT_S`: a fallback that
+#: Far below :data:`repro.host.REPLY_TIMEOUT_S`: a fallback that
 #: waits for the full bound fails this.
 FALLBACK_BOUND_S = 20.0
 #: The test process: a task patched in below tells helpers by their pid.
@@ -86,7 +86,7 @@ COUNTS = (1, 2, 3, 5)
 _RUN = """
 import os, pickle, sys
 os.sched_setaffinity(0, {cpus!r})
-from repro.gpu import host
+from repro import host
 from tests.test_gpu_host import search
 pickle.dump([(*search(chunks), len(host._POOL.helpers))
              for chunks in pickle.load(sys.stdin.buffer)], sys.stdout.buffer)
