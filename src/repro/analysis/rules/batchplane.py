@@ -1,8 +1,8 @@
 """Batched functional-plane hygiene rule (REP504).
 
-The batched-pipeline PR moved the functional plane onto chunk *windows*:
-materialization, fingerprinting, codec dispatch and destage accounting
-each take a whole window and amortize their per-call overhead across it
+The functional plane runs on chunk *windows*: materialization
+(``ChunkBatch``) and fingerprinting (``fingerprint_window``) each take a
+whole window and amortize their per-call overhead across it
 (DESIGN.md §12).  A fresh Python ``for`` loop (or comprehension) over a
 chunk sequence inside those modules is almost always a regression to
 the per-chunk idiom the batching retired — per-chunk attribute lookups
@@ -56,8 +56,8 @@ class ChunkLoopChecker(Checker):
                 ctx, node,
                 f"per-chunk {kind} over `{name}` in a batched "
                 f"functional-plane module — the window helpers "
-                f"(fingerprint_window, compress_window, write_run, "
-                f"ChunkBatch) already amortize this traversal",
+                f"(ChunkBatch, fingerprint_window) already amortize "
+                f"this traversal",
                 hint="push the per-chunk work into the module's "
                      "window/batch helper, or baseline the site with "
                      "a reason if the per-chunk traversal is the "

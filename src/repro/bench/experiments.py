@@ -424,11 +424,11 @@ def a6_inline_vs_background(n_chunks: int = 32768,
 
     def writer():
         for _ in range(n_chunks):
-            yield from ssd.submit(BlockRequest(
+            yield ssd.write(BlockRequest(
                 RequestKind.WRITE, 0, 4096, sequential=True))
         # Offline pass rewrites the reduced data.
         reduced = int(logical / inline.reduction_ratio)
-        yield from ssd.submit(BlockRequest(
+        yield ssd.write(BlockRequest(
             RequestKind.WRITE, 0, max(4096, reduced), sequential=True))
 
     env.process(writer())

@@ -10,9 +10,10 @@ materializes slotted :class:`~repro.types.Chunk` objects through a
 hoisted fast constructor that skips the per-instance re-validation.
 
 Invariant (DESIGN.md §12): a materialized window is *element-wise
-equal* to the chunks the per-chunk path would have produced — batching
-here is a layout change, never a semantic one.  REP504 patrols the
-modules of this plane for regressions to per-chunk loops.
+equal* to the chunks a per-chunk construction would produce (the
+oracles in ``tests/reference_paths.py``) — batching here is a layout
+change, never a semantic one.  REP504 patrols the modules of this
+plane for regressions to per-chunk loops.
 
 The module sits beside :mod:`repro.types` (not under ``repro.core``) so
 the workload generators can emit batches without importing the core
@@ -30,7 +31,14 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.types import Chunk, FINGERPRINT_BYTES
 
-__all__ = ["ChunkBatch", "iter_windows"]
+__all__ = ["FUNCTIONAL_WINDOW", "ChunkBatch", "iter_windows",
+           "window_sizes"]
+
+#: Chunks per functional-plane window: the pipeline feeder and both
+#: workload streams' ``chunks()`` materialize this many at a time.
+#: Only untimed functional work is batched, so no report depends on it
+#: (DESIGN.md §12); the equivalence suite patches it to prove that.
+FUNCTIONAL_WINDOW = 64
 
 #: Reusable empty columns for descriptor-only / payload-only windows.
 _chunk_new = Chunk.__new__
@@ -63,21 +71,6 @@ class ChunkBatch:
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_chunks(cls, chunks: Sequence[Chunk]) -> "ChunkBatch":
-        """Column-split an already-validated chunk sequence."""
-        offsets = np.fromiter((c.offset for c in chunks), dtype=np.int64,
-                              count=len(chunks))
-        sizes = np.fromiter((c.size for c in chunks), dtype=np.int64,
-                            count=len(chunks))
-        return cls(offsets, sizes,
-                   [c.payload for c in chunks],
-                   [c.fingerprint for c in chunks],
-                   [c.comp_ratio for c in chunks],
-                   validate=False)
 
     # -- whole-window validation (hoisted Chunk.__post_init__) ---------------
 
@@ -136,20 +129,26 @@ class ChunkBatch:
         return out
 
 
-def iter_windows(chunks: Iterable[Chunk],
-                 window: int) -> Iterator[list[Chunk]]:
-    """Successive ``window``-sized lists from a chunk iterable.
+def window_sizes(n: int) -> Iterator[int]:
+    """Sizes of the successive functional windows covering ``n`` chunks."""
+    while n > 0:
+        take = FUNCTIONAL_WINDOW if FUNCTIONAL_WINDOW < n else n
+        yield take
+        n -= take
 
-    The batched feeder's materialization step: pulling a window up
-    front lets the functional passes (hashing, codec dispatch) run once
-    per window instead of once per chunk, while admission below stays
-    strictly per-chunk (the timed plane is untouched).
+
+def iter_windows(chunks: Iterable[Chunk]) -> Iterator[list[Chunk]]:
+    """Successive :data:`FUNCTIONAL_WINDOW`-sized lists from a chunk
+    iterable.
+
+    The feeder's materialization step: pulling a window up front lets
+    the fingerprint pass run once per window instead of once per chunk,
+    while admission below stays strictly per-chunk (the timed plane is
+    untouched).
     """
-    if window < 1:
-        raise ConfigError(f"invalid window size {window}")
     iterator = iter(chunks)
     while True:
-        out = list(islice(iterator, window))
+        out = list(islice(iterator, FUNCTIONAL_WINDOW))
         if not out:
             return
         yield out

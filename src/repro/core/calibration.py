@@ -90,8 +90,7 @@ def run_stream(stream, n_chunks: int, config: PipelineConfig,
     pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu, ssd=ssd,
                                  cpu_costs=cpu_costs, gpu_costs=gpu_costs,
                                  tracer=tracer)
-    source = stream.chunks_batched(n_chunks, config.functional_batch)
-    return pipeline, pipeline.run(source, total=n_chunks)
+    return pipeline, pipeline.run(stream.chunks(n_chunks), total=n_chunks)
 
 
 def run_mode(mode: IntegrationMode, n_chunks: int,

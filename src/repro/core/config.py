@@ -68,14 +68,6 @@ class PipelineConfig:
     #: the bins replace (the P-Dedupe-class baseline of §5).
     index_locking: str = "bins"
 
-    # -- batched functional plane -----------------------------------------
-    #: Chunks per functional-plane window: the feeder materializes a
-    #: window and fingerprints it (dedup on) in one hashing pass.
-    #: Only untimed functional work is batched — admission and every
-    #: timed event stay per chunk — so reports do not depend on this
-    #: value (DESIGN.md §12).
-    functional_batch: int = 64
-
     # -- arrival shaping ------------------------------------------------------
     #: Open-loop arrival rate in chunks/second; None (default) feeds the
     #: pipeline as fast as the window admits (closed-loop, the
@@ -126,9 +118,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"window {self.window} smaller than the GPU batch size — "
                 "batches would never fill")
-        if self.functional_batch < 1:
-            raise ConfigError(
-                f"invalid functional_batch {self.functional_batch}")
         if not self.enable_dedup and not self.enable_compression:
             raise ConfigError("both reduction operations disabled")
         if self.gpu_index_policy not in ("saturation", "always", "never"):

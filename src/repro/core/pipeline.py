@@ -497,8 +497,7 @@ class ReductionPipeline:
         trace = self.tracer if self.tracer.enabled else None
         chunks = iter(chunks)
         seq = 0
-        for window in iter_windows(islice(chunks, total),
-                                   cfg.functional_batch):
+        for window in iter_windows(islice(chunks, total)):
             if cfg.enable_dedup:
                 fingerprint_window(window)
             for chunk in window:

@@ -17,8 +17,7 @@ import hashlib
 from repro.errors import DedupError
 from repro.types import Chunk
 
-__all__ = ["fingerprint_chunk", "fingerprint_batch", "fingerprint_window",
-           "payload_fingerprint"]
+__all__ = ["fingerprint_chunk", "fingerprint_window", "payload_fingerprint"]
 
 
 def payload_fingerprint(data: bytes) -> bytes:
@@ -26,36 +25,13 @@ def payload_fingerprint(data: bytes) -> bytes:
     return hashlib.sha1(data).digest()
 
 
-def fingerprint_chunk(chunk: Chunk) -> bytes:
-    """Set and return the chunk's SHA-1 fingerprint.
+def fingerprint_window(chunks: list[Chunk]) -> list[bytes]:
+    """Set and return the SHA-1 fingerprint of every chunk in a window.
 
     Payload mode hashes the real bytes.  Descriptor mode requires the
     workload generator to have supplied a synthetic fingerprint already
-    (duplicates share fingerprints, so indexing still behaves for real).
-    """
-    if chunk.payload is not None:
-        chunk.fingerprint = payload_fingerprint(chunk.payload)
-        return chunk.fingerprint
-    if chunk.fingerprint is None:
-        raise DedupError(
-            f"descriptor-mode chunk at offset {chunk.offset} arrived at "
-            "the hashing stage without a synthetic fingerprint")
-    return chunk.fingerprint
-
-
-def fingerprint_batch(chunks: list[Chunk]) -> list[bytes]:
-    """Fingerprint many chunks (the natural unit for GPU offload)."""
-    return [fingerprint_chunk(chunk) for chunk in chunks]
-
-
-def fingerprint_window(chunks: list[Chunk]) -> list[bytes]:
-    """One batched fingerprint pass over a functional-plane window.
-
-    Semantically identical to calling :func:`fingerprint_chunk` on each
-    chunk in order — same digests, same in-place ``chunk.fingerprint``
-    assignment, same :class:`~repro.errors.DedupError` on an unhashable
-    descriptor chunk — but with the hashlib/dispatch overhead hoisted
-    out of the loop.
+    (duplicates share fingerprints, so indexing still behaves for real);
+    a chunk without one raises :class:`~repro.errors.DedupError`.
     """
     out: list[bytes] = []
     append = out.append
@@ -73,3 +49,8 @@ def fingerprint_window(chunks: list[Chunk]) -> list[bytes]:
                     "fingerprint")
         append(fingerprint)
     return out
+
+
+def fingerprint_chunk(chunk: Chunk) -> bytes:
+    """:func:`fingerprint_window` of one chunk (a volume write's hash)."""
+    return fingerprint_window([chunk])[0]

@@ -123,8 +123,7 @@ class Ftl:
         gc_low_water = self.spec.gc_low_water
         blocks = self._blocks
         free = self._free
-        mapping = self._mapping
-        mapping_pop = mapping.pop
+        mapping_pop = self._mapping.pop
         while len(free) <= gc_low_water:
             # First minimum in block order — what min() over the closed
             # blocks picks — scanned explicitly so the hot path pays no
@@ -152,25 +151,12 @@ class Ftl:
             victim.erase()
             self.erases += 1
             free.append(victim.index)
-            # Survivor mappings still point at the erased block; drop
-            # each and re-program into the open log (inlined _program,
-            # with the same roll-on-full check before every page).
-            open_block = self._open
-            copied = 0
+            # Survivor mappings still point at the erased block: drop
+            # each and re-program it into the open log.
             for lpn in survivors:
                 mapping_pop(lpn, None)
-                if open_block.write_pointer >= pages_per_block:
-                    self._roll_open_block()
-                    open_block = self._open
-                page_index = open_block.write_pointer
-                open_block.pages[page_index] = lpn
-                open_block.write_pointer = page_index + 1
-                open_block.valid += 1
-                mapping[lpn] = (open_block.index, page_index)
-                copied += 1
-            if copied:
-                self.gc_copies += copied
-                self.nand_pages_written += copied
+                self._program(lpn)
+            self.gc_copies += len(survivors)
 
     # -- host interface -----------------------------------------------------
 
@@ -185,49 +171,9 @@ class Ftl:
             self._collect()
 
     def write_run(self, lpns: list[int]) -> None:
-        """Host write of a run of logical pages, in order.
-
-        State-identical to calling :meth:`write` per page — the
-        invalidate/program steps are inlined with the GC check kept at
-        every write, so garbage collection triggers at exactly the same
-        points and the mapping, counters and erase counts all land where
-        the per-page loop would put them.  Only the per-call attribute
-        and method dispatch is amortized (the batched destage-accounting
-        fast path).
-        """
-        spec = self.spec
-        gc_low_water = spec.gc_low_water
-        pages_per_block = spec.pages_per_block
-        mapping = self._mapping
-        mapping_pop = mapping.pop
-        blocks = self._blocks
-        free = self._free
-        collect = self._collect
-        programmed = 0
+        """:meth:`write` per page, in order; A14 and e2ebench name it."""
         for lpn in lpns:
-            if lpn < 0:
-                raise ConfigError(f"invalid lpn {lpn}")
-            location = mapping_pop(lpn, None)
-            if location is not None:
-                stale = blocks[location[0]]
-                stale.pages[location[1]] = None
-                stale.valid -= 1
-            open_block = self._open
-            if open_block.write_pointer >= pages_per_block:
-                self._roll_open_block()
-                open_block = self._open
-            page_index = open_block.write_pointer
-            open_block.pages[page_index] = lpn
-            open_block.write_pointer = page_index + 1
-            open_block.valid += 1
-            mapping[lpn] = (open_block.index, page_index)
-            programmed += 1
-            if len(free) <= gc_low_water:
-                collect()
-        # GC survivor copies went through _program (counted there); the
-        # inlined host programs are settled here in one update each.
-        self.host_pages_written += programmed
-        self.nand_pages_written += programmed
+            self.write(lpn)
 
     def trim(self, lpn: int) -> None:
         """Host discard of one logical page."""

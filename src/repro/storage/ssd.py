@@ -144,12 +144,17 @@ class SsdModel:
     # -- simulation process ----------------------------------------------------
 
     def submit(self, request: BlockRequest) -> Generator:
-        """Process body: execute ``request`` on one channel.
+        """Process body: execute a read or trim on one channel.
 
         Usage::
 
-            yield from ssd.submit(BlockRequest(RequestKind.WRITE, 0, 4096))
+            yield from ssd.submit(BlockRequest(RequestKind.READ, 0, 4096))
+
+        Writes go through :meth:`write`.
         """
+        if request.kind is RequestKind.WRITE:
+            raise ConfigError("submit() takes reads and trims; "
+                              "use write() for a WRITE request")
         request.validate_against(self.spec.capacity_bytes)
         traced = self.tracer.enabled
         if traced:
@@ -170,20 +175,14 @@ class SsdModel:
                         self.spec.retry_penalty_s
                         + self.service_time(request))
         if traced:
-            stage = (STAGE_SSD_WRITE if request.kind is RequestKind.WRITE
-                     else STAGE_SSD_READ if request.kind is RequestKind.READ
-                     else STAGE_SSD_TRIM)
             self.tracer.record(
-                stage, None, start=submitted,
+                STAGE_SSD_READ if request.kind is RequestKind.READ
+                else STAGE_SSD_TRIM, None, start=submitted,
                 queue_wait=granted - submitted, resource=TRACK_SSD,
                 attrs={"bytes": request.size,
                        "sequential": request.sequential})
         self.requests_completed += 1
-        if request.kind is RequestKind.WRITE:
-            self.host_bytes_written += request.size
-            self.nand_bytes_written += \
-                self._pages(request.size) * self.spec.page_bytes
-        elif request.kind is RequestKind.READ:
+        if request.kind is RequestKind.READ:
             self.host_bytes_read += request.size
         else:
             self.trims += 1
@@ -191,10 +190,10 @@ class SsdModel:
     def write(self, request: BlockRequest) -> Event:
         """Execute a write on one channel; returns its completion event.
 
-        The process-free form of :meth:`submit` for writes, which have
-        no retry loop: one channel hold for the service time, with the
-        statistics booked as the hold expires.  Fire-and-forget callers
-        (destage) simply drop the event.
+        Writes have no retry loop, so no process is needed: one channel
+        hold for the service time, with the statistics booked as the
+        hold expires.  Fire-and-forget callers (destage) simply drop
+        the event.
         """
         if request.kind is not RequestKind.WRITE:
             raise ConfigError(f"write() got a {request.kind.name} request")

@@ -33,6 +33,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Optional
 
+from repro.chunkbatch import window_sizes
 from repro.errors import WorkloadError
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 from repro.workload.vdbench import StreamStats, VdbenchStream
@@ -229,33 +230,15 @@ class TenantMixStream:
 
     # -- emission -----------------------------------------------------------
 
-    def next_chunk(self) -> Chunk:
-        """Emit the next interleaved chunk, tagged with its tenant id."""
-        tenant = self._pick_tenant()
-        chunk = self.streams[tenant].next_chunk()
-        chunk.tenant = tenant
-        return chunk
-
     def chunks(self, n: int) -> Iterator[Chunk]:
-        """Emit ``n`` interleaved chunks."""
-        for _ in range(n):
-            yield self.next_chunk()
+        """Emit ``n`` interleaved chunks, one functional window at a time.
 
-    def chunks_batched(self, n: int,
-                       window: int = 64) -> Iterator[Chunk]:
-        """Emit ``n`` chunks, windowed through per-tenant batches.
-
-        Scheduling picks for a window are drawn first (same parent-RNG
-        order as :meth:`chunks`); each tenant's picks then collapse
-        into one ``next_batch`` call, so every tenant stream consumes
-        its own RNG in exactly the per-chunk order and the interleaved
-        sequence is element-wise equal to the per-chunk path.
+        A window's scheduling picks are drawn first, in parent-RNG
+        order; each tenant's picks then collapse into one
+        ``next_batch`` call, so every tenant stream walks its own RNG
+        in its per-chunk order whatever the window size.
         """
-        if window < 1:
-            raise WorkloadError(f"window must be >= 1, got {window}")
-        remaining = n
-        while remaining > 0:
-            take = window if window < remaining else remaining
+        for take in window_sizes(n):
             picks = [self._pick_tenant() for _ in range(take)]
             per_tenant: dict[int, int] = {}
             for tenant in picks:
@@ -268,7 +251,6 @@ class TenantMixStream:
                 chunk = next(materialized[tenant])
                 chunk.tenant = tenant
                 yield chunk
-            remaining -= take
 
     # -- ground truth -------------------------------------------------------
 

@@ -30,14 +30,14 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.chunkbatch import ChunkBatch
-from repro.errors import ConfigError, WorkloadError
+from repro.chunkbatch import ChunkBatch, window_sizes
+from repro.errors import WorkloadError
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 from repro.workload.datagen import BlockContentGenerator, \
     analytic_random_fraction
 
-#: Entry budget of the batched path's per-unique payload cache (at the
-#: 4 KiB default chunk size this is ~4 MB of regenerated blocks).
+#: Entry budget of the per-unique payload cache (at the 4 KiB default
+#: chunk size this is ~4 MB of regenerated blocks).
 PAYLOAD_CACHE_ENTRIES = 1024
 
 
@@ -66,7 +66,7 @@ class VdbenchStream:
     """Deterministic chunk stream with dedup/compression dials."""
 
     def __init__(self, dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE, seed: int = 0,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE, *, seed: int,
                  payload: bool = False, comp_spread: float = 0.15,
                  locality: float = 0.5, working_set: int = 128,
                  offset_base: int = 0):
@@ -76,6 +76,9 @@ class VdbenchStream:
         if comp_ratio < 1.0:
             raise WorkloadError(
                 f"comp_ratio must be >= 1.0, got {comp_ratio}")
+        if chunk_size < 1:
+            raise WorkloadError(
+                f"chunk_size must be >= 1, got {chunk_size}")
         if not 0.0 <= locality <= 1.0:
             raise WorkloadError(f"locality must be in [0, 1], "
                                 f"got {locality}")
@@ -102,82 +105,13 @@ class VdbenchStream:
         self._offset = offset_base
         self._content = BlockContentGenerator(comp_ratio, seed=seed) \
             if payload else None
-        #: Batched-path caches: duplicates reuse the unique's fingerprint
-        #: (descriptor mode) or regenerated block (payload mode, bounded
-        #: LRU) instead of re-deriving it.  Pure memoization — both are
-        #: deterministic functions of the unique id — so the emitted
-        #: chunks are byte-equal to the per-chunk path's.
-        self._unique_fps: dict[int, bytes] = {}
+        #: Duplicates reuse the unique's fingerprint (descriptor mode,
+        #: indexed by unique id) or regenerated block (payload mode,
+        #: bounded LRU) instead of re-deriving it.  Both are
+        #: deterministic functions of the unique id.
+        self._unique_fps: list[bytes] = []
         self._payload_cache: OrderedDict[int, bytes] = OrderedDict()
         self.stats = StreamStats()
-
-    # -- internals ---------------------------------------------------------
-
-    def _draw_ratio(self) -> float:
-        ratio = self._rng.gauss(self.comp_ratio,
-                                self.comp_ratio * self.comp_spread)
-        return max(1.0, ratio)
-
-    def _pick_duplicate_id(self) -> int:
-        n = len(self._unique_ratios)
-        if self.locality and self._rng.random() < self.locality:
-            window = min(self.working_set, n)
-            return self._rng.randrange(n - window, n)
-        return self._rng.randrange(n)
-
-    def _fingerprint_for(self, unique_id: int) -> bytes:
-        return hashlib.sha1(
-            f"vdbench:{self.seed}:{unique_id}".encode()).digest()
-
-    def _payload_for(self, unique_id: int, ratio: float) -> bytes:
-        assert self._content is not None
-        self._content.random_fraction = analytic_random_fraction(ratio)
-        return self._content.make_block(self.chunk_size, salt=unique_id)
-
-    # -- stream ------------------------------------------------------------
-
-    def next_chunk(self) -> Chunk:
-        """Emit the next chunk of the stream."""
-        is_dup = (self._unique_ratios
-                  and self._rng.random() < self._dup_probability)
-        if is_dup:
-            unique_id = self._pick_duplicate_id()
-            ratio = self._unique_ratios[unique_id]
-            self.stats.duplicates += 1
-        else:
-            unique_id = len(self._unique_ratios)
-            ratio = self._draw_ratio()
-            self._unique_ratios.append(ratio)
-            self.stats.uniques += 1
-
-        chunk = Chunk(
-            offset=self._offset,
-            size=self.chunk_size,
-            payload=(self._payload_for(unique_id, ratio)
-                     if self.payload else None),
-            fingerprint=(None if self.payload
-                         else self._fingerprint_for(unique_id)),
-            comp_ratio=None if self.payload else ratio,
-        )
-        self._offset += self.chunk_size
-        self.stats.chunks += 1
-        self.stats.bytes_emitted += self.chunk_size
-        self.stats.ratio_sum += ratio
-        return chunk
-
-    def chunks(self, n: int) -> Iterator[Chunk]:
-        """Emit ``n`` chunks."""
-        for _ in range(n):
-            yield self.next_chunk()
-
-    # -- batched emission (the array-native functional plane) ----------------
-
-    def _fingerprint_cached(self, unique_id: int) -> bytes:
-        fingerprint = self._unique_fps.get(unique_id)
-        if fingerprint is None:
-            fingerprint = self._fingerprint_for(unique_id)
-            self._unique_fps[unique_id] = fingerprint
-        return fingerprint
 
     def _payload_cached(self, unique_id: int, ratio: float) -> bytes:
         cache = self._payload_cache
@@ -185,31 +119,29 @@ class VdbenchStream:
         if payload is not None:
             cache.move_to_end(unique_id)
             return payload
-        payload = self._payload_for(unique_id, ratio)
+        assert self._content is not None
+        self._content.random_fraction = analytic_random_fraction(ratio)
+        payload = self._content.make_block(self.chunk_size, salt=unique_id)
         if len(cache) >= PAYLOAD_CACHE_ENTRIES:
             cache.popitem(last=False)
         cache[unique_id] = payload
         return payload
 
+    # -- stream ------------------------------------------------------------
+
     def next_batch(self, n: int) -> ChunkBatch:
         """Emit the next ``n`` chunks as one :class:`ChunkBatch`.
 
-        Consumes the stream RNG in exactly the per-chunk order (one
-        dup-coin draw per chunk once a unique exists, one ratio draw
-        per new unique, dup picks via the same locality walk), so
-        ``next_batch(n).materialize()`` equals ``[next_chunk() for _ in
-        range(n)]`` element-wise — the workload equivalence suite holds
-        both paths to that.
+        The stream's only RNG walk, a sequential decision loop: per
+        chunk one dup-coin draw once a unique exists; a duplicate then
+        draws a locality coin (when ``locality`` is non-zero) and one
+        ``randrange`` pick, a new unique one ratio draw.  The columns
+        are filled from the decided unique ids afterwards.
+        ``tests/reference_paths.py`` holds the per-chunk formulation
+        this must equal element-wise.
         """
         if n < 1:
             raise WorkloadError(f"batch size must be >= 1, got {n}")
-        if self.chunk_size <= 0:
-            # Same error the per-chunk path's Chunk validation raises.
-            raise ConfigError(f"invalid chunk size {self.chunk_size}")
-        # The decision kernel below inlines _pick_duplicate_id and
-        # _draw_ratio: every RNG draw happens in the per-chunk order, so
-        # the stream stays bit-identical while the batch drops the
-        # per-chunk method-call overhead.
         rng = self._rng
         rng_random = rng.random
         rng_randrange = rng.randrange
@@ -244,30 +176,24 @@ class VdbenchStream:
                 unique_id = n_uniques
                 ratio = max(1.0, rng_gauss(mean_ratio, sigma))
                 append_ratio(ratio)
-                if fps is not None and unique_id not in fps:
-                    fps[unique_id] = sha1(
-                        (fp_prefix + str(unique_id)).encode()).digest()
+                if fps is not None:
+                    fps.append(sha1(
+                        (fp_prefix + str(unique_id)).encode()).digest())
             append_uid(unique_id)
-            # Order-faithful float accumulation (matches next_chunk).
+            # Per-chunk float accumulation order, so the sum is exact.
             stats.ratio_sum += ratio
 
         size = self.chunk_size
         offsets = self._offset + size * np.arange(n, dtype=np.int64)
         sizes = np.full(n, size, dtype=np.int64)
-        if self.payload:
+        if fps is None:
             payloads = [self._payload_cached(uid, ratios[uid])
                         for uid in unique_ids]
             fingerprints: list = [None] * n
             comp_ratios: list = [None] * n
         else:
             payloads = [None] * n
-            # Creation-time fills above make this all dict hits; the
-            # cached fallback covers uniques minted by next_chunk before
-            # the stream switched to batched emission.
-            fps_get = fps.get
-            fp_fill = self._fingerprint_cached
-            fingerprints = [fps_get(uid) or fp_fill(uid)
-                            for uid in unique_ids]
+            fingerprints = [fps[uid] for uid in unique_ids]
             comp_ratios = [ratios[uid] for uid in unique_ids]
         self._offset += size * n
         stats.chunks += n
@@ -278,24 +204,12 @@ class VdbenchStream:
         return ChunkBatch(offsets, sizes, payloads, fingerprints,
                           comp_ratios, validate=False)
 
-    def chunks_batched(self, n: int, window: int = 64) -> Iterator[Chunk]:
-        """Emit ``n`` chunks, materialized window-at-a-time.
+    def next_chunk(self) -> Chunk:
+        """``next_batch(1)`` materialized; e2ebench's ledger wraps it."""
+        return self.next_batch(1).materialize()[0]
 
-        The batched pipeline feeder's source: same chunks as
-        :meth:`chunks`, produced through :meth:`next_batch` windows.
-        """
-        if window < 1:
-            raise WorkloadError(f"window must be >= 1, got {window}")
-        remaining = n
-        while remaining > 0:
-            take = window if window < remaining else remaining
+    def chunks(self, n: int) -> Iterator[Chunk]:
+        """Emit ``n`` chunks, materialized one functional window at a
+        time (a window is drawn whole before its first chunk yields)."""
+        for take in window_sizes(n):
             yield from self.next_batch(take).materialize()
-            remaining -= take
-
-    def chunks_for_bytes(self, total_bytes: int) -> Iterator[Chunk]:
-        """Emit chunks until ``total_bytes`` of stream have been produced."""
-        emitted = 0
-        while emitted < total_bytes:
-            chunk = self.next_chunk()
-            emitted += chunk.size
-            yield chunk

@@ -22,7 +22,7 @@ imports this.
   ``Store`` with one put, one get, one ``AnyOf`` and one deadline
   timeout per item and one ``succeed()`` per waiter; a charge as a
   queued request whose grant starts a timeout; a destage write as a
-  process around ``SsdModel.submit``;
+  process that requests a channel, times out and books the write;
 * :class:`PreallocatedGpuBins` — the GPU bin index with every bin
   zero-filled at ``bin_capacity`` from its first entry, one insert at
   a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
@@ -34,7 +34,12 @@ imports this.
   ``test_gpu_tiled_kernel``, ``test_dedup_index``);
 * :func:`_extend_random` — ``rng.randrange(256)`` unrolled to its 9-bit
   rejection loop, the per-byte generator ``make_block`` ran on before it
-  classified a pooled draw at once (``test_workload``).
+  classified a pooled draw at once (``test_workload``);
+* :class:`ReferenceVdbenchStream`, :class:`ReferenceTenantMixStream` and
+  :func:`reference_fingerprint` — the workload streams and the hashing
+  stage one chunk at a time, which the windowed ``next_batch`` /
+  ``chunks`` and ``fingerprint_window`` must equal element-wise
+  (``test_batched_equivalence``, ``test_tenancy_equivalence``).
 """
 
 from __future__ import annotations
@@ -57,9 +62,16 @@ from repro.core.batcher import GpuBatcher
 from repro.core.pipeline import ReductionPipeline
 from repro.cpu.model import SimCpu
 from repro.errors import ConfigError, ResourceError
-from repro.obs.stages import STAGE_DESTAGE, TRACK_DESTAGE
+from repro.errors import DedupError
+from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_WRITE, TRACK_DESTAGE,
+                              TRACK_SSD)
 from repro.sim import Event, Request, Timeout
 from repro.storage.block import BlockRequest, RequestKind
+from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
+from repro.types import Chunk, DEFAULT_CHUNK_SIZE
+from repro.workload.datagen import BlockContentGenerator, \
+    analytic_random_fraction
+from repro.workload.vdbench import StreamStats
 
 
 def _extend_random(out: bytearray, rng: random.Random, count: int) -> None:
@@ -77,6 +89,133 @@ def _extend_random(out: bytearray, rng: random.Random, count: int) -> None:
         while byte >= 256:
             byte = getrandbits(9)
         append(byte)
+
+
+class ReferenceVdbenchStream:
+    """``VdbenchStream`` one chunk at a time.
+
+    Each chunk draws its dup coin, then either its locality coin and
+    duplicate pick or its new unique's ratio, and derives its
+    fingerprint (descriptor mode) or regenerates its payload (payload
+    mode) from the unique id on the spot — no caches, no windows.
+    """
+
+    def __init__(self, dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE, *, seed: int,
+                 payload: bool = False, comp_spread: float = 0.15,
+                 locality: float = 0.5, working_set: int = 128,
+                 offset_base: int = 0):
+        self.comp_ratio = comp_ratio
+        self.chunk_size = chunk_size
+        self.seed = seed
+        self.comp_spread = comp_spread
+        self.locality = locality
+        self.working_set = working_set
+        self.rng = random.Random(seed)
+        self.dup_probability = 1.0 - 1.0 / dedup_ratio
+        self.ratios: list[float] = []
+        self.offset = offset_base
+        self.content = (BlockContentGenerator(comp_ratio, seed=seed)
+                        if payload else None)
+        self.stats = StreamStats()
+
+    def _pick_duplicate_id(self) -> int:
+        n = len(self.ratios)
+        if self.locality and self.rng.random() < self.locality:
+            window = min(self.working_set, n)
+            return self.rng.randrange(n - window, n)
+        return self.rng.randrange(n)
+
+    def next_chunk(self) -> Chunk:
+        if self.ratios and self.rng.random() < self.dup_probability:
+            unique_id = self._pick_duplicate_id()
+            ratio = self.ratios[unique_id]
+            self.stats.duplicates += 1
+        else:
+            unique_id = len(self.ratios)
+            ratio = max(1.0, self.rng.gauss(
+                self.comp_ratio, self.comp_ratio * self.comp_spread))
+            self.ratios.append(ratio)
+            self.stats.uniques += 1
+        if self.content is not None:
+            self.content.random_fraction = analytic_random_fraction(ratio)
+            chunk = Chunk(offset=self.offset, size=self.chunk_size,
+                          payload=self.content.make_block(
+                              self.chunk_size, salt=unique_id))
+        else:
+            chunk = Chunk(offset=self.offset, size=self.chunk_size,
+                          fingerprint=hashlib.sha1(
+                              f"vdbench:{self.seed}:{unique_id}".encode()
+                          ).digest(),
+                          comp_ratio=ratio)
+        self.offset += self.chunk_size
+        self.stats.chunks += 1
+        self.stats.bytes_emitted += self.chunk_size
+        self.stats.ratio_sum += ratio
+        return chunk
+
+    def chunks(self, n: int) -> list[Chunk]:
+        return [self.next_chunk() for _ in range(n)]
+
+
+class ReferenceTenantMixStream:
+    """``TenantMixStream`` one chunk at a time: one scheduling pick from
+    the parent RNG (none for a one-tenant mix), then that tenant's
+    :class:`ReferenceVdbenchStream` emits the chunk."""
+
+    def __init__(self, mix, chunk_size: int = DEFAULT_CHUNK_SIZE,
+                 payload: bool = False):
+        self.tenants = mix.tenants
+        self.open_loop = mix.open_loop
+        self.sched = random.Random(mix.seed)
+        self.streams = [ReferenceVdbenchStream(
+            dedup_ratio=spec.dedup_ratio, comp_ratio=spec.comp_ratio,
+            chunk_size=chunk_size, seed=spec.seed, payload=payload,
+            comp_spread=spec.comp_spread, locality=spec.locality,
+            working_set=spec.working_set,
+            offset_base=index * TENANT_ADDRESS_STRIDE)
+            for index, spec in enumerate(mix.tenants)]
+        self.due = [0.0] * len(mix.tenants)
+
+    def pick(self) -> int:
+        last = len(self.tenants) - 1
+        if last == 0:
+            return 0
+        if self.open_loop:
+            best = min(range(last + 1), key=self.due.__getitem__)
+            self.due[best] += self.sched.expovariate(
+                self.tenants[best].total_rate_iops)
+            return best
+        total = 0.0
+        for spec in self.tenants:
+            total += spec.effective_weight
+        point = self.sched.random() * total
+        cumulative = 0.0
+        for index in range(last):
+            cumulative += self.tenants[index].effective_weight
+            if point < cumulative:
+                return index
+        return last
+
+    def next_chunk(self) -> Chunk:
+        tenant = self.pick()
+        chunk = self.streams[tenant].next_chunk()
+        chunk.tenant = tenant
+        return chunk
+
+    def chunks(self, n: int) -> list[Chunk]:
+        return [self.next_chunk() for _ in range(n)]
+
+
+def reference_fingerprint(chunk: Chunk) -> bytes:
+    """The hashing stage for one chunk: SHA-1 of its payload (set on the
+    chunk), else its synthetic fingerprint, else :class:`DedupError`."""
+    if chunk.payload is not None:
+        chunk.fingerprint = hashlib.sha1(chunk.payload).digest()
+    elif chunk.fingerprint is None:
+        raise DedupError(f"chunk at offset {chunk.offset} has neither "
+                         "payload nor fingerprint")
+    return chunk.fingerprint
 
 
 class NaiveLocalityEstimator:
@@ -428,17 +567,34 @@ def reference_charge(cpu: SimCpu, cycles: float) -> Event:
 
 def reference_spawn_destage(pipeline: ReductionPipeline, nbytes: int,
                             sequential: bool) -> None:
-    """``ReductionPipeline._spawn_destage`` as one process per write."""
+    """``ReductionPipeline._spawn_destage`` as one process per write:
+    a channel request, a service-time timeout, then the SSD's booking."""
     pipeline.destage_batches += 1
     pipeline.destage_bytes += nbytes
     if nbytes <= 0:
         return
+    ssd = pipeline.ssd
+    request = BlockRequest(RequestKind.WRITE, 0, nbytes,
+                           sequential=sequential)
+    request.validate_against(ssd.spec.capacity_bytes)
 
     def destage() -> Generator:
         with pipeline.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
                                   bytes=nbytes, sequential=sequential):
-            yield from pipeline.ssd.submit(BlockRequest(
-                RequestKind.WRITE, 0, nbytes, sequential=sequential))
+            submitted = ssd.env.now
+            with ssd.channels.request() as slot:
+                yield slot
+                granted = ssd.env.now
+                yield ssd.env.timeout(ssd.service_time(request))
+            if ssd.tracer.enabled:
+                ssd.tracer.record(
+                    STAGE_SSD_WRITE, None, start=submitted,
+                    queue_wait=granted - submitted, resource=TRACK_SSD,
+                    attrs={"bytes": nbytes, "sequential": sequential})
+            ssd.requests_completed += 1
+            ssd.host_bytes_written += nbytes
+            ssd.nand_bytes_written += \
+                -(-nbytes // ssd.spec.page_bytes) * ssd.spec.page_bytes
 
     pipeline.env.process(destage())
 

@@ -1,12 +1,18 @@
-"""Batched-vs-per-chunk equivalence over adversarial corpora.
+"""One functional path per stage, held to its per-item oracle.
 
-The batched functional plane's contract is *byte identity*: batching
-only untimed functional work, every ``PipelineReport`` field —
-duration, counters, utilizations, the shutdown drain's tail — must be
-the same whatever the window size, down to ``functional_batch=1``
-(one chunk at a time), not approximately but exactly (DESIGN.md §12).
-The hypothesis suite here hammers that claim with the corpora most
-likely to break a batch-level shortcut:
+Each functional stage has one implementation in ``src/``: the windowed
+vdbench and tenant-mix emission (``next_batch``/``chunks``), window
+fingerprinting, window compression and FTL page runs.  The per-chunk
+formulations they replaced live in ``tests/reference_paths.py``; the
+deterministic tests below compare the two element-wise.
+
+The end-to-end contract is *byte identity*: batching only untimed
+functional work, every ``PipelineReport`` field — duration, counters,
+utilizations, the shutdown drain's tail — must be the same whatever
+``FUNCTIONAL_WINDOW`` is, down to 1 (one chunk at a time), not
+approximately but exactly (DESIGN.md §12).  The hypothesis suite here
+hammers that claim with the corpora most likely to break a batch-level
+shortcut:
 
 - **dup-heavy** — a handful of payloads repeated, so almost every
   chunk is a dedup hit;
@@ -14,10 +20,6 @@ likely to break a batch-level shortcut:
 - **incompressible** — pseudorandom bytes, the expansion-guard path;
 - **byte-shifted** — rotations of one payload: near-identical content
   with distinct fingerprints.
-
-The deterministic tests below pin the component-level identities the
-end-to-end property rests on: batched vdbench emission, window
-fingerprinting, window compression and FTL run accounting.
 """
 
 import dataclasses
@@ -34,11 +36,19 @@ from repro.dedup.hashing import fingerprint_chunk, fingerprint_window
 from repro.errors import DedupError
 from repro.sim import Environment
 from repro.storage import Ftl, FtlSpec
+from repro.tenancy import TenantMix, TenantMixStream, TenantSpec
 from repro.types import Chunk
 from repro.workload import VdbenchStream
+from tests.reference_paths import (ReferenceTenantMixStream,
+                                   ReferenceVdbenchStream,
+                                   reference_fingerprint)
 
 CHUNK_SIZE = 256
 CORPORA = ("dup_heavy", "all_zero", "incompressible", "byte_shifted")
+#: Dials that exercise every branch of the decision loop: duplicates
+#: both inside and outside a small working set, and many uniques.
+STREAM_DIALS = dict(dedup_ratio=3.0, comp_ratio=2.0, seed=97,
+                    chunk_size=512, locality=0.7, working_set=16)
 
 
 def corpus_payloads(kind: str, n: int, seed: int) -> list[bytes]:
@@ -63,18 +73,24 @@ def corpus_chunks(payloads: list[bytes]) -> list[Chunk]:
             for i, p in enumerate(payloads)]
 
 
+def columns(chunk: Chunk) -> tuple:
+    return (chunk.tenant, chunk.offset, chunk.size, chunk.payload,
+            chunk.fingerprint, chunk.comp_ratio)
+
+
 def run_report(payloads: list[bytes], mode: IntegrationMode,
-               functional_batch: int, dedup: bool = True) -> dict:
-    """One full pipeline run (shutdown drain included) as a dict."""
+               window: int, dedup: bool = True) -> dict:
+    """One full pipeline run (shutdown drain included) as a dict, fed
+    ``window`` chunks at a time."""
     config = PipelineConfig(
-        mode=mode, functional_batch=functional_batch, enable_dedup=dedup,
-        window=16, gpu_index_batch=8, gpu_comp_batch=8,
-        gpu_batch_wait_s=5e-4, bin_buffer_capacity=8,
+        mode=mode, enable_dedup=dedup, window=16, gpu_index_batch=8,
+        gpu_comp_batch=8, gpu_batch_wait_s=5e-4, bin_buffer_capacity=8,
         bin_buffer_total=64)
-    env = Environment()
-    pipeline = ReductionPipeline(env, config)
-    chunks = corpus_chunks(payloads)
-    report = pipeline.run(iter(chunks), total=len(chunks))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.chunkbatch.FUNCTIONAL_WINDOW", window)
+        pipeline = ReductionPipeline(Environment(), config)
+        chunks = corpus_chunks(payloads)
+        report = pipeline.run(iter(chunks), total=len(chunks))
     return dataclasses.asdict(report)
 
 
@@ -87,8 +103,6 @@ class TestEndToEndEquivalence:
     @settings(max_examples=16, deadline=None)
     def test_batched_report_is_byte_identical_property(
             self, kind, mode, n, seed, dedup):
-        # dedup off is the configuration whose codec work the feeder
-        # pre-dispatches per window.
         payloads = corpus_payloads(kind, n, seed)
         per_chunk = run_report(payloads, mode, 1, dedup)
         assert run_report(payloads, mode, 8, dedup) == per_chunk
@@ -98,58 +112,117 @@ class TestEndToEndEquivalence:
     @pytest.mark.parametrize("kind", CORPORA)
     def test_every_corpus_mode_pair(self, kind, mode):
         payloads = corpus_payloads(kind, 24, seed=7)
-        per_chunk = run_report(payloads, mode, functional_batch=1)
-        assert run_report(payloads, mode, functional_batch=8) == per_chunk
-        assert run_report(payloads, mode, functional_batch=24) == per_chunk
+        per_chunk = run_report(payloads, mode, window=1)
+        assert run_report(payloads, mode, window=8) == per_chunk
+        assert run_report(payloads, mode, window=24) == per_chunk
 
 
 class TestBatchedWorkload:
-    @pytest.mark.parametrize("payload", [False, True])
-    def test_chunks_batched_equals_chunks(self, payload):
-        kwargs = dict(dedup_ratio=2.0, comp_ratio=2.0, seed=97,
-                      chunk_size=512, payload=payload)
-        plain = list(VdbenchStream(**kwargs).chunks(300))
-        windowed = list(VdbenchStream(**kwargs).chunks_batched(
-            300, window=64))
-        assert len(plain) == len(windowed)
-        for a, b in zip(plain, windowed):
-            assert (a.offset, a.size, a.payload, a.fingerprint,
-                    a.comp_ratio) == (b.offset, b.size, b.payload,
-                                      b.fingerprint, b.comp_ratio)
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    @pytest.mark.parametrize("payload", [False, True],
+                             ids=["descriptor", "payload"])
+    def test_vdbench_matches_oracle(self, payload, window, monkeypatch):
+        monkeypatch.setattr("repro.chunkbatch.FUNCTIONAL_WINDOW", window)
+        got = list(VdbenchStream(payload=payload, **STREAM_DIALS)
+                   .chunks(300))
+        want = ReferenceVdbenchStream(payload=payload,
+                                      **STREAM_DIALS).chunks(300)
+        assert [columns(c) for c in got] == [columns(c) for c in want]
 
     def test_stream_stats_identical(self):
-        a = VdbenchStream(dedup_ratio=3.0, comp_ratio=1.5, seed=5)
-        b = VdbenchStream(dedup_ratio=3.0, comp_ratio=1.5, seed=5)
-        list(a.chunks(500))
-        list(b.chunks_batched(500, window=32))
-        assert a.stats.__dict__ == b.stats.__dict__
+        stream = VdbenchStream(dedup_ratio=3.0, comp_ratio=1.5, seed=5)
+        oracle = ReferenceVdbenchStream(dedup_ratio=3.0, comp_ratio=1.5,
+                                        seed=5)
+        list(stream.chunks(500))
+        oracle.chunks(500)
+        assert stream.stats.__dict__ == oracle.stats.__dict__
+
+    @pytest.mark.parametrize("payload", [False, True],
+                             ids=["descriptor", "payload"])
+    def test_interleaved_calls_match_oracle(self, payload):
+        stream = VdbenchStream(payload=payload, **STREAM_DIALS)
+        got = [stream.next_chunk() for _ in range(3)]
+        got += stream.chunks(100)
+        got.append(stream.next_chunk())
+        got += stream.next_batch(5).materialize()
+        got += stream.chunks(70)
+        got.append(stream.next_chunk())
+        oracle = ReferenceVdbenchStream(payload=payload, **STREAM_DIALS)
+        want = oracle.chunks(len(got))
+        assert [columns(c) for c in got] == [columns(c) for c in want]
+        assert stream.stats.__dict__ == oracle.stats.__dict__
+
+    @pytest.mark.parametrize("open_loop", [False, True],
+                             ids=["closed", "open"])
+    @pytest.mark.parametrize("tenants", [1, 2, 3])
+    def test_tenant_mix_matches_oracle(self, tenants, open_loop):
+        specs = (
+            TenantSpec(name="a", seed=1, weight=2.0, dedup_ratio=3.0,
+                       arrival_rate_iops=3000.0),
+            TenantSpec(name="b", seed=2, clients=3, dedup_ratio=1.5,
+                       arrival_rate_iops=500.0),
+            TenantSpec(name="c", seed=3, locality=0.9, working_set=16,
+                       arrival_rate_iops=1000.0),
+        )[:tenants]
+        mix = TenantMix(tenants=specs, seed=42, open_loop=open_loop)
+        got = list(TenantMixStream(mix).chunks(600))
+        want = ReferenceTenantMixStream(mix).chunks(600)
+        assert [columns(c) for c in got] == [columns(c) for c in want]
+
+    def test_payload_tenant_mix_matches_oracle(self):
+        mix = TenantMix(tenants=(
+            TenantSpec(name="hot", seed=5, dedup_ratio=4.0, locality=0.9),
+            TenantSpec(name="cold", seed=6, weight=0.5),
+        ), seed=8)
+        got = list(TenantMixStream(mix, chunk_size=512,
+                                   payload=True).chunks(200))
+        want = ReferenceTenantMixStream(mix, chunk_size=512,
+                                        payload=True).chunks(200)
+        assert [columns(c) for c in got] == [columns(c) for c in want]
 
 
 class TestFingerprintWindow:
-    def test_matches_per_chunk_hashing(self):
+    def test_matches_per_chunk_hashing(self, monkeypatch):
+        monkeypatch.setattr("repro.chunkbatch.FUNCTIONAL_WINDOW", 16)
         payloads = corpus_payloads("dup_heavy", 64, seed=3)
         reference = corpus_chunks(payloads)
-        for chunk in reference:
-            fingerprint_chunk(chunk)
+        want = [reference_fingerprint(chunk) for chunk in reference]
         windowed = corpus_chunks(payloads)
-        for window in iter_windows(iter(windowed), 16):
-            fingerprint_window(window)
+        got = []
+        for window in iter_windows(iter(windowed)):
+            got += fingerprint_window(window)
+        assert got == want
         assert [c.fingerprint for c in windowed] == \
             [c.fingerprint for c in reference]
+        single = corpus_chunks(payloads[:1])[0]
+        assert fingerprint_chunk(single) == want[0]
 
     def test_descriptor_passthrough_and_error(self):
         stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=1)
         window = list(stream.chunks(8))
         before = [c.fingerprint for c in window]
-        fingerprint_window(window)
+        assert fingerprint_window(window) == before
         assert [c.fingerprint for c in window] == before
-        bare = Chunk(offset=0, size=64)
+        # A chunk with neither payload nor fingerprint fails the window
+        # where the per-chunk stage fails, after hashing what precedes it.
+        payloads = corpus_payloads("incompressible", 3, seed=4)
+        for hash_all in (fingerprint_window,
+                         lambda chunks: [reference_fingerprint(c)
+                                         for c in chunks]):
+            chunks = corpus_chunks(payloads)
+            chunks.insert(2, Chunk(offset=9 * CHUNK_SIZE,
+                                   size=CHUNK_SIZE))
+            with pytest.raises(DedupError):
+                hash_all(chunks)
+            assert [c.fingerprint is not None for c in chunks] == \
+                [True, True, False, False]
         with pytest.raises(DedupError):
-            fingerprint_window([bare])
+            fingerprint_chunk(Chunk(offset=0, size=64))
 
 
 class TestCompressWindow:
-    def test_matches_per_chunk_compress(self):
+    def test_matches_per_chunk_compress(self, monkeypatch):
+        monkeypatch.setattr("repro.chunkbatch.FUNCTIONAL_WINDOW", 16)
         payloads = corpus_payloads("byte_shifted", 48, seed=9)
         reference = corpus_chunks(payloads)
         ref_comp = CpuCompressor()
@@ -157,7 +230,7 @@ class TestCompressWindow:
         windowed = corpus_chunks(payloads)
         win_comp = CpuCompressor()
         win_results = []
-        for window in iter_windows(iter(windowed), 16):
+        for window in iter_windows(iter(windowed)):
             win_results.extend(win_comp.compress_window(window))
         assert [r.compressed_size for r in win_results] == \
             [r.compressed_size for r in ref_results]

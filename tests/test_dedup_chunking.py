@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dedup import FixedChunker
-from repro.dedup.hashing import fingerprint_batch, fingerprint_chunk
+from repro.dedup.hashing import fingerprint_chunk, fingerprint_window
 from repro.errors import ChunkingError, ConfigError, DedupError
 from repro.types import Chunk
 
@@ -60,7 +60,7 @@ class TestHashingStage:
     def test_batch(self):
         chunks = [Chunk(offset=i * 4, size=4, payload=bytes([i]) * 4)
                   for i in range(5)]
-        digests = fingerprint_batch(chunks)
+        digests = fingerprint_window(chunks)
         assert digests == [hashlib.sha1(bytes([i]) * 4).digest()
                            for i in range(5)]
 

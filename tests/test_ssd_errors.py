@@ -48,8 +48,7 @@ class TestReadRetries:
 
         def writer():
             for _ in range(100):
-                yield from ssd.submit(
-                    BlockRequest(RequestKind.WRITE, 0, 4096))
+                yield ssd.write(BlockRequest(RequestKind.WRITE, 0, 4096))
 
         env.process(writer())
         env.run()

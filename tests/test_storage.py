@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BlockRangeError, MetadataError
+from repro.errors import BlockRangeError, ConfigError, MetadataError
 from repro.sim import Environment
 from repro.storage import (
     BlockRequest,
@@ -61,8 +61,7 @@ class TestSsdModel:
 
         def writer(k):
             for _ in range(k):
-                yield from ssd.submit(
-                    BlockRequest(RequestKind.WRITE, 0, size))
+                yield ssd.write(BlockRequest(RequestKind.WRITE, 0, size))
 
         streams = concurrency or ssd.spec.channels
         per_stream = n // streams
@@ -103,7 +102,7 @@ class TestSsdModel:
         ssd = SsdModel(env)
 
         def proc():
-            yield from ssd.submit(BlockRequest(RequestKind.WRITE, 0, 100))
+            yield ssd.write(BlockRequest(RequestKind.WRITE, 0, 100))
 
         env.process(proc())
         env.run()
@@ -116,8 +115,7 @@ class TestSsdModel:
 
         def proc():
             for _ in range(4):
-                yield from ssd.submit(
-                    BlockRequest(RequestKind.WRITE, 0, 2048))
+                yield ssd.write(BlockRequest(RequestKind.WRITE, 0, 2048))
 
         env.process(proc())
         env.run()
@@ -128,12 +126,24 @@ class TestSsdModel:
         ssd = SsdModel(env)
 
         def proc():
-            yield from ssd.submit(BlockRequest(
+            yield ssd.write(BlockRequest(
                 RequestKind.WRITE, SAMSUNG_SSD_830.capacity_bytes, 4096))
 
         env.process(proc())
         with pytest.raises(BlockRangeError):
             env.run()
+
+    def test_submit_rejects_writes(self):
+        env = Environment()
+        ssd = SsdModel(env)
+
+        def proc():
+            yield from ssd.submit(BlockRequest(RequestKind.WRITE, 0, 4096))
+
+        env.process(proc())
+        with pytest.raises(ConfigError, match="write"):
+            env.run()
+        assert ssd.requests_completed == 0
 
     def test_trim_is_cheap_and_counted(self):
         env = Environment()

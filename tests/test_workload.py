@@ -207,11 +207,6 @@ class TestVdbenchStream:
         chunks = list(stream.chunks(10))
         assert [c.offset for c in chunks] == [i * 4096 for i in range(10)]
 
-    def test_chunks_for_bytes(self):
-        stream = VdbenchStream(seed=1)
-        chunks = list(stream.chunks_for_bytes(10 * 4096))
-        assert len(chunks) == 10
-
     def test_locality_increases_recent_duplicates(self):
         local = VdbenchStream(dedup_ratio=2.0, seed=3, locality=1.0,
                               working_set=16)
@@ -238,11 +233,20 @@ class TestVdbenchStream:
 
     def test_invalid_dials_rejected(self):
         with pytest.raises(WorkloadError):
-            VdbenchStream(dedup_ratio=0.5)
+            VdbenchStream(dedup_ratio=0.5, seed=0)
         with pytest.raises(WorkloadError):
-            VdbenchStream(comp_ratio=0.0)
+            VdbenchStream(comp_ratio=0.0, seed=0)
         with pytest.raises(WorkloadError):
-            VdbenchStream(locality=2.0)
+            VdbenchStream(locality=2.0, seed=0)
+
+    @pytest.mark.parametrize("chunk_size", [0, -4096])
+    def test_invalid_chunk_size_rejected_at_construction(self, chunk_size):
+        with pytest.raises(WorkloadError, match="chunk_size"):
+            VdbenchStream(chunk_size=chunk_size, seed=0)
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError):
+            VdbenchStream()
 
 
 class TestPatterns:
