@@ -7,7 +7,7 @@ scenario functionally:
 
 * a "golden image" is cloned to N desktops (almost everything dedups);
 * each desktop then writes some private, partly compressible data;
-* a user-style I/O trace is recorded and replayed;
+* a user-style I/O trace is recorded;
 * the volume proves every byte back and reports the space economics.
 
 Run:  python examples/primary_storage_server.py

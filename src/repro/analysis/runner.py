@@ -47,10 +47,6 @@ class LintReport:
         """True when the tree is clean modulo the baseline."""
         return not self.new
 
-    def all_findings(self) -> list[Diagnostic]:
-        return sorted(self.new + self.baselined,
-                      key=Diagnostic.sort_key)
-
     def format_text(self) -> str:
         lines = []
         for diag in sorted(self.new, key=Diagnostic.sort_key):

@@ -107,11 +107,11 @@ def e1_indexing(batch_sizes: Sequence[int] = (16, 32, 48, 64, 128, 256),
 
         def lookup_task(fingerprint):
             depth = cpu_table.bin_depth(fingerprint)
-            yield from cpu.execute(costs.bin_tree_probe(depth))
+            yield cpu.charge(costs.bin_tree_probe(depth))
             cpu_table.lookup(fingerprint)
 
         def cpu_batch():
-            yield from cpu.execute(costs.dispatch_per_batch)
+            yield cpu.charge(costs.dispatch_per_batch)
             tasks = [env.process(lookup_task(q)) for q in queries]
             yield env.all_of(tasks)
 
@@ -873,7 +873,7 @@ def a10_read_path(n_chunks: int = 12000, n_reads: int = 20000,
         else:
             raw_metadata = _raw_equivalent_store(engine.metadata,
                                                  n_chunks)
-            pipeline = ReadPipeline(env, raw_metadata, decompress=False)
+            pipeline = ReadPipeline(env, raw_metadata)
         report = pipeline.run(offsets)
         rows.append(A10Row(strategy=strategy, iops=report.iops,
                            mean_latency_s=report.mean_latency_s,

@@ -135,18 +135,6 @@ class ShardMap:
 
     # -- queries -------------------------------------------------------------
 
-    def shard_of(self, bin_id: int) -> int:
-        """The shard holding ``bin_id``."""
-        if not 0 <= bin_id < self.n_bins:
-            raise ConfigError(f"bin {bin_id} outside [0, {self.n_bins})")
-        return int(self.table[bin_id])
-
-    def bins_of(self, shard: int) -> np.ndarray:
-        """All bins resident on ``shard`` (ascending)."""
-        if not 0 <= shard < self.nodes:
-            raise ConfigError(f"shard {shard} outside [0, {self.nodes})")
-        return np.flatnonzero(self.table == shard)
-
     def counts(self) -> list[int]:
         """Bins per shard."""
         return np.bincount(self.table, minlength=self.nodes).tolist()

@@ -21,9 +21,6 @@ from repro.compression.lz_common import (
     Token,
     LzParams,
     DEFAULT_PARAMS,
-    tokens_to_bytes,
-    bytes_to_tokens,
-    decode_tokens,
 )
 from repro.compression.delta import DeltaCodec, SimilarityIndex, sketch
 from repro.compression.lzss import LzssCodec
@@ -38,9 +35,6 @@ __all__ = [
     "Token",
     "LzParams",
     "DEFAULT_PARAMS",
-    "tokens_to_bytes",
-    "bytes_to_tokens",
-    "decode_tokens",
     "LzssCodec",
     "QuickLzCodec",
 ]

@@ -20,9 +20,8 @@ min_match``.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -251,99 +250,3 @@ class Match:
 
 
 Token = Union[Literal, Match]
-
-
-def token_output_length(tokens: Iterable[Token]) -> int:
-    """Plaintext bytes the token sequence expands to."""
-    total = 0
-    for token in tokens:
-        total += token.length if isinstance(token, Match) else 1
-    return total
-
-
-def tokens_to_bytes(tokens: list[Token], original_length: int,
-                    params: LzParams = DEFAULT_PARAMS) -> bytes:
-    """Serialize a token list into the canonical container."""
-    if original_length != token_output_length(tokens):
-        raise CompressionError(
-            f"token stream expands to {token_output_length(tokens)} bytes "
-            f"but header claims {original_length}")
-    out = bytearray(struct.pack(">I", original_length))
-    for group_start in range(0, len(tokens), 8):
-        group = tokens[group_start:group_start + 8]
-        flags = 0
-        body = bytearray()
-        for bit, token in enumerate(group):
-            if isinstance(token, Match):
-                token.validate(params)
-                flags |= 1 << bit
-                distance = token.distance - 1          # 1-based -> 12 bits
-                length = token.length - params.min_match
-                body.append((distance >> 4) & 0xFF)
-                body.append(((distance & 0x0F) << 4) | (length & 0x0F))
-            else:
-                body.append(token.value)
-        out.append(flags)
-        out.extend(body)
-    return bytes(out)
-
-
-def bytes_to_tokens(blob: bytes,
-                    params: LzParams = DEFAULT_PARAMS) -> tuple[list[Token], int]:
-    """Parse the canonical container back into (tokens, original_length)."""
-    if len(blob) < 4:
-        raise CorruptStreamError("container shorter than its header")
-    (original_length,) = struct.unpack(">I", blob[:4])
-    tokens: list[Token] = []
-    produced = 0
-    pos = 4
-    while produced < original_length:
-        if pos >= len(blob):
-            raise CorruptStreamError("container truncated mid-stream")
-        flags = blob[pos]
-        pos += 1
-        for bit in range(8):
-            if produced >= original_length:
-                break
-            if flags & (1 << bit):
-                if pos + 2 > len(blob):
-                    raise CorruptStreamError("container truncated in a match")
-                hi, lo = blob[pos], blob[pos + 1]
-                pos += 2
-                distance = ((hi << 4) | (lo >> 4)) + 1
-                length = (lo & 0x0F) + params.min_match
-                if distance > produced:
-                    raise CorruptStreamError(
-                        f"match reaches {distance} bytes back with only "
-                        f"{produced} bytes produced")
-                tokens.append(Match(distance, length))
-                produced += length
-            else:
-                if pos + 1 > len(blob):
-                    raise CorruptStreamError(
-                        "container truncated in a literal")
-                tokens.append(Literal(blob[pos]))
-                pos += 1
-                produced += 1
-    if produced != original_length:
-        raise CorruptStreamError(
-            f"stream expands to {produced} bytes, header says "
-            f"{original_length}")
-    return tokens, original_length
-
-
-def decode_tokens(tokens: Iterable[Token]) -> bytes:
-    """Expand a token sequence into plaintext."""
-    out = bytearray()
-    for token in tokens:
-        if isinstance(token, Match):
-            if token.distance > len(out):
-                raise CorruptStreamError(
-                    f"match distance {token.distance} exceeds produced "
-                    f"output {len(out)}")
-            # Overlapping copies expand as a periodic extension; copy_match
-            # reproduces the per-byte semantics with slice copies.
-            copy_match(out, token.distance, token.length)
-        else:
-            out.append(token.value)
-    return bytes(out)

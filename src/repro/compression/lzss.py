@@ -132,8 +132,9 @@ class LzssCodec:
     def _encode_greedy(self, data: bytes) -> bytes:
         """Greedy parse fused with container packing.
 
-        Byte-identical to ``tokens_to_bytes`` over the greedy token
-        list — same candidate chains (via
+        Byte-identical to serializing the greedy token list one token at
+        a time (``tokens_to_bytes`` in ``tests/reference_codecs.py``)
+        — same candidate chains (via
         :class:`IndexedMatchFinder`), same decisions, same 8-token flag
         groups — minus the incremental chain maintenance, the
         intermediate Token objects, and the second serialization pass.
@@ -152,7 +153,7 @@ class LzssCodec:
         pos = 0
         # One iteration per 8-token flag group; a group is only opened
         # when at least one token follows, which reproduces the grouping
-        # (and the no-trailing-flags-byte property) of tokens_to_bytes.
+        # (and the no-trailing-flags-byte property) of the token oracle.
         while pos < n:
             flags = 0
             flag_pos = len(out)

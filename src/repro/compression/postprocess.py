@@ -24,8 +24,6 @@ the CPU or the GPU.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.compression.lz_common import (
@@ -33,7 +31,7 @@ from repro.compression.lz_common import (
     LzParams,
 )
 from repro.errors import CompressionError
-from repro.gpu.kernels.lz import LzTile, SegmentOutput
+from repro.gpu.kernels.lz import LzTile
 
 _HEADER = 4     # container header: the chunk's length, big-endian
 
@@ -142,8 +140,8 @@ def _pack(tile: LzTile, firsts: np.ndarray, starts: np.ndarray,
           matches: np.ndarray, params: LzParams) -> list[bytes]:
     """Lay every chunk's token stream out as its canonical container.
 
-    Each is byte-identical to
-    :func:`~repro.compression.lz_common.tokens_to_bytes`: after the
+    Each is the canonical container
+    (:mod:`~repro.compression.lzss`): after the
     header a flags byte opens every group of up to eight tokens, a
     literal is one byte and a match two.  Chunk ``c`` owns tokens
     ``[firsts[c], firsts[c + 1])``; padded to whole groups, its ``j``-th
@@ -200,30 +198,3 @@ def refine_tile(tile: LzTile,
     firsts = np.append(0, cuts[n_segments - 1::n_segments])
     return _pack(tile, firsts, starts, lengths, distances, is_match,
                  matches, params)
-
-
-def refine_to_container(chunk: bytes, outputs: Sequence[SegmentOutput],
-                        params: LzParams = DEFAULT_PARAMS) -> bytes:
-    """:func:`refine_tile` for one chunk's list of segment outputs.
-
-    The adapter for callers that hold (or hand-build) per-segment views:
-    it lines them up as a one-chunk tile, one thread per output.
-    """
-    ordered = sorted(outputs, key=lambda out: out.segment_index)
-    for out in ordered:
-        if not len(out.positions) == len(out.lengths) == len(out.distances):
-            raise CompressionError(
-                f"segment {out.segment_index} token arrays disagree "
-                f"in length")
-    # No outputs at all (an empty chunk's launch) is one idle thread.
-    none = [np.zeros(0, dtype=np.int32)]
-    tile = LzTile(
-        first=0, chunks=[chunk], data=chunk,
-        edges=np.array([0, len(chunk)]),
-        seg_start=np.array([[out.start for out in ordered] or [0]]),
-        seg_end=np.array([[out.end for out in ordered] or [0]]),
-        counts=np.array([len(out.positions) for out in ordered] or [0]),
-        starts=np.concatenate(none + [out.positions for out in ordered]),
-        lengths=np.concatenate(none + [out.lengths for out in ordered]),
-        distances=np.concatenate(none + [out.distances for out in ordered]))
-    return refine_tile(tile, params)[0]

@@ -29,7 +29,6 @@ class ChunkCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     def lookup(self, offset: int) -> bool:
         """True on a hit; touches LRU order."""
@@ -52,13 +51,6 @@ class ChunkCache:
             self.evictions += 1
         self._entries[offset] = size
         self.used_bytes += size
-
-    def invalidate(self, offset: int) -> None:
-        """Drop a chunk (its logical offset was overwritten/trimmed)."""
-        size = self._entries.pop(offset, None)
-        if size is not None:
-            self.used_bytes -= size
-            self.invalidations += 1
 
     def __len__(self) -> int:
         return len(self._entries)

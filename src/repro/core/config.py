@@ -7,6 +7,7 @@ evaluation setup as defaults (4 KiB chunks, dedup-before-compression,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.core.modes import IntegrationMode
@@ -95,12 +96,6 @@ class PipelineConfig:
     #: path, as the paper's operation-throughput numbers do implicitly).
     destage_enabled: bool = True
 
-    # -- diagnostics -------------------------------------------------------
-    #: Run the end-of-run sanitizer (``Environment.finish_check``) after
-    #: the final drain: no live processes, no scheduled events, no held
-    #: resource slots.  Off by default (it is a test/debug aid).
-    finish_check: bool = False
-
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ConfigError(f"invalid chunk_size {self.chunk_size}")
@@ -112,6 +107,11 @@ class PipelineConfig:
             raise ConfigError("GPU batch sizes must be >= 1")
         if self.gpu_batch_wait_s < 0:
             raise ConfigError("negative gpu_batch_wait_s")
+        if self.arrival_rate_iops is not None \
+                and not 0 < self.arrival_rate_iops < math.inf:
+            raise ConfigError(
+                f"arrival_rate_iops must be None or a finite rate > 0, "
+                f"got {self.arrival_rate_iops}")
         if self.window < max(self.gpu_index_batch, self.gpu_comp_batch) \
                 and (self.mode.gpu_for_dedup
                      or self.mode.gpu_for_compression):

@@ -199,7 +199,7 @@ class ReductionPipeline:
         """
         with self._index_lock.request() as lock:
             yield lock
-            yield from self.cpu.execute(cycles)
+            yield self.cpu.charge(cycles)
 
     def _record(self, stage: str, seq: int, start: float, cycles: float,
                 path: Optional[str] = None,
@@ -566,10 +566,11 @@ class ReductionPipeline:
             for entries in self.tenancy.drain_compaction():
                 self._spawn_compaction(entries)
         # Let stragglers (destage writes, batcher shutdown) settle for
-        # reporting, without extending the measured duration.
+        # reporting, without extending the measured duration, then
+        # check the run wound down cleanly: no live processes, no
+        # scheduled events, no held resource slots.
         self.env.run()
-        if self.config.finish_check:
-            self.env.finish_check()
+        self.env.finish_check()
         return self._report(duration, counters)
 
     def _report(self, duration: float,

@@ -58,7 +58,6 @@ class ReadPipeline:
                  ssd: Optional[SsdModel] = None,
                  costs: CpuCosts = DEFAULT_COSTS,
                  window: int = 64,
-                 decompress: bool = True,
                  cache: Optional["ChunkCache"] = None):
         if window < 1:
             raise ConfigError(f"invalid window {window}")
@@ -68,7 +67,6 @@ class ReadPipeline:
         self.ssd = ssd if ssd is not None else SsdModel(env)
         self.costs = costs
         self.window = Resource(env, capacity=window, name="read-window")
-        self.decompress = decompress
         #: Optional DRAM chunk cache; hits skip the SSD and the decode.
         self.cache = cache
         self._done = 0
@@ -96,7 +94,7 @@ class ReadPipeline:
             yield from self.ssd.submit(BlockRequest(
                 RequestKind.READ, 0, record.compressed_size))
             # Decompress when the chunk was stored compressed.
-            if self.decompress and record.compressed_size < record.size:
+            if record.compressed_size < record.size:
                 yield self.cpu.charge(
                     self.costs.lz_decode_cycles(record.size))
                 self._decompressed += 1

@@ -33,15 +33,6 @@ class SchedulerStats:
     kept_local: int = 0
     skipped_idle_cpu: int = 0
 
-    @property
-    def decisions(self) -> int:
-        return self.offloaded + self.kept_local
-
-    @property
-    def offload_fraction(self) -> float:
-        total = self.decisions
-        return self.offloaded / total if total else 0.0
-
     def as_counters(self) -> dict[str, int]:
         """Flat counter mapping for the metrics registry."""
         return {

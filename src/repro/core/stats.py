@@ -77,14 +77,6 @@ class PipelineReport:
                 + self.counters.get(CTR_TREE_HITS, 0)
                 + self.counters.get(CTR_RACE_DUPLICATES, 0))
 
-    def summary_row(self) -> str:
-        """One formatted row for the benchmark tables."""
-        return (f"{self.label or self.mode:<22} "
-                f"{self.iops / 1e3:>9.1f} K IOPS "
-                f"{self.mb_per_s:>9.1f} MB/s "
-                f"cpu {self.cpu_utilization * 100:>5.1f}%  "
-                f"gpu {self.gpu_utilization * 100:>5.1f}%")
-
     def speedup_over(self, other: "PipelineReport") -> float:
         """This run's throughput relative to ``other``'s."""
         if other.iops <= 0:

@@ -16,7 +16,7 @@ thumb for throughput-bound integer workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.sim import Environment, Event, Resource
@@ -49,11 +49,6 @@ class CpuSpec:
             return self.freq_hz
         return self.freq_hz * self.smt_derate
 
-    @property
-    def chip_hz(self) -> float:
-        """Aggregate cycle rate of the fully loaded chip."""
-        return self.thread_hz * self.threads
-
 
 #: The paper's testbed CPU.
 I7_2600K = CpuSpec(name="Intel i7-2600K", cores=4, threads=8, freq_hz=3.4e9)
@@ -79,45 +74,22 @@ class SimCpu:
             raise ConfigError(f"negative cycle count: {cycles}")
         return cycles / self.spec.thread_hz
 
-    def execute(self, cycles: float) -> Generator:
-        """Process body: occupy one hardware thread for ``cycles`` cycles.
-
-        Usage from a simulation process::
-
-            yield from cpu.execute(costs.sha1_cycles(4096))
-        """
-        delay = self.seconds(cycles)
-        with self.threads.request() as req:
-            yield req
-            self.cycles_charged += cycles
-            yield self.env.timeout(delay)
-
     def charge(self, cycles: float) -> Event:
         """Single-event CPU charge: acquire a thread, hold it for
         ``cycles`` cycles, release — all behind ONE yieldable event.
 
-        This is the hot-path replacement for ``yield from execute(...)``:
-        one event and one calendar entry per charge, queued for a
+        One event and one calendar entry per charge, queued for a
         thread or not (:meth:`repro.sim.Resource.hold`), in strict FIFO
-        with ``execute`` users.  Usage from a simulation process::
+        with other requests for the threads.  Usage from a simulation
+        process::
 
             yield cpu.charge(costs.sha1_cycles(4096))
 
         The returned event must be yielded promptly and exactly once.
-        Unlike :meth:`execute`, the charge is not interrupt-safe: an
-        interrupted waiter keeps the thread busy until the charge
-        completes (use ``execute`` where interrupts are expected).
         """
         delay = self.seconds(cycles)  # validates before the ledger moves
         self.cycles_charged += cycles
         return self.threads.hold(delay)
-
-    def execute_for(self, seconds: float) -> Generator:
-        """Process body: occupy one hardware thread for a fixed duration."""
-        with self.threads.request() as req:
-            yield req
-            self.cycles_charged += seconds * self.spec.thread_hz
-            yield self.env.timeout(seconds)
 
     def utilization(self, until: Optional[float] = None) -> float:
         """Mean fraction of hardware threads busy so far."""

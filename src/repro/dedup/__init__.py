@@ -24,7 +24,6 @@ from repro.dedup.btree import BTree
 from repro.dedup.chunking import FixedChunker
 from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.hashing import fingerprint_chunk
-from repro.dedup.index_base import FingerprintIndex, ReferenceIndex
 from repro.dedup.replacement import (
     FifoReplacement,
     LruReplacement,
@@ -39,8 +38,6 @@ __all__ = [
     "FixedChunker",
     "GpuBinIndex",
     "fingerprint_chunk",
-    "FingerprintIndex",
-    "ReferenceIndex",
     "FifoReplacement",
     "LruReplacement",
     "RandomReplacement",

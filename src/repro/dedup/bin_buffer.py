@@ -130,10 +130,6 @@ class BinBuffer:
     def __len__(self) -> int:
         return self._total
 
-    def staged_bins(self) -> int:
-        """Bins currently holding staged entries."""
-        return len(self._bins)
-
     def hit_rate(self) -> float:
         """Fraction of probes answered from the buffer."""
         return self.hits / self.lookups if self.lookups else 0.0

@@ -59,11 +59,7 @@ class BinTable:
         """Bin number: the integer value of the fingerprint prefix."""
         return self._view(fingerprint).bin_id
 
-    def suffix_of(self, fingerprint: bytes) -> bytes:
-        """Stored key: the fingerprint with its prefix truncated away."""
-        return self._view(fingerprint).suffix
-
-    # -- FingerprintIndex interface ---------------------------------------------
+    # -- index interface ------------------------------------------------------
 
     def lookup(self, fingerprint: bytes) -> Optional[Any]:
         """Stored value for ``fingerprint``, or None."""
@@ -132,10 +128,6 @@ class BinTable:
             self.hits += 1
         return tree.height, value
 
-    def occupied_bins(self) -> int:
-        """Bins holding at least one entry."""
-        return len(self._bins)
-
     def bin_sizes(self) -> Iterator[int]:
         """Entry count of every occupied bin."""
         for tree in self._bins.values():
@@ -159,10 +151,6 @@ class BinTable:
         """
         key_bytes = FINGERPRINT_BYTES - self.prefix_bytes
         return self._size * (key_bytes + metadata_bytes)
-
-    def memory_saved_bytes(self) -> int:
-        """RAM the prefix truncation saves versus storing full hashes."""
-        return self._size * self.prefix_bytes
 
     def hit_rate(self) -> float:
         """Fraction of lookups that found their fingerprint."""

@@ -249,7 +249,3 @@ class DedupEngine:
     def dedup_ratio(self) -> float:
         """Achieved logical/unique ratio from the metadata ledger."""
         return self.metadata.dedup_ratio()
-
-    def index_entries(self) -> int:
-        """Entries across tree + buffer (GPU mirrors a subset)."""
-        return len(self.bin_table) + len(self.bin_buffer)

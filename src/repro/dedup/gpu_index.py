@@ -298,10 +298,6 @@ class GpuBinIndex:
     def __len__(self) -> int:
         return self._size
 
-    def device_bytes(self) -> int:
-        """Device memory the allocated bins occupy."""
-        return len(self._bins) * self.bin_capacity * ENTRY_BYTES
-
     def hit_rate(self) -> float:
         """Fraction of lookups that hit."""
         return self.hits / self.lookups if self.lookups else 0.0

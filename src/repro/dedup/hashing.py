@@ -2,9 +2,8 @@
 
 "There is no data dependency between chunks when the hash value of the
 chunk is calculated" — the stage is embarrassingly parallel, so the timed
-pipeline simply runs one hashing task per chunk on the CPU's thread pool
-(or batches them onto the GPU co-processor via
-:class:`~repro.gpu.kernels.sha1.Sha1Kernel`).
+pipeline simply runs one hashing task per chunk on the CPU's thread pool.
+The paper keeps hashing on the CPU in every integration mode.
 
 This module holds the *functional* half: computing (payload mode) or
 accepting (descriptor mode) the fingerprint.

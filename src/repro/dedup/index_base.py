@@ -1,10 +1,9 @@
-"""Fingerprint-index interface plus the trivial reference implementation.
+"""The fingerprint representation every index in ``repro.dedup`` shares.
 
-Every index variant (the CPU bin table, the GPU linear bins, the plain
-dict used as ground truth in property tests) answers the same question:
-*have we stored a chunk with this fingerprint before?*
+Every index variant (the CPU bin table, the GPU linear bins) answers the
+same question: *have we stored a chunk with this fingerprint before?*
 
-This module also owns the **representation rule**: inside
+This module owns the **representation rule**: inside
 ``repro.dedup`` a fingerprint *is* its :class:`FingerprintView` — the
 bin number (prefix) and the truncated suffix — and :func:`decompose` is
 the single audited site that validates and slices the raw bytes.  The
@@ -15,7 +14,7 @@ from suffix bytes one array pass at a time).
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional, Protocol, runtime_checkable
+from typing import NamedTuple
 
 from repro.errors import IndexError_
 from repro.types import FINGERPRINT_BYTES
@@ -57,42 +56,3 @@ def decompose(fingerprint: bytes, prefix_bytes: int) -> FingerprintView:
     return FingerprintView(
         int.from_bytes(fingerprint[:prefix_bytes], "big"),
         fingerprint[prefix_bytes:])
-
-
-@runtime_checkable
-class FingerprintIndex(Protocol):
-    """What every fingerprint index must support."""
-
-    def lookup(self, fingerprint: bytes) -> Optional[Any]:
-        """Stored value for ``fingerprint``, or None on a miss."""
-
-    def insert(self, fingerprint: bytes, value: Any) -> bool:
-        """Store ``value``; returns True if the fingerprint was new."""
-
-    def __len__(self) -> int:
-        """Number of stored fingerprints."""
-
-
-class ReferenceIndex:
-    """Ground-truth index: a plain dict.
-
-    Exists so property tests can assert that the bin table and the GPU
-    linear bins agree with the obviously correct implementation.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: dict[bytes, Any] = {}
-
-    def lookup(self, fingerprint: bytes) -> Optional[Any]:
-        return self._table.get(check_fingerprint(fingerprint))
-
-    def insert(self, fingerprint: bytes, value: Any) -> bool:
-        fingerprint = check_fingerprint(fingerprint)
-        existed = fingerprint in self._table
-        self._table[fingerprint] = value
-        return not existed
-
-    def __len__(self) -> int:
-        return len(self._table)

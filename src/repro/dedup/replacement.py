@@ -30,9 +30,6 @@ class ReplacementPolicy(ABC):
     def on_hit(self, bin_id: int, slot: int) -> None:
         """Hook: a lookup hit ``slot`` (recency signal)."""
 
-    def forget_bin(self, bin_id: int) -> None:
-        """Hook: a bin was dropped wholesale."""
-
 
 class RandomReplacement(ReplacementPolicy):
     """The paper's default: evict a uniformly random slot."""
@@ -63,9 +60,6 @@ class FifoReplacement(ReplacementPolicy):
         self._cursor[bin_id] = victim + 1
         return victim
 
-    def forget_bin(self, bin_id: int) -> None:
-        self._cursor.pop(bin_id, None)
-
 
 class LruReplacement(ReplacementPolicy):
     """Evict the least recently used slot, tracking hits and inserts."""
@@ -91,8 +85,3 @@ class LruReplacement(ReplacementPolicy):
             raise IndexError_("empty bin has no victim")
         return min(range(capacity),
                    key=lambda slot: self._last_use.get((bin_id, slot), -1))
-
-    def forget_bin(self, bin_id: int) -> None:
-        stale = [key for key in self._last_use if key[0] == bin_id]
-        for key in stale:
-            del self._last_use[key]

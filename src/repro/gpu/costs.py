@@ -49,15 +49,6 @@ class GpuKernelCosts:
     #: Fixed lane-cycles per segment thread.
     lz_fixed_lane_cycles: float = 1_500.0
 
-    # -- SHA-1 fingerprint kernel --------------------------------------------
-    #: Lane-cycles per byte hashed (SHA-1 vectorizes well on GCN).
-    sha1_lane_cycles_per_byte: float = 8.0
-    #: Fixed lane-cycles per chunk hashed.
-    sha1_fixed_lane_cycles: float = 1_200.0
-    #: Serial cycles per byte on one chunk's hash chain (SHA-1 rounds are
-    #: strictly sequential within a chunk).
-    sha1_critical_cycles_per_byte: float = 12.0
-
     def with_overrides(self, **kwargs: float) -> "GpuKernelCosts":
         """Return a copy with the given constants replaced."""
         return replace(self, **kwargs)

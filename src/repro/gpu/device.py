@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.gpu.kernel import Kernel, KernelCost
-from repro.gpu.memory import DeviceBuffer, DeviceMemory
+from repro.gpu.memory import DeviceMemory
 from repro.gpu.pcie import PCIE2_X16, PcieLink, PcieSpec
 from repro.obs.stages import TRACK_GPU_QUEUE
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -172,27 +170,6 @@ class GpuDevice:
                     end=record.end_time, resource=TRACK_GPU_QUEUE,
                     attrs=attrs)
         return result
-
-    def transfer_to_device(self, buffer: DeviceBuffer,
-                           array: np.ndarray) -> Generator:
-        """Process body: timed host-to-device copy into ``buffer``."""
-        with self.queue.request() as req:
-            yield req
-            yield self.env.timeout(self.pcie.transfer_time(array.nbytes))
-            buffer.write(array)
-            self.pcie.record(array.nbytes, to_device=True)
-
-    def transfer_from_device(self, buffer: DeviceBuffer) -> Generator:
-        """Process body: timed device-to-host copy out of ``buffer``.
-
-        Returns the buffer contents.
-        """
-        with self.queue.request() as req:
-            yield req
-            data = buffer.read()
-            yield self.env.timeout(self.pcie.transfer_time(data.nbytes))
-            self.pcie.record(data.nbytes, to_device=False)
-        return data
 
     # -- reporting --------------------------------------------------------
 

@@ -4,14 +4,11 @@
   GPU side of bin-based deduplication (paper §3.1(2)).
 * :mod:`~repro.gpu.kernels.lz` — segment-parallel LZ match search with
   overlapping history windows, the GPU side of compression (paper §3.2(2)).
-* :mod:`~repro.gpu.kernels.sha1` — batched chunk fingerprinting, available
-  as a co-processor path for the hashing stage.
 """
 
 from repro.gpu.kernels.indexing import BinLookupKernel, LookupBatch
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.gpu.kernels.lz import DescriptorLzKernel, SegmentLzKernel
-from repro.gpu.kernels.sha1 import Sha1Kernel
 
 __all__ = [
     "BinLookupKernel",
@@ -19,5 +16,4 @@ __all__ = [
     "TiledBinLookupKernel",
     "DescriptorLzKernel",
     "SegmentLzKernel",
-    "Sha1Kernel",
 ]

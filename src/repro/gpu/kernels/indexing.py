@@ -15,7 +15,7 @@ scanning.  The cost model charges the full scan for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -46,21 +46,6 @@ class LookupBatch:
 
     def __len__(self) -> int:
         return len(self.bin_ids)
-
-    @classmethod
-    def from_queries(
-            cls, queries: Sequence[tuple[int, int, int]]) -> "LookupBatch":
-        """Build a batch from (bin_id, suffix_lo, suffix_hi) triples."""
-        n = len(queries)
-        if n == 0:
-            return cls(bin_ids=np.empty(0, dtype=np.uint32),
-                       lo=np.empty(0, dtype=np.uint64),
-                       hi=np.empty(0, dtype=np.uint64))
-        # One C-level conversion pass instead of three generator sweeps.
-        arr = np.asarray(queries, dtype=np.uint64).reshape(n, 3)
-        return cls(bin_ids=arr[:, 0].astype(np.uint32),
-                   lo=np.ascontiguousarray(arr[:, 1]),
-                   hi=np.ascontiguousarray(arr[:, 2]))
 
     @classmethod
     def from_arrays(cls, bin_ids: np.ndarray, lo: np.ndarray,

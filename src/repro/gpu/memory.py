@@ -1,17 +1,12 @@
 """Device-memory model: a tracking allocator for GPU buffers.
 
 The allocator enforces the device's capacity (the HD 7970 has 3 GiB) and
-keeps usage statistics.  Buffer *contents* live host-side in numpy arrays —
-the simulation runs on one machine — but the ownership discipline mirrors a
-real device: host code must go through an explicit PCIe transfer (timed by
-:class:`~repro.gpu.pcie.PcieLink`) before a kernel may read the data.
+keeps usage statistics.  It accounts for space only: buffer *contents*
+live host-side with whoever owns them (the GPU bin index keeps its own
+arrays), and PCIe traffic is priced per kernel launch.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
 
 from repro.errors import GpuMemoryError
 
@@ -24,42 +19,16 @@ class DeviceBuffer:
         self.nbytes = nbytes
         self.label = label
         self.freed = False
-        #: Host-side backing store; set by transfers or kernel writes.
-        self.data: Optional[np.ndarray] = None
-        #: True once host data has been transferred in (or a kernel wrote it).
-        self.valid = False
-
-    def write(self, array: np.ndarray) -> None:
-        """Install host data into the buffer (call after a timed transfer)."""
-        self._check_alive()
-        if array.nbytes > self.nbytes:
-            raise GpuMemoryError(
-                f"{self.label}: writing {array.nbytes} B into a "
-                f"{self.nbytes} B buffer")
-        self.data = array
-        self.valid = True
-
-    def read(self) -> np.ndarray:
-        """Fetch the buffer contents (call after a timed transfer out)."""
-        self._check_alive()
-        if not self.valid or self.data is None:
-            raise GpuMemoryError(f"{self.label}: reading an unwritten buffer")
-        return self.data
 
     def free(self) -> None:
         """Release the allocation back to the device."""
-        self._check_alive()
-        self._memory._release(self)
-        self.freed = True
-        self.data = None
-        self.valid = False
-
-    def _check_alive(self) -> None:
         if self.freed:
             raise GpuMemoryError(f"{self.label}: use after free")
+        self._memory._release(self)
+        self.freed = True
 
     def __repr__(self) -> str:
-        state = "freed" if self.freed else ("valid" if self.valid else "raw")
+        state = "freed" if self.freed else "live"
         return f"<DeviceBuffer {self.label}: {self.nbytes} B, {state}>"
 
 
@@ -95,11 +64,6 @@ class DeviceMemory:
             raise GpuMemoryError(f"{buffer.label}: double free")
         self.live_buffers.remove(buffer)
         self.used_bytes -= buffer.nbytes
-
-    @property
-    def free_bytes(self) -> int:
-        """Bytes still available on the device."""
-        return self.capacity_bytes - self.used_bytes
 
     def __repr__(self) -> str:
         return (f"<DeviceMemory {self.used_bytes}/{self.capacity_bytes} B "

@@ -12,10 +12,8 @@ Python process report faithful multi-core / accelerator throughput numbers.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -23,10 +21,8 @@ from repro.sim.resources import Hold, Request, Resource, UtilizationMonitor
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Timeout",
     "Hold",

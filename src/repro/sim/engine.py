@@ -1,8 +1,8 @@
 """Core discrete-event simulation engine.
 
 The engine is deliberately small but complete: events with callbacks, a
-binary-heap event calendar, generator-based processes, timeouts, process
-interrupts, and ``AllOf``/``AnyOf`` condition events.  The public surface
+binary-heap event calendar, generator-based processes, timeouts, and
+``AllOf`` condition events.  The public surface
 mirrors SimPy closely enough that anyone who has read SimPy code can read
 the timed components of this library.
 
@@ -34,18 +34,6 @@ NORMAL = 1
 URGENT = 0
 
 _PENDING = object()
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -188,7 +176,7 @@ class Process(Event):
     of behind an :class:`Initialize` hop.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator,
                  eager: bool = False):
@@ -199,44 +187,13 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         env._alive_processes += 1
-        self._target: Optional[Event] = None
         if eager:
             self._resume(_STARTED)
         else:
-            self._target = Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT, 0.0)
-        # Stop listening to whatever we were waiting for; we are resumed by
-        # the interrupt event instead.  The old target may still fire — the
-        # stale callback is removed so it cannot resume us twice.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
+            Initialize(env, self)
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        # Resumes nest (an eager start runs inside its spawner's resume).
-        outer = env._active_process
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -278,16 +235,13 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event not yet processed: wait for it.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # Event already processed: feed its value back immediately.
             event = next_event
 
-        env._active_process = outer
-
 
 class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+    """Base for composite events that fire on a count of their parts."""
 
     __slots__ = ("_events", "_count")
 
@@ -338,15 +292,6 @@ class AllOf(_Condition):
         return self._count >= len(self._events)
 
 
-class AnyOf(_Condition):
-    """Event that fires once *any* of the given events has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1 or not self._events
-
-
 class Environment:
     """The simulation environment: clock plus event calendar.
 
@@ -361,8 +306,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_urgent", "_normal", "_eid",
-                 "_active_process", "_trace", "_finishables",
-                 "_alive_processes")
+                 "_trace", "_finishables", "_alive_processes")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -371,7 +315,6 @@ class Environment:
         self._urgent: deque[tuple[int, Event]] = deque()
         self._normal: deque[tuple[int, Event]] = deque()
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Optional schedule trace: when set to a list, every processed
         #: event appends ``(time, event-type-name)`` — the hook the
         #: golden-schedule determinism tests record through.
@@ -385,11 +328,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (seconds by convention in this library)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- end-of-run sanitizer ----------------------------------------------
 
@@ -480,10 +418,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 

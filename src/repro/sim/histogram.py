@@ -9,7 +9,6 @@ interpolate within a bucket.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from repro.errors import ConfigError
 
@@ -58,11 +57,6 @@ class LatencyHistogram:
         self.count += 1
         self.total += value
         self.peak = max(self.peak, value)
-
-    def record_many(self, values: Iterable[float]) -> None:
-        """Add many samples."""
-        for value in values:
-            self.record(value)
 
     @property
     def mean(self) -> float:

@@ -213,8 +213,8 @@ class Resource:
 
             yield cpu_threads.hold(work_seconds)
 
-        A hold cannot be cancelled: a holder that is interrupted while
-        waiting still occupies the slot for the full delay.
+        A hold cannot be cancelled: once admitted it occupies the slot
+        for the full delay.
         """
         if delay < 0:
             raise ResourceError(f"{self.name}: negative hold {delay!r}")

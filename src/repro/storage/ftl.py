@@ -179,13 +179,6 @@ class Ftl:
         """Host discard of one logical page."""
         self._invalidate(lpn)
 
-    def read_location(self, lpn: int) -> tuple[int, int]:
-        """(block, page) backing ``lpn``; raises if unmapped."""
-        location = self._mapping.get(lpn)
-        if location is None:
-            raise StorageError(f"lpn {lpn} is unmapped")
-        return location
-
     # -- reporting --------------------------------------------------------
 
     @property
@@ -202,10 +195,6 @@ class Ftl:
         if self.host_pages_written == 0:
             return 0.0
         return self.nand_pages_written / self.host_pages_written
-
-    def erase_counts(self) -> list[int]:
-        """Per-block erase counts (wear-leveling visibility)."""
-        return [block.erases for block in self._blocks]
 
     def check_invariants(self) -> None:
         """Structural cross-checks (test hook)."""

@@ -152,17 +152,10 @@ class MetadataStore:
         record.delta_refs += 1
         return record
 
-    def drop_reference(self, fingerprint: bytes) -> ChunkRecord:
-        """Decrement a findable chunk's refcount (see ``_drop_ref``)."""
-        record = self.lookup(fingerprint)
-        if record is None:
-            raise MetadataError(
-                f"no findable chunk for {fingerprint.hex()[:12]}...")
-        return self._drop_ref(record)
-
     def _drop_ref(self, record: ChunkRecord) -> ChunkRecord:
-        """At zero the record becomes a zombie awaiting GC; the record
-        (and blob) stay until :meth:`sweep_unreferenced`."""
+        """Decrement ``record``'s refcount.  At zero the record becomes a
+        zombie awaiting GC; the record (and blob) stay until
+        :meth:`sweep_unreferenced`."""
         if record.refcount <= 0:
             raise MetadataError("refcount underflow")
         record.refcount -= 1
@@ -290,11 +283,6 @@ class MetadataStore:
         """Unreferenced records awaiting garbage collection."""
         return len(self._zombies)
 
-    @property
-    def mapped_offsets(self) -> int:
-        """Number of live logical mappings."""
-        return len(self._logical)
-
     def reduction_ratio(self) -> float:
         """logical/physical bytes: the combined dedup x compression win."""
         if self.physical_bytes <= 0:
@@ -312,14 +300,6 @@ class MetadataStore:
         if unique_raw <= 0:
             return 1.0 if self.logical_bytes == 0 else float("inf")
         return self.logical_bytes / unique_raw
-
-    def index_memory_bytes(self, entry_bytes: int = 32) -> int:
-        """RAM the fingerprint index needs at ``entry_bytes`` per entry.
-
-        The paper's §3.1 sizing argument: 4 TB / 8 KB chunks at 32 B per
-        entry = 16 GB, reduced by prefix truncation.
-        """
-        return len(self._by_fingerprint) * entry_bytes
 
     def verify_invariants(self) -> None:
         """Cross-check the ledger against the raw tables (test hook)."""

@@ -82,11 +82,6 @@ class SsdSpec:
         per_page = self.per_io_overhead_s + self.page_program_s
         return self.channels / per_page
 
-    @property
-    def write_bps(self) -> float:
-        """Rated write bandwidth at full channel concurrency."""
-        return self.write_iops_4k * self.page_bytes
-
 
 #: The paper's comparison device (512 GB class 830).
 SAMSUNG_SSD_830 = SsdSpec(

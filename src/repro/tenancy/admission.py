@@ -153,8 +153,3 @@ class PrioritizedCache:
     def quota(self, tenant: int) -> int:
         """Current residency quota for ``tenant`` (entries)."""
         return self._quotas.get(tenant, MIN_QUOTA)
-
-    def residency(self) -> dict[int, int]:
-        """Resident entry count per tenant partition."""
-        return {tenant: len(partition)
-                for tenant, partition in self._partitions.items()}

@@ -205,11 +205,6 @@ class TenancyController:
 
     # -- readouts ------------------------------------------------------------
 
-    def estimates(self) -> dict[int, float]:
-        """Per-tenant locality estimates (first-seen order)."""
-        return {tenant: estimator.estimate
-                for tenant, estimator in self._estimators.items()}
-
     def compaction_counters(self) -> dict[str, int]:
         """Lifetime compaction counters."""
         return self._compaction.counters()

@@ -28,6 +28,7 @@ collide in the metadata store's logical map.
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -74,10 +75,10 @@ class TenantSpec:
                 f"tenant {self.name!r}: clients must be >= 1, "
                 f"got {self.clients}")
         if self.arrival_rate_iops is not None \
-                and self.arrival_rate_iops <= 0:
+                and not 0 < self.arrival_rate_iops < math.inf:
             raise WorkloadError(
-                f"tenant {self.name!r}: arrival_rate_iops must be "
-                f"> 0, got {self.arrival_rate_iops}")
+                f"tenant {self.name!r}: arrival_rate_iops must be None "
+                f"or a finite rate > 0, got {self.arrival_rate_iops}")
 
     @property
     def effective_weight(self) -> float:

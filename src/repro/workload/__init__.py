@@ -10,33 +10,19 @@ regenerates equivalent streams:
 * :mod:`~repro.workload.vdbench` — chunk streams with controlled dedup
   and compression ratios, in payload mode (real bytes) or descriptor
   mode (synthetic fingerprints + ratios, for the large timed runs);
-* :mod:`~repro.workload.patterns` — offset patterns (sequential, uniform
-  random, Zipf) for access-locality experiments;
-* :mod:`~repro.workload.trace` — I/O trace recording and replay.
+* :mod:`~repro.workload.patterns` — a Zipf offset pattern for
+  access-locality experiments;
+* :mod:`~repro.workload.trace` — I/O trace recording.
 """
 
 from repro.workload.datagen import BlockContentGenerator, measured_ratio
-from repro.workload.patterns import (
-    SequentialPattern,
-    UniformPattern,
-    ZipfPattern,
-)
-from repro.workload.replay import (
-    ReplayStats,
-    VolumeReplayer,
-    trace_write_chunks,
-)
+from repro.workload.patterns import ZipfPattern
 from repro.workload.trace import TraceRecord, TraceRecorder
 from repro.workload.vdbench import StreamStats, VdbenchStream
 
 __all__ = [
-    "ReplayStats",
-    "VolumeReplayer",
-    "trace_write_chunks",
     "BlockContentGenerator",
     "measured_ratio",
-    "SequentialPattern",
-    "UniformPattern",
     "ZipfPattern",
     "TraceRecord",
     "TraceRecorder",

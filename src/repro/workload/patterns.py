@@ -27,30 +27,6 @@ class AccessPattern(ABC):
         """Draw the next slot number."""
 
 
-class SequentialPattern(AccessPattern):
-    """0, 1, 2, ... wrapping around."""
-
-    def __init__(self, n_slots: int, start: int = 0):
-        super().__init__(n_slots)
-        self._next = start % n_slots
-
-    def next_slot(self) -> int:
-        slot = self._next
-        self._next = (self._next + 1) % self.n_slots
-        return slot
-
-
-class UniformPattern(AccessPattern):
-    """Independent uniform draws."""
-
-    def __init__(self, n_slots: int, *, seed: int):
-        super().__init__(n_slots)
-        self._rng = random.Random(seed)
-
-    def next_slot(self) -> int:
-        return self._rng.randrange(self.n_slots)
-
-
 class ZipfPattern(AccessPattern):
     """Zipf-distributed draws: slot k with probability ~ 1/(k+1)^s.
 

@@ -1,9 +1,8 @@
-"""I/O trace recording and replay.
+"""I/O trace recording.
 
 A trace is a list of (op, offset, size) records with optional submit
-timestamps.  The recorder collects them from a running workload; the
-records replay against anything exposing a ``write_block``/``read_block``
-interface (e.g. :class:`~repro.storage.volume.ReducedVolume`).
+timestamps.  The recorder collects them from a running workload and
+dumps them in a one-line-per-record text format that loads back.
 """
 
 from __future__ import annotations

@@ -49,17 +49,11 @@ class StreamStats:
     uniques: int = 0
     duplicates: int = 0
     bytes_emitted: int = 0
-    ratio_sum: float = 0.0
 
     @property
     def dedup_ratio(self) -> float:
         """total chunks / unique chunks."""
         return self.chunks / self.uniques if self.uniques else 1.0
-
-    @property
-    def mean_comp_ratio(self) -> float:
-        """Mean per-chunk compression-ratio dial value."""
-        return self.ratio_sum / self.chunks if self.chunks else 1.0
 
 
 class VdbenchStream:
@@ -171,17 +165,13 @@ class VdbenchStream:
                 else:
                     unique_id = rng_randrange(n_uniques)
                 duplicates += 1
-                ratio = ratios[unique_id]
             else:
                 unique_id = n_uniques
-                ratio = max(1.0, rng_gauss(mean_ratio, sigma))
-                append_ratio(ratio)
+                append_ratio(max(1.0, rng_gauss(mean_ratio, sigma)))
                 if fps is not None:
                     fps.append(sha1(
                         (fp_prefix + str(unique_id)).encode()).digest())
             append_uid(unique_id)
-            # Per-chunk float accumulation order, so the sum is exact.
-            stats.ratio_sum += ratio
 
         size = self.chunk_size
         offsets = self._offset + size * np.arange(n, dtype=np.int64)

@@ -9,13 +9,23 @@ asserts the production codecs emit byte-identical streams on an
 adversarial corpus, and round-trips each stream through both decoder
 generations.
 
+The token-object view of the canonical LZSS container lives here too:
+:func:`tokens_to_bytes`, :func:`bytes_to_tokens` and
+:func:`decode_tokens` serialize, parse and expand ``Literal``/``Match``
+lists one token at a time — the oracles the fused ``LzssCodec`` encoder
+and the grouped decoder must agree with — and :func:`refine_to_container`
+lines hand-built per-segment outputs up as a one-chunk tile for
+``refine_tile``.
+
 Deliberately slow — do not import from production code.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
@@ -24,10 +34,10 @@ from repro.compression.lz_common import (
     Match,
     Token,
     copy_match,
-    token_output_length,
-    tokens_to_bytes,
 )
+from repro.compression.postprocess import refine_tile
 from repro.errors import CompressionError, CorruptStreamError
+from repro.gpu.kernels.lz import LzTile, SegmentOutput
 
 _QLZ_MIN_MATCH = 3
 _QLZ_MAX_MATCH = 258
@@ -434,3 +444,127 @@ def reference_merge_segments(chunk: bytes,
             f"segments cover {expected_start} bytes of a "
             f"{len(chunk)}-byte chunk")
     return [token for _start, _end, tokens in segments for token in tokens]
+
+
+def token_output_length(tokens: Iterable[Token]) -> int:
+    """Plaintext bytes the token sequence expands to."""
+    total = 0
+    for token in tokens:
+        total += token.length if isinstance(token, Match) else 1
+    return total
+
+
+def tokens_to_bytes(tokens: list[Token], original_length: int,
+                    params: LzParams = DEFAULT_PARAMS) -> bytes:
+    """Serialize a token list into the canonical container."""
+    if original_length != token_output_length(tokens):
+        raise CompressionError(
+            f"token stream expands to {token_output_length(tokens)} bytes "
+            f"but header claims {original_length}")
+    out = bytearray(struct.pack(">I", original_length))
+    for group_start in range(0, len(tokens), 8):
+        group = tokens[group_start:group_start + 8]
+        flags = 0
+        body = bytearray()
+        for bit, token in enumerate(group):
+            if isinstance(token, Match):
+                token.validate(params)
+                flags |= 1 << bit
+                distance = token.distance - 1          # 1-based -> 12 bits
+                length = token.length - params.min_match
+                body.append((distance >> 4) & 0xFF)
+                body.append(((distance & 0x0F) << 4) | (length & 0x0F))
+            else:
+                body.append(token.value)
+        out.append(flags)
+        out.extend(body)
+    return bytes(out)
+
+
+def bytes_to_tokens(blob: bytes,
+                    params: LzParams = DEFAULT_PARAMS) -> tuple[list[Token], int]:
+    """Parse the canonical container back into (tokens, original_length)."""
+    if len(blob) < 4:
+        raise CorruptStreamError("container shorter than its header")
+    (original_length,) = struct.unpack(">I", blob[:4])
+    tokens: list[Token] = []
+    produced = 0
+    pos = 4
+    while produced < original_length:
+        if pos >= len(blob):
+            raise CorruptStreamError("container truncated mid-stream")
+        flags = blob[pos]
+        pos += 1
+        for bit in range(8):
+            if produced >= original_length:
+                break
+            if flags & (1 << bit):
+                if pos + 2 > len(blob):
+                    raise CorruptStreamError("container truncated in a match")
+                hi, lo = blob[pos], blob[pos + 1]
+                pos += 2
+                distance = ((hi << 4) | (lo >> 4)) + 1
+                length = (lo & 0x0F) + params.min_match
+                if distance > produced:
+                    raise CorruptStreamError(
+                        f"match reaches {distance} bytes back with only "
+                        f"{produced} bytes produced")
+                tokens.append(Match(distance, length))
+                produced += length
+            else:
+                if pos + 1 > len(blob):
+                    raise CorruptStreamError(
+                        "container truncated in a literal")
+                tokens.append(Literal(blob[pos]))
+                pos += 1
+                produced += 1
+    if produced != original_length:
+        raise CorruptStreamError(
+            f"stream expands to {produced} bytes, header says "
+            f"{original_length}")
+    return tokens, original_length
+
+
+def decode_tokens(tokens: Iterable[Token]) -> bytes:
+    """Expand a token sequence into plaintext."""
+    out = bytearray()
+    for token in tokens:
+        if isinstance(token, Match):
+            if token.distance > len(out):
+                raise CorruptStreamError(
+                    f"match distance {token.distance} exceeds produced "
+                    f"output {len(out)}")
+            # Overlapping copies expand as a periodic extension; copy_match
+            # reproduces the per-byte semantics with slice copies.
+            copy_match(out, token.distance, token.length)
+        else:
+            out.append(token.value)
+    return bytes(out)
+
+
+def refine_to_container(chunk: bytes, outputs: Sequence[SegmentOutput],
+                        params: LzParams = DEFAULT_PARAMS) -> bytes:
+    """:func:`~repro.compression.postprocess.refine_tile` for one
+    chunk's list of segment outputs.
+
+    The adapter for callers that hold (or hand-build) per-segment views:
+    it lines them up as a one-chunk tile, one thread per output.
+    """
+    ordered = sorted(outputs, key=lambda out: out.segment_index)
+    for out in ordered:
+        if not len(out.positions) == len(out.lengths) == len(out.distances):
+            raise CompressionError(
+                f"segment {out.segment_index} token arrays disagree "
+                f"in length")
+    # No outputs at all (an empty chunk's launch) is one idle thread.
+    none = [np.zeros(0, dtype=np.int32)]
+    tile = LzTile(
+        first=0, chunks=[chunk], data=chunk,
+        edges=np.array([0, len(chunk)]),
+        seg_start=np.array([[out.start for out in ordered] or [0]]),
+        seg_end=np.array([[out.end for out in ordered] or [0]]),
+        counts=np.array([len(out.positions) for out in ordered] or [0]),
+        starts=np.concatenate(none + [out.positions for out in ordered]),
+        lengths=np.concatenate(none + [out.lengths for out in ordered]),
+        distances=np.concatenate(none + [out.distances for out in ordered]))
+    return refine_tile(tile, params)[0]

@@ -19,7 +19,7 @@ imports this.
   :func:`reference_wiring` — the event-per-step formulations the
   pipeline ran on before a batch became one wake-up and a timed hold
   one calendar entry (``test_schedule_equivalence``): an inbox
-  ``Store`` with one put, one get, one ``AnyOf`` and one deadline
+  ``Store`` with one put, one get, one :class:`AnyOf` and one deadline
   timeout per item and one ``succeed()`` per waiter; a charge as a
   queued request whose grant starts a timeout; a destage write as a
   process that requests a channel, times out and books the write;
@@ -28,7 +28,11 @@ imports this.
   a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
   host arrays must stay indistinguishable from
   (``test_gpu_index_growth``);
-* :func:`reference_bin_lookup` — one query at a time, the first slot of
+* :class:`ReferenceIndex` — a dict keyed by the whole fingerprint, the
+  ground truth the bin table and GPU bins must agree with
+  (``test_dedup_index``);
+* :func:`lookup_batch` builds a kernel batch from query triples;
+  :func:`reference_bin_lookup` — one query at a time, the first slot of
   its bin holding its lanes: the answer both lookup kernels' grouped
   broadcast compare must give (``test_gpu_kernels``,
   ``test_gpu_tiled_kernel``, ``test_dedup_index``);
@@ -50,7 +54,7 @@ import hashlib
 import json
 import random
 from collections import deque
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 import numpy as np
 
@@ -61,11 +65,14 @@ from repro.core.modes import IntegrationMode
 from repro.core.batcher import GpuBatcher
 from repro.core.pipeline import ReductionPipeline
 from repro.cpu.model import SimCpu
+from repro.dedup.index_base import check_fingerprint
 from repro.errors import ConfigError, ResourceError
 from repro.errors import DedupError
+from repro.gpu.kernels.indexing import LookupBatch
 from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_WRITE, TRACK_DESTAGE,
                               TRACK_SSD)
 from repro.sim import Event, Request, Timeout
+from repro.sim.engine import _Condition
 from repro.storage.block import BlockRequest, RequestKind
 from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
@@ -151,7 +158,6 @@ class ReferenceVdbenchStream:
         self.offset += self.chunk_size
         self.stats.chunks += 1
         self.stats.bytes_emitted += self.chunk_size
-        self.stats.ratio_sum += ratio
         return chunk
 
     def chunks(self, n: int) -> list[Chunk]:
@@ -310,6 +316,31 @@ class PreallocatedGpuBins:
         return sum(count for _lo, _hi, count in self.bins.values())
 
 
+class ReferenceIndex:
+    """Ground-truth fingerprint index: a plain dict.
+
+    The property tests assert that the bin table and the GPU linear bins
+    agree with this obviously correct implementation.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self) -> None:
+        self._table: dict[bytes, Any] = {}
+
+    def lookup(self, fingerprint: bytes) -> Optional[Any]:
+        return self._table.get(check_fingerprint(fingerprint))
+
+    def insert(self, fingerprint: bytes, value: Any) -> bool:
+        fingerprint = check_fingerprint(fingerprint)
+        existed = fingerprint in self._table
+        self._table[fingerprint] = value
+        return not existed
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
 def reference_bin_lookup(batch, table) -> list[int]:
     """Per-query first-match scan over a ``{bin: (lo, hi, count)}`` table.
 
@@ -328,6 +359,13 @@ def reference_bin_lookup(batch, table) -> list[int]:
     return slots
 
 
+def lookup_batch(queries) -> LookupBatch:
+    """A lookup-kernel batch from ``(bin_id, suffix_lo, suffix_hi)``
+    triples, the form the kernel tests write their queries in."""
+    arr = np.asarray(queries, dtype=np.uint64).reshape(len(queries), 3)
+    return LookupBatch.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
+
+
 def bin_ids_per_chunk(fingerprints: list[bytes],
                       prefix_bytes: int) -> list[int]:
     """The per-chunk bin fold ``ClusterRouter.bin_ids`` replaced."""
@@ -344,7 +382,7 @@ def route_per_chunk(batch: ChunkBatch,
     for index, fingerprint in enumerate(batch.fingerprints):
         bin_id = int.from_bytes(
             fingerprint[:shard_map.prefix_bytes], "big")
-        shard = shard_map.shard_of(bin_id)
+        shard = int(shard_map.table[bin_id])
         rows = columns.setdefault(shard, [[], [], [], [], []])
         rows[0].append(int(batch.offsets[index]))
         rows[1].append(int(batch.sizes[index]))
@@ -378,6 +416,20 @@ def report_digests(chunks: int) -> dict[str, str]:
 
 
 # -- the event-per-step engine paths (test_schedule_equivalence) -----------
+
+
+class AnyOf(_Condition):
+    """Event that fires once *any* of the given events has fired."""
+
+    __slots__ = ()
+
+    def _satisfied(self) -> bool:
+        return self._count >= 1 or not self._events
+
+
+def any_of(env, events) -> AnyOf:
+    """Composite event firing when any of ``events`` has fired."""
+    return AnyOf(env, events)
 
 
 class StorePut(Event):
@@ -503,7 +555,7 @@ class ReferenceGpuBatcher(GpuBatcher):
                     break
                 get = self._inbox.get()
                 timeout = self.env.timeout(remaining)
-                yield self.env.any_of([get, timeout])
+                yield any_of(self.env, [get, timeout])
                 if get.triggered:
                     if get.value is None:
                         continue  # stop sentinel; drain what we have

@@ -254,7 +254,8 @@ class TestFtlWriteRun:
         assert list(per_page._mapping.items()) == \
             list(run._mapping.items())
         assert per_page._free == run._free
-        assert per_page.erase_counts() == run.erase_counts()
+        assert [b.erases for b in per_page._blocks] == \
+            [b.erases for b in run._blocks]
         assert (per_page.host_pages_written, per_page.nand_pages_written,
                 per_page.gc_copies, per_page.erases) == \
             (run.host_pages_written, run.nand_pages_written,

@@ -54,14 +54,6 @@ class TestChunkCache:
         cache.fill(0, 4096)
         assert len(cache) == 0
 
-    def test_invalidate(self):
-        cache = ChunkCache(16384)
-        cache.fill(0, 4096)
-        cache.invalidate(0)
-        assert not cache.lookup(0)
-        assert cache.invalidations == 1
-        assert cache.used_bytes == 0
-
     def test_refill_same_offset_no_double_count(self):
         cache = ChunkCache(16384)
         cache.fill(0, 4096)

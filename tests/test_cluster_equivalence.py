@@ -198,9 +198,8 @@ class TestShardMapResidency:
         assert table.shape == (shard_map.n_bins,)
         assert int(table.min()) >= 0
         assert int(table.max()) < nodes
-        # bins_of partitions: every bin appears once across shards.
-        total = sum(len(shard_map.bins_of(s)) for s in range(nodes))
-        assert total == shard_map.n_bins
+        # The per-shard counts partition the bins.
+        assert sum(shard_map.counts()) == shard_map.n_bins
 
     @given(seed=st.integers(min_value=0, max_value=2**16),
            nodes=st.sampled_from([2, 4, 8]))

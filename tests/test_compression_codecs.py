@@ -11,14 +11,16 @@ from repro.compression import (
     LzssCodec,
     Match,
     QuickLzCodec,
-    bytes_to_tokens,
-    decode_tokens,
-    tokens_to_bytes,
 )
-from repro.compression.postprocess import refine_to_container
 from repro.errors import CompressionError, CorruptStreamError, ReproError
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.workload.datagen import BlockContentGenerator
+from tests.reference_codecs import (
+    bytes_to_tokens,
+    decode_tokens,
+    refine_to_container,
+    tokens_to_bytes,
+)
 
 
 def _compressible(n: int) -> bytes:

@@ -1,4 +1,4 @@
-"""Unit tests for the CPU spec, cost table and timed executor."""
+"""Unit tests for the CPU spec, cost table and timed charges."""
 
 import pytest
 
@@ -15,9 +15,6 @@ class TestCpuSpec:
 
     def test_thread_hz_applies_smt_derate(self):
         assert I7_2600K.thread_hz == pytest.approx(3.4e9 * 0.65)
-
-    def test_chip_hz_aggregates_threads(self):
-        assert I7_2600K.chip_hz == pytest.approx(8 * 3.4e9 * 0.65)
 
     def test_no_smt_means_full_speed_threads(self):
         spec = CpuSpec(name="x", cores=4, threads=4, freq_hz=2.0e9)
@@ -85,20 +82,13 @@ class TestSimCpu:
 
     def test_rejected_charge_leaves_the_ledger_alone(self):
         """A refused charge must not move ``cycles_charged``: validation
-        comes before the ledger, in ``charge`` and in ``execute``."""
+        comes before the ledger."""
         env = Environment()
         cpu = SimCpu(env)
-
-        def bad_task():
-            yield from cpu.execute(-1)
-
-        env.process(bad_task())
-        with pytest.raises(ConfigError):
-            env.run()
         with pytest.raises(ConfigError):
             cpu.charge(-1)
         assert cpu.cycles_charged == 0.0
-        env.finish_check()  # and no thread was claimed for either
+        env.finish_check()  # and no thread was claimed
 
     def test_parallel_tasks_overlap(self):
         env = Environment()
@@ -106,7 +96,7 @@ class TestSimCpu:
         one_second = cpu.spec.thread_hz
 
         def task():
-            yield from cpu.execute(one_second)
+            yield cpu.charge(one_second)
 
         for _ in range(cpu.spec.threads):
             env.process(task())
@@ -120,7 +110,7 @@ class TestSimCpu:
         one_second = cpu.spec.thread_hz
 
         def task():
-            yield from cpu.execute(one_second)
+            yield cpu.charge(one_second)
 
         for _ in range(cpu.spec.threads * 2):
             env.process(task())
@@ -132,7 +122,7 @@ class TestSimCpu:
         cpu = SimCpu(env)
 
         def task():
-            yield from cpu.execute(cpu.spec.thread_hz)
+            yield cpu.charge(cpu.spec.thread_hz)
 
         for _ in range(cpu.spec.threads):
             env.process(task())
@@ -145,7 +135,7 @@ class TestSimCpu:
         saturation_seen = []
 
         def worker():
-            yield from cpu.execute_for(1.0)
+            yield cpu.charge(cpu.spec.thread_hz)
 
         def probe():
             yield env.timeout(0.5)
@@ -163,7 +153,7 @@ class TestSimCpu:
         cpu = SimCpu(env)
 
         def task():
-            yield from cpu.execute(1000.0)
+            yield cpu.charge(1000.0)
 
         env.process(task())
         env.process(task())
@@ -171,16 +161,16 @@ class TestSimCpu:
         assert cpu.cycles_charged == pytest.approx(2000.0)
 
     def test_throughput_matches_chip_rate(self):
-        """N tasks of C cycles on T threads finish in N*C/chip_hz seconds."""
+        """N tasks of C cycles on T threads finish in N*C/(T*thread_hz) s."""
         env = Environment()
         cpu = SimCpu(env)
         n_tasks, cycles = 64, 1.0e9
 
         def task():
-            yield from cpu.execute(cycles)
+            yield cpu.charge(cycles)
 
         for _ in range(n_tasks):
             env.process(task())
         env.run()
-        expected = n_tasks * cycles / cpu.spec.chip_hz
+        expected = n_tasks * cycles / (cpu.spec.threads * cpu.spec.thread_hz)
         assert env.now == pytest.approx(expected)

@@ -26,11 +26,15 @@ from tests.reference_codecs import (
     ReferenceLzssCodec,
     ReferenceMatchFinder,
     ReferenceQuickLzCodec,
+    bytes_to_tokens,
+    decode_tokens,
     reference_decode_tokens,
     reference_merge_segments,
     reference_segment_bounds,
     reference_segment_tokens,
+    refine_to_container,
     runwise_quicklz_decode,
+    tokens_to_bytes,
     tokenwise_lzss_decode,
 )
 from repro.compression.lz_common import (
@@ -38,19 +42,16 @@ from repro.compression.lz_common import (
     Literal,
     LzParams,
     Match,
-    bytes_to_tokens,
     common_prefix_length,
     common_prefix_length_pair,
     copy_match,
-    decode_tokens,
-    tokens_to_bytes,
 )
 from repro.compression.lzss import (
     MAX_CHAIN,
     IndexedMatchFinder,
     LzssCodec,
 )
-from repro.compression.postprocess import refine_tile, refine_to_container
+from repro.compression.postprocess import refine_tile
 from repro.compression.quicklz import QuickLzCodec
 from repro.errors import CompressionError, CorruptStreamError
 from repro.gpu.kernels.lz import (

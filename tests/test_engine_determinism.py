@@ -29,9 +29,10 @@ from repro.workload.vdbench import VdbenchStream
 
 def _traced_run(mode: IntegrationMode, n_chunks: int, seed: int):
     """One pipeline run with the engine's dispatch-trace hook armed."""
-    # finish_check: every traced run must also wind down cleanly (no
-    # live processes, scheduled events, or held slots left behind).
-    config = PipelineConfig().with_overrides(mode=mode, finish_check=True)
+    # The run ends with Environment.finish_check, so every traced run
+    # also winds down cleanly (no live processes, scheduled events, or
+    # held slots left behind).
+    config = PipelineConfig().with_overrides(mode=mode)
     env = Environment()
     trace: list = []
     env._trace = trace

@@ -13,6 +13,11 @@ def small_ftl(blocks=8, pages=16, low_water=2):
                        gc_low_water=low_water))
 
 
+def location(ftl, lpn):
+    """(block, page) backing ``lpn``, read off the FTL's mapping."""
+    return ftl._mapping[lpn]
+
+
 class TestBasics:
     def test_geometry_validation(self):
         with pytest.raises(ConfigError):
@@ -23,19 +28,15 @@ class TestBasics:
     def test_write_then_read_location(self):
         ftl = small_ftl()
         ftl.write(7)
-        block, page = ftl.read_location(7)
+        block, page = location(ftl, 7)
         assert ftl._blocks[block].pages[page] == 7
-
-    def test_unmapped_read_raises(self):
-        with pytest.raises(StorageError):
-            small_ftl().read_location(1)
 
     def test_overwrite_invalidates_old_page(self):
         ftl = small_ftl()
         ftl.write(1)
-        first = ftl.read_location(1)
+        first = location(ftl, 1)
         ftl.write(1)
-        second = ftl.read_location(1)
+        second = location(ftl, 1)
         assert first != second
         assert ftl.host_pages_written == 2
         ftl.check_invariants()
@@ -44,9 +45,9 @@ class TestBasics:
         ftl = small_ftl()
         ftl.write(1)
         ftl.trim(1)
-        with pytest.raises(StorageError):
-            ftl.read_location(1)
+        assert 1 not in ftl._mapping
         assert ftl.mapped_pages == 0
+        ftl.check_invariants()
 
     def test_sequential_fill_has_unit_wa(self):
         ftl = small_ftl()
@@ -95,8 +96,7 @@ class TestGarbageCollection:
             lpn = rng.randrange(40)
             ftl.write(lpn)
             live.add(lpn)
-        for lpn in live:
-            ftl.read_location(lpn)  # must all resolve
+        assert set(ftl._mapping) == live  # every page still resolves
         ftl.check_invariants()
 
     def test_device_overfull_raises(self):
@@ -123,7 +123,7 @@ class TestGarbageCollection:
         for round_ in range(8):
             for lpn in range(30):
                 ftl.write(lpn)
-        counts = ftl.erase_counts()
+        counts = [block.erases for block in ftl._blocks]
         assert sum(counts) == ftl.erases
         assert ftl.erases > 0
 
@@ -142,5 +142,4 @@ class TestGarbageCollection:
                 live.discard(lpn)
         ftl.check_invariants()
         assert ftl.mapped_pages == len(live)
-        for lpn in live:
-            ftl.read_location(lpn)
+        assert set(ftl._mapping) == live

@@ -24,6 +24,7 @@ from tests.goldens import (
     GOLDEN_REPORT_SHA256,
     GOLDEN_STREAM_DIGESTS,
 )
+from tests.reference_codecs import refine_to_container
 from tests.reference_paths import report_digest
 
 from repro.bench.experiments import (
@@ -33,7 +34,6 @@ from repro.bench.experiments import (
 )
 from repro.cluster import ClusterEngine
 from repro.compression.lzss import LzssCodec
-from repro.compression.postprocess import refine_to_container
 from repro.compression.quicklz import QuickLzCodec
 from repro.core import IntegrationMode, PipelineConfig
 from repro.core.calibration import run_mode

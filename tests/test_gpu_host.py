@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compression.lz_common import DEFAULT_PARAMS, tokens_to_bytes
+from repro.compression.lz_common import DEFAULT_PARAMS
 from repro.compression.postprocess import refine_tile
 from repro import host
 from repro.gpu.kernels import lz
@@ -27,6 +27,7 @@ from tests.reference_codecs import (
     reference_merge_segments,
     reference_segment_bounds,
     reference_segment_tokens,
+    tokens_to_bytes,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -128,8 +128,6 @@ class Pair:
             assert len(my_lo) == len(my_hi) <= index.bin_capacity
             assert my_lo[:count].tolist() == lo[:count].tolist()
             assert my_hi[:count].tolist() == hi[:count].tolist()
-        assert index.device_bytes() \
-            == len(theirs) * index.bin_capacity * ENTRY_BYTES
 
 
 steps_strategy = st.lists(
@@ -220,15 +218,14 @@ class TestDeviceLedgerUnchanged:
         for i in range(3 * INITIAL_SLOTS):
             index.insert(fp(i))
         # Two bins, each charged its full capacity from the first entry.
-        assert memory.used_bytes == index.device_bytes() \
-            == N_BINS * 4096 * ENTRY_BYTES
+        assert memory.used_bytes == N_BINS * 4096 * ENTRY_BYTES
         assert [buffer.nbytes for buffer in memory.live_buffers] \
             == [4096 * ENTRY_BYTES] * N_BINS
         assert all(len(lo) < 4096 for lo, _hi, _n in
                    index.table_view().values())
         index.clear()
         assert memory.used_bytes == 0 and len(index) == 0
-        assert index.device_bytes() == 0 and not index.table_view()
+        assert not index.table_view()
         index.insert(fp(0))
         assert memory.used_bytes == 4096 * ENTRY_BYTES
         assert index.lookup_host([fp(0), fp(2)]) == [True, False]

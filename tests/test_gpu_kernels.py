@@ -1,7 +1,5 @@
 """Tests for the GPU kernels and the CPU post-processing that refines them."""
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +7,18 @@ from hypothesis import strategies as st
 
 from repro.compression import LzssCodec
 from repro.compression.gpu_lz import GpuCompressor
-from repro.compression.postprocess import refine_to_container
 from repro.errors import CompressionError, KernelError
 from repro.gpu import GpuDevice
 from repro.gpu.kernels import (
     BinLookupKernel,
     DescriptorLzKernel,
-    LookupBatch,
     SegmentLzKernel,
-    Sha1Kernel,
 )
 from repro.gpu.kernels.lz import LZ_CENSUS
 from repro.sim import Environment
 from repro.types import Chunk
-from tests.reference_paths import reference_bin_lookup
+from tests.reference_codecs import refine_to_container
+from tests.reference_paths import lookup_batch, reference_bin_lookup
 
 
 def _compressible(n: int) -> bytes:
@@ -53,7 +49,7 @@ def _make_table(entries):
 class TestBinLookupKernel:
     def test_hit_and_miss(self):
         table = _make_table([(0, 111, 222), (0, 333, 444), (1, 555, 666)])
-        batch = LookupBatch.from_queries(
+        batch = lookup_batch(
             [(0, 333, 444), (1, 555, 666), (1, 999, 999), (2, 1, 1)])
         slots = BinLookupKernel(batch, table).execute()
         assert list(slots) == [1, 0, -1, -1]
@@ -64,29 +60,29 @@ class TestBinLookupKernel:
             + [(2, 1002, 2002)])    # a later twin: the first slot wins
         queries = [(b % 4, 1000 + b, 2000 + b) for b in range(0, 40, 3)]
         queries += [(0, 5, 5), (3, 7, 7), (9, 1, 1), (2, 1002, 2002)]
-        batch = LookupBatch.from_queries(queries)
+        batch = lookup_batch(queries)
         assert BinLookupKernel(batch, table).execute().tolist() \
             == reference_bin_lookup(batch, table)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(KernelError):
-            LookupBatch.from_queries([])
+            lookup_batch([])
 
     def test_cost_scales_with_bin_occupancy(self):
         small = _make_table([(0, i, i) for i in range(2)])
         big = _make_table([(0, i, i) for i in range(16)])
-        batch = LookupBatch.from_queries([(0, 99, 99)])
+        batch = lookup_batch([(0, 99, 99)])
         assert (BinLookupKernel(batch, big).cost().lane_cycles_total
                 > BinLookupKernel(batch, small).cost().lane_cycles_total)
 
     def test_unknown_bin_scans_nothing(self):
-        batch = LookupBatch.from_queries([(7, 1, 2)])
+        batch = lookup_batch([(7, 1, 2)])
         kernel = BinLookupKernel(batch, {})
         assert list(kernel.execute()) == [-1]
         assert kernel.cost().critical_path_cycles == 0.0
 
     def test_pcie_footprint(self):
-        batch = LookupBatch.from_queries([(0, 1, 2)] * 100)
+        batch = lookup_batch([(0, 1, 2)] * 100)
         kernel = BinLookupKernel(batch, {})
         assert kernel.bytes_in() == 100 * 20
         assert kernel.bytes_out() == 100 * 8
@@ -406,23 +402,6 @@ class TestDescriptorLzKernel:
             DescriptorLzKernel([4096], [2.0, 3.0])
 
 
-class TestSha1Kernel:
-    def test_digests_match_hashlib(self):
-        chunks = [b"alpha", b"beta", _compressible(4096)]
-        digests = Sha1Kernel(chunks).execute()
-        assert digests == [hashlib.sha1(c).digest() for c in chunks]
-
-    def test_cost_scales_with_bytes(self):
-        small = Sha1Kernel([b"x" * 512]).cost()
-        large = Sha1Kernel([b"x" * 4096]).cost()
-        assert large.lane_cycles_total > small.lane_cycles_total
-        assert large.critical_path_cycles > small.critical_path_cycles
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(KernelError):
-            Sha1Kernel([])
-
-
 class TestKernelsOnDevice:
     def test_lz_launch_through_device(self):
         env = Environment()
@@ -446,7 +425,7 @@ class TestKernelsOnDevice:
         gpu = GpuDevice(env)
         table = _make_table([(0, i, i) for i in range(16)])
         t_small = gpu.launch_time(BinLookupKernel(
-            LookupBatch.from_queries([(0, 1, 1)] * 64), table))
+            lookup_batch([(0, 1, 1)] * 64), table))
         t_large = gpu.launch_time(BinLookupKernel(
-            LookupBatch.from_queries([(0, 1, 1)] * 256), table))
+            lookup_batch([(0, 1, 1)] * 256), table))
         assert t_large < t_small * 1.5

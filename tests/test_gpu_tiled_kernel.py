@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.gpu import GpuDevice
-from repro.gpu.kernels.indexing import BinLookupKernel, LookupBatch
+from repro.gpu.kernels.indexing import BinLookupKernel
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.sim import Environment
-from tests.reference_paths import reference_bin_lookup
+from tests.reference_paths import lookup_batch, reference_bin_lookup
 
 
 def make_table(entries):
@@ -36,7 +36,7 @@ class TestTiledLookup:
         queries = ([(b, 1000 * b + i, 2000 * b + i)
                     for b in range(4) for i in range(0, 40, 7)]
                    + [(0, 1, 1), (2, 5, 5), (9, 9, 9)])
-        batch = LookupBatch.from_queries(queries)
+        batch = lookup_batch(queries)
         expected = reference_bin_lookup(batch, table)
         assert BinLookupKernel(batch, table).execute().tolist() == expected
         assert TiledBinLookupKernel(batch, table).execute().tolist() \
@@ -49,7 +49,7 @@ class TestTiledLookup:
         queries = [(b, 1000 * b + i, 2000 * b + i)
                    for b in range(3) for i in range(0, 70, 5)]
         queries += [(1, 42424242, 0)]
-        batch = LookupBatch.from_queries(queries)
+        batch = lookup_batch(queries)
         small = TiledBinLookupKernel(batch, table, tile_entries=32)
         large = TiledBinLookupKernel(batch, table)
         assert small.execute().tolist() == large.execute().tolist() \
@@ -58,11 +58,11 @@ class TestTiledLookup:
             > large.cost().lane_cycles_total
 
     def test_unknown_bin_misses(self):
-        batch = LookupBatch.from_queries([(99, 1, 2)])
+        batch = lookup_batch([(99, 1, 2)])
         assert list(TiledBinLookupKernel(batch, {}).execute()) == [-1]
 
     def test_invalid_tile_size_rejected(self):
-        batch = LookupBatch.from_queries([(0, 1, 2)])
+        batch = lookup_batch([(0, 1, 2)])
         with pytest.raises(KernelError):
             TiledBinLookupKernel(batch, {}, tile_entries=0)
 
@@ -73,7 +73,7 @@ class TestTiledLookup:
         table = full_table()
         queries = [(b, 1000 * b + i, 2000 * b + i)
                    for b, i in raw_queries]
-        batch = LookupBatch.from_queries(queries)
+        batch = lookup_batch(queries)
         expected = reference_bin_lookup(batch, table)
         assert BinLookupKernel(batch, table).execute().tolist() == expected
         assert TiledBinLookupKernel(batch, table).execute().tolist() \
@@ -86,7 +86,7 @@ class TestTiledCost:
         kernel streams it per query."""
         table = full_table(n_bins=1, per_bin=500)
         queries = [(0, 7, 7)] * 64
-        batch = LookupBatch.from_queries(queries)
+        batch = lookup_batch(queries)
         simple = BinLookupKernel(batch, table).cost()
         tiled = TiledBinLookupKernel(batch, table).cost()
         assert tiled.bytes_read < simple.bytes_read / 10
@@ -96,21 +96,21 @@ class TestTiledCost:
         gpu = GpuDevice(env)
         table = full_table(n_bins=2, per_bin=500)
         queries = [(qi % 2, 7, 7) for qi in range(256)]
-        batch = LookupBatch.from_queries(queries)
+        batch = lookup_batch(queries)
         simple = gpu.launch_time(BinLookupKernel(batch, table))
         tiled = gpu.launch_time(TiledBinLookupKernel(batch, table))
         assert tiled < simple
 
     def test_cost_available_before_execution(self):
         table = full_table()
-        batch = LookupBatch.from_queries([(0, 1, 1), (1, 2, 2)])
+        batch = lookup_batch([(0, 1, 1), (1, 2, 2)])
         cost = TiledBinLookupKernel(batch, table).cost()
         assert cost.lane_cycles_total > 0
         assert cost.bytes_read > 0
 
     def test_pcie_footprint_same_as_simple(self):
         table = full_table()
-        batch = LookupBatch.from_queries([(0, 1, 1)] * 10)
+        batch = lookup_batch([(0, 1, 1)] * 10)
         simple = BinLookupKernel(batch, table)
         tiled = TiledBinLookupKernel(batch, table)
         assert tiled.bytes_in() == simple.bytes_in()

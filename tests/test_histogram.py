@@ -19,14 +19,16 @@ class TestLatencyHistogram:
 
     def test_mean_is_exact(self):
         hist = LatencyHistogram()
-        hist.record_many([1.0, 2.0, 3.0])
+        for value in [1.0, 2.0, 3.0]:
+            hist.record(value)
         assert hist.mean == pytest.approx(2.0)
         assert hist.peak == 3.0
 
     def test_percentiles_ordered(self):
         hist = LatencyHistogram()
         rng = random.Random(1)
-        hist.record_many(rng.expovariate(100.0) for _ in range(5000))
+        for _ in range(5000):
+            hist.record(rng.expovariate(100.0))
         p50 = hist.percentile(0.50)
         p99 = hist.percentile(0.99)
         p999 = hist.percentile(0.999)
@@ -35,7 +37,8 @@ class TestLatencyHistogram:
     def test_percentile_accuracy_within_bucket_resolution(self):
         hist = LatencyHistogram()
         values = [i / 1000.0 for i in range(1, 1001)]  # 1ms..1s uniform
-        hist.record_many(values)
+        for value in values:
+            hist.record(value)
         # P50 should land near 0.5 s within the ~4.7% bucket width.
         assert hist.percentile(0.50) == pytest.approx(0.5, rel=0.08)
         assert hist.percentile(0.99) == pytest.approx(0.99, rel=0.08)
@@ -112,7 +115,8 @@ class TestLatencyHistogram:
     @settings(max_examples=40, deadline=None)
     def test_percentile_bounds_property(self, samples):
         hist = LatencyHistogram()
-        hist.record_many(samples)
+        for value in samples:
+            hist.record(value)
         assert hist.percentile(0.0) <= hist.percentile(1.0)
         assert hist.percentile(1.0) <= hist.peak * (1 + 1e-12)
         assert hist.count == len(samples)

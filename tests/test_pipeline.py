@@ -236,6 +236,12 @@ class TestPipelineFunctional:
             PipelineConfig(mode=IntegrationMode.GPU_COMP, window=8,
                            gpu_comp_batch=64)
 
+    @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
+    def test_invalid_arrival_rate_rejected(self, rate):
+        # Not silently a closed-loop run: the rate is None or finite > 0.
+        with pytest.raises(ConfigError, match="arrival_rate_iops"):
+            PipelineConfig(arrival_rate_iops=rate)
+
 
 class TestPipelinePerformanceShape:
     """Coarse shape checks; the benchmarks assert the precise bands."""

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LzssCodec, QuickLzCodec
-from repro.compression.postprocess import refine_to_container
 from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
 from repro.errors import MetadataError
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment
 from repro.storage import MetadataStore
 from repro.workload import VdbenchStream
+from tests.reference_codecs import refine_to_container
 
 
 def fp(n: int) -> bytes:
@@ -135,7 +135,7 @@ class TestMetadataFuzz:
             else:
                 store.sweep_unreferenced()
             store.verify_invariants()
-        assert store.logical_bytes == store.mapped_offsets * 4096
+        assert store.logical_bytes == len(store._logical) * 4096
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
     @settings(max_examples=30, deadline=None)

@@ -43,23 +43,20 @@ class TestReadPipeline:
         report = pipeline.run([0, 4096])
         assert report.decompressed == 0
 
-    def test_decompress_flag_disables_decode(self):
-        env = Environment()
-        pipeline = ReadPipeline(env, populated_store(),
-                                decompress=False)
-        report = pipeline.run([0])
-        assert report.decompressed == 0
-
     def test_decompression_costs_time(self):
-        def run(compressed_size, decompress=True):
+        # A 2048-byte container and a 4096-byte raw chunk are both one
+        # SSD page, so the only difference in time is the decode.
+        def run(compressed_size):
             env = Environment()
             pipeline = ReadPipeline(
                 env, populated_store(compressed_size=compressed_size),
-                decompress=decompress, window=1)
+                window=1)
             return pipeline.run([i * 4096 for i in range(16)])
 
         with_decode = run(2048)
-        without_decode = run(2048, decompress=False)
+        without_decode = run(4096)
+        assert with_decode.decompressed == 16
+        assert without_decode.decompressed == 0
         assert with_decode.duration_s > without_decode.duration_s
 
     def test_unmapped_offset_raises(self):

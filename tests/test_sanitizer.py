@@ -10,6 +10,7 @@ waiter).
 
 import pytest
 
+from repro.core.calibration import run_mode
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
@@ -168,7 +169,7 @@ class TestLeakDetection:
 class TestPipelineIntegration:
     def test_pipeline_run_passes_finish_check(self):
         config = PipelineConfig().with_overrides(
-            mode=IntegrationMode.CPU_ONLY, finish_check=True)
+            mode=IntegrationMode.CPU_ONLY)
         env = Environment()
         pipeline = ReductionPipeline(env, config, cpu=SimCpu(env),
                                      ssd=SsdModel(env))
@@ -177,8 +178,18 @@ class TestPipelineIntegration:
         report = pipeline.run(stream.chunks(64), total=64)
         assert report.chunks == 64
 
-    def test_flag_defaults_off(self):
-        assert PipelineConfig().finish_check is False
+    def test_plain_run_mode_runs_finish_check(self, monkeypatch):
+        checked = []
+        real = Environment.finish_check
+
+        def spy(env):
+            checked.append(env.now)
+            real(env)
+
+        monkeypatch.setattr(Environment, "finish_check", spy)
+        report = run_mode(IntegrationMode.CPU_ONLY, 64)
+        assert report.chunks == 64
+        assert len(checked) == 1
 
 
 class TestChargeFastPath:

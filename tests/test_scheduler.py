@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import OffloadScheduler, SchedulerStats
+from repro.core.scheduler import OffloadScheduler
 from repro.cpu import SimCpu
 from repro.errors import ConfigError
 from repro.sim import Environment
@@ -13,7 +13,7 @@ def busy_cpu(env, fraction=1.0):
     n = int(cpu.spec.threads * fraction)
 
     def hog():
-        yield from cpu.execute_for(100.0)
+        yield cpu.charge(100.0 * cpu.spec.thread_hz)
 
     for _ in range(n):
         env.process(hog())
@@ -74,9 +74,3 @@ class TestOffloadScheduler:
         env = Environment()
         with pytest.raises(ConfigError):
             OffloadScheduler(SimCpu(env), saturation_threshold=0.0)
-
-    def test_stats_fractions(self):
-        stats = SchedulerStats(offloaded=3, kept_local=1)
-        assert stats.decisions == 4
-        assert stats.offload_fraction == pytest.approx(0.75)
-        assert SchedulerStats().offload_fraction == 0.0

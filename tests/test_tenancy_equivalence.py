@@ -146,6 +146,11 @@ class TestMixEmission:
                                TenantSpec(name="b", seed=2)),
                       seed=0, open_loop=True)
 
+    @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
+    def test_invalid_arrival_rate_rejected(self, rate):
+        with pytest.raises(WorkloadError, match="arrival_rate_iops"):
+            TenantSpec(name="a", seed=1, arrival_rate_iops=rate)
+
 
 class TestEstimatorEquivalence:
     @given(window=st.integers(1, 64),

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.workload import (
     BlockContentGenerator,
-    SequentialPattern,
     TraceRecord,
     TraceRecorder,
-    UniformPattern,
     VdbenchStream,
     ZipfPattern,
     measured_ratio,
@@ -250,13 +248,9 @@ class TestVdbenchStream:
 
 
 class TestPatterns:
-    def test_sequential_wraps(self):
-        pattern = SequentialPattern(3)
-        assert [pattern.next_slot() for _ in range(5)] == [0, 1, 2, 0, 1]
-
-    def test_uniform_in_range_and_deterministic(self):
-        a = UniformPattern(100, seed=1)
-        b = UniformPattern(100, seed=1)
+    def test_zipf_in_range_and_deterministic(self):
+        a = ZipfPattern(100, seed=1)
+        b = ZipfPattern(100, seed=1)
         draws_a = [a.next_slot() for _ in range(50)]
         draws_b = [b.next_slot() for _ in range(50)]
         assert draws_a == draws_b
@@ -274,7 +268,7 @@ class TestPatterns:
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(WorkloadError):
-            SequentialPattern(0)
+            ZipfPattern(0, seed=0)
 
 
 class TestTrace:
