@@ -29,8 +29,8 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-# Re-exports are lazy (PEP 562): tooling entry points that never touch
-# the data plane (``repro lint``) must not pay the numpy/core import.
+# Re-exports are lazy (PEP 562): importing a substrate package such as
+# ``repro.sim`` must not load the pipeline (and numpy) above it.
 _EXPORTS = {
     "calibrate_mode": "repro.core.calibration",
     "run_mode": "repro.core.calibration",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands cover the library's everyday uses:
+Six commands cover the library's everyday uses:
 
 * ``run`` — one timed pipeline run on the simulated testbed
   (``--trace`` also writes a Chrome ``trace_event`` file);
@@ -12,9 +12,7 @@ Seven commands cover the library's everyday uses:
 * ``bench`` — one experiment of that table by id, or ``list`` (per-layer
   host cost is ``python3 -m e2ebench trace``'s, inside whole runs);
 * ``codec`` — compress/decompress a real file with the bundled codecs
-  (round-trip verified), reporting the achieved ratio;
-* ``lint`` — the project's AST invariant checker (determinism,
-  sim-protocol, float-time and data-plane hygiene).
+  (round-trip verified), reporting the achieved ratio.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from repro.compression import LzssCodec, QuickLzCodec
 from repro.core.calibration import calibrate_mode, run_mode
 from repro.core.modes import IntegrationMode
 from repro.cpu.model import CpuSpec, I7_2600K
+from repro.errors import ReproError
 from repro.gpu.device import GpuSpec, RADEON_HD_7970
 
 #: GPU presets selectable from the command line.
@@ -236,7 +235,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.bench.experiments import regenerate
-    from repro.errors import ReproError
 
     path = Path(args.doc)
     try:
@@ -291,88 +289,6 @@ def cmd_codec(args: argparse.Namespace) -> int:
     print(f"{args.codec}: {len(data):,} B -> {len(blob):,} B "
           f"(ratio {len(data) / len(blob):.3f}x), "
           f"encoded in {encode_s:.2f} s, round-trip verified")
-    return 0
-
-
-#: Default committed baseline of grandfathered lint findings.
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    # Imported lazily: the analysis layer is a leaf package and the
-    # other commands must not pay for (or depend on) it.
-    from pathlib import Path
-
-    from repro.analysis import Baseline, LintConfig, all_checkers, run_lint
-    from repro.errors import LintError
-
-    config = LintConfig(root=Path.cwd(),
-                        rules=tuple(args.rules) if args.rules else None)
-    if args.list_rules:
-        for checker in all_checkers(LintConfig()):
-            print(f"{checker.rule}  {checker.name:<32} "
-                  f"{checker.description}")
-        return 0
-    if args.explain:
-        return _explain_rule(args.explain)
-
-    paths = [Path(p) for p in (args.paths or ["src/repro"])]
-    baseline = None
-    baseline_path = Path(args.baseline)
-    if not args.no_baseline and not args.write_baseline \
-            and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        # Explicit path arguments scan less than the full tree, so an
-        # unmatched baseline entry there proves nothing — only default
-        # (full-tree) runs may call entries stale.
-        report = run_lint(paths, config, baseline=baseline,
-                          check_stale=not args.paths)
-    except LintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        Baseline.from_diagnostics(report.new).save(baseline_path)
-        print(f"wrote {len(report.new)} entry(ies) to {baseline_path}")
-        return 0
-    if args.format == "json":
-        print(report.format_json())
-    elif args.format == "github":
-        print(report.format_github())
-    else:
-        print(report.format_text())
-    # Stale baseline entries fail the run too: a grandfathered finding
-    # that no longer occurs must be removed, or the baseline rots.
-    return 0 if report.ok and not report.stale_baseline else 1
-
-
-def _explain_rule(rule: str) -> int:
-    """Print one rule's contract: registry line plus its module doc."""
-    import inspect
-
-    from repro.analysis import checker_by_rule
-    from repro.errors import LintError
-
-    try:
-        checker = checker_by_rule(rule)
-    except LintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{checker.rule}  {checker.name}")
-    print(f"  {checker.description}")
-    doc = inspect.getdoc(type(checker)) or ""
-    module_doc = inspect.getdoc(
-        inspect.getmodule(type(checker))) or ""
-    for block in (doc, module_doc):
-        if block:
-            print()
-            for line in block.splitlines():
-                print(f"  {line}")
     return 0
 
 
@@ -456,35 +372,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max bytes to read (pure-Python codecs)")
     codec.set_defaults(func=cmd_codec)
 
-    lint = sub.add_parser(
-        "lint", help="AST invariant checker (DESIGN.md §8)")
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories to lint "
-                           "(default: src/repro)")
-    lint.add_argument("--rule", action="append", dest="rules",
-                      metavar="RULE",
-                      help="run only this rule id/name (repeatable)")
-    lint.add_argument("--explain", metavar="RULE",
-                      help="print one rule's contract and exit")
-    lint.add_argument("--format", choices=("text", "json", "github"),
-                      default="text")
-    lint.add_argument("--baseline", default=DEFAULT_BASELINE,
-                      help="baseline file of grandfathered findings")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline (report everything)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="grandfather all current findings into the "
-                           "baseline file")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list the registered rules and exit")
-    lint.set_defaults(func=cmd_lint)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (an out-of-range dial or platform value, say) is a
+    usage error: one ``error:`` line and exit 2, not a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

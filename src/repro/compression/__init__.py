@@ -15,13 +15,7 @@ compression paths:
   output (:mod:`~repro.compression.postprocess`) into a valid LZSS stream.
 """
 
-from repro.compression.lz_common import (
-    Literal,
-    Match,
-    Token,
-    LzParams,
-    DEFAULT_PARAMS,
-)
+from repro.compression.lz_common import LzParams, DEFAULT_PARAMS
 from repro.compression.delta import DeltaCodec, SimilarityIndex, sketch
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec
@@ -30,9 +24,6 @@ __all__ = [
     "DeltaCodec",
     "SimilarityIndex",
     "sketch",
-    "Literal",
-    "Match",
-    "Token",
     "LzParams",
     "DEFAULT_PARAMS",
     "LzssCodec",

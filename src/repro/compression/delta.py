@@ -135,7 +135,7 @@ class DeltaCodec:
                 # a mutable bytearray, and the pending-literal run it can
                 # absorb is short — an integer XOR buys nothing here.
                 back = 0
-                while (back < len(literals) and back < match_pos  # repro-lint: disable=REP502
+                while (back < len(literals) and back < match_pos
                        and length + back < _MAX_COPY
                        and reference[match_pos - back - 1]
                        == literals[-1 - back]):

@@ -77,9 +77,7 @@ class GpuCompressor:
                       raw: Any) -> Sequence[Any]:
         """Per-chunk results of a launch: refined containers in payload
         mode, the synthetic sizes as they are in descriptor mode."""
-        # An exact type test: isinstance() against an ABC subclass is a
-        # Python-level call, paid per descriptor batch.
-        payload = type(raw) is LzLaunch
+        payload = isinstance(raw, LzLaunch)
         if len(raw) != len(chunks) \
                 or (chunks[0].payload is not None) != payload:
             raise CompressionError(

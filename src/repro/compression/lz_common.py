@@ -1,9 +1,8 @@
-"""Shared LZ machinery: parameters, tokens, and the canonical container.
+"""Shared LZ machinery: parameters and the canonical container.
 
 All LZ paths in the library (serial LZSS, the GPU segment-parallel path
-after post-processing) produce the same *token* representation — a list of
-:class:`Literal` and :class:`Match` — and the same serialized container,
-so one decoder handles every producer.  That mirrors the paper's design:
+after post-processing) produce the same serialized container, so one
+decoder handles every producer.  That mirrors the paper's design:
 the GPU emits raw match candidates and the CPU refines them into the same
 stream format the storage system already understands.
 
@@ -21,7 +20,7 @@ min_match``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -90,7 +89,7 @@ def common_prefix_length(data: bytes, a: int, b: int, limit: int) -> int:
     # The audited per-byte exception REP502 points everyone else at:
     # bounded to 8 bytes, it beats slice setup for the short prefixes
     # that dominate fizzled hash candidates.
-    while length < scan and data[a + length] == data[b + length]:  # repro-lint: disable=REP502
+    while length < scan and data[a + length] == data[b + length]:
         length += 1
     if length < scan or length == limit:
         return length
@@ -117,7 +116,7 @@ def common_prefix_length_pair(abuf: bytes, a: int, bbuf: bytes, b: int,
     scan = 8 if limit > 8 else limit
     length = 0
     # The same audited per-byte head scan as common_prefix_length.
-    while length < scan and abuf[a + length] == bbuf[b + length]:  # repro-lint: disable=REP502
+    while length < scan and abuf[a + length] == bbuf[b + length]:
         length += 1
     if length < scan or length == limit:
         return length
@@ -219,34 +218,3 @@ def decode_grouped(blob: bytes, width: int,
             "in a match" if cut <= size
             else "mid-stream" if pos == end else "in a literal"))
     return bytes(out), original_length
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A single uncompressed byte."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 255:
-            raise CompressionError(f"invalid literal byte {self.value}")
-
-
-@dataclass(frozen=True)
-class Match:
-    """A backward reference: copy ``length`` bytes from ``distance`` back."""
-
-    distance: int
-    length: int
-
-    def validate(self, params: LzParams) -> None:
-        """Raise unless the match fits the container's bit fields."""
-        if not 1 <= self.distance <= params.window:
-            raise CompressionError(f"match distance {self.distance} "
-                                   f"outside window {params.window}")
-        if not params.min_match <= self.length <= params.max_match:
-            raise CompressionError(f"match length {self.length} outside "
-                                   f"[{params.min_match}, {params.max_match}]")
-
-
-Token = Union[Literal, Match]

@@ -24,10 +24,6 @@ class SanitizerError(SimulationError):
     """End-of-run sanitizer check failed (leaked slot, live process...)."""
 
 
-class LintError(ReproError):
-    """The static-analysis layer was misused (bad rule id, bad baseline...)."""
-
-
 class TraceError(ReproError):
     """The observability layer was misused (invalid span, unbound tracer,
     metric type conflict...)."""

@@ -37,10 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro import host
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
-    Literal,
     LzParams,
-    Match,
-    Token,
     common_prefix_length,
 )
 from repro.compression.lzss import MAX_CHAIN
@@ -81,35 +78,6 @@ def _lz_cost(name: str, threads: int, total_bytes: int, segment_bytes: int,
 
 
 @dataclass
-class SegmentOutput:
-    """Raw output of one segment thread: tokens covering [start, end).
-
-    Token ``i`` starts at chunk offset ``positions[i]`` and covers
-    ``lengths[i]`` bytes; ``distances[i]`` is the backward distance of a
-    match and 0 for a literal (whose length is 1).
-    """
-
-    chunk_index: int
-    segment_index: int
-    start: int
-    end: int
-    positions: np.ndarray
-    lengths: np.ndarray
-    distances: np.ndarray
-    chunk: bytes = field(repr=False)
-
-    @property
-    def tokens(self) -> list[Token]:
-        """The token-object view of the arrays (tests and examples)."""
-        chunk = self.chunk
-        return [Match(distance=distance, length=length) if distance
-                else Literal(chunk[position])
-                for position, length, distance
-                in zip(self.positions.tolist(), self.lengths.tolist(),
-                       self.distances.tolist())]
-
-
-@dataclass
 class LzTile:
     """Raw tokens of one search tile, flat, in tile coordinates.
 
@@ -133,29 +101,11 @@ class LzTile:
     lengths: np.ndarray
     distances: np.ndarray
 
-    def outputs(self, index: int) -> list[SegmentOutput]:
-        """Chunk ``index``'s busy threads as chunk-relative views."""
-        n_segments = self.seg_start.shape[1]
-        threads = slice(index * n_segments, (index + 1) * n_segments)
-        offset = int(self.edges[index])
-        return [SegmentOutput(
-            chunk_index=self.first + index, segment_index=segment,
-            start=int(self.seg_start[index, segment]) - offset,
-            end=int(self.seg_end[index, segment]) - offset,
-            positions=(self.starts[hi - count:hi] - offset).astype(np.int32),
-            lengths=self.lengths[hi - count:hi],
-            distances=self.distances[hi - count:hi],
-            chunk=self.chunks[index])
-            for segment, (hi, count) in enumerate(zip(
-                np.cumsum(self.counts)[threads].tolist(),
-                self.counts[threads].tolist())) if count]
 
-
-class LzLaunch(Sequence):
+class LzLaunch:
     """What :meth:`SegmentLzKernel.execute` hands back: the ``tiles``
-    refinement reads and the launch's :data:`LZ_CENSUS`.  Indexed or
-    iterated it is the per-chunk lists of :class:`SegmentOutput`, built
-    on demand (tests, examples) — the pipeline never builds one.
+    refinement reads and the launch's :data:`LZ_CENSUS`; its length is
+    the launch's chunk count.
     """
 
     def __init__(self, tiles: list[LzTile], census: dict[str, int]):
@@ -164,10 +114,6 @@ class LzLaunch(Sequence):
 
     def __len__(self) -> int:
         return sum(len(tile.chunks) for tile in self.tiles)
-
-    def __getitem__(self, index: int) -> list[SegmentOutput]:
-        tile, within = divmod(range(len(self))[index], _TILE_CHUNKS)
-        return self.tiles[tile].outputs(within)
 
 
 class SegmentLzKernel(Kernel):

@@ -17,8 +17,8 @@ Two tracers share the interface:
 * :class:`SimTracer` — appends :class:`Span` records.  All *derived*
   timing math (durations, queue-wait from an expected service time,
   proportional splits of a coalesced charge) lives here, which is what
-  lets lint rule REP601 ban ad-hoc ``env.now`` arithmetic in the
-  instrumented subsystems.
+  lets rule REP601 (``tests/test_source_rules.py``) ban ad-hoc
+  ``env.now`` arithmetic in the instrumented subsystems.
 
 Timing invariant: recording must never *change* timing.  Tracer methods
 only read ``env.now``; they never yield, charge, or touch the calendar.

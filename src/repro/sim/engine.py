@@ -454,7 +454,7 @@ class Environment:
                 head = queue[0]
                 # Exact tie check is sound: run-queue entries carry the
                 # very `now` the heap timestamps are compared against.
-                if head[0] == self._now and (  # repro-lint: disable=REP501
+                if head[0] == self._now and (
                         head[1] < URGENT or (head[1] == URGENT
                                              and head[2] < self._urgent[0][0])):
                     entry = heapq.heappop(queue)
@@ -463,7 +463,7 @@ class Environment:
         elif self._normal:
             if queue:
                 head = queue[0]
-                if head[0] == self._now and (  # repro-lint: disable=REP501
+                if head[0] == self._now and (
                         head[1] < NORMAL or (head[1] == NORMAL
                                              and head[2] < self._normal[0][0])):
                     entry = heapq.heappop(queue)

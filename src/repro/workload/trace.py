@@ -2,14 +2,14 @@
 
 A trace is a list of (op, offset, size) records with optional submit
 timestamps.  The recorder collects them from a running workload and
-dumps them in a one-line-per-record text format that loads back.
+dumps them in a one-line-per-record text format.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import WorkloadError
 
@@ -35,19 +35,9 @@ class TraceRecord:
         stamp = "" if self.timestamp is None else f" {self.timestamp:.9f}"
         return f"{self.op} {self.offset} {self.size}{stamp}"
 
-    @classmethod
-    def from_line(cls, line: str) -> "TraceRecord":
-        """Parse the one-line text format."""
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise WorkloadError(f"malformed trace line: {line!r}")
-        timestamp = float(parts[3]) if len(parts) == 4 else None
-        return cls(op=parts[0], offset=int(parts[1]), size=int(parts[2]),
-                   timestamp=timestamp)
-
 
 class TraceRecorder:
-    """Accumulates trace records and round-trips them through text."""
+    """Accumulates trace records and dumps them as text."""
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
@@ -67,16 +57,6 @@ class TraceRecorder:
         """Write the trace as text, one record per line."""
         for record in self.records:
             stream.write(record.to_line() + "\n")
-
-    @classmethod
-    def load(cls, stream: Iterable[str]) -> "TraceRecorder":
-        """Read a text trace back."""
-        recorder = cls()
-        for line in stream:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                recorder.records.append(TraceRecord.from_line(line))
-        return recorder
 
     def total_bytes(self, op: Optional[str] = None) -> int:
         """Bytes moved by the trace (optionally one op kind only)."""

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.sim.fakeclean
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: a file every rule should pass."""
 
 import random

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.sim.fakeclock
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP101 — wall-clock reads in simulation-scoped code."""
 
 import time

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.obs.fakerng
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP102 — ambient/unseeded randomness."""
 
 import os

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.dedup.fakepolicy
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP103 — RNG-owning class with a defaulted seed."""
 
 import random

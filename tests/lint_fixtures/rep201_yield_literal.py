@@ -1,4 +1,4 @@
-# repro-lint: module=repro.core.fakeproc
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP201 — process generators yielding non-events."""
 
 

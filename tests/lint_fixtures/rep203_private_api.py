@@ -1,4 +1,4 @@
-# repro-lint: module=repro.core.fakesched
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP203 — private engine API outside repro.sim."""
 
 

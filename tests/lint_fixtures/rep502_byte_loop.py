@@ -1,4 +1,4 @@
-# repro-lint: module=repro.compression.fixture
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP502 — per-byte match-extension loops in data-plane code."""
 
 

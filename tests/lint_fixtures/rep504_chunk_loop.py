@@ -1,4 +1,4 @@
-# repro-lint: module=repro.core.pipeline.fixture
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP504 — per-chunk loops in batched functional-plane code."""
 
 

@@ -1,4 +1,4 @@
-# repro-lint: module=repro.core.pipeline.fixture
+# Checked by tests/test_source_rules.py, as the module FIXTURE_CASES names.
 """Fixture: REP601 — derived env.now arithmetic outside the tracer."""
 
 

@@ -10,12 +10,14 @@ adversarial corpus, and round-trips each stream through both decoder
 generations.
 
 The token-object view of the canonical LZSS container lives here too:
-:func:`tokens_to_bytes`, :func:`bytes_to_tokens` and
-:func:`decode_tokens` serialize, parse and expand ``Literal``/``Match``
-lists one token at a time — the oracles the fused ``LzssCodec`` encoder
-and the grouped decoder must agree with — and :func:`refine_to_container`
-lines hand-built per-segment outputs up as a one-chunk tile for
-``refine_tile``.
+:class:`Literal` and :class:`Match` tokens; :func:`tokens_to_bytes`,
+:func:`bytes_to_tokens` and :func:`decode_tokens`, which serialize,
+parse and expand token lists one token at a time — the oracles the
+fused ``LzssCodec`` encoder and the grouped decoder must agree with;
+the per-segment view of a GPU launch (:class:`SegmentOutput`,
+:func:`tile_outputs`, :func:`launch_outputs`); and
+:func:`refine_to_container`, which lines per-segment outputs up as a
+one-chunk tile for ``refine_tile``.
 
 Deliberately slow — do not import from production code.
 """
@@ -23,21 +25,46 @@ Deliberately slow — do not import from production code.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.compression.lz_common import (
-    DEFAULT_PARAMS,
-    Literal,
-    LzParams,
-    Match,
-    Token,
-    copy_match,
-)
+from repro.compression.lz_common import DEFAULT_PARAMS, LzParams, copy_match
 from repro.compression.postprocess import refine_tile
 from repro.errors import CompressionError, CorruptStreamError
-from repro.gpu.kernels.lz import LzTile, SegmentOutput
+from repro.gpu.kernels.lz import LzLaunch, LzTile
+
+
+@dataclass(frozen=True)
+class Literal:
+    """A single uncompressed byte."""
+
+    value: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.value <= 255:
+            raise CompressionError(f"invalid literal byte {self.value}")
+
+
+@dataclass(frozen=True)
+class Match:
+    """A backward reference: copy ``length`` bytes from ``distance`` back."""
+
+    distance: int
+    length: int
+
+    def validate(self, params: LzParams) -> None:
+        """Raise unless the match fits the container's bit fields."""
+        if not 1 <= self.distance <= params.window:
+            raise CompressionError(f"match distance {self.distance} "
+                                   f"outside window {params.window}")
+        if not params.min_match <= self.length <= params.max_match:
+            raise CompressionError(f"match length {self.length} outside "
+                                   f"[{params.min_match}, {params.max_match}]")
+
+
+Token = Union[Literal, Match]
 
 _QLZ_MIN_MATCH = 3
 _QLZ_MAX_MATCH = 258
@@ -540,6 +567,60 @@ def decode_tokens(tokens: Iterable[Token]) -> bytes:
         else:
             out.append(token.value)
     return bytes(out)
+
+
+@dataclass
+class SegmentOutput:
+    """Raw output of one segment thread: tokens covering [start, end).
+
+    Token ``i`` starts at chunk offset ``positions[i]`` and covers
+    ``lengths[i]`` bytes; ``distances[i]`` is the backward distance of a
+    match and 0 for a literal (whose length is 1).
+    """
+
+    chunk_index: int
+    segment_index: int
+    start: int
+    end: int
+    positions: np.ndarray
+    lengths: np.ndarray
+    distances: np.ndarray
+    chunk: bytes = field(repr=False)
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The token-object view of the arrays."""
+        chunk = self.chunk
+        return [Match(distance=distance, length=length) if distance
+                else Literal(chunk[position])
+                for position, length, distance
+                in zip(self.positions.tolist(), self.lengths.tolist(),
+                       self.distances.tolist())]
+
+
+def tile_outputs(tile: LzTile, index: int) -> list[SegmentOutput]:
+    """Chunk ``index`` of ``tile``: its busy threads as chunk-relative
+    views."""
+    n_segments = tile.seg_start.shape[1]
+    threads = slice(index * n_segments, (index + 1) * n_segments)
+    offset = int(tile.edges[index])
+    return [SegmentOutput(
+        chunk_index=tile.first + index, segment_index=segment,
+        start=int(tile.seg_start[index, segment]) - offset,
+        end=int(tile.seg_end[index, segment]) - offset,
+        positions=(tile.starts[hi - count:hi] - offset).astype(np.int32),
+        lengths=tile.lengths[hi - count:hi],
+        distances=tile.distances[hi - count:hi],
+        chunk=tile.chunks[index])
+        for segment, (hi, count) in enumerate(zip(
+            np.cumsum(tile.counts)[threads].tolist(),
+            tile.counts[threads].tolist())) if count]
+
+
+def launch_outputs(launch: LzLaunch) -> list[list[SegmentOutput]]:
+    """Every chunk of a launch, in order, as :func:`tile_outputs` views."""
+    return [tile_outputs(tile, index) for tile in launch.tiles
+            for index in range(len(tile.chunks))]
 
 
 def refine_to_container(chunk: bytes, outputs: Sequence[SegmentOutput],

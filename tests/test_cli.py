@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import GPU_PRESETS, build_parser, main
@@ -37,6 +39,24 @@ class TestParser:
             main(["run", flag])
         assert raised.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--chunks", "0"],
+    ["run", "--chunks", "-5"],
+    ["run", "--cpu-cores", "0"],
+    ["run", "--dedup-ratio", "0.5"],
+    ["run", "--comp-ratio", "0"],
+    ["calibrate", "--chunks", "0"],
+    ["trace", "--chunks", "0", "--format", "summary"],
+    ["run", "--tenants", "examples/tenant_mix.json", "--tenancy-cache", "0"],
+], ids=" ".join)
+def test_library_error_is_an_error_line_not_a_traceback(argv, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRunCommand:

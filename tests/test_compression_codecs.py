@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 
 from repro.compression import (
     DEFAULT_PARAMS,
-    Literal,
     LzParams,
     LzssCodec,
-    Match,
     QuickLzCodec,
 )
 from repro.errors import CompressionError, CorruptStreamError, ReproError
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.workload.datagen import BlockContentGenerator
 from tests.reference_codecs import (
+    Literal,
+    Match,
     bytes_to_tokens,
     decode_tokens,
+    launch_outputs,
     refine_to_container,
     tokens_to_bytes,
 )
@@ -178,7 +179,7 @@ class TestGpuLzContainer:
             4096, salt=seed) for seed in (1, 2, 3)]
         launch = SegmentLzKernel(blocks).execute()
         return [(block, refine_to_container(block, outputs))
-                for block, outputs in zip(blocks, launch)]
+                for block, outputs in zip(blocks, launch_outputs(launch))]
 
     def test_every_proper_prefix_is_a_corrupt_stream_error(self, containers):
         codec = LzssCodec()

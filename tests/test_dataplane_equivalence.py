@@ -23,25 +23,28 @@ from hypothesis import strategies as st
 
 from tests.corpus import build_corpus, storage_blocks
 from tests.reference_codecs import (
+    Literal,
+    Match,
     ReferenceLzssCodec,
     ReferenceMatchFinder,
     ReferenceQuickLzCodec,
+    SegmentOutput,
     bytes_to_tokens,
     decode_tokens,
+    launch_outputs,
     reference_decode_tokens,
     reference_merge_segments,
     reference_segment_bounds,
     reference_segment_tokens,
     refine_to_container,
     runwise_quicklz_decode,
+    tile_outputs,
     tokens_to_bytes,
     tokenwise_lzss_decode,
 )
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
-    Literal,
     LzParams,
-    Match,
     common_prefix_length,
     common_prefix_length_pair,
     copy_match,
@@ -58,7 +61,6 @@ from repro.gpu.kernels.lz import (
     _TILE_CHUNKS,
     LzTile,
     SegmentLzKernel,
-    SegmentOutput,
 )
 from repro.workload.datagen import BlockContentGenerator
 
@@ -611,7 +613,7 @@ def test_quicklz_decoder_follows_sixteen_bit_offsets(offset):
 def test_gpu_segment_tokens_match_reference(name, segments):
     payload = dict(CORPUS)[name]
     kernel = SegmentLzKernel([payload], segments_per_chunk=segments)
-    (outputs,) = kernel.execute()
+    (outputs,) = launch_outputs(kernel.execute())
     assert outputs, "kernel produced no segments"
     for output in outputs:
         expected = reference_segment_tokens(
@@ -664,8 +666,9 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
     assert [len(tile.chunks) for tile in launch.tiles] == [
         min(_TILE_CHUNKS, len(chunks) - first)
         for first in range(0, len(chunks), _TILE_CHUNKS)]
+    per_chunk = launch_outputs(launch)
     references = []
-    for index, (chunk, outputs) in enumerate(zip(chunks, launch)):
+    for index, (chunk, outputs) in enumerate(zip(chunks, per_chunk)):
         bounds = reference_segment_bounds(len(chunk), segments)
         assert [(o.segment_index, o.start, o.end)
                 for o in outputs] == bounds
@@ -686,7 +689,7 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
     assert [blob for tile in launch.tiles
             for blob in refine_tile(tile, params)] == expected_blobs
     assert [refine_to_container(chunk, outputs, params)
-            for chunk, outputs in zip(chunks, launch)] == expected_blobs
+            for chunk, outputs in zip(chunks, per_chunk)] == expected_blobs
     for chunk, blob in zip(chunks, expected_blobs):
         assert LzssCodec(params).decode(blob) == chunk
     if segments == 1:
@@ -1022,7 +1025,7 @@ def test_tile_repairs_each_chunk_as_if_alone(chunks, expected_seams):
               for chunk, segments in chunks]
     assert blobs == [tokens_to_bytes(tokens, len(chunk))
                      for tokens, (chunk, _) in zip(merged, chunks)]
-    assert blobs == [refine_to_container(chunk, tile.outputs(index))
+    assert blobs == [refine_to_container(chunk, tile_outputs(tile, index))
                      for index, (chunk, _) in enumerate(chunks)]
     for (_, segments), tokens in zip(chunks, merged):
         assert tokens == [t for _, _, part in segments for t in part]
@@ -1118,10 +1121,11 @@ def test_corrupt_tile_raises_through_tile_and_adapter(corrupt, message):
     with pytest.raises(CompressionError, match=message) as whole:
         refine_tile(tile)
     with pytest.raises(CompressionError, match=message) as alone:
-        refine_to_container(tile.chunks[1], tile.outputs(1))
+        refine_to_container(tile.chunks[1], tile_outputs(tile, 1))
     assert str(whole.value) == str(alone.value)
     for untouched in (0, 2):
-        refine_to_container(tile.chunks[untouched], tile.outputs(untouched))
+        refine_to_container(tile.chunks[untouched],
+                            tile_outputs(tile, untouched))
 
 
 def test_token_count_mismatch_raises_through_tile_and_adapter():
@@ -1130,7 +1134,7 @@ def test_token_count_mismatch_raises_through_tile_and_adapter():
     with pytest.raises(CompressionError, match="disagree in length"):
         refine_tile(tile)
     tile, *_ = _corruptible_tile()
-    outputs = tile.outputs(1)
+    outputs = tile_outputs(tile, 1)
     outputs[1].distances = outputs[1].distances[:-1]
     with pytest.raises(CompressionError,
                        match="segment 1 token arrays disagree in length"):
@@ -1149,8 +1153,8 @@ def test_match_length_outside_the_field_raises_through_tile_and_adapter(
     with pytest.raises(CompressionError, match=message):
         refine_tile(tile)
     with pytest.raises(CompressionError, match=message):
-        refine_to_container(spoiled[0], tile.outputs(1))
-    assert refine_to_container(_FOLLOWS[0], tile.outputs(0))
+        refine_to_container(spoiled[0], tile_outputs(tile, 1))
+    assert refine_to_container(_FOLLOWS[0], tile_outputs(tile, 0))
 
 
 def _segment_output(chunk, index, start, tokens):

@@ -54,7 +54,7 @@ def dedup_bytes() -> int:
 
 def module_containers() -> dict[str, int]:
     """Size of every module-level container of the program proper:
-    each loaded ``repro.*`` module but the lint and bench tooling."""
+    each loaded ``repro.*`` module but the bench tooling."""
     sizes = {}
     for name, module in list(sys.modules.items()):
         if (name + ".").startswith("repro.") and not name.startswith(TOOLS):

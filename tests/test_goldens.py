@@ -24,7 +24,7 @@ from tests.goldens import (
     GOLDEN_REPORT_SHA256,
     GOLDEN_STREAM_DIGESTS,
 )
-from tests.reference_codecs import refine_to_container
+from tests.reference_codecs import launch_outputs, refine_to_container
 from tests.reference_paths import report_digest
 
 from repro.bench.experiments import (
@@ -43,7 +43,8 @@ from repro.tenancy.runner import run_tenant_mix
 
 
 def _gpu8(payload: bytes) -> bytes:
-    (outputs,) = SegmentLzKernel([payload], segments_per_chunk=8).execute()
+    (outputs,) = launch_outputs(
+        SegmentLzKernel([payload], segments_per_chunk=8).execute())
     return refine_to_container(payload, outputs)
 
 

@@ -17,7 +17,7 @@ from repro.gpu.kernels import (
 from repro.gpu.kernels.lz import LZ_CENSUS
 from repro.sim import Environment
 from repro.types import Chunk
-from tests.reference_codecs import refine_to_container
+from tests.reference_codecs import launch_outputs, refine_to_container
 from tests.reference_paths import lookup_batch, reference_bin_lookup
 
 
@@ -91,7 +91,8 @@ class TestBinLookupKernel:
 class TestSegmentLzKernel:
     def test_segments_tile_chunk(self):
         chunk = _compressible(4096)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=8).execute()
+        outputs = launch_outputs(
+            SegmentLzKernel([chunk], segments_per_chunk=8).execute())
         segs = outputs[0]
         assert [s.start for s in segs] == [i * 512 for i in range(8)]
         assert segs[-1].end == 4096
@@ -103,19 +104,22 @@ class TestSegmentLzKernel:
 
     def test_roundtrip_through_postprocess(self):
         chunk = _compressible(4096)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=8).execute()
+        outputs = launch_outputs(
+            SegmentLzKernel([chunk], segments_per_chunk=8).execute())
         blob = refine_to_container(chunk, outputs[0])
         assert LzssCodec().decode(blob) == chunk
 
     def test_roundtrip_incompressible(self):
         chunk = _incompressible(4096)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=8).execute()
+        outputs = launch_outputs(
+            SegmentLzKernel([chunk], segments_per_chunk=8).execute())
         blob = refine_to_container(chunk, outputs[0])
         assert LzssCodec().decode(blob) == chunk
 
     def test_multiple_chunks_independent(self):
         chunks = [_compressible(2048), _incompressible(2048)]
-        outputs = SegmentLzKernel(chunks, segments_per_chunk=4).execute()
+        outputs = launch_outputs(
+            SegmentLzKernel(chunks, segments_per_chunk=4).execute())
         for chunk, per_chunk in zip(chunks, outputs):
             assert LzssCodec().decode(
                 refine_to_container(chunk, per_chunk)) == chunk
@@ -124,7 +128,8 @@ class TestSegmentLzKernel:
         """Segment parallelism costs a little ratio, not a lot (A7)."""
         chunk = _compressible(4096)
         serial = len(LzssCodec().encode(chunk))
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=8).execute()
+        outputs = launch_outputs(
+            SegmentLzKernel([chunk], segments_per_chunk=8).execute())
         parallel = len(refine_to_container(chunk, outputs[0]))
         assert parallel <= serial * 1.25
 
@@ -138,7 +143,8 @@ class TestSegmentLzKernel:
 
     def test_single_segment_equals_greedy_serial(self):
         chunk = _compressible(1024)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=1).execute()
+        outputs = launch_outputs(
+            SegmentLzKernel([chunk], segments_per_chunk=1).execute())
         blob = refine_to_container(chunk, outputs[0])
         serial = LzssCodec().encode(chunk)
         assert blob == serial
@@ -146,8 +152,8 @@ class TestSegmentLzKernel:
     @given(st.binary(min_size=1, max_size=1500), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, chunk, segments):
-        outputs = SegmentLzKernel(
-            [chunk], segments_per_chunk=segments).execute()
+        outputs = launch_outputs(SegmentLzKernel(
+            [chunk], segments_per_chunk=segments).execute())
         blob = refine_to_container(chunk, outputs[0])
         assert LzssCodec().decode(blob) == chunk
 
@@ -155,8 +161,8 @@ class TestSegmentLzKernel:
     @settings(max_examples=25, deadline=None)
     def test_runs_roundtrip_property(self, byte, n, segments):
         chunk = bytes([byte]) * n
-        outputs = SegmentLzKernel(
-            [chunk], segments_per_chunk=segments).execute()
+        outputs = launch_outputs(SegmentLzKernel(
+            [chunk], segments_per_chunk=segments).execute())
         blob = refine_to_container(chunk, outputs[0])
         assert LzssCodec().decode(blob) == chunk
 
@@ -167,8 +173,8 @@ class TestPostprocessValidation:
     @staticmethod
     def _outputs(segments=4):
         chunk = _compressible(1024)
-        outputs = SegmentLzKernel(
-            [chunk], segments_per_chunk=segments).execute()[0]
+        outputs = launch_outputs(SegmentLzKernel(
+            [chunk], segments_per_chunk=segments).execute())[0]
         for out in outputs:      # private copies: corrupt one at a time
             out.positions = out.positions.copy()
             out.lengths = out.lengths.copy()
@@ -292,7 +298,8 @@ class TestPostprocessValidation:
 
     def test_distance_outside_window_detected(self):
         chunk = _compressible(6000)
-        outputs = SegmentLzKernel([chunk], segments_per_chunk=2).execute()[0]
+        outputs = launch_outputs(
+            SegmentLzKernel([chunk], segments_per_chunk=2).execute())[0]
         seg = outputs[1]
         seg.distances = seg.distances.copy()
         at = self._first_match(seg, minimum_position=5000)
@@ -330,7 +337,8 @@ class TestGpuCompressorHandOff:
         launch = comp.make_kernel(chunks).execute()
         blobs = comp.split_results(chunks, launch)
         assert blobs == [refine_to_container(chunk.payload, outputs)
-                         for chunk, outputs in zip(chunks, launch)]
+                         for chunk, outputs
+                         in zip(chunks, launch_outputs(launch))]
         results = [comp.postprocess(chunk, blob)
                    for chunk, blob in zip(chunks, blobs)]
         assert [r.blob for r in results] == [blobs[0], None, blobs[2]]

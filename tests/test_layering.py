@@ -3,9 +3,8 @@
 ``repro.sim`` is the substrate and imports nothing above it;
 ``repro.obs`` sits just above the engine; ``repro.cpu`` and
 ``repro.gpu`` are sibling device models the scheduler composes, so
-neither may hard-wire the other; ``repro.analysis`` and ``repro.bench``
-are tools only the CLI loads, and the linter loads nothing it lints.
-Each check imports every module of a
+neither may hard-wire the other; ``repro.bench`` is a tool only the
+CLI loads.  Each check imports every module of a
 package (found on disk, not by walking packages, which would import
 them) in a new interpreter and reads which ``repro`` modules
 ``sys.modules`` then holds — a lazy or indirect import counts as much
@@ -23,7 +22,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "repro"
 #: Packages outside the library proper: the CLI's tools.
-TOOLS = ("repro.analysis", "repro.bench")
+TOOLS = ("repro.bench",)
 
 
 def modules_under(directory: Path) -> list[str]:
@@ -59,8 +58,7 @@ def inside(module: str, packages: tuple[str, ...]) -> bool:
 @pytest.mark.parametrize("package, allowed", [
     ("sim", ("repro.errors", "repro.sim")),
     ("obs", ("repro.errors", "repro.sim", "repro.obs")),
-    ("analysis", ("repro.errors", "repro.analysis")),
-], ids=["sim", "obs", "analysis"])
+], ids=["sim", "obs"])
 def test_substrate_loads_nothing_above_it(package, allowed):
     loaded = loaded_after_importing(modules_under(PACKAGE / package))
     assert {m for m in loaded
@@ -81,5 +79,3 @@ def test_library_never_loads_the_tools():
     assert len(library) > 50
     loaded = loaded_after_importing(library)
     assert {m for m in loaded if inside(m, TOOLS)} == set()
-    loaded = loaded_after_importing(modules_under(PACKAGE / "bench"))
-    assert {m for m in loaded if inside(m, ("repro.analysis",))} == set()

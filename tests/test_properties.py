@@ -19,7 +19,7 @@ from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment
 from repro.storage import MetadataStore
 from repro.workload import VdbenchStream
-from tests.reference_codecs import refine_to_container
+from tests.reference_codecs import launch_outputs, refine_to_container
 
 
 def fp(n: int) -> bytes:
@@ -86,8 +86,8 @@ class TestCompressionPathEquivalence:
     @given(st.binary(min_size=1, max_size=1200), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_gpu_path_decodes_with_reference_decoder(self, data, segs):
-        outputs = SegmentLzKernel([data], segments_per_chunk=segs) \
-            .execute()[0]
+        outputs = launch_outputs(
+            SegmentLzKernel([data], segments_per_chunk=segs).execute())[0]
         blob = refine_to_container(data, outputs)
         assert LzssCodec().decode(blob) == data
 

@@ -1,11 +1,11 @@
 """End-of-run sanitizer: ``Environment.finish_check``.
 
-The sanitizer is the runtime twin of the static sim-protocol lint
-rules: after a full drain it asserts that no process is still alive,
-nothing is still scheduled, and nothing registered with it — resources,
-the GPU batchers, the reference ``Store`` of ``tests/reference_paths``
-— holds leaked state (a slot still kept by a ``hold()``, a parked
-waiter).
+The sanitizer is the runtime twin of the sim-protocol source rules
+(``tests/test_source_rules.py``): after a full drain it asserts that
+no process is still alive, nothing is still scheduled, and nothing
+registered with it — resources, the GPU batchers, the reference
+``Store`` of ``tests/reference_paths`` — holds leaked state (a slot
+still kept by a ``hold()``, a parked waiter).
 """
 
 import pytest

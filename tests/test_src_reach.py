@@ -11,9 +11,8 @@ documentation and CI runs them.
 
 The census covers every module-level function and class and every
 function or class defined directly in a class body.  Dunders are
-exempt (the language calls them), as are ``visit_*`` methods
-(``ast.NodeVisitor`` dispatches them by node type).  Code only a test
-calls belongs in ``tests/`` as an oracle or helper, or nowhere.
+exempt: the language calls them.  Code only a test calls belongs in
+``tests/`` as an oracle or helper, or nowhere.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def definitions(path: Path):
 
 
 def _exempt(name: str) -> bool:
-    return (name.startswith("__") and name.endswith("__")) or name.startswith("visit_")
+    return name.startswith("__") and name.endswith("__")
 
 
 def unreached() -> list[str]:
