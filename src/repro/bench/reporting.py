@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+from repro.errors import ConfigError
+
 
 class Table:
     """Fixed-width ASCII table with a title and typed columns."""
@@ -21,7 +23,7 @@ class Table:
     def add_row(self, *cells: Any) -> None:
         """Append one row; cells are str()-ed, floats get 1-3 decimals."""
         if len(cells) != len(self.columns):
-            raise ValueError(
+            raise ConfigError(
                 f"expected {len(self.columns)} cells, got {len(cells)}")
         self.rows.append([self._format(c) for c in cells])
 

@@ -5,9 +5,11 @@ The per-chunk functional plane pays a Python frame, a dataclass
 at descriptor-mode benchmark scale, where millions of chunks are pure
 accounting.  A :class:`ChunkBatch` holds one *window* of chunks as
 contiguous arrays (numpy ``int64`` offsets/sizes plus object columns
-for payloads/fingerprints), validates the whole window once, and
-materializes slotted :class:`~repro.types.Chunk` objects through a
-hoisted fast constructor that skips the per-instance re-validation.
+for payloads/fingerprints) and materializes slotted
+:class:`~repro.types.Chunk` objects through a hoisted fast constructor
+that skips the per-instance validation: the emitting stream builds
+every column valid, and the per-chunk oracles (which do validate)
+check that it does.
 
 Invariant (DESIGN.md §12): a materialized window is *element-wise
 equal* to the chunks a per-chunk construction would produce (the
@@ -28,8 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.types import Chunk, FINGERPRINT_BYTES
+from repro.types import Chunk
 
 __all__ = ["FUNCTIONAL_WINDOW", "ChunkBatch", "iter_windows",
            "window_sizes"]
@@ -59,45 +60,15 @@ class ChunkBatch:
     def __init__(self, offsets: np.ndarray, sizes: np.ndarray,
                  payloads: Sequence[Optional[bytes]],
                  fingerprints: Sequence[Optional[bytes]],
-                 comp_ratios: Sequence[Optional[float]],
-                 validate: bool = True):
+                 comp_ratios: Sequence[Optional[float]]):
         self.offsets = offsets
         self.sizes = sizes
         self.payloads = payloads
         self.fingerprints = fingerprints
         self.comp_ratios = comp_ratios
-        if validate:
-            self.validate()
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-    # -- whole-window validation (hoisted Chunk.__post_init__) ---------------
-
-    def validate(self) -> None:
-        """One pass of the per-chunk ``__post_init__`` checks."""
-        n = len(self.sizes)
-        if not (len(self.offsets) == len(self.payloads)
-                == len(self.fingerprints) == len(self.comp_ratios) == n):
-            raise ConfigError("ragged chunk-batch columns")
-        if n == 0:
-            return
-        if int(self.sizes.min()) <= 0:
-            bad = int(self.sizes[self.sizes <= 0][0])
-            raise ConfigError(f"invalid chunk size {bad}")
-        if int(self.offsets.min()) < 0:
-            bad = int(self.offsets[self.offsets < 0][0])
-            raise ConfigError(f"invalid chunk offset {bad}")
-        sizes = self.sizes.tolist()
-        for payload, size in zip(self.payloads, sizes):
-            if payload is not None and len(payload) != size:
-                raise ConfigError(
-                    f"payload length {len(payload)} != size {size}")
-        for fingerprint in self.fingerprints:
-            if fingerprint is not None \
-                    and len(fingerprint) != FINGERPRINT_BYTES:
-                raise ConfigError(
-                    f"fingerprint must be {FINGERPRINT_BYTES} bytes")
 
     # -- materialization ----------------------------------------------------
 
@@ -105,10 +76,10 @@ class ChunkBatch:
         """Slotted :class:`Chunk` objects, element-wise equal to the
         per-chunk construction of the same descriptors.
 
-        Validation already ran over the whole window, so the fast
-        constructor skips ``__post_init__``; ``tolist()`` converts the
-        numpy scalars back to plain ints so downstream accounting sums
-        (and JSON report serialization) see native Python integers.
+        The fast constructor skips ``__post_init__``; ``tolist()``
+        converts the numpy scalars back to plain ints so downstream
+        accounting sums (and JSON report serialization) see native
+        Python integers.
         """
         new = _chunk_new
         out = []

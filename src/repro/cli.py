@@ -72,16 +72,18 @@ def _platform_from(args: argparse.Namespace) -> dict:
     return {"cpu_spec": cpu_spec, "gpu_spec": GPU_PRESETS[args.gpu]}
 
 
-def _dump_trace(tracer, out_path: str) -> int:
-    """Write a run's Chrome trace and report schema problems."""
+def _dump_trace(spans, out_path: str,
+                message: str = "trace: {events} events -> {path}") -> int:
+    """Write a run's Chrome trace, print ``message`` and report schema
+    problems (exit 1 if there are any)."""
     from repro.obs import chrome_trace, validate_chrome_trace
 
-    payload = chrome_trace(tracer.spans)
+    payload = chrome_trace(spans)
     problems = validate_chrome_trace(payload)
     with open(out_path, "w") as handle:
         json.dump(payload, handle)
-    print(f"\ntrace: {len(payload['traceEvents'])} events -> "
-          f"{out_path}")
+    print("\n" + message.format(events=len(payload["traceEvents"]),
+                                spans=len(spans), path=out_path))
     if problems:
         for problem in problems:
             print(f"trace schema problem: {problem}", file=sys.stderr)
@@ -142,7 +144,7 @@ def _run_tenants(args: argparse.Namespace, mode: IntegrationMode,
                            entry.recovered, f"{p99 * 1e6:.0f} us")
     per_tenant.print()
     if tracer is not None:
-        return _dump_trace(tracer, args.trace)
+        return _dump_trace(tracer.spans, args.trace)
     return 0
 
 
@@ -182,13 +184,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     table.add_row("wall time", f"{time.time() - started:.1f} s")
     table.print()
     if tracer is not None:
-        return _dump_trace(tracer, args.trace)
+        return _dump_trace(tracer.spans, args.trace)
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.bench.tracing import build_trace_bundle
-    from repro.obs import write_chrome_trace
+    from repro.obs import CriticalPathReport, SimTracer
 
     mode = IntegrationMode(args.mode)
     platform = _platform_from(args)
@@ -197,27 +198,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: mode {mode.value} needs a GPU (use --gpu)",
               file=sys.stderr)
         return 2
-    chunks = 1024 if args.quick else args.chunks
-    bundle = build_trace_bundle(mode, chunks,
-                                dedup_ratio=args.dedup_ratio,
-                                comp_ratio=args.comp_ratio,
-                                seed=args.seed, **platform)
-    critical = bundle["critical_path"]
+    tracer = SimTracer()
+    run_mode(mode, 1024 if args.quick else args.chunks,
+             dedup_ratio=args.dedup_ratio, comp_ratio=args.comp_ratio,
+             seed=args.seed, tracer=tracer, **platform)
+    critical = CriticalPathReport.from_spans(tracer.spans)
     if args.format == "json":
         print(critical.to_json())
     else:
         print(critical.render())
     if args.format == "summary":
         return 0
-    write_chrome_trace(args.out, bundle["spans"])
-    print(f"\ntrace: {len(bundle['payload']['traceEvents'])} events, "
-          f"{len(bundle['spans'])} spans -> {args.out} "
-          "(load in Perfetto / chrome://tracing)")
-    if bundle["problems"]:
-        for problem in bundle["problems"]:
-            print(f"trace schema problem: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return _dump_trace(tracer.spans, args.out,
+                       "trace: {events} events, {spans} spans -> {path} "
+                       "(load in Perfetto / chrome://tracing)")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:

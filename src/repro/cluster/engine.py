@@ -174,7 +174,7 @@ class ClusterEngine:
         fingerprint_window(chunks)
         return ChunkBatch(batch.offsets, batch.sizes, batch.payloads,
                           [chunk.fingerprint for chunk in chunks],
-                          batch.comp_ratios, validate=False)
+                          batch.comp_ratios)
 
     # -- deterministic merge -------------------------------------------------
 

@@ -53,14 +53,10 @@ class RoutedWindow:
         return int(self.sizes.sum())
 
     def chunks(self) -> list[Chunk]:
-        """Materialized chunks, in preserved stream order.
-
-        The columns were validated when the source window was built, so
-        the batch constructor skips re-validation.
-        """
+        """Materialized chunks, in preserved stream order."""
         return ChunkBatch(self.offsets, self.sizes, self.payloads,
-                          self.fingerprints, self.comp_ratios,
-                          validate=False).materialize()
+                          self.fingerprints,
+                          self.comp_ratios).materialize()
 
     def __getstate__(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -9,13 +9,11 @@ per-bin dedup state is preserved exactly under any partitioning, which
 is what makes the merged N-shard report equal the 1-node oracle
 (DESIGN.md §14).
 
-Three assignments are built in:
+Two assignments are built in:
 
 ``range``
     Contiguous bin blocks (SEDD's hash-range split) — cache-friendly,
     but a workload concentrated in one prefix region lands on one node.
-``interleave``
-    ``bin % nodes`` — robust to contiguous hot regions.
 ``balanced``
     Greedy LPT over observed per-bin loads: heaviest bin first onto the
     least-loaded shard, deterministic tie-breaks (lowest shard id, then
@@ -41,7 +39,7 @@ from repro.errors import ConfigError
 __all__ = ["ASSIGNMENTS", "BinMove", "RebalanceResult", "ShardMap"]
 
 #: Registered assignment policies (CLI / config surface).
-ASSIGNMENTS = ("range", "interleave", "balanced")
+ASSIGNMENTS = ("range", "balanced")
 
 
 class BinMove(NamedTuple):
@@ -100,8 +98,6 @@ class ShardMap:
         if assignment == "range":
             bins = np.arange(self.n_bins, dtype=np.int64)
             self.table = (bins * self.nodes) // self.n_bins
-        elif assignment == "interleave":
-            self.table = np.arange(self.n_bins, dtype=np.int64) % self.nodes
         else:
             self.table = self._balanced(self._check_loads(loads))
 

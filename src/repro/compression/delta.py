@@ -191,9 +191,3 @@ class DeltaCodec:
             raise CompressionError(
                 f"delta expands to {len(out)}, header says {target_length}")
         return bytes(out)
-
-    def ratio(self, reference: bytes, target: bytes) -> float:
-        """target size / delta size."""
-        if not target:
-            return 1.0
-        return len(target) / len(self.encode(reference, target))

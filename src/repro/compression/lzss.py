@@ -193,9 +193,3 @@ class LzssCodec:
             raise CorruptStreamError(
                 f"stream expands to {len(out)} bytes, header says {declared}")
         return out
-
-    def ratio(self, data: bytes) -> float:
-        """Achieved compression ratio (original/compressed) on ``data``."""
-        if not data:
-            return 1.0
-        return len(data) / len(self.encode(data))

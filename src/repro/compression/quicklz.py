@@ -164,9 +164,3 @@ class QuickLzCodec:
             raise CompressionError(
                 f"decoded {len(out)} bytes, expected {original_length}")
         return out
-
-    def ratio(self, data: bytes) -> float:
-        """Achieved compression ratio (original/compressed) on ``data``."""
-        if not data:
-            return 1.0
-        return len(data) / len(self.encode(data))

@@ -22,6 +22,7 @@ from repro.core.pipeline import ReductionPipeline
 from repro.core.stats import PipelineReport
 from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
+from repro.errors import ConfigError
 from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.device import GpuDevice, GpuSpec, RADEON_HD_7970
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -78,7 +79,7 @@ def run_stream(stream, n_chunks: int, config: PipelineConfig,
     mode = config.mode
     if gpu_spec is None and (mode.gpu_for_dedup
                              or mode.gpu_for_compression):
-        raise ValueError(f"mode {mode.value} needs a GPU spec")
+        raise ConfigError(f"mode {mode.value} needs a GPU spec")
     if tracer is None:
         tracer = NULL_TRACER
     env = Environment()

@@ -91,11 +91,6 @@ class PipelineConfig:
     #: constants of :mod:`repro.tenancy.controller`.
     tenancy_cache_entries: int = 1024
 
-    # -- destage -----------------------------------------------------------
-    #: Destage writes to the SSD model (disable to isolate the reduction
-    #: path, as the paper's operation-throughput numbers do implicitly).
-    destage_enabled: bool = True
-
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ConfigError(f"invalid chunk_size {self.chunk_size}")

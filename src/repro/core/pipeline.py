@@ -402,7 +402,7 @@ class ReductionPipeline:
                 yield from self._index_execute(cycles)
             if trace is not None:
                 self._record(STAGE_COMMIT, seq, start, cycles, path=path)
-            if nbytes is not None and cfg.destage_enabled:
+            if nbytes is not None:
                 self._spawn_destage(nbytes, sequential)
             if admission is not None:
                 ready = tenancy.take_compaction_batch()
@@ -556,7 +556,7 @@ class ReductionPipeline:
         # service times and one summed service time end at different
         # floats, and the report contract is *byte* identity (DESIGN.md
         # §12).
-        if self.dedup is not None and self.config.destage_enabled:
+        if self.dedup is not None:
             for batch in self.dedup.drain():
                 self._spawn_destage(batch.payload_bytes, sequential=True)
         # Out-of-line compaction drain: every still-deferred shadow copy
@@ -641,8 +641,6 @@ class ReductionPipeline:
             "host_bytes_read": self.ssd.host_bytes_read,
             "nand_bytes_written": self.ssd.nand_bytes_written,
             "requests_completed": self.ssd.requests_completed,
-            "trims": self.ssd.trims,
-            "read_retries": self.ssd.read_retries,
         })
         registry.absorb_counters("compress.cpu", self.cpu_comp.stats())
         registry.absorb_counters("compress.gpu", self.gpu_comp.stats())

@@ -43,12 +43,6 @@ class ReadReport:
     def iops(self) -> float:
         return self.reads / self.duration_s if self.duration_s else 0.0
 
-    @property
-    def mb_per_s(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.bytes_served / self.duration_s / 1e6
-
 
 class ReadPipeline:
     """Serve chunk reads from a populated metadata store, timed."""

@@ -16,7 +16,7 @@ handled by :class:`~repro.cpu.model.CpuSpec.smt_derate`, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,6 @@ class CpuCosts:
     handoff_per_chunk: float = 350.0
     #: memcpy-class byte shuffling (staging buffers).
     memcpy_per_byte: float = 0.25
-
-    def with_overrides(self, **kwargs: float) -> "CpuCosts":
-        """Return a copy with the given constants replaced."""
-        return replace(self, **kwargs)
 
     # -- derived helpers -----------------------------------------------------
 

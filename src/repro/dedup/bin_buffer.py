@@ -86,17 +86,12 @@ class BinBuffer:
             self.hits += 1
         return value
 
-    def add(self, fingerprint: bytes, value: Any) -> Optional[FlushEvent]:
-        """Stage a fresh fingerprint; returns a FlushEvent when a flush
-        is due — either this bin filled, or the whole buffer exceeded its
-        budget (then the *fullest* bin flushes, maximizing the sequential
-        write the flush produces)."""
-        return self.add_view(decompose(fingerprint, self.prefix_bytes),
-                             value)
-
     def add_view(self, view: FingerprintView,
                  value: Any) -> Optional[FlushEvent]:
-        """Like :meth:`add` for an already-decomposed fingerprint."""
+        """Stage a fresh, already-decomposed fingerprint; returns a
+        FlushEvent when a flush is due — either this bin filled, or the
+        whole buffer exceeded its budget (then the *fullest* bin
+        flushes, maximizing the sequential write the flush produces)."""
         staged = self._bins.setdefault(view.bin_id, {})
         if view.suffix in staged:
             fingerprint = view.bin_id.to_bytes(self.prefix_bytes, "big") \
@@ -129,7 +124,3 @@ class BinBuffer:
 
     def __len__(self) -> int:
         return self._total
-
-    def hit_rate(self) -> float:
-        """Fraction of probes answered from the buffer."""
-        return self.hits / self.lookups if self.lookups else 0.0

@@ -27,7 +27,6 @@ from typing import Any, Iterator, Optional, Sequence
 from repro.dedup.btree import BTree
 from repro.dedup.index_base import FingerprintView, decompose
 from repro.errors import IndexError_
-from repro.types import FINGERPRINT_BYTES
 
 
 class BinTable:
@@ -54,10 +53,6 @@ class BinTable:
 
     def _view(self, fingerprint: bytes) -> FingerprintView:
         return decompose(fingerprint, self.prefix_bytes)
-
-    def bin_of(self, fingerprint: bytes) -> int:
-        """Bin number: the integer value of the fingerprint prefix."""
-        return self._view(fingerprint).bin_id
 
     # -- index interface ------------------------------------------------------
 
@@ -140,24 +135,3 @@ class BinTable:
             return 1.0
         peak = max(sizes)
         return (sum(sizes) / len(sizes)) / peak if peak else 1.0
-
-    # -- memory accounting ---------------------------------------------------
-
-    def memory_bytes(self, metadata_bytes: int = 12) -> int:
-        """Index RAM at ``metadata_bytes`` of non-key payload per entry.
-
-        The paper's 32 B entry = 20 B SHA-1 + 12 B metadata; truncation
-        shaves ``prefix_bytes`` off the key part of every entry.
-        """
-        key_bytes = FINGERPRINT_BYTES - self.prefix_bytes
-        return self._size * (key_bytes + metadata_bytes)
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups that found their fingerprint."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def items(self) -> Iterator[tuple[int, bytes, Any]]:
-        """All (bin_id, suffix, value) triples, bin by bin."""
-        for bin_id, tree in self._bins.items():
-            for suffix, value in tree.items():
-                yield bin_id, suffix, value

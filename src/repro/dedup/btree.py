@@ -15,7 +15,7 @@ are dropped at once).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.errors import IndexError_
 
@@ -151,52 +151,3 @@ class BTree:
         for key, value in pairs:
             self.insert(key, value)
         return self._size - before
-
-    # -- iteration ----------------------------------------------------------
-
-    def items(self) -> Iterator[tuple[bytes, Any]]:
-        """All (key, value) pairs in ascending key order."""
-        yield from self._walk(self._root)
-
-    def _walk(self, node: _Node) -> Iterator[tuple[bytes, Any]]:
-        if node.leaf:
-            yield from zip(node.keys, node.values)
-            return
-        for i, key in enumerate(node.keys):
-            yield from self._walk(node.children[i])
-            yield key, node.values[i]
-        yield from self._walk(node.children[-1])
-
-    # -- diagnostics --------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Verify B-tree structural invariants (test hook)."""
-        self._check_node(self._root, is_root=True, depth=0,
-                         leaf_depths=set())
-
-    def _check_node(self, node: _Node, is_root: bool, depth: int,
-                    leaf_depths: set[int]) -> None:
-        t = self._t
-        if not is_root and len(node.keys) < t - 1:
-            raise IndexError_(f"underfull node at depth {depth}")
-        if len(node.keys) > 2 * t - 1:
-            raise IndexError_(f"overfull node at depth {depth}")
-        if node.keys != sorted(node.keys):
-            raise IndexError_(f"unsorted keys at depth {depth}")
-        if len(node.keys) != len(node.values):
-            raise IndexError_(f"key/value mismatch at depth {depth}")
-        if node.leaf:
-            leaf_depths.add(depth)
-            if len(leaf_depths) > 1:
-                raise IndexError_("leaves at differing depths")
-            return
-        if len(node.children) != len(node.keys) + 1:
-            raise IndexError_(f"child-count mismatch at depth {depth}")
-        for i, child in enumerate(node.children):
-            if i > 0 and child.keys and child.keys[0] <= node.keys[i - 1]:
-                raise IndexError_("separator order violated (left)")
-            if i < len(node.keys) and child.keys \
-                    and child.keys[-1] >= node.keys[i]:
-                raise IndexError_("separator order violated (right)")
-            self._check_node(child, is_root=False, depth=depth + 1,
-                             leaf_depths=leaf_depths)

@@ -25,7 +25,7 @@ from repro.dedup.bin_buffer import BinBuffer
 from repro.dedup.bins import BinTable
 from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.index_base import decompose
-from repro.errors import DedupError
+from repro.errors import ConfigError, DedupError
 from repro.obs.stages import (
     CTR_BUFFER_HITS,
     CTR_FLUSHES,
@@ -79,6 +79,10 @@ class DedupEngine:
                  gpu_index: Optional[GpuBinIndex] = None,
                  metadata: Optional[MetadataStore] = None,
                  costs: CpuCosts = DEFAULT_COSTS):
+        if gpu_index is not None and gpu_index.prefix_bytes != prefix_bytes:
+            raise ConfigError(
+                f"GPU index prefix_bytes {gpu_index.prefix_bytes} != "
+                f"engine prefix_bytes {prefix_bytes}")
         self.costs = costs
         self.bin_table = BinTable(prefix_bytes=prefix_bytes,
                                   min_degree=btree_min_degree)
@@ -203,17 +207,9 @@ class DedupEngine:
         staged = flush.staged
         self.bin_table.install_views(flush.bin_id, staged)
         payload = sum(info.compressed_size for _, info in staged)
-        gpu = self.gpu_index
-        if gpu is not None:
-            if gpu.prefix_bytes == self._prefix_bytes:
-                gpu.install_views(flush.bin_id,
-                                  [suffix for suffix, _ in staged])
-            else:
-                # A GPU index keyed on another prefix width cuts its own
-                # views from the full fingerprints.
-                prefix = flush.bin_id.to_bytes(self._prefix_bytes, "big")
-                gpu.update_from_flush(
-                    [(prefix + suffix, None) for suffix, _ in staged])
+        if self.gpu_index is not None:
+            self.gpu_index.install_views(flush.bin_id,
+                                         [suffix for suffix, _ in staged])
         return DestageBatch(bin_id=flush.bin_id,
                             chunk_count=flush.count,
                             payload_bytes=payload)
@@ -243,9 +239,3 @@ class DedupEngine:
         self.metadata.detach_fingerprint_index()
         self.counters[CTR_RESTARTS] += 1
         return batches
-
-    # -- reporting --------------------------------------------------------
-
-    def dedup_ratio(self) -> float:
-        """Achieved logical/unique ratio from the metadata ledger."""
-        return self.metadata.dedup_ratio()

@@ -23,7 +23,7 @@ arrive, so host memory follows what a run indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -164,27 +164,6 @@ class GpuBinIndex:
         """Install a fingerprint; returns the slot used."""
         view = decompose(fingerprint, self.prefix_bytes)
         return self._install_run(view.bin_id, [view.suffix])
-
-    def update_from_flush(
-            self, entries: Iterable[tuple[bytes, object]]) -> int:
-        """Install every (fingerprint, value) entry, whatever its bin.
-
-        Consecutive entries of one bin install as one run, exactly as
-        :meth:`install_views` would.
-        """
-        views = [decompose(fingerprint, self.prefix_bytes)
-                 for fingerprint, _value in entries]
-        n = len(views)
-        start = 0
-        while start < n:
-            bin_id = views[start].bin_id
-            end = start
-            while end < n and views[end].bin_id == bin_id:
-                end += 1
-            self._install_run(bin_id,
-                              [view.suffix for view in views[start:end]])
-            start = end
-        return n
 
     def install_views(self, bin_id: int, suffixes: Sequence[bytes]) -> None:
         """Apply a bin-buffer flush: install one bin's suffixes in order.

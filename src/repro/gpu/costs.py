@@ -19,7 +19,7 @@ Two constants deserve a note:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class GpuKernelCosts:
     lz_critical_cycles_per_byte: float = 300.0
     #: Fixed lane-cycles per segment thread.
     lz_fixed_lane_cycles: float = 1_500.0
-
-    def with_overrides(self, **kwargs: float) -> "GpuKernelCosts":
-        """Return a copy with the given constants replaced."""
-        return replace(self, **kwargs)
 
 
 #: Calibrated default table (see DESIGN.md §6 and EXPERIMENTS.md).

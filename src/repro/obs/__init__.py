@@ -20,11 +20,7 @@ subsystems import *it*, never the other way around.
 """
 
 from repro.obs.critical_path import CriticalPathReport, StageBreakdown
-from repro.obs.export import (
-    chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, SimTracer, Span, Tracer
 
@@ -42,5 +38,4 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
 ]

@@ -128,63 +128,6 @@ def _batcher_fills(spans: list[Span]) -> list[BatcherFill]:
 
 
 @dataclass
-class TenantSlo:
-    """One tenant's inline latency SLO readout (from chunk envelopes)."""
-
-    tenant: int
-    chunks: int
-    mean_s: float
-    p50_s: float
-    p99_s: float
-    p999_s: float
-    max_s: float
-
-    def row(self) -> str:
-        return (f"tenant {self.tenant:<6} {self.chunks:>7} "
-                f"{self.mean_s * 1e6:>10.2f} "
-                f"{self.p50_s * 1e6:>10.2f} "
-                f"{self.p99_s * 1e6:>10.2f} "
-                f"{self.p999_s * 1e6:>10.2f} "
-                f"{self.max_s * 1e6:>10.2f}")
-
-
-def _tenant_slos(chunk_envelopes: list[Span]) -> list["TenantSlo"]:
-    """Per-tenant latency percentiles from tagged chunk envelopes.
-
-    Multi-tenant runs tag every envelope with its tenant id; untagged
-    (single-stream) runs yield an empty list.
-    """
-    groups: dict[int, LatencyHistogram] = {}
-    counts: dict[int, int] = {}
-    totals: dict[int, float] = {}
-    for span in chunk_envelopes:
-        tenant = span.attrs.get("tenant") if span.attrs else None
-        if tenant is None:
-            continue
-        hist = groups.get(tenant)
-        if hist is None:
-            hist = LatencyHistogram()
-            groups[tenant] = hist
-            counts[tenant] = 0
-            totals[tenant] = 0.0
-        hist.record(span.duration)
-        counts[tenant] += 1
-        totals[tenant] += span.duration
-    slos = []
-    for tenant in sorted(groups):
-        summary = groups[tenant].summary()
-        slos.append(TenantSlo(
-            tenant=tenant,
-            chunks=counts[tenant],
-            mean_s=totals[tenant] / counts[tenant],
-            p50_s=summary["p50"],
-            p99_s=summary["p99"],
-            p999_s=summary["p999"],
-            max_s=summary["max"]))
-    return slos
-
-
-@dataclass
 class CriticalPathReport:
     """Stage-by-stage attribution of the mean inline chunk latency."""
 
@@ -202,8 +145,6 @@ class CriticalPathReport:
     background: list[StageBreakdown] = field(default_factory=list)
     #: Per-batcher launch fill (mean/P50 items per launch).
     batcher_fills: list[BatcherFill] = field(default_factory=list)
-    #: Per-tenant SLO percentiles (multi-tenant runs only).
-    tenants: list[TenantSlo] = field(default_factory=list)
 
     @classmethod
     def from_spans(cls, spans: Iterable[Span]) -> "CriticalPathReport":
@@ -250,7 +191,6 @@ class CriticalPathReport:
                                    mean_latency)
                         for stage in sorted(background)],
             batcher_fills=_batcher_fills(batched),
-            tenants=_tenant_slos(chunk_envelopes),
         )
         return report
 
@@ -282,12 +222,6 @@ class CriticalPathReport:
             lines.append(f"{'batcher fill':<13} {'launches':>7} "
                          f"{'mean':>10} {'p50':>10}")
             lines += [f.row() for f in self.batcher_fills]
-        if self.tenants:
-            lines.append("-" * len(header))
-            lines.append(f"{'tenant SLO':<13} {'chunks':>7} "
-                         f"{'mean us':>10} {'p50 us':>10} "
-                         f"{'p99 us':>10} {'p999 us':>10} {'max us':>10}")
-            lines += [t.row() for t in self.tenants]
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -316,10 +250,4 @@ class CriticalPathReport:
                 "name": f.name, "launches": f.launches,
                 "mean_fill": f.mean_fill, "p50_fill": f.p50_fill,
             } for f in self.batcher_fills],
-            "tenants": [{
-                "tenant": t.tenant, "chunks": t.chunks,
-                "mean_s": t.mean_s, "p50_s": t.p50_s,
-                "p99_s": t.p99_s, "p999_s": t.p999_s,
-                "max_s": t.max_s,
-            } for t in self.tenants],
         }, indent=2)

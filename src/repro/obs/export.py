@@ -25,7 +25,6 @@ another — that renders as garbage).
 from __future__ import annotations
 
 import heapq
-import json
 from typing import Any, Iterable, Sequence
 
 from repro.obs.tracer import Span
@@ -142,14 +141,6 @@ def chrome_trace(spans: Iterable[Span]) -> dict[str, Any]:
         "displayTimeUnit": "ms",
         "otherData": {"clock": "simulated", "time_unit": "us"},
     }
-
-
-def write_chrome_trace(path: str, spans: Iterable[Span]) -> dict:
-    """Serialize :func:`chrome_trace` to ``path``; returns the payload."""
-    payload = chrome_trace(spans)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-    return payload
 
 
 # -- validation --------------------------------------------------------------

@@ -15,13 +15,13 @@ Three metric kinds, deliberately minimal:
   :class:`~repro.sim.histogram.LatencyHistogram` the pipeline's latency
   reporting uses.
 
-Snapshots iterate in sorted-name order, so rendering and JSON export
-are deterministic regardless of registration order.
+Snapshots iterate in sorted-name order, so JSON export is
+deterministic regardless of registration order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from repro.errors import TraceError
 from repro.sim.histogram import LatencyHistogram
@@ -66,9 +66,6 @@ class Histogram:
         self.name = name
         self.hist = hist if hist is not None else LatencyHistogram()
 
-    def observe(self, value: float) -> None:
-        self.hist.record(value)
-
     def summary(self) -> dict[str, float]:
         return self.hist.summary()
 
@@ -100,9 +97,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
 
     def attach_histogram(self, name: str,
                          hist: LatencyHistogram) -> Histogram:
@@ -141,9 +135,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         return sorted(self._metrics)
 
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
     def value(self, name: str):
         """Scalar value (counter/gauge) or summary dict (histogram)."""
         metric = self._metrics.get(name)
@@ -156,23 +147,3 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, object]:
         """Deterministic name -> value/summary mapping."""
         return {name: self.value(name) for name in self.names()}
-
-    def render(self, prefixes: Optional[Iterable[str]] = None) -> str:
-        """Human-readable dump, optionally filtered by name prefix."""
-        wanted = tuple(prefixes) if prefixes is not None else None
-        lines = []
-        for name in self.names():
-            if wanted is not None and not any(
-                    name == p or name.startswith(p + ".")
-                    for p in wanted):
-                continue
-            value = self.value(name)
-            if isinstance(value, dict):
-                body = ", ".join(f"{k}={v:.3e}"
-                                 for k, v in value.items())
-                lines.append(f"{name:<40} {{{body}}}")
-            elif isinstance(value, float):
-                lines.append(f"{name:<40} {value:.6g}")
-            else:
-                lines.append(f"{name:<40} {value}")
-        return "\n".join(lines)

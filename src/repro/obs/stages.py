@@ -59,7 +59,6 @@ STAGE_DESTAGE = "destage"
 #: SSD channel occupancy per request kind.
 STAGE_SSD_WRITE = "ssd_write"
 STAGE_SSD_READ = "ssd_read"
-STAGE_SSD_TRIM = "ssd_trim"
 
 #: Cluster interconnect transfers (modeled NetLink occupancy; the
 #: repro.cluster plane charges cross-node traffic under these names).

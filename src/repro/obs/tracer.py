@@ -54,11 +54,6 @@ class Span:
         """Total span length (queue wait + service)."""
         return self.end - self.start
 
-    @property
-    def service(self) -> float:
-        """Time actually being served (duration minus queue wait)."""
-        return self.duration - self.queue_wait
-
     def __repr__(self) -> str:
         who = f"#{self.chunk_id}" if self.chunk_id is not None else \
             (self.resource or "-")

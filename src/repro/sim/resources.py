@@ -25,23 +25,18 @@ class UtilizationMonitor:
     partials (``delta`` is ±1), so it depends only on the level curve.
     """
 
-    __slots__ = ("_env", "_capacity", "_level", "_partials", "_peak",
-                 "_start")
+    __slots__ = ("_env", "_capacity", "_level", "_partials", "_start")
 
     def __init__(self, env: Environment, capacity: int):
         self._env = env
         self._capacity = capacity
         self._level = 0
         self._partials: list[float] = []  # exact Σ −delta_k·t_k
-        self._peak = 0
         self._start = env.now
 
     def change(self, delta: int) -> None:
         """Record the occupancy changing by ``delta`` at the current time."""
-        level = self._level + delta
-        self._level = level
-        if level > self._peak:
-            self._peak = level
+        self._level += delta
         x = -delta * self._env._now
         partials = self._partials
         i = 0
@@ -55,16 +50,6 @@ class UtilizationMonitor:
                 i += 1
             x = hi
         partials[i:] = [x]
-
-    @property
-    def level(self) -> int:
-        """Current occupancy."""
-        return self._level
-
-    @property
-    def peak(self) -> int:
-        """Maximum occupancy observed."""
-        return self._peak
 
     def utilization(self, until: Optional[float] = None) -> float:
         """Mean fraction of capacity in use from creation until ``until``."""

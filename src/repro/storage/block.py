@@ -19,7 +19,6 @@ class RequestKind(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-    TRIM = "trim"
 
 
 @dataclass(frozen=True)

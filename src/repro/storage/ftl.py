@@ -43,12 +43,6 @@ class FtlSpec:
     def total_pages(self) -> int:
         return self.blocks * self.pages_per_block
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Raw capacity (the exported capacity is up to the user; the
-        gap is the overprovisioning that feeds GC)."""
-        return self.total_pages * self.page_bytes
-
 
 class _Block:
     __slots__ = ("index", "pages", "write_pointer", "valid", "erases")
@@ -174,10 +168,6 @@ class Ftl:
         """:meth:`write` per page, in order; A14 and e2ebench name it."""
         for lpn in lpns:
             self.write(lpn)
-
-    def trim(self, lpn: int) -> None:
-        """Host discard of one logical page."""
-        self._invalidate(lpn)
 
     # -- reporting --------------------------------------------------------
 

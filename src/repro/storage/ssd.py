@@ -23,14 +23,12 @@ writes the reduced data once.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.errors import ConfigError
 from repro.obs.stages import (
     STAGE_SSD_READ,
-    STAGE_SSD_TRIM,
     STAGE_SSD_WRITE,
     TRACK_SSD,
 )
@@ -51,20 +49,12 @@ class SsdSpec:
     seq_read_bps: float
     #: Per-request firmware/interface overhead (seconds).
     per_io_overhead_s: float = 2.0e-6
-    #: Probability a page read needs an ECC retry round (read-disturb,
-    #: marginal cells); each retry re-reads the page.
-    read_retry_probability: float = 0.0
-    #: Extra firmware latency per retry round (soft-decode attempt).
-    retry_penalty_s: float = 250e-6
 
     def __post_init__(self) -> None:
         if min(self.capacity_bytes, self.channels, self.page_bytes) <= 0:
             raise ConfigError("invalid SSD geometry")
         if min(self.seq_write_bps, self.seq_read_bps) <= 0:
             raise ConfigError("invalid SSD bandwidth")
-        if not 0.0 <= self.read_retry_probability < 1.0:
-            raise ConfigError(
-                f"invalid retry probability {self.read_retry_probability}")
 
     @property
     def page_program_s(self) -> float:
@@ -98,24 +88,19 @@ class SsdModel:
     """A timed SSD attached to a simulation environment."""
 
     def __init__(self, env: Environment, spec: SsdSpec = SAMSUNG_SSD_830,
-                 name: str = "ssd", seed: int = 0,
-                 tracer: Tracer = NULL_TRACER):
+                 name: str = "ssd", tracer: Tracer = NULL_TRACER):
         self.env = env
         self.spec = spec
         self.name = name
         self.tracer = tracer
         self.channels = Resource(env, capacity=spec.channels,
                                  name=f"{name}-channels")
-        self._rng = random.Random(seed)
         # -- statistics --
         self.host_bytes_written = 0
         self.host_bytes_read = 0
         #: Actual NAND program volume: the endurance metric.
         self.nand_bytes_written = 0
         self.requests_completed = 0
-        self.trims = 0
-        #: ECC retry rounds performed (error-injection observability).
-        self.read_retries = 0
 
     # -- timing helpers ------------------------------------------------------
 
@@ -125,12 +110,9 @@ class SsdModel:
     def service_time(self, request: BlockRequest) -> float:
         """Channel occupancy time for one request."""
         pages = self._pages(request.size)
-        if request.kind is RequestKind.WRITE:
-            page_time = self.spec.page_program_s
-        elif request.kind is RequestKind.READ:
-            page_time = self.spec.page_read_s
-        else:  # TRIM: metadata only
-            return self.spec.per_io_overhead_s
+        page_time = (self.spec.page_program_s
+                     if request.kind is RequestKind.WRITE
+                     else self.spec.page_read_s)
         # Sequential streams let the firmware pipeline page programs
         # slightly better than scattered ones.
         efficiency = 1.0 if request.sequential else 1.05
@@ -139,7 +121,7 @@ class SsdModel:
     # -- simulation process ----------------------------------------------------
 
     def submit(self, request: BlockRequest) -> Generator:
-        """Process body: execute a read or trim on one channel.
+        """Process body: execute a read on one channel.
 
         Usage::
 
@@ -148,7 +130,7 @@ class SsdModel:
         Writes go through :meth:`write`.
         """
         if request.kind is RequestKind.WRITE:
-            raise ConfigError("submit() takes reads and trims; "
+            raise ConfigError("submit() takes reads; "
                               "use write() for a WRITE request")
         request.validate_against(self.spec.capacity_bytes)
         traced = self.tracer.enabled
@@ -159,36 +141,21 @@ class SsdModel:
             if traced:
                 granted = self.env.now
             yield self.env.timeout(self.service_time(request))
-            if (request.kind is RequestKind.READ
-                    and self.spec.read_retry_probability > 0.0):
-                # Marginal pages need ECC retry rounds: re-read plus a
-                # soft-decode penalty, repeated while the coin says so.
-                while self._rng.random() < \
-                        self.spec.read_retry_probability:
-                    self.read_retries += 1
-                    yield self.env.timeout(
-                        self.spec.retry_penalty_s
-                        + self.service_time(request))
         if traced:
             self.tracer.record(
-                STAGE_SSD_READ if request.kind is RequestKind.READ
-                else STAGE_SSD_TRIM, None, start=submitted,
+                STAGE_SSD_READ, None, start=submitted,
                 queue_wait=granted - submitted, resource=TRACK_SSD,
                 attrs={"bytes": request.size,
                        "sequential": request.sequential})
         self.requests_completed += 1
-        if request.kind is RequestKind.READ:
-            self.host_bytes_read += request.size
-        else:
-            self.trims += 1
+        self.host_bytes_read += request.size
 
     def write(self, request: BlockRequest) -> Event:
         """Execute a write on one channel; returns its completion event.
 
-        Writes have no retry loop, so no process is needed: one channel
-        hold for the service time, with the statistics booked as the
-        hold expires.  Fire-and-forget callers (destage) simply drop
-        the event.
+        No process is needed: one channel hold for the service time,
+        with the statistics booked as the hold expires.
+        Fire-and-forget callers (destage) simply drop the event.
         """
         if request.kind is not RequestKind.WRITE:
             raise ConfigError(f"write() got a {request.kind.name} request")
@@ -217,12 +184,6 @@ class SsdModel:
     def utilization(self, until: Optional[float] = None) -> float:
         """Mean fraction of channels busy."""
         return self.channels.monitor.utilization(until)
-
-    def write_amplification(self, logical_bytes: int) -> float:
-        """NAND bytes programmed per logical byte accepted."""
-        if logical_bytes <= 0:
-            return 0.0
-        return self.nand_bytes_written / logical_bytes
 
     def __repr__(self) -> str:
         return (f"<SsdModel {self.spec.name}: "

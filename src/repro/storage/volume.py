@@ -35,11 +35,9 @@ class ReducedVolume:
                  prefix_bytes: int = 2,
                  bin_buffer_capacity: int = 64,
                  bin_buffer_total: Optional[int] = 4096,
-                 enable_compression: bool = True,
                  verify_checksums: bool = True,
                  enable_delta: bool = False):
         self.chunk_size = chunk_size
-        self.enable_compression = enable_compression
         #: End-to-end integrity: store a plaintext CRC-32 per unique
         #: chunk and verify it on every read.
         self.verify_checksums = verify_checksums
@@ -93,12 +91,8 @@ class ReducedVolume:
                     chunk.compressed_size = len(delta)
                     delta_base_id = base_id
         if delta_base_id is None:
-            if self.enable_compression:
-                result = self.compressor.compress(chunk)
-                blob = chunk.payload if result.stored_raw else result.blob
-            else:
-                chunk.compressed_size = chunk.size
-                blob = chunk.payload
+            result = self.compressor.compress(chunk)
+            blob = chunk.payload if result.stored_raw else result.blob
         checksum = (zlib.crc32(chunk.payload)
                     if self.verify_checksums else None)
         _cycles, batch, was_unique = self.engine.commit_unique(

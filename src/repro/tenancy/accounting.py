@@ -33,16 +33,6 @@ class TenantCounters:
         """Inline cache hits over chunks seen."""
         return self.inline_hits / self.chunks if self.chunks else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "chunks": self.chunks,
-            "inline_hits": self.inline_hits,
-            "stored": self.stored,
-            "skips": self.skips,
-            "recovered": self.recovered,
-            "inline_hit_rate": self.inline_hit_rate,
-        }
-
 
 class TenantAccounting:
     """Counters and latency histograms for every tenant seen."""
@@ -118,12 +108,3 @@ class TenantAccounting:
             chunks += counters.chunks
             stored += counters.stored
         return chunks / stored if stored else 1.0
-
-    def as_dict(self) -> dict[str, dict]:
-        """Per-tenant counters plus SLO summaries, JSON-ready."""
-        out: dict[str, dict] = {}
-        for tenant in self._counters:
-            entry = self._counters[tenant].as_dict()
-            entry["latency"] = self.latency_summary(tenant)
-            out[str(tenant)] = entry
-        return out

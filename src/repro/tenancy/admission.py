@@ -149,7 +149,3 @@ class PrioritizedCache:
         for tenant, share in shares.items():
             self._quotas[tenant] = max(
                 MIN_QUOTA, int(self.capacity * share))
-
-    def quota(self, tenant: int) -> int:
-        """Current residency quota for ``tenant`` (entries)."""
-        return self._quotas.get(tenant, MIN_QUOTA)

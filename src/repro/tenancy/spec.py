@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -47,6 +48,17 @@ __all__ = ["TENANT_ADDRESS_STRIDE", "TenantMix", "TenantMixStream",
 #: so a one-tenant mix reproduces single-stream offsets exactly.
 TENANT_ADDRESS_STRIDE = 1 << 44
 
+#: TenantSpec fields that must be ints, and the dials that must be real
+#: numbers (``arrival_rate_iops`` may also be None).  ``bool`` is
+#: neither, although Python makes it an int.
+_INT_FIELDS = ("seed", "working_set", "clients")
+_REAL_FIELDS = ("weight", "dedup_ratio", "comp_ratio", "locality",
+                "arrival_rate_iops", "comp_spread")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -64,8 +76,24 @@ class TenantSpec:
     comp_spread: float = 0.15
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise WorkloadError("tenant name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise WorkloadError(
+                f"tenant name must be a non-empty string, got {self.name!r}")
+        for key in _INT_FIELDS:
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise WorkloadError(
+                    f"tenant {self.name!r}: {key} must be an int, "
+                    f"got {value!r}")
+        for key in _REAL_FIELDS:
+            value = getattr(self, key)
+            if value is None and key == "arrival_rate_iops":
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Real):
+                raise WorkloadError(
+                    f"tenant {self.name!r}: {key} must be a number, "
+                    f"got {value!r}")
         if self.weight <= 0:
             raise WorkloadError(
                 f"tenant {self.name!r}: weight must be > 0, "
@@ -102,6 +130,9 @@ class TenantMix:
     open_loop: bool = False
 
     def __post_init__(self) -> None:
+        if not _is_int(self.seed):
+            raise WorkloadError(
+                f"tenant-mix seed must be an int, got {self.seed!r}")
         if not self.tenants:
             raise WorkloadError("a tenant mix needs at least one tenant")
         names = [spec.name for spec in self.tenants]

@@ -50,11 +50,6 @@ class StreamStats:
     duplicates: int = 0
     bytes_emitted: int = 0
 
-    @property
-    def dedup_ratio(self) -> float:
-        """total chunks / unique chunks."""
-        return self.chunks / self.uniques if self.uniques else 1.0
-
 
 class VdbenchStream:
     """Deterministic chunk stream with dedup/compression dials."""
@@ -190,9 +185,8 @@ class VdbenchStream:
         stats.uniques += n - duplicates
         stats.duplicates += duplicates
         stats.bytes_emitted += size * n
-        # The emitting stream validated every column by construction.
         return ChunkBatch(offsets, sizes, payloads, fingerprints,
-                          comp_ratios, validate=False)
+                          comp_ratios)
 
     def next_chunk(self) -> Chunk:
         """``next_batch(1)`` materialized; e2ebench's ledger wraps it."""

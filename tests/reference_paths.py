@@ -28,6 +28,15 @@ imports this.
   a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
   host arrays must stay indistinguishable from
   (``test_gpu_index_growth``);
+* :func:`install_runs` — full fingerprints installed into a
+  ``GpuBinIndex`` as one ``install_views`` run per consecutive bin,
+  the mixed-bin flush the dedup engine never issues
+  (``test_dedup_fastpath``, ``test_gpu_index_growth``);
+* :func:`btree_items` / :func:`check_btree` — an in-order walk of a
+  ``BTree`` and its structural invariants (fill bounds, sorted keys,
+  separators, equal leaf depth), the oracle the tree's property tests
+  check after every split (``test_dedup_index``,
+  ``test_dedup_fastpath``);
 * :class:`ReferenceIndex` — a dict keyed by the whole fingerprint, the
   ground truth the bin table and GPU bins must agree with
   (``test_dedup_index``);
@@ -314,6 +323,67 @@ class PreallocatedGpuBins:
 
     def __len__(self) -> int:
         return sum(count for _lo, _hi, count in self.bins.values())
+
+
+def btree_items(tree) -> list[tuple[bytes, Any]]:
+    """Every (key, value) pair of a ``BTree``, in ascending key order."""
+    out: list[tuple[bytes, Any]] = []
+
+    def walk(node) -> None:
+        if node.leaf:
+            out.extend(zip(node.keys, node.values))
+            return
+        for i, key in enumerate(node.keys):
+            walk(node.children[i])
+            out.append((key, node.values[i]))
+        walk(node.children[-1])
+
+    walk(tree._root)
+    return out
+
+
+def check_btree(tree) -> None:
+    """Raise ``AssertionError`` unless ``tree`` is a valid CLRS B-tree."""
+    t = tree._t
+    leaf_depths: set[int] = set()
+
+    def check(node, is_root: bool, depth: int) -> None:
+        assert is_root or len(node.keys) >= t - 1, \
+            f"underfull node at depth {depth}"
+        assert len(node.keys) <= 2 * t - 1, f"overfull node at depth {depth}"
+        assert node.keys == sorted(node.keys), \
+            f"unsorted keys at depth {depth}"
+        assert len(node.keys) == len(node.values), \
+            f"key/value mismatch at depth {depth}"
+        if node.leaf:
+            leaf_depths.add(depth)
+            assert len(leaf_depths) == 1, "leaves at differing depths"
+            return
+        assert len(node.children) == len(node.keys) + 1, \
+            f"child-count mismatch at depth {depth}"
+        for i, child in enumerate(node.children):
+            if i > 0 and child.keys:
+                assert child.keys[0] > node.keys[i - 1], "left separator"
+            if i < len(node.keys) and child.keys:
+                assert child.keys[-1] < node.keys[i], "right separator"
+            check(child, is_root=False, depth=depth + 1)
+
+    check(tree._root, is_root=True, depth=0)
+
+
+def install_runs(index, fingerprints: list[bytes]) -> None:
+    """Install ``fingerprints`` in order, each run of consecutive
+    same-bin entries as one ``install_views`` call."""
+    width = index.prefix_bytes
+    start = 0
+    while start < len(fingerprints):
+        prefix = fingerprints[start][:width]
+        end = start
+        while end < len(fingerprints) and fingerprints[end][:width] == prefix:
+            end += 1
+        index.install_views(int.from_bytes(prefix, "big"),
+                            [f[width:] for f in fingerprints[start:end]])
+        start = end
 
 
 class ReferenceIndex:

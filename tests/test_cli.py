@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,38 @@ def test_library_error_is_an_error_line_not_a_traceback(argv, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dedup_ratio", "3.0"),
+    ("comp_ratio", "2"),
+    ("locality", "0.5"),
+    ("working_set", "64"),
+    ("working_set", 1.5),
+    ("seed", "11"),
+    ("clients", True),
+    ("name", 7),
+])
+def test_tenant_spec_field_types_checked(key, value, tmp_path, capsys):
+    repo = Path(__file__).resolve().parents[1]
+    spec = json.loads((repo / "examples" / "tenant_mix.json").read_text())
+    spec["tenants"][0][key] = value
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--tenants", str(path), "--chunks", "256"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(value) in err
+
+
+def test_tenant_mix_seed_type_checked(tmp_path, capsys):
+    repo = Path(__file__).resolve().parents[1]
+    spec = json.loads((repo / "examples" / "tenant_mix.json").read_text())
+    spec["seed"] = "7"
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--tenants", str(path), "--chunks", "256"]) == 2
+    assert "seed must be an int" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -86,7 +86,7 @@ def _fails_everywhere(config, shards):
 class TestPartitionInvariance:
     @given(nodes=st.sampled_from([2, 3, 4, 8]),
            corpus=st.sampled_from(sorted(CORPORA)),
-           assignment=st.sampled_from(["range", "interleave"]),
+           assignment=st.sampled_from(["range", "balanced"]),
            seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=16, deadline=None)
     def test_aggregate_matches_one_node_oracle(self, nodes, corpus,
@@ -187,7 +187,7 @@ class TestExecutorIdentity:
 
 class TestShardMapResidency:
     @given(nodes=st.integers(min_value=1, max_value=16),
-           assignment=st.sampled_from(["range", "interleave"]),
+           assignment=st.sampled_from(["range", "balanced"]),
            prefix_bytes=st.sampled_from([1, 2]))
     @settings(max_examples=24, deadline=None)
     def test_every_bin_on_exactly_one_shard(self, nodes, assignment,

@@ -57,11 +57,6 @@ class TestCpuCosts:
         assert (costs.postprocess_cycles(4096)
                 < 0.5 * costs.lz_encode_cycles(4096, comp_ratio=2.0))
 
-    def test_with_overrides_returns_new_table(self):
-        costs = DEFAULT_COSTS.with_overrides(sha1_per_byte=20.0)
-        assert costs.sha1_per_byte == 20.0
-        assert DEFAULT_COSTS.sha1_per_byte == 13.0  # calibrated default
-
     def test_bin_tree_probe_scales_with_levels(self):
         costs = DEFAULT_COSTS
         assert costs.bin_tree_probe(8) > costs.bin_tree_probe(2)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
-from repro.errors import DedupError
+from repro.errors import ConfigError, DedupError
 from repro.types import Chunk
 
 
@@ -106,21 +106,24 @@ class TestCommits:
         assert engine.metadata.unique_chunks == 1
 
     def test_flush_populates_tree_and_gpu(self):
-        # A GPU index on the engine's prefix width takes the flushed
-        # views as they are; one on another width re-cuts them.
-        for gpu_prefix_bytes in (2, 1):
-            gpu_index = GpuBinIndex(prefix_bytes=gpu_prefix_bytes)
-            engine = DedupEngine(bin_buffer_capacity=1,
-                                 gpu_index=gpu_index)
-            chunk = chunk_of(b"flushme")
-            engine.cpu_index(chunk)
-            chunk.compressed_size = 2000
-            _cycles, batch, _ = engine.commit_unique(chunk)
-            assert batch is not None
-            assert batch.chunk_count == 1
-            assert batch.payload_bytes == 2000
-            assert len(engine.bin_table) == 1
-            assert gpu_index.lookup_host([chunk.fingerprint]) == [True]
+        gpu_index = GpuBinIndex(prefix_bytes=2)
+        engine = DedupEngine(bin_buffer_capacity=1, gpu_index=gpu_index)
+        chunk = chunk_of(b"flushme")
+        engine.cpu_index(chunk)
+        chunk.compressed_size = 2000
+        _cycles, batch, _ = engine.commit_unique(chunk)
+        assert batch is not None
+        assert batch.chunk_count == 1
+        assert batch.payload_bytes == 2000
+        assert len(engine.bin_table) == 1
+        assert gpu_index.lookup_host([chunk.fingerprint]) == [True]
+
+    def test_gpu_index_on_another_prefix_width_rejected(self):
+        # A flushed bin installs into the GPU bin of the same id, so
+        # both must be keyed on the same prefix width.
+        with pytest.raises(ConfigError, match="prefix_bytes"):
+            DedupEngine(prefix_bytes=2,
+                        gpu_index=GpuBinIndex(prefix_bytes=1))
 
     def test_drain_flushes_everything(self):
         engine = DedupEngine(bin_buffer_capacity=100)
@@ -144,7 +147,7 @@ class TestCommits:
             else:
                 chunk.compressed_size = 4096
                 engine.commit_unique(chunk)
-        assert engine.dedup_ratio() == pytest.approx(2.0)
+        assert engine.metadata.dedup_ratio() == pytest.approx(2.0)
 
     def test_ingest_cycles_scale_with_chunk_size(self):
         engine = DedupEngine()

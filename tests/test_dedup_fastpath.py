@@ -25,6 +25,8 @@ from repro.dedup.replacement import RandomReplacement
 from repro.errors import IndexError_
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 
+from tests.reference_paths import btree_items, check_btree, install_runs
+
 PREFIX_BYTES = 1
 BIN_CAPACITY = 3
 #: Tiny universe with only four distinct prefixes: collisions and
@@ -102,9 +104,9 @@ class TestIndexInterleavingProperty:
                 index.insert(fp(arg))
                 oracle.insert(fp(arg))
             elif op == "flush":
-                entries = [(fp(i), None) for i in arg]
-                index.update_from_flush(entries)
-                for fingerprint, _value in entries:
+                run = [fp(i) for i in arg]
+                install_runs(index, run)
+                for fingerprint in run:
                     oracle.insert(fingerprint)
             else:
                 probes = [fp(i) for i in arg]
@@ -124,9 +126,9 @@ class TestIndexInterleavingProperty:
         serial = GpuBinIndex(prefix_bytes=PREFIX_BYTES,
                              bin_capacity=BIN_CAPACITY,
                              policy=RandomReplacement(seed=seed))
-        entries = [(fp(i), None) for i in range(UNIVERSE)]
-        batched.update_from_flush(entries)
-        for fingerprint, _value in entries:
+        run = [fp(i) for i in range(UNIVERSE)]
+        install_runs(batched, run)
+        for fingerprint in run:
             serial.insert(fingerprint)
         assert batched.evictions == serial.evictions
         assert len(batched) == len(serial)
@@ -146,11 +148,11 @@ class TestBTreeProperties:
         for i, key in enumerate(keys):
             tree.insert(key, i)
             reference[key] = i
-            tree.check_invariants()
+            check_btree(tree)
         assert len(tree) == len(reference)
         for key, value in reference.items():
             assert tree.search(key) == value
-        assert [k for k, _ in tree.items()] == sorted(reference)
+        assert [k for k, _ in btree_items(tree)] == sorted(reference)
 
     @given(pairs=st.lists(
         st.tuples(st.binary(min_size=4, max_size=12), st.integers()),
@@ -164,12 +166,12 @@ class TestBTreeProperties:
         serial = BTree(min_degree=min_degree)
         installed = bulk.insert_run(pairs)
         new = sum(serial.insert(k, v) for k, v in pairs)
-        bulk.check_invariants()
-        serial.check_invariants()
+        check_btree(bulk)
+        check_btree(serial)
         assert installed == new
         assert len(bulk) == len(serial)
         assert bulk.height == serial.height
-        assert list(bulk.items()) == list(serial.items())
+        assert btree_items(bulk) == btree_items(serial)
 
 
 class TestCostMemoization:

@@ -15,13 +15,25 @@ from repro.dedup import (
     LruReplacement,
     RandomReplacement,
 )
+from repro.dedup.index_base import decompose
 from repro.errors import IndexError_
-from tests.reference_paths import ReferenceIndex, reference_bin_lookup
+from tests.reference_paths import (
+    ReferenceIndex,
+    btree_items,
+    check_btree,
+    reference_bin_lookup,
+)
 
 
 def fp(n: int) -> bytes:
     """Deterministic 20-byte fingerprint for integer n."""
     return hashlib.sha1(n.to_bytes(8, "big")).digest()
+
+
+def stage(buffer: BinBuffer, fingerprint: bytes, value):
+    """Stage a whole fingerprint, as the engine does after its probe."""
+    return buffer.add_view(decompose(fingerprint, buffer.prefix_bytes),
+                           value)
 
 
 fingerprints = st.integers(0, 10_000).map(fp)
@@ -59,7 +71,7 @@ class TestBTree:
         keys = [fp(i) for i in range(200)]
         for key in keys:
             tree.insert(key, None)
-        listed = [k for k, _ in tree.items()]
+        listed = [k for k, _ in btree_items(tree)]
         assert listed == sorted(keys)
 
     def test_invariants_after_many_inserts(self):
@@ -67,12 +79,29 @@ class TestBTree:
         for i in range(500):
             tree.insert(fp(i * 7), i)
             if i % 100 == 0:
-                tree.check_invariants()
-        tree.check_invariants()
+                check_btree(tree)
+        check_btree(tree)
 
     def test_bad_degree_rejected(self):
         with pytest.raises(IndexError_):
             BTree(min_degree=1)
+
+    @pytest.mark.parametrize("corrupt,problem", [
+        (lambda root: root.children[0].keys.reverse(), "unsorted"),
+        (lambda root: (root.children[0].keys.clear(),
+                       root.children[0].values.clear()), "underfull"),
+        (lambda root: root.children[-1].values.pop(), "key/value"),
+        (lambda root: root.keys.__setitem__(0, b"\xff" * 20),
+         "separator"),
+    ], ids=["unsorted", "underfull", "key_value", "separator"])
+    def test_invariant_oracle_catches_corruption(self, corrupt, problem):
+        tree = BTree(min_degree=2)
+        for i in range(40):
+            tree.insert(fp(i), i)
+        check_btree(tree)
+        corrupt(tree._root)
+        with pytest.raises(AssertionError, match=problem):
+            check_btree(tree)
 
     @given(st.lists(st.binary(min_size=1, max_size=12), max_size=300),
            st.integers(2, 8))
@@ -83,11 +112,11 @@ class TestBTree:
         for i, key in enumerate(keys):
             tree.insert(key, i)
             reference[key] = i
-        tree.check_invariants()
+        check_btree(tree)
         assert len(tree) == len(reference)
         for key, value in reference.items():
             assert tree.search(key) == value
-        assert [k for k, _ in tree.items()] == sorted(reference)
+        assert [k for k, _ in btree_items(tree)] == sorted(reference)
 
 
 class TestBinTable:
@@ -102,7 +131,8 @@ class TestBinTable:
     def test_bin_selection_uses_prefix(self):
         table = BinTable(prefix_bytes=2)
         f = fp(42)
-        assert table.bin_of(f) == int.from_bytes(f[:2], "big")
+        table.insert(f, 1)
+        assert list(table._bins) == [int.from_bytes(f[:2], "big")]
 
     def test_bins_partition_the_keyspace(self):
         table = BinTable(prefix_bytes=1)
@@ -127,12 +157,6 @@ class TestBinTable:
         saved_per_entry = table.prefix_bytes
         assert n_entries * saved_per_entry == 1024**3
 
-    def test_memory_accounting(self):
-        table = BinTable(prefix_bytes=2)
-        for i in range(100):
-            table.insert(fp(i), i)
-        assert table.memory_bytes(metadata_bytes=12) == 100 * (18 + 12)
-
     def test_truncation_preserves_exactness(self):
         """Dropping the prefix loses nothing: the bin number encodes it."""
         table = BinTable(prefix_bytes=2)
@@ -150,19 +174,18 @@ class TestBinTable:
         table.insert(fp(1), 1)
         table.lookup(fp(1))
         table.lookup(fp(2))
-        assert table.hit_rate() == 0.5
+        assert (table.hits, table.lookups) == (1, 2)
 
     def test_bin_depth_grows(self):
         table = BinTable(prefix_bytes=1, min_degree=2)
         f = fp(3)
         assert table.bin_depth(f) == 1
         # Fill the specific bin of fp(3) so its tree gains height.
-        target_bin = table.bin_of(f)
         added = 0
         i = 0
         while added < 200:
             candidate = fp(i)
-            if table.bin_of(candidate) == target_bin:
+            if candidate[0] == f[0]:
                 table.insert(candidate, i)
                 added += 1
             i += 1
@@ -192,7 +215,7 @@ class TestBinBuffer:
     def test_stage_and_probe(self):
         buffer = BinBuffer(per_bin_capacity=8)
         assert buffer.lookup(fp(1)) is None
-        assert buffer.add(fp(1), "v") is None
+        assert stage(buffer, fp(1), "v") is None
         assert buffer.lookup(fp(1)) == "v"
         assert len(buffer) == 1
 
@@ -209,7 +232,7 @@ class TestBinBuffer:
                 target_bin = bin_id
             if bin_id == target_bin:
                 added.append(f)
-                flushed = buffer.add(f, i)
+                flushed = stage(buffer, f, i)
             i += 1
         assert flushed.bin_id == target_bin
         assert flushed.count == 4
@@ -220,25 +243,25 @@ class TestBinBuffer:
 
     def test_double_stage_rejected(self):
         buffer = BinBuffer(per_bin_capacity=8)
-        buffer.add(fp(1), 1)
+        stage(buffer, fp(1), 1)
         with pytest.raises(IndexError_):
-            buffer.add(fp(1), 1)
+            stage(buffer, fp(1), 1)
 
     def test_flush_all_drains(self):
         buffer = BinBuffer(per_bin_capacity=100)
         for i in range(50):
-            buffer.add(fp(i), i)
+            stage(buffer, fp(i), i)
         events = buffer.flush_all()
         assert sum(e.count for e in events) == 50
         assert len(buffer) == 0
 
     def test_hit_rate(self):
         buffer = BinBuffer(per_bin_capacity=100)
-        buffer.add(fp(1), 1)
+        stage(buffer, fp(1), 1)
         buffer.lookup(fp(1))
         buffer.lookup(fp(1))
         buffer.lookup(fp(2))
-        assert buffer.hit_rate() == pytest.approx(2 / 3)
+        assert (buffer.hits, buffer.lookups) == (2, 3)
 
 
 class TestGpuBinIndex:
@@ -283,7 +306,7 @@ class TestGpuBinIndex:
     def test_update_from_flush(self):
         buffer = BinBuffer(prefix_bytes=2, per_bin_capacity=1)
         index = GpuBinIndex(prefix_bytes=2)
-        event = buffer.add(fp(5), "value")
+        event = stage(buffer, fp(5), "value")
         assert event is not None
         index.install_views(event.bin_id,
                             [suffix for suffix, _ in event.staged])

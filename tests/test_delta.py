@@ -80,10 +80,10 @@ class TestDeltaCodec:
         with pytest.raises(CorruptStreamError):
             DeltaCodec().decode(b"short", bad)
 
-    def test_ratio_helper(self):
+    def test_achieved_ratio(self):
         codec = DeltaCodec()
         base = noise(4096, seed=7)
-        assert codec.ratio(base, edited(base, 3)) > 8.0
+        assert len(codec.encode(base, edited(base, 3))) < 4096 / 8.0
 
     @given(st.binary(max_size=1500), st.binary(max_size=1500))
     @settings(max_examples=50, deadline=None)

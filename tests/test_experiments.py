@@ -36,7 +36,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.reporting import Table
 from repro.core.modes import IntegrationMode
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 
 class TestReporting:
@@ -51,7 +51,7 @@ class TestReporting:
 
     def test_table_row_arity_checked(self):
         table = Table("t", ["a"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             table.add_row(1, 2)
 
 

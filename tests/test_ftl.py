@@ -41,14 +41,6 @@ class TestBasics:
         assert ftl.host_pages_written == 2
         ftl.check_invariants()
 
-    def test_trim_unmaps(self):
-        ftl = small_ftl()
-        ftl.write(1)
-        ftl.trim(1)
-        assert 1 not in ftl._mapping
-        assert ftl.mapped_pages == 0
-        ftl.check_invariants()
-
     def test_sequential_fill_has_unit_wa(self):
         ftl = small_ftl()
         for lpn in range(64):
@@ -107,17 +99,6 @@ class TestGarbageCollection:
             for lpn in range(17):
                 ftl.write(lpn)
 
-    def test_trim_makes_space_reclaimable(self):
-        ftl = small_ftl(blocks=4, pages=4, low_water=1)
-        for lpn in range(10):
-            ftl.write(lpn)
-        for lpn in range(8):
-            ftl.trim(lpn)
-        # Freed pages let far more writes through.
-        for lpn in range(100, 108):
-            ftl.write(lpn)
-        ftl.check_invariants()
-
     def test_erase_counts_reported(self):
         ftl = small_ftl(blocks=8, pages=8)
         for round_ in range(8):
@@ -127,19 +108,14 @@ class TestGarbageCollection:
         assert sum(counts) == ftl.erases
         assert ftl.erases > 0
 
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30)),
-                    max_size=400))
+    @given(st.lists(st.integers(0, 30), max_size=400))
     @settings(max_examples=25, deadline=None)
-    def test_mapping_never_corrupts_property(self, ops):
+    def test_mapping_never_corrupts_property(self, lpns):
         ftl = small_ftl(blocks=8, pages=8)
         live = set()
-        for is_write, lpn in ops:
-            if is_write:
-                ftl.write(lpn)
-                live.add(lpn)
-            else:
-                ftl.trim(lpn)
-                live.discard(lpn)
+        for lpn in lpns:
+            ftl.write(lpn)
+            live.add(lpn)
         ftl.check_invariants()
         assert ftl.mapped_pages == len(live)
         assert set(ftl._mapping) == live

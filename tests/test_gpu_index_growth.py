@@ -23,7 +23,7 @@ from repro.gpu.kernels.indexing import BinLookupKernel
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.types import Chunk
 
-from tests.reference_paths import PreallocatedGpuBins
+from tests.reference_paths import PreallocatedGpuBins, install_runs
 
 PREFIX_BYTES = 1
 N_BINS = 2
@@ -84,7 +84,7 @@ class Pair:
 
     def mixed_flush(self, n: int) -> None:
         run = self.take(n)
-        self.index.update_from_flush([(f, None) for f in run])
+        install_runs(self.index, run)
         for fingerprint in run:
             self.oracle.insert(fingerprint)
 

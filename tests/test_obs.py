@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.cli import _dump_trace
 from repro.core.calibration import run_mode
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
@@ -31,7 +32,6 @@ from repro.obs import (
     SimTracer,
     chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.stages import (
     DEDUP_COUNTER_KEYS,
@@ -123,7 +123,7 @@ class TestSimTracer:
         span = tracer.record("s", start=0.0, end=1.0,
                              queue_wait=1.0 + 1e-13)
         assert span.queue_wait == 1.0
-        assert span.service == pytest.approx(0.0)
+        assert (span.duration - span.queue_wait) == pytest.approx(0.0)
 
     def test_record_since_derives_queue_wait(self):
         env = Environment()
@@ -138,7 +138,7 @@ class TestSimTracer:
         env.run()
         (span,) = tracer.spans
         assert span.queue_wait == pytest.approx(0.75)
-        assert span.service == pytest.approx(0.25)
+        assert (span.duration - span.queue_wait) == pytest.approx(0.25)
 
     def test_record_split_tiles_exactly(self):
         env = Environment()
@@ -156,10 +156,10 @@ class TestSimTracer:
         # portion splits 1:3; the spans tile [0, 1] with no gap.
         assert first.start == 0.0
         assert first.queue_wait == pytest.approx(0.2)
-        assert first.service == pytest.approx(0.2)
+        assert (first.duration - first.queue_wait) == pytest.approx(0.2)
         assert second.start == first.end
         assert second.end == 1.0  # pinned exactly, no float residue
-        assert second.service == pytest.approx(0.6)
+        assert (second.duration - second.queue_wait) == pytest.approx(0.6)
 
     def test_record_split_validates_inputs(self):
         tracer = SimTracer(Environment())
@@ -222,13 +222,11 @@ class TestMetricsRegistry:
         with pytest.raises(TraceError, match="different histogram"):
             registry.attach_histogram("lat", LatencyHistogram())
 
-    def test_snapshot_sorted_and_rendered(self):
+    def test_snapshot_sorted(self):
         registry = MetricsRegistry()
         registry.counter("z.last").inc(2)
         registry.gauge("a.first").set(1.5)
         assert list(registry.snapshot()) == ["a.first", "z.last"]
-        assert "z.last" in registry.render()
-        assert "z.last" not in registry.render(prefixes=["a"])
         with pytest.raises(TraceError, match="unknown"):
             registry.value("nope")
 
@@ -268,10 +266,12 @@ class TestChromeExport:
                if e.get("cat") == "ssd"]
         assert ssd and ssd[0]["args"]["bytes"] == 4096
 
-    def test_write_chrome_trace_roundtrip(self, tmp_path):
+    def test_cli_trace_writer_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        payload = write_chrome_trace(str(path), _spans_for_export())
-        assert json.loads(path.read_text()) == payload
+        spans = _spans_for_export()
+        assert _dump_trace(spans, str(path)) == 0
+        assert json.loads(path.read_text()) == chrome_trace(spans)
+        assert f"events -> {path}" in capsys.readouterr().out
 
     def test_validator_rejects_malformed_payloads(self):
         assert validate_chrome_trace([]) != []

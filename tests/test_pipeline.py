@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
 from repro.core.batcher import GpuBatcher
+from repro.core.calibration import run_mode
 from repro.errors import ConfigError
 from repro.gpu import GpuDevice, Kernel, KernelCost
 from repro.sim import Environment
@@ -125,7 +126,7 @@ class TestPipelineFunctional:
         report, _, stream = run_pipeline(IntegrationMode.CPU_ONLY,
                                          n_chunks=2000)
         assert report.dedup_ratio == pytest.approx(
-            stream.stats.dedup_ratio, rel=0.01)
+            stream.stats.chunks / stream.stats.uniques, rel=0.01)
 
     def test_all_modes_agree_functionally(self):
         """Every mode must find the same uniques — offload must never
@@ -186,11 +187,6 @@ class TestPipelineFunctional:
                                            n_chunks=2048)
         assert report.destage_batches > 0
         assert report.nand_bytes_written > 0
-
-    def test_destage_disabled(self):
-        report, _, _ = run_pipeline(IntegrationMode.CPU_ONLY,
-                                    destage_enabled=False)
-        assert report.nand_bytes_written == 0
 
     def test_empty_run_rejected(self):
         env = Environment()
@@ -303,3 +299,8 @@ class TestConfigKnobs:
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             PipelineConfig(index_locking="mutexes")
+
+
+def test_gpu_mode_without_gpu_spec_is_a_config_error():
+    with pytest.raises(ConfigError, match="needs a GPU"):
+        run_mode(IntegrationMode.GPU_COMP, 16, gpu_spec=None)

@@ -85,11 +85,11 @@ REPORT_VARIANTS = {
         "gpu_dedup", 512,
         {"arrival_rate_iops": 20000.0, "gpu_index_policy": "always"}, {},
         "ea222b67ed7b07f2734c142e8140b150c080b0a2fe980c46b3303a7450b04243"),
-    "no_destage_small_bins": (
+    "small_bins": (
         "gpu_both", 2048,
-        {"destage_enabled": False, "bin_buffer_capacity": 4,
-         "bin_buffer_total": 256, "gpu_bin_capacity": 8}, {},
-        "e624a0073a59624cfe27ab2cb72104692390d7c301a2b9e0891fa20d5ccb8b34"),
+        {"bin_buffer_capacity": 4, "bin_buffer_total": 256,
+         "gpu_bin_capacity": 8}, {},
+        "e3e044c896f449886ab34a810f578f4a528ddc6148fb49915faab76f2c2a124c"),
 }
 
 

@@ -158,23 +158,6 @@ def test_utilization_partial_time():
     assert res.monitor.busy_time() == pytest.approx(5.0)
 
 
-def test_monitor_peak():
-    env = Environment()
-    res = Resource(env, capacity=4)
-
-    def user(arrive, hold):
-        yield env.timeout(arrive)
-        with res.request() as req:
-            yield req
-            yield env.timeout(hold)
-
-    env.process(user(0.0, 3.0))
-    env.process(user(1.0, 3.0))
-    env.process(user(2.0, 0.5))
-    env.run()
-    assert res.monitor.peak == 3
-
-
 def test_cancel_ungranted_request():
     env = Environment()
     res = Resource(env, capacity=1)

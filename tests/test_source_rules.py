@@ -157,12 +157,6 @@ ALLOWED = {
         1, "The read path's latency accumulator predates the tracer and "
            "must keep reporting with tracing disabled; migrating it onto "
            "the chunk-envelope span is follow-up work."),
-    ("REP103", "src/repro/storage/ssd.py", "SsdModel.__init__:seed"): (
-        1, "Device-model RNG only drives optional read-error injection "
-           "(SsdSpec.read_retry_probability defaults to 0.0); the "
-           "default-constructed model draws nothing. Threading a required "
-           "seed through every device construction is tracked follow-up "
-           "work."),
 }
 
 #: fixture -> (module name it is checked as, expected (rule, line) pairs).

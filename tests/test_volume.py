@@ -102,13 +102,6 @@ class TestReduction:
         # dedup 2.0 x compression ~2.0 => reduction ~4.0
         assert volume.reduction_ratio() > 3.0
 
-    def test_compression_disabled(self):
-        volume = ReducedVolume(enable_compression=False)
-        data = compressible(4096)
-        volume.write(0, data)
-        assert volume.physical_bytes == 4096
-        assert volume.read(0, 4096) == data
-
     def test_custom_codec(self):
         volume = ReducedVolume(codec=LzssCodec())
         data = compressible(4096)
