@@ -1,14 +1,18 @@
-"""Experiment definitions: one sweep per paper table/figure + ablations,
-and :data:`EXPERIMENTS`, the one table every reader goes through.
+"""Experiment definitions: one function per paper table/figure and per
+ablation, and :data:`EXPERIMENTS`, the one table every reader goes
+through.
 
-Every sweep builds fresh simulated hardware, runs the workload the
+Every function builds fresh simulated hardware, runs the workload the
 paper describes (dedup ratio 2.0, compression ratio 2.0, 4 KiB chunks —
 scaled by ``n_chunks``; pass ``n_chunks=524288`` for the paper's full
-2 GB), and returns structured rows.  An :class:`Experiment` row of the
-table fixes the size one id runs at, how its result prints, and which
-of the paper's claims it must reproduce.  ``repro bench <id>`` prints
-one row; ``repro evaluate EXPERIMENTS.md`` reruns them all and rewrites
-each ``<!-- repro:<id> -->`` region of the document (:func:`regenerate`).
+2 GB), and returns what the run produced, keyed by the swept value: the
+:class:`~repro.core.stats.PipelineReport` of each point, or a plain
+mapping.  Its defaults are the size the table runs.  An
+:class:`Experiment` row of the table names the function, how its result
+prints, and which of the paper's claims it must reproduce.
+``repro bench <id>`` prints one row; ``repro evaluate EXPERIMENTS.md``
+reruns them all and rewrites each ``<!-- repro:<id> -->`` region of the
+document (:func:`regenerate`).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import random
 import re
 from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.bench.reporting import Table
@@ -26,18 +31,20 @@ from repro.cluster import ClusterConfig, ClusterEngine, ShardMap
 from repro.core.calibration import CalibrationResult, calibrate_mode, run_mode
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
+from repro.core.readpath import ReadPipeline, ReadReport
 from repro.core.stats import PipelineReport
+from repro.compression.delta import DeltaCodec, SimilarityIndex, sketch
 from repro.compression.lzss import LzssCodec
 from repro.compression.postprocess import refine_tile
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
 from repro.dedup.bins import BinTable
+from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.replacement import (
     FifoReplacement,
     LruReplacement,
     RandomReplacement,
-    ReplacementPolicy,
 )
 from repro.errors import ReproError
 from repro.gpu.device import GpuDevice, GpuSpec
@@ -45,9 +52,10 @@ from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment
 from repro.storage.block import BlockRequest, RequestKind
+from repro.storage.ftl import Ftl, FtlSpec
 from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel
 from repro.tenancy import TenantMix, TenantSpec
-from repro.tenancy.runner import run_tenant_mix
+from repro.tenancy.runner import TenancyRunReport, run_tenant_mix
 from repro.workload.datagen import BlockContentGenerator
 from repro.workload.patterns import ZipfPattern
 from repro.workload.vdbench import VdbenchStream
@@ -55,9 +63,40 @@ from repro.workload.vdbench import VdbenchStream
 #: The paper's SSD yardstick, quoted everywhere ("about 80 K IOPS").
 SSD_IOPS = SAMSUNG_SSD_830.write_iops_4k
 
+_CPU, _DEDUP, _BOTH, _COMP = (IntegrationMode.CPU_ONLY,
+                              IntegrationMode.GPU_DEDUP,
+                              IntegrationMode.GPU_BOTH,
+                              IntegrationMode.GPU_COMP)
+
+#: :func:`run_mode`'s own keywords a sweep may set; every other setting
+#: is a :class:`PipelineConfig` field.
+_RUN_KEYWORDS = frozenset({"comp_ratio", "cpu_spec", "gpu_spec"})
+
 
 def _fingerprint(n: int) -> bytes:
     return hashlib.sha1(n.to_bytes(8, "big")).digest()
+
+
+def _sweep(n_chunks: int, knob: str, values: Iterable,
+           **fixed) -> dict[Any, PipelineReport]:
+    """One :func:`run_mode` per value of ``knob``: ``{value: report}``.
+
+    ``knob`` and ``fixed`` name the integration ``mode``, a
+    :class:`PipelineConfig` field or one of :data:`_RUN_KEYWORDS`.  A
+    mapping ``values`` sweeps its values and keys the reports by its
+    keys.
+    """
+    points = values if isinstance(values, Mapping) else \
+        dict(zip(values, values))
+    reports = {}
+    for key, value in points.items():
+        settings = {**fixed, knob: value}
+        run = {name: settings.pop(name)
+               for name in _RUN_KEYWORDS & settings.keys()}
+        reports[key] = run_mode(settings["mode"], n_chunks,
+                                base_config=PipelineConfig(**settings),
+                                **run)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -65,39 +104,25 @@ def _fingerprint(n: int) -> bytes:
 # experiment that decides the GPU is only an indexing co-processor).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class E1Row:
-    """One batch size's CPU-vs-GPU indexing comparison."""
-
-    batch: int
-    cpu_seconds: float
-    gpu_seconds: float
-
-    @property
-    def cpu_advantage(self) -> float:
-        """How many times faster the CPU batch completes."""
-        return self.gpu_seconds / self.cpu_seconds
-
-
 def e1_indexing(batch_sizes: Sequence[int] = (16, 32, 48, 64, 128, 256),
-                n_entries: int = 65536, prefix_bytes: int = 1,
-                hit_fraction: float = 0.5) -> list[E1Row]:
-    """Time one indexing batch on the CPU and on the GPU.
+                n_entries: int = 65536) -> dict[int, dict[str, float]]:
+    """Time one indexing batch on the CPU and on the GPU:
+    ``{batch: {"cpu": seconds, "gpu": seconds}}``.
 
     Both sides hold the same ``n_entries`` fingerprints ("The number of
     hash table entries used for indexing remains the same on the CPU and
-    GPU for a fair comparison").
+    GPU for a fair comparison").  Half of each batch's queries hit.
     """
     costs = DEFAULT_COSTS
-    cpu_table = BinTable(prefix_bytes=prefix_bytes)
-    gpu_table = GpuBinIndex(prefix_bytes=prefix_bytes, bin_capacity=8192)
+    cpu_table = BinTable(prefix_bytes=1)
+    gpu_table = GpuBinIndex(prefix_bytes=1, bin_capacity=8192)
     for i in range(n_entries):
         cpu_table.insert(_fingerprint(i), True)
         gpu_table.insert(_fingerprint(i))
 
-    rows = []
+    seconds = {}
     for batch in batch_sizes:
-        hits = int(batch * hit_fraction)
+        hits = batch // 2
         queries = [_fingerprint(i) for i in range(hits)] + \
             [_fingerprint(n_entries + i) for i in range(batch - hits)]
 
@@ -129,74 +154,41 @@ def e1_indexing(batch_sizes: Sequence[int] = (16, 32, 48, 64, 128, 256),
 
         done = env.process(gpu_batch())
         env.run(until=done)
-        rows.append(E1Row(batch=batch, cpu_seconds=cpu_seconds,
-                          gpu_seconds=env.now))
-    return rows
+        seconds[batch] = {"cpu": cpu_seconds, "gpu": env.now}
+    return seconds
 
 
 # ---------------------------------------------------------------------------
 # E2 — §4(1): parallel deduplication throughput.
 # ---------------------------------------------------------------------------
 
-def e2_dedup(n_chunks: int = 65536,
-             dedup_ratio: float = 2.0) -> dict[str, PipelineReport]:
+def e2_dedup(n_chunks: int = 65536) -> dict[IntegrationMode, PipelineReport]:
     """Dedup-only pipeline: CPU-only versus GPU-assisted."""
-    results = {}
-    for label, mode in (("cpu_only", IntegrationMode.CPU_ONLY),
-                        ("gpu_assisted", IntegrationMode.GPU_DEDUP)):
-        config = PipelineConfig(mode=mode, enable_compression=False)
-        results[label] = run_mode(mode, n_chunks, base_config=config,
-                                  dedup_ratio=dedup_ratio)
-    return results
+    return _sweep(n_chunks, "mode", (_CPU, _DEDUP), enable_compression=False)
 
 
 # ---------------------------------------------------------------------------
 # E3 — §4(2): parallel compression throughput vs compression ratio.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class E3Row:
-    """One compression-ratio point of the E3 sweep."""
-
-    comp_ratio: float
-    cpu_iops: float
-    gpu_iops: float
-    ssd_iops: float = SSD_IOPS
-
-    @property
-    def gpu_advantage(self) -> float:
-        return self.gpu_iops / self.cpu_iops
-
-
 def e3_compression(ratios: Sequence[float] = (1.2, 1.5, 2.0, 3.0, 4.0),
-                   n_chunks: int = 32768) -> list[E3Row]:
-    """Compression-only pipeline across the compressibility dial."""
-    rows = []
-    for ratio in ratios:
-        cpu_cfg = PipelineConfig(mode=IntegrationMode.CPU_ONLY,
-                                 enable_dedup=False)
-        cpu = run_mode(IntegrationMode.CPU_ONLY, n_chunks,
-                       base_config=cpu_cfg, comp_ratio=ratio)
-        gpu_cfg = PipelineConfig(mode=IntegrationMode.GPU_COMP,
-                                 enable_dedup=False)
-        gpu = run_mode(IntegrationMode.GPU_COMP, n_chunks,
-                       base_config=gpu_cfg, comp_ratio=ratio)
-        rows.append(E3Row(comp_ratio=ratio, cpu_iops=cpu.iops,
-                          gpu_iops=gpu.iops))
-    return rows
+                   n_chunks: int = 16384
+                   ) -> dict[float, dict[IntegrationMode, PipelineReport]]:
+    """Compression-only pipeline across the compressibility dial, on the
+    CPU and on the GPU."""
+    return {ratio: _sweep(n_chunks, "mode", (_CPU, _COMP),
+                          enable_dedup=False, comp_ratio=ratio)
+            for ratio in ratios}
 
 
 # ---------------------------------------------------------------------------
 # E4 — Fig. 2 / §4(3): throughput of the four integration modes.
 # ---------------------------------------------------------------------------
 
-def e4_integration(n_chunks: int = 65536, dedup_ratio: float = 2.0,
-                   comp_ratio: float = 2.0
+def e4_integration(n_chunks: int = 65536
                    ) -> dict[IntegrationMode, PipelineReport]:
     """The integrated pipeline in every mode (regenerates Fig. 2)."""
-    return {mode: run_mode(mode, n_chunks, dedup_ratio=dedup_ratio,
-                           comp_ratio=comp_ratio)
-            for mode in IntegrationMode.all_modes()}
+    return _sweep(n_chunks, "mode", IntegrationMode.all_modes())
 
 
 # ---------------------------------------------------------------------------
@@ -205,44 +197,32 @@ def e4_integration(n_chunks: int = 65536, dedup_ratio: float = 2.0,
 
 def e5_workflow(n_chunks: int = 32768) -> PipelineReport:
     """One GPU_BOTH run; its counters are Fig. 1's edges."""
-    return run_mode(IntegrationMode.GPU_BOTH, n_chunks)
+    return run_mode(_BOTH, n_chunks)
 
 
 # ---------------------------------------------------------------------------
 # A1 — §3.1(1): lock-free bin scaling across thread counts.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A1Row:
-    """Dedup throughput at one CPU thread count."""
-
-    threads: int
-    iops: float
-
-
 def a1_thread_scaling(thread_counts: Sequence[int] = (1, 2, 4, 8),
-                      n_chunks: int = 16384) -> list[A1Row]:
+                      n_chunks: int = 16384) -> dict[int, PipelineReport]:
     """CPU-only dedup throughput as the core count grows.
 
     Bins mean no locks, so throughput should scale near-linearly until
     SMT sharing flattens it — which is the design argument of §3.1(1).
     """
-    rows = []
-    for threads in thread_counts:
+    def cpu_with(threads: int) -> CpuSpec:
         # Up to 4 threads we add physical cores (the i7-2600K has 4);
         # beyond that the extra threads are SMT siblings and run derated.
         cores = min(threads, I7_2600K.cores)
-        spec = CpuSpec(name=f"{threads}T", cores=cores, threads=threads,
+        return CpuSpec(name=f"{threads}T", cores=cores, threads=threads,
                        freq_hz=I7_2600K.freq_hz,
                        smt_derate=(I7_2600K.smt_derate
                                    if threads > cores else 1.0))
-        config = PipelineConfig(mode=IntegrationMode.CPU_ONLY,
-                                enable_compression=False)
-        report = run_mode(IntegrationMode.CPU_ONLY, n_chunks,
-                          base_config=config, cpu_spec=spec,
-                          gpu_spec=None)
-        rows.append(A1Row(threads=threads, iops=report.iops))
-    return rows
+
+    return _sweep(n_chunks, "cpu_spec",
+                  {threads: cpu_with(threads) for threads in thread_counts},
+                  mode=_CPU, gpu_spec=None, enable_compression=False)
 
 
 def a1_bin_balance(prefix_bytes_options: Sequence[int] = (1, 2),
@@ -261,104 +241,55 @@ def a1_bin_balance(prefix_bytes_options: Sequence[int] = (1, 2),
 # A2 — §3.1(1): prefix truncation memory arithmetic.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A2Row:
-    """Index memory at one prefix size, at the paper's 4 TB scale."""
-
-    prefix_bytes: int
-    entries: int
-    memory_bytes: int
-    saved_vs_full: int
-
-
-def a2_prefix_truncation(capacity_bytes: int = 4 * 1024**4,
-                         chunk_bytes: int = 8 * 1024,
-                         metadata_bytes: int = 12) -> list[A2Row]:
+def a2_prefix_truncation() -> dict[int, dict[str, int]]:
     """The paper's sizing: 4 TB / 8 KB chunks, 32 B entries => 16 GB,
-    minus 1 GB per two prefix bytes dropped."""
-    entries = capacity_bytes // chunk_bytes
-    rows = []
-    for prefix_bytes in (0, 1, 2, 4):
-        key_bytes = 20 - prefix_bytes
-        memory = entries * (key_bytes + metadata_bytes)
-        rows.append(A2Row(prefix_bytes=prefix_bytes, entries=entries,
-                          memory_bytes=memory,
-                          saved_vs_full=entries * prefix_bytes))
-    return rows
+    minus 1 GB per two prefix bytes dropped.
+
+    ``{prefix bytes: {"entries", "memory_bytes", "saved_vs_full"}}``:
+    an entry is the 20-byte SHA-1 less the prefix, plus 12 bytes of
+    metadata.
+    """
+    entries = 4 * 1024**4 // (8 * 1024)
+    return {prefix_bytes: {"entries": entries,
+                           "memory_bytes": entries * (20 - prefix_bytes + 12),
+                           "saved_vs_full": entries * prefix_bytes}
+            for prefix_bytes in (0, 1, 2, 4)}
 
 
 # ---------------------------------------------------------------------------
 # A3 — §3.3: bin-buffer size vs locality hits and flush sequentiality.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A3Row:
-    """One bin-buffer budget point."""
-
-    buffer_total: int
-    buffer_hit_fraction: float
-    mean_flush_chunks: float
-    iops: float
-
-
 def a3_bin_buffer(totals: Sequence[int] = (512, 2048, 8192, 32768),
-                  n_chunks: int = 32768) -> list[A3Row]:
+                  n_chunks: int = 16384) -> dict[int, PipelineReport]:
     """Sweep the bin-buffer budget in a CPU-only dedup run."""
-    rows = []
-    for total in totals:
-        config = PipelineConfig(mode=IntegrationMode.CPU_ONLY,
-                                enable_compression=False,
-                                bin_buffer_total=total)
-        report = run_mode(IntegrationMode.CPU_ONLY, n_chunks,
-                          base_config=config)
-        dups = report.duplicates_found
-        buffer_fraction = (report.counters["buffer_hits"] / dups
-                           if dups else 0.0)
-        flushes = report.counters["flushes"] or 1
-        rows.append(A3Row(
-            buffer_total=total,
-            buffer_hit_fraction=buffer_fraction,
-            mean_flush_chunks=report.counters["uniques"] / flushes,
-            iops=report.iops))
-    return rows
+    return _sweep(n_chunks, "bin_buffer_total", totals, mode=_CPU,
+                  enable_compression=False)
 
 
 # ---------------------------------------------------------------------------
 # A4 — §3.3: GPU-bin replacement policy comparison.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A4Row:
-    """One replacement policy's hit rate under a constrained GPU bin."""
-
-    policy: str
-    hit_rate: float
-    evictions: int
-
-
 def a4_replacement(n_uniques: int = 4096, n_lookups: int = 30000,
-                   bin_capacity: int = 8, prefix_bytes: int = 1,
-                   skew: float = 1.1, seed: int = 5) -> list[A4Row]:
+                   bin_capacity: int = 8) -> dict[str, GpuBinIndex]:
     """Drive each policy with a Zipf-skewed lookup stream over bins far
     smaller than the working set, so eviction choices matter."""
-    policies: list[tuple[str, ReplacementPolicy]] = [
-        ("random", RandomReplacement(seed=seed)),
-        ("fifo", FifoReplacement()),
-        ("lru", LruReplacement()),
-    ]
-    rows = []
-    for name, policy in policies:
-        index = GpuBinIndex(prefix_bytes=prefix_bytes,
-                            bin_capacity=bin_capacity, policy=policy)
-        pattern = ZipfPattern(n_uniques, skew=skew, seed=seed)
+    policies = {"random": RandomReplacement(seed=5),
+                "fifo": FifoReplacement(),
+                "lru": LruReplacement()}
+    indexes = {}
+    for name, policy in policies.items():
+        index = GpuBinIndex(prefix_bytes=1, bin_capacity=bin_capacity,
+                            policy=policy)
+        pattern = ZipfPattern(n_uniques, skew=1.1, seed=5)
         for _ in range(n_lookups):
             fingerprint = _fingerprint(pattern.next_slot())
             hit = index.lookup_host([fingerprint])[0]
             if not hit:
                 index.insert(fingerprint)
-        rows.append(A4Row(policy=name, hit_rate=index.hit_rate(),
-                          evictions=index.evictions))
-    return rows
+        indexes[name] = index
+    return indexes
 
 
 # ---------------------------------------------------------------------------
@@ -393,49 +324,27 @@ def a5_calibration(dummy_chunks: int = 8192
 # A6 — §1 motivation: inline vs background reduction endurance.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A6Result:
-    """NAND programming volume for the two reduction strategies."""
-
-    logical_bytes: int
-    inline_nand_bytes: int
-    background_nand_bytes: int
-
-    @property
-    def endurance_advantage(self) -> float:
-        """How many times less NAND the inline strategy programs."""
-        return self.background_nand_bytes / self.inline_nand_bytes
-
-
-def a6_inline_vs_background(n_chunks: int = 32768,
-                            dedup_ratio: float = 2.0,
-                            comp_ratio: float = 2.0) -> A6Result:
+def a6_inline_vs_background(n_chunks: int = 16384) -> dict[str, int]:
     """Inline reduces then writes once; background writes everything raw
     and later rewrites the reduced copy ("this generates more write I/O
-    than systems without the data reduction operations")."""
-    inline = run_mode(IntegrationMode.CPU_ONLY, n_chunks,
-                      dedup_ratio=dedup_ratio, comp_ratio=comp_ratio)
-    logical = inline.bytes_in
+    than systems without the data reduction operations").
 
+    ``{"logical", "inline", "background"}``: the stream's bytes, and the
+    NAND bytes each strategy programs.
+    """
+    inline = run_mode(_CPU, n_chunks)
     # Background: land the full stream raw first, then rewrite the
     # reduced form the offline pass produces.
-    env = Environment()
-    ssd = SsdModel(env)
-
-    def writer():
-        for _ in range(n_chunks):
-            yield ssd.write(BlockRequest(
-                RequestKind.WRITE, 0, 4096, sequential=True))
-        # Offline pass rewrites the reduced data.
-        reduced = int(logical / inline.reduction_ratio)
-        yield ssd.write(BlockRequest(
-            RequestKind.WRITE, 0, max(4096, reduced), sequential=True))
-
-    env.process(writer())
-    env.run()
-    return A6Result(logical_bytes=logical,
-                    inline_nand_bytes=inline.nand_bytes_written,
-                    background_nand_bytes=ssd.nand_bytes_written)
+    ssd = SsdModel(Environment())
+    for _ in range(n_chunks):
+        ssd.write(BlockRequest(RequestKind.WRITE, 0, 4096, sequential=True))
+    reduced = int(inline.bytes_in / inline.reduction_ratio)
+    ssd.write(BlockRequest(RequestKind.WRITE, 0, max(4096, reduced),
+                           sequential=True))
+    ssd.env.run()
+    return {"logical": inline.bytes_in,
+            "inline": inline.nand_bytes_written,
+            "background": ssd.nand_bytes_written}
 
 
 # ---------------------------------------------------------------------------
@@ -443,205 +352,113 @@ def a6_inline_vs_background(n_chunks: int = 32768,
 # and GPU-only indexing (GHOST-class).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A8LockRow:
-    """Bins vs one global index lock, dedup-only at full load."""
-
-    discipline: str
-    iops: float
-    mean_latency_s: float
+def a8_index_locking(n_chunks: int = 16384) -> dict[str, PipelineReport]:
+    """The paper's lock-free bins against a conventional locked table,
+    dedup-only at full load."""
+    return _sweep(n_chunks, "index_locking", ("bins", "global"), mode=_CPU,
+                  enable_compression=False)
 
 
-def a8_index_locking(n_chunks: int = 16384) -> list[A8LockRow]:
-    """The paper's lock-free bins against a conventional locked table."""
-    rows = []
-    for discipline in ("bins", "global"):
-        config = PipelineConfig(mode=IntegrationMode.CPU_ONLY,
-                                enable_compression=False,
-                                index_locking=discipline)
-        report = run_mode(IntegrationMode.CPU_ONLY, n_chunks,
-                          base_config=config)
-        rows.append(A8LockRow(discipline=discipline, iops=report.iops,
-                              mean_latency_s=report.mean_latency_s))
-    return rows
-
-
-@dataclass
-class A8PolicyRow:
-    """Offload policy under light, paced load (latency view)."""
-
-    policy: str
-    iops: float
-    mean_latency_s: float
-    peak_latency_s: float
-
-
-def a8_offload_policy(n_chunks: int = 8192,
-                      arrival_rate_iops: float = 50e3
-                      ) -> list[A8PolicyRow]:
-    """The paper's saturation rule vs GHOST-style always-offload.
+def a8_offload_policy(n_chunks: int = 8192) -> dict[str, PipelineReport]:
+    """The paper's saturation rule vs GHOST-style always-offload, paced
+    at 50 K IOPS.
 
     Below CPU saturation the paper's rule keeps indexing local and
     cheap; forcing every lookup through GPU batches pays a batch-fill +
     launch round trip per chunk — the critique in §5 of GPU-only
     indexing designs.
     """
-    rows = []
-    for policy in ("saturation", "always"):
-        config = PipelineConfig(mode=IntegrationMode.GPU_DEDUP,
-                                enable_compression=False,
-                                gpu_index_policy=policy,
-                                arrival_rate_iops=arrival_rate_iops)
-        report = run_mode(IntegrationMode.GPU_DEDUP, n_chunks,
-                          base_config=config)
-        rows.append(A8PolicyRow(policy=policy, iops=report.iops,
-                                mean_latency_s=report.mean_latency_s,
-                                peak_latency_s=report.peak_latency_s))
-    return rows
+    return _sweep(n_chunks, "gpu_index_policy", ("saturation", "always"),
+                  mode=_DEDUP, enable_compression=False,
+                  arrival_rate_iops=50e3)
 
 
 # ---------------------------------------------------------------------------
 # A9 — §3.1(1): RAM-only index across a restart ("not a big deal").
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A9Result:
-    """Dedup effectiveness with and without a mid-stream restart."""
+def _dedup_stream(n_chunks: int, seed: int, restart_at: Optional[int] = None,
+                  compress: bool = True) -> DedupEngine:
+    """Feed a descriptor stream through a functional dedup engine.
 
-    baseline_dedup_ratio: float
-    restarted_dedup_ratio: float
-    baseline_physical_bytes: int
-    restarted_physical_bytes: int
-    duplicates_missed: int
-
-    @property
-    def space_overhead(self) -> float:
-        """Extra physical bytes caused by the lost index."""
-        return (self.restarted_physical_bytes
-                / self.baseline_physical_bytes) - 1.0
-
-
-def _run_dedup_stream(stream_chunks, restart_at: Optional[int]) -> tuple:
-    """Feed a descriptor stream through a functional dedup engine."""
-    from repro.dedup.engine import DedupEngine
-
+    The engine restarts before chunk ``restart_at``; without
+    ``compress`` every unique chunk is stored at its full size.
+    """
     engine = DedupEngine(prefix_bytes=1, bin_buffer_total=2048)
-    missed = 0
-    known: set[bytes] = set()
-    for i, chunk in enumerate(stream_chunks):
-        if restart_at is not None and i == restart_at:
+    stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=seed)
+    for i, chunk in enumerate(stream.chunks(n_chunks)):
+        if i == restart_at:
             engine.restart()
-        outcome = engine.cpu_index(chunk)
-        if outcome.duplicate:
+        if engine.cpu_index(chunk).duplicate:
             engine.commit_duplicate(chunk)
-        else:
-            if chunk.fingerprint in known:
-                missed += 1  # a duplicate the lost index cannot see
+            continue
+        if compress:
             chunk.compressed_size = max(1, int(
                 chunk.size / chunk.effective_ratio()))
-            engine.commit_unique(chunk)
-        known.add(chunk.fingerprint)
+        engine.commit_unique(chunk)
     engine.drain()
-    return engine, missed
+    return engine
 
 
-def a9_restart(n_chunks: int = 20000, dedup_ratio: float = 2.0,
-               seed: int = 17) -> A9Result:
+def a9_restart(n_chunks: int = 20000) -> dict[str, DedupEngine]:
     """Measure the dedup the RAM-only index loses across one restart.
 
     The same stream runs twice: uninterrupted, and with a restart at the
     midpoint.  The gap is the paper's "cannot find some duplicate data"
     — bounded, because only pre-restart content is affected and the
-    index rebuilds as new (post-restart) content flows.
+    index rebuilds as new (post-restart) content flows.  Every unique
+    the restarted run stores beyond the uninterrupted run's is a
+    duplicate the lost index could not see.
     """
-    def fresh_stream():
-        return VdbenchStream(dedup_ratio=dedup_ratio, comp_ratio=2.0,
-                             seed=seed).chunks(n_chunks)
-
-    baseline, _ = _run_dedup_stream(fresh_stream(), restart_at=None)
-    restarted, missed = _run_dedup_stream(fresh_stream(),
-                                          restart_at=n_chunks // 2)
-    return A9Result(
-        baseline_dedup_ratio=baseline.metadata.dedup_ratio(),
-        restarted_dedup_ratio=restarted.metadata.dedup_ratio(),
-        baseline_physical_bytes=baseline.metadata.physical_bytes,
-        restarted_physical_bytes=restarted.metadata.physical_bytes,
-        duplicates_missed=missed,
-    )
+    return {"no restart": _dedup_stream(n_chunks, seed=17),
+            "with restart": _dedup_stream(n_chunks, seed=17,
+                                          restart_at=n_chunks // 2)}
 
 
 # ---------------------------------------------------------------------------
 # A11 — §3.1(2): simple vs local-memory-tiled lookup kernel.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A11Row:
-    """Launch time of both lookup-kernel variants at one batch size."""
-
-    batch: int
-    simple_seconds: float
-    tiled_seconds: float
-    simple_global_bytes: float
-    tiled_global_bytes: float
-
-
 def a11_kernel_variants(batch_sizes: Sequence[int] = (64, 256, 1024),
-                        n_entries: int = 65536,
-                        prefix_bytes: int = 1,
-                        seed: int = 9) -> list[A11Row]:
+                        n_entries: int = 65536
+                        ) -> dict[int, dict[str, float]]:
     """Compare the per-thread global scan against the workgroup-tiled
-    local-memory kernel across batch sizes.
+    local-memory kernel across batch sizes: launch seconds and global
+    bytes read, ``{batch: {"simple_s", "tiled_s", "simple_bytes",
+    "tiled_bytes"}}``.
 
     With a 1-byte prefix, batches of a few hundred queries hit the same
     256 bins repeatedly; the tiled kernel stages each bin once instead
     of streaming it per query, which is the §3.1(2) local-memory
     argument in numbers.
     """
-    import random as _random
-
-    index = GpuBinIndex(prefix_bytes=prefix_bytes, bin_capacity=8192)
+    index = GpuBinIndex(prefix_bytes=1, bin_capacity=8192)
     for i in range(n_entries):
         index.insert(_fingerprint(i))
-    rng = _random.Random(seed)
+    rng = random.Random(9)
+    gpu = GpuDevice(Environment())
 
-    rows = []
+    variants = {}
     for batch in batch_sizes:
         queries = [_fingerprint(rng.randrange(2 * n_entries))
                    for _ in range(batch)]
-        env = Environment()
-        gpu = GpuDevice(env)
         simple = index.make_kernel(queries)
         tiled = TiledBinLookupKernel(index.make_batch(queries),
                                      index.table_view(), costs=index.costs)
-        rows.append(A11Row(
-            batch=batch,
-            simple_seconds=gpu.launch_time(simple),
-            tiled_seconds=gpu.launch_time(tiled),
-            simple_global_bytes=simple.cost().bytes_read,
-            tiled_global_bytes=tiled.cost().bytes_read,
-        ))
-    return rows
+        variants[batch] = {"simple_s": gpu.launch_time(simple),
+                           "tiled_s": gpu.launch_time(tiled),
+                           "simple_bytes": simple.cost().bytes_read,
+                           "tiled_bytes": tiled.cost().bytes_read}
+    return variants
 
 
 # ---------------------------------------------------------------------------
 # A15 — delta compression for near-duplicates (extension; DEC-class).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A15Row:
-    """Space outcome of one reduction stack on a near-duplicate stream."""
-
-    stack: str
-    physical_bytes: int
-    reduction_ratio: float
-    deltas_encoded: int = 0
-
-
-def a15_delta_reduction(n_chunks: int = 400, exact_dup: float = 0.25,
-                        near_dup: float = 0.35, edits: int = 6,
-                        comp_ratio: float = 2.0,
-                        seed: int = 41) -> list[A15Row]:
-    """Near-duplicate-heavy stream through three reduction stacks.
+def a15_delta_reduction(n_chunks: int = 250) -> dict[str, dict[str, Any]]:
+    """Near-duplicate-heavy stream through three reduction stacks:
+    ``{stack: {"physical_bytes", "reduction", "deltas"}}``.
 
     Deduplication removes exact duplicates only; the stream's *near*
     duplicates (point-edited copies, the VM-image/record-update pattern)
@@ -649,26 +466,18 @@ def a15_delta_reduction(n_chunks: int = 400, exact_dup: float = 0.25,
     literature around the paper) capture them: the delta of a 6-edit
     4 KiB chunk is tens of bytes.
     """
-    import random as _random
-
-    from repro.compression.delta import (
-        DeltaCodec,
-        SimilarityIndex,
-        sketch,
-    )
-    from repro.compression.lzss import LzssCodec
-
-    rng = _random.Random(seed)
-    content = BlockContentGenerator(comp_ratio, seed=seed)
+    # 25% exact duplicates, 35% near duplicates (6 point edits each).
+    rng = random.Random(41)
+    content = BlockContentGenerator(2.0, seed=41)
     bases: list[bytes] = []
     stream: list[bytes] = []
     for i in range(n_chunks):
         draw = rng.random()
-        if bases and draw < exact_dup:
+        if bases and draw < 0.25:
             stream.append(bases[rng.randrange(len(bases))])
-        elif bases and draw < exact_dup + near_dup:
+        elif bases and draw < 0.6:
             base = bytearray(bases[rng.randrange(len(bases))])
-            for _ in range(edits):
+            for _ in range(6):
                 base[rng.randrange(len(base))] = rng.randrange(256)
             stream.append(bytes(base))
         else:
@@ -676,78 +485,47 @@ def a15_delta_reduction(n_chunks: int = 400, exact_dup: float = 0.25,
             bases.append(block)
             stream.append(block)
 
+    # Each distinct chunk (in first-occurrence order) and the bytes LZ
+    # stores it in; exact dedup keeps only these.
     lz = LzssCodec()
+    lz_bytes: dict[bytes, int] = {}
+    for chunk in stream:
+        if chunk not in lz_bytes:
+            lz_bytes[chunk] = min(len(lz.encode(chunk)), len(chunk))
+
+    # Exact dedup + similarity delta + LZ.
     delta_codec = DeltaCodec()
-
-    # Stack 1: LZ only.
-    lz_only = sum(min(len(lz.encode(chunk)), len(chunk))
-                  for chunk in stream)
-
-    # Stack 2: exact dedup + LZ.
-    import hashlib as _hashlib
-    seen: set[bytes] = set()
-    dedup_lz = 0
-    for chunk in stream:
-        digest = _hashlib.sha1(chunk).digest()
-        if digest in seen:
-            continue
-        seen.add(digest)
-        dedup_lz += min(len(lz.encode(chunk)), len(chunk))
-
-    # Stack 3: exact dedup + similarity delta + LZ.
-    seen = set()
-    stored: dict[int, bytes] = {}
     similarity = SimilarityIndex()
-    dedup_delta_lz = 0
-    deltas = 0
-    for chunk in stream:
-        digest = _hashlib.sha1(chunk).digest()
-        if digest in seen:
-            continue
-        seen.add(digest)
+    stored: list[bytes] = []
+    dedup_delta_lz = deltas = 0
+    for chunk, lz_size in lz_bytes.items():
         chunk_sketch = sketch(chunk)
         reference_id = similarity.find_similar(chunk_sketch)
         if reference_id is not None:
             delta = delta_codec.encode(stored[reference_id], chunk)
-            lz_size = min(len(lz.encode(chunk)), len(chunk))
             if len(delta) < lz_size:
                 dedup_delta_lz += len(delta)
                 deltas += 1
                 continue
-        chunk_id = len(stored)
-        stored[chunk_id] = chunk
-        similarity.insert(chunk_id, chunk_sketch)
-        dedup_delta_lz += min(len(lz.encode(chunk)), len(chunk))
+        similarity.insert(len(stored), chunk_sketch)
+        stored.append(chunk)
+        dedup_delta_lz += lz_size
 
     logical = n_chunks * 4096
-    return [
-        A15Row("lz_only", lz_only, logical / lz_only),
-        A15Row("dedup+lz", dedup_lz, logical / dedup_lz),
-        A15Row("dedup+delta+lz", dedup_delta_lz,
-               logical / dedup_delta_lz, deltas_encoded=deltas),
-    ]
+    stacks = {"lz_only": (sum(lz_bytes[chunk] for chunk in stream), 0),
+              "dedup+lz": (sum(lz_bytes.values()), 0),
+              "dedup+delta+lz": (dedup_delta_lz, deltas)}
+    return {stack: {"physical_bytes": physical,
+                    "reduction": logical / physical, "deltas": count}
+            for stack, (physical, count) in stacks.items()}
 
 
 # ---------------------------------------------------------------------------
 # A14 — FTL-level compound endurance (extension of the §1 motivation).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A14Row:
-    """Flash wear for one storage strategy under the same logical churn."""
-
-    strategy: str
-    utilization: float
-    write_amplification: float
-    nand_pages: int
-    erases: int
-
-
 def a14_ftl_endurance(blocks: int = 64, pages_per_block: int = 64,
-                      working_set_fraction: float = 0.85,
-                      reduction_ratio: float = 4.0,
-                      churn_rounds: int = 8,
-                      seed: int = 31) -> list[A14Row]:
+                      churn_rounds: int = 8) -> dict[str, Ftl]:
     """The same logical overwrite churn on a raw vs a reduced device.
 
     Inline reduction helps flash endurance *twice*: it shrinks the host
@@ -758,17 +536,12 @@ def a14_ftl_endurance(blocks: int = 64, pages_per_block: int = 64,
     page-mapped FTL with and without a 4x (dedup 2.0 x comp 2.0)
     reduction in front of it.
     """
-    import random as _random
-
-    from repro.storage.ftl import Ftl, FtlSpec
-
-    total_pages = blocks * pages_per_block
-    logical_pages = int(total_pages * working_set_fraction)
-    rows = []
-    for strategy, factor in (("raw", 1.0), ("reduced", reduction_ratio)):
+    logical_pages = int(blocks * pages_per_block * 0.85)
+    ftls = {}
+    for strategy, factor in (("raw", 1.0), ("reduced", 4.0)):
         ftl = Ftl(FtlSpec(blocks=blocks, pages_per_block=pages_per_block))
         physical_pages = max(1, int(logical_pages / factor))
-        rng = _random.Random(seed)
+        rng = random.Random(31)
         # Initial fill.
         ftl.write_run(list(range(physical_pages)))
         # Churn: every logical overwrite lands as 1/factor physical
@@ -780,33 +553,17 @@ def a14_ftl_endurance(blocks: int = 64, pages_per_block: int = 64,
         ftl.write_run([rng.randrange(physical_pages)
                        for _ in range(churn_writes)])
         ftl.check_invariants()
-        rows.append(A14Row(
-            strategy=strategy,
-            utilization=ftl.utilization,
-            write_amplification=ftl.write_amplification(),
-            nand_pages=ftl.nand_pages_written,
-            erases=ftl.erases,
-        ))
-    return rows
+        ftls[strategy] = ftl
+    return ftls
 
 
 # ---------------------------------------------------------------------------
 # A13 — compression batch size on the shared device queue (extension).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A13Row:
-    """One (mode, batch-size) point of the sharing-trade sweep."""
-
-    mode: IntegrationMode
-    comp_batch: int
-    iops: float
-    gpu_utilization: float
-    gpu_mean_queue_wait_s: float
-
-
 def a13_batch_sweep(batch_sizes: Sequence[int] = (32, 64, 128, 256, 512),
-                    n_chunks: int = 32768) -> list[A13Row]:
+                    n_chunks: int = 16384
+                    ) -> dict[IntegrationMode, dict[int, PipelineReport]]:
     """Sweep the compression batch size in GPU_COMP and GPU_BOTH.
 
     The batch size sets the device-queue occupancy per launch, which is
@@ -818,16 +575,8 @@ def a13_batch_sweep(batch_sizes: Sequence[int] = (32, 64, 128, 256, 512),
     at the sweet spot, a tuned GPU_BOTH recovers and can edge past
     GPU_COMP, because contention shrinks faster than the offload gain.
     """
-    rows = []
-    for mode in (IntegrationMode.GPU_COMP, IntegrationMode.GPU_BOTH):
-        for batch in batch_sizes:
-            config = PipelineConfig(mode=mode, gpu_comp_batch=batch)
-            report = run_mode(mode, n_chunks, base_config=config)
-            rows.append(A13Row(
-                mode=mode, comp_batch=batch, iops=report.iops,
-                gpu_utilization=report.gpu_utilization,
-                gpu_mean_queue_wait_s=report.gpu_mean_queue_wait_s))
-    return rows
+    return {mode: _sweep(n_chunks, "gpu_comp_batch", batch_sizes, mode=mode)
+            for mode in (_COMP, _BOTH)}
 
 
 # ---------------------------------------------------------------------------
@@ -835,93 +584,40 @@ def a13_batch_sweep(batch_sizes: Sequence[int] = (32, 64, 128, 256, 512),
 # motivates primary storage, which serves reads too).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A10Row:
-    """Read throughput for one serving strategy."""
-
-    strategy: str
-    iops: float
-    mean_latency_s: float
-    cpu_utilization: float
-    ssd_utilization: float
-
-
-def a10_read_path(n_chunks: int = 12000, n_reads: int = 20000,
-                  seed: int = 23) -> list[A10Row]:
+def a10_read_path(n_chunks: int = 12000,
+                  n_reads: int = 20000) -> dict[str, ReadReport]:
     """Random chunk reads from a reduced volume vs a raw volume.
 
     Populates metadata through the functional dedup engine, then serves
     a uniform random read workload through the timed read pipeline —
     once against the reduced store (compressed extents + CPU decode) and
-    once against an equivalent raw store.
+    once against the same stream stored uncompressed.
     """
-    import random as _random
-
-    from repro.core.readpath import ReadPipeline
-
-    stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=seed)
-    engine, _ = _run_dedup_stream(stream.chunks(n_chunks),
-                                  restart_at=None)
-    rng = _random.Random(seed)
+    rng = random.Random(23)
     offsets = [rng.randrange(n_chunks) * 4096 for _ in range(n_reads)]
-
-    rows = []
+    reports = {}
     for strategy in ("reduced", "raw"):
-        env = Environment()
-        if strategy == "reduced":
-            pipeline = ReadPipeline(env, engine.metadata)
-        else:
-            raw_metadata = _raw_equivalent_store(engine.metadata,
-                                                 n_chunks)
-            pipeline = ReadPipeline(env, raw_metadata)
-        report = pipeline.run(offsets)
-        rows.append(A10Row(strategy=strategy, iops=report.iops,
-                           mean_latency_s=report.mean_latency_s,
-                           cpu_utilization=report.cpu_utilization,
-                           ssd_utilization=report.ssd_utilization))
-    return rows
-
-
-def _raw_equivalent_store(source, n_chunks: int):
-    """A metadata store serving the same offsets with unreduced chunks."""
-    from repro.storage.metadata import MetadataStore
-
-    raw = MetadataStore()
-    seen: set[bytes] = set()
-    for offset in range(0, n_chunks * 4096, 4096):
-        record = source.resolve(offset)
-        if record.fingerprint not in seen:
-            raw.store_unique(record.fingerprint, record.size,
-                             record.size)  # stored uncompressed
-            seen.add(record.fingerprint)
-        raw.map_logical(offset, record.fingerprint, record.size)
-    return raw
+        engine = _dedup_stream(n_chunks, seed=23,
+                               compress=strategy == "reduced")
+        reports[strategy] = ReadPipeline(Environment(),
+                                         engine.metadata).run(offsets)
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # A7 — §3.2(2): GPU segment count vs compression-ratio loss.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class A7Row:
-    """One segment-count point of the ratio/latency trade."""
-
-    segments: int
-    ratio: float
-    ratio_loss_vs_serial: float
-    kernel_critical_path_s: float
-
-
 def a7_segment_sweep(segment_counts: Sequence[int] = (1, 2, 4, 8, 16),
-                     n_blocks: int = 6, target_ratio: float = 2.0,
-                     seed: int = 3) -> list[A7Row]:
-    """Real payload compression at each segment count.
+                     n_blocks: int = 6) -> dict[int, dict[str, float]]:
+    """Real payload compression at each segment count:
+    ``{segments: {"ratio", "ratio_loss", "critical_path_s"}}``.
 
     More segments = shorter per-thread critical path (latency win) but a
     slightly worse ratio (matches cannot cross into a segment's own
     future) — the §3.2(2) design trade the paper accepts.
     """
-    generator = BlockContentGenerator(target_ratio, seed=seed)
+    generator = BlockContentGenerator(2.0, seed=3)
     generator.calibrate()
     blocks = [generator.make_block(4096, salt=s) for s in range(n_blocks)]
     serial_codec = LzssCodec()
@@ -929,22 +625,22 @@ def a7_segment_sweep(segment_counts: Sequence[int] = (1, 2, 4, 8, 16),
         sum(len(serial_codec.encode(b)) for b in blocks)
     device = GpuDevice(Environment())
 
-    rows = []
+    points = {}
     for segments in segment_counts:
         kernel = SegmentLzKernel(blocks, segments_per_chunk=segments)
         compressed = sum(len(blob) for tile in kernel.execute().tiles
                          for blob in refine_tile(tile))
         ratio = sum(len(block) for block in blocks) / compressed
-        critical = kernel.cost().critical_path_cycles / \
-            device.spec.freq_hz
-        rows.append(A7Row(segments=segments, ratio=ratio,
-                          ratio_loss_vs_serial=1.0 - ratio / serial_ratio,
-                          kernel_critical_path_s=critical))
-    return rows
+        points[segments] = {
+            "ratio": ratio, "ratio_loss": 1.0 - ratio / serial_ratio,
+            "critical_path_s": kernel.cost().critical_path_cycles
+            / device.spec.freq_hz}
+    return points
 
 
 # ---------------------------------------------------------------------------
-# A16 — tenancy ablation: inline hit rate vs tenant-mix composition.
+# A16/A17 — tenancy ablations: inline hit rate vs tenant-mix composition
+# and vs cache capacity.
 # ---------------------------------------------------------------------------
 
 #: The committed mixed-locality scenario: a hot tenant whose working
@@ -958,80 +654,40 @@ SCENARIO_MIX = TenantMix(tenants=(
                working_set=1 << 16),
 ), seed=7)
 
-@dataclass
-class A16Row:
-    """One mix composition's shared-vs-prioritized comparison."""
 
-    hot_weight: float
-    hot_share: float
-    shared_hit_rate: float
-    prioritized_hit_rate: float
-
-    @property
-    def prioritized_gain(self) -> float:
-        """Aggregate-hit-rate multiple of prioritized over shared."""
-        if self.shared_hit_rate == 0:
-            return float("inf")
-        return self.prioritized_hit_rate / self.shared_hit_rate
+def _both_policies(mix: TenantMix, n_chunks: int, cache_entries: int
+                   ) -> dict[str, TenancyRunReport]:
+    """``mix`` on CPU_ONLY under the shared LRU and prioritized
+    admission: ``{policy: report}``."""
+    return {policy: run_tenant_mix(mix, _CPU, n_chunks,
+                                   base_config=PipelineConfig(
+                                       tenancy_policy=policy,
+                                       tenancy_cache_entries=cache_entries))
+            for policy in ("shared_lru", "prioritized")}
 
 
-def a16_tenant_mix(hot_weights: Sequence[float] = (0.25, 1.0, 4.0),
-                   n_chunks: int = 4096,
-                   cache_entries: int = 96) -> list[A16Row]:
-    """Sweep the hot tenant's traffic share; compare admission policies.
+def a16_tenant_mix(n_chunks: int = 4096
+                   ) -> dict[float, dict[str, TenancyRunReport]]:
+    """Sweep the hot tenant's traffic share (cache 96 entries); compare
+    admission policies.
 
     The HPDedup claim under composition drift: however much of the
     interleaved stream the high-locality tenant contributes, a
     locality-prioritized cache beats a shared LRU on aggregate inline
     hit rate — and the edge is largest when the cold scan dominates
-    (small ``hot_weight``), because that is when LRU recency evicts
+    (small hot weight), because that is when LRU recency evicts
     exactly the entries worth keeping.
     """
-    rows = []
-    for hot_weight in hot_weights:
-        hot, cold = SCENARIO_MIX.tenants
-        mix = replace(SCENARIO_MIX, tenants=(
-            replace(hot, weight=hot_weight), cold))
-        hit_rates = {}
-        for policy in ("shared_lru", "prioritized"):
-            config = PipelineConfig(
-                tenancy_policy=policy,
-                tenancy_cache_entries=cache_entries)
-            report = run_tenant_mix(mix, IntegrationMode.CPU_ONLY,
-                                    n_chunks, base_config=config)
-            hit_rates[policy] = report.inline_hit_rate
-        rows.append(A16Row(
-            hot_weight=hot_weight,
-            hot_share=hot_weight / (hot_weight + 1.0),
-            shared_hit_rate=hit_rates["shared_lru"],
-            prioritized_hit_rate=hit_rates["prioritized"]))
-    return rows
+    hot, cold = SCENARIO_MIX.tenants
+    mixes = {weight: replace(SCENARIO_MIX,
+                             tenants=(replace(hot, weight=weight), cold))
+             for weight in (0.25, 1.0, 4.0)}
+    return {weight: _both_policies(mix, n_chunks, 96)
+            for weight, mix in mixes.items()}
 
 
-# ---------------------------------------------------------------------------
-# A17 — tenancy ablation: cache-contention curve (hit rate vs capacity).
-# ---------------------------------------------------------------------------
-
-@dataclass
-class A17Row:
-    """One inline-cache capacity point, both policies."""
-
-    cache_entries: int
-    shared_hit_rate: float
-    prioritized_hit_rate: float
-    recovery_fraction: float
-
-    @property
-    def prioritized_gain(self) -> float:
-        """Aggregate-hit-rate multiple of prioritized over shared."""
-        if self.shared_hit_rate == 0:
-            return float("inf")
-        return self.prioritized_hit_rate / self.shared_hit_rate
-
-
-def a17_cache_contention(
-        capacities: Sequence[int] = (48, 64, 96, 128, 256),
-        n_chunks: int = 4096) -> list[A17Row]:
+def a17_cache_contention(n_chunks: int = 4096
+                         ) -> dict[int, dict[str, TenancyRunReport]]:
     """Shrink the inline cache under the committed mixed scenario.
 
     The contention story: a shared LRU degrades smoothly toward zero
@@ -1041,26 +697,8 @@ def a17_cache_contention(
     *effective* dedup ratio at the oracle throughout — capacity only
     moves the inline/out-of-line split.
     """
-    rows = []
-    for capacity in capacities:
-        hit_rates = {}
-        recovery = 1.0
-        for policy in ("shared_lru", "prioritized"):
-            config = PipelineConfig(
-                tenancy_policy=policy,
-                tenancy_cache_entries=capacity)
-            report = run_tenant_mix(SCENARIO_MIX,
-                                    IntegrationMode.CPU_ONLY,
-                                    n_chunks, base_config=config)
-            hit_rates[policy] = report.inline_hit_rate
-            if policy == "prioritized":
-                recovery = report.recovery_fraction
-        rows.append(A17Row(
-            cache_entries=capacity,
-            shared_hit_rate=hit_rates["shared_lru"],
-            prioritized_hit_rate=hit_rates["prioritized"],
-            recovery_fraction=recovery))
-    return rows
+    return {capacity: _both_policies(SCENARIO_MIX, n_chunks, capacity)
+            for capacity in (48, 64, 96, 128, 256)}
 
 
 # ---------------------------------------------------------------------------
@@ -1072,58 +710,51 @@ def a17_cache_contention(
 REBALANCE_ENTRY_BYTES = 48
 
 
-@dataclass
-class A18Row:
-    """One bin->shard assignment over the same observed bin loads."""
-
-    assignment: str
-    #: Max-over-mean routed bytes per shard (1.0 = perfectly balanced).
-    imbalance: float
-    #: Loaded bins (and their bytes) that live on a different shard
-    #: than under the static range split, and the modeled NetLink time
-    #: to migrate them.
-    moved_bins: int
-    moved_bytes: int
-    migration_s: float
-
-
-def a18_cluster_skew(n_chunks: int = 4096, nodes: int = 4) -> list[A18Row]:
-    """Route a dup-heavy, high-locality corpus; compare assignments.
+def a18_cluster_skew(n_chunks: int = 4096) -> dict[str, dict[str, Any]]:
+    """Route a dup-heavy, high-locality corpus over 4 nodes; compare
+    bin->shard assignments over the same observed bin loads.
 
     Such a corpus concentrates traffic in few bins, so the static
     ``range`` split is skewed.  ``balanced`` re-assigns every bin (LPT
     over the observed loads); ``rebalanced`` repairs the range table
     greedily, moving far fewer bytes for most of the benefit — the
     trade a between-epochs rebalance makes.
+
+    Per assignment: ``imbalance`` is max-over-mean routed bytes per
+    shard (1.0 = perfectly balanced); ``moved_bins`` and ``moved_bytes``
+    are the loaded bins (and their bytes) that live on a different
+    shard than under the static range split, and ``migration_s`` the
+    modeled NetLink time to migrate them.
     """
     engine = ClusterEngine(ClusterConfig(
-        nodes=nodes, chunks=n_chunks, window=64, seed=1234,
+        nodes=4, chunks=n_chunks, window=64, seed=1234,
         dedup_ratio=4.0, locality=0.9))
     engine.run()
     loads = engine.router.bin_loads()
     range_table = engine.shard_map.table.copy()
 
-    def row(assignment: str, shard_map) -> A18Row:
+    def moves(shard_map) -> dict[str, Any]:
         moved = (shard_map.table != range_table) & (loads > 0)
         moved_bins = int(moved.sum())
         moved_bytes = int(loads[moved].sum())
         migration_s = engine.netlink.cost_s(
             moved_bytes + moved_bins * REBALANCE_ENTRY_BYTES,
             moved_bins) if moved_bins else 0.0
-        return A18Row(assignment, shard_map.imbalance(loads), moved_bins,
-                      moved_bytes, migration_s)
+        return {"imbalance": shard_map.imbalance(loads),
+                "moved_bins": moved_bins, "moved_bytes": moved_bytes,
+                "migration_s": migration_s}
 
-    rows = [row("range", engine.shard_map),
-            row("balanced", ShardMap(nodes, assignment="balanced",
-                                     loads=loads))]
+    assignments = {"range": moves(engine.shard_map),
+                   "balanced": moves(ShardMap(4, assignment="balanced",
+                                              loads=loads))}
     engine.shard_map.rebalance(loads)
-    rows.append(row("rebalanced", engine.shard_map))
-    return rows
+    assignments["rebalanced"] = moves(engine.shard_map)
+    return assignments
 
 
 # ---------------------------------------------------------------------------
-# The experiment table.  One row per id; the row, not its reader, owns
-# the size the experiment runs at and the claims it must reproduce.
+# The experiment table.  One row per id; the row names the function that
+# runs it (at its defaults) and the claims it must reproduce.
 # ---------------------------------------------------------------------------
 
 #: Chains a tuple-valued check may demand of its values, left to right.
@@ -1135,13 +766,19 @@ MIB = 1024**2
 GIB = 1024**3
 
 
+def _items(result) -> Iterable:
+    """A keyed result's ``(key, value)`` pairs; any other result as is."""
+    return result.items() if isinstance(result, Mapping) else result
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One row of :data:`EXPERIMENTS`.
 
-    ``run`` fixes the experiment's one size; ``rows`` turns its result
-    into table rows and ``columns`` are (header, getter) pairs over a
-    row.  Each check is (text, measure, expect): ``measure(result)``
+    ``run`` is called without arguments; an experiment function's
+    defaults are the size its row runs at.  ``rows`` turns the result
+    into table rows (by default a keyed result's items) and ``columns``
+    are (header, getter) pairs over a row.  Each check is (text, measure, expect): ``measure(result)``
     must lie in a closed ``(lo, hi)`` band, be a member of a frozenset,
     or — for a tuple of values — satisfy one of :data:`ORDERS` between
     every neighbouring pair.
@@ -1152,7 +789,7 @@ class Experiment:
     run: Callable[[], Any]
     columns: tuple[tuple[str, Callable[[Any], Any]], ...]
     checks: tuple[tuple[str, Callable[[Any], Any], Any], ...]
-    rows: Callable[[Any], Iterable] = list
+    rows: Callable[[Any], Iterable] = _items
 
     def report(self) -> tuple[str, bool]:
         """Run the row: its table, one line per check, and whether every
@@ -1205,10 +842,6 @@ def _k(iops: float) -> float:
     return iops / 1e3
 
 
-def _by(rows, key: str) -> dict:
-    return {getattr(row, key): row for row in rows}
-
-
 def _terminal(counters) -> int:
     """Chunks that left through one of Fig. 1's terminal edges."""
     return (counters["gpu_hits"] + counters["buffer_hits"]
@@ -1225,54 +858,67 @@ _FIG1_EDGES = (
     ("bin-buffer flush -> storage+GPU", "flushes"),
 )
 
-_CPU, _DEDUP, _BOTH, _COMP = (IntegrationMode.CPU_ONLY,
-                              IntegrationMode.GPU_DEDUP,
-                              IntegrationMode.GPU_BOTH,
-                              IntegrationMode.GPU_COMP)
+
+def _cpu_advantage(seconds) -> float:
+    """How many times faster E1's CPU batch completes."""
+    return seconds["gpu"] / seconds["cpu"]
 
 
-def _a13_series(rows, mode: IntegrationMode) -> dict:
-    return {row.comp_batch: row for row in rows if row.mode is mode}
+def _buffer_share(report) -> float:
+    """Share of an A3 run's duplicates the bin buffer absorbed."""
+    dups = report.duplicates_found
+    return report.counters["buffer_hits"] / dups if dups else 0.0
 
 
-def _sweet_spot(rows, mode: IntegrationMode) -> tuple[float, float]:
+def _mean_flush(report) -> float:
+    """Mean chunks per bin flush of an A3 run."""
+    return report.counters["uniques"] / (report.counters["flushes"] or 1)
+
+
+def _sweet_spot(series) -> tuple[float, float]:
     """(better end of the sweep, peak) K IOPS for one A13 mode."""
-    values = [_k(row.iops) for row in rows if row.mode is mode]
+    values = [_k(report.iops) for report in series.values()]
     return max(values[0], values[-1]), max(values)
+
+
+def _gain(reports) -> float:
+    """Aggregate-hit-rate multiple of prioritized over shared (A16/A17)."""
+    shared = reports["shared_lru"].inline_hit_rate
+    if shared == 0:
+        return float("inf")
+    return reports["prioritized"].inline_hit_rate / shared
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     "e1": Experiment(
         "§3.1(3)", "E1 - indexing batch execution time (CPU vs GPU)",
         run=e1_indexing,
-        columns=(("batch", attrgetter("batch")),
-                 ("cpu (us)", lambda r: r.cpu_seconds * 1e6),
-                 ("gpu (us)", lambda r: r.gpu_seconds * 1e6),
-                 ("cpu advantage", lambda r: f"{r.cpu_advantage:.2f}x")),
+        columns=(("batch", itemgetter(0)),
+                 ("cpu (us)", lambda item: item[1]["cpu"] * 1e6),
+                 ("gpu (us)", lambda item: item[1]["gpu"] * 1e6),
+                 ("cpu advantage",
+                  lambda item: f"{_cpu_advantage(item[1]):.2f}x")),
         checks=(
             ("GPU time is flat (launch floor): max / min over batches",
-             lambda rows: max(r.gpu_seconds for r in rows)
-             / min(r.gpu_seconds for r in rows), (-INF, 1.25)),
+             lambda r: max(s["gpu"] for s in r.values())
+             / min(s["gpu"] for s in r.values()), (-INF, 1.25)),
             ("CPU advantage at batch 32 (paper 4.16-5.45x)",
-             lambda rows: _by(rows, "batch")[32].cpu_advantage,
-             (4.16, INF)),
+             lambda r: _cpu_advantage(r[32]), (4.16, INF)),
             ("batch sizes inside the paper's 4.16-5.45x band",
-             lambda rows: sum(4.16 <= r.cpu_advantage <= 5.45
-                              for r in rows), (1, INF)),
+             lambda r: sum(4.16 <= _cpu_advantage(s) <= 5.45
+                           for s in r.values()), (1, INF)),
             ("CPU advantage decays with batch size",
-             lambda rows: tuple(r.cpu_advantage for r in rows), ">="),
+             lambda r: tuple(map(_cpu_advantage, r.values())), ">="),
             ("CPU advantage at batch 256",
-             lambda rows: _by(rows, "batch")[256].cpu_advantage,
-             (-INF, 2.0)),
+             lambda r: _cpu_advantage(r[256]), (-INF, 2.0)),
         )),
     "e2": Experiment(
         "§4(1)", "E2 - dedup-only throughput (dedup ratio 2.0)",
-        run=lambda: e2_dedup(n_chunks=65536),
+        run=e2_dedup,
         rows=lambda r: (
             ("SSD (yardstick)", SSD_IOPS, None),
-            ("CPU-only dedup", r["cpu_only"].iops, r["cpu_only"].iops),
-            ("GPU-assisted dedup", r["gpu_assisted"].iops,
-             r["cpu_only"].iops)),
+            ("CPU-only dedup", r[_CPU].iops, r[_CPU].iops),
+            ("GPU-assisted dedup", r[_DEDUP].iops, r[_CPU].iops)),
         columns=(("configuration", itemgetter(0)),
                  ("K IOPS", lambda row: _k(row[1])),
                  ("vs SSD", lambda row: f"{row[1] / SSD_IOPS:.2f}x"),
@@ -1280,46 +926,44 @@ EXPERIMENTS: dict[str, Experiment] = {
                   if row[2] else "-")),
         checks=(
             ("GPU-assisted gain over CPU-only (paper +15.0%)",
-             lambda r: r["gpu_assisted"].speedup_over(r["cpu_only"]) - 1,
-             (0.10, 0.20)),
+             lambda r: r[_DEDUP].speedup_over(r[_CPU]) - 1, (0.10, 0.20)),
             ("GPU-assisted throughput / SSD (paper ~3x)",
-             lambda r: r["gpu_assisted"].iops / SSD_IOPS, (2.5, 3.5)),
+             lambda r: r[_DEDUP].iops / SSD_IOPS, (2.5, 3.5)),
             ("duplicates the GPU index resolved",
-             lambda r: r["gpu_assisted"].counters["gpu_hits"], (1, INF)),
+             lambda r: r[_DEDUP].counters["gpu_hits"], (1, INF)),
             ("uniques, CPU-only == GPU-assisted (offload moves timing only)",
-             lambda r: (r["cpu_only"].counters["uniques"],
-                        r["gpu_assisted"].counters["uniques"]), "=="),
+             lambda r: (r[_CPU].counters["uniques"],
+                        r[_DEDUP].counters["uniques"]), "=="),
         )),
     "e3": Experiment(
         "§4(2)", "E3 - compression-only throughput vs compression ratio",
-        run=lambda: e3_compression(n_chunks=16384),
-        columns=(("comp ratio", attrgetter("comp_ratio")),
-                 ("CPU K IOPS", lambda r: _k(r.cpu_iops)),
-                 ("GPU K IOPS", lambda r: _k(r.gpu_iops)),
-                 ("SSD K IOPS", lambda r: _k(r.ssd_iops)),
-                 ("GPU/CPU", lambda r: f"{r.gpu_advantage:.2f}x")),
+        run=e3_compression,
+        columns=(("comp ratio", itemgetter(0)),
+                 ("CPU K IOPS", lambda item: _k(item[1][_CPU].iops)),
+                 ("GPU K IOPS", lambda item: _k(item[1][_COMP].iops)),
+                 ("SSD K IOPS", lambda item: _k(SSD_IOPS)),
+                 ("GPU/CPU", lambda item:
+                  f"{item[1][_COMP].speedup_over(item[1][_CPU]):.2f}x")),
         checks=(
             ("CPU K IOPS at ratio 1.2 (paper ~50 K)",
-             lambda rows: _k(_by(rows, "comp_ratio")[1.2].cpu_iops),
-             (40, 60)),
+             lambda r: _k(r[1.2][_CPU].iops), (40, 60)),
             ("CPU at ratio 1.2 < SSD line, K IOPS",
-             lambda rows: (_k(_by(rows, "comp_ratio")[1.2].cpu_iops),
-                           _k(SSD_IOPS)), "<"),
+             lambda r: (_k(r[1.2][_CPU].iops), _k(SSD_IOPS)), "<"),
             ("GPU K IOPS at ratio 1.2 (paper ~100 K)",
-             lambda rows: _k(_by(rows, "comp_ratio")[1.2].gpu_iops),
-             (90, 125)),
+             lambda r: _k(r[1.2][_COMP].iops), (90, 125)),
             ("SSD line < slowest GPU point, K IOPS",
-             lambda rows: (_k(SSD_IOPS), min(_k(r.gpu_iops) for r in rows)),
+             lambda r: (_k(SSD_IOPS),
+                        min(_k(pair[_COMP].iops) for pair in r.values())),
              "<"),
             ("GPU/CPU at ratio 2.0 (paper 1.883x)",
-             lambda rows: _by(rows, "comp_ratio")[2.0].gpu_advantage,
-             (1.6, 2.2)),
+             lambda r: r[2.0][_COMP].speedup_over(r[2.0][_CPU]), (1.6, 2.2)),
             ("CPU K IOPS rises with compressibility",
-             lambda rows: tuple(_k(r.cpu_iops) for r in rows), "<="),
+             lambda r: tuple(_k(pair[_CPU].iops) for pair in r.values()),
+             "<="),
         )),
     "e4": Experiment(
         "Fig. 2, §4(3)", "E4 - integration modes (dedup 2.0 x comp 2.0)",
-        run=lambda: e4_integration(n_chunks=65536),
+        run=e4_integration,
         rows=lambda r: [(mode, r[mode], r[_CPU])
                         for mode in IntegrationMode.all_modes()],
         columns=(("mode", lambda row: row[0].value),
@@ -1346,7 +990,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         )),
     "e5": Experiment(
         "Fig. 1", "E5 - workflow decision-edge traffic (GPU_BOTH)",
-        run=lambda: e5_workflow(n_chunks=32768),
+        run=e5_workflow,
         rows=lambda report: [(label, report.counters.get(name, 0),
                               report.chunks) for label, name in _FIG1_EDGES],
         columns=(("edge", itemgetter(0)), ("chunks", itemgetter(1)),
@@ -1369,26 +1013,25 @@ EXPERIMENTS: dict[str, Experiment] = {
         )),
     "a1": Experiment(
         "§3.1(1)", "A1 - dedup throughput vs CPU threads (lock-free bins)",
-        run=lambda: a1_thread_scaling(n_chunks=16384),
-        rows=lambda rows: [(row, rows[0].iops) for row in rows],
-        columns=(("threads", lambda row: row[0].threads),
-                 ("K IOPS", lambda row: _k(row[0].iops)),
+        run=a1_thread_scaling,
+        rows=lambda r: [(threads, report, r[1])
+                        for threads, report in r.items()],
+        columns=(("threads", itemgetter(0)),
+                 ("K IOPS", lambda row: _k(row[1].iops)),
                  ("speedup vs 1T",
-                  lambda row: f"{row[0].iops / row[1]:.2f}x")),
+                  lambda row: f"{row[1].iops / row[2].iops:.2f}x")),
         checks=(
             ("4 threads / 1 thread (physical cores)",
-             lambda rows: _by(rows, "threads")[4].iops
-             / _by(rows, "threads")[1].iops, (3.0, INF)),
+             lambda r: r[4].iops / r[1].iops, (3.0, INF)),
             ("8 threads / 4 threads (SMT siblings)",
-             lambda rows: _by(rows, "threads")[8].iops
-             / _by(rows, "threads")[4].iops, (1.1, INF)),
+             lambda r: r[8].iops / r[4].iops, (1.1, INF)),
             ("K IOPS rises with threads",
-             lambda rows: tuple(_k(r.iops) for r in rows), "<="),
+             lambda r: tuple(_k(report.iops) for report in r.values()),
+             "<="),
         )),
     "a1-balance": Experiment(
         "§3.1(1)", "A1 - bin occupancy balance (mean/max, 100 K entries)",
         run=a1_bin_balance,
-        rows=dict.items,
         columns=(("prefix bytes", itemgetter(0)),
                  ("bins", lambda item: 256 ** item[0]),
                  ("balance", itemgetter(1))),
@@ -1399,58 +1042,56 @@ EXPERIMENTS: dict[str, Experiment] = {
     "a2": Experiment(
         "§3.1(1)", "A2 - index memory at 4 TB / 8 KB chunks (32 B entries)",
         run=a2_prefix_truncation,
-        columns=(("prefix bytes", attrgetter("prefix_bytes")),
-                 ("entries (M)", lambda r: r.entries / 1e6),
-                 ("index (GiB)", lambda r: r.memory_bytes / GIB),
-                 ("saved vs full (GiB)", lambda r: r.saved_vs_full / GIB)),
+        columns=(("prefix bytes", itemgetter(0)),
+                 ("entries (M)", lambda item: item[1]["entries"] / 1e6),
+                 ("index (GiB)", lambda item: item[1]["memory_bytes"] / GIB),
+                 ("saved vs full (GiB)",
+                  lambda item: item[1]["saved_vs_full"] / GIB)),
         checks=(
             ("full-fingerprint index, GiB (paper 16 GB)",
-             lambda rows: _by(rows, "prefix_bytes")[0].memory_bytes / GIB,
-             (16, 16)),
+             lambda r: r[0]["memory_bytes"] / GIB, (16, 16)),
             ("saved by a 2-byte prefix, GiB (paper 1 GB)",
-             lambda rows: _by(rows, "prefix_bytes")[2].saved_vs_full / GIB,
-             (1, 1)),
+             lambda r: r[2]["saved_vs_full"] / GIB, (1, 1)),
         )),
     "a3": Experiment(
         "§3.3", "A3 - bin-buffer budget sweep (dedup-only)",
-        run=lambda: a3_bin_buffer(n_chunks=16384),
-        columns=(("buffer entries", attrgetter("buffer_total")),
-                 ("dup hits in buffer", attrgetter("buffer_hit_fraction")),
+        run=a3_bin_buffer,
+        columns=(("buffer entries", itemgetter(0)),
+                 ("dup hits in buffer", lambda item: _buffer_share(item[1])),
                  ("mean flush size (chunks)",
-                  attrgetter("mean_flush_chunks")),
-                 ("K IOPS", lambda r: _k(r.iops))),
+                  lambda item: _mean_flush(item[1])),
+                 ("K IOPS", lambda item: _k(item[1].iops))),
         checks=(
             ("share of duplicates the buffer absorbs grows with it",
-             lambda rows: tuple(r.buffer_hit_fraction for r in rows), "<="),
+             lambda r: tuple(map(_buffer_share, r.values())), "<="),
             ("that share, largest buffer - smallest",
-             lambda rows: rows[-1].buffer_hit_fraction
-             - rows[0].buffer_hit_fraction, (0.1, INF)),
+             lambda r: _buffer_share(r[max(r)]) - _buffer_share(r[min(r)]),
+             (0.1, INF)),
             ("mean flush size, largest buffer / smallest",
-             lambda rows: rows[-1].mean_flush_chunks
-             / rows[0].mean_flush_chunks, (1.5, INF)),
+             lambda r: _mean_flush(r[max(r)]) / _mean_flush(r[min(r)]),
+             (1.5, INF)),
         )),
     "a4": Experiment(
         "§3.3", "A4 - GPU-bin replacement under Zipf reuse "
                 "(bins 8 entries, working set >> capacity)",
         run=a4_replacement,
-        columns=(("policy", attrgetter("policy")),
-                 ("hit rate", attrgetter("hit_rate")),
-                 ("evictions", attrgetter("evictions"))),
+        columns=(("policy", itemgetter(0)),
+                 ("hit rate", lambda item: item[1].hit_rate()),
+                 ("evictions", lambda item: item[1].evictions)),
         checks=(
             ("fewest evictions of any policy",
-             lambda rows: min(r.evictions for r in rows), (501, INF)),
+             lambda r: min(index.evictions for index in r.values()),
+             (501, INF)),
             ("hit rate, best of random and FIFO <= LRU",
-             lambda rows: (max(_by(rows, "policy")[name].hit_rate
-                               for name in ("random", "fifo")),
-                           _by(rows, "policy")["lru"].hit_rate), "<="),
+             lambda r: (max(r[name].hit_rate() for name in ("random", "fifo")),
+                        r["lru"].hit_rate()), "<="),
             ("hit rate, LRU - random (the paper's default)",
-             lambda rows: _by(rows, "policy")["lru"].hit_rate
-             - _by(rows, "policy")["random"].hit_rate, (-INF, 0.05)),
+             lambda r: r["lru"].hit_rate() - r["random"].hit_rate(),
+             (-INF, 0.05)),
         )),
     "a5": Experiment(
         "§4(3)", "A5 - dummy-I/O calibration across platforms",
         run=a5_calibration,
-        rows=dict.items,
         columns=(("platform", itemgetter(0)),
                  ("best mode", lambda item: item[1].best_mode.value),
                  ("best K IOPS", lambda item: _k(
@@ -1480,278 +1121,281 @@ EXPERIMENTS: dict[str, Experiment] = {
     "a6": Experiment(
         "§1", "A6 - NAND bytes programmed per strategy "
               "(dedup 2.0 x comp 2.0)",
-        run=lambda: a6_inline_vs_background(n_chunks=16384),
+        run=a6_inline_vs_background,
         rows=lambda r: (
-            ("inline reduction", r.inline_nand_bytes, r.logical_bytes),
-            ("background reduction", r.background_nand_bytes,
-             r.logical_bytes)),
+            ("inline reduction", r["inline"], r["logical"]),
+            ("background reduction", r["background"], r["logical"])),
         columns=(("strategy", itemgetter(0)),
                  ("NAND MiB", lambda row: row[1] / MIB),
                  ("write amplification", lambda row: row[1] / row[2])),
         checks=(
             ("MiB, inline NAND < logical < background NAND",
-             lambda r: (r.inline_nand_bytes / MIB, r.logical_bytes / MIB,
-                        r.background_nand_bytes / MIB), "<"),
+             lambda r: (r["inline"] / MIB, r["logical"] / MIB,
+                        r["background"] / MIB), "<"),
             ("background / inline NAND bytes",
-             attrgetter("endurance_advantage"), (2.5, INF)),
+             lambda r: r["background"] / r["inline"], (2.5, INF)),
         )),
     "a7": Experiment(
         "§3.2(2)", "A7 - GPU LZ segments per 4 KiB chunk",
         run=a7_segment_sweep,
-        columns=(("segments", attrgetter("segments")),
-                 ("achieved ratio", attrgetter("ratio")),
+        columns=(("segments", itemgetter(0)),
+                 ("achieved ratio", lambda item: item[1]["ratio"]),
                  ("ratio loss vs serial",
-                  lambda r: f"{r.ratio_loss_vs_serial * 100:.2f}%"),
+                  lambda item: f"{item[1]['ratio_loss'] * 100:.2f}%"),
                  ("critical path (us)",
-                  lambda r: r.kernel_critical_path_s * 1e6)),
+                  lambda item: item[1]["critical_path_s"] * 1e6)),
         checks=(
             ("|ratio loss| of one segment (the serial parse)",
-             lambda rows: abs(_by(rows, "segments")[1].ratio_loss_vs_serial),
-             (0, 1e-9)),
+             lambda r: abs(r[1]["ratio_loss"]), (0, 1e-9)),
             ("ratio loss at 8 segments",
-             lambda rows: _by(rows, "segments")[8].ratio_loss_vs_serial,
-             (-INF, 0.05)),
+             lambda r: r[8]["ratio_loss"], (-INF, 0.05)),
             ("critical path, 1 segment / 8 segments",
-             lambda rows: _by(rows, "segments")[1].kernel_critical_path_s
-             / _by(rows, "segments")[8].kernel_critical_path_s, (6, INF)),
+             lambda r: r[1]["critical_path_s"] / r[8]["critical_path_s"],
+             (6, INF)),
             ("ratio loss grows with segments",
-             lambda rows: tuple(r.ratio_loss_vs_serial for r in rows),
-             "<="),
+             lambda r: tuple(p["ratio_loss"] for p in r.values()), "<="),
             ("critical path (us) shrinks with segments",
-             lambda rows: tuple(r.kernel_critical_path_s * 1e6
-                                for r in rows), ">="),
+             lambda r: tuple(p["critical_path_s"] * 1e6 for p in r.values()),
+             ">="),
         )),
     "a8-lock": Experiment(
         "§5", "A8a - lock-free bins vs one global index lock "
               "(dedup-only, 8 threads)",
         run=a8_index_locking,
-        columns=(("index discipline", attrgetter("discipline")),
-                 ("K IOPS", lambda r: _k(r.iops)),
-                 ("mean latency (us)", lambda r: r.mean_latency_s * 1e6)),
+        columns=(("index discipline", itemgetter(0)),
+                 ("K IOPS", lambda item: _k(item[1].iops)),
+                 ("mean latency (us)",
+                  lambda item: item[1].mean_latency_s * 1e6)),
         checks=(
             ("K IOPS, bins / global lock",
-             lambda rows: _by(rows, "discipline")["bins"].iops
-             / _by(rows, "discipline")["global"].iops, (1.8, INF)),
+             lambda r: r["bins"].iops / r["global"].iops, (1.8, INF)),
             ("mean latency, global lock / bins",
-             lambda rows: _by(rows, "discipline")["global"].mean_latency_s
-             / _by(rows, "discipline")["bins"].mean_latency_s, (1.5, INF)),
+             lambda r: r["global"].mean_latency_s / r["bins"].mean_latency_s,
+             (1.5, INF)),
         )),
     "a8-policy": Experiment(
         "§5", "A8b - offload policy at light load (50 K IOPS paced)",
         run=a8_offload_policy,
-        columns=(("policy", attrgetter("policy")),
-                 ("K IOPS", lambda r: _k(r.iops)),
-                 ("mean latency (us)", lambda r: r.mean_latency_s * 1e6),
-                 ("peak latency (us)", lambda r: r.peak_latency_s * 1e6)),
+        columns=(("policy", itemgetter(0)),
+                 ("K IOPS", lambda item: _k(item[1].iops)),
+                 ("mean latency (us)",
+                  lambda item: item[1].mean_latency_s * 1e6),
+                 ("peak latency (us)",
+                  lambda item: item[1].peak_latency_s * 1e6)),
         checks=(
             ("slower policy keeps up with the offered load, K IOPS",
-             lambda rows: min(_k(r.iops) for r in rows), (45, INF)),
+             lambda r: min(_k(report.iops) for report in r.values()),
+             (45, INF)),
             ("mean latency, always-offload / saturation rule",
-             lambda rows: _by(rows, "policy")["always"].mean_latency_s
-             / _by(rows, "policy")["saturation"].mean_latency_s,
-             (10, INF)),
+             lambda r: r["always"].mean_latency_s
+             / r["saturation"].mean_latency_s, (10, INF)),
             ("saturation rule's mean latency (us)",
-             lambda rows: _by(rows, "policy")["saturation"].mean_latency_s
-             * 1e6, (-INF, 100)),
+             lambda r: r["saturation"].mean_latency_s * 1e6, (-INF, 100)),
         )),
     "a9": Experiment(
         "§3.1(1)", "A9 - dedup across one mid-stream restart (dial: 2.0)",
         run=a9_restart,
         rows=lambda r: (
-            ("dedup ratio", r.baseline_dedup_ratio, r.restarted_dedup_ratio),
-            ("physical MiB", r.baseline_physical_bytes / MIB,
-             r.restarted_physical_bytes / MIB)),
+            ("dedup ratio", *(engine.metadata.dedup_ratio()
+                              for engine in r.values())),
+            ("physical MiB", *(engine.metadata.physical_bytes / MIB
+                               for engine in r.values()))),
         columns=(("metric", itemgetter(0)), ("no restart", itemgetter(1)),
                  ("with restart", itemgetter(2))),
         checks=(
             ("dedup ratio, with restart < without",
-             lambda r: (r.restarted_dedup_ratio, r.baseline_dedup_ratio),
+             lambda r: tuple(r[run].metadata.dedup_ratio()
+                             for run in ("with restart", "no restart")),
              "<"),
             ("duplicates the lost index missed",
-             attrgetter("duplicates_missed"), (1, INF)),
-            ("one-time space overhead", attrgetter("space_overhead"),
-             (0.02, 0.60)),
-            ("dedup ratio with restart", attrgetter("restarted_dedup_ratio"),
-             (1.3, INF)),
+             lambda r: r["with restart"].counters["uniques"]
+             - r["no restart"].counters["uniques"], (1, INF)),
+            ("one-time space overhead",
+             lambda r: r["with restart"].metadata.physical_bytes
+             / r["no restart"].metadata.physical_bytes - 1.0, (0.02, 0.60)),
+            ("dedup ratio with restart",
+             lambda r: r["with restart"].metadata.dedup_ratio(), (1.3, INF)),
         )),
     "a10": Experiment(
         "extension", "A10 - random 4 KiB chunk reads, reduced vs raw store",
         run=a10_read_path,
-        columns=(("store", attrgetter("strategy")),
-                 ("K IOPS", lambda r: _k(r.iops)),
-                 ("mean latency (us)", lambda r: r.mean_latency_s * 1e6),
-                 ("cpu util", attrgetter("cpu_utilization")),
-                 ("ssd util", attrgetter("ssd_utilization"))),
+        columns=(("store", itemgetter(0)),
+                 ("K IOPS", lambda item: _k(item[1].iops)),
+                 ("mean latency (us)",
+                  lambda item: item[1].mean_latency_s * 1e6),
+                 ("cpu util", lambda item: item[1].cpu_utilization),
+                 ("ssd util", lambda item: item[1].ssd_utilization)),
         checks=(
             ("lower SSD utilization of the two stores",
-             lambda rows: min(r.ssd_utilization for r in rows), (0.9, INF)),
+             lambda r: min(report.ssd_utilization for report in r.values()),
+             (0.9, INF)),
             ("K IOPS, reduced / raw",
-             lambda rows: _by(rows, "strategy")["reduced"].iops
-             / _by(rows, "strategy")["raw"].iops, (0.85, INF)),
+             lambda r: r["reduced"].iops / r["raw"].iops, (0.85, INF)),
             ("CPU utilization, raw < reduced",
-             lambda rows: (_by(rows, "strategy")["raw"].cpu_utilization,
-                           _by(rows, "strategy")["reduced"].cpu_utilization),
-             "<"),
+             lambda r: (r["raw"].cpu_utilization,
+                        r["reduced"].cpu_utilization), "<"),
             ("CPU utilization of the reduced store",
-             lambda rows: _by(rows, "strategy")["reduced"].cpu_utilization,
-             (-INF, 0.5)),
+             lambda r: r["reduced"].cpu_utilization, (-INF, 0.5)),
         )),
     "a11": Experiment(
         "§3.1(2)", "A11 - lookup kernel variants (256 bins, 64 K entries)",
         run=a11_kernel_variants,
-        columns=(("batch", attrgetter("batch")),
-                 ("simple (us)", lambda r: r.simple_seconds * 1e6),
-                 ("tiled (us)", lambda r: r.tiled_seconds * 1e6),
-                 ("global MB simple", lambda r: r.simple_global_bytes / 1e6),
-                 ("global MB tiled", lambda r: r.tiled_global_bytes / 1e6)),
+        columns=(("batch", itemgetter(0)),
+                 ("simple (us)", lambda item: item[1]["simple_s"] * 1e6),
+                 ("tiled (us)", lambda item: item[1]["tiled_s"] * 1e6),
+                 ("global MB simple",
+                  lambda item: item[1]["simple_bytes"] / 1e6),
+                 ("global MB tiled",
+                  lambda item: item[1]["tiled_bytes"] / 1e6)),
         checks=(
             ("global bytes, tiled / simple, worst batch",
-             lambda rows: max(r.tiled_global_bytes / r.simple_global_bytes
-                              for r in rows), (-INF, 1)),
+             lambda r: max(v["tiled_bytes"] / v["simple_bytes"]
+                           for v in r.values()), (-INF, 1)),
             ("global bytes, tiled / simple, largest batch",
-             lambda rows: rows[-1].tiled_global_bytes
-             / rows[-1].simple_global_bytes, (-INF, 0.5)),
+             lambda r: r[max(r)]["tiled_bytes"] / r[max(r)]["simple_bytes"],
+             (-INF, 0.5)),
             ("launch (us) at the largest batch, tiled < simple",
-             lambda rows: (rows[-1].tiled_seconds * 1e6,
-                           rows[-1].simple_seconds * 1e6), "<"),
+             lambda r: (r[max(r)]["tiled_s"] * 1e6,
+                        r[max(r)]["simple_s"] * 1e6), "<"),
         )),
     "a13": Experiment(
         "extension", "A13 - compression batch size vs throughput",
-        run=lambda: a13_batch_sweep(n_chunks=16384),
-        columns=(("mode", lambda r: r.mode.value),
-                 ("comp batch", attrgetter("comp_batch")),
-                 ("K IOPS", lambda r: _k(r.iops)),
-                 ("gpu util", attrgetter("gpu_utilization")),
+        run=a13_batch_sweep,
+        rows=lambda r: [(mode, batch, report) for mode, series in r.items()
+                        for batch, report in series.items()],
+        columns=(("mode", lambda row: row[0].value),
+                 ("comp batch", itemgetter(1)),
+                 ("K IOPS", lambda row: _k(row[2].iops)),
+                 ("gpu util", lambda row: row[2].gpu_utilization),
                  ("queue wait (us)",
-                  lambda r: r.gpu_mean_queue_wait_s * 1e6)),
+                  lambda row: row[2].gpu_mean_queue_wait_s * 1e6)),
         checks=(
             ("GPU_COMP K IOPS, better sweep end < peak",
-             lambda rows: _sweet_spot(rows, _COMP), "<"),
+             lambda r: _sweet_spot(r[_COMP]), "<"),
             ("GPU_BOTH K IOPS, better sweep end < peak",
-             lambda rows: _sweet_spot(rows, _BOTH), "<"),
+             lambda r: _sweet_spot(r[_BOTH]), "<"),
             ("K IOPS at batch 512, GPU_BOTH < GPU_COMP",
-             lambda rows: (_k(_a13_series(rows, _BOTH)[512].iops),
-                           _k(_a13_series(rows, _COMP)[512].iops)), "<"),
+             lambda r: (_k(r[_BOTH][512].iops), _k(r[_COMP][512].iops)),
+             "<"),
             ("K IOPS at batch 256, GPU_BOTH < GPU_COMP",
-             lambda rows: (_k(_a13_series(rows, _BOTH)[256].iops),
-                           _k(_a13_series(rows, _COMP)[256].iops)), "<"),
+             lambda r: (_k(r[_BOTH][256].iops), _k(r[_COMP][256].iops)),
+             "<"),
             ("best GPU_BOTH / best GPU_COMP",
-             lambda rows: _sweet_spot(rows, _BOTH)[1]
-             / _sweet_spot(rows, _COMP)[1], (0.95, INF)),
+             lambda r: _sweet_spot(r[_BOTH])[1] / _sweet_spot(r[_COMP])[1],
+             (0.95, INF)),
             ("GPU_BOTH queue wait (us), batch 32 < batch 512",
-             lambda rows: tuple(
-                 _a13_series(rows, _BOTH)[batch].gpu_mean_queue_wait_s * 1e6
-                 for batch in (32, 512)), "<"),
+             lambda r: tuple(r[_BOTH][batch].gpu_mean_queue_wait_s * 1e6
+                             for batch in (32, 512)), "<"),
         )),
     "a14": Experiment(
         "§1, extension", "A14 - FTL wear under identical logical churn",
         run=a14_ftl_endurance,
-        columns=(("strategy", attrgetter("strategy")),
-                 ("utilization", attrgetter("utilization")),
-                 ("write amp", attrgetter("write_amplification")),
-                 ("NAND pages", attrgetter("nand_pages")),
-                 ("erases", attrgetter("erases"))),
+        columns=(("strategy", itemgetter(0)),
+                 ("utilization", lambda item: item[1].utilization),
+                 ("write amp", lambda item: item[1].write_amplification()),
+                 ("NAND pages", lambda item: item[1].nand_pages_written),
+                 ("erases", lambda item: item[1].erases)),
         checks=(
             ("utilization, reduced / raw",
-             lambda rows: _by(rows, "strategy")["reduced"].utilization
-             / _by(rows, "strategy")["raw"].utilization, (-INF, 0.5)),
+             lambda r: r["reduced"].utilization / r["raw"].utilization,
+             (-INF, 0.5)),
             ("write amplification, reduced < raw",
-             lambda rows: tuple(_by(rows, "strategy")[name]
-                                .write_amplification
-                                for name in ("reduced", "raw")), "<"),
+             lambda r: tuple(r[name].write_amplification()
+                             for name in ("reduced", "raw")), "<"),
             ("raw write amplification at 85% fill",
-             lambda rows: _by(rows, "strategy")["raw"].write_amplification,
-             (1.3, INF)),
+             lambda r: r["raw"].write_amplification(), (1.3, INF)),
             ("NAND pages, raw / reduced (the reduction alone is 4x)",
-             lambda rows: _by(rows, "strategy")["raw"].nand_pages
-             / _by(rows, "strategy")["reduced"].nand_pages, (4.5, INF)),
+             lambda r: r["raw"].nand_pages_written
+             / r["reduced"].nand_pages_written, (4.5, INF)),
             ("raw / reduced, NAND pages < erases",
-             lambda rows: tuple(getattr(_by(rows, "strategy")["raw"], name)
-                                / max(1, getattr(_by(rows, "strategy")
-                                                 ["reduced"], name))
-                                for name in ("nand_pages", "erases")), "<"),
+             lambda r: tuple(getattr(r["raw"], name)
+                             / max(1, getattr(r["reduced"], name))
+                             for name in ("nand_pages_written", "erases")),
+             "<"),
         )),
     "a15": Experiment(
         "extension", "A15 - reduction stacks on a near-duplicate stream "
                      "(25% exact dups, 35% near dups)",
-        run=lambda: a15_delta_reduction(n_chunks=250),
-        columns=(("stack", attrgetter("stack")),
-                 ("physical KiB", lambda r: r.physical_bytes / 1024),
-                 ("reduction", lambda r: f"{r.reduction_ratio:.2f}x"),
-                 ("deltas", attrgetter("deltas_encoded"))),
+        run=a15_delta_reduction,
+        columns=(("stack", itemgetter(0)),
+                 ("physical KiB",
+                  lambda item: item[1]["physical_bytes"] / 1024),
+                 ("reduction", lambda item: f"{item[1]['reduction']:.2f}x"),
+                 ("deltas", lambda item: item[1]["deltas"])),
         checks=(
             ("reduction, dedup+lz / lz_only",
-             lambda rows: _by(rows, "stack")["dedup+lz"].reduction_ratio
-             / _by(rows, "stack")["lz_only"].reduction_ratio, (1.2, INF)),
+             lambda r: r["dedup+lz"]["reduction"]
+             / r["lz_only"]["reduction"], (1.2, INF)),
             ("reduction, dedup+delta+lz / dedup+lz",
-             lambda rows: _by(rows, "stack")["dedup+delta+lz"]
-             .reduction_ratio
-             / _by(rows, "stack")["dedup+lz"].reduction_ratio, (1.4, INF)),
+             lambda r: r["dedup+delta+lz"]["reduction"]
+             / r["dedup+lz"]["reduction"], (1.4, INF)),
             ("chunks stored as deltas",
-             lambda rows: _by(rows, "stack")["dedup+delta+lz"]
-             .deltas_encoded, (21, INF)),
+             lambda r: r["dedup+delta+lz"]["deltas"], (21, INF)),
         )),
     "a16": Experiment(
         "§13, extension", "A16 - inline hit rate vs the hot tenant's "
                           "traffic share (cache 96)",
         run=a16_tenant_mix,
-        columns=(("hot weight", attrgetter("hot_weight")),
-                 ("hot share", attrgetter("hot_share")),
-                 ("shared LRU", attrgetter("shared_hit_rate")),
-                 ("prioritized", attrgetter("prioritized_hit_rate")),
-                 ("gain", lambda r: f"{r.prioritized_gain:.2f}x")),
+        columns=(("hot weight", itemgetter(0)),
+                 ("hot share", lambda item: item[0] / (item[0] + 1.0)),
+                 ("shared LRU",
+                  lambda item: item[1]["shared_lru"].inline_hit_rate),
+                 ("prioritized",
+                  lambda item: item[1]["prioritized"].inline_hit_rate),
+                 ("gain", lambda item: f"{_gain(item[1]):.2f}x")),
         checks=(
             ("1 < smallest prioritized / shared-LRU gain",
-             lambda rows: (1.0, min(r.prioritized_gain for r in rows)), "<"),
+             lambda r: (1.0, min(map(_gain, r.values()))), "<"),
             ("gain shrinks as the hot tenant's share grows",
-             lambda rows: tuple(r.prioritized_gain for r in rows), ">="),
+             lambda r: tuple(map(_gain, r.values())), ">="),
         )),
     "a17": Experiment(
         "§13, extension", "A17 - inline hit rate vs cache capacity "
                           "(committed hot/cold mix)",
         run=a17_cache_contention,
-        columns=(("cache entries", attrgetter("cache_entries")),
-                 ("shared LRU", attrgetter("shared_hit_rate")),
-                 ("prioritized", attrgetter("prioritized_hit_rate")),
-                 ("gain", lambda r: f"{r.prioritized_gain:.2f}x"),
-                 ("recovery", attrgetter("recovery_fraction"))),
+        columns=(("cache entries", itemgetter(0)),
+                 ("shared LRU",
+                  lambda item: item[1]["shared_lru"].inline_hit_rate),
+                 ("prioritized",
+                  lambda item: item[1]["prioritized"].inline_hit_rate),
+                 ("gain", lambda item: f"{_gain(item[1]):.2f}x"),
+                 ("recovery",
+                  lambda item: item[1]["prioritized"].recovery_fraction)),
         checks=(
             ("1 < smallest prioritized / shared-LRU gain",
-             lambda rows: (1.0, min(r.prioritized_gain for r in rows)), "<"),
+             lambda r: (1.0, min(map(_gain, r.values()))), "<"),
             ("gain at cache 96 (tier-1 floor at 8192 chunks)",
-             lambda rows: _by(rows, "cache_entries")[96].prioritized_gain,
-             (1.2, INF)),
+             lambda r: _gain(r[96]), (1.2, INF)),
             ("shared-LRU hit rate grows with capacity",
-             lambda rows: tuple(r.shared_hit_rate for r in rows), "<="),
+             lambda r: tuple(reports["shared_lru"].inline_hit_rate
+                             for reports in r.values()), "<="),
             ("lowest oracle-dedup recovery after compaction",
-             lambda rows: min(r.recovery_fraction for r in rows),
-             (0.95, INF)),
+             lambda r: min(reports["prioritized"].recovery_fraction
+                           for reports in r.values()), (0.95, INF)),
         )),
     "a18": Experiment(
         "§14, extension", "A18 - shard skew and what repairing it costs "
                           "(4 nodes)",
         run=a18_cluster_skew,
-        columns=(("assignment", attrgetter("assignment")),
-                 ("imbalance", attrgetter("imbalance")),
-                 ("moved bins", attrgetter("moved_bins")),
-                 ("moved KiB", lambda r: r.moved_bytes / 1024),
-                 ("migration (us)", lambda r: r.migration_s * 1e6)),
+        columns=(("assignment", itemgetter(0)),
+                 ("imbalance", lambda item: item[1]["imbalance"]),
+                 ("moved bins", lambda item: item[1]["moved_bins"]),
+                 ("moved KiB", lambda item: item[1]["moved_bytes"] / 1024),
+                 ("migration (us)",
+                  lambda item: item[1]["migration_s"] * 1e6)),
         checks=(
             ("bins the static range split moves",
-             lambda rows: _by(rows, "assignment")["range"].moved_bins,
-             (0, 0)),
+             lambda r: r["range"]["moved_bins"], (0, 0)),
             ("imbalance, balanced and rebalanced <= range",
-             lambda rows: (max(_by(rows, "assignment")[name].imbalance
-                               for name in ("balanced", "rebalanced")),
-                           _by(rows, "assignment")["range"].imbalance), "<="),
+             lambda r: (max(r[name]["imbalance"]
+                            for name in ("balanced", "rebalanced")),
+                        r["range"]["imbalance"]), "<="),
             ("moved KiB, 0 < rebalanced < balanced",
-             lambda rows: (0, *(_by(rows, "assignment")[name].moved_bytes
-                                / 1024 for name in ("rebalanced",
-                                                    "balanced"))), "<"),
+             lambda r: (0, *(r[name]["moved_bytes"] / 1024
+                             for name in ("rebalanced", "balanced"))), "<"),
             ("migration (us), 0 < rebalanced < balanced",
-             lambda rows: (0, *(_by(rows, "assignment")[name].migration_s
-                                * 1e6 for name in ("rebalanced",
-                                                   "balanced"))), "<"),
+             lambda r: (0, *(r[name]["migration_s"] * 1e6
+                             for name in ("rebalanced", "balanced"))), "<"),
         )),
 }
 

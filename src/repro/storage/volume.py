@@ -24,7 +24,7 @@ from repro.dedup.engine import DedupEngine
 from repro.dedup.hashing import fingerprint_chunk
 from repro.errors import BlockRangeError, MetadataError, ReproError
 from repro.obs import MetricsRegistry
-from repro.types import DEFAULT_CHUNK_SIZE
+from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 
 
 class ReducedVolume:
@@ -67,7 +67,25 @@ class ReducedVolume:
         if not data:
             return
         for chunk in self.chunker.chunk(data, base_offset=offset):
+            if chunk.size < self.chunk_size:
+                chunk = self._keep_old_tail(chunk)
             self._write_chunk(chunk)
+
+    def _keep_old_tail(self, chunk: Chunk) -> Chunk:
+        """Read-modify-write of a short final chunk over a longer one.
+
+        The bytes past the write's end stay as they were; over an
+        unmapped offset (or a chunk no longer than the write) the chunk
+        stays short.
+        """
+        try:
+            record = self.engine.metadata.resolve(chunk.offset)
+        except MetadataError:
+            return chunk
+        if record.size <= chunk.size:
+            return chunk
+        payload = chunk.payload + self._materialize(record)[chunk.size:]
+        return Chunk(offset=chunk.offset, size=len(payload), payload=payload)
 
     def _write_chunk(self, chunk) -> None:
         fingerprint_chunk(chunk)

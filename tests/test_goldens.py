@@ -66,16 +66,16 @@ def test_stream_digests_every_block_every_producer():
 
 
 def test_a7_segment_sweep_fields():
-    observed = {row.segments: (row.ratio, row.ratio_loss_vs_serial)
-                for row in a7_segment_sweep()}
+    observed = {segments: (point["ratio"], point["ratio_loss"])
+                for segments, point in a7_segment_sweep().items()}
     assert observed == GOLDEN_A7_FIELDS
 
 
 def test_a11_kernel_variant_fields():
-    observed = {row.batch: (row.simple_seconds, row.tiled_seconds,
-                            row.simple_global_bytes, row.tiled_global_bytes)
-                for row in a11_kernel_variants(batch_sizes=(64, 256),
-                                               n_entries=8192)}
+    observed = {batch: (launch["simple_s"], launch["tiled_s"],
+                        launch["simple_bytes"], launch["tiled_bytes"])
+                for batch, launch in a11_kernel_variants(
+                    batch_sizes=(64, 256), n_entries=8192).items()}
     assert observed == GOLDEN_A11_FIELDS
 
 

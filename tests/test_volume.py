@@ -1,8 +1,14 @@
 """End-to-end tests for the functional ReducedVolume."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.compression import LzssCodec, QuickLzCodec
 from repro.errors import BlockRangeError, MetadataError, ReproError
@@ -32,6 +38,20 @@ class TestWriteReadRoundtrip:
         data = compressible(4096) + b"tail-bytes"
         volume.write(0, data)
         assert volume.read(0, len(data)) == data
+
+    def test_short_overwrite_keeps_the_bytes_past_its_end(self):
+        """A short final chunk over a longer mapped one is a
+        read-modify-write, not a truncation of the chunk."""
+        volume = ReducedVolume()
+        volume.write(0, b"x" * 4096)
+        volume.write(4096, b"y" * 4096)
+        volume.write(0, b"z" * 100)
+        assert volume.logical_bytes == 8192
+        assert volume.read(0, 4096) == b"z" * 100 + b"x" * 3996
+        assert volume.read(0, 8192) == \
+            b"z" * 100 + b"x" * 3996 + b"y" * 4096
+        assert volume.scrub()["verified"] == 2
+        volume.engine.metadata.verify_invariants()
 
     def test_incompressible_data_stored_raw(self):
         import random
@@ -231,3 +251,95 @@ class TestScrub:
             assert report["verified"] + report["corrupt"] == 6
             reported += damaged
         assert reported > len(original) * 0.9
+
+
+CHUNK = 4096
+SLOTS = 6
+#: Few distinct contents, so writes keep hitting dedup.
+POOL = [compressible(CHUNK, salt=salt) for salt in range(3)]
+
+
+class VolumeAgainstModel(RuleBasedStateMachine):
+    """Every operation of :class:`ReducedVolume` against a dict from
+    chunk-aligned offset to the bytes that offset serves."""
+
+    def __init__(self):
+        super().__init__()
+        self.volume = ReducedVolume()
+        self.model: dict[int, bytes] = {}
+
+    def _mapped_run(self, data, longest=3):
+        """First slot and length of a run of mapped slots."""
+        first = data.draw(st.sampled_from(sorted(self.model))) // CHUNK
+        run = 1
+        while (run < longest and (first + run) * CHUNK in self.model):
+            run += 1
+        return first, data.draw(st.integers(1, run))
+
+    def _write(self, slot, data):
+        self.volume.write(slot * CHUNK, data)
+        for start in range(0, len(data), CHUNK):
+            piece = data[start:start + CHUNK]
+            old = self.model.get(slot * CHUNK + start, b"")
+            self.model[slot * CHUNK + start] = piece + old[len(piece):]
+
+    @rule(slot=st.integers(0, SLOTS - 1),
+          contents=st.lists(st.integers(0, len(POOL) - 1), max_size=3),
+          tail=st.sampled_from((0, 1, 100, 3000)),
+          tail_content=st.integers(0, len(POOL) - 1))
+    def write(self, slot, contents, tail, tail_content):
+        data = b"".join(POOL[c] for c in contents) + POOL[tail_content][:tail]
+        assume(data)
+        self._write(slot, data)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), size=st.sampled_from((1, 100, 3000, CHUNK)),
+          content=st.integers(0, len(POOL) - 1))
+    def overwrite(self, data, size, content):
+        offset = data.draw(st.sampled_from(sorted(self.model)))
+        self._write(offset // CHUNK, POOL[content][-size:])
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), dst=st.integers(0, SLOTS + 2))
+    def clone_range(self, data, dst):
+        src, run = self._mapped_run(data)
+        assume(dst + run <= src or src + run <= dst)
+        self.volume.clone_range(src * CHUNK, dst * CHUNK, run * CHUNK)
+        for i in range(run):
+            self.model[(dst + i) * CHUNK] = self.model[(src + i) * CHUNK]
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def discard(self, data):
+        first, run = self._mapped_run(data)
+        self.volume.discard(first * CHUNK, run * CHUNK)
+        for i in range(run):
+            del self.model[(first + i) * CHUNK]
+
+    @rule()
+    def restart(self):
+        self.volume.restart()
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def read(self, data):
+        """A multi-chunk read, over full chunks but the last."""
+        first, run = self._mapped_run(data)
+        pieces = [self.model[(first + i) * CHUNK] for i in range(run)]
+        assume(all(len(piece) == CHUNK for piece in pieces[:-1]))
+        expected = b"".join(pieces)
+        assert self.volume.read(first * CHUNK, len(expected)) == expected
+
+    @invariant()
+    def serves_the_model(self):
+        for offset, expected in self.model.items():
+            assert self.volume.read(offset, len(expected)) == expected
+        assert self.volume.logical_bytes == \
+            sum(map(len, self.model.values()))
+        self.volume.engine.metadata.verify_invariants()
+        assert self.volume.scrub()["corrupt"] == 0
+
+
+TestVolumeAgainstModel = VolumeAgainstModel.TestCase
+TestVolumeAgainstModel.settings = settings(
+    max_examples=40, stateful_step_count=12, deadline=None)
