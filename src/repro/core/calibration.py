@@ -13,7 +13,7 @@ different platforms (weak GPU -> CPU_ONLY, the testbed -> GPU_COMP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.config import PipelineConfig
@@ -111,7 +111,7 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
 
     Returns the :class:`~repro.core.stats.PipelineReport`.
     """
-    config = (base_config or PipelineConfig()).with_overrides(mode=mode)
+    config = replace(base_config or PipelineConfig(), mode=mode)
     stream = VdbenchStream(dedup_ratio=dedup_ratio, comp_ratio=comp_ratio,
                            chunk_size=config.chunk_size, seed=seed,
                            payload=payload)

@@ -8,7 +8,7 @@ evaluation setup as defaults (4 KiB chunks, dedup-before-compression,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.modes import IntegrationMode
 from repro.errors import ConfigError
@@ -133,7 +133,3 @@ class PipelineConfig:
                 raise ConfigError(
                     f"invalid tenancy_cache_entries "
                     f"{self.tenancy_cache_entries}")
-
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        """Copy with the given fields replaced."""
-        return replace(self, **kwargs)

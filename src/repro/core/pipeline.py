@@ -23,12 +23,6 @@ window is load-bearing for the paper's Fig. 2: in ``GPU_BOTH`` mode,
 index lookups queue behind multi-millisecond compression batches, chunk
 latency inflates, the window throttles admission, and throughput drops
 below ``GPU_COMP`` — exactly the contention the paper reports.
-
-The destage path is asynchronous and does not backpressure the reduction
-path; the paper's throughput numbers are reduction-operation throughput
-measured against the SSD as a *yardstick*, not an end-to-end
-destage-limited figure (its dedup result is 3x the SSD's own rate, which
-is only possible on those terms).
 """
 
 from __future__ import annotations
@@ -63,21 +57,19 @@ from repro.obs.stages import (
     STAGE_COMPACTION,
     STAGE_COMPRESS,
     STAGE_CPU_INDEX,
-    STAGE_DESTAGE,
     STAGE_FINGERPRINT,
     STAGE_GPU_INDEX,
     STAGE_PENDING_WAIT,
     STAGE_POSTPROCESS,
     TRACK_COMPACTION,
-    TRACK_DESTAGE,
     TRACK_WINDOW,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tenancy.controller import TenancyController
 from repro.sim import Environment, Event, Resource
 from repro.sim.histogram import LatencyHistogram
-from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
+from repro.storage.writeback import WriteBack
 from repro.types import Chunk
 
 
@@ -96,12 +88,12 @@ class ReductionPipeline:
         self.costs = cpu_costs
         self.tracer = tracer
         self.cpu = cpu if cpu is not None else SimCpu(env)
-        self.ssd = ssd if ssd is not None else SsdModel(env, tracer=tracer)
+        ssd = ssd if ssd is not None else SsdModel(env, tracer=tracer)
+        self.writeback = WriteBack(env, ssd, tracer)
         needs_gpu = (config.mode.gpu_for_dedup
                      or config.mode.gpu_for_compression)
         if needs_gpu and gpu is None:
-            gpu = GpuDevice(env,
-                            tracer=tracer)
+            gpu = GpuDevice(env, tracer=tracer)
         self.gpu = gpu
 
         gpu_index = None
@@ -158,8 +150,6 @@ class ReductionPipeline:
         self._finished = env.event()
         # -- statistics --
         self.bytes_in = 0
-        self.destage_batches = 0
-        self.destage_bytes = 0
         self.latency = LatencyHistogram()
 
     # -- batcher wiring -----------------------------------------------------
@@ -403,9 +393,9 @@ class ReductionPipeline:
             if trace is not None:
                 self._record(STAGE_COMMIT, seq, start, cycles, path=path)
             if nbytes is not None:
-                self._spawn_destage(nbytes, sequential)
+                self.writeback.submit(nbytes, sequential)
             if admission is not None:
-                ready = tenancy.take_compaction_batch()
+                ready = tenancy.compaction.take_batch()
                 if ready is not None:
                     self._spawn_compaction(ready)
 
@@ -413,7 +403,7 @@ class ReductionPipeline:
             elapsed = env.now - admitted
             self.latency.record(elapsed)
             if tenancy is not None:
-                tenancy.record_latency(tenant, elapsed)
+                tenancy.accounting.record_latency(tenant, elapsed)
             if trace is not None:
                 # The whole-chunk envelope: exactly the latency sample.
                 attrs = {"duplicate": bool(chunk.is_duplicate)}
@@ -431,8 +421,7 @@ class ReductionPipeline:
         """The functional half of the commit stage (no simulated time).
 
         Returns ``(cycles, trace path label, bytes to destage now or
-        None, sequential)``.  The bin buffer destages a full bin as one
-        sequential write; without it every chunk destages on its own.
+        None, sequential)``: a full bin, or a chunk with no bin buffer.
         """
         costs = self.costs
         if admission is not None:
@@ -451,28 +440,14 @@ class ReductionPipeline:
         return (cycles, "unique" if unique else "race_duplicate",
                 batch.payload_bytes if batch is not None else None, True)
 
-    def _spawn_destage(self, nbytes: int, sequential: bool) -> None:
-        """One asynchronous SSD write, booked in the destage counters."""
-        self.destage_batches += 1
-        self.destage_bytes += nbytes
-        if nbytes <= 0:
-            return
-        written = self.ssd.write(BlockRequest(
-            RequestKind.WRITE, 0, nbytes, sequential=sequential))
-        if self.tracer.enabled:
-            start = self.env.now
-            written.callbacks.append(lambda _written: self.tracer.record(
-                STAGE_DESTAGE, None, start=start, resource=TRACK_DESTAGE,
-                attrs={"bytes": nbytes, "sequential": sequential}))
-
     def _spawn_compaction(self, entries: list) -> None:
         """One out-of-line compaction epoch as a background process."""
         def compaction() -> Generator:
             with self.tracer.span(STAGE_COMPACTION,
                                   resource=TRACK_COMPACTION,
                                   chunks=len(entries)):
-                cycles = self.tenancy.compaction_cycles(entries,
-                                                        self.costs)
+                cycles = self.tenancy.compaction.cycles_for(entries,
+                                                            self.costs)
                 yield self.cpu.charge(cycles)
                 self.tenancy.apply_compaction(entries,
                                               self.dedup.metadata)
@@ -552,18 +527,13 @@ class ReductionPipeline:
                 batcher.stop()
         # Shutdown drain: partially filled bins still hold staged data;
         # it must reach the SSD for the endurance ledger to balance.
-        # One event per batch, not one coalesced write: N back-to-back
-        # service times and one summed service time end at different
-        # floats, and the report contract is *byte* identity (DESIGN.md
-        # §12).
         if self.dedup is not None:
-            for batch in self.dedup.drain():
-                self._spawn_destage(batch.payload_bytes, sequential=True)
+            self.writeback.drain(self.dedup.drain())
         # Out-of-line compaction drain: every still-deferred shadow copy
         # gets its background epoch before the report reads the
         # metadata store, so recovered duplicates fold into dedup_ratio.
         if self.tenancy is not None:
-            for entries in self.tenancy.drain_compaction():
+            for entries in self.tenancy.compaction.drain():
                 self._spawn_compaction(entries)
         # Let stragglers (destage writes, batcher shutdown) settle for
         # reporting, without extending the measured duration, then
@@ -589,16 +559,13 @@ class ReductionPipeline:
             cpu_utilization=self.cpu.utilization(until=duration),
             gpu_utilization=(self.gpu.utilization(until=duration)
                              if self.gpu else 0.0),
-            ssd_utilization=self.ssd.utilization(until=duration),
             gpu_kernels=self.gpu.kernels_launched if self.gpu else 0,
             gpu_mean_queue_wait_s=(self.gpu.mean_queue_wait()
                                    if self.gpu else 0.0),
             dedup_ratio=dedup_ratio,
             comp_ratio=comp.achieved_ratio(),
             reduction_ratio=reduction,
-            destage_batches=self.destage_batches,
-            destage_bytes=self.destage_bytes,
-            nand_bytes_written=self.ssd.nand_bytes_written,
+            **self.writeback.window(duration),
             mean_latency_s=self.latency.mean,
             peak_latency_s=self.latency.peak,
             latency_percentiles=self.latency.summary(),
@@ -617,8 +584,8 @@ class ReductionPipeline:
         registry.absorb_counters("pipeline", {
             "chunks_done": self._done,
             "bytes_in": self.bytes_in,
-            "destage_batches": self.destage_batches,
-            "destage_bytes": self.destage_bytes,
+            "destage_batches": self.writeback.batches,
+            "destage_bytes": self.writeback.bytes,
             "gpu_offload_skips": self.scheduler.stats.skipped_idle_cpu,
         })
         registry.attach_histogram("pipeline.latency_s", self.latency)
@@ -636,11 +603,12 @@ class ReductionPipeline:
             registry.absorb_counters("gpu", {
                 "kernels_launched": self.gpu.kernels_launched,
             })
+        ssd = self.writeback.ssd
         registry.absorb_counters("ssd", {
-            "host_bytes_written": self.ssd.host_bytes_written,
-            "host_bytes_read": self.ssd.host_bytes_read,
-            "nand_bytes_written": self.ssd.nand_bytes_written,
-            "requests_completed": self.ssd.requests_completed,
+            "host_bytes_written": ssd.host_bytes_written,
+            "host_bytes_read": ssd.host_bytes_read,
+            "nand_bytes_written": ssd.nand_bytes_written,
+            "requests_completed": ssd.requests_completed,
         })
         registry.absorb_counters("compress.cpu", self.cpu_comp.stats())
         registry.absorb_counters("compress.gpu", self.gpu_comp.stats())

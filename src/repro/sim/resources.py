@@ -52,7 +52,8 @@ class UtilizationMonitor:
         partials[i:] = [x]
 
     def utilization(self, until: Optional[float] = None) -> float:
-        """Mean fraction of capacity in use from creation until ``until``."""
+        """:meth:`busy_time` ÷ (capacity × time from creation to ``until``);
+        occupancy booked after ``until`` counts too, so it can exceed 1."""
         end = self._env.now if until is None else until
         elapsed = end - self._start
         if elapsed <= 0:

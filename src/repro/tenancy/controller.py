@@ -3,7 +3,7 @@
 Everything the core pipeline needs from the tenancy subsystem goes
 through :class:`TenancyController`: an inline verdict per chunk
 (:meth:`~TenancyController.admit`), the store of a non-duplicate chunk
-(:meth:`~TenancyController.commit`), compaction batch hand-off, and
+(:meth:`~TenancyController.commit`), the ``compaction`` queue, and
 per-tenant accounting.  Together they are the *index* and *commit*
 stages of the pipeline's one chunk worker under a tenancy policy — a
 variant of those two stages, not a second pipeline.  Estimator
@@ -76,7 +76,7 @@ class TenancyController:
     """Locality-prioritized inline admission plus compaction hand-off."""
 
     __slots__ = ("policy", "accounting", "_cache", "_estimators",
-                 "_compaction", "_admissions")
+                 "compaction", "_admissions")
 
     def __init__(self, policy: str, cache_entries: int):
         if policy not in ("shared_lru", "prioritized"):
@@ -88,7 +88,7 @@ class TenancyController:
         else:
             self._cache = SharedLruCache(cache_entries)
         self._estimators: dict[int, LocalityEstimator] = {}
-        self._compaction = CompactionQueue(COMPACTION_BATCH)
+        self.compaction = CompactionQueue(COMPACTION_BATCH)
         self._admissions = 0
 
     # -- inline admission ----------------------------------------------------
@@ -162,7 +162,7 @@ class TenancyController:
             chunk.compressed_size = chunk.size
         canonical = (verdict is ADMIT_MISS
                      and metadata.lookup(fingerprint) is None
-                     and self._compaction.canonical_shadow(fingerprint)
+                     and self.compaction.canonical_shadow(fingerprint)
                      is None)
         stored_as = fingerprint if canonical else hashlib.sha1(
             f"tenancy-shadow:{seq}".encode()).digest()
@@ -170,62 +170,33 @@ class TenancyController:
                               chunk.compressed_size, blob=blob)
         metadata.map_logical(chunk.offset, stored_as, chunk.size)
         if not canonical:
-            self._compaction.defer(CompactionEntry(
+            self.compaction.defer(CompactionEntry(
                 seq=seq, tenant=tenant, offset=chunk.offset,
                 size=chunk.size, fingerprint=fingerprint,
                 shadow_fp=stored_as))
         self.accounting.note_stored(tenant)
         return "tenant_unique" if canonical else "tenant_shadow"
 
-    def record_latency(self, tenant: int, seconds: float) -> None:
-        """Fold one chunk's inline latency into the tenant's histogram."""
-        self.accounting.record_latency(tenant, seconds)
-
     # -- compaction hand-off -------------------------------------------------
-
-    def take_compaction_batch(self):
-        """A full epoch batch when one is ready, else None."""
-        return self._compaction.take_batch()
-
-    def drain_compaction(self):
-        """End-of-run epochs over every remaining deferred chunk."""
-        return self._compaction.drain()
-
-    def compaction_cycles(self, entries, costs) -> float:
-        """CPU cycles one epoch charges through ``SimCpu``."""
-        return self._compaction.cycles_for(entries, costs)
 
     def apply_compaction(self, entries,
                          metadata: MetadataStore) -> int:
         """Run one epoch; returns the duplicates recovered."""
-        tenants = self._compaction.apply(entries, metadata)
+        tenants = self.compaction.apply(entries, metadata)
         for tenant in tenants:
             self.accounting.note_recovered(tenant)
         return len(tenants)
 
     # -- readouts ------------------------------------------------------------
 
-    def compaction_counters(self) -> dict[str, int]:
-        """Lifetime compaction counters."""
-        return self._compaction.counters()
-
     def counters(self) -> dict[str, int]:
         """Aggregate integer counters for the obs metrics registry."""
-        chunks = 0
-        hits = 0
-        stored = 0
-        skips = 0
-        recovered = 0
+        out = dict.fromkeys(
+            ("chunks", "inline_hits", "stored", "skips", "recovered"), 0)
         for tenant in self.accounting.tenants():
             counters = self.accounting.counters(tenant)
-            chunks += counters.chunks
-            hits += counters.inline_hits
-            stored += counters.stored
-            skips += counters.skips
-            recovered += counters.recovered
-        out = {"chunks": chunks, "inline_hits": hits,
-               "stored": stored, "skips": skips,
-               "recovered": recovered}
-        for key, value in self._compaction.counters().items():
+            for key in out:
+                out[key] += getattr(counters, key)
+        for key, value in self.compaction.counters().items():
             out[f"compaction_{key}"] = value
         return out

@@ -16,7 +16,7 @@ that cycle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.core.calibration import run_stream
@@ -97,10 +97,9 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
     overrides ``arrival_rate_iops`` with the mix's aggregate rate so
     the feeder paces admissions at the tenants' combined Poisson rate.
     """
-    config = (base_config or PipelineConfig()).with_overrides(mode=mode)
+    config = replace(base_config or PipelineConfig(), mode=mode)
     if mix.open_loop:
-        config = config.with_overrides(
-            arrival_rate_iops=mix.total_rate_iops)
+        config = replace(config, arrival_rate_iops=mix.total_rate_iops)
     stream = TenantMixStream(mix, chunk_size=config.chunk_size,
                              payload=payload)
     pipeline, report = run_stream(
@@ -147,7 +146,7 @@ def _fold_report(pipeline: ReductionPipeline, report: PipelineReport,
         hit_rate = controller.accounting.aggregate_hit_rate()
         inline_ratio = \
             controller.accounting.aggregate_inline_dedup_ratio()
-        compaction = controller.compaction_counters()
+        compaction = controller.compaction.counters()
     else:
         policy = "none"
         hit_rate = 0.0

@@ -15,7 +15,7 @@ imports this.
   report sha256 the pinned ``GOLDEN_REPORT_SHA256`` table is compared
   against (``test_pipeline_identity``, ``test_goldens``);
 * :class:`Store`, :class:`ReferenceGpuBatcher`,
-  :class:`ReferenceCharge`, :func:`reference_spawn_destage` and
+  :class:`ReferenceCharge`, :func:`reference_writeback_submit` and
   :func:`reference_wiring` — the event-per-step formulations the
   pipeline ran on before a batch became one wake-up and a timed hold
   one calendar entry (``test_schedule_equivalence``): an inbox
@@ -72,7 +72,6 @@ from repro.cluster import RoutedWindow, ShardMap
 from repro.core.calibration import run_mode
 from repro.core.modes import IntegrationMode
 from repro.core.batcher import GpuBatcher
-from repro.core.pipeline import ReductionPipeline
 from repro.cpu.model import SimCpu
 from repro.dedup.index_base import check_fingerprint
 from repro.errors import ConfigError, ResourceError
@@ -83,6 +82,7 @@ from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_WRITE, TRACK_DESTAGE,
 from repro.sim import Event, Request, Timeout
 from repro.sim.engine import _Condition
 from repro.storage.block import BlockRequest, RequestKind
+from repro.storage.writeback import WriteBack
 from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 from repro.workload.datagen import BlockContentGenerator, \
@@ -687,22 +687,20 @@ def reference_charge(cpu: SimCpu, cycles: float) -> Event:
     return ReferenceCharge(cpu.threads, delay)
 
 
-def reference_spawn_destage(pipeline: ReductionPipeline, nbytes: int,
-                            sequential: bool) -> None:
-    """``ReductionPipeline._spawn_destage`` as one process per write:
-    a channel request, a service-time timeout, then the SSD's booking."""
-    pipeline.destage_batches += 1
-    pipeline.destage_bytes += nbytes
-    if nbytes <= 0:
-        return
-    ssd = pipeline.ssd
+def reference_writeback_submit(writeback: WriteBack, nbytes: int,
+                               sequential: bool) -> None:
+    """``WriteBack.submit`` as one process per write: a channel
+    request, a service-time timeout, then the SSD's booking."""
+    ssd = writeback.ssd
     request = BlockRequest(RequestKind.WRITE, 0, nbytes,
                            sequential=sequential)
     request.validate_against(ssd.spec.capacity_bytes)
+    writeback.batches += 1
+    writeback.bytes += nbytes
 
     def destage() -> Generator:
-        with pipeline.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
-                                  bytes=nbytes, sequential=sequential):
+        with writeback.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
+                                   bytes=nbytes, sequential=sequential):
             submitted = ssd.env.now
             with ssd.channels.request() as slot:
                 yield slot
@@ -718,7 +716,7 @@ def reference_spawn_destage(pipeline: ReductionPipeline, nbytes: int,
             ssd.nand_bytes_written += \
                 -(-nbytes // ssd.spec.page_bytes) * ssd.spec.page_bytes
 
-    pipeline.env.process(destage())
+    writeback.env.process(destage())
 
 
 @contextlib.contextmanager
@@ -727,6 +725,5 @@ def reference_wiring(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.pipeline.GpuBatcher", ReferenceGpuBatcher)
         patch.setattr(SimCpu, "charge", reference_charge)
-        patch.setattr(ReductionPipeline, "_spawn_destage",
-                      reference_spawn_destage)
+        patch.setattr(WriteBack, "submit", reference_writeback_submit)
         yield

@@ -249,23 +249,16 @@ class TestBenchCommand:
         for flag in ("--quick", "--profile", "--json"):
             assert flag not in out
 
-    def test_run_dataclass_result(self, capsys):
-        code = main(["bench", "a9"])
+    @pytest.mark.parametrize("name, expected", [
+        ("a9", "ok   duplicates the lost index missed"),
+        ("a14", "write amp"),
+        ("a1-balance", "ok   balance of 256 bins"),
+    ])
+    def test_run_prints_the_row(self, name, expected, capsys):
+        code = main(["bench", name])
         out = capsys.readouterr().out
         assert code == 0
-        assert "ok   duplicates the lost index missed" in out
-
-    def test_run_list_result(self, capsys):
-        code = main(["bench", "a14"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "write amp" in out
-
-    def test_run_dict_result(self, capsys):
-        code = main(["bench", "a1-balance"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "ok   balance of 256 bins" in out
+        assert expected in out
 
     def test_bench_prints_the_documented_region(self, capsys):
         """``repro bench a15`` prints what ``repro evaluate`` wrote into

@@ -32,7 +32,7 @@ def _traced_run(mode: IntegrationMode, n_chunks: int, seed: int):
     # The run ends with Environment.finish_check, so every traced run
     # also winds down cleanly (no live processes, scheduled events, or
     # held slots left behind).
-    config = PipelineConfig().with_overrides(mode=mode)
+    config = PipelineConfig(mode=mode)
     env = Environment()
     trace: list = []
     env._trace = trace

@@ -380,8 +380,7 @@ class TestPublishMetrics:
         from repro.workload.vdbench import VdbenchStream
 
         env = Environment()
-        config = PipelineConfig().with_overrides(
-            mode=IntegrationMode.GPU_BOTH)
+        config = PipelineConfig(mode=IntegrationMode.GPU_BOTH)
         cpu = SimCpu(env, I7_2600K)
         gpu = GpuDevice(env, RADEON_HD_7970)
         ssd = SsdModel(env, SAMSUNG_SSD_830)
@@ -418,8 +417,7 @@ class TestPublishMetrics:
         from repro.core.calibration import run_stream
         from repro.workload.vdbench import VdbenchStream
 
-        config = PipelineConfig().with_overrides(
-            mode=IntegrationMode.GPU_BOTH)
+        config = PipelineConfig(mode=IntegrationMode.GPU_BOTH)
         stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0,
                                chunk_size=config.chunk_size, seed=1234)
         pipeline, report = run_stream(stream, 2048, config)
@@ -467,8 +465,7 @@ class TestPublishMetrics:
         from repro.gpu.kernels.lz import LZ_CENSUS
         from repro.workload.vdbench import VdbenchStream
 
-        config = PipelineConfig().with_overrides(
-            mode=IntegrationMode.GPU_COMP)
+        config = PipelineConfig(mode=IntegrationMode.GPU_COMP)
         stream = VdbenchStream(dedup_ratio=1.2, comp_ratio=3.0,
                                payload=True, seed=18,
                                chunk_size=config.chunk_size)

@@ -168,8 +168,7 @@ class TestLeakDetection:
 
 class TestPipelineIntegration:
     def test_pipeline_run_passes_finish_check(self):
-        config = PipelineConfig().with_overrides(
-            mode=IntegrationMode.CPU_ONLY)
+        config = PipelineConfig(mode=IntegrationMode.CPU_ONLY)
         env = Environment()
         pipeline = ReductionPipeline(env, config, cpu=SimCpu(env),
                                      ssd=SsdModel(env))

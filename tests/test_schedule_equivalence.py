@@ -60,8 +60,9 @@ def _run(workload: str, variant: str, seed: int):
                        locality=0.0, working_set=65536)))
         report = run_tenant_mix(
             mix, IntegrationMode.GPU_COMP, CHUNKS,
-            base_config=config.with_overrides(
-                tenancy_policy="prioritized", tenancy_cache_entries=48),
+            base_config=dataclasses.replace(
+                config, tenancy_policy="prioritized",
+                tenancy_cache_entries=48),
             tracer=tracer).as_dict()
     else:
         report = dataclasses.asdict(run_mode(
