@@ -57,7 +57,8 @@ I7_2600K = CpuSpec(name="Intel i7-2600K", cores=4, threads=8, freq_hz=3.4e9)
 class SimCpu:
     """A multi-core CPU as a simulated resource of hardware threads."""
 
-    __slots__ = ("env", "spec", "name", "threads", "cycles_charged")
+    __slots__ = ("env", "spec", "name", "threads", "cycles_charged",
+                 "_thread_hz")
 
     def __init__(self, env: Environment, spec: CpuSpec = I7_2600K,
                  name: str = "cpu"):
@@ -67,12 +68,13 @@ class SimCpu:
         self.threads = Resource(env, capacity=spec.threads, name=name)
         #: Total cycles charged, for sanity checks and utilization reports.
         self.cycles_charged = 0.0
+        self._thread_hz = spec.thread_hz
 
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count on one thread to simulated seconds."""
         if cycles < 0:
             raise ConfigError(f"negative cycle count: {cycles}")
-        return cycles / self.spec.thread_hz
+        return cycles / self._thread_hz
 
     def charge(self, cycles: float) -> Event:
         """Single-event CPU charge: acquire a thread, hold it for
@@ -87,9 +89,11 @@ class SimCpu:
 
         The returned event must be yielded promptly and exactly once.
         """
-        delay = self.seconds(cycles)  # validates before the ledger moves
+        # seconds() inlined: one charge per CPU round trip of a chunk.
+        if cycles < 0:
+            raise ConfigError(f"negative cycle count: {cycles}")
         self.cycles_charged += cycles
-        return self.threads.hold(delay)
+        return self.threads.hold(cycles / self._thread_hz)
 
     def utilization(self, until: Optional[float] = None) -> float:
         """Mean fraction of hardware threads busy so far."""

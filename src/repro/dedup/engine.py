@@ -40,9 +40,13 @@ from repro.storage.metadata import MetadataStore
 from repro.types import Chunk
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class IndexOutcome:
-    """Result of running a chunk through the CPU indexing path."""
+    """Result of running a chunk through the CPU indexing path.
+
+    Frozen: an engine hands out the same two bin-buffer outcomes to
+    every chunk that ends at the buffer probe.
+    """
 
     duplicate: bool
     #: Where the decision fell: "buffer", "tree", or "unique".
@@ -71,7 +75,8 @@ class DedupEngine:
     """Functional dedup state with per-operation cycle costs."""
 
     __slots__ = ("costs", "bin_table", "bin_buffer", "gpu_index",
-                 "metadata", "_prefix_bytes", "counters")
+                 "metadata", "_prefix_bytes", "counters",
+                 "_buffer_hit", "_buffer_miss")
 
     def __init__(self, prefix_bytes: int = 2, btree_min_degree: int = 16,
                  bin_buffer_capacity: int = 64,
@@ -98,6 +103,9 @@ class DedupEngine:
         # fired reads 0, not KeyError/absent) and bump sites can use a
         # plain += instead of re-deriving the default with .get().
         self.counters = {key: 0 for key in DEDUP_COUNTER_KEYS}
+        self._buffer_hit = IndexOutcome(True, "buffer", costs.bin_buffer_probe)
+        self._buffer_miss = IndexOutcome(False, "unique",
+                                         costs.bin_buffer_probe)
 
     # -- stage costs --------------------------------------------------------
 
@@ -112,13 +120,12 @@ class DedupEngine:
     def cpu_index(self, chunk: Chunk) -> IndexOutcome:
         """Bin-buffer probe, then bin-tree probe (Fig. 1's CPU path)."""
         view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
-        cycles = self.costs.bin_buffer_probe
         if self.bin_buffer.lookup_view(view) is not None:
             self.counters[CTR_BUFFER_HITS] += 1
             chunk.is_duplicate = True
-            return IndexOutcome(True, "buffer", cycles)
+            return self._buffer_hit
         depth, value = self.bin_table.probe_view(view)
-        cycles += self.costs.bin_tree_probe(depth)
+        cycles = self.costs.bin_buffer_probe + self.costs.bin_tree_probe(depth)
         if value is not None:
             self.counters[CTR_TREE_HITS] += 1
             chunk.is_duplicate = True
@@ -135,13 +142,12 @@ class DedupEngine:
         flush) still needs checking.
         """
         view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
-        cycles = self.costs.bin_buffer_probe
         if self.bin_buffer.lookup_view(view) is not None:
             self.counters[CTR_BUFFER_HITS] += 1
             chunk.is_duplicate = True
-            return IndexOutcome(True, "buffer", cycles)
+            return self._buffer_hit
         chunk.is_duplicate = False
-        return IndexOutcome(False, "unique", cycles)
+        return self._buffer_miss
 
     def note_gpu_hit(self, chunk: Chunk) -> float:
         """Record a GPU-index duplicate; returns metadata-update cycles."""
@@ -158,7 +164,7 @@ class DedupEngine:
         if record is None:
             raise DedupError(
                 "duplicate verdict for a fingerprint with no stored chunk")
-        self.metadata.map_logical(chunk.offset, fingerprint, chunk.size)
+        self.metadata.map_logical_record(chunk.offset, record, chunk.size)
         chunk.compressed_size = record.compressed_size
         return self.costs.metadata_update
 

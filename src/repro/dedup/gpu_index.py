@@ -78,6 +78,14 @@ class _TableView(Mapping):
         entry, count = self._snapshot[bin_id]
         return entry.lo, entry.hi, count
 
+    def get(self, bin_id: int, default=None):
+        """``Mapping.get`` without the mixin's ``KeyError`` round trip."""
+        found = self._snapshot.get(bin_id)
+        if found is None:
+            return default
+        entry, count = found
+        return entry.lo, entry.hi, count
+
     def __iter__(self) -> Iterator[int]:
         return iter(self._snapshot)
 

@@ -48,11 +48,13 @@ def decompose(fingerprint: bytes, prefix_bytes: int) -> FingerprintView:
 
     Anything but a 20-byte ``bytes`` goes through
     :func:`check_fingerprint`, so every entry point raises the same
-    errors (and a ``bytearray`` is still accepted).
+    errors (and a ``bytearray`` is still accepted).  The view is built
+    with ``tuple.__new__``, skipping the NamedTuple's Python-level
+    ``__new__``.
     """
     if type(fingerprint) is not bytes \
             or len(fingerprint) != FINGERPRINT_BYTES:
         fingerprint = check_fingerprint(fingerprint)
-    return FingerprintView(
+    return tuple.__new__(FingerprintView, (
         int.from_bytes(fingerprint[:prefix_bytes], "big"),
-        fingerprint[prefix_bytes:])
+        fingerprint[prefix_bytes:]))

@@ -15,9 +15,9 @@ heap entirely and go onto per-priority run queues (plain deques)
 serviced under the same global (time, priority, insertion-order) key as
 the calendar, and a completion nobody listens to never reaches the
 calendar at all — see DESIGN.md §7 for the rules.  ``Event``/
-``Timeout``/``Process`` are ``__slots__`` classes and ``Timeout``
-inlines its scheduling, because event allocation is the next-largest
-cost after heap churn.
+``Timeout``/``Process`` are ``__slots__`` classes that set their fields
+directly, and ``Timeout`` inlines its scheduling, because event
+allocation is the next-largest cost after heap churn.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process._wake)
         env._schedule(self, URGENT, 0.0)
 
 
@@ -173,10 +173,12 @@ class Process(Event):
     itself an event that triggers with the generator's return value, so
     processes can wait on other processes.  ``eager`` runs the first
     segment inside the constructor (:meth:`Environment.start`) instead
-    of behind an :class:`Initialize` hop.
+    of behind an :class:`Initialize` hop.  ``_wake`` is ``_resume``
+    bound once, the callback every wait appends; it is dropped when the
+    generator returns or raises, so a finished process is no cycle.
     """
 
-    __slots__ = ("_generator",)
+    __slots__ = ("_generator", "_wake")
 
     def __init__(self, env: "Environment", generator: Generator,
                  eager: bool = False):
@@ -184,8 +186,13 @@ class Process(Event):
             raise SimulationError(
                 f"{generator!r} is not a generator — did you call the "
                 "process function?")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
+        self._wake = self._resume
         env._alive_processes += 1
         if eager:
             self._resume(_STARTED)
@@ -205,6 +212,7 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
+                self._wake = None
                 env._alive_processes -= 1
                 if self.callbacks:
                     env._schedule(self, NORMAL, 0.0)
@@ -219,6 +227,7 @@ class Process(Event):
                 self._ok = False
                 self._value = exc
                 self._defused = False
+                self._wake = None
                 env._alive_processes -= 1
                 env._schedule(self, NORMAL, 0.0)
                 break
@@ -234,7 +243,7 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # Event not yet processed: wait for it.
-                next_event.callbacks.append(self._resume)
+                next_event.callbacks.append(self._wake)
                 break
             # Event already processed: feed its value back immediately.
             event = next_event

@@ -34,16 +34,6 @@ class LatencyHistogram:
         #: silently flattening the tail.
         self.overflow = 0
 
-    def _bucket(self, value: float) -> int:
-        if value <= self.floor:
-            return 0
-        index = int(math.log(value / self.floor) / self._log_base) + 1
-        last = len(self._counts) - 1
-        if index > last:
-            self.overflow += 1
-            return last
-        return index
-
     def _bucket_upper(self, index: int) -> float:
         if index == 0:
             return self.floor
@@ -53,10 +43,19 @@ class LatencyHistogram:
         """Add one sample (seconds, by convention)."""
         if value < 0:
             raise ConfigError(f"negative sample {value}")
-        self._counts[self._bucket(value)] += 1
+        counts = self._counts
+        if value <= self.floor:
+            index = 0
+        else:
+            index = int(math.log(value / self.floor) / self._log_base) + 1
+            if index >= len(counts):
+                self.overflow += 1
+                index = len(counts) - 1
+        counts[index] += 1
         self.count += 1
         self.total += value
-        self.peak = max(self.peak, value)
+        if value > self.peak:
+            self.peak = value
 
     @property
     def mean(self) -> float:

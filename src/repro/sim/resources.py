@@ -10,6 +10,7 @@ as "CPU utilization" / "GPU utilization" in the paper-style reports.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from typing import Any, Optional
@@ -69,9 +70,9 @@ class UtilizationMonitor:
 class Request(Event):
     """A pending claim on a :class:`Resource`.
 
-    The event triggers (with the request itself as value) once the resource
-    grants a slot.  Release the slot with :meth:`Resource.release` or by
-    using the request as a context manager inside a process::
+    The event triggers once the resource grants a slot.  Release the
+    slot with :meth:`Resource.release` or by using the request as a
+    context manager inside a process::
 
         with cpu.request() as req:
             yield req
@@ -81,7 +82,11 @@ class Request(Event):
     __slots__ = ("resource", "granted")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.granted = False
         resource._admit(self)
@@ -95,7 +100,7 @@ class Request(Event):
         """Take the slot the resource just assigned, and fire."""
         self.resource.users.append(self)
         self.granted = True
-        self.succeed(self)
+        self.succeed()
 
     def __enter__(self) -> "Request":
         return self
@@ -143,7 +148,12 @@ class Hold(Event):
         self._value = None
         env = self.env
         self.granted_at = env._now
-        env._schedule(self, NORMAL, self.delay)
+        env._eid += 1
+        if self.delay == 0.0:
+            env._normal.append((env._eid, self))
+        else:
+            heapq.heappush(env._queue,
+                           (env._now + self.delay, NORMAL, env._eid, self))
 
 
 class Resource:
@@ -205,7 +215,14 @@ class Resource:
         if delay < 0:
             raise ResourceError(f"{self.name}: negative hold {delay!r}")
         hold = Hold(self, delay)
-        self._admit(hold)
+        # _admit and _vacate are inlined here and in _hold_expired: one
+        # hold per CPU charge makes these the hottest resource paths.
+        if self.queue or \
+                len(self.users) + self._fast_held >= self.capacity:
+            self.queue.append(hold)
+        else:
+            self.monitor.change(+1)
+            hold._grant()
         return hold
 
     def _hold_expired(self, _hold: Event) -> None:
@@ -213,7 +230,10 @@ class Resource:
             raise ResourceError(
                 f"{self.name}: a hold expired that holds no slot")
         self._fast_held -= 1
-        self._vacate()
+        if self.queue:
+            self.queue.popleft()._grant()
+        else:
+            self.monitor.change(-1)
 
     # -- end-of-run sanitizer ----------------------------------------------
 

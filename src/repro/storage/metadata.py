@@ -114,21 +114,8 @@ class MetadataStore:
         self._by_fingerprint[fingerprint] = record.physical_id
         self._zombies.add(record.physical_id)
         self._next_physical += 1
-        # The first map_logical's add_reference accounts its bytes.
+        # The first map_logical accounts its bytes.
         return record
-
-    def add_reference(self, fingerprint: bytes) -> ChunkRecord:
-        """Bump the refcount of a content-findable chunk.
-
-        Referencing an unreferenced ("zombie") record resurrects it —
-        stale index hits after overwrites revive the stored chunk
-        instead of dangling.
-        """
-        record = self.lookup(fingerprint)
-        if record is None:
-            raise MetadataError(
-                f"no findable chunk for {fingerprint.hex()[:12]}...")
-        return self._add_ref(record)
 
     def _revive(self, record: ChunkRecord) -> None:
         if not record.live:
@@ -139,11 +126,6 @@ class MetadataStore:
         if not record.live:
             self.physical_bytes -= record.compressed_size
             self._zombies.add(record.physical_id)
-
-    def _add_ref(self, record: ChunkRecord) -> ChunkRecord:
-        self._revive(record)
-        record.refcount += 1
-        return record
 
     def add_delta_ref(self, physical_id: int) -> ChunkRecord:
         """A delta record now depends on this chunk as its base."""
@@ -211,20 +193,13 @@ class MetadataStore:
     # -- logical map -----------------------------------------------------------
 
     def map_logical(self, offset: int, fingerprint: bytes, size: int) -> None:
-        """Point logical ``offset`` at the chunk with ``fingerprint``.
-
-        Acquire-before-release: on an overwrite, the new reference is
-        taken first so that rewriting an offset with the *same* content
-        never transiently frees the chunk it still needs.
-        """
-        record = self.add_reference(fingerprint)
-        old_id = self._logical.get(offset)
-        if old_id is not None:
-            old_record = self._by_id[old_id]
-            self._drop_ref(old_record)
-            self.logical_bytes -= old_record.size
-        self._logical[offset] = record.physical_id
-        self.logical_bytes += size
+        """Point logical ``offset`` at the content-findable chunk with
+        ``fingerprint``."""
+        physical_id = self._by_fingerprint.get(fingerprint)
+        if physical_id is None:
+            raise MetadataError(
+                f"no findable chunk for {fingerprint.hex()[:12]}...")
+        self.map_logical_record(offset, self._by_id[physical_id], size)
 
     def map_logical_record(self, offset: int, record: ChunkRecord,
                            size: int) -> None:
@@ -232,11 +207,20 @@ class MetadataStore:
 
         The by-record path works even when the fingerprint index cannot
         find the chunk (post-restart), which is what makes clones of old
-        data possible.
+        data possible.  Referencing an unreferenced ("zombie") record
+        resurrects it, so stale index hits after overwrites revive the
+        stored chunk instead of dangling.  Acquire-before-release: on an
+        overwrite, the new reference is taken first so that rewriting an
+        offset with the *same* content never transiently frees the chunk
+        it still needs.
         """
         if self._by_id.get(record.physical_id) is not record:
             raise MetadataError("record is not part of this store")
-        self._add_ref(record)
+        if record.refcount <= 0 and record.delta_refs <= 0:
+            # _revive inlined: every chunk a run writes maps here.
+            self.physical_bytes += record.compressed_size
+            self._zombies.discard(record.physical_id)
+        record.refcount += 1
         old_id = self._logical.get(offset)
         if old_id is not None:
             old_record = self._by_id[old_id]

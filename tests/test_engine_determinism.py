@@ -11,6 +11,7 @@ trace divergence long before it corrupts a paper-level number.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,30 @@ def test_identical_seeds_identical_schedules():
         assert trace_a == trace_b, (
             f"{mode.value}: event schedules diverged at index "
             f"{next(i for i, (a, b) in enumerate(zip(trace_a, trace_b)) if a != b)}")
+
+
+#: sha256 of each mode's dispatch trace (512 chunks, seed 1234), one
+#: ``"{time!r} {event type}\n"`` line per processed event.  Comparing a
+#: run with itself cannot see a hot-path cut that reorders a tie the
+#: same way every time; this pin can.
+DISPATCH_TRACE_SHA256 = {
+    "cpu_only":
+        "b9e0ec394a825b9f6e485d8cc3af263b0894bc670c6aa1b714231a1839b1df6d",
+    "gpu_dedup":
+        "fcbacea607c14da3dac9d6f735df42d00f7e8b5e2cc5558d09cb54891e576546",
+    "gpu_comp":
+        "adb2d1a81264852e59c2981b4b37df3a44d885df3378973b8e90b807737994b6",
+    "gpu_both":
+        "1d181bb8be5d83c3368e95223e1caf9c4679482e8e3b973c0173d964617bfd0e",
+}
+
+
+def test_dispatch_trace_matches_the_pinned_schedule():
+    for mode in IntegrationMode:
+        _report, trace = _traced_run(mode, 512, seed=1234)
+        lines = "".join(f"{when!r} {name}\n" for when, name in trace)
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == DISPATCH_TRACE_SHA256[mode.value], mode.value
 
 
 def test_different_seeds_differ():

@@ -204,8 +204,9 @@ class TestMetadataStore:
 
     def test_unknown_reference_rejected(self):
         store = MetadataStore()
-        with pytest.raises(MetadataError):
-            store.add_reference(fp(99))
+        with pytest.raises(MetadataError, match="no findable chunk"):
+            store.map_logical(0, fp(99), 4096)
+        assert store.logical_bytes == 0
 
     def test_sweep_collects_tracked_zombies_and_cascades(self):
         """The sweep works from the ids the ref drops recorded: a revived
