@@ -444,7 +444,7 @@ def a11_kernel_variants(batch_sizes: Sequence[int] = (64, 256, 1024),
                    for _ in range(batch)]
         simple = index.make_kernel(queries)
         tiled = TiledBinLookupKernel(index.make_batch(queries),
-                                     index.table_view(), costs=index.costs)
+                                     index.table_view())
         variants[batch] = {"simple_s": gpu.launch_time(simple),
                            "tiled_s": gpu.launch_time(tiled),
                            "simple_bytes": simple.cost().bytes_read,

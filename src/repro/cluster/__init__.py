@@ -19,7 +19,7 @@ from repro.cluster.engine import (
     ClusterEngine,
     ClusterResult,
 )
-from repro.cluster.netlink import NetLink, NetLinkSpec, NetReport
+from repro.cluster.netlink import NetLink, NetReport
 from repro.cluster.router import ClusterRouter, RoutedWindow
 from repro.cluster.shard_map import (
     ASSIGNMENTS,
@@ -36,7 +36,6 @@ __all__ = [
     "ClusterResult",
     "ClusterRouter",
     "NetLink",
-    "NetLinkSpec",
     "NetReport",
     "RebalanceResult",
     "RoutedWindow",

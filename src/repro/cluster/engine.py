@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from repro import host
 from repro.chunkbatch import ChunkBatch
-from repro.cluster.netlink import NetLink, NetLinkSpec, NetReport
+from repro.cluster.netlink import NetLink, NetReport
 from repro.cluster.router import ClusterRouter, RoutedWindow
 from repro.cluster.shard_map import ASSIGNMENTS, ShardMap
 from repro.cluster.shardwork import run_shards
@@ -70,7 +70,6 @@ class ClusterConfig:
     locality: float = 0.5
     payload: bool = False
     bin_buffer_capacity: int = 64
-    netlink: NetLinkSpec = NetLinkSpec()
 
     def __post_init__(self):
         if self.chunks < 1:
@@ -117,7 +116,7 @@ class ClusterEngine:
             raise ConfigError("shard map does not match the config")
         self.shard_map = shard_map
         self.router = ClusterRouter(shard_map)
-        self.netlink = NetLink(config.netlink, tracer=tracer)
+        self.netlink = NetLink(tracer=tracer)
 
     # -- the run -------------------------------------------------------------
 

@@ -4,7 +4,7 @@ HPDedup's lesson applies at cluster scale: a remote index is not free
 to reach, so cross-node traffic must be charged explicitly rather than
 hidden in per-chunk cycle costs.  The :class:`NetLink` owns a private
 :class:`~repro.sim.engine.Environment` with one
-:class:`~repro.sim.resources.Resource` of ``links`` lanes; every
+:class:`~repro.sim.resources.Resource` of :data:`LINKS` lanes; every
 dispatch/flush transfer becomes a sim process that occupies
 a lane for ``latency + (bytes + headers) / bandwidth`` seconds, so the
 utilization monitor and the tracer (stage names from
@@ -18,7 +18,7 @@ shards never touch the link (DESIGN.md §14).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 from repro.obs.stages import (
@@ -30,20 +30,19 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
 
-__all__ = ["NET_KINDS", "NetLink", "NetLinkSpec", "NetReport"]
+__all__ = ["NET_KINDS", "NetLink", "NetReport"]
 
 #: The traffic classes the link accounts separately.
 NET_KINDS = (STAGE_NET_DISPATCH, STAGE_NET_FLUSH)
 
-
-class NetLinkSpec(NamedTuple):
-    """Interconnect cost model (defaults: one 10 GbE lane)."""
-
-    bandwidth_bytes_per_s: float = 1.25e9
-    latency_s: float = 20e-6
-    links: int = 1
-    #: Per-message framing overhead added to the byte charge.
-    header_bytes: int = 64
+#: Interconnect bandwidth per lane: 10 GbE.
+BANDWIDTH_BYTES_PER_S = 1.25e9
+#: Per-message latency in seconds.
+LATENCY_S = 20e-6
+#: Lanes transfers queue for.
+LINKS = 1
+#: Per-message framing overhead added to the byte charge.
+HEADER_BYTES = 64
 
 
 class NetReport(NamedTuple):
@@ -70,21 +69,12 @@ class NetReport(NamedTuple):
 class NetLink:
     """The modeled interconnect between the ingest node and the shards."""
 
-    __slots__ = ("spec", "env", "link", "_tracer", "_bytes", "_messages",
+    __slots__ = ("env", "link", "_tracer", "_bytes", "_messages",
                  "_seconds")
 
-    def __init__(self, spec: Optional[NetLinkSpec] = None,
-                 tracer: Tracer = NULL_TRACER):
-        self.spec = spec if spec is not None else NetLinkSpec()
-        if self.spec.bandwidth_bytes_per_s <= 0:
-            raise ConfigError("link bandwidth must be positive")
-        if self.spec.latency_s < 0 or self.spec.header_bytes < 0:
-            raise ConfigError("link latency/header must be non-negative")
-        if self.spec.links < 1:
-            raise ConfigError("need at least one link lane")
+    def __init__(self, tracer: Tracer = NULL_TRACER):
         self.env = Environment()
-        self.link = Resource(self.env, capacity=self.spec.links,
-                             name="netlink")
+        self.link = Resource(self.env, capacity=LINKS, name="netlink")
         self._tracer = tracer
         tracer.bind(self.env)
         self._bytes = {kind: 0 for kind in NET_KINDS}
@@ -93,10 +83,8 @@ class NetLink:
 
     def cost_s(self, nbytes: int, messages: int = 1) -> float:
         """Modeled transfer time for ``nbytes`` over ``messages`` frames."""
-        spec = self.spec
-        wire_bytes = nbytes + messages * spec.header_bytes
-        return messages * spec.latency_s \
-            + wire_bytes / spec.bandwidth_bytes_per_s
+        wire_bytes = nbytes + messages * HEADER_BYTES
+        return messages * LATENCY_S + wire_bytes / BANDWIDTH_BYTES_PER_S
 
     def charge(self, kind: str, nbytes: int, messages: int = 1) -> None:
         """Queue one transfer of ``nbytes`` under traffic class ``kind``."""

@@ -40,9 +40,6 @@ if TYPE_CHECKING:
 
 __all__ = ["run_shards"]
 
-#: Minimum degree of every shard's bin trees.
-BTREE_MIN_DEGREE = 16
-
 
 def run_shards(config: ClusterConfig,
                shards: list[tuple[int, list[RoutedWindow]]]) -> list[dict]:
@@ -53,7 +50,6 @@ def run_shards(config: ClusterConfig,
 def _run_shard(config: ClusterConfig, shard: int,
                windows: list[RoutedWindow]) -> dict:
     engine = DedupEngine(prefix_bytes=config.prefix_bytes,
-                         btree_min_degree=BTREE_MIN_DEGREE,
                          bin_buffer_capacity=config.bin_buffer_capacity,
                          bin_buffer_total=None)
     compressor = CpuCompressor()

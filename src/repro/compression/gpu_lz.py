@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.compression.lz_common import DEFAULT_PARAMS, LzParams
+from repro.compression.lz_common import DEFAULT_PARAMS
 from repro.compression.parallel_cpu import CompressionResult
 from repro.compression.postprocess import refine_tile
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import CompressionError
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernel import Kernel
 from repro.gpu.kernels.lz import (
     LZ_CENSUS,
@@ -40,14 +39,7 @@ from repro.types import Chunk
 class GpuCompressor:
     """Builds GPU compression launches and post-processes their output."""
 
-    def __init__(self, segments_per_chunk: int = 8,
-                 params: LzParams = DEFAULT_PARAMS,
-                 cpu_costs: CpuCosts = DEFAULT_COSTS,
-                 gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
-        self.segments_per_chunk = segments_per_chunk
-        self.params = params
-        self.cpu_costs = cpu_costs
-        self.gpu_costs = gpu_costs
+    def __init__(self):
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -63,15 +55,10 @@ class GpuCompressor:
             raise CompressionError(
                 "a GPU batch must be all-payload or all-descriptor")
         if payload_flags.pop():
-            return SegmentLzKernel(
-                [chunk.payload for chunk in chunks],
-                segments_per_chunk=self.segments_per_chunk,
-                params=self.params, costs=self.gpu_costs)
+            return SegmentLzKernel([chunk.payload for chunk in chunks])
         return DescriptorLzKernel(
             [chunk.size for chunk in chunks],
-            [chunk.effective_ratio() for chunk in chunks],
-            segments_per_chunk=self.segments_per_chunk,
-            costs=self.gpu_costs)
+            [chunk.effective_ratio() for chunk in chunks])
 
     def split_results(self, chunks: Sequence[Chunk],
                       raw: Any) -> Sequence[Any]:
@@ -89,7 +76,7 @@ class GpuCompressor:
         for name, count in raw.census.items():
             self.lz_census[name] += count
         return [blob for tile in raw.tiles
-                for blob in refine_tile(tile, self.params)]
+                for blob in refine_tile(tile, DEFAULT_PARAMS)]
 
     # -- CPU refinement -----------------------------------------------------
 
@@ -106,7 +93,7 @@ class GpuCompressor:
         self.bytes_out += size
         return CompressionResult(
             compressed_size=size, stored_raw=stored_raw,
-            cpu_cycles=self.cpu_costs.postprocess_cycles(chunk.size),
+            cpu_cycles=DEFAULT_COSTS.postprocess_cycles(chunk.size),
             blob=raw if payload and not stored_raw else None)
 
     def achieved_ratio(self) -> float:

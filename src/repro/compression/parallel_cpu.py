@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.types import Chunk
 
 Codec = Union[LzssCodec, QuickLzCodec]
@@ -40,10 +40,8 @@ class CompressionResult:
 class CpuCompressor:
     """Per-chunk CPU compression: the paper's parallel QuickLZ baseline."""
 
-    def __init__(self, codec: Optional[Codec] = None,
-                 costs: CpuCosts = DEFAULT_COSTS):
+    def __init__(self, codec: Optional[Codec] = None):
         self.codec = codec if codec is not None else QuickLzCodec()
-        self.costs = costs
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -62,7 +60,7 @@ class CpuCompressor:
             size = max(1, int(chunk.size / ratio))
             stored_raw = size >= chunk.size
             out_blob = None
-        cycles = self.costs.lz_encode_cycles(chunk.size, ratio)
+        cycles = DEFAULT_COSTS.lz_encode_cycles(chunk.size, ratio)
         chunk.compressed_size = size
         self.chunks_compressed += 1
         self.bytes_in += chunk.size

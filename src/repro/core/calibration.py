@@ -20,14 +20,12 @@ from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
 from repro.core.stats import PipelineReport
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
 from repro.errors import ConfigError
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.device import GpuDevice, GpuSpec, RADEON_HD_7970
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim import Environment
-from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel, SsdSpec
+from repro.storage.ssd import SsdModel
 from repro.workload.vdbench import VdbenchStream
 
 
@@ -61,16 +59,15 @@ class CalibrationResult:
 def run_stream(stream, n_chunks: int, config: PipelineConfig,
                cpu_spec: CpuSpec = I7_2600K,
                gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-               ssd_spec: SsdSpec = SAMSUNG_SSD_830,
-               cpu_costs: CpuCosts = DEFAULT_COSTS,
-               gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
                tracer: Optional[Tracer] = None
                ) -> tuple[ReductionPipeline, PipelineReport]:
     """Run ``n_chunks`` of ``stream`` on a fresh simulated platform.
 
     The one place a pipeline run's platform is built: environment, CPU,
     GPU (when ``gpu_spec`` is given), SSD, then the pipeline over them,
-    in that order.  ``tracer`` (a :class:`~repro.obs.SimTracer`) is
+    in that order.  The CPU and GPU specs are all a platform varies; the
+    SSD, the PCIe link and both cost tables are the testbed's constants
+    (DESIGN.md §6).  ``tracer`` (a :class:`~repro.obs.SimTracer`) is
     bound to the run's environment and threaded through every timed
     subsystem; the default is the zero-cost null tracer.
 
@@ -87,9 +84,8 @@ def run_stream(stream, n_chunks: int, config: PipelineConfig,
     cpu = SimCpu(env, cpu_spec)
     gpu = (GpuDevice(env, gpu_spec, tracer=tracer)
            if gpu_spec is not None else None)
-    ssd = SsdModel(env, ssd_spec, tracer=tracer)
+    ssd = SsdModel(env, tracer=tracer)
     pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu, ssd=ssd,
-                                 cpu_costs=cpu_costs, gpu_costs=gpu_costs,
                                  tracer=tracer)
     return pipeline, pipeline.run(stream.chunks(n_chunks), total=n_chunks)
 
@@ -98,9 +94,6 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
              base_config: Optional[PipelineConfig] = None,
              cpu_spec: CpuSpec = I7_2600K,
              gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-             ssd_spec: SsdSpec = SAMSUNG_SSD_830,
-             cpu_costs: CpuCosts = DEFAULT_COSTS,
-             gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
              dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
              seed: int = 1234, tracer: Optional[Tracer] = None,
              payload: bool = False):
@@ -113,21 +106,14 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
     """
     config = replace(base_config or PipelineConfig(), mode=mode)
     stream = VdbenchStream(dedup_ratio=dedup_ratio, comp_ratio=comp_ratio,
-                           chunk_size=config.chunk_size, seed=seed,
-                           payload=payload)
-    _, report = run_stream(
-        stream, n_chunks, config, cpu_spec=cpu_spec, gpu_spec=gpu_spec,
-        ssd_spec=ssd_spec, cpu_costs=cpu_costs, gpu_costs=gpu_costs,
-        tracer=tracer)
+                           seed=seed, payload=payload)
+    _, report = run_stream(stream, n_chunks, config, cpu_spec=cpu_spec,
+                           gpu_spec=gpu_spec, tracer=tracer)
     return report
 
 
-def calibrate_mode(base_config: Optional[PipelineConfig] = None,
-                   cpu_spec: CpuSpec = I7_2600K,
+def calibrate_mode(cpu_spec: CpuSpec = I7_2600K,
                    gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-                   ssd_spec: SsdSpec = SAMSUNG_SSD_830,
-                   cpu_costs: CpuCosts = DEFAULT_COSTS,
-                   gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
                    dummy_chunks: int = 8192,
                    dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
                    seed: int = 1234) -> CalibrationResult:
@@ -137,11 +123,10 @@ def calibrate_mode(base_config: Optional[PipelineConfig] = None,
         modes = [IntegrationMode.CPU_ONLY]
     iops: dict[IntegrationMode, float] = {}
     for mode in modes:
-        report = run_mode(mode, dummy_chunks, base_config=base_config,
+        report = run_mode(mode, dummy_chunks,
                           cpu_spec=cpu_spec, gpu_spec=gpu_spec,
-                          ssd_spec=ssd_spec, cpu_costs=cpu_costs,
-                          gpu_costs=gpu_costs, dedup_ratio=dedup_ratio,
-                          comp_ratio=comp_ratio, seed=seed)
+                          dedup_ratio=dedup_ratio, comp_ratio=comp_ratio,
+                          seed=seed)
         iops[mode] = report.iops
     best = max(iops, key=iops.get)
     return CalibrationResult(best_mode=best, iops_by_mode=iops,

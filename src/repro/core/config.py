@@ -1,8 +1,10 @@
 """Pipeline configuration.
 
 One dataclass gathers every knob the experiments sweep, with the paper's
-evaluation setup as defaults (4 KiB chunks, dedup-before-compression,
-2-byte bin prefix, random GPU-bin replacement).
+evaluation setup as defaults (dedup-before-compression, random GPU-bin
+replacement).  What no experiment sweeps is a constant: the chunk size
+(:data:`repro.types.DEFAULT_CHUNK_SIZE`, 4 KiB) and the bin prefix
+(:data:`PREFIX_BYTES`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from dataclasses import dataclass
 
 from repro.core.modes import IntegrationMode
 from repro.errors import ConfigError
-from repro.types import DEFAULT_CHUNK_SIZE
+
+#: Fingerprint prefix bytes = bin selector.  The paper's memory argument
+#: uses a 2-byte prefix at 4 TB scale; the pipeline's 1 keeps the bin
+#: count proportional to the 2 GB test streams so bins actually fill and
+#: flush (see DESIGN.md).
+PREFIX_BYTES = 1
 
 
 @dataclass(frozen=True)
@@ -26,15 +33,7 @@ class PipelineConfig:
     #: Disable to run a dedup-only pipeline (experiment E2).
     enable_compression: bool = True
 
-    # -- chunking ---------------------------------------------------------
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-
     # -- bin index ---------------------------------------------------------
-    #: Fingerprint prefix bytes = bin selector.  The paper's memory
-    #: argument uses a 2-byte prefix at 4 TB scale; the pipeline default
-    #: of 1 keeps the bin count proportional to the 2 GB test streams so
-    #: bins actually fill and flush (see DESIGN.md).
-    prefix_bytes: int = 1
     #: Bin-buffer entries per bin before a flush.
     bin_buffer_capacity: int = 64
     #: Overall bin-buffer staging budget in entries.
@@ -92,10 +91,6 @@ class PipelineConfig:
     tenancy_cache_entries: int = 1024
 
     def __post_init__(self) -> None:
-        if self.chunk_size <= 0:
-            raise ConfigError(f"invalid chunk_size {self.chunk_size}")
-        if not 1 <= self.prefix_bytes <= 4:
-            raise ConfigError(f"invalid prefix_bytes {self.prefix_bytes}")
         if self.window < 1:
             raise ConfigError(f"invalid window {self.window}")
         if min(self.gpu_index_batch, self.gpu_comp_batch) < 1:

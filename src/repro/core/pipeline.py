@@ -32,19 +32,18 @@ from typing import Generator, Iterable, Optional
 
 from repro.chunkbatch import iter_windows
 from repro.core.batcher import GpuBatcher
-from repro.core.config import PipelineConfig
+from repro.core.config import PREFIX_BYTES, PipelineConfig
 from repro.core.scheduler import OffloadScheduler
 from repro.core.stats import PipelineReport
 from repro.compression.gpu_lz import GpuCompressor
 from repro.compression.parallel_cpu import CpuCompressor
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.model import SimCpu
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
 from repro.dedup.hashing import fingerprint_window
 from repro.dedup.replacement import RandomReplacement
 from repro.errors import ConfigError
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.device import GpuDevice
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stages import (
@@ -80,12 +79,9 @@ class ReductionPipeline:
                  cpu: Optional[SimCpu] = None,
                  gpu: Optional[GpuDevice] = None,
                  ssd: Optional[SsdModel] = None,
-                 cpu_costs: CpuCosts = DEFAULT_COSTS,
-                 gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
                  tracer: Tracer = NULL_TRACER):
         self.env = env
         self.config = config
-        self.costs = cpu_costs
         self.tracer = tracer
         self.cpu = cpu if cpu is not None else SimCpu(env)
         ssd = ssd if ssd is not None else SsdModel(env, tracer=tracer)
@@ -99,17 +95,15 @@ class ReductionPipeline:
         gpu_index = None
         if config.mode.gpu_for_dedup and config.enable_dedup:
             gpu_index = GpuBinIndex(
-                prefix_bytes=config.prefix_bytes,
+                prefix_bytes=PREFIX_BYTES,
                 bin_capacity=config.gpu_bin_capacity,
                 policy=RandomReplacement(seed=7),
-                memory=self.gpu.memory if self.gpu else None,
-                costs=gpu_costs)
+                memory=self.gpu.memory if self.gpu else None)
         self.dedup = DedupEngine(
-            prefix_bytes=config.prefix_bytes,
+            prefix_bytes=PREFIX_BYTES,
             bin_buffer_capacity=config.bin_buffer_capacity,
             bin_buffer_total=config.bin_buffer_total,
-            gpu_index=gpu_index,
-            costs=cpu_costs) if config.enable_dedup else None
+            gpu_index=gpu_index) if config.enable_dedup else None
 
         #: Multi-tenant admission layer (DESIGN.md §13): it replaces the
         #: index and commit stages of the one chunk worker.  None under
@@ -121,9 +115,8 @@ class ReductionPipeline:
                 policy=config.tenancy_policy,
                 cache_entries=config.tenancy_cache_entries)
 
-        self.cpu_comp = CpuCompressor(costs=cpu_costs)
-        self.gpu_comp = GpuCompressor(cpu_costs=cpu_costs,
-                                      gpu_costs=gpu_costs)
+        self.cpu_comp = CpuCompressor()
+        self.gpu_comp = GpuCompressor()
 
         self.scheduler = OffloadScheduler(
             self.cpu, policy=config.gpu_index_policy,
@@ -238,7 +231,7 @@ class ReductionPipeline:
         tenant = chunk.tenant or 0
         try:
             cfg = self.config
-            costs = self.costs
+            costs = DEFAULT_COSTS
             dedup = self.dedup
             lock = self._index_lock
             fingerprint = chunk.fingerprint
@@ -423,7 +416,7 @@ class ReductionPipeline:
         Returns ``(cycles, trace path label, bytes to destage now or
         None, sequential)``: a full bin, or a chunk with no bin buffer.
         """
-        costs = self.costs
+        costs = DEFAULT_COSTS
         if admission is not None:
             path = self.tenancy.commit(seq, tenant, chunk, blob, admission,
                                        self.dedup.metadata)
@@ -446,8 +439,7 @@ class ReductionPipeline:
             with self.tracer.span(STAGE_COMPACTION,
                                   resource=TRACK_COMPACTION,
                                   chunks=len(entries)):
-                cycles = self.tenancy.compaction.cycles_for(entries,
-                                                            self.costs)
+                cycles = self.tenancy.compaction.cycles_for(entries)
                 yield self.cpu.charge(cycles)
                 self.tenancy.apply_compaction(entries,
                                               self.dedup.metadata)

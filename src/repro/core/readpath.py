@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Sequence
 
 from repro.core.cache import ChunkCache
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.model import SimCpu
 from repro.errors import ConfigError
 from repro.sim import Environment, Resource
@@ -48,18 +48,14 @@ class ReadPipeline:
     """Serve chunk reads from a populated metadata store, timed."""
 
     def __init__(self, env: Environment, metadata: MetadataStore,
-                 cpu: Optional[SimCpu] = None,
-                 ssd: Optional[SsdModel] = None,
-                 costs: CpuCosts = DEFAULT_COSTS,
                  window: int = 64,
                  cache: Optional["ChunkCache"] = None):
         if window < 1:
             raise ConfigError(f"invalid window {window}")
         self.env = env
         self.metadata = metadata
-        self.cpu = cpu if cpu is not None else SimCpu(env)
-        self.ssd = ssd if ssd is not None else SsdModel(env)
-        self.costs = costs
+        self.cpu = SimCpu(env)
+        self.ssd = SsdModel(env)
         self.window = Resource(env, capacity=window, name="read-window")
         #: Optional DRAM chunk cache; hits skip the SSD and the decode.
         self.cache = cache
@@ -75,12 +71,12 @@ class ReadPipeline:
         admitted = self.env.now
         try:
             # Logical-map resolution: RAM work.
-            yield self.cpu.charge(self.costs.metadata_update)
+            yield self.cpu.charge(DEFAULT_COSTS.metadata_update)
             record = self.metadata.resolve(offset)
             if self.cache is not None and self.cache.lookup(offset):
                 # Cache hit: one probe's worth of CPU, no media, no
                 # decode (cached chunks are kept decompressed).
-                yield self.cpu.charge(self.costs.bin_buffer_probe)
+                yield self.cpu.charge(DEFAULT_COSTS.bin_buffer_probe)
                 self._cache_hits += 1
                 self._bytes_served += record.size
                 return
@@ -90,7 +86,7 @@ class ReadPipeline:
             # Decompress when the chunk was stored compressed.
             if record.compressed_size < record.size:
                 yield self.cpu.charge(
-                    self.costs.lz_decode_cycles(record.size))
+                    DEFAULT_COSTS.lz_decode_cycles(record.size))
                 self._decompressed += 1
             if self.cache is not None:
                 self.cache.fill(offset, record.size)
@@ -109,16 +105,27 @@ class ReadPipeline:
             self.env.start(self._read_worker(offset, request))
 
     def run(self, offsets: Sequence[int]) -> ReadReport:
-        """Serve every offset in ``offsets`` and report."""
+        """Serve every offset in ``offsets`` and report.
+
+        A read pipeline runs once, like
+        :meth:`~repro.core.pipeline.ReductionPipeline.run`: its clock,
+        counters and completion event are the run's.
+        """
         if not offsets:
             raise ConfigError("need at least one read")
+        if self._total:
+            raise ConfigError(
+                "ReadPipeline.run() is single-shot; build a new "
+                "pipeline for another run")
         self._total = len(offsets)
         self.env.process(self._feeder(offsets))
         self.env.run(until=self._finished)
         duration = self.env.now
         # Drain the calendar so any worker failure surfaces instead of
-        # being lost behind the completion event.
+        # being lost behind the completion event, then check the run
+        # wound down cleanly.
         self.env.run()
+        self.env.finish_check()
         return ReadReport(
             reads=self._total,
             bytes_served=self._bytes_served,

@@ -42,9 +42,6 @@ class CpuCosts:
     bin_tree_probe_per_level: float = 800.0
     #: Fixed part of a bin-tree lookup (bin selection, setup).
     bin_tree_probe_fixed: float = 11_000.0
-    #: Insert into the bin tree, including amortized splits and the entry
-    #: memcpy; charged only for unique chunks.
-    bin_tree_insert: float = 22_000.0
     #: Amortized cost of bin-buffer flush handling per unique chunk
     #: (buffer drain, sequential write issue, GPU-bin update bookkeeping).
     flush_amortized_per_unique: float = 26_000.0
@@ -80,8 +77,6 @@ class CpuCosts:
     dispatch_per_batch: float = 28_000.0
     #: Per-chunk cost of moving a chunk descriptor between pipeline stages.
     handoff_per_chunk: float = 350.0
-    #: memcpy-class byte shuffling (staging buffers).
-    memcpy_per_byte: float = 0.25
 
     # -- derived helpers -----------------------------------------------------
 

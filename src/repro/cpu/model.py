@@ -57,15 +57,12 @@ I7_2600K = CpuSpec(name="Intel i7-2600K", cores=4, threads=8, freq_hz=3.4e9)
 class SimCpu:
     """A multi-core CPU as a simulated resource of hardware threads."""
 
-    __slots__ = ("env", "spec", "name", "threads", "cycles_charged",
-                 "_thread_hz")
+    __slots__ = ("env", "spec", "threads", "cycles_charged", "_thread_hz")
 
-    def __init__(self, env: Environment, spec: CpuSpec = I7_2600K,
-                 name: str = "cpu"):
+    def __init__(self, env: Environment, spec: CpuSpec = I7_2600K):
         self.env = env
         self.spec = spec
-        self.name = name
-        self.threads = Resource(env, capacity=spec.threads, name=name)
+        self.threads = Resource(env, capacity=spec.threads, name="cpu")
         #: Total cycles charged, for sanity checks and utilization reports.
         self.cycles_charged = 0.0
         self._thread_hz = spec.thread_hz

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.dedup.bin_buffer import BinBuffer
 from repro.dedup.bins import BinTable
 from repro.dedup.gpu_index import GpuBinIndex
@@ -74,28 +74,24 @@ class _StagedInfo:
 class DedupEngine:
     """Functional dedup state with per-operation cycle costs."""
 
-    __slots__ = ("costs", "bin_table", "bin_buffer", "gpu_index",
+    __slots__ = ("bin_table", "bin_buffer", "gpu_index",
                  "metadata", "_prefix_bytes", "counters",
                  "_buffer_hit", "_buffer_miss")
 
-    def __init__(self, prefix_bytes: int = 2, btree_min_degree: int = 16,
+    def __init__(self, prefix_bytes: int = 2,
                  bin_buffer_capacity: int = 64,
                  bin_buffer_total: Optional[int] = None,
-                 gpu_index: Optional[GpuBinIndex] = None,
-                 metadata: Optional[MetadataStore] = None,
-                 costs: CpuCosts = DEFAULT_COSTS):
+                 gpu_index: Optional[GpuBinIndex] = None):
         if gpu_index is not None and gpu_index.prefix_bytes != prefix_bytes:
             raise ConfigError(
                 f"GPU index prefix_bytes {gpu_index.prefix_bytes} != "
                 f"engine prefix_bytes {prefix_bytes}")
-        self.costs = costs
-        self.bin_table = BinTable(prefix_bytes=prefix_bytes,
-                                  min_degree=btree_min_degree)
+        self.bin_table = BinTable(prefix_bytes=prefix_bytes)
         self.bin_buffer = BinBuffer(prefix_bytes=prefix_bytes,
                                     per_bin_capacity=bin_buffer_capacity,
                                     total_capacity=bin_buffer_total)
         self.gpu_index = gpu_index
-        self.metadata = metadata if metadata is not None else MetadataStore()
+        self.metadata = MetadataStore()
         self._prefix_bytes = prefix_bytes
         # -- Fig. 1 edge counters --
         # Every counter any consumer bumps or reads is seeded here, so
@@ -103,17 +99,18 @@ class DedupEngine:
         # fired reads 0, not KeyError/absent) and bump sites can use a
         # plain += instead of re-deriving the default with .get().
         self.counters = {key: 0 for key in DEDUP_COUNTER_KEYS}
-        self._buffer_hit = IndexOutcome(True, "buffer", costs.bin_buffer_probe)
+        self._buffer_hit = IndexOutcome(True, "buffer",
+                                        DEFAULT_COSTS.bin_buffer_probe)
         self._buffer_miss = IndexOutcome(False, "unique",
-                                         costs.bin_buffer_probe)
+                                         DEFAULT_COSTS.bin_buffer_probe)
 
     # -- stage costs --------------------------------------------------------
 
     def ingest_cycles(self, chunk: Chunk) -> float:
         """CPU cycles for the fixed-size chunking + hashing stages of
         one chunk."""
-        return (self.costs.chunking_cycles(chunk.size)
-                + self.costs.sha1_cycles(chunk.size))
+        return (DEFAULT_COSTS.chunking_cycles(chunk.size)
+                + DEFAULT_COSTS.sha1_cycles(chunk.size))
 
     # -- indexing (CPU path) ----------------------------------------------------
 
@@ -125,7 +122,8 @@ class DedupEngine:
             chunk.is_duplicate = True
             return self._buffer_hit
         depth, value = self.bin_table.probe_view(view)
-        cycles = self.costs.bin_buffer_probe + self.costs.bin_tree_probe(depth)
+        cycles = (DEFAULT_COSTS.bin_buffer_probe
+                  + DEFAULT_COSTS.bin_tree_probe(depth))
         if value is not None:
             self.counters[CTR_TREE_HITS] += 1
             chunk.is_duplicate = True
@@ -166,7 +164,7 @@ class DedupEngine:
                 "duplicate verdict for a fingerprint with no stored chunk")
         self.metadata.map_logical_record(chunk.offset, record, chunk.size)
         chunk.compressed_size = record.compressed_size
-        return self.costs.metadata_update
+        return DEFAULT_COSTS.metadata_update
 
     def commit_unique(self, chunk: Chunk,
                       blob: Optional[bytes] = None,
@@ -193,9 +191,9 @@ class DedupEngine:
                                    chunk.compressed_size, blob=blob,
                                    checksum=checksum)
         self.metadata.map_logical(chunk.offset, fingerprint, chunk.size)
-        cycles = (self.costs.bin_buffer_insert
-                  + self.costs.metadata_update
-                  + self.costs.flush_amortized_per_unique)
+        cycles = (DEFAULT_COSTS.bin_buffer_insert
+                  + DEFAULT_COSTS.metadata_update
+                  + DEFAULT_COSTS.flush_amortized_per_unique)
         flush = self.bin_buffer.add_view(
             decompose(fingerprint, self._prefix_bytes),
             _StagedInfo(size=chunk.size,

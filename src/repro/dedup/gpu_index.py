@@ -30,7 +30,6 @@ import numpy as np
 from repro.dedup.index_base import check_fingerprint, decompose
 from repro.dedup.replacement import RandomReplacement, ReplacementPolicy
 from repro.errors import IndexError_
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.kernels.indexing import BinLookupKernel, LookupBatch
 from repro.gpu.memory import DeviceMemory
 from repro.types import FINGERPRINT_BYTES
@@ -97,14 +96,13 @@ class GpuBinIndex:
     """Capacity-limited linear-bin fingerprint index in device memory."""
 
     __slots__ = ("prefix_bytes", "bin_capacity", "policy", "memory",
-                 "costs", "_bins", "_size",
+                 "_bins", "_size",
                  "_policy_tracks_inserts", "_policy_tracks_hits",
                  "evictions", "lookups", "hits")
 
     def __init__(self, prefix_bytes: int = 2, bin_capacity: int = 512,
                  policy: Optional[ReplacementPolicy] = None,
-                 memory: Optional[DeviceMemory] = None,
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
+                 memory: Optional[DeviceMemory] = None):
         if not 1 <= prefix_bytes <= 4:
             raise IndexError_(
                 f"prefix_bytes must be in [1, 4], got {prefix_bytes}")
@@ -116,7 +114,6 @@ class GpuBinIndex:
         self.policy = policy if policy is not None \
             else RandomReplacement(seed=0)
         self.memory = memory
-        self.costs = costs
         self._bins: dict[int, _GpuBin] = {}
         self._size = 0
         # Batched installs and result recording may skip the per-entry
@@ -245,7 +242,7 @@ class GpuBinIndex:
         """Kernel object ready for :meth:`repro.gpu.device.GpuDevice.launch`.
         """
         return BinLookupKernel(self.make_batch(fingerprints),
-                               self.table_view(), costs=self.costs)
+                               self.table_view())
 
     def lookup_host(self, fingerprints: Sequence[bytes]) -> list[bool]:
         """Functional lookup without a device (tests, calibration)."""

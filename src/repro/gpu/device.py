@@ -23,7 +23,7 @@ from typing import Generator, Optional
 from repro.errors import ConfigError
 from repro.gpu.kernel import Kernel, KernelCost
 from repro.gpu.memory import DeviceMemory
-from repro.gpu.pcie import PCIE2_X16, PcieLink, PcieSpec
+from repro.gpu.pcie import PcieLink
 from repro.obs.stages import TRACK_GPU_QUEUE
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim import Environment, Resource
@@ -99,15 +99,13 @@ class GpuDevice:
     """A GPU attached to a simulation environment."""
 
     def __init__(self, env: Environment, spec: GpuSpec = RADEON_HD_7970,
-                 pcie: Optional[PcieSpec] = None, name: str = "gpu",
                  tracer: Tracer = NULL_TRACER):
         self.env = env
         self.spec = spec
-        self.name = name
         self.tracer = tracer
-        self.queue = Resource(env, capacity=1, name=f"{name}-queue")
+        self.queue = Resource(env, capacity=1, name="gpu-queue")
         self.memory = DeviceMemory(spec.mem_capacity_bytes)
-        self.pcie = PcieLink(pcie or PCIE2_X16)
+        self.pcie = PcieLink()
         self.launches: list[LaunchRecord] = []
         self.kernels_launched = 0
 

@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.errors import KernelError
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
+from repro.gpu.costs import DEFAULT_GPU_COSTS
 from repro.gpu.kernel import Kernel, KernelCost
 
 #: Bytes shipped to the device per query: bin id (u4) + suffix (u8 x 2).
@@ -66,15 +66,13 @@ class BinLookupKernel(Kernel):
 
     name = "bin_lookup"
 
-    __slots__ = ("batch", "table", "costs", "_entries_scanned",
+    __slots__ = ("batch", "table", "_entries_scanned",
                  "_longest_bin", "_cost_cache")
 
     def __init__(self, batch: LookupBatch,
-                 table: Mapping[int, tuple[np.ndarray, np.ndarray, int]],
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
+                 table: Mapping[int, tuple[np.ndarray, np.ndarray, int]]):
         self.batch = batch
         self.table = table
-        self.costs = costs
         self._entries_scanned: Optional[int] = None
         self._longest_bin: Optional[int] = None
         self._cost_cache: Optional[KernelCost] = None
@@ -145,7 +143,7 @@ class BinLookupKernel(Kernel):
                 (self._bin_view(int(bid))[2]
                  for bid in np.unique(self.batch.bin_ids)),
                 default=0)
-        c = self.costs
+        c = DEFAULT_GPU_COSTS
         self._cost_cache = KernelCost(
             name=self.name,
             threads=n,

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import KernelError
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
+from repro.gpu.costs import DEFAULT_GPU_COSTS
 from repro.gpu.kernel import KernelCost
 from repro.gpu.kernels.indexing import (
     BinLookupKernel,
@@ -40,6 +40,8 @@ LOCAL_COMPARE_CYCLES = 6.0
 STAGE_CYCLES_PER_ENTRY = 10.0
 #: Barrier cost per tile round, per thread.
 BARRIER_CYCLES = 40.0
+#: Threads per workgroup; one workgroup stages and scans one bin.
+WORKGROUP_SIZE = 64
 
 
 class TiledBinLookupKernel(BinLookupKernel):
@@ -47,17 +49,14 @@ class TiledBinLookupKernel(BinLookupKernel):
 
     name = "bin_lookup_tiled"
 
-    __slots__ = ("workgroup_size", "tile_entries", "_by_bin")
+    __slots__ = ("tile_entries", "_by_bin")
 
     def __init__(self, batch: LookupBatch,
                  table: Mapping[int, tuple[np.ndarray, np.ndarray, int]],
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
-                 workgroup_size: int = 64,
                  tile_entries: int = 256):
         if tile_entries < 1:
             raise KernelError(f"invalid tile size {tile_entries}")
-        super().__init__(batch, table, costs)
-        self.workgroup_size = workgroup_size
+        super().__init__(batch, table)
         self.tile_entries = tile_entries
         # Group query indices by bin: one workgroup handles one bin.
         self._by_bin: dict[int, list[int]] = {}
@@ -78,7 +77,7 @@ class TiledBinLookupKernel(BinLookupKernel):
             if count > longest_bin:
                 longest_bin = count
         tiles = -(-max(longest_bin, 1) // self.tile_entries)
-        c = self.costs
+        c = DEFAULT_GPU_COSTS
         lane_cycles = (staged * STAGE_CYCLES_PER_ENTRY
                        + compares * LOCAL_COMPARE_CYCLES
                        + n * c.index_fixed_lane_cycles
@@ -86,12 +85,12 @@ class TiledBinLookupKernel(BinLookupKernel):
         # Critical path: stage one tile (amortized across the workgroup)
         # plus scan it locally, per tile.
         per_tile = (self.tile_entries * STAGE_CYCLES_PER_ENTRY
-                    / self.workgroup_size
+                    / WORKGROUP_SIZE
                     + self.tile_entries * LOCAL_COMPARE_CYCLES
                     + BARRIER_CYCLES)
         self._cost_cache = KernelCost(
             name=self.name,
-            threads=len(self._by_bin) * self.workgroup_size,
+            threads=len(self._by_bin) * WORKGROUP_SIZE,
             lane_cycles_total=lane_cycles,
             critical_path_cycles=tiles * per_tile,
             bytes_read=staged * c.index_entry_bytes,

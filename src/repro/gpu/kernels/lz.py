@@ -42,7 +42,7 @@ from repro.compression.lz_common import (
 )
 from repro.compression.lzss import MAX_CHAIN
 from repro.errors import KernelError
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
+from repro.gpu.costs import DEFAULT_GPU_COSTS
 from repro.gpu.kernel import Kernel, KernelCost
 
 #: Chunks searched per array pass: one segment thread each, all walking
@@ -60,11 +60,15 @@ LZ_CENSUS = ("rounds", "candidate_visits", "open_visits",
 #: caller re-attaches the :class:`LzTile`'s ``chunks`` and ``data``.
 _TILE_ARRAYS = ("edges", "seg_start", "seg_end", "counts", "starts",
                 "lengths", "distances")
+#: Segment threads per chunk: the paper's launch geometry, and the only
+#: one the pipeline's GPU compressor and descriptor mode use.
+SEGMENTS_PER_CHUNK = 8
 
 
-def _lz_cost(name: str, threads: int, total_bytes: int, segment_bytes: int,
-             costs: GpuKernelCosts) -> KernelCost:
+def _lz_cost(name: str, threads: int, total_bytes: int,
+             segment_bytes: int) -> KernelCost:
     """Shared cost formula for both LZ kernel flavours."""
+    costs = DEFAULT_GPU_COSTS
     lane_cycles = (total_bytes * costs.lz_work_unit_cycles
                    * costs.lz_divergence_factor)
     return KernelCost(
@@ -121,9 +125,9 @@ class SegmentLzKernel(Kernel):
 
     name = "segment_lz"
 
-    def __init__(self, chunks: Sequence[bytes], segments_per_chunk: int = 8,
-                 params: LzParams = DEFAULT_PARAMS,
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
+    def __init__(self, chunks: Sequence[bytes],
+                 segments_per_chunk: int = SEGMENTS_PER_CHUNK,
+                 params: LzParams = DEFAULT_PARAMS):
         if not chunks:
             raise KernelError("empty chunk batch")
         if segments_per_chunk < 1:
@@ -132,7 +136,6 @@ class SegmentLzKernel(Kernel):
         self.chunks = list(chunks)
         self.segments_per_chunk = segments_per_chunk
         self.params = params
-        self.costs = costs
         #: :data:`LZ_CENSUS`, summed over the launch's tiles: walk rounds,
         #: visits to candidate-bearing positions, those left open by the
         #: nearest candidate, and how each open one was closed.
@@ -389,7 +392,7 @@ class SegmentLzKernel(Kernel):
             // self.segments_per_chunk
         return _lz_cost(self.name,
                         len(self.chunks) * self.segments_per_chunk,
-                        total, segment_bytes, self.costs)
+                        total, segment_bytes)
 
     def bytes_in(self) -> int:
         return sum(len(c) for c in self.chunks)
@@ -424,19 +427,13 @@ class DescriptorLzKernel(Kernel):
     name = "segment_lz"
 
     def __init__(self, chunk_sizes: Sequence[int],
-                 chunk_ratios: Sequence[float],
-                 segments_per_chunk: int = 8,
-                 costs: GpuKernelCosts = DEFAULT_GPU_COSTS):
+                 chunk_ratios: Sequence[float]):
         if not chunk_sizes:
             raise KernelError("empty chunk batch")
         if len(chunk_sizes) != len(chunk_ratios):
             raise KernelError("sizes/ratios length mismatch")
-        if segments_per_chunk < 1:
-            raise KernelError(f"invalid segment count {segments_per_chunk}")
         self.chunk_sizes = list(chunk_sizes)
         self.chunk_ratios = [max(1.0, r) for r in chunk_ratios]
-        self.segments_per_chunk = segments_per_chunk
-        self.costs = costs
 
     def execute(self) -> list[int]:
         """Synthetic compressed sizes implied by the workload's ratios."""
@@ -446,11 +443,11 @@ class DescriptorLzKernel(Kernel):
     def cost(self) -> KernelCost:
         total = sum(self.chunk_sizes)
         longest = max(self.chunk_sizes)
-        segment_bytes = (longest + self.segments_per_chunk - 1) \
-            // self.segments_per_chunk
+        segment_bytes = (longest + SEGMENTS_PER_CHUNK - 1) \
+            // SEGMENTS_PER_CHUNK
         return _lz_cost(self.name,
-                        len(self.chunk_sizes) * self.segments_per_chunk,
-                        total, segment_bytes, self.costs)
+                        len(self.chunk_sizes) * SEGMENTS_PER_CHUNK,
+                        total, segment_bytes)
 
     def bytes_in(self) -> int:
         return sum(self.chunk_sizes)

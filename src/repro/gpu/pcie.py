@@ -25,12 +25,6 @@ class PcieSpec:
     #: Fixed per-transfer latency in seconds.
     setup_latency_s: float
 
-    def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigError(f"invalid bandwidth: {self.bandwidth_bps}")
-        if self.setup_latency_s < 0:
-            raise ConfigError(f"invalid latency: {self.setup_latency_s}")
-
 
 #: PCIe 2.0 x16 as the HD 7970 testbed would see it (~6 GB/s effective).
 PCIE2_X16 = PcieSpec(name="PCIe 2.0 x16", bandwidth_bps=6.0e9,
@@ -40,8 +34,8 @@ PCIE2_X16 = PcieSpec(name="PCIe 2.0 x16", bandwidth_bps=6.0e9,
 class PcieLink:
     """Transfer-time calculator plus traffic accounting."""
 
-    def __init__(self, spec: PcieSpec = PCIE2_X16):
-        self.spec = spec
+    def __init__(self):
+        self.spec = PCIE2_X16
         self.bytes_to_device = 0
         self.bytes_from_device = 0
         self.transfer_count = 0

@@ -50,12 +50,6 @@ class SsdSpec:
     #: Per-request firmware/interface overhead (seconds).
     per_io_overhead_s: float = 2.0e-6
 
-    def __post_init__(self) -> None:
-        if min(self.capacity_bytes, self.channels, self.page_bytes) <= 0:
-            raise ConfigError("invalid SSD geometry")
-        if min(self.seq_write_bps, self.seq_read_bps) <= 0:
-            raise ConfigError("invalid SSD bandwidth")
-
     @property
     def page_program_s(self) -> float:
         """NAND program time per page on one channel."""
@@ -87,14 +81,12 @@ SAMSUNG_SSD_830 = SsdSpec(
 class SsdModel:
     """A timed SSD attached to a simulation environment."""
 
-    def __init__(self, env: Environment, spec: SsdSpec = SAMSUNG_SSD_830,
-                 name: str = "ssd", tracer: Tracer = NULL_TRACER):
+    def __init__(self, env: Environment, tracer: Tracer = NULL_TRACER):
         self.env = env
-        self.spec = spec
-        self.name = name
+        self.spec = SAMSUNG_SSD_830
         self.tracer = tracer
-        self.channels = Resource(env, capacity=spec.channels,
-                                 name=f"{name}-channels")
+        self.channels = Resource(env, capacity=self.spec.channels,
+                                 name="ssd-channels")
         # -- statistics --
         self.host_bytes_written = 0
         self.host_bytes_read = 0

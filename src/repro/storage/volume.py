@@ -26,18 +26,21 @@ from repro.errors import BlockRangeError, MetadataError, ReproError
 from repro.obs import MetricsRegistry
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 
+#: Fingerprint prefix bytes = bin selector: the paper's 2-byte prefix,
+#: sized for its 4 TB memory argument (the timed pipeline's smaller
+#: test streams use :data:`repro.core.config.PREFIX_BYTES`).
+PREFIX_BYTES = 2
+
 
 class ReducedVolume:
     """Block volume whose write path deduplicates and compresses inline."""
 
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 codec: Optional[Codec] = None,
-                 prefix_bytes: int = 2,
+    def __init__(self, codec: Optional[Codec] = None,
                  bin_buffer_capacity: int = 64,
                  bin_buffer_total: Optional[int] = 4096,
                  verify_checksums: bool = True,
                  enable_delta: bool = False):
-        self.chunk_size = chunk_size
+        self.chunk_size = DEFAULT_CHUNK_SIZE
         #: End-to-end integrity: store a plaintext CRC-32 per unique
         #: chunk and verify it on every read.
         self.verify_checksums = verify_checksums
@@ -49,8 +52,8 @@ class ReducedVolume:
         self._delta_codec = DeltaCodec()
         #: Chunks stored as deltas (observability).
         self.deltas_stored = 0
-        self.chunker = FixedChunker(chunk_size)
-        self.engine = DedupEngine(prefix_bytes=prefix_bytes,
+        self.chunker = FixedChunker(DEFAULT_CHUNK_SIZE)
+        self.engine = DedupEngine(prefix_bytes=PREFIX_BYTES,
                                   bin_buffer_capacity=bin_buffer_capacity,
                                   bin_buffer_total=bin_buffer_total)
         self.compressor = CpuCompressor(codec=codec)

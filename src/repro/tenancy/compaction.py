@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 
@@ -91,9 +92,9 @@ class CompactionQueue:
             del self._pending[:self.batch]
             yield batch
 
-    def cycles_for(self, entries: list[CompactionEntry],
-                   costs) -> float:
+    def cycles_for(self, entries: list[CompactionEntry]) -> float:
         """CPU cycles one epoch charges: re-hash + probe + remap each."""
+        costs = DEFAULT_COSTS
         cycles = 0.0
         for entry in entries:
             cycles += costs.sha1_cycles(entry.size)

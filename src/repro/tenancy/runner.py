@@ -23,12 +23,9 @@ from repro.core.calibration import run_stream
 from repro.core.config import IntegrationMode, PipelineConfig
 from repro.core.pipeline import ReductionPipeline
 from repro.core.stats import PipelineReport
-from repro.cpu.costs import CpuCosts, DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K
-from repro.gpu.costs import DEFAULT_GPU_COSTS, GpuKernelCosts
 from repro.gpu.device import GpuSpec, RADEON_HD_7970
 from repro.obs.tracer import Tracer
-from repro.storage.ssd import SAMSUNG_SSD_830, SsdSpec
 from repro.tenancy.spec import TenantMix, TenantMixStream
 
 __all__ = ["TenancyRunReport", "TenantReportEntry", "run_tenant_mix"]
@@ -83,9 +80,6 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
                    base_config: Optional[PipelineConfig] = None,
                    cpu_spec: CpuSpec = I7_2600K,
                    gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-                   ssd_spec: SsdSpec = SAMSUNG_SSD_830,
-                   cpu_costs: CpuCosts = DEFAULT_COSTS,
-                   gpu_costs: GpuKernelCosts = DEFAULT_GPU_COSTS,
                    tracer: Optional[Tracer] = None,
                    payload: bool = False) -> TenancyRunReport:
     """Run a tenant mix through one integration mode; full report.
@@ -100,12 +94,10 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
     config = replace(base_config or PipelineConfig(), mode=mode)
     if mix.open_loop:
         config = replace(config, arrival_rate_iops=mix.total_rate_iops)
-    stream = TenantMixStream(mix, chunk_size=config.chunk_size,
-                             payload=payload)
-    pipeline, report = run_stream(
-        stream, n_chunks, config, cpu_spec=cpu_spec, gpu_spec=gpu_spec,
-        ssd_spec=ssd_spec, cpu_costs=cpu_costs, gpu_costs=gpu_costs,
-        tracer=tracer)
+    stream = TenantMixStream(mix, payload=payload)
+    pipeline, report = run_stream(stream, n_chunks, config,
+                                  cpu_spec=cpu_spec, gpu_spec=gpu_spec,
+                                  tracer=tracer)
     return _fold_report(pipeline, report, mix, stream)
 
 

@@ -133,6 +133,10 @@ class TenantMix:
         if not _is_int(self.seed):
             raise WorkloadError(
                 f"tenant-mix seed must be an int, got {self.seed!r}")
+        if not isinstance(self.open_loop, bool):
+            raise WorkloadError(
+                f"tenant-mix open_loop must be a bool, "
+                f"got {self.open_loop!r}")
         if not self.tenants:
             raise WorkloadError("a tenant mix needs at least one tenant")
         names = [spec.name for spec in self.tenants]
@@ -173,7 +177,7 @@ class TenantMix:
             tenants = tuple(TenantSpec(**entry)
                             for entry in payload["tenants"])
             return cls(tenants=tenants, seed=payload["seed"],
-                       open_loop=bool(payload.get("open_loop", False)))
+                       open_loop=payload.get("open_loop", False))
         except (KeyError, TypeError) as exc:
             raise WorkloadError(f"bad tenant-mix spec: {exc}") from exc
 

@@ -71,8 +71,7 @@ class OracleBins:
 
 
 def tiled_kernel(index: GpuBinIndex, probes) -> TiledBinLookupKernel:
-    return TiledBinLookupKernel(index.make_batch(probes), index.table_view(),
-                                costs=index.costs)
+    return TiledBinLookupKernel(index.make_batch(probes), index.table_view())
 
 
 ops_strategy = st.lists(

@@ -42,8 +42,7 @@ def _traced_run(mode: IntegrationMode, n_chunks: int, seed: int):
         env, config, cpu=SimCpu(env),
         gpu=GpuDevice(env) if needs_gpu else None,
         ssd=SsdModel(env))
-    stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0,
-                           chunk_size=config.chunk_size, seed=seed)
+    stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=seed)
     report = pipeline.run(stream.chunks(n_chunks), total=n_chunks)
     return report, trace
 

@@ -400,8 +400,7 @@ class TestDescriptorLzKernel:
         the same ballpark, or benchmark modes would disagree."""
         chunks = [_compressible(4096)] * 4
         payload = SegmentLzKernel(chunks, segments_per_chunk=8).cost()
-        descriptor = DescriptorLzKernel([4096] * 4, [2.0] * 4,
-                                        segments_per_chunk=8).cost()
+        descriptor = DescriptorLzKernel([4096] * 4, [2.0] * 4).cost()
         assert descriptor.lane_cycles_total == pytest.approx(
             payload.lane_cycles_total, rel=0.01)
 

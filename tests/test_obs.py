@@ -376,17 +376,17 @@ class TestPublishMetrics:
     def test_registry_matches_report(self):
         from repro.cpu.model import I7_2600K
         from repro.gpu.device import GpuDevice, RADEON_HD_7970
-        from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel
+        from repro.storage.ssd import SsdModel
         from repro.workload.vdbench import VdbenchStream
 
         env = Environment()
         config = PipelineConfig(mode=IntegrationMode.GPU_BOTH)
         cpu = SimCpu(env, I7_2600K)
         gpu = GpuDevice(env, RADEON_HD_7970)
-        ssd = SsdModel(env, SAMSUNG_SSD_830)
+        ssd = SsdModel(env)
         pipeline = ReductionPipeline(env, config, cpu=cpu, gpu=gpu,
                                      ssd=ssd)
-        stream = VdbenchStream(chunk_size=config.chunk_size, seed=7)
+        stream = VdbenchStream(seed=7)
         report = pipeline.run(stream.chunks(256), total=256)
 
         registry = pipeline.publish_metrics()
@@ -418,8 +418,7 @@ class TestPublishMetrics:
         from repro.workload.vdbench import VdbenchStream
 
         config = PipelineConfig(mode=IntegrationMode.GPU_BOTH)
-        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0,
-                               chunk_size=config.chunk_size, seed=1234)
+        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=1234)
         pipeline, report = run_stream(stream, 2048, config)
         registry = pipeline.publish_metrics()
         events = registry.value("sim.events_scheduled")
@@ -467,8 +466,7 @@ class TestPublishMetrics:
 
         config = PipelineConfig(mode=IntegrationMode.GPU_COMP)
         stream = VdbenchStream(dedup_ratio=1.2, comp_ratio=3.0,
-                               payload=True, seed=18,
-                               chunk_size=config.chunk_size)
+                               payload=True, seed=18)
         pipeline, report = run_stream(stream, 96, config)
         registry = pipeline.publish_metrics()
         census = pipeline.gpu_comp.lz_census
@@ -485,7 +483,7 @@ class TestVolumeMetrics:
     def test_volume_metrics_namespaces(self):
         from repro.storage.volume import ReducedVolume
 
-        volume = ReducedVolume(chunk_size=4096)
+        volume = ReducedVolume()
         payload = bytes(range(256)) * 16
         volume.write(0, payload * 2)  # second copy deduplicates
         registry = volume.metrics()

@@ -71,6 +71,16 @@ class TestReadPipeline:
         with pytest.raises(ConfigError):
             pipeline.run([])
 
+    @pytest.mark.parametrize("first, second", [(32, 16), (16, 32)])
+    def test_second_run_rejected(self, first, second):
+        # A second call would reuse the first run's clock and fired
+        # completion event: a stale report, or a bare engine error.
+        pipeline = ReadPipeline(Environment(), populated_store())
+        report = pipeline.run([i * 4096 for i in range(first)])
+        assert report.reads == first
+        with pytest.raises(ConfigError, match="single-shot"):
+            pipeline.run([i * 4096 for i in range(second)])
+
     def test_invalid_window_rejected(self):
         env = Environment()
         with pytest.raises(ConfigError):

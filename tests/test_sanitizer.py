@@ -172,8 +172,7 @@ class TestPipelineIntegration:
         env = Environment()
         pipeline = ReductionPipeline(env, config, cpu=SimCpu(env),
                                      ssd=SsdModel(env))
-        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0,
-                               chunk_size=config.chunk_size, seed=3)
+        stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=3)
         report = pipeline.run(stream.chunks(64), total=64)
         assert report.chunks == 64
 

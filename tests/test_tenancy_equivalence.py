@@ -145,6 +145,12 @@ class TestMixEmission:
             TenantMix(tenants=(TenantSpec(name="a", seed=1),
                                TenantSpec(name="b", seed=2)),
                       seed=0, open_loop=True)
+        # Only a JSON bool: the string "false" is not a closed loop.
+        with pytest.raises(WorkloadError, match="open_loop"):
+            TenantMix.from_dict({
+                "seed": 0, "open_loop": "false",
+                "tenants": [{"name": "a", "seed": 1,
+                             "arrival_rate_iops": 100.0}]})
 
     @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
     def test_invalid_arrival_rate_rejected(self, rate):

@@ -244,8 +244,8 @@ class TestCompactionQueue:
         expected = sum(DEFAULT_COSTS.sha1_cycles(e.size)
                        + DEFAULT_COSTS.bin_buffer_probe
                        + DEFAULT_COSTS.metadata_update for e in entries)
-        assert queue.cycles_for(entries, DEFAULT_COSTS) == expected
-        assert queue.cycles_for([], DEFAULT_COSTS) == 0.0
+        assert queue.cycles_for(entries) == expected
+        assert queue.cycles_for([]) == 0.0
 
     def test_apply_remaps_onto_the_stored_copy_and_sweeps_the_shadow(self):
         metadata = MetadataStore()

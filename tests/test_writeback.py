@@ -32,8 +32,7 @@ def test_non_positive_submit_is_a_typed_error(nbytes):
 
 def _vdbench(mode, **overrides):
     config = PipelineConfig(mode=mode, **SMALL_BINS, **overrides)
-    stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0,
-                           chunk_size=config.chunk_size, seed=21)
+    stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=21)
     return run_stream(stream, CHUNKS, config)
 
 
@@ -45,7 +44,7 @@ def _tenant_mix(policy):
                    working_set=64),
         TenantSpec(name="cold", seed=23, dedup_ratio=1.05, locality=0.0,
                    working_set=65536)))
-    stream = TenantMixStream(mix, chunk_size=config.chunk_size)
+    stream = TenantMixStream(mix)
     return run_stream(stream, CHUNKS, config)
 
 
