@@ -63,14 +63,6 @@ class DestageBatch:
     payload_bytes: int
 
 
-@dataclass(slots=True)
-class _StagedInfo:
-    """Bin-buffer value: what a flush needs to know per staged chunk."""
-
-    size: int
-    compressed_size: int
-
-
 class DedupEngine:
     """Functional dedup state with per-operation cycle costs."""
 
@@ -194,10 +186,11 @@ class DedupEngine:
         cycles = (DEFAULT_COSTS.bin_buffer_insert
                   + DEFAULT_COSTS.metadata_update
                   + DEFAULT_COSTS.flush_amortized_per_unique)
+        # The staged value is the one thing a flush reads: the chunk's
+        # compressed size, a plain int the cyclic collector never walks.
         flush = self.bin_buffer.add_view(
             decompose(fingerprint, self._prefix_bytes),
-            _StagedInfo(size=chunk.size,
-                        compressed_size=chunk.compressed_size))
+            chunk.compressed_size)
         batch = self._apply_flush(flush) if flush is not None else None
         return cycles, batch, True
 
@@ -210,7 +203,7 @@ class DedupEngine:
         self.counters[CTR_FLUSHES] += 1
         staged = flush.staged
         self.bin_table.install_views(flush.bin_id, staged)
-        payload = sum(info.compressed_size for _, info in staged)
+        payload = sum(compressed_size for _, compressed_size in staged)
         if self.gpu_index is not None:
             self.gpu_index.install_views(flush.bin_id,
                                          [suffix for suffix, _ in staged])

@@ -29,6 +29,12 @@ QUERY_BYTES = 20
 RESULT_BYTES = 8
 
 
+_NO_SUFFIXES = np.empty(0, dtype=np.uint64)
+_NO_SUFFIXES.flags.writeable = False
+#: ``(lo, hi, count)`` of a bin the table lacks, shared by every launch.
+_EMPTY_BIN = (_NO_SUFFIXES, _NO_SUFFIXES, 0)
+
+
 @dataclass(slots=True)
 class LookupBatch:
     """A batch of fingerprint lookups, one per GPU thread."""
@@ -81,10 +87,7 @@ class BinLookupKernel(Kernel):
 
     def _bin_view(self, bin_id: int) -> tuple[np.ndarray, np.ndarray, int]:
         entry = self.table.get(int(bin_id))
-        if entry is None:
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.uint64), 0)
-        return entry
+        return _EMPTY_BIN if entry is None else entry
 
     def execute(self) -> np.ndarray:
         """Return an i8 array of slot numbers (-1 for miss) per query."""

@@ -98,7 +98,7 @@ class Request(Event):
 
     def _grant(self) -> None:
         """Take the slot the resource just assigned, and fire."""
-        self.resource.users.append(self)
+        self.resource.users[self] = None
         self.granted = True
         self.succeed()
 
@@ -121,12 +121,15 @@ class Hold(Event):
     back in the pool.  Until granted it waits in the resource's own
     queue, in strict arrival order with :class:`Request` users.  A
     granted hold is anonymous: counted, never listed in
-    ``Resource.users``.
+    ``Resource.users``.  Its value, handed to whoever waits on it, is
+    the ``value`` it was created with: per-hold state for a completion
+    hook bound once, not captured by a closure per hold.
     """
 
-    __slots__ = ("resource", "delay", "granted_at")
+    __slots__ = ("resource", "delay", "granted_at", "_result")
 
-    def __init__(self, resource: "Resource", delay: float):
+    def __init__(self, resource: "Resource", delay: float,
+                 value: Any = None):
         # Event.__init__ inlined: one hold per CPU charge makes this the
         # hottest allocation site of a descriptor-mode run.
         self.env = resource.env
@@ -139,13 +142,14 @@ class Hold(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
+        self._result = value
         #: Simulated time the slot was granted; None while waiting.
         self.granted_at: Optional[float] = None
 
     def _grant(self) -> None:
         """Start the timed hold on the slot the resource just assigned."""
         self.resource._fast_held += 1
-        self._value = None
+        self._value = self._result
         env = self.env
         self.granted_at = env._now
         env._eid += 1
@@ -169,7 +173,8 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self.users: list[Request] = []
+        #: Granted requests, in grant order; a dict so release is O(1).
+        self.users: dict[Request, None] = {}
         #: Waiters (requests and holds) in grant order.
         self.queue: deque[Event] = deque()
         #: Slots held anonymously by granted :class:`Hold` events.
@@ -191,13 +196,13 @@ class Resource:
     def release(self, request: Request) -> None:
         """Return a granted slot to the pool."""
         try:
-            self.users.remove(request)
-        except ValueError:
+            del self.users[request]
+        except KeyError:
             raise ResourceError(
                 f"{self.name}: releasing a request that is not granted")
         self._vacate()
 
-    def hold(self, delay: float) -> Hold:
+    def hold(self, delay: float, value: Any = None) -> Hold:
         """Acquire a slot, keep it ``delay``, release: ONE yieldable event.
 
         The replacement for ``request()`` + ``timeout(delay)`` +
@@ -210,11 +215,12 @@ class Resource:
             yield cpu_threads.hold(work_seconds)
 
         A hold cannot be cancelled: once admitted it occupies the slot
-        for the full delay.
+        for the full delay.  Like ``Environment.timeout(delay, value)``,
+        the event fires with ``value``.
         """
         if delay < 0:
             raise ResourceError(f"{self.name}: negative hold {delay!r}")
-        hold = Hold(self, delay)
+        hold = Hold(self, delay, value)
         # _admit and _vacate are inlined here and in _hold_expired: one
         # hold per CPU charge makes these the hottest resource paths.
         if self.queue or \

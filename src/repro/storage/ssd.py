@@ -33,7 +33,7 @@ from repro.obs.stages import (
     TRACK_SSD,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Event, Hold, Resource
 from repro.storage.block import BlockRequest, RequestKind
 
 
@@ -83,10 +83,16 @@ class SsdModel:
 
     def __init__(self, env: Environment, tracer: Tracer = NULL_TRACER):
         self.env = env
-        self.spec = SAMSUNG_SSD_830
+        self.spec = spec = SAMSUNG_SSD_830
         self.tracer = tracer
-        self.channels = Resource(env, capacity=self.spec.channels,
+        self.channels = Resource(env, capacity=spec.channels,
                                  name="ssd-channels")
+        # The spec is frozen: read its derived times once, not per request.
+        self._page_bytes = spec.page_bytes
+        self._page_program_s = spec.page_program_s
+        self._page_read_s = spec.page_read_s
+        #: The one completion hook every write's hold carries.
+        self._on_written = self._written
         # -- statistics --
         self.host_bytes_written = 0
         self.host_bytes_read = 0
@@ -96,15 +102,12 @@ class SsdModel:
 
     # -- timing helpers ------------------------------------------------------
 
-    def _pages(self, size: int) -> int:
-        return -(-size // self.spec.page_bytes)  # ceil division
-
     def service_time(self, request: BlockRequest) -> float:
         """Channel occupancy time for one request."""
-        pages = self._pages(request.size)
-        page_time = (self.spec.page_program_s
+        pages = -(-request.size // self._page_bytes)  # ceil division
+        page_time = (self._page_program_s
                      if request.kind is RequestKind.WRITE
-                     else self.spec.page_read_s)
+                     else self._page_read_s)
         # Sequential streams let the firmware pipeline page programs
         # slightly better than scattered ones.
         efficiency = 1.0 if request.sequential else 1.05
@@ -146,30 +149,38 @@ class SsdModel:
         """Execute a write on one channel; returns its completion event.
 
         No process is needed: one channel hold for the service time,
-        with the statistics booked as the hold expires.
-        Fire-and-forget callers (destage) simply drop the event.
+        whose value is the byte count, with the statistics booked by
+        :meth:`_written` as the hold expires.  A queued write is thus
+        the hold and its callback list and nothing else; the span
+        closure exists only when tracing is on.  Fire-and-forget
+        callers (destage) simply drop the event.
         """
         if request.kind is not RequestKind.WRITE:
             raise ConfigError(f"write() got a {request.kind.name} request")
         request.validate_against(self.spec.capacity_bytes)
-        submitted = self.env.now
-        done = self.channels.hold(self.service_time(request))
+        size = request.size
+        done = self.channels.hold(self.service_time(request), size)
+        done.callbacks.append(self._on_written)
+        if self.tracer.enabled:
+            submitted = self.env.now
+            sequential = request.sequential
 
-        def completed(_done: Event) -> None:
-            if self.tracer.enabled:
+            def traced(written: Hold) -> None:
                 self.tracer.record(
                     STAGE_SSD_WRITE, None, start=submitted,
-                    queue_wait=done.granted_at - submitted,
+                    queue_wait=written.granted_at - submitted,
                     resource=TRACK_SSD,
-                    attrs={"bytes": request.size,
-                           "sequential": request.sequential})
-            self.requests_completed += 1
-            self.host_bytes_written += request.size
-            self.nand_bytes_written += \
-                self._pages(request.size) * self.spec.page_bytes
+                    attrs={"bytes": size, "sequential": sequential})
 
-        done.callbacks.append(completed)
+            done.callbacks.append(traced)
         return done
+
+    def _written(self, done: Event) -> None:
+        size = done.value
+        self.requests_completed += 1
+        self.host_bytes_written += size
+        self.nand_bytes_written += \
+            -(-size // self._page_bytes) * self._page_bytes
 
     # -- reporting --------------------------------------------------------
 

@@ -671,7 +671,7 @@ class ReferenceCharge(Request):
         super().__init__(resource)
 
     def _grant(self) -> None:
-        self.resource.users.append(self)
+        self.resource.users[self] = None
         self.granted = True
         Timeout(self.env, self._delay).callbacks.append(self._finished)
 

@@ -239,6 +239,23 @@ def test_hold_hands_the_slot_on_before_the_holder_resumes():
                     ("second granted at", 1.0)]
 
 
+def test_hold_hands_its_value_to_the_waiter_granted_or_queued():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    got = []
+
+    def holder(name, *value):
+        got.append((name, (yield res.hold(1.0, *value)), env.now))
+
+    env.process(holder("at once", 4096))
+    env.process(holder("queued", "payload"))
+    env.process(holder("no value"))
+    env.run()
+    assert got == [("at once", 4096, 1.0), ("queued", "payload", 2.0),
+                   ("no value", None, 3.0)]
+    env.finish_check()
+
+
 def test_hold_rejects_a_negative_delay():
     env = Environment()
     res = Resource(env, capacity=1, name="pool")
