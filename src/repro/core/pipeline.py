@@ -527,10 +527,10 @@ class ReductionPipeline:
         if self.tenancy is not None:
             for entries in self.tenancy.compaction.drain():
                 self._spawn_compaction(entries)
-        # Let stragglers (destage writes, batcher shutdown) settle for
-        # reporting, without extending the measured duration, then
-        # check the run wound down cleanly: no live processes, no
-        # scheduled events, no held resource slots.
+        # Let stragglers (compaction, batcher shutdown; destage writes
+        # are ledger bookings) settle for reporting, without extending
+        # the measured duration, then check the run wound down cleanly:
+        # no live processes, no scheduled events, no held resource slots.
         self.env.run()
         self.env.finish_check()
         return self._report(duration, counters)
@@ -570,7 +570,9 @@ class ReductionPipeline:
         """Export every subsystem's counters into one namespaced registry.
 
         Idempotent: absorbing the same live counters twice only applies
-        the delta, so the registry can be re-published mid-run.
+        the delta, so the registry can be re-published mid-run.  The
+        SSD's counters are booked at submit, so a mid-run publish counts
+        requests still in flight as completed.
         """
         registry = registry if registry is not None else MetricsRegistry()
         registry.absorb_counters("pipeline", {

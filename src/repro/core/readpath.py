@@ -81,7 +81,7 @@ class ReadPipeline:
                 self._bytes_served += record.size
                 return
             # Fetch the stored (compressed) extent.
-            yield from self.ssd.submit(BlockRequest(
+            yield self.ssd.read(BlockRequest(
                 RequestKind.READ, 0, record.compressed_size))
             # Decompress when the chunk was stored compressed.
             if record.compressed_size < record.size:

@@ -126,7 +126,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -138,7 +138,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self.delay = delay
         env._eid += 1
         if delay == 0.0:
             env._normal.append((env._eid, self))
@@ -385,6 +384,18 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` time units."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float) -> Timeout:
+        """A :class:`Timeout` firing at the instant ``when`` itself, not
+        at ``now + (when - now)``, which may round to a neighbour."""
+        if when < self._now:
+            raise SimulationError(f"timeout at {when!r} is in the past")
+        timeout = Timeout.__new__(Timeout)
+        Event.__init__(timeout, self)
+        timeout._value = None
+        self._eid += 1
+        heapq.heappush(self._queue, (when, NORMAL, self._eid, timeout))
+        return timeout
 
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a process starting now."""

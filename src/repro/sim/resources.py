@@ -1,11 +1,11 @@
 """Shared-resource primitives for the simulation engine.
 
 :class:`Resource` models a counted resource (CPU hardware threads, the GPU
-command queue, SSD channels) with FIFO granting, claimed either with an
-explicit :class:`Request` or — when the slot is simply kept for a known
-time — with a one-event :class:`Hold`.  It records enough history to
-report time-weighted utilization, which the benchmark harness surfaces
-as "CPU utilization" / "GPU utilization" in the paper-style reports.
+command queue) with FIFO granting, claimed either with an explicit
+:class:`Request` or — when the slot is simply kept for a known time —
+with a one-event :class:`Hold`.  Its :class:`UtilizationMonitor` keeps
+the time-weighted occupancy the reports surface as "CPU utilization" /
+"GPU utilization"; the SSD's channel ledger books into one too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ class UtilizationMonitor:
     """Time-weighted occupancy accounting for a counted resource.
 
     Area = ``level·end − Σ delta·t``, the sum kept exact as Shewchuk
-    partials (``delta`` is ±1), so it depends only on the level curve.
+    partials (``delta`` is ±1), so it depends only on the level curve;
+    :meth:`book` adds a whole interval's two terms at once.
     """
 
     __slots__ = ("_env", "_capacity", "_level", "_partials", "_start")
@@ -38,7 +39,14 @@ class UtilizationMonitor:
     def change(self, delta: int) -> None:
         """Record the occupancy changing by ``delta`` at the current time."""
         self._level += delta
-        x = -delta * self._env._now
+        self._add(-delta * self._env._now)
+
+    def book(self, start: float, end: float) -> None:
+        """``change(+1)`` at ``start``, ``change(-1)`` at ``end``, at once."""
+        self._add(end)
+        self._add(-start)
+
+    def _add(self, x: float) -> None:
         partials = self._partials
         i = 0
         for y in partials:
@@ -121,15 +129,12 @@ class Hold(Event):
     back in the pool.  Until granted it waits in the resource's own
     queue, in strict arrival order with :class:`Request` users.  A
     granted hold is anonymous: counted, never listed in
-    ``Resource.users``.  Its value, handed to whoever waits on it, is
-    the ``value`` it was created with: per-hold state for a completion
-    hook bound once, not captured by a closure per hold.
+    ``Resource.users``.
     """
 
-    __slots__ = ("resource", "delay", "granted_at", "_result")
+    __slots__ = ("resource", "delay")
 
-    def __init__(self, resource: "Resource", delay: float,
-                 value: Any = None):
+    def __init__(self, resource: "Resource", delay: float):
         # Event.__init__ inlined: one hold per CPU charge makes this the
         # hottest allocation site of a descriptor-mode run.
         self.env = resource.env
@@ -142,16 +147,12 @@ class Hold(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        self._result = value
-        #: Simulated time the slot was granted; None while waiting.
-        self.granted_at: Optional[float] = None
 
     def _grant(self) -> None:
         """Start the timed hold on the slot the resource just assigned."""
         self.resource._fast_held += 1
-        self._value = self._result
+        self._value = None
         env = self.env
-        self.granted_at = env._now
         env._eid += 1
         if self.delay == 0.0:
             env._normal.append((env._eid, self))
@@ -202,7 +203,7 @@ class Resource:
                 f"{self.name}: releasing a request that is not granted")
         self._vacate()
 
-    def hold(self, delay: float, value: Any = None) -> Hold:
+    def hold(self, delay: float) -> Hold:
         """Acquire a slot, keep it ``delay``, release: ONE yieldable event.
 
         The replacement for ``request()`` + ``timeout(delay)`` +
@@ -215,12 +216,11 @@ class Resource:
             yield cpu_threads.hold(work_seconds)
 
         A hold cannot be cancelled: once admitted it occupies the slot
-        for the full delay.  Like ``Environment.timeout(delay, value)``,
-        the event fires with ``value``.
+        for the full delay.
         """
         if delay < 0:
             raise ResourceError(f"{self.name}: negative hold {delay!r}")
-        hold = Hold(self, delay, value)
+        hold = Hold(self, delay)
         # _admit and _vacate are inlined here and in _hold_expired: one
         # hold per CPU charge makes these the hottest resource paths.
         if self.queue or \

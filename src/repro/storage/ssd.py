@@ -6,7 +6,10 @@ paper quotes, and ~520 MB/s reads.
 
 The model is deliberately structural rather than a flat rate limiter:
 
-* the device has N independent channels (a :class:`~repro.sim.Resource`);
+* the device has N independent channels, served first come first served
+  off a ledger of the instants each falls free: a request starts at
+  ``max(now, earliest free)``, so its interval is known at submit — a
+  write is a booking and no event, a read a booking and one timeout;
 * one request occupies one channel for ``per_io_overhead + pages x
   page_time``, where ``page_time`` is the NAND program/read time *per
   page per channel* — derived from the rated sequential bandwidth so the
@@ -23,8 +26,9 @@ writes the reduced data once.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.obs.stages import (
@@ -33,7 +37,7 @@ from repro.obs.stages import (
     TRACK_SSD,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment, Event, Hold, Resource
+from repro.sim import Environment, Timeout, UtilizationMonitor
 from repro.storage.block import BlockRequest, RequestKind
 
 
@@ -85,15 +89,15 @@ class SsdModel:
         self.env = env
         self.spec = spec = SAMSUNG_SSD_830
         self.tracer = tracer
-        self.channels = Resource(env, capacity=spec.channels,
-                                 name="ssd-channels")
+        #: The ledger: a heap of ``[free at, busy since]`` per channel.  A
+        #: channel's back-to-back bookings telescope into one busy run.
+        self._ledger = [[env.now, env.now] for _ in range(spec.channels)]
+        self.monitor = UtilizationMonitor(env, spec.channels)
         # The spec is frozen: read its derived times once, not per request.
         self._page_bytes = spec.page_bytes
         self._page_program_s = spec.page_program_s
         self._page_read_s = spec.page_read_s
-        #: The one completion hook every write's hold carries.
-        self._on_written = self._written
-        # -- statistics --
+        # -- statistics, counted at booking: mid-run, in-flight too --
         self.host_bytes_written = 0
         self.host_bytes_read = 0
         #: Actual NAND program volume: the endurance metric.
@@ -113,80 +117,62 @@ class SsdModel:
         efficiency = 1.0 if request.sequential else 1.05
         return self.spec.per_io_overhead_s + pages * page_time * efficiency
 
-    # -- simulation process ----------------------------------------------------
+    # -- requests ------------------------------------------------------------
 
-    def submit(self, request: BlockRequest) -> Generator:
-        """Process body: execute a read on one channel.
-
-        Usage::
-
-            yield from ssd.submit(BlockRequest(RequestKind.READ, 0, 4096))
-
-        Writes go through :meth:`write`.
-        """
-        if request.kind is RequestKind.WRITE:
-            raise ConfigError("submit() takes reads; "
-                              "use write() for a WRITE request")
-        request.validate_against(self.spec.capacity_bytes)
-        traced = self.tracer.enabled
-        if traced:
-            submitted = self.env.now
-        with self.channels.request() as req:
-            yield req
-            if traced:
-                granted = self.env.now
-            yield self.env.timeout(self.service_time(request))
-        if traced:
-            self.tracer.record(
-                STAGE_SSD_READ, None, start=submitted,
-                queue_wait=granted - submitted, resource=TRACK_SSD,
-                attrs={"bytes": request.size,
-                       "sequential": request.sequential})
-        self.requests_completed += 1
-        self.host_bytes_read += request.size
-
-    def write(self, request: BlockRequest) -> Event:
-        """Execute a write on one channel; returns its completion event.
-
-        No process is needed: one channel hold for the service time,
-        whose value is the byte count, with the statistics booked by
-        :meth:`_written` as the hold expires.  A queued write is thus
-        the hold and its callback list and nothing else; the span
-        closure exists only when tracing is on.  Fire-and-forget
-        callers (destage) simply drop the event.
-        """
+    def write(self, request: BlockRequest) -> float:
+        """Book a write; returns its completion instant, no event (a
+        caller that waits yields ``env.timeout_at(instant)``)."""
         if request.kind is not RequestKind.WRITE:
             raise ConfigError(f"write() got a {request.kind.name} request")
-        request.validate_against(self.spec.capacity_bytes)
+        end = self._book(request, STAGE_SSD_WRITE)
         size = request.size
-        done = self.channels.hold(self.service_time(request), size)
-        done.callbacks.append(self._on_written)
-        if self.tracer.enabled:
-            submitted = self.env.now
-            sequential = request.sequential
-
-            def traced(written: Hold) -> None:
-                self.tracer.record(
-                    STAGE_SSD_WRITE, None, start=submitted,
-                    queue_wait=written.granted_at - submitted,
-                    resource=TRACK_SSD,
-                    attrs={"bytes": size, "sequential": sequential})
-
-            done.callbacks.append(traced)
-        return done
-
-    def _written(self, done: Event) -> None:
-        size = done.value
-        self.requests_completed += 1
         self.host_bytes_written += size
         self.nand_bytes_written += \
             -(-size // self._page_bytes) * self._page_bytes
+        return end
+
+    def read(self, request: BlockRequest) -> Timeout:
+        """Book a read; returns the timeout that fires as it completes:
+        ``yield ssd.read(BlockRequest(RequestKind.READ, 0, 4096))``."""
+        if request.kind is RequestKind.WRITE:
+            raise ConfigError("read() got a WRITE request; use write()")
+        end = self._book(request, STAGE_SSD_READ)
+        self.host_bytes_read += request.size
+        return self.env.timeout_at(end)
+
+    def _book(self, request: BlockRequest, stage: str) -> float:
+        """Take the earliest-free channel; returns the end instant."""
+        request.validate_against(self.spec.capacity_bytes)
+        submitted = self.env.now
+        channel = self._ledger[0]
+        start = channel[0]
+        if start < submitted:  # the channel idled: its run ended at start
+            if channel[1] < start:
+                self.monitor.book(channel[1], start)
+            start = channel[1] = submitted
+        end = channel[0] = start + self.service_time(request)
+        heapq.heapreplace(self._ledger, channel)  # sift the head back down
+        self.requests_completed += 1
+        if self.tracer.enabled:
+            self.tracer.record(
+                stage, None, start=submitted, end=end,
+                queue_wait=start - submitted, resource=TRACK_SSD,
+                attrs={"bytes": request.size,
+                       "sequential": request.sequential})
+        return end
 
     # -- reporting --------------------------------------------------------
 
     def utilization(self, until: Optional[float] = None) -> float:
-        """Mean fraction of channels busy."""
-        return self.channels.monitor.utilization(until)
+        """Booked channel-seconds ÷ (channels × time to ``until``): a
+        demand ratio, not the fraction of channels busy — a booking that
+        runs past ``until`` counts in full, so it can exceed 1."""
+        for channel in self._ledger:
+            if channel[1] < channel[0]:  # book the open run up to here
+                self.monitor.book(channel[1], channel[0])
+                channel[1] = channel[0]
+        heapq.heapify(self._ledger)
+        return self.monitor.utilization(until)
 
     def __repr__(self) -> str:
         return (f"<SsdModel {self.spec.name}: "

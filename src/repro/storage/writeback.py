@@ -5,7 +5,8 @@ bin buffer each stored chunk is its own write.  Destage is asynchronous
 and does not backpressure the reduction path: the paper measures
 reduction throughput against the SSD as a *yardstick*, not a
 destage-limited figure (its dedup result is 3x the SSD's own rate,
-which is only possible on those terms).
+which is only possible on those terms).  So a destage write is a
+booking on the SSD's channel ledger and never a calendar entry.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ class WriteBack:
         self.bytes = 0
 
     def submit(self, nbytes: int, sequential: bool) -> None:
-        """One asynchronous SSD write (a plain call, not a process);
+        """Book one asynchronous SSD write (a plain call, not a process);
         ``nbytes <= 0`` raises :class:`~repro.errors.BlockRangeError`."""
-        written = self.ssd.write(BlockRequest(
+        end = self.ssd.write(BlockRequest(
             RequestKind.WRITE, 0, nbytes, sequential=sequential))
         self.batches += 1
         self.bytes += nbytes
         if self.tracer.enabled:
-            start = self.env.now
-            written.callbacks.append(lambda _written: self.tracer.record(
-                STAGE_DESTAGE, None, start=start, resource=TRACK_DESTAGE,
-                attrs={"bytes": nbytes, "sequential": sequential}))
+            self.tracer.record(
+                STAGE_DESTAGE, None, start=self.env.now, end=end,
+                resource=TRACK_DESTAGE,
+                attrs={"bytes": nbytes, "sequential": sequential})
 
     def drain(self, batches: list) -> None:
         """Destage the batches still staged at shutdown, one write each:
@@ -48,7 +49,7 @@ class WriteBack:
             self.submit(batch.payload_bytes, sequential=True)
 
     def window(self, duration: float) -> dict:
-        """The report's back-end fields, read after the drain has settled.
+        """The report's back-end fields, the drain's writes booked too.
 
         ``ssd_utilization`` is thus the SSD work the run caused ÷ the
         front-end ``duration``: a demand ratio, above 1 when destage

@@ -23,6 +23,10 @@ imports this.
   timeout per item and one ``succeed()`` per waiter; a charge as a
   queued request whose grant starts a timeout; a destage write as a
   process that requests a channel, times out and books the write;
+* :func:`reference_ssd_serve` — any SSD request as that process, on
+  a channel ``Resource`` the oracle owns: the FIFO schedule the SSD's
+  channel ledger books at submit must equal instant for instant
+  (``test_schedule_equivalence``, ``test_event_cycles``);
 * :class:`PreallocatedGpuBins` — the GPU bin index with every bin
   zero-filled at ``bin_capacity`` from its first entry, one insert at
   a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
@@ -62,6 +66,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import weakref
 from collections import deque
 from typing import Any, Generator, Optional
 
@@ -77,11 +82,12 @@ from repro.dedup.index_base import check_fingerprint
 from repro.errors import ConfigError, ResourceError
 from repro.errors import DedupError
 from repro.gpu.kernels.indexing import LookupBatch
-from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_WRITE, TRACK_DESTAGE,
-                              TRACK_SSD)
-from repro.sim import Event, Request, Timeout
+from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_READ, STAGE_SSD_WRITE,
+                              TRACK_DESTAGE, TRACK_SSD)
+from repro.sim import Event, Request, Resource, Timeout
 from repro.sim.engine import _Condition
 from repro.storage.block import BlockRequest, RequestKind
+from repro.storage.ssd import SsdModel
 from repro.storage.writeback import WriteBack
 from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
@@ -687,34 +693,64 @@ def reference_charge(cpu: SimCpu, cycles: float) -> Event:
     return ReferenceCharge(cpu.threads, delay)
 
 
+#: The oracle's own 8-slot channel ``Resource`` per SSD, made on first use.
+_CHANNELS: "weakref.WeakKeyDictionary[SsdModel, Resource]" = \
+    weakref.WeakKeyDictionary()
+
+
+def reference_ssd_channels(ssd: SsdModel) -> Resource:
+    """The FIFO channel ``Resource`` the oracle serves ``ssd``'s
+    requests on, in place of the SSD's own ledger."""
+    channels = _CHANNELS.get(ssd)
+    if channels is None:
+        channels = _CHANNELS[ssd] = Resource(
+            ssd.env, capacity=ssd.spec.channels, name="ssd-channels")
+    return channels
+
+
+def reference_ssd_serve(ssd: SsdModel, request: BlockRequest) -> Generator:
+    """Process body: one SSD request as the calendar serves it — a
+    channel request, a service-time timeout — then booked into ``ssd``
+    (interval, counters, span) once it has completed."""
+    request.validate_against(ssd.spec.capacity_bytes)
+    env = ssd.env
+    submitted = env.now
+    with reference_ssd_channels(ssd).request() as slot:
+        yield slot
+        granted = env.now
+        yield env.timeout(ssd.service_time(request))
+    ssd.monitor.book(granted, env.now)
+    ssd.requests_completed += 1
+    size = request.size
+    if request.kind is RequestKind.WRITE:
+        stage = STAGE_SSD_WRITE
+        ssd.host_bytes_written += size
+        ssd.nand_bytes_written += \
+            -(-size // ssd.spec.page_bytes) * ssd.spec.page_bytes
+    else:
+        stage = STAGE_SSD_READ
+        ssd.host_bytes_read += size
+    if ssd.tracer.enabled:
+        ssd.tracer.record(
+            stage, None, start=submitted, queue_wait=granted - submitted,
+            resource=TRACK_SSD,
+            attrs={"bytes": size, "sequential": request.sequential})
+
+
 def reference_writeback_submit(writeback: WriteBack, nbytes: int,
                                sequential: bool) -> None:
     """``WriteBack.submit`` as one process per write: a channel
     request, a service-time timeout, then the SSD's booking."""
-    ssd = writeback.ssd
     request = BlockRequest(RequestKind.WRITE, 0, nbytes,
                            sequential=sequential)
-    request.validate_against(ssd.spec.capacity_bytes)
+    request.validate_against(writeback.ssd.spec.capacity_bytes)
     writeback.batches += 1
     writeback.bytes += nbytes
 
     def destage() -> Generator:
         with writeback.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
                                    bytes=nbytes, sequential=sequential):
-            submitted = ssd.env.now
-            with ssd.channels.request() as slot:
-                yield slot
-                granted = ssd.env.now
-                yield ssd.env.timeout(ssd.service_time(request))
-            if ssd.tracer.enabled:
-                ssd.tracer.record(
-                    STAGE_SSD_WRITE, None, start=submitted,
-                    queue_wait=granted - submitted, resource=TRACK_SSD,
-                    attrs={"bytes": nbytes, "sequential": sequential})
-            ssd.requests_completed += 1
-            ssd.host_bytes_written += nbytes
-            ssd.nand_bytes_written += \
-                -(-nbytes // ssd.spec.page_bytes) * ssd.spec.page_bytes
+            yield from reference_ssd_serve(writeback.ssd, request)
 
     writeback.env.process(destage())
 

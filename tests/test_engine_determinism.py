@@ -62,16 +62,17 @@ def test_identical_seeds_identical_schedules():
 #: sha256 of each mode's dispatch trace (512 chunks, seed 1234), one
 #: ``"{time!r} {event type}\n"`` line per processed event.  Comparing a
 #: run with itself cannot see a hot-path cut that reorders a tie the
-#: same way every time; this pin can.
+#: same way every time; this pin can.  A destage write is a booking on
+#: the SSD's channel ledger, not an event, so none appears in a trace.
 DISPATCH_TRACE_SHA256 = {
     "cpu_only":
-        "b9e0ec394a825b9f6e485d8cc3af263b0894bc670c6aa1b714231a1839b1df6d",
+        "a45922e981d3ce3fbfe31f18247e5b2666a21dcaaac3d45516573cf6ef16aed2",
     "gpu_dedup":
-        "fcbacea607c14da3dac9d6f735df42d00f7e8b5e2cc5558d09cb54891e576546",
+        "674e177f943f083f3f729e45ac2438337362014cf820b40ab1625ee293b280c7",
     "gpu_comp":
-        "adb2d1a81264852e59c2981b4b37df3a44d885df3378973b8e90b807737994b6",
+        "7965e8527f2ebff07633a6ec69f18d092b9ddf361c8c9326517e6e7548ee5fda",
     "gpu_both":
-        "1d181bb8be5d83c3368e95223e1caf9c4679482e8e3b973c0173d964617bfd0e",
+        "cb06b971fb88275289f443cc5269b8c003d7fd9e659597aa0daf52cc964c60b1",
 }
 
 

@@ -433,6 +433,26 @@ class TestPublishMetrics:
                 <= launched
 
 
+    def test_tenant_mix_destage_is_no_calendar_entry(self):
+        """Prioritized tenancy destages every stored chunk on its own,
+        one SSD write per chunk: a booking on the channel ledger, so
+        the run stays under 5 entries per chunk (it was ~5.6 with the
+        write a channel hold)."""
+        from repro.core.calibration import run_stream
+        from repro.tenancy import TenantMixStream
+        from tests.test_pipeline_identity import MIX_CACHE, example_mix
+
+        config = PipelineConfig(mode=IntegrationMode.GPU_COMP,
+                                tenancy_policy="prioritized",
+                                tenancy_cache_entries=MIX_CACHE)
+        pipeline, report = run_stream(TenantMixStream(example_mix()),
+                                      1024, config)
+        registry = pipeline.publish_metrics()
+        assert registry.value("pipeline.destage_batches") \
+            == report.chunks == 1024
+        events = registry.value("sim.events_scheduled")
+        assert 3 * report.chunks < events < 5 * report.chunks
+
     def test_lockstep_census_keeps_the_scalar_scan_rare(self):
         """The guard against the per-position scalar path creeping back
         into the GPU LZ kernel, with no wall clock in it: on the vdbench

@@ -153,25 +153,27 @@ TRACED_RUNS = {
 #: Traced tenant-mix runs (GPU_BOTH, 1024 chunks) by admission policy.
 TRACED_MIX_POLICIES = ("shared_lru", "prioritized")
 
+#: sha256 of each traced run's span list, in record order: SSD-write and
+#: destage spans are recorded when the write is booked, not when it ends.
 TRACE_SHA256 = {
     "gpu_both":
-        "c26793502b0978e10fbac66f98c518b5e68850f5b69a06d2586583d3780fdbf1",
+        "b7bbc1f2559614accc650e7b22fb94607aefc0abfd545e2053f0983e788bd2d9",
     "dedup_off_cpu_only":
-        "057053435e2179e519ed5091f2d38e1eebc0283b69e32d7700325ce2997a0eb2",
+        "73de956f487cba4a50b1021a5ac51cea63e3e7892def1fcae3655806df57e6a8",
     "dedup_off_gpu_comp":
-        "d69841ca787e230e77a6aae4c932bc29c4c931fa0f02efe746bf6d677e45e2e1",
+        "302a89556c52622b0207c38a217f5e804c9fe8334c21e400ce3e6291985798f7",
     "global_lock":
-        "6db006dadb7dab10ab14667256560e3fd2022ae9cf3e4bad283fe5f6d577a94c",
+        "cac2633622740f52eb5fc6a49fa90ab2bfcdf9d30532e208ee208a2ebce96df3",
     "small_bins_gpu_dedup":
-        "74334ae3fa8d4713b767a09fef1dacc34ee4e2ffd8391ad8babce72dc4f63668",
+        "58eaa2ab66d249a932fbc960c4377c161a20805b44b1be8ab71d59eb77687cfc",
     "small_window_gpu_both":
-        "8c44aa30c864ac2d6ee0373228c4fd632507bdb26d9894f546d63a6697d88941",
+        "791ceaa47896f298ee97df6839ea1b18e83d093a04691b7ac6ed83c462f657a1",
     "small_window_cpu_only":
-        "e1206b0bf33932c18bff8a8e31ebe3ef12f577aee0f5135525b8f40ca8988f4a",
+        "41b201edf51e2a45aa1049f19637cc6c8df33213245f7851860d74e817a2e944",
     "shared_lru":
-        "3e1c93e0c25da9ba8ec0c417fe12edab6e6a456d4a1fc7c0df8e68219d66771d",
+        "76ba58fc5cad7d3489b360e0d74997faa21c20b41416cb461a9e18786bda72da",
     "prioritized":
-        "c7c9dd84be04fc8e2d4fb4312f9c18e71a004f9d194f1136a00b22e8f306d14b",
+        "fa36cf53d9fdbaa73cc9a7c650cce4b46ef0ca94b4a1f24926c5dc23f39e663a",
 }
 
 

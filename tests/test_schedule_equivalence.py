@@ -2,12 +2,18 @@
 
 The production pipeline runs a CPU charge as one ``Resource.hold``, a
 GPU batch as one dispatcher wake-up plus one fan-out entry, and a
-destage write as one channel hold.  ``tests/reference_paths.py`` keeps
-the event-per-step formulations of all three (inbox ``Store`` +
-``AnyOf`` + per-get timeout, request-then-timeout charge, one process
-per SSD write).  Both wirings must admit and complete every chunk at
-the same simulated instants and produce the same report — the removed
-entries were hops nobody listened to, not simulated work.
+destage write as a booking on the SSD's channel ledger, with no entry
+at all.  ``tests/reference_paths.py`` keeps the event-per-step
+formulations of all three (inbox ``Store`` + ``AnyOf`` + per-get
+timeout, request-then-timeout charge, one process per SSD request on
+a channel ``Resource``).  Both wirings must admit and complete every
+chunk at the same simulated instants and produce the same report — the
+removed entries were hops nobody listened to, not simulated work — and
+the same spans: in the same order, except the SSD-write and destage
+spans, which the ledger records at booking and the oracle at
+completion, so they are compared as sorted multisets.  A hypothesis
+property holds the ledger to the oracle request by request, reads and
+writes mixed on one device.
 
 Also here: ``Resource.hold`` against the ``request()`` + ``timeout()``
 script it replaces (hypothesis), busy time that depends on the level
@@ -26,11 +32,14 @@ from repro.core.modes import IntegrationMode
 from repro.errors import SanitizerError
 from repro.gpu import GpuDevice
 from repro.obs import SimTracer
-from repro.obs.stages import STAGE_CHUNK
+from repro.obs.stages import STAGE_CHUNK, STAGE_DESTAGE, STAGE_SSD_WRITE
 from repro.sim import Environment, Resource
 from repro.tenancy import TenantMix, TenantSpec
 from repro.tenancy.runner import run_tenant_mix
-from tests.reference_paths import reference_wiring
+from repro.storage.block import BlockRequest, RequestKind
+from repro.storage.ssd import SsdModel
+from tests.reference_paths import (reference_ssd_channels,
+                                   reference_ssd_serve, reference_wiring)
 from tests.test_pipeline import _make_batcher
 
 CHUNKS = 640
@@ -44,12 +53,15 @@ VARIANTS = {
     "paced": {"arrival_rate_iops": 90_000.0},
     "deadlines": {"gpu_batch_wait_s": 2e-5},
 }
+#: Spans recorded when a write is booked, not when it completes.
+BOOKED_STAGES = (STAGE_DESTAGE, STAGE_SSD_WRITE)
 WORKLOADS = [mode.value for mode in IntegrationMode.all_modes()] \
     + ["tenant_mix"]
 
 
 def _run(workload: str, variant: str, seed: int):
-    """(per-chunk (seq, admitted, completed), report dict, span list)."""
+    """(per-chunk (seq, admitted, completed), report dict, span list,
+    sorted SSD-write and destage spans)."""
     config = PipelineConfig(**BASE, **VARIANTS[variant])
     tracer = SimTracer()
     if workload == "tenant_mix":
@@ -72,7 +84,12 @@ def _run(workload: str, variant: str, seed: int):
               if s.stage == STAGE_CHUNK]
     spans = [(s.stage, s.chunk_id, s.start, s.end, s.queue_wait,
               s.resource, s.attrs) for s in tracer.spans]
-    return chunks, report, spans
+    # The SSD records a write's spans when it books it, the oracle when
+    # the write completes: the same spans, in another order.
+    booked = sorted((span for span in spans if span[0] in BOOKED_STAGES),
+                    key=repr)
+    return chunks, report, \
+        [span for span in spans if span[0] not in BOOKED_STAGES], booked
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -88,6 +105,7 @@ def test_reference_and_production_wiring_agree(workload, variant,
         assert chunks == reference[0], (workload, variant, seed)
         assert production[1] == reference[1], (workload, variant, seed)
         assert production[2] == reference[2], (workload, variant, seed)
+        assert production[3] == reference[3], (workload, variant, seed)
 
 
 def test_deadline_variant_launches_partial_batches():
@@ -125,9 +143,12 @@ _TICK = 0.1  # not exactly representable: the float paths must agree too
 
 
 def _play(capacity: int, script, use_hold: bool):
-    """Grant time per arrival, and busy time, of one arrival script."""
+    """Release instant per arrival (its grant plus its keep, the same
+    float sum on both paths), busy time, and the grant instant of each
+    arrival served by ``request()``, of one arrival script."""
     env = Environment()
     pool = Resource(env, capacity=capacity, name="pool")
+    released: dict = {}
     granted: dict = {}
 
     def by_request(index, keep):
@@ -135,11 +156,11 @@ def _play(capacity: int, script, use_hold: bool):
             yield req
             granted[index] = env.now
             yield env.timeout(keep)
+            released[index] = env.now
 
     def by_hold(index, keep):
-        hold = pool.hold(keep)
-        yield hold
-        granted[index] = hold.granted_at
+        yield pool.hold(keep)
+        released[index] = env.now
 
     def arrivals():
         for index, (kind, gap, keep) in enumerate(script):
@@ -152,7 +173,7 @@ def _play(capacity: int, script, use_hold: bool):
     env.process(arrivals())
     env.run()
     env.finish_check()
-    return granted, pool.monitor.busy_time()
+    return released, pool.monitor.busy_time(), granted
 
 
 @settings(max_examples=120, deadline=None)
@@ -164,9 +185,10 @@ def _play(capacity: int, script, use_hold: bool):
 def test_hold_is_request_plus_timeout(capacity, script):
     with_holds = _play(capacity, script, use_hold=True)
     all_requests = _play(capacity, script, use_hold=False)
-    assert with_holds == all_requests
+    # Same keep per arrival, same release instant: the same grant.
+    assert with_holds[:2] == all_requests[:2]
     # Strict arrival order: a later arrival is never granted earlier.
-    ordered = [with_holds[0][i] for i in range(len(script))]
+    ordered = [all_requests[2][i] for i in range(len(script))]
     assert ordered == sorted(ordered)
 
 
@@ -208,6 +230,75 @@ def test_busy_time_depends_only_on_the_level_curve(script):
         return pool.monitor.busy_time()
 
     assert play(split=True) == play(split=False)
+
+
+# -- the SSD's channel ledger vs one process per request --------------------
+
+_SSD_REQUEST = st.tuples(
+    st.sampled_from((0, 0, 0, 1, 2, 5, 40)),            # gap, in ticks
+    st.sampled_from(RequestKind),
+    st.one_of(st.sampled_from((1, 4096, 4097, 65536)),
+              st.integers(1, 1 << 20)),                 # bytes
+    st.booleans())                                      # sequential
+#: Lengths drawn uniformly up to 300, so long scripts are common.
+_SSD_SCRIPT = st.integers(1, 300).flatmap(
+    lambda n: st.lists(_SSD_REQUEST, min_size=n, max_size=n))
+_SSD_TICK = 1.7e-5  # a fraction of a page time, not exactly representable
+
+
+def _ssd_play(script, oracle: bool):
+    """Completion instant per request, and the SSD."""
+    env = Environment()
+    ssd = SsdModel(env)
+    if oracle:
+        # Made with the SSD, so both monitors start their clocks together.
+        reference_ssd_channels(ssd)
+    done: dict = {}
+
+    def served(index, request):
+        yield from reference_ssd_serve(ssd, request)
+        done[index] = env.now
+
+    def arrivals():
+        yield env.timeout(_SSD_TICK)  # so there is a "before" to measure
+        for index, (gap, kind, size, sequential) in enumerate(script):
+            if gap:
+                yield env.timeout(gap * _SSD_TICK)
+            request = BlockRequest(kind, 0, size, sequential=sequential)
+            if oracle:
+                env.process(served(index, request))
+            elif kind is RequestKind.WRITE:
+                done[index] = ssd.write(request)
+            else:
+                ssd.read(request).callbacks.append(
+                    lambda _read, index=index: done.__setitem__(
+                        index, env.now))
+
+    env.process(arrivals())
+    env.run()
+    env.finish_check()
+    return done, ssd
+
+
+@settings(max_examples=20, deadline=None)
+@given(script=_SSD_SCRIPT)
+def test_ssd_ledger_is_the_fifo_channel_schedule(script):
+    """Every request ends at the oracle's float instant, the counters
+    agree, and so does utilisation before, inside and after the busy
+    period: the bookings' exact sum is the channel level curve's."""
+    done, ssd = _ssd_play(script, oracle=False)
+    want, oracle = _ssd_play(script, oracle=True)
+    assert done == want
+    counters = [(s.requests_completed, s.host_bytes_written,
+                 s.host_bytes_read, s.nand_bytes_written)
+                for s in (ssd, oracle)]
+    assert counters[0] == counters[1]
+    assert ssd.requests_completed == len(script)
+    last = max(done.values())
+    channels = reference_ssd_channels(oracle).monitor
+    for until in (_SSD_TICK / 2, last / 2, last, 2 * last):
+        assert ssd.utilization(until) == channels.utilization(until)
+        assert ssd.utilization(until) == oracle.utilization(until)
 
 
 # -- the sanitizer still sees what the new primitives can leak ---------------

@@ -36,6 +36,15 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+def test_timeout_at_a_past_instant_rejected():
+    env = Environment(initial_time=2.0)
+    with pytest.raises(SimulationError):
+        env.timeout_at(1.0)
+    fired = env.timeout_at(2.0)
+    env.run()
+    assert fired.processed and env.now == 2.0
+
+
 def test_timeout_value_is_delivered():
     env = Environment()
     got = []

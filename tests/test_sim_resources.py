@@ -200,9 +200,8 @@ def test_hold_is_one_event_and_keeps_fifo_with_requests():
             yield env.timeout(2.0)
 
     def holder(name, keep):
-        hold = res.hold(keep)
-        yield hold
-        log.append((name, "held", hold.granted_at, env.now))
+        yield res.hold(keep)
+        log.append((name, "held", env.now))
 
     env.process(requester("r1"))
     env.process(holder("h1", 3.0))
@@ -211,8 +210,9 @@ def test_hold_is_one_event_and_keeps_fifo_with_requests():
     trace = []
     env._trace = trace
     env.run()
-    assert log == [("r1", "granted", 0.0), ("h1", "held", 2.0, 5.0),
-                   ("r2", "granted", 5.0), ("h2", "held", 7.0, 7.0)]
+    # h1 is granted at 2.0 and h2 at 7.0: each fires after its own delay.
+    assert log == [("r1", "granted", 0.0), ("h1", "held", 5.0),
+                   ("r2", "granted", 5.0), ("h2", "held", 7.0)]
     assert [name for _t, name in trace].count("Hold") == 2
     assert res.count == 0 and res.monitor.busy_time() == 7.0
     env.finish_check()
@@ -228,31 +228,32 @@ def test_hold_hands_the_slot_on_before_the_holder_resumes():
         seen.append(("first resumed, slot count", res.count))
 
     def second():
-        hold = res.hold(1.0)
-        yield hold
-        seen.append(("second granted at", hold.granted_at))
+        yield res.hold(1.0)
+        seen.append(("second resumed at", env.now))
 
     env.process(first())
     env.process(second())
     env.run()
     assert seen == [("first resumed, slot count", 1),
-                    ("second granted at", 1.0)]
+                    ("second resumed at", 2.0)]
 
 
 def test_hold_hands_its_value_to_the_waiter_granted_or_queued():
+    """A hold carries no value: its waiter resumes with ``None``,
+    whether the slot was free at once or came after queueing."""
     env = Environment()
     res = Resource(env, capacity=1)
     got = []
 
-    def holder(name, *value):
-        got.append((name, (yield res.hold(1.0, *value)), env.now))
+    def holder(name):
+        got.append((name, (yield res.hold(1.0)), env.now))
 
-    env.process(holder("at once", 4096))
-    env.process(holder("queued", "payload"))
-    env.process(holder("no value"))
+    env.process(holder("at once"))
+    env.process(holder("queued"))
     env.run()
-    assert got == [("at once", 4096, 1.0), ("queued", "payload", 2.0),
-                   ("no value", None, 3.0)]
+    assert got == [("at once", None, 1.0), ("queued", None, 2.0)]
+    with pytest.raises(TypeError):
+        res.hold(1.0, 4096)
     env.finish_check()
 
 

@@ -62,7 +62,8 @@ class TestSsdModel:
 
         def writer(k):
             for _ in range(k):
-                yield ssd.write(BlockRequest(RequestKind.WRITE, 0, size))
+                yield env.timeout_at(
+                    ssd.write(BlockRequest(RequestKind.WRITE, 0, size)))
 
         streams = concurrency or ssd.spec.channels
         per_stream = n // streams
@@ -101,51 +102,33 @@ class TestSsdModel:
     def test_wear_accounting_rounds_to_pages(self):
         env = Environment()
         ssd = SsdModel(env)
-
-        def proc():
-            yield ssd.write(BlockRequest(RequestKind.WRITE, 0, 100))
-
-        env.process(proc())
-        env.run()
+        ssd.write(BlockRequest(RequestKind.WRITE, 0, 100))
         assert ssd.host_bytes_written == 100
         assert ssd.nand_bytes_written == 4096  # one full page programmed
 
     def test_write_amplification(self):
         env = Environment()
         ssd = SsdModel(env)
-
-        def proc():
-            for _ in range(4):
-                yield ssd.write(BlockRequest(RequestKind.WRITE, 0, 2048))
-
-        env.process(proc())
-        env.run()
+        for _ in range(4):
+            ssd.write(BlockRequest(RequestKind.WRITE, 0, 2048))
         # Half-page writes each program a whole page.
         assert ssd.nand_bytes_written == 2 * (4 * 2048)
 
     def test_out_of_range_rejected(self):
         env = Environment()
         ssd = SsdModel(env)
-
-        def proc():
-            yield ssd.write(BlockRequest(
-                RequestKind.WRITE, SAMSUNG_SSD_830.capacity_bytes, 4096))
-
-        env.process(proc())
         with pytest.raises(BlockRangeError):
-            env.run()
+            ssd.write(BlockRequest(
+                RequestKind.WRITE, SAMSUNG_SSD_830.capacity_bytes, 4096))
+        assert ssd.requests_completed == 0
 
-    def test_submit_rejects_writes(self):
+    def test_read_rejects_writes(self):
         env = Environment()
         ssd = SsdModel(env)
-
-        def proc():
-            yield from ssd.submit(BlockRequest(RequestKind.WRITE, 0, 4096))
-
-        env.process(proc())
         with pytest.raises(ConfigError, match="write"):
-            env.run()
+            ssd.read(BlockRequest(RequestKind.WRITE, 0, 4096))
         assert ssd.requests_completed == 0
+        assert env.peek() == float("inf")
 
 
 class TestMetadataStore:
