@@ -27,7 +27,6 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.bench.reporting import Table
-from repro.cluster import ClusterConfig, ClusterEngine, ShardMap
 from repro.core.calibration import CalibrationResult, calibrate_mode, run_mode
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
@@ -702,57 +701,6 @@ def a17_cache_contention(n_chunks: int = 4096
 
 
 # ---------------------------------------------------------------------------
-# A18 — cluster ablation: shard skew and what repairing it costs.
-# ---------------------------------------------------------------------------
-
-#: Per-entry migration cost of a rebalance move (fingerprint plus bin
-#: bookkeeping), on top of the moved payload bytes.
-REBALANCE_ENTRY_BYTES = 48
-
-
-def a18_cluster_skew(n_chunks: int = 4096) -> dict[str, dict[str, Any]]:
-    """Route a dup-heavy, high-locality corpus over 4 nodes; compare
-    bin->shard assignments over the same observed bin loads.
-
-    Such a corpus concentrates traffic in few bins, so the static
-    ``range`` split is skewed.  ``balanced`` re-assigns every bin (LPT
-    over the observed loads); ``rebalanced`` repairs the range table
-    greedily, moving far fewer bytes for most of the benefit — the
-    trade a between-epochs rebalance makes.
-
-    Per assignment: ``imbalance`` is max-over-mean routed bytes per
-    shard (1.0 = perfectly balanced); ``moved_bins`` and ``moved_bytes``
-    are the loaded bins (and their bytes) that live on a different
-    shard than under the static range split, and ``migration_s`` the
-    modeled NetLink time to migrate them.
-    """
-    engine = ClusterEngine(ClusterConfig(
-        nodes=4, chunks=n_chunks, window=64, seed=1234,
-        dedup_ratio=4.0, locality=0.9))
-    engine.run()
-    loads = engine.router.bin_loads()
-    range_table = engine.shard_map.table.copy()
-
-    def moves(shard_map) -> dict[str, Any]:
-        moved = (shard_map.table != range_table) & (loads > 0)
-        moved_bins = int(moved.sum())
-        moved_bytes = int(loads[moved].sum())
-        migration_s = engine.netlink.cost_s(
-            moved_bytes + moved_bins * REBALANCE_ENTRY_BYTES,
-            moved_bins) if moved_bins else 0.0
-        return {"imbalance": shard_map.imbalance(loads),
-                "moved_bins": moved_bins, "moved_bytes": moved_bytes,
-                "migration_s": migration_s}
-
-    assignments = {"range": moves(engine.shard_map),
-                   "balanced": moves(ShardMap(4, assignment="balanced",
-                                              loads=loads))}
-    engine.shard_map.rebalance(loads)
-    assignments["rebalanced"] = moves(engine.shard_map)
-    return assignments
-
-
-# ---------------------------------------------------------------------------
 # The experiment table.  One row per id; the row names the function that
 # runs it (at its defaults) and the claims it must reproduce.
 # ---------------------------------------------------------------------------
@@ -1372,30 +1320,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("lowest oracle-dedup recovery after compaction",
              lambda r: min(reports["prioritized"].recovery_fraction
                            for reports in r.values()), (0.95, INF)),
-        )),
-    "a18": Experiment(
-        "§14, extension", "A18 - shard skew and what repairing it costs "
-                          "(4 nodes)",
-        run=a18_cluster_skew,
-        columns=(("assignment", itemgetter(0)),
-                 ("imbalance", lambda item: item[1]["imbalance"]),
-                 ("moved bins", lambda item: item[1]["moved_bins"]),
-                 ("moved KiB", lambda item: item[1]["moved_bytes"] / 1024),
-                 ("migration (us)",
-                  lambda item: item[1]["migration_s"] * 1e6)),
-        checks=(
-            ("bins the static range split moves",
-             lambda r: r["range"]["moved_bins"], (0, 0)),
-            ("imbalance, balanced and rebalanced <= range",
-             lambda r: (max(r[name]["imbalance"]
-                            for name in ("balanced", "rebalanced")),
-                        r["range"]["imbalance"]), "<="),
-            ("moved KiB, 0 < rebalanced < balanced",
-             lambda r: (0, *(r[name]["moved_bytes"] / 1024
-                             for name in ("rebalanced", "balanced"))), "<"),
-            ("migration (us), 0 < rebalanced < balanced",
-             lambda r: (0, *(r[name]["migration_s"] * 1e6
-                             for name in ("rebalanced", "balanced"))), "<"),
         )),
 }
 

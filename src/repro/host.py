@@ -1,9 +1,8 @@
 """Host cores beside the caller.
 
-Two planes hand this module lists of independent, pure pieces of work:
-the simulated GPU's segment-LZ search (:mod:`repro.gpu.kernels.lz`)
-its tiles, and the cluster engine (:mod:`repro.cluster.engine`)
-its shards.  :func:`spread` keeps one share of such a list for the
+The simulated GPU's segment-LZ search (:mod:`repro.gpu.kernels.lz`)
+hands this module a launch's tiles: a list of independent, pure pieces
+of work.  :func:`spread` keeps one share of such a list for the
 calling process and hands every other share to a helper process forked
 on first use — at most one per usable CPU beyond the caller's own.
 Simulated time never sees any of this, and the results are the ones
@@ -19,6 +18,9 @@ Three rules keep it from hanging or diverging:
 * *Fallback.*  A helper that is gone, replies with an error or stays
   silent past :data:`REPLY_TIMEOUT_S` is killed and reaped, and the
   caller computes that share itself.  A later call forks a fresh one.
+  When the caller's own computation raises, every helper whose reply
+  it has not read is retired too: that reply would answer the next
+  call.
 * *Ownership.*  Helpers belong to the process that forked them and live
   as long as its end of their pipe: a helper exits when it reads end of
   file.  A process forked later closes its copies of those pipes
@@ -160,18 +162,20 @@ def spread(task: Callable[[list], list], items: Sequence) -> list:
     shares = [list(items[worker::ways]) for worker in range(ways)]
     sent = [helper.send((task, share))
             for helper, share in zip(helpers, shares[1:])]
+    unread = list(helpers)
     try:
         results = [task(shares[0])]
+        for helper, delivered, share in zip(helpers, sent, shares[1:]):
+            found = helper.receive() if delivered else None
+            unread.remove(helper)
+            if found is None:
+                _POOL.retire(helper)
+                found = task(share)
+            results.append(found)
     except BaseException:
         # Their replies would answer the next call's messages.
-        for helper in helpers:
+        for helper in unread:
             _POOL.retire(helper)
         raise
-    for helper, delivered, share in zip(helpers, sent, shares[1:]):
-        found = helper.receive() if delivered else None
-        if found is None:
-            _POOL.retire(helper)
-            found = task(share)
-        results.append(found)
     return [results[index % ways][index // ways]
             for index in range(len(items))]

@@ -60,11 +60,6 @@ STAGE_DESTAGE = "destage"
 STAGE_SSD_WRITE = "ssd_write"
 STAGE_SSD_READ = "ssd_read"
 
-#: Cluster interconnect transfers (modeled NetLink occupancy; the
-#: repro.cluster plane charges cross-node traffic under these names).
-STAGE_NET_DISPATCH = "net_dispatch"
-STAGE_NET_FLUSH = "net_flush"
-
 #: Out-of-line compaction epoch: re-fingerprinting inline-skipped
 #: chunks in sim-time background batches (repro.tenancy).
 STAGE_COMPACTION = "compaction"
@@ -74,7 +69,6 @@ TRACK_WINDOW = "window"
 TRACK_GPU_QUEUE = "gpu-queue"
 TRACK_SSD = "ssd"
 TRACK_DESTAGE = "destage"
-TRACK_NET = "netlink"
 TRACK_COMPACTION = "compaction"
 
 # -- report counter keys (DedupEngine.counters / PipelineReport.counters) ----

@@ -8,7 +8,7 @@ per-tenant accounting.  Together they are the *index* and *commit*
 stages of the pipeline's one chunk worker under a tenancy policy — a
 variant of those two stages, not a second pipeline.  Estimator
 sketches, cache partitions and residency quotas stay private to this
-package, the same way shard state stays private to ``repro.cluster``.
+package.
 
 The verdict contract:
 

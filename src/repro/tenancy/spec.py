@@ -32,7 +32,7 @@ import math
 import numbers
 import random
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.chunkbatch import window_sizes
@@ -165,14 +165,10 @@ class TenantMix:
             total += rate
         return total
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping (round-trips through :meth:`from_dict`)."""
-        return {"seed": self.seed, "open_loop": self.open_loop,
-                "tenants": [asdict(spec) for spec in self.tenants]}
-
     @classmethod
     def from_dict(cls, payload: dict) -> "TenantMix":
-        """Build a mix from a ``to_dict``-shaped mapping."""
+        """Build a mix from ``{"seed", "open_loop"?, "tenants"}``, each
+        tenant a mapping of :class:`TenantSpec` fields."""
         try:
             tenants = tuple(TenantSpec(**entry)
                             for entry in payload["tenants"])

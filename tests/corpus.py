@@ -1,9 +1,8 @@
 """The deterministic corpora the pins in ``tests/goldens.py`` are over.
 
 Fixed forever: a golden digest is a digest of these exact bytes (the
-codec corpus, the calibrated storage blocks) or of a run over these
-exact windows (the cluster identity corpus).  Changing a byte here is a
-re-pin of every table that reads it.
+codec corpus, the calibrated storage blocks).  Changing a byte here is
+a re-pin of every table that reads it.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.cluster import ClusterConfig
 from repro.workload.datagen import BlockContentGenerator
 
 
@@ -56,11 +54,3 @@ def storage_blocks(ratio: float, seed: int) -> Callable[[], list[bytes]]:
     return lambda: [generator.make_block(4096, salt=salt)
                     for salt in range(256)]
 
-
-def golden_config(nodes: int, **overrides) -> ClusterConfig:
-    """The pinned cluster identity corpus at ``nodes`` shards (fixed
-    forever: the merged-report digests in ``tests/goldens.py`` are over
-    these exact windows)."""
-    params = dict(nodes=nodes, chunks=1024, window=64, seed=1234)
-    params.update(overrides)
-    return ClusterConfig(**params)

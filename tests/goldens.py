@@ -5,7 +5,7 @@ is asserted unconditionally by tier-1 (``tests/test_goldens.py``,
 ``tests/test_pipeline_identity.py``).  A value changes only as a
 deliberate re-pin, once, with the cause stated in the PR.  The corpora
 the digests are taken over live in ``tests/corpus.py``
-(``build_corpus``, ``storage_blocks``, ``golden_config``).
+(``build_corpus``, ``storage_blocks``).
 """
 
 #: sha256 digests of every (producer, block) encoded stream, captured at
@@ -153,16 +153,4 @@ GOLDEN_REPORT_SHA256: dict[str, str] = {
         "278b706faec002fbdaeb667cf24ff99ea6bca8ff7208c772c7082ac74488239e",
     "cpu_only":
         "839b587516e7cdb503de47df436c6b3b30f859180bc63a2cbbbd2faf53af7201",
-}
-
-#: sha256 of the canonical merged-report JSON at 1/2/4 nodes over the
-#: golden corpus (``tests.corpus.golden_config``).  The same bytes on
-#: one usable CPU and when helpers run shards —
-#: ``tests/test_cluster_equivalence.py::TestExecutorIdentity``.
-#: Re-pinned once, when the always-zero ``net_rebalance`` entries left
-#: ``net.bytes``, ``net.messages`` and ``net.seconds``.
-GOLDEN_MERGED_SHA256 = {
-    1: "4b75c594f7c9442ef9b8fa163e329f95c035dbf4447d4ed90e9ee82ef70cb840",
-    2: "30c65c50f2afcb3a50a972797eb9e84d78ef0749a9ad318bfc6bae60db9f1688",
-    4: "190eb4f0d5c2fcff2dd1c353e0aeb4521e85540e06b08b84c624cc0fbe781f1a",
 }

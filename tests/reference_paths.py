@@ -8,9 +8,6 @@ imports this.
 * :class:`NaiveLocalityEstimator` — the O(window) scan the tenancy
   plane's ring sketch must match float-for-float
   (``test_tenancy_equivalence``);
-* :func:`bin_ids_per_chunk` / :func:`route_per_chunk` — the per-chunk
-  loops the cluster's mask router replaced
-  (``test_cluster_equivalence``);
 * :func:`report_digest` / :func:`report_digests` — the canonical
   report sha256 the pinned ``GOLDEN_REPORT_SHA256`` table is compared
   against (``test_pipeline_identity``, ``test_goldens``);
@@ -72,8 +69,6 @@ from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro.chunkbatch import ChunkBatch
-from repro.cluster import RoutedWindow, ShardMap
 from repro.core.calibration import run_mode
 from repro.core.modes import IntegrationMode
 from repro.core.batcher import GpuBatcher
@@ -440,43 +435,6 @@ def lookup_batch(queries) -> LookupBatch:
     triples, the form the kernel tests write their queries in."""
     arr = np.asarray(queries, dtype=np.uint64).reshape(len(queries), 3)
     return LookupBatch.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
-
-
-def bin_ids_per_chunk(fingerprints: list[bytes],
-                      prefix_bytes: int) -> list[int]:
-    """The per-chunk bin fold ``ClusterRouter.bin_ids`` replaced."""
-    return [int.from_bytes(fp[:prefix_bytes], "big")
-            for fp in fingerprints]
-
-
-def route_per_chunk(batch: ChunkBatch,
-                    shard_map: ShardMap) -> list[RoutedWindow]:
-    """The per-chunk reference router ``ClusterRouter.split``
-    replaced: one python loop over the window, appending each chunk's
-    columns to its shard's lists."""
-    columns: dict[int, list[list]] = {}
-    for index, fingerprint in enumerate(batch.fingerprints):
-        bin_id = int.from_bytes(
-            fingerprint[:shard_map.prefix_bytes], "big")
-        shard = int(shard_map.table[bin_id])
-        rows = columns.setdefault(shard, [[], [], [], [], []])
-        rows[0].append(int(batch.offsets[index]))
-        rows[1].append(int(batch.sizes[index]))
-        rows[2].append(batch.payloads[index]
-                       if batch.payloads is not None else None)
-        rows[3].append(fingerprint)
-        rows[4].append(float(batch.comp_ratios[index]))
-    windows = []
-    for shard in sorted(columns):
-        rows = columns[shard]
-        windows.append(RoutedWindow(
-            shard=shard,
-            offsets=np.asarray(rows[0], dtype=np.int64),
-            sizes=np.asarray(rows[1], dtype=np.int64),
-            payloads=rows[2],
-            fingerprints=rows[3],
-            comp_ratios=np.asarray(rows[4], dtype=np.float64)))
-    return windows
 
 
 def report_digest(report) -> str:

@@ -222,7 +222,7 @@ class TestBenchCommand:
         out = capsys.readouterr().out.split()
         assert code == 0
         assert out == [*EXPERIMENTS]
-        for expected in ("e1", "e4", "a9", "a14", "a18"):
+        for expected in ("e1", "e4", "a9", "a14"):
             assert expected in out
 
     def test_plane_run_writes_no_file(self, tmp_path, monkeypatch,

@@ -6,8 +6,8 @@ made, not with what any one of them indexed.  This guard makes that
 class of state visible: after a run's report is dropped, what
 ``repro.dedup`` allocated for it is gone too, and no module-level
 container anywhere in the program — every library module is loaded
-first — has changed size, across pipeline, codec, tenant-mix and
-cluster runs.
+first — has changed size, across pipeline, codec and tenant-mix
+runs.
 """
 
 import gc
@@ -18,10 +18,9 @@ import tracemalloc
 from collections import deque
 from pathlib import Path
 
-from tests.corpus import build_corpus, golden_config
+from tests.corpus import build_corpus
 from tests.test_layering import PACKAGE, TOOLS, inside, modules_under
 
-from repro.cluster import ClusterEngine
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec
 from repro.core.calibration import run_mode
@@ -94,15 +93,13 @@ def test_a_run_leaves_nothing_behind_in_repro_dedup():
                 assert codec.decode(codec.encode(block)) == block
         BlockContentGenerator(2.0, seed=3).calibrate()
         run_mode(IntegrationMode.GPU_COMP, 256, seed=5, payload=True)
-        # The tenancy and cluster planes: the committed tenant mix, and
-        # a serial two-node cluster.
+        # The tenancy plane: the committed tenant mix.
         mix = TenantMix.from_json(
             (REPO / "examples" / "tenant_mix.json").read_text())
         run_tenant_mix(mix, IntegrationMode.GPU_COMP, 1024,
                        base_config=PipelineConfig(
                            tenancy_policy="prioritized",
                            tenancy_cache_entries=96))
-        ClusterEngine(golden_config(2, chunks=512)).run()
     finally:
         tracemalloc.stop()
     assert module_containers() == containers

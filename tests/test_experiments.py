@@ -34,7 +34,6 @@ from repro.bench.experiments import (
     a15_delta_reduction,
     a16_tenant_mix,
     a17_cache_contention,
-    a18_cluster_skew,
     e1_indexing,
     e2_dedup,
     e3_compression,
@@ -215,25 +214,11 @@ class TestExtensionExperiments:
                 assert 0 <= report.inline_hit_rate <= 1
                 assert 0 <= report.recovery_fraction <= 1
 
-    def test_a18_rows(self):
-        rows = a18_cluster_skew(n_chunks=1024)
-        assert list(rows) == ["range", "balanced", "rebalanced"]
-        assert rows["range"]["moved_bins"] == 0
-        assert rows["range"]["migration_s"] == 0.0
-        # Both repairs improve on the static split; the greedy one gets
-        # there moving fewer bytes than a from-scratch LPT assignment.
-        assert rows["balanced"]["imbalance"] <= rows["range"]["imbalance"]
-        assert rows["rebalanced"]["imbalance"] <= rows["range"]["imbalance"]
-        assert 0 < rows["rebalanced"]["moved_bytes"] \
-            < rows["balanced"]["moved_bytes"]
-        assert 0 < rows["rebalanced"]["migration_s"] \
-            < rows["balanced"]["migration_s"]
-
     def test_registry_complete(self):
         assert list(EXPERIMENTS) == [
             "e1", "e2", "e3", "e4", "e5", "a1", "a1-balance", "a2", "a3",
             "a4", "a5", "a6", "a7", "a8-lock", "a8-policy", "a9", "a10",
-            "a11", "a13", "a14", "a15", "a16", "a17", "a18"]
+            "a11", "a13", "a14", "a15", "a16", "a17"]
 
 
 def fake_row(value=1.5, expect=(1.0, 2.0), run=None) -> Experiment:

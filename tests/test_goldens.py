@@ -1,6 +1,6 @@
 """Every pinned golden, asserted unconditionally (tier-1).
 
-``tests/goldens.py`` holds six tables captured before the fast paths
+``tests/goldens.py`` holds five tables captured before the fast paths
 they guard; each is load-bearing here or in
 ``test_pipeline_identity.py`` — corrupt one entry of any table and a
 test below (or ``test_golden_report_digests_all_modes``) fails.  The
@@ -13,13 +13,12 @@ import hashlib
 
 import pytest
 
-from tests.corpus import build_corpus, golden_config
+from tests.corpus import build_corpus
 from tests.goldens import (
     GOLDEN_A11_FIELDS,
     GOLDEN_A7_FIELDS,
     GOLDEN_E4_CHUNKS,
     GOLDEN_E4_FIELDS,
-    GOLDEN_MERGED_SHA256,
     GOLDEN_REPORT_CHUNKS,
     GOLDEN_REPORT_SHA256,
     GOLDEN_STREAM_DIGESTS,
@@ -32,7 +31,6 @@ from repro.bench.experiments import (
     a7_segment_sweep,
     a11_kernel_variants,
 )
-from repro.cluster import ClusterEngine
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec
 from repro.core import IntegrationMode, PipelineConfig
@@ -86,18 +84,6 @@ def test_e4_report_fields(mode):
     report = dataclasses.asdict(run_mode(mode, GOLDEN_E4_CHUNKS))
     golden = GOLDEN_E4_FIELDS[mode.value]
     assert {field: report[field] for field in golden} == golden
-
-
-def test_cluster_merged_digests_and_aggregate_oracle():
-    """1/2/4-node merged reports: pinned digests, and every node
-    count's ``aggregate`` section equals the 1-node oracle's."""
-    results = {nodes: ClusterEngine(golden_config(nodes)).run()
-               for nodes in sorted(GOLDEN_MERGED_SHA256)}
-    assert {nodes: result.digest()
-            for nodes, result in results.items()} == GOLDEN_MERGED_SHA256
-    oracle = results[1].merged["aggregate"]
-    for result in results.values():
-        assert result.merged["aggregate"] == oracle
 
 
 def test_one_tenant_mix_reproduces_report_digests():

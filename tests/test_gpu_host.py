@@ -236,3 +236,36 @@ def test_a_failing_caller_retires_the_helpers_it_sent_work(monkeypatch):
     assert all(reaped(pid) for pid in sent)
     monkeypatch.undo()
     assert search(chunks) == expected
+
+
+def _raises_everywhere(*args):
+    raise RuntimeError("tile failure")
+
+
+def _raises_on_tile_1(*args):
+    if any(first == _TILE_CHUNKS for first, _ in args[-1]):
+        raise RuntimeError("tile failure")
+    return _SEARCH(*args)
+
+
+@pytest.mark.parametrize("fault", [_raises_everywhere, _raises_on_tile_1],
+                         ids=["every_share", "first_helpers_share"])
+def test_a_share_failing_everywhere_raises_its_own_error(monkeypatch,
+                                                         fault):
+    """A share that fails in every process surfaces its own error in
+    bounded time and retires every helper it sent work to.  Two
+    helpers, whatever the host: with ``first_helpers_share`` the
+    caller's retry of helper 1's share raises before helper 2's reply
+    is read, and that reply must not answer the next launch."""
+    monkeypatch.setattr(host, "usable_cpus", lambda: 3)
+    chunks = launch_chunks(3)
+    expected = search(chunks)
+    sent = helper_pids()[:2]
+    monkeypatch.setattr(lz, "_search_tiles", fault)
+    began = time.perf_counter()
+    with pytest.raises(RuntimeError, match="tile failure"):
+        search(chunks)
+    assert time.perf_counter() - began < FALLBACK_BOUND_S
+    assert len(sent) == 2 and all(reaped(pid) for pid in sent)
+    monkeypatch.setattr(lz, "_search_tiles", _SEARCH)
+    assert search(chunks) == expected

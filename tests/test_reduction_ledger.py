@@ -1,0 +1,207 @@
+"""Dedup before compression: the codec sees each stored chunk once.
+
+Every integration mode indexes a chunk before it compresses it and
+compresses it only on a unique verdict.  So, whatever the mode, the
+corpus or whether chunks carry payload bytes:
+
+- the compressor's ledger is the stored ledger: it compressed exactly
+  the unique chunks, and its output bytes are the physical bytes;
+- a duplicate never reaches the codec, on the CPU or on the GPU;
+- the dedup verdicts do not depend on the mode: every run over the
+  same stream stores the same contents and maps each offset to the
+  same one;
+- a payload run whose GPU segment-LZ search :func:`repro.host.spread`
+  shares with a helper process stores the same bytes and reports the
+  same run as the caller searching alone.
+"""
+
+import os
+
+import pytest
+
+from repro import host
+from repro.compression import gpu_lz
+from repro.compression.parallel_cpu import CpuCompressor
+from repro.compression.quicklz import QuickLzCodec
+from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
+from repro.gpu.kernels import lz
+from repro.gpu.kernels.lz import SegmentLzKernel
+from repro.sim import Environment
+from repro.workload import VdbenchStream
+from tests.test_gpu_host import CALLER
+
+#: Workload mixes that stress distinct dedup paths: dup-heavy (most
+#: chunks resolve against staged or stored copies), skewed (hot
+#: fingerprints recur within a window, so twins are in flight
+#: together) and uniform (no duplicate at all).
+CORPORA = {
+    "dup_heavy": dict(dedup_ratio=4.0, locality=0.9),
+    "skewed": dict(dedup_ratio=3.0, locality=0.95),
+    "uniform": dict(dedup_ratio=1.0, locality=0.0),
+}
+MODES = list(IntegrationMode)
+PAYLOAD = dict(payload=True, chunk_size=1024)
+
+
+def run(mode, corpus="dup_heavy", payload=False, chunks=512, **overrides):
+    """One pipeline run: the pipeline, its report and the offsets
+    written, in order."""
+    params = dict(mode=mode, window=64, gpu_index_batch=16,
+                  gpu_comp_batch=16)
+    params.update(overrides)
+    pipeline = ReductionPipeline(Environment(), PipelineConfig(**params))
+    stream = VdbenchStream(seed=1234, **CORPORA[corpus],
+                           **(PAYLOAD if payload else {}))
+    offsets = []
+
+    def tapped():
+        for chunk in stream.chunks(chunks):
+            offsets.append(chunk.offset)
+            yield chunk
+
+    report = pipeline.run(tapped(), total=chunks)
+    return pipeline, report, offsets
+
+
+def compressor(pipeline):
+    return (pipeline.gpu_comp if pipeline.config.mode.gpu_for_compression
+            else pipeline.cpu_comp)
+
+
+@pytest.mark.parametrize("payload", (False, True),
+                         ids=("descriptor", "payload"))
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+def test_only_unique_chunks_are_compressed(mode, corpus, payload):
+    """The compressor's ledger is the stored ledger."""
+    pipeline, _, _ = run(mode, corpus, payload)
+    metadata = pipeline.dedup.metadata
+    used = compressor(pipeline)
+    idle = pipeline.cpu_comp if used is pipeline.gpu_comp \
+        else pipeline.gpu_comp
+    assert used.chunks_compressed == metadata.unique_chunks
+    assert used.bytes_out == metadata.physical_bytes
+    assert idle.chunks_compressed == 0
+    if corpus == "uniform":
+        assert metadata.unique_chunks == 512
+    else:
+        assert metadata.unique_chunks < 512 // 2
+
+
+@pytest.mark.parametrize("payload", (False, True),
+                         ids=("descriptor", "payload"))
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_dedup_verdicts_do_not_depend_on_the_mode(corpus, payload):
+    """Every mode stores the same contents under the same offsets; in
+    descriptor mode, and between modes sharing a codec, the same
+    physical bytes too."""
+    mapped, physical = {}, {}
+    for mode in MODES:
+        pipeline, _, offsets = run(mode, corpus, payload)
+        metadata = pipeline.dedup.metadata
+        mapped[mode] = [(metadata.resolve(offset).fingerprint,
+                         metadata.resolve(offset).size)
+                        for offset in offsets]
+        physical[mode] = (metadata.unique_chunks, metadata.logical_bytes,
+                          metadata.physical_bytes)
+    oracle = IntegrationMode.CPU_ONLY
+    assert all(mapped[mode] == mapped[oracle] for mode in MODES)
+    assert physical[IntegrationMode.GPU_DEDUP] == physical[oracle]
+    assert physical[IntegrationMode.GPU_BOTH] == \
+        physical[IntegrationMode.GPU_COMP]
+    if not payload:
+        assert all(physical[mode] == physical[oracle] for mode in MODES)
+
+
+class CountingCodec(QuickLzCodec):
+    def __init__(self):
+        self.encoded = []
+
+    def encode(self, data):
+        self.encoded.append(bytes(data))
+        return super().encode(data)
+
+
+class CountingKernel(SegmentLzKernel):
+    encoded: list = []
+
+    def __init__(self, chunks, *args, **kwargs):
+        CountingKernel.encoded.extend(bytes(chunk) for chunk in chunks)
+        super().__init__(chunks, *args, **kwargs)
+
+
+@pytest.mark.parametrize("mode", [IntegrationMode.CPU_ONLY,
+                                  IntegrationMode.GPU_COMP],
+                         ids=["cpu", "gpu"])
+def test_duplicates_never_reach_the_codec(monkeypatch, mode):
+    """Enforced by order (index, then compress), not by a cache."""
+    codec = CountingCodec()
+    monkeypatch.setattr(CountingKernel, "encoded", [])
+    monkeypatch.setattr(gpu_lz, "SegmentLzKernel", CountingKernel)
+    params = dict(mode=mode, window=64, gpu_index_batch=16,
+                  gpu_comp_batch=16)
+    pipeline = ReductionPipeline(Environment(), PipelineConfig(**params))
+    pipeline.cpu_comp = CpuCompressor(codec=codec)
+    stream = VdbenchStream(seed=11, **CORPORA["dup_heavy"], **PAYLOAD)
+    payloads = []
+
+    def tapped():
+        for chunk in stream.chunks(512):
+            payloads.append(chunk.payload)
+            yield chunk
+
+    pipeline.run(tapped(), total=512)
+    encoded = (CountingKernel.encoded if mode.gpu_for_compression
+               else codec.encoded)
+    unique = set(payloads)
+    assert len(unique) < len(payloads) // 2
+    assert len(encoded) == len(unique)
+    assert len(unique) == pipeline.dedup.metadata.unique_chunks
+    assert set(encoded) == unique
+    assert compressor(pipeline).chunks_compressed == len(unique)
+
+
+# -- the segment-LZ search shared with a helper -------------------------------
+
+_SEARCH = lz._search_tiles
+#: Tiles the caller searched itself, appended in the caller only.
+_CALLER_TILES: list = []
+
+
+def _noting_caller_tiles(*args):
+    if os.getpid() == CALLER:
+        _CALLER_TILES.extend(first for first, _ in args[-1])
+    return _SEARCH(*args)
+
+
+def _payload_run(monkeypatch, mode, corpus, cpus):
+    """A payload run whose launches span two tiles, searched with
+    ``cpus`` usable CPUs: its report, the stored blob of every offset
+    and the tiles the caller searched."""
+    monkeypatch.setattr(host, "usable_cpus", lambda: cpus)
+    _CALLER_TILES.clear()
+    pipeline, report, offsets = run(mode, corpus, payload=True,
+                                    chunks=1024, window=256,
+                                    gpu_comp_batch=128)
+    metadata = pipeline.dedup.metadata
+    blobs = [metadata.resolve(offset).blob for offset in offsets]
+    return report, blobs, list(_CALLER_TILES)
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("mode", [IntegrationMode.GPU_COMP,
+                                  IntegrationMode.GPU_BOTH],
+                         ids=["gpu_comp", "gpu_both"])
+def test_payload_run_is_the_same_on_one_cpu_and_three(monkeypatch, mode,
+                                                      corpus):
+    """One usable CPU: the caller searches every tile.  Three: a helper
+    searches some, and not a byte or a report field moves."""
+    monkeypatch.setattr(lz, "_search_tiles", _noting_caller_tiles)
+    shared = _payload_run(monkeypatch, mode, corpus, 3)
+    alone = _payload_run(monkeypatch, mode, corpus, 1)
+    assert shared[0] == alone[0]
+    assert shared[1] == alone[1]
+    assert alone[0].gpu_kernels > 0
+    # Alone, the caller searched every tile; shared, a helper took some.
+    assert len(shared[2]) < len(alone[2])
+    assert host._POOL.helpers

@@ -41,7 +41,7 @@ FIXTURES = ROOT / "tests" / "lint_fixtures"
 DETERMINISM_SCOPE = (
     "repro.sim", "repro.core", "repro.dedup", "repro.compression",
     "repro.cpu", "repro.gpu", "repro.storage", "repro.workload",
-    "repro.obs", "repro.cluster", "repro.tenancy",
+    "repro.obs", "repro.tenancy",
 )
 #: Packages whose generator functions are simulation processes (REP201).
 PROCESS_SCOPE = ("repro.sim", "repro.core", "repro.cpu", "repro.gpu",
@@ -55,14 +55,13 @@ FLOAT_TIME_SCOPE = ("repro.sim", "repro.core.pipeline",
 BYTE_LOOP_SCOPE = ("repro.compression", "repro.gpu.kernels")
 #: Modules whose functional work is window-batched (REP504).
 BATCHED_SCOPE = ("repro.core.pipeline", "repro.chunkbatch",
-                 "repro.dedup.hashing", "repro.workload.vdbench",
-                 "repro.cluster.router")
+                 "repro.dedup.hashing", "repro.workload.vdbench")
 #: Packages where ``env.now`` subtraction is flagged (REP601); the
 #: engine and the tracer own the clock and are out of scope.
 NOW_ARITH_SCOPE = (
     "repro.core", "repro.cpu", "repro.gpu", "repro.storage",
     "repro.dedup", "repro.compression", "repro.workload",
-    "repro.bench", "repro.cluster", "repro.tenancy",
+    "repro.bench", "repro.tenancy",
 )
 
 WALL_CLOCK = frozenset({

@@ -129,7 +129,10 @@ class TestMixEmission:
         assert counts[0] > 2 * counts[1]
 
     def test_spec_round_trips_through_json(self):
-        text = json.dumps(self.MIX.to_dict())
+        text = json.dumps({
+            "seed": self.MIX.seed, "open_loop": self.MIX.open_loop,
+            "tenants": [dataclasses.asdict(spec)
+                        for spec in self.MIX.tenants]})
         assert TenantMix.from_json(text) == self.MIX
 
     def test_spec_validation(self):
