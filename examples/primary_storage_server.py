@@ -96,7 +96,7 @@ def main() -> None:
     print(f"dedup ratio   : {volume.dedup_ratio():>9.2f}x")
     print(f"reduction     : {volume.reduction_ratio():>9.2f}x")
     zombies = volume.engine.metadata.zombie_chunks
-    swept = volume.engine.metadata.sweep_unreferenced()
+    swept = volume.engine.sweep()
     print(f"gc            : {zombies} unreferenced chunks, "
           f"{swept:,} B reclaimable")
 

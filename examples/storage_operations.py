@@ -61,7 +61,7 @@ def main() -> None:
     volume.discard(1024 * CHUNK, len(dataset))   # the clone
     volume.discard(0, len(dataset))              # the original
     zombies = volume.engine.metadata.zombie_chunks
-    reclaimed = volume.engine.metadata.sweep_unreferenced()
+    reclaimed = volume.engine.sweep()
     print(f"   {zombies} unreferenced chunks swept, "
           f"{reclaimed:,} B reclaimed "
           "(the post-restart rewrite keeps its own copies)")

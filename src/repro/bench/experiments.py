@@ -17,18 +17,20 @@ document (:func:`regenerate`).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import operator
 import random
 import re
+import tracemalloc
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.bench.reporting import Table
 from repro.core.calibration import CalibrationResult, calibrate_mode, run_mode
-from repro.core.config import PipelineConfig
+from repro.core.config import PREFIX_BYTES, PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.core.readpath import ReadPipeline, ReadReport
 from repro.core.stats import PipelineReport
@@ -53,8 +55,10 @@ from repro.sim import Environment
 from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ftl import Ftl, FtlSpec
 from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel
+from repro.storage.volume import PREFIX_BYTES as VOLUME_PREFIX_BYTES
 from repro.tenancy import TenantMix, TenantSpec
 from repro.tenancy.runner import TenancyRunReport, run_tenant_mix
+from repro.types import Chunk
 from repro.workload.datagen import BlockContentGenerator
 from repro.workload.patterns import ZipfPattern
 from repro.workload.vdbench import VdbenchStream
@@ -237,22 +241,60 @@ def a1_bin_balance(prefix_bytes_options: Sequence[int] = (1, 2),
 
 
 # ---------------------------------------------------------------------------
-# A2 — §3.1(1): prefix truncation memory arithmetic.
+# A2 — §3.1(1): prefix truncation memory arithmetic, and the index the
+# code builds.
 # ---------------------------------------------------------------------------
 
-def a2_prefix_truncation() -> dict[int, dict[str, int]]:
-    """The paper's sizing: 4 TB / 8 KB chunks, 32 B entries => 16 GB,
-    minus 1 GB per two prefix bytes dropped.
+def _built_bytes_per_chunk(prefix_bytes: int, n_chunks: int) -> float:
+    """Traced bytes a drained engine keeps per stored unique chunk.
 
-    ``{prefix bytes: {"entries", "memory_bytes", "saved_vs_full"}}``:
-    an entry is the 20-byte SHA-1 less the prefix, plus 12 bytes of
-    metadata.
+    ``n_chunks`` unique descriptor chunks are indexed, stored and
+    drained into the bin trees; their fingerprints are made inside the
+    traced window, as a stream would hand them over.  What is still
+    allocated once the chunks are gone is the index (bin trees) plus
+    the metadata store (chunk table and logical map).
+    """
+    engine = DedupEngine(prefix_bytes=prefix_bytes)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n_chunks):
+            chunk = Chunk(offset=i * 4096, size=4096,
+                          fingerprint=_fingerprint(i), comp_ratio=2.0)
+            engine.cpu_index(chunk)
+            chunk.compressed_size = 2048
+            engine.commit_unique(chunk)
+        engine.drain()
+        del chunk
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return built / n_chunks
+
+
+def a2_prefix_truncation(n_chunks: int = 20000) -> dict[str, dict]:
+    """The paper's sizing: 4 TB / 8 KB chunks, 32 B entries => 16 GB,
+    minus 1 GB per two prefix bytes dropped — and what the code builds.
+
+    ``{"paper": {prefix bytes: {"entries", "memory_bytes",
+    "saved_vs_full"}}, "built": {prefix bytes: bytes per stored
+    chunk}}``: a paper entry is the 20-byte SHA-1 less the prefix, plus
+    12 bytes of metadata; a built row measures the pipeline's (1) and
+    the volume's (2) prefix over ``n_chunks`` unique chunks.
     """
     entries = 4 * 1024**4 // (8 * 1024)
-    return {prefix_bytes: {"entries": entries,
-                           "memory_bytes": entries * (20 - prefix_bytes + 12),
-                           "saved_vs_full": entries * prefix_bytes}
-            for prefix_bytes in (0, 1, 2, 4)}
+    return {
+        "paper": {prefix_bytes: {
+            "entries": entries,
+            "memory_bytes": entries * (20 - prefix_bytes + 12),
+            "saved_vs_full": entries * prefix_bytes}
+            for prefix_bytes in (0, 1, 2, 4)},
+        "built": {prefix_bytes: _built_bytes_per_chunk(prefix_bytes,
+                                                       n_chunks)
+                  for prefix_bytes in (PREFIX_BYTES, VOLUME_PREFIX_BYTES)},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +430,9 @@ def _dedup_stream(n_chunks: int, seed: int, restart_at: Optional[int] = None,
     for i, chunk in enumerate(stream.chunks(n_chunks)):
         if i == restart_at:
             engine.restart()
-        if engine.cpu_index(chunk).duplicate:
-            engine.commit_duplicate(chunk)
+        outcome = engine.cpu_index(chunk)
+        if outcome.duplicate:
+            engine.commit_duplicate(chunk, outcome.physical_id)
             continue
         if compress:
             chunk.compressed_size = max(1, int(
@@ -990,16 +1033,27 @@ EXPERIMENTS: dict[str, Experiment] = {
     "a2": Experiment(
         "§3.1(1)", "A2 - index memory at 4 TB / 8 KB chunks (32 B entries)",
         run=a2_prefix_truncation,
-        columns=(("prefix bytes", itemgetter(0)),
-                 ("entries (M)", lambda item: item[1]["entries"] / 1e6),
-                 ("index (GiB)", lambda item: item[1]["memory_bytes"] / GIB),
-                 ("saved vs full (GiB)",
-                  lambda item: item[1]["saved_vs_full"] / GIB)),
+        rows=lambda r: [
+            *(("paper", prefix_bytes, row["memory_bytes"] / row["entries"],
+               row["memory_bytes"], row["saved_vs_full"] / GIB)
+              for prefix_bytes, row in r["paper"].items()),
+            *(("built", prefix_bytes, per_chunk,
+               r["paper"][0]["entries"] * per_chunk, "-")
+              for prefix_bytes, per_chunk in r["built"].items())],
+        columns=(("index", itemgetter(0)),
+                 ("prefix bytes", itemgetter(1)),
+                 ("B per entry", itemgetter(2)),
+                 ("index (GiB)", lambda row: row[3] / GIB),
+                 ("saved vs full (GiB)", itemgetter(4))),
         checks=(
             ("full-fingerprint index, GiB (paper 16 GB)",
-             lambda r: r[0]["memory_bytes"] / GIB, (16, 16)),
+             lambda r: r["paper"][0]["memory_bytes"] / GIB, (16, 16)),
             ("saved by a 2-byte prefix, GiB (paper 1 GB)",
-             lambda r: r[2]["saved_vs_full"] / GIB, (1, 1)),
+             lambda r: r["paper"][2]["saved_vs_full"] / GIB, (1, 1)),
+            ("built B per stored chunk / paper's 32 B, prefix 1 (pipeline)",
+             lambda r: r["built"][1] / 32, (1, INF)),
+            ("built B per stored chunk / paper's 32 B, prefix 2 (volume)",
+             lambda r: r["built"][2] / 32, (1, INF)),
         )),
     "a3": Experiment(
         "§3.3", "A3 - bin-buffer budget sweep (dedup-only)",

@@ -133,10 +133,11 @@ class ReductionPipeline:
         self._window = Resource(env, capacity=config.window, name="window")
         #: In-flight fingerprint table: fingerprints currently being
         #: processed as uniques, mapping to the event their commit fires
-        #: — None until a twin actually needs one.  A concurrent chunk
-        #: with the same fingerprint waits for that commit and then
-        #: dedups against it, instead of wastefully compressing the same
-        #: content twice (standard inline-dedup in-flight tracking).
+        #: with the stored id — None until a twin actually needs one.  A
+        #: concurrent chunk with the same fingerprint waits for that
+        #: commit and then dedups against it, instead of wastefully
+        #: compressing the same content twice (standard inline-dedup
+        #: in-flight tracking).
         self._pending: dict[bytes, Optional[Event]] = {}
         self._done = 0
         self._total = 0
@@ -215,9 +216,8 @@ class ReductionPipeline:
         (DESIGN.md §13); everything else is shared.
 
         ``seq`` is the chunk's admission sequence number: its trace
-        identity (stage records and the GPU batch's ``trace_id``) and,
-        under a tenancy policy, the seed of the shadow fingerprint a
-        deferred chunk is stored under.  All tracing is guarded by
+        identity (stage records and the GPU batch's ``trace_id``).  All
+        tracing is guarded by
         ``trace`` being non-None, so an untraced run executes the exact
         event sequence it executed before tracing existed; the derived
         timing math (queue-wait vs. service splits) lives in the tracer,
@@ -274,10 +274,10 @@ class ReductionPipeline:
                 # A hit whose canonical record is still in flight (or is
                 # a compaction-promoted shadow) cannot dedup inline; it
                 # stores as a shadow and compaction recovers it.
-                if admission.hit and \
-                        dedup.metadata.lookup(fingerprint) is not None:
+                if admission.hit and (physical_id := tenancy.canonical_id(
+                        fingerprint, dedup.metadata)) is not None:
                     path = "tenant_hit"
-                    cycles = dedup.commit_duplicate(chunk)
+                    cycles = dedup.commit_duplicate(chunk, physical_id)
             elif hashed:
                 gpu_definitive = False
                 if self._index_batcher is not None \
@@ -305,24 +305,26 @@ class ReductionPipeline:
                                      outcome.cpu_cycles, path=outcome.path)
                     if outcome.duplicate:
                         path = "duplicate"
-                        cycles = dedup.commit_duplicate(chunk)
+                        cycles = dedup.commit_duplicate(
+                            chunk, outcome.physical_id)
                     elif fingerprint in self._pending:
                         # In flight: another worker is compressing this
                         # very content right now.  Wait for its commit,
-                        # then dedup onto it.
+                        # then dedup onto the copy it names.
                         start = env.now if trace is not None else 0.0
                         pending = self._pending[fingerprint]
                         if pending is None:
                             pending = self._pending[fingerprint] = \
                                 env.event()
-                        yield pending
+                        physical_id = yield pending
                         if trace is not None:
                             self._record(STAGE_PENDING_WAIT, seq, start,
                                          0.0)
                         dedup.counters[CTR_PENDING_HITS] += 1
                         path = "pending"
-                        cycles = dedup.commit_duplicate(chunk)
-                    elif dedup.bin_buffer.lookup(fingerprint) is not None:
+                        cycles = dedup.commit_duplicate(chunk, physical_id)
+                    elif (physical_id := dedup.bin_buffer.lookup(
+                            fingerprint)) is not None:
                         # Our index probe ran earlier in simulated time;
                         # a twin may have committed since.  Its
                         # fingerprint would be in the bin buffer *now*,
@@ -330,7 +332,7 @@ class ReductionPipeline:
                         dedup.counters[CTR_BUFFER_HITS] += 1
                         path = "buffer_reprobe"
                         cycles = costs.bin_buffer_probe \
-                            + dedup.commit_duplicate(chunk)
+                            + dedup.commit_duplicate(chunk, physical_id)
                     else:
                         self._pending[fingerprint] = None
 
@@ -378,7 +380,7 @@ class ReductionPipeline:
             # -- commit: metadata + staging, one coalesced charge --
             start = env.now if trace is not None else 0.0
             cycles, path, nbytes, sequential = self._commit(
-                seq, tenant, chunk, blob, admission)
+                tenant, chunk, blob, admission)
             if lock is None:
                 yield cpu.charge(cycles)
             else:
@@ -409,8 +411,8 @@ class ReductionPipeline:
             if self._done == self._total:
                 self._finished.succeed()
 
-    def _commit(self, seq: int, tenant: int, chunk: Chunk,
-                blob: Optional[bytes], admission) -> tuple:
+    def _commit(self, tenant: int, chunk: Chunk, blob: Optional[bytes],
+                admission) -> tuple:
         """The functional half of the commit stage (no simulated time).
 
         Returns ``(cycles, trace path label, bytes to destage now or
@@ -418,7 +420,7 @@ class ReductionPipeline:
         """
         costs = DEFAULT_COSTS
         if admission is not None:
-            path = self.tenancy.commit(seq, tenant, chunk, blob, admission,
+            path = self.tenancy.commit(tenant, chunk, blob, admission,
                                        self.dedup.metadata)
             cycles = (costs.bin_buffer_insert + costs.metadata_update
                       + costs.destage_submit)
@@ -426,10 +428,11 @@ class ReductionPipeline:
         if self.dedup is None:
             cycles = costs.metadata_update + costs.destage_submit
             return cycles, None, chunk.compressed_size, False
-        cycles, batch, unique = self.dedup.commit_unique(chunk, blob)
+        cycles, batch, physical_id, unique = self.dedup.commit_unique(
+            chunk, blob)
         pending = self._pending.pop(chunk.fingerprint)
         if pending is not None:
-            pending.succeed()
+            pending.succeed(physical_id)
         return (cycles, "unique" if unique else "race_duplicate",
                 batch.payload_bytes if batch is not None else None, True)
 

@@ -17,7 +17,7 @@ bin tree, destages them sequentially, and updates the GPU-resident bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.dedup.index_base import FingerprintView, decompose
 from repro.errors import IndexError_
@@ -108,6 +108,17 @@ class BinBuffer:
             fullest = max(self._bins, key=lambda b: len(self._bins[b]))
             return self._flush_bin(fullest)
         return None
+
+    def retain(self, lookup: Callable[[Any], Any]) -> None:
+        """Keep only the staged entries whose value ``lookup`` finds."""
+        for bin_id, staged in list(self._bins.items()):
+            kept = {suffix: value for suffix, value in staged.items()
+                    if lookup(value) is not None}
+            self._total -= len(staged) - len(kept)
+            if kept:
+                self._bins[bin_id] = kept
+            else:
+                del self._bins[bin_id]
 
     def _flush_bin(self, bin_id: int) -> FlushEvent:
         staged = self._bins.pop(bin_id)

@@ -13,12 +13,16 @@ locality"), then the bin tree.  Unique chunks are staged in the bin
 buffer; a full bin flushes as one unit — entries move to the bin tree and
 the GPU bins, and the bin's compressed data destages as one sequential
 write.
+
+The bins are the one fingerprint index: each entry carries the stored
+chunk's physical id, and a hit whose id the chunk table no longer holds
+(its chunk was swept; ids are never reused) is a miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.dedup.bin_buffer import BinBuffer
@@ -40,18 +44,19 @@ from repro.storage.metadata import MetadataStore
 from repro.types import Chunk
 
 
-@dataclass(frozen=True, slots=True)
-class IndexOutcome:
+class IndexOutcome(NamedTuple):
     """Result of running a chunk through the CPU indexing path.
 
-    Frozen: an engine hands out the same two bin-buffer outcomes to
-    every chunk that ends at the buffer probe.
+    Immutable (an engine hands out one shared bin-buffer miss); a tuple
+    costs half what a frozen slots dataclass does to build.
     """
 
     duplicate: bool
     #: Where the decision fell: "buffer", "tree", or "unique".
     path: str
     cpu_cycles: float
+    #: Physical id of the stored copy a duplicate maps onto.
+    physical_id: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -68,7 +73,7 @@ class DedupEngine:
 
     __slots__ = ("bin_table", "bin_buffer", "gpu_index",
                  "metadata", "_prefix_bytes", "counters",
-                 "_buffer_hit", "_buffer_miss")
+                 "_buffer_miss")
 
     def __init__(self, prefix_bytes: int = 2,
                  bin_buffer_capacity: int = 64,
@@ -91,8 +96,6 @@ class DedupEngine:
         # fired reads 0, not KeyError/absent) and bump sites can use a
         # plain += instead of re-deriving the default with .get().
         self.counters = {key: 0 for key in DEDUP_COUNTER_KEYS}
-        self._buffer_hit = IndexOutcome(True, "buffer",
-                                        DEFAULT_COSTS.bin_buffer_probe)
         self._buffer_miss = IndexOutcome(False, "unique",
                                          DEFAULT_COSTS.bin_buffer_probe)
 
@@ -109,17 +112,16 @@ class DedupEngine:
     def cpu_index(self, chunk: Chunk) -> IndexOutcome:
         """Bin-buffer probe, then bin-tree probe (Fig. 1's CPU path)."""
         view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
-        if self.bin_buffer.lookup_view(view) is not None:
-            self.counters[CTR_BUFFER_HITS] += 1
-            chunk.is_duplicate = True
-            return self._buffer_hit
-        depth, value = self.bin_table.probe_view(view)
+        physical_id = self.bin_buffer.lookup_view(view)
+        if physical_id is not None:
+            return self._buffer_hit(chunk, physical_id)
+        depth, physical_id = self.bin_table.probe_view(view)
         cycles = (DEFAULT_COSTS.bin_buffer_probe
                   + DEFAULT_COSTS.bin_tree_probe(depth))
-        if value is not None:
+        if self.metadata.lookup(physical_id) is not None:
             self.counters[CTR_TREE_HITS] += 1
             chunk.is_duplicate = True
-            return IndexOutcome(True, "tree", cycles)
+            return IndexOutcome(True, "tree", cycles, physical_id)
         chunk.is_duplicate = False
         return IndexOutcome(False, "unique", cycles)
 
@@ -132,78 +134,87 @@ class DedupEngine:
         flush) still needs checking.
         """
         view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
-        if self.bin_buffer.lookup_view(view) is not None:
-            self.counters[CTR_BUFFER_HITS] += 1
-            chunk.is_duplicate = True
-            return self._buffer_hit
+        physical_id = self.bin_buffer.lookup_view(view)
+        if physical_id is not None:
+            return self._buffer_hit(chunk, physical_id)
         chunk.is_duplicate = False
         return self._buffer_miss
 
+    def _buffer_hit(self, chunk: Chunk, physical_id: int) -> IndexOutcome:
+        self.counters[CTR_BUFFER_HITS] += 1
+        chunk.is_duplicate = True
+        return IndexOutcome(True, "buffer", DEFAULT_COSTS.bin_buffer_probe,
+                            physical_id)
+
     def note_gpu_hit(self, chunk: Chunk) -> float:
-        """Record a GPU-index duplicate; returns metadata-update cycles."""
+        """Record a GPU-index duplicate, whose copy an untimed host tree
+        probe names (GPU bins hold no ids); returns metadata cycles."""
         self.counters[CTR_GPU_HITS] += 1
         chunk.is_duplicate = True
-        return self.commit_duplicate(chunk)
+        return self.commit_duplicate(
+            chunk, self.bin_table.lookup(chunk.require_fingerprint()))
 
     # -- commits ------------------------------------------------------------
 
-    def commit_duplicate(self, chunk: Chunk) -> float:
-        """Map a duplicate chunk onto its stored copy; returns cycles."""
-        fingerprint = chunk.require_fingerprint()
-        record = self.metadata.lookup(fingerprint)
+    def commit_duplicate(self, chunk: Chunk,
+                         physical_id: Optional[int]) -> float:
+        """Map a duplicate chunk onto the stored copy its verdict named
+        by ``physical_id``; returns cycles."""
+        record = self.metadata.lookup(physical_id)
         if record is None:
-            raise DedupError(
-                "duplicate verdict for a fingerprint with no stored chunk")
-        self.metadata.map_logical_record(chunk.offset, record, chunk.size)
+            raise DedupError("duplicate verdict names no stored chunk")
+        self.metadata.map_logical(chunk.offset, record, chunk.size)
         chunk.compressed_size = record.compressed_size
         return DEFAULT_COSTS.metadata_update
 
     def commit_unique(self, chunk: Chunk,
                       blob: Optional[bytes] = None,
                       checksum: Optional[int] = None
-                      ) -> tuple[float, Optional[DestageBatch], bool]:
+                      ) -> tuple[float, Optional[DestageBatch], int, bool]:
         """Store a compressed unique chunk; stage its fingerprint.
 
-        Returns ``(cycles, destage_batch_or_none, was_actually_unique)``.
-        Two in-flight copies of the same content can both take the unique
-        path; the commit revalidates against metadata and downgrades the
-        loser to a duplicate — standard inline-dedup practice.
+        Returns ``(cycles, destage_batch_or_none, physical_id,
+        was_actually_unique)``.  Two in-flight copies of the same content
+        can both take the unique path; the commit re-probes the bins
+        (between restarts they hold every stored unique) and downgrades
+        the loser to a duplicate — standard inline-dedup practice.
         """
-        fingerprint = chunk.require_fingerprint()
-        if self.metadata.lookup(fingerprint) is not None:
+        view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
+        physical_id = self.bin_buffer.lookup_view(view)
+        if physical_id is None:
+            physical_id = self.bin_table.probe_view(view)[1]
+        if self.metadata.lookup(physical_id) is not None:
             # Lost the in-flight race: another worker stored it first.
             self.counters[CTR_RACE_DUPLICATES] += 1
-            cycles = self.commit_duplicate(chunk)
-            return cycles, None, False
+            cycles = self.commit_duplicate(chunk, physical_id)
+            return cycles, None, physical_id, False
 
         if chunk.compressed_size is None:
             chunk.compressed_size = chunk.size
         self.counters[CTR_UNIQUES] += 1
-        self.metadata.store_unique(fingerprint, chunk.size,
-                                   chunk.compressed_size, blob=blob,
-                                   checksum=checksum)
-        self.metadata.map_logical(chunk.offset, fingerprint, chunk.size)
+        record = self.metadata.store_unique(
+            chunk.size, chunk.compressed_size, blob=blob, checksum=checksum)
+        self.metadata.map_logical(chunk.offset, record, chunk.size)
         cycles = (DEFAULT_COSTS.bin_buffer_insert
                   + DEFAULT_COSTS.metadata_update
                   + DEFAULT_COSTS.flush_amortized_per_unique)
-        # The staged value is the one thing a flush reads: the chunk's
-        # compressed size, a plain int the cyclic collector never walks.
-        flush = self.bin_buffer.add_view(
-            decompose(fingerprint, self._prefix_bytes),
-            chunk.compressed_size)
+        # The staged value is the index entry's metadata: the physical
+        # id, a plain int the cyclic collector never walks.
+        flush = self.bin_buffer.add_view(view, record.physical_id)
         batch = self._apply_flush(flush) if flush is not None else None
-        return cycles, batch, True
+        return cycles, batch, record.physical_id, True
 
     def _apply_flush(self, flush) -> DestageBatch:
         """Move a flushed bin into the bin tree and the GPU bins.
 
-        The flush's staged (suffix, value) pairs are already the views
-        both installs take, so nothing is re-assembled or re-sliced.
+        The flush's staged (suffix, physical id) pairs are already the
+        views both installs take; the sizes come from the chunk table.
         """
         self.counters[CTR_FLUSHES] += 1
         staged = flush.staged
         self.bin_table.install_views(flush.bin_id, staged)
-        payload = sum(compressed_size for _, compressed_size in staged)
+        payload = sum(self.metadata.lookup(physical_id).compressed_size
+                      for _, physical_id in staged)
         if self.gpu_index is not None:
             self.gpu_index.install_views(flush.bin_id,
                                          [suffix for suffix, _ in staged])
@@ -215,6 +226,14 @@ class DedupEngine:
         """Flush every partially filled bin (end of stream)."""
         return [self._apply_flush(event)
                 for event in self.bin_buffer.flush_all()]
+
+    def sweep(self) -> int:
+        """Collect unreferenced chunks and drop their ids from the bin
+        buffer; returns bytes reclaimed.  Stale bin-tree entries miss
+        until a re-store's flush updates them in place."""
+        reclaimed = self.metadata.sweep_unreferenced()
+        self.bin_buffer.retain(self.metadata.lookup)
+        return reclaimed
 
     def restart(self) -> list[DestageBatch]:
         """Simulate a clean restart: destage staged data, lose the index.
@@ -233,6 +252,5 @@ class DedupEngine:
             min_degree=self.bin_table.min_degree)
         if self.gpu_index is not None:
             self.gpu_index.clear()
-        self.metadata.detach_fingerprint_index()
         self.counters[CTR_RESTARTS] += 1
         return batches

@@ -1,4 +1,4 @@
-"""Chunk metadata: logical map, refcounts, and space accounting.
+"""Chunk metadata: the chunk table, the logical map, and space accounting.
 
 The deduplication destage stage records every chunk here.  The store
 answers the two questions a primary storage system must always answer:
@@ -9,12 +9,12 @@ answers the two questions a primary storage system must always answer:
   dials in must come back out of this ledger, which several tests check).
 
 Structure mirrors a real primary store: chunks live in a table keyed by
-**physical id** (the durable side); the **fingerprint map** on top of it
-is exactly the RAM-resident index the paper describes — and, like the
-paper's index, it can be lost without losing data:
-:meth:`MetadataStore.detach_fingerprint_index` models a restart after
-which old chunks remain readable by offset but can no longer be found by
-content, so rewritten duplicates get stored twice ("the deduplication
+**physical id** (the durable side), and nothing is keyed by fingerprint:
+finding a chunk by content is the job of the RAM-only index the paper
+describes, the bins of :mod:`repro.dedup`, whose entries carry the id.
+Like the paper's index, it can be lost without losing data: after a
+restart old chunks remain readable by offset but can no longer be found
+by content, so rewritten duplicates get stored twice ("the deduplication
 module cannot find some duplicate data.  However that is not a big
 deal" — quantified by experiment A9).
 
@@ -35,7 +35,6 @@ from repro.errors import MetadataError
 class ChunkRecord:
     """One stored chunk."""
 
-    fingerprint: bytes
     physical_id: int
     size: int
     compressed_size: int
@@ -57,17 +56,14 @@ class ChunkRecord:
 
 
 class MetadataStore:
-    """Physical chunk table + fingerprint map + logical map."""
+    """Physical chunk table + logical map, keyed by physical id."""
 
-    __slots__ = ("_by_id", "_by_fingerprint", "_logical", "_zombies",
-                 "_next_physical", "logical_bytes", "physical_bytes",
-                 "restarts")
+    __slots__ = ("_by_id", "_logical", "_zombies", "_next_physical",
+                 "logical_bytes", "physical_bytes")
 
     def __init__(self) -> None:
         #: The durable side: physical id -> record.
         self._by_id: dict[int, ChunkRecord] = {}
-        #: The RAM index side: fingerprint -> physical id.
-        self._by_fingerprint: dict[bytes, int] = {}
         #: Logical offset -> physical id.
         self._logical: dict[int, int] = {}
         #: Physical ids of records that are not ``live``: what the next
@@ -77,32 +73,24 @@ class MetadataStore:
         # -- space ledger --
         self.logical_bytes = 0
         self.physical_bytes = 0
-        #: Restarts simulated so far (fingerprint-index losses).
-        self.restarts = 0
 
-    # -- unique-chunk table ---------------------------------------------------
+    # -- chunk table ----------------------------------------------------------
 
-    def lookup(self, fingerprint: bytes) -> Optional[ChunkRecord]:
-        """Record for ``fingerprint`` if it is *findable by content*.
+    def lookup(self, physical_id: Optional[int]) -> Optional[ChunkRecord]:
+        """Record with ``physical_id``; None once swept (or for None).
 
-        After a restart (detached index) old chunks are not findable
-        even though they still exist and serve reads.
+        Ids are never reused, so this is also the liveness probe of an
+        index hit: None means the hit named a chunk that is gone.
         """
-        physical_id = self._by_fingerprint.get(fingerprint)
-        return None if physical_id is None else self._by_id[physical_id]
+        return self._by_id.get(physical_id)
 
-    def store_unique(self, fingerprint: bytes, size: int,
-                     compressed_size: int,
+    def store_unique(self, size: int, compressed_size: int,
                      blob: Optional[bytes] = None,
                      checksum: Optional[int] = None) -> ChunkRecord:
         """Record a newly destaged unique chunk (born at refcount 0)."""
-        if fingerprint in self._by_fingerprint:
-            raise MetadataError(
-                f"fingerprint {fingerprint.hex()[:12]}... already stored")
         if compressed_size <= 0 or size <= 0:
             raise MetadataError("invalid chunk sizes")
         record = ChunkRecord(
-            fingerprint=fingerprint,
             physical_id=self._next_physical,
             size=size,
             compressed_size=compressed_size,
@@ -111,7 +99,6 @@ class MetadataStore:
             checksum=checksum,
         )
         self._by_id[record.physical_id] = record
-        self._by_fingerprint[fingerprint] = record.physical_id
         self._zombies.add(record.physical_id)
         self._next_physical += 1
         # The first map_logical accounts its bytes.
@@ -156,8 +143,8 @@ class MetadataStore:
     def sweep_unreferenced(self) -> int:
         """Garbage-collect zombie records; returns bytes reclaimed.
 
-        Callers must invalidate/rebuild any fingerprint index that might
-        still point at the swept chunks, or stale hits will dangle.
+        An index entry naming a swept id is stale: :meth:`lookup`
+        answers None for it, which every index reads as a miss.
         """
         # Ascending physical id is the table's own order; a base that
         # a swept delta releases lands in the emptied set for next time.
@@ -166,9 +153,6 @@ class MetadataStore:
         reclaimed = 0
         for physical_id in zombies:
             record = self._by_id.pop(physical_id)
-            if self._by_fingerprint.get(record.fingerprint) \
-                    == record.physical_id:
-                del self._by_fingerprint[record.fingerprint]
             reclaimed += record.compressed_size
             if record.delta_base_id is not None:
                 # The swept delta releases its base (which may become a
@@ -176,43 +160,20 @@ class MetadataStore:
                 self._drop_delta_ref(record.delta_base_id)
         return reclaimed
 
-    # -- restart semantics (paper §3.1: RAM-only index) -------------------------
-
-    def detach_fingerprint_index(self) -> int:
-        """Simulate a restart: the RAM fingerprint index is gone.
-
-        Every stored chunk remains readable through the logical map, but
-        none is findable by content any more; rewritten duplicates will
-        be stored again.  Returns the number of index entries lost.
-        """
-        lost = len(self._by_fingerprint)
-        self._by_fingerprint.clear()
-        self.restarts += 1
-        return lost
-
     # -- logical map -----------------------------------------------------------
 
-    def map_logical(self, offset: int, fingerprint: bytes, size: int) -> None:
-        """Point logical ``offset`` at the content-findable chunk with
-        ``fingerprint``."""
-        physical_id = self._by_fingerprint.get(fingerprint)
-        if physical_id is None:
-            raise MetadataError(
-                f"no findable chunk for {fingerprint.hex()[:12]}...")
-        self.map_logical_record(offset, self._by_id[physical_id], size)
+    def map_logical(self, offset: int, record: ChunkRecord,
+                    size: int) -> None:
+        """Point logical ``offset`` at the stored chunk ``record``.
 
-    def map_logical_record(self, offset: int, record: ChunkRecord,
-                           size: int) -> None:
-        """Point ``offset`` at an already-resolved record.
-
-        The by-record path works even when the fingerprint index cannot
-        find the chunk (post-restart), which is what makes clones of old
-        data possible.  Referencing an unreferenced ("zombie") record
-        resurrects it, so stale index hits after overwrites revive the
-        stored chunk instead of dangling.  Acquire-before-release: on an
-        overwrite, the new reference is taken first so that rewriting an
-        offset with the *same* content never transiently frees the chunk
-        it still needs.
+        The one mapping path: a unique's first reference, a duplicate
+        an index found, a clone of old data the index can no longer
+        find (post-restart), a compaction remap.  Referencing an
+        unreferenced ("zombie") record resurrects it, so index hits
+        after overwrites revive the stored chunk instead of dangling.
+        Acquire-before-release: on an overwrite, the new reference is
+        taken first so that rewriting an offset with the *same* content
+        never transiently frees the chunk it still needs.
         """
         if self._by_id.get(record.physical_id) is not record:
             raise MetadataError("record is not part of this store")
@@ -249,13 +210,6 @@ class MetadataStore:
         self.logical_bytes -= record.size
 
     # -- accounting ---------------------------------------------------------
-
-    def get_record(self, physical_id: int) -> ChunkRecord:
-        """Record by physical id (delta bases resolve this way)."""
-        record = self._by_id.get(physical_id)
-        if record is None:
-            raise MetadataError(f"no chunk with physical id {physical_id}")
-        return record
 
     @property
     def unique_chunks(self) -> int:
@@ -313,12 +267,6 @@ class MetadataStore:
                     record.physical_id, 0):
                 raise MetadataError(
                     f"delta-ref drift on chunk {record.physical_id}")
-        for fingerprint, physical_id in self._by_fingerprint.items():
-            record = self._by_id.get(physical_id)
-            if record is None:
-                raise MetadataError("index points at a swept chunk")
-            if record.fingerprint != fingerprint:
-                raise MetadataError("index fingerprint mismatch")
         logical = sum(self._by_id[pid].size
                       for pid in self._logical.values())
         if logical != self.logical_bytes:

@@ -94,7 +94,7 @@ class ReducedVolume:
         fingerprint_chunk(chunk)
         outcome = self.engine.cpu_index(chunk)
         if outcome.duplicate:
-            self.engine.commit_duplicate(chunk)
+            self.engine.commit_duplicate(chunk, outcome.physical_id)
             return
         delta_base_id = None
         chunk_sketch = None
@@ -102,8 +102,8 @@ class ReducedVolume:
         if self._similarity is not None:
             chunk_sketch = sketch(chunk.payload)
             base_id = self._similarity.find_similar(chunk_sketch)
-            if base_id is not None:
-                base = self.engine.metadata.get_record(base_id)
+            base = self.engine.metadata.lookup(base_id)  # None if swept
+            if base is not None:
                 base_plain = self._materialize(base)
                 delta = self._delta_codec.encode(base_plain,
                                                  chunk.payload)
@@ -116,10 +116,10 @@ class ReducedVolume:
             blob = chunk.payload if result.stored_raw else result.blob
         checksum = (zlib.crc32(chunk.payload)
                     if self.verify_checksums else None)
-        _cycles, batch, was_unique = self.engine.commit_unique(
+        _cycles, batch, physical_id, was_unique = self.engine.commit_unique(
             chunk, blob, checksum=checksum)
         if was_unique:
-            record = self.engine.metadata.lookup(chunk.fingerprint)
+            record = self.engine.metadata.lookup(physical_id)
             if delta_base_id is not None:
                 record.delta_base_id = delta_base_id
                 self.engine.metadata.add_delta_ref(delta_base_id)
@@ -175,8 +175,7 @@ class ReducedVolume:
         metadata = self.engine.metadata
         for delta in range(0, size, self.chunk_size):
             record = metadata.resolve(src_offset + delta)
-            metadata.map_logical_record(dst_offset + delta, record,
-                                        record.size)
+            metadata.map_logical(dst_offset + delta, record, record.size)
 
     def discard(self, offset: int, size: int) -> None:
         """TRIM a chunk-aligned extent."""
@@ -192,7 +191,7 @@ class ReducedVolume:
                 f"chunk {record.physical_id} has no stored payload "
                 "(descriptor-mode record?)")
         if record.delta_base_id is not None:
-            base = self.engine.metadata.get_record(record.delta_base_id)
+            base = self.engine.metadata.lookup(record.delta_base_id)
             return self._delta_codec.decode(self._materialize(base),
                                             record.blob)
         if record.compressed_size < record.size:

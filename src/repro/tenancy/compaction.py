@@ -3,13 +3,14 @@
 Chunks the admission layer stored raw (inline-skip verdicts, and cache
 misses whose duplicate was hidden by the bounded cache) land here as
 :class:`CompactionEntry` records: the chunk's *real* fingerprint plus
-the synthetic shadow fingerprint it was stored under.  Background
+the physical id of the shadow copy it was stored as.  Background
 epochs re-fingerprint each deferred chunk (charged as SHA-1 plus an
 index probe plus a metadata update through ``SimCpu``), remap its
 logical offset to the canonical copy, and let the metadata store's
 zombie sweep reclaim the shadow blob — Li et al.'s hybrid
 inline/out-of-line design, which is what lets prioritized admission
-skip cold streams inline without giving up their dedup ratio.
+skip cold streams inline without giving up their dedup ratio.  As in
+that design, the out-of-line phase keeps its own index.
 
 Identity argument: compaction only *remaps and sweeps*.  The logical
 map covers the same offsets with the same sizes before and after an
@@ -21,13 +22,21 @@ bytes — monotonically recovers toward the oracle as epochs run, and
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 
-__all__ = ["CompactionEntry", "CompactionQueue"]
+__all__ = ["CompactionEntry", "CompactionQueue", "live_id"]
+
+
+def live_id(index: Mapping[bytes, int], fingerprint: bytes,
+            metadata: MetadataStore) -> Optional[int]:
+    """``index``'s id for ``fingerprint`` while the chunk table holds it
+    (ids are never reused: a swept id is a miss, never another chunk)."""
+    physical_id = index.get(fingerprint)
+    return None if metadata.lookup(physical_id) is None else physical_id
 
 
 class CompactionEntry(NamedTuple):
@@ -37,14 +46,13 @@ class CompactionEntry(NamedTuple):
     dataclass; one is built for most of a cold tenant's chunks.
     """
 
-    seq: int
     tenant: int
     offset: int
     size: int
     #: Real content fingerprint (known to the workload/hashing stage).
     fingerprint: bytes
-    #: Synthetic fingerprint the raw chunk was stored under.
-    shadow_fp: bytes
+    #: Physical id of the shadow copy the raw chunk was stored as.
+    shadow_id: int
 
 
 class CompactionQueue:
@@ -62,10 +70,10 @@ class CompactionQueue:
         self.reclaimed_bytes = 0
         self.deferred = 0
         self._pending: list[CompactionEntry] = []
-        #: fingerprint -> shadow fp promoted to canonical copy: the
-        #: first deferred occurrence of a fingerprint with no stored
+        #: fingerprint -> id of the shadow promoted to canonical copy:
+        #: the first deferred occurrence of a fingerprint with no stored
         #: canonical record keeps its blob; later copies remap to it.
-        self._canonical: dict[bytes, bytes] = {}
+        self._canonical: dict[bytes, int] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -75,9 +83,10 @@ class CompactionQueue:
         self.deferred += 1
         self._pending.append(entry)
 
-    def canonical_shadow(self, fingerprint: bytes) -> Optional[bytes]:
-        """The shadow promoted to canonical for ``fingerprint``, if any."""
-        return self._canonical.get(fingerprint)
+    def canonical_shadow(self, fingerprint: bytes,
+                         metadata: MetadataStore) -> Optional[int]:
+        """Id of the live shadow promoted for ``fingerprint``, if any."""
+        return live_id(self._canonical, fingerprint, metadata)
 
     def take_batch(self) -> Optional[list[CompactionEntry]]:
         """A full epoch batch, or None while the queue is short."""
@@ -105,29 +114,28 @@ class CompactionQueue:
         return cycles
 
     def apply(self, entries: list[CompactionEntry],
-              metadata: MetadataStore) -> list[int]:
+              metadata: MetadataStore,
+              stored: Mapping[bytes, int]) -> list[int]:
         """Run one epoch's functional work; returns recovered tenants.
 
         Per entry: resolve the canonical copy of its real fingerprint
-        (a stored unique from the admission path, or a previously
-        promoted shadow), remap the logical offset onto it, and count
-        the duplicate as recovered.  First occurrences promote their
-        own shadow.  The end-of-epoch sweep reclaims every
+        (a live store of the admission path, as ``stored`` maps it, or a
+        live promoted shadow), remap the logical offset onto it, and
+        count the duplicate as recovered.  First occurrences promote
+        their own shadow.  The end-of-epoch sweep reclaims every
         dereferenced shadow blob.
         """
         recovered_tenants: list[int] = []
         canonical = self._canonical
         for entry in entries:
-            record = metadata.lookup(entry.fingerprint)
-            if record is not None:
-                target = entry.fingerprint
-            else:
-                promoted = canonical.get(entry.fingerprint)
-                if promoted is None:
-                    canonical[entry.fingerprint] = entry.shadow_fp
+            target = live_id(stored, entry.fingerprint, metadata)
+            if target is None:
+                target = live_id(canonical, entry.fingerprint, metadata)
+                if target is None:
+                    canonical[entry.fingerprint] = entry.shadow_id
                     continue
-                target = promoted
-            metadata.map_logical(entry.offset, target, entry.size)
+            metadata.map_logical(entry.offset, metadata.lookup(target),
+                                 entry.size)
             self.recovered += 1
             recovered_tenants.append(entry.tenant)
         self.reclaimed_bytes += metadata.sweep_unreferenced()

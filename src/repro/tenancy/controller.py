@@ -18,20 +18,25 @@ The verdict contract:
   fingerprint is new, else as a shadow copy deferred to compaction).
 * **skip** — the tenant's locality estimate is below threshold
   ("prioritized" only): the chunk bypasses inline dedup entirely,
-  stores raw under a shadow fingerprint, and compaction recovers any
-  duplicate later.
+  stores raw as a shadow copy, and compaction recovers any duplicate
+  later.
+
+The bins go unused under a tenancy policy: the controller maps each
+canonical store's fingerprint to its physical id, shadows are stored
+with no fingerprint, and the compaction queue keeps its own map of
+promoted shadows.  An id the chunk table no longer holds is a miss.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import NamedTuple, Optional
 
 from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 from repro.tenancy.accounting import TenantAccounting
 from repro.tenancy.admission import PrioritizedCache, SharedLruCache
-from repro.tenancy.compaction import CompactionEntry, CompactionQueue
+from repro.tenancy.compaction import CompactionEntry, CompactionQueue, \
+    live_id
 from repro.tenancy.locality import LocalityEstimator
 from repro.types import Chunk
 
@@ -76,7 +81,7 @@ class TenancyController:
     """Locality-prioritized inline admission plus compaction hand-off."""
 
     __slots__ = ("policy", "accounting", "_cache", "_estimators",
-                 "compaction", "_admissions")
+                 "compaction", "_admissions", "_canonical")
 
     def __init__(self, policy: str, cache_entries: int):
         if policy not in ("shared_lru", "prioritized"):
@@ -90,6 +95,8 @@ class TenancyController:
         self._estimators: dict[int, LocalityEstimator] = {}
         self.compaction = CompactionQueue(COMPACTION_BATCH)
         self._admissions = 0
+        #: fingerprint -> physical id of its canonical (inline) store.
+        self._canonical: dict[bytes, int] = {}
 
     # -- inline admission ----------------------------------------------------
 
@@ -120,7 +127,7 @@ class TenancyController:
         # Insert at admission, not at commit: the pipeline keeps a whole
         # window of chunks in flight, and a duplicate that arrives
         # within that window must still find its twin's fingerprint
-        # resident.  The pipeline re-checks the metadata store before
+        # resident.  The pipeline re-checks :meth:`canonical_id` before
         # committing a hit as an inline duplicate, so an entry whose
         # canonical record is still in flight (or is a
         # compaction-promoted shadow) downgrades to a shadow store
@@ -144,36 +151,38 @@ class TenancyController:
 
     # -- commit -------------------------------------------------------------
 
-    def commit(self, seq: int, tenant: int, chunk: Chunk,
-               blob: Optional[bytes], verdict: Admission,
-               metadata: MetadataStore) -> str:
+    def canonical_id(self, fingerprint: bytes,
+                     metadata: MetadataStore) -> Optional[int]:
+        """Physical id of ``fingerprint``'s live canonical store, if any."""
+        return live_id(self._canonical, fingerprint, metadata)
+
+    def commit(self, tenant: int, chunk: Chunk, blob: Optional[bytes],
+               verdict: Admission, metadata: MetadataStore) -> str:
         """Store a chunk that did not dedup inline; returns its trace label.
 
-        A miss stores under its real fingerprint only when no record
-        (stored or compaction-promoted) already owns that fingerprint.
-        Anything else — an inline skip, a hit whose canonical record
-        was still in flight, or a *hidden duplicate* the bounded cache
-        lost track of — stores raw under a shadow fingerprint derived
-        from the admission ``seq`` and is deferred: compaction remaps
-        it and sweeps the blob later.
+        A miss stores canonically only when no live record (stored or
+        compaction-promoted) already holds its fingerprint.  Anything
+        else — an inline skip, a hit whose canonical record was still
+        in flight, or a *hidden duplicate* the bounded cache lost track
+        of — stores raw as a shadow copy and is deferred: compaction
+        remaps it and sweeps the blob later.
         """
         fingerprint = chunk.fingerprint
         if chunk.compressed_size is None:
             chunk.compressed_size = chunk.size
         canonical = (verdict is ADMIT_MISS
-                     and metadata.lookup(fingerprint) is None
-                     and self.compaction.canonical_shadow(fingerprint)
-                     is None)
-        stored_as = fingerprint if canonical else hashlib.sha1(
-            f"tenancy-shadow:{seq}".encode()).digest()
-        metadata.store_unique(stored_as, chunk.size,
-                              chunk.compressed_size, blob=blob)
-        metadata.map_logical(chunk.offset, stored_as, chunk.size)
-        if not canonical:
+                     and self.canonical_id(fingerprint, metadata) is None
+                     and self.compaction.canonical_shadow(
+                         fingerprint, metadata) is None)
+        record = metadata.store_unique(chunk.size, chunk.compressed_size,
+                                       blob=blob)
+        metadata.map_logical(chunk.offset, record, chunk.size)
+        if canonical:
+            self._canonical[fingerprint] = record.physical_id
+        else:
             self.compaction.defer(CompactionEntry(
-                seq=seq, tenant=tenant, offset=chunk.offset,
-                size=chunk.size, fingerprint=fingerprint,
-                shadow_fp=stored_as))
+                tenant=tenant, offset=chunk.offset, size=chunk.size,
+                fingerprint=fingerprint, shadow_id=record.physical_id))
         self.accounting.note_stored(tenant)
         return "tenant_unique" if canonical else "tenant_shadow"
 
@@ -182,7 +191,7 @@ class TenancyController:
     def apply_compaction(self, entries,
                          metadata: MetadataStore) -> int:
         """Run one epoch; returns the duplicates recovered."""
-        tenants = self.compaction.apply(entries, metadata)
+        tenants = self.compaction.apply(entries, metadata, self._canonical)
         for tenant in tenants:
             self.accounting.note_recovered(tenant)
         return len(tenants)

@@ -1,7 +1,5 @@
 """Tests for the chunk cache and its read-pipeline integration."""
 
-import hashlib
-
 import pytest
 
 from repro.core.cache import ChunkCache
@@ -12,15 +10,11 @@ from repro.storage import MetadataStore
 from repro.workload.patterns import ZipfPattern
 
 
-def fp(n: int) -> bytes:
-    return hashlib.sha1(n.to_bytes(8, "big")).digest()
-
-
 def populated_store(n_chunks=64, compressed_size=2048):
     store = MetadataStore()
     for i in range(n_chunks):
-        store.store_unique(fp(i), 4096, compressed_size)
-        store.map_logical(i * 4096, fp(i), 4096)
+        store.map_logical(i * 4096, store.store_unique(4096, compressed_size),
+                          4096)
     return store
 
 

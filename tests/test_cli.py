@@ -230,8 +230,8 @@ class TestBenchCommand:
         """No ``bench`` command writes a file: an experiment run in an
         empty working directory leaves it empty."""
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "a2"]) == 0
-        assert "=== a2" in capsys.readouterr().out
+        assert main(["bench", "a7"]) == 0
+        assert "=== a7" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["zz", "dedup", "all"])

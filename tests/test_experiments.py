@@ -113,9 +113,13 @@ class TestAblations:
         assert 0 < balance[1] <= 1.0
 
     def test_a2_paper_numbers(self):
-        by_prefix = a2_prefix_truncation()
+        result = a2_prefix_truncation(n_chunks=2000)
+        by_prefix = result["paper"]
         assert by_prefix[0]["memory_bytes"] == 16 * 1024**3
         assert by_prefix[2]["saved_vs_full"] == 1024**3
+        # The built index is measured at the prefix each front end uses.
+        assert list(result["built"]) == [1, 2]
+        assert 32 < result["built"][1] < result["built"][2]
 
     def test_a3_rows(self):
         reports = a3_bin_buffer(totals=(256, 4096), n_chunks=4096)

@@ -6,8 +6,6 @@ compression path agrees with the reference decoder; the metadata ledger
 survives arbitrary operation interleavings).
 """
 
-import hashlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +18,6 @@ from repro.sim import Environment
 from repro.storage import MetadataStore
 from repro.workload import VdbenchStream
 from tests.reference_codecs import launch_outputs, refine_to_container
-
-
-def fp(n: int) -> bytes:
-    return hashlib.sha1(n.to_bytes(8, "big")).digest()
 
 
 def run_pipeline(mode=IntegrationMode.GPU_COMP, n=768, seed=3,
@@ -117,21 +111,25 @@ class TestMetadataFuzz:
     @settings(max_examples=40, deadline=None)
     def test_ledger_survives_interleavings_property(self, ops):
         store = MetadataStore()
-        generation = 0
+        # content -> physical id: the fingerprint index's part, which a
+        # restart loses and a sweep leaves stale (a stale id is a miss).
+        index: dict[int, int] = {}
         for name, slot, content in ops:
             if name == "map":
-                key = fp(content + generation * 1000)
-                if store.lookup(key) is None:
-                    store.store_unique(key, 4096, 2048)
-                store.map_logical(slot * 4096, key, 4096)
+                physical_id = index.get(content)
+                record = None if physical_id is None \
+                    else store.lookup(physical_id)
+                if record is None:
+                    record = store.store_unique(4096, 2048)
+                    index[content] = record.physical_id
+                store.map_logical(slot * 4096, record, 4096)
             elif name == "unmap":
                 try:
                     store.unmap_logical(slot * 4096)
                 except MetadataError:
                     pass  # unmapped offset: legal refusal
             elif name == "restart":
-                store.detach_fingerprint_index()
-                generation += 1
+                index.clear()
             else:
                 store.sweep_unreferenced()
             store.verify_invariants()
@@ -141,12 +139,12 @@ class TestMetadataFuzz:
     @settings(max_examples=30, deadline=None)
     def test_refcounts_equal_mapping_multiplicity_property(self, writes):
         store = MetadataStore()
+        records = {}
         for offset_slot, content in enumerate(writes):
-            key = fp(content)
-            if store.lookup(key) is None:
-                store.store_unique(key, 4096, 1024)
-            store.map_logical(offset_slot * 4096, key, 4096)
+            if content not in records:
+                records[content] = store.store_unique(4096, 1024)
+            store.map_logical(offset_slot * 4096, records[content], 4096)
         from collections import Counter
         multiplicity = Counter(writes)
         for content, expected in multiplicity.items():
-            assert store.lookup(fp(content)).refcount == expected
+            assert records[content].refcount == expected

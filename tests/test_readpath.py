@@ -1,7 +1,5 @@
 """Unit tests for the timed read pipeline."""
 
-import hashlib
-
 import pytest
 
 from repro.core.readpath import ReadPipeline
@@ -10,15 +8,11 @@ from repro.sim import Environment
 from repro.storage import MetadataStore
 
 
-def fp(n: int) -> bytes:
-    return hashlib.sha1(n.to_bytes(8, "big")).digest()
-
-
 def populated_store(n_chunks=32, compressed_size=2048):
     store = MetadataStore()
     for i in range(n_chunks):
-        store.store_unique(fp(i), 4096, compressed_size)
-        store.map_logical(i * 4096, fp(i), 4096)
+        store.map_logical(i * 4096, store.store_unique(4096, compressed_size),
+                          4096)
     return store
 
 
@@ -94,9 +88,9 @@ class TestReadPipeline:
 
     def test_dedup_sharing_serves_shared_chunks(self):
         store = MetadataStore()
-        store.store_unique(fp(1), 4096, 2048)
+        record = store.store_unique(4096, 2048)
         for slot in range(8):
-            store.map_logical(slot * 4096, fp(1), 4096)
+            store.map_logical(slot * 4096, record, 4096)
         env = Environment()
         pipeline = ReadPipeline(env, store)
         report = pipeline.run([slot * 4096 for slot in range(8)])

@@ -44,7 +44,7 @@ PAYLOAD = dict(payload=True, chunk_size=1024)
 
 
 def run(mode, corpus="dup_heavy", payload=False, chunks=512, **overrides):
-    """One pipeline run: the pipeline, its report and the offsets
+    """One pipeline run: the pipeline, its report and the chunks
     written, in order."""
     params = dict(mode=mode, window=64, gpu_index_batch=16,
                   gpu_comp_batch=16)
@@ -52,15 +52,15 @@ def run(mode, corpus="dup_heavy", payload=False, chunks=512, **overrides):
     pipeline = ReductionPipeline(Environment(), PipelineConfig(**params))
     stream = VdbenchStream(seed=1234, **CORPORA[corpus],
                            **(PAYLOAD if payload else {}))
-    offsets = []
+    written = []
 
     def tapped():
         for chunk in stream.chunks(chunks):
-            offsets.append(chunk.offset)
+            written.append(chunk)
             yield chunk
 
     report = pipeline.run(tapped(), total=chunks)
-    return pipeline, report, offsets
+    return pipeline, report, written
 
 
 def compressor(pipeline):
@@ -97,11 +97,22 @@ def test_dedup_verdicts_do_not_depend_on_the_mode(corpus, payload):
     physical bytes too."""
     mapped, physical = {}, {}
     for mode in MODES:
-        pipeline, _, offsets = run(mode, corpus, payload)
+        pipeline, _, written = run(mode, corpus, payload)
         metadata = pipeline.dedup.metadata
-        mapped[mode] = [(metadata.resolve(offset).fingerprint,
-                         metadata.resolve(offset).size)
-                        for offset in offsets]
+        # Records carry no fingerprint: a record holds the content of
+        # the chunks mapped onto it, which must all be one content, and
+        # it is named across modes by the first offset mapped onto it.
+        contents, first = {}, {}
+        mapped[mode] = []
+        for chunk in written:
+            record = metadata.resolve(chunk.offset)
+            assert contents.setdefault(record.physical_id,
+                                       chunk.fingerprint) \
+                == chunk.fingerprint
+            mapped[mode].append((first.setdefault(record.physical_id,
+                                                  chunk.offset),
+                                 record.size))
+        assert len(contents) == len(set(contents.values()))
         physical[mode] = (metadata.unique_chunks, metadata.logical_bytes,
                           metadata.physical_bytes)
     oracle = IntegrationMode.CPU_ONLY
@@ -180,11 +191,11 @@ def _payload_run(monkeypatch, mode, corpus, cpus):
     and the tiles the caller searched."""
     monkeypatch.setattr(host, "usable_cpus", lambda: cpus)
     _CALLER_TILES.clear()
-    pipeline, report, offsets = run(mode, corpus, payload=True,
+    pipeline, report, written = run(mode, corpus, payload=True,
                                     chunks=1024, window=256,
                                     gpu_comp_batch=128)
     metadata = pipeline.dedup.metadata
-    blobs = [metadata.resolve(offset).blob for offset in offsets]
+    blobs = [metadata.resolve(chunk.offset).blob for chunk in written]
     return report, blobs, list(_CALLER_TILES)
 
 

@@ -1,13 +1,12 @@
 """Tests for restart semantics (RAM-only index) and read integrity."""
 
-import hashlib
-
 import pytest
 
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
+from repro.dedup.hashing import fingerprint_chunk
 from repro.errors import MetadataError
-from repro.storage import MetadataStore, ReducedVolume
+from repro.storage import ReducedVolume
 from repro.types import Chunk
 from repro.workload.datagen import BlockContentGenerator
 
@@ -16,51 +15,14 @@ def compressible(n: int, salt: int = 0) -> bytes:
     return BlockContentGenerator(2.0, seed=3).make_block(n, salt=salt)
 
 
-def fp(n: int) -> bytes:
-    return hashlib.sha1(n.to_bytes(8, "big")).digest()
-
-
-class TestMetadataRestart:
-    def test_detach_makes_content_unfindable_but_readable(self):
-        store = MetadataStore()
-        store.store_unique(fp(1), 4096, 2048)
-        store.map_logical(0, fp(1), 4096)
-        assert store.lookup(fp(1)) is not None
-        lost = store.detach_fingerprint_index()
-        assert lost == 1
-        assert store.lookup(fp(1)) is None          # not findable
-        assert store.resolve(0).size == 4096        # still readable
-        store.verify_invariants()
-
-    def test_restore_after_restart_stores_twice(self):
-        store = MetadataStore()
-        store.store_unique(fp(1), 4096, 2048)
-        store.map_logical(0, fp(1), 4096)
-        store.detach_fingerprint_index()
-        # Same content arrives again: it is stored as a new chunk.
-        store.store_unique(fp(1), 4096, 2048)
-        store.map_logical(4096, fp(1), 4096)
-        assert store.unique_chunks == 2
-        assert store.physical_bytes == 4096
-        assert store.dedup_ratio() == pytest.approx(1.0)
-        store.verify_invariants()
-
-    def test_restart_counter(self):
-        store = MetadataStore()
-        store.detach_fingerprint_index()
-        store.detach_fingerprint_index()
-        assert store.restarts == 2
-
-
 class TestEngineRestart:
     def _commit(self, engine, content, offset):
         chunk = Chunk(offset=offset, size=4096,
                       payload=(content * 4096)[:4096])
-        import repro.dedup.hashing as hashing
-        hashing.fingerprint_chunk(chunk)
+        fingerprint_chunk(chunk)
         outcome = engine.cpu_index(chunk)
         if outcome.duplicate:
-            engine.commit_duplicate(chunk)
+            engine.commit_duplicate(chunk, outcome.physical_id)
             return "dup"
         chunk.compressed_size = 2048
         engine.commit_unique(chunk)
@@ -75,6 +37,32 @@ class TestEngineRestart:
         assert self._commit(engine, b"a", 8192) == "unique"
         assert engine.metadata.unique_chunks == 2
         assert engine.counters["restarts"] == 1
+
+    def test_restart_makes_content_unfindable_but_readable(self):
+        engine = DedupEngine()
+        self._commit(engine, b"a", 0)
+        engine.restart()
+        # The bins are the whole index: dropping them loses every entry,
+        # while the chunk table still serves the offset.
+        assert len(engine.bin_buffer) == len(engine.bin_table) == 0
+        probe = Chunk(offset=4096, size=4096, payload=(b"a" * 4096))
+        fingerprint_chunk(probe)
+        assert not engine.cpu_index(probe).duplicate
+        assert engine.metadata.resolve(0).size == 4096
+        engine.metadata.verify_invariants()
+
+    def test_restore_after_restart_stores_twice(self):
+        engine = DedupEngine()
+        self._commit(engine, b"a", 0)
+        engine.restart()
+        # Same content arrives again: it is stored as a new chunk.
+        assert self._commit(engine, b"a", 4096) == "unique"
+        metadata = engine.metadata
+        assert metadata.unique_chunks == 2
+        assert metadata.physical_bytes == 4096
+        assert metadata.dedup_ratio() == pytest.approx(1.0)
+        assert metadata.resolve(0) is not metadata.resolve(4096)
+        metadata.verify_invariants()
 
     def test_restart_drains_staged_data(self):
         engine = DedupEngine(bin_buffer_capacity=100)

@@ -1,7 +1,5 @@
 """Tests for the block request model, SSD timing/wear, and metadata."""
 
-import hashlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +13,6 @@ from repro.storage import (
     SAMSUNG_SSD_830,
     SsdModel,
 )
-
-
-def fp(n: int) -> bytes:
-    return hashlib.sha1(n.to_bytes(8, "big")).digest()
 
 
 class TestBlockRequest:
@@ -134,23 +128,26 @@ class TestSsdModel:
 class TestMetadataStore:
     def test_store_and_resolve(self):
         store = MetadataStore()
-        store.store_unique(fp(1), size=4096, compressed_size=2048)
-        store.map_logical(0, fp(1), size=4096)
-        record = store.resolve(0)
-        assert record.fingerprint == fp(1)
+        record = store.store_unique(size=4096, compressed_size=2048)
+        store.map_logical(0, record, size=4096)
+        assert store.resolve(0) is record
+        assert store.lookup(record.physical_id) is record
         assert record.refcount == 1
 
-    def test_duplicate_store_rejected(self):
+    def test_swept_ids_are_never_reused(self):
         store = MetadataStore()
-        store.store_unique(fp(1), 4096, 2048)
-        with pytest.raises(MetadataError):
-            store.store_unique(fp(1), 4096, 2048)
+        first = store.store_unique(4096, 2048)
+        assert store.sweep_unreferenced() == 2048  # born unreferenced
+        assert store.lookup(first.physical_id) is None
+        second = store.store_unique(4096, 2048)
+        assert second.physical_id != first.physical_id
+        assert store.lookup(first.physical_id) is None
 
     def test_dedup_shares_physical(self):
         store = MetadataStore()
-        store.store_unique(fp(1), 4096, 2048)
-        store.map_logical(0, fp(1), 4096)
-        store.map_logical(4096, fp(1), 4096)
+        record = store.store_unique(4096, 2048)
+        store.map_logical(0, record, 4096)
+        store.map_logical(4096, record, 4096)
         assert store.logical_bytes == 8192
         assert store.physical_bytes == 2048
         assert store.resolve(0).refcount == 2
@@ -159,19 +156,18 @@ class TestMetadataStore:
 
     def test_overwrite_releases_old_mapping(self):
         store = MetadataStore()
-        store.store_unique(fp(1), 4096, 4096)
-        store.store_unique(fp(2), 4096, 4096)
-        store.map_logical(0, fp(1), 4096)
-        store.map_logical(0, fp(2), 4096)
+        first = store.store_unique(4096, 4096)
+        second = store.store_unique(4096, 4096)
+        store.map_logical(0, first, 4096)
+        store.map_logical(0, second, 4096)
         assert store.logical_bytes == 4096
-        assert store.unique_chunks == 1  # fp(1) was freed at refcount 0
-        assert store.resolve(0).fingerprint == fp(2)
+        assert store.unique_chunks == 1  # first was freed at refcount 0
+        assert store.resolve(0) is second
         store.verify_invariants()
 
     def test_unmap_frees_at_zero_refs(self):
         store = MetadataStore()
-        store.store_unique(fp(1), 4096, 1000)
-        store.map_logical(0, fp(1), 4096)
+        store.map_logical(0, store.store_unique(4096, 1000), 4096)
         store.unmap_logical(0)
         assert store.unique_chunks == 0
         assert store.physical_bytes == 0
@@ -181,30 +177,32 @@ class TestMetadataStore:
 
     def test_refcount_underflow_detected(self):
         store = MetadataStore()
-        store.store_unique(fp(1), 4096, 1000)
+        record = store.store_unique(4096, 1000)
         with pytest.raises(MetadataError, match="refcount underflow"):
-            store._drop_ref(store.lookup(fp(1)))
+            store._drop_ref(record)
 
     def test_unknown_reference_rejected(self):
         store = MetadataStore()
-        with pytest.raises(MetadataError, match="no findable chunk"):
-            store.map_logical(0, fp(99), 4096)
+        stranger = MetadataStore().store_unique(4096, 1000)
+        with pytest.raises(MetadataError, match="not part of this store"):
+            store.map_logical(0, stranger, 4096)
         assert store.logical_bytes == 0
 
     def test_sweep_collects_tracked_zombies_and_cascades(self):
         """The sweep works from the ids the ref drops recorded: a revived
         zombie is spared, a swept delta's base is the *next* sweep's."""
         store = MetadataStore()
+        records = []
         for i, compressed in enumerate((100, 200, 300, 400)):
-            store.store_unique(fp(i), 4096, compressed)
-            store.map_logical(i * 4096, fp(i), 4096)
-        delta = store.lookup(fp(3))
-        delta.delta_base_id = store.lookup(fp(2)).physical_id
+            records.append(store.store_unique(4096, compressed))
+            store.map_logical(i * 4096, records[i], 4096)
+        delta = records[3]
+        delta.delta_base_id = records[2].physical_id
         store.add_delta_ref(delta.delta_base_id)
         for offset in (0, 4096, 8192, 12288):
             store.unmap_logical(offset)
-        assert store.zombie_chunks == 3  # fp(2) is held by its delta
-        store.map_logical(0, fp(0), 4096)  # stale index hit revives
+        assert store.zombie_chunks == 3  # records[2] is held by its delta
+        store.map_logical(0, records[0], 4096)  # a hit on a zombie revives
         store.verify_invariants()
         assert store.sweep_unreferenced() == 200 + 400
         store.verify_invariants()
@@ -222,10 +220,10 @@ class TestMetadataStore:
     def test_ledger_invariants_property(self, ops):
         """Random map/overwrite sequences keep the ledger consistent."""
         store = MetadataStore()
+        records = {}
         for offset_slot, content in ops:
-            fingerprint = fp(content)
-            if store.lookup(fingerprint) is None:
-                store.store_unique(fingerprint, 4096, 2048 + content)
-            store.map_logical(offset_slot * 4096, fingerprint, 4096)
+            if content not in records:
+                records[content] = store.store_unique(4096, 2048 + content)
+            store.map_logical(offset_slot * 4096, records[content], 4096)
             store.verify_invariants()
         assert store.logical_bytes == len(store._logical) * 4096

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import ConfigError
-from repro.storage.metadata import MetadataStore
+from repro.storage.metadata import ChunkRecord, MetadataStore
 from repro.tenancy import (
     MIN_QUOTA,
     CompactionEntry,
@@ -197,17 +197,17 @@ class TestTenantAccounting:
         assert accounting.counters(1).chunks == 1
 
 
-def entry(seq: int, tag: str, shadow: str, offset: int,
+def entry(tag: str, shadow_id: int, offset: int,
           tenant: int = 0, size: int = 4096) -> CompactionEntry:
-    return CompactionEntry(seq=seq, tenant=tenant, offset=offset,
-                           size=size, fingerprint=fp(tag),
-                           shadow_fp=fp(shadow))
+    return CompactionEntry(tenant=tenant, offset=offset, size=size,
+                           fingerprint=fp(tag), shadow_id=shadow_id)
 
 
-def store_at(metadata: MetadataStore, offset: int, tag: str,
-             compressed_size: int = 1000) -> None:
-    metadata.store_unique(fp(tag), 4096, compressed_size)
-    metadata.map_logical(offset, fp(tag), 4096)
+def store_at(metadata: MetadataStore, offset: int,
+             compressed_size: int = 1000) -> ChunkRecord:
+    record = metadata.store_unique(4096, compressed_size)
+    metadata.map_logical(offset, record, 4096)
+    return record
 
 
 class TestCompactionQueue:
@@ -217,8 +217,8 @@ class TestCompactionQueue:
 
     def test_take_batch_waits_for_a_full_batch(self):
         queue = CompactionQueue(2)
-        first = entry(0, "a", "s0", 0)
-        second = entry(1, "b", "s1", 4096)
+        first = entry("a", 0, 0)
+        second = entry("b", 1, 4096)
         queue.defer(first)
         assert queue.take_batch() is None
         queue.defer(second)
@@ -228,7 +228,7 @@ class TestCompactionQueue:
 
     def test_drain_yields_every_remaining_entry_in_order(self):
         queue = CompactionQueue(2)
-        entries = [entry(i, f"f{i}", f"s{i}", i * 4096) for i in range(5)]
+        entries = [entry(f"f{i}", i, i * 4096) for i in range(5)]
         for item in entries:
             queue.defer(item)
         batches = list(queue.drain())
@@ -239,8 +239,8 @@ class TestCompactionQueue:
 
     def test_cycles_charge_hash_probe_and_update_per_entry(self):
         queue = CompactionQueue(4)
-        entries = [entry(0, "a", "s0", 0, size=4096),
-                   entry(1, "b", "s1", 4096, size=8192)]
+        entries = [entry("a", 0, 0, size=4096),
+                   entry("b", 1, 4096, size=8192)]
         expected = sum(DEFAULT_COSTS.sha1_cycles(e.size)
                        + DEFAULT_COSTS.bin_buffer_probe
                        + DEFAULT_COSTS.metadata_update for e in entries)
@@ -249,14 +249,15 @@ class TestCompactionQueue:
 
     def test_apply_remaps_onto_the_stored_copy_and_sweeps_the_shadow(self):
         metadata = MetadataStore()
-        store_at(metadata, 0, "a")
-        store_at(metadata, 4096, "shadow", compressed_size=1500)
+        stored = store_at(metadata, 0)
+        shadow = store_at(metadata, 4096, compressed_size=1500)
         queue = CompactionQueue(1)
-        recovered = queue.apply([entry(0, "a", "shadow", 4096, tenant=3)],
-                                metadata)
+        recovered = queue.apply(
+            [entry("a", shadow.physical_id, 4096, tenant=3)], metadata,
+            {fp("a"): stored.physical_id})
         assert recovered == [3]
-        assert metadata.resolve(4096) is metadata.resolve(0)
-        assert metadata.lookup(fp("shadow")) is None
+        assert metadata.resolve(4096) is stored
+        assert metadata.lookup(shadow.physical_id) is None
         assert metadata.unique_chunks == 1
         metadata.verify_invariants()
         assert queue.counters() == {
@@ -265,31 +266,49 @@ class TestCompactionQueue:
 
     def test_first_unstored_occurrence_promotes_its_shadow(self):
         metadata = MetadataStore()
-        store_at(metadata, 0, "s0")
-        store_at(metadata, 4096, "s1")
+        s0 = store_at(metadata, 0)
+        s1 = store_at(metadata, 4096)
         queue = CompactionQueue(2)
-        recovered = queue.apply([entry(0, "b", "s0", 0, tenant=1),
-                                 entry(1, "b", "s1", 4096, tenant=2)],
-                                metadata)
+        recovered = queue.apply([entry("b", s0.physical_id, 0, tenant=1),
+                                 entry("b", s1.physical_id, 4096,
+                                       tenant=2)],
+                                metadata, {})
         # The first copy keeps its blob as the canonical one; only the
         # second is a recovered duplicate.
         assert recovered == [2]
-        assert queue.canonical_shadow(fp("b")) == fp("s0")
-        assert metadata.resolve(4096) is metadata.resolve(0)
-        assert metadata.lookup(fp("s1")) is None
+        assert queue.canonical_shadow(fp("b"), metadata) == s0.physical_id
+        assert metadata.resolve(4096) is s0
+        assert metadata.lookup(s1.physical_id) is None
         assert queue.reclaimed_bytes == 1000
         metadata.verify_invariants()
 
     def test_promoted_shadow_serves_later_epochs(self):
         metadata = MetadataStore()
-        store_at(metadata, 0, "s0")
+        s0 = store_at(metadata, 0)
         queue = CompactionQueue(1)
-        assert queue.apply([entry(0, "b", "s0", 0)], metadata) == []
-        assert queue.canonical_shadow(fp("b")) == fp("s0")
-        store_at(metadata, 8192, "s2")
-        assert queue.apply([entry(1, "b", "s2", 8192, tenant=4)],
-                           metadata) == [4]
-        assert metadata.resolve(8192) is metadata.resolve(0)
+        assert queue.apply([entry("b", s0.physical_id, 0)],
+                           metadata, {}) == []
+        assert queue.canonical_shadow(fp("b"), metadata) == s0.physical_id
+        s2 = store_at(metadata, 8192)
+        assert queue.apply([entry("b", s2.physical_id, 8192, tenant=4)],
+                           metadata, {}) == [4]
+        assert metadata.resolve(8192) is s0
         assert queue.epochs == 2
-        assert queue.canonical_shadow(fp("c")) is None
+        assert queue.canonical_shadow(fp("c"), metadata) is None
+        metadata.verify_invariants()
+
+    def test_a_swept_canonical_copy_is_a_miss(self):
+        metadata = MetadataStore()
+        s0 = store_at(metadata, 0)
+        queue = CompactionQueue(1)
+        queue.apply([entry("b", s0.physical_id, 0)], metadata, {})
+        metadata.unmap_logical(0)
+        metadata.sweep_unreferenced()
+        # Ids are never reused: the promoted id names nothing now, in
+        # the queue's map and in a stored-copy map alike.
+        assert queue.canonical_shadow(fp("b"), metadata) is None
+        s1 = store_at(metadata, 4096)
+        assert queue.apply([entry("b", s1.physical_id, 4096)], metadata,
+                           {fp("b"): s0.physical_id}) == []
+        assert queue.canonical_shadow(fp("b"), metadata) == s1.physical_id
         metadata.verify_invariants()

@@ -320,6 +320,10 @@ class VolumeAgainstModel(RuleBasedStateMachine):
     def restart(self):
         self.volume.restart()
 
+    @rule()
+    def sweep(self):
+        self.volume.engine.sweep()
+
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def read(self, data):
@@ -343,3 +347,17 @@ class VolumeAgainstModel(RuleBasedStateMachine):
 TestVolumeAgainstModel = VolumeAgainstModel.TestCase
 TestVolumeAgainstModel.settings = settings(
     max_examples=40, stateful_step_count=12, deadline=None)
+
+
+def test_sweep_then_rewrite_stores_the_content_again():
+    """The shrunk case of the ``sweep`` rule: the sweep collects the
+    overwritten chunk, so its content must index as new, not as a
+    duplicate of the chunk that is gone."""
+    volume = ReducedVolume()
+    volume.write(0, POOL[0])
+    volume.write(0, POOL[1])
+    volume.engine.sweep()
+    volume.write(0, POOL[0])
+    assert volume.read(0, CHUNK) == POOL[0]
+    assert volume.engine.counters["uniques"] == 3
+    volume.engine.metadata.verify_invariants()

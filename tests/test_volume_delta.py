@@ -65,7 +65,7 @@ class TestDeltaVolume:
                                  (2 * CHUNK, second)):
             record = volume.engine.metadata.resolve(offset)
             if record.delta_base_id is not None:
-                base_record = volume.engine.metadata.get_record(
+                base_record = volume.engine.metadata.lookup(
                     record.delta_base_id)
                 assert base_record.delta_base_id is None  # depth 1
             assert volume.read(offset, CHUNK) == expected
@@ -77,7 +77,7 @@ class TestDeltaVolume:
         near = edited(base, 5)
         volume.write(CHUNK, near)
         volume.discard(0, CHUNK)   # drop the base's logical mapping
-        volume.engine.metadata.sweep_unreferenced()
+        volume.engine.sweep()
         # The delta still reads: its base was pinned by the delta ref.
         assert volume.read(CHUNK, CHUNK) == near
         volume.engine.metadata.verify_invariants()
@@ -89,8 +89,8 @@ class TestDeltaVolume:
         volume.write(CHUNK, edited(base, 5))
         volume.discard(0, CHUNK)
         volume.discard(CHUNK, CHUNK)
-        first_sweep = volume.engine.metadata.sweep_unreferenced()
-        second_sweep = volume.engine.metadata.sweep_unreferenced()
+        first_sweep = volume.engine.sweep()
+        second_sweep = volume.engine.sweep()
         assert first_sweep > 0
         assert second_sweep > 0  # the base, released by the delta
         assert volume.engine.metadata.unique_chunks == 0
