@@ -42,7 +42,7 @@ def main() -> None:
     victim = volume.engine.metadata.resolve(4 * CHUNK)
     rotted = bytearray(victim.blob)
     rotted[17] ^= 0x08
-    victim.blob = bytes(rotted)
+    volume.engine.metadata.replace_blob(victim.physical_id, bytes(rotted))
     report = volume.scrub()
     print(f"   after bit-rot: {report['corrupt']} corrupt chunk(s) at "
           f"logical offsets {report['corrupt_offsets']}")

@@ -1052,6 +1052,8 @@ EXPERIMENTS: dict[str, Experiment] = {
              lambda r: r["paper"][2]["saved_vs_full"] / GIB, (1, 1)),
             ("built B per stored chunk / paper's 32 B, prefix 1 (pipeline)",
              lambda r: r["built"][1] / 32, (1, INF)),
+            ("built B per stored chunk, prefix 1 (pipeline)",
+             lambda r: r["built"][1], (-INF, 200)),
             ("built B per stored chunk / paper's 32 B, prefix 2 (volume)",
              lambda r: r["built"][2] / 32, (1, INF)),
         )),

@@ -160,11 +160,11 @@ class DedupEngine:
                          physical_id: Optional[int]) -> float:
         """Map a duplicate chunk onto the stored copy its verdict named
         by ``physical_id``; returns cycles."""
-        record = self.metadata.lookup(physical_id)
-        if record is None:
+        compressed_size = self.metadata.lookup(physical_id)
+        if compressed_size is None:
             raise DedupError("duplicate verdict names no stored chunk")
-        self.metadata.map_logical(chunk.offset, record, chunk.size)
-        chunk.compressed_size = record.compressed_size
+        self.metadata.map_logical(chunk.offset, physical_id)
+        chunk.compressed_size = compressed_size
         return DEFAULT_COSTS.metadata_update
 
     def commit_unique(self, chunk: Chunk,
@@ -192,17 +192,17 @@ class DedupEngine:
         if chunk.compressed_size is None:
             chunk.compressed_size = chunk.size
         self.counters[CTR_UNIQUES] += 1
-        record = self.metadata.store_unique(
+        physical_id = self.metadata.store_unique(
             chunk.size, chunk.compressed_size, blob=blob, checksum=checksum)
-        self.metadata.map_logical(chunk.offset, record, chunk.size)
+        self.metadata.map_logical(chunk.offset, physical_id)
         cycles = (DEFAULT_COSTS.bin_buffer_insert
                   + DEFAULT_COSTS.metadata_update
                   + DEFAULT_COSTS.flush_amortized_per_unique)
         # The staged value is the index entry's metadata: the physical
         # id, a plain int the cyclic collector never walks.
-        flush = self.bin_buffer.add_view(view, record.physical_id)
+        flush = self.bin_buffer.add_view(view, physical_id)
         batch = self._apply_flush(flush) if flush is not None else None
-        return cycles, batch, record.physical_id, True
+        return cycles, batch, physical_id, True
 
     def _apply_flush(self, flush) -> DestageBatch:
         """Move a flushed bin into the bin tree and the GPU bins.
@@ -213,8 +213,8 @@ class DedupEngine:
         self.counters[CTR_FLUSHES] += 1
         staged = flush.staged
         self.bin_table.install_views(flush.bin_id, staged)
-        payload = sum(self.metadata.lookup(physical_id).compressed_size
-                      for _, physical_id in staged)
+        lookup = self.metadata.lookup
+        payload = sum(lookup(physical_id) for _, physical_id in staged)
         if self.gpu_index is not None:
             self.gpu_index.install_views(flush.bin_id,
                                          [suffix for suffix, _ in staged])

@@ -102,9 +102,9 @@ class ReducedVolume:
         if self._similarity is not None:
             chunk_sketch = sketch(chunk.payload)
             base_id = self._similarity.find_similar(chunk_sketch)
-            base = self.engine.metadata.lookup(base_id)  # None if swept
-            if base is not None:
-                base_plain = self._materialize(base)
+            metadata = self.engine.metadata
+            if metadata.lookup(base_id) is not None:  # None if swept
+                base_plain = self._materialize(metadata.record(base_id))
                 delta = self._delta_codec.encode(base_plain,
                                                  chunk.payload)
                 if len(delta) < chunk.size // 2:
@@ -119,14 +119,12 @@ class ReducedVolume:
         _cycles, batch, physical_id, was_unique = self.engine.commit_unique(
             chunk, blob, checksum=checksum)
         if was_unique:
-            record = self.engine.metadata.lookup(physical_id)
             if delta_base_id is not None:
-                record.delta_base_id = delta_base_id
-                self.engine.metadata.add_delta_ref(delta_base_id)
+                self.engine.metadata.attach_delta(physical_id, delta_base_id)
                 self.deltas_stored += 1
             elif self._similarity is not None:
                 # Only full (non-delta) chunks serve as delta bases.
-                self._similarity.insert(record.physical_id, chunk_sketch)
+                self._similarity.insert(physical_id, chunk_sketch)
         if batch is not None:
             self.destaged_bytes += batch.payload_bytes
 
@@ -174,8 +172,9 @@ class ReducedVolume:
             raise BlockRangeError("clone ranges must not overlap")
         metadata = self.engine.metadata
         for delta in range(0, size, self.chunk_size):
-            record = metadata.resolve(src_offset + delta)
-            metadata.map_logical(dst_offset + delta, record, record.size)
+            metadata.map_logical(dst_offset + delta,
+                                 metadata.resolve(src_offset + delta)
+                                 .physical_id)
 
     def discard(self, offset: int, size: int) -> None:
         """TRIM a chunk-aligned extent."""
@@ -191,7 +190,7 @@ class ReducedVolume:
                 f"chunk {record.physical_id} has no stored payload "
                 "(descriptor-mode record?)")
         if record.delta_base_id is not None:
-            base = self.engine.metadata.lookup(record.delta_base_id)
+            base = self.engine.metadata.record(record.delta_base_id)
             return self._delta_codec.decode(self._materialize(base),
                                             record.blob)
         if record.compressed_size < record.size:
@@ -210,7 +209,7 @@ class ReducedVolume:
         scanned = verified = corrupt = unverifiable = 0
         corrupt_offsets: list[int] = []
         verdicts: dict[int, bool] = {}  # by physical id, this scan only
-        for offset in sorted(self.engine.metadata._logical):
+        for offset in self.engine.metadata.mapped_offsets():
             record = self.engine.metadata.resolve(offset)
             scanned += 1
             if record.blob is None or record.checksum is None:

@@ -134,8 +134,7 @@ class CompactionQueue:
                 if target is None:
                     canonical[entry.fingerprint] = entry.shadow_id
                     continue
-            metadata.map_logical(entry.offset, metadata.lookup(target),
-                                 entry.size)
+            metadata.map_logical(entry.offset, target)
             self.recovered += 1
             recovered_tenants.append(entry.tenant)
         self.reclaimed_bytes += metadata.sweep_unreferenced()

@@ -174,15 +174,15 @@ class TenancyController:
                      and self.canonical_id(fingerprint, metadata) is None
                      and self.compaction.canonical_shadow(
                          fingerprint, metadata) is None)
-        record = metadata.store_unique(chunk.size, chunk.compressed_size,
-                                       blob=blob)
-        metadata.map_logical(chunk.offset, record, chunk.size)
+        physical_id = metadata.store_unique(chunk.size,
+                                            chunk.compressed_size, blob=blob)
+        metadata.map_logical(chunk.offset, physical_id)
         if canonical:
-            self._canonical[fingerprint] = record.physical_id
+            self._canonical[fingerprint] = physical_id
         else:
             self.compaction.defer(CompactionEntry(
                 tenant=tenant, offset=chunk.offset, size=chunk.size,
-                fingerprint=fingerprint, shadow_id=record.physical_id))
+                fingerprint=fingerprint, shadow_id=physical_id))
         self.accounting.note_stored(tenant)
         return "tenant_unique" if canonical else "tenant_shadow"
 

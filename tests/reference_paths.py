@@ -53,7 +53,11 @@ imports this.
   :func:`reference_fingerprint` — the workload streams and the hashing
   stage one chunk at a time, which the windowed ``next_batch`` /
   ``chunks`` and ``fingerprint_window`` must equal element-wise
-  (``test_batched_equivalence``, ``test_tenancy_equivalence``).
+  (``test_batched_equivalence``, ``test_tenancy_equivalence``);
+* :class:`ReferenceMetadataStore` — the chunk table as one mutable
+  record object per stored chunk in a dict keyed by physical id, which
+  the columnar ``MetadataStore`` must equal accessor for accessor and
+  view for view (``test_storage``).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from repro.core.batcher import GpuBatcher
 from repro.cpu.model import SimCpu
 from repro.dedup.index_base import check_fingerprint
 from repro.errors import ConfigError, ResourceError
-from repro.errors import DedupError
+from repro.errors import DedupError, MetadataError
 from repro.gpu.kernels.indexing import LookupBatch
 from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_READ, STAGE_SSD_WRITE,
                               TRACK_DESTAGE, TRACK_SSD)
@@ -721,3 +725,181 @@ def reference_wiring(monkeypatch):
         patch.setattr(SimCpu, "charge", reference_charge)
         patch.setattr(WriteBack, "submit", reference_writeback_submit)
         yield
+
+
+@dataclasses.dataclass(slots=True)
+class ReferenceChunkRecord:
+    """One stored chunk, as a mutable object (fields in the order of
+    ``ChunkRecord``'s)."""
+
+    physical_id: int
+    size: int
+    compressed_size: int
+    refcount: int = 1
+    blob: Optional[bytes] = None
+    checksum: Optional[int] = None
+    delta_base_id: Optional[int] = None
+    delta_refs: int = 0
+
+    @property
+    def live(self) -> bool:
+        return self.refcount > 0 or self.delta_refs > 0
+
+
+class ReferenceMetadataStore:
+    """Record-per-chunk table + logical map, keyed by physical id: a
+    swept record leaves the dict."""
+
+    def __init__(self) -> None:
+        self._by_id: dict[int, ReferenceChunkRecord] = {}
+        self._logical: dict[int, int] = {}
+        self._zombies: set[int] = set()
+        self._next_physical = 0
+        self.logical_bytes = 0
+        self.physical_bytes = 0
+
+    def lookup(self, physical_id: Optional[int]
+               ) -> Optional[ReferenceChunkRecord]:
+        return self._by_id.get(physical_id)
+
+    def store_unique(self, size: int, compressed_size: int,
+                     blob: Optional[bytes] = None,
+                     checksum: Optional[int] = None
+                     ) -> ReferenceChunkRecord:
+        if compressed_size <= 0 or size <= 0:
+            raise MetadataError("invalid chunk sizes")
+        record = ReferenceChunkRecord(
+            physical_id=self._next_physical, size=size,
+            compressed_size=compressed_size, refcount=0, blob=blob,
+            checksum=checksum)
+        self._by_id[record.physical_id] = record
+        self._zombies.add(record.physical_id)
+        self._next_physical += 1
+        return record
+
+    def _revive(self, record: ReferenceChunkRecord) -> None:
+        if not record.live:
+            self.physical_bytes += record.compressed_size
+            self._zombies.discard(record.physical_id)
+
+    def _retire(self, record: ReferenceChunkRecord) -> None:
+        if not record.live:
+            self.physical_bytes -= record.compressed_size
+            self._zombies.add(record.physical_id)
+
+    def add_delta_ref(self, physical_id: int) -> ReferenceChunkRecord:
+        record = self._by_id[physical_id]
+        self._revive(record)
+        record.delta_refs += 1
+        return record
+
+    def _drop_ref(self, record: ReferenceChunkRecord
+                  ) -> ReferenceChunkRecord:
+        if record.refcount <= 0:
+            raise MetadataError("refcount underflow")
+        record.refcount -= 1
+        self._retire(record)
+        return record
+
+    def _drop_delta_ref(self, physical_id: int) -> None:
+        record = self._by_id.get(physical_id)
+        if record is None:
+            return
+        if record.delta_refs <= 0:
+            raise MetadataError("delta-ref underflow")
+        record.delta_refs -= 1
+        self._retire(record)
+
+    def sweep_unreferenced(self) -> int:
+        zombies = sorted(self._zombies)
+        self._zombies.clear()
+        reclaimed = 0
+        for physical_id in zombies:
+            record = self._by_id.pop(physical_id)
+            reclaimed += record.compressed_size
+            if record.delta_base_id is not None:
+                self._drop_delta_ref(record.delta_base_id)
+        return reclaimed
+
+    def map_logical(self, offset: int, record: ReferenceChunkRecord,
+                    size: int) -> None:
+        if self._by_id.get(record.physical_id) is not record:
+            raise MetadataError("record is not part of this store")
+        self._revive(record)
+        record.refcount += 1
+        old_id = self._logical.get(offset)
+        if old_id is not None:
+            old_record = self._by_id[old_id]
+            self._drop_ref(old_record)
+            self.logical_bytes -= old_record.size
+        self._logical[offset] = record.physical_id
+        self.logical_bytes += size
+
+    def resolve(self, offset: int) -> ReferenceChunkRecord:
+        physical_id = self._logical.get(offset)
+        if physical_id is None:
+            raise MetadataError(f"logical offset {offset} is unmapped")
+        record = self._by_id.get(physical_id)
+        if record is None:
+            raise MetadataError(
+                f"logical offset {offset} points at a swept chunk")
+        return record
+
+    def unmap_logical(self, offset: int) -> None:
+        physical_id = self._logical.pop(offset, None)
+        if physical_id is None:
+            raise MetadataError(f"logical offset {offset} is unmapped")
+        record = self._drop_ref(self._by_id[physical_id])
+        self.logical_bytes -= record.size
+
+    @property
+    def unique_chunks(self) -> int:
+        return len(self._by_id) - len(self._zombies)
+
+    @property
+    def zombie_chunks(self) -> int:
+        return len(self._zombies)
+
+    def reduction_ratio(self) -> float:
+        if self.physical_bytes <= 0:
+            return 1.0 if self.logical_bytes == 0 else float("inf")
+        return self.logical_bytes / self.physical_bytes
+
+    def dedup_ratio(self) -> float:
+        unique_raw = sum(r.size for r in self._by_id.values() if r.live)
+        if unique_raw <= 0:
+            return 1.0 if self.logical_bytes == 0 else float("inf")
+        return self.logical_bytes / unique_raw
+
+    def verify_invariants(self) -> None:
+        physical = sum(r.compressed_size for r in self._by_id.values()
+                       if r.live)
+        if physical != self.physical_bytes:
+            raise MetadataError(
+                f"physical ledger {self.physical_bytes} != table {physical}")
+        scanned = {r.physical_id for r in self._by_id.values()
+                   if not r.live}
+        if scanned != self._zombies:
+            raise MetadataError(
+                f"zombie set drift on chunks "
+                f"{sorted(scanned ^ self._zombies)[:8]}")
+        refs = sum(r.refcount for r in self._by_id.values())
+        if refs != len(self._logical):
+            raise MetadataError(
+                f"refcount total {refs} != logical mappings "
+                f"{len(self._logical)}")
+        expected_delta_refs: dict[int, int] = {}
+        for record in self._by_id.values():
+            if record.delta_base_id is not None:
+                expected_delta_refs[record.delta_base_id] = \
+                    expected_delta_refs.get(record.delta_base_id, 0) + 1
+        for record in self._by_id.values():
+            if record.delta_refs != expected_delta_refs.get(
+                    record.physical_id, 0):
+                raise MetadataError(
+                    f"delta-ref drift on chunk {record.physical_id}")
+        logical = sum(self._by_id[pid].size
+                      for pid in self._logical.values())
+        if logical != self.logical_bytes:
+            raise MetadataError(
+                f"logical ledger {self.logical_bytes} != map {logical}")

@@ -13,8 +13,7 @@ from repro.workload.patterns import ZipfPattern
 def populated_store(n_chunks=64, compressed_size=2048):
     store = MetadataStore()
     for i in range(n_chunks):
-        store.map_logical(i * 4096, store.store_unique(4096, compressed_size),
-                          4096)
+        store.map_logical(i * 4096, store.store_unique(4096, compressed_size))
     return store
 
 

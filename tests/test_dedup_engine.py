@@ -106,7 +106,7 @@ class TestCommits:
         _c2, _b2, second_id, second_unique = engine.commit_unique(b)
         assert first_unique and not second_unique
         assert second_id == first_id
-        assert engine.metadata.resolve(4096) is engine.metadata.resolve(0)
+        assert engine.metadata.resolve(4096) == engine.metadata.resolve(0)
         assert engine.counters["race_duplicates"] == 1
         assert engine.metadata.unique_chunks == 1
 

@@ -117,12 +117,10 @@ class TestMetadataFuzz:
         for name, slot, content in ops:
             if name == "map":
                 physical_id = index.get(content)
-                record = None if physical_id is None \
-                    else store.lookup(physical_id)
-                if record is None:
-                    record = store.store_unique(4096, 2048)
-                    index[content] = record.physical_id
-                store.map_logical(slot * 4096, record, 4096)
+                if store.lookup(physical_id) is None:
+                    physical_id = store.store_unique(4096, 2048)
+                    index[content] = physical_id
+                store.map_logical(slot * 4096, physical_id)
             elif name == "unmap":
                 try:
                     store.unmap_logical(slot * 4096)
@@ -133,18 +131,18 @@ class TestMetadataFuzz:
             else:
                 store.sweep_unreferenced()
             store.verify_invariants()
-        assert store.logical_bytes == len(store._logical) * 4096
+        assert store.logical_bytes == len(store.mapped_offsets()) * 4096
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
     @settings(max_examples=30, deadline=None)
     def test_refcounts_equal_mapping_multiplicity_property(self, writes):
         store = MetadataStore()
-        records = {}
+        ids = {}
         for offset_slot, content in enumerate(writes):
-            if content not in records:
-                records[content] = store.store_unique(4096, 1024)
-            store.map_logical(offset_slot * 4096, records[content], 4096)
+            if content not in ids:
+                ids[content] = store.store_unique(4096, 1024)
+            store.map_logical(offset_slot * 4096, ids[content])
         from collections import Counter
         multiplicity = Counter(writes)
         for content, expected in multiplicity.items():
-            assert records[content].refcount == expected
+            assert store.record(ids[content]).refcount == expected

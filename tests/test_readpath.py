@@ -11,8 +11,7 @@ from repro.storage import MetadataStore
 def populated_store(n_chunks=32, compressed_size=2048):
     store = MetadataStore()
     for i in range(n_chunks):
-        store.map_logical(i * 4096, store.store_unique(4096, compressed_size),
-                          4096)
+        store.map_logical(i * 4096, store.store_unique(4096, compressed_size))
     return store
 
 
@@ -88,9 +87,9 @@ class TestReadPipeline:
 
     def test_dedup_sharing_serves_shared_chunks(self):
         store = MetadataStore()
-        record = store.store_unique(4096, 2048)
+        physical_id = store.store_unique(4096, 2048)
         for slot in range(8):
-            store.map_logical(slot * 4096, record, 4096)
+            store.map_logical(slot * 4096, physical_id)
         env = Environment()
         pipeline = ReadPipeline(env, store)
         report = pipeline.run([slot * 4096 for slot in range(8)])

@@ -61,7 +61,8 @@ class TestEngineRestart:
         assert metadata.unique_chunks == 2
         assert metadata.physical_bytes == 4096
         assert metadata.dedup_ratio() == pytest.approx(1.0)
-        assert metadata.resolve(0) is not metadata.resolve(4096)
+        assert metadata.resolve(0).physical_id != \
+            metadata.resolve(4096).physical_id
         metadata.verify_invariants()
 
     def test_restart_drains_staged_data(self):
@@ -114,7 +115,8 @@ class TestVolumeRestartAndChecksums:
         # Bit-rot on the stored blob.
         corrupted = bytearray(record.blob)
         corrupted[10] ^= 0xFF
-        record.blob = bytes(corrupted)
+        volume.engine.metadata.replace_blob(record.physical_id,
+                                            bytes(corrupted))
         with pytest.raises(MetadataError, match="checksum mismatch"):
             volume.read(0, 4096)
 
@@ -154,7 +156,8 @@ class TestScrubber:
         record = volume.engine.metadata.resolve(2 * 4096)
         rotted = bytearray(record.blob)
         rotted[5] ^= 0x40
-        record.blob = bytes(rotted)
+        volume.engine.metadata.replace_blob(record.physical_id,
+                                            bytes(rotted))
         report = volume.scrub()
         assert report["corrupt"] == 1
         assert report["corrupt_offsets"] == [2 * 4096]
@@ -167,7 +170,9 @@ class TestScrubber:
         volume.write(0, data)
         volume.write(4096, data)  # dedup: same record
         record = volume.engine.metadata.resolve(0)
-        record.blob = record.blob[:-1] + bytes([record.blob[-1] ^ 1])
+        volume.engine.metadata.replace_blob(
+            record.physical_id,
+            record.blob[:-1] + bytes([record.blob[-1] ^ 1]))
         report = volume.scrub()
         assert report["corrupt"] == 2  # both logical offsets affected
 
@@ -181,6 +186,7 @@ class TestScrubber:
     def test_undecodable_blob_counts_as_corrupt(self):
         volume = self._populated(n=2)
         record = volume.engine.metadata.resolve(0)
-        record.blob = b"\x00\x01"  # hopeless container
+        volume.engine.metadata.replace_blob(
+            record.physical_id, b"\x00\x01")  # hopeless container
         report = volume.scrub()
         assert report["corrupt"] >= 1

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import ConfigError
-from repro.storage.metadata import ChunkRecord, MetadataStore
+from repro.storage.metadata import MetadataStore
 from repro.tenancy import (
     MIN_QUOTA,
     CompactionEntry,
@@ -204,10 +204,10 @@ def entry(tag: str, shadow_id: int, offset: int,
 
 
 def store_at(metadata: MetadataStore, offset: int,
-             compressed_size: int = 1000) -> ChunkRecord:
-    record = metadata.store_unique(4096, compressed_size)
-    metadata.map_logical(offset, record, 4096)
-    return record
+             compressed_size: int = 1000) -> int:
+    physical_id = metadata.store_unique(4096, compressed_size)
+    metadata.map_logical(offset, physical_id)
+    return physical_id
 
 
 class TestCompactionQueue:
@@ -253,11 +253,11 @@ class TestCompactionQueue:
         shadow = store_at(metadata, 4096, compressed_size=1500)
         queue = CompactionQueue(1)
         recovered = queue.apply(
-            [entry("a", shadow.physical_id, 4096, tenant=3)], metadata,
-            {fp("a"): stored.physical_id})
+            [entry("a", shadow, 4096, tenant=3)], metadata,
+            {fp("a"): stored})
         assert recovered == [3]
-        assert metadata.resolve(4096) is stored
-        assert metadata.lookup(shadow.physical_id) is None
+        assert metadata.resolve(4096).physical_id == stored
+        assert metadata.lookup(shadow) is None
         assert metadata.unique_chunks == 1
         metadata.verify_invariants()
         assert queue.counters() == {
@@ -269,16 +269,16 @@ class TestCompactionQueue:
         s0 = store_at(metadata, 0)
         s1 = store_at(metadata, 4096)
         queue = CompactionQueue(2)
-        recovered = queue.apply([entry("b", s0.physical_id, 0, tenant=1),
-                                 entry("b", s1.physical_id, 4096,
+        recovered = queue.apply([entry("b", s0, 0, tenant=1),
+                                 entry("b", s1, 4096,
                                        tenant=2)],
                                 metadata, {})
         # The first copy keeps its blob as the canonical one; only the
         # second is a recovered duplicate.
         assert recovered == [2]
-        assert queue.canonical_shadow(fp("b"), metadata) == s0.physical_id
-        assert metadata.resolve(4096) is s0
-        assert metadata.lookup(s1.physical_id) is None
+        assert queue.canonical_shadow(fp("b"), metadata) == s0
+        assert metadata.resolve(4096).physical_id == s0
+        assert metadata.lookup(s1) is None
         assert queue.reclaimed_bytes == 1000
         metadata.verify_invariants()
 
@@ -286,13 +286,13 @@ class TestCompactionQueue:
         metadata = MetadataStore()
         s0 = store_at(metadata, 0)
         queue = CompactionQueue(1)
-        assert queue.apply([entry("b", s0.physical_id, 0)],
+        assert queue.apply([entry("b", s0, 0)],
                            metadata, {}) == []
-        assert queue.canonical_shadow(fp("b"), metadata) == s0.physical_id
+        assert queue.canonical_shadow(fp("b"), metadata) == s0
         s2 = store_at(metadata, 8192)
-        assert queue.apply([entry("b", s2.physical_id, 8192, tenant=4)],
+        assert queue.apply([entry("b", s2, 8192, tenant=4)],
                            metadata, {}) == [4]
-        assert metadata.resolve(8192) is s0
+        assert metadata.resolve(8192).physical_id == s0
         assert queue.epochs == 2
         assert queue.canonical_shadow(fp("c"), metadata) is None
         metadata.verify_invariants()
@@ -301,14 +301,14 @@ class TestCompactionQueue:
         metadata = MetadataStore()
         s0 = store_at(metadata, 0)
         queue = CompactionQueue(1)
-        queue.apply([entry("b", s0.physical_id, 0)], metadata, {})
+        queue.apply([entry("b", s0, 0)], metadata, {})
         metadata.unmap_logical(0)
         metadata.sweep_unreferenced()
         # Ids are never reused: the promoted id names nothing now, in
         # the queue's map and in a stored-copy map alike.
         assert queue.canonical_shadow(fp("b"), metadata) is None
         s1 = store_at(metadata, 4096)
-        assert queue.apply([entry("b", s1.physical_id, 4096)], metadata,
-                           {fp("b"): s0.physical_id}) == []
-        assert queue.canonical_shadow(fp("b"), metadata) == s1.physical_id
+        assert queue.apply([entry("b", s1, 4096)], metadata,
+                           {fp("b"): s0}) == []
+        assert queue.canonical_shadow(fp("b"), metadata) == s1
         metadata.verify_invariants()

@@ -178,12 +178,13 @@ def _shared_volume(codec=None, offsets=64, contents=20):
 
 
 def _flip_stored_byte(volume, offset):
+    """Flip one byte of the blob backing ``offset``; returns its
+    physical id and the blob as it was."""
     record = volume.engine.metadata.resolve(offset)
-    original = record.blob
-    blob = bytearray(original)
+    blob = bytearray(record.blob)
     blob[len(blob) // 2] ^= 0x40
-    record.blob = bytes(blob)
-    return record, original
+    volume.engine.metadata.replace_blob(record.physical_id, bytes(blob))
+    return record.physical_id, record.blob
 
 
 class TestScrub:
@@ -211,9 +212,9 @@ class TestScrub:
 
     def test_verdicts_do_not_outlive_the_scan(self):
         volume = _shared_volume()
-        record, original = _flip_stored_byte(volume, 0)
+        physical_id, original = _flip_stored_byte(volume, 0)
         assert volume.scrub()["corrupt"] == 4
-        record.blob = original
+        volume.engine.metadata.replace_blob(physical_id, original)
         report = volume.scrub()
         assert report["verified"] == report["scanned"] == 64
         assert report["corrupt_offsets"] == []
@@ -234,15 +235,16 @@ class TestScrub:
         redirects a match to equal bytes changes nothing, and is
         verified.)"""
         volume = _shared_volume(offsets=6, contents=3)
-        record = volume.engine.metadata.resolve(4096)
+        metadata = volume.engine.metadata
+        record = metadata.resolve(4096)
         original, plaintext = record.blob, compressible(4096, salt=1)
         reported = 0
         for spot in range(len(original)):
             blob = bytearray(original)
             blob[spot] ^= 0x01
-            record.blob = bytes(blob)
+            metadata.replace_blob(record.physical_id, bytes(blob))
             try:
-                damaged = QuickLzCodec().decode(record.blob) != plaintext
+                damaged = QuickLzCodec().decode(bytes(blob)) != plaintext
             except ReproError:
                 damaged = True
             report = volume.scrub()

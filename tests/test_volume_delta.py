@@ -65,7 +65,7 @@ class TestDeltaVolume:
                                  (2 * CHUNK, second)):
             record = volume.engine.metadata.resolve(offset)
             if record.delta_base_id is not None:
-                base_record = volume.engine.metadata.lookup(
+                base_record = volume.engine.metadata.record(
                     record.delta_base_id)
                 assert base_record.delta_base_id is None  # depth 1
             assert volume.read(offset, CHUNK) == expected
@@ -105,8 +105,9 @@ class TestDeltaVolume:
         assert report["verified"] == 2
         # Corrupt the delta blob; scrub must notice.
         record = volume.engine.metadata.resolve(CHUNK)
-        record.blob = record.blob[:-1] + bytes(
-            [record.blob[-1] ^ 1]) if record.blob else b"x"
+        volume.engine.metadata.replace_blob(
+            record.physical_id,
+            record.blob[:-1] + bytes([record.blob[-1] ^ 1]))
         report = volume.scrub()
         assert report["corrupt"] >= 1
 
