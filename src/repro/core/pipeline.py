@@ -199,7 +199,7 @@ class ReductionPipeline:
             attrs["path"] = path
         self.tracer.record_since(
             stage, seq, start,
-            expected_service_s=self.cpu.seconds(cycles),
+            expected_service_s=cycles / self.cpu.spec.thread_hz,
             resource=resource, attrs=attrs or None)
 
     def _chunk_worker(self, chunk: Chunk, slot, seq: int) -> Generator:
@@ -256,7 +256,7 @@ class ReductionPipeline:
                 trace.record_split(
                     (STAGE_CHUNKING, STAGE_FINGERPRINT), seq, admitted,
                     weights=(chunking, ingest - chunking),
-                    expected_service_s=cpu.seconds(ingest))
+                    expected_service_s=ingest / cpu.spec.thread_hz)
             elif trace is not None:
                 self._record(STAGE_CHUNKING, seq, admitted, ingest)
 

@@ -1,10 +1,11 @@
 """Timed multi-core CPU model.
 
 :class:`SimCpu` exposes the chip to the rest of the library as a pool of
-hardware threads (a :class:`~repro.sim.resources.Resource`) plus a
-cycles-to-seconds conversion.  Functional work runs as ordinary Python;
-only *time* flows through this model, which is what lets a single-core
-container report multi-core throughput faithfully.
+hardware threads booked in FIFO order (a
+:class:`~repro.sim.resources.ChannelLedger`), charged in cycles.
+Functional work runs as ordinary Python; only *time* flows through this
+model, which is what lets a single-core container report multi-core
+throughput faithfully.
 
 SMT: the i7-2600K has 8 logical threads on 4 cores.  Two SMT siblings
 sharing a core do not double throughput; we apply a constant per-thread
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.sim import Environment, Event, Resource
+from repro.sim import ChannelLedger, Environment, Event
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,54 +56,69 @@ I7_2600K = CpuSpec(name="Intel i7-2600K", cores=4, threads=8, freq_hz=3.4e9)
 
 
 class SimCpu:
-    """A multi-core CPU as a simulated resource of hardware threads."""
+    """A multi-core CPU as a simulated pool of hardware threads."""
 
-    __slots__ = ("env", "spec", "threads", "cycles_charged", "_thread_hz")
+    __slots__ = ("env", "spec", "ledger", "cycles_charged", "outstanding",
+                 "_thread_hz", "_charge_done")
 
     def __init__(self, env: Environment, spec: CpuSpec = I7_2600K):
         self.env = env
         self.spec = spec
-        self.threads = Resource(env, capacity=spec.threads, name="cpu")
+        #: The threads, first come first served, booked at charge.
+        self.ledger = ChannelLedger(env, spec.threads)
         #: Total cycles charged, for sanity checks and utilization reports.
         self.cycles_charged = 0.0
+        #: Charges whose timeout has not been processed yet.
+        self.outstanding = 0
         self._thread_hz = spec.thread_hz
-
-    def seconds(self, cycles: float) -> float:
-        """Convert a cycle count on one thread to simulated seconds."""
-        if cycles < 0:
-            raise ConfigError(f"negative cycle count: {cycles}")
-        return cycles / self._thread_hz
+        #: The one bound method every charge's timeout carries first.
+        self._charge_done = self._done
 
     def charge(self, cycles: float) -> Event:
-        """Single-event CPU charge: acquire a thread, hold it for
-        ``cycles`` cycles, release — all behind ONE yieldable event.
+        """Keep the earliest-free thread for ``cycles`` cycles, as ONE
+        yieldable timeout that fires when they have run.
 
-        One event and one calendar entry per charge, queued for a
-        thread or not (:meth:`repro.sim.Resource.hold`), in strict FIFO
-        with other requests for the threads.  Usage from a simulation
+        The thread is booked on :attr:`ledger` at the call, in strict
+        FIFO with every other charge, so the timeout fires at the
+        booking's end instant itself.  Usage from a simulation
         process::
 
             yield cpu.charge(costs.sha1_cycles(4096))
 
         The returned event must be yielded promptly and exactly once.
         """
-        # seconds() inlined: one charge per CPU round trip of a chunk.
         if cycles < 0:
             raise ConfigError(f"negative cycle count: {cycles}")
         self.cycles_charged += cycles
-        return self.threads.hold(cycles / self._thread_hz)
+        delay = cycles / self._thread_hz
+        timeout = self.env.timeout_at(self.ledger.book(delay) + delay)
+        # First callback, so the charge stops counting before its
+        # holder (appended when it yields the timeout) resumes.
+        timeout.callbacks.append(self._charge_done)
+        self.outstanding += 1
+        return timeout
+
+    def _done(self, _timeout: Event) -> None:
+        self.outstanding -= 1
 
     def utilization(self, until: Optional[float] = None) -> float:
-        """Mean fraction of hardware threads busy so far."""
-        return self.threads.monitor.utilization(until)
+        """Booked thread-seconds ÷ (threads × time to ``until``).
+
+        A demand ratio, not the fraction of threads busy: a charge that
+        runs past ``until`` counts in full, so it can exceed 1.
+        """
+        return self.ledger.utilization(until)
 
     def is_saturated(self, threshold: float = 1.0) -> bool:
         """True when at least ``threshold`` of the threads are busy *now*.
 
         This is the signal the paper's scheduler uses: "use GPU only when
-        CPU utilization is full and there is still some work to do".
+        CPU utilization is full and there is still some work to do".  A
+        FIFO pool has waiters only while every thread is held, so its
+        busy threads are ``min(threads, outstanding)``.
         """
-        return self.threads.count >= self.spec.threads * threshold
+        threads = self.spec.threads
+        return min(threads, self.outstanding) >= threads * threshold
 
     def __repr__(self) -> str:
         return (f"<SimCpu {self.spec.name}: {self.spec.cores}C/"

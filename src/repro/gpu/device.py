@@ -172,7 +172,11 @@ class GpuDevice:
     # -- reporting --------------------------------------------------------
 
     def utilization(self, until: Optional[float] = None) -> float:
-        """Fraction of time the command queue was busy."""
+        """Busy command-queue seconds so far ÷ time to ``until``.
+
+        A demand ratio, not the fraction of that time the queue was
+        busy: read after the shutdown drain, kernels run past ``until``
+        count too, so it can exceed 1."""
         return self.queue.monitor.utilization(until)
 
     def mean_queue_wait(self) -> float:

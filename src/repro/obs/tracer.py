@@ -230,7 +230,7 @@ class SimTracer(Tracer):
         service time.
 
         The instrumented stages know exactly how long their service
-        *should* take (``cpu.seconds(cycles)``); anything beyond that is
+        *should* take (``cycles / cpu.spec.thread_hz``); anything beyond that is
         time spent waiting for a hardware thread (or a lock).  A stage
         with no service component (``expected_service_s=0``) is pure
         queueing.

@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate.
 
 A small, dependency-free, deterministic event-driven simulator in the style
-of SimPy.  Processes are Python generators that ``yield`` events (timeouts,
-resource requests and holds); the :class:`~repro.sim.engine.Environment`
+of SimPy.  Processes are Python generators that ``yield`` events (timeouts and
+resource requests); the :class:`~repro.sim.engine.Environment`
 advances a virtual clock and resumes processes when their events fire.
 
 Every *timed* component of the reproduction (CPU cores, the GPU, the PCIe
@@ -17,15 +17,16 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Hold, Request, Resource, UtilizationMonitor
+from repro.sim.resources import (ChannelLedger, Request, Resource,
+                                 UtilizationMonitor)
 
 __all__ = [
     "AllOf",
+    "ChannelLedger",
     "Environment",
     "Event",
     "Process",
     "Timeout",
-    "Hold",
     "Request",
     "Resource",
     "UtilizationMonitor",

@@ -390,9 +390,13 @@ class Environment:
         at ``now + (when - now)``, which may round to a neighbour."""
         if when < self._now:
             raise SimulationError(f"timeout at {when!r} is in the past")
+        # Event.__init__ inlined: one per CPU charge and SSD read.
         timeout = Timeout.__new__(Timeout)
-        Event.__init__(timeout, self)
+        timeout.env = self
+        timeout.callbacks = []
         timeout._value = None
+        timeout._ok = True
+        timeout._defused = False
         self._eid += 1
         heapq.heappush(self._queue, (when, NORMAL, self._eid, timeout))
         return timeout

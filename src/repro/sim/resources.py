@@ -1,11 +1,12 @@
 """Shared-resource primitives for the simulation engine.
 
-:class:`Resource` models a counted resource (CPU hardware threads, the GPU
-command queue) with FIFO granting, claimed either with an explicit
-:class:`Request` or — when the slot is simply kept for a known time —
-with a one-event :class:`Hold`.  Its :class:`UtilizationMonitor` keeps
-the time-weighted occupancy the reports surface as "CPU utilization" /
-"GPU utilization"; the SSD's channel ledger books into one too.
+:class:`Resource` models a counted resource (the GPU command queue, a
+lock, a window of slots) with FIFO granting of explicit
+:class:`Request` claims.  :class:`ChannelLedger` is the same FIFO pool
+for servers kept for a time known when claimed (SSD channels, CPU
+threads): a booking, not a queue of events.  Both keep time-weighted
+occupancy in a :class:`UtilizationMonitor`, which the reports surface
+as "CPU / GPU / SSD utilization".
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.errors import ResourceError
-from repro.sim.engine import NORMAL, Environment, Event, _PENDING
+from repro.sim.engine import Environment, Event, _PENDING
 
 
 class UtilizationMonitor:
@@ -24,7 +25,10 @@ class UtilizationMonitor:
 
     Area = ``level·end − Σ delta·t``, the sum kept exact as Shewchuk
     partials (``delta`` is ±1), so it depends only on the level curve;
-    :meth:`book` adds a whole interval's two terms at once.
+    :meth:`book` adds a whole interval's two terms at once.  Every
+    change recorded so far counts, including those after the ``until``
+    a reading names, so a reading taken after a run's shutdown drain
+    is a demand ratio that can exceed 1.
     """
 
     __slots__ = ("_env", "_capacity", "_level", "_partials", "_start")
@@ -120,52 +124,10 @@ class Request(Event):
             self.cancel()
 
 
-class Hold(Event):
-    """A slot kept for a fixed time (:meth:`Resource.hold`).
-
-    Acquire, keep ``delay``, release — behind one event and one
-    calendar entry: the hold puts *itself* on the calendar the instant
-    it is granted, and fires once the delay has elapsed and the slot is
-    back in the pool.  Until granted it waits in the resource's own
-    queue, in strict arrival order with :class:`Request` users.  A
-    granted hold is anonymous: counted, never listed in
-    ``Resource.users``.
-    """
-
-    __slots__ = ("resource", "delay")
-
-    def __init__(self, resource: "Resource", delay: float):
-        # Event.__init__ inlined: one hold per CPU charge makes this the
-        # hottest allocation site of a descriptor-mode run.
-        self.env = resource.env
-        self.resource = resource
-        # The resource's expiry hook goes first, so the slot moves on to
-        # the next waiter *before* the holder (appended when it yields
-        # the hold) resumes.
-        self.callbacks = [resource._on_expiry]
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-
-    def _grant(self) -> None:
-        """Start the timed hold on the slot the resource just assigned."""
-        self.resource._fast_held += 1
-        self._value = None
-        env = self.env
-        env._eid += 1
-        if self.delay == 0.0:
-            env._normal.append((env._eid, self))
-        else:
-            heapq.heappush(env._queue,
-                           (env._now + self.delay, NORMAL, env._eid, self))
-
-
 class Resource:
-    """A counted FIFO resource (e.g. N identical CPU hardware threads)."""
+    """A counted FIFO resource (e.g. the GPU command queue, a lock)."""
 
-    __slots__ = ("env", "capacity", "name", "users", "queue",
-                 "_fast_held", "_on_expiry", "monitor")
+    __slots__ = ("env", "capacity", "name", "users", "queue", "monitor")
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "resource"):
@@ -176,19 +138,10 @@ class Resource:
         self.name = name
         #: Granted requests, in grant order; a dict so release is O(1).
         self.users: dict[Request, None] = {}
-        #: Waiters (requests and holds) in grant order.
-        self.queue: deque[Event] = deque()
-        #: Slots held anonymously by granted :class:`Hold` events.
-        self._fast_held = 0
-        #: The one bound method every hold carries as its first callback.
-        self._on_expiry = self._hold_expired
+        #: Waiting requests in grant order.
+        self.queue: deque[Request] = deque()
         self.monitor = UtilizationMonitor(env, capacity)
         env.register_finishable(self)
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently granted."""
-        return len(self.users) + self._fast_held
 
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
@@ -203,54 +156,14 @@ class Resource:
                 f"{self.name}: releasing a request that is not granted")
         self._vacate()
 
-    def hold(self, delay: float) -> Hold:
-        """Acquire a slot, keep it ``delay``, release: ONE yieldable event.
-
-        The replacement for ``request()`` + ``timeout(delay)`` +
-        ``release()`` where nothing happens in between: one event
-        object and one calendar entry per hold, whether it was granted
-        at once or had to queue.  The event fires at the instant the
-        delay has elapsed; by then the slot has already gone to the
-        next waiter.  Usage from a process::
-
-            yield cpu_threads.hold(work_seconds)
-
-        A hold cannot be cancelled: once admitted it occupies the slot
-        for the full delay.
-        """
-        if delay < 0:
-            raise ResourceError(f"{self.name}: negative hold {delay!r}")
-        hold = Hold(self, delay)
-        # _admit and _vacate are inlined here and in _hold_expired: one
-        # hold per CPU charge makes these the hottest resource paths.
-        if self.queue or \
-                len(self.users) + self._fast_held >= self.capacity:
-            self.queue.append(hold)
-        else:
-            self.monitor.change(+1)
-            hold._grant()
-        return hold
-
-    def _hold_expired(self, _hold: Event) -> None:
-        if self._fast_held < 1:
-            raise ResourceError(
-                f"{self.name}: a hold expired that holds no slot")
-        self._fast_held -= 1
-        if self.queue:
-            self.queue.popleft()._grant()
-        else:
-            self.monitor.change(-1)
-
     # -- end-of-run sanitizer ----------------------------------------------
 
     def finish_violations(self) -> list[str]:
         """Leaks still held at end of run, for ``Environment.finish_check``."""
         out: list[str] = []
-        held = len(self.users) + self._fast_held
-        if held:
-            out.append(
-                f"resource `{self.name}`: {held} slot(s) still held "
-                f"({self._fast_held} by unexpired hold()s)")
+        if self.users:
+            out.append(f"resource `{self.name}`: {len(self.users)} "
+                       f"slot(s) still held")
         if self.queue:
             out.append(
                 f"resource `{self.name}`: {len(self.queue)} request(s) "
@@ -259,14 +172,13 @@ class Resource:
 
     # -- internals ---------------------------------------------------------
 
-    def _admit(self, waiter: Event) -> None:
-        """Grant ``waiter`` a slot now, or queue it behind earlier ones."""
-        if self.queue or \
-                len(self.users) + self._fast_held >= self.capacity:
-            self.queue.append(waiter)
+    def _admit(self, request: Request) -> None:
+        """Grant ``request`` a slot now, or queue it behind earlier ones."""
+        if self.queue or len(self.users) >= self.capacity:
+            self.queue.append(request)
         else:
             self.monitor.change(+1)
-            waiter._grant()
+            request._grant()
 
     def _vacate(self) -> None:
         """A slot fell free: the next waiter inherits it.
@@ -278,3 +190,50 @@ class Resource:
             self.queue.popleft()._grant()
         else:
             self.monitor.change(-1)
+
+
+class ChannelLedger:
+    """N identical servers in FIFO order, scheduled at submit: a heap of
+    ``[free at, busy since]`` per server (SSD channels, CPU threads).
+
+    A booking of ``duration`` made at ``now`` starts at ``max(now,
+    earliest free)`` and ends at ``start + duration``.  That is the
+    Kiefer–Wolfowitz recursion of a FIFO multi-server queue: a FIFO pool
+    hands each waiter, in arrival order, the first slot to fall free,
+    so every interval is known the instant it is booked (DESIGN.md §7).
+    A server's back-to-back bookings telescope into one busy run, booked
+    into :attr:`monitor` when the server next idles or when utilisation
+    is read.
+    """
+
+    __slots__ = ("env", "_heap", "monitor")
+
+    def __init__(self, env: Environment, servers: int):
+        self.env = env
+        self._heap = [[env.now, env.now] for _ in range(servers)]
+        self.monitor = UtilizationMonitor(env, servers)
+
+    def book(self, duration: float) -> float:
+        """Take the earliest-free server for ``duration``; returns the
+        start instant (the booking ends at ``start + duration``)."""
+        now = self.env._now
+        server = self._heap[0]
+        start = server[0]
+        if start < now:  # the server idled: its run ended at start
+            if server[1] < start:
+                self.monitor.book(server[1], start)
+            start = server[1] = now
+        server[0] = start + duration
+        heapq.heapreplace(self._heap, server)  # sift the head back down
+        return start
+
+    def utilization(self, until: Optional[float] = None) -> float:
+        """Booked server-seconds ÷ (servers × time to ``until``): a demand
+        ratio, not the fraction of servers busy — a booking that runs
+        past ``until`` counts in full, so it can exceed 1."""
+        for server in self._heap:
+            if server[1] < server[0]:  # book the open run up to here
+                self.monitor.book(server[1], server[0])
+                server[1] = server[0]
+        heapq.heapify(self._heap)
+        return self.monitor.utilization(until)

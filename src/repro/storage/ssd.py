@@ -26,7 +26,6 @@ writes the reduced data once.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +36,7 @@ from repro.obs.stages import (
     TRACK_SSD,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment, Timeout, UtilizationMonitor
+from repro.sim import ChannelLedger, Environment, Timeout
 from repro.storage.block import BlockRequest, RequestKind
 
 
@@ -89,10 +88,8 @@ class SsdModel:
         self.env = env
         self.spec = spec = SAMSUNG_SSD_830
         self.tracer = tracer
-        #: The ledger: a heap of ``[free at, busy since]`` per channel.  A
-        #: channel's back-to-back bookings telescope into one busy run.
-        self._ledger = [[env.now, env.now] for _ in range(spec.channels)]
-        self.monitor = UtilizationMonitor(env, spec.channels)
+        #: The channels, first come first served, booked at submit.
+        self.ledger = ChannelLedger(env, spec.channels)
         # The spec is frozen: read its derived times once, not per request.
         self._page_bytes = spec.page_bytes
         self._page_program_s = spec.page_program_s
@@ -143,17 +140,12 @@ class SsdModel:
     def _book(self, request: BlockRequest, stage: str) -> float:
         """Take the earliest-free channel; returns the end instant."""
         request.validate_against(self.spec.capacity_bytes)
-        submitted = self.env.now
-        channel = self._ledger[0]
-        start = channel[0]
-        if start < submitted:  # the channel idled: its run ended at start
-            if channel[1] < start:
-                self.monitor.book(channel[1], start)
-            start = channel[1] = submitted
-        end = channel[0] = start + self.service_time(request)
-        heapq.heapreplace(self._ledger, channel)  # sift the head back down
+        service = self.service_time(request)
+        start = self.ledger.book(service)
+        end = start + service
         self.requests_completed += 1
         if self.tracer.enabled:
+            submitted = self.env.now
             self.tracer.record(
                 stage, None, start=submitted, end=end,
                 queue_wait=start - submitted, resource=TRACK_SSD,
@@ -165,14 +157,9 @@ class SsdModel:
 
     def utilization(self, until: Optional[float] = None) -> float:
         """Booked channel-seconds ÷ (channels × time to ``until``): a
-        demand ratio, not the fraction of channels busy — a booking that
-        runs past ``until`` counts in full, so it can exceed 1."""
-        for channel in self._ledger:
-            if channel[1] < channel[0]:  # book the open run up to here
-                self.monitor.book(channel[1], channel[0])
-                channel[1] = channel[0]
-        heapq.heapify(self._ledger)
-        return self.monitor.utilization(until)
+        demand ratio (:meth:`ChannelLedger.utilization`), so it can
+        exceed 1."""
+        return self.ledger.utilization(until)
 
     def __repr__(self) -> str:
         return (f"<SsdModel {self.spec.name}: "

@@ -14,12 +14,15 @@ imports this.
 * :class:`Store`, :class:`ReferenceGpuBatcher`,
   :class:`ReferenceCharge`, :func:`reference_writeback_submit` and
   :func:`reference_wiring` — the event-per-step formulations the
-  pipeline ran on before a batch became one wake-up and a timed hold
-  one calendar entry (``test_schedule_equivalence``): an inbox
+  pipeline ran on before a batch became one wake-up and a CPU charge
+  a booking (``test_schedule_equivalence``): an inbox
   ``Store`` with one put, one get, one :class:`AnyOf` and one deadline
   timeout per item and one ``succeed()`` per waiter; a charge as a
-  queued request whose grant starts a timeout; a destage write as a
-  process that requests a channel, times out and books the write;
+  queued request on a thread ``Resource`` the oracle owns
+  (:func:`reference_cpu_threads`), whose grant starts a timeout, with
+  saturation and utilisation read off that ``Resource``; a destage
+  write as a process that requests a channel, times out and books the
+  write;
 * :func:`reference_ssd_serve` — any SSD request as that process, on
   a channel ``Resource`` the oracle owns: the FIFO schedule the SSD's
   channel ledger books at submit must equal instant for instant
@@ -648,11 +651,41 @@ class ReferenceCharge(Request):
         self._trigger_now(self)
 
 
+#: The oracle's own thread ``Resource`` per CPU, made on first use and
+#: keyed by ``id``, the CPU kept alive beside it (a slotted ``SimCpu``
+#: takes no weak reference); :func:`reference_wiring` empties it.
+_THREADS: dict[int, tuple[SimCpu, Resource]] = {}
+
+
+def reference_cpu_threads(cpu: SimCpu) -> Resource:
+    """The FIFO thread ``Resource`` the oracle charges ``cpu`` on, in
+    place of the CPU's own ledger."""
+    entry = _THREADS.get(id(cpu))
+    if entry is None:
+        entry = _THREADS[id(cpu)] = (cpu, Resource(
+            cpu.env, capacity=cpu.spec.threads, name="cpu-threads"))
+    return entry[1]
+
+
 def reference_charge(cpu: SimCpu, cycles: float) -> Event:
     """``SimCpu.charge`` over :class:`ReferenceCharge`."""
-    delay = cpu.seconds(cycles)
+    if cycles < 0:
+        raise ConfigError(f"negative cycle count: {cycles}")
     cpu.cycles_charged += cycles
-    return ReferenceCharge(cpu.threads, delay)
+    return ReferenceCharge(reference_cpu_threads(cpu),
+                           cycles / cpu.spec.thread_hz)
+
+
+def reference_is_saturated(cpu: SimCpu, threshold: float = 1.0) -> bool:
+    """``SimCpu.is_saturated`` as the granted slots of the threads."""
+    return len(reference_cpu_threads(cpu).users) >= \
+        cpu.spec.threads * threshold
+
+
+def reference_cpu_utilization(cpu: SimCpu,
+                              until: Optional[float] = None) -> float:
+    """``SimCpu.utilization`` as the threads' level curve."""
+    return reference_cpu_threads(cpu).monitor.utilization(until)
 
 
 #: The oracle's own 8-slot channel ``Resource`` per SSD, made on first use.
@@ -681,7 +714,7 @@ def reference_ssd_serve(ssd: SsdModel, request: BlockRequest) -> Generator:
         yield slot
         granted = env.now
         yield env.timeout(ssd.service_time(request))
-    ssd.monitor.book(granted, env.now)
+    ssd.ledger.monitor.book(granted, env.now)
     ssd.requests_completed += 1
     size = request.size
     if request.kind is RequestKind.WRITE:
@@ -719,12 +752,17 @@ def reference_writeback_submit(writeback: WriteBack, nbytes: int,
 
 @contextlib.contextmanager
 def reference_wiring(monkeypatch):
-    """Run pipelines on the reference batcher, charge and destage."""
+    """Run pipelines on the reference batcher, CPU threads and destage."""
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.pipeline.GpuBatcher", ReferenceGpuBatcher)
         patch.setattr(SimCpu, "charge", reference_charge)
+        patch.setattr(SimCpu, "is_saturated", reference_is_saturated)
+        patch.setattr(SimCpu, "utilization", reference_cpu_utilization)
         patch.setattr(WriteBack, "submit", reference_writeback_submit)
-        yield
+        try:
+            yield
+        finally:
+            _THREADS.clear()
 
 
 @dataclasses.dataclass(slots=True)

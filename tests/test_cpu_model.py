@@ -64,16 +64,67 @@ class TestCpuCosts:
 
 class TestSimCpu:
     def test_seconds_conversion(self):
+        """A charge of ``cycles`` on an idle thread ends ``cycles /
+        thread_hz`` seconds after it is made, at that float exactly."""
         env = Environment()
         cpu = SimCpu(env)
         cycles = cpu.spec.thread_hz  # exactly one second of work
-        assert cpu.seconds(cycles) == pytest.approx(1.0)
+        ends = []
+
+        def task():
+            yield env.timeout(0.25)
+            yield cpu.charge(cycles)
+            ends.append(env.now)
+
+        env.process(task())
+        env.run()
+        assert ends == [0.25 + cycles / cpu.spec.thread_hz] == [1.25]
 
     def test_negative_cycles_rejected(self):
         env = Environment()
         cpu = SimCpu(env)
-        with pytest.raises(ConfigError):
-            cpu.seconds(-1)
+        with pytest.raises(ConfigError, match="negative cycle count"):
+            cpu.charge(-1)
+
+    def test_a_charge_stops_counting_before_its_holder_resumes(self):
+        env = Environment()
+        cpu = SimCpu(env, CpuSpec(name="one", cores=1, threads=1,
+                                  freq_hz=1e9))
+        seen = []
+
+        def first():
+            yield cpu.charge(1e9)
+            seen.append(("first resumed", cpu.outstanding,
+                         cpu.is_saturated()))
+
+        def second():
+            yield cpu.charge(1e9)
+            seen.append(("second resumed at", env.now))
+
+        env.process(first())
+        env.process(second())
+        env.run()
+        # The second charge holds the one thread when the first resumes.
+        assert seen == [("first resumed", 1, True),
+                        ("second resumed at", 2.0)]
+
+    def test_a_charge_resumes_its_holder_with_none(self):
+        """Granted at once or queued, a charge carries no value."""
+        env = Environment()
+        cpu = SimCpu(env, CpuSpec(name="one", cores=1, threads=1,
+                                  freq_hz=1e9))
+        got = []
+
+        def holder(name):
+            got.append((name, (yield cpu.charge(1e9)), env.now))
+
+        env.process(holder("at once"))
+        env.process(holder("queued"))
+        env.run()
+        assert got == [("at once", None, 1.0), ("queued", None, 2.0)]
+        with pytest.raises(TypeError):
+            cpu.charge(1.0, 4096)
+        env.finish_check()
 
     def test_rejected_charge_leaves_the_ledger_alone(self):
         """A refused charge must not move ``cycles_charged``: validation
@@ -82,8 +133,9 @@ class TestSimCpu:
         cpu = SimCpu(env)
         with pytest.raises(ConfigError):
             cpu.charge(-1)
-        assert cpu.cycles_charged == 0.0
-        env.finish_check()  # and no thread was claimed
+        assert cpu.cycles_charged == 0.0 and cpu.outstanding == 0
+        assert cpu.utilization(1.0) == 0.0  # no thread was booked
+        env.finish_check()  # and nothing was scheduled
 
     def test_parallel_tasks_overlap(self):
         env = Environment()

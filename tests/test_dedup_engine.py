@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.dedup.engine import DedupEngine
 from repro.dedup.gpu_index import GpuBinIndex
@@ -252,3 +254,152 @@ class TestIdValuedIndex:
         assert len(engine.bin_table) == 2
         outcome = engine.cpu_index(chunk_of(b"old", offset=8192))
         assert outcome.path == "tree" and outcome.physical_id == physical_id
+
+
+# -- the engine against a model ---------------------------------------------
+
+#: Eight contents over two one-byte bins, so bins fill, flush and (with
+#: two GPU slots a bin) evict within a few steps.
+FINGERPRINTS = tuple(bytes([i % 2]) + hashlib.sha1(bytes([i])).digest()[1:]
+                     for i in range(8))
+#: Never stored: installed straight into the GPU bins to force evictions.
+FILLERS = tuple(bytes([i % 2]) + bytes([0xEE, i]) * 9 + b"\xee"
+                for i in range(4))
+SLOTS = 6  # logical offsets, so overwrites and zombies are common
+
+
+class DedupEngineMachine(RuleBasedStateMachine):
+    """One functional ``DedupEngine`` with GPU bins, against a model.
+
+    The model is the id -> fingerprint map of every chunk stored, the
+    logical map, the swept ids, and ``indexed``: for each fingerprint
+    stored since the last restart and not swept since, the id the bins
+    must name.  The paper keeps the index in memory only, so a restart
+    is the one miss it allows.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.gpu = GpuBinIndex(prefix_bytes=1, bin_capacity=2)
+        self.engine = DedupEngine(prefix_bytes=1, bin_buffer_capacity=2,
+                                  bin_buffer_total=3, gpu_index=self.gpu)
+        self.fingerprint_of: dict[int, bytes] = {}
+        self.indexed: dict[bytes, int] = {}
+        self.logical: dict[int, int] = {}
+        self.swept: set[int] = set()
+
+    def _index(self, chunk: Chunk, via_gpu: bool):
+        """The pipeline's index step: ``(id found, mapped already)``."""
+        engine, fingerprint = self.engine, chunk.fingerprint
+        definitive = False
+        if via_gpu:
+            # GPU bins hold no ids: a hit maps onto the copy the host
+            # tree names.  After a sweep that copy can be gone, a stale
+            # entry the pipeline (which never sweeps) cannot meet; the
+            # machine then takes the CPU path.
+            tree_id = engine.bin_table.lookup(fingerprint)
+            if self.gpu.lookup_host([fingerprint])[0]:
+                if engine.metadata.lookup(tree_id) is not None:
+                    engine.note_gpu_hit(chunk)
+                    assert engine.metadata.resolve(chunk.offset) \
+                        .physical_id == tree_id
+                    return tree_id, True
+                assert tree_id in self.swept
+            definitive = self.gpu.evictions == 0
+        outcome = engine.cpu_index_partial(chunk) if definitive \
+            else engine.cpu_index(chunk)
+        return (outcome.physical_id if outcome.duplicate else None), False
+
+    @rule(content=st.integers(0, len(FINGERPRINTS) - 1),
+          slot=st.integers(0, SLOTS - 1), as_unique=st.booleans(),
+          via_gpu=st.booleans())
+    def write(self, content, slot, as_unique, via_gpu):
+        """Index a chunk, then commit it as a duplicate of what the
+        index found or as a unique (a lost race when it found one)."""
+        fingerprint = FINGERPRINTS[content]
+        chunk = Chunk(offset=slot * 4096, size=4096, fingerprint=fingerprint)
+        found, mapped = self._index(chunk, via_gpu)
+        assert found == self.indexed.get(fingerprint)
+        if mapped:
+            physical_id = found
+        elif found is not None and not as_unique:
+            self.engine.commit_duplicate(chunk, found)
+            physical_id = found
+        else:
+            chunk.compressed_size = 1000 + content
+            _cycles, _batch, physical_id, unique = \
+                self.engine.commit_unique(chunk)
+            assert unique == (found is None)
+            if unique:
+                assert physical_id not in self.fingerprint_of
+                self.fingerprint_of[physical_id] = fingerprint
+                self.indexed[fingerprint] = physical_id
+            else:
+                assert physical_id == found
+        self.logical[chunk.offset] = physical_id
+
+    @rule()
+    def flush(self):
+        self.engine.drain()
+
+    @rule(slot=st.integers(0, SLOTS - 1))
+    def unmap(self, slot):
+        if slot * 4096 in self.logical:
+            self.engine.metadata.unmap_logical(slot * 4096)
+            del self.logical[slot * 4096]
+
+    @rule()
+    def sweep(self):
+        self.engine.sweep()
+        referenced = set(self.logical.values())
+        self.swept.update(set(self.fingerprint_of) - referenced)
+        self.indexed = {fingerprint: physical_id for fingerprint, physical_id
+                        in self.indexed.items()
+                        if physical_id not in self.swept}
+
+    @rule()
+    def restart(self):
+        self.engine.restart()
+        self.indexed.clear()
+
+    @rule(filler=st.sampled_from(FILLERS))
+    def evict(self, filler):
+        """Fill a GPU bin past its two slots: random replacement."""
+        self.gpu.insert(filler)
+
+    @invariant()
+    def bins_name_exactly_the_indexed_ids(self):
+        """No false positive, ever, a swept id never hits, and a live
+        fingerprint stored since the last restart always hits."""
+        for fingerprint in FINGERPRINTS:
+            outcome = self.engine.cpu_index(
+                Chunk(offset=0, size=4096, fingerprint=fingerprint))
+            want = self.indexed.get(fingerprint)
+            assert outcome.duplicate == (want is not None), fingerprint
+            if want is not None:
+                assert outcome.physical_id == want
+                assert self.fingerprint_of[want] == fingerprint
+                assert want not in self.swept
+
+    @invariant()
+    def an_eviction_free_gpu_index_mirrors_the_tree(self):
+        """While the GPU bins never evicted, a GPU miss is definitive:
+        every indexed fingerprint is staged or in the GPU bins."""
+        if self.gpu.evictions == 0:
+            for fingerprint in self.indexed:
+                assert self.engine.bin_buffer.lookup(fingerprint) \
+                    is not None or self.gpu.lookup_host([fingerprint])[0]
+
+    @invariant()
+    def chunk_table_matches_the_model(self):
+        metadata = self.engine.metadata
+        metadata.verify_invariants()
+        assert metadata.unique_chunks == len(set(self.logical.values()))
+        held = [physical_id for physical_id in self.fingerprint_of
+                if metadata.lookup(physical_id) is not None]
+        assert len(held) == len(self.fingerprint_of) - len(self.swept)
+
+
+TestDedupEngineAgainstModel = DedupEngineMachine.TestCase
+TestDedupEngineAgainstModel.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)

@@ -63,16 +63,18 @@ def test_identical_seeds_identical_schedules():
 #: ``"{time!r} {event type}\n"`` line per processed event.  Comparing a
 #: run with itself cannot see a hot-path cut that reorders a tie the
 #: same way every time; this pin can.  A destage write is a booking on
-#: the SSD's channel ledger, not an event, so none appears in a trace.
+#: the SSD's channel ledger, not an event, so none appears in a trace;
+#: a CPU charge is a booking on the threads' ledger plus one
+#: ``Timeout``, dispatched where the one-event hold it replaced was.
 DISPATCH_TRACE_SHA256 = {
     "cpu_only":
-        "a45922e981d3ce3fbfe31f18247e5b2666a21dcaaac3d45516573cf6ef16aed2",
+        "9e61c29bf9a6f04d659edf001382f6218aea6bd0f67bc75a7bd715cc3831573c",
     "gpu_dedup":
-        "674e177f943f083f3f729e45ac2438337362014cf820b40ab1625ee293b280c7",
+        "c07fdb314f24f5062d0bc688380e2eb76a0b52216e6ca27244ef8f28eb8c88ae",
     "gpu_comp":
-        "7965e8527f2ebff07633a6ec69f18d092b9ddf361c8c9326517e6e7548ee5fda",
+        "9faf1520d6a6be63c25015c5d166c289964876c62975d1acd432ef2c9f5517db",
     "gpu_both":
-        "cb06b971fb88275289f443cc5269b8c003d7fd9e659597aa0daf52cc964c60b1",
+        "1bbf9532ac3d03266e0a3a2b920834cc34ac910bc77104884e974ca660d88fa6",
 }
 
 

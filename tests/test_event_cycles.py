@@ -4,7 +4,7 @@ A granted request that is its own value, or a process holding a bound
 method of itself past its exit, is a reference cycle: freed only when
 the cyclic collector runs, which in a descriptor-mode run is several
 times a second.  With the collector off, reference counting alone must
-free every ``Process``, ``Hold`` and ``Request`` a run created.
+free every ``Process`` and ``Request`` a run created.
 
 While it waits, an event is walked by every collection.  An SSD
 write waits on nothing: the channel ledger books it when submitted,
@@ -23,7 +23,7 @@ from repro.core.modes import IntegrationMode
 from repro.core.readpath import ReadPipeline
 from repro.dedup.engine import DedupEngine
 from repro.obs.tracer import NULL_TRACER
-from repro.sim import Environment, Hold, Process, Request
+from repro.sim import Environment, Process, Request
 from repro.storage import MetadataStore
 from repro.storage.ssd import SsdModel
 from repro.storage.writeback import WriteBack
@@ -33,7 +33,7 @@ from tests.reference_paths import reference_writeback_submit
 
 def _sim_objects_alive() -> Counter:
     return Counter(type(obj).__name__ for obj in gc.get_objects()
-                   if isinstance(obj, (Process, Hold, Request)))
+                   if isinstance(obj, (Process, Request)))
 
 
 def _read_run(n_reads: int = 256) -> None:
@@ -124,8 +124,8 @@ def test_a_queued_ssd_write_adds_no_event_and_no_tracked_object():
 
 def test_a_read_costs_one_ssd_calendar_entry():
     """Per read of a compressed chunk: one window grant, two CPU
-    charges and the SSD read's one timeout, which fires at the
-    ledger's completion instant."""
+    charges and the SSD read, each charge and the read one timeout
+    that fires at its ledger's completion instant."""
     n = 256
     store = MetadataStore()
     for i in range(n):
@@ -135,8 +135,7 @@ def test_a_read_costs_one_ssd_calendar_entry():
     env._trace = trace
     ReadPipeline(env, store).run([i * 4096 for i in range(n)])
     dispatched = Counter(name for _when, name in trace)
-    assert (dispatched["Request"], dispatched["Hold"],
-            dispatched["Timeout"]) == (n, 2 * n, n)
+    assert (dispatched["Request"], dispatched["Timeout"]) == (n, 3 * n)
 
 
 def _tracked_objects_per_stored_chunk(n: int = 10_000) -> float:

@@ -4,8 +4,9 @@ The sanitizer is the runtime twin of the sim-protocol source rules
 (``tests/test_source_rules.py``): after a full drain it asserts that
 no process is still alive, nothing is still scheduled, and nothing
 registered with it — resources, the GPU batchers, the reference
-``Store`` of ``tests/reference_paths`` — holds leaked state (a slot
-still kept by a ``hold()``, a parked waiter).
+``Store`` of ``tests/reference_paths`` — holds leaked state (a granted
+slot never released, a parked waiter).  A CPU charge left running is
+a timeout still on the calendar.
 """
 
 import pytest
@@ -40,13 +41,15 @@ class TestCleanRuns:
         env.run()
         env.finish_check()
 
+
     def test_fast_path_acquire_release_is_clean(self):
+        # A charge is the fast path's acquire and release of a thread.
         env = Environment()
-        pool = Resource(env, capacity=1, name="pool")
-        pool.hold(2.0)
-        assert pool.count == 1 and not pool.users  # anonymous slot
+        cpu = SimCpu(env)
+        cpu.charge(2.0 * cpu.spec.thread_hz)
+        assert cpu.outstanding == 1
         env.run()
-        assert pool.count == 0
+        assert cpu.outstanding == 0 and env.now == 2.0
         env.finish_check()
 
     def test_drained_store_is_clean(self):
@@ -80,12 +83,26 @@ class TestCleanRuns:
 
 
 class TestLeakDetection:
-    def test_leaked_fast_path_slot(self):
+    def test_slot_held_past_the_horizon(self):
         env = Environment()
         pool = Resource(env, capacity=1, name="pool")
-        pool.hold(5.0)
-        env.run(until=1.0)  # stopped before the hold expires
+
+        def worker():
+            with pool.request() as req:
+                yield req
+                yield env.timeout(5.0)
+
+        env.process(worker())
+        env.run(until=1.0)  # stopped before the slot is released
         with pytest.raises(SanitizerError, match="pool.*still held"):
+            env.finish_check()
+
+    def test_charge_left_running_is_a_scheduled_timeout(self):
+        env = Environment()
+        cpu = SimCpu(env)
+        cpu.charge(5.0 * cpu.spec.thread_hz)
+        env.run(until=1.0)  # stopped before the charge ends
+        with pytest.raises(SanitizerError, match="1 event.*still scheduled"):
             env.finish_check()
 
     def test_leaked_granted_request(self):
@@ -192,8 +209,8 @@ class TestPipelineIntegration:
 
 class TestChargeFastPath:
     def test_coalesced_charge_leaves_no_slots(self):
-        # charge() keeps threads through anonymous holds that hand the
-        # slot on as they expire — exactly what finish_check audits.
+        # charge() books threads on a ledger and leaves one timeout per
+        # charge: a drained run leaves nothing on the calendar.
         env = Environment()
         cpu = SimCpu(env)
 

@@ -1,24 +1,23 @@
 """Same schedule from fewer calendar entries.
 
-The production pipeline runs a CPU charge as one ``Resource.hold``, a
-GPU batch as one dispatcher wake-up plus one fan-out entry, and a
-destage write as a booking on the SSD's channel ledger, with no entry
-at all.  ``tests/reference_paths.py`` keeps the event-per-step
-formulations of all three (inbox ``Store`` + ``AnyOf`` + per-get
-timeout, request-then-timeout charge, one process per SSD request on
-a channel ``Resource``).  Both wirings must admit and complete every
-chunk at the same simulated instants and produce the same report — the
-removed entries were hops nobody listened to, not simulated work — and
-the same spans: in the same order, except the SSD-write and destage
-spans, which the ledger records at booking and the oracle at
-completion, so they are compared as sorted multisets.  A hypothesis
-property holds the ledger to the oracle request by request, reads and
-writes mixed on one device.
+The production pipeline runs a CPU charge as a booking on the threads'
+channel ledger plus one timeout, a GPU batch as one dispatcher wake-up
+plus one fan-out entry, and a destage write as a booking on the SSD's
+channel ledger, with no entry at all.  ``tests/reference_paths.py``
+keeps the event-per-step formulations of all three (inbox ``Store`` +
+``AnyOf`` + per-get timeout, request-then-timeout charge on a thread
+``Resource``, one process per SSD request on a channel ``Resource``).
+Both wirings must admit and complete every chunk at the same simulated
+instants and produce the same report — the removed entries were hops
+nobody listened to, not simulated work — and the same spans: in the
+same order, except the SSD-write and destage spans, which the ledger
+records at booking and the oracle at completion, so they are compared
+as sorted multisets.  A hypothesis property holds the ledger to the
+oracle booking by booking: SSD reads and writes and CPU charge chains
+mixed, saturation probed at every charge.
 
-Also here: ``Resource.hold`` against the ``request()`` + ``timeout()``
-script it replaces (hypothesis), busy time that depends on the level
-curve alone, and the end-of-run sanitizer's view of a leaked hold and a
-parked batcher.
+Also here: busy time that depends on the level curve alone, and the
+end-of-run sanitizer's view of a parked batcher.
 """
 
 import dataclasses
@@ -33,12 +32,13 @@ from repro.errors import SanitizerError
 from repro.gpu import GpuDevice
 from repro.obs import SimTracer
 from repro.obs.stages import STAGE_CHUNK, STAGE_DESTAGE, STAGE_SSD_WRITE
+from repro.cpu.model import CpuSpec, SimCpu
 from repro.sim import Environment, Resource
 from repro.tenancy import TenantMix, TenantSpec
 from repro.tenancy.runner import run_tenant_mix
 from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
-from tests.reference_paths import (reference_ssd_channels,
+from tests.reference_paths import (ReferenceCharge, reference_ssd_channels,
                                    reference_ssd_serve, reference_wiring)
 from tests.test_pipeline import _make_batcher
 
@@ -132,64 +132,9 @@ def test_batcher_counts_wakeups_and_deadline_fires():
     assert batcher.wakeups <= 2 * batcher.batches_launched + 1
 
 
-# -- Resource.hold vs request() + timeout() ---------------------------------
+# -- busy time: the level curve, however it is split ------------------------
 
-_SCRIPT = st.lists(
-    st.tuples(st.sampled_from(("hold", "request")),
-              st.integers(0, 6),      # arrival gap, in ticks
-              st.integers(0, 9)),     # how long the slot is kept, in ticks
-    min_size=1, max_size=40)
 _TICK = 0.1  # not exactly representable: the float paths must agree too
-
-
-def _play(capacity: int, script, use_hold: bool):
-    """Release instant per arrival (its grant plus its keep, the same
-    float sum on both paths), busy time, and the grant instant of each
-    arrival served by ``request()``, of one arrival script."""
-    env = Environment()
-    pool = Resource(env, capacity=capacity, name="pool")
-    released: dict = {}
-    granted: dict = {}
-
-    def by_request(index, keep):
-        with pool.request() as req:
-            yield req
-            granted[index] = env.now
-            yield env.timeout(keep)
-            released[index] = env.now
-
-    def by_hold(index, keep):
-        yield pool.hold(keep)
-        released[index] = env.now
-
-    def arrivals():
-        for index, (kind, gap, keep) in enumerate(script):
-            yield env.timeout(gap * _TICK)
-            if kind == "hold" and use_hold:
-                env.start(by_hold(index, keep * _TICK))
-            else:
-                env.start(by_request(index, keep * _TICK))
-
-    env.process(arrivals())
-    env.run()
-    env.finish_check()
-    return released, pool.monitor.busy_time(), granted
-
-
-@settings(max_examples=120, deadline=None)
-@given(capacity=st.integers(1, 8), script=_SCRIPT)
-# Tie case: hold 0 expires on the float instant hold 1 arrives.  With
-# holds the monitor sees -1 then +1 there; with requests, a handoff and
-# no change.  Both orders are legitimate, and the area must not care.
-@example(capacity=1, script=[("hold", 4, 3), ("hold", 3, 1), ("hold", 0, 9)])
-def test_hold_is_request_plus_timeout(capacity, script):
-    with_holds = _play(capacity, script, use_hold=True)
-    all_requests = _play(capacity, script, use_hold=False)
-    # Same keep per arrival, same release instant: the same grant.
-    assert with_holds[:2] == all_requests[:2]
-    # Strict arrival order: a later arrival is never granted earlier.
-    ordered = [all_requests[2][i] for i in range(len(script))]
-    assert ordered == sorted(ordered)
 
 
 @settings(max_examples=120, deadline=None)
@@ -199,10 +144,10 @@ def test_hold_is_request_plus_timeout(capacity, script):
               st.integers(0, 9)),    # second part
     min_size=1, max_size=30))
 def test_busy_time_depends_only_on_the_level_curve(script):
-    """One slot kept for two back-to-back timeouts, or taken by two
-    back-to-back holds: the second wiring adds a zero-length -1/+1 dip
-    at the seam (and a zero-length spike per empty hold), and the
-    busy time must come out bit-identical."""
+    """One slot kept for two back-to-back timeouts, or released and
+    claimed again between them: the second wiring adds a zero-length
+    -1/+1 dip at the seam (and a zero-length spike per empty keep), and
+    the busy time must come out bit-identical."""
 
     def play(split: bool) -> float:
         env = Environment()
@@ -211,8 +156,10 @@ def test_busy_time_depends_only_on_the_level_curve(script):
 
         def holder(first, second):
             if split:
-                yield pool.hold(first)
-                yield pool.hold(second)
+                for keep in (first, second):
+                    with pool.request() as req:
+                        yield req
+                        yield env.timeout(keep)
             else:
                 with pool.request() as req:
                     yield req
@@ -232,89 +179,139 @@ def test_busy_time_depends_only_on_the_level_curve(script):
     assert play(split=True) == play(split=False)
 
 
-# -- the SSD's channel ledger vs one process per request --------------------
+# -- the channel ledger vs one request and one timeout per booking ----------
 
 _SSD_REQUEST = st.tuples(
+    st.just("ssd"),
     st.sampled_from((0, 0, 0, 1, 2, 5, 40)),            # gap, in ticks
-    st.sampled_from(RequestKind),
-    st.one_of(st.sampled_from((1, 4096, 4097, 65536)),
-              st.integers(1, 1 << 20)),                 # bytes
-    st.booleans())                                      # sequential
+    st.tuples(
+        st.sampled_from(RequestKind),
+        st.one_of(st.sampled_from((1, 4096, 4097, 65536)),
+                  st.integers(1, 1 << 20)),             # bytes
+        st.booleans()))                                 # sequential
+#: A chain of back-to-back charges by one process; equal and zero
+#: cycle counts are common, so charges end at repeated instants.
+_CPU_CHAIN = st.tuples(
+    st.just("cpu"),
+    st.sampled_from((0, 0, 0, 1, 2, 5, 40)),            # gap, in ticks
+    st.lists(st.sampled_from((0, 0, 1.7e4, 1.7e4, 3.4e4, 1e5)),
+             min_size=1, max_size=4))                   # cycles
 #: Lengths drawn uniformly up to 300, so long scripts are common.
-_SSD_SCRIPT = st.integers(1, 300).flatmap(
-    lambda n: st.lists(_SSD_REQUEST, min_size=n, max_size=n))
+_LEDGER_SCRIPT = st.integers(1, 300).flatmap(
+    lambda n: st.lists(st.one_of(_SSD_REQUEST, _CPU_CHAIN),
+                       min_size=n, max_size=n))
 _SSD_TICK = 1.7e-5  # a fraction of a page time, not exactly representable
 
 
-def _ssd_play(script, oracle: bool):
-    """Completion instant per request, and the SSD."""
+def _ledger_play(script, threads: int, oracle: bool):
+    """Completion instant per SSD request and per CPU charge, the
+    saturation probes, the SSD and the CPU.
+
+    Every arrival is a process whose timeout is made at time 0, so
+    arrivals come before the completions of an instant on both
+    wirings; a charge chain probes ``is_saturated`` right after each
+    charge is made and as soon as it has run."""
     env = Environment()
     ssd = SsdModel(env)
+    cpu = SimCpu(env, CpuSpec(name="probe", cores=threads, threads=threads,
+                              freq_hz=1e9))
     if oracle:
-        # Made with the SSD, so both monitors start their clocks together.
+        # Made with the devices, so the monitors start their clocks
+        # together.
         reference_ssd_channels(ssd)
+        pool = Resource(env, capacity=threads, name="cpu-threads")
+
+        def charge(cycles):
+            cpu.cycles_charged += cycles
+            return ReferenceCharge(pool, cycles / cpu.spec.thread_hz)
+
+        def saturated(threshold):
+            return len(pool.users) >= threads * threshold
+
+        utilization = pool.monitor.utilization
+    else:
+        charge, saturated = cpu.charge, cpu.is_saturated
+        utilization = cpu.utilization
     done: dict = {}
+    probes: list = []
+
+    def probe(index, step, when):
+        probes.append((index, step, when, env.now,
+                       saturated(0.99), saturated(1.0)))
 
     def served(index, request):
         yield from reference_ssd_serve(ssd, request)
         done[index] = env.now
 
-    def arrivals():
-        yield env.timeout(_SSD_TICK)  # so there is a "before" to measure
-        for index, (gap, kind, size, sequential) in enumerate(script):
-            if gap:
-                yield env.timeout(gap * _SSD_TICK)
-            request = BlockRequest(kind, 0, size, sequential=sequential)
-            if oracle:
-                env.process(served(index, request))
-            elif kind is RequestKind.WRITE:
-                done[index] = ssd.write(request)
-            else:
-                ssd.read(request).callbacks.append(
-                    lambda _read, index=index: done.__setitem__(
-                        index, env.now))
+    def ssd_arrival(index, at, request):
+        yield env.timeout(at)
+        if oracle:
+            env.start(served(index, request))
+        elif request.kind is RequestKind.WRITE:
+            done[index] = ssd.write(request)
+        else:
+            yield ssd.read(request)
+            done[index] = env.now
 
-    env.process(arrivals())
+    def cpu_arrival(index, at, chain):
+        yield env.timeout(at)
+        for step, cycles in enumerate(chain):
+            charged = charge(cycles)
+            probe(index, step, "booked")
+            yield charged
+            done[index, step] = env.now
+            probe(index, step, "ran")
+
+    at = _SSD_TICK  # so there is a "before" to measure
+    for index, (device, gap, item) in enumerate(script):
+        at += gap * _SSD_TICK
+        if device == "ssd":
+            kind, size, sequential = item
+            env.process(ssd_arrival(
+                index, at, BlockRequest(kind, 0, size,
+                                        sequential=sequential)))
+        else:
+            env.process(cpu_arrival(index, at, item))
     env.run()
     env.finish_check()
-    return done, ssd
+    return done, probes, ssd, cpu, utilization
 
 
 @settings(max_examples=20, deadline=None)
-@given(script=_SSD_SCRIPT)
-def test_ssd_ledger_is_the_fifo_channel_schedule(script):
-    """Every request ends at the oracle's float instant, the counters
-    agree, and so does utilisation before, inside and after the busy
-    period: the bookings' exact sum is the channel level curve's."""
-    done, ssd = _ssd_play(script, oracle=False)
-    want, oracle = _ssd_play(script, oracle=True)
+@given(script=_LEDGER_SCRIPT, threads=st.sampled_from((1, 2, 3, 8)))
+@example(  # two equal charges end together; a chain books on the tie
+    script=[("cpu", 0, [1.7e4, 0.0]), ("cpu", 0, [1.7e4, 1.7e4]),
+            ("cpu", 0, [1.7e4])], threads=2)
+@example(  # empty charges: a chain books on a thread whose charge ends
+    # now but has not been processed yet, while its own thread idles
+    script=[("cpu", 0, [1.7e4, 0]), ("cpu", 1, [0, 0])], threads=2)
+def test_ledger_is_the_fifo_schedule(script, threads):
+    """Every SSD request and CPU charge ends at the oracle's float
+    instant, the counters agree, so does every saturation probe, and so
+    does utilisation before, inside and after the busy period: the
+    bookings' exact sum is the level curve's."""
+    done, probes, ssd, cpu, cpu_util = _ledger_play(script, threads,
+                                                    oracle=False)
+    want, want_probes, oracle, oracle_cpu, oracle_cpu_util = \
+        _ledger_play(script, threads, oracle=True)
     assert done == want
+    assert probes == want_probes
     counters = [(s.requests_completed, s.host_bytes_written,
                  s.host_bytes_read, s.nand_bytes_written)
                 for s in (ssd, oracle)]
     assert counters[0] == counters[1]
-    assert ssd.requests_completed == len(script)
+    assert cpu.cycles_charged == oracle_cpu.cycles_charged
+    assert ssd.requests_completed == sum(
+        1 for device, _gap, _item in script if device == "ssd")
     last = max(done.values())
     channels = reference_ssd_channels(oracle).monitor
     for until in (_SSD_TICK / 2, last / 2, last, 2 * last):
         assert ssd.utilization(until) == channels.utilization(until)
         assert ssd.utilization(until) == oracle.utilization(until)
+        assert cpu_util(until) == oracle_cpu_util(until)
 
 
 # -- the sanitizer still sees what the new primitives can leak ---------------
-
-
-def test_finish_check_names_an_unexpired_and_a_waiting_hold():
-    env = Environment()
-    pool = Resource(env, capacity=1, name="pool")
-    pool.hold(5.0)
-    pool.hold(5.0)
-    env.run(until=1.0)  # horizon-limited: one hold granted, one queued
-    with pytest.raises(SanitizerError) as err:
-        env.finish_check()
-    message = str(err.value)
-    assert "pool`: 1 slot(s) still held (1 by unexpired hold()s)" in message
-    assert "pool`: 1 request(s) still waiting" in message
 
 
 def test_finish_check_names_a_parked_batcher():

@@ -9,7 +9,7 @@ stay with it.
 import pytest
 
 from repro.errors import ResourceError
-from repro.sim import Environment, Resource
+from repro.sim import ChannelLedger, Environment, Resource
 from tests.reference_paths import Store
 
 
@@ -91,7 +91,7 @@ def test_release_unowned_request_raises():
         env.run()
 
 
-def test_count_reflects_grants():
+def test_users_reflect_grants():
     env = Environment()
     res = Resource(env, capacity=2)
     observed = []
@@ -100,14 +100,14 @@ def test_count_reflects_grants():
         yield env.timeout(arrive)
         with res.request() as req:
             yield req
-            observed.append(res.count)
+            observed.append(len(res.users))
             yield env.timeout(1.0)
 
     env.process(user(0.0))
     env.process(user(0.5))
     env.run()
     assert observed == [1, 2]
-    assert res.count == 0
+    assert not res.users
 
 
 def test_utilization_full_occupancy():
@@ -188,81 +188,16 @@ def test_cancel_ungranted_request():
     assert granted == [10.0]
 
 
-def test_hold_is_one_event_and_keeps_fifo_with_requests():
+def test_ledger_books_the_earliest_free_server_in_call_order():
     env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def requester(name):
-        with res.request() as req:
-            yield req
-            log.append((name, "granted", env.now))
-            yield env.timeout(2.0)
-
-    def holder(name, keep):
-        yield res.hold(keep)
-        log.append((name, "held", env.now))
-
-    env.process(requester("r1"))
-    env.process(holder("h1", 3.0))
-    env.process(requester("r2"))
-    env.process(holder("h2", 0.0))
-    trace = []
-    env._trace = trace
-    env.run()
-    # h1 is granted at 2.0 and h2 at 7.0: each fires after its own delay.
-    assert log == [("r1", "granted", 0.0), ("h1", "held", 5.0),
-                   ("r2", "granted", 5.0), ("h2", "held", 7.0)]
-    assert [name for _t, name in trace].count("Hold") == 2
-    assert res.count == 0 and res.monitor.busy_time() == 7.0
-    env.finish_check()
-
-
-def test_hold_hands_the_slot_on_before_the_holder_resumes():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    seen = []
-
-    def first():
-        yield res.hold(1.0)
-        seen.append(("first resumed, slot count", res.count))
-
-    def second():
-        yield res.hold(1.0)
-        seen.append(("second resumed at", env.now))
-
-    env.process(first())
-    env.process(second())
-    env.run()
-    assert seen == [("first resumed, slot count", 1),
-                    ("second resumed at", 2.0)]
-
-
-def test_hold_hands_its_value_to_the_waiter_granted_or_queued():
-    """A hold carries no value: its waiter resumes with ``None``,
-    whether the slot was free at once or came after queueing."""
-    env = Environment()
-    res = Resource(env, capacity=1)
-    got = []
-
-    def holder(name):
-        got.append((name, (yield res.hold(1.0)), env.now))
-
-    env.process(holder("at once"))
-    env.process(holder("queued"))
-    env.run()
-    assert got == [("at once", None, 1.0), ("queued", None, 2.0)]
-    with pytest.raises(TypeError):
-        res.hold(1.0, 4096)
-    env.finish_check()
-
-
-def test_hold_rejects_a_negative_delay():
-    env = Environment()
-    res = Resource(env, capacity=1, name="pool")
-    with pytest.raises(ResourceError, match="negative hold"):
-        res.hold(-1e-9)
-    assert res.count == 0 and not res.queue
+    ledger = ChannelLedger(env, 2)
+    assert [ledger.book(keep) for keep in (3.0, 1.0, 2.0, 0.0)] \
+        == [0.0, 0.0, 1.0, 3.0]
+    assert ledger.utilization(3.0) == 1.0
+    env.run(until=10.0)
+    # The idle gap is not booked; the new run starts at the booking.
+    assert ledger.book(1.0) == 10.0
+    assert ledger.utilization(11.0) == 7.0 / 22.0
 
 
 def test_store_put_get_fifo():

@@ -1,6 +1,6 @@
 """Hot-path classes carry no per-instance ``__dict__``.
 
-Events, holds, chunks and index entries are allocated by the million
+Events, ledger bookings, chunks and index entries are made by the million
 per timed run; a class in one of these modules that forgets
 ``__slots__`` (or whose base forgot it) is correct, slower, larger, and
 invisible in review.  ``__dictoffset__`` is non-zero exactly when
