@@ -1053,7 +1053,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("built B per stored chunk / paper's 32 B, prefix 1 (pipeline)",
              lambda r: r["built"][1] / 32, (1, INF)),
             ("built B per stored chunk, prefix 1 (pipeline)",
-             lambda r: r["built"][1], (-INF, 200)),
+             lambda r: r["built"][1], (-INF, 160)),
             ("built B per stored chunk / paper's 32 B, prefix 2 (volume)",
              lambda r: r["built"][2] / 32, (1, INF)),
         )),

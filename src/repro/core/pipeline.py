@@ -286,9 +286,10 @@ class ReductionPipeline:
                     # (submit -> kernel completion, per item).
                     hit = yield self._index_batcher.submit(
                         fingerprint, trace_id=seq)
-                    if hit:
+                    # A stale hit (its copy was swept) is a miss.
+                    if hit and (cycles := dedup.note_gpu_hit(chunk)) \
+                            is not None:
                         path = "gpu_hit"
-                        cycles = dedup.note_gpu_hit(chunk)
                     # An eviction-free GPU index mirrors every flushed
                     # entry, so its miss proves the tree would miss too.
                     gpu_definitive = dedup.gpu_index.evictions == 0

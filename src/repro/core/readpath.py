@@ -72,25 +72,24 @@ class ReadPipeline:
         try:
             # Logical-map resolution: RAM work.
             yield self.cpu.charge(DEFAULT_COSTS.metadata_update)
-            record = self.metadata.resolve(offset)
+            size, compressed_size = self.metadata.resolve_sizes(offset)
             if self.cache is not None and self.cache.lookup(offset):
                 # Cache hit: one probe's worth of CPU, no media, no
                 # decode (cached chunks are kept decompressed).
                 yield self.cpu.charge(DEFAULT_COSTS.bin_buffer_probe)
                 self._cache_hits += 1
-                self._bytes_served += record.size
+                self._bytes_served += size
                 return
             # Fetch the stored (compressed) extent.
             yield self.ssd.read(BlockRequest(
-                RequestKind.READ, 0, record.compressed_size))
+                RequestKind.READ, 0, compressed_size))
             # Decompress when the chunk was stored compressed.
-            if record.compressed_size < record.size:
-                yield self.cpu.charge(
-                    DEFAULT_COSTS.lz_decode_cycles(record.size))
+            if compressed_size < size:
+                yield self.cpu.charge(DEFAULT_COSTS.lz_decode_cycles(size))
                 self._decompressed += 1
             if self.cache is not None:
-                self.cache.fill(offset, record.size)
-            self._bytes_served += record.size
+                self.cache.fill(offset, size)
+            self._bytes_served += size
         finally:
             self._latency_sum += self.env.now - admitted
             self.window.release(slot)

@@ -146,13 +146,19 @@ class DedupEngine:
         return IndexOutcome(True, "buffer", DEFAULT_COSTS.bin_buffer_probe,
                             physical_id)
 
-    def note_gpu_hit(self, chunk: Chunk) -> float:
+    def note_gpu_hit(self, chunk: Chunk) -> Optional[float]:
         """Record a GPU-index duplicate, whose copy an untimed host tree
-        probe names (GPU bins hold no ids); returns metadata cycles."""
+        probe names (GPU bins hold no ids); returns metadata cycles.
+
+        None when the named copy was swept: the hit is stale, a miss,
+        and the caller indexes the chunk on the CPU path.
+        """
+        physical_id = self.bin_table.lookup(chunk.require_fingerprint())
+        if self.metadata.lookup(physical_id) is None:
+            return None
         self.counters[CTR_GPU_HITS] += 1
         chunk.is_duplicate = True
-        return self.commit_duplicate(
-            chunk, self.bin_table.lookup(chunk.require_fingerprint()))
+        return self.commit_duplicate(chunk, physical_id)
 
     # -- commits ------------------------------------------------------------
 

@@ -19,6 +19,14 @@ compressed blob a volume read decompresses and a CRC of the plaintext,
 and the delta fields only the volume's delta path writes.  The read
 side gets :class:`ChunkRecord`, a read-only view built on demand.
 
+The logical map is a block array: logical block ``offset //
+DEFAULT_CHUNK_SIZE`` is one int64 slot holding the id that backs it
+(-1: unmapped).  Slots come in pages of :data:`PAGE_BLOCKS`, allocated
+on first use, so a mapped block costs 8 bytes and a sparse address
+space (tenants 16 TiB apart) costs only the pages it touches.  The
+block is the only chunk size, so an offset that is not a multiple of it
+is rejected rather than aliased onto its block.
+
 Nothing is keyed by fingerprint: finding a chunk by content is the job
 of the RAM-only index the paper describes, the bins of
 :mod:`repro.dedup`, whose entries carry the id.  Like the paper's
@@ -36,6 +44,19 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from repro.errors import MetadataError
+from repro.types import DEFAULT_CHUNK_SIZE
+
+#: Slots per page of the logical map: 4 096 blocks (16 MiB of logical
+#: space) in a 32 KiB page.
+PAGE_BLOCKS = 4096
+_PAGE_BYTES = PAGE_BLOCKS * DEFAULT_CHUNK_SIZE
+#: What a fresh page is copied from: every slot unmapped.
+_UNMAPPED_PAGE = array("q", [-1]) * PAGE_BLOCKS
+
+
+def _unaligned(offset: int) -> str:
+    return (f"logical offset {offset} is not a multiple of the "
+            f"{DEFAULT_CHUNK_SIZE}-byte block")
 
 
 class ChunkRecord(NamedTuple):
@@ -58,7 +79,7 @@ class MetadataStore:
     """Columnar chunk table + logical map, keyed by physical id."""
 
     __slots__ = ("_size", "_compressed", "_refcount", "_blobs",
-                 "_checksums", "_delta_base", "_delta_refs", "_logical",
+                 "_checksums", "_delta_base", "_delta_refs", "_pages",
                  "_zombies", "_held", "logical_bytes", "physical_bytes")
 
     def __init__(self) -> None:
@@ -72,8 +93,8 @@ class MetadataStore:
         self._delta_base: dict[int, int] = {}
         #: Base id -> delta records naming it (positive counts only).
         self._delta_refs: dict[int, int] = {}
-        #: Logical offset -> physical id.
-        self._logical: dict[int, int] = {}
+        #: Logical map: page number -> page of physical ids by block.
+        self._pages: dict[int, array] = {}
         #: Held ids that are not live: what the next
         #: :meth:`sweep_unreferenced` collects.
         self._zombies: set[int] = set()
@@ -218,6 +239,9 @@ class MetadataStore:
         taken first so that rewriting an offset with the *same* content
         never transiently frees the chunk it still needs.
         """
+        page_no, byte = divmod(offset, _PAGE_BYTES)
+        if byte % DEFAULT_CHUNK_SIZE:
+            raise MetadataError(_unaligned(offset))
         compressed_size = self.lookup(physical_id)
         if compressed_size is None:
             raise MetadataError(f"chunk {physical_id} is not in this store")
@@ -229,33 +253,64 @@ class MetadataStore:
             self._zombies.discard(physical_id)
         refcount[physical_id] = count + 1
         sizes = self._size
-        logical = self._logical
-        old_id = logical.get(offset)
-        if old_id is not None:
+        page = self._pages.get(page_no)
+        if page is None:
+            page = self._pages[page_no] = _UNMAPPED_PAGE[:]
+        slot = byte // DEFAULT_CHUNK_SIZE
+        old_id = page[slot]
+        if old_id >= 0:
             self._drop_ref(old_id)
             self.logical_bytes -= sizes[old_id]
-        logical[offset] = physical_id
+        page[slot] = physical_id
         self.logical_bytes += sizes[physical_id]
+
+    def _mapped_slot(self, offset: int) -> tuple[array, int]:
+        """(page, slot) of mapped logical ``offset``."""
+        page_no, byte = divmod(offset, _PAGE_BYTES)
+        if byte % DEFAULT_CHUNK_SIZE:
+            raise MetadataError(_unaligned(offset))
+        page = self._pages.get(page_no)
+        slot = byte // DEFAULT_CHUNK_SIZE
+        if page is None or page[slot] < 0:
+            raise MetadataError(f"logical offset {offset} is unmapped")
+        return page, slot
 
     def resolve(self, offset: int) -> ChunkRecord:
         """View of the chunk backing logical ``offset`` (survives
         restarts)."""
-        physical_id = self._logical.get(offset)
-        if physical_id is None:
-            raise MetadataError(f"logical offset {offset} is unmapped")
-        return self.record(physical_id)
+        page, slot = self._mapped_slot(offset)
+        return self.record(page[slot])
+
+    def resolve_sizes(self, offset: int) -> tuple[int, int]:
+        """``(size, compressed size)`` of the chunk backing logical
+        ``offset``: what a timed read charges, without a view."""
+        page, slot = self._mapped_slot(offset)
+        physical_id = page[slot]
+        return self._size[physical_id], self._compressed[physical_id]
 
     def unmap_logical(self, offset: int) -> None:
         """Remove the mapping at ``offset`` (TRIM semantics)."""
-        physical_id = self._logical.pop(offset, None)
-        if physical_id is None:
-            raise MetadataError(f"logical offset {offset} is unmapped")
+        page, slot = self._mapped_slot(offset)
+        physical_id = page[slot]
+        page[slot] = -1
         self._drop_ref(physical_id)
         self.logical_bytes -= self._size[physical_id]
 
     def mapped_offsets(self) -> list[int]:
         """Every mapped logical offset, ascending."""
-        return sorted(self._logical)
+        offsets: list[int] = []
+        for page_no in sorted(self._pages):
+            base = page_no * _PAGE_BYTES
+            offsets.extend(base + slot * DEFAULT_CHUNK_SIZE
+                           for slot, physical_id
+                           in enumerate(self._pages[page_no])
+                           if physical_id >= 0)
+        return offsets
+
+    def _mapped_ids(self) -> list[int]:
+        """The id in every mapped slot."""
+        return [physical_id for page in self._pages.values()
+                for physical_id in page if physical_id >= 0]
 
     # -- accounting ---------------------------------------------------------
 
@@ -294,8 +349,9 @@ class MetadataStore:
         """Cross-check the ledger against the raw columns (test hook)."""
         compressed = self._compressed
         held = {i for i, size in enumerate(compressed) if size > 0}
+        mapped = self._mapped_ids()
         kept = set(self._blobs).union(self._checksums, self._delta_base,
-                                      self._logical.values())
+                                      mapped)
         if len(held) != self._held or not held.issuperset(kept):
             raise MetadataError(
                 f"{self._held} held chunks, table {len(held)}; swept "
@@ -311,15 +367,14 @@ class MetadataStore:
                 f"zombie set drift on chunks "
                 f"{sorted(scanned ^ self._zombies)[:8]}")
         refs = sum(self._refcount)
-        if refs != len(self._logical):
+        if refs != len(mapped):
             raise MetadataError(
-                f"refcount total {refs} != logical mappings "
-                f"{len(self._logical)}")
+                f"refcount total {refs} != logical mappings {len(mapped)}")
         drift = set(Counter(self._delta_base.values()).items()) ^ set(
             self._delta_refs.items())
         if drift:
             raise MetadataError(f"delta-ref drift on chunk {min(drift)[0]}")
-        logical = sum(self._size[pid] for pid in self._logical.values())
+        logical = sum(self._size[pid] for pid in mapped)
         if logical != self.logical_bytes:
             raise MetadataError(
                 f"logical ledger {self.logical_bytes} != map {logical}")

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 
 from repro.chunkbatch import window_sizes
 from repro.errors import WorkloadError
-from repro.types import Chunk, DEFAULT_CHUNK_SIZE
+from repro.types import Chunk
 from repro.workload.vdbench import StreamStats, VdbenchStream
 
 __all__ = ["TENANT_ADDRESS_STRIDE", "TenantMix", "TenantMixStream",
@@ -200,11 +200,8 @@ class _OpenLoopClock:
 class TenantMixStream:
     """Interleaved multi-tenant chunk stream over per-tenant vdbench."""
 
-    def __init__(self, mix: TenantMix,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 payload: bool = False):
+    def __init__(self, mix: TenantMix, payload: bool = False):
         self.mix = mix
-        self.chunk_size = chunk_size
         #: Scheduling-only parent RNG (never handed to tenants).
         self._sched_rng = random.Random(mix.seed)
         self.streams: list[VdbenchStream] = []
@@ -212,7 +209,6 @@ class TenantMixStream:
             self.streams.append(VdbenchStream(
                 dedup_ratio=spec.dedup_ratio,
                 comp_ratio=spec.comp_ratio,
-                chunk_size=chunk_size,
                 seed=spec.seed,
                 payload=payload,
                 comp_spread=spec.comp_spread,

@@ -36,8 +36,8 @@ from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 from repro.workload.datagen import BlockContentGenerator, \
     analytic_random_fraction
 
-#: Entry budget of the per-unique payload cache (at the 4 KiB default
-#: chunk size this is ~4 MB of regenerated blocks).
+#: Entry budget of the per-unique payload cache (~4 MB of regenerated
+#: 4 KiB blocks).
 PAYLOAD_CACHE_ENTRIES = 1024
 
 
@@ -52,10 +52,11 @@ class StreamStats:
 
 
 class VdbenchStream:
-    """Deterministic chunk stream with dedup/compression dials."""
+    """Deterministic chunk stream with dedup/compression dials; its
+    chunks are ``DEFAULT_CHUNK_SIZE`` blocks at consecutive offsets."""
 
     def __init__(self, dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE, *, seed: int,
+                 *, seed: int,
                  payload: bool = False, comp_spread: float = 0.15,
                  locality: float = 0.5, working_set: int = 128,
                  offset_base: int = 0):
@@ -65,9 +66,6 @@ class VdbenchStream:
         if comp_ratio < 1.0:
             raise WorkloadError(
                 f"comp_ratio must be >= 1.0, got {comp_ratio}")
-        if chunk_size < 1:
-            raise WorkloadError(
-                f"chunk_size must be >= 1, got {chunk_size}")
         if not 0.0 <= locality <= 1.0:
             raise WorkloadError(f"locality must be in [0, 1], "
                                 f"got {locality}")
@@ -79,7 +77,6 @@ class VdbenchStream:
                 f"offset_base must be >= 0, got {offset_base}")
         self.dedup_ratio = dedup_ratio
         self.comp_ratio = comp_ratio
-        self.chunk_size = chunk_size
         self.seed = seed
         self.payload = payload
         self.comp_spread = comp_spread
@@ -110,7 +107,8 @@ class VdbenchStream:
             return payload
         assert self._content is not None
         self._content.random_fraction = analytic_random_fraction(ratio)
-        payload = self._content.make_block(self.chunk_size, salt=unique_id)
+        payload = self._content.make_block(DEFAULT_CHUNK_SIZE,
+                                          salt=unique_id)
         if len(cache) >= PAYLOAD_CACHE_ENTRIES:
             cache.popitem(last=False)
         cache[unique_id] = payload
@@ -168,7 +166,7 @@ class VdbenchStream:
                         (fp_prefix + str(unique_id)).encode()).digest())
             append_uid(unique_id)
 
-        size = self.chunk_size
+        size = DEFAULT_CHUNK_SIZE
         offsets = self._offset + size * np.arange(n, dtype=np.int64)
         sizes = np.full(n, size, dtype=np.int64)
         if fps is None:

@@ -6,6 +6,13 @@ is asserted unconditionally by tier-1 (``tests/test_goldens.py``,
 deliberate re-pin, once, with the cause stated in the PR.  The corpora
 the digests are taken over live in ``tests/corpus.py``
 (``build_corpus``, ``storage_blocks``).
+
+Whole reports are pinned field by field in ``tests/pins/``: the E4
+report of every mode at :data:`GOLDEN_REPORT_CHUNKS`
+(``golden_reports.json``) and the E4 fields that must not move when
+the engine is optimized, at :data:`GOLDEN_E4_CHUNKS`
+(``e4_fields.json``; the ``*_utilization`` values are the exact
+integral of the level curve, correctly rounded).
 """
 
 #: sha256 digests of every (producer, block) encoded stream, captured at
@@ -90,67 +97,8 @@ GOLDEN_A11_FIELDS: dict[int, tuple[float, float, float, float]] = {
           126720.0),
 }
 
-#: Fields of the E4 reports that must not move when the engine is
-#: optimized, with their golden values (identical pre/post change).
-#: The ``*_utilization`` values are the exact integral of the level
-#: curve, correctly rounded (``UtilizationMonitor``).
-GOLDEN_E4_FIELDS = {
-    "gpu_both": {
-        "dedup_ratio": 2.0009770395701025,
-        "comp_ratio": 1.9497470820400633,
-        "reduction_ratio": 3.901399144130972,
-        "duration_s": 0.06408814525820505,
-        "mean_latency_s": 0.007539684226371084,
-        "cpu_utilization": 0.8227968879133156,
-        "gpu_utilization": 0.6854035321064682,
-    },
-    "gpu_dedup": {
-        "dedup_ratio": 2.0009770395701025,
-        "comp_ratio": 1.9497470820400633,
-        "reduction_ratio": 3.901399144130972,
-        "duration_s": 0.10365331550625258,
-        "mean_latency_s": 0.012494412981718658,
-        "cpu_utilization": 0.9999235699490804,
-        "gpu_utilization": 0.053685844901740526,
-    },
-    "gpu_comp": {
-        "dedup_ratio": 2.0009770395701025,
-        "comp_ratio": 1.9497470820400633,
-        "reduction_ratio": 3.901399144130972,
-        "duration_s": 0.06228813039690541,
-        "mean_latency_s": 0.007321062741623775,
-        "cpu_utilization": 0.9181410959564287,
-        "gpu_utilization": 0.619874118437775,
-    },
-    "cpu_only": {
-        "dedup_ratio": 2.0009770395701025,
-        "comp_ratio": 1.9497470820400633,
-        "reduction_ratio": 3.901399144130972,
-        "duration_s": 0.10797826408307641,
-        "mean_latency_s": 0.013057429255372807,
-        "cpu_utilization": 0.9999276837067451,
-        "gpu_utilization": 0.0,
-    },
-}
-
-#: Chunk count the golden fields were taken at.
+#: Chunk count the pinned E4 fields are taken at.
 GOLDEN_E4_CHUNKS = 8192
 
-#: Chunk count of the pinned per-mode report digests.
+#: Chunk count of the pinned per-mode reports.
 GOLDEN_REPORT_CHUNKS = 2048
-
-#: sha256 of the canonical (sorted-key JSON) E4 report per integration
-#: mode at ``GOLDEN_REPORT_CHUNKS``, captured at the pre-fast-path
-#: commit.  The index fast path must reproduce every field bit-exactly.
-#: Re-pinned once, when the utilisation integral became exact: only
-#: ``*_utilization`` fields moved, to the exact value.
-GOLDEN_REPORT_SHA256: dict[str, str] = {
-    "gpu_both":
-        "ae86752eec4d8e943af3c51107d9f48afa0ab0a33b120ddf91b869f0b3c04303",
-    "gpu_dedup":
-        "c0a41547cec54ede1aa65fe814c3ef66b5665f09200ed8bd04bbaa214209ac7c",
-    "gpu_comp":
-        "278b706faec002fbdaeb667cf24ff99ea6bca8ff7208c772c7082ac74488239e",
-    "cpu_only":
-        "839b587516e7cdb503de47df436c6b3b30f859180bc63a2cbbbd2faf53af7201",
-}

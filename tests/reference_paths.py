@@ -9,8 +9,8 @@ imports this.
   plane's ring sketch must match float-for-float
   (``test_tenancy_equivalence``);
 * :func:`report_digest` / :func:`report_digests` — the canonical
-  report sha256 the pinned ``GOLDEN_REPORT_SHA256`` table is compared
-  against (``test_pipeline_identity``, ``test_goldens``);
+  report sha256, for runs that must report identically
+  (``test_tenancy_equivalence``, ``test_engine_determinism``);
 * :class:`Store`, :class:`ReferenceGpuBatcher`,
   :class:`ReferenceCharge`, :func:`reference_writeback_submit` and
   :func:`reference_wiring` — the event-per-step formulations the
@@ -125,12 +125,11 @@ class ReferenceVdbenchStream:
     """
 
     def __init__(self, dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE, *, seed: int,
+                 *, seed: int,
                  payload: bool = False, comp_spread: float = 0.15,
                  locality: float = 0.5, working_set: int = 128,
                  offset_base: int = 0):
         self.comp_ratio = comp_ratio
-        self.chunk_size = chunk_size
         self.seed = seed
         self.comp_spread = comp_spread
         self.locality = locality
@@ -163,18 +162,18 @@ class ReferenceVdbenchStream:
             self.stats.uniques += 1
         if self.content is not None:
             self.content.random_fraction = analytic_random_fraction(ratio)
-            chunk = Chunk(offset=self.offset, size=self.chunk_size,
+            chunk = Chunk(offset=self.offset, size=DEFAULT_CHUNK_SIZE,
                           payload=self.content.make_block(
-                              self.chunk_size, salt=unique_id))
+                              DEFAULT_CHUNK_SIZE, salt=unique_id))
         else:
-            chunk = Chunk(offset=self.offset, size=self.chunk_size,
+            chunk = Chunk(offset=self.offset, size=DEFAULT_CHUNK_SIZE,
                           fingerprint=hashlib.sha1(
                               f"vdbench:{self.seed}:{unique_id}".encode()
                           ).digest(),
                           comp_ratio=ratio)
-        self.offset += self.chunk_size
+        self.offset += DEFAULT_CHUNK_SIZE
         self.stats.chunks += 1
-        self.stats.bytes_emitted += self.chunk_size
+        self.stats.bytes_emitted += DEFAULT_CHUNK_SIZE
         return chunk
 
     def chunks(self, n: int) -> list[Chunk]:
@@ -186,14 +185,13 @@ class ReferenceTenantMixStream:
     the parent RNG (none for a one-tenant mix), then that tenant's
     :class:`ReferenceVdbenchStream` emits the chunk."""
 
-    def __init__(self, mix, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 payload: bool = False):
+    def __init__(self, mix, payload: bool = False):
         self.tenants = mix.tenants
         self.open_loop = mix.open_loop
         self.sched = random.Random(mix.seed)
         self.streams = [ReferenceVdbenchStream(
             dedup_ratio=spec.dedup_ratio, comp_ratio=spec.comp_ratio,
-            chunk_size=chunk_size, seed=spec.seed, payload=payload,
+            seed=spec.seed, payload=payload,
             comp_spread=spec.comp_spread, locality=spec.locality,
             working_set=spec.working_set,
             offset_base=index * TENANT_ADDRESS_STRIDE)

@@ -37,7 +37,7 @@ from repro.errors import DedupError
 from repro.sim import Environment
 from repro.storage import Ftl, FtlSpec
 from repro.tenancy import TenantMix, TenantMixStream, TenantSpec
-from repro.types import Chunk
+from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 from repro.workload import VdbenchStream
 from tests.reference_paths import (ReferenceTenantMixStream,
                                    ReferenceVdbenchStream,
@@ -48,7 +48,7 @@ CORPORA = ("dup_heavy", "all_zero", "incompressible", "byte_shifted")
 #: Dials that exercise every branch of the decision loop: duplicates
 #: both inside and outside a small working set, and many uniques.
 STREAM_DIALS = dict(dedup_ratio=3.0, comp_ratio=2.0, seed=97,
-                    chunk_size=512, locality=0.7, working_set=16)
+                    locality=0.7, working_set=16)
 
 
 def corpus_payloads(kind: str, n: int, seed: int) -> list[bytes]:
@@ -68,8 +68,9 @@ def corpus_payloads(kind: str, n: int, seed: int) -> list[bytes]:
 
 
 def corpus_chunks(payloads: list[bytes]) -> list[Chunk]:
-    """Fresh Chunk objects (the pipeline mutates them in place)."""
-    return [Chunk(offset=i * CHUNK_SIZE, size=CHUNK_SIZE, payload=p)
+    """Fresh Chunk objects (the pipeline mutates them in place), one
+    short chunk per logical block."""
+    return [Chunk(offset=i * DEFAULT_CHUNK_SIZE, size=CHUNK_SIZE, payload=p)
             for i, p in enumerate(payloads)]
 
 
@@ -174,10 +175,8 @@ class TestBatchedWorkload:
             TenantSpec(name="hot", seed=5, dedup_ratio=4.0, locality=0.9),
             TenantSpec(name="cold", seed=6, weight=0.5),
         ), seed=8)
-        got = list(TenantMixStream(mix, chunk_size=512,
-                                   payload=True).chunks(200))
-        want = ReferenceTenantMixStream(mix, chunk_size=512,
-                                        payload=True).chunks(200)
+        got = list(TenantMixStream(mix, payload=True).chunks(200))
+        want = ReferenceTenantMixStream(mix, payload=True).chunks(200)
         assert [columns(c) for c in got] == [columns(c) for c in want]
 
 

@@ -213,6 +213,28 @@ class TestIdValuedIndex:
         assert engine.metadata.resolve(4096).physical_id == physical_id
         assert engine.counters["gpu_hits"] == 1
 
+    def test_a_gpu_hit_on_a_swept_copy_is_a_miss(self):
+        """GPU bins hold no ids and a sweep leaves them alone: a hit on
+        a fingerprint whose copy was swept is stale.  The engine maps
+        nothing and counts nothing; the CPU index path then stores the
+        chunk again."""
+        gpu = GpuBinIndex(prefix_bytes=1)
+        engine = DedupEngine(prefix_bytes=1, gpu_index=gpu)
+        swept_id = self._store(engine, chunk_of(b"gone", offset=0))
+        engine.drain()
+        engine.metadata.unmap_logical(0)
+        engine.sweep()
+        twin = chunk_of(b"gone", offset=4096)
+        assert gpu.lookup_host([twin.fingerprint]) == [True]
+        assert engine.note_gpu_hit(twin) is None
+        assert engine.counters["gpu_hits"] == 0
+        assert engine.metadata.mapped_offsets() == []
+        outcome = engine.cpu_index(twin)
+        assert not outcome.duplicate
+        physical_id = self._store(engine, twin)
+        assert physical_id != swept_id
+        assert engine.metadata.resolve(4096).physical_id == physical_id
+
     def test_a_zombie_still_hits_and_revives(self):
         engine = DedupEngine()
         self._store(engine, chunk_of(b"old", offset=0))
@@ -294,17 +316,18 @@ class DedupEngineMachine(RuleBasedStateMachine):
         definitive = False
         if via_gpu:
             # GPU bins hold no ids: a hit maps onto the copy the host
-            # tree names.  After a sweep that copy can be gone, a stale
-            # entry the pipeline (which never sweeps) cannot meet; the
-            # machine then takes the CPU path.
+            # tree names.  After a sweep that copy can be gone; the
+            # engine answers such a stale hit with a miss (None), and
+            # the chunk takes the CPU path.
             tree_id = engine.bin_table.lookup(fingerprint)
             if self.gpu.lookup_host([fingerprint])[0]:
-                if engine.metadata.lookup(tree_id) is not None:
-                    engine.note_gpu_hit(chunk)
+                gpu_hits = engine.counters["gpu_hits"]
+                if engine.note_gpu_hit(chunk) is not None:
                     assert engine.metadata.resolve(chunk.offset) \
                         .physical_id == tree_id
                     return tree_id, True
                 assert tree_id in self.swept
+                assert engine.counters["gpu_hits"] == gpu_hits
             definitive = self.gpu.evictions == 0
         outcome = engine.cpu_index_partial(chunk) if definitive \
             else engine.cpu_index(chunk)

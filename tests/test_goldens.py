@@ -1,9 +1,10 @@
 """Every pinned golden, asserted unconditionally (tier-1).
 
-``tests/goldens.py`` holds five tables captured before the fast paths
-they guard; each is load-bearing here or in
-``test_pipeline_identity.py`` — corrupt one entry of any table and a
-test below (or ``test_golden_report_digests_all_modes``) fails.  The
+``tests/goldens.py`` holds three tables captured before the fast paths
+they guard, and ``tests/pins/`` the pinned reports; each is
+load-bearing here or in ``test_pipeline_identity.py`` — corrupt one
+entry of any table or one field of a pinned report and a test below
+(or ``test_golden_report_all_modes``) fails.  The
 tenancy floors at the bottom are the one non-digest pin: the policy
 result the tenancy plane exists for, on the committed mix.
 """
@@ -13,18 +14,16 @@ import hashlib
 
 import pytest
 
+from tests import pins
 from tests.corpus import build_corpus
 from tests.goldens import (
     GOLDEN_A11_FIELDS,
     GOLDEN_A7_FIELDS,
-    GOLDEN_E4_CHUNKS,
-    GOLDEN_E4_FIELDS,
     GOLDEN_REPORT_CHUNKS,
-    GOLDEN_REPORT_SHA256,
     GOLDEN_STREAM_DIGESTS,
 )
+from tests.pins.runs import produce
 from tests.reference_codecs import launch_outputs, refine_to_container
-from tests.reference_paths import report_digest
 
 from repro.bench.experiments import (
     SCENARIO_MIX,
@@ -34,7 +33,6 @@ from repro.bench.experiments import (
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec
 from repro.core import IntegrationMode, PipelineConfig
-from repro.core.calibration import run_mode
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.tenancy import TenantMix, TenantSpec
 from repro.tenancy.runner import run_tenant_mix
@@ -81,20 +79,17 @@ def test_a11_kernel_variant_fields():
                          ids=lambda mode: mode.value)
 def test_e4_report_fields(mode):
     """Full-size E4: exact report fields per integration mode."""
-    report = dataclasses.asdict(run_mode(mode, GOLDEN_E4_CHUNKS))
-    golden = GOLDEN_E4_FIELDS[mode.value]
-    assert {field: report[field] for field in golden} == golden
+    pins.check("e4_fields", mode.value, produce("e4_fields", mode.value))
 
 
-def test_one_tenant_mix_reproduces_report_digests():
+@pytest.mark.parametrize("mode", IntegrationMode.all_modes(),
+                         ids=lambda mode: mode.value)
+def test_one_tenant_mix_reproduces_the_golden_reports(mode):
     """The tenancy plane is invisible at one tenant: the pinned
-    single-stream digests, through ``run_tenant_mix``."""
+    single-stream reports, through ``run_tenant_mix``."""
     mix = TenantMix(tenants=(TenantSpec(name="solo", seed=1234),), seed=99)
-    observed = {
-        mode.value: report_digest(
-            run_tenant_mix(mix, mode, GOLDEN_REPORT_CHUNKS).pipeline)
-        for mode in IntegrationMode.all_modes()}
-    assert observed == GOLDEN_REPORT_SHA256
+    report = run_tenant_mix(mix, mode, GOLDEN_REPORT_CHUNKS).pipeline
+    pins.check("golden_reports", mode.value, dataclasses.asdict(report))
 
 
 #: Inline-hit-rate edge prioritized admission must hold over the shared

@@ -440,7 +440,7 @@ class TestPublishMetrics:
         write a channel hold)."""
         from repro.core.calibration import run_stream
         from repro.tenancy import TenantMixStream
-        from tests.test_pipeline_identity import MIX_CACHE, example_mix
+        from tests.pins.runs import MIX_CACHE, example_mix
 
         config = PipelineConfig(mode=IntegrationMode.GPU_COMP,
                                 tenancy_policy="prioritized",

@@ -1,12 +1,11 @@
 """Byte-identity pins for the one chunk worker (DESIGN.md §12, §13).
 
-Every digest below was captured at the commit *before*
+Every pin below was captured at the commit *before*
 ``ReductionPipeline._chunk_worker`` was collapsed from three branches
 (tenancy / dedup / no-dedup) into one, and must never move without a
 stated cause.  Three families:
 
-* **reports** — the four per-mode golden digests
-  (``tests.goldens.GOLDEN_REPORT_SHA256``), plus payload-mode,
+* **reports** — the four per-mode golden reports, plus payload-mode,
   paced, dedup-only and global-lock variants of the same worker;
 * **tenant mix** — ``TenancyRunReport.as_dict()`` for the committed
   ``examples/tenant_mix.json`` scenario under both admission policies;
@@ -16,29 +15,25 @@ stated cause.  Three families:
   ``record_split`` weights and the derived queue waits all survive.
   ``queue_wait`` is hashed too: it is the only place the worker's
   ``expected_service_s`` argument shows.
+
+Reports are pinned field by field (``tests/pins/``, produced by
+``tests/pins/runs.py``); a span list is not a report, so traces stay
+sha256 digests.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from tests.goldens import GOLDEN_REPORT_CHUNKS, GOLDEN_REPORT_SHA256
-from tests.reference_paths import report_digests
+from tests import pins
+from tests.pins.runs import RUNS, example_mix, produce, tenant_config
 
 from repro.core import IntegrationMode, PipelineConfig
 from repro.core.calibration import run_mode
 from repro.obs import SimTracer
-from repro.tenancy import TenantMix
 from repro.tenancy.runner import run_tenant_mix
-
-MIX_PATH = Path(__file__).resolve().parent.parent / "examples" \
-    / "tenant_mix.json"
-MIX_CACHE = 96
-MIX_CHUNKS = 4096
 
 
 def digest(value) -> str:
@@ -51,81 +46,19 @@ def span_digest(spans) -> str:
                     s.resource, s.attrs) for s in spans])
 
 
-def example_mix() -> TenantMix:
-    return TenantMix.from_json(MIX_PATH.read_text())
+@pytest.mark.parametrize("mode", RUNS["golden_reports"])
+def test_golden_report_all_modes(mode):
+    pins.check("golden_reports", mode, produce("golden_reports", mode))
 
 
-def tenant_config(policy: str, **overrides) -> PipelineConfig:
-    return PipelineConfig(tenancy_policy=policy,
-                          tenancy_cache_entries=MIX_CACHE, **overrides)
+@pytest.mark.parametrize("name", RUNS["report_variants"])
+def test_report_variant(name):
+    pins.check("report_variants", name, produce("report_variants", name))
 
 
-def test_golden_report_digests_all_modes():
-    assert report_digests(GOLDEN_REPORT_CHUNKS) == GOLDEN_REPORT_SHA256
-
-
-#: name -> (mode, chunks, config overrides, run_mode kwargs, sha256).
-REPORT_VARIANTS = {
-    "payload_gpu_both": (
-        "gpu_both", 192, {}, {"payload": True},
-        "74f6de22d5780e6201d87d182b7f977748cd2fa99bdd5a4069ca6f917b89f34e"),
-    "payload_cpu_only_dedup_off": (
-        "cpu_only", 192, {"enable_dedup": False}, {"payload": True},
-        "184e2af1615f80fb061a58e43843d7d3edcaaab619496c02834702fc7d4506b9"),
-    "dedup_off_gpu_comp": (
-        "gpu_comp", 1024, {"enable_dedup": False}, {},
-        "4cad5c2677cce8515dd5983da69b367e4ed77e2dd669030d21d62b31de2d63fd"),
-    "compression_off_gpu_dedup": (
-        "gpu_dedup", 1024, {"enable_compression": False}, {},
-        "fbf2251f32448eaa9587819d56a5242ba4402368d567b40962546a12ab140022"),
-    "global_lock_cpu_only": (
-        "cpu_only", 1024, {"index_locking": "global"}, {},
-        "8e57998cc5bef40139ab356d1c90ed3adf9fe7f9f6216f9fd0aba9348a0e1ae5"),
-    "paced_always_offload": (
-        "gpu_dedup", 512,
-        {"arrival_rate_iops": 20000.0, "gpu_index_policy": "always"}, {},
-        "ea222b67ed7b07f2734c142e8140b150c080b0a2fe980c46b3303a7450b04243"),
-    "small_bins": (
-        "gpu_both", 2048,
-        {"bin_buffer_capacity": 4, "bin_buffer_total": 256,
-         "gpu_bin_capacity": 8}, {},
-        "e3e044c896f449886ab34a810f578f4a528ddc6148fb49915faab76f2c2a124c"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_VARIANTS))
-def test_report_variant_digest(name):
-    mode, chunks, overrides, kwargs, golden = REPORT_VARIANTS[name]
-    report = run_mode(IntegrationMode(mode), chunks,
-                      base_config=PipelineConfig(**overrides), **kwargs)
-    assert digest(dataclasses.asdict(report)) == golden
-
-
-TENANT_MIX_SHA256 = {
-    ("shared_lru", "gpu_comp"):
-        "6922387a161f4763cc3e75b865a042bd2b2ae2fa3dc3c73fb7245f27efc2fe55",
-    ("shared_lru", "gpu_both"):
-        "32d487305a92bbca85ff20fea2c8368ab01996f8d4e22926ce205b27913443a7",
-    ("prioritized", "gpu_comp"):
-        "906389a30b4b6f664eaaed4d7f8118c75f954f25bb0e7d860e9c4e9f40bcea55",
-    ("prioritized", "gpu_both"):
-        "c6bee0a17443841e60e54017deabd4f1b8d601384924ac2a18a3ddf8b521c892",
-}
-
-
-@pytest.mark.parametrize("policy,mode", sorted(TENANT_MIX_SHA256))
-def test_tenant_mix_report_digest(policy, mode):
-    report = run_tenant_mix(example_mix(), IntegrationMode(mode),
-                            MIX_CHUNKS, base_config=tenant_config(policy))
-    assert digest(report.as_dict()) == TENANT_MIX_SHA256[(policy, mode)]
-
-
-def test_tenant_mix_payload_report_digest():
-    report = run_tenant_mix(example_mix(), IntegrationMode.GPU_COMP, 192,
-                            base_config=tenant_config("prioritized"),
-                            payload=True)
-    assert digest(report.as_dict()) == \
-        "3ded9d98a8bb072dd399b6d3269e655796736e6367f6ed5964e9285b90c78d90"
+@pytest.mark.parametrize("name", RUNS["tenant_mix"])
+def test_tenant_mix_report(name):
+    pins.check("tenant_mix", name, produce("tenant_mix", name))
 
 
 #: A window well under the chunk count, so duplicates meet committed

@@ -40,7 +40,7 @@ CORPORA = {
     "uniform": dict(dedup_ratio=1.0, locality=0.0),
 }
 MODES = list(IntegrationMode)
-PAYLOAD = dict(payload=True, chunk_size=1024)
+PAYLOAD = dict(payload=True)
 
 
 def run(mode, corpus="dup_heavy", payload=False, chunks=512, **overrides):

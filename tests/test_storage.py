@@ -18,6 +18,9 @@ from repro.storage import (
     SAMSUNG_SSD_830,
     SsdModel,
 )
+from repro.storage.metadata import PAGE_BLOCKS
+from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
+from repro.types import DEFAULT_CHUNK_SIZE
 from tests.reference_paths import ReferenceMetadataStore
 
 
@@ -274,9 +277,48 @@ class TestMetadataStore:
             store.verify_invariants()
         assert store.logical_bytes == len(store.mapped_offsets()) * 4096
 
+    @pytest.mark.parametrize("offset", [1024, 4095, 4096 * 4096 + 512, -1])
+    def test_unaligned_offset_is_rejected_not_aliased(self, offset):
+        """The block is the only chunk size: an offset inside a block
+        raises on every map accessor and leaves both ledgers alone."""
+        store = MetadataStore()
+        physical_id = store.store_unique(4096, 1000)
+        store.map_logical(offset - offset % 4096, physical_id)
+        ledgers = (store.logical_bytes, store.physical_bytes)
+        for call in (lambda: store.map_logical(offset, physical_id),
+                     lambda: store.resolve(offset),
+                     lambda: store.resolve_sizes(offset),
+                     lambda: store.unmap_logical(offset)):
+            with pytest.raises(MetadataError, match="multiple of the"):
+                call()
+            assert (store.logical_bytes, store.physical_bytes) == ledgers
+        assert store.mapped_offsets() == [offset - offset % 4096]
+        store.verify_invariants()
 
-#: Logical offsets the state machine maps (few, so overwrites happen).
-OFFSETS = [slot * 4096 for slot in range(6)]
+    def test_map_spans_pages_and_tenant_strides(self):
+        """Blocks on each side of a page boundary and 16 TiB away are
+        distinct slots, listed in ascending offset order."""
+        store = MetadataStore()
+        offsets = [TENANT_ADDRESS_STRIDE, PAGE_BLOCKS * 4096,
+                   (PAGE_BLOCKS - 1) * 4096, 0]
+        for size, offset in enumerate(offsets, start=1):
+            store.map_logical(offset, store.store_unique(size, size))
+        assert store.mapped_offsets() == sorted(offsets)
+        assert [store.resolve_sizes(offset)[0] for offset in offsets] \
+            == [1, 2, 3, 4]
+        store.unmap_logical(PAGE_BLOCKS * 4096)
+        assert store.mapped_offsets() == [0, (PAGE_BLOCKS - 1) * 4096,
+                                          TENANT_ADDRESS_STRIDE]
+        assert store.logical_bytes == 1 + 3 + 4
+        store.verify_invariants()
+
+
+#: Logical offsets the state machine maps: few, so overwrites happen,
+#: on both sides of a page boundary of the block map (blocks 4 095 and
+#: 4 096) and one 16 TiB away, where a second tenant's range starts.
+OFFSETS = [block * DEFAULT_CHUNK_SIZE
+           for block in (0, 1, 2, 3, PAGE_BLOCKS - 1, PAGE_BLOCKS)] \
+    + [TENANT_ADDRESS_STRIDE]
 
 
 class MetadataAgainstReference(RuleBasedStateMachine):
@@ -370,6 +412,8 @@ class MetadataAgainstReference(RuleBasedStateMachine):
             else:
                 assert tuple(store.resolve(offset)) == \
                     dataclasses.astuple(record)
+                assert store.resolve_sizes(offset) == (
+                    record.size, record.compressed_size)
         store.verify_invariants()
         reference.verify_invariants()
 

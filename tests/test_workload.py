@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
+from repro.types import DEFAULT_CHUNK_SIZE
 from repro.workload import (
     BlockContentGenerator,
     TraceRecord,
@@ -141,7 +142,7 @@ class TestBlockContentGenerator:
                 stream._content.random_fraction = \
                     analytic_random_fraction(ratio)
                 rng = CountingRandom(f"{stream.seed}:{unique_id}")
-                reference_block(stream._content, stream.chunk_size,
+                reference_block(stream._content, DEFAULT_CHUNK_SIZE,
                                 unique_id, rng)
                 used += rng.words
             assert used < census["words_drawn"] <= 2.5 * used
@@ -238,11 +239,6 @@ class TestVdbenchStream:
             VdbenchStream(comp_ratio=0.0, seed=0)
         with pytest.raises(WorkloadError):
             VdbenchStream(locality=2.0, seed=0)
-
-    @pytest.mark.parametrize("chunk_size", [0, -4096])
-    def test_invalid_chunk_size_rejected_at_construction(self, chunk_size):
-        with pytest.raises(WorkloadError, match="chunk_size"):
-            VdbenchStream(chunk_size=chunk_size, seed=0)
 
     def test_seed_is_required(self):
         with pytest.raises(TypeError):
