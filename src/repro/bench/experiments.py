@@ -141,7 +141,8 @@ def e1_indexing(batch_sizes: Sequence[int] = (16, 32, 48, 64, 128, 256),
         def cpu_batch():
             yield cpu.charge(costs.dispatch_per_batch)
             tasks = [env.process(lookup_task(q)) for q in queries]
-            yield env.all_of(tasks)
+            for task in tasks:
+                yield task
 
         done = env.process(cpu_batch())
         env.run(until=done)

@@ -448,7 +448,7 @@ class ReductionPipeline:
                 self.tenancy.apply_compaction(entries,
                                               self.dedup.metadata)
 
-        self.env.start(compaction())
+        self.env.process(compaction())
 
     # -- run ----------------------------------------------------------------
 
@@ -486,7 +486,7 @@ class ReductionPipeline:
                     self._record(STAGE_ADMISSION, seq, requested, 0.0,
                                  resource=TRACK_WINDOW)
                 self.bytes_in += chunk.size
-                self.env.start(self._chunk_worker(chunk, request, seq))
+                self.env.process(self._chunk_worker(chunk, request, seq))
                 seq += 1
         if seq < total:
             raise ConfigError(

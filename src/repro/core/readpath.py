@@ -101,7 +101,7 @@ class ReadPipeline:
         for offset in offsets:
             request = self.window.request()
             yield request
-            self.env.start(self._read_worker(offset, request))
+            self.env.process(self._read_worker(offset, request))
 
     def run(self, offsets: Sequence[int]) -> ReadReport:
         """Serve every offset in ``offsets`` and report.

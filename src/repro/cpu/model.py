@@ -16,6 +16,7 @@ thumb for throughput-bound integer workloads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,8 +88,9 @@ class SimCpu:
 
         The returned event must be yielded promptly and exactly once.
         """
-        if cycles < 0:
-            raise ConfigError(f"negative cycle count: {cycles}")
+        if not 0 <= cycles < math.inf:  # NaN fails both
+            kind = "negative" if cycles < 0 else "non-finite"
+            raise ConfigError(f"{kind} cycle count: {cycles!r}")
         self.cycles_charged += cycles
         delay = cycles / self._thread_hz
         timeout = self.env.timeout_at(self.ledger.book(delay) + delay)

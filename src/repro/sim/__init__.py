@@ -4,24 +4,20 @@ A small, dependency-free, deterministic event-driven simulator in the style
 of SimPy.  Processes are Python generators that ``yield`` events (timeouts and
 resource requests); the :class:`~repro.sim.engine.Environment`
 advances a virtual clock and resumes processes when their events fire.
+Events fire in (time, insertion-order) order, off one heap and one
+zero-delay run queue; a process runs its first segment when spawned, and
+a run ends when the calendar drains or a given event fires.
 
 Every *timed* component of the reproduction (CPU cores, the GPU, the PCIe
 link, the SSD) is built on this engine, which is what lets a single-core
 Python process report faithful multi-core / accelerator throughput numbers.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    Environment,
-    Event,
-    Process,
-    Timeout,
-)
+from repro.sim.engine import Environment, Event, Process, Timeout
 from repro.sim.resources import (ChannelLedger, Request, Resource,
                                  UtilizationMonitor)
 
 __all__ = [
-    "AllOf",
     "ChannelLedger",
     "Environment",
     "Event",

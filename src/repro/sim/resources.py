@@ -216,6 +216,9 @@ class ChannelLedger:
     def book(self, duration: float) -> float:
         """Take the earliest-free server for ``duration``; returns the
         start instant (the booking ends at ``start + duration``)."""
+        if not 0.0 <= duration < math.inf:  # NaN fails both
+            raise ResourceError(
+                f"booking duration {duration!r} is negative or not finite")
         now = self.env._now
         server = self._heap[0]
         start = server[0]

@@ -5,6 +5,6 @@
 def admit(env, deadline: float) -> bool:
     if env.now == deadline:  # expect REP501 on this line (6)
         return True
-    if env.peek() != deadline:  # expect REP501 on this line (8)
+    if deadline != env.now + 1.0:  # expect REP501 on this line (8)
         return False
     return env.now >= deadline  # ordering comparisons are fine

@@ -5,6 +5,10 @@ compute something production computes fast, kept as an executable
 specification for the equivalence suites.  Nothing under ``src/``
 imports this.
 
+* :class:`HeapCalendar` — the engine's (time, insertion-order)
+  dispatch rule on one plain ``heapq``, with no run queue in front: the
+  order the engine's run queue and tie check must reproduce
+  (``test_sim_engine``);
 * :class:`NaiveLocalityEstimator` — the O(window) scan the tenancy
   plane's ring sketch must match float-for-float
   (``test_tenancy_equivalence``);
@@ -68,6 +72,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import heapq
 import json
 import random
 import weakref
@@ -81,13 +86,12 @@ from repro.core.modes import IntegrationMode
 from repro.core.batcher import GpuBatcher
 from repro.cpu.model import SimCpu
 from repro.dedup.index_base import check_fingerprint
-from repro.errors import ConfigError, ResourceError
+from repro.errors import ConfigError, ResourceError, SimulationError
 from repro.errors import DedupError, MetadataError
 from repro.gpu.kernels.indexing import LookupBatch
 from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_READ, STAGE_SSD_WRITE,
                               TRACK_DESTAGE, TRACK_SSD)
 from repro.sim import Event, Request, Resource, Timeout
-from repro.sim.engine import _Condition
 from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
 from repro.storage.writeback import WriteBack
@@ -454,16 +458,134 @@ def report_digests(chunks: int) -> dict[str, str]:
             for mode in IntegrationMode.all_modes()}
 
 
+# -- the engine's dispatch rule on one heap (test_sim_engine) ---------------
+
+
+class HeapCalendar:
+    """The engine's dispatch rule with no run queue: every entry, zero
+    delay included, on one ``heapq`` keyed (time, eid), eids taken in
+    scheduling order.  A process runs its first segment at spawn, and a
+    completion nobody waits on takes no entry.  Speaks the subset of
+    ``Environment`` the engine's property test scripts use."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.dispatched = 0
+        self._heap: list = []
+        self._eid = 0
+
+    def _push(self, when: float, event: "_HeapEvent") -> None:
+        self._eid += 1
+        heapq.heappush(self._heap, (when, self._eid, event))
+
+    def event(self) -> "_HeapEvent":
+        return _HeapEvent(self)
+
+    def timeout(self, delay: float, value: Any = None) -> "_HeapEvent":
+        return self.timeout_at(self.now + delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> "_HeapEvent":
+        event = _HeapEvent(self)
+        event.value = value
+        self._push(when, event)
+        return event
+
+    def process(self, generator: Generator) -> "_HeapProcess":
+        return _HeapProcess(self, generator)
+
+    def succeed_all(self, events, values) -> None:
+        def fan_out(_carrier) -> None:
+            for event, value in zip(events, values):
+                event.value = value
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+
+        self.timeout(0.0).callbacks.append(fan_out)
+
+    def run(self) -> None:
+        while self._heap:
+            self.now, _eid, event = heapq.heappop(self._heap)
+            self.dispatched += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+
+
+class _HeapEvent:
+    def __init__(self, calendar: HeapCalendar):
+        self.calendar = calendar
+        self.callbacks: Optional[list] = []
+        self.value: Any = None
+
+    def succeed(self, value: Any = None) -> "_HeapEvent":
+        self.value = value
+        self.calendar._push(self.calendar.now, self)
+        return self
+
+
+class _HeapProcess(_HeapEvent):
+    def __init__(self, calendar: HeapCalendar, generator: Generator):
+        super().__init__(calendar)
+        self._generator = generator
+        self._resume(None)
+
+    def _resume(self, value: Any) -> None:
+        while True:
+            try:
+                event = self._generator.send(value)
+            except StopIteration as stop:
+                self.value = stop.value
+                if self.callbacks:
+                    self.calendar._push(self.calendar.now, self)
+                else:
+                    self.callbacks = None
+                return
+            if event.callbacks is not None:
+                event.callbacks.append(lambda done: self._resume(done.value))
+                return
+            value = event.value
+
+
 # -- the event-per-step engine paths (test_schedule_equivalence) -----------
 
 
-class AnyOf(_Condition):
-    """Event that fires once *any* of the given events has fired."""
+class AnyOf(Event):
+    """Event that fires once *any* of the given events has fired (or at
+    once, when given none), with ``{event: value}`` of those that have;
+    a failed part fails it.  Only the reference batcher waits on one."""
 
-    __slots__ = ()
+    __slots__ = ("_events",)
 
-    def _satisfied(self) -> bool:
-        return self._count >= 1 or not self._events
+    def __init__(self, env, events):
+        super().__init__(env)
+        self._events = list(events)
+        for event in self._events:
+            if event.env is not env:
+                raise SimulationError("cannot mix events from different envs")
+        if not self._events:
+            self.succeed({})
+            return
+        for event in self._events:
+            if event.callbacks is None:
+                # Already processed before the condition was created.
+                self._observe(event)
+            else:
+                event.callbacks.append(self._observe)
+
+    def _observe(self, event: Event) -> None:
+        if self.triggered:
+            return
+        if not event._ok:
+            event._defused = True
+            self._ok = False
+            self._value = event._value
+            self.env._schedule(self)
+            return
+        # Only events whose callbacks have run count as fired; a Timeout
+        # carries its value from creation but has not happened yet.
+        self.succeed({e: e._value for e in self._events
+                      if e.callbacks is None and e._ok})
 
 
 def any_of(env, events) -> AnyOf:
@@ -563,11 +685,11 @@ class ReferenceGpuBatcher(GpuBatcher):
     """The Store + ``AnyOf`` batcher: five calendar entries per item
     (put, get, condition, deadline timeout, per-item completion)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # Safe after the base started the dispatcher: its first segment
-        # runs behind an Initialize entry, not inside the constructor.
-        self._inbox = Store(self.env, name=f"{self.name}-inbox")
+    def __init__(self, env, *args, name: str = "batcher", **kwargs):
+        # Before the base starts the dispatcher: its first segment, run
+        # inside the constructor, already waits on the inbox.
+        self._inbox = Store(env, name=f"{name}-inbox")
+        super().__init__(env, *args, name=name, **kwargs)
 
     def submit(self, item, trace_id=None) -> Event:
         done = self.env.event()

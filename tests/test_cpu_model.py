@@ -137,6 +137,21 @@ class TestSimCpu:
         assert cpu.utilization(1.0) == 0.0  # no thread was booked
         env.finish_check()  # and nothing was scheduled
 
+    def test_non_finite_cycles_rejected_before_the_ledger(self):
+        """NaN passes a ``< 0`` check; it must not reach the ledger,
+        whose end instant would then put the clock at NaN."""
+        env = Environment()
+        cpu = SimCpu(env)
+        heap = [list(server) for server in cpu.ledger._heap]
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="non-finite cycle count"):
+                cpu.charge(bad)
+        assert cpu.ledger._heap == heap
+        assert cpu.cycles_charged == 0.0 and cpu.outstanding == 0
+        env.run()
+        assert env.now == 0.0
+        env.finish_check()
+
     def test_parallel_tasks_overlap(self):
         env = Environment()
         cpu = SimCpu(env)

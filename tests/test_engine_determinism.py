@@ -66,24 +66,40 @@ def test_identical_seeds_identical_schedules():
 #: the SSD's channel ledger, not an event, so none appears in a trace;
 #: a CPU charge is a booking on the threads' ledger plus one
 #: ``Timeout``, dispatched where the one-event hold it replaced was.
+#: A process runs its first segment inside its spawner, so no start-up
+#: entry appears either.
 DISPATCH_TRACE_SHA256 = {
     "cpu_only":
-        "9e61c29bf9a6f04d659edf001382f6218aea6bd0f67bc75a7bd715cc3831573c",
+        "8c8edd09f020e978745d764677e0ea9f159d0130bf34d0499b8d99f9c522a8f8",
     "gpu_dedup":
-        "c07fdb314f24f5062d0bc688380e2eb76a0b52216e6ca27244ef8f28eb8c88ae",
+        "6c5398ede9fb41ece0bb819afad6f09a08a9c16998c0059e2a9945e51fd4082e",
     "gpu_comp":
-        "9faf1520d6a6be63c25015c5d166c289964876c62975d1acd432ef2c9f5517db",
+        "e1ac54a40b65d84aa12385dd213197e8327f52f0de64be086cdd81f3433c7c53",
     "gpu_both":
-        "1bbf9532ac3d03266e0a3a2b920834cc34ac910bc77104884e974ca660d88fa6",
+        "5c30145a7303fcf0256d4f6ae6f00ea6e739e231fef5e0088076e25a36e6b71b",
 }
+
+
+def pinned_dispatch_trace(mode: IntegrationMode) -> str:
+    """The dispatch trace :data:`DISPATCH_TRACE_SHA256` pins, as text
+    (``python -m tests.dispatch_trace`` prints it)."""
+    _report, trace = _traced_run(mode, 512, seed=1234)
+    return "".join(f"{when!r} {name}\n" for when, name in trace)
 
 
 def test_dispatch_trace_matches_the_pinned_schedule():
     for mode in IntegrationMode:
-        _report, trace = _traced_run(mode, 512, seed=1234)
-        lines = "".join(f"{when!r} {name}\n" for when, name in trace)
+        lines = pinned_dispatch_trace(mode)
         digest = hashlib.sha256(lines.encode()).hexdigest()
         assert digest == DISPATCH_TRACE_SHA256[mode.value], mode.value
+
+
+def test_dispatch_trace_tool_prints_the_pinned_trace(capsys):
+    from tests import dispatch_trace
+    assert dispatch_trace.main(["--mode", "cpu_only"]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() \
+        == DISPATCH_TRACE_SHA256["cpu_only"]
 
 
 def test_different_seeds_differ():

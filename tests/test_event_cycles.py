@@ -83,8 +83,9 @@ def _write_sizes(n: int) -> list[int]:
 
 def _queued_writeback(submit, n: int) -> tuple[SsdModel, int, int]:
     """Fill every SSD channel, then submit ``n`` more writes through
-    ``submit``; returns the SSD (after the run), and the GC-tracked
-    objects and calendar entries the ``n`` writes added."""
+    ``submit``; returns the SSD (after the run), the GC-tracked objects
+    the ``n`` submits added, and the calendar entries made from the
+    first of them to the end of the run."""
     env = Environment()
     ssd = SsdModel(env)
     writeback = WriteBack(env, ssd, NULL_TRACER)
@@ -99,11 +100,10 @@ def _queued_writeback(submit, n: int) -> tuple[SsdModel, int, int]:
         for i, size in enumerate(sizes):
             submit(writeback, size, i % 3 == 0)
         objects = len(gc.get_objects()) - objects
-        entries = env._eid - entries
     finally:
         gc.enable()
     env.run()
-    return ssd, objects, entries
+    return ssd, objects, env._eid - entries
 
 
 def test_a_queued_ssd_write_adds_no_event_and_no_tracked_object():

@@ -49,7 +49,7 @@ class TestGpuBatcher:
 
         for i in range(4):
             env.process(submitter(i))
-        env.run(until=0.5)
+        env.run()
         assert results == {i: i * 10 for i in range(4)}
         assert batcher.batches_launched == 1
 
@@ -64,7 +64,7 @@ class TestGpuBatcher:
             done_at["t"] = env.now
 
         env.process(submitter())
-        env.run(until=0.5)
+        env.run()
         assert "t" in done_at
         assert done_at["t"] >= 2e-3  # waited for the window
         assert batcher.items_processed == 1
@@ -81,7 +81,7 @@ class TestGpuBatcher:
 
         for i in range(10):
             env.process(submitter(i))
-        env.run(until=1.0)
+        env.run()
         assert count[0] == 10
         assert batcher.batches_launched >= 4  # 3+3+3+1
 

@@ -15,7 +15,9 @@ corpus or whether chunks carry payload bytes:
   same run as the caller searching alone.
 """
 
+import functools
 import os
+from typing import NamedTuple
 
 import pytest
 
@@ -68,24 +70,66 @@ def compressor(pipeline):
             else pipeline.cpu_comp)
 
 
+class Ledger(NamedTuple):
+    """What the two tests below read off one finished run."""
+
+    #: (chunks compressed, bytes out) of the compressor the mode uses,
+    #: and chunks compressed by the one it leaves idle.
+    used: tuple[int, int]
+    idle: int
+    #: (unique chunks, logical bytes, physical bytes) of the metadata.
+    physical: tuple[int, int, int]
+    #: Per offset written: (first offset mapped onto its record, size).
+    mapped: tuple[tuple[int, int], ...]
+    #: Offsets whose record already holds another content.
+    clashes: tuple[int, ...]
+    #: Records whose content another record holds too.
+    shared_contents: int
+
+
+@functools.lru_cache(maxsize=None)
+def ledger(mode, corpus, payload) -> Ledger:
+    """One run per (mode, corpus, payload), which both tests check; the
+    cached :class:`Ledger` holds tuples only, never the pipeline."""
+    pipeline, _, written = run(mode, corpus, payload)
+    metadata = pipeline.dedup.metadata
+    used = compressor(pipeline)
+    idle = pipeline.cpu_comp if used is pipeline.gpu_comp \
+        else pipeline.gpu_comp
+    # Records carry no fingerprint: a record holds the content of the
+    # chunks mapped onto it, which must all be one content, and it is
+    # named across modes by the first offset mapped onto it.
+    contents, first, mapped, clashes = {}, {}, [], []
+    for chunk in written:
+        record = metadata.resolve(chunk.offset)
+        if contents.setdefault(record.physical_id, chunk.fingerprint) \
+                != chunk.fingerprint:
+            clashes.append(chunk.offset)
+        mapped.append((first.setdefault(record.physical_id, chunk.offset),
+                       record.size))
+    return Ledger(
+        used=(used.chunks_compressed, used.bytes_out),
+        idle=idle.chunks_compressed,
+        physical=(metadata.unique_chunks, metadata.logical_bytes,
+                  metadata.physical_bytes),
+        mapped=tuple(mapped), clashes=tuple(clashes),
+        shared_contents=len(contents) - len(set(contents.values())))
+
+
 @pytest.mark.parametrize("payload", (False, True),
                          ids=("descriptor", "payload"))
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
 def test_only_unique_chunks_are_compressed(mode, corpus, payload):
     """The compressor's ledger is the stored ledger."""
-    pipeline, _, _ = run(mode, corpus, payload)
-    metadata = pipeline.dedup.metadata
-    used = compressor(pipeline)
-    idle = pipeline.cpu_comp if used is pipeline.gpu_comp \
-        else pipeline.gpu_comp
-    assert used.chunks_compressed == metadata.unique_chunks
-    assert used.bytes_out == metadata.physical_bytes
-    assert idle.chunks_compressed == 0
+    outcome = ledger(mode, corpus, payload)
+    unique_chunks, _, physical_bytes = outcome.physical
+    assert outcome.used == (unique_chunks, physical_bytes)
+    assert outcome.idle == 0
     if corpus == "uniform":
-        assert metadata.unique_chunks == 512
+        assert unique_chunks == 512
     else:
-        assert metadata.unique_chunks < 512 // 2
+        assert unique_chunks < 512 // 2
 
 
 @pytest.mark.parametrize("payload", (False, True),
@@ -95,26 +139,12 @@ def test_dedup_verdicts_do_not_depend_on_the_mode(corpus, payload):
     """Every mode stores the same contents under the same offsets; in
     descriptor mode, and between modes sharing a codec, the same
     physical bytes too."""
-    mapped, physical = {}, {}
-    for mode in MODES:
-        pipeline, _, written = run(mode, corpus, payload)
-        metadata = pipeline.dedup.metadata
-        # Records carry no fingerprint: a record holds the content of
-        # the chunks mapped onto it, which must all be one content, and
-        # it is named across modes by the first offset mapped onto it.
-        contents, first = {}, {}
-        mapped[mode] = []
-        for chunk in written:
-            record = metadata.resolve(chunk.offset)
-            assert contents.setdefault(record.physical_id,
-                                       chunk.fingerprint) \
-                == chunk.fingerprint
-            mapped[mode].append((first.setdefault(record.physical_id,
-                                                  chunk.offset),
-                                 record.size))
-        assert len(contents) == len(set(contents.values()))
-        physical[mode] = (metadata.unique_chunks, metadata.logical_bytes,
-                          metadata.physical_bytes)
+    outcomes = {mode: ledger(mode, corpus, payload) for mode in MODES}
+    for outcome in outcomes.values():
+        assert outcome.clashes == ()
+        assert outcome.shared_contents == 0
+    mapped = {mode: outcome.mapped for mode, outcome in outcomes.items()}
+    physical = {mode: outcome.physical for mode, outcome in outcomes.items()}
     oracle = IntegrationMode.CPU_ONLY
     assert all(mapped[mode] == mapped[oracle] for mode in MODES)
     assert physical[IntegrationMode.GPU_DEDUP] == physical[oracle]

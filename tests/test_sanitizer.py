@@ -93,7 +93,7 @@ class TestLeakDetection:
                 yield env.timeout(5.0)
 
         env.process(worker())
-        env.run(until=1.0)  # stopped before the slot is released
+        env.run(until=env.timeout(1.0))  # stopped before the slot is released
         with pytest.raises(SanitizerError, match="pool.*still held"):
             env.finish_check()
 
@@ -101,7 +101,7 @@ class TestLeakDetection:
         env = Environment()
         cpu = SimCpu(env)
         cpu.charge(5.0 * cpu.spec.thread_hz)
-        env.run(until=1.0)  # stopped before the charge ends
+        env.run(until=env.timeout(1.0))  # stopped before the charge ends
         with pytest.raises(SanitizerError, match="1 event.*still scheduled"):
             env.finish_check()
 
@@ -151,8 +151,8 @@ class TestLeakDetection:
     def test_pending_event_detected(self):
         env = Environment()
         env.timeout(5.0)
-        # Horizon-limited run: the timeout is still on the calendar.
-        env.run(until=1.0)
+        # Stopped at t=1: the timeout is still on the calendar.
+        env.run(until=env.timeout(1.0))
         with pytest.raises(SanitizerError, match="still scheduled"):
             env.finish_check()
 

@@ -126,7 +126,7 @@ def test_batcher_counts_wakeups_and_deadline_fires():
 
     for i in range(20):
         env.process(submitter(i * 3e-5))
-    env.run(until=0.1)
+    env.run()
     assert batcher.items_processed == 20
     assert batcher.deadline_fires >= 2
     assert batcher.wakeups <= 2 * batcher.batches_launched + 1
@@ -169,7 +169,7 @@ def test_busy_time_depends_only_on_the_level_curve(script):
         def arrivals():
             for gap, first, second in script:
                 yield env.timeout(gap * _TICK)
-                env.start(holder(first * _TICK, second * _TICK))
+                env.process(holder(first * _TICK, second * _TICK))
 
         env.process(arrivals())
         env.run()
@@ -246,7 +246,7 @@ def _ledger_play(script, threads: int, oracle: bool):
     def ssd_arrival(index, at, request):
         yield env.timeout(at)
         if oracle:
-            env.start(served(index, request))
+            env.process(served(index, request))
         elif request.kind is RequestKind.WRITE:
             done[index] = ssd.write(request)
         else:

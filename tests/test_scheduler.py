@@ -17,7 +17,7 @@ def busy_cpu(env, fraction=1.0):
 
     for _ in range(n):
         env.process(hog())
-    env.run(until=1.0)
+    env.run(until=env.timeout(1.0))
     return cpu
 
 

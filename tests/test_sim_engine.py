@@ -1,10 +1,11 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Environment
-from tests.reference_paths import any_of
+from tests.reference_paths import HeapCalendar, any_of
 
 
 def test_clock_starts_at_zero():
@@ -34,6 +35,21 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+def test_non_finite_timeouts_rejected():
+    """NaN passes a ``< 0`` or ``< now`` check; neither form may put
+    the clock at NaN or infinity."""
+    env = Environment(initial_time=2.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(SimulationError, match="not finite"):
+            env.timeout(bad)
+        with pytest.raises(SimulationError, match="not finite"):
+            env.timeout_at(bad)
+    assert env._eid == 0  # nothing was scheduled
+    env.timeout(1.0)
+    env.run()
+    assert env.now == 3.0
 
 
 def test_timeout_at_a_past_instant_rejected():
@@ -114,14 +130,19 @@ def test_run_until_time_stops_clock_exactly():
             yield env.timeout(10.0)
 
     env.process(proc())
-    env.run(until=25.0)
+    env.run(until=env.timeout(25.0))
     assert env.now == 25.0
 
 
 def test_run_until_past_raises():
+    """``until`` is an event or None: a time, past or future, is no
+    horizon and leaves the clock where it was."""
     env = Environment(initial_time=10.0)
-    with pytest.raises(SimulationError):
-        env.run(until=5.0)
+    env.timeout(1.0)
+    for horizon in (5.0, 50.0):
+        with pytest.raises(SimulationError, match="Event or None"):
+            env.run(until=horizon)
+    assert env.now == 10.0
 
 
 def test_run_until_event_returns_value():
@@ -243,26 +264,20 @@ def test_event_double_trigger_rejected():
         ev.succeed(2)
 
 
-def test_event_fail_requires_exception():
-    env = Environment()
-    ev = env.event()
-    with pytest.raises(SimulationError):
-        ev.fail("not an exception")
-
-
-def test_all_of_waits_for_slowest():
+def test_waiting_on_each_event_in_turn_ends_at_the_slowest():
     env = Environment()
     log = []
 
     def proc():
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(4.0, value="b")
-        results = yield env.all_of([t1, t2])
-        log.append((env.now, sorted(results.values())))
+        events = [env.timeout(4.0, value="b"), env.timeout(1.0, value="a")]
+        results = []
+        for event in events:
+            results.append((yield event))
+        log.append((env.now, results))
 
     env.process(proc())
     env.run()
-    assert log == [(4.0, ["a", "b"])]
+    assert log == [(4.0, ["b", "a"])]
 
 
 def test_any_of_fires_on_fastest():
@@ -280,16 +295,20 @@ def test_any_of_fires_on_fastest():
     assert log == [(1.0, ["fast"])]
 
 
-def test_peek_reports_next_event_time():
+def test_step_advances_to_the_next_event_time():
     env = Environment()
+    log = []
 
     def proc():
         yield env.timeout(7.0)
+        log.append(env.now)
+        yield env.timeout(1.0)
 
     env.process(proc())
-    assert env.peek() == 0.0  # the Initialize event
+    env.step()  # the first segment ran at spawn: this is the timeout
+    assert (env.now, log) == (7.0, [7.0])
     env.step()
-    assert env.peek() == 7.0
+    assert env.now == 8.0
 
 
 def test_step_with_empty_calendar_raises():
@@ -298,15 +317,16 @@ def test_step_with_empty_calendar_raises():
         env.step()
 
 
-def test_run_until_horizon_with_drained_calendar_advances_clock():
+def test_run_until_an_event_that_never_fires_raises():
     env = Environment()
 
     def proc():
         yield env.timeout(1.0)
 
     env.process(proc())
-    env.run(until=50.0)
-    assert env.now == 50.0
+    with pytest.raises(SimulationError, match="never fired"):
+        env.run(until=env.event())
+    assert env.now == 1.0  # the calendar drained; the clock stays put
 
 
 def test_process_return_value_via_run():
@@ -344,7 +364,7 @@ def test_non_generator_rejected():
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_all_of_propagates_failure():
+def test_any_of_propagates_failure():
     env = Environment()
     caught = []
 
@@ -355,7 +375,7 @@ def test_all_of_propagates_failure():
     def waiter(b):
         t = env.timeout(5.0)
         try:
-            yield env.all_of([t, b])
+            yield any_of(env, [t, b])
         except ValueError as exc:
             caught.append((env.now, str(exc)))
 
@@ -380,16 +400,16 @@ def test_any_of_with_already_processed_event():
 
     e = env.process(early())
     env.process(waiter(e))
-    env.run(until=10.0)
+    env.run()
     assert log == [(5.0, ["early"])]
 
 
-def test_empty_all_of_fires_immediately():
+def test_empty_any_of_fires_immediately():
     env = Environment()
     log = []
 
     def waiter():
-        yield env.all_of([])
+        yield any_of(env, [])
         log.append(env.now)
 
     env.process(waiter())
@@ -425,23 +445,25 @@ def test_deterministic_schedule_with_many_processes():
     assert build() == build()
 
 
-# -- Environment.start, silent completion, succeed_all ----------------------
+# -- spawning, silent completion, succeed_all -------------------------------
 
 
 def test_start_runs_the_first_segment_inside_the_caller():
     env = Environment()
     log = []
+    trace = []
+    env._trace = trace
 
     def child():
         log.append("child first segment")
         yield env.timeout(1.0)
         log.append("child done")
 
-    env.start(child())
+    env.process(child())
     log.append("after start")
-    assert env.peek() == 1.0  # no Initialize hop on the calendar
     env.run()
     assert log == ["child first segment", "after start", "child done"]
+    assert trace == [(1.0, "Timeout")]  # no start-up hop on the calendar
 
 
 def test_unobserved_process_completion_schedules_nothing():
@@ -455,9 +477,10 @@ def test_unobserved_process_completion_schedules_nothing():
 
     proc = env.process(quiet())
     env.run()
-    # Initialize + Timeout; the termination has no listener, so it is
-    # marked processed on the spot instead of taking a calendar entry.
-    assert [name for _t, name in trace] == ["Initialize", "Timeout"]
+    # Only the Timeout: the first segment ran at spawn, and the
+    # termination has no listener, so it is marked processed on the spot
+    # instead of taking a calendar entry.
+    assert [name for _t, name in trace] == ["Timeout"]
     assert proc.processed and proc.value == 42
 
     def late_waiter():
@@ -487,7 +510,7 @@ def test_observed_and_failed_completions_still_use_the_calendar():
         yield env.timeout(1.0)
         raise RuntimeError("unhandled")
 
-    env.start(crasher())  # nobody listens, yet the failure must surface
+    env.process(crasher())  # nobody listens, yet the failure must surface
     with pytest.raises(RuntimeError, match="unhandled"):
         env.run()
 
@@ -514,3 +537,85 @@ def test_succeed_all_resumes_waiters_in_order_behind_one_entry():
     assert len(trace) == 1
     with pytest.raises(SimulationError):
         env.succeed_all(events[:2], ["only one"])
+
+
+# -- the run queue against one plain heap -----------------------------------
+
+_GATES = 3
+#: 1e-300 is a positive delay that lands on ``now`` itself once ``now``
+#: is 0.5 or more: a heap entry at ``now`` made after run-queue entries.
+_DELAYS = (0.0, 1e-300, 0.5, 1.0)
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("at"), st.sampled_from((0.0, 0.5, 1.0))),
+    st.tuples(st.just("bare"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("succeed"), st.integers(0, _GATES - 1)),
+    st.tuples(st.just("wait"), st.integers(0, _GATES - 1)),
+    st.tuples(st.just("succeed_all"),
+              st.lists(st.integers(0, _GATES - 1), max_size=_GATES,
+                       unique=True)),
+    st.tuples(st.just("spawn"), st.integers(0, 3), st.booleans()),
+)
+
+
+def _play(env, programs):
+    """Run one process per program on ``env``; each logs ``(now, tag,
+    value)`` after every op.  ``at`` is ``timeout_at(now + offset)``,
+    ``bare`` a timeout nobody waits on (its callback logs), ``succeed``
+    and ``succeed_all`` trigger gates not yet claimed, and ``spawn``
+    starts a program from inside the process, two levels deep at most,
+    and joins it if asked."""
+    log = []
+    gates = [env.event() for _ in range(_GATES)]
+    claimed = set()
+
+    def proc(name, index, depth):
+        for step, op in enumerate(programs[index]):
+            kind, arg, value = op[0], op[1], None
+            tag = f"{name}:{step}"
+            if kind == "timeout":
+                value = yield env.timeout(arg, tag)
+            elif kind == "at":
+                value = yield env.timeout_at(env.now + arg)
+            elif kind == "bare":
+                env.timeout(arg, tag).callbacks.append(
+                    lambda event: log.append((env.now, "bare", event.value)))
+            elif kind == "succeed" and arg not in claimed:
+                claimed.add(arg)
+                gates[arg].succeed(tag)
+            elif kind == "wait":
+                value = yield gates[arg]
+            elif kind == "succeed_all":
+                free = [k for k in arg if k not in claimed]
+                claimed.update(free)
+                env.succeed_all([gates[k] for k in free],
+                                [f"{tag}/{k}" for k in free])
+            elif kind == "spawn" and depth < 2:
+                child = env.process(
+                    proc(tag, arg % len(programs), depth + 1))
+                if op[2]:
+                    value = yield child
+            log.append((env.now, tag, value))
+        return name
+
+    for index in range(len(programs)):
+        env.process(proc(str(index), index, 0))
+    env.run()
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=4))
+@example([[("wait", 0)], [("at", 0.0)], [("succeed", 0)]])  # heap first
+@example([[("wait", 0)], [("succeed", 0), ("at", 0.0)]])  # run queue first
+@example([[("timeout", 0.5), ("succeed", 1), ("timeout", 1e-300)],
+          [("wait", 1)]])  # a positive delay that rounds to `now`
+def test_dispatch_order_is_one_heap_keyed_time_then_eid(programs):
+    """Whatever mix of ties, zero-delay triggers, nested spawns and
+    batched succeeds a script makes, the engine dispatches in the order
+    of one plain heap keyed ``(time, eid)``."""
+    env = Environment()
+    env._trace = trace = []
+    reference = HeapCalendar()
+    assert _play(env, programs) == _play(reference, programs)
+    assert (env.now, len(trace)) == (reference.now, reference.dispatched)

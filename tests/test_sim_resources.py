@@ -194,10 +194,23 @@ def test_ledger_books_the_earliest_free_server_in_call_order():
     assert [ledger.book(keep) for keep in (3.0, 1.0, 2.0, 0.0)] \
         == [0.0, 0.0, 1.0, 3.0]
     assert ledger.utilization(3.0) == 1.0
-    env.run(until=10.0)
+    env.run(until=env.timeout(10.0))
     # The idle gap is not booked; the new run starts at the booking.
     assert ledger.book(1.0) == 10.0
     assert ledger.utilization(11.0) == 7.0 / 22.0
+
+
+def test_ledger_refuses_a_negative_or_non_finite_booking():
+    env = Environment()
+    ledger = ChannelLedger(env, 2)
+    ledger.book(1.0)
+    heap = [list(server) for server in ledger._heap]
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ResourceError, match="not finite"):
+            ledger.book(bad)
+    assert ledger._heap == heap
+    assert ledger.book(2.0) == 0.0  # the second server, still free
+    assert ledger.utilization(2.0) == 3.0 / 4.0
 
 
 def test_store_put_get_fifo():

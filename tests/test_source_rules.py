@@ -113,7 +113,7 @@ APPLIES = {
 #: (rule, path, key) -> (sites, reason): every finding the tree may have.
 ALLOWED = {
     ("REP501", "src/repro/sim/engine.py", "Environment.step:self._now"): (
-        2, "Exact tie check is sound: run-queue entries carry the very "
+        1, "Exact tie check is sound: run-queue entries carry the very "
            "`now` the heap timestamps are compared against."),
     ("REP502", "src/repro/compression/lz_common.py",
      "common_prefix_length:data[a + length] == data[b + length]"): (
@@ -250,9 +250,6 @@ def is_time_expr(node: ast.AST) -> bool:
         return node.attr in TIME_NAMES
     if isinstance(node, ast.Name):
         return node.id in TIME_NAMES
-    if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "peek"
     if isinstance(node, ast.BinOp):
         return is_time_expr(node.left) or is_time_expr(node.right)
     return False
