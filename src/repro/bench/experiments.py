@@ -52,7 +52,6 @@ from repro.gpu.device import GpuDevice, GpuSpec
 from repro.gpu.kernels.indexing_tiled import TiledBinLookupKernel
 from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.sim import Environment
-from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ftl import Ftl, FtlSpec
 from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel
 from repro.storage.volume import PREFIX_BYTES as VOLUME_PREFIX_BYTES
@@ -379,10 +378,9 @@ def a6_inline_vs_background(n_chunks: int = 16384) -> dict[str, int]:
     # reduced form the offline pass produces.
     ssd = SsdModel(Environment())
     for _ in range(n_chunks):
-        ssd.write(BlockRequest(RequestKind.WRITE, 0, 4096, sequential=True))
+        ssd.write(4096, sequential=True)
     reduced = int(inline.bytes_in / inline.reduction_ratio)
-    ssd.write(BlockRequest(RequestKind.WRITE, 0, max(4096, reduced),
-                           sequential=True))
+    ssd.write(max(4096, reduced), sequential=True)
     ssd.env.run()
     return {"logical": inline.bytes_in,
             "inline": inline.nand_bytes_written,

@@ -57,7 +57,7 @@ class PipelineConfig:
     window: int = 1024
     #: When to send index lookups to the GPU: "saturation" is the
     #: paper's rule ("use GPU only when CPU utilization is full", i.e.
-    #: at or above ``OffloadScheduler``'s 0.99 threshold); "always"
+    #: while every CPU thread is busy); "always"
     #: models GHOST-style GPU-only indexing (Kim et al., the related
     #: work the paper critiques for ignoring the faster CPU); "never"
     #: keeps indexing on the CPU even in GPU modes.

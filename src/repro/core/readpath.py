@@ -21,7 +21,6 @@ from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.model import SimCpu
 from repro.errors import ConfigError
 from repro.sim import Environment, Resource
-from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.metadata import MetadataStore
 from repro.storage.ssd import SsdModel
 
@@ -81,8 +80,7 @@ class ReadPipeline:
                 self._bytes_served += size
                 return
             # Fetch the stored (compressed) extent.
-            yield self.ssd.read(BlockRequest(
-                RequestKind.READ, 0, compressed_size))
+            yield self.ssd.read(compressed_size)
             # Decompress when the chunk was stored compressed.
             if compressed_size < size:
                 yield self.cpu.charge(DEFAULT_COSTS.lz_decode_cycles(size))

@@ -46,16 +46,11 @@ class OffloadScheduler:
     """Per-chunk indexing-placement decisions."""
 
     def __init__(self, cpu: SimCpu, policy: str = "saturation",
-                 saturation_threshold: float = 0.99,
                  gpu_available: bool = True):
         if policy not in POLICIES:
             raise ConfigError(f"unknown offload policy {policy!r}")
-        if not 0.0 < saturation_threshold <= 1.0:
-            raise ConfigError(
-                f"invalid saturation threshold {saturation_threshold}")
         self.cpu = cpu
         self.policy = policy
-        self.saturation_threshold = saturation_threshold
         self.gpu_available = gpu_available
         self.stats = SchedulerStats()
 
@@ -67,7 +62,7 @@ class OffloadScheduler:
         if self.policy == "always":
             self.stats.offloaded += 1
             return True
-        if self.cpu.is_saturated(self.saturation_threshold):
+        if self.cpu.is_saturated():
             self.stats.offloaded += 1
             return True
         self.stats.kept_local += 1

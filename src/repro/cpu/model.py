@@ -111,16 +111,15 @@ class SimCpu:
         """
         return self.ledger.utilization(until)
 
-    def is_saturated(self, threshold: float = 1.0) -> bool:
-        """True when at least ``threshold`` of the threads are busy *now*.
+    def is_saturated(self) -> bool:
+        """True when every thread is busy *now*.
 
         This is the signal the paper's scheduler uses: "use GPU only when
         CPU utilization is full and there is still some work to do".  A
-        FIFO pool has waiters only while every thread is held, so its
-        busy threads are ``min(threads, outstanding)``.
+        FIFO pool has waiters only while every thread is held, so every
+        thread is busy exactly when ``outstanding >= threads``.
         """
-        threads = self.spec.threads
-        return min(threads, self.outstanding) >= threads * threshold
+        return self.outstanding >= self.spec.threads
 
     def __repr__(self) -> str:
         return (f"<SimCpu {self.spec.name}: {self.spec.cores}C/"

@@ -46,7 +46,7 @@ class StorageError(ReproError):
 
 
 class BlockRangeError(StorageError):
-    """A block request fell outside the device's address space."""
+    """An I/O size or extent fell outside what the SSD or volume accepts."""
 
 
 class MetadataError(StorageError):

@@ -26,7 +26,7 @@ from repro.gpu.memory import DeviceMemory
 from repro.gpu.pcie import PcieLink
 from repro.obs.stages import TRACK_GPU_QUEUE
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Resource, UtilizationMonitor
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ class GpuDevice:
         self.spec = spec
         self.tracer = tracer
         self.queue = Resource(env, capacity=1, name="gpu-queue")
+        #: Each launch's ``[start, end]`` on the queue, booked as it ends.
+        self.monitor = UtilizationMonitor(env, 1)
         self.memory = DeviceMemory(spec.mem_capacity_bytes)
         self.pcie = PcieLink()
         self.launches: list[LaunchRecord] = []
@@ -147,12 +149,14 @@ class GpuDevice:
             self.pcie.record(kernel.bytes_in(), to_device=True)
             self.pcie.record(kernel.bytes_out(), to_device=False)
             yield self.env.timeout(duration)
+            end = self.env.now
+            self.monitor.book(start, end)
             self.kernels_launched += 1
             record = LaunchRecord(
                 name=kernel.name,
                 submit_time=submit,
                 start_time=start,
-                end_time=self.env.now,
+                end_time=end,
                 queue_wait=start - submit,
                 kernel_time=duration,
             )
@@ -165,19 +169,19 @@ class GpuDevice:
                 attrs["queue_wait_s"] = record.queue_wait
                 self.tracer.record(
                     kernel.name, None, start=start,
-                    end=record.end_time, resource=TRACK_GPU_QUEUE,
+                    end=end, resource=TRACK_GPU_QUEUE,
                     attrs=attrs)
         return result
 
     # -- reporting --------------------------------------------------------
 
     def utilization(self, until: Optional[float] = None) -> float:
-        """Busy command-queue seconds so far ÷ time to ``until``.
+        """Booked launch seconds so far ÷ time to ``until``.
 
         A demand ratio, not the fraction of that time the queue was
         busy: read after the shutdown drain, kernels run past ``until``
         count too, so it can exceed 1."""
-        return self.queue.monitor.utilization(until)
+        return self.monitor.utilization(until)
 
     def mean_queue_wait(self) -> float:
         """Mean time launches spent waiting behind other work."""

@@ -11,6 +11,10 @@ a run ends when the calendar drains or a given event fires.
 Every *timed* component of the reproduction (CPU cores, the GPU, the PCIe
 link, the SSD) is built on this engine, which is what lets a single-core
 Python process report faithful multi-core / accelerator throughput numbers.
+Every utilisation a report carries is a sum of booked ``[start, end]``
+intervals in a :class:`UtilizationMonitor`: the CPU threads' and SSD
+channels' :class:`ChannelLedger` books its busy runs, the GPU its
+launches.  A :class:`Resource` grants slots and keeps no accounting.
 """
 
 from repro.sim.engine import Environment, Event, Process, Timeout

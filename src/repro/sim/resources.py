@@ -4,9 +4,10 @@
 lock, a window of slots) with FIFO granting of explicit
 :class:`Request` claims.  :class:`ChannelLedger` is the same FIFO pool
 for servers kept for a time known when claimed (SSD channels, CPU
-threads): a booking, not a queue of events.  Both keep time-weighted
-occupancy in a :class:`UtilizationMonitor`, which the reports surface
-as "CPU / GPU / SSD utilization".
+threads): a booking, not a queue of events.  A
+:class:`UtilizationMonitor` sums booked ``[start, end]`` intervals: the
+ledger books its servers' busy runs into one and the GPU its launches,
+and the reports surface them as "CPU / GPU / SSD utilization".
 """
 
 from __future__ import annotations
@@ -21,32 +22,27 @@ from repro.sim.engine import Environment, Event, _PENDING
 
 
 class UtilizationMonitor:
-    """Time-weighted occupancy accounting for a counted resource.
+    """Time-weighted occupancy of ``capacity`` servers, as the sum of
+    their booked ``[start, end]`` intervals.
 
-    Area = ``level·end − Σ delta·t``, the sum kept exact as Shewchuk
-    partials (``delta`` is ±1), so it depends only on the level curve;
-    :meth:`book` adds a whole interval's two terms at once.  Every
-    change recorded so far counts, including those after the ``until``
-    a reading names, so a reading taken after a run's shutdown drain
-    is a demand ratio that can exceed 1.
+    Busy time = ``Σ (end − start)``, kept exact as Shewchuk partials,
+    so it depends only on the level curve the intervals draw: a
+    handoff's ``end`` and the next ``start`` are one float and cancel.
+    Every interval booked so far counts, including what lies after the
+    ``until`` a reading names, so a reading taken after a run's
+    shutdown drain is a demand ratio that can exceed 1.
     """
 
-    __slots__ = ("_env", "_capacity", "_level", "_partials", "_start")
+    __slots__ = ("_env", "_capacity", "_partials", "_start")
 
     def __init__(self, env: Environment, capacity: int):
         self._env = env
         self._capacity = capacity
-        self._level = 0
-        self._partials: list[float] = []  # exact Σ −delta_k·t_k
+        self._partials: list[float] = []  # exact Σ (end_k − start_k)
         self._start = env.now
 
-    def change(self, delta: int) -> None:
-        """Record the occupancy changing by ``delta`` at the current time."""
-        self._level += delta
-        self._add(-delta * self._env._now)
-
     def book(self, start: float, end: float) -> None:
-        """``change(+1)`` at ``start``, ``change(-1)`` at ``end``, at once."""
+        """Count one server busy from ``start`` to ``end``."""
         self._add(end)
         self._add(-start)
 
@@ -65,18 +61,14 @@ class UtilizationMonitor:
         partials[i:] = [x]
 
     def utilization(self, until: Optional[float] = None) -> float:
-        """:meth:`busy_time` ÷ (capacity × time from creation to ``until``);
-        occupancy booked after ``until`` counts too, so it can exceed 1."""
+        """Booked server-seconds ÷ (capacity × time from creation to
+        ``until``); intervals booked past ``until`` count too, so it
+        can exceed 1."""
         end = self._env.now if until is None else until
         elapsed = end - self._start
         if elapsed <= 0:
             return 0.0
-        return self.busy_time(end) / (elapsed * self._capacity)
-
-    def busy_time(self, until: Optional[float] = None) -> float:
-        """Total resource-seconds of occupancy (area under the level curve)."""
-        end = self._env.now if until is None else until
-        return math.fsum(self._partials + [self._level * end])
+        return math.fsum(self._partials) / (elapsed * self._capacity)
 
 
 class Request(Event):
@@ -127,7 +119,7 @@ class Request(Event):
 class Resource:
     """A counted FIFO resource (e.g. the GPU command queue, a lock)."""
 
-    __slots__ = ("env", "capacity", "name", "users", "queue", "monitor")
+    __slots__ = ("env", "capacity", "name", "users", "queue")
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "resource"):
@@ -140,7 +132,6 @@ class Resource:
         self.users: dict[Request, None] = {}
         #: Waiting requests in grant order.
         self.queue: deque[Request] = deque()
-        self.monitor = UtilizationMonitor(env, capacity)
         env.register_finishable(self)
 
     def request(self) -> Request:
@@ -148,13 +139,14 @@ class Resource:
         return Request(self)
 
     def release(self, request: Request) -> None:
-        """Return a granted slot to the pool."""
+        """Return a granted slot to the pool; the next waiter inherits it."""
         try:
             del self.users[request]
         except KeyError:
             raise ResourceError(
                 f"{self.name}: releasing a request that is not granted")
-        self._vacate()
+        if self.queue:
+            self.queue.popleft()._grant()
 
     # -- end-of-run sanitizer ----------------------------------------------
 
@@ -177,19 +169,7 @@ class Resource:
         if self.queue or len(self.users) >= self.capacity:
             self.queue.append(request)
         else:
-            self.monitor.change(+1)
             request._grant()
-
-    def _vacate(self) -> None:
-        """A slot fell free: the next waiter inherits it.
-
-        Waiters only exist while the pool is full, so a handoff leaves
-        occupancy unchanged and the monitor needs no update.
-        """
-        if self.queue:
-            self.queue.popleft()._grant()
-        else:
-            self.monitor.change(-1)
 
 
 class ChannelLedger:

@@ -6,7 +6,10 @@ throughput figure is compared against.  :class:`~repro.storage.ssd.SsdModel`
 reproduces both, with channel-level concurrency (a QD-1 4 KiB write sees
 realistic NAND program latency; high queue depths reach the rated
 throughput) plus NAND wear accounting used by the inline-vs-background
-endurance experiment (A6).
+endurance experiment (A6).  A request is a byte count:
+``write(nbytes, sequential)`` returns the write's end instant and
+``read(nbytes)`` the timeout a reader yields; a size outside
+``(0, capacity]`` is a :class:`~repro.errors.BlockRangeError`.
 
 :mod:`~repro.storage.metadata` keeps the logical-to-chunk mapping and
 refcounts that make deduplicated data reconstructable, and
@@ -15,7 +18,6 @@ block volume whose write path runs real dedup + compression and whose
 read path provably returns the original bytes.
 """
 
-from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ftl import Ftl, FtlSpec
 from repro.storage.metadata import ChunkRecord, MetadataStore
 from repro.storage.ssd import SAMSUNG_SSD_830, SsdModel, SsdSpec
@@ -31,8 +33,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BlockRequest",
-    "RequestKind",
     "Ftl",
     "FtlSpec",
     "ChunkRecord",

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigError
+from repro.errors import BlockRangeError
 from repro.obs.stages import (
     STAGE_SSD_READ,
     STAGE_SSD_WRITE,
@@ -37,7 +37,6 @@ from repro.obs.stages import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim import ChannelLedger, Environment, Timeout
-from repro.storage.block import BlockRequest, RequestKind
 
 
 @dataclass(frozen=True)
@@ -103,44 +102,45 @@ class SsdModel:
 
     # -- timing helpers ------------------------------------------------------
 
-    def service_time(self, request: BlockRequest) -> float:
-        """Channel occupancy time for one request."""
-        pages = -(-request.size // self._page_bytes)  # ceil division
-        page_time = (self._page_program_s
-                     if request.kind is RequestKind.WRITE
-                     else self._page_read_s)
+    def service_time(self, nbytes: int, page_s: float,
+                     sequential: bool) -> float:
+        """Channel occupancy of one ``nbytes`` request at ``page_s`` per
+        page (the program time for writes, the read time for reads)."""
+        pages = -(-nbytes // self._page_bytes)  # ceil division
         # Sequential streams let the firmware pipeline page programs
         # slightly better than scattered ones.
-        efficiency = 1.0 if request.sequential else 1.05
-        return self.spec.per_io_overhead_s + pages * page_time * efficiency
+        efficiency = 1.0 if sequential else 1.05
+        return self.spec.per_io_overhead_s + pages * page_s * efficiency
 
     # -- requests ------------------------------------------------------------
 
-    def write(self, request: BlockRequest) -> float:
+    def write(self, nbytes: int, sequential: bool) -> float:
         """Book a write; returns its completion instant, no event (a
         caller that waits yields ``env.timeout_at(instant)``)."""
-        if request.kind is not RequestKind.WRITE:
-            raise ConfigError(f"write() got a {request.kind.name} request")
-        end = self._book(request, STAGE_SSD_WRITE)
-        size = request.size
-        self.host_bytes_written += size
+        end = self._book(nbytes, self._page_program_s, sequential,
+                         STAGE_SSD_WRITE)
+        self.host_bytes_written += nbytes
         self.nand_bytes_written += \
-            -(-size // self._page_bytes) * self._page_bytes
+            -(-nbytes // self._page_bytes) * self._page_bytes
         return end
 
-    def read(self, request: BlockRequest) -> Timeout:
-        """Book a read; returns the timeout that fires as it completes:
-        ``yield ssd.read(BlockRequest(RequestKind.READ, 0, 4096))``."""
-        if request.kind is RequestKind.WRITE:
-            raise ConfigError("read() got a WRITE request; use write()")
-        end = self._book(request, STAGE_SSD_READ)
-        self.host_bytes_read += request.size
+    def read(self, nbytes: int) -> Timeout:
+        """Book a read, never sequential; returns the timeout that fires
+        as it completes: ``yield ssd.read(4096)``."""
+        end = self._book(nbytes, self._page_read_s, False, STAGE_SSD_READ)
+        self.host_bytes_read += nbytes
         return self.env.timeout_at(end)
 
-    def _book(self, request: BlockRequest, stage: str) -> float:
-        """Take the earliest-free channel; returns the end instant."""
-        request.validate_against(self.spec.capacity_bytes)
-        service = self.service_time(request)
+    def _book(self, nbytes: int, page_s: float, sequential: bool,
+              stage: str) -> float:
+        """Take the earliest-free channel; returns the end instant.
+        A size outside ``(0, capacity]`` raises before anything is
+        booked or counted."""
+        if not 0 < nbytes <= self.spec.capacity_bytes:
+            raise BlockRangeError(
+                f"{nbytes}-byte request outside (0, "
+                f"{self.spec.capacity_bytes}]")
+        service = self.service_time(nbytes, page_s, sequential)
         start = self.ledger.book(service)
         end = start + service
         self.requests_completed += 1
@@ -149,8 +149,7 @@ class SsdModel:
             self.tracer.record(
                 stage, None, start=submitted, end=end,
                 queue_wait=start - submitted, resource=TRACK_SSD,
-                attrs={"bytes": request.size,
-                       "sequential": request.sequential})
+                attrs={"bytes": nbytes, "sequential": sequential})
         return end
 
     # -- reporting --------------------------------------------------------

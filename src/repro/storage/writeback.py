@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.obs.stages import STAGE_DESTAGE, TRACK_DESTAGE
 from repro.obs.tracer import Tracer
 from repro.sim import Environment
-from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
 
 
@@ -31,8 +30,7 @@ class WriteBack:
     def submit(self, nbytes: int, sequential: bool) -> None:
         """Book one asynchronous SSD write (a plain call, not a process);
         ``nbytes <= 0`` raises :class:`~repro.errors.BlockRangeError`."""
-        end = self.ssd.write(BlockRequest(
-            RequestKind.WRITE, 0, nbytes, sequential=sequential))
+        end = self.ssd.write(nbytes, sequential)
         self.batches += 1
         self.bytes += nbytes
         if self.tracer.enabled:

@@ -271,12 +271,11 @@ class TenantMixStream:
             per_tenant: dict[int, int] = {}
             for tenant in picks:
                 per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
-            materialized: dict[int, Iterator[Chunk]] = {}
-            for tenant, count in per_tenant.items():
-                batch = self.streams[tenant].next_batch(count)
-                materialized[tenant] = iter(batch.materialize())
+            drawn: dict[int, Iterator[Chunk]] = {
+                tenant: iter(self.streams[tenant].next_batch(count))
+                for tenant, count in per_tenant.items()}
             for tenant in picks:
-                chunk = next(materialized[tenant])
+                chunk = next(drawn[tenant])
                 chunk.tenant = tenant
                 yield chunk
 

@@ -28,9 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
-from repro.chunkbatch import ChunkBatch, window_sizes
+from repro.chunkbatch import window_sizes
 from repro.errors import WorkloadError
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
 from repro.workload.datagen import BlockContentGenerator, \
@@ -39,6 +37,8 @@ from repro.workload.datagen import BlockContentGenerator, \
 #: Entry budget of the per-unique payload cache (~4 MB of regenerated
 #: 4 KiB blocks).
 PAYLOAD_CACHE_ENTRIES = 1024
+
+_chunk_new = Chunk.__new__
 
 
 @dataclass
@@ -116,16 +116,18 @@ class VdbenchStream:
 
     # -- stream ------------------------------------------------------------
 
-    def next_batch(self, n: int) -> ChunkBatch:
-        """Emit the next ``n`` chunks as one :class:`ChunkBatch`.
+    def next_batch(self, n: int) -> list[Chunk]:
+        """Emit the next ``n`` chunks.
 
         The stream's only RNG walk, a sequential decision loop: per
         chunk one dup-coin draw once a unique exists; a duplicate then
         draws a locality coin (when ``locality`` is non-zero) and one
-        ``randrange`` pick, a new unique one ratio draw.  The columns
-        are filled from the decided unique ids afterwards.
-        ``tests/reference_paths.py`` holds the per-chunk formulation
-        this must equal element-wise.
+        ``randrange`` pick, a new unique one ratio draw.  The chunks
+        are built from the decided unique ids afterwards, through a
+        constructor that skips ``Chunk.__post_init__``: every field is
+        built valid here, and the per-chunk oracle in
+        ``tests/reference_paths.py``, which this must equal
+        element-wise, validates.
         """
         if n < 1:
             raise WorkloadError(f"batch size must be >= 1, got {n}")
@@ -167,31 +169,41 @@ class VdbenchStream:
             append_uid(unique_id)
 
         size = DEFAULT_CHUNK_SIZE
-        offsets = self._offset + size * np.arange(n, dtype=np.int64)
-        sizes = np.full(n, size, dtype=np.int64)
-        if fps is None:
-            payloads = [self._payload_cached(uid, ratios[uid])
-                        for uid in unique_ids]
-            fingerprints: list = [None] * n
-            comp_ratios: list = [None] * n
-        else:
-            payloads = [None] * n
-            fingerprints = [fps[uid] for uid in unique_ids]
-            comp_ratios = [ratios[uid] for uid in unique_ids]
-        self._offset += size * n
+        offset = self._offset
+        new = _chunk_new
+        out: list[Chunk] = []
+        append = out.append
+        for unique_id in unique_ids:
+            chunk = new(Chunk)
+            chunk.offset = offset
+            chunk.size = size
+            if fps is None:
+                chunk.payload = self._payload_cached(unique_id,
+                                                     ratios[unique_id])
+                chunk.fingerprint = None
+                chunk.comp_ratio = None
+            else:
+                chunk.payload = None
+                chunk.fingerprint = fps[unique_id]
+                chunk.comp_ratio = ratios[unique_id]
+            chunk.is_duplicate = None
+            chunk.compressed_size = None
+            chunk.tenant = None
+            append(chunk)
+            offset += size
+        self._offset = offset
         stats.chunks += n
         stats.uniques += n - duplicates
         stats.duplicates += duplicates
         stats.bytes_emitted += size * n
-        return ChunkBatch(offsets, sizes, payloads, fingerprints,
-                          comp_ratios)
+        return out
 
     def next_chunk(self) -> Chunk:
-        """``next_batch(1)`` materialized; e2ebench's ledger wraps it."""
-        return self.next_batch(1).materialize()[0]
+        """``next_batch(1)``'s chunk; e2ebench's ledger wraps it."""
+        return self.next_batch(1)[0]
 
     def chunks(self, n: int) -> Iterator[Chunk]:
-        """Emit ``n`` chunks, materialized one functional window at a
-        time (a window is drawn whole before its first chunk yields)."""
+        """Emit ``n`` chunks, built one functional window at a time (a
+        window is drawn whole before its first chunk yields)."""
         for take in window_sizes(n):
-            yield from self.next_batch(take).materialize()
+            yield from self.next_batch(take)

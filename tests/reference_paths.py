@@ -22,15 +22,22 @@ imports this.
   a booking (``test_schedule_equivalence``): an inbox
   ``Store`` with one put, one get, one :class:`AnyOf` and one deadline
   timeout per item and one ``succeed()`` per waiter; a charge as a
-  queued request on a thread ``Resource`` the oracle owns
+  queued request on a thread :class:`LevelResource` the oracle owns
   (:func:`reference_cpu_threads`), whose grant starts a timeout, with
-  saturation and utilisation read off that ``Resource``; a destage
+  saturation and utilisation read off that resource; a destage
   write as a process that requests a channel, times out and books the
   write;
 * :func:`reference_ssd_serve` — any SSD request as that process, on
-  a channel ``Resource`` the oracle owns: the FIFO schedule the SSD's
-  channel ledger books at submit must equal instant for instant
-  (``test_schedule_equivalence``, ``test_event_cycles``);
+  a channel :class:`LevelResource` the oracle owns: the FIFO schedule
+  the SSD's channel ledger books at submit must equal instant for
+  instant (``test_schedule_equivalence``, ``test_event_cycles``);
+* :class:`LevelResource` — a ``Resource`` whose
+  :class:`LevelMonitor` records the occupancy changing by ±1 at each
+  grant and final release and adds ``level · until`` to a reading:
+  the level curve every booked-interval utilisation (CPU and SSD
+  ledgers, GPU launches) must equal bit for bit
+  (``test_schedule_equivalence``, ``test_gpu_substrate``,
+  ``test_sim_resources``);
 * :class:`PreallocatedGpuBins` — the GPU bin index with every bin
   zero-filled at ``bin_capacity`` from its first entry, one insert at
   a time, lanes cut per fingerprint: what ``GpuBinIndex``'s growing
@@ -74,6 +81,7 @@ import dataclasses
 import hashlib
 import heapq
 import json
+import math
 import random
 import weakref
 from collections import deque
@@ -87,12 +95,11 @@ from repro.core.batcher import GpuBatcher
 from repro.cpu.model import SimCpu
 from repro.dedup.index_base import check_fingerprint
 from repro.errors import ConfigError, ResourceError, SimulationError
-from repro.errors import DedupError, MetadataError
+from repro.errors import BlockRangeError, DedupError, MetadataError
 from repro.gpu.kernels.indexing import LookupBatch
 from repro.obs.stages import (STAGE_DESTAGE, STAGE_SSD_READ, STAGE_SSD_WRITE,
                               TRACK_DESTAGE, TRACK_SSD)
-from repro.sim import Event, Request, Resource, Timeout
-from repro.storage.block import BlockRequest, RequestKind
+from repro.sim import Event, Request, Resource, Timeout, UtilizationMonitor
 from repro.storage.ssd import SsdModel
 from repro.storage.writeback import WriteBack
 from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
@@ -750,6 +757,58 @@ class ReferenceGpuBatcher(GpuBatcher):
             entry[1].succeed(result)
 
 
+class LevelMonitor(UtilizationMonitor):
+    """Occupancy as a level curve: area = ``level·until − Σ delta·t``,
+    the sum kept exact as Shewchuk partials (``delta`` is ±1)."""
+
+    __slots__ = ("_level",)
+
+    def __init__(self, env, capacity: int):
+        super().__init__(env, capacity)
+        self._level = 0
+
+    def change(self, delta: int) -> None:
+        """Record the occupancy changing by ``delta`` at the current time."""
+        self._level += delta
+        self._add(-delta * self._env.now)
+
+    def busy_time(self, until: Optional[float] = None) -> float:
+        """Area under the level curve; a slot still held counts to
+        ``until``."""
+        end = self._env.now if until is None else until
+        return math.fsum(self._partials + [self._level * end])
+
+    def utilization(self, until: Optional[float] = None) -> float:
+        end = self._env.now if until is None else until
+        elapsed = end - self._start
+        if elapsed <= 0:
+            return 0.0
+        return self.busy_time(end) / (elapsed * self._capacity)
+
+
+class LevelResource(Resource):
+    """A ``Resource`` that keeps its occupancy on a :class:`LevelMonitor`:
+    +1 at a grant to a free slot, −1 at a release nobody waits behind.
+    A handoff to a waiter leaves the level unchanged."""
+
+    __slots__ = ("monitor",)
+
+    def __init__(self, env, capacity: int = 1, name: str = "resource"):
+        super().__init__(env, capacity, name)
+        self.monitor = LevelMonitor(env, capacity)
+
+    def _admit(self, request: Request) -> None:
+        if not self.queue and len(self.users) < self.capacity:
+            self.monitor.change(+1)
+        super()._admit(request)
+
+    def release(self, request: Request) -> None:
+        handoff = bool(self.queue)
+        super().release(request)
+        if not handoff:
+            self.monitor.change(-1)
+
+
 class ReferenceCharge(Request):
     """A CPU charge as request-then-timeout: the queued claim's grant
     starts the timed hold; its expiry releases the listed slot and then
@@ -771,18 +830,18 @@ class ReferenceCharge(Request):
         self._trigger_now(self)
 
 
-#: The oracle's own thread ``Resource`` per CPU, made on first use and
+#: The oracle's own thread resource per CPU, made on first use and
 #: keyed by ``id``, the CPU kept alive beside it (a slotted ``SimCpu``
 #: takes no weak reference); :func:`reference_wiring` empties it.
-_THREADS: dict[int, tuple[SimCpu, Resource]] = {}
+_THREADS: dict[int, tuple[SimCpu, LevelResource]] = {}
 
 
-def reference_cpu_threads(cpu: SimCpu) -> Resource:
-    """The FIFO thread ``Resource`` the oracle charges ``cpu`` on, in
+def reference_cpu_threads(cpu: SimCpu) -> LevelResource:
+    """The FIFO thread resource the oracle charges ``cpu`` on, in
     place of the CPU's own ledger."""
     entry = _THREADS.get(id(cpu))
     if entry is None:
-        entry = _THREADS[id(cpu)] = (cpu, Resource(
+        entry = _THREADS[id(cpu)] = (cpu, LevelResource(
             cpu.env, capacity=cpu.spec.threads, name="cpu-threads"))
     return entry[1]
 
@@ -796,10 +855,9 @@ def reference_charge(cpu: SimCpu, cycles: float) -> Event:
                            cycles / cpu.spec.thread_hz)
 
 
-def reference_is_saturated(cpu: SimCpu, threshold: float = 1.0) -> bool:
-    """``SimCpu.is_saturated`` as the granted slots of the threads."""
-    return len(reference_cpu_threads(cpu).users) >= \
-        cpu.spec.threads * threshold
+def reference_is_saturated(cpu: SimCpu) -> bool:
+    """``SimCpu.is_saturated`` as every slot of the threads granted."""
+    return len(reference_cpu_threads(cpu).users) == cpu.spec.threads
 
 
 def reference_cpu_utilization(cpu: SimCpu,
@@ -808,64 +866,70 @@ def reference_cpu_utilization(cpu: SimCpu,
     return reference_cpu_threads(cpu).monitor.utilization(until)
 
 
-#: The oracle's own 8-slot channel ``Resource`` per SSD, made on first use.
-_CHANNELS: "weakref.WeakKeyDictionary[SsdModel, Resource]" = \
+#: The oracle's own 8-slot channel resource per SSD, made on first use.
+_CHANNELS: "weakref.WeakKeyDictionary[SsdModel, LevelResource]" = \
     weakref.WeakKeyDictionary()
 
 
-def reference_ssd_channels(ssd: SsdModel) -> Resource:
-    """The FIFO channel ``Resource`` the oracle serves ``ssd``'s
+def reference_ssd_channels(ssd: SsdModel) -> LevelResource:
+    """The FIFO channel resource the oracle serves ``ssd``'s
     requests on, in place of the SSD's own ledger."""
     channels = _CHANNELS.get(ssd)
     if channels is None:
-        channels = _CHANNELS[ssd] = Resource(
+        channels = _CHANNELS[ssd] = LevelResource(
             ssd.env, capacity=ssd.spec.channels, name="ssd-channels")
     return channels
 
 
-def reference_ssd_serve(ssd: SsdModel, request: BlockRequest) -> Generator:
-    """Process body: one SSD request as the calendar serves it — a
-    channel request, a service-time timeout — then booked into ``ssd``
-    (interval, counters, span) once it has completed."""
-    request.validate_against(ssd.spec.capacity_bytes)
+def _check_ssd_size(ssd: SsdModel, nbytes: int) -> None:
+    if not 0 < nbytes <= ssd.spec.capacity_bytes:
+        raise BlockRangeError(f"{nbytes}-byte request")
+
+
+def reference_ssd_serve(ssd: SsdModel, write: bool, nbytes: int,
+                        sequential: bool = False) -> Generator:
+    """Process body: one SSD write (or read, never sequential) as the
+    calendar serves it — a channel request, a service-time timeout —
+    then booked into ``ssd`` (interval, counters, span) once it has
+    completed."""
+    _check_ssd_size(ssd, nbytes)
     env = ssd.env
     submitted = env.now
+    page_s = ssd.spec.page_program_s if write else ssd.spec.page_read_s
     with reference_ssd_channels(ssd).request() as slot:
         yield slot
         granted = env.now
-        yield env.timeout(ssd.service_time(request))
+        yield env.timeout(ssd.service_time(nbytes, page_s, sequential))
     ssd.ledger.monitor.book(granted, env.now)
     ssd.requests_completed += 1
-    size = request.size
-    if request.kind is RequestKind.WRITE:
+    if write:
         stage = STAGE_SSD_WRITE
-        ssd.host_bytes_written += size
+        ssd.host_bytes_written += nbytes
         ssd.nand_bytes_written += \
-            -(-size // ssd.spec.page_bytes) * ssd.spec.page_bytes
+            -(-nbytes // ssd.spec.page_bytes) * ssd.spec.page_bytes
     else:
         stage = STAGE_SSD_READ
-        ssd.host_bytes_read += size
+        ssd.host_bytes_read += nbytes
     if ssd.tracer.enabled:
         ssd.tracer.record(
             stage, None, start=submitted, queue_wait=granted - submitted,
             resource=TRACK_SSD,
-            attrs={"bytes": size, "sequential": request.sequential})
+            attrs={"bytes": nbytes, "sequential": sequential})
 
 
 def reference_writeback_submit(writeback: WriteBack, nbytes: int,
                                sequential: bool) -> None:
     """``WriteBack.submit`` as one process per write: a channel
     request, a service-time timeout, then the SSD's booking."""
-    request = BlockRequest(RequestKind.WRITE, 0, nbytes,
-                           sequential=sequential)
-    request.validate_against(writeback.ssd.spec.capacity_bytes)
+    _check_ssd_size(writeback.ssd, nbytes)
     writeback.batches += 1
     writeback.bytes += nbytes
 
     def destage() -> Generator:
         with writeback.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
                                    bytes=nbytes, sequential=sequential):
-            yield from reference_ssd_serve(writeback.ssd, request)
+            yield from reference_ssd_serve(writeback.ssd, True, nbytes,
+                                           sequential)
 
     writeback.env.process(destage())
 

@@ -145,7 +145,7 @@ class TestBatchedWorkload:
         got = [stream.next_chunk() for _ in range(3)]
         got += stream.chunks(100)
         got.append(stream.next_chunk())
-        got += stream.next_batch(5).materialize()
+        got += stream.next_batch(5)
         got += stream.chunks(70)
         got.append(stream.next_chunk())
         oracle = ReferenceVdbenchStream(payload=payload, **STREAM_DIALS)

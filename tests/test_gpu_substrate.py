@@ -1,6 +1,7 @@
 """Unit tests for the GPU device model, memory and PCIe."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError, GpuMemoryError
 from repro.gpu import (
@@ -14,6 +15,7 @@ from repro.gpu import (
     RADEON_HD_7970,
 )
 from repro.sim import Environment
+from tests.reference_paths import LevelResource
 
 
 class TestGpuSpec:
@@ -191,3 +193,70 @@ class TestGpuDevice:
                                               nbytes_out=10**6))
         without_io = gpu.launch_time(_NoopKernel())
         assert with_io > without_io
+
+
+# -- GPU utilisation: booked launches vs the queue's level curve -------------
+
+_GPU_TICK = 3.7e-5  # not exactly representable: the float paths must agree
+#: One launch: its submitter, the idle gap before it (in ticks) and its
+#: kernel's serial chain (in cycles; 0 leaves the fixed overheads).
+_LAUNCH = st.tuples(st.sampled_from((0, 1)),
+                    st.sampled_from((0, 0, 0, 1, 3, 40)),
+                    st.sampled_from((0.0, 1e3, 5e4, 2e5)))
+
+
+def _play_launches(script, oracle: bool):
+    """Two submitters, each launching its share of ``script`` in turn;
+    returns the last instant, a ``utilization(until)`` reader and the
+    mean queue wait.  The oracle holds a level-curve queue for each
+    launch's time instead of launching."""
+    env = Environment()
+    gpu = GpuDevice(env)
+    queue = LevelResource(env, capacity=1, name="gpu-queue")
+    waits = []
+
+    def launch(kernel):
+        if not oracle:
+            yield from gpu.launch(kernel)
+            return
+        submit = env.now
+        with queue.request() as req:
+            yield req
+            start = env.now
+            yield env.timeout(gpu.launch_time(kernel))
+            waits.append(start - submit)
+
+    def submitter(launches):
+        yield env.timeout(_GPU_TICK)  # so there is a "before" to measure
+        for gap, critical in launches:
+            yield env.timeout(gap * _GPU_TICK)
+            yield from launch(_NoopKernel(lane_cycles=0.0,
+                                          critical=critical))
+
+    for who in (0, 1):
+        env.process(submitter([(gap, critical)
+                               for by, gap, critical in script
+                               if by == who]))
+    env.run()
+    env.finish_check()
+    if oracle:
+        return env.now, queue.monitor.utilization, sum(waits) / len(waits)
+    return env.now, gpu.utilization, gpu.mean_queue_wait()
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=st.lists(_LAUNCH, min_size=1, max_size=12))
+@example(script=[(0, 0, 1e3), (1, 0, 1e3)])  # equal-time submits: a handoff
+@example(script=[(0, 0, 1e3), (0, 40, 0.0), (1, 1, 2e5)])  # an idle gap
+def test_gpu_utilization_is_the_queue_level_curve(script):
+    """The GPU books each launch's ``[start, end]``; the sum equals the
+    command queue's level curve bit for bit at every ``until`` — before,
+    inside and after the busy period — because a handoff's ``end`` and
+    the next ``start`` are one float.  Queue waits agree too."""
+    end, utilization, wait = _play_launches(script, oracle=False)
+    want_end, want_utilization, want_wait = _play_launches(script,
+                                                           oracle=True)
+    assert end == want_end
+    assert wait == want_wait
+    for until in (_GPU_TICK / 2, end / 2, end, 2 * end):
+        assert utilization(until) == want_utilization(until)

@@ -33,12 +33,12 @@ from repro.gpu import GpuDevice
 from repro.obs import SimTracer
 from repro.obs.stages import STAGE_CHUNK, STAGE_DESTAGE, STAGE_SSD_WRITE
 from repro.cpu.model import CpuSpec, SimCpu
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.tenancy import TenantMix, TenantSpec
 from repro.tenancy.runner import run_tenant_mix
-from repro.storage.block import BlockRequest, RequestKind
 from repro.storage.ssd import SsdModel
-from tests.reference_paths import (ReferenceCharge, reference_ssd_channels,
+from tests.reference_paths import (LevelResource, ReferenceCharge,
+                                   reference_ssd_channels,
                                    reference_ssd_serve, reference_wiring)
 from tests.test_pipeline import _make_batcher
 
@@ -152,7 +152,7 @@ def test_busy_time_depends_only_on_the_level_curve(script):
     def play(split: bool) -> float:
         env = Environment()
         # Never full, so no arrival ever queues and both curves agree.
-        pool = Resource(env, capacity=len(script), name="pool")
+        pool = LevelResource(env, capacity=len(script), name="pool")
 
         def holder(first, second):
             if split:
@@ -181,14 +181,14 @@ def test_busy_time_depends_only_on_the_level_curve(script):
 
 # -- the channel ledger vs one request and one timeout per booking ----------
 
+_SSD_BYTES = st.one_of(st.sampled_from((1, 4096, 4097, 65536)),
+                       st.integers(1, 1 << 20))
 _SSD_REQUEST = st.tuples(
     st.just("ssd"),
     st.sampled_from((0, 0, 0, 1, 2, 5, 40)),            # gap, in ticks
-    st.tuples(
-        st.sampled_from(RequestKind),
-        st.one_of(st.sampled_from((1, 4096, 4097, 65536)),
-                  st.integers(1, 1 << 20)),             # bytes
-        st.booleans()))                                 # sequential
+    st.one_of(  # (write, bytes, sequential): only writes draw sequential
+        st.tuples(st.just(True), _SSD_BYTES, st.booleans()),
+        st.tuples(st.just(False), _SSD_BYTES, st.just(False))))
 #: A chain of back-to-back charges by one process; equal and zero
 #: cycle counts are common, so charges end at repeated instants.
 _CPU_CHAIN = st.tuples(
@@ -219,14 +219,14 @@ def _ledger_play(script, threads: int, oracle: bool):
         # Made with the devices, so the monitors start their clocks
         # together.
         reference_ssd_channels(ssd)
-        pool = Resource(env, capacity=threads, name="cpu-threads")
+        pool = LevelResource(env, capacity=threads, name="cpu-threads")
 
         def charge(cycles):
             cpu.cycles_charged += cycles
             return ReferenceCharge(pool, cycles / cpu.spec.thread_hz)
 
-        def saturated(threshold):
-            return len(pool.users) >= threads * threshold
+        def saturated():
+            return len(pool.users) == threads
 
         utilization = pool.monitor.utilization
     else:
@@ -236,21 +236,21 @@ def _ledger_play(script, threads: int, oracle: bool):
     probes: list = []
 
     def probe(index, step, when):
-        probes.append((index, step, when, env.now,
-                       saturated(0.99), saturated(1.0)))
+        probes.append((index, step, when, env.now, saturated()))
 
     def served(index, request):
-        yield from reference_ssd_serve(ssd, request)
+        yield from reference_ssd_serve(ssd, *request)
         done[index] = env.now
 
     def ssd_arrival(index, at, request):
         yield env.timeout(at)
+        write, size, sequential = request
         if oracle:
             env.process(served(index, request))
-        elif request.kind is RequestKind.WRITE:
-            done[index] = ssd.write(request)
+        elif write:
+            done[index] = ssd.write(size, sequential)
         else:
-            yield ssd.read(request)
+            yield ssd.read(size)
             done[index] = env.now
 
     def cpu_arrival(index, at, chain):
@@ -266,10 +266,7 @@ def _ledger_play(script, threads: int, oracle: bool):
     for index, (device, gap, item) in enumerate(script):
         at += gap * _SSD_TICK
         if device == "ssd":
-            kind, size, sequential = item
-            env.process(ssd_arrival(
-                index, at, BlockRequest(kind, 0, size,
-                                        sequential=sequential)))
+            env.process(ssd_arrival(index, at, item))
         else:
             env.process(cpu_arrival(index, at, item))
     env.run()

@@ -42,11 +42,29 @@ class TestOffloadScheduler:
         scheduler = OffloadScheduler(cpu)
         assert scheduler.should_offload_index() is False
 
-    def test_threshold_tunable(self):
+    def test_offloads_only_while_every_thread_is_busy(self):
+        """Load grows one thread at a time, then the first thread frees:
+        only the instants with every thread busy offload."""
         env = Environment()
-        cpu = busy_cpu(env, fraction=0.5)
-        scheduler = OffloadScheduler(cpu, saturation_threshold=0.4)
-        assert scheduler.should_offload_index() is True
+        cpu = SimCpu(env)
+        threads = cpu.spec.threads
+        scheduler = OffloadScheduler(cpu)
+
+        def hog(seconds):
+            yield cpu.charge(seconds * cpu.spec.thread_hz)
+
+        decisions = []
+        for seconds in range(1, threads + 1):
+            decisions.append(scheduler.should_offload_index())
+            env.process(hog(float(seconds)))
+        decisions.append(scheduler.should_offload_index())
+        env.run(until=env.timeout(0.5))  # every thread still busy
+        decisions.append(scheduler.should_offload_index())
+        env.run(until=env.timeout(1.0))  # the 1 s hog ended at 1 s
+        decisions.append(scheduler.should_offload_index())
+        assert decisions == [False] * threads + [True, True, False]
+        assert (scheduler.stats.offloaded,
+                scheduler.stats.kept_local) == (2, threads + 1)
 
     def test_always_policy(self):
         env = Environment()
@@ -69,8 +87,3 @@ class TestOffloadScheduler:
         env = Environment()
         with pytest.raises(ConfigError):
             OffloadScheduler(SimCpu(env), policy="sometimes")
-
-    def test_invalid_threshold_rejected(self):
-        env = Environment()
-        with pytest.raises(ConfigError):
-            OffloadScheduler(SimCpu(env), saturation_threshold=0.0)

@@ -1,16 +1,18 @@
-"""Unit tests for simulated resources, and for the reference ``Store``.
+"""Unit tests for simulated resources, and for the reference ``Store``
+and ``LevelResource``.
 
 ``Store`` left ``repro.sim`` when the GPU batcher stopped using it; it
 lives on in ``tests/reference_paths.py`` as the inbox of the reference
 batcher the schedule-equivalence suite runs against, and its tests
-stay with it.
+stay with it.  So do the utilisation tests of ``LevelResource``, the
+level-curve oracle booked-interval utilisation is held to.
 """
 
 import pytest
 
 from repro.errors import ResourceError
 from repro.sim import ChannelLedger, Environment, Resource
-from tests.reference_paths import Store
+from tests.reference_paths import LevelResource, Store
 
 
 def test_resource_capacity_validation():
@@ -112,7 +114,7 @@ def test_users_reflect_grants():
 
 def test_utilization_full_occupancy():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = LevelResource(env, capacity=1)
 
     def user():
         with res.request() as req:
@@ -126,7 +128,7 @@ def test_utilization_full_occupancy():
 
 def test_utilization_half_occupancy():
     env = Environment()
-    res = Resource(env, capacity=2)
+    res = LevelResource(env, capacity=2)
 
     def user():
         with res.request() as req:
@@ -140,7 +142,7 @@ def test_utilization_half_occupancy():
 
 def test_utilization_partial_time():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = LevelResource(env, capacity=1)
 
     def user():
         yield env.timeout(5.0)

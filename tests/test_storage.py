@@ -1,4 +1,4 @@
-"""Tests for the block request model, SSD timing/wear, and metadata."""
+"""Tests for SSD timing, wear and input checks, and metadata."""
 
 import dataclasses
 
@@ -8,40 +8,20 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from repro.errors import BlockRangeError, ConfigError, MetadataError
+from repro.errors import BlockRangeError, MetadataError
+from repro.obs.tracer import NULL_TRACER
 from repro.sim import Environment
 from repro.storage import (
-    BlockRequest,
     ChunkRecord,
     MetadataStore,
-    RequestKind,
     SAMSUNG_SSD_830,
     SsdModel,
 )
 from repro.storage.metadata import PAGE_BLOCKS
+from repro.storage.writeback import WriteBack
 from repro.tenancy.spec import TENANT_ADDRESS_STRIDE
 from repro.types import DEFAULT_CHUNK_SIZE
 from tests.reference_paths import ReferenceMetadataStore
-
-
-class TestBlockRequest:
-    def test_end(self):
-        req = BlockRequest(RequestKind.WRITE, 4096, 8192)
-        assert req.end == 12288
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(BlockRangeError):
-            BlockRequest(RequestKind.READ, -1, 10)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(BlockRangeError):
-            BlockRequest(RequestKind.READ, 0, 0)
-
-    def test_capacity_check(self):
-        req = BlockRequest(RequestKind.WRITE, 0, 2048)
-        req.validate_against(4096)
-        with pytest.raises(BlockRangeError):
-            req.validate_against(1024)
 
 
 class TestSsdSpec:
@@ -65,8 +45,7 @@ class TestSsdModel:
 
         def writer(k):
             for _ in range(k):
-                yield env.timeout_at(
-                    ssd.write(BlockRequest(RequestKind.WRITE, 0, size)))
+                yield env.timeout_at(ssd.write(size, sequential=False))
 
         streams = concurrency or ssd.spec.channels
         per_stream = n // streams
@@ -89,23 +68,22 @@ class TestSsdModel:
     def test_reads_faster_than_writes(self):
         env = Environment()
         ssd = SsdModel(env)
-        write = ssd.service_time(BlockRequest(RequestKind.WRITE, 0, 4096))
-        read = ssd.service_time(BlockRequest(RequestKind.READ, 0, 4096))
+        write = ssd.service_time(4096, SAMSUNG_SSD_830.page_program_s, False)
+        read = ssd.service_time(4096, SAMSUNG_SSD_830.page_read_s, False)
         assert read < write
 
     def test_sequential_writes_slightly_cheaper(self):
         env = Environment()
         ssd = SsdModel(env)
-        seq = ssd.service_time(
-            BlockRequest(RequestKind.WRITE, 0, 65536, sequential=True))
-        rand = ssd.service_time(
-            BlockRequest(RequestKind.WRITE, 0, 65536, sequential=False))
+        page_s = SAMSUNG_SSD_830.page_program_s
+        seq = ssd.service_time(65536, page_s, sequential=True)
+        rand = ssd.service_time(65536, page_s, sequential=False)
         assert seq < rand
 
     def test_wear_accounting_rounds_to_pages(self):
         env = Environment()
         ssd = SsdModel(env)
-        ssd.write(BlockRequest(RequestKind.WRITE, 0, 100))
+        ssd.write(100, sequential=False)
         assert ssd.host_bytes_written == 100
         assert ssd.nand_bytes_written == 4096  # one full page programmed
 
@@ -113,7 +91,7 @@ class TestSsdModel:
         env = Environment()
         ssd = SsdModel(env)
         for _ in range(4):
-            ssd.write(BlockRequest(RequestKind.WRITE, 0, 2048))
+            ssd.write(2048, sequential=False)
         # Half-page writes each program a whole page.
         assert ssd.nand_bytes_written == 2 * (4 * 2048)
 
@@ -121,17 +99,35 @@ class TestSsdModel:
         env = Environment()
         ssd = SsdModel(env)
         with pytest.raises(BlockRangeError):
-            ssd.write(BlockRequest(
-                RequestKind.WRITE, SAMSUNG_SSD_830.capacity_bytes, 4096))
+            ssd.write(SAMSUNG_SSD_830.capacity_bytes + 4096, sequential=True)
         assert ssd.requests_completed == 0
 
-    def test_read_rejects_writes(self):
+    @pytest.mark.parametrize("call", [
+        lambda ssd: ssd.write(0, sequential=True),
+        lambda ssd: ssd.write(-1, sequential=False),
+        lambda ssd: ssd.write(SAMSUNG_SSD_830.capacity_bytes + 1,
+                              sequential=True),
+        lambda ssd: ssd.read(0),
+        lambda ssd: WriteBack(ssd.env, ssd, NULL_TRACER).submit(
+            0, sequential=True),
+    ], ids=["write(0)", "write(-1)", "write(capacity+1)", "read(0)",
+            "WriteBack.submit(0)"])
+    def test_a_size_outside_the_device_changes_nothing(self, call):
+        """Every way in checks ``0 < nbytes <= capacity`` before the
+        ledger or a counter moves, and schedules nothing."""
         env = Environment()
         ssd = SsdModel(env)
-        with pytest.raises(ConfigError, match="write"):
-            ssd.read(BlockRequest(RequestKind.WRITE, 0, 4096))
-        assert ssd.requests_completed == 0
-        assert env._eid == 0  # nothing was scheduled
+        ssd.write(8192, sequential=True)  # a busy channel to disturb
+
+        def state():
+            return ([list(server) for server in ssd.ledger._heap],
+                    ssd.requests_completed, ssd.host_bytes_written,
+                    ssd.host_bytes_read, ssd.nand_bytes_written, env._eid)
+
+        before = state()
+        with pytest.raises(BlockRangeError):
+            call(ssd)
+        assert state() == before
 
 
 class TestMetadataStore:
