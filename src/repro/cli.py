@@ -151,11 +151,6 @@ def _run_tenants(args: argparse.Namespace, mode: IntegrationMode,
 def cmd_run(args: argparse.Namespace) -> int:
     mode = IntegrationMode(args.mode)
     platform = _platform_from(args)
-    if platform["gpu_spec"] is None and (mode.gpu_for_dedup
-                                         or mode.gpu_for_compression):
-        print(f"error: mode {mode.value} needs a GPU (use --gpu)",
-              file=sys.stderr)
-        return 2
     tracer = None
     if args.trace:
         from repro.obs import SimTracer
@@ -193,11 +188,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     mode = IntegrationMode(args.mode)
     platform = _platform_from(args)
-    if platform["gpu_spec"] is None and (mode.gpu_for_dedup
-                                         or mode.gpu_for_compression):
-        print(f"error: mode {mode.value} needs a GPU (use --gpu)",
-              file=sys.stderr)
-        return 2
     tracer = SimTracer()
     run_mode(mode, 1024 if args.quick else args.chunks,
              dedup_ratio=args.dedup_ratio, comp_ratio=args.comp_ratio,

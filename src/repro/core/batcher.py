@@ -23,7 +23,7 @@ from typing import Any, Callable, Generator, Optional, Sequence
 from repro.errors import ConfigError
 from repro.gpu.device import GpuDevice
 from repro.gpu.kernel import Kernel
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import SimTracer
 from repro.sim import Environment, Event, Timeout
 
 
@@ -39,7 +39,7 @@ class GpuBatcher:
                  split_results: Callable[[list[Any], Any], Sequence[Any]],
                  batch_size: int, max_wait_s: float,
                  name: str = "batcher",
-                 tracer: Tracer = NULL_TRACER,
+                 tracer: Optional[SimTracer] = None,
                  stage: Optional[str] = None):
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -198,7 +198,7 @@ class GpuBatcher:
         self.items_processed += len(items)
         self.fill_counts[len(items)] = \
             self.fill_counts.get(len(items), 0) + 1
-        if self.tracer.enabled and self.stage is not None:
+        if self.tracer is not None and self.stage is not None:
             # One span per item: submit -> launch completion.  Batching
             # delay and command-queue wait both count as queue wait; the
             # kernel's own run time is the service share.

@@ -21,9 +21,8 @@ from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
 from repro.core.stats import PipelineReport
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
-from repro.errors import ConfigError
 from repro.gpu.device import GpuDevice, GpuSpec, RADEON_HD_7970
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import SimTracer
 from repro.sim import Environment
 from repro.storage.ssd import SsdModel
 from repro.workload.vdbench import VdbenchStream
@@ -59,7 +58,7 @@ class CalibrationResult:
 def run_stream(stream, n_chunks: int, config: PipelineConfig,
                cpu_spec: CpuSpec = I7_2600K,
                gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-               tracer: Optional[Tracer] = None
+               tracer: Optional[SimTracer] = None
                ) -> tuple[ReductionPipeline, PipelineReport]:
     """Run ``n_chunks`` of ``stream`` on a fresh simulated platform.
 
@@ -69,18 +68,15 @@ def run_stream(stream, n_chunks: int, config: PipelineConfig,
     SSD, the PCIe link and both cost tables are the testbed's constants
     (DESIGN.md §6).  ``tracer`` (a :class:`~repro.obs.SimTracer`) is
     bound to the run's environment and threaded through every timed
-    subsystem; the default is the zero-cost null tracer.
+    subsystem; ``None`` (the default) traces nothing.  A GPU mode
+    without ``gpu_spec`` raises :class:`~repro.errors.ConfigError`
+    from the pipeline's one check.
 
     Returns the finished pipeline and its report.
     """
-    mode = config.mode
-    if gpu_spec is None and (mode.gpu_for_dedup
-                             or mode.gpu_for_compression):
-        raise ConfigError(f"mode {mode.value} needs a GPU spec")
-    if tracer is None:
-        tracer = NULL_TRACER
     env = Environment()
-    tracer.bind(env)
+    if tracer is not None:
+        tracer.bind(env)
     cpu = SimCpu(env, cpu_spec)
     gpu = (GpuDevice(env, gpu_spec, tracer=tracer)
            if gpu_spec is not None else None)
@@ -95,7 +91,7 @@ def run_mode(mode: IntegrationMode, n_chunks: int,
              cpu_spec: CpuSpec = I7_2600K,
              gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
              dedup_ratio: float = 2.0, comp_ratio: float = 2.0,
-             seed: int = 1234, tracer: Optional[Tracer] = None,
+             seed: int = 1234, tracer: Optional[SimTracer] = None,
              payload: bool = False):
     """Run one integration mode over a vdbench stream (:func:`run_stream`).
 

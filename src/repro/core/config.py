@@ -55,12 +55,12 @@ class PipelineConfig:
     #: In-flight chunk window (bounds memory and queueing on the inline
     #: path; must exceed the GPU batch sizes or batches never fill).
     window: int = 1024
-    #: When to send index lookups to the GPU: "saturation" is the
-    #: paper's rule ("use GPU only when CPU utilization is full", i.e.
-    #: while every CPU thread is busy); "always"
-    #: models GHOST-style GPU-only indexing (Kim et al., the related
-    #: work the paper critiques for ignoring the faster CPU); "never"
-    #: keeps indexing on the CPU even in GPU modes.
+    #: When to send index lookups to the GPU in a GPU-dedup mode:
+    #: "saturation" is the paper's rule ("use GPU only when CPU
+    #: utilization is full", i.e. while every CPU thread is busy);
+    #: "always" models GHOST-style GPU-only indexing (Kim et al., the
+    #: related work the paper critiques for ignoring the faster CPU).
+    #: CPU-only indexing is the ``cpu_only``/``gpu_comp`` modes.
     gpu_index_policy: str = "saturation"
     #: Index concurrency discipline: "bins" is the paper's lock-free
     #: partitioned design; "global" serializes every index operation
@@ -110,7 +110,7 @@ class PipelineConfig:
                 "batches would never fill")
         if not self.enable_dedup and not self.enable_compression:
             raise ConfigError("both reduction operations disabled")
-        if self.gpu_index_policy not in ("saturation", "always", "never"):
+        if self.gpu_index_policy not in ("saturation", "always"):
             raise ConfigError(
                 f"unknown gpu_index_policy {self.gpu_index_policy!r}")
         if self.index_locking not in ("bins", "global"):

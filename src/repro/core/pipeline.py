@@ -4,9 +4,9 @@ One :class:`ReductionPipeline` run drives a chunk stream through the
 paper's workflow on the timed substrates:
 
 1. **chunk + hash** on a CPU hardware thread;
-2. **GPU indexing** first, when the mode allows it, the GPU exists, and
-   the CPU is saturated (the paper's §3.1(3) rule) — batched lookups
-   through the device's in-order queue;
+2. **GPU indexing** first, when the mode allows it and the CPU is
+   saturated (the paper's §3.1(3) rule) — batched lookups through the
+   device's in-order queue;
 3. **CPU indexing** for chunks the GPU did not resolve: bin-buffer probe,
    then bin-tree probe (the probe is skipped when an eviction-free GPU
    index already proved the fingerprint absent);
@@ -16,6 +16,17 @@ paper's workflow on the timed substrates:
 6. **commit**: metadata insert + bin-buffer staging; a full bin flushes —
    entries move to the bin tree and the GPU bins, and the bin's
    compressed payload destages to the SSD as one sequential write.
+
+The paper's placement rules are asymmetric (§3.1(3) and §3.2(3)):
+
+* **indexing** — "we decide to use GPU only when CPU utilization is full
+  and there is still some work to do for indexing": a per-lookup
+  dynamic decision, one test in the chunk worker, because the CPU wins
+  small batches outright.  ``gpu_index_policy="always"`` sends every
+  lookup to the GPU instead (the GHOST-class baseline);
+* **compression** — "the GPU performs compression and the CPU is used
+  for refinement": a static assignment made once by the mode (Fig. 2 /
+  calibration), because the GPU wins by ~1.9x regardless of load.
 
 Concurrency: admission of chunks into the pipeline is gated by a window
 of in-flight slots (the inline path's bounded outstanding I/O).  That
@@ -33,7 +44,6 @@ from typing import Generator, Iterable, Optional
 from repro.chunkbatch import iter_windows
 from repro.core.batcher import GpuBatcher
 from repro.core.config import PREFIX_BYTES, PipelineConfig
-from repro.core.scheduler import OffloadScheduler
 from repro.core.stats import PipelineReport
 from repro.compression.gpu_lz import GpuCompressor
 from repro.compression.parallel_cpu import CpuCompressor
@@ -63,7 +73,7 @@ from repro.obs.stages import (
     TRACK_COMPACTION,
     TRACK_WINDOW,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import SimTracer
 from repro.tenancy.controller import TenancyController
 from repro.sim import Environment, Event, Resource
 from repro.sim.histogram import LatencyHistogram
@@ -76,20 +86,18 @@ class ReductionPipeline:
     """Timed, integrated dedup + compression over simulated hardware."""
 
     def __init__(self, env: Environment, config: PipelineConfig,
-                 cpu: Optional[SimCpu] = None,
+                 cpu: SimCpu, ssd: SsdModel,
                  gpu: Optional[GpuDevice] = None,
-                 ssd: Optional[SsdModel] = None,
-                 tracer: Tracer = NULL_TRACER):
+                 tracer: Optional[SimTracer] = None):
+        mode = config.mode
+        if gpu is None and (mode.gpu_for_dedup
+                            or mode.gpu_for_compression):
+            raise ConfigError(f"mode {mode.value} needs a GPU")
         self.env = env
         self.config = config
         self.tracer = tracer
-        self.cpu = cpu if cpu is not None else SimCpu(env)
-        ssd = ssd if ssd is not None else SsdModel(env, tracer=tracer)
+        self.cpu = cpu
         self.writeback = WriteBack(env, ssd, tracer)
-        needs_gpu = (config.mode.gpu_for_dedup
-                     or config.mode.gpu_for_compression)
-        if needs_gpu and gpu is None:
-            gpu = GpuDevice(env, tracer=tracer)
         self.gpu = gpu
 
         gpu_index = None
@@ -98,7 +106,7 @@ class ReductionPipeline:
                 prefix_bytes=PREFIX_BYTES,
                 bin_capacity=config.gpu_bin_capacity,
                 policy=RandomReplacement(seed=7),
-                memory=self.gpu.memory if self.gpu else None)
+                memory=gpu.memory)
         self.dedup = DedupEngine(
             prefix_bytes=PREFIX_BYTES,
             bin_buffer_capacity=config.bin_buffer_capacity,
@@ -118,9 +126,11 @@ class ReductionPipeline:
         self.cpu_comp = CpuCompressor()
         self.gpu_comp = GpuCompressor()
 
-        self.scheduler = OffloadScheduler(
-            self.cpu, policy=config.gpu_index_policy,
-            gpu_available=self.gpu is not None)
+        #: The GHOST-class baseline: every lookup the index batcher can
+        #: take goes to the GPU, saturated CPU or not.
+        self._offload_always = config.gpu_index_policy == "always"
+        #: Lookups kept on the CPU because a thread was idle.
+        self.gpu_offload_skips = 0
         self._index_batcher: Optional[GpuBatcher] = None
         self._comp_batcher: Optional[GpuBatcher] = None
         #: One big lock serializing bin-index work in the "global"
@@ -226,7 +236,7 @@ class ReductionPipeline:
         env = self.env
         cpu = self.cpu
         admitted = env.now
-        trace = self.tracer if self.tracer.enabled else None
+        trace = self.tracer
         tenancy = self.tenancy
         tenant = chunk.tenant or 0
         try:
@@ -280,12 +290,14 @@ class ReductionPipeline:
                     cycles = dedup.commit_duplicate(chunk, physical_id)
             elif hashed:
                 gpu_definitive = False
-                if self._index_batcher is not None \
-                        and self.scheduler.should_offload_index():
+                batcher = self._index_batcher
+                # The paper's §3.1(3) rule: a lookup goes to the GPU
+                # only while every CPU thread is busy.
+                if batcher is not None and (self._offload_always
+                                            or cpu.is_saturated()):
                     # The batcher records the gpu_index span itself
                     # (submit -> kernel completion, per item).
-                    hit = yield self._index_batcher.submit(
-                        fingerprint, trace_id=seq)
+                    hit = yield batcher.submit(fingerprint, trace_id=seq)
                     # A stale hit (its copy was swept) is a miss.
                     if hit and (cycles := dedup.note_gpu_hit(chunk)) \
                             is not None:
@@ -293,6 +305,8 @@ class ReductionPipeline:
                     # An eviction-free GPU index mirrors every flushed
                     # entry, so its miss proves the tree would miss too.
                     gpu_definitive = dedup.gpu_index.evictions == 0
+                elif batcher is not None:
+                    self.gpu_offload_skips += 1
                 if path is None:
                     start = env.now if trace is not None else 0.0
                     outcome = dedup.cpu_index_partial(chunk) \
@@ -439,14 +453,17 @@ class ReductionPipeline:
 
     def _spawn_compaction(self, entries: list) -> None:
         """One out-of-line compaction epoch as a background process."""
+        trace = self.tracer
+
         def compaction() -> Generator:
-            with self.tracer.span(STAGE_COMPACTION,
-                                  resource=TRACK_COMPACTION,
-                                  chunks=len(entries)):
-                cycles = self.tenancy.compaction.cycles_for(entries)
-                yield self.cpu.charge(cycles)
-                self.tenancy.apply_compaction(entries,
-                                              self.dedup.metadata)
+            start = self.env.now if trace is not None else 0.0
+            cycles = self.tenancy.compaction.cycles_for(entries)
+            yield self.cpu.charge(cycles)
+            self.tenancy.apply_compaction(entries, self.dedup.metadata)
+            if trace is not None:
+                trace.record(STAGE_COMPACTION, None, start=start,
+                             resource=TRACK_COMPACTION,
+                             attrs={"chunks": len(entries)})
 
         self.env.process(compaction())
 
@@ -465,7 +482,7 @@ class ReductionPipeline:
         rate = cfg.arrival_rate_iops
         gap = 1.0 / rate if rate else 0.0
         next_admission = 0.0
-        trace = self.tracer if self.tracer.enabled else None
+        trace = self.tracer
         chunks = iter(chunks)
         seq = 0
         for window in iter_windows(islice(chunks, total)):
@@ -584,7 +601,7 @@ class ReductionPipeline:
             "bytes_in": self.bytes_in,
             "destage_batches": self.writeback.batches,
             "destage_bytes": self.writeback.bytes,
-            "gpu_offload_skips": self.scheduler.stats.skipped_idle_cpu,
+            "gpu_offload_skips": self.gpu_offload_skips,
         })
         registry.attach_histogram("pipeline.latency_s", self.latency)
         # Calendar entries this run created: divided by chunks_done it
@@ -595,8 +612,8 @@ class ReductionPipeline:
             registry.absorb_counters("dedup", self.dedup.counters)
         if self.tenancy is not None:
             registry.absorb_counters("tenancy", self.tenancy.counters())
-        registry.absorb_counters("scheduler",
-                                 self.scheduler.stats.as_counters())
+            registry.gauge("tenancy.compaction_pending").set(
+                float(len(self.tenancy.compaction)))
         if self.gpu is not None:
             registry.absorb_counters("gpu", {
                 "kernels_launched": self.gpu.kernels_launched,

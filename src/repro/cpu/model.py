@@ -114,8 +114,9 @@ class SimCpu:
     def is_saturated(self) -> bool:
         """True when every thread is busy *now*.
 
-        This is the signal the paper's scheduler uses: "use GPU only when
-        CPU utilization is full and there is still some work to do".  A
+        This is the signal of the paper's offload rule, tested per lookup
+        in the pipeline's chunk worker: "use GPU only when CPU
+        utilization is full and there is still some work to do".  A
         FIFO pool has waiters only while every thread is held, so every
         thread is busy exactly when ``outstanding >= threads``.
         """

@@ -25,7 +25,7 @@ from repro.gpu.kernel import Kernel, KernelCost
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.pcie import PcieLink
 from repro.obs.stages import TRACK_GPU_QUEUE
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import SimTracer
 from repro.sim import Environment, Resource, UtilizationMonitor
 
 
@@ -99,7 +99,7 @@ class GpuDevice:
     """A GPU attached to a simulation environment."""
 
     def __init__(self, env: Environment, spec: GpuSpec = RADEON_HD_7970,
-                 tracer: Tracer = NULL_TRACER):
+                 tracer: Optional[SimTracer] = None):
         self.env = env
         self.spec = spec
         self.tracer = tracer
@@ -161,7 +161,7 @@ class GpuDevice:
                 kernel_time=duration,
             )
             self.launches.append(record)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 # Occupancy span only ([start, end]); the submit->start
                 # wait would overlap the previous launch's slice on the
                 # serialized queue track, so it rides along as an attr.

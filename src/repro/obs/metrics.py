@@ -1,10 +1,10 @@
 """Namespaced metrics registry: counters, gauges, histograms.
 
 Before this module every subsystem grew its own ad-hoc statistics —
-``DedupEngine.counters`` (a dict), ``SchedulerStats`` (a dataclass),
-bare attributes on the GPU/SSD/compressor objects.  The registry gives
-them one API and one dotted namespace (``dedup.gpu_hits``,
-``scheduler.offloaded``, ``ssd.nand_bytes_written``) so exporters and
+``DedupEngine.counters`` (a dict), bare attributes on the
+pipeline/GPU/SSD/compressor objects.  The registry gives them one API
+and one dotted namespace (``dedup.gpu_hits``,
+``pipeline.gpu_offload_skips``, ``ssd.nand_bytes_written``) so exporters and
 tests read a single snapshot instead of spelunking objects.
 
 Three metric kinds, deliberately minimal:
@@ -119,12 +119,15 @@ class MetricsRegistry:
 
     def absorb_counters(self, namespace: str,
                         counters: Mapping[str, int]) -> None:
-        """Import a legacy counter dict as ``namespace.key`` counters."""
+        """Import a live counter dict as ``namespace.key`` counters.
+
+        Re-absorbing applies only the increase since the last call; a
+        value below the registry's raises :class:`TraceError`, as
+        :meth:`Counter.inc` does — a level that can fall is a gauge.
+        """
         for key in sorted(counters):
             metric = self.counter(f"{namespace}.{key}")
-            value = counters[key]
-            if value > metric.value:
-                metric.inc(value - metric.value)
+            metric.inc(counters[key] - metric.value)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics

@@ -1,4 +1,4 @@
-"""Sim-time span tracer with a zero-cost disabled default.
+"""Sim-time span tracer; tracing off is ``None``.
 
 A :class:`Span` is one interval of **simulated** time (``env.now``
 seconds, never wall-clock): a pipeline stage for one chunk, a kernel's
@@ -7,18 +7,15 @@ occupancy of the GPU queue, an SSD request on a channel.  Spans carry a
 resource* vs. *being served* — the split the paper's offload decisions
 live or die on.
 
-Two tracers share the interface:
-
-* :class:`NullTracer` — the default everywhere.  ``enabled`` is False
-  and every method is a no-op; instrumented code guards its timing
-  arithmetic behind ``tracer.enabled`` so untraced runs execute the
-  exact event sequence they executed before tracing existed
-  (byte-identical reports, enforced by tests).
-* :class:`SimTracer` — appends :class:`Span` records.  All *derived*
-  timing math (durations, queue-wait from an expected service time,
-  proportional splits of a coalesced charge) lives here, which is what
-  lets rule REP601 (``tests/test_source_rules.py``) ban ad-hoc
-  ``env.now`` arithmetic in the instrumented subsystems.
+:class:`SimTracer` appends :class:`Span` records.  Every instrumented
+subsystem takes ``tracer=None`` by default and guards its recording
+behind ``tracer is not None``, so an untraced run executes the exact
+event sequence it executed before tracing existed (byte-identical
+reports, enforced by tests).  All *derived* timing math (durations,
+queue-wait from an expected service time, proportional splits of a
+coalesced charge) lives here, which is what lets rule REP601
+(``tests/test_source_rules.py``) ban ad-hoc ``env.now`` arithmetic in
+the instrumented subsystems.
 
 Timing invariant: recording must never *change* timing.  Tracer methods
 only read ``env.now``; they never yield, charge, or touch the calendar.
@@ -62,113 +59,8 @@ class Span:
                 f"qw={self.queue_wait:.6f}>")
 
 
-class _NullSpanHandle:
-    """Shared no-op context manager returned by ``NullTracer.span``."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpanHandle()
-
-
-class Tracer:
-    """Interface shared by :class:`NullTracer` and :class:`SimTracer`."""
-
-    enabled: bool = False
-
-    def bind(self, env) -> None:
-        raise NotImplementedError
-
-    def record(self, stage, chunk_id=None, *, start, end=None,
-               queue_wait=0.0, resource=None, attrs=None):
-        raise NotImplementedError
-
-    def record_since(self, stage, chunk_id, start, *,
-                     expected_service_s=0.0, resource=None, attrs=None):
-        raise NotImplementedError
-
-    def record_split(self, stages, chunk_id, start, *, weights,
-                     expected_service_s, resource=None):
-        raise NotImplementedError
-
-    def span(self, stage, chunk_id=None, resource=None, **attrs):
-        raise NotImplementedError
-
-
-class NullTracer(Tracer):
-    """Tracing disabled: every method is a no-op.
-
-    The single module-level :data:`NULL_TRACER` instance is the default
-    tracer everywhere; hot paths check ``tracer.enabled`` once and skip
-    all timing arithmetic when it is False.
-    """
-
-    enabled = False
-
-    def bind(self, env) -> None:
-        return None
-
-    def record(self, stage, chunk_id=None, *, start, end=None,
-               queue_wait=0.0, resource=None, attrs=None) -> None:
-        return None
-
-    def record_since(self, stage, chunk_id, start, *,
-                     expected_service_s=0.0, resource=None,
-                     attrs=None) -> None:
-        return None
-
-    def record_split(self, stages, chunk_id, start, *, weights,
-                     expected_service_s, resource=None) -> None:
-        return None
-
-    def span(self, stage, chunk_id=None, resource=None,
-             **attrs) -> _NullSpanHandle:
-        return _NULL_SPAN
-
-
-#: The shared do-nothing tracer (the default for every subsystem).
-NULL_TRACER = NullTracer()
-
-
-class _SpanHandle:
-    """Context manager that records one span on exit."""
-
-    __slots__ = ("_tracer", "stage", "chunk_id", "resource", "attrs",
-                 "queue_wait", "_start")
-
-    def __init__(self, tracer: "SimTracer", stage: str,
-                 chunk_id: Optional[int], resource: Optional[str],
-                 attrs: Optional[dict[str, Any]]):
-        self._tracer = tracer
-        self.stage = stage
-        self.chunk_id = chunk_id
-        self.resource = resource
-        self.attrs = attrs
-        #: Callers may set this inside the ``with`` block.
-        self.queue_wait = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "_SpanHandle":
-        self._start = self._tracer.now()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._tracer.record(self.stage, self.chunk_id, start=self._start,
-                            queue_wait=self.queue_wait,
-                            resource=self.resource, attrs=self.attrs)
-        return None
-
-
-class SimTracer(Tracer):
+class SimTracer:
     """Collects :class:`Span` records against one environment's clock."""
-
-    enabled = True
 
     def __init__(self, env=None):
         self.env = env
@@ -285,9 +177,3 @@ class SimTracer(Tracer):
                 resource=resource))
             edge = spans[-1].end
         return spans
-
-    def span(self, stage: str, chunk_id: Optional[int] = None,
-             resource: Optional[str] = None, **attrs) -> _SpanHandle:
-        """Context manager recording ``[enter, exit]`` as one span."""
-        return _SpanHandle(self, stage, chunk_id, resource,
-                           attrs or None)

@@ -35,7 +35,7 @@ from repro.obs.stages import (
     STAGE_SSD_WRITE,
     TRACK_SSD,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import SimTracer
 from repro.sim import ChannelLedger, Environment, Timeout
 
 
@@ -83,7 +83,8 @@ SAMSUNG_SSD_830 = SsdSpec(
 class SsdModel:
     """A timed SSD attached to a simulation environment."""
 
-    def __init__(self, env: Environment, tracer: Tracer = NULL_TRACER):
+    def __init__(self, env: Environment,
+                 tracer: Optional[SimTracer] = None):
         self.env = env
         self.spec = spec = SAMSUNG_SSD_830
         self.tracer = tracer
@@ -144,7 +145,7 @@ class SsdModel:
         start = self.ledger.book(service)
         end = start + service
         self.requests_completed += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             submitted = self.env.now
             self.tracer.record(
                 stage, None, start=submitted, end=end,

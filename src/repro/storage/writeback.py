@@ -11,8 +11,10 @@ booking on the SSD's channel ledger and never a calendar entry.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.obs.stages import STAGE_DESTAGE, TRACK_DESTAGE
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SimTracer
 from repro.sim import Environment
 from repro.storage.ssd import SsdModel
 
@@ -20,7 +22,8 @@ from repro.storage.ssd import SsdModel
 class WriteBack:
     """Destage to one SSD, counted in ``batches`` and ``bytes``."""
 
-    def __init__(self, env: Environment, ssd: SsdModel, tracer: Tracer):
+    def __init__(self, env: Environment, ssd: SsdModel,
+                 tracer: Optional[SimTracer] = None):
         self.env = env
         self.ssd = ssd
         self.tracer = tracer
@@ -33,7 +36,7 @@ class WriteBack:
         end = self.ssd.write(nbytes, sequential)
         self.batches += 1
         self.bytes += nbytes
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.record(
                 STAGE_DESTAGE, None, start=self.env.now, end=end,
                 resource=TRACK_DESTAGE,

@@ -206,6 +206,10 @@ class TenancyController:
             counters = self.accounting.counters(tenant)
             for key in out:
                 out[key] += getattr(counters, key)
-        for key, value in self.compaction.counters().items():
+        compaction = self.compaction.counters()
+        # The deferred queue's length is a level, not a count: the
+        # pipeline publishes it as a gauge.
+        del compaction["pending"]
+        for key, value in compaction.items():
             out[f"compaction_{key}"] = value
         return out

@@ -25,7 +25,7 @@ from repro.core.pipeline import ReductionPipeline
 from repro.core.stats import PipelineReport
 from repro.cpu.model import CpuSpec, I7_2600K
 from repro.gpu.device import GpuSpec, RADEON_HD_7970
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SimTracer
 from repro.tenancy.spec import TenantMix, TenantMixStream
 
 __all__ = ["TenancyRunReport", "TenantReportEntry", "run_tenant_mix"]
@@ -80,7 +80,7 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
                    base_config: Optional[PipelineConfig] = None,
                    cpu_spec: CpuSpec = I7_2600K,
                    gpu_spec: Optional[GpuSpec] = RADEON_HD_7970,
-                   tracer: Optional[Tracer] = None,
+                   tracer: Optional[SimTracer] = None,
                    payload: bool = False) -> TenancyRunReport:
     """Run a tenant mix through one integration mode; full report.
 

@@ -744,7 +744,7 @@ class ReferenceGpuBatcher(GpuBatcher):
         self.items_processed += len(items)
         self.fill_counts[len(items)] = \
             self.fill_counts.get(len(items), 0) + 1
-        if self.tracer.enabled and self.stage is not None:
+        if self.tracer is not None and self.stage is not None:
             record = self.gpu.launches[-1]
             for _item, _done, submitted, trace_id in batch:
                 self.tracer.record(
@@ -910,7 +910,7 @@ def reference_ssd_serve(ssd: SsdModel, write: bool, nbytes: int,
     else:
         stage = STAGE_SSD_READ
         ssd.host_bytes_read += nbytes
-    if ssd.tracer.enabled:
+    if ssd.tracer is not None:
         ssd.tracer.record(
             stage, None, start=submitted, queue_wait=granted - submitted,
             resource=TRACK_SSD,
@@ -926,10 +926,14 @@ def reference_writeback_submit(writeback: WriteBack, nbytes: int,
     writeback.bytes += nbytes
 
     def destage() -> Generator:
-        with writeback.tracer.span(STAGE_DESTAGE, resource=TRACK_DESTAGE,
-                                   bytes=nbytes, sequential=sequential):
-            yield from reference_ssd_serve(writeback.ssd, True, nbytes,
-                                           sequential)
+        trace = writeback.tracer
+        start = writeback.env.now
+        yield from reference_ssd_serve(writeback.ssd, True, nbytes,
+                                       sequential)
+        if trace is not None:
+            trace.record(STAGE_DESTAGE, None, start=start,
+                         resource=TRACK_DESTAGE,
+                         attrs={"bytes": nbytes, "sequential": sequential})
 
     writeback.env.process(destage())
 

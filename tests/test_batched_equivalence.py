@@ -31,10 +31,9 @@ from hypothesis import strategies as st
 
 from repro.chunkbatch import iter_windows
 from repro.compression.parallel_cpu import CpuCompressor
-from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
+from repro.core import IntegrationMode, PipelineConfig
 from repro.dedup.hashing import fingerprint_chunk, fingerprint_window
 from repro.errors import DedupError
-from repro.sim import Environment
 from repro.storage import Ftl, FtlSpec
 from repro.tenancy import TenantMix, TenantMixStream, TenantSpec
 from repro.types import Chunk, DEFAULT_CHUNK_SIZE
@@ -42,6 +41,7 @@ from repro.workload import VdbenchStream
 from tests.reference_paths import (ReferenceTenantMixStream,
                                    ReferenceVdbenchStream,
                                    reference_fingerprint)
+from tests.test_pipeline import build_pipeline
 
 CHUNK_SIZE = 256
 CORPORA = ("dup_heavy", "all_zero", "incompressible", "byte_shifted")
@@ -89,7 +89,7 @@ def run_report(payloads: list[bytes], mode: IntegrationMode,
         bin_buffer_total=64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.chunkbatch.FUNCTIONAL_WINDOW", window)
-        pipeline = ReductionPipeline(Environment(), config)
+        pipeline = build_pipeline(config)
         chunks = corpus_chunks(payloads)
         report = pipeline.run(iter(chunks), total=len(chunks))
     return dataclasses.asdict(report)

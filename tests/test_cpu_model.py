@@ -210,6 +210,42 @@ class TestSimCpu:
         assert saturation_seen == [True]
         assert not cpu.is_saturated()
 
+    @pytest.mark.parametrize("fraction,saturated",
+                             [(0.0, False), (0.5, False), (1.0, True)])
+    def test_saturation_by_busy_fraction(self, fraction, saturated):
+        """Saturated means every thread is busy, not most of them."""
+        env = Environment()
+        cpu = SimCpu(env)
+
+        def hog():
+            yield cpu.charge(100.0 * cpu.spec.thread_hz)
+
+        for _ in range(int(cpu.spec.threads * fraction)):
+            env.process(hog())
+        env.run(until=env.timeout(1.0))
+        assert cpu.is_saturated() is saturated
+
+    def test_saturated_only_while_every_thread_is_busy(self):
+        """Load grows one thread at a time, then the first thread frees:
+        only the instants with every thread busy are saturated."""
+        env = Environment()
+        cpu = SimCpu(env)
+        threads = cpu.spec.threads
+
+        def hog(seconds):
+            yield cpu.charge(seconds * cpu.spec.thread_hz)
+
+        probes = []
+        for seconds in range(1, threads + 1):
+            probes.append(cpu.is_saturated())
+            env.process(hog(float(seconds)))
+        probes.append(cpu.is_saturated())
+        env.run(until=env.timeout(0.5))  # every thread still busy
+        probes.append(cpu.is_saturated())
+        env.run(until=env.timeout(1.0))  # the 1 s hog ended at 1 s
+        probes.append(cpu.is_saturated())
+        assert probes == [False] * threads + [True, True, False]
+
     def test_cycles_charged_accumulates(self):
         env = Environment()
         cpu = SimCpu(env)

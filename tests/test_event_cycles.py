@@ -22,7 +22,6 @@ from repro.core.calibration import run_mode
 from repro.core.modes import IntegrationMode
 from repro.core.readpath import ReadPipeline
 from repro.dedup.engine import DedupEngine
-from repro.obs.tracer import NULL_TRACER
 from repro.sim import Environment, Process, Request
 from repro.storage import MetadataStore
 from repro.storage.ssd import SsdModel
@@ -88,7 +87,7 @@ def _queued_writeback(submit, n: int) -> tuple[SsdModel, int, int]:
     first of them to the end of the run."""
     env = Environment()
     ssd = SsdModel(env)
-    writeback = WriteBack(env, ssd, NULL_TRACER)
+    writeback = WriteBack(env, ssd)
     for _ in range(ssd.spec.channels):
         submit(writeback, 4096, True)
     sizes = _write_sizes(n)

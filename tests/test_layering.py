@@ -2,7 +2,7 @@
 
 ``repro.sim`` is the substrate and imports nothing above it;
 ``repro.obs`` sits just above the engine; ``repro.cpu`` and
-``repro.gpu`` are sibling device models the scheduler composes, so
+``repro.gpu`` are sibling device models the pipeline composes, so
 neither may hard-wire the other; ``repro.bench`` is a tool only the
 CLI loads.  Each check imports every module of a
 package (found on disk, not by walking packages, which would import

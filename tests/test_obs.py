@@ -2,9 +2,8 @@
 
 Two families of tests:
 
-* **Unit** — tracer/record semantics (validation, splits, the span
-  context manager), the metrics registry, and the Chrome-trace
-  validator on hand-built payloads.
+* **Unit** — tracer/record semantics (validation, splits), the metrics
+  registry, and the Chrome-trace validator on hand-built payloads.
 * **Integration** — the acceptance criteria: a traced E4 run must leave
   the report byte-identical to an untraced run, tile >= 95% of the mean
   inline latency with stage spans, split the GPU-index and compression
@@ -25,10 +24,8 @@ from repro.core.pipeline import ReductionPipeline
 from repro.cpu.model import SimCpu
 from repro.errors import TraceError
 from repro.obs import (
-    NULL_TRACER,
     CriticalPathReport,
     MetricsRegistry,
-    NullTracer,
     SimTracer,
     chrome_trace,
     validate_chrome_trace,
@@ -38,12 +35,16 @@ from repro.obs.stages import (
     INLINE_STAGES,
     STAGE_ADMISSION,
     STAGE_CHUNK,
+    STAGE_COMPACTION,
     STAGE_COMPRESS,
     STAGE_GPU_INDEX,
 )
 from repro.obs.tracer import Span
 from repro.sim import Environment
 from repro.sim.histogram import LatencyHistogram
+from repro.tenancy.runner import run_tenant_mix
+from tests.pins.runs import example_mix, tenant_config
+from tests.test_pipeline_identity import SMALL_WINDOW, TRACED_MIX_POLICIES
 
 #: Small-but-realistic traced-run scale: large enough that batching,
 #: contention and destage all happen, small enough for test wall-clock.
@@ -59,23 +60,6 @@ def traced_run(mode: IntegrationMode, chunks: int = N_CHUNKS, **kwargs):
 @pytest.fixture(scope="module")
 def gpu_both_run():
     return traced_run(IntegrationMode.GPU_BOTH)
-
-
-# -- null tracer -------------------------------------------------------------
-
-class TestNullTracer:
-    def test_disabled_and_noop(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        assert tracer.bind(object()) is None
-        assert tracer.record("x", start=0.0, end=1.0) is None
-        assert tracer.record_since("x", 1, 0.0) is None
-        assert tracer.record_split(("a",), 1, 0.0, weights=(1,),
-                                   expected_service_s=0.0) is None
-
-    def test_span_context_manager_is_shared_noop(self):
-        with NULL_TRACER.span("stage", resource="r", extra=1) as handle:
-            assert handle is NULL_TRACER.span("other")
 
 
 # -- sim tracer --------------------------------------------------------------
@@ -170,21 +154,6 @@ class TestSimTracer:
             tracer.record_split(("a",), 1, 0.0, weights=(0.0,),
                                 expected_service_s=0.0)
 
-    def test_span_context_manager_records_on_exit(self):
-        env = Environment()
-        tracer = SimTracer(env)
-
-        def proc():
-            with tracer.span("stage", resource="track", bytes=42):
-                yield env.timeout(0.5)
-
-        env.process(proc())
-        env.run()
-        (span,) = tracer.spans
-        assert (span.start, span.end) == (0.0, 0.5)
-        assert span.resource == "track"
-        assert span.attrs == {"bytes": 42}
-
 
 # -- metrics registry --------------------------------------------------------
 
@@ -210,6 +179,12 @@ class TestMetricsRegistry:
         assert registry.value("cache.hits") == 3
         live["hits"] = 10
         registry.absorb_counters("cache", live)
+        assert registry.value("cache.hits") == 10
+        # A level that falls is no counter: absorbing it raises, as
+        # Counter.inc does, instead of keeping the stale high value.
+        live["hits"] = 4
+        with pytest.raises(TraceError, match="decrease"):
+            registry.absorb_counters("cache", live)
         assert registry.value("cache.hits") == 10
 
     def test_attach_histogram_shares_storage(self):
@@ -304,12 +279,24 @@ class TestChromeExport:
 class TestTracedRunAcceptance:
     @pytest.mark.parametrize("mode", [IntegrationMode.GPU_BOTH,
                                       IntegrationMode.CPU_ONLY])
-    def test_null_tracer_runs_byte_identical(self, mode):
-        untraced = dataclasses.asdict(run_mode(mode, N_CHUNKS))
-        explicit_null = dataclasses.asdict(
-            run_mode(mode, N_CHUNKS, tracer=NULL_TRACER))
+    def test_tracing_changes_no_report(self, mode):
+        untraced = dataclasses.asdict(run_mode(mode, N_CHUNKS, tracer=None))
         traced, _ = traced_run(mode)
-        assert dataclasses.asdict(traced) == untraced == explicit_null
+        assert dataclasses.asdict(traced) == untraced
+
+    @pytest.mark.parametrize("policy", TRACED_MIX_POLICIES)
+    def test_tracing_changes_no_tenant_mix_report(self, policy):
+        """The tenant mixes ``test_pipeline_identity`` traces: the only
+        runs that reach the compaction epoch's recording site."""
+        def run(tracer):
+            return dataclasses.asdict(run_tenant_mix(
+                example_mix(), IntegrationMode.GPU_BOTH, 1024,
+                base_config=tenant_config(policy, **SMALL_WINDOW),
+                tracer=tracer))
+
+        tracer = SimTracer()
+        assert run(tracer) == run(None)
+        assert any(span.stage == STAGE_COMPACTION for span in tracer.spans)
 
     def test_chunk_envelopes_match_admissions(self, gpu_both_run):
         report, tracer = gpu_both_run
@@ -452,6 +439,41 @@ class TestPublishMetrics:
             == report.chunks == 1024
         events = registry.value("sim.events_scheduled")
         assert 3 * report.chunks < events < 5 * report.chunks
+
+    def test_mid_run_publishes_track_the_compaction_queue(self):
+        """A process re-publishes a prioritized tenant mix into one
+        registry every 2 ms.  The deferred queue grows and drains, so
+        its length is a gauge that reads the live value at the end;
+        every absorbed counter only grows, or the publish raises."""
+        from repro.cpu.model import SimCpu
+        from repro.gpu.device import GpuDevice
+        from repro.storage.ssd import SsdModel
+        from repro.tenancy import TenantMixStream
+        from tests.pins.runs import MIX_CACHE
+
+        env = Environment()
+        config = PipelineConfig(mode=IntegrationMode.GPU_COMP,
+                                tenancy_policy="prioritized",
+                                tenancy_cache_entries=MIX_CACHE)
+        pipeline = ReductionPipeline(env, config, cpu=SimCpu(env),
+                                     ssd=SsdModel(env), gpu=GpuDevice(env))
+        registry = MetricsRegistry()
+        peaks = []
+
+        def publisher():
+            while True:
+                pipeline.publish_metrics(registry)
+                peaks.append(registry.value("tenancy.compaction_pending"))
+                if registry.value("pipeline.chunks_done") == 1024:
+                    return
+                yield env.timeout(2e-3)
+
+        env.process(publisher())
+        pipeline.run(TenantMixStream(example_mix()).chunks(1024), 1024)
+        pipeline.publish_metrics(registry)
+        assert max(peaks) > 0
+        assert len(pipeline.tenancy.compaction) == 0
+        assert registry.value("tenancy.compaction_pending") == 0
 
     def test_lockstep_census_keeps_the_scalar_scan_rare(self):
         """The guard against the per-position scalar path creeping back

@@ -5,10 +5,23 @@ import pytest
 from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
 from repro.core.batcher import GpuBatcher
 from repro.core.calibration import run_mode
+from repro.cpu import SimCpu
 from repro.errors import ConfigError
 from repro.gpu import GpuDevice, Kernel, KernelCost
 from repro.sim import Environment
+from repro.storage import SsdModel
 from repro.workload import VdbenchStream
+
+
+def build_pipeline(config: PipelineConfig) -> ReductionPipeline:
+    """A pipeline on a fresh environment and the testbed's devices,
+    with a GPU only when the mode uses one."""
+    env = Environment()
+    cpu, ssd = SimCpu(env), SsdModel(env)
+    mode = config.mode
+    gpu = (GpuDevice(env)
+           if mode.gpu_for_dedup or mode.gpu_for_compression else None)
+    return ReductionPipeline(env, config, cpu=cpu, ssd=ssd, gpu=gpu)
 
 
 class _EchoKernel(Kernel):
@@ -104,9 +117,7 @@ def run_pipeline(mode, n_chunks=512, payload=False, **config_overrides):
         gpu_bin_capacity=4096,
     )
     defaults.update(config_overrides)
-    config = PipelineConfig(**defaults)
-    env = Environment()
-    pipeline = ReductionPipeline(env, config)
+    pipeline = build_pipeline(PipelineConfig(**defaults))
     stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=21,
                            payload=payload)
     report = pipeline.run(stream.chunks(n_chunks), total=n_chunks)
@@ -153,6 +164,26 @@ class TestPipelineFunctional:
         # Once bins flush, GPU lookups start resolving duplicates.
         assert report.counters["gpu_hits"] > 0
 
+    @pytest.mark.parametrize("policy,rate,skipped", [
+        ("saturation", None, 0),        # closed loop: threads all busy
+        ("saturation", 20e3, 2048),     # paced: a thread is always idle
+        ("always", 20e3, 0),
+    ])
+    def test_every_lookup_is_offloaded_or_skipped(self, policy, rate,
+                                                  skipped):
+        """The offload rule decides once per chunk in a GPU-dedup run:
+        each lookup either rides the index batcher or is a skip (an
+        idle CPU thread), and "always" never skips."""
+        report, pipeline, _ = run_pipeline(IntegrationMode.GPU_DEDUP,
+                                           n_chunks=2048,
+                                           gpu_index_policy=policy,
+                                           arrival_rate_iops=rate)
+        registry = pipeline.publish_metrics()
+        skips = registry.value("pipeline.gpu_offload_skips")
+        offloaded = registry.value("batcher.gpu-index.items_processed")
+        assert skips + offloaded == report.chunks == 2048
+        assert skips == skipped
+
     def test_payload_mode_end_to_end(self):
         """Real bytes through the timed pipeline: real SHA-1 dedup and
         real compression sizes."""
@@ -189,9 +220,8 @@ class TestPipelineFunctional:
         assert report.nand_bytes_written > 0
 
     def test_empty_run_rejected(self):
-        env = Environment()
-        pipeline = ReductionPipeline(
-            env, PipelineConfig(mode=IntegrationMode.CPU_ONLY))
+        pipeline = build_pipeline(
+            PipelineConfig(mode=IntegrationMode.CPU_ONLY))
         with pytest.raises(ConfigError):
             pipeline.run(iter([]), total=0)
 
@@ -203,9 +233,8 @@ class TestPipelineFunctional:
         assert report.chunks == 64
 
     def test_stream_longer_than_total_rejected(self):
-        env = Environment()
-        pipeline = ReductionPipeline(
-            env, PipelineConfig(mode=IntegrationMode.CPU_ONLY))
+        pipeline = build_pipeline(
+            PipelineConfig(mode=IntegrationMode.CPU_ONLY))
         stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=21)
         with pytest.raises(ConfigError, match="total=200.*201"):
             pipeline.run(stream.chunks(256), total=200)
@@ -213,9 +242,8 @@ class TestPipelineFunctional:
         assert pipeline.bytes_in == 200 * 4096
 
     def test_stream_shorter_than_total_rejected(self):
-        env = Environment()
-        pipeline = ReductionPipeline(
-            env, PipelineConfig(mode=IntegrationMode.CPU_ONLY))
+        pipeline = build_pipeline(
+            PipelineConfig(mode=IntegrationMode.CPU_ONLY))
         stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=21)
         with pytest.raises(ConfigError, match="after 100 chunks.*200"):
             pipeline.run(stream.chunks(100), total=200)
@@ -265,8 +293,7 @@ class TestPipelinePerformanceShape:
         def run_ratio(ratio):
             config = PipelineConfig(mode=IntegrationMode.CPU_ONLY,
                                     enable_dedup=False)
-            env = Environment()
-            pipeline = ReductionPipeline(env, config)
+            pipeline = build_pipeline(config)
             stream = VdbenchStream(dedup_ratio=1.0, comp_ratio=ratio,
                                    seed=5)
             return pipeline.run(stream.chunks(2048), total=2048)
@@ -304,3 +331,8 @@ class TestConfigKnobs:
 def test_gpu_mode_without_gpu_spec_is_a_config_error():
     with pytest.raises(ConfigError, match="needs a GPU"):
         run_mode(IntegrationMode.GPU_COMP, 16, gpu_spec=None)
+    env = Environment()
+    for mode in (IntegrationMode.GPU_DEDUP, IntegrationMode.GPU_BOTH):
+        with pytest.raises(ConfigError, match="needs a GPU"):
+            ReductionPipeline(env, PipelineConfig(mode=mode),
+                              cpu=SimCpu(env), ssd=SsdModel(env))

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LzssCodec, QuickLzCodec
-from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
+from repro.core import IntegrationMode, PipelineConfig
 from repro.errors import MetadataError
 from repro.gpu.kernels.lz import SegmentLzKernel
-from repro.sim import Environment
 from repro.storage import MetadataStore
 from repro.workload import VdbenchStream
 from tests.reference_codecs import launch_outputs, refine_to_container
+from tests.test_pipeline import build_pipeline
 
 
 def run_pipeline(mode=IntegrationMode.GPU_COMP, n=768, seed=3,
@@ -26,9 +26,7 @@ def run_pipeline(mode=IntegrationMode.GPU_COMP, n=768, seed=3,
                     gpu_comp_batch=16, gpu_batch_wait_s=5e-4,
                     bin_buffer_capacity=8, bin_buffer_total=64)
     defaults.update(overrides)
-    config = PipelineConfig(**defaults)
-    env = Environment()
-    pipeline = ReductionPipeline(env, config)
+    pipeline = build_pipeline(PipelineConfig(**defaults))
     stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=seed)
     return pipeline.run(stream.chunks(n), total=n)
 

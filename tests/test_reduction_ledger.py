@@ -25,12 +25,12 @@ from repro import host
 from repro.compression import gpu_lz
 from repro.compression.parallel_cpu import CpuCompressor
 from repro.compression.quicklz import QuickLzCodec
-from repro.core import IntegrationMode, PipelineConfig, ReductionPipeline
+from repro.core import IntegrationMode, PipelineConfig
 from repro.gpu.kernels import lz
 from repro.gpu.kernels.lz import SegmentLzKernel
-from repro.sim import Environment
 from repro.workload import VdbenchStream
 from tests.test_gpu_host import CALLER
+from tests.test_pipeline import build_pipeline
 
 #: Workload mixes that stress distinct dedup paths: dup-heavy (most
 #: chunks resolve against staged or stored copies), skewed (hot
@@ -51,7 +51,7 @@ def run(mode, corpus="dup_heavy", payload=False, chunks=512, **overrides):
     params = dict(mode=mode, window=64, gpu_index_batch=16,
                   gpu_comp_batch=16)
     params.update(overrides)
-    pipeline = ReductionPipeline(Environment(), PipelineConfig(**params))
+    pipeline = build_pipeline(PipelineConfig(**params))
     stream = VdbenchStream(seed=1234, **CORPORA[corpus],
                            **(PAYLOAD if payload else {}))
     written = []
@@ -181,7 +181,7 @@ def test_duplicates_never_reach_the_codec(monkeypatch, mode):
     monkeypatch.setattr(gpu_lz, "SegmentLzKernel", CountingKernel)
     params = dict(mode=mode, window=64, gpu_index_batch=16,
                   gpu_comp_batch=16)
-    pipeline = ReductionPipeline(Environment(), PipelineConfig(**params))
+    pipeline = build_pipeline(PipelineConfig(**params))
     pipeline.cpu_comp = CpuCompressor(codec=codec)
     stream = VdbenchStream(seed=11, **CORPORA["dup_heavy"], **PAYLOAD)
     payloads = []

@@ -48,9 +48,9 @@ PROCESS_SCOPE = ("repro.sim", "repro.core", "repro.cpu", "repro.gpu",
                  "repro.storage")
 #: The one package that may call the engine's private API (REP203).
 ENGINE_PRIVATE_SCOPE = ("repro.sim",)
-#: Scheduler and pipeline modules (REP501).
+#: The engine and the pipeline's timed modules (REP501).
 FLOAT_TIME_SCOPE = ("repro.sim", "repro.core.pipeline",
-                    "repro.core.scheduler", "repro.core.batcher")
+                    "repro.core.batcher")
 #: Packages whose inner loops touch payload bytes (REP502).
 BYTE_LOOP_SCOPE = ("repro.compression", "repro.gpu.kernels")
 #: Modules whose functional work is window-batched (REP504).
@@ -473,14 +473,14 @@ PROBES = {
                "        self._rng = random.Random(seed)\n",
                "dedup/replacement.py", "cli.py", "_Loose.__init__:seed"),
     "REP201": ("def _proc(env):\n    yield 42\n",
-               "core/scheduler.py", "dedup/replacement.py",
+               "core/batcher.py", "dedup/replacement.py",
                "_proc:literal-yield"),
     "REP203": ("def _poke(env, event):\n"
                "    env._schedule(event, 1, 0.0)\n",
                "core/batcher.py", "sim/engine.py", "_poke:_schedule"),
     "REP501": ("def _due(env, deadline):\n"
                "    return env.now == deadline\n",
-               "core/scheduler.py", "storage/ssd.py", "_due:env.now"),
+               "core/batcher.py", "storage/ssd.py", "_due:env.now"),
     "REP502": ("def _extend(data, a, b):\n    i = 0\n"
                "    while data[a + i] == data[b + i]:\n"
                "        i += 1\n    return i\n",
@@ -488,7 +488,7 @@ PROBES = {
                "_extend:data[a + i] == data[b + i]"),
     "REP504": ("def _sizes(chunks):\n"
                "    return [chunk.size for chunk in chunks]\n",
-               "dedup/hashing.py", "core/scheduler.py",
+               "dedup/hashing.py", "core/stats.py",
                "_sizes:comprehension-chunks"),
     "REP601": ("def _age(env, t0):\n    return env.now - t0\n",
                "storage/ssd.py", "sim/engine.py", "_age:t0"),

@@ -9,7 +9,6 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from repro.errors import BlockRangeError, MetadataError
-from repro.obs.tracer import NULL_TRACER
 from repro.sim import Environment
 from repro.storage import (
     ChunkRecord,
@@ -108,7 +107,7 @@ class TestSsdModel:
         lambda ssd: ssd.write(SAMSUNG_SSD_830.capacity_bytes + 1,
                               sequential=True),
         lambda ssd: ssd.read(0),
-        lambda ssd: WriteBack(ssd.env, ssd, NULL_TRACER).submit(
+        lambda ssd: WriteBack(ssd.env, ssd).submit(
             0, sequential=True),
     ], ids=["write(0)", "write(-1)", "write(capacity+1)", "read(0)",
             "WriteBack.submit(0)"])

@@ -6,7 +6,6 @@ from repro.core.calibration import run_stream
 from repro.core.config import PipelineConfig
 from repro.core.modes import IntegrationMode
 from repro.errors import BlockRangeError
-from repro.obs.tracer import NULL_TRACER
 from repro.sim import Environment
 from repro.storage.ssd import SsdModel
 from repro.storage.writeback import WriteBack
@@ -22,7 +21,7 @@ SMALL_BINS = dict(window=128, gpu_index_batch=32, gpu_comp_batch=32,
 @pytest.mark.parametrize("nbytes", [0, -4096])
 def test_non_positive_submit_is_a_typed_error(nbytes):
     env = Environment()
-    writeback = WriteBack(env, SsdModel(env), NULL_TRACER)
+    writeback = WriteBack(env, SsdModel(env))
     with pytest.raises(BlockRangeError):
         writeback.submit(nbytes, sequential=True)
     env.run()
