@@ -100,8 +100,12 @@ class ReductionPipeline:
         self.writeback = WriteBack(env, ssd, tracer)
         self.gpu = gpu
 
+        # Under a tenancy policy the controller keeps the one
+        # fingerprint index and the bins go unused (DESIGN.md §13): no
+        # GPU bins either.
         gpu_index = None
-        if config.mode.gpu_for_dedup and config.enable_dedup:
+        if config.mode.gpu_for_dedup and config.enable_dedup \
+                and config.tenancy_policy == "none":
             gpu_index = GpuBinIndex(
                 prefix_bytes=PREFIX_BYTES,
                 bin_capacity=config.gpu_bin_capacity,
@@ -162,8 +166,8 @@ class ReductionPipeline:
         """Start the GPU batch dispatchers (at run time, not construction:
         an unrun pipeline leaves no live process behind)."""
         cfg = self.config
-        if cfg.mode.gpu_for_dedup and cfg.enable_dedup:
-            index = self.dedup.gpu_index
+        index = self.dedup.gpu_index if self.dedup is not None else None
+        if index is not None:
             self._index_batcher = GpuBatcher(
                 self.env, self.gpu,
                 make_kernel=index.make_kernel,
@@ -281,10 +285,10 @@ class ReductionPipeline:
                     self._record(STAGE_CPU_INDEX, seq, start,
                                  costs.bin_buffer_probe,
                                  path="tenant_cache")
-                # A hit whose canonical record is still in flight (or is
-                # a compaction-promoted shadow) cannot dedup inline; it
-                # stores as a shadow and compaction recovers it.
-                if admission.hit and (physical_id := tenancy.canonical_id(
+                # A hit whose stored copy is still in flight cannot
+                # dedup inline; it stores as a shadow and compaction
+                # recovers it.
+                if admission.hit and (physical_id := tenancy.stored_id(
                         fingerprint, dedup.metadata)) is not None:
                     path = "tenant_hit"
                     cycles = dedup.commit_duplicate(chunk, physical_id)

@@ -41,7 +41,7 @@ class BinBuffer:
     """Per-bin staging buffer with flush-on-full semantics."""
 
     __slots__ = ("prefix_bytes", "per_bin_capacity", "total_capacity",
-                 "_bins", "_total", "lookups", "hits", "flushes")
+                 "_bins", "_total")
 
     def __init__(self, prefix_bytes: int = 2, per_bin_capacity: int = 64,
                  total_capacity: int | None = None):
@@ -64,10 +64,6 @@ class BinBuffer:
         # fewer bytes per probe.
         self._bins: dict[int, dict[bytes, Any]] = {}
         self._total = 0
-        # -- statistics --
-        self.lookups = 0
-        self.hits = 0
-        self.flushes = 0
 
     # -- probe / stage --------------------------------------------------------
 
@@ -77,14 +73,8 @@ class BinBuffer:
 
     def lookup_view(self, view: FingerprintView) -> Optional[Any]:
         """Like :meth:`lookup` for an already-decomposed fingerprint."""
-        self.lookups += 1
         staged = self._bins.get(view.bin_id)
-        if staged is None:
-            return None
-        value = staged.get(view.suffix)
-        if value is not None:
-            self.hits += 1
-        return value
+        return None if staged is None else staged.get(view.suffix)
 
     def add_view(self, view: FingerprintView,
                  value: Any) -> Optional[FlushEvent]:
@@ -123,7 +113,6 @@ class BinBuffer:
     def _flush_bin(self, bin_id: int) -> FlushEvent:
         staged = self._bins.pop(bin_id)
         self._total -= len(staged)
-        self.flushes += 1
         return FlushEvent(bin_id=bin_id, staged=tuple(staged.items()))
 
     # -- teardown / introspection ------------------------------------------------

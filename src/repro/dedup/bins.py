@@ -32,8 +32,7 @@ from repro.errors import IndexError_
 class BinTable:
     """Prefix-partitioned, prefix-truncated fingerprint index."""
 
-    __slots__ = ("prefix_bytes", "min_degree", "n_bins", "_bins",
-                 "_size", "lookups", "hits")
+    __slots__ = ("prefix_bytes", "min_degree", "n_bins", "_bins", "_size")
 
     def __init__(self, prefix_bytes: int = 2, min_degree: int = 16):
         if not 1 <= prefix_bytes <= 4:
@@ -45,9 +44,6 @@ class BinTable:
         # Bins are created lazily: most of a large bin space stays empty.
         self._bins: dict[int, BTree] = {}
         self._size = 0
-        # -- statistics --
-        self.lookups = 0
-        self.hits = 0
 
     # -- key handling ----------------------------------------------------------
 
@@ -111,17 +107,13 @@ class BinTable:
         """(bin depth, stored value) in one bin dispatch.
 
         Equivalent to :meth:`bin_depth` followed by :meth:`lookup` —
-        same statistics, same cost-model depth — for a caller that
-        already holds the view.
+        same cost-model depth — for a caller that already holds the
+        view.
         """
         tree = self._bins.get(view.bin_id)
-        self.lookups += 1
         if tree is None:
             return 1, None
-        value = tree.search(view.suffix)
-        if value is not None:
-            self.hits += 1
-        return tree.height, value
+        return tree.height, tree.search(view.suffix)
 
     def bin_sizes(self) -> Iterator[int]:
         """Entry count of every occupied bin."""

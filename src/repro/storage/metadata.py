@@ -275,6 +275,15 @@ class MetadataStore:
             raise MetadataError(f"logical offset {offset} is unmapped")
         return page, slot
 
+    def mapped_id(self, offset: int) -> Optional[int]:
+        """Id of the chunk backing logical ``offset``; None if unmapped."""
+        page_no, byte = divmod(offset, _PAGE_BYTES)
+        if byte % DEFAULT_CHUNK_SIZE:
+            raise MetadataError(_unaligned(offset))
+        page = self._pages.get(page_no)
+        physical_id = -1 if page is None else page[byte // DEFAULT_CHUNK_SIZE]
+        return None if physical_id < 0 else physical_id
+
     def resolve(self, offset: int) -> ChunkRecord:
         """View of the chunk backing logical ``offset`` (survives
         restarts)."""

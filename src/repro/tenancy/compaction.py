@@ -6,11 +6,12 @@ misses whose duplicate was hidden by the bounded cache) land here as
 the physical id of the shadow copy it was stored as.  Background
 epochs re-fingerprint each deferred chunk (charged as SHA-1 plus an
 index probe plus a metadata update through ``SimCpu``), remap its
-logical offset to the canonical copy, and let the metadata store's
-zombie sweep reclaim the shadow blob — Li et al.'s hybrid
-inline/out-of-line design, which is what lets prioritized admission
-skip cold streams inline without giving up their dedup ratio.  As in
-that design, the out-of-line phase keeps its own index.
+logical offset to the stored copy the controller's index names, and
+let the metadata store's zombie sweep reclaim the shadow blob — Li et
+al.'s hybrid inline/out-of-line design, which is what lets prioritized
+admission skip cold streams inline without giving up their dedup
+ratio.  The epoch itself is ``TenancyController.apply_compaction``;
+this queue holds the deferred entries and the epoch counters.
 
 Identity argument: compaction only *remaps and sweeps*.  The logical
 map covers the same offsets with the same sizes before and after an
@@ -22,21 +23,12 @@ bytes — monotonically recovers toward the oracle as epochs run, and
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import ConfigError
-from repro.storage.metadata import MetadataStore
 
-__all__ = ["CompactionEntry", "CompactionQueue", "live_id"]
-
-
-def live_id(index: Mapping[bytes, int], fingerprint: bytes,
-            metadata: MetadataStore) -> Optional[int]:
-    """``index``'s id for ``fingerprint`` while the chunk table holds it
-    (ids are never reused: a swept id is a miss, never another chunk)."""
-    physical_id = index.get(fingerprint)
-    return None if metadata.lookup(physical_id) is None else physical_id
+__all__ = ["CompactionEntry", "CompactionQueue"]
 
 
 class CompactionEntry(NamedTuple):
@@ -56,10 +48,10 @@ class CompactionEntry(NamedTuple):
 
 
 class CompactionQueue:
-    """Deferred-chunk queue plus the canonical-copy resolution state."""
+    """Deferred-chunk queue plus the epoch counters."""
 
     __slots__ = ("batch", "epochs", "recovered", "reclaimed_bytes",
-                 "deferred", "_pending", "_canonical")
+                 "deferred", "_pending")
 
     def __init__(self, batch: int):
         if batch < 1:
@@ -70,10 +62,6 @@ class CompactionQueue:
         self.reclaimed_bytes = 0
         self.deferred = 0
         self._pending: list[CompactionEntry] = []
-        #: fingerprint -> id of the shadow promoted to canonical copy:
-        #: the first deferred occurrence of a fingerprint with no stored
-        #: canonical record keeps its blob; later copies remap to it.
-        self._canonical: dict[bytes, int] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -82,11 +70,6 @@ class CompactionQueue:
         """Queue one raw-stored chunk for a future epoch."""
         self.deferred += 1
         self._pending.append(entry)
-
-    def canonical_shadow(self, fingerprint: bytes,
-                         metadata: MetadataStore) -> Optional[int]:
-        """Id of the live shadow promoted for ``fingerprint``, if any."""
-        return live_id(self._canonical, fingerprint, metadata)
 
     def take_batch(self) -> Optional[list[CompactionEntry]]:
         """A full epoch batch, or None while the queue is short."""
@@ -113,33 +96,12 @@ class CompactionQueue:
             cycles += costs.metadata_update
         return cycles
 
-    def apply(self, entries: list[CompactionEntry],
-              metadata: MetadataStore,
-              stored: Mapping[bytes, int]) -> list[int]:
-        """Run one epoch's functional work; returns recovered tenants.
-
-        Per entry: resolve the canonical copy of its real fingerprint
-        (a live store of the admission path, as ``stored`` maps it, or a
-        live promoted shadow), remap the logical offset onto it, and
-        count the duplicate as recovered.  First occurrences promote
-        their own shadow.  The end-of-epoch sweep reclaims every
-        dereferenced shadow blob.
-        """
-        recovered_tenants: list[int] = []
-        canonical = self._canonical
-        for entry in entries:
-            target = live_id(stored, entry.fingerprint, metadata)
-            if target is None:
-                target = live_id(canonical, entry.fingerprint, metadata)
-                if target is None:
-                    canonical[entry.fingerprint] = entry.shadow_id
-                    continue
-            metadata.map_logical(entry.offset, target)
-            self.recovered += 1
-            recovered_tenants.append(entry.tenant)
-        self.reclaimed_bytes += metadata.sweep_unreferenced()
+    def close_epoch(self, recovered: int, reclaimed_bytes: int) -> None:
+        """Count one finished epoch, its recovered duplicates and the
+        shadow bytes its sweep reclaimed."""
+        self.recovered += recovered
+        self.reclaimed_bytes += reclaimed_bytes
         self.epochs += 1
-        return recovered_tenants
 
     def counters(self) -> dict[str, int]:
         """Lifetime compaction counters (folded into the obs registry)."""

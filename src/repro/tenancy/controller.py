@@ -3,28 +3,30 @@
 Everything the core pipeline needs from the tenancy subsystem goes
 through :class:`TenancyController`: an inline verdict per chunk
 (:meth:`~TenancyController.admit`), the store of a non-duplicate chunk
-(:meth:`~TenancyController.commit`), the ``compaction`` queue, and
-per-tenant accounting.  Together they are the *index* and *commit*
-stages of the pipeline's one chunk worker under a tenancy policy — a
-variant of those two stages, not a second pipeline.  Estimator
-sketches, cache partitions and residency quotas stay private to this
-package.
+(:meth:`~TenancyController.commit`), the compaction epoch
+(:meth:`~TenancyController.apply_compaction`), and per-tenant
+accounting.  Together they are the *index* and *commit* stages of the
+pipeline's one chunk worker under a tenancy policy — a variant of those
+two stages, not a second pipeline.  Estimator sketches, cache
+partitions and residency quotas stay private to this package.
 
 The verdict contract:
 
 * **hit** — the fingerprint was resident in the bounded inline cache;
-  the chunk commits as a duplicate against the canonical record.
-* **miss** — not resident; the chunk stores (canonically if its
-  fingerprint is new, else as a shadow copy deferred to compaction).
+  the chunk commits as a duplicate against the stored copy.
+* **miss** — not resident; the chunk stores (canonically if no stored
+  copy of its fingerprint is live, else as a shadow copy deferred to
+  compaction).
 * **skip** — the tenant's locality estimate is below threshold
   ("prioritized" only): the chunk bypasses inline dedup entirely,
   stores raw as a shadow copy, and compaction recovers any duplicate
   later.
 
-The bins go unused under a tenancy policy: the controller maps each
-canonical store's fingerprint to its physical id, shadows are stored
-with no fingerprint, and the compaction queue keeps its own map of
-promoted shadows.  An id the chunk table no longer holds is a miss.
+The controller keeps the one fingerprint index: fingerprint → id of its
+stored copy, a canonical inline store or a shadow compaction promoted.
+At most one of those is ever live for a fingerprint, so the last id
+entered is the one to probe, and an id the chunk table no longer holds
+is a miss (:meth:`~TenancyController.stored_id`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 from repro.tenancy.accounting import TenantAccounting
 from repro.tenancy.admission import PrioritizedCache, SharedLruCache
-from repro.tenancy.compaction import CompactionEntry, CompactionQueue, \
-    live_id
+from repro.tenancy.compaction import CompactionEntry, CompactionQueue
 from repro.tenancy.locality import LocalityEstimator
 from repro.types import Chunk
 
@@ -81,7 +82,7 @@ class TenancyController:
     """Locality-prioritized inline admission plus compaction hand-off."""
 
     __slots__ = ("policy", "accounting", "_cache", "_estimators",
-                 "compaction", "_admissions", "_canonical")
+                 "compaction", "_admissions", "_stored")
 
     def __init__(self, policy: str, cache_entries: int):
         if policy not in ("shared_lru", "prioritized"):
@@ -95,8 +96,9 @@ class TenancyController:
         self._estimators: dict[int, LocalityEstimator] = {}
         self.compaction = CompactionQueue(COMPACTION_BATCH)
         self._admissions = 0
-        #: fingerprint -> physical id of its canonical (inline) store.
-        self._canonical: dict[bytes, int] = {}
+        #: fingerprint -> physical id of its stored copy: a canonical
+        #: inline store, or a shadow compaction promoted.
+        self._stored: dict[bytes, int] = {}
 
     # -- inline admission ----------------------------------------------------
 
@@ -127,10 +129,9 @@ class TenancyController:
         # Insert at admission, not at commit: the pipeline keeps a whole
         # window of chunks in flight, and a duplicate that arrives
         # within that window must still find its twin's fingerprint
-        # resident.  The pipeline re-checks :meth:`canonical_id` before
+        # resident.  The pipeline re-checks :meth:`stored_id` before
         # committing a hit as an inline duplicate, so an entry whose
-        # canonical record is still in flight (or is a
-        # compaction-promoted shadow) downgrades to a shadow store
+        # stored copy is still in flight downgrades to a shadow store
         # instead of a dangling dedup reference.
         self._cache.insert(tenant, fingerprint)
         return ADMIT_MISS
@@ -151,34 +152,34 @@ class TenancyController:
 
     # -- commit -------------------------------------------------------------
 
-    def canonical_id(self, fingerprint: bytes,
-                     metadata: MetadataStore) -> Optional[int]:
-        """Physical id of ``fingerprint``'s live canonical store, if any."""
-        return live_id(self._canonical, fingerprint, metadata)
+    def stored_id(self, fingerprint: bytes,
+                  metadata: MetadataStore) -> Optional[int]:
+        """Physical id of ``fingerprint``'s live stored copy, if any
+        (ids are never reused: a swept id is a miss, never another
+        chunk)."""
+        physical_id = self._stored.get(fingerprint)
+        return None if metadata.lookup(physical_id) is None else physical_id
 
     def commit(self, tenant: int, chunk: Chunk, blob: Optional[bytes],
                verdict: Admission, metadata: MetadataStore) -> str:
         """Store a chunk that did not dedup inline; returns its trace label.
 
-        A miss stores canonically only when no live record (stored or
-        compaction-promoted) already holds its fingerprint.  Anything
-        else — an inline skip, a hit whose canonical record was still
-        in flight, or a *hidden duplicate* the bounded cache lost track
-        of — stores raw as a shadow copy and is deferred: compaction
-        remaps it and sweeps the blob later.
+        A miss stores canonically only when no stored copy of its
+        fingerprint is live.  Anything else — an inline skip, a hit
+        whose stored copy was still in flight, or a *hidden duplicate*
+        the bounded cache lost track of — stores raw as a shadow copy
+        and is deferred: compaction remaps it and sweeps the blob later.
         """
         fingerprint = chunk.fingerprint
         if chunk.compressed_size is None:
             chunk.compressed_size = chunk.size
         canonical = (verdict is ADMIT_MISS
-                     and self.canonical_id(fingerprint, metadata) is None
-                     and self.compaction.canonical_shadow(
-                         fingerprint, metadata) is None)
+                     and self.stored_id(fingerprint, metadata) is None)
         physical_id = metadata.store_unique(chunk.size,
                                             chunk.compressed_size, blob=blob)
         metadata.map_logical(chunk.offset, physical_id)
         if canonical:
-            self._canonical[fingerprint] = physical_id
+            self._stored[fingerprint] = physical_id
         else:
             self.compaction.defer(CompactionEntry(
                 tenant=tenant, offset=chunk.offset, size=chunk.size,
@@ -188,13 +189,30 @@ class TenancyController:
 
     # -- compaction hand-off -------------------------------------------------
 
-    def apply_compaction(self, entries,
-                         metadata: MetadataStore) -> int:
-        """Run one epoch; returns the duplicates recovered."""
-        tenants = self.compaction.apply(entries, metadata, self._canonical)
-        for tenant in tenants:
-            self.accounting.note_recovered(tenant)
-        return len(tenants)
+    def apply_compaction(self, entries: list[CompactionEntry],
+                         metadata: MetadataStore) -> None:
+        """Run one epoch's functional work.
+
+        Per entry: remap the logical offset onto the live stored copy of
+        its real fingerprint and count the duplicate as recovered; a
+        first occurrence promotes its own shadow to the stored copy.  An
+        offset rewritten since its shadow was deferred holds other
+        content now and is left alone.  The end-of-epoch sweep reclaims
+        every dereferenced shadow blob.
+        """
+        stored = self._stored
+        recovered = 0
+        for entry in entries:
+            if metadata.mapped_id(entry.offset) != entry.shadow_id:
+                continue
+            target = self.stored_id(entry.fingerprint, metadata)
+            if target is None:
+                stored[entry.fingerprint] = entry.shadow_id
+                continue
+            metadata.map_logical(entry.offset, target)
+            self.accounting.note_recovered(entry.tenant)
+            recovered += 1
+        self.compaction.close_epoch(recovered, metadata.sweep_unreferenced())
 
     # -- readouts ------------------------------------------------------------
 

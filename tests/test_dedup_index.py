@@ -169,13 +169,6 @@ class TestBinTable:
                   for i in range(5000)]
         assert not any(table.lookup(fingerprint) for fingerprint in absent)
 
-    def test_hit_rate_statistics(self):
-        table = BinTable()
-        table.insert(fp(1), 1)
-        table.lookup(fp(1))
-        table.lookup(fp(2))
-        assert (table.hits, table.lookups) == (1, 2)
-
     def test_bin_depth_grows(self):
         table = BinTable(prefix_bytes=1, min_degree=2)
         f = fp(3)
@@ -254,14 +247,6 @@ class TestBinBuffer:
         events = buffer.flush_all()
         assert sum(e.count for e in events) == 50
         assert len(buffer) == 0
-
-    def test_hit_rate(self):
-        buffer = BinBuffer(per_bin_capacity=100)
-        stage(buffer, fp(1), 1)
-        buffer.lookup(fp(1))
-        buffer.lookup(fp(1))
-        buffer.lookup(fp(2))
-        assert (buffer.hits, buffer.lookups) == (2, 3)
 
 
 class TestGpuBinIndex:

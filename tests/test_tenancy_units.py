@@ -7,23 +7,35 @@ produces; this file pins the pieces it is built from, one at a time:
   per-tenant prioritized partitions) — hits, recency, quotas and which
   partition pays for an insert over capacity;
 * per-tenant accounting — counters, aggregate rates, SLO summaries;
-* the out-of-line compaction queue — batching, draining, and the
-  remap-and-sweep epoch against a real ``MetadataStore``.
+* the out-of-line compaction queue — batching and draining — and the
+  controller's one fingerprint index and remap-and-sweep epoch against
+  a real ``MetadataStore``, unit by unit and as a state machine checked
+  against a dict model.
 """
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.cpu.costs import DEFAULT_COSTS
+from repro.dedup.engine import DedupEngine
 from repro.errors import ConfigError
 from repro.storage.metadata import MetadataStore
 from repro.tenancy import (
+    ADMIT_HIT,
+    ADMIT_MISS,
+    ADMIT_SKIP,
     MIN_QUOTA,
+    TENANT_ADDRESS_STRIDE,
     CompactionEntry,
     CompactionQueue,
     PrioritizedCache,
     SharedLruCache,
+    TenancyController,
     TenantAccounting,
 )
+from repro.types import Chunk
 
 
 def fp(tag: str) -> bytes:
@@ -249,66 +261,228 @@ class TestCompactionQueue:
 
     def test_apply_remaps_onto_the_stored_copy_and_sweeps_the_shadow(self):
         metadata = MetadataStore()
-        stored = store_at(metadata, 0)
+        controller = TenancyController("shared_lru", 8)
+        stored = store_canonical(controller, metadata, "a", 0)
         shadow = store_at(metadata, 4096, compressed_size=1500)
-        queue = CompactionQueue(1)
-        recovered = queue.apply(
-            [entry("a", shadow, 4096, tenant=3)], metadata,
-            {fp("a"): stored})
-        assert recovered == [3]
+        controller.apply_compaction([entry("a", shadow, 4096, tenant=3)],
+                                    metadata)
+        assert recovered(controller) == {3: 1}
         assert metadata.resolve(4096).physical_id == stored
         assert metadata.lookup(shadow) is None
         assert metadata.unique_chunks == 1
         metadata.verify_invariants()
-        assert queue.counters() == {
+        assert controller.compaction.counters() == {
             "deferred": 0, "recovered": 1, "epochs": 1,
             "reclaimed_bytes": 1500, "pending": 0}
 
     def test_first_unstored_occurrence_promotes_its_shadow(self):
         metadata = MetadataStore()
+        controller = TenancyController("shared_lru", 8)
         s0 = store_at(metadata, 0)
         s1 = store_at(metadata, 4096)
-        queue = CompactionQueue(2)
-        recovered = queue.apply([entry("b", s0, 0, tenant=1),
-                                 entry("b", s1, 4096,
-                                       tenant=2)],
-                                metadata, {})
-        # The first copy keeps its blob as the canonical one; only the
+        controller.apply_compaction([entry("b", s0, 0, tenant=1),
+                                     entry("b", s1, 4096, tenant=2)],
+                                    metadata)
+        # The first copy keeps its blob as the stored one; only the
         # second is a recovered duplicate.
-        assert recovered == [2]
-        assert queue.canonical_shadow(fp("b"), metadata) == s0
+        assert recovered(controller) == {2: 1}
+        assert controller.stored_id(fp("b"), metadata) == s0
         assert metadata.resolve(4096).physical_id == s0
         assert metadata.lookup(s1) is None
-        assert queue.reclaimed_bytes == 1000
+        assert controller.compaction.reclaimed_bytes == 1000
         metadata.verify_invariants()
 
     def test_promoted_shadow_serves_later_epochs(self):
         metadata = MetadataStore()
+        controller = TenancyController("shared_lru", 8)
         s0 = store_at(metadata, 0)
-        queue = CompactionQueue(1)
-        assert queue.apply([entry("b", s0, 0)],
-                           metadata, {}) == []
-        assert queue.canonical_shadow(fp("b"), metadata) == s0
+        controller.apply_compaction([entry("b", s0, 0)], metadata)
+        assert recovered(controller) == {}
+        assert controller.stored_id(fp("b"), metadata) == s0
         s2 = store_at(metadata, 8192)
-        assert queue.apply([entry("b", s2, 8192, tenant=4)],
-                           metadata, {}) == [4]
+        controller.apply_compaction([entry("b", s2, 8192, tenant=4)],
+                                    metadata)
+        assert recovered(controller) == {4: 1}
         assert metadata.resolve(8192).physical_id == s0
-        assert queue.epochs == 2
-        assert queue.canonical_shadow(fp("c"), metadata) is None
+        assert controller.compaction.epochs == 2
+        assert controller.stored_id(fp("c"), metadata) is None
         metadata.verify_invariants()
 
     def test_a_swept_canonical_copy_is_a_miss(self):
         metadata = MetadataStore()
+        controller = TenancyController("shared_lru", 8)
         s0 = store_at(metadata, 0)
-        queue = CompactionQueue(1)
-        queue.apply([entry("b", s0, 0)], metadata, {})
+        controller.apply_compaction([entry("b", s0, 0)], metadata)
         metadata.unmap_logical(0)
         metadata.sweep_unreferenced()
-        # Ids are never reused: the promoted id names nothing now, in
-        # the queue's map and in a stored-copy map alike.
-        assert queue.canonical_shadow(fp("b"), metadata) is None
+        # Ids are never reused: the promoted id names nothing now, and
+        # neither does a swept canonical store.
+        assert controller.stored_id(fp("b"), metadata) is None
+        store_canonical(controller, metadata, "b", 8192)
+        metadata.unmap_logical(8192)
+        metadata.sweep_unreferenced()
+        assert controller.stored_id(fp("b"), metadata) is None
         s1 = store_at(metadata, 4096)
-        assert queue.apply([entry("b", s1, 4096)], metadata,
-                           {fp("b"): s0}) == []
-        assert queue.canonical_shadow(fp("b"), metadata) == s1
+        controller.apply_compaction([entry("b", s1, 4096)], metadata)
+        assert recovered(controller) == {}
+        assert controller.stored_id(fp("b"), metadata) == s1
         metadata.verify_invariants()
+
+    def test_a_hit_on_a_promoted_shadow_dedups_and_a_miss_defers(self):
+        engine = DedupEngine()
+        metadata = engine.metadata
+        controller = TenancyController("shared_lru", 8)
+        skipped = Chunk(offset=0, size=4096, fingerprint=fp("b"))
+        assert controller.commit(0, skipped, None, ADMIT_SKIP,
+                                 metadata) == "tenant_shadow"
+        s0 = metadata.resolve(0).physical_id
+        drain_compaction(controller, metadata)
+        assert controller.stored_id(fp("b"), metadata) == s0
+        # A miss stores a deferred shadow, not a second canonical copy.
+        miss = Chunk(offset=4096, size=4096, fingerprint=fp("b"))
+        assert controller.admit(0, fp("b")) is ADMIT_MISS
+        assert controller.commit(0, miss, None, ADMIT_MISS,
+                                 metadata) == "tenant_shadow"
+        assert len(controller.compaction) == 1
+        # A hit dedups inline onto the promoted copy, as the pipeline
+        # commits it: through the engine, onto the id the index names.
+        hit = Chunk(offset=8192, size=4096, fingerprint=fp("b"))
+        assert controller.admit(0, fp("b")) is ADMIT_HIT
+        engine.commit_duplicate(hit, controller.stored_id(fp("b"), metadata))
+        assert metadata.resolve(8192).physical_id == s0
+        drain_compaction(controller, metadata)
+        assert metadata.resolve(4096).physical_id == s0
+        assert metadata.unique_chunks == 1
+        metadata.verify_invariants()
+
+    def test_an_overwritten_deferred_offset_keeps_its_new_content(self):
+        metadata = MetadataStore()
+        controller = TenancyController("shared_lru", 8)
+        stored = store_canonical(controller, metadata, "a", 0)
+        shadow = store_at(metadata, 4096)
+        # The deferred offset is rewritten before its epoch runs.
+        other = store_canonical(controller, metadata, "c", 4096)
+        controller.apply_compaction([entry("a", shadow, 4096)], metadata)
+        assert metadata.resolve(4096).physical_id == other
+        assert metadata.resolve(0).physical_id == stored
+        assert recovered(controller) == {}
+        assert metadata.lookup(shadow) is None
+        metadata.verify_invariants()
+
+
+def store_canonical(controller: TenancyController, metadata: MetadataStore,
+                    tag: str, offset: int) -> int:
+    """Commit a cache miss of new content: a canonical inline store."""
+    chunk = Chunk(offset=offset, size=4096, fingerprint=fp(tag),
+                  compressed_size=1000)
+    assert controller.commit(0, chunk, None, ADMIT_MISS,
+                             metadata) == "tenant_unique"
+    return metadata.resolve(offset).physical_id
+
+
+def recovered(controller: TenancyController) -> dict[int, int]:
+    """Duplicates compaction recovered, per tenant that has any."""
+    accounting = controller.accounting
+    return {tenant: accounting.counters(tenant).recovered
+            for tenant in accounting.tenants()
+            if accounting.counters(tenant).recovered}
+
+
+def drain_compaction(controller: TenancyController,
+                     metadata: MetadataStore) -> None:
+    """The end-of-run compaction: every deferred entry, epoch by epoch."""
+    for entries in controller.compaction.drain():
+        controller.apply_compaction(entries, metadata)
+
+
+# -- the controller against a model -------------------------------------------
+
+#: Three contents, so duplicates, hidden duplicates and promotions recur
+#: within a few steps.
+CONTENTS = tuple(fp(f"content{i}") for i in range(3))
+SLOTS = 2  # logical blocks per tenant, so overwrites are common
+
+
+class ControllerMachine(RuleBasedStateMachine):
+    """One ``TenancyController`` over a real chunk table, against a
+    dict model of logical offset -> content.
+
+    A write takes the pipeline's commit rule: a cache hit whose stored
+    copy is live maps onto it, anything else commits through the
+    controller (an inline skip bypasses the cache).  A two-entry cache
+    hides most duplicates and an epoch is two entries, so shadows,
+    promotions, remaps and sweeps all happen within a few steps.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.metadata = MetadataStore()
+        #: id -> content of every chunk the controller stored.
+        self.content_of: dict[int, bytes] = {}
+        #: logical offset -> content last written there.
+        self.model: dict[int, bytes] = {}
+
+    @initialize(policy=st.sampled_from(("shared_lru", "prioritized")))
+    def build(self, policy):
+        self.controller = TenancyController(policy, 2)
+        self.controller.compaction = CompactionQueue(2)
+
+    @rule(tenant=st.integers(0, 1), slot=st.integers(0, SLOTS - 1),
+          content=st.integers(0, len(CONTENTS) - 1), skip=st.booleans())
+    def write(self, tenant, slot, content, skip):
+        controller, metadata = self.controller, self.metadata
+        fingerprint = CONTENTS[content]
+        offset = tenant * TENANT_ADDRESS_STRIDE + slot * 4096
+        verdict = ADMIT_SKIP if skip else controller.admit(tenant,
+                                                           fingerprint)
+        stored = controller.stored_id(fingerprint, metadata)
+        if verdict.hit and stored is not None:
+            metadata.map_logical(offset, stored)
+        else:
+            chunk = Chunk(offset=offset, size=4096, fingerprint=fingerprint,
+                          tenant=tenant)
+            label = controller.commit(tenant, chunk, None, verdict,
+                                      metadata)
+            # One stored copy per content: a canonical store only when
+            # the index names no live copy.
+            assert (label == "tenant_unique") == (
+                verdict is ADMIT_MISS and stored is None)
+            physical_id = metadata.resolve(offset).physical_id
+            assert physical_id not in self.content_of
+            self.content_of[physical_id] = fingerprint
+        self.model[offset] = fingerprint
+
+    @rule()
+    def epoch(self):
+        entries = self.controller.compaction.take_batch()
+        if entries is not None:
+            self.controller.apply_compaction(entries, self.metadata)
+
+    @rule()
+    def drain(self):
+        drain_compaction(self.controller, self.metadata)
+        assert len(self.controller.compaction) == 0
+        # Every hidden duplicate is folded back: one copy per content.
+        assert self.metadata.unique_chunks == len(set(self.model.values()))
+
+    @invariant()
+    def every_offset_reads_its_content(self):
+        metadata = self.metadata
+        for offset, fingerprint in self.model.items():
+            # ``resolve`` raises unless the id is still held.
+            physical_id = metadata.resolve(offset).physical_id
+            assert self.content_of[physical_id] == fingerprint, offset
+        metadata.verify_invariants()
+
+    @invariant()
+    def the_index_names_only_its_own_content(self):
+        for fingerprint in CONTENTS:
+            physical_id = self.controller.stored_id(fingerprint,
+                                                    self.metadata)
+            assert physical_id is None \
+                or self.content_of[physical_id] == fingerprint
+
+
+TestControllerAgainstModel = ControllerMachine.TestCase
+TestControllerAgainstModel.settings = settings(
+    max_examples=80, stateful_step_count=30, deadline=None)
