@@ -7,6 +7,13 @@ the timed pipeline running many of these tasks across the simulated
 hardware threads.  This module supplies the per-chunk functional work and
 its cycle cost.
 
+On the host the chunks are independent too: :meth:`CpuCompressor.
+compress_window` encodes a window's new payloads ahead, shared out
+across host cores by :func:`repro.host.spread`, and :meth:`CpuCompressor.
+compress` takes the finished container instead of encoding again.  The
+codec is a pure function of the payload, so where an encode ran changes
+no byte.
+
 Expansion guard: if the codec output is not smaller than the input, the
 chunk is stored raw (``compressed_size == size``), the standard
 primary-storage behaviour for incompressible data.
@@ -15,8 +22,10 @@ primary-storage behaviour for incompressible data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
+from repro import host
 from repro.compression.lzss import LzssCodec
 from repro.compression.quicklz import QuickLzCodec
 from repro.cpu.costs import DEFAULT_COSTS
@@ -37,6 +46,11 @@ class CompressionResult:
     stored_raw: bool = False
 
 
+def _encode_all(codec: Codec, payloads: list[bytes]) -> list[bytes]:
+    """One container per payload: a :func:`repro.host.spread` task."""
+    return [codec.encode(payload) for payload in payloads]
+
+
 class CpuCompressor:
     """Per-chunk CPU compression: the paper's parallel QuickLZ baseline."""
 
@@ -45,11 +59,26 @@ class CpuCompressor:
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
+        #: Containers :meth:`compress_window` encoded and :meth:`compress`
+        #: has not yet taken, by fingerprint.
+        self.ahead: dict[bytes, bytes] = {}
+        #: Codec calls by where they ran: ahead (any host core) or inline
+        #: in :meth:`compress`.  Not in :meth:`stats`, whose keys a
+        #: volume's published metrics pin.
+        self.encoded_ahead = 0
+        self.encoded_inline = 0
 
     def compress(self, chunk: Chunk) -> CompressionResult:
-        """Compress one chunk (functionally in payload mode)."""
+        """Compress one chunk (functionally in payload mode).
+
+        A container encoded ahead for the chunk's fingerprint is taken;
+        without one the payload is encoded here.
+        """
         if chunk.has_payload:
-            blob = self.codec.encode(chunk.payload)
+            blob = self.ahead.pop(chunk.fingerprint, None)
+            if blob is None:
+                blob = self.codec.encode(chunk.payload)
+                self.encoded_inline += 1
             if len(blob) < chunk.size:
                 size, stored_raw, out_blob = len(blob), False, blob
             else:
@@ -68,13 +97,18 @@ class CpuCompressor:
         return CompressionResult(compressed_size=size, cpu_cycles=cycles,
                                  blob=out_blob, stored_raw=stored_raw)
 
-    def compress_window(self, chunks: list[Chunk]) -> list[CompressionResult]:
-        """:meth:`compress` on each chunk in order.
+    def compress_window(self, chunks: list[Chunk]) -> None:
+        """Encode the payloads of fingerprinted ``chunks`` ahead, one
+        share per host core, for :meth:`compress` to take.
 
-        Kept only because ``e2ebench/ledger.py`` names it as a wrap
-        target; nothing in ``src/`` calls it.
+        The caller passes one chunk per fingerprint it will compress;
+        nothing is counted as compressed until :meth:`compress` runs.
         """
-        return [self.compress(chunk) for chunk in chunks]
+        blobs = host.spread(partial(_encode_all, self.codec),
+                            [chunk.payload for chunk in chunks])
+        self.ahead.update(zip([chunk.fingerprint for chunk in chunks],
+                              blobs))
+        self.encoded_ahead += len(blobs)
 
     def decompress(self, blob: bytes) -> bytes:
         """Round-trip helper for volume reads."""

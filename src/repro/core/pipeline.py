@@ -477,9 +477,13 @@ class ReductionPipeline:
         """Admit exactly ``total`` chunks, one functional window at a time.
 
         Per window, the untimed fingerprint pass runs once up front.
-        Admission itself — pacing, window-slot acquisition, worker
-        spawn — is strictly per chunk, so the timed event schedule does
-        not depend on the window size (DESIGN.md §12).
+        When the CPU compresses real bytes, a second untimed pass
+        encodes the window's new contents ahead across host cores
+        (``CpuCompressor.compress_window``), each of which a worker's
+        ``compress`` later takes.  Admission itself — pacing,
+        window-slot acquisition, worker spawn — is strictly per chunk,
+        so the timed event schedule does not depend on the window size
+        (DESIGN.md §12).
         """
         cfg = self.config
         total = self._total
@@ -487,11 +491,18 @@ class ReductionPipeline:
         gap = 1.0 / rate if rate else 0.0
         next_admission = 0.0
         trace = self.tracer
+        dedup = self.dedup
+        cpu_comp = self.cpu_comp
+        encode_ahead = (self.tenancy is None and cfg.enable_compression
+                        and not cfg.mode.gpu_for_compression)
         chunks = iter(chunks)
         seq = 0
         for window in iter_windows(islice(chunks, total)):
-            if cfg.enable_dedup:
+            if dedup is not None:
                 fingerprint_window(window)
+                if encode_ahead and window[0].payload is not None:
+                    cpu_comp.compress_window(dedup.new_contents(
+                        window, self._pending, cpu_comp.ahead))
             for chunk in window:
                 if gap:
                     delay = next_admission - self.env.now
@@ -629,7 +640,10 @@ class ReductionPipeline:
             "nand_bytes_written": ssd.nand_bytes_written,
             "requests_completed": ssd.requests_completed,
         })
-        registry.absorb_counters("compress.cpu", self.cpu_comp.stats())
+        cpu_comp = self.cpu_comp
+        registry.absorb_counters("compress.cpu", {
+            **cpu_comp.stats(), "encoded_ahead": cpu_comp.encoded_ahead,
+            "encoded_inline": cpu_comp.encoded_inline})
         registry.absorb_counters("compress.gpu", self.gpu_comp.stats())
         for batcher in (self._index_batcher, self._comp_batcher):
             if batcher is not None:

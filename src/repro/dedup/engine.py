@@ -186,10 +186,8 @@ class DedupEngine:
         the loser to a duplicate — standard inline-dedup practice.
         """
         view = decompose(chunk.require_fingerprint(), self._prefix_bytes)
-        physical_id = self.bin_buffer.lookup_view(view)
-        if physical_id is None:
-            physical_id = self.bin_table.probe_view(view)[1]
-        if self.metadata.lookup(physical_id) is not None:
+        physical_id = self._stored_id(view)
+        if physical_id is not None:
             # Lost the in-flight race: another worker stored it first.
             self.counters[CTR_RACE_DUPLICATES] += 1
             cycles = self.commit_duplicate(chunk, physical_id)
@@ -209,6 +207,33 @@ class DedupEngine:
         flush = self.bin_buffer.add_view(view, physical_id)
         batch = self._apply_flush(flush) if flush is not None else None
         return cycles, batch, physical_id, True
+
+    def _stored_id(self, view) -> Optional[int]:
+        """The live id the bins name for a fingerprint's view: bin
+        buffer, then bin tree; None when neither names a held chunk."""
+        physical_id = self.bin_buffer.lookup_view(view)
+        if physical_id is None:
+            physical_id = self.bin_table.probe_view(view)[1]
+        return None if self.metadata.lookup(physical_id) is None \
+            else physical_id
+
+    def new_contents(self, chunks: list[Chunk], *known) -> list[Chunk]:
+        """The first payload chunk of each fingerprint in ``chunks`` that
+        neither the bins (live ids only) nor any container in ``known``
+        holds: the contents a commit would store.  Untimed and
+        uncounted: no counter moves."""
+        prefix_bytes = self._prefix_bytes
+        seen: set[bytes] = set()
+        found = []
+        for chunk in chunks:
+            fingerprint = chunk.fingerprint
+            if chunk.payload is None or fingerprint in seen \
+                    or any(fingerprint in held for held in known):
+                continue
+            seen.add(fingerprint)
+            if self._stored_id(decompose(fingerprint, prefix_bytes)) is None:
+                found.append(chunk)
+        return found
 
     def _apply_flush(self, flush) -> DestageBatch:
         """Move a flushed bin into the bin tree and the GPU bins.

@@ -1,10 +1,13 @@
 """Host cores beside the caller.
 
-The simulated GPU's segment-LZ search (:mod:`repro.gpu.kernels.lz`)
-hands this module a launch's tiles: a list of independent, pure pieces
-of work.  :func:`spread` keeps one share of such a list for the
-calling process and hands every other share to a helper process forked
-on first use — at most one per usable CPU beyond the caller's own.
+Two users hand this module a list of independent, pure pieces of work:
+the simulated GPU's segment-LZ search (:mod:`repro.gpu.kernels.lz`) a
+launch's tiles, and the CPU codec
+(:meth:`repro.compression.parallel_cpu.CpuCompressor.compress_window`)
+a window's new payloads to encode ahead.  :func:`spread` keeps one
+share of such a list for the calling process and hands every other
+share to a helper process forked on first use — at most one per usable
+CPU beyond the caller's own.
 Simulated time never sees any of this, and the results are the ones
 the caller would have computed alone.
 

@@ -50,6 +50,14 @@ from repro.types import DEFAULT_CHUNK_SIZE
 #: space) in a 32 KiB page.
 PAGE_BLOCKS = 4096
 _PAGE_BYTES = PAGE_BLOCKS * DEFAULT_CHUNK_SIZE
+# Both are powers of two, so an offset splits into page and slot by
+# shift and mask (floor division and modulo, negative offsets included).
+_BLOCK_SHIFT = DEFAULT_CHUNK_SIZE.bit_length() - 1
+_PAGE_SHIFT = PAGE_BLOCKS.bit_length() - 1
+assert DEFAULT_CHUNK_SIZE == 1 << _BLOCK_SHIFT, DEFAULT_CHUNK_SIZE
+assert PAGE_BLOCKS == 1 << _PAGE_SHIFT, PAGE_BLOCKS
+_IN_BLOCK = DEFAULT_CHUNK_SIZE - 1
+_SLOT = PAGE_BLOCKS - 1
 #: What a fresh page is copied from: every slot unmapped.
 _UNMAPPED_PAGE = array("q", [-1]) * PAGE_BLOCKS
 
@@ -239,8 +247,7 @@ class MetadataStore:
         taken first so that rewriting an offset with the *same* content
         never transiently frees the chunk it still needs.
         """
-        page_no, byte = divmod(offset, _PAGE_BYTES)
-        if byte % DEFAULT_CHUNK_SIZE:
+        if offset & _IN_BLOCK:
             raise MetadataError(_unaligned(offset))
         compressed_size = self.lookup(physical_id)
         if compressed_size is None:
@@ -253,10 +260,12 @@ class MetadataStore:
             self._zombies.discard(physical_id)
         refcount[physical_id] = count + 1
         sizes = self._size
+        block = offset >> _BLOCK_SHIFT
+        page_no = block >> _PAGE_SHIFT
         page = self._pages.get(page_no)
         if page is None:
             page = self._pages[page_no] = _UNMAPPED_PAGE[:]
-        slot = byte // DEFAULT_CHUNK_SIZE
+        slot = block & _SLOT
         old_id = page[slot]
         if old_id >= 0:
             self._drop_ref(old_id)
@@ -266,22 +275,22 @@ class MetadataStore:
 
     def _mapped_slot(self, offset: int) -> tuple[array, int]:
         """(page, slot) of mapped logical ``offset``."""
-        page_no, byte = divmod(offset, _PAGE_BYTES)
-        if byte % DEFAULT_CHUNK_SIZE:
+        if offset & _IN_BLOCK:
             raise MetadataError(_unaligned(offset))
-        page = self._pages.get(page_no)
-        slot = byte // DEFAULT_CHUNK_SIZE
+        block = offset >> _BLOCK_SHIFT
+        page = self._pages.get(block >> _PAGE_SHIFT)
+        slot = block & _SLOT
         if page is None or page[slot] < 0:
             raise MetadataError(f"logical offset {offset} is unmapped")
         return page, slot
 
     def mapped_id(self, offset: int) -> Optional[int]:
         """Id of the chunk backing logical ``offset``; None if unmapped."""
-        page_no, byte = divmod(offset, _PAGE_BYTES)
-        if byte % DEFAULT_CHUNK_SIZE:
+        if offset & _IN_BLOCK:
             raise MetadataError(_unaligned(offset))
-        page = self._pages.get(page_no)
-        physical_id = -1 if page is None else page[byte // DEFAULT_CHUNK_SIZE]
+        block = offset >> _BLOCK_SHIFT
+        page = self._pages.get(block >> _PAGE_SHIFT)
+        physical_id = -1 if page is None else page[block & _SLOT]
         return None if physical_id < 0 else physical_id
 
     def resolve(self, offset: int) -> ChunkRecord:

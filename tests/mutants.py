@@ -56,6 +56,8 @@ METADATA_MODEL = "tests/test_storage.py::TestMetadataAgainstReference"
 DISPATCH_ORDER = ("tests/test_sim_engine.py::"
                   "test_dispatch_order_is_one_heap_keyed_time_then_eid")
 CONTROLLER_MODEL = "tests/test_tenancy_units.py::TestControllerAgainstModel"
+ENCODE_AHEAD = ("tests/test_encode_ahead.py::"
+                "test_encode_ahead_stores_what_inline_encoding_stores")
 
 MUTANTS = (
     # -- SimCpu: the FIFO thread ledger and the saturation signal.
@@ -140,6 +142,20 @@ MUTANTS = (
            "if False:",
            ("tests/test_tenancy_units.py::TestCompactionQueue::"
             "test_an_overwritten_deferred_offset_keeps_its_new_content",)),
+    # -- CPU QuickLZ encoded ahead: each container under its own content.
+    Mutant("encode-ahead-pairs-containers-one-fingerprint-off",
+           "src/repro/compression/parallel_cpu.py",
+           "self.ahead.update(zip([chunk.fingerprint for chunk in chunks],\n"
+           "                              blobs))",
+           "self.ahead.update(zip([chunk.fingerprint for chunk in chunks],\n"
+           "                              blobs[1:] + blobs[:1]))",
+           (ENCODE_AHEAD,)),
+    Mutant("encode-ahead-forgets-in-flight-contents",
+           "src/repro/core/pipeline.py",
+           "window, self._pending, cpu_comp.ahead", "window, cpu_comp.ahead",
+           ("tests/test_encode_ahead.py::test_every_encode_ahead_is_taken",
+            "tests/test_reduction_ledger.py::"
+            "test_duplicates_never_reach_the_codec")),
 )
 
 

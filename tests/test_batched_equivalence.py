@@ -221,8 +221,11 @@ class TestFingerprintWindow:
 
 class TestCompressWindow:
     def test_matches_per_chunk_compress(self, monkeypatch):
+        """Encoding a window's distinct payloads ahead, then compressing
+        every chunk, is compressing every chunk inline."""
         monkeypatch.setattr("repro.chunkbatch.FUNCTIONAL_WINDOW", 16)
         payloads = corpus_payloads("byte_shifted", 48, seed=9)
+        payloads += corpus_payloads("all_zero", 8, seed=9)
         reference = corpus_chunks(payloads)
         ref_comp = CpuCompressor()
         ref_results = [ref_comp.compress(c) for c in reference]
@@ -230,12 +233,19 @@ class TestCompressWindow:
         win_comp = CpuCompressor()
         win_results = []
         for window in iter_windows(iter(windowed)):
-            win_results.extend(win_comp.compress_window(window))
-        assert [r.compressed_size for r in win_results] == \
-            [r.compressed_size for r in ref_results]
+            fingerprint_window(window)
+            distinct = list({c.fingerprint: c for c in window}.values())
+            win_comp.compress_window(distinct)
+            win_results.extend(win_comp.compress(c) for c in window)
+        assert win_results == ref_results
         assert [c.compressed_size for c in windowed] == \
             [c.compressed_size for c in reference]
         assert win_comp.stats() == ref_comp.stats()
+        assert win_comp.ahead == {}
+        assert (win_comp.encoded_ahead, win_comp.encoded_inline) == \
+            (len(set(payloads)), len(payloads) - len(set(payloads)))
+        assert (ref_comp.encoded_ahead, ref_comp.encoded_inline) == \
+            (0, len(payloads))
 
 
 class TestFtlWriteRun:

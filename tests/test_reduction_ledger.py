@@ -16,6 +16,7 @@ corpus or whether chunks carry payload bytes:
 """
 
 import functools
+import hashlib
 import os
 from typing import NamedTuple
 
@@ -155,12 +156,19 @@ def test_dedup_verdicts_do_not_depend_on_the_mode(corpus, payload):
 
 
 class CountingCodec(QuickLzCodec):
-    def __init__(self):
-        self.encoded = []
+    """Logs the SHA-1 of every payload it encodes, in whichever process
+    encodes it: the pipeline encodes ahead on helpers too."""
+
+    def __init__(self, log):
+        self.log = log
 
     def encode(self, data):
-        self.encoded.append(bytes(data))
+        with open(self.log, "a") as out:
+            out.write(hashlib.sha1(data).hexdigest() + "\n")
         return super().encode(data)
+
+    def encoded(self) -> list[str]:
+        return self.log.read_text().split()
 
 
 class CountingKernel(SegmentLzKernel):
@@ -171,12 +179,8 @@ class CountingKernel(SegmentLzKernel):
         super().__init__(chunks, *args, **kwargs)
 
 
-@pytest.mark.parametrize("mode", [IntegrationMode.CPU_ONLY,
-                                  IntegrationMode.GPU_COMP],
-                         ids=["cpu", "gpu"])
-def test_duplicates_never_reach_the_codec(monkeypatch, mode):
-    """Enforced by order (index, then compress), not by a cache."""
-    codec = CountingCodec()
+def _assert_each_unique_encoded_once(monkeypatch, tmp_path, mode):
+    codec = CountingCodec(tmp_path / "encoded")
     monkeypatch.setattr(CountingKernel, "encoded", [])
     monkeypatch.setattr(gpu_lz, "SegmentLzKernel", CountingKernel)
     params = dict(mode=mode, window=64, gpu_index_batch=16,
@@ -192,14 +196,31 @@ def test_duplicates_never_reach_the_codec(monkeypatch, mode):
             yield chunk
 
     pipeline.run(tapped(), total=512)
-    encoded = (CountingKernel.encoded if mode.gpu_for_compression
-               else codec.encoded)
-    unique = set(payloads)
+    if mode.gpu_for_compression:
+        encoded, unique = CountingKernel.encoded, set(payloads)
+    else:
+        encoded = codec.encoded()
+        unique = {hashlib.sha1(payload).hexdigest() for payload in payloads}
     assert len(unique) < len(payloads) // 2
     assert len(encoded) == len(unique)
     assert len(unique) == pipeline.dedup.metadata.unique_chunks
     assert set(encoded) == unique
     assert compressor(pipeline).chunks_compressed == len(unique)
+
+
+@pytest.mark.parametrize("mode", [IntegrationMode.CPU_ONLY,
+                                  IntegrationMode.GPU_COMP],
+                         ids=["cpu", "gpu"])
+def test_duplicates_never_reach_the_codec(monkeypatch, tmp_path, mode):
+    """Enforced by order (index, then compress), not by a cache."""
+    _assert_each_unique_encoded_once(monkeypatch, tmp_path, mode)
+
+
+def test_duplicates_never_reach_the_codec_on_one_cpu(monkeypatch, tmp_path):
+    """With no helper every encode runs in the caller, still once."""
+    monkeypatch.setattr(host, "usable_cpus", lambda: 1)
+    _assert_each_unique_encoded_once(monkeypatch, tmp_path,
+                                     IntegrationMode.CPU_ONLY)
 
 
 # -- the segment-LZ search shared with a helper -------------------------------
