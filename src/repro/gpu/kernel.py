@@ -67,13 +67,13 @@ class Kernel(ABC):
     def cost(self) -> KernelCost:
         """Estimate the launch's resource footprint for the timing model."""
 
-    #: Bytes that must cross PCIe to the device before launch.
+    @abstractmethod
     def bytes_in(self) -> int:
-        return 0
+        """Bytes that must cross PCIe to the device before launch."""
 
-    #: Bytes that must cross PCIe back to the host after launch.
+    @abstractmethod
     def bytes_out(self) -> int:
-        return 0
+        """Bytes that must cross PCIe back to the host after launch."""
 
     def describe(self) -> dict[str, Any]:
         """Trace attributes for one launch of this kernel."""

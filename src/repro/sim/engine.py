@@ -57,18 +57,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have been executed."""
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value (or the exception it failed with)."""
         if self._value is _PENDING:
@@ -104,7 +92,7 @@ class Event:
             callback(self)
 
     def __repr__(self) -> str:
-        state = "processed" if self.processed else (
+        state = "processed" if self.callbacks is None else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at 0x{id(self):x}>"
 

@@ -14,8 +14,9 @@ get residency decides the aggregate inline hit rate.
   from the *most over-quota* partition, so cold streams cannot starve
   hot ones.
 
-Both expose the same probe/insert/set_shares surface, so the admission
-controller swaps them by config string.
+Both expose the same probe/insert surface, so the admission controller
+swaps them by config string; only the prioritized cache takes the
+residency shares the controller rebalances.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class SharedLruCache:
         if len(cache) >= self.capacity:
             cache.popitem(last=False)
         cache[fingerprint] = tenant
-
-    def set_shares(self, shares: dict[int, float]) -> None:
-        """Shared LRU ignores residency shares (baseline behaviour)."""
 
 
 class PrioritizedCache:

@@ -87,13 +87,9 @@ def run_tenant_mix(mix: TenantMix, mode: IntegrationMode, n_chunks: int,
     The platform is :func:`~repro.core.calibration.run_stream`'s, so a
     one-tenant mix under the default ``tenancy_policy="none"`` produces
     a :class:`PipelineReport` byte-identical to
-    :func:`~repro.core.calibration.run_mode`'s.  An open-loop mix
-    overrides ``arrival_rate_iops`` with the mix's aggregate rate so
-    the feeder paces admissions at the tenants' combined Poisson rate.
+    :func:`~repro.core.calibration.run_mode`'s.
     """
     config = replace(base_config or PipelineConfig(), mode=mode)
-    if mix.open_loop:
-        config = replace(config, arrival_rate_iops=mix.total_rate_iops)
     stream = TenantMixStream(mix, payload=payload)
     pipeline, report = run_stream(stream, n_chunks, config,
                                   cpu_spec=cpu_spec, gpu_spec=gpu_spec,

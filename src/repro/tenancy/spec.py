@@ -1,11 +1,11 @@
 """Multi-tenant workload specification and interleaved emission.
 
 A :class:`TenantSpec` dials one tenant's stream (its own vdbench seed,
-dedup ratio, locality/working-set skew, client count, optional open-loop
-arrival rate); a :class:`TenantMix` gathers tenants plus a mix-level
-scheduling seed.  :class:`TenantMixStream` emits the interleaved chunk
-stream through the existing :class:`~repro.workload.vdbench.VdbenchStream`
-machinery, tagging every chunk with its tenant id.
+draw weight, dedup ratio, locality/working-set skew); a
+:class:`TenantMix` gathers tenants plus a mix-level scheduling seed.
+:class:`TenantMixStream` emits the interleaved chunk stream through the
+existing :class:`~repro.workload.vdbench.VdbenchStream` machinery,
+tagging every chunk with its tenant id.
 
 RNG discipline: scheduling draws — which tenant's stream emits
 next — come only from the mix-level parent ``random.Random(mix.seed)``;
@@ -15,25 +15,21 @@ chunk stream is the plain single-stream ``VdbenchStream`` output
 (tenant tag aside) — the degenerate-identity argument the equivalence
 suite pins byte-for-byte.
 
-Closed-loop mixes pick the next tenant by effective weight
-(``weight * clients`` — a tenant fronting a million simulated clients
-is just a heavier draw, so "millions of clients" costs nothing);
-open-loop mixes race per-tenant Poisson arrival clocks
-(``expovariate(rate * clients)``) and emit whichever tenant is due
-first.  Tenants write disjoint logical address ranges
-(:data:`TENANT_ADDRESS_STRIDE` apart) so interleaved streams never
-collide in the metadata store's logical map.
+Mixes are closed-loop, as the paper's inline pipeline is: the next
+tenant is drawn in proportion to its ``weight``.  Tenants write
+disjoint logical address ranges (:data:`TENANT_ADDRESS_STRIDE` apart)
+so interleaved streams never collide in the metadata store's logical
+map.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.chunkbatch import window_sizes
 from repro.errors import WorkloadError
@@ -49,11 +45,10 @@ __all__ = ["TENANT_ADDRESS_STRIDE", "TenantMix", "TenantMixStream",
 TENANT_ADDRESS_STRIDE = 1 << 44
 
 #: TenantSpec fields that must be ints, and the dials that must be real
-#: numbers (``arrival_rate_iops`` may also be None).  ``bool`` is
-#: neither, although Python makes it an int.
-_INT_FIELDS = ("seed", "working_set", "clients")
+#: numbers.  ``bool`` is neither, although Python makes it an int.
+_INT_FIELDS = ("seed", "working_set")
 _REAL_FIELDS = ("weight", "dedup_ratio", "comp_ratio", "locality",
-                "arrival_rate_iops", "comp_spread")
+                "comp_spread")
 
 
 def _is_int(value) -> bool:
@@ -71,8 +66,6 @@ class TenantSpec:
     comp_ratio: float = 2.0
     locality: float = 0.5
     working_set: int = 128
-    clients: int = 1
-    arrival_rate_iops: Optional[float] = None
     comp_spread: float = 0.15
 
     def __post_init__(self) -> None:
@@ -87,8 +80,6 @@ class TenantSpec:
                     f"got {value!r}")
         for key in _REAL_FIELDS:
             value = getattr(self, key)
-            if value is None and key == "arrival_rate_iops":
-                continue
             if isinstance(value, bool) \
                     or not isinstance(value, numbers.Real):
                 raise WorkloadError(
@@ -98,27 +89,6 @@ class TenantSpec:
             raise WorkloadError(
                 f"tenant {self.name!r}: weight must be > 0, "
                 f"got {self.weight}")
-        if self.clients < 1:
-            raise WorkloadError(
-                f"tenant {self.name!r}: clients must be >= 1, "
-                f"got {self.clients}")
-        if self.arrival_rate_iops is not None \
-                and not 0 < self.arrival_rate_iops < math.inf:
-            raise WorkloadError(
-                f"tenant {self.name!r}: arrival_rate_iops must be None "
-                f"or a finite rate > 0, got {self.arrival_rate_iops}")
-
-    @property
-    def effective_weight(self) -> float:
-        """Closed-loop draw weight: per-client weight times clients."""
-        return self.weight * self.clients
-
-    @property
-    def total_rate_iops(self) -> Optional[float]:
-        """Open-loop aggregate arrival rate across this tenant's clients."""
-        if self.arrival_rate_iops is None:
-            return None
-        return self.arrival_rate_iops * self.clients
 
 
 @dataclass(frozen=True)
@@ -127,16 +97,11 @@ class TenantMix:
 
     tenants: tuple[TenantSpec, ...]
     seed: int
-    open_loop: bool = False
 
     def __post_init__(self) -> None:
         if not _is_int(self.seed):
             raise WorkloadError(
                 f"tenant-mix seed must be an int, got {self.seed!r}")
-        if not isinstance(self.open_loop, bool):
-            raise WorkloadError(
-                f"tenant-mix open_loop must be a bool, "
-                f"got {self.open_loop!r}")
         if not self.tenants:
             raise WorkloadError("a tenant mix needs at least one tenant")
         names = [spec.name for spec in self.tenants]
@@ -147,33 +112,23 @@ class TenantMix:
             raise WorkloadError(
                 "tenant stream seeds must be distinct (shared seeds "
                 "would alias fingerprints across tenants)")
-        if self.open_loop:
-            for spec in self.tenants:
-                if spec.arrival_rate_iops is None:
-                    raise WorkloadError(
-                        f"open-loop mix: tenant {spec.name!r} has no "
-                        f"arrival_rate_iops")
-
-    @property
-    def total_rate_iops(self) -> Optional[float]:
-        """Aggregate open-loop arrival rate, when every tenant has one."""
-        total = 0.0
-        for spec in self.tenants:
-            rate = spec.total_rate_iops
-            if rate is None:
-                return None
-            total += rate
-        return total
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TenantMix":
-        """Build a mix from ``{"seed", "open_loop"?, "tenants"}``, each
-        tenant a mapping of :class:`TenantSpec` fields."""
+        """Build a mix from ``{"seed", "tenants"}``, each tenant a
+        mapping of :class:`TenantSpec` fields.
+
+        A spec may say ``"open_loop": false`` and give a tenant
+        ``"clients": 1`` (the benchmark's input does): that is what
+        every mix is.  Any other value of either is refused.
+        """
         try:
-            tenants = tuple(TenantSpec(**entry)
-                            for entry in payload["tenants"])
-            return cls(tenants=tenants, seed=payload["seed"],
-                       open_loop=payload.get("open_loop", False))
+            if payload.get("open_loop", False) is not False:
+                raise WorkloadError(
+                    f"tenant mixes are closed-loop: open_loop must be "
+                    f"false, got {payload['open_loop']!r}")
+            tenants = tuple(_tenant(entry) for entry in payload["tenants"])
+            return cls(tenants=tenants, seed=payload["seed"])
         except (KeyError, TypeError) as exc:
             raise WorkloadError(f"bad tenant-mix spec: {exc}") from exc
 
@@ -189,12 +144,17 @@ class TenantMix:
         return cls.from_dict(payload)
 
 
-@dataclass
-class _OpenLoopClock:
-    """One tenant's Poisson arrival clock (open-loop scheduling)."""
-
-    rate: float
-    next_due: float = field(default=0.0)
+def _tenant(entry: dict) -> TenantSpec:
+    """One tenant of a spec file; a ``"clients"`` key must say 1."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"a tenant must be an object, got {entry!r}")
+    fields = dict(entry)
+    clients = fields.pop("clients", 1)
+    if not _is_int(clients) or clients != 1:
+        raise WorkloadError(
+            f"tenant {fields.get('name')!r}: clients must be 1 (weight "
+            f"sets a tenant's share), got {clients!r}")
+    return TenantSpec(**fields)
 
 
 class TenantMixStream:
@@ -215,19 +175,13 @@ class TenantMixStream:
                 locality=spec.locality,
                 working_set=spec.working_set,
                 offset_base=index * TENANT_ADDRESS_STRIDE))
-        #: Closed-loop cumulative effective weights for bisect picks.
+        #: Cumulative weights for bisect picks.
         self._cumulative: list[float] = []
         total = 0.0
         for spec in mix.tenants:
-            total += spec.effective_weight
+            total += spec.weight
             self._cumulative.append(total)
         self._total_weight = total
-        self._clocks: list[_OpenLoopClock] = []
-        if mix.open_loop:
-            for spec in mix.tenants:
-                rate = spec.total_rate_iops
-                assert rate is not None  # validated by TenantMix
-                self._clocks.append(_OpenLoopClock(rate=rate))
 
     # -- scheduling ---------------------------------------------------------
 
@@ -239,19 +193,6 @@ class TenantMixStream:
         """
         if len(self.streams) == 1:
             return 0
-        if self.mix.open_loop:
-            clocks = self._clocks
-            best = 0
-            best_due = clocks[0].next_due
-            for index in range(1, len(clocks)):
-                due = clocks[index].next_due
-                if due < best_due:
-                    best = index
-                    best_due = due
-            clock = clocks[best]
-            clock.next_due = best_due + \
-                self._sched_rng.expovariate(clock.rate)
-            return best
         point = self._sched_rng.random() * self._total_weight
         return bisect_right(self._cumulative, point,
                             hi=len(self._cumulative) - 1)

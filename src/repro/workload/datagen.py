@@ -74,11 +74,6 @@ class BlockContentGenerator:
             for phase in range(_PHASES))
         self.blocks = self.words_drawn = self.refills = 0
 
-    def stats(self) -> dict[str, int]:
-        """Census of the pooled draws (never part of any report)."""
-        return {"blocks": self.blocks, "words_drawn": self.words_drawn,
-                "refills": self.refills}
-
     def _pool_words(self, size: int) -> int:
         """Words one slab holds for ``size`` bytes: the expected use plus
         3 sigma of the granule mix, 4 sigma of the rejections and 64."""

@@ -1,6 +1,6 @@
 """Offset/access patterns for workload construction.
 
-All patterns draw *slot numbers* in ``[0, n_slots)``; callers multiply by
+A pattern draws *slot numbers* in ``[0, n_slots)``; callers multiply by
 the block size.  Deterministic under a seed, like everything else in the
 workload package.
 """
@@ -9,25 +9,11 @@ from __future__ import annotations
 
 import bisect
 import random
-from abc import ABC, abstractmethod
 
 from repro.errors import WorkloadError
 
 
-class AccessPattern(ABC):
-    """Source of slot numbers."""
-
-    def __init__(self, n_slots: int):
-        if n_slots < 1:
-            raise WorkloadError(f"need at least one slot, got {n_slots}")
-        self.n_slots = n_slots
-
-    @abstractmethod
-    def next_slot(self) -> int:
-        """Draw the next slot number."""
-
-
-class ZipfPattern(AccessPattern):
+class ZipfPattern:
     """Zipf-distributed draws: slot k with probability ~ 1/(k+1)^s.
 
     The skew that makes small GPU bins and the bin buffer worth having:
@@ -35,9 +21,11 @@ class ZipfPattern(AccessPattern):
     """
 
     def __init__(self, n_slots: int, skew: float = 1.0, *, seed: int):
-        super().__init__(n_slots)
+        if n_slots < 1:
+            raise WorkloadError(f"need at least one slot, got {n_slots}")
         if skew <= 0:
             raise WorkloadError(f"skew must be positive, got {skew}")
+        self.n_slots = n_slots
         self.skew = skew
         self._rng = random.Random(seed)
         cdf = []
@@ -48,4 +36,5 @@ class ZipfPattern(AccessPattern):
         self._cdf = [c / total for c in cdf]
 
     def next_slot(self) -> int:
+        """Draw the next slot number."""
         return bisect.bisect_left(self._cdf, self._rng.random())

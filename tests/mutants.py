@@ -141,7 +141,8 @@ MUTANTS = (
            "if metadata.mapped_id(entry.offset) != entry.shadow_id:",
            "if False:",
            ("tests/test_tenancy_units.py::TestCompactionQueue::"
-            "test_an_overwritten_deferred_offset_keeps_its_new_content",)),
+            "test_an_overwritten_deferred_offset_keeps_its_new_content",
+            CONTROLLER_MODEL)),
     # -- CPU QuickLZ encoded ahead: each container under its own content.
     Mutant("encode-ahead-pairs-containers-one-fingerprint-off",
            "src/repro/compression/parallel_cpu.py",
@@ -156,6 +157,13 @@ MUTANTS = (
            ("tests/test_encode_ahead.py::test_every_encode_ahead_is_taken",
             "tests/test_reduction_ledger.py::"
             "test_duplicates_never_reach_the_codec")),
+    # -- The execution census's comparison: both kinds of drift.
+    Mutant("census-passes-kept-entries-that-were-entered",
+           "tests/census.py",
+           "            if site in kept:\n",
+           "            if False:\n",
+           ("tests/test_census.py::"
+            "test_report_names_unexpected_and_stale_sites",)),
 )
 
 

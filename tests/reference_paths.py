@@ -198,7 +198,6 @@ class ReferenceTenantMixStream:
 
     def __init__(self, mix, payload: bool = False):
         self.tenants = mix.tenants
-        self.open_loop = mix.open_loop
         self.sched = random.Random(mix.seed)
         self.streams = [ReferenceVdbenchStream(
             dedup_ratio=spec.dedup_ratio, comp_ratio=spec.comp_ratio,
@@ -207,24 +206,18 @@ class ReferenceTenantMixStream:
             working_set=spec.working_set,
             offset_base=index * TENANT_ADDRESS_STRIDE)
             for index, spec in enumerate(mix.tenants)]
-        self.due = [0.0] * len(mix.tenants)
 
     def pick(self) -> int:
         last = len(self.tenants) - 1
         if last == 0:
             return 0
-        if self.open_loop:
-            best = min(range(last + 1), key=self.due.__getitem__)
-            self.due[best] += self.sched.expovariate(
-                self.tenants[best].total_rate_iops)
-            return best
         total = 0.0
         for spec in self.tenants:
-            total += spec.effective_weight
+            total += spec.weight
         point = self.sched.random() * total
         cumulative = 0.0
         for index in range(last):
-            cumulative += self.tenants[index].effective_weight
+            cumulative += self.tenants[index].weight
             if point < cumulative:
                 return index
         return last

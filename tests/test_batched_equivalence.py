@@ -153,19 +153,14 @@ class TestBatchedWorkload:
         assert [columns(c) for c in got] == [columns(c) for c in want]
         assert stream.stats.__dict__ == oracle.stats.__dict__
 
-    @pytest.mark.parametrize("open_loop", [False, True],
-                             ids=["closed", "open"])
     @pytest.mark.parametrize("tenants", [1, 2, 3])
-    def test_tenant_mix_matches_oracle(self, tenants, open_loop):
+    def test_tenant_mix_matches_oracle(self, tenants):
         specs = (
-            TenantSpec(name="a", seed=1, weight=2.0, dedup_ratio=3.0,
-                       arrival_rate_iops=3000.0),
-            TenantSpec(name="b", seed=2, clients=3, dedup_ratio=1.5,
-                       arrival_rate_iops=500.0),
-            TenantSpec(name="c", seed=3, locality=0.9, working_set=16,
-                       arrival_rate_iops=1000.0),
+            TenantSpec(name="a", seed=1, weight=2.0, dedup_ratio=3.0),
+            TenantSpec(name="b", seed=2, weight=3.0, dedup_ratio=1.5),
+            TenantSpec(name="c", seed=3, locality=0.9, working_set=16),
         )[:tenants]
-        mix = TenantMix(tenants=specs, seed=42, open_loop=open_loop)
+        mix = TenantMix(tenants=specs, seed=42)
         got = list(TenantMixStream(mix).chunks(600))
         want = ReferenceTenantMixStream(mix).chunks(600)
         assert [columns(c) for c in got] == [columns(c) for c in want]

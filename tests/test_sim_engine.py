@@ -58,7 +58,7 @@ def test_timeout_at_a_past_instant_rejected():
         env.timeout_at(1.0)
     fired = env.timeout_at(2.0)
     env.run()
-    assert fired.processed and env.now == 2.0
+    assert fired.callbacks is None and env.now == 2.0
 
 
 def test_timeout_value_is_delivered():
@@ -422,8 +422,6 @@ def test_event_value_before_trigger_raises():
     ev = env.event()
     with pytest.raises(SimulationError):
         _ = ev.value
-    with pytest.raises(SimulationError):
-        _ = ev.ok
 
 
 def test_deterministic_schedule_with_many_processes():
@@ -481,7 +479,7 @@ def test_unobserved_process_completion_schedules_nothing():
     # termination has no listener, so it is marked processed on the spot
     # instead of taking a calendar entry.
     assert [name for _t, name in trace] == ["Timeout"]
-    assert proc.processed and proc.value == 42
+    assert proc.callbacks is None and proc.value == 42
 
     def late_waiter():
         value = yield proc  # already processed: value comes straight back

@@ -12,7 +12,9 @@ documentation and CI runs them.
 The census covers every module-level function and class and every
 function or class defined directly in a class body.  Dunders are
 exempt: the language calls them.  Code only a test calls belongs in
-``tests/`` as an oracle or helper, or nowhere.
+``tests/`` as an oracle or helper, or nowhere.  A name is not a call:
+``python -m tests.census`` checks which functions the entry points
+actually enter.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,8 @@ from repro.tenancy import (
 )
 from repro.tenancy.runner import run_tenant_mix
 from repro.workload import VdbenchStream
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SCENARIO_CACHE = 96
 SCENARIO_CHUNKS = 8192
@@ -85,7 +88,7 @@ class TestDegenerateIdentity:
 class TestMixEmission:
     MIX = TenantMix(tenants=(
         TenantSpec(name="a", seed=1, weight=2.0, dedup_ratio=3.0),
-        TenantSpec(name="b", seed=2, clients=3, dedup_ratio=1.5),
+        TenantSpec(name="b", seed=2, weight=3.0, dedup_ratio=1.5),
         TenantSpec(name="c", seed=3, locality=0.9, working_set=16),
     ), seed=42)
 
@@ -115,22 +118,12 @@ class TestMixEmission:
         counts = [0, 0, 0]
         for chunk in TenantMixStream(self.MIX).chunks(6000):
             counts[chunk.tenant] += 1
-        # effective weights 2 : 3 : 1.
+        # weights 2 : 3 : 1.
         assert counts[1] > counts[0] > counts[2]
-
-    def test_open_loop_rates_shape_traffic(self):
-        mix = TenantMix(tenants=(
-            TenantSpec(name="fast", seed=1, arrival_rate_iops=3000.0),
-            TenantSpec(name="slow", seed=2, arrival_rate_iops=1000.0),
-        ), seed=9, open_loop=True)
-        counts = [0, 0]
-        for chunk in TenantMixStream(mix).chunks(4000):
-            counts[chunk.tenant] += 1
-        assert counts[0] > 2 * counts[1]
 
     def test_spec_round_trips_through_json(self):
         text = json.dumps({
-            "seed": self.MIX.seed, "open_loop": self.MIX.open_loop,
+            "seed": self.MIX.seed,
             "tenants": [dataclasses.asdict(spec)
                         for spec in self.MIX.tenants]})
         assert TenantMix.from_json(text) == self.MIX
@@ -144,21 +137,39 @@ class TestMixEmission:
         with pytest.raises(WorkloadError):
             TenantMix(tenants=(TenantSpec(name="a", seed=1),
                                TenantSpec(name="b", seed=1)), seed=0)
-        with pytest.raises(WorkloadError):
-            TenantMix(tenants=(TenantSpec(name="a", seed=1),
-                               TenantSpec(name="b", seed=2)),
-                      seed=0, open_loop=True)
         # Only a JSON bool: the string "false" is not a closed loop.
         with pytest.raises(WorkloadError, match="open_loop"):
             TenantMix.from_dict({
                 "seed": 0, "open_loop": "false",
-                "tenants": [{"name": "a", "seed": 1,
-                             "arrival_rate_iops": 100.0}]})
+                "tenants": [{"name": "a", "seed": 1}]})
 
-    @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("rate", [3000.0, 0, -5.0, float("nan"),
+                                      float("inf")])
     def test_invalid_arrival_rate_rejected(self, rate):
+        """Mixes are closed-loop: a tenant's arrival rate is refused,
+        whatever its value."""
         with pytest.raises(WorkloadError, match="arrival_rate_iops"):
-            TenantSpec(name="a", seed=1, arrival_rate_iops=rate)
+            TenantMix.from_dict({
+                "seed": 0, "tenants": [{"name": "a", "seed": 1,
+                                        "arrival_rate_iops": rate}]})
+
+    def test_closed_loop_keys_of_the_benchmark_spec_parse(self):
+        """The benchmark's spec file says ``"open_loop": false`` and
+        ``"clients": 1``, which every mix is; other values are
+        refused."""
+        path = ROOT / "e2ebench" / "inputs" / "tenant_mix.json"
+        payload = json.loads(path.read_text())
+        assert payload["open_loop"] is False
+        assert {tenant["clients"] for tenant in payload["tenants"]} == {1}
+        mix = TenantMix.from_json(path.read_text())
+        assert [spec.name for spec in mix.tenants] == ["hot", "cold"]
+        with pytest.raises(WorkloadError, match="open_loop"):
+            TenantMix.from_dict(dict(payload, open_loop=True))
+        for clients in (2, 0, True, 1.0):
+            tenants = [dict(payload["tenants"][0], clients=clients),
+                       payload["tenants"][1]]
+            with pytest.raises(WorkloadError, match="clients"):
+                TenantMix.from_dict(dict(payload, tenants=tenants))
 
 
 class TestEstimatorEquivalence:

@@ -123,9 +123,8 @@ class TestBlockContentGenerator:
         for salt in range(50):
             assert generator.make_block(4096, salt=salt) \
                 == reference_block(generator, 4096, salt)
-        assert generator.stats()["refills"] > 50
-        assert generator.stats()["words_drawn"] \
-            == 50 * (50 + generator.stats()["refills"])
+        assert generator.refills > 50
+        assert generator.words_drawn == 50 * (50 + generator.refills)
 
     def test_pool_is_neither_short_nor_wasteful(self):
         """Census, no clock: at the ratios the payload workloads draw, no
@@ -135,8 +134,8 @@ class TestBlockContentGenerator:
             stream = VdbenchStream(seed=77, dedup_ratio=1.0,
                                    comp_ratio=comp_ratio, payload=True)
             stream.next_batch(1000)
-            census = stream._content.stats()
-            assert census["blocks"] == 1000 and census["refills"] == 0
+            census = stream._content
+            assert census.blocks == 1000 and census.refills == 0
             used = 0
             for unique_id, ratio in enumerate(stream._unique_ratios):
                 stream._content.random_fraction = \
@@ -145,7 +144,7 @@ class TestBlockContentGenerator:
                 reference_block(stream._content, DEFAULT_CHUNK_SIZE,
                                 unique_id, rng)
                 used += rng.words
-            assert used < census["words_drawn"] <= 2.5 * used
+            assert used < census.words_drawn <= 2.5 * used
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(WorkloadError):
