@@ -8,9 +8,9 @@ hardware threads.  This module supplies the per-chunk functional work and
 its cycle cost.
 
 On the host the chunks are independent too: :meth:`CpuCompressor.
-compress_window` encodes a window's new payloads ahead, shared out
-across host cores by :func:`repro.host.spread`, and :meth:`CpuCompressor.
-compress` takes the finished container instead of encoding again.  The
+compress_window` hands a window's new payloads to the codec queue
+(:mod:`repro.host`) without waiting, and :meth:`CpuCompressor.compress`
+takes the chunk's container from it instead of encoding again.  The
 codec is a pure function of the payload, so where an encode ran changes
 no byte.
 
@@ -47,7 +47,7 @@ class CompressionResult:
 
 
 def _encode_all(codec: Codec, payloads: list[bytes]) -> list[bytes]:
-    """One container per payload: a :func:`repro.host.spread` task."""
+    """One container per payload: the CPU codec's queue task."""
     return [codec.encode(payload) for payload in payloads]
 
 
@@ -59,26 +59,32 @@ class CpuCompressor:
         self.chunks_compressed = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        #: Containers :meth:`compress_window` encoded and :meth:`compress`
-        #: has not yet taken, by fingerprint.
-        self.ahead: dict[bytes, bytes] = {}
-        #: Codec calls by where they ran: ahead (any host core) or inline
-        #: in :meth:`compress`.  Not in :meth:`stats`, whose keys a
-        #: volume's published metrics pin.
+        #: Containers :meth:`compress_window` queued and :meth:`compress`
+        #: has not yet taken, by fingerprint: the share that encodes the
+        #: payload and the payload's place in it.
+        self.ahead: dict[bytes, tuple[host.Share, int]] = {}
+        #: Containers by where they came from: the queue (encoded ahead
+        #: on a helper, or in the caller on first take) or an encode
+        #: inline in :meth:`compress`.  Not in :meth:`stats`, whose keys
+        #: a volume's published metrics pin.
         self.encoded_ahead = 0
         self.encoded_inline = 0
 
     def compress(self, chunk: Chunk) -> CompressionResult:
         """Compress one chunk (functionally in payload mode).
 
-        A container encoded ahead for the chunk's fingerprint is taken;
+        A container queued for the chunk's fingerprint is taken;
         without one the payload is encoded here.
         """
         if chunk.has_payload:
-            blob = self.ahead.pop(chunk.fingerprint, None)
-            if blob is None:
+            queued = self.ahead.pop(chunk.fingerprint, None)
+            if queued is None:
                 blob = self.codec.encode(chunk.payload)
                 self.encoded_inline += 1
+            else:
+                share, index = queued
+                blob = host.take(share)[index]
+                self.encoded_ahead += 1
             if len(blob) < chunk.size:
                 size, stored_raw, out_blob = len(blob), False, blob
             else:
@@ -98,17 +104,18 @@ class CpuCompressor:
                                  blob=out_blob, stored_raw=stored_raw)
 
     def compress_window(self, chunks: list[Chunk]) -> None:
-        """Encode the payloads of fingerprinted ``chunks`` ahead, one
-        share per host core, for :meth:`compress` to take.
+        """Queue the payloads of fingerprinted ``chunks`` to be encoded
+        ahead, for :meth:`compress` to take; on one usable CPU nothing
+        is queued.
 
         The caller passes one chunk per fingerprint it will compress;
         nothing is counted as compressed until :meth:`compress` runs.
         """
-        blobs = host.spread(partial(_encode_all, self.codec),
+        share = host.submit(partial(_encode_all, self.codec),
                             [chunk.payload for chunk in chunks])
-        self.ahead.update(zip([chunk.fingerprint for chunk in chunks],
-                              blobs))
-        self.encoded_ahead += len(blobs)
+        if share is not None:
+            self.ahead.update((chunk.fingerprint, (share, index))
+                              for index, chunk in enumerate(chunks))
 
     def decompress(self, blob: bytes) -> bytes:
         """Round-trip helper for volume reads."""

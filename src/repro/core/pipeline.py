@@ -41,6 +41,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Generator, Iterable, Optional
 
+from repro import host
 from repro.chunkbatch import iter_windows
 from repro.core.batcher import GpuBatcher
 from repro.core.config import PREFIX_BYTES, PipelineConfig
@@ -477,10 +478,11 @@ class ReductionPipeline:
         """Admit exactly ``total`` chunks, one functional window at a time.
 
         Per window, the untimed fingerprint pass runs once up front.
-        When the CPU compresses real bytes, a second untimed pass
-        encodes the window's new contents ahead across host cores
-        (``CpuCompressor.compress_window``), each of which a worker's
-        ``compress`` later takes.  Admission itself — pacing,
+        With real bytes and a second usable CPU, a second untimed pass
+        hands the window's new contents to the codec queue without
+        waiting (``compress_window`` of the CPU or the GPU codec,
+        DESIGN.md §12); a worker's compression takes each container on
+        first use.  Admission itself — pacing,
         window-slot acquisition, worker spawn — is strictly per chunk,
         so the timed event schedule does not depend on the window size
         (DESIGN.md §12).
@@ -492,17 +494,20 @@ class ReductionPipeline:
         next_admission = 0.0
         trace = self.tracer
         dedup = self.dedup
-        cpu_comp = self.cpu_comp
-        encode_ahead = (self.tenancy is None and cfg.enable_compression
-                        and not cfg.mode.gpu_for_compression)
+        codec = (self.gpu_comp if cfg.mode.gpu_for_compression
+                 else self.cpu_comp)
+        ahead = (self.tenancy is None and cfg.enable_compression
+                 and host.usable_cpus() > 1)
         chunks = iter(chunks)
         seq = 0
         for window in iter_windows(islice(chunks, total)):
             if dedup is not None:
                 fingerprint_window(window)
-                if encode_ahead and window[0].payload is not None:
-                    cpu_comp.compress_window(dedup.new_contents(
-                        window, self._pending, cpu_comp.ahead))
+                if ahead and window[0].payload is not None:
+                    new = dedup.new_contents(window, self._pending,
+                                             codec.ahead)
+                    if new:
+                        codec.compress_window(new)
             for chunk in window:
                 if gap:
                     delay = next_admission - self.env.now
@@ -545,7 +550,12 @@ class ReductionPipeline:
         self._total = total
         self._start_batchers()
         self.env.process(self._feeder(chunks))
-        self.env.run(until=self._finished)
+        try:
+            self.env.run(until=self._finished)
+        finally:
+            # Every container queued ahead has been taken, unless the
+            # run raised: no helper may keep computing or hold a reply.
+            host.close()
         duration = self.env.now
         # Snapshot the Fig. 1 counters before the shutdown drain so the
         # report reflects steady-state traffic only.

@@ -16,25 +16,26 @@ token counts and the chunk and segment bounds (:class:`LzTile`) — which
 
 Two kernel classes share one cost model:
 
-* :class:`SegmentLzKernel` — payload mode: really searches matches, a
-  tile of chunks at a time as one array problem (DESIGN.md §9), emitting
-  exactly the tokens a per-segment greedy parse over
-  :class:`~repro.compression.lzss.IndexedMatchFinder` would.
-* :class:`DescriptorLzKernel` — descriptor mode for large timed runs:
-  no payload, synthetic output sizes from the workload's compression
-  ratio, analytic divergence.
+* :class:`SegmentLzKernel` — the search itself: really searches matches,
+  a tile of chunks at a time as one array problem (DESIGN.md §9),
+  emitting exactly the tokens a per-segment greedy parse over
+  :class:`~repro.compression.lzss.IndexedMatchFinder` would.  The GPU
+  codec's queue task runs it, on a helper or in the caller
+  (:mod:`repro.compression.gpu_lz`).
+* :class:`DescriptorLzKernel` — what the pipeline launches: priced from
+  the chunk sizes alone, it returns synthetic output sizes from the
+  workload's compression ratio (descriptor mode); a payload launch's
+  containers come from the codec queue instead.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro import host
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
     LzParams,
@@ -56,29 +57,46 @@ _KEY_BYTES = 3
 #: The walk's census counters on a :class:`SegmentLzKernel`.
 LZ_CENSUS = ("rounds", "candidate_visits", "open_visits",
              "closed_by_trigram", "closed_by_second", "scalar_scans")
-#: What a tile search computes, and all a helper process sends back: the
-#: caller re-attaches the :class:`LzTile`'s ``chunks`` and ``data``.
-_TILE_ARRAYS = ("edges", "seg_start", "seg_end", "counts", "starts",
-                "lengths", "distances")
 #: Segment threads per chunk: the paper's launch geometry, and the only
 #: one the pipeline's GPU compressor and descriptor mode use.
 SEGMENTS_PER_CHUNK = 8
 
 
-def _lz_cost(name: str, threads: int, total_bytes: int,
-             segment_bytes: int) -> KernelCost:
-    """Shared cost formula for both LZ kernel flavours."""
-    costs = DEFAULT_GPU_COSTS
-    lane_cycles = (total_bytes * costs.lz_work_unit_cycles
-                   * costs.lz_divergence_factor)
-    return KernelCost(
-        name=name,
-        threads=threads,
-        lane_cycles_total=lane_cycles + threads * costs.lz_fixed_lane_cycles,
-        critical_path_cycles=segment_bytes * costs.lz_critical_cycles_per_byte,
-        bytes_read=total_bytes * costs.lz_bytes_read_factor,
-        bytes_written=total_bytes,  # raw, unrefined match records
-    )
+class _LzPricing(Kernel):
+    """The cost model both LZ kernels share: a launch of ``chunk_sizes``
+    chunks, ``segments_per_chunk`` threads each, priced from the sizes
+    alone."""
+
+    name = "segment_lz"
+    segments_per_chunk = SEGMENTS_PER_CHUNK
+    chunk_sizes: list[int]
+
+    def cost(self) -> KernelCost:
+        costs = DEFAULT_GPU_COSTS
+        total = sum(self.chunk_sizes)
+        segments = self.segments_per_chunk
+        threads = len(self.chunk_sizes) * segments
+        segment_bytes = (max(self.chunk_sizes) + segments - 1) // segments
+        lane_cycles = (total * costs.lz_work_unit_cycles
+                       * costs.lz_divergence_factor)
+        return KernelCost(
+            name=self.name,
+            threads=threads,
+            lane_cycles_total=(lane_cycles
+                               + threads * costs.lz_fixed_lane_cycles),
+            critical_path_cycles=(segment_bytes
+                                  * costs.lz_critical_cycles_per_byte),
+            bytes_read=total * costs.lz_bytes_read_factor,
+            bytes_written=total,  # raw, unrefined match records
+        )
+
+    def bytes_in(self) -> int:
+        return sum(self.chunk_sizes)
+
+    def bytes_out(self) -> int:
+        # Raw token records flow back for CPU refinement; roughly half the
+        # input volume for typical primary-storage data.
+        return sum(self.chunk_sizes) // 2
 
 
 @dataclass
@@ -120,10 +138,8 @@ class LzLaunch:
         return sum(len(tile.chunks) for tile in self.tiles)
 
 
-class SegmentLzKernel(Kernel):
+class SegmentLzKernel(_LzPricing):
     """Payload-mode segment-parallel LZ search over a batch of chunks."""
-
-    name = "segment_lz"
 
     def __init__(self, chunks: Sequence[bytes],
                  segments_per_chunk: int = SEGMENTS_PER_CHUNK,
@@ -134,6 +150,7 @@ class SegmentLzKernel(Kernel):
             raise KernelError(
                 f"invalid segment count {segments_per_chunk}")
         self.chunks = list(chunks)
+        self.chunk_sizes = [len(chunk) for chunk in self.chunks]
         self.segments_per_chunk = segments_per_chunk
         self.params = params
         #: :data:`LZ_CENSUS`, summed over the launch's tiles: walk rounds,
@@ -150,21 +167,15 @@ class SegmentLzKernel(Kernel):
 
         A segment thread whose range is empty (chunk shorter than the
         segment grid) idles, exactly like a real kernel's out-of-range
-        guard, and contributes no tokens.  Tiles are independent, so
-        :func:`repro.host.spread` shares them out between this
-        process and helpers on spare host cores.
+        guard, and contributes no tokens.  The search runs in the
+        calling process; the pipeline runs it ahead on the codec queue
+        (:mod:`repro.host`) instead of at launch.
         """
-        tiles = [(first, self.chunks[first:first + _TILE_CHUNKS])
+        tiles = [self._search_tile(first,
+                                   self.chunks[first:first + _TILE_CHUNKS])
                  for first in range(0, len(self.chunks), _TILE_CHUNKS)]
-        found = host.spread(partial(_search_tiles, self.segments_per_chunk,
-                                    self.params), tiles)
-        launch = []
-        for (first, chunks), (arrays, census) in zip(tiles, found):
-            launch.append(LzTile(first, chunks, b"".join(chunks), *arrays))
-            for name, count in zip(LZ_CENSUS, census):
-                setattr(self, name, getattr(self, name) + count)
-        return LzLaunch(launch, {name: getattr(self, name)
-                                 for name in LZ_CENSUS})
+        return LzLaunch(tiles, {name: getattr(self, name)
+                                for name in LZ_CENSUS})
 
     def _search_tile(self, first: int, tile: Sequence[bytes]) -> LzTile:
         """Search every segment of a tile of chunks in lockstep.
@@ -377,54 +388,17 @@ class SegmentLzKernel(Kernel):
             nearer = candidate
         return best_dist, best_len
 
-    def describe(self) -> dict:
-        attrs = super().describe()
-        attrs.update((f"lz_{name}", getattr(self, name))
-                     for name in LZ_CENSUS)
-        return attrs
 
-    # -- timing -------------------------------------------------------------
-
-    def cost(self) -> KernelCost:
-        total = sum(len(c) for c in self.chunks)
-        longest = max(len(c) for c in self.chunks)
-        segment_bytes = (longest + self.segments_per_chunk - 1) \
-            // self.segments_per_chunk
-        return _lz_cost(self.name,
-                        len(self.chunks) * self.segments_per_chunk,
-                        total, segment_bytes)
-
-    def bytes_in(self) -> int:
-        return sum(len(c) for c in self.chunks)
-
-    def bytes_out(self) -> int:
-        # Raw token records flow back for CPU refinement; roughly half the
-        # input volume for typical primary-storage data.
-        return sum(len(c) for c in self.chunks) // 2
-
-
-def _search_tiles(segments_per_chunk: int, params: LzParams,
-                  tiles: list[tuple[int, Sequence[bytes]]]) -> list:
-    """Search ``(first, chunks)`` tiles in the caller or a helper: per
-    tile, its :data:`_TILE_ARRAYS` and its :data:`LZ_CENSUS` counts."""
-    found = []
-    for first, chunks in tiles:
-        kernel = SegmentLzKernel(chunks, segments_per_chunk, params)
-        tile = kernel._search_tile(first, chunks)
-        found.append(([getattr(tile, name) for name in _TILE_ARRAYS],
-                      [getattr(kernel, name) for name in LZ_CENSUS]))
-    return found
-
-
-class DescriptorLzKernel(Kernel):
-    """Descriptor-mode LZ kernel for large timed runs (no payloads).
+class DescriptorLzKernel(_LzPricing):
+    """The LZ launch the pipeline prices, from chunk sizes alone.
 
     ``chunk_ratios`` carries the workload generator's per-chunk achieved
     compression ratio; the kernel's synthetic result is the compressed
-    size each chunk would have.
+    size each chunk would have (descriptor mode).  Its cost is
+    :class:`SegmentLzKernel`'s for chunks of the same sizes, so a
+    payload launch, whose search runs on the codec queue, is priced
+    with it too.
     """
-
-    name = "segment_lz"
 
     def __init__(self, chunk_sizes: Sequence[int],
                  chunk_ratios: Sequence[float]):
@@ -439,18 +413,3 @@ class DescriptorLzKernel(Kernel):
         """Synthetic compressed sizes implied by the workload's ratios."""
         return [max(1, int(size / ratio)) for size, ratio
                 in zip(self.chunk_sizes, self.chunk_ratios)]
-
-    def cost(self) -> KernelCost:
-        total = sum(self.chunk_sizes)
-        longest = max(self.chunk_sizes)
-        segment_bytes = (longest + SEGMENTS_PER_CHUNK - 1) \
-            // SEGMENTS_PER_CHUNK
-        return _lz_cost(self.name,
-                        len(self.chunk_sizes) * SEGMENTS_PER_CHUNK,
-                        total, segment_bytes)
-
-    def bytes_in(self) -> int:
-        return sum(self.chunk_sizes)
-
-    def bytes_out(self) -> int:
-        return sum(self.chunk_sizes) // 2

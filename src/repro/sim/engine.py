@@ -217,7 +217,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_ready", "_eid",
-                 "_trace", "_finishables", "_alive_processes")
+                 "_finishables", "_alive_processes")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -225,10 +225,6 @@ class Environment:
         #: Zero-delay run queue; entries are (eid, event) at time `now`.
         self._ready: deque[tuple[int, Event]] = deque()
         self._eid = 0
-        #: Optional schedule trace: when set to a list, every processed
-        #: event appends ``(time, event-type-name)`` — the hook the
-        #: golden-schedule determinism tests record through.
-        self._trace: Optional[list] = None
         #: Objects (resources, batchers) that can report end-of-run leaks.
         self._finishables: list = []
         #: Live process count, maintained by Process itself.
@@ -363,8 +359,6 @@ class Environment:
             self._now = when
         else:
             raise SimulationError("no scheduled events")
-        if self._trace is not None:
-            self._trace.append((self._now, type(event).__name__))
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

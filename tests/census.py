@@ -124,6 +124,8 @@ ABSTRACT = ("An abstract method or a base no-op hook: the subclasses' "
             "overrides run instead.")
 HELPER_ONLY = ("Runs only in a helper forked by repro.host, which leaves "
                "by os._exit before the hook's record is written.")
+AT_EXIT = ("An interpreter exit handler: it runs after the hook's record "
+           "is written.")
 GPU_RESTART = ("Restart of an engine that has GPU bins: no entry point "
                "restarts one, the volume (which restarts) has no GPU.")
 WRITE_TAIL = ("write() needs it for a length that is not a chunk "
@@ -156,7 +158,8 @@ KEPT: dict[tuple[str, str], str] = {
     ("src/repro/gpu/kernel.py", "Kernel.execute"): ABSTRACT,
     ("src/repro/gpu/memory.py", "DeviceBuffer.free"): GPU_RESTART,
     ("src/repro/gpu/memory.py", "DeviceMemory._release"): GPU_RESTART,
-    ("src/repro/host.py", "_Pool.retire"): ERROR_PATH,
+    ("src/repro/host.py", "_Queue.release"): AT_EXIT,
+    ("src/repro/host.py", "_Queue.retire"): ERROR_PATH,
     ("src/repro/host.py", "_serve"): HELPER_ONLY,
     ("src/repro/obs/export.py", "validate_chrome_trace.<locals>.note"):
         ERROR_PATH,

@@ -16,7 +16,9 @@ replacement there and runs only the row's nodes.  Each row reads:
 It exits 1 unless every row it ran was killed.  ``--id X`` runs one row
 (repeatable); ``--deselect NODE`` leaves one node out of every run (see
 that a row's kill rests on it).  Hypothesis runs seeded
-(``--hypothesis-seed=0``), so a row's verdict is the same on every run.
+(``--hypothesis-seed=0``), so a row's verdict is the same on every run,
+and under the ``mutants`` profile (``tests/conftest.py``), which does
+not shrink: a row needs its nodes to fail, not a minimal example.
 
 Rules: a change that adds an oracle adds the row it was validated with;
 a change that deletes the code a row mutates deletes the row.
@@ -143,20 +145,43 @@ MUTANTS = (
            ("tests/test_tenancy_units.py::TestCompactionQueue::"
             "test_an_overwritten_deferred_offset_keeps_its_new_content",
             CONTROLLER_MODEL)),
-    # -- CPU QuickLZ encoded ahead: each container under its own content.
+    # -- Codec work ahead: each container under its own content, every
+    # -- reply read, and every share computed once.
     Mutant("encode-ahead-pairs-containers-one-fingerprint-off",
            "src/repro/compression/parallel_cpu.py",
-           "self.ahead.update(zip([chunk.fingerprint for chunk in chunks],\n"
-           "                              blobs))",
-           "self.ahead.update(zip([chunk.fingerprint for chunk in chunks],\n"
-           "                              blobs[1:] + blobs[:1]))",
+           "(chunk.fingerprint, (share, index))",
+           "(chunk.fingerprint, (share, (index + 1) % len(chunks)))",
+           (ENCODE_AHEAD,)),
+    Mutant("gpu-container-filed-under-a-neighbours-fingerprint",
+           "src/repro/compression/gpu_lz.py",
+           "(chunk.fingerprint, (share, index))",
+           "(chunk.fingerprint, (share, (index + 1) % len(chunks)))",
            (ENCODE_AHEAD,)),
     Mutant("encode-ahead-forgets-in-flight-contents",
            "src/repro/core/pipeline.py",
-           "window, self._pending, cpu_comp.ahead", "window, cpu_comp.ahead",
+           "new_contents(window, self._pending,\n"
+           "                                             codec.ahead)",
+           "new_contents(window, codec.ahead)",
            ("tests/test_encode_ahead.py::test_every_encode_ahead_is_taken",
             "tests/test_reduction_ledger.py::"
             "test_duplicates_never_reach_the_codec")),
+    Mutant("take-reads-an-in-flight-share-without-waiting",
+           "src/repro/host.py",
+           "if helper is not None and helper in queue.helpers:",
+           "if helper is not None and helper in queue.helpers \\\n"
+           "            and helper.conn.poll(0):",
+           ("tests/test_gpu_host.py::"
+            "test_one_unread_share_per_helper_and_the_newest_goes_next",
+            "tests/test_reduction_ledger.py::"
+            "test_duplicates_never_reach_the_codec")),
+    Mutant("run-end-leaves-a-reply-unread", "src/repro/host.py",
+           "        if helper.share is not None:\n"
+           "            queue.collect(helper)\n",
+           "        pass\n",
+           ("tests/test_encode_ahead.py::"
+            "test_a_run_that_raises_leaves_the_next_run_identical",
+            "tests/test_gpu_host.py::"
+            "test_close_reads_the_reply_in_flight_and_drops_the_unsent")),
     # -- The execution census's comparison: both kinds of drift.
     Mutant("census-passes-kept-entries-that-were-entered",
            "tests/census.py",
@@ -179,7 +204,8 @@ def run(mutant: Mutant, deselect: list[str]) -> str:
             return "stale"
         target.write_text(text.replace(mutant.old, mutant.new))
         command = [sys.executable, "-m", "pytest", "-q", "-x",
-                   "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+                   "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                   "--hypothesis-profile=mutants"]
         for node in deselect:
             command += ["--deselect", node]
         env = dict(os.environ, PYTHONPATH="src",

@@ -23,20 +23,18 @@ from repro.core.modes import IntegrationMode
 from repro.core.pipeline import ReductionPipeline
 from repro.cpu.model import SimCpu
 from repro.gpu.device import GpuDevice
-from repro.sim import Environment
 from repro.storage.ssd import SsdModel
 from repro.workload.vdbench import VdbenchStream
+from tests.dispatch_trace import TracingEnvironment
 
 
 def _traced_run(mode: IntegrationMode, n_chunks: int, seed: int):
-    """One pipeline run with the engine's dispatch-trace hook armed."""
+    """One pipeline run on a :class:`TracingEnvironment`."""
     # The run ends with Environment.finish_check, so every traced run
     # also winds down cleanly (no live processes, scheduled events, or
     # held slots left behind).
     config = PipelineConfig(mode=mode)
-    env = Environment()
-    trace: list = []
-    env._trace = trace
+    env = TracingEnvironment()
     needs_gpu = mode.gpu_for_dedup or mode.gpu_for_compression
     pipeline = ReductionPipeline(
         env, config, cpu=SimCpu(env),
@@ -44,7 +42,7 @@ def _traced_run(mode: IntegrationMode, n_chunks: int, seed: int):
         ssd=SsdModel(env))
     stream = VdbenchStream(dedup_ratio=2.0, comp_ratio=2.0, seed=seed)
     report = pipeline.run(stream.chunks(n_chunks), total=n_chunks)
-    return report, trace
+    return report, env.trace
 
 
 def test_identical_seeds_identical_schedules():

@@ -27,6 +27,7 @@ from repro.storage import MetadataStore
 from repro.storage.ssd import SsdModel
 from repro.storage.writeback import WriteBack
 from repro.types import Chunk
+from tests.dispatch_trace import TracingEnvironment
 from tests.reference_paths import reference_writeback_submit
 
 
@@ -129,9 +130,8 @@ def test_a_read_costs_one_ssd_calendar_entry():
     store = MetadataStore()
     for i in range(n):
         store.map_logical(i * 4096, store.store_unique(4096, 2048))
-    env = Environment()
-    trace: list = []
-    env._trace = trace
+    env = TracingEnvironment()
+    trace = env.trace
     ReadPipeline(env, store).run([i * 4096 for i in range(n)])
     dispatched = Counter(name for _when, name in trace)
     assert (dispatched["Request"], dispatched["Timeout"]) == (n, 3 * n)

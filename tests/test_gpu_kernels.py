@@ -1,10 +1,13 @@
 """Tests for the GPU kernels and the CPU post-processing that refines them."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import host
 from repro.compression import LzssCodec
 from repro.compression.gpu_lz import GpuCompressor
 from repro.errors import CompressionError, KernelError
@@ -323,22 +326,38 @@ class TestPostprocessValidation:
 
 
 class TestGpuCompressorHandOff:
-    """``make_kernel`` -> launch -> ``split_results`` -> ``postprocess``."""
+    """``compress_window`` -> ``make_kernel`` -> launch ->
+    ``split_results`` -> ``postprocess``."""
 
     @staticmethod
     def _chunks(*payloads):
-        return [Chunk(offset=4096 * i, size=len(payload), payload=payload)
+        return [Chunk(offset=4096 * i, size=len(payload), payload=payload,
+                      fingerprint=hashlib.sha1(payload).digest())
                 for i, payload in enumerate(payloads)]
 
+    @staticmethod
+    def _containers(payloads):
+        launch = SegmentLzKernel(payloads).execute()
+        return [refine_to_container(payload, outputs) for payload, outputs
+                in zip(payloads, launch_outputs(launch))]
+
     def test_split_results_hands_each_chunk_its_container(self):
+        self._hand_off(queued=False)
+
+    def test_split_results_takes_the_containers_queued_ahead(self):
+        self._hand_off(queued=True)
+
+    def _hand_off(self, queued):
         chunks = self._chunks(_compressible(4096), _incompressible(4096),
                               _compressible(700))
         comp = GpuCompressor()
-        launch = comp.make_kernel(chunks).execute()
-        blobs = comp.split_results(chunks, launch)
-        assert blobs == [refine_to_container(chunk.payload, outputs)
-                         for chunk, outputs
-                         in zip(chunks, launch_outputs(launch))]
+        if queued:
+            comp.compress_window(chunks[::-1])
+        sizes = comp.make_kernel(chunks).execute()
+        blobs = comp.split_results(chunks, sizes)
+        assert blobs == self._containers([chunk.payload
+                                          for chunk in chunks])
+        assert comp.ahead == {}
         results = [comp.postprocess(chunk, blob)
                    for chunk, blob in zip(chunks, blobs)]
         assert [r.blob for r in results] == [blobs[0], None, blobs[2]]
@@ -348,21 +367,31 @@ class TestGpuCompressorHandOff:
         assert comp.bytes_out == sum(chunk.compressed_size
                                      for chunk in chunks)
 
-    def test_census_rides_on_the_launch_result(self):
-        """Not on "the kernel made last": a launch abandoned between
-        ``make_kernel`` and ``split_results``, or a second batcher's,
-        must not lend or lose its counts."""
+    def test_a_payload_launch_is_priced_as_the_search_kernel(self):
+        chunks = self._chunks(_compressible(4096), _compressible(700))
+        priced = GpuCompressor().make_kernel(chunks)
+        searched = SegmentLzKernel([chunk.payload for chunk in chunks])
+        assert (priced.name, priced.cost(), priced.bytes_in(),
+                priced.bytes_out()) == (searched.name, searched.cost(),
+                                        searched.bytes_in(),
+                                        searched.bytes_out())
+
+    def test_census_sums_every_search_wherever_it_ran(self, monkeypatch):
+        """A window queued ahead (a helper's search, or the caller's on
+        first take) and a launch's misses searched at split time: each
+        search counts once, however many launches take its containers."""
+        monkeypatch.setattr(host, "usable_cpus", lambda: 2)
         comp = GpuCompressor()
         first = self._chunks(_compressible(4096), _compressible(2048))
         second = self._chunks(_incompressible(4096))
-        launches = [comp.make_kernel(first).execute(),
-                    comp.make_kernel(second).execute()]
-        comp.make_kernel(first)         # made, never launched
-        for chunks, launch in zip((second, first), launches[::-1]):
-            comp.split_results(chunks, launch)
-        assert launches[0].census["candidate_visits"] > 0
+        comp.compress_window(first)
+        for chunks in (second, first[1:], first[:1]):
+            comp.split_results(chunks, comp.make_kernel(chunks).execute())
+        searches = [SegmentLzKernel([chunk.payload for chunk in chunks])
+                    .execute().census for chunks in (first, second)]
+        assert searches[0]["candidate_visits"] > 0
         assert comp.lz_census == {
-            name: launches[0].census[name] + launches[1].census[name]
+            name: searches[0][name] + searches[1][name]
             for name in LZ_CENSUS}
 
     def test_result_of_the_wrong_length_or_kind_is_rejected(self):
@@ -370,19 +399,16 @@ class TestGpuCompressorHandOff:
         payload = self._chunks(_compressible(4096), _compressible(4096))
         descriptor = [Chunk(offset=0, size=4096, comp_ratio=2.0),
                       Chunk(offset=4096, size=4096, comp_ratio=2.0)]
-        launch = comp.make_kernel(payload).execute()
         sizes = comp.make_kernel(descriptor).execute()
         assert comp.split_results(descriptor, sizes) == [2048, 2048]
-        with pytest.raises(CompressionError, match="2 payload results "
+        with pytest.raises(CompressionError, match="2 results "
                                                    "for 1 chunks"):
-            comp.split_results(payload[:1], launch)
-        with pytest.raises(CompressionError, match="1 descriptor results "
+            comp.split_results(payload[:1], sizes)
+        with pytest.raises(CompressionError, match="1 results "
                                                    "for 2 chunks"):
             comp.split_results(descriptor, sizes[:1])
-        with pytest.raises(CompressionError, match="descriptor results"):
-            comp.split_results(payload, sizes)
-        with pytest.raises(CompressionError, match="payload results"):
-            comp.split_results(descriptor, launch)
+        with pytest.raises(CompressionError, match="all-payload"):
+            comp.make_kernel(payload[:1] + descriptor[:1])
         assert comp.lz_census == dict.fromkeys(LZ_CENSUS, 0)
 
 

@@ -10,9 +10,9 @@ corpus or whether chunks carry payload bytes:
 - the dedup verdicts do not depend on the mode: every run over the
   same stream stores the same contents and maps each offset to the
   same one;
-- a payload run whose GPU segment-LZ search :func:`repro.host.spread`
-  shares with a helper process stores the same bytes and reports the
-  same run as the caller searching alone.
+- a payload run whose GPU segment-LZ search runs ahead on helper
+  processes (the codec queue, :mod:`repro.host`) stores the same bytes
+  and reports the same run as the caller searching alone.
 """
 
 import functools
@@ -27,8 +27,6 @@ from repro.compression import gpu_lz
 from repro.compression.parallel_cpu import CpuCompressor
 from repro.compression.quicklz import QuickLzCodec
 from repro.core import IntegrationMode, PipelineConfig
-from repro.gpu.kernels import lz
-from repro.gpu.kernels.lz import SegmentLzKernel
 from repro.workload import VdbenchStream
 from tests.test_gpu_host import CALLER
 from tests.test_pipeline import build_pipeline
@@ -171,18 +169,27 @@ class CountingCodec(QuickLzCodec):
         return self.log.read_text().split()
 
 
-class CountingKernel(SegmentLzKernel):
-    encoded: list = []
+_COMPRESS_PAYLOADS = gpu_lz.compress_payloads
 
-    def __init__(self, chunks, *args, **kwargs):
-        CountingKernel.encoded.extend(bytes(chunk) for chunk in chunks)
-        super().__init__(chunks, *args, **kwargs)
+
+class CountingSearch:
+    """The GPU codec's task, logging the SHA-1 of every payload it
+    searches, in whichever process searches it."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, payloads):
+        with open(self.log, "a") as out:
+            out.writelines(hashlib.sha1(payload).hexdigest() + "\n"
+                           for payload in payloads)
+        return _COMPRESS_PAYLOADS(payloads)
 
 
 def _assert_each_unique_encoded_once(monkeypatch, tmp_path, mode):
     codec = CountingCodec(tmp_path / "encoded")
-    monkeypatch.setattr(CountingKernel, "encoded", [])
-    monkeypatch.setattr(gpu_lz, "SegmentLzKernel", CountingKernel)
+    monkeypatch.setattr(gpu_lz, "compress_payloads",
+                        CountingSearch(tmp_path / "encoded"))
     params = dict(mode=mode, window=64, gpu_index_batch=16,
                   gpu_comp_batch=16)
     pipeline = build_pipeline(PipelineConfig(**params))
@@ -196,11 +203,8 @@ def _assert_each_unique_encoded_once(monkeypatch, tmp_path, mode):
             yield chunk
 
     pipeline.run(tapped(), total=512)
-    if mode.gpu_for_compression:
-        encoded, unique = CountingKernel.encoded, set(payloads)
-    else:
-        encoded = codec.encoded()
-        unique = {hashlib.sha1(payload).hexdigest() for payload in payloads}
+    encoded = codec.encoded()
+    unique = {hashlib.sha1(payload).hexdigest() for payload in payloads}
     assert len(unique) < len(payloads) // 2
     assert len(encoded) == len(unique)
     assert len(unique) == pipeline.dedup.metadata.unique_chunks
@@ -223,31 +227,39 @@ def test_duplicates_never_reach_the_codec_on_one_cpu(monkeypatch, tmp_path):
                                      IntegrationMode.CPU_ONLY)
 
 
-# -- the segment-LZ search shared with a helper -------------------------------
+def test_duplicates_never_reach_the_gpu_search_on_one_cpu(monkeypatch,
+                                                          tmp_path):
+    """With no helper every launch searches its chunks in the caller,
+    still once each."""
+    monkeypatch.setattr(host, "usable_cpus", lambda: 1)
+    _assert_each_unique_encoded_once(monkeypatch, tmp_path,
+                                     IntegrationMode.GPU_COMP)
 
-_SEARCH = lz._search_tiles
-#: Tiles the caller searched itself, appended in the caller only.
-_CALLER_TILES: list = []
+
+# -- the segment-LZ search run ahead on a helper ------------------------------
+
+#: Payloads the caller searched itself, counted in the caller only.
+_CALLER_SEARCHED: list = []
 
 
-def _noting_caller_tiles(*args):
+def _noting_caller_searches(payloads):
     if os.getpid() == CALLER:
-        _CALLER_TILES.extend(first for first, _ in args[-1])
-    return _SEARCH(*args)
+        _CALLER_SEARCHED.append(len(payloads))
+    return _COMPRESS_PAYLOADS(payloads)
 
 
 def _payload_run(monkeypatch, mode, corpus, cpus):
-    """A payload run whose launches span two tiles, searched with
-    ``cpus`` usable CPUs: its report, the stored blob of every offset
-    and the tiles the caller searched."""
+    """A payload run whose launches span two tiles, with ``cpus``
+    usable CPUs: its report, the stored blob of every offset and the
+    payloads the caller searched."""
     monkeypatch.setattr(host, "usable_cpus", lambda: cpus)
-    _CALLER_TILES.clear()
+    _CALLER_SEARCHED.clear()
     pipeline, report, written = run(mode, corpus, payload=True,
                                     chunks=1024, window=256,
                                     gpu_comp_batch=128)
     metadata = pipeline.dedup.metadata
     blobs = [metadata.resolve(chunk.offset).blob for chunk in written]
-    return report, blobs, list(_CALLER_TILES)
+    return report, blobs, sum(_CALLER_SEARCHED)
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -256,14 +268,17 @@ def _payload_run(monkeypatch, mode, corpus, cpus):
                          ids=["gpu_comp", "gpu_both"])
 def test_payload_run_is_the_same_on_one_cpu_and_three(monkeypatch, mode,
                                                       corpus):
-    """One usable CPU: the caller searches every tile.  Three: a helper
-    searches some, and not a byte or a report field moves."""
-    monkeypatch.setattr(lz, "_search_tiles", _noting_caller_tiles)
+    """One usable CPU: the caller searches every payload.  Three: the
+    helpers search some, and not a byte or a report field moves."""
+    monkeypatch.setattr(gpu_lz, "compress_payloads",
+                        _noting_caller_searches)
     shared = _payload_run(monkeypatch, mode, corpus, 3)
     alone = _payload_run(monkeypatch, mode, corpus, 1)
     assert shared[0] == alone[0]
     assert shared[1] == alone[1]
     assert alone[0].gpu_kernels > 0
-    # Alone, the caller searched every tile; shared, a helper took some.
-    assert len(shared[2]) < len(alone[2])
-    assert host._POOL.helpers
+    # Alone, the caller searched every stored payload; shared, the
+    # helpers took some.
+    assert alone[2] == alone[0].counters["uniques"]
+    assert shared[2] < alone[2]
+    assert len(host._QUEUE.helpers) == 2

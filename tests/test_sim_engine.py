@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Environment
+from tests.dispatch_trace import TracingEnvironment
 from tests.reference_paths import HeapCalendar, any_of
 
 
@@ -447,10 +448,9 @@ def test_deterministic_schedule_with_many_processes():
 
 
 def test_start_runs_the_first_segment_inside_the_caller():
-    env = Environment()
+    env = TracingEnvironment()
     log = []
-    trace = []
-    env._trace = trace
+    trace = env.trace
 
     def child():
         log.append("child first segment")
@@ -465,9 +465,8 @@ def test_start_runs_the_first_segment_inside_the_caller():
 
 
 def test_unobserved_process_completion_schedules_nothing():
-    env = Environment()
-    trace = []
-    env._trace = trace
+    env = TracingEnvironment()
+    trace = env.trace
 
     def quiet():
         yield env.timeout(1.0)
@@ -514,7 +513,7 @@ def test_observed_and_failed_completions_still_use_the_calendar():
 
 
 def test_succeed_all_resumes_waiters_in_order_behind_one_entry():
-    env = Environment()
+    env = TracingEnvironment()
     order = []
 
     def waiter(name, event):
@@ -525,8 +524,7 @@ def test_succeed_all_resumes_waiters_in_order_behind_one_entry():
     for i, event in enumerate(events):
         env.process(waiter(i, event))
     env.run()
-    trace = []
-    env._trace = trace
+    env.trace = trace = []
     env.succeed_all(events, ["a", "b", "c", "d"])
     assert not any(event.triggered for event in events)
     env.run()
@@ -612,8 +610,8 @@ def test_dispatch_order_is_one_heap_keyed_time_then_eid(programs):
     """Whatever mix of ties, zero-delay triggers, nested spawns and
     batched succeeds a script makes, the engine dispatches in the order
     of one plain heap keyed ``(time, eid)``."""
-    env = Environment()
-    env._trace = trace = []
+    env = TracingEnvironment()
+    trace = env.trace
     reference = HeapCalendar()
     assert _play(env, programs) == _play(reference, programs)
     assert (env.now, len(trace)) == (reference.now, reference.dispatched)
