@@ -21,6 +21,7 @@ functions of the payload, so:
 """
 
 import dataclasses
+import functools
 import os
 import signal
 
@@ -148,10 +149,16 @@ def run(mode, stream, way):
             retired)
 
 
+@functools.lru_cache(maxsize=None)
+def reference(mode, stream):
+    """The run that computes every container where it is used."""
+    return run(mode, stream, "inline")
+
+
 @pytest.mark.parametrize("stream", sorted(STREAMS))
 @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
 def test_encode_ahead_stores_what_inline_encoding_stores(mode, stream):
-    inline = run(mode, stream, "inline")
+    inline = reference(mode, stream)
     # The corpora of random bytes are stored raw: no container.
     assert any(row[4] is not None for row in inline[1]) \
         == (stream in ("all_zero", "vdbench"))
@@ -173,7 +180,7 @@ def test_a_run_that_raises_leaves_the_next_run_identical(mode):
     """Raised at the first container taken, with every share submitted
     so far unsent or in flight: the run's end reads every reply, and a
     clean run after it stores what the reference stores."""
-    inline = run(mode, "vdbench", "inline")
+    inline = reference(mode, "vdbench")
     assert run(mode, "vdbench", "raises") is None
     assert run(mode, "vdbench", "helpers")[:3] == inline[:3]
 

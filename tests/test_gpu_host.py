@@ -167,7 +167,7 @@ def _whose_slowly(items):
     """:func:`_whose`, taking a helper long enough that every share
     submitted after it finds the helper busy."""
     if os.getpid() != CALLER:
-        time.sleep(0.5)
+        time.sleep(0.2)
     return _whose(items)
 
 
@@ -211,7 +211,7 @@ def test_close_reads_the_reply_in_flight_and_drops_the_unsent(two_cpus):
 def _raises_in_the_caller(items):
     if os.getpid() == CALLER:
         raise RuntimeError("caller failure")
-    time.sleep(0.5)
+    time.sleep(0.2)
     return items
 
 
@@ -326,7 +326,7 @@ def test_a_helper_found_dead_while_polled_puts_its_share_back(two_cpus):
 
 def _raises_everywhere(items):
     if os.getpid() != CALLER:
-        time.sleep(0.5)     # still busy when the next share is submitted
+        time.sleep(0.2)     # still busy when the next share is submitted
     raise RuntimeError("share failure")
 
 
