@@ -35,8 +35,7 @@ from repro.core.modes import IntegrationMode
 from repro.core.readpath import ReadPipeline, ReadReport
 from repro.core.stats import PipelineReport
 from repro.compression.delta import DeltaCodec, SimilarityIndex, sketch
-from repro.compression.lzss import LzssCodec
-from repro.compression.postprocess import refine_tile
+from repro.compression.postprocess import compress_payloads
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.cpu.model import CpuSpec, I7_2600K, SimCpu
 from repro.dedup.bins import BinTable
@@ -528,11 +527,10 @@ def a15_delta_reduction(n_chunks: int = 250) -> dict[str, dict[str, Any]]:
 
     # Each distinct chunk (in first-occurrence order) and the bytes LZ
     # stores it in; exact dedup keeps only these.
-    lz = LzssCodec()
-    lz_bytes: dict[bytes, int] = {}
-    for chunk in stream:
-        if chunk not in lz_bytes:
-            lz_bytes[chunk] = min(len(lz.encode(chunk)), len(chunk))
+    distinct = list(dict.fromkeys(stream))
+    containers, _ = compress_payloads(distinct, 1)
+    lz_bytes = {chunk: min(len(blob), len(chunk))
+                for chunk, blob in zip(distinct, containers)}
 
     # Exact dedup + similarity delta + LZ.
     delta_codec = DeltaCodec()
@@ -661,20 +659,20 @@ def a7_segment_sweep(segment_counts: Sequence[int] = (1, 2, 4, 8, 16),
     generator = BlockContentGenerator(2.0, seed=3)
     generator.calibrate()
     blocks = [generator.make_block(4096, salt=s) for s in range(n_blocks)]
-    serial_codec = LzssCodec()
-    serial_ratio = sum(len(b) for b in blocks) / \
-        sum(len(serial_codec.encode(b)) for b in blocks)
     device = GpuDevice(Environment())
 
+    # One segment is the serial greedy parse: the loss's reference.
+    total = sum(len(block) for block in blocks)
+    ratios = {segments: total / sum(
+        map(len, compress_payloads(blocks, segments)[0]))
+        for segments in dict.fromkeys((1, *segment_counts))}
     points = {}
     for segments in segment_counts:
-        kernel = SegmentLzKernel(blocks, segments_per_chunk=segments)
-        compressed = sum(len(blob) for tile in kernel.execute().tiles
-                         for blob in refine_tile(tile))
-        ratio = sum(len(block) for block in blocks) / compressed
+        cost = SegmentLzKernel(blocks, segments_per_chunk=segments).cost()
         points[segments] = {
-            "ratio": ratio, "ratio_loss": 1.0 - ratio / serial_ratio,
-            "critical_path_s": kernel.cost().critical_path_cycles
+            "ratio": ratios[segments],
+            "ratio_loss": 1.0 - ratios[segments] / ratios[1],
+            "critical_path_s": cost.critical_path_cycles
             / device.spec.freq_hz}
     return points
 

@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     codec.add_argument("--codec", choices=("lzss", "quicklz"),
                        default="quicklz")
     codec.add_argument("--limit", type=int, default=1 << 20,
-                       help="max bytes to read (pure-Python codecs)")
+                       help="max bytes to read (pure-Python codecs; lzss "
+                            "parses them as one sequential segment "
+                            "search, under 2 GiB)")
     codec.set_defaults(func=cmd_codec)
 
     return parser

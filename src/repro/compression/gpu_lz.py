@@ -6,16 +6,15 @@ GPU LZ kernels to the pipeline's batching machinery:
 
 * :meth:`GpuCompressor.compress_window` hands a window's new payloads to
   the codec queue (:mod:`repro.host`) without waiting: its task,
-  :func:`compress_payloads`, is the segment-LZ search
-  (:class:`~repro.gpu.kernels.lz.SegmentLzKernel`) and each tile's
-  refinement (:func:`~repro.compression.postprocess.refine_tile`), run
-  on a helper or in the caller;
+  :func:`~repro.compression.postprocess.compress_payloads`, is the
+  segment-LZ search (:class:`~repro.gpu.kernels.lz.SegmentLzKernel`)
+  and each tile's refinement, run on a helper or in the caller;
 * :meth:`GpuCompressor.make_kernel` builds one launch for a batch of
   chunks, priced from their sizes
   (:class:`~repro.gpu.kernels.lz.DescriptorLzKernel`);
 * :meth:`GpuCompressor.split_results` fans the launch output back out
   per chunk; in payload mode it takes each chunk's container from the
-  queue by fingerprint and runs :func:`compress_payloads` on the rest,
+  queue by fingerprint and runs ``compress_payloads`` on the rest,
   in full tiles, as part of the dispatcher's functional step, so it
   moves no simulated time;
 * :meth:`GpuCompressor.postprocess` accounts for one chunk's refinement:
@@ -28,30 +27,13 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro import host
-from repro.compression.lz_common import DEFAULT_PARAMS
 from repro.compression.parallel_cpu import CompressionResult
-from repro.compression.postprocess import refine_tile
+from repro.compression.postprocess import compress_payloads
 from repro.cpu.costs import DEFAULT_COSTS
 from repro.errors import CompressionError
 from repro.gpu.kernel import Kernel
-from repro.gpu.kernels.lz import (
-    LZ_CENSUS,
-    DescriptorLzKernel,
-    SegmentLzKernel,
-)
+from repro.gpu.kernels.lz import LZ_CENSUS, DescriptorLzKernel
 from repro.types import Chunk
-
-
-def compress_payloads(payloads: list[bytes]
-                      ) -> tuple[list[bytes], dict[str, int]]:
-    """The GPU codec's work on ``payloads``: the segment-LZ search, a
-    tile at a time, and each tile's refinement.  Returns a container per
-    payload, in order, and the search's :data:`LZ_CENSUS` counts; the
-    GPU codec's queue task."""
-    launch = SegmentLzKernel(payloads).execute()
-    return ([blob for tile in launch.tiles
-             for blob in refine_tile(tile, DEFAULT_PARAMS)],
-            launch.census)
 
 
 class GpuCompressor:

@@ -1,8 +1,9 @@
 """Shared LZ machinery: parameters and the canonical container.
 
-All LZ paths in the library (serial LZSS, the GPU segment-parallel path
-after post-processing) produce the same serialized container, so one
-decoder handles every producer.  That mirrors the paper's design:
+Both LZ paths in the library, serial LZSS (one segment per buffer) and
+the GPU segment-parallel path, are the one segment search plus its
+refinement, and produce the same serialized container, so one decoder
+handles every producer.  That mirrors the paper's design:
 the GPU emits raw match candidates and the CPU refines them into the same
 stream format the storage system already understands.
 
@@ -52,22 +53,12 @@ class LzParams:
 DEFAULT_PARAMS = LzParams()
 
 
+#: Bound on the match chain: a position's candidates are the last
+#: ``MAX_CHAIN`` earlier same-key positions inside the window.
+MAX_CHAIN = 64
+
+
 # -- data-plane fast-path primitives (DESIGN.md §9) -------------------------
-
-def key3_array(data: bytes) -> list[int]:
-    """Rolling 24-bit keys: ``keys[i] = data[i]<<16 | data[i+1]<<8 | data[i+2]``.
-
-    The shared per-chunk hash array of the data-plane fast path: computed
-    once per chunk and reused by every LZSS match finder over that chunk.
-    A single zip-slice comprehension beats per-position indexing by ~1.7x
-    in CPython.
-    """
-    if len(data) < 3:
-        return []
-    keys = [(a << 16) | (b << 8) | c
-            for a, b, c in zip(data, data[1:], data[2:])]
-    return keys
-
 
 def common_prefix_length(data: bytes, a: int, b: int, limit: int) -> int:
     """Longest common prefix of ``data[a:]`` and ``data[b:]``, capped.

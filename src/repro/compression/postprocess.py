@@ -13,6 +13,11 @@ chunks at once (DESIGN.md §9):
    sequential decoder has full history by then);
 2. pack every container of the tile into one buffer, sliced per chunk.
 
+:func:`compress_payloads` is the search plus this refinement, and every
+LZSS container in the library comes from it: the GPU codec's queue task
+(eight segments per chunk) and :class:`~repro.compression.lzss.LzssCodec`
+(one segment: the serial greedy parse).
+
 There is no seam repair: a match the kernel keeps ended at a mismatch,
 the cap or the chunk's end, so no seam has anything to absorb.
 
@@ -24,6 +29,8 @@ the CPU or the GPU.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.compression.lz_common import (
@@ -31,7 +38,7 @@ from repro.compression.lz_common import (
     LzParams,
 )
 from repro.errors import CompressionError
-from repro.gpu.kernels.lz import LzTile
+from repro.gpu.kernels.lz import SEGMENTS_PER_CHUNK, LzTile, SegmentLzKernel
 
 _HEADER = 4     # container header: the chunk's length, big-endian
 
@@ -198,3 +205,17 @@ def refine_tile(tile: LzTile,
     firsts = np.append(0, cuts[n_segments - 1::n_segments])
     return _pack(tile, firsts, starts, lengths, distances, is_match,
                  matches, params)
+
+
+def compress_payloads(payloads: Sequence[bytes],
+                      segments_per_chunk: int = SEGMENTS_PER_CHUNK,
+                      params: LzParams = DEFAULT_PARAMS
+                      ) -> tuple[list[bytes], dict[str, int]]:
+    """The segment-LZ search over ``payloads``, a tile at a time, and
+    each tile's refinement: a container per payload, in order, and the
+    search's :data:`~repro.gpu.kernels.lz.LZ_CENSUS` counts.  The GPU
+    codec's queue task; at one segment it is the serial greedy parse."""
+    launch = SegmentLzKernel(payloads, segments_per_chunk, params).execute()
+    return ([blob for tile in launch.tiles
+             for blob in refine_tile(tile, params)],
+            launch.census)

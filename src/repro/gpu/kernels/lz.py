@@ -18,10 +18,12 @@ Two kernel classes share one cost model:
 
 * :class:`SegmentLzKernel` — the search itself: really searches matches,
   a tile of chunks at a time as one array problem (DESIGN.md §9),
-  emitting exactly the tokens a per-segment greedy parse over
-  :class:`~repro.compression.lzss.IndexedMatchFinder` would.  The GPU
-  codec's queue task runs it, on a helper or in the caller
-  (:mod:`repro.compression.gpu_lz`).
+  emitting exactly the tokens a per-segment greedy parse under the one
+  chain rule would (its oracle is ``tests/reference_codecs.py``).  It
+  is the library's only LZSS parse:
+  :func:`~repro.compression.postprocess.compress_payloads` runs it and
+  refines its tiles, for the GPU codec's queue task and, at one segment
+  per buffer, for :class:`~repro.compression.lzss.LzssCodec`.
 * :class:`DescriptorLzKernel` — what the pipeline launches: priced from
   the chunk sizes alone, it returns synthetic output sizes from the
   workload's compression ratio (descriptor mode); a payload launch's
@@ -38,10 +40,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
+    MAX_CHAIN,
     LzParams,
     common_prefix_length,
 )
-from repro.compression.lzss import MAX_CHAIN
 from repro.errors import KernelError
 from repro.gpu.costs import DEFAULT_GPU_COSTS
 from repro.gpu.kernel import Kernel, KernelCost
@@ -60,6 +62,10 @@ LZ_CENSUS = ("rounds", "candidate_visits", "open_visits",
 #: Segment threads per chunk: the paper's launch geometry, and the only
 #: one the pipeline's GPU compressor and descriptor mode use.
 SEGMENTS_PER_CHUNK = 8
+#: Positions are int32, and so are the segment bounds on the way to
+#: them, which reach up to ``segments - 1`` past the tile's last byte:
+#: a tile's bytes plus its segment count must stay below this.
+_POSITION_LIMIT = 1 << 31
 
 
 class _LzPricing(Kernel):
@@ -151,6 +157,13 @@ class SegmentLzKernel(_LzPricing):
                 f"invalid segment count {segments_per_chunk}")
         self.chunks = list(chunks)
         self.chunk_sizes = [len(chunk) for chunk in self.chunks]
+        for first in range(0, len(self.chunk_sizes), _TILE_CHUNKS):
+            tile_bytes = sum(self.chunk_sizes[first:first + _TILE_CHUNKS])
+            if tile_bytes + segments_per_chunk >= _POSITION_LIMIT:
+                raise KernelError(
+                    f"a search tile of {tile_bytes} bytes in "
+                    f"{segments_per_chunk} segments per chunk overflows "
+                    f"its int32 positions")
         self.segments_per_chunk = segments_per_chunk
         self.params = params
         #: :data:`LZ_CENSUS`, summed over the launch's tiles: walk rounds,
@@ -360,17 +373,18 @@ class SegmentLzKernel(_LzPricing):
                     chunk_end: int) -> tuple[int, int]:
         """Best ``(distance, length)`` at a position still open.
 
-        Finishes the scan of :meth:`IndexedMatchFinder.best_match
-        <repro.compression.lzss.IndexedMatchFinder.best_match>` from the
-        best the candidates down to ``pos - best_dist`` hold, ``best_len``
-        (at least ``min_match - 1``: what a match has to beat).  That
-        scan walks the chain nearest first and replaces its best only on
-        a strictly longer match, i.e. it moves to the nearest earlier
-        candidate that shares ``best_len + 1`` bytes with ``pos`` — one
-        ``bytes.rfind`` of that prefix.  The hit must lie inside the
-        window and among the last :data:`MAX_CHAIN` occurrences of the
-        key (at most that many sort ranks below ``pos``); older
-        candidates fail both tests too, so the scan stops there.
+        Finishes the chain scan of the one chain rule (the
+        ``ReferenceMatchFinder`` oracle in ``tests/reference_codecs.py``)
+        from the best the candidates down to ``pos - best_dist`` hold,
+        ``best_len`` (at least ``min_match - 1``: what a match has to
+        beat).  That scan walks the chain nearest first and replaces its
+        best only on a strictly longer match, i.e. it moves to the
+        nearest earlier candidate that shares ``best_len + 1`` bytes with
+        ``pos`` — one ``bytes.rfind`` of that prefix.  The hit must lie
+        inside the window and among the last :data:`MAX_CHAIN`
+        occurrences of the key (at most that many sort ranks below
+        ``pos``); older candidates fail both tests too, so the scan
+        stops there.
         """
         params = self.params
         limit = min(chunk_end - pos, params.max_match)

@@ -18,7 +18,7 @@ import zlib
 from typing import Optional
 
 from repro.compression.delta import DeltaCodec, SimilarityIndex, sketch
-from repro.compression.parallel_cpu import Codec, CpuCompressor
+from repro.compression.parallel_cpu import CpuCompressor
 from repro.dedup.chunking import FixedChunker
 from repro.dedup.engine import DedupEngine
 from repro.dedup.hashing import fingerprint_chunk
@@ -35,8 +35,7 @@ PREFIX_BYTES = 2
 class ReducedVolume:
     """Block volume whose write path deduplicates and compresses inline."""
 
-    def __init__(self, codec: Optional[Codec] = None,
-                 bin_buffer_capacity: int = 64,
+    def __init__(self, bin_buffer_capacity: int = 64,
                  bin_buffer_total: Optional[int] = 4096,
                  verify_checksums: bool = True,
                  enable_delta: bool = False):
@@ -56,7 +55,7 @@ class ReducedVolume:
         self.engine = DedupEngine(prefix_bytes=PREFIX_BYTES,
                                   bin_buffer_capacity=bin_buffer_capacity,
                                   bin_buffer_total=bin_buffer_total)
-        self.compressor = CpuCompressor(codec=codec)
+        self.compressor = CpuCompressor()
         #: Sequential-destage ledger: bytes grouped by flushed bin.
         self.destaged_bytes = 0
 

@@ -15,14 +15,14 @@ regenerates equivalent streams:
 * :mod:`~repro.workload.trace` — I/O trace recording.
 """
 
-from repro.workload.datagen import BlockContentGenerator, measured_ratio
+from repro.workload.datagen import BlockContentGenerator, measured_ratios
 from repro.workload.patterns import ZipfPattern
 from repro.workload.trace import TraceRecord, TraceRecorder
 from repro.workload.vdbench import StreamStats, VdbenchStream
 
 __all__ = [
     "BlockContentGenerator",
-    "measured_ratio",
+    "measured_ratios",
     "ZipfPattern",
     "TraceRecord",
     "TraceRecorder",

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.compression import LzssCodec
+from repro.compression.postprocess import compress_payloads
 from repro.errors import WorkloadError
 
 #: Approximate LZSS ratio on the pure repeating motif (12-bit window,
@@ -49,11 +50,12 @@ def analytic_random_fraction(target_ratio: float) -> float:
     return min(1.0, max(0.0, fraction))
 
 
-def measured_ratio(block: bytes) -> float:
-    """Actual LZSS compression ratio of ``block``."""
-    if not block:
-        return 1.0
-    return len(block) / len(LzssCodec().encode(block))
+def measured_ratios(blocks: Sequence[bytes]) -> list[float]:
+    """Actual LZSS compression ratio of each of ``blocks`` (1.0 for an
+    empty one), all searched in one call."""
+    containers, _ = compress_payloads(blocks, 1)
+    return [len(block) / len(blob) if block else 1.0
+            for block, blob in zip(blocks, containers)]
 
 
 class BlockContentGenerator:
@@ -157,8 +159,8 @@ class BlockContentGenerator:
         def measure(fraction: float) -> float:
             saved = self.random_fraction
             self.random_fraction = fraction
-            ratios = [measured_ratio(self.make_block(size, salt=1000 + s))
-                      for s in range(samples)]
+            ratios = measured_ratios([self.make_block(size, salt=1000 + s)
+                                      for s in range(samples)])
             self.random_fraction = saved
             return sum(ratios) / len(ratios)
 

@@ -183,6 +183,21 @@ MUTANTS = (
             "tests/test_gpu_host.py::"
             "test_close_reads_the_reply_in_flight_and_drops_the_unsent")),
     # -- The execution census's comparison: both kinds of drift.
+    # -- LzssCodec.encode: the one-segment case of the segment search,
+    # held to the serial oracle (ReferenceLzssCodec) and to the
+    # per-segment reference tokens under other window geometries.
+    Mutant("lzss-encode-searches-two-segments",
+           "src/repro/compression/lzss.py",
+           "compress_payloads([data], 1, self.params)",
+           "compress_payloads([data], 2, self.params)",
+           ("tests/test_dataplane_equivalence.py::"
+            "test_lzss_streams_byte_identical",)),
+    Mutant("lzss-encode-drops-its-params",
+           "src/repro/compression/lzss.py",
+           "compress_payloads([data], 1, self.params)",
+           "compress_payloads([data], 1)",
+           ("tests/test_dataplane_equivalence.py::"
+            "test_gpu_launch_honours_window_geometry",)),
     Mutant("census-passes-kept-entries-that-were-entered",
            "tests/census.py",
            "            if site in kept:\n",

@@ -44,16 +44,13 @@ from tests.reference_codecs import (
 )
 from repro.compression.lz_common import (
     DEFAULT_PARAMS,
+    MAX_CHAIN,
     LzParams,
     common_prefix_length,
     common_prefix_length_pair,
     copy_match,
 )
-from repro.compression.lzss import (
-    MAX_CHAIN,
-    IndexedMatchFinder,
-    LzssCodec,
-)
+from repro.compression.lzss import LzssCodec
 from repro.compression.postprocess import refine_tile
 from repro.compression.quicklz import QuickLzCodec
 from repro.errors import CompressionError, CorruptStreamError
@@ -388,23 +385,39 @@ def test_lzss_streams_byte_identical(payload):
     assert production.decode(blob) == payload
 
 
+def test_lzss_stream_of_a_long_buffer_byte_identical():
+    """One buffer many windows long: the one-segment search keeps every
+    chain, window and eviction decision of the serial oracle across a
+    whole 72 KiB parse, where each 4 KiB block reappears 48 KiB (past
+    the window) later."""
+    generator = BlockContentGenerator(2.0, seed=17)
+    blocks = [generator.make_block(4093, salt=salt) for salt in range(12)]
+    payload = b"".join(blocks + blocks[:6])
+    assert len(payload) >= 64 * 1024
+    blob = LzssCodec().encode(payload)
+    assert blob == ReferenceLzssCodec().encode(payload)
+    assert LzssCodec().decode(blob) == payload
+
+
 @pytest.mark.parametrize("payload", PAYLOADS, ids=IDS)
 def test_indexed_finder_reproduces_chain_finder(payload):
-    """Under the greedy insert discipline the occurrence index must
-    reproduce the incremental chain finder's answer at every parse
-    position — including the bounded-chain eviction behaviour."""
+    """The serial parse's finder is the segment search's sorted
+    candidate index at one segment.  Under the greedy insert discipline
+    its token at every parse position must be the incremental chain
+    finder's answer — including the bounded-chain eviction behaviour."""
     reference = ReferenceMatchFinder(payload)
-    indexed = IndexedMatchFinder(payload)
+    tile, = SegmentLzKernel([payload], segments_per_chunk=1).execute().tiles
     pos = 0
-    n = len(payload)
-    while pos < n:
+    for at, length, distance in zip(tile.starts.tolist(),
+                                    tile.lengths.tolist(),
+                                    tile.distances.tolist()):
+        assert at == pos
         expected = reference.longest_match(pos)
-        found = indexed.best_match(pos)
-        assert (found and Match(*found)) == expected
-        step = expected.length if expected is not None else 1
-        for offset in range(step):
+        assert (Match(distance, length) if distance else None) == expected
+        for offset in range(length):
             reference.insert(pos + offset)
-        pos += step
+        pos += length
+    assert pos == len(payload)
 
 
 def test_decode_tokens_matches_reference_expander():
@@ -656,8 +669,9 @@ def assert_launch_matches_oracles(chunks, segments, params=DEFAULT_PARAMS):
     (:func:`absorbable_seams`), and the refined containers must equal
     the list-based refinement of those reference tokens — through
     ``refine_tile`` over the launch's tiles and, chunk by chunk, through
-    the ``refine_to_container`` adapter.  A one-segment launch must also
-    be the serial codec's stream: one chain rule, two executors.
+    the ``refine_to_container`` adapter.  At one segment those blobs are
+    also what the serial codec, which is that launch, must encode under
+    the same ``params``.
     """
     kernel = SegmentLzKernel(chunks, segments_per_chunk=segments,
                              params=params)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import host
-from repro.compression.gpu_lz import compress_payloads
+from repro.compression.postprocess import compress_payloads
 from repro.compression.lz_common import DEFAULT_PARAMS
 from repro.gpu.kernels.lz import SEGMENTS_PER_CHUNK, _TILE_CHUNKS
 from tests.reference_codecs import (
@@ -97,7 +97,7 @@ _RUN = """
 import os, pickle, sys
 os.sched_setaffinity(0, {cpus!r})
 from repro import host
-from repro.compression.gpu_lz import compress_payloads
+from repro.compression.postprocess import compress_payloads
 from tests.test_gpu_host import ahead
 found = [ahead(compress_payloads, chunks)
          for chunks in pickle.load(sys.stdin.buffer)]

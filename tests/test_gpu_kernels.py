@@ -20,7 +20,11 @@ from repro.gpu.kernels import (
 from repro.gpu.kernels.lz import LZ_CENSUS
 from repro.sim import Environment
 from repro.types import Chunk
-from tests.reference_codecs import launch_outputs, refine_to_container
+from tests.reference_codecs import (
+    ReferenceLzssCodec,
+    launch_outputs,
+    refine_to_container,
+)
 from tests.reference_paths import lookup_batch, reference_bin_lookup
 
 
@@ -149,8 +153,31 @@ class TestSegmentLzKernel:
         outputs = launch_outputs(
             SegmentLzKernel([chunk], segments_per_chunk=1).execute())
         blob = refine_to_container(chunk, outputs[0])
-        serial = LzssCodec().encode(chunk)
-        assert blob == serial
+        assert blob == ReferenceLzssCodec().encode(chunk)
+
+    def test_a_tile_past_int32_positions_rejected(self):
+        """A tile whose bytes plus segment count reach 2 GiB would wrap
+        its int32 positions or segment bounds, so the kernel refuses it
+        when built, tile by tile (only the chunks' lengths are read:
+        nothing is allocated)."""
+        class Sized:
+            def __init__(self, size):
+                self.size = size
+
+            def __len__(self):
+                return self.size
+
+        limit = 1 << 31
+        for chunks in ([Sized(limit)], [Sized(1 << 25)] * 64,
+                       [Sized(1)] * 64 + [Sized(limit - 8)]):
+            with pytest.raises(KernelError, match="int32"):
+                SegmentLzKernel(chunks)
+        with pytest.raises(KernelError, match="int32"):
+            LzssCodec().encode(Sized(limit - 1))
+        # One short of the bound in each of two tiles: 4 GiB launched.
+        SegmentLzKernel([Sized(1 << 25)] * 63 + [Sized((1 << 25) - 9)]
+                        + [Sized(limit - 9)])
+        SegmentLzKernel([Sized(limit - 2)], segments_per_chunk=1)
 
     @given(st.binary(min_size=1, max_size=1500), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)

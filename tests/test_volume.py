@@ -11,6 +11,7 @@ from hypothesis.stateful import (
 )
 
 from repro.compression import LzssCodec, QuickLzCodec
+from repro.compression.parallel_cpu import CpuCompressor
 from repro.errors import BlockRangeError, MetadataError, ReproError
 from repro.storage import ReducedVolume
 from repro.workload.datagen import BlockContentGenerator
@@ -123,7 +124,8 @@ class TestReduction:
         assert volume.reduction_ratio() > 3.0
 
     def test_custom_codec(self):
-        volume = ReducedVolume(codec=LzssCodec())
+        volume = ReducedVolume()
+        volume.compressor = CpuCompressor(codec=LzssCodec())
         data = compressible(4096)
         volume.write(0, data)
         assert volume.read(0, 4096) == data
@@ -170,7 +172,9 @@ class CountingCodec(QuickLzCodec):
 
 def _shared_volume(codec=None, offsets=64, contents=20):
     """``offsets`` logical chunks over ``contents`` distinct contents."""
-    volume = ReducedVolume(codec=codec)
+    volume = ReducedVolume()
+    if codec is not None:
+        volume.compressor = CpuCompressor(codec=codec)
     for slot in range(offsets):
         volume.write(slot * 4096, compressible(4096, salt=slot % contents))
     assert volume.engine.metadata.unique_chunks == contents
